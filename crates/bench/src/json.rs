@@ -1,10 +1,9 @@
-//! A minimal JSON reader for validating benchmark reports.
+//! A minimal JSON reader for checking the `/trace` payload.
 //!
-//! The workspace is dependency-free, so the `BENCH_*.json` schema checks
-//! (`bench_store --smoke` under `scripts/verify.sh`) parse with this
-//! hand-rolled recursive-descent reader instead of serde. It accepts
-//! exactly the JSON the reports emit: objects, arrays, strings with
-//! simple escapes, numbers, booleans and null.
+//! The workspace is dependency-free, so [`crate::trace_smoke`] parses
+//! with this hand-rolled recursive-descent reader instead of serde. It
+//! accepts exactly the JSON the endpoints emit: objects, arrays, strings
+//! with simple escapes, numbers, booleans and null.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

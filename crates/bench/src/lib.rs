@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! Benchmark harness reproducing every table and figure of the paper.
+//! Reproduces every table and figure of the paper.
 //!
 //! - [`fixtures`] — the three Google operations' requests and responses,
 //!   produced through the real service + SOAP pipeline.
@@ -9,6 +9,10 @@
 //!   iterations, then 10,000 measured).
 //! - [`tables`] — Tables 1–9 as printable text tables.
 //! - [`figures`] — the Figure 3/4 portal sweeps.
+//! - [`trace_smoke`] — a deterministic end-to-end check of the span tree.
+//!
+//! Performance numbers come from the `benchmark/` package at the root of
+//! the repository, not from this crate.
 //!
 //! Run everything with the `reproduce` binary:
 //!
@@ -16,14 +20,10 @@
 //! cargo run --release -p wsrc-bench --bin reproduce -- all
 //! ```
 
-pub mod adaptive_bench;
-pub mod e2e_bench;
 pub mod figures;
 pub mod fixtures;
 pub mod json;
 pub mod obs_report;
-pub mod pipeline_bench;
-pub mod store_bench;
 pub mod tables;
 pub mod timing;
 pub mod trace_smoke;

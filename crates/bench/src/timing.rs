@@ -61,11 +61,6 @@ pub fn fmt_msec(d: Duration) -> String {
     }
 }
 
-/// Formats a duration in microseconds.
-pub fn fmt_usec(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +92,5 @@ mod tests {
     fn formatting() {
         assert_eq!(fmt_msec(Duration::from_millis(3)), "3.000");
         assert_eq!(fmt_msec(Duration::from_nanos(1500)), "0.001500");
-        assert_eq!(fmt_usec(Duration::from_micros(250)), "250.00");
     }
 }

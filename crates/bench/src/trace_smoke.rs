@@ -1,4 +1,5 @@
-//! End-to-end trace smoke behind the `trace_smoke` binary.
+//! End-to-end trace smoke, run by the `trace_smoke_passes_end_to_end`
+//! test below.
 //!
 //! Drives one miss and one hit through the full stack — pooled HTTP
 //! client → worker-pool server → portal site → caching client middleware

@@ -140,6 +140,18 @@ impl ServiceClient {
                     {
                         match inflight.join(key) {
                             Role::Leader(guard) => {
+                                // A lookup that missed before an earlier
+                                // leader inserted, followed by a join after
+                                // that leader released, wins a fresh flight
+                                // for a key the cache now holds: re-read
+                                // once instead of repeating the exchange.
+                                if let CacheOutcome::Fresh { handle, .. } = cache.lookup_detailed(
+                                    &self.endpoint_url,
+                                    request,
+                                    &descriptor.return_type,
+                                ) {
+                                    return Ok((handle, Disposition::CacheHit));
+                                }
                                 // Store BEFORE completing the guard: a
                                 // follower released earlier could re-read
                                 // the cache ahead of the insert, miss, and
@@ -302,10 +314,11 @@ impl ServiceClientBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::time::Duration;
-    use wsrc_cache::clock::ManualClock;
     use wsrc_http::{Handler, InProcTransport, Request, Response};
     use wsrc_model::typeinfo::{FieldDescriptor, FieldType};
+    use wsrc_obs::ManualClock;
     use wsrc_soap::serializer::serialize_response;
 
     fn op() -> OperationDescriptor {
@@ -501,6 +514,60 @@ mod tests {
         let stats = client.cache().unwrap().stats();
         assert_eq!(stats.hits, 7);
         assert_eq!(stats.inserts, 1);
+    }
+
+    /// A tracer clock that runs one whole leader flight for the same key
+    /// at the first reading taken after the traced caller's lookup has
+    /// missed: its `cache-lookup` span finishes between the lookup and
+    /// the join, which is where the interleaving has to happen.
+    struct LeaderBetweenLookupAndJoin {
+        client: Arc<ServiceClient>,
+        armed: AtomicBool,
+    }
+
+    impl wsrc_obs::Clock for LeaderBetweenLookupAndJoin {
+        fn now_millis(&self) -> u64 {
+            let missed = self.client.cache().is_some_and(|c| c.stats().misses > 0);
+            if missed && self.armed.swap(false, SeqCst) {
+                let leader = self.client.as_ref().invoke(&request("late"));
+                assert_eq!(leader.expect("leader flight").1, Disposition::CacheMiss);
+            }
+            0
+        }
+    }
+
+    #[test]
+    fn join_after_a_completed_flight_does_not_exchange_again() {
+        let transport = Arc::new(InProcTransport::new(upper_handler()));
+        let cache = Arc::new(
+            ResponseCache::builder(TypeRegistry::new())
+                .cache_everything(Duration::from_secs(60))
+                .clock(ManualClock::new())
+                .build(),
+        );
+        let client = Arc::new(
+            ServiceClient::builder(Url::new("svc.test", 80, "/soap"), transport.clone())
+                .operations([op()])
+                .cache(cache)
+                .coalesce_misses(true)
+                .build(),
+        );
+        let clock = Arc::new(LeaderBetweenLookupAndJoin {
+            client: client.clone(),
+            armed: AtomicBool::new(true),
+        });
+        let tracer = wsrc_obs::Tracer::new(clock.clone());
+        let root = tracer.root_span("late-joiner", "/test");
+        let (v, d) = client.as_ref().invoke(&request("late")).expect("late call");
+        root.finish();
+        assert!(!clock.armed.load(SeqCst), "the leader flight ran");
+        assert_eq!(v.as_value(), &Value::string("LATE"));
+        assert_eq!(d, Disposition::CacheHit);
+        assert_eq!(
+            transport.requests_served(),
+            1,
+            "a leader that finds the entry cached must not exchange"
+        );
     }
 
     #[test]

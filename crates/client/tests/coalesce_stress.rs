@@ -48,6 +48,13 @@ fn one_exchange_per_round_and_cache_before_release() {
                     }
                     match table.join(key.clone()) {
                         Role::Leader(guard) => {
+                            // A thread that missed before the round's
+                            // leader inserted and joined after it released
+                            // wins a fresh flight: re-read before
+                            // exchanging, as `ServiceClient::invoke` does.
+                            if sync::lock(&cache).contains_key(&key) {
+                                return;
+                            }
                             // The "exchange": exactly one per round.
                             exchanges.fetch_add(1, Ordering::SeqCst);
                             round_exchanges.fetch_add(1, Ordering::SeqCst);

@@ -8,7 +8,6 @@
 //! cached" (paper §6).
 
 use crate::classify::{candidate_representations, PaperSelector, RepresentationSelector};
-use crate::clock::{Clock, SystemClock};
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
 use crate::key::{generate_key, CacheKey, KeyStrategy};
@@ -20,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
 use wsrc_model::Value;
-use wsrc_obs::{Gauge, Histogram, MetricsRegistry};
+use wsrc_obs::{Clock, Gauge, Histogram, MetricsRegistry, SystemClock};
 use wsrc_soap::rpc::RpcRequest;
 
 pub use crate::repr::MissArtifacts as ResponseData;
@@ -647,7 +646,7 @@ impl ResponseCacheBuilder {
         self
     }
 
-    /// Sets the clock (tests use [`crate::clock::ManualClock`]).
+    /// Sets the clock (tests use [`wsrc_obs::ManualClock`]).
     pub fn clock(mut self, clock: impl Clock + 'static) -> Self {
         self.clock = Arc::new(clock);
         self
@@ -704,9 +703,9 @@ impl ResponseCacheBuilder {
 mod tests {
     use super::*;
     use crate::classify::FixedSelector;
-    use crate::clock::ManualClock;
     use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::{StructValue, Value};
+    use wsrc_obs::ManualClock;
     use wsrc_soap::deserializer::read_response_xml_recording;
     use wsrc_soap::serializer::serialize_response;
     use wsrc_xml::event::SaxEventSequence;

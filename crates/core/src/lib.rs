@@ -21,12 +21,10 @@
 //!   size-aware LRU eviction.
 //! - [`cache`] — [`cache::ResponseCache`], the facade the client
 //!   middleware plugs in.
-//! - [`clock`] — a mockable time source so TTL behaviour is testable.
 //! - [`stats`] — hit/miss/eviction counters.
 
 pub mod cache;
 pub mod classify;
-pub mod clock;
 pub mod entry;
 pub mod error;
 pub mod key;
@@ -37,7 +35,6 @@ pub mod store;
 
 pub use cache::{CacheOutcome, ResponseCache, ResponseCacheBuilder, ResponseData};
 pub use classify::{FastestSelector, FixedSelector, PaperSelector, RepresentationSelector};
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use entry::CacheEntry;
 pub use error::CacheError;
 pub use key::{CacheKey, KeyStrategy};

@@ -7,12 +7,12 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrc_cache::clock::ManualClock;
 use wsrc_cache::policy::{AdaptivePolicy, CachePolicy, OperationPolicy, SelectionMode};
 use wsrc_cache::repr::ValueRepresentation;
 use wsrc_cache::{ResponseCache, ResponseData};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
+use wsrc_obs::ManualClock;
 use wsrc_soap::deserializer::read_response_xml_recording;
 use wsrc_soap::rpc::RpcRequest;
 use wsrc_soap::serializer::serialize_response;

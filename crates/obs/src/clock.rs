@@ -1,9 +1,6 @@
 //! A mockable time source so timing behaviour (TTL expiry, span
-//! durations) is testable without sleeping.
-//!
-//! This module originally lived in `wsrc-cache`; it moved here so the
-//! observability layer sits below every other crate. `wsrc_cache::clock`
-//! re-exports it, so existing paths keep working.
+//! durations) is testable without sleeping. It lives here because the
+//! observability layer sits below every other crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

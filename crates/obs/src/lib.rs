@@ -23,9 +23,8 @@
 //! - [`sampler`] — the tail-sampling [`TraceStore`]: keeps error
 //!   traces, the slowest-N per route, and a probabilistic sample of
 //!   the rest, rendered as span trees for `GET /trace`.
-//! - [`clock`] — the mockable time source (moved here from
-//!   `wsrc-cache`, which re-exports it); [`clock::ManualClock`] keeps
-//!   timer and trace tests deterministic.
+//! - [`clock`] — the mockable time source; [`clock::ManualClock`] keeps
+//!   TTL, timer and trace tests deterministic.
 //! - [`render`] — Prometheus-style text exposition and a hand-rolled
 //!   JSON renderer (the build environment is offline: no `prometheus`,
 //!   no `serde`).

@@ -451,21 +451,6 @@ impl HistogramSnapshot {
             self.sum_nanos / self.count
         }
     }
-
-    /// Renders the snapshot's summary statistics as a JSON object
-    /// (`{"count":…,"p50_nanos":…,"p99_nanos":…,"p999_nanos":…,`
-    /// `"mean_nanos":…}`), the shared latency schema of benchmark
-    /// reports (`BENCH_*.json`).
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"count\":{},\"p50_nanos\":{},\"p99_nanos\":{},\"p999_nanos\":{},\"mean_nanos\":{}}}",
-            self.count,
-            self.p50_nanos(),
-            self.p99_nanos(),
-            self.p999_nanos(),
-            self.mean_nanos()
-        )
-    }
 }
 
 /// A point-in-time copy of a whole registry (or several merged).
@@ -598,10 +583,6 @@ mod tests {
         let snap = HistogramSnapshot::default();
         assert_eq!(snap.p50_nanos(), 0);
         assert_eq!(snap.mean_nanos(), 0);
-        assert_eq!(
-            snap.to_json_object(),
-            "{\"count\":0,\"p50_nanos\":0,\"p99_nanos\":0,\"p999_nanos\":0,\"mean_nanos\":0}"
-        );
     }
 
     #[test]

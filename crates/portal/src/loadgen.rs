@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
-use wsrc_obs::{Clock, MetricsRegistry, MonotonicClock};
+use wsrc_obs::Clock;
 
 /// Load parameters.
 #[derive(Debug, Clone, Copy)]
@@ -45,15 +45,6 @@ pub struct LoadReport {
     pub elapsed: Duration,
     /// Mean response time over completed requests.
     pub mean_response: Duration,
-    /// Median response time (upper bound of the log2 histogram bucket
-    /// holding the 50th percentile).
-    pub p50_response: Duration,
-    /// Tail response time (upper bound of the bucket holding the 99th
-    /// percentile).
-    pub p99_response: Duration,
-    /// Extreme-tail response time (bucket upper bound at the 99.9th
-    /// percentile) — the tail that tail-sampled traces explain.
-    pub p999_response: Duration,
     /// Completed requests per second.
     pub throughput_rps: f64,
 }
@@ -119,44 +110,14 @@ impl QuerySchedule {
 /// Runs the load and aggregates the report.
 ///
 /// The workers share the global schedule, so the aggregate mix matches
-/// the target hit ratio regardless of per-worker interleaving.
-pub fn run_load<T: PortalTarget>(target: &T, config: &LoadConfig) -> LoadReport {
-    run_load_with_clock(target, config, &MonotonicClock::new())
-}
-
-/// [`run_load`] with an injected time source, so report timing is
-/// deterministic under [`wsrc_obs::ManualClock`] (analyzer rule R3).
-pub fn run_load_with_clock<T: PortalTarget>(
-    target: &T,
-    config: &LoadConfig,
-    clock: &dyn Clock,
-) -> LoadReport {
-    run_load_inner(target, config, clock, None)
-}
-
-/// [`run_load_with_clock`] with request tracing: every measured request
-/// becomes a root span in `tracer` (the load generator is the designated
-/// trace root — servers and clients only continue propagated contexts),
-/// so the report's tail percentiles are explainable from the tracer's
+/// the target hit ratio regardless of per-worker interleaving. Report
+/// timing comes from `clock`, so it is deterministic under
+/// [`wsrc_obs::ManualClock`] (analyzer rule R3). With a `tracer`, every
+/// measured request becomes a root span in it (the load generator is the
+/// designated trace root — servers and clients only continue propagated
+/// contexts), so slow requests are explainable from the tracer's
 /// tail-sampled store.
-pub fn run_load_traced<T: PortalTarget>(
-    target: &T,
-    config: &LoadConfig,
-    clock: &dyn Clock,
-    tracer: &std::sync::Arc<wsrc_obs::Tracer>,
-) -> LoadReport {
-    run_load_inner(target, config, clock, Some(tracer))
-}
-
-/// Per-stage critical-path breakdown of the traces `tracer` retained:
-/// self time (span duration minus direct children) summed per stage,
-/// descending. Feed it a tracer from [`run_load_traced`] to see where
-/// the measured requests actually spent their time.
-pub fn critical_path_breakdown(tracer: &std::sync::Arc<wsrc_obs::Tracer>) -> Vec<(String, u64)> {
-    wsrc_obs::sampler::stage_breakdown(&tracer.store().recent())
-}
-
-fn run_load_inner<T: PortalTarget>(
+pub fn run_load<T: PortalTarget>(
     target: &T,
     config: &LoadConfig,
     clock: &dyn Clock,
@@ -175,10 +136,6 @@ fn run_load_inner<T: PortalTarget>(
     let completed = AtomicUsize::new(0);
     let errors = AtomicUsize::new(0);
     let total_latency_nanos = AtomicU64::new(0);
-    // Per-request latencies go into a private log2 histogram so the
-    // report can quote p50/p99 without keeping every sample.
-    let histograms = MetricsRegistry::new();
-    let latency = histograms.histogram("wsrc_load_response_nanos", &[]);
     let start = clock.now_nanos();
     std::thread::scope(|scope| {
         for _ in 0..config.concurrency.max(1) {
@@ -206,7 +163,6 @@ fn run_load_inner<T: PortalTarget>(
                             completed.fetch_add(1, Ordering::SeqCst);
                             let nanos = clock.now_nanos().saturating_sub(t0);
                             total_latency_nanos.fetch_add(nanos, Ordering::SeqCst);
-                            latency.record_nanos(nanos);
                         }
                         Err(_) => {
                             errors.fetch_add(1, Ordering::SeqCst);
@@ -224,15 +180,11 @@ fn run_load_inner<T: PortalTarget>(
     } else {
         Duration::ZERO
     };
-    let snapshot = latency.snapshot();
     LoadReport {
         completed,
         errors,
         elapsed,
         mean_response,
-        p50_response: Duration::from_nanos(snapshot.p50_nanos()),
-        p99_response: Duration::from_nanos(snapshot.p99_nanos()),
-        p999_response: Duration::from_nanos(snapshot.p999_nanos()),
         throughput_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
     }
 }
@@ -243,6 +195,7 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
     use std::sync::Mutex;
+    use wsrc_obs::MonotonicClock;
 
     /// Counts fetches and which queries were repeats.
     struct CountingTarget {
@@ -296,7 +249,7 @@ mod tests {
                 hit_ratio: ratio,
                 hot_queries: 8,
             };
-            let report = run_load(&target, &config);
+            let report = run_load(&target, &config, &MonotonicClock::new(), None);
             assert_eq!(report.completed, 1000);
             // Measured repeats / measured requests (priming excluded).
             let measured_hits = target.hits.load(Ordering::SeqCst);
@@ -317,7 +270,7 @@ mod tests {
             hit_ratio: 0.6,
             hot_queries: 8,
         };
-        let report = run_load(&target, &config);
+        let report = run_load(&target, &config, &MonotonicClock::new(), None);
         assert_eq!(report.completed, 2000);
         assert_eq!(report.errors, 0);
         let observed = target.hits.load(Ordering::SeqCst) as f64 / 2000.0;
@@ -333,7 +286,7 @@ mod tests {
             hit_ratio: 0.5,
             hot_queries: 4,
         };
-        let report = run_load(&target, &config);
+        let report = run_load(&target, &config, &MonotonicClock::new(), None);
         assert!(report.throughput_rps > 0.0);
         assert!(report.elapsed > Duration::ZERO);
         assert!(report.mean_response <= report.elapsed);
@@ -367,6 +320,8 @@ mod tests {
                 hit_ratio: 0.0,
                 hot_queries: 1,
             },
+            &MonotonicClock::new(),
+            None,
         );
         assert_eq!(report.completed + report.errors, 100);
         assert!(report.errors > 0);
@@ -406,17 +361,12 @@ mod tests {
             hit_ratio: 0.0,
             hot_queries: 1,
         };
-        let report = run_load_with_clock(&target, &config, &clock);
+        let report = run_load(&target, &config, &clock, None);
         assert_eq!(report.completed, 10);
         // Priming (1 hot query) happens before the measured window, so
         // the window is exactly 10 fetches × 2ms.
         assert_eq!(report.elapsed, Duration::from_millis(20));
         assert_eq!(report.mean_response, Duration::from_millis(2));
-        // 2ms falls in the log2 bucket with upper bound 2^21 ns; every
-        // sample is identical so p50 == p99.
-        assert_eq!(report.p50_response, Duration::from_nanos(1 << 21));
-        assert_eq!(report.p99_response, report.p50_response);
-        assert_eq!(report.p999_response, report.p50_response);
         assert!((report.throughput_rps - 500.0).abs() < 1e-6);
     }
 
@@ -449,7 +399,7 @@ mod tests {
             hit_ratio: 0.0,
             hot_queries: 1,
         };
-        let report = run_load_traced(&PlainTarget, &config, &clock, &tracer);
+        let report = run_load(&PlainTarget, &config, &clock, Some(&tracer));
         assert_eq!(report.completed, 20);
         // Every request rooted a trace; the tail-sampling store retained
         // at least the slowest-N for the route.
@@ -459,7 +409,7 @@ mod tests {
         assert!(recent
             .iter()
             .all(|t| t.spans.iter().any(|s| s.stage == "transfer")));
-        let breakdown = critical_path_breakdown(&tracer);
+        let breakdown = wsrc_obs::sampler::stage_breakdown(&recent);
         assert!(
             breakdown.iter().any(|(stage, _)| stage == "root")
                 || breakdown.iter().any(|(stage, _)| stage == "transfer"),

@@ -11,6 +11,7 @@ use wsrc_http::{
     Handler, HttpClient, InProcTransport, PoolConfig, Request, Server, Status, TcpTransport,
     Transport, Url,
 };
+use wsrc_obs::MonotonicClock;
 use wsrc_services::google::{self, GoogleService};
 use wsrc_services::SoapDispatcher;
 
@@ -130,12 +131,13 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
         hit_ratio: config.hit_ratio,
         hot_queries: 8,
     };
+    let clock = MonotonicClock::new();
     let load = match config.transport {
         TransportMode::InProcess => {
             let target = InProcPortal {
                 portal: portal.clone(),
             };
-            run_load(&target, &load_config)
+            run_load(&target, &load_config, &clock, None)
         }
         TransportMode::Tcp => {
             let server = Server::bind("127.0.0.1:0", portal.clone() as Arc<dyn Handler>)
@@ -148,7 +150,7 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
                 url: Url::new("127.0.0.1", server.port(), "/portal"),
                 client: Arc::new(HttpClient::with_pool(pool)),
             };
-            let report = run_load(&target, &load_config);
+            let report = run_load(&target, &load_config, &clock, None);
             drop(server);
             report
         }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, workspace tests, formatting.
+# Full offline verification: release build, workspace tests, benchmark
+# smoke, formatting, static analysis.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -9,32 +10,13 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q --workspace
-# Deterministic store/hit-path benchmark smoke: fixed op counts under a
-# manual clock; validates the BENCH_store JSON schema, never timings.
-cargo run -q --release -p wsrc-bench --bin bench_store -- --smoke \
-  --out target/bench_store_smoke.json
-# Zero-copy pipeline benchmark smoke: few iterations, validates the
-# BENCH_pipeline JSON schema (wsrc-bench-pipeline/v1), never timings.
-cargo run -q --release -p wsrc-bench --bin bench_pipeline -- --smoke \
-  --out target/bench_pipeline_smoke.json
-# End-to-end network benchmark smoke: real TCP round trips with fake-
-# clock timing; validates the BENCH_e2e JSON schema (wsrc-bench-e2e/v1),
-# never timings.
-cargo run -q --release -p wsrc-bench --bin bench_e2e -- --smoke \
-  --out target/bench_e2e_smoke.json
-# Adaptive-vs-fixed representation benchmark smoke: fixed op counts
-# under a manual clock; validates the BENCH_adaptive JSON schema
-# (wsrc-bench-adaptive/v1), never timings or the win verdict.
-cargo run -q --release -p wsrc-bench --bin bench_adaptive -- --smoke \
-  --out target/bench_adaptive_smoke.json
-# End-to-end tracing smoke: a traced miss+hit over real TCP under a
-# fake clock; asserts every pipeline stage appears in the /trace span
-# tree and the root's direct children cover >=90% of its wall time.
-cargo run -q --release -p wsrc-bench --bin trace_smoke
+# The benchmark at 1/1000 of its op counts, checked: every metric
+# BENCHMARK.json names is emitted finite on every workload and no op
+# failed (prints `"correct": true`; ~30 s cold). Never judges timings.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo fmt --check
-# Workspace invariants (R1-R8): representation safety, atomics audit,
-# clock discipline, panic freedom, lock ordering, zero-copy pipeline,
-# bounded spawning, trace-root discipline. See crates/analyze.
+# Workspace invariants the compiler cannot see. See crates/analyze.
 cargo run -q --release -p wsrc-analyze -- --deny crates src
 
 echo "verify: build, tests, formatting, and analysis all clean"

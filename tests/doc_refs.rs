@@ -1,0 +1,106 @@
+//! Docs and scripts cannot name a command or a recorded result that does
+//! not exist: every `-p <crate>`, `--bin <name>`, `--example <name>`,
+//! `--manifest-path <path>` and `results/<file>` in the files below must
+//! resolve in the tree.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::Path;
+
+const SCANNED: &[&str] = &[
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "results/README.md",
+    "scripts/verify.sh",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+];
+
+/// Written by `reproduce` on every run and ignored by git, so docs may
+/// name it although the tree does not hold it.
+const GENERATED: &[&str] = &["results/metrics_summary.json"];
+
+/// Records the package in `dir` and every binary it builds.
+fn package(dir: &Path, packages: &mut BTreeSet<String>, bins: &mut BTreeSet<String>) {
+    let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
+    let mut section = "";
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            section = line;
+        } else if let Some(name) = line.strip_prefix("name = ") {
+            let name = name.trim_matches('"').to_string();
+            if section == "[[bin]]" || (section == "[package]" && dir.join("src/main.rs").is_file())
+            {
+                bins.insert(name.clone());
+            }
+            if section == "[package]" {
+                packages.insert(name);
+            }
+        }
+    }
+    for entry in fs::read_dir(dir.join("src/bin"))
+        .into_iter()
+        .flatten()
+        .flatten()
+    {
+        if let Some(stem) = entry.path().file_stem().and_then(|s| s.to_str()) {
+            bins.insert(stem.to_string());
+        }
+    }
+}
+
+#[test]
+fn docs_name_only_commands_and_results_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut packages, mut bins) = (BTreeSet::new(), BTreeSet::new());
+    package(root, &mut packages, &mut bins);
+    package(&root.join("benchmark"), &mut packages, &mut bins);
+    for entry in fs::read_dir(root.join("crates"))
+        .expect("crates/")
+        .flatten()
+    {
+        package(&entry.path(), &mut packages, &mut bins);
+    }
+
+    let mut dangling = Vec::new();
+    for file in SCANNED {
+        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        // Commands wrap across lines in prose, so pair tokens file-wide.
+        let tokens: Vec<&str> = text.split_whitespace().collect();
+        for pair in tokens.windows(2) {
+            let operand = pair[1].trim_matches(|c: char| "`'\",;:().".contains(c));
+            let resolves = match pair[0].trim_start_matches('`') {
+                "-p" => packages.contains(operand),
+                "--bin" => bins.contains(operand),
+                "--example" => root
+                    .join("examples")
+                    .join(format!("{operand}.rs"))
+                    .is_file(),
+                "--manifest-path" => root.join(operand).is_file(),
+                _ => continue,
+            };
+            if !resolves {
+                dangling.push(format!("{file}: {} {operand}", pair[0]));
+            }
+        }
+        for (at, _) in text.match_indices("results/") {
+            let name: String = text[at + "results/".len()..]
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || "_.*-".contains(*c))
+                .collect();
+            let path = format!("results/{}", name.trim_end_matches('.'));
+            if path != "results/"
+                && !GENERATED.contains(&path.as_str())
+                && !root.join(&path).exists()
+            {
+                dangling.push(format!("{file}: {path}"));
+            }
+        }
+    }
+    assert!(
+        dangling.is_empty(),
+        "dangling references:\n{}",
+        dangling.join("\n")
+    );
+}

@@ -3,11 +3,11 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::clock::ManualClock;
 use wsrcache::cache::{KeyStrategy, ResponseCache};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{Server, TcpTransport, Url};
 use wsrcache::model::Value;
+use wsrcache::obs::ManualClock;
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;

@@ -5,10 +5,10 @@
 
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
-use wsrcache::cache::clock::ManualClock;
 use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{Server, TcpTransport, Url};
+use wsrcache::obs::ManualClock;
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
