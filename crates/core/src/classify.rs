@@ -43,16 +43,17 @@ impl RepresentationSelector for PaperSelector {
         if value.is_deeply_immutable() || read_only {
             return ValueRepresentation::PassByReference;
         }
-        // b) Bean-type and array-type objects: reflection copy.
-        if registry.is_reflect_copyable(value) {
-            return ValueRepresentation::ReflectionCopy;
+        let supports = registry.deep_capabilities(value);
+        if supports.reflect_copyable {
+            // b) Bean-type and array-type objects: reflection copy.
+            ValueRepresentation::ReflectionCopy
+        } else if supports.serializable {
+            // c) Serializable objects: Java serialization.
+            ValueRepresentation::Serialization
+        } else {
+            // d) Everything else: SAX event sequences.
+            ValueRepresentation::SaxEvents
         }
-        // c) Serializable objects: Java serialization.
-        if registry.is_deeply_serializable(value) {
-            return ValueRepresentation::Serialization;
-        }
-        // d) Everything else: SAX event sequences.
-        ValueRepresentation::SaxEvents
     }
 }
 
@@ -71,16 +72,16 @@ impl RepresentationSelector for FastestSelector {
         if value.is_deeply_immutable() || read_only {
             return ValueRepresentation::PassByReference;
         }
-        if registry.is_deeply_cloneable(value) {
-            return ValueRepresentation::CloneCopy;
+        let supports = registry.deep_capabilities(value);
+        if supports.cloneable {
+            ValueRepresentation::CloneCopy
+        } else if supports.reflect_copyable {
+            ValueRepresentation::ReflectionCopy
+        } else if supports.serializable {
+            ValueRepresentation::Serialization
+        } else {
+            ValueRepresentation::SaxEvents
         }
-        if registry.is_reflect_copyable(value) {
-            return ValueRepresentation::ReflectionCopy;
-        }
-        if registry.is_deeply_serializable(value) {
-            return ValueRepresentation::Serialization;
-        }
-        ValueRepresentation::SaxEvents
     }
 }
 
@@ -113,13 +114,14 @@ pub fn candidate_representations(
         ValueRepresentation::DomTree,
         ValueRepresentation::SaxEvents,
     ];
-    if registry.is_deeply_serializable(value) {
+    let supports = registry.deep_capabilities(value);
+    if supports.serializable {
         out.push(ValueRepresentation::Serialization);
     }
-    if registry.is_reflect_copyable(value) {
+    if supports.reflect_copyable {
         out.push(ValueRepresentation::ReflectionCopy);
     }
-    if registry.is_deeply_cloneable(value) {
+    if supports.cloneable {
         out.push(ValueRepresentation::CloneCopy);
     }
     if value.is_deeply_immutable() || read_only {

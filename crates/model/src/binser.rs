@@ -17,7 +17,7 @@
 //! copy (paper §4.2.3-A).
 
 use crate::error::ModelError;
-use crate::typeinfo::TypeRegistry;
+use crate::typeinfo::{StructPlan, TypeRegistry};
 use crate::value::{StructValue, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -75,31 +75,37 @@ pub fn serialize(value: &Value) -> Vec<u8> {
 /// Returns [`ModelError::NotSupported`] when some type in the tree is not
 /// serializable.
 pub fn serialize_checked(value: &Value, registry: &TypeRegistry) -> Result<Vec<u8>, ModelError> {
-    check_serializable(value, registry)?;
+    check_serializable(value, None, registry)?;
     Ok(serialize(value))
 }
 
-fn check_serializable(value: &Value, registry: &TypeRegistry) -> Result<(), ModelError> {
+/// `declared` is the plan the parent's descriptor predicts for struct
+/// nodes under `value`; it saves the by-name lookup when it matches.
+fn check_serializable(
+    value: &Value,
+    declared: Option<&StructPlan>,
+    registry: &TypeRegistry,
+) -> Result<(), ModelError> {
     match value {
         Value::Array(items) => {
             for v in items {
-                check_serializable(v, registry)?;
+                check_serializable(v, declared, registry)?;
             }
             Ok(())
         }
         Value::Struct(s) => {
-            let serializable = registry
-                .get(s.type_name())
-                .map(|d| d.capabilities.serializable)
-                .unwrap_or(false);
-            if !serializable {
-                return Err(ModelError::NotSupported {
+            let plan = registry
+                .plan_for(s, declared)
+                .filter(|p| p.descriptor().capabilities.serializable)
+                .ok_or_else(|| ModelError::NotSupported {
                     type_name: s.type_name().to_string(),
                     capability: "serialization",
-                });
-            }
-            for (_, v) in s.fields() {
-                check_serializable(v, registry)?;
+                })?;
+            for (position, (name, v)) in s.fields().enumerate() {
+                if matches!(v, Value::Array(_) | Value::Struct(_)) {
+                    let declared = plan.child_plan(name, position, registry);
+                    check_serializable(v, declared, registry)?;
+                }
             }
             Ok(())
         }

@@ -9,7 +9,7 @@
 //! overhead), arrays element-wise, immutable leaves shared.
 
 use crate::error::ModelError;
-use crate::typeinfo::TypeRegistry;
+use crate::typeinfo::{StructPlan, TypeRegistry};
 use crate::value::{StructValue, Value};
 use std::sync::OnceLock;
 use wsrc_obs::Histogram;
@@ -27,6 +27,10 @@ fn copy_timer() -> &'static Histogram {
 /// matching the paper's Table 7 "n/a" cell for the SpellingSuggestion
 /// response.
 ///
+/// Every container of the copy is allocated at exactly its length: a
+/// stored reflection copy holds no growth slack the byte accounting
+/// (which charges lengths) would not see.
+///
 /// # Errors
 ///
 /// Returns [`ModelError::NotSupported`] when some type in the tree is not
@@ -35,8 +39,8 @@ pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Mod
     let _span = copy_timer().timer();
     match value {
         Value::Bytes(b) => Ok(Value::Bytes(b.clone())),
-        Value::Array(items) => copy_array(items, registry),
-        Value::Struct(_) => copy_inner(value, registry),
+        Value::Array(items) => copy_array(items, None, registry),
+        Value::Struct(_) => copy_inner(value, None, registry),
         other => Err(ModelError::NotSupported {
             type_name: other.type_label().to_string(),
             capability: "reflection copy (not a bean or array type)",
@@ -44,15 +48,25 @@ pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Mod
     }
 }
 
-fn copy_array(items: &[Value], registry: &TypeRegistry) -> Result<Value, ModelError> {
+fn copy_array(
+    items: &[Value],
+    declared: Option<&StructPlan>,
+    registry: &TypeRegistry,
+) -> Result<Value, ModelError> {
     let mut out = Vec::with_capacity(items.len());
     for item in items {
-        out.push(copy_inner(item, registry)?);
+        out.push(copy_inner(item, declared, registry)?);
     }
     Ok(Value::Array(out))
 }
 
-fn copy_inner(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelError> {
+/// `declared` is the plan the parent's descriptor predicts for struct
+/// nodes under `value`; it saves the by-name lookup when it matches.
+fn copy_inner(
+    value: &Value,
+    declared: Option<&StructPlan>,
+    registry: &TypeRegistry,
+) -> Result<Value, ModelError> {
     match value {
         // Immutable leaves are shared, not copied (paper §4.2.4).
         Value::Null
@@ -62,22 +76,25 @@ fn copy_inner(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelErro
         | Value::Double(_)
         | Value::String(_) => Ok(value.clone()),
         Value::Bytes(b) => Ok(Value::Bytes(b.clone())),
-        Value::Array(items) => copy_array(items, registry),
+        Value::Array(items) => copy_array(items, declared, registry),
         Value::Struct(s) => {
             // "Reflection": look the type up, instantiate via the default
             // constructor, then copy field-by-field through named access.
-            let descriptor = registry.require(s.type_name())?;
+            let plan = registry
+                .plan_for(s, declared)
+                .ok_or_else(|| ModelError::UnknownType(s.type_name().to_string()))?;
+            let descriptor = plan.descriptor();
             if !descriptor.capabilities.bean {
                 return Err(ModelError::NotSupported {
                     type_name: s.type_name().to_string(),
                     capability: "reflection copy (not a bean type)",
                 });
             }
-            let mut fresh = StructValue::new(descriptor.name.clone());
-            for field in &descriptor.fields {
+            let mut fresh = StructValue::with_capacity(descriptor.name.clone(), s.len());
+            for (slot, field) in descriptor.fields.iter().enumerate() {
                 // Getter by name…
                 if let Some(v) = s.get(&field.name) {
-                    let copied = copy_inner(v, registry)?;
+                    let copied = copy_inner(v, plan.field_plan(slot, registry), registry)?;
                     // …setter by name.
                     fresh.set(field.name.clone(), copied);
                 }
@@ -88,7 +105,7 @@ fn copy_inner(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelErro
             if fresh.len() != s.len() {
                 for (name, v) in s.fields() {
                     if descriptor.field(name).is_none() {
-                        let copied = copy_inner(v, registry)?;
+                        let copied = copy_inner(v, None, registry)?;
                         fresh.set(name.to_string(), copied);
                     }
                 }
@@ -227,6 +244,49 @@ mod tests {
         let v = Value::Struct(StructValue::new("Pair").with("left", "x").with("extra", 9));
         let copy = reflect_copy(&v, &r).unwrap();
         assert_eq!(copy.as_struct().unwrap().get("extra"), Some(&Value::Int(9)));
+    }
+
+    #[test]
+    fn copies_hold_no_growth_slack() {
+        fn assert_exact(v: &Value) {
+            match v {
+                Value::Bytes(b) => assert_eq!(b.capacity(), b.len()),
+                Value::Array(items) => {
+                    assert_eq!(items.capacity(), items.len());
+                    items.iter().for_each(assert_exact);
+                }
+                Value::Struct(s) => {
+                    assert_eq!(s.capacity(), s.len(), "{}", s.type_name());
+                    s.fields().for_each(|(_, f)| assert_exact(f));
+                }
+                _ => {}
+            }
+        }
+        let r = TypeRegistry::builder()
+            .merge(&registry())
+            .register(TypeDescriptor::new(
+                "Wide",
+                (0..13)
+                    .map(|i| FieldDescriptor::new(format!("f{i}"), FieldType::Int))
+                    .chain([FieldDescriptor::new(
+                        "pairs",
+                        FieldType::ArrayOf(Box::new(FieldType::Struct("Pair".into()))),
+                    )])
+                    .collect(),
+            ))
+            .build();
+        // 13 of 14 declared fields present plus one undeclared: built
+        // with `set` from empty, the field vector would sit at 16.
+        let mut wide = StructValue::new("Wide");
+        for i in 0..12 {
+            wide.set(format!("f{i}"), i);
+        }
+        wide.set("pairs", vec![pair(), pair(), pair()]);
+        wide.set("extra", 1);
+        let v = Value::Array(vec![Value::Struct(wide)]);
+        let copy = reflect_copy(&v, &r).unwrap();
+        assert_eq!(copy, v);
+        assert_exact(&copy);
     }
 
     #[test]

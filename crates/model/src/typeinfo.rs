@@ -8,7 +8,7 @@
 //! (populated by hand or by the WSDL compiler in `wsrc-wsdl`).
 
 use crate::error::ModelError;
-use crate::value::Value;
+use crate::value::{StructValue, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -203,10 +203,164 @@ impl TypeDescriptor {
     }
 }
 
+/// One registered struct type as compiled when its registry is built:
+/// the descriptor plus everything a per-message walk would otherwise
+/// look up by name. Decoders and the capability walk reach a child's
+/// plan through [`field_plan`](StructPlan::field_plan) — an index, not a
+/// `HashMap<String>` probe.
+#[derive(Debug)]
+pub struct StructPlan {
+    descriptor: TypeDescriptor,
+    /// Per declared field, the index (in the registry's plan table) of
+    /// the struct its type bottoms out in, when that struct is
+    /// registered.
+    field_plans: Vec<Option<u32>>,
+    /// No two declared fields share an XML name, so the first field
+    /// matching a name is the only one.
+    xml_names_unique: bool,
+    /// No two declared fields share a field name, so appending declared
+    /// fields can never produce a duplicate.
+    names_unique: bool,
+}
+
+impl StructPlan {
+    /// The descriptor this plan was compiled from.
+    pub fn descriptor(&self) -> &TypeDescriptor {
+        &self.descriptor
+    }
+
+    /// Whether appending each declared field at most once yields
+    /// distinct field names.
+    pub fn names_unique(&self) -> bool {
+        self.names_unique
+    }
+
+    /// Slot of the declared field whose XML name is `xml_name` — the
+    /// first such field, as [`TypeDescriptor::field_by_xml_name`] finds
+    /// it. `hint` is probed first: wire order is declaration order in
+    /// the overwhelming case, so the scan is one compare.
+    pub fn slot_by_xml_name(&self, xml_name: &str, hint: usize) -> Option<usize> {
+        let fields = &self.descriptor.fields;
+        if self.xml_names_unique && fields.get(hint).is_some_and(|f| f.xml_name == xml_name) {
+            return Some(hint);
+        }
+        fields.iter().position(|f| f.xml_name == xml_name)
+    }
+
+    /// Slot of the declared field named `name` (first match, as
+    /// [`TypeDescriptor::field`]), probing `hint` first.
+    fn slot_by_name(&self, name: &str, hint: usize) -> Option<usize> {
+        let fields = &self.descriptor.fields;
+        if self.names_unique && fields.get(hint).is_some_and(|f| f.name == name) {
+            return Some(hint);
+        }
+        fields.iter().position(|f| f.name == name)
+    }
+
+    /// The plan of the struct type field `slot` is declared to hold
+    /// (directly or as array elements), when registered in `registry` —
+    /// which must be the registry this plan came from.
+    pub fn field_plan<'r>(
+        &self,
+        slot: usize,
+        registry: &'r TypeRegistry,
+    ) -> Option<&'r StructPlan> {
+        let index = (*self.field_plans.get(slot)?)?;
+        registry.inner.plans.get(index as usize)
+    }
+
+    /// [`field_plan`](StructPlan::field_plan) of the field *named*
+    /// `name`, which sits at `position` in the instance being walked —
+    /// the declared slot too, when the instance is in declaration order.
+    pub(crate) fn child_plan<'r>(
+        &self,
+        name: &str,
+        position: usize,
+        registry: &'r TypeRegistry,
+    ) -> Option<&'r StructPlan> {
+        self.slot_by_name(name, position)
+            .and_then(|slot| self.field_plan(slot, registry))
+    }
+
+    /// The declared kind of field `slot`, resolved against `registry`
+    /// (the registry this plan came from).
+    pub fn field_kind<'r>(&'r self, slot: usize, registry: &'r TypeRegistry) -> Option<Kind<'r>> {
+        let field = self.descriptor.fields.get(slot)?;
+        Some(Kind {
+            field_type: &field.field_type,
+            plan: self.field_plan(slot, registry),
+        })
+    }
+}
+
+/// A declared type resolved against a registry: the [`FieldType`] as
+/// written plus the compiled plan of the struct it bottoms out in. It is
+/// two references — `Copy`, nothing owned — so a decoder can carry one
+/// per open element instead of a cloned `FieldType` and a name to look
+/// up.
+#[derive(Debug, Clone, Copy)]
+pub struct Kind<'r> {
+    field_type: &'r FieldType,
+    plan: Option<&'r StructPlan>,
+}
+
+impl<'r> Kind<'r> {
+    /// The declared type.
+    pub fn field_type(&self) -> &'r FieldType {
+        self.field_type
+    }
+
+    /// The compiled plan when this kind *is* a registered struct (not an
+    /// array of one). `None` for scalars, arrays and unregistered
+    /// ("dynamic") struct types.
+    pub fn struct_plan(&self) -> Option<&'r StructPlan> {
+        match self.field_type {
+            FieldType::Struct(_) => self.plan,
+            _ => None,
+        }
+    }
+
+    /// The element kind when this kind is an array.
+    pub fn element(&self) -> Option<Kind<'r>> {
+        match self.field_type {
+            FieldType::ArrayOf(inner) => Some(Kind {
+                field_type: inner,
+                plan: self.plan,
+            }),
+            _ => None,
+        }
+    }
+}
+
+/// Which copy mechanisms a whole value tree supports — the three
+/// run-time detections of paper §4.2.3 answered by one walk
+/// ([`TypeRegistry::deep_capabilities`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeepCapabilities {
+    /// Every struct node is serializable.
+    pub serializable: bool,
+    /// The value is a bean-type struct or an array (incl. `byte[]`) and
+    /// every nested struct is a bean.
+    pub reflect_copyable: bool,
+    /// The value is a struct or array and every struct node has a deep
+    /// clone.
+    pub cloneable: bool,
+}
+
+#[derive(Debug, Default)]
+struct Compiled {
+    /// Type name → index into `plans`.
+    index: HashMap<String, u32>,
+    /// One plan per registered type, sorted by type name.
+    plans: Vec<StructPlan>,
+}
+
 /// An immutable, shareable collection of type descriptors.
 ///
 /// Registries are built once (by hand or by the WSDL compiler) and shared
 /// across threads behind `Arc`s inside the descriptors' consumers.
+/// Building one compiles the schema: every struct type gets a
+/// [`StructPlan`], so per-message code resolves nested types by index.
 ///
 /// ```
 /// use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
@@ -223,7 +377,7 @@ impl TypeDescriptor {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
-    types: Arc<HashMap<String, TypeDescriptor>>,
+    inner: Arc<Compiled>,
 }
 
 impl TypeRegistry {
@@ -241,7 +395,23 @@ impl TypeRegistry {
 
     /// Looks up a type by name.
     pub fn get(&self, name: &str) -> Option<&TypeDescriptor> {
-        self.types.get(name)
+        self.plan(name).map(StructPlan::descriptor)
+    }
+
+    /// Looks up a type's compiled plan by name (one hash probe; nested
+    /// types are then reached through the plan, by index).
+    pub fn plan(&self, name: &str) -> Option<&StructPlan> {
+        let index = *self.inner.index.get(name)?;
+        self.inner.plans.get(index as usize)
+    }
+
+    /// Resolves a declared type against this registry — one hash probe
+    /// when it names a struct, none otherwise.
+    pub fn kind_of<'r>(&'r self, field_type: &'r FieldType) -> Kind<'r> {
+        Kind {
+            field_type,
+            plan: field_type.struct_name().and_then(|name| self.plan(name)),
+        }
     }
 
     /// Looks up a type or fails with [`ModelError::UnknownType`].
@@ -256,90 +426,105 @@ impl TypeRegistry {
 
     /// Number of registered types.
     pub fn len(&self) -> usize {
-        self.types.len()
+        self.inner.plans.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
+        self.inner.plans.is_empty()
     }
 
-    /// Iterates over all descriptors in unspecified order.
+    /// Iterates over all descriptors, sorted by type name.
     pub fn iter(&self) -> impl Iterator<Item = &TypeDescriptor> {
-        self.types.values()
+        self.inner.plans.iter().map(StructPlan::descriptor)
+    }
+
+    /// The plan of struct node `s`: the one its parent's declaration
+    /// predicts when the names agree (a string compare), else by name.
+    pub(crate) fn plan_for<'r>(
+        &'r self,
+        s: &StructValue,
+        declared: Option<&'r StructPlan>,
+    ) -> Option<&'r StructPlan> {
+        declared
+            .filter(|p| p.descriptor.name == s.type_name())
+            .or_else(|| self.plan(s.type_name()))
+    }
+
+    /// Answers the three run-time detections of paper §4.2.3 — deeply
+    /// serializable, copyable by reflection, deeply cloneable — in one
+    /// walk over `value`. Struct nodes of well-typed values are resolved
+    /// through their parent's plan, so only the root costs a hash probe.
+    pub fn deep_capabilities(&self, value: &Value) -> DeepCapabilities {
+        let mut all = Capabilities::all();
+        self.fold_capabilities(value, None, &mut all);
+        // The paper's Table 7 "n/a" cells: a bare immutable has neither a
+        // reflection copy nor a deep clone, a bare byte[] no deep clone.
+        let (array_type, clone_method) = match value {
+            Value::Bytes(_) => (true, false),
+            Value::Array(_) | Value::Struct(_) => (true, true),
+            _ => (false, false),
+        };
+        DeepCapabilities {
+            serializable: all.serializable,
+            reflect_copyable: array_type && all.bean,
+            cloneable: clone_method && all.cloneable,
+        }
     }
 
     /// Checks whether every struct node in `value` is serializable
     /// (the middleware's run-time detection from paper §4.2.3-A).
     pub fn is_deeply_serializable(&self, value: &Value) -> bool {
-        self.check_capability(value, |c| c.serializable)
+        self.deep_capabilities(value).serializable
     }
 
     /// Checks whether every struct node in `value` has a deep clone.
+    /// The paper treats a bare `byte[]` / `String` as having no usable
+    /// deep clone method (Table 7's n/a cells).
     pub fn is_deeply_cloneable(&self, value: &Value) -> bool {
-        match value {
-            // The paper treats a bare byte[] / String as having no usable
-            // deep clone method (Table 7's n/a cells).
-            Value::Bytes(_) => false,
-            Value::Null
-            | Value::Bool(_)
-            | Value::Int(_)
-            | Value::Long(_)
-            | Value::Double(_)
-            | Value::String(_) => false,
-            _ => self.check_capability(value, |c| c.cloneable),
-        }
+        self.deep_capabilities(value).cloneable
     }
 
     /// Checks whether `value` is copyable with the reflection API: the top
     /// level must be a bean-type struct or an array (incl. `byte[]`), and
-    /// every nested struct must be a bean.
+    /// every nested struct must be a bean. Bare immutables are shared, not
+    /// copied; the paper's Table 7 reports reflection as n/a for a bare
+    /// String response.
     pub fn is_reflect_copyable(&self, value: &Value) -> bool {
-        match value {
-            Value::Bytes(_) => true,
-            Value::Array(items) => items.iter().all(|v| self.reflect_copyable_inner(v)),
-            Value::Struct(_) => self.reflect_copyable_inner(value),
-            // Bare immutables are shared, not copied; the paper's Table 7
-            // reports reflection as n/a for a bare String response.
-            _ => false,
-        }
+        self.deep_capabilities(value).reflect_copyable
     }
 
-    fn reflect_copyable_inner(&self, value: &Value) -> bool {
+    /// ANDs the capabilities of every struct node under `value` into
+    /// `all`; an unregistered struct proves nothing, so it clears them.
+    fn fold_capabilities(
+        &self,
+        value: &Value,
+        declared: Option<&StructPlan>,
+        all: &mut Capabilities,
+    ) {
         match value {
-            Value::Null
-            | Value::Bool(_)
-            | Value::Int(_)
-            | Value::Long(_)
-            | Value::Double(_)
-            | Value::String(_)
-            | Value::Bytes(_) => true,
-            Value::Array(items) => items.iter().all(|v| self.reflect_copyable_inner(v)),
-            Value::Struct(s) => {
-                self.get(s.type_name())
-                    .map(|d| d.capabilities.bean)
-                    .unwrap_or(false)
-                    && s.fields().all(|(_, v)| self.reflect_copyable_inner(v))
+            Value::Array(items) => {
+                for item in items {
+                    self.fold_capabilities(item, declared, all);
+                }
             }
-        }
-    }
-
-    fn check_capability(&self, value: &Value, pred: fn(&Capabilities) -> bool) -> bool {
-        match value {
-            Value::Null
-            | Value::Bool(_)
-            | Value::Int(_)
-            | Value::Long(_)
-            | Value::Double(_)
-            | Value::String(_)
-            | Value::Bytes(_) => true,
-            Value::Array(items) => items.iter().all(|v| self.check_capability(v, pred)),
             Value::Struct(s) => {
-                self.get(s.type_name())
-                    .map(|d| pred(&d.capabilities))
-                    .unwrap_or(false)
-                    && s.fields().all(|(_, v)| self.check_capability(v, pred))
+                let Some(plan) = self.plan_for(s, declared) else {
+                    *all = Capabilities::none();
+                    return;
+                };
+                let own = plan.descriptor.capabilities;
+                all.serializable &= own.serializable;
+                all.bean &= own.bean;
+                all.cloneable &= own.cloneable;
+                for (position, (name, child)) in s.fields().enumerate() {
+                    if matches!(child, Value::Array(_) | Value::Struct(_)) {
+                        let declared = plan.child_plan(name, position, self);
+                        self.fold_capabilities(child, declared, all);
+                    }
+                }
             }
+            _ => {}
         }
     }
 }
@@ -365,10 +550,42 @@ impl TypeRegistryBuilder {
         self
     }
 
-    /// Finalizes the registry.
+    /// Finalizes the registry, compiling one [`StructPlan`] per type.
     pub fn build(self) -> TypeRegistry {
+        let mut descriptors: Vec<TypeDescriptor> = self.types.into_values().collect();
+        descriptors.sort_by(|a, b| a.name.cmp(&b.name));
+        let index: HashMap<String, u32> = descriptors
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let i = u32::try_from(i).expect("registry exceeds u32 types");
+                (d.name.clone(), i)
+            })
+            .collect();
+        let plans = descriptors
+            .into_iter()
+            .map(|descriptor| {
+                let fields = &descriptor.fields;
+                let distinct = |key: fn(&FieldDescriptor) -> &str| {
+                    (1..fields.len()).all(|i| fields[..i].iter().all(|f| key(f) != key(&fields[i])))
+                };
+                StructPlan {
+                    field_plans: fields
+                        .iter()
+                        .map(|f| {
+                            f.field_type
+                                .struct_name()
+                                .and_then(|n| index.get(n).copied())
+                        })
+                        .collect(),
+                    xml_names_unique: distinct(|f| &f.xml_name),
+                    names_unique: distinct(|f| &f.name),
+                    descriptor,
+                }
+            })
+            .collect();
         TypeRegistry {
-            types: Arc::new(self.types),
+            inner: Arc::new(Compiled { index, plans }),
         }
     }
 }
@@ -458,6 +675,180 @@ mod tests {
         assert!(r.is_reflect_copyable(&arr_of_beans));
         let arr_with_opaque = Value::Array(vec![bean(), opaque]);
         assert!(!r.is_reflect_copyable(&arr_with_opaque));
+    }
+
+    fn nested_registry() -> TypeRegistry {
+        TypeRegistry::builder()
+            .merge(&registry())
+            .register(TypeDescriptor::new(
+                "Outer",
+                vec![
+                    FieldDescriptor::new("id", FieldType::Int),
+                    FieldDescriptor::new("bean", FieldType::Struct("Bean".into())),
+                    FieldDescriptor::new(
+                        "generated",
+                        FieldType::ArrayOf(Box::new(FieldType::ArrayOf(Box::new(
+                            FieldType::Struct("Generated".into()),
+                        )))),
+                    ),
+                    FieldDescriptor::new("ghost", FieldType::Struct("Unregistered".into())),
+                ],
+            ))
+            .build()
+    }
+
+    #[test]
+    fn plans_resolve_nested_types_by_index() {
+        let r = nested_registry();
+        let outer = r.plan("Outer").unwrap();
+        assert_eq!(outer.descriptor().name, "Outer");
+        assert!(outer.field_plan(0, &r).is_none());
+        assert_eq!(outer.field_plan(1, &r).unwrap().descriptor().name, "Bean");
+        // Through any depth of arrays.
+        assert_eq!(
+            outer.field_plan(2, &r).unwrap().descriptor().name,
+            "Generated"
+        );
+        // Unregistered struct types stay dynamic; no slot past the end.
+        assert!(outer.field_plan(3, &r).is_none());
+        assert!(outer.field_plan(4, &r).is_none());
+        assert!(outer.field_kind(4, &r).is_none());
+
+        let bean = outer.field_kind(1, &r).unwrap();
+        assert_eq!(bean.field_type(), &FieldType::Struct("Bean".into()));
+        assert_eq!(bean.struct_plan().unwrap().descriptor().name, "Bean");
+        assert!(bean.element().is_none());
+
+        // An array is not itself a struct; its innermost element is.
+        let rows = outer.field_kind(2, &r).unwrap();
+        assert!(rows.struct_plan().is_none());
+        let row = rows.element().unwrap();
+        assert!(row.struct_plan().is_none());
+        let cell = row.element().unwrap();
+        assert_eq!(cell.struct_plan().unwrap().descriptor().name, "Generated");
+        assert!(cell.element().is_none());
+
+        let ghost = outer.field_kind(3, &r).unwrap();
+        assert_eq!(ghost.field_type().struct_name(), Some("Unregistered"));
+        assert!(ghost.struct_plan().is_none());
+
+        // Top-level types resolve the same way.
+        let ty = FieldType::ArrayOf(Box::new(FieldType::Struct("Bean".into())));
+        let top = r.kind_of(&ty);
+        assert_eq!(
+            top.element()
+                .unwrap()
+                .struct_plan()
+                .unwrap()
+                .descriptor()
+                .name,
+            "Bean"
+        );
+        assert!(r.kind_of(&FieldType::Int).struct_plan().is_none());
+    }
+
+    #[test]
+    fn slot_probe_finds_the_first_matching_field() {
+        let r = TypeRegistry::builder()
+            .register(TypeDescriptor::new(
+                "Twice",
+                vec![
+                    FieldDescriptor::new("a", FieldType::Int),
+                    FieldDescriptor {
+                        name: "first".into(),
+                        xml_name: "dup".into(),
+                        field_type: FieldType::Int,
+                    },
+                    FieldDescriptor {
+                        name: "second".into(),
+                        xml_name: "dup".into(),
+                        field_type: FieldType::String,
+                    },
+                ],
+            ))
+            .build();
+        let bean = nested_registry();
+        let bean = bean.plan("Bean").unwrap();
+        // In order, out of order, past the end, unknown.
+        assert_eq!(bean.slot_by_xml_name("a", 0), Some(0));
+        assert_eq!(bean.slot_by_xml_name("b", 1), Some(1));
+        assert_eq!(bean.slot_by_xml_name("a", 1), Some(0));
+        assert_eq!(bean.slot_by_xml_name("b", 2), Some(1));
+        assert_eq!(bean.slot_by_xml_name("c", 0), None);
+        assert!(bean.names_unique());
+        // A repeated XML name resolves as `field_by_xml_name` does, even
+        // when the hint points at the later field.
+        let twice = r.plan("Twice").unwrap();
+        assert_eq!(twice.slot_by_xml_name("dup", 2), Some(1));
+        assert_eq!(
+            twice.descriptor().field_by_xml_name("dup").unwrap().name,
+            "first"
+        );
+        assert!(twice.names_unique());
+    }
+
+    /// The three per-capability walks `deep_capabilities` replaced.
+    fn reference_capabilities(r: &TypeRegistry, value: &Value) -> DeepCapabilities {
+        fn all(r: &TypeRegistry, value: &Value, pred: fn(&Capabilities) -> bool) -> bool {
+            match value {
+                Value::Array(items) => items.iter().all(|v| all(r, v, pred)),
+                Value::Struct(s) => {
+                    r.get(s.type_name()).is_some_and(|d| pred(&d.capabilities))
+                        && s.fields().all(|(_, v)| all(r, v, pred))
+                }
+                _ => true,
+            }
+        }
+        let container = matches!(value, Value::Array(_) | Value::Struct(_));
+        DeepCapabilities {
+            serializable: all(r, value, |c| c.serializable),
+            reflect_copyable: (container || matches!(value, Value::Bytes(_)))
+                && all(r, value, |c| c.bean),
+            cloneable: container && all(r, value, |c| c.cloneable),
+        }
+    }
+
+    #[test]
+    fn one_walk_answers_like_three() {
+        let r = nested_registry();
+        let generated = || Value::Struct(StructValue::new("Generated").with("x", 1));
+        let opaque = || Value::Struct(StructValue::new("Opaque"));
+        let outer = |bean: Value, rows: Value| {
+            Value::Struct(
+                StructValue::new("Outer")
+                    .with("id", 1)
+                    .with("bean", bean)
+                    .with("generated", rows),
+            )
+        };
+        let values = [
+            Value::Null,
+            Value::string("s"),
+            Value::Bytes(vec![1]),
+            Value::Array(vec![]),
+            bean(),
+            generated(),
+            opaque(),
+            Value::Struct(StructValue::new("Unregistered")),
+            // Well typed: every struct sits where its parent declares it.
+            outer(bean(), Value::Array(vec![Value::Array(vec![generated()])])),
+            outer(bean(), Value::Array(vec![])),
+            // Not what the declaration says: resolved by name instead.
+            outer(generated(), Value::Array(vec![bean(), opaque()])),
+            outer(Value::Null, Value::Struct(StructValue::new("Unregistered"))),
+            // Out of declaration order, an undeclared field, a struct
+            // where a scalar is declared.
+            Value::Struct(
+                StructValue::new("Outer")
+                    .with("generated", Value::Array(vec![generated()]))
+                    .with("extra", opaque())
+                    .with("id", bean()),
+            ),
+            Value::Array(vec![bean(), Value::Array(vec![opaque()])]),
+        ];
+        for v in &values {
+            assert_eq!(r.deep_capabilities(v), reference_capabilities(&r, v), "{v}");
+        }
     }
 
     #[test]

@@ -240,9 +240,37 @@ impl StructValue {
         }
     }
 
+    /// Creates an empty struct with room for `fields` fields, for
+    /// builders that know the count up front (the SOAP decoder knows the
+    /// declared field count, the reflection copier the present one).
+    pub fn with_capacity(type_name: impl Into<String>, fields: usize) -> Self {
+        StructValue {
+            type_name: type_name.into(),
+            fields: Vec::with_capacity(fields),
+        }
+    }
+
+    /// Number of fields the struct can hold without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.fields.capacity()
+    }
+
     /// The struct's type name.
     pub fn type_name(&self) -> &str {
         &self.type_name
+    }
+
+    /// Appends a field the caller knows is not present yet, skipping the
+    /// name scan [`set`](StructValue::set) pays. Appending a name that
+    /// is present would break the one-value-per-name invariant every
+    /// accessor relies on; debug builds check it.
+    pub fn push_new(&mut self, name: impl Into<String>, value: impl Into<Value>) {
+        let name = name.into();
+        debug_assert!(
+            self.get(&name).is_none(),
+            "push_new: field '{name}' already present"
+        );
+        self.fields.push((name, value.into()));
     }
 
     /// Builder-style field setter.

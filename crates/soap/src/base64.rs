@@ -5,6 +5,42 @@ use crate::error::SoapError;
 
 const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
 
+/// [`DECODE`] entry for ASCII whitespace (skipped anywhere).
+const WS: u8 = 0x40;
+/// [`DECODE`] entry for `=`.
+const PAD: u8 = 0x41;
+/// [`DECODE`] entry for every other byte outside the alphabet.
+const BAD: u8 = 0xff;
+
+/// Byte → sextet, or one of the markers above. Sextets are `< 0x40`, so
+/// OR-ing four entries together tells in one compare whether a quantum
+/// is all alphabet.
+const DECODE: [u8; 256] = {
+    let mut table = [BAD; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[ALPHABET[i] as usize] = i as u8;
+        i += 1;
+    }
+    // `char::is_ascii_whitespace`: space, tab, LF, FF, CR.
+    table[b' ' as usize] = WS;
+    table[b'\t' as usize] = WS;
+    table[b'\n' as usize] = WS;
+    table[0x0c] = WS;
+    table[b'\r' as usize] = WS;
+    table[b'=' as usize] = PAD;
+    table
+};
+
+fn sextets(triple: u32) -> [u8; 4] {
+    [
+        ALPHABET[(triple >> 18) as usize & 0x3f],
+        ALPHABET[(triple >> 12) as usize & 0x3f],
+        ALPHABET[(triple >> 6) as usize & 0x3f],
+        ALPHABET[triple as usize & 0x3f],
+    ]
+}
+
 /// Encodes bytes to a padded base64 string.
 ///
 /// ```
@@ -12,76 +48,92 @@ const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwx
 /// assert_eq!(wsrc_soap::base64::encode(b"Ma"), "TWE=");
 /// ```
 pub fn encode(data: &[u8]) -> String {
-    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
-    for chunk in data.chunks(3) {
-        let b0 = chunk[0] as u32;
-        let b1 = chunk.get(1).copied().unwrap_or(0) as u32;
-        let b2 = chunk.get(2).copied().unwrap_or(0) as u32;
-        let triple = (b0 << 16) | (b1 << 8) | b2;
-        out.push(ALPHABET[(triple >> 18) as usize & 0x3f] as char);
-        out.push(ALPHABET[(triple >> 12) as usize & 0x3f] as char);
-        out.push(if chunk.len() > 1 {
-            ALPHABET[(triple >> 6) as usize & 0x3f] as char
-        } else {
-            '='
-        });
-        out.push(if chunk.len() > 2 {
-            ALPHABET[triple as usize & 0x3f] as char
-        } else {
-            '='
-        });
+    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    let mut chunks = data.chunks_exact(3);
+    for c in &mut chunks {
+        let triple = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
+        out.extend_from_slice(&sextets(triple));
     }
-    out
+    match *chunks.remainder() {
+        [b0] => {
+            let q = sextets(u32::from(b0) << 16);
+            out.extend_from_slice(&[q[0], q[1], b'=', b'=']);
+        }
+        [b0, b1] => {
+            let q = sextets((u32::from(b0) << 16) | (u32::from(b1) << 8));
+            out.extend_from_slice(&[q[0], q[1], q[2], b'=']);
+        }
+        _ => {}
+    }
+    String::from_utf8(out).expect("the base64 alphabet is ASCII")
 }
 
 /// Decodes a base64 string, tolerating embedded ASCII whitespace (XML
 /// canonical form allows line breaks inside base64 content).
+///
+/// Runs of whole alphabet-only quanta decode four bytes at a time
+/// through [`DECODE`]; whitespace, padding and errors drop to the
+/// byte-at-a-time state machine until the next quantum boundary.
 ///
 /// # Errors
 ///
 /// Returns an encoding error for illegal characters, bad padding or a
 /// truncated final quantum.
 pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
-    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    let bytes = text.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
     let mut quad = [0u8; 4];
     let mut filled = 0;
     let mut pad = 0;
-    for c in text.chars() {
-        if c.is_ascii_whitespace() {
-            continue;
+    let mut i = 0;
+    while i < bytes.len() {
+        if filled == 0 && pad == 0 {
+            while let Some(q) = bytes.get(i..i + 4) {
+                let (a, b, c, d) = (
+                    DECODE[q[0] as usize],
+                    DECODE[q[1] as usize],
+                    DECODE[q[2] as usize],
+                    DECODE[q[3] as usize],
+                );
+                if (a | b | c | d) >= WS {
+                    break;
+                }
+                push_quantum(&[a, b, c, d], 0, &mut out);
+                i += 4;
+            }
+            if i >= bytes.len() {
+                break;
+            }
         }
-        let v = match c {
-            'A'..='Z' => c as u8 - b'A',
-            'a'..='z' => c as u8 - b'a' + 26,
-            '0'..='9' => c as u8 - b'0' + 52,
-            '+' => 62,
-            '/' => 63,
-            '=' => {
+        let v = DECODE[bytes[i] as usize];
+        i += 1;
+        match v {
+            WS => continue,
+            PAD => {
                 pad += 1;
                 if pad > 2 {
                     return Err(SoapError::encoding("too much base64 padding"));
                 }
                 quad[filled] = 0;
-                filled += 1;
-                if filled == 4 {
-                    flush(&quad, pad, &mut out)?;
-                    filled = 0;
-                }
-                continue;
             }
-            other => {
+            BAD => {
+                // Only ASCII bytes were stepped over, so `i - 1` is a
+                // character boundary.
+                let other = text[i - 1..].chars().next().unwrap_or('\u{fffd}');
                 return Err(SoapError::encoding(format!(
                     "invalid base64 character '{other}'"
                 )));
             }
-        };
-        if pad > 0 {
-            return Err(SoapError::encoding("base64 data after padding"));
+            sextet => {
+                if pad > 0 {
+                    return Err(SoapError::encoding("base64 data after padding"));
+                }
+                quad[filled] = sextet;
+            }
         }
-        quad[filled] = v;
         filled += 1;
         if filled == 4 {
-            flush(&quad, 0, &mut out)?;
+            push_quantum(&quad, pad, &mut out);
             filled = 0;
         }
     }
@@ -91,19 +143,15 @@ pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
     Ok(out)
 }
 
-fn flush(quad: &[u8; 4], pad: usize, out: &mut Vec<u8>) -> Result<(), SoapError> {
-    let triple = ((quad[0] as u32) << 18)
-        | ((quad[1] as u32) << 12)
-        | ((quad[2] as u32) << 6)
-        | quad[3] as u32;
-    out.push((triple >> 16) as u8);
-    if pad < 2 {
-        out.push((triple >> 8) as u8);
-    }
-    if pad < 1 {
-        out.push(triple as u8);
-    }
-    Ok(())
+/// Appends the bytes of one quantum of four sextets, the last `pad` of
+/// which are padding.
+fn push_quantum(quad: &[u8; 4], pad: usize, out: &mut Vec<u8>) {
+    let triple = (u32::from(quad[0]) << 18)
+        | (u32::from(quad[1]) << 12)
+        | (u32::from(quad[2]) << 6)
+        | u32::from(quad[3]);
+    let bytes = [(triple >> 16) as u8, (triple >> 8) as u8, triple as u8];
+    out.extend_from_slice(&bytes[..3 - pad]);
 }
 
 #[cfg(test)]
@@ -143,6 +191,101 @@ mod tests {
     fn invalid_inputs_are_rejected() {
         for bad in ["Zg=", "Z", "Zg===", "Zg==Zg==X", "!@#$", "Z===", "=Zg="] {
             assert!(decode(bad).is_err(), "expected error for {bad:?}");
+        }
+    }
+
+    /// The character-at-a-time decoder the table-driven one replaced,
+    /// kept as the oracle for acceptance rules and error messages.
+    fn reference_decode(text: &str) -> Result<Vec<u8>, String> {
+        let mut out = Vec::new();
+        let mut quad = [0u32; 4];
+        let mut filled = 0;
+        let mut pad = 0;
+        for c in text.chars() {
+            if c.is_ascii_whitespace() {
+                continue;
+            }
+            let v = match c {
+                'A'..='Z' => c as u32 - 'A' as u32,
+                'a'..='z' => c as u32 - 'a' as u32 + 26,
+                '0'..='9' => c as u32 - '0' as u32 + 52,
+                '+' => 62,
+                '/' => 63,
+                '=' => {
+                    pad += 1;
+                    if pad > 2 {
+                        return Err("too much base64 padding".into());
+                    }
+                    0
+                }
+                other => return Err(format!("invalid base64 character '{other}'")),
+            };
+            if c != '=' && pad > 0 {
+                return Err("base64 data after padding".into());
+            }
+            quad[filled] = v;
+            filled += 1;
+            if filled == 4 {
+                let triple = (quad[0] << 18) | (quad[1] << 12) | (quad[2] << 6) | quad[3];
+                let bytes = [(triple >> 16) as u8, (triple >> 8) as u8, triple as u8];
+                out.extend_from_slice(&bytes[..3 - pad]);
+                filled = 0;
+            }
+        }
+        if filled != 0 {
+            return Err("truncated base64 quantum".into());
+        }
+        Ok(out)
+    }
+
+    fn assert_same_as_reference(text: &str) {
+        let got = decode(text).map_err(|e| e.to_string());
+        let want = reference_decode(text).map_err(|m| SoapError::encoding(m).to_string());
+        assert_eq!(got, want, "{text:?}");
+    }
+
+    #[test]
+    fn decode_matches_the_reference_on_mutated_input() {
+        // Valid encodings of every length class, then single-character
+        // damage at every position: whitespace of each kind, padding,
+        // punctuation, a multi-byte character, a truncation.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for len in 0..40usize {
+            let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let enc = encode(&data);
+            assert_eq!(decode(&enc).unwrap(), data);
+            assert_same_as_reference(&enc);
+            for at in 0..=enc.len() {
+                for insert in [" ", "\n", "\t\r\u{c}", "=", "==", "-", "é", "\u{b}", "A"] {
+                    let mut damaged = enc.clone();
+                    damaged.insert_str(at, insert);
+                    assert_same_as_reference(&damaged);
+                }
+                if at < enc.len() {
+                    let mut cut = enc.clone();
+                    cut.remove(at);
+                    assert_same_as_reference(&cut);
+                    assert_same_as_reference(&enc[..at]);
+                }
+            }
+        }
+        for odd in [
+            "=",
+            "====",
+            "A===",
+            "AA=A",
+            "AA==AA==",
+            "AA= =",
+            " A A A A ",
+            "Zh==",
+        ] {
+            assert_same_as_reference(odd);
         }
     }
 

@@ -1,26 +1,41 @@
 //! Deserialization of SOAP envelopes back into application objects.
 //!
-//! [`ResponseReader`] is a SAX [`ContentHandler`]: it can be fed either by
-//! the XML parser (cache-miss path; [`read_response_xml`]) or by replaying
-//! a recorded event sequence (cache-hit path for the post-parsing
-//! representation; [`read_response_events`]). The cost difference between
-//! those two entry points is the paper's first optimization.
+//! There is one decoder, [`ResponseReader`], a SAX [`ContentHandler`]
+//! driven three ways: by the XML parser while it records the event arena
+//! (cache miss; [`read_response_bytes_recording`]), by the XML parser
+//! alone (hit on a cached XML message; [`read_response_xml`]) and by
+//! replaying a recorded arena (hit on cached SAX events;
+//! [`read_response_events`]). The cost difference between the last two is
+//! the paper's first optimization.
 //!
-//! Server-side request parsing ([`parse_request`]) is DOM-based: it is not
-//! on the latency-critical client path.
+//! The reader works from the schema the [`TypeRegistry`] compiled when it
+//! was built: each open element carries a [`Kind`] (two references) and
+//! its slot in the parent, children of a registered struct are resolved
+//! by probing the next declared slot, and all character data lands in
+//! one buffer shared by the whole document. Nothing is looked up by name
+//! and no `FieldType` or type name is cloned for a typed element; the
+//! `xsi:type`-driven path for untyped elements pays one registry probe
+//! per dynamic struct.
+//!
+//! [`read_response_dom`] walks a parsed tree instead and shares no code
+//! with the reader beyond scalar parsing — the reference the differential
+//! tests hold the reader to. Server-side request parsing
+//! ([`parse_request`]) is DOM-based too: it is not on the
+//! latency-critical client path.
 
 use crate::base64;
 use crate::envelope;
 use crate::error::SoapError;
 use crate::fault::SoapFault;
 use crate::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
-use wsrc_model::typeinfo::{FieldType, TypeRegistry};
+use wsrc_model::typeinfo::{FieldDescriptor, FieldType, Kind, StructPlan, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 use wsrc_xml::event::SaxEventSequence;
+use wsrc_xml::reader::ParseIntoError;
 use wsrc_xml::sax::ContentHandler;
 use wsrc_xml::{Attributes, QName, Symbol, XmlReader};
 
-/// Reads a response envelope (parse + deserialize).
+/// Reads a response envelope (parse + deserialize in one pass).
 ///
 /// # Errors
 ///
@@ -32,7 +47,7 @@ pub fn read_response_xml(
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<RpcOutcome, SoapError> {
-    let mut reader = ResponseReader::new(expected.clone(), registry.clone());
+    let mut reader = ResponseReader::new(expected, registry);
     XmlReader::new(xml)
         .parse_into(&mut reader)
         .map_err(flatten_parse_error)?;
@@ -50,32 +65,26 @@ pub fn read_response_events(
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<RpcOutcome, SoapError> {
-    let mut reader = ResponseReader::new(expected.clone(), registry.clone());
+    let mut reader = ResponseReader::new(expected, registry);
     events.replay(&mut reader)?;
     reader.finish()
 }
 
 /// Reads a response envelope while also producing its SAX event
-/// sequence, so a cache miss pays for only one parse.
-///
-/// The parse records borrowed payloads straight into the arena sequence
-/// ([`XmlReader::read_sequence`]) — no owned intermediate events exist —
-/// and the deserializer then replays the arena, which is the same cheap
-/// walk the cache-hit path uses.
+/// sequence, so a cache miss pays for only one pass: the parser records
+/// each event into the arena ([`XmlReader::read_sequence_into`]) and
+/// hands it to the deserializer in the same scan.
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_response_xml`].
+/// Same conditions as [`read_response_xml`]; a document that is both
+/// malformed and not a valid response reports the XML error.
 pub fn read_response_xml_recording(
     xml: &str,
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
-    let events = XmlReader::new(xml)
-        .read_sequence()
-        .map_err(SoapError::Xml)?;
-    let outcome = read_response_events(&events, expected, registry)?;
-    Ok((outcome, events))
+    read_recording(XmlReader::new(xml), expected, registry)
 }
 
 /// [`read_response_xml_recording`] over raw body bytes (the transport's
@@ -91,17 +100,26 @@ pub fn read_response_bytes_recording(
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
-    let events = XmlReader::from_bytes(bytes)
-        .and_then(XmlReader::read_sequence)
-        .map_err(SoapError::Xml)?;
-    let outcome = read_response_events(&events, expected, registry)?;
-    Ok((outcome, events))
+    let parser = XmlReader::from_bytes(bytes).map_err(SoapError::Xml)?;
+    read_recording(parser, expected, registry)
 }
 
-fn flatten_parse_error(e: wsrc_xml::reader::ParseIntoError<SoapError>) -> SoapError {
+fn read_recording(
+    parser: XmlReader<'_>,
+    expected: &FieldType,
+    registry: &TypeRegistry,
+) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
+    let mut reader = ResponseReader::new(expected, registry);
+    let events = parser
+        .read_sequence_into(&mut reader)
+        .map_err(flatten_parse_error)?;
+    Ok((reader.finish()?, events))
+}
+
+fn flatten_parse_error(e: ParseIntoError<SoapError>) -> SoapError {
     match e {
-        wsrc_xml::reader::ParseIntoError::Parse(xe) => SoapError::Xml(xe),
-        wsrc_xml::reader::ParseIntoError::Handler(se) => se,
+        ParseIntoError::Parse(xe) => SoapError::Xml(xe),
+        ParseIntoError::Handler(se) => se,
     }
 }
 
@@ -118,24 +136,77 @@ enum State {
     Done,
 }
 
+/// Largest element count an `arrayType="…[n]"` attribute may reserve up
+/// front; a larger (or hostile) count just grows as items arrive.
+const ARRAY_RESERVE_CAP: usize = 1024;
+
+/// How an open element is known: declared by its parent struct's plan
+/// (its names come from the registry, nothing is reference-counted), or
+/// only from the wire — the return element, array items and fields the
+/// parent does not declare keep the event's interned local name.
 #[derive(Debug)]
-struct Frame {
-    /// Element local name as written (field xml name / `item`). An
-    /// interned symbol shared with the event that delivered it — frames
-    /// on the replay hit path allocate nothing for names.
-    name: Symbol,
-    expected: Option<FieldType>,
-    xsi_type_local: Option<String>,
-    nil: bool,
-    text: String,
-    strukt: Option<StructValue>,
-    items: Option<Vec<Value>>,
+enum Origin<'r> {
+    Declared {
+        field: &'r FieldDescriptor,
+        /// The slot's bit in the parent's seen-set; 0 for slots the set
+        /// does not track (past 63).
+        seen_bit: u64,
+    },
+    Wire(Symbol),
 }
 
-impl Frame {
-    fn is_container(&self) -> bool {
-        self.strukt.is_some() || self.items.is_some()
+impl Origin<'_> {
+    /// The element's local name as written.
+    fn name(&self) -> &str {
+        match self {
+            Origin::Declared { field, .. } => &field.xml_name,
+            Origin::Wire(name) => name.as_str(),
+        }
     }
+}
+
+/// One open value element. A container's growing value sits on the
+/// reader's `containers` stack instead, so scalar elements — most of a
+/// response — push and pop a few words of plain data.
+#[derive(Debug)]
+struct Frame<'r> {
+    origin: Origin<'r>,
+    /// Declared kind, `None` for an untyped element.
+    kind: Option<Kind<'r>>,
+    /// Where this element's character data starts in the shared text
+    /// buffer. The `xsi_len` bytes before it hold the local part of its
+    /// `xsi:type`, kept only when no container kind is declared.
+    text_start: u32,
+    xsi_len: Option<u32>,
+    /// Capped element count from an `arrayType` attribute.
+    reserve: u32,
+    nil: bool,
+    /// A child element was seen: the top of `containers` is this
+    /// element's.
+    container: bool,
+}
+
+/// The value a container element is accumulating.
+#[derive(Debug)]
+enum Container<'r> {
+    Array {
+        items: Vec<Value>,
+        element: Option<Kind<'r>>,
+    },
+    Struct {
+        value: StructValue,
+        /// The compiled plan when the struct's type is registered.
+        plan: Option<&'r StructPlan>,
+        /// Declared slot the next child is expected in.
+        next_slot: usize,
+        /// Declared slots already attached (slots past 63 are not
+        /// tracked and attach with the name scan).
+        seen: u64,
+        /// Attach with [`StructValue::set`]'s name scan: some name may
+        /// already be present (an undeclared field was attached, or the
+        /// plan's names are not distinct).
+        scan: bool,
+    },
 }
 
 /// A streaming deserializer for RPC response envelopes.
@@ -143,11 +214,15 @@ impl Frame {
 /// Feed it SAX events (from a parser or a replayed recording), then call
 /// [`finish`](ResponseReader::finish).
 #[derive(Debug)]
-pub struct ResponseReader {
-    registry: TypeRegistry,
-    expected: FieldType,
+pub struct ResponseReader<'r> {
+    registry: &'r TypeRegistry,
+    expected: Kind<'r>,
     state: State,
-    frames: Vec<Frame>,
+    frames: Vec<Frame<'r>>,
+    containers: Vec<Container<'r>>,
+    /// Character data (and `xsi:type` names) of every open scalar
+    /// element, innermost last; see [`Frame::text_start`].
+    text: String,
     result: Option<Value>,
     skipping: usize,
     fault_code: String,
@@ -158,14 +233,16 @@ pub struct ResponseReader {
     fault_depth: usize,
 }
 
-impl ResponseReader {
+impl<'r> ResponseReader<'r> {
     /// Creates a reader expecting a return value of `expected` type.
-    pub fn new(expected: FieldType, registry: TypeRegistry) -> Self {
+    pub fn new(expected: &'r FieldType, registry: &'r TypeRegistry) -> Self {
         ResponseReader {
             registry,
-            expected,
+            expected: registry.kind_of(expected),
             state: State::BeforeEnvelope,
-            frames: Vec::new(),
+            frames: Vec::with_capacity(8),
+            containers: Vec::new(),
+            text: String::new(),
             result: None,
             skipping: 0,
             fault_code: String::new(),
@@ -197,137 +274,214 @@ impl ResponseReader {
         Ok(RpcOutcome::Return(self.result.unwrap_or(Value::Null)))
     }
 
-    fn push_value_frame(
+    fn push_frame(
         &mut self,
-        name: &QName,
+        origin: Origin<'r>,
+        kind: Option<Kind<'r>>,
         attributes: Attributes<'_>,
-        expected: Option<FieldType>,
     ) {
+        // A declared struct or array never consults `xsi:type`.
+        let keep_xsi = !matches!(
+            kind.map(|k| k.field_type()),
+            Some(FieldType::Struct(_) | FieldType::ArrayOf(_))
+        );
         let mut nil = false;
-        let mut xsi_type_local = None;
+        let mut reserve = 0;
+        let mut xsi_len = None;
         for a in attributes {
             match a.name.local_part() {
                 "nil" | "null" => {
                     nil = a.value == "true" || a.value == "1";
                 }
-                "type" if !a.name.prefix().is_empty() || a.name.local_part() == "type" => {
+                "type" if keep_xsi && !a.name.prefix().is_empty() => {
                     // Keep only the local part of the QName value
                     // ("xsd:int" → "int", "ns1:Pt" → "Pt").
                     let local = a.value.split_once(':').map(|(_, l)| l).unwrap_or(a.value);
-                    xsi_type_local = Some(local.to_string());
+                    // The last such attribute wins.
+                    self.text.truncate(self.text.len() - xsi_len.unwrap_or(0));
+                    self.text.push_str(local);
+                    xsi_len = Some(local.len());
                 }
+                "arrayType" => reserve = array_type_count(a.value),
                 _ => {}
             }
         }
         self.frames.push(Frame {
-            name: name.local_symbol().clone(),
-            expected,
-            xsi_type_local,
+            origin,
+            kind,
+            text_start: buffer_offset(self.text.len()),
+            xsi_len: xsi_len.map(buffer_offset),
+            reserve,
             nil,
-            text: String::new(),
-            strukt: None,
-            items: None,
+            container: false,
         });
     }
 
-    /// Expected type for a child element of the current frame.
-    fn child_expectation(&mut self, child: &QName) -> Option<FieldType> {
-        let frame = self.frames.last_mut()?;
-        // Materialize the container on first child.
-        if !frame.is_container() {
-            let effective = frame
-                .expected
-                .clone()
-                .or_else(|| type_from_xsi(frame.xsi_type_local.as_deref()));
-            match effective {
-                Some(FieldType::ArrayOf(inner)) => {
-                    frame.items = Some(Vec::new());
-                    frame.expected = Some(FieldType::ArrayOf(inner));
-                }
-                Some(FieldType::Struct(type_name)) => {
-                    frame.strukt = Some(StructValue::new(type_name.clone()));
-                    frame.expected = Some(FieldType::Struct(type_name));
-                }
-                _ => {
-                    // Untyped: arrays are recognized by the SOAP-ENC Array
-                    // xsi:type or by `item` children; anything else becomes
-                    // a dynamic struct named after its xsi:type or element.
-                    let is_array = frame
-                        .xsi_type_local
-                        .as_deref()
-                        .map(|t| t == "Array")
-                        .unwrap_or(child.local_part() == "item");
-                    if is_array {
-                        frame.items = Some(Vec::new());
-                    } else {
-                        let type_name = frame
-                            .xsi_type_local
-                            .clone()
-                            .unwrap_or_else(|| frame.name.as_str().to_string());
-                        frame.strukt = Some(StructValue::new(type_name));
+    /// Makes the innermost open element a container, on its first child
+    /// (`child`): by its declared kind, else by `xsi:type` and the
+    /// child's name.
+    fn open_container(&mut self, child: &QName) {
+        let Some(frame) = self.frames.last_mut() else {
+            return;
+        };
+        frame.container = true;
+        let items = || Vec::with_capacity(frame.reserve as usize);
+        let container = match frame.kind.map(|k| (k, k.field_type())) {
+            Some((kind, FieldType::ArrayOf(_))) => Container::Array {
+                items: items(),
+                element: kind.element(),
+            },
+            Some((kind, FieldType::Struct(type_name))) => {
+                Container::new_struct(type_name.clone(), kind.struct_plan())
+            }
+            _ => {
+                // Untyped (or declared scalar, yet with children): arrays
+                // are recognized by the SOAP-ENC Array xsi:type or by
+                // `item` children; anything else becomes a dynamic struct
+                // named after its xsi:type or element.
+                let xsi = frame.xsi(&self.text);
+                let is_array = xsi
+                    .map(|t| t == "Array")
+                    .unwrap_or(child.local_part() == "item");
+                if is_array {
+                    Container::Array {
+                        items: items(),
+                        element: None,
                     }
+                } else {
+                    let type_name = xsi.unwrap_or(frame.origin.name()).to_string();
+                    let plan = self.registry.plan(&type_name);
+                    Container::new_struct(type_name, plan)
                 }
             }
-        }
-        if frame.items.is_some() {
-            if let Some(FieldType::ArrayOf(inner)) = &frame.expected {
-                return Some((**inner).clone());
-            }
-            return None;
-        }
-        if let Some(s) = &frame.strukt {
-            let type_name = s.type_name().to_string();
-            return self
-                .registry
-                .get(&type_name)
-                .and_then(|d| d.field_by_xml_name(child.local_part()))
-                .map(|f| f.field_type.clone());
-        }
-        None
+        };
+        self.containers.push(container);
     }
 
-    fn finalize_frame(&mut self, frame: Frame) -> Result<Value, SoapError> {
+    /// Origin and declared kind of a child of the innermost container.
+    fn child_expectation(&mut self, child: &QName) -> (Origin<'r>, Option<Kind<'r>>) {
+        match self.containers.last_mut() {
+            Some(Container::Array { element, .. }) => {
+                return (Origin::Wire(child.local_symbol().clone()), *element);
+            }
+            Some(Container::Struct {
+                plan: Some(plan),
+                next_slot,
+                ..
+            }) => {
+                if let Some(slot) = plan.slot_by_xml_name(child.local_part(), *next_slot) {
+                    *next_slot = slot + 1;
+                    let field = &plan.descriptor().fields[slot];
+                    let seen_bit = u32::try_from(slot)
+                        .ok()
+                        .and_then(|slot| 1u64.checked_shl(slot))
+                        .unwrap_or(0);
+                    let origin = Origin::Declared { field, seen_bit };
+                    return (origin, plan.field_kind(slot, self.registry));
+                }
+            }
+            _ => {}
+        }
+        (Origin::Wire(child.local_symbol().clone()), None)
+    }
+
+    /// The finished value of `frame`, just popped.
+    fn finalize_frame(&mut self, frame: &Frame<'r>) -> Result<Value, SoapError> {
+        let container = if frame.container {
+            self.containers.pop()
+        } else {
+            None
+        };
         if frame.nil {
             return Ok(Value::Null);
         }
-        if let Some(items) = frame.items {
-            return Ok(Value::Array(items));
+        match container {
+            Some(Container::Array { items, .. }) => Ok(Value::Array(items)),
+            Some(Container::Struct { value, .. }) => Ok(Value::Struct(value)),
+            None => {
+                // Scalar: decide the lexical type.
+                let from_xsi;
+                let effective = match frame.kind {
+                    Some(kind) => Some(kind.field_type()),
+                    None => {
+                        from_xsi = type_from_xsi(frame.xsi(&self.text));
+                        from_xsi.as_ref()
+                    }
+                };
+                let text = &self.text[frame.text_start as usize..];
+                parse_scalar(text, effective, frame.origin.name())
+            }
         }
-        if let Some(s) = frame.strukt {
-            return Ok(Value::Struct(s));
-        }
-        // Scalar: decide the lexical type.
-        let effective = frame
-            .expected
-            .clone()
-            .or_else(|| type_from_xsi(frame.xsi_type_local.as_deref()));
-        parse_scalar(&frame.text, effective.as_ref(), frame.name.as_str())
     }
 
-    fn attach(&mut self, value: Value, name: &str) -> Result<(), SoapError> {
-        let Some(parent) = self.frames.last_mut() else {
-            self.result = Some(value);
-            return Ok(());
-        };
-        if let Some(items) = &mut parent.items {
-            items.push(value);
-            return Ok(());
+    fn attach(&mut self, value: Value, child: &Frame<'r>) -> Result<(), SoapError> {
+        match self.containers.last_mut() {
+            Some(Container::Array { items, .. }) => items.push(value),
+            Some(Container::Struct {
+                value: parent,
+                seen,
+                scan,
+                ..
+            }) => match &child.origin {
+                Origin::Declared { field, seen_bit } => {
+                    if *scan || *seen_bit == 0 || *seen & seen_bit != 0 {
+                        parent.set(field.name.clone(), value);
+                    } else {
+                        *seen |= seen_bit;
+                        parent.push_new(field.name.clone(), value);
+                    }
+                }
+                Origin::Wire(name) => {
+                    // An undeclared name may equal a declared field's.
+                    *scan = true;
+                    parent.set(name.as_str().to_string(), value);
+                }
+            },
+            None => {
+                return Err(SoapError::encoding(format!(
+                    "element <{}> nested inside a scalar value",
+                    child.origin.name()
+                )));
+            }
         }
-        if let Some(s) = &mut parent.strukt {
-            let type_name = s.type_name().to_string();
-            let field_name = self
-                .registry
-                .get(&type_name)
-                .and_then(|d| d.field_by_xml_name(name))
-                .map(|f| f.name.clone())
-                .unwrap_or_else(|| name.to_string());
-            s.set(field_name, value);
-            return Ok(());
-        }
-        Err(SoapError::encoding(format!(
-            "element <{name}> nested inside a scalar value"
-        )))
+        Ok(())
     }
+}
+
+impl Frame<'_> {
+    /// The local part of this element's `xsi:type`, if it was kept.
+    fn xsi<'t>(&self, text: &'t str) -> Option<&'t str> {
+        let end = self.text_start as usize;
+        self.xsi_len.map(|len| &text[end - len as usize..end])
+    }
+}
+
+impl<'r> Container<'r> {
+    fn new_struct(type_name: String, plan: Option<&'r StructPlan>) -> Self {
+        let declared = plan.map_or(0, |p| p.descriptor().fields.len());
+        Container::Struct {
+            value: StructValue::with_capacity(type_name, declared),
+            plan,
+            next_slot: 0,
+            seen: 0,
+            scan: !plan.is_some_and(StructPlan::names_unique),
+        }
+    }
+}
+
+fn buffer_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("response text exceeds u32 range")
+}
+
+/// The element count in `arrayType="xsd:anyType[3]"`, capped at
+/// [`ARRAY_RESERVE_CAP`]; 0 when absent or malformed. It only sizes an
+/// allocation — the items that arrive decide the array.
+fn array_type_count(array_type: &str) -> u32 {
+    array_type
+        .strip_suffix(']')
+        .and_then(|t| t.rsplit_once('['))
+        .and_then(|(_, n)| n.parse::<usize>().ok())
+        .map_or(0, |n| n.min(ARRAY_RESERVE_CAP) as u32)
 }
 
 /// Maps an `xsi:type` local name to a field type.
@@ -384,7 +538,7 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
     }
 }
 
-impl ContentHandler for ResponseReader {
+impl ContentHandler for ResponseReader<'_> {
     type Error = SoapError;
 
     fn start_element(&mut self, name: &QName, attributes: Attributes<'_>) -> Result<(), SoapError> {
@@ -422,12 +576,16 @@ impl ContentHandler for ResponseReader {
                 }
             }
             State::InWrapper => {
-                self.push_value_frame(name, attributes, Some(self.expected.clone()));
+                let origin = Origin::Wire(name.local_symbol().clone());
+                self.push_frame(origin, Some(self.expected), attributes);
                 self.state = State::InValue;
             }
             State::InValue => {
-                let expected = self.child_expectation(name);
-                self.push_value_frame(name, attributes, expected);
+                if !self.frames.last().is_some_and(|f| f.container) {
+                    self.open_container(name);
+                }
+                let (origin, kind) = self.child_expectation(name);
+                self.push_frame(origin, kind, attributes);
             }
             State::AfterValue => {
                 return Err(SoapError::encoding(format!(
@@ -460,13 +618,14 @@ impl ContentHandler for ResponseReader {
         match self.state {
             State::InValue => {
                 let frame = self.frames.pop().expect("InValue implies a frame");
-                let element_name = frame.name.clone();
-                let value = self.finalize_frame(frame)?;
+                let value = self.finalize_frame(&frame)?;
+                self.text
+                    .truncate((frame.text_start - frame.xsi_len.unwrap_or(0)) as usize);
                 if self.frames.is_empty() {
                     self.result = Some(value);
                     self.state = State::AfterValue;
                 } else {
-                    self.attach(value, element_name.as_str())?;
+                    self.attach(value, &frame)?;
                 }
             }
             State::AfterValue | State::InWrapper => {
@@ -501,16 +660,16 @@ impl ContentHandler for ResponseReader {
         }
         match self.state {
             State::InValue => {
-                let frame = self.frames.last_mut().expect("InValue implies a frame");
-                if frame.is_container() {
+                let frame = self.frames.last().expect("InValue implies a frame");
+                if frame.container {
                     if !text.trim().is_empty() {
                         return Err(SoapError::encoding(format!(
                             "mixed content in <{}>",
-                            frame.name
+                            frame.origin.name()
                         )));
                     }
                 } else {
-                    frame.text.push_str(text);
+                    self.text.push_str(text);
                 }
             }
             State::InFault => match self.fault_field {
@@ -645,7 +804,7 @@ pub fn element_to_value(
     let xsi_local = elem
         .attributes
         .iter()
-        .find(|a| a.name.local_part() == "type")
+        .find(|a| a.name.local_part() == "type" && !a.name.prefix().is_empty())
         .map(|a| {
             a.value
                 .split_once(':')
@@ -852,6 +1011,118 @@ mod tests {
         assert_eq!(
             out.as_return().unwrap(),
             &Value::Array(vec![Value::string("7"), Value::string("s")])
+        );
+    }
+
+    fn read_body(ret: &str, expected: &FieldType) -> Result<Value, SoapError> {
+        let xml = format!("<Envelope><Body><opResponse>{ret}</opResponse></Body></Envelope>");
+        let r = registry();
+        let out = read_response_xml(&xml, expected, &r)?;
+        let (recorded, events) = read_response_xml_recording(&xml, expected, &r)?;
+        assert_eq!(recorded, out);
+        assert_eq!(read_response_events(&events, expected, &r)?, out);
+        Ok(out.as_return().expect("not a fault").clone())
+    }
+
+    #[test]
+    fn xsi_type_naming_a_registered_struct_types_its_children() {
+        // Under an unregistered struct every child is untyped; an
+        // xsi:type that names a registered type brings its plan back.
+        let v = read_body(
+            "<return><p xsi:type=\"ns1:Pt\"><y>2</y><x>1</x><z>3</z></p>\
+             <q><x>1</x></q></return>",
+            &FieldType::Struct("Holder".into()),
+        )
+        .unwrap();
+        let holder = v.as_struct().unwrap();
+        assert_eq!(holder.type_name(), "Holder");
+        assert_eq!(
+            holder.get("p"),
+            Some(&Value::Struct(
+                StructValue::new("Pt")
+                    .with("y", 2)
+                    .with("x", 1)
+                    .with("z", "3")
+            ))
+        );
+        // No xsi:type: a dynamic struct named after its element.
+        assert_eq!(
+            holder.get("q"),
+            Some(&Value::Struct(StructValue::new("q").with("x", "1")))
+        );
+    }
+
+    #[test]
+    fn declared_scalar_with_child_elements_falls_back_to_xsi_type() {
+        let v = read_body(
+            "<return xsi:type=\"ns1:Pt\">ignored<x>4</x></return>",
+            &FieldType::String,
+        )
+        .unwrap();
+        assert_eq!(v, Value::Struct(StructValue::new("Pt").with("x", 4)));
+        let v = read_body(
+            "<return><item xsi:type=\"xsd:int\">4</item><item>x</item></return>",
+            &FieldType::Int,
+        )
+        .unwrap();
+        assert_eq!(v, Value::Array(vec![Value::Int(4), Value::string("x")]));
+    }
+
+    #[test]
+    fn repeated_and_late_fields_keep_set_semantics() {
+        let v = read_body(
+            "<return><payload>AAEC</payload><label>a</label><label>b</label>\
+             <corners/><label>c</label></return>",
+            &FieldType::Struct("Box".into()),
+        )
+        .unwrap();
+        assert_eq!(
+            v,
+            Value::Struct(
+                StructValue::new("Box")
+                    .with("payload", vec![0u8, 1, 2])
+                    .with("label", "c")
+                    .with("corners", Vec::<Value>::new())
+            )
+        );
+    }
+
+    #[test]
+    fn mixed_content_and_nil_containers() {
+        let boxed = FieldType::Struct("Box".into());
+        let e = read_body("<return><label>a</label>stray</return>", &boxed).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "soap encoding error: mixed content in <return>"
+        );
+        let e = read_body(
+            "<return><corners><item><x>1</x>stray</item></corners></return>",
+            &boxed,
+        )
+        .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "soap encoding error: mixed content in <item>"
+        );
+        // A nil container's children are read (and must be valid) but
+        // the value is null.
+        let v = read_body(
+            "<return><corners xsi:nil=\"true\"><item><x>1</x></item></corners></return>",
+            &boxed,
+        )
+        .unwrap();
+        assert_eq!(
+            v,
+            Value::Struct(StructValue::new("Box").with("corners", Value::Null))
+        );
+        let e = read_body(
+            "<return><corners xsi:nil=\"true\"><item><x>one</x></item></corners></return>",
+            &boxed,
+        )
+        .unwrap_err();
+        assert!(
+            e.to_string().contains("invalid int value 'one' in <x>"),
+            "{e}"
         );
     }
 

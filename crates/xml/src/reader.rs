@@ -299,6 +299,73 @@ impl<H: ContentHandler> EventSink for HandlerSink<'_, H> {
     }
 }
 
+/// Records into the arena and feeds a [`ContentHandler`] from the same
+/// scan — the sink behind [`XmlReader::read_sequence_into`]. The handler
+/// sees each event first (its attribute view borrows the records the
+/// recorder then drains). A handler error does not stop the scan: it is
+/// held while the rest of the document is checked, so a document that is
+/// both malformed and unacceptable to the handler reports the parse
+/// error — the answer a parse followed by a replay gives.
+struct TeeSink<'s, H: ContentHandler> {
+    record: RecordSink<'s>,
+    handler: &'s mut H,
+    rejected: Option<H::Error>,
+}
+
+impl<H: ContentHandler> TeeSink<'_, H> {
+    fn feed(&mut self, event: impl FnOnce(&mut H) -> Result<(), H::Error>) {
+        if self.rejected.is_none() {
+            self.rejected = event(self.handler).err();
+        }
+    }
+}
+
+impl<H: ContentHandler> EventSink for TeeSink<'_, H> {
+    type Error = XmlError;
+
+    fn start_document(&mut self) -> Result<(), XmlError> {
+        self.feed(|h| h.start_document());
+        self.record.start_document()
+    }
+    fn end_document(&mut self) -> Result<(), XmlError> {
+        self.feed(|h| h.end_document());
+        self.record.end_document()
+    }
+    fn start_element(
+        &mut self,
+        name: u32,
+        names: &[QName],
+        attrs: &mut Vec<AttrRecord>,
+        input: &str,
+        scratch: &str,
+    ) -> Result<(), XmlError> {
+        self.feed(|h| {
+            h.start_element(
+                &names[name as usize],
+                Attributes::from_records(attrs, names, input, scratch),
+            )
+        });
+        self.record
+            .start_element(name, names, attrs, input, scratch)
+    }
+    fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), XmlError> {
+        self.feed(|h| h.end_element(&names[name as usize]));
+        self.record.end_element(name, names)
+    }
+    fn characters(&mut self, text: &str) -> Result<(), XmlError> {
+        self.feed(|h| h.characters(text));
+        self.record.characters(text)
+    }
+    fn comment(&mut self, text: &str) -> Result<(), XmlError> {
+        self.feed(|h| h.comment(text));
+        self.record.comment(text)
+    }
+    fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), XmlError> {
+        self.feed(|h| h.processing_instruction(target, data));
+        self.record.processing_instruction(target, data)
+    }
+}
+
 /// Materializes the owned compatibility [`SaxEvent`] for one advance —
 /// the sink behind [`XmlReader::next_event`]; the whole-document paths
 /// never come through here.
@@ -500,6 +567,38 @@ impl<'x> XmlReader<'x> {
             sequence: &mut sequence,
         };
         while self.advance_into(&mut sink)? {}
+        sequence.adopt_names(std::mem::take(&mut self.doc_names));
+        Ok(sequence)
+    }
+
+    /// [`read_sequence`](XmlReader::read_sequence) that also pushes each
+    /// event into `handler` as it is recorded — one scan yields both the
+    /// arena and whatever the handler builds, which is how a cache miss
+    /// deserializes and records a response in a single pass.
+    ///
+    /// # Errors
+    ///
+    /// `Parse` for XML problems anywhere in the document; otherwise
+    /// `Handler` with the first event the handler rejected (it receives
+    /// no events after that one).
+    pub fn read_sequence_into<H: ContentHandler>(
+        mut self,
+        handler: &mut H,
+    ) -> Result<SaxEventSequence, ParseIntoError<H::Error>> {
+        let _span = parse_timer("read-sequence").timer();
+        let mut sequence = SaxEventSequence::new();
+        sequence.reserve_for_input(self.input.len());
+        let mut sink = TeeSink {
+            record: RecordSink {
+                sequence: &mut sequence,
+            },
+            handler,
+            rejected: None,
+        };
+        while self.advance_into(&mut sink)? {}
+        if let Some(e) = sink.rejected {
+            return Err(ParseIntoError::Handler(e));
+        }
         sequence.adopt_names(std::mem::take(&mut self.doc_names));
         Ok(sequence)
     }

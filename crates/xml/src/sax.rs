@@ -77,9 +77,8 @@ pub fn dispatch<H: ContentHandler>(handler: &mut H, event: &SaxEvent) -> Result<
 
 /// A handler that records every event it receives.
 ///
-/// This is how the cache records the post-parsing representation of a
-/// response while the response is *also* being deserialized: a
-/// [`Tee`] can feed both a `Recorder` and the deserializer.
+/// The independent way to capture a post-parsing representation: any
+/// event source can feed it, alone or through a [`Tee`].
 #[derive(Debug, Default, Clone)]
 pub struct Recorder {
     sequence: SaxEventSequence,
@@ -143,8 +142,11 @@ impl ContentHandler for Recorder {
 
 /// Feeds each event to two handlers in sequence (first `a`, then `b`).
 ///
-/// Used to record a response's SAX sequence while simultaneously
-/// deserializing it, so a cache miss costs only one parse.
+/// The miss path records and deserializes in one parse through
+/// [`XmlReader::read_sequence_into`](crate::reader::XmlReader::read_sequence_into),
+/// which records ids straight into the arena; `Tee` over a [`Recorder`]
+/// is the handler-level equivalent the differential tests compare it
+/// with.
 #[derive(Debug)]
 pub struct Tee<'x, A, B> {
     a: &'x mut A,

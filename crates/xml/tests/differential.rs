@@ -10,8 +10,9 @@
 //!    (unbalanced tags, bad entities, truncated CDATA, non-UTF-8
 //!    bytes, DOCTYPE) must produce clean `XmlError`s — never panics —
 //!    and every parsing front end (`read_sequence`, `parse_into`,
-//!    `next_event`) must agree on success, events, and error message,
-//!    since they share one scanner behind different event sinks.
+//!    `next_event`, `read_sequence_into`) must agree on success, events,
+//!    and error message, since they share one scanner behind different
+//!    event sinks.
 
 use wsrc_xml::event::SaxEvent;
 use wsrc_xml::reader::XmlReader;
@@ -134,8 +135,9 @@ fn writer_parse_rewrite_reaches_fixpoint() {
 }
 
 /// Every front end over the same input: `read_sequence` (arena),
-/// `parse_into` a [`Recorder`] (push), and the `next_event` pull loop
-/// (owned). Returns the owned event stream or the error message.
+/// `parse_into` a [`Recorder`] (push), the `next_event` pull loop
+/// (owned) and `read_sequence_into` a [`Recorder`] (arena + push in one
+/// scan). Returns the owned event stream or the error message.
 fn all_frontends(input: &str) -> Result<Vec<SaxEvent>, String> {
     let arena = XmlReader::new(input).read_sequence();
     let mut rec = Recorder::new();
@@ -149,6 +151,22 @@ fn all_frontends(input: &str) -> Result<Vec<SaxEvent>, String> {
             Err(e) => break Err(e),
         }
     };
+    // The recording pass that also feeds a handler: both of its outputs
+    // are one more view of the same scan.
+    let mut fed = Recorder::new();
+    let tee = XmlReader::new(input).read_sequence_into(&mut fed);
+    match (&arena, tee) {
+        (Ok(seq), Ok(recorded)) => {
+            assert_eq!(&recorded, seq, "tee arena != arena");
+            assert_eq!(fed.sequence(), seq, "tee handler != arena");
+        }
+        (Err(a), Err(t)) => assert_eq!(a.to_string(), t.to_string(), "tee error != arena error"),
+        (a, t) => panic!(
+            "read_sequence and read_sequence_into disagree on success for {input:?}: {} vs {}",
+            a.is_ok(),
+            t.is_ok()
+        ),
+    }
     match (arena, push, pull) {
         (Ok(seq), Ok(()), Ok(())) => {
             let owned = seq.to_owned_events();
