@@ -19,7 +19,8 @@
 //!   wait on the *only* held guard is exempt: it releases it);
 //! * **R10 budget-accounting** — every `StoredResponse` variant sizes
 //!   itself in `approximate_size`, and every `CacheStore` entry point
-//!   accepting a `StoredResponse` charges it to the byte budget.
+//!   accepting a `StoredResponse` or `CacheEntry` charges it to the
+//!   byte budget.
 
 use crate::model::{Receiver, Workspace};
 use crate::rules::Diagnostic;
@@ -628,56 +629,8 @@ fn check_r10(ws: &Workspace, cg: &CallGraph, files: &[SourceFile], out: &mut Vec
             }
         }
     }
-    // Multi-form entries: any file implementing `CacheEntry` must size
-    // the entry in that same file, and the sizing must delegate to the
-    // per-form `approximate_size` so every representation a hit later
-    // materializes stays chargeable to the byte budget.
-    let entry_files: BTreeSet<usize> = ws
-        .fns
-        .iter()
-        .filter(|f| f.owner.as_deref() == Some("CacheEntry"))
-        .map(|f| f.file)
-        .collect();
-    for file in entry_files {
-        let first_line = ws
-            .fns
-            .iter()
-            .filter(|f| f.file == file && f.owner.as_deref() == Some("CacheEntry"))
-            .map(|f| f.line)
-            .min()
-            .unwrap_or(1);
-        let Some(size_fn) = ws.fns.iter().find(|f| {
-            f.file == file
-                && f.name == "approximate_size"
-                && f.owner.as_deref() == Some("CacheEntry")
-        }) else {
-            out.push(Diagnostic {
-                code: "R10",
-                rule: "budget-accounting",
-                path: ws.paths[file].clone(),
-                line: first_line,
-                message: "`CacheEntry` has no same-file `approximate_size` impl; \
-                          a multi-form entry must charge every form to the store's \
-                          byte budget"
-                    .to_string(),
-            });
-            continue;
-        };
-        if !size_fn.calls.iter().any(|c| c.name == "approximate_size") {
-            out.push(Diagnostic {
-                code: "R10",
-                rule: "budget-accounting",
-                path: ws.paths[file].clone(),
-                line: size_fn.line,
-                message: "`CacheEntry::approximate_size` never calls the per-form \
-                          `approximate_size`; forms added by convert-on-hit would \
-                          escape the byte budget"
-                    .to_string(),
-            });
-        }
-    }
-    // Every CacheStore entry point accepting a StoredResponse (a single
-    // form) or a CacheEntry (a multi-form entry) must charge it to the
+    // Every CacheStore entry point accepting a StoredResponse (a form
+    // swapped in) or a CacheEntry (an insert) must charge it to the
     // budget somewhere on its call path.
     let mut reach_memo: HashMap<usize, bool> = HashMap::new();
     for (fi, f) in ws.fns.iter().enumerate() {

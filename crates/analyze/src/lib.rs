@@ -7,7 +7,7 @@
 //! clock injection, panic-freedom on the hot path, lock ordering,
 //! zero-copy payload sharing, bounded concurrency, and trace-root
 //! discipline. This crate enforces them as named rules: token-level
-//! R1–R8 over a hand-rolled token model, and interprocedural
+//! R1–R4 and R6–R8 over a hand-rolled token model, and interprocedural
 //! R5v2/R9/R10 over a conservative call graph (`model.rs` /
 //! `callgraph.rs`) with per-function lock summaries — all with zero
 //! external dependencies so the workspace keeps building offline. See

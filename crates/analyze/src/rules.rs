@@ -1,5 +1,5 @@
-//! The workspace invariants: token-level rules R1–R8 and the
-//! interprocedural rules R5v2/R9/R10.
+//! The workspace invariants: token-level rules R1–R4 and R6–R8, and
+//! the interprocedural rules R5v2/R9/R10.
 //!
 //! Each rule maps a paper-level soundness condition to a mechanical
 //! check over the token-level source model (see `DESIGN.md` §7 for the
@@ -13,8 +13,6 @@
 //!   outside the `Clock` implementations.
 //! - **R4 `panic-freedom`** — no `.unwrap()` / `.expect()` in non-test
 //!   code of the `core`, `client` and `http` crates.
-//! - **R5 `lock-ordering`** — no nested lock acquisition inside one
-//!   function body.
 //! - **R6 `zero-copy-pipeline`** — no copying methods (`.to_vec()`,
 //!   `.clone()`, …) on the shared body/event buffers outside the
 //!   allowlisted construction sites; and inside the zero-alloc XML
@@ -42,10 +40,9 @@
 //!   condvar wait on the *only* held guard is exempt, since it releases
 //!   that guard while parked.
 //! - **R10 `budget-accounting`** — every `StoredResponse` variant sizes
-//!   itself in a same-file `approximate_size` with no wildcard arm,
-//!   every `CacheEntry` impl sizes itself by delegating to its forms'
-//!   `approximate_size`, and every `CacheStore` function accepting a
-//!   `StoredResponse` or `CacheEntry` reaches an `approximate_size`
+//!   itself in a same-file `approximate_size` with no wildcard arm, and
+//!   every `CacheStore` function accepting a `StoredResponse` or
+//!   `CacheEntry` (insert, form swap) reaches an `approximate_size`
 //!   call, so new representations cannot silently escape the store's
 //!   byte budget.
 //!
@@ -109,11 +106,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "no unwrap()/expect() in non-test code of core, client and http",
     ),
     (
-        "R5",
-        "lock-ordering",
-        "no nested lock acquisition within one function body",
-    ),
-    (
         "R6",
         "zero-copy-pipeline",
         "no copying methods on shared buffers or parser input spans outside sanctioned sites",
@@ -141,7 +133,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R10",
         "budget-accounting",
-        "every StoredResponse variant, CacheEntry form and CacheStore insert path charges approximate_size to the byte budget",
+        "every StoredResponse variant and every CacheStore path taking a form or entry charges approximate_size to the byte budget",
     ),
 ];
 
@@ -204,15 +196,7 @@ const R6_COPY_METHODS: &[&str] = &["to_vec", "to_owned", "into_owned", "clone"];
 /// (the single read-buffer → `Arc<[u8]>` copy at construction) and the
 /// SAX arena (which owns the event buffers and the owned-event
 /// compatibility bridge).
-/// `entry.rs` is additionally sanctioned: convert-on-hit materializes a
-/// new representation from a stored form exactly once per (entry,
-/// target), which necessarily copies payload bytes at the conversion
-/// site.
-const R6_ALLOWLIST: &[&str] = &[
-    "crates/http/src/body.rs",
-    "crates/xml/src/event.rs",
-    "crates/core/src/entry.rs",
-];
+const R6_ALLOWLIST: &[&str] = &["crates/http/src/body.rs", "crates/xml/src/event.rs"];
 
 /// The parser file subject to R6's parser-span check. The byte-table
 /// reader emits borrowed spans of its input (that is the whole point of
@@ -272,7 +256,6 @@ pub fn run_full(files: &[SourceFile]) -> RunOutput {
         rule_relaxed_ordering(file, &mut diags);
         rule_clock_discipline(file, &mut diags);
         rule_panic_freedom(file, &mut diags);
-        rule_lock_ordering(file, &mut diags);
         rule_zero_copy_pipeline(file, &mut diags);
         rule_bounded_spawn(file, &mut diags);
         rule_trace_discipline(file, &mut diags);
@@ -632,152 +615,6 @@ fn rule_trace_discipline(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     }
 }
 
-/// One live lock guard inside the R5 walker.
-struct Guard {
-    name: Option<String>,
-    depth: usize,
-    line: u32,
-}
-
-/// R5: walk each non-test function body and flag a lock acquisition
-/// while another guard may still be held. A guard is born from a
-/// `let g = …lock(…)…;` statement (live until its block closes or
-/// `drop(g)`), from a `match`/`if`/`while` scrutinee containing a lock
-/// (live for the following block), and a second lock inside one
-/// statement is flagged directly.
-fn rule_lock_ordering(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    for span in &file.fns {
-        if !file.is_corpus && file.in_test(span.line) {
-            continue;
-        }
-        walk_fn_for_locks(file, span, diags);
-    }
-}
-
-fn is_lock_call(file: &SourceFile, i: usize) -> bool {
-    let toks = &file.tokens;
-    if !toks[i].is_ident("lock") && !toks[i].is_ident("lock_class") {
-        return false;
-    }
-    let called = toks.get(i + 1).map(|t| t.is_punct('(')).unwrap_or(false);
-    if !called || i == 0 {
-        return false;
-    }
-    let prev_dot = toks[i - 1].is_punct('.');
-    let prev_path = i >= 2 && toks[i - 1].is_punct(':') && toks[i - 2].is_punct(':');
-    prev_dot || prev_path
-}
-
-fn walk_fn_for_locks(file: &SourceFile, span: &crate::scan::FnSpan, diags: &mut Vec<Diagnostic>) {
-    let toks = &file.tokens;
-    let (open, close) = span.body;
-    let mut depth = 1usize;
-    let mut guards: Vec<Guard> = Vec::new();
-    // Per-statement state.
-    let mut stmt_is_let = false;
-    let mut stmt_head: Option<String> = None; // first ident of the statement
-    let mut let_name: Option<String> = None;
-    let mut stmt_lock_line: Option<u32> = None;
-
-    let mut i = open + 1;
-    while i < close {
-        let t = &toks[i];
-        match t.kind {
-            crate::lexer::TokenKind::Punct('{') => {
-                depth += 1;
-                // `match x.lock() { …` — the scrutinee temporary lives for
-                // the whole block.
-                if stmt_lock_line.is_some()
-                    && matches!(stmt_head.as_deref(), Some("match" | "if" | "while" | "for"))
-                {
-                    guards.push(Guard {
-                        name: None,
-                        depth,
-                        line: stmt_lock_line.unwrap_or(t.line),
-                    });
-                }
-                stmt_is_let = false;
-                stmt_head = None;
-                let_name = None;
-                stmt_lock_line = None;
-            }
-            crate::lexer::TokenKind::Punct('}') => {
-                guards.retain(|g| g.depth < depth);
-                depth = depth.saturating_sub(1);
-                stmt_is_let = false;
-                stmt_head = None;
-                let_name = None;
-                stmt_lock_line = None;
-            }
-            crate::lexer::TokenKind::Punct(';') => {
-                if stmt_is_let && stmt_lock_line.is_some() {
-                    guards.push(Guard {
-                        name: let_name.clone(),
-                        depth,
-                        line: stmt_lock_line.unwrap_or(t.line),
-                    });
-                }
-                stmt_is_let = false;
-                stmt_head = None;
-                let_name = None;
-                stmt_lock_line = None;
-            }
-            crate::lexer::TokenKind::Ident => {
-                if stmt_head.is_none() {
-                    stmt_head = Some(t.text.clone());
-                    if t.text == "let" {
-                        stmt_is_let = true;
-                    }
-                } else if stmt_is_let && let_name.is_none() && t.text != "mut" {
-                    let_name = Some(t.text.clone());
-                }
-                // `drop(g)` releases g's guard early.
-                if t.is_ident("drop") && toks.get(i + 1).map(|n| n.is_punct('(')).unwrap_or(false) {
-                    if let Some(victim) = toks.get(i + 2) {
-                        if victim.kind == crate::lexer::TokenKind::Ident
-                            && toks.get(i + 3).map(|n| n.is_punct(')')).unwrap_or(false)
-                        {
-                            guards.retain(|g| g.name.as_deref() != Some(victim.text.as_str()));
-                        }
-                    }
-                }
-                if is_lock_call(file, i) {
-                    if let Some(held) = guards.first() {
-                        diags.push(Diagnostic {
-                            code: "R5",
-                            rule: "lock-ordering",
-                            path: file.path.clone(),
-                            line: t.line,
-                            message: format!(
-                                "nested lock acquisition in `{}`: a guard taken on line {} \
-                                 may still be held (deadlock-prone lock ordering)",
-                                span.name, held.line
-                            ),
-                        });
-                    } else if let Some(first) = stmt_lock_line {
-                        diags.push(Diagnostic {
-                            code: "R5",
-                            rule: "lock-ordering",
-                            path: file.path.clone(),
-                            line: t.line,
-                            message: format!(
-                                "two lock acquisitions in one statement in `{}` \
-                                 (first on line {first}); both guards are alive at once",
-                                span.name
-                            ),
-                        });
-                    }
-                    if stmt_lock_line.is_none() {
-                        stmt_lock_line = Some(t.line);
-                    }
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -837,54 +674,6 @@ mod tests {
         // unwrap_or_else is not unwrap.
         let ok = "fn f(x: Result<u8, u8>) { x.unwrap_or_else(|e| e); }";
         assert!(diags_for("crates/core/src/cache.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn r5_flags_nested_let_guards() {
-        let src = "fn f(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
-                   let ga = a.lock().unwrap_or_else(|e| e.into_inner());\n\
-                   let gb = b.lock().unwrap_or_else(|e| e.into_inner());\n}";
-        let d = diags_for("crates/services/src/x.rs", src);
-        assert_eq!(codes(&d), ["R5"]);
-        assert_eq!(d[0].line, 3);
-    }
-
-    #[test]
-    fn r5_allows_sequential_scoped_guards_and_drop() {
-        let seq = "fn f(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
-                   { let ga = a.lock().unwrap_or_else(|e| e.into_inner()); }\n\
-                   { let gb = b.lock().unwrap_or_else(|e| e.into_inner()); }\n}";
-        assert!(diags_for("crates/services/src/x.rs", seq).is_empty());
-        let dropped = "fn f(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
-                   let ga = a.lock().unwrap_or_else(|e| e.into_inner());\n\
-                   drop(ga);\n\
-                   let gb = b.lock().unwrap_or_else(|e| e.into_inner());\n}";
-        assert!(diags_for("crates/services/src/x.rs", dropped).is_empty());
-    }
-
-    #[test]
-    fn r5_flags_match_scrutinee_guard_overlap() {
-        let src = "fn f(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
-                   match a.lock() {\n\
-                   Ok(g) => { let h = b.lock(); }\n\
-                   Err(_) => {}\n}\n}";
-        assert_eq!(codes(&diags_for("crates/services/src/x.rs", src)), ["R5"]);
-    }
-
-    #[test]
-    fn r5_two_locks_in_one_statement() {
-        let src = "fn f(a: &Mutex<u8>, b: &Mutex<u8>) {\n\
-                   let s = *a.lock().unwrap_or_else(|e| e.into_inner())\n\
-                     + *b.lock().unwrap_or_else(|e| e.into_inner());\n}";
-        assert_eq!(codes(&diags_for("crates/services/src/x.rs", src)), ["R5"]);
-    }
-
-    #[test]
-    fn r5_per_iteration_guards_do_not_leak_out_of_loops() {
-        let src = "fn f(shards: &[Mutex<u8>], v: &Mutex<u8>) {\n\
-                   for s in shards { let g = s.lock().unwrap_or_else(|e| e.into_inner()); }\n\
-                   let g2 = v.lock().unwrap_or_else(|e| e.into_inner());\n}";
-        assert!(diags_for("crates/services/src/x.rs", src).is_empty());
     }
 
     #[test]

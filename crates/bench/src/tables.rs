@@ -348,16 +348,14 @@ pub fn table7_raw(
 }
 
 /// Sanity helper used by the optimal-configuration discussion (§6): what
-/// the paper selector picks for each of the three responses.
+/// the paper's table picks for each of the three responses.
 pub fn optimal_configuration() -> String {
-    use wsrc_cache::{PaperSelector, RepresentationSelector};
     let fixtures = google_fixtures();
     let registry = registry();
-    let selector = PaperSelector;
     let rows: Vec<Vec<String>> = fixtures
         .iter()
         .map(|f| {
-            let repr = selector.select(&f.value, &registry, false);
+            let repr = wsrc_cache::paper_choice(&f.value, &registry, false);
             vec![
                 f.label.to_string(),
                 f.value.type_label().to_string(),

@@ -14,7 +14,7 @@
 use crate::json::Json;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrc_cache::{FixedSelector, KeyStrategy, ResponseCache, ValueRepresentation};
+use wsrc_cache::{KeyStrategy, ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
 use wsrc_http::{
     Handler, HttpClient, InProcTransport, LatencyTransport, MetricsRoute, Server, ServerConfig,
@@ -58,9 +58,10 @@ pub fn run_trace_smoke() -> Result<String, String> {
     ));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
-            .policy(google::default_policy())
+            .policy(
+                google::default_policy().with_representation(ValueRepresentation::PassByReference),
+            )
             .key_strategy(KeyStrategy::ToString)
-            .selector(FixedSelector(ValueRepresentation::PassByReference))
             .build(),
     );
     let service = Arc::new(

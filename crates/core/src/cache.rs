@@ -7,14 +7,14 @@
 //! "does not need to be at all conscious of how the response data is
 //! cached" (paper §6).
 
-use crate::classify::{candidate_representations, PaperSelector, RepresentationSelector};
+use crate::classify::{candidate_representations, paper_pick};
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
 use crate::key::{generate_key, CacheKey, KeyStrategy};
 use crate::policy::{AdaptivePolicy, CachePolicy, OperationPolicy, SelectionMode};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
-use crate::store::{AddFormOutcome, CacheStore, Capacity, FoundEntry, Lookup};
+use crate::store::{CacheStore, Capacity, FoundEntry, Lookup};
 use std::sync::Arc;
 use std::time::Duration;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
@@ -32,7 +32,7 @@ pub enum CacheOutcome {
         /// The retrieved application object.
         handle: ValueHandle,
         /// When the hit triggered a convert-on-hit, the representation
-        /// that was materialized alongside (for tracing/diagnostics).
+        /// the entry was re-homed to (for tracing/diagnostics).
         converted: Option<ValueRepresentation>,
     },
     /// An expired entry with a revalidation token is available: the
@@ -64,8 +64,9 @@ struct CacheTimers {
     /// `wsrc_cache_build_seconds{repr=…}` — response artifacts → stored
     /// form (only the successful representation records a sample).
     build: [Histogram; ValueRepresentation::COUNT],
-    /// `wsrc_cache_convert_seconds{repr=…}` — convert-on-hit target
-    /// materialization (arena replay / re-serialization, never network).
+    /// `wsrc_cache_convert_seconds{repr=…}` — building the target form
+    /// of a published convert-on-hit (from the retrieved object, never
+    /// the network).
     convert: [Histogram; ValueRepresentation::COUNT],
     /// `wsrc_cache_entries` / `wsrc_cache_bytes` occupancy gauges.
     entries: Gauge,
@@ -109,7 +110,6 @@ pub struct ResponseCache {
     store: CacheStore,
     policy: CachePolicy,
     key_strategy: KeyStrategy,
-    selector: Arc<dyn RepresentationSelector>,
     adaptive: Option<Arc<AdaptivePolicy>>,
     clock: Arc<dyn Clock>,
     registry: TypeRegistry,
@@ -136,7 +136,6 @@ impl ResponseCache {
             registry,
             policy: CachePolicy::new(),
             key_strategy: KeyStrategy::Auto,
-            selector: Arc::new(PaperSelector),
             adaptive: None,
             clock: Arc::new(SystemClock),
             capacity: Capacity::default(),
@@ -190,16 +189,11 @@ impl ResponseCache {
             }
         };
         match self.store.get(&key, self.clock.now_millis()) {
-            Lookup::Live(FoundEntry {
-                entry,
-                hits,
-                generation,
-            }) => {
-                let serving = self.serving_form(&request.operation, &entry);
-                let repr = serving.representation();
+            Lookup::Live(found) => {
+                let repr = found.entry.form().representation();
                 let histogram = &self.timers.retrieve[repr.index()];
                 let started = histogram.now_nanos();
-                let result = serving.retrieve(expected, &self.registry);
+                let result = found.entry.form().retrieve(expected, &self.registry);
                 let elapsed = histogram.now_nanos().saturating_sub(started);
                 histogram.record_nanos(elapsed);
                 match result {
@@ -208,16 +202,8 @@ impl ResponseCache {
                         if let Some(ad) = &self.adaptive {
                             ad.record_retrieve(&request.operation, repr, elapsed);
                         }
-                        let converted = self.maybe_convert(
-                            &key,
-                            request,
-                            &entry,
-                            hits,
-                            generation,
-                            repr,
-                            handle.as_value(),
-                            expected,
-                        );
+                        let converted =
+                            self.maybe_convert(&key, request, &found, handle.as_value(), expected);
                         CacheOutcome::Fresh { handle, converted }
                     }
                     Err(_) => {
@@ -230,12 +216,11 @@ impl ResponseCache {
                 }
             }
             Lookup::Stale { entry, validator } => {
-                // Stale entries serve the cheapest present form too, but
-                // never convert: they may be replaced momentarily.
-                let serving = self.serving_form(&request.operation, &entry);
-                let repr = serving.representation();
+                // Stale entries never convert: they may be replaced
+                // momentarily.
+                let repr = entry.form().representation();
                 match self.timers.retrieve[repr.index()]
-                    .time(|| serving.retrieve(expected, &self.registry))
+                    .time(|| entry.form().retrieve(expected, &self.registry))
                 {
                     Ok(handle) => {
                         self.stats.record_expired();
@@ -337,16 +322,14 @@ impl ResponseCache {
         Some(repr)
     }
 
-    /// Picks a representation and builds the initial single-form entry,
-    /// falling back down the always-applicable chain when the preferred
-    /// choice is not applicable to this value.
+    /// Picks a representation and builds the entry, falling back down
+    /// the always-applicable chain when the preferred choice is not
+    /// applicable to this value.
     ///
-    /// Selection precedence: a forced
-    /// [`with_representation`](OperationPolicy::with_representation)
-    /// override wins outright; otherwise the adaptive policy (when
-    /// installed) scores the candidate set; otherwise the static
-    /// selector decides. The returned mode is `None` on the static path
-    /// (no decision counter is recorded for it).
+    /// Precedence: forced
+    /// ([`with_representation`](OperationPolicy::with_representation)),
+    /// else adaptive if installed, else the §6 table. The returned mode
+    /// is `None` for the table (no decision counter is recorded for it).
     fn build_entry(
         &self,
         operation: &str,
@@ -360,10 +343,7 @@ impl ResponseCache {
             let selection = ad.select_insert(operation, &candidates);
             (selection.representation, Some(selection.mode))
         } else {
-            let repr = self
-                .selector
-                .select(data.value, &self.registry, policy.read_only);
-            (repr, None)
+            (paper_pick(&candidates), None)
         };
         let chain = [
             preferred,
@@ -394,56 +374,32 @@ impl ResponseCache {
         None
     }
 
-    /// The form a hit should be served from: the adaptive policy's
-    /// cheapest-to-retrieve *present* form, else the entry's primary.
-    fn serving_form<'a>(&self, operation: &str, entry: &'a CacheEntry) -> &'a StoredResponse {
-        self.adaptive
-            .as_ref()
-            .and_then(|ad| ad.preferred_form(operation, entry.present_mask()))
-            .and_then(|repr| entry.form(repr))
-            .unwrap_or_else(|| entry.primary())
-    }
-
     /// Convert-on-hit: when the adaptive policy judges that a cheaper
     /// representation would pay for its one-time build cost under this
-    /// key's observed hit rate, materialize it once and store it
-    /// alongside the existing forms. The claim in the store
-    /// ([`CacheStore::try_begin_convert`]) guarantees concurrent hits
-    /// convert at most once per (key, target); `generation` ties the
-    /// claim to the payload this hit was served from, so a conversion
-    /// raced by a replacement publishes nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// key's observed hit rate, build it from the object this hit just
+    /// retrieved and swap it in for the stored form.
+    /// [`CacheStore::replace_form`] publishes only if the slot still
+    /// holds the payload this hit was served from (`found.generation`),
+    /// so a conversion raced by an insert, an invalidation, an eviction
+    /// or another converter publishes nothing — concurrent hits may each
+    /// build the form, but exactly one lands and only that one counts.
     fn maybe_convert(
         &self,
         key: &CacheKey,
         request: &RpcRequest,
-        entry: &CacheEntry,
-        hits: u64,
-        generation: u64,
-        served: ValueRepresentation,
+        found: &FoundEntry,
         value: &Value,
         expected: &FieldType,
     ) -> Option<ValueRepresentation> {
         let ad = self.adaptive.as_ref()?;
         let operation = &request.operation;
-        let target = ad.preferred_form(operation, entry.candidates_mask())?;
-        if entry.has(target) || !ad.should_convert(operation, hits, served, target) {
-            return None;
-        }
-        if !self.store.try_begin_convert(key, target, generation) {
-            return None;
-        }
-        let claim = ConvertClaim {
-            store: &self.store,
-            key,
-            target,
-            generation,
-            armed: true,
-        };
+        let served = found.entry.form().representation();
+        let target =
+            ad.conversion_target(operation, found.hits, served, found.entry.candidates_mask())?;
         let mut span = wsrc_obs::trace::child_span("cache-convert", "cache");
         let histogram = &self.timers.convert[target.index()];
         let started = histogram.now_nanos();
-        let result = entry.convert_to(
+        let built = StoredResponse::from_value(
             target,
             value,
             &request.namespace,
@@ -452,41 +408,33 @@ impl ResponseCache {
             &self.registry,
         );
         let elapsed = histogram.now_nanos().saturating_sub(started);
-        let now = self.clock.now_millis();
-        match result {
-            Ok(form) => {
-                histogram.record_nanos(elapsed);
-                let size = form.approximate_size();
-                match claim.finish(Some(form), now) {
-                    AddFormOutcome::Added(evicted) => {
-                        self.stats.record_conversion(target);
-                        self.stats.record_evictions(evicted);
-                        ad.record_conversion(operation, target, elapsed, size);
-                        let (entries, bytes) = self.store.occupancy();
-                        self.timers.entries.set(entries as i64);
-                        self.timers.bytes.set(bytes as i64);
-                        if let Some(span) = span.as_mut() {
-                            span.annotate(format!(
-                                "converted {} -> {}",
-                                served.metric_label(),
-                                target.metric_label()
-                            ));
-                        }
-                        Some(target)
-                    }
-                    // Raced with a replacement/eviction or the form no
-                    // longer fits — nothing was stored.
-                    _ => None,
-                }
+        let Ok(form) = built else {
+            if let Some(span) = span.as_mut() {
+                span.set_error();
             }
-            Err(_) => {
-                claim.finish(None, now);
-                if let Some(span) = span.as_mut() {
-                    span.set_error();
-                }
-                None
-            }
+            return None;
+        };
+        let size = form.approximate_size();
+        // `None`: raced with a replacement, an eviction or another
+        // converter, or the form no longer fits — nothing was stored.
+        let evicted =
+            self.store
+                .replace_form(key, found.generation, form, self.clock.now_millis())?;
+        histogram.record_nanos(elapsed);
+        self.stats.record_conversion(target);
+        self.stats.record_evictions(evicted);
+        ad.record_build(operation, target, elapsed, size);
+        let (entries, bytes) = self.store.occupancy();
+        self.timers.entries.set(entries as i64);
+        self.timers.bytes.set(bytes as i64);
+        if let Some(span) = span.as_mut() {
+            span.annotate(format!(
+                "converted {} -> {}",
+                served.metric_label(),
+                target.metric_label()
+            ));
         }
+        Some(target)
     }
 
     /// The cache key this cache would use for `request`, if the strategy
@@ -550,48 +498,11 @@ impl ResponseCache {
     }
 }
 
-/// A conversion claim taken with [`CacheStore::try_begin_convert`],
-/// released on drop: if `convert_to` panics (or any early return lands
-/// between claim and publish), the target's `converting` bit is freed
-/// instead of blocking that representation until the entry is replaced.
-struct ConvertClaim<'a> {
-    store: &'a CacheStore,
-    key: &'a CacheKey,
-    target: ValueRepresentation,
-    /// The payload generation the claim was taken at; the store refuses
-    /// the release/publish if the slot has been replaced since.
-    generation: u64,
-    armed: bool,
-}
-
-impl ConvertClaim<'_> {
-    /// Publishes the converted form (`Some`) or merely releases the
-    /// claim (`None`), consuming the guard.
-    fn finish(mut self, form: Option<StoredResponse>, now_millis: u64) -> AddFormOutcome {
-        self.armed = false;
-        self.store
-            .finish_convert(self.key, self.target, self.generation, form, now_millis)
-    }
-}
-
-impl Drop for ConvertClaim<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            // Release-only: nothing is published, so the timestamp
-            // (which only drives eviction when a form lands) is unused.
-            let _ = self
-                .store
-                .finish_convert(self.key, self.target, self.generation, None, 0);
-        }
-    }
-}
-
 /// Builder for [`ResponseCache`].
 pub struct ResponseCacheBuilder {
     registry: TypeRegistry,
     policy: CachePolicy,
     key_strategy: KeyStrategy,
-    selector: Arc<dyn RepresentationSelector>,
     adaptive: Option<Arc<AdaptivePolicy>>,
     clock: Arc<dyn Clock>,
     capacity: Capacity,
@@ -628,19 +539,12 @@ impl ResponseCacheBuilder {
         self
     }
 
-    /// Sets the representation selector (default: [`PaperSelector`]).
-    pub fn selector(mut self, selector: impl RepresentationSelector + 'static) -> Self {
-        self.selector = Arc::new(selector);
-        self
-    }
-
     /// Installs the online [`AdaptivePolicy`]: inserts score the
     /// candidate representations from observed build/retrieve costs and
     /// sizes, hits may convert the entry to a cheaper form in place.
     /// Takes an `Arc` so callers can keep a handle for inspection or
     /// pre-seeding. Forced `with_representation` overrides still win;
-    /// the static selector is only consulted when no adaptive policy is
-    /// installed.
+    /// without an adaptive policy the §6 table decides.
     pub fn adaptive(mut self, policy: Arc<AdaptivePolicy>) -> Self {
         self.adaptive = Some(policy);
         self
@@ -688,7 +592,6 @@ impl ResponseCacheBuilder {
             store: CacheStore::new(self.capacity),
             policy: self.policy,
             key_strategy: self.key_strategy,
-            selector: self.selector,
             adaptive: self.adaptive,
             clock: self.clock,
             registry: self.registry,
@@ -702,7 +605,6 @@ impl ResponseCacheBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::FixedSelector;
     use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::{StructValue, Value};
     use wsrc_obs::ManualClock;
@@ -827,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn paper_selector_picks_reflection_for_beans() {
+    fn paper_table_picks_reflection_for_beans() {
         let cache = cacheable_cache();
         let f = fixture();
         let repr = cache.insert(URL, &request(), data(&f)).unwrap();
@@ -916,10 +818,14 @@ mod tests {
     }
 
     #[test]
-    fn fixed_selector_is_honored() {
+    fn a_policy_wide_forced_representation_is_honored() {
+        let policy = CachePolicy::new()
+            .with("other", OperationPolicy::uncacheable())
+            .with_default(OperationPolicy::cacheable(Duration::from_secs(60)))
+            .with_representation(ValueRepresentation::Serialization);
+        assert!(!policy.for_operation("other").cacheable);
         let cache = ResponseCache::builder(registry())
-            .cache_everything(Duration::from_secs(60))
-            .selector(FixedSelector(ValueRepresentation::Serialization))
+            .policy(policy)
             .clock(ManualClock::new())
             .build();
         let f = fixture();
@@ -1007,37 +913,6 @@ mod tests {
         assert!(gauge("wsrc_cache_bytes") > 0);
         cache.clear();
         assert_eq!(cache.metrics().snapshot().gauges.len(), snap.gauges.len());
-    }
-
-    #[test]
-    fn convert_claim_guard_releases_on_unwind() {
-        let store = CacheStore::default();
-        let key = CacheKey::Text("k".into());
-        let entry = CacheEntry::single(StoredResponse::XmlMessage(Arc::from(
-            "x".repeat(16).into_bytes(),
-        )));
-        store.put(key.clone(), entry, 1000, 0);
-        let generation = match store.get(&key, 0) {
-            Lookup::Live(found) => found.generation,
-            other => panic!("expected live, got {other:?}"),
-        };
-        let target = ValueRepresentation::Serialization;
-        assert!(store.try_begin_convert(&key, target, generation));
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _claim = ConvertClaim {
-                store: &store,
-                key: &key,
-                target,
-                generation,
-                armed: true,
-            };
-            panic!("conversion blew up");
-        }));
-        assert!(unwound.is_err());
-        // The guard released the claim during unwind: a later hit can
-        // claim (and perform) the conversion instead of finding the
-        // target permanently blocked.
-        assert!(store.try_begin_convert(&key, target, generation));
     }
 
     #[test]

@@ -15,94 +15,43 @@ use crate::repr::ValueRepresentation;
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 
-/// Chooses the cache-value representation for a concrete response object.
-pub trait RepresentationSelector: Send + Sync {
-    /// Picks a representation for `value`. `read_only` is the
-    /// administrator's assertion from the operation policy (§4.2.4).
-    fn select(
-        &self,
-        value: &Value,
-        registry: &TypeRegistry,
-        read_only: bool,
-    ) -> ValueRepresentation;
+/// The §6 table: the representation the paper picks for `value`.
+/// `read_only` is the administrator's assertion from the operation
+/// policy (§4.2.4).
+pub fn paper_choice(
+    value: &Value,
+    registry: &TypeRegistry,
+    read_only: bool,
+) -> ValueRepresentation {
+    paper_pick(&candidate_representations(value, registry, read_only))
 }
 
-/// The selector exactly as printed in the paper's §6 summary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PaperSelector;
-
-impl RepresentationSelector for PaperSelector {
-    fn select(
-        &self,
-        value: &Value,
-        registry: &TypeRegistry,
-        read_only: bool,
-    ) -> ValueRepresentation {
-        // a) Immutable types (and administrator-asserted read-only
-        //    objects) are shared.
-        if value.is_deeply_immutable() || read_only {
-            return ValueRepresentation::PassByReference;
-        }
-        let supports = registry.deep_capabilities(value);
-        if supports.reflect_copyable {
-            // b) Bean-type and array-type objects: reflection copy.
-            ValueRepresentation::ReflectionCopy
-        } else if supports.serializable {
-            // c) Serializable objects: Java serialization.
-            ValueRepresentation::Serialization
-        } else {
-            // d) Everything else: SAX event sequences.
-            ValueRepresentation::SaxEvents
-        }
-    }
+/// The §6 table applied to a set of applicable representations: rules
+/// a) to d) are a preference order over what the object supports, and
+/// [`candidate_representations`] already says what that is (sharing
+/// needs immutability or the read-only assertion, reflection a bean or
+/// array type, serialization a serializable one; SAX events always
+/// apply).
+pub(crate) fn paper_pick(candidates: &[ValueRepresentation]) -> ValueRepresentation {
+    [
+        ValueRepresentation::PassByReference,
+        ValueRepresentation::ReflectionCopy,
+        ValueRepresentation::Serialization,
+    ]
+    .into_iter()
+    .find(|repr| candidates.contains(repr))
+    .unwrap_or(ValueRepresentation::SaxEvents)
 }
 
-/// A refinement the paper's Table 7 numbers motivate: when a type carries
-/// the generated deep `clone()`, cloning beats reflection, so prefer it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastestSelector;
-
-impl RepresentationSelector for FastestSelector {
-    fn select(
-        &self,
-        value: &Value,
-        registry: &TypeRegistry,
-        read_only: bool,
-    ) -> ValueRepresentation {
-        if value.is_deeply_immutable() || read_only {
-            return ValueRepresentation::PassByReference;
-        }
-        let supports = registry.deep_capabilities(value);
-        if supports.cloneable {
-            ValueRepresentation::CloneCopy
-        } else if supports.reflect_copyable {
-            ValueRepresentation::ReflectionCopy
-        } else if supports.serializable {
-            ValueRepresentation::Serialization
-        } else {
-            ValueRepresentation::SaxEvents
-        }
-    }
-}
-
-/// A selector that always returns one fixed representation — used by the
-/// benchmarks to force each column of Table 7 / series of Figures 3-4.
-#[derive(Debug, Clone, Copy)]
-pub struct FixedSelector(pub ValueRepresentation);
-
-impl RepresentationSelector for FixedSelector {
-    fn select(&self, _: &Value, _: &TypeRegistry, _: bool) -> ValueRepresentation {
-        self.0
-    }
-}
-
-/// Every representation `value` supports — the candidate set the
-/// adaptive policy scores and the conversion targets a multi-form
-/// entry may grow into (the paper's Table 7 column minus its "n/a"
-/// cells). The XML-derived forms apply to any response; the
+/// Every representation `value` supports that is worth choosing — the
+/// candidate set the adaptive policy scores and the targets an entry
+/// may be converted to (the paper's Table 7 column minus its "n/a"
+/// cells). The XML message and SAX events apply to any response; the
 /// application-object forms require the matching registry capability,
 /// and pass-by-reference additionally requires immutability or the
-/// administrator's read-only assertion. Ordered as
+/// administrator's read-only assertion. The DOM tree is left out: SAX
+/// events beat it on build cost, retrieve cost and size alike, so it is
+/// only ever stored when forced. Ordered as
 /// [`ValueRepresentation::ALL_EXTENDED`].
 pub fn candidate_representations(
     value: &Value,
@@ -111,7 +60,6 @@ pub fn candidate_representations(
 ) -> Vec<ValueRepresentation> {
     let mut out = vec![
         ValueRepresentation::XmlMessage,
-        ValueRepresentation::DomTree,
         ValueRepresentation::SaxEvents,
     ];
     let supports = registry.deep_capabilities(value);
@@ -157,13 +105,12 @@ mod tests {
     #[test]
     fn paper_rule_a_immutables_pass_by_reference() {
         let r = registry();
-        let s = PaperSelector;
         assert_eq!(
-            s.select(&Value::string("spelling"), &r, false),
+            paper_choice(&Value::string("spelling"), &r, false),
             ValueRepresentation::PassByReference
         );
         assert_eq!(
-            s.select(&Value::Int(1), &r, false),
+            paper_choice(&Value::Int(1), &r, false),
             ValueRepresentation::PassByReference
         );
     }
@@ -171,10 +118,9 @@ mod tests {
     #[test]
     fn paper_rule_a_read_only_assertion_shares_mutables() {
         let r = registry();
-        let s = PaperSelector;
         let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
         assert_eq!(
-            s.select(&bean, &r, true),
+            paper_choice(&bean, &r, true),
             ValueRepresentation::PassByReference
         );
     }
@@ -182,18 +128,17 @@ mod tests {
     #[test]
     fn paper_rule_b_beans_and_arrays_reflect() {
         let r = registry();
-        let s = PaperSelector;
         let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
         assert_eq!(
-            s.select(&bean, &r, false),
+            paper_choice(&bean, &r, false),
             ValueRepresentation::ReflectionCopy
         );
         assert_eq!(
-            s.select(&Value::Bytes(vec![1, 2]), &r, false),
+            paper_choice(&Value::Bytes(vec![1, 2]), &r, false),
             ValueRepresentation::ReflectionCopy
         );
         assert_eq!(
-            s.select(&Value::Array(vec![Value::Int(1)]), &r, false),
+            paper_choice(&Value::Array(vec![Value::Int(1)]), &r, false),
             ValueRepresentation::ReflectionCopy
         );
     }
@@ -201,10 +146,9 @@ mod tests {
     #[test]
     fn paper_rule_c_serializables_serialize() {
         let r = registry();
-        let s = PaperSelector;
         let ser_only = Value::Struct(StructValue::new("SerOnly"));
         assert_eq!(
-            s.select(&ser_only, &r, false),
+            paper_choice(&ser_only, &r, false),
             ValueRepresentation::Serialization
         );
     }
@@ -212,26 +156,15 @@ mod tests {
     #[test]
     fn paper_rule_d_everything_else_sax() {
         let r = registry();
-        let s = PaperSelector;
         let opaque = Value::Struct(StructValue::new("Opaque"));
-        assert_eq!(s.select(&opaque, &r, false), ValueRepresentation::SaxEvents);
-        let unknown = Value::Struct(StructValue::new("NeverRegistered"));
         assert_eq!(
-            s.select(&unknown, &r, false),
+            paper_choice(&opaque, &r, false),
             ValueRepresentation::SaxEvents
         );
-    }
-
-    #[test]
-    fn fastest_selector_prefers_clone_when_available() {
-        let r = registry();
-        let s = FastestSelector;
-        let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
-        assert_eq!(s.select(&bean, &r, false), ValueRepresentation::CloneCopy);
-        // byte[] has no clone — falls to reflection, as in the paper.
+        let unknown = Value::Struct(StructValue::new("NeverRegistered"));
         assert_eq!(
-            s.select(&Value::Bytes(vec![1]), &r, false),
-            ValueRepresentation::ReflectionCopy
+            paper_choice(&unknown, &r, false),
+            ValueRepresentation::SaxEvents
         );
     }
 
@@ -252,25 +185,16 @@ mod tests {
         let s = candidate_representations(&Value::string("x"), &r, false);
         assert!(s.contains(&ValueRepresentation::PassByReference));
         assert!(!s.contains(&ValueRepresentation::ReflectionCopy));
-        // Opaque types still have the three XML-derived forms.
+        // Opaque types still have the XML message and the events; the
+        // dominated DOM tree is never a candidate.
         let o = candidate_representations(&Value::Struct(StructValue::new("Opaque")), &r, false);
         assert_eq!(
             o,
             vec![
                 ValueRepresentation::XmlMessage,
-                ValueRepresentation::DomTree,
                 ValueRepresentation::SaxEvents,
             ]
         );
-    }
-
-    #[test]
-    fn fixed_selector_is_constant() {
-        let r = registry();
-        let s = FixedSelector(ValueRepresentation::XmlMessage);
-        assert_eq!(
-            s.select(&Value::Int(1), &r, true),
-            ValueRepresentation::XmlMessage
-        );
+        assert!(!c.contains(&ValueRepresentation::DomTree));
     }
 }

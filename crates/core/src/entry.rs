@@ -1,226 +1,72 @@
-//! Multi-representation cache entries.
+//! Cache entries: one response under one stored form.
 //!
-//! A [`CacheEntry`] holds one response under one *or several*
-//! [`StoredResponse`] forms at once. The first form is materialized on
-//! the miss path exactly as before; further forms are materialized
-//! *lazily* by [`CacheEntry::convert_to`] when the adaptive policy
-//! decides a hit would be cheaper to serve from another representation
-//! (e.g. SAX events → XML message via arena replay, or application
-//! object → XML message via the serializer). Every form is charged to
-//! the shard byte budget — [`CacheEntry::approximate_size`] sums the
-//! per-form sizes — and all forms of an entry are evicted as one unit.
-//!
-//! Conversion never re-contacts the network: it synthesizes the target
-//! form from whatever is already present, preferring the cheapest
-//! source (events replay beats re-serialization, which beats nothing).
+//! A [`CacheEntry`] holds exactly one [`StoredResponse`] — the paper
+//! stores each response under the one representation chosen for it
+//! (§3.1, §6) — plus the mask of representations the response supports.
+//! The mask is what convert-on-hit picks its target from: when the
+//! adaptive policy decides a hot entry would be cheaper to serve from
+//! another candidate, the hit builds that form with
+//! [`StoredResponse::from_value`] and the store swaps it in
+//! ([`CacheStore::replace_form`](crate::store::CacheStore::replace_form)).
+//! The entry is charged for the one form it holds.
 
-use crate::error::CacheError;
-use crate::repr::{StoredResponse, ValueRepresentation};
-use std::sync::Arc;
-use wsrc_model::typeinfo::{FieldType, TypeRegistry};
-use wsrc_model::value::Value;
-use wsrc_model::{binser, deep_clone, reflect};
-use wsrc_soap::deserializer::read_response_xml_recording;
-use wsrc_soap::serializer::serialize_response;
-use wsrc_xml::event::SaxEventSequence;
+use crate::repr::StoredResponse;
 
-/// One response stored under one or more representations.
+/// One response stored under one representation.
 ///
-/// Invariant: `forms` is non-empty, holds at most one form per
-/// representation, and `forms[0]` is the *primary* form chosen at
-/// insert time. `candidates` is the bitmask (by
-/// [`ValueRepresentation::index`]) of representations the response is
-/// known to support — the conversion targets the adaptive policy may
-/// pick from. It always covers the present forms.
+/// `candidates` is the bitmask (by
+/// [`ValueRepresentation::index`](crate::repr::ValueRepresentation::index))
+/// of representations the response is known to support; it always
+/// covers the stored form.
 #[derive(Debug, Clone)]
 pub struct CacheEntry {
-    forms: Vec<StoredResponse>,
+    form: StoredResponse,
     candidates: u8,
 }
 
 impl CacheEntry {
-    /// An entry holding a single form; candidates default to just that
-    /// form's representation (no conversions unless widened with
+    /// An entry whose candidates are just its form's representation (no
+    /// conversions unless widened with
     /// [`with_candidates`](CacheEntry::with_candidates)).
     pub fn single(form: StoredResponse) -> Self {
         let candidates = form.representation().bit();
-        CacheEntry {
-            forms: vec![form],
-            candidates,
-        }
+        CacheEntry { form, candidates }
     }
 
-    /// Widens the candidate set (the present forms always remain
-    /// candidates).
+    /// Widens the candidate set (the stored form always remains a
+    /// candidate).
     pub fn with_candidates(mut self, mask: u8) -> Self {
         self.candidates |= mask;
         self
     }
 
-    /// The form chosen at insert time.
-    pub fn primary(&self) -> &StoredResponse {
-        &self.forms[0]
-    }
-
-    /// All materialized forms, primary first.
-    pub fn forms(&self) -> &[StoredResponse] {
-        &self.forms
-    }
-
-    /// The materialized form under `repr`, if present.
-    pub fn form(&self, repr: ValueRepresentation) -> Option<&StoredResponse> {
-        self.forms.iter().find(|f| f.representation() == repr)
-    }
-
-    /// Whether a form under `repr` is materialized.
-    pub fn has(&self, repr: ValueRepresentation) -> bool {
-        self.form(repr).is_some()
-    }
-
-    /// Bitmask of materialized representations.
-    pub fn present_mask(&self) -> u8 {
-        self.forms
-            .iter()
-            .fold(0, |m, f| m | f.representation().bit())
+    /// The stored form.
+    pub fn form(&self) -> &StoredResponse {
+        &self.form
     }
 
     /// Bitmask of representations this response supports (conversion
-    /// targets); always a superset of [`present_mask`](Self::present_mask).
+    /// targets), including the stored form's.
     pub fn candidates_mask(&self) -> u8 {
-        self.candidates | self.present_mask()
+        self.candidates
     }
 
-    /// Adds a materialized form. Returns `false` (and drops `form`)
-    /// when that representation is already present.
-    pub fn add_form(&mut self, form: StoredResponse) -> bool {
-        if self.has(form.representation()) {
-            return false;
-        }
+    /// Replaces the stored form, keeping the candidate set.
+    pub(crate) fn set_form(&mut self, form: StoredResponse) {
         self.candidates |= form.representation().bit();
-        self.forms.push(form);
-        true
+        self.form = form;
     }
 
     /// Approximate memory footprint: the fixed entry overhead plus the
-    /// sum of every materialized form's size. Adding a form therefore
-    /// grows the entry by exactly that form's `approximate_size`, which
-    /// is what the store charges incrementally.
+    /// stored form's size.
     pub fn approximate_size(&self) -> usize {
-        std::mem::size_of::<CacheEntry>()
-            + self
-                .forms
-                .iter()
-                .map(|f| f.approximate_size())
-                .sum::<usize>()
+        CacheEntry::size_holding(&self.form)
     }
 
-    /// Materializes the `target` form from whatever this entry already
-    /// holds, without touching the network:
-    ///
-    /// - XML message: replay the stored SAX arena through the DOM
-    ///   writer when events are present, else re-serialize `value`.
-    /// - SAX events / DOM tree: reuse the stored events, else re-read
-    ///   the (possibly synthesized) XML.
-    /// - Object forms (serialization, copies, shared ref): build from
-    ///   `value`, the object just retrieved on this hit.
-    ///
-    /// `value` is the application object retrieved from a present form;
-    /// `namespace`/`operation` name the RPC for re-serialization.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::NotApplicable`] when the value does not support
-    /// `target`, and decoding/encoding errors from the synthesis path.
-    pub fn convert_to(
-        &self,
-        target: ValueRepresentation,
-        value: &Value,
-        namespace: &str,
-        operation: &str,
-        expected: &FieldType,
-        registry: &TypeRegistry,
-    ) -> Result<StoredResponse, CacheError> {
-        if let Some(present) = self.form(target) {
-            return Ok(present.clone());
-        }
-        match target {
-            ValueRepresentation::XmlMessage => {
-                let text = self.xml_text(value, namespace, operation, registry)?;
-                Ok(StoredResponse::XmlMessage(Arc::from(text.into_bytes())))
-            }
-            ValueRepresentation::SaxEvents => {
-                let events =
-                    self.event_sequence(value, namespace, operation, expected, registry)?;
-                Ok(StoredResponse::SaxEvents(events))
-            }
-            ValueRepresentation::DomTree => {
-                let events =
-                    self.event_sequence(value, namespace, operation, expected, registry)?;
-                let document = wsrc_xml::Document::from_events(&events)
-                    .map_err(|e| CacheError::Soap(e.into()))?;
-                Ok(StoredResponse::DomTree(Arc::new(document)))
-            }
-            ValueRepresentation::Serialization => {
-                let bytes = binser::serialize_checked(value, registry)?;
-                Ok(StoredResponse::Serialized(Arc::from(
-                    bytes.into_boxed_slice(),
-                )))
-            }
-            ValueRepresentation::ReflectionCopy => {
-                let copy = reflect::reflect_copy(value, registry)?;
-                Ok(StoredResponse::ReflectionCopy(Arc::new(copy)))
-            }
-            ValueRepresentation::CloneCopy => {
-                let copy = deep_clone::clone_copy(value, registry)?;
-                Ok(StoredResponse::CloneCopy(Arc::new(copy)))
-            }
-            ValueRepresentation::PassByReference => {
-                Ok(StoredResponse::SharedRef(Arc::new(value.clone())))
-            }
-        }
-    }
-
-    /// The response XML text: the stored message verbatim, else an
-    /// arena replay of the stored events, else a fresh serialization.
-    fn xml_text(
-        &self,
-        value: &Value,
-        namespace: &str,
-        operation: &str,
-        registry: &TypeRegistry,
-    ) -> Result<String, CacheError> {
-        if let Some(StoredResponse::XmlMessage(xml)) = self.form(ValueRepresentation::XmlMessage) {
-            return String::from_utf8(xml.to_vec())
-                .map_err(|e| CacheError::Unusable(format!("cached xml is not valid utf-8: {e}")));
-        }
-        if let Some(StoredResponse::SaxEvents(events)) = self.form(ValueRepresentation::SaxEvents) {
-            let document =
-                wsrc_xml::Document::from_events(events).map_err(|e| CacheError::Soap(e.into()))?;
-            return Ok(document.to_xml());
-        }
-        if let Some(StoredResponse::DomTree(document)) = self.form(ValueRepresentation::DomTree) {
-            return Ok(document.to_xml());
-        }
-        serialize_response(namespace, operation, "return", value, registry)
-            .map_err(CacheError::Soap)
-    }
-
-    /// The SAX event sequence: the stored arena, else a recording
-    /// re-read of the (possibly synthesized) XML text.
-    fn event_sequence(
-        &self,
-        value: &Value,
-        namespace: &str,
-        operation: &str,
-        expected: &FieldType,
-        registry: &TypeRegistry,
-    ) -> Result<Arc<SaxEventSequence>, CacheError> {
-        if let Some(StoredResponse::SaxEvents(events)) = self.form(ValueRepresentation::SaxEvents) {
-            return Ok(Arc::clone(events));
-        }
-        let text = self.xml_text(value, namespace, operation, registry)?;
-        let (_, events) = read_response_xml_recording(&text, expected, registry)?;
-        Ok(Arc::new(events))
+    /// What an entry weighs when `form` is the one it holds — lets the
+    /// store size a form swap before it takes the shard lock.
+    pub(crate) fn size_holding(form: &StoredResponse) -> usize {
+        std::mem::size_of::<CacheEntry>() + form.approximate_size()
     }
 }
 
@@ -233,148 +79,21 @@ impl From<StoredResponse> for CacheEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
-    use wsrc_model::value::StructValue;
+    use crate::repr::ValueRepresentation;
+    use std::sync::Arc;
 
-    fn registry() -> TypeRegistry {
-        TypeRegistry::builder()
-            .register(TypeDescriptor::new(
-                "Item",
-                vec![
-                    FieldDescriptor::new("name", FieldType::String),
-                    FieldDescriptor::new("qty", FieldType::Int),
-                ],
-            ))
-            .build()
-    }
-
-    struct Fixture {
-        xml: Arc<[u8]>,
-        events: Arc<SaxEventSequence>,
-        value: Value,
-        expected: FieldType,
-    }
-
-    fn fixture() -> Fixture {
-        let value = Value::Struct(StructValue::new("Item").with("name", "n").with("qty", 2));
-        let expected = FieldType::Struct("Item".into());
-        let xml = serialize_response("urn:t", "getItem", "return", &value, &registry()).unwrap();
-        let (_, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
-        Fixture {
-            xml: Arc::from(xml.into_bytes()),
-            events: Arc::new(events),
-            value,
-            expected,
-        }
-    }
-
-    fn source_form(f: &Fixture, repr: ValueRepresentation) -> StoredResponse {
-        StoredResponse::build(
-            repr,
-            crate::repr::MissArtifacts {
-                xml: &f.xml,
-                events: &f.events,
-                value: &f.value,
-            },
-            &registry(),
-        )
-        .unwrap()
+    fn xml(len: usize) -> StoredResponse {
+        StoredResponse::XmlMessage(Arc::from(vec![b'x'; len]))
     }
 
     #[test]
-    fn single_entry_has_one_form_and_its_candidate_bit() {
-        let f = fixture();
-        let entry = CacheEntry::single(source_form(&f, ValueRepresentation::SaxEvents));
-        assert_eq!(entry.forms().len(), 1);
-        assert!(entry.has(ValueRepresentation::SaxEvents));
-        assert!(!entry.has(ValueRepresentation::XmlMessage));
+    fn candidates_widen_but_always_cover_the_stored_form() {
+        let entry = CacheEntry::single(xml(8));
         assert_eq!(
             entry.candidates_mask(),
-            ValueRepresentation::SaxEvents.bit()
+            ValueRepresentation::XmlMessage.bit()
         );
-    }
-
-    #[test]
-    fn add_form_is_idempotent_per_representation() {
-        let f = fixture();
-        let mut entry = CacheEntry::single(source_form(&f, ValueRepresentation::SaxEvents));
-        assert!(entry.add_form(source_form(&f, ValueRepresentation::XmlMessage)));
-        assert!(!entry.add_form(source_form(&f, ValueRepresentation::XmlMessage)));
-        assert_eq!(entry.forms().len(), 2);
-        assert_eq!(
-            entry.primary().representation(),
-            ValueRepresentation::SaxEvents
-        );
-    }
-
-    #[test]
-    fn size_grows_by_exactly_the_added_forms_size() {
-        let f = fixture();
-        let mut entry = CacheEntry::single(source_form(&f, ValueRepresentation::SaxEvents));
-        let before = entry.approximate_size();
-        let xml = source_form(&f, ValueRepresentation::XmlMessage);
-        let form_size = xml.approximate_size();
-        assert!(entry.add_form(xml));
-        assert_eq!(entry.approximate_size(), before + form_size);
-    }
-
-    #[test]
-    fn conversion_matrix_round_trips_every_pair() {
-        let r = registry();
-        let f = fixture();
-        for source in ValueRepresentation::ALL_EXTENDED {
-            let entry = CacheEntry::single(source_form(&f, source));
-            // Retrieve the value from the source form as the hit path
-            // would, then convert to every other representation.
-            let handle = entry.primary().retrieve(&f.expected, &r).unwrap();
-            for target in ValueRepresentation::ALL_EXTENDED {
-                if target == source {
-                    continue;
-                }
-                let converted = entry
-                    .convert_to(
-                        target,
-                        handle.as_value(),
-                        "urn:t",
-                        "getItem",
-                        &f.expected,
-                        &r,
-                    )
-                    .unwrap_or_else(|e| panic!("{source} -> {target}: {e}"));
-                assert_eq!(converted.representation(), target);
-                let got = converted.retrieve(&f.expected, &r).unwrap();
-                assert_eq!(got.as_value(), &f.value, "{source} -> {target}");
-            }
-        }
-    }
-
-    #[test]
-    fn conversion_to_inapplicable_target_errors() {
-        let r = registry();
-        // A bare string supports neither reflection nor clone copies.
-        let value = Value::string("bare");
-        let expected = FieldType::String;
-        let xml = serialize_response("urn:t", "getItem", "return", &value, &r).unwrap();
-        let (_, events) = read_response_xml_recording(&xml, &expected, &r).unwrap();
-        let entry = CacheEntry::single(StoredResponse::SaxEvents(Arc::new(events)));
-        for target in [
-            ValueRepresentation::ReflectionCopy,
-            ValueRepresentation::CloneCopy,
-        ] {
-            assert!(
-                entry
-                    .convert_to(target, &value, "urn:t", "getItem", &expected, &r)
-                    .is_err(),
-                "{target} must be n/a for a bare string"
-            );
-        }
-    }
-
-    #[test]
-    fn candidates_widen_but_never_drop_present_forms() {
-        let f = fixture();
-        let entry = CacheEntry::single(source_form(&f, ValueRepresentation::XmlMessage))
-            .with_candidates(ValueRepresentation::CloneCopy.bit());
+        let entry = entry.with_candidates(ValueRepresentation::CloneCopy.bit());
         let mask = entry.candidates_mask();
         assert_ne!(mask & ValueRepresentation::XmlMessage.bit(), 0);
         assert_ne!(mask & ValueRepresentation::CloneCopy.bit(), 0);
@@ -382,29 +101,27 @@ mod tests {
     }
 
     #[test]
-    fn xml_conversion_prefers_arena_replay_over_reserialization() {
-        let r = registry();
-        let f = fixture();
-        let entry = CacheEntry::single(source_form(&f, ValueRepresentation::SaxEvents));
-        let converted = entry
-            .convert_to(
-                ValueRepresentation::XmlMessage,
-                &f.value,
-                "urn:other", // a wrong namespace must NOT leak in: replay wins
-                "otherOp",
-                &f.expected,
-                &r,
-            )
-            .unwrap();
-        match converted {
-            StoredResponse::XmlMessage(xml) => {
-                let text = std::str::from_utf8(&xml).unwrap();
-                assert!(
-                    text.contains("getItem"),
-                    "replayed XML keeps the original operation: {text}"
-                );
-            }
-            other => panic!("expected xml message, got {other:?}"),
+    fn replacing_the_form_keeps_candidates_and_resizes() {
+        let mut entry =
+            CacheEntry::single(xml(100)).with_candidates(ValueRepresentation::CloneCopy.bit());
+        let before = entry.approximate_size();
+        let old_size = entry.form().approximate_size();
+        let new = StoredResponse::Serialized(Arc::from(vec![0u8; 40]));
+        let new_size = new.approximate_size();
+        assert_eq!(CacheEntry::size_holding(&new), before - old_size + new_size);
+        entry.set_form(new);
+        assert_eq!(
+            entry.form().representation(),
+            ValueRepresentation::Serialization
+        );
+        assert_eq!(entry.approximate_size(), before - old_size + new_size);
+        let mask = entry.candidates_mask();
+        for repr in [
+            ValueRepresentation::XmlMessage,
+            ValueRepresentation::CloneCopy,
+            ValueRepresentation::Serialization,
+        ] {
+            assert_ne!(mask & repr.bit(), 0, "{repr}");
         }
     }
 }

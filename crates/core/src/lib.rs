@@ -13,10 +13,10 @@
 //!   clone copy, pass-by-reference.
 //! - [`policy`] — per-operation cacheability and TTL, configured by the
 //!   client-side administrator (paper §3.2).
-//! - [`classify`] — the §6 optimal-configuration selector that picks a
+//! - [`classify`] — the §6 optimal-configuration table that picks a
 //!   representation per response object at run time.
-//! - [`entry`] — multi-representation cache entries: one response held
-//!   under several forms at once, converted lazily on hits.
+//! - [`entry`] — cache entries: one response under one stored form,
+//!   plus the representations it may be converted to on a hit.
 //! - [`store`] — the concurrent sharded cache table with TTL expiry and
 //!   size-aware LRU eviction.
 //! - [`cache`] — [`cache::ResponseCache`], the facade the client
@@ -34,7 +34,7 @@ pub mod stats;
 pub mod store;
 
 pub use cache::{CacheOutcome, ResponseCache, ResponseCacheBuilder, ResponseData};
-pub use classify::{FastestSelector, FixedSelector, PaperSelector, RepresentationSelector};
+pub use classify::paper_choice;
 pub use entry::CacheEntry;
 pub use error::CacheError;
 pub use key::{CacheKey, KeyStrategy};

@@ -8,15 +8,12 @@
 //! (enabling pass-by-reference for mutable types, §4.2.4) and an optional
 //! fixed representation override.
 //!
-//! Selection precedence, highest first:
-//!
-//! 1. [`OperationPolicy::with_representation`] — the administrator's
-//!    forced override; the adaptive policy is never consulted.
-//! 2. [`AdaptivePolicy`], when installed on the cache — online scoring
-//!    from live build/retrieve/size observations.
-//! 3. The static [`RepresentationSelector`](crate::classify) — the
-//!    paper's offline table.
+//! Selection precedence: forced
+//! ([`OperationPolicy::with_representation`]), else [`AdaptivePolicy`]
+//! if installed on the cache, else the §6 table
+//! ([`paper_choice`](crate::classify::paper_choice)).
 
+use crate::classify::paper_pick;
 use crate::repr::ValueRepresentation;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -104,6 +101,15 @@ impl CachePolicy {
     /// Sets the policy applied to operations not explicitly listed.
     pub fn with_default(mut self, policy: OperationPolicy) -> Self {
         self.default = Some(policy);
+        self
+    }
+
+    /// Forces `repr` for every operation declared so far and for the
+    /// default — how benchmarks and tests pin one column of Table 7.
+    pub fn with_representation(mut self, repr: ValueRepresentation) -> Self {
+        for policy in self.operations.values_mut().chain(self.default.as_mut()) {
+            policy.representation = Some(repr);
+        }
         self
     }
 
@@ -305,18 +311,20 @@ struct Observations {
 /// ```
 ///
 /// where `expected_hits = hits / max(1, inserts)` for the operation
-/// (counting only inserts the store actually accepted), and
+/// (counting only inserts the store actually accepted; the comparison
+/// is carried out multiplied through by `inserts`, so a fractional
+/// ratio still weighs retrieve cost), and
 /// picks the cheapest (ties go to the faster-retrieval representation).
 /// Until every candidate has [`min
 /// samples`](AdaptivePolicy::with_min_samples) local build observations
-/// it explores the least-observed candidate instead. At retrieve time
-/// [`preferred_form`](AdaptivePolicy::preferred_form) picks the
-/// cheapest-to-retrieve *present* form, and
-/// [`should_convert`](AdaptivePolicy::should_convert) decides whether a
-/// popular entry has earned a one-time conversion to a faster form.
+/// it explores the least-observed candidate instead, starting an
+/// operation it has never seen from the paper's §6 choice. At retrieve
+/// time [`conversion_target`](AdaptivePolicy::conversion_target) decides
+/// whether a popular entry has earned a one-time conversion to the
+/// cheapest-to-retrieve candidate.
 ///
 /// See the module docs for precedence against
-/// [`OperationPolicy::with_representation`] and the static selector.
+/// [`OperationPolicy::with_representation`] and the §6 table.
 #[derive(Debug)]
 pub struct AdaptivePolicy {
     state: Mutex<HashMap<String, OpState>>,
@@ -399,15 +407,9 @@ impl AdaptivePolicy {
     pub fn select_insert(&self, operation: &str, candidates: &[ValueRepresentation]) -> Selection {
         let state = sync::lock_class("AdaptivePolicy.state", &self.state);
         let Some(op) = state.get(operation) else {
-            // Never seen: explore, preferring the fastest-retrieval
-            // candidate first.
-            let repr = candidates
-                .iter()
-                .copied()
-                .max_by_key(|r| r.index())
-                .unwrap_or(ValueRepresentation::XmlMessage);
+            // Never seen: the paper's table is the prior.
             return Selection {
-                representation: repr,
+                representation: paper_pick(candidates),
                 mode: SelectionMode::Explore,
             };
         };
@@ -422,7 +424,9 @@ impl AdaptivePolicy {
                 mode: SelectionMode::Explore,
             };
         }
-        let expected_hits = op.hits / op.inserts.max(1);
+        // score × inserts, so `expected_hits = hits / inserts` never
+        // truncates to zero while hits < inserts.
+        let inserts = u128::from(op.inserts.max(1));
         let repr = candidates
             .iter()
             .copied()
@@ -431,9 +435,10 @@ impl AdaptivePolicy {
                 let build = self.build_est(stats, *r).unwrap_or(u64::MAX / 4);
                 let retrieve = self.retrieve_est(stats, *r).unwrap_or(u64::MAX / 4);
                 let size_kib = stats.size_mean().unwrap_or(0) / 1024;
-                let score = build
-                    .saturating_add(expected_hits.saturating_mul(retrieve))
-                    .saturating_add(self.size_weight_nanos_per_kib.saturating_mul(size_kib));
+                let size_penalty = self.size_weight_nanos_per_kib.saturating_mul(size_kib);
+                let score = (u128::from(build) * inserts)
+                    .saturating_add(u128::from(op.hits) * u128::from(retrieve))
+                    .saturating_add(u128::from(size_penalty) * inserts);
                 (score, std::cmp::Reverse(r.index()))
             })
             .unwrap_or(ValueRepresentation::XmlMessage);
@@ -443,64 +448,59 @@ impl AdaptivePolicy {
         }
     }
 
-    /// The cheapest-to-retrieve representation among `mask` (a
-    /// [`ValueRepresentation::bit`] set), judged by observed retrieve
-    /// costs for `operation`. `None` when no masked representation has
-    /// any observation — the caller falls back to the primary form.
-    pub fn preferred_form(&self, operation: &str, mask: u8) -> Option<ValueRepresentation> {
-        let state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        let op = state.get(operation)?;
-        ValueRepresentation::from_mask(mask)
-            .filter_map(|r| {
-                self.retrieve_est(&op.per[r.index()], r)
-                    .map(|cost| (cost, std::cmp::Reverse(r.index()), r))
-            })
-            .min_by_key(|&(cost, idx, _)| (cost, idx))
-            .map(|(_, _, r)| r)
-    }
-
-    /// Whether an entry that has served `hits` lookups from `from`
-    /// should be converted once to `to`: the projected retrieval
-    /// savings over a comparable number of future hits must repay the
-    /// conversion (build) cost plus the size penalty of the extra form.
-    /// Conversions are exploit-only — every cost involved must have
-    /// been observed.
-    pub fn should_convert(
+    /// The representation an entry of `operation` that has served
+    /// `hits` lookups from `served` should be converted to, if any: the
+    /// cheapest-to-retrieve of `candidates_mask` (a
+    /// [`ValueRepresentation::bit`] set) by observed retrieve cost,
+    /// provided the projected retrieval savings over a comparable
+    /// number of future hits repay the conversion (build) cost plus the
+    /// target's size penalty. Conversions are exploit-only — every cost
+    /// involved must have been observed.
+    pub fn conversion_target(
         &self,
         operation: &str,
         hits: u64,
-        from: ValueRepresentation,
-        to: ValueRepresentation,
-    ) -> bool {
-        if from == to || hits < self.convert_after_hits {
-            return false;
+        served: ValueRepresentation,
+        candidates_mask: u8,
+    ) -> Option<ValueRepresentation> {
+        if hits < self.convert_after_hits {
+            return None;
         }
         let state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        let Some(op) = state.get(operation) else {
-            return false;
-        };
-        let (Some(from_retrieve), Some(to_retrieve), Some(to_build)) = (
-            self.retrieve_est(&op.per[from.index()], from),
-            self.retrieve_est(&op.per[to.index()], to),
-            self.build_est(&op.per[to.index()], to),
-        ) else {
-            return false;
-        };
+        let op = state.get(operation)?;
+        let (to_retrieve, to) = ValueRepresentation::from_mask(candidates_mask)
+            .filter_map(|r| Some((self.retrieve_est(&op.per[r.index()], r)?, r)))
+            .min_by_key(|&(cost, r)| (cost, std::cmp::Reverse(r.index())))?;
+        let from_retrieve = self.retrieve_est(&op.per[served.index()], served)?;
+        // Also covers `to == served`.
         if to_retrieve >= from_retrieve {
-            return false;
+            return None;
         }
+        let to_build = self.build_est(&op.per[to.index()], to)?;
         let size_penalty = self
             .size_weight_nanos_per_kib
             .saturating_mul(op.per[to.index()].size_mean().unwrap_or(0) / 1024);
         // An entry hit `hits` times is expected to serve about as many
         // more; the conversion must pay for itself over that horizon.
-        hits.saturating_mul(from_retrieve - to_retrieve) > to_build.saturating_add(size_penalty)
+        (hits.saturating_mul(from_retrieve - to_retrieve) > to_build.saturating_add(size_penalty))
+            .then_some(to)
     }
 
-    /// Records a miss-path build: `repr` was materialized for
-    /// `operation` in `nanos`, occupying `size_bytes`. The cost and
-    /// size are valid observations whether or not the store goes on to
-    /// accept the entry; the insert itself is counted separately by
+    /// Runs `update` on `operation`'s state under the policy lock,
+    /// allocating the key only the first time an operation is seen.
+    fn with_op(&self, operation: &str, update: impl FnOnce(&mut OpState)) {
+        let mut state = sync::lock_class("AdaptivePolicy.state", &self.state);
+        match state.get_mut(operation) {
+            Some(op) => update(op),
+            None => update(state.entry(operation.to_string()).or_default()),
+        }
+    }
+
+    /// Records a build: `repr` was materialized for `operation` in
+    /// `nanos`, occupying `size_bytes` — on the miss path or by a
+    /// convert-on-hit. The cost and size are valid observations whether
+    /// or not the store goes on to accept the entry; the insert itself
+    /// is counted separately by
     /// [`record_insert`](AdaptivePolicy::record_insert) once it does.
     pub fn record_build(
         &self,
@@ -509,13 +509,13 @@ impl AdaptivePolicy {
         nanos: u64,
         size_bytes: usize,
     ) {
-        let mut state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        let op = state.entry(operation.to_string()).or_default();
-        let stats = &mut op.per[repr.index()];
-        stats.build_nanos_sum += nanos;
-        stats.build_count += 1;
-        stats.size_bytes_sum += size_bytes as u64;
-        stats.size_count += 1;
+        self.with_op(operation, |op| {
+            let stats = &mut op.per[repr.index()];
+            stats.build_nanos_sum += nanos;
+            stats.build_count += 1;
+            stats.size_bytes_sum += size_bytes as u64;
+            stats.size_count += 1;
+        });
     }
 
     /// Counts a response actually stored for `operation`. Called only
@@ -524,36 +524,17 @@ impl AdaptivePolicy {
     /// so counting them would deflate `expected_hits = hits / inserts`
     /// and bias scoring toward cheap-build representations.
     pub fn record_insert(&self, operation: &str) {
-        let mut state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        state.entry(operation.to_string()).or_default().inserts += 1;
+        self.with_op(operation, |op| op.inserts += 1);
     }
 
     /// Records a hit-path retrieval from `repr` for `operation`.
     pub fn record_retrieve(&self, operation: &str, repr: ValueRepresentation, nanos: u64) {
-        let mut state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        let op = state.entry(operation.to_string()).or_default();
-        op.hits += 1;
-        let stats = &mut op.per[repr.index()];
-        stats.retrieve_nanos_sum += nanos;
-        stats.retrieve_count += 1;
-    }
-
-    /// Records a convert-on-hit materialization of `repr` — a build
-    /// observation that does not count as an insert.
-    pub fn record_conversion(
-        &self,
-        operation: &str,
-        repr: ValueRepresentation,
-        nanos: u64,
-        size_bytes: usize,
-    ) {
-        let mut state = sync::lock_class("AdaptivePolicy.state", &self.state);
-        let op = state.entry(operation.to_string()).or_default();
-        let stats = &mut op.per[repr.index()];
-        stats.build_nanos_sum += nanos;
-        stats.build_count += 1;
-        stats.size_bytes_sum += size_bytes as u64;
-        stats.size_count += 1;
+        self.with_op(operation, |op| {
+            op.hits += 1;
+            let stats = &mut op.per[repr.index()];
+            stats.retrieve_nanos_sum += nanos;
+            stats.retrieve_count += 1;
+        });
     }
 }
 
@@ -645,20 +626,26 @@ mod tests {
             .with_size_weight(0);
         let c = [
             ValueRepresentation::XmlMessage,
+            ValueRepresentation::ReflectionCopy,
             ValueRepresentation::CloneCopy,
         ];
-        // Unseen operation: explore, fastest-retrieval candidate first.
+        // Unseen operation: explore, starting from the paper's §6 pick
+        // for a bean (reflection), not from the highest index.
+        let s = p.select_insert("op", &c);
+        assert_eq!(s.mode, SelectionMode::Explore);
+        assert_eq!(s.representation, ValueRepresentation::ReflectionCopy);
+        p.record_build("op", ValueRepresentation::ReflectionCopy, 2_000, 100);
+        // The other candidates are still unsampled: keep exploring.
         let s = p.select_insert("op", &c);
         assert_eq!(s.mode, SelectionMode::Explore);
         assert_eq!(s.representation, ValueRepresentation::CloneCopy);
         p.record_build("op", ValueRepresentation::CloneCopy, 1_000, 100);
-        // The other candidate is still unsampled: keep exploring.
         let s = p.select_insert("op", &c);
         assert_eq!(s.mode, SelectionMode::Explore);
         assert_eq!(s.representation, ValueRepresentation::XmlMessage);
         p.record_build("op", ValueRepresentation::XmlMessage, 10, 100);
         // All sampled; no hits yet, so build cost decides: XML's 10ns
-        // build beats the 1µs copy.
+        // build beats the 1µs and 2µs copies.
         let s = p.select_insert("op", &c);
         assert_eq!(s.mode, SelectionMode::Exploit);
         assert_eq!(s.representation, ValueRepresentation::XmlMessage);
@@ -692,22 +679,54 @@ mod tests {
     }
 
     #[test]
-    fn preferred_form_reads_observed_retrieve_costs() {
-        let p = AdaptivePolicy::new();
-        let mask = ValueRepresentation::XmlMessage.bit() | ValueRepresentation::SaxEvents.bit();
-        // Nothing observed anywhere: no preference.
-        assert_eq!(p.preferred_form("op", mask), None);
-        p.record_retrieve("op", ValueRepresentation::XmlMessage, 50_000);
-        p.record_retrieve("op", ValueRepresentation::SaxEvents, 5_000);
-        assert_eq!(
-            p.preferred_form("op", mask),
-            Some(ValueRepresentation::SaxEvents)
-        );
-        // Masked-out representations are never preferred.
-        assert_eq!(
-            p.preferred_form("op", ValueRepresentation::XmlMessage.bit()),
-            Some(ValueRepresentation::XmlMessage)
-        );
+    fn fractional_expected_hits_still_weigh_retrieve_cost() {
+        let p = AdaptivePolicy::new()
+            .with_min_samples(0)
+            .with_size_weight(0);
+        // The clone's 10ns retrieve is known cache-wide, from another
+        // operation's hits.
+        let metrics = wsrc_obs::MetricsRegistry::new();
+        let per_repr = |name: &str| {
+            ValueRepresentation::ALL_EXTENDED
+                .map(|r| metrics.histogram(name, &[("repr", r.metric_label())]))
+        };
+        let retrieve = per_repr("retrieve");
+        retrieve[ValueRepresentation::CloneCopy.index()].record_nanos(10);
+        p.attach_observations(per_repr("build"), retrieve);
+        p.record_build("op", ValueRepresentation::XmlMessage, 10, 0);
+        p.record_build("op", ValueRepresentation::CloneCopy, 1_000, 0);
+        p.record_insert("op");
+        p.record_insert("op");
+        p.record_retrieve("op", ValueRepresentation::XmlMessage, 100_000);
+        // One hit in two inserts: expected_hits = 0.5, so the clone's
+        // 1µs + 0.5 × 10ns beats XML's 10ns + 0.5 × 100µs. Integer
+        // division would zero the retrieve term and store the XML for
+        // its cheap build.
+        let c = [
+            ValueRepresentation::XmlMessage,
+            ValueRepresentation::CloneCopy,
+        ];
+        let s = p.select_insert("op", &c);
+        assert_eq!(s.mode, SelectionMode::Exploit);
+        assert_eq!(s.representation, ValueRepresentation::CloneCopy);
+    }
+
+    #[test]
+    fn conversion_targets_the_cheapest_observed_candidate() {
+        let p = AdaptivePolicy::new().with_size_weight(0);
+        let xml = ValueRepresentation::XmlMessage;
+        let sax = ValueRepresentation::SaxEvents;
+        let mask = xml.bit() | sax.bit();
+        // Nothing observed anywhere: no target.
+        assert_eq!(p.conversion_target("op", 10, xml, mask), None);
+        p.record_retrieve("op", xml, 50_000);
+        p.record_retrieve("op", sax, 5_000);
+        p.record_build("op", sax, 1_000, 0);
+        assert_eq!(p.conversion_target("op", 10, xml, mask), Some(sax));
+        // Masked-out representations are never targets, and an entry
+        // already in the cheapest candidate form stays put.
+        assert_eq!(p.conversion_target("op", 10, xml, xml.bit()), None);
+        assert_eq!(p.conversion_target("op", 10, sax, mask), None);
     }
 
     #[test]
@@ -744,17 +763,20 @@ mod tests {
             .with_size_weight(0);
         let from = ValueRepresentation::XmlMessage;
         let to = ValueRepresentation::CloneCopy;
+        let mask = from.bit() | to.bit();
         // Unknown costs: never convert.
-        assert!(!p.should_convert("op", 10, from, to));
+        assert_eq!(p.conversion_target("op", 10, from, mask), None);
         p.record_retrieve("op", from, 100_000);
         p.record_retrieve("op", to, 1_000);
+        // The target's build cost is still unobserved: not yet.
+        assert_eq!(p.conversion_target("op", 10, from, mask), None);
         p.record_build("op", to, 50_000, 256);
         // Below the popularity threshold: not yet.
-        assert!(!p.should_convert("op", 1, from, to));
+        assert_eq!(p.conversion_target("op", 1, from, mask), None);
         // 2 projected hits save 2×99µs > the 50µs build: convert.
-        assert!(p.should_convert("op", 2, from, to));
-        // Converting to itself or to a slower form never pays.
-        assert!(!p.should_convert("op", 10, from, from));
-        assert!(!p.should_convert("op", 10, to, from));
+        assert_eq!(p.conversion_target("op", 2, from, mask), Some(to));
+        // A build that the projected hits cannot repay does not.
+        p.record_build("op", to, 10_000_000, 256);
+        assert_eq!(p.conversion_target("op", 2, from, mask), None);
     }
 }

@@ -81,7 +81,8 @@ pub struct StatsSnapshot {
     pub store_failures: u64,
     /// Stale entries renewed by a successful revalidation (304).
     pub revalidated: u64,
-    /// Convert-on-hit materializations (total across representations).
+    /// Published convert-on-hit form swaps (total across target
+    /// representations).
     pub conversions: u64,
     /// Hits broken down by the stored entry's representation, indexed by
     /// [`ValueRepresentation::index`].

@@ -28,24 +28,22 @@
 //! The entry being inserted is pinned for the duration of its own `put`
 //! so a fresh insert can never evict itself.
 //!
-//! # Multi-form entries
+//! # One form per entry, replaced by compare-and-swap
 //!
-//! Each slot holds a [`CacheEntry`] — one response under one or several
-//! representations. [`CacheStore::add_form`] charges a lazily converted
-//! form to the same slot (and the shard byte budget) in place;
-//! [`CacheStore::try_begin_convert`]/[`CacheStore::finish_convert`] gate
-//! conversions so concurrent hitters materialize a wanted form exactly
-//! once. Claims are *generation-stamped*: every insert or replacement
-//! bumps a per-shard counter stamped onto the slot, lookups report it in
-//! [`FoundEntry`], and a claim or publish whose stamp no longer matches
-//! the slot is refused — a conversion raced by a replacement can neither
-//! attach a form built from the old response to the new entry nor
-//! release a claim legitimately re-taken on it. All forms of an entry
-//! share one slot and therefore leave the budget together on eviction.
+//! Each slot holds a [`CacheEntry`] — one response under one stored
+//! form. Every insert or replacement bumps a per-shard counter stamped
+//! onto the slot, and lookups report that *generation* in
+//! [`FoundEntry`]. [`CacheStore::replace_form`] is the only operation
+//! that changes a live slot's form and the only place a generation is
+//! compared: it swaps the form in only if the slot still carries the
+//! generation the caller read, then bumps it. A form built from a
+//! response that has since been replaced, invalidated, evicted or
+//! already converted is therefore never published, and of several hits
+//! that race to convert the same payload exactly one lands.
 
 use crate::entry::CacheEntry;
 use crate::key::CacheKey;
-use crate::repr::{StoredResponse, ValueRepresentation};
+use crate::repr::StoredResponse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -150,13 +148,9 @@ struct Slot {
     /// Live lookups served from this slot since it was (re)inserted —
     /// the per-key popularity signal the adaptive policy reads.
     hits: u64,
-    /// Bitmask of representations a conversion is in flight for
-    /// (claimed via [`CacheStore::try_begin_convert`]).
-    converting: u8,
     /// Per-shard monotonic stamp identifying this slot's current
-    /// payload; bumped on insert and replacement. Conversion claims
-    /// carry the generation they were read at, so claims and publishes
-    /// against a since-replaced payload are refused.
+    /// payload; bumped on insert, replacement and form swap, and
+    /// compared only by [`CacheStore::replace_form`].
     generation: u64,
     lru_prev: u32,
     lru_next: u32,
@@ -296,10 +290,9 @@ impl Shard {
     }
 
     /// Replaces the payload of an existing slot, adjusting byte
-    /// accounting. A replacement is a fresh response: the hit count and
-    /// any in-flight conversion claims reset with it, and the slot's
-    /// generation is bumped so outstanding claims against the old
-    /// payload can no longer touch this one.
+    /// accounting. A replacement is a fresh response: the hit count
+    /// resets with it, and the slot's generation is bumped so a form
+    /// converted from the old payload can no longer be published.
     fn replace(
         &mut self,
         idx: u32,
@@ -317,7 +310,6 @@ impl Shard {
                 slot.size_bytes = size_bytes;
                 slot.validator = validator;
                 slot.hits = 0;
-                slot.converting = 0;
                 slot.generation = generation;
                 old
             }
@@ -425,16 +417,14 @@ impl Shard {
                 self.bytes
             ));
         }
-        // Multi-form reconciliation: the bytes charged for a slot must
-        // equal the sum of its forms' sizes (via the entry) plus its key
-        // — a lazily added form that skipped accounting shows up here.
+        // The bytes charged for a slot must equal its entry's size plus
+        // its key — a form swap that skipped accounting shows up here.
         for slot in self.slots.iter().flatten() {
             let expected = slot.entry.approximate_size() + slot.key.approximate_size();
             if slot.size_bytes != expected {
                 return Err(format!(
-                    "shard {shard_no}: slot charges {} bytes but its {} form(s) sum to {expected}",
-                    slot.size_bytes,
-                    slot.entry.forms().len()
+                    "shard {shard_no}: slot charges {} bytes but its entry and key sum to {expected}",
+                    slot.size_bytes
                 ));
             }
             if slot.generation == 0 || slot.generation > self.last_generation {
@@ -690,7 +680,6 @@ impl CacheStore {
                 size_bytes,
                 validator,
                 hits: 0,
-                converting: 0,
                 generation: 0, // stamped by insert_new
                 lru_prev: NIL,
                 lru_next: NIL,
@@ -722,122 +711,44 @@ impl CacheStore {
         summary
     }
 
-    /// Materializes `form` alongside the existing forms of the entry
-    /// under `key`, charging its size to the shard byte budget (evicting
-    /// *other* entries as needed — the enlarged entry itself is pinned).
+    /// Convert-on-hit's publish: swaps `form` in as the stored form of
+    /// the entry under `key`, but only if the slot still carries
+    /// `generation` — the stamp the caller read in [`FoundEntry`] along
+    /// with the payload it built `form` from. Expiry, validator, hit
+    /// count and recency position are kept; the size difference is
+    /// re-charged to the shard byte budget (evicting *other* entries if
+    /// the shard is now over it — the swapped entry is pinned), and the
+    /// generation is bumped, so a second publish from the same read is
+    /// refused.
     ///
-    /// This is how a convert-on-hit publishes its result; the usual
-    /// call path claims the conversion first with
-    /// [`try_begin_convert`](CacheStore::try_begin_convert) and lands
-    /// here via [`finish_convert`](CacheStore::finish_convert).
-    pub fn add_form(
+    /// Returns what had to be evicted, or `None` when nothing changed:
+    /// the entry is gone, its payload was replaced or already converted
+    /// since the read, or the new form alone would exceed the shard
+    /// budget (the old form stays).
+    pub fn replace_form(
         &self,
         key: &CacheKey,
+        generation: u64,
         form: StoredResponse,
         now_millis: u64,
-    ) -> AddFormOutcome {
-        let hash = hash_key(key);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
-            return AddFormOutcome::Gone;
-        };
-        self.add_form_locked(&mut shard, idx, form, now_millis)
-    }
-
-    /// [`add_form`](CacheStore::add_form) on an already located slot in a
-    /// locked shard.
-    fn add_form_locked(
-        &self,
-        shard: &mut Shard,
-        idx: u32,
-        form: StoredResponse,
-        now_millis: u64,
-    ) -> AddFormOutcome {
-        let added_size = form.approximate_size();
-        let Some(slot) = shard.slot_mut(idx) else {
-            return AddFormOutcome::Gone;
-        };
-        if slot.entry.has(form.representation()) {
-            return AddFormOutcome::AlreadyPresent;
-        }
-        let new_size = slot.size_bytes + added_size;
-        // An entry that would alone exceed the shard budget cannot grow;
-        // the existing forms stay as they are.
+    ) -> Option<EvictionSummary> {
+        let new_size = CacheEntry::size_holding(&form) + key.approximate_size();
         if new_size > self.shard_max_bytes {
-            return AddFormOutcome::Rejected;
+            return None;
         }
-        slot.entry.add_form(form);
-        slot.size_bytes = new_size;
-        shard.bytes += added_size;
-        AddFormOutcome::Added(self.evict_over_budget(shard, now_millis, idx))
-    }
-
-    /// Claims the right to convert the entry under `key` to `target`,
-    /// where `generation` is the stamp the caller read in
-    /// [`FoundEntry`]. Returns `false` when the payload has been
-    /// replaced since that read (generation mismatch), the form is
-    /// already present, another converter already claimed it, or the
-    /// entry is gone — in every case the caller must not convert. A
-    /// successful claim must be released with
-    /// [`finish_convert`](CacheStore::finish_convert).
-    pub fn try_begin_convert(
-        &self,
-        key: &CacheKey,
-        target: ValueRepresentation,
-        generation: u64,
-    ) -> bool {
         let hash = hash_key(key);
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
-            return false;
-        };
-        let Some(slot) = shard.slot_mut(idx) else {
-            return false;
-        };
-        if slot.generation != generation
-            || slot.entry.has(target)
-            || slot.converting & target.bit() != 0
-        {
-            return false;
+        let idx = shard.find(hash, key)?;
+        if shard.slot(idx)?.generation != generation {
+            return None;
         }
-        slot.converting |= target.bit();
-        true
-    }
-
-    /// Releases a conversion claim taken with
-    /// [`try_begin_convert`](CacheStore::try_begin_convert), publishing
-    /// the converted form when the conversion succeeded (`Some`) and
-    /// merely dropping the claim when it failed (`None`, reported as
-    /// [`Rejected`](AddFormOutcome::Rejected) since nothing was added).
-    ///
-    /// `generation` must be the stamp the claim was taken at. When the
-    /// slot's payload has been replaced in the interim the call is a
-    /// no-op returning [`Gone`](AddFormOutcome::Gone): the form was
-    /// converted from a superseded response and must not be attached to
-    /// the new entry, and the new payload's claim bits (reset at
-    /// replacement, possibly re-taken by another converter) are not
-    /// touched.
-    pub fn finish_convert(
-        &self,
-        key: &CacheKey,
-        target: ValueRepresentation,
-        generation: u64,
-        form: Option<StoredResponse>,
-        now_millis: u64,
-    ) -> AddFormOutcome {
-        let hash = hash_key(key);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
-            return AddFormOutcome::Gone;
-        };
-        match shard.slot_mut(idx) {
-            Some(slot) if slot.generation == generation => slot.converting &= !target.bit(),
-            _ => return AddFormOutcome::Gone,
-        }
-        match form {
-            Some(form) => self.add_form_locked(&mut shard, idx, form, now_millis),
-            None => AddFormOutcome::Rejected,
-        }
+        let generation = shard.bump_generation();
+        let slot = shard.slot_mut(idx)?;
+        let old_size = std::mem::replace(&mut slot.size_bytes, new_size);
+        slot.entry.set_form(form);
+        slot.generation = generation;
+        shard.bytes = shard.bytes - old_size + new_size;
+        Some(self.evict_over_budget(&mut shard, now_millis, idx))
     }
 
     /// Removes one entry. Returns whether it was present.
@@ -929,7 +840,7 @@ pub enum Lookup {
     /// An expired entry that carries a revalidation token; it remains
     /// stored and can be renewed with [`CacheStore::refresh`].
     Stale {
-        /// The stale multi-form entry.
+        /// The stale entry.
         entry: CacheEntry,
         /// The revalidation token recorded at insertion (shared, not
         /// cloned per lookup).
@@ -941,38 +852,21 @@ pub enum Lookup {
 /// popularity signal the adaptive policy reads.
 #[derive(Debug)]
 pub struct FoundEntry {
-    /// The multi-form entry (forms share `Arc`s with the stored slot).
+    /// The entry (its form shares `Arc`s with the stored slot).
     pub entry: CacheEntry,
     /// Live lookups served under this key since (re)insertion,
     /// including this one.
     pub hits: u64,
     /// Generation stamp of the payload this entry was read from. Pass
-    /// it to [`CacheStore::try_begin_convert`] /
-    /// [`CacheStore::finish_convert`] so a conversion raced by a
-    /// replacement is refused instead of attaching a form built from
-    /// the superseded response.
+    /// it to [`CacheStore::replace_form`] so a form built from this
+    /// payload is refused once the payload has been superseded.
     pub generation: u64,
-}
-
-/// Result of [`CacheStore::add_form`] /
-/// [`CacheStore::finish_convert`].
-#[derive(Debug)]
-pub enum AddFormOutcome {
-    /// The form was stored and charged; carries what had to be evicted
-    /// elsewhere to fit it.
-    Added(EvictionSummary),
-    /// The entry already holds that representation; nothing changed.
-    AlreadyPresent,
-    /// Adding the form would make this entry alone exceed the shard
-    /// byte budget (or the conversion failed); nothing changed.
-    Rejected,
-    /// The entry is no longer in the store.
-    Gone,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repr::ValueRepresentation;
 
     fn key(n: usize) -> CacheKey {
         CacheKey::Text(format!("key-{n}"))
@@ -984,16 +878,15 @@ mod tests {
         )))
     }
 
-    /// A second representation to add alongside `value`'s XML form.
-    fn extra_form(size: usize) -> StoredResponse {
+    /// A form of another representation to swap in for `value`'s XML.
+    fn other_form(size: usize) -> StoredResponse {
         StoredResponse::Serialized(Arc::from(vec![0u8; size].into_boxed_slice()))
     }
 
-    /// The generation stamp of the live entry under `k` (panics when
-    /// the lookup is not a live hit).
-    fn live_generation(store: &CacheStore, k: &CacheKey) -> u64 {
-        match store.get(k, 0) {
-            Lookup::Live(found) => found.generation,
+    /// The live entry under `k` (panics when the lookup is not a hit).
+    fn live(store: &CacheStore, k: &CacheKey, now: u64) -> FoundEntry {
+        match store.get(k, now) {
+            Lookup::Live(found) => found,
             other => panic!("expected live, got {other:?}"),
         }
     }
@@ -1213,7 +1106,6 @@ mod tests {
                 size_bytes,
                 validator: None,
                 hits: 0,
-                converting: 0,
                 generation: 0, // stamped by insert_new
                 lru_prev: NIL,
                 lru_next: NIL,
@@ -1260,61 +1152,100 @@ mod tests {
     }
 
     #[test]
-    fn added_forms_are_charged_and_reconciled() {
+    fn replace_form_swaps_in_place_and_recharges_the_size_delta() {
         let store = CacheStore::with_shards(Capacity::default(), 1);
-        store.put(key(1), value(100), 1000, 0);
+        store.put_validated(key(1), value(100), 1000, 0, Some("etag-1".into()));
+        let _ = live(&store, &key(1), 0);
+        let found = live(&store, &key(1), 0);
+        assert_eq!(found.hits, 2);
         let before = store.bytes();
-        let form = extra_form(64);
-        let form_size = form.approximate_size();
-        match store.add_form(&key(1), form, 0) {
-            AddFormOutcome::Added(evicted) => assert_eq!(evicted.total(), 0),
-            other => panic!("expected Added, got {other:?}"),
-        }
-        assert_eq!(store.bytes(), before + form_size);
+        let old_size = found.entry.form().approximate_size();
+        let form = other_form(64);
+        let new_size = form.approximate_size();
+        let evicted = store
+            .replace_form(&key(1), found.generation, form, 0)
+            .expect("generation matches");
+        assert_eq!(evicted.total(), 0);
+        // One form is charged, not two.
+        assert_eq!(store.bytes(), before - old_size + new_size);
+        assert_eq!(store.len(), 1);
         store.audit().unwrap();
-        match store.get(&key(1), 0) {
-            Lookup::Live(found) => {
-                assert_eq!(found.entry.forms().len(), 2);
-                assert!(found.entry.has(ValueRepresentation::XmlMessage));
-                assert!(found.entry.has(ValueRepresentation::Serialization));
-            }
-            other => panic!("expected live, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn all_forms_of_an_entry_leave_the_budget_together() {
-        let store = CacheStore::with_shards(
-            Capacity {
-                max_entries: 2,
-                max_bytes: usize::MAX,
-            },
-            1,
+        // Hit count, expiry and validator survive the swap.
+        let after = live(&store, &key(1), 999);
+        assert_eq!(after.hits, 3);
+        assert_eq!(
+            after.entry.form().representation(),
+            ValueRepresentation::Serialization
         );
-        store.put(key(0), value(10), 1000, 0);
+        assert_ne!(
+            after.entry.candidates_mask() & ValueRepresentation::XmlMessage.bit(),
+            0,
+            "candidates survive the swap"
+        );
+        match store.get(&key(1), 1000) {
+            Lookup::Stale { validator, .. } => assert_eq!(&*validator, "etag-1"),
+            other => panic!("expected stale, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_second_publish_from_the_same_read_is_refused() {
+        let store = CacheStore::default();
         store.put(key(1), value(10), 1000, 0);
-        assert!(matches!(
-            store.add_form(&key(0), extra_form(500), 0),
-            AddFormOutcome::Added(_)
-        ));
-        let with_both_entries = store.bytes();
-        // Make key 0 (the two-form entry) the LRU, then displace it.
-        assert!(matches!(store.get(&key(1), 0), Lookup::Live(_)));
-        let evicted = store.put(key(2), value(10), 1000, 0);
-        assert_eq!(evicted.live, 1);
-        assert!(matches!(store.get(&key(0), 0), Lookup::Absent));
-        // Both of key 0's forms left the byte budget with it: what
-        // remains is the two single-form entries, which together weigh
-        // what they did before the big form was added.
-        let single = value(10).approximate_size();
-        let expected = 2 * single + key(1).approximate_size() + key(2).approximate_size();
-        assert_eq!(store.bytes(), expected);
-        assert!(store.bytes() < with_both_entries);
+        let generation = live(&store, &key(1), 0).generation;
+        assert!(store
+            .replace_form(&key(1), generation, other_form(8), 0)
+            .is_some());
+        let bytes = store.bytes();
+        // Another hit that read the same payload built its own copy of
+        // the form; the first publish bumped the generation.
+        assert!(store
+            .replace_form(&key(1), generation, other_form(32), 0)
+            .is_none());
+        assert_eq!(store.bytes(), bytes);
         store.audit().unwrap();
     }
 
     #[test]
-    fn add_form_that_busts_the_budget_alone_is_rejected() {
+    fn replace_form_with_a_stale_generation_changes_nothing() {
+        let store = CacheStore::default();
+        store.put(key(1), value(10), 1000, 0);
+        let old_generation = live(&store, &key(1), 0).generation;
+        // The payload is replaced in place while a conversion of the
+        // old one is in flight…
+        store.put(key(1), value(20), 1000, 0);
+        let bytes = store.bytes();
+        assert!(store
+            .replace_form(&key(1), old_generation, other_form(8), 0)
+            .is_none());
+        assert_eq!(store.bytes(), bytes);
+        store.audit().unwrap();
+        // …and the next hit is served the newer payload.
+        match live(&store, &key(1), 0).entry.form() {
+            StoredResponse::XmlMessage(xml) => assert_eq!(xml.len(), 20),
+            other => panic!("stale form was published: {other:?}"),
+        }
+        // The same holds when the key was removed and re-inserted, or
+        // is simply gone.
+        let replaced = live(&store, &key(1), 0).generation;
+        assert!(store.invalidate(&key(1)));
+        assert!(store
+            .replace_form(&key(1), replaced, other_form(8), 0)
+            .is_none());
+        store.put(key(1), value(30), 1000, 0);
+        assert!(store
+            .replace_form(&key(1), replaced, other_form(8), 0)
+            .is_none());
+        store.clear();
+        store.put(key(1), value(30), 1000, 0);
+        assert!(store
+            .replace_form(&key(1), replaced, other_form(8), 0)
+            .is_none());
+        store.audit().unwrap();
+    }
+
+    #[test]
+    fn replace_form_that_busts_the_budget_alone_is_refused() {
         let store = CacheStore::with_shards(
             Capacity {
                 max_entries: 10,
@@ -1323,145 +1254,46 @@ mod tests {
             1,
         );
         store.put(key(1), value(10), 1000, 0);
+        let generation = live(&store, &key(1), 0).generation;
         let before = store.bytes();
-        assert!(matches!(
-            store.add_form(&key(1), extra_form(600), 0),
-            AddFormOutcome::Rejected
-        ));
+        assert!(store
+            .replace_form(&key(1), generation, other_form(600), 0)
+            .is_none());
         assert_eq!(store.bytes(), before);
-        match store.get(&key(1), 0) {
-            Lookup::Live(found) => assert_eq!(found.entry.forms().len(), 1),
-            other => panic!("expected live, got {other:?}"),
-        }
+        // The old form is kept, and a form that does fit can still be
+        // published from the same read.
+        let found = live(&store, &key(1), 0);
+        assert_eq!(
+            found.entry.form().representation(),
+            ValueRepresentation::XmlMessage
+        );
+        assert_eq!(found.generation, generation);
         store.audit().unwrap();
     }
 
     #[test]
-    fn add_form_evicts_other_entries_to_fit() {
+    fn replace_form_evicts_other_entries_to_fit() {
         let single = value(10).approximate_size() + key(0).approximate_size();
         let store = CacheStore::with_shards(
             Capacity {
                 max_entries: 10,
-                // Room for two single-form entries plus a little slack,
-                // but not for the extra form too.
-                max_bytes: 2 * single + 64,
+                // Room for two small entries plus a little slack, but
+                // not for one of them grown by 48 bytes.
+                max_bytes: 2 * single + 32,
             },
             1,
         );
         store.put(key(0), value(10), 1000, 0);
         store.put(key(1), value(10), 1000, 0);
-        match store.add_form(&key(1), extra_form(48), 0) {
-            AddFormOutcome::Added(evicted) => assert_eq!(evicted.live, 1),
-            other => panic!("expected Added, got {other:?}"),
-        }
-        // The enlarged entry was pinned; its neighbour was the victim.
+        let generation = live(&store, &key(1), 0).generation;
+        let evicted = store
+            .replace_form(&key(1), generation, other_form(58), 0)
+            .expect("generation matches");
+        assert_eq!(evicted.live, 1);
+        // The grown entry was pinned; its neighbour was the victim.
         assert!(matches!(store.get(&key(0), 0), Lookup::Absent));
         assert!(matches!(store.get(&key(1), 0), Lookup::Live(_)));
-        store.audit().unwrap();
-    }
-
-    #[test]
-    fn add_form_for_missing_key_is_gone() {
-        let store = CacheStore::default();
-        assert!(matches!(
-            store.add_form(&key(9), extra_form(8), 0),
-            AddFormOutcome::Gone
-        ));
-    }
-
-    #[test]
-    fn conversion_claims_are_exclusive_and_released() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let generation = live_generation(&store, &key(1));
-        let target = ValueRepresentation::Serialization;
-        assert!(store.try_begin_convert(&key(1), target, generation));
-        // Second claimant is turned away while the first is in flight.
-        assert!(!store.try_begin_convert(&key(1), target, generation));
-        // …but a different target can be claimed concurrently.
-        assert!(store.try_begin_convert(&key(1), ValueRepresentation::DomTree, generation));
-        match store.finish_convert(&key(1), target, generation, Some(extra_form(8)), 0) {
-            AddFormOutcome::Added(_) => {}
-            other => panic!("expected Added, got {other:?}"),
-        }
-        // Now the form is present: no further claims for it.
-        assert!(!store.try_begin_convert(&key(1), target, generation));
-        assert!(matches!(
-            store.add_form(&key(1), extra_form(8), 0),
-            AddFormOutcome::AlreadyPresent
-        ));
-        store.audit().unwrap();
-    }
-
-    #[test]
-    fn failed_conversion_releases_the_claim() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let generation = live_generation(&store, &key(1));
-        let target = ValueRepresentation::Serialization;
-        assert!(store.try_begin_convert(&key(1), target, generation));
-        assert!(matches!(
-            store.finish_convert(&key(1), target, generation, None, 0),
-            AddFormOutcome::Rejected
-        ));
-        // The claim is free again for a retry.
-        assert!(store.try_begin_convert(&key(1), target, generation));
-    }
-
-    #[test]
-    fn stale_generation_cannot_claim_a_replaced_entry() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let old_generation = live_generation(&store, &key(1));
-        let target = ValueRepresentation::Serialization;
-        // Replacement bumps the generation: a claim read before it must
-        // be refused, whether the slot was replaced in place…
-        store.put(key(1), value(10), 1000, 0);
-        assert!(!store.try_begin_convert(&key(1), target, old_generation));
-        let replaced = live_generation(&store, &key(1));
-        assert!(store.try_begin_convert(&key(1), target, replaced));
-        // …or removed and re-inserted under the same key.
-        assert!(store.invalidate(&key(1)));
-        store.put(key(1), value(10), 1000, 0);
-        assert!(!store.try_begin_convert(&key(1), target, replaced));
-        assert!(store.try_begin_convert(&key(1), target, live_generation(&store, &key(1))));
-    }
-
-    #[test]
-    fn stale_finish_neither_publishes_nor_releases_the_new_claim() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let old_generation = live_generation(&store, &key(1));
-        let target = ValueRepresentation::Serialization;
-        assert!(store.try_begin_convert(&key(1), target, old_generation));
-        // The entry is replaced while the conversion is in flight, and a
-        // second converter legitimately claims the same target on the
-        // new payload.
-        store.put(key(1), value(10), 1000, 0);
-        let new_generation = live_generation(&store, &key(1));
-        assert!(store.try_begin_convert(&key(1), target, new_generation));
-        // The first converter finishes with a form built from the OLD
-        // response: it must not be attached to the new entry…
-        assert!(matches!(
-            store.finish_convert(&key(1), target, old_generation, Some(extra_form(8)), 0),
-            AddFormOutcome::Gone
-        ));
-        match store.get(&key(1), 0) {
-            Lookup::Live(found) => {
-                assert_eq!(
-                    found.entry.forms().len(),
-                    1,
-                    "stale form must not be published"
-                );
-            }
-            other => panic!("expected live, got {other:?}"),
-        }
-        // …and the second converter's claim must survive it.
-        assert!(!store.try_begin_convert(&key(1), target, new_generation));
-        match store.finish_convert(&key(1), target, new_generation, Some(extra_form(8)), 0) {
-            AddFormOutcome::Added(_) => {}
-            other => panic!("expected Added, got {other:?}"),
-        }
+        assert!(store.bytes() <= 2 * single + 32);
         store.audit().unwrap();
     }
 

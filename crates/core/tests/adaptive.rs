@@ -1,5 +1,5 @@
 //! Integration tests for adaptive representation selection and
-//! convert-on-hit on multi-form entries.
+//! convert-on-hit (a generation-checked replace of the stored form).
 //!
 //! The adaptive policy is pre-seeded with observations that dominate
 //! the (tiny, real) latencies the cache records during the test, so
@@ -7,9 +7,11 @@
 
 use std::sync::Arc;
 use std::time::Duration;
+use wsrc_cache::classify::candidate_representations;
 use wsrc_cache::policy::{AdaptivePolicy, CachePolicy, OperationPolicy, SelectionMode};
-use wsrc_cache::repr::ValueRepresentation;
-use wsrc_cache::{ResponseCache, ResponseData};
+use wsrc_cache::repr::{StoredResponse, ValueRepresentation};
+use wsrc_cache::store::{CacheStore, Lookup};
+use wsrc_cache::{CacheEntry, CacheKey, ResponseCache, ResponseData};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 use wsrc_obs::ManualClock;
@@ -46,7 +48,12 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let value = Value::Struct(StructValue::new("Item").with("name", "n").with("qty", 2));
+    fixture_of(Value::Struct(
+        StructValue::new("Item").with("name", "n").with("qty", 2),
+    ))
+}
+
+fn fixture_of(value: Value) -> Fixture {
     let expected = FieldType::Struct("Item".into());
     let xml = serialize_response("urn:t", OP, "return", &value, &registry()).unwrap();
     let (_, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
@@ -71,7 +78,7 @@ fn data(f: &Fixture) -> ResponseData<'_> {
 }
 
 /// A cache whose entries are forced to start as `XmlMessage`, with an
-/// adaptive policy seeded so that converting to `CloneCopy` is clearly
+/// adaptive policy seeded so that a conversion to `CloneCopy` is clearly
 /// worthwhile from the very first hit.
 fn convert_ready_cache() -> (ResponseCache, Arc<AdaptivePolicy>) {
     let adaptive = Arc::new(
@@ -114,7 +121,7 @@ fn convert_on_hit_happens_exactly_once() {
     assert_eq!(stats.conversions_for(ValueRepresentation::CloneCopy), 1);
     assert_eq!(stats.hits_for(ValueRepresentation::XmlMessage), 1);
     // Every further hit is served from the converted form; the counter
-    // never moves again because the form is already present.
+    // never moves again because the entry already holds the target.
     for _ in 0..10 {
         let hit = cache.lookup(URL, &request(), &f.expected).expect("hit");
         assert_eq!(hit.as_value(), &f.value);
@@ -122,6 +129,18 @@ fn convert_on_hit_happens_exactly_once() {
     let stats = cache.stats();
     assert_eq!(stats.conversions, 1, "conversion must happen exactly once");
     assert_eq!(stats.hits_for(ValueRepresentation::CloneCopy), 10);
+    // The converted entry is charged for one form, not two.
+    let probe = ResponseCache::builder(registry())
+        .policy(
+            CachePolicy::new().with(
+                OP,
+                OperationPolicy::cacheable(Duration::from_secs(600))
+                    .with_representation(ValueRepresentation::CloneCopy),
+            ),
+        )
+        .build();
+    probe.insert(URL, &request(), data(&f));
+    assert_eq!(cache.bytes(), probe.bytes());
 }
 
 #[test]
@@ -131,8 +150,9 @@ fn concurrent_converters_coalesce() {
         let cache = Arc::new(cache);
         let f = Arc::new(fixture());
         cache.insert(URL, &request(), data(&f));
-        // Many threads hammer the same hot key; the conversion claim in
-        // the store must let exactly one of them materialize the form.
+        // Many threads hammer the same hot key. Several may build the
+        // form, but the store publishes exactly one and only published
+        // conversions count.
         let mut threads = Vec::new();
         for _ in 0..8 {
             let cache = cache.clone();
@@ -219,4 +239,111 @@ fn scoring_flips_deterministically_under_manual_clock() {
     let (first2, second2, stats2) = run();
     assert_eq!((first, second), (first2, second2));
     assert_eq!(stats.selections, stats2.selections);
+}
+
+/// A conversion raced by `insert` never publishes a form built from the
+/// superseded response: while one thread alternates two different
+/// responses under one key, every concurrent hit equals one of the two,
+/// and from the moment an insert returns every hit equals the response
+/// it stored — checked by the writer after each insert and by everyone
+/// after the last.
+#[test]
+fn hits_racing_inserts_never_see_a_superseded_response() {
+    let (cache, _adaptive) = convert_ready_cache();
+    let a = fixture();
+    let b = fixture_of(Value::Struct(
+        StructValue::new("Item")
+            .with("name", "other")
+            .with("qty", 9),
+    ));
+    cache.insert(URL, &request(), data(&a));
+    /// Stops the readers when the writer is done, even by a failed
+    /// assertion — the scope would otherwise wait on them forever.
+    struct StopReaders<'a>(&'a std::sync::atomic::AtomicBool);
+    impl Drop for StopReaders<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+    let writer_done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let _stop = StopReaders(&writer_done);
+        for _ in 0..4 {
+            scope.spawn(|| {
+                while !writer_done.load(std::sync::atomic::Ordering::SeqCst) {
+                    let hit = cache.lookup(URL, &request(), &a.expected).expect("hit");
+                    let got = hit.as_value();
+                    assert!(
+                        got == &a.value || got == &b.value,
+                        "hit equals neither inserted response: {got:?}"
+                    );
+                }
+            });
+        }
+        for round in 0..2000 {
+            let f = if round % 2 == 0 { &b } else { &a };
+            cache.insert(URL, &request(), data(f));
+            let hit = cache.lookup(URL, &request(), &a.expected).expect("hit");
+            assert_eq!(
+                hit.as_value(),
+                &f.value,
+                "round {round}: a form built from the superseded response was published"
+            );
+        }
+    });
+    // The last insert (round 1999) stored `a`.
+    for _ in 0..20 {
+        let hit = cache.lookup(URL, &request(), &a.expected).expect("hit");
+        assert_eq!(hit.as_value(), &a.value);
+    }
+    assert!(cache.stats().conversions >= 1);
+}
+
+/// Representation equivalence across the replace: for every source form
+/// and every candidate target, what a hit retrieves after the form was
+/// swapped equals what the miss path returned, and mutating a returned
+/// value is invisible to the next hit.
+#[test]
+fn retrieve_after_replace_equals_the_miss_path_for_every_pair() {
+    let r = registry();
+    let f = fixture();
+    let targets = candidate_representations(&f.value, &r, true);
+    let mask = targets.iter().fold(0u8, |m, t| m | t.bit());
+    let key = CacheKey::Text("k".into());
+    let retrieve = |store: &CacheStore| match store.get(&key, 0) {
+        Lookup::Live(found) => {
+            let handle = found.entry.form().retrieve(&f.expected, &r).unwrap();
+            (found, handle)
+        }
+        other => panic!("expected live, got {other:?}"),
+    };
+    for source in ValueRepresentation::ALL_EXTENDED {
+        for &target in targets.iter().filter(|t| **t != source) {
+            let store = CacheStore::default();
+            let form = StoredResponse::build(source, data(&f), &r).unwrap();
+            store.put(
+                key.clone(),
+                CacheEntry::single(form).with_candidates(mask),
+                1000,
+                0,
+            );
+            let (found, handle) = retrieve(&store);
+            let converted =
+                StoredResponse::from_value(target, handle.as_value(), "urn:t", OP, &f.expected, &r)
+                    .unwrap_or_else(|e| panic!("{source} -> {target}: {e}"));
+            store
+                .replace_form(&key, found.generation, converted, 0)
+                .unwrap_or_else(|| panic!("{source} -> {target}: publish refused"));
+            store.audit().unwrap();
+            let (found, handle) = retrieve(&store);
+            assert_eq!(found.entry.form().representation(), target);
+            assert_eq!(handle.as_value(), &f.value, "{source} -> {target}");
+            // The client mutates what it got back…
+            let mut mine = handle.into_value();
+            mine.as_struct_mut().unwrap().set("qty", 999);
+            // …and the next hit still sees the original (§3.1).
+            let (_, again) = retrieve(&store);
+            assert_eq!(again.as_value(), &f.value, "{source} -> {target}");
+        }
+    }
 }

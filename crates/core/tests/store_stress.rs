@@ -245,8 +245,8 @@ fn eviction_pressure_ten_k_inserts_into_one_k_store() {
 }
 
 /// Sixteen writer threads hammer overlapping keys through get/put/
-/// invalidate while an auditor thread repeatedly cross-checks every
-/// shard's accounting; counters must never drift.
+/// replace_form/invalidate while an auditor thread repeatedly
+/// cross-checks every shard's accounting; counters must never drift.
 #[test]
 fn sixteen_thread_stress_accounting_never_drifts() {
     let store = Arc::new(CacheStore::new(Capacity {
@@ -278,8 +278,21 @@ fn sixteen_thread_stress_accounting_never_drifts() {
                     0 => {
                         store.invalidate(&key(k));
                     }
-                    1..=4 => {
+                    1..=3 => {
                         let _ = store.get(&key(k), i as u64);
+                    }
+                    4 => {
+                        // Convert-on-hit: read, then publish a form of
+                        // another size against the generation read —
+                        // refused whenever another thread got in between.
+                        if let Lookup::Live(found) = store.get(&key(k), i as u64) {
+                            let form = StoredResponse::Serialized(Arc::from(vec![
+                                0u8;
+                                8 + rng
+                                    .below(400)
+                            ]));
+                            let _ = store.replace_form(&key(k), found.generation, form, i as u64);
+                        }
                     }
                     _ => {
                         let size = 16 + rng.below(240);

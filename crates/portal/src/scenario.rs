@@ -5,7 +5,7 @@ use crate::loadgen::{run_load, LoadConfig, LoadReport, PortalConn, PortalTarget}
 use crate::site::PortalSite;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrc_cache::{FixedSelector, KeyStrategy, ResponseCache, ValueRepresentation};
+use wsrc_cache::{KeyStrategy, ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
 use wsrc_http::{
     Handler, HttpClient, InProcTransport, PoolConfig, Request, Server, Status, TcpTransport,
@@ -110,9 +110,8 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
     // --- client middleware with the representation under test ---
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
-            .policy(google::default_policy())
+            .policy(google::default_policy().with_representation(config.representation))
             .key_strategy(KeyStrategy::ToString)
-            .selector(FixedSelector(config.representation))
             .build(),
     );
     let client = Arc::new(

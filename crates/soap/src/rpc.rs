@@ -47,7 +47,7 @@ pub enum RpcOutcome {
 }
 
 impl RpcOutcome {
-    /// Unwraps the return value, converting faults into errors.
+    /// Unwraps the return value, turning faults into errors.
     ///
     /// # Errors
     ///

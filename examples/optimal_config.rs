@@ -1,10 +1,10 @@
 //! The §6 "optimal configuration", static and adaptive, side by side.
 //!
-//! Act one is the paper's run-time classifier: each response object is
+//! Act one is the paper's run-time table: each response object is
 //! classified once and a fixed representation chosen from its type.
 //! Act two is the online [`AdaptivePolicy`]: the same operations replayed
 //! through a live cache that observes real build/retrieve costs, picks a
-//! representation per insert, and converts hot entries on hit — no
+//! representation per insert, and re-homes hot entries on hit — no
 //! administrator configuration in either act, but the adaptive cache
 //! keeps re-deciding as the workload reveals itself.
 //!
@@ -16,10 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsrcache::cache::policy::{AdaptivePolicy, CachePolicy, OperationPolicy};
 use wsrcache::cache::repr::StoredResponse;
-use wsrcache::cache::{
-    FastestSelector, PaperSelector, RepresentationSelector, ResponseCache, ResponseData,
-    ValueRepresentation,
-};
+use wsrcache::cache::{paper_choice, ResponseCache, ResponseData, ValueRepresentation};
 use wsrcache::services::dispatch::SoapService;
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::soap::deserializer::read_response_xml_recording;
@@ -60,16 +57,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("static classification (one decision per response type):\n");
     println!(
-        "{:<22} {:<22} {:<22} {:<20}",
-        "operation", "paper selector (§6)", "fastest selector", "retrieval time"
+        "{:<22} {:<22} {:<20}",
+        "operation", "paper table (§6)", "retrieval time"
     );
     for (op, request) in &requests {
         let op = *op;
         let value = service.call(request)?;
-        let paper_choice = PaperSelector.select(&value, &registry, false);
-        let fastest_choice = FastestSelector.select(&value, &registry, false);
+        let choice = paper_choice(&value, &registry, false);
 
-        // Materialize the fastest choice and time one retrieval.
+        // Materialize the choice and time one retrieval.
         let descriptor = google::operations()
             .into_iter()
             .find(|o| o.name == op)
@@ -79,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let xml: std::sync::Arc<[u8]> = std::sync::Arc::from(xml.into_bytes());
         let events = std::sync::Arc::new(events);
         let stored = StoredResponse::build(
-            fastest_choice,
+            choice,
             wsrcache::cache::repr::MissArtifacts {
                 xml: &xml,
                 events: &events,
@@ -94,10 +90,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let per_op = t.elapsed() / iterations;
         println!(
-            "{:<22} {:<22} {:<22} {:<20}",
+            "{:<22} {:<22} {:<20}",
             op,
-            paper_choice.label(),
-            fastest_choice.label(),
+            choice.label(),
             format!("{per_op:?}")
         );
     }
@@ -119,15 +114,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  d) everything else            -> {}",
         ValueRepresentation::SaxEvents.label()
     );
-    println!("(the FastestSelector additionally prefers the generated clone when present)");
 
     // ── Act two: the adaptive policy on a live cache ─────────────────
     //
     // One cache per operation so the counters below are per-operation.
     // A warm-up sweep over distinct keys lets the policy's explore
     // phase observe real build and retrieve costs; then a single hot
-    // key is hammered, and the policy converts the entry on hit when a
-    // cheaper-to-retrieve form pays for its one-time build.
+    // key is hammered, and the policy re-homes the entry on hit when a
+    // cheaper-to-retrieve form pays for its one-time build (the
+    // "converted to" column is the form that replaced the first one).
     println!("\nadaptive selection (live cache, costs observed online):\n");
     println!(
         "{:<22} {:<18} {:<18} {:<18} {:<20}",
@@ -169,7 +164,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         // The hot key: first insert records the exploited selection,
-        // then hits trigger convert-on-hit if a cheaper form exists.
+        // then hits swap the stored form if a cheaper one exists.
         let first = cache
             .insert(URL, request, data)
             .expect("hot insert succeeds");
@@ -211,6 +206,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\n(the adaptive cache needs no per-type rules: it explores each");
     println!(" applicable form, scores build/retrieve cost against the observed");
-    println!(" hit rate, and converts hot entries to the cheapest form on hit)");
+    println!(" hit rate, and re-homes hot entries to the cheapest form on hit)");
     Ok(())
 }

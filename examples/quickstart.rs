@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The client middleware with a transparent response cache.
-    //    The §6 "optimal configuration" selector is the default: it picks
-    //    the best representation per response object at run time.
+    //    The §6 "optimal configuration" table is the default: it picks
+    //    the representation per response object at run time.
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())

@@ -1,7 +1,8 @@
 //! Docs and scripts cannot name a command or a recorded result that does
 //! not exist: every `-p <crate>`, `--bin <name>`, `--example <name>`,
 //! `--manifest-path <path>` and `results/<file>` in the files below must
-//! resolve in the tree.
+//! resolve in the tree. Nor can the analyzer's rule tables drift from
+//! the rules it runs.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -103,4 +104,41 @@ fn docs_name_only_commands_and_results_that_exist() {
         "dangling references:\n{}",
         dangling.join("\n")
     );
+}
+
+/// `(code, id)` of every rule-table row in `text`: a table line whose
+/// first cell opens with a rule code (`| R5v2 | \`id\` |` in the README,
+/// `| **R5v2 \`id\`** |` in DESIGN).
+fn rule_rows(text: &str) -> BTreeSet<(String, String)> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("| "))
+        .filter_map(|row| {
+            let mut words = row
+                .split(|c: char| c.is_whitespace() || "|*`".contains(c))
+                .filter(|w| !w.is_empty());
+            let (code, id) = (words.next()?, words.next()?);
+            let digits = code.strip_prefix('R')?.replace('v', "");
+            (!digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit()))
+                .then(|| (code.to_string(), id.to_string()))
+        })
+        .collect()
+}
+
+#[test]
+fn rule_tables_list_exactly_the_rules_the_analyzer_runs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let live: BTreeSet<(String, String)> = wsrc_analyze::RULES
+        .iter()
+        .map(|(code, id, _)| (code.to_string(), id.to_string()))
+        .collect();
+    for file in ["README.md", "DESIGN.md"] {
+        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let rows = rule_rows(&text);
+        let undocumented: Vec<_> = live.difference(&rows).collect();
+        let stale: Vec<_> = rows.difference(&live).collect();
+        assert!(
+            undocumented.is_empty() && stale.is_empty(),
+            "{file}: rules without a row {undocumented:?}, rows without a rule {stale:?}"
+        );
+    }
 }

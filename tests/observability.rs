@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::{FixedSelector, KeyStrategy, ResponseCache, ValueRepresentation};
+use wsrcache::cache::{
+    CachePolicy, KeyStrategy, OperationPolicy, ResponseCache, ValueRepresentation,
+};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{
     Handler, HttpClient, InProcTransport, MetricsRoute, Request, Response, Server, Url,
@@ -13,6 +15,13 @@ use wsrcache::obs::{ManualClock, MetricsRegistry};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
+
+/// Everything cacheable for a minute, stored under `repr`.
+fn forced(repr: ValueRepresentation) -> CachePolicy {
+    CachePolicy::new()
+        .with_default(OperationPolicy::cacheable(Duration::from_secs(60)))
+        .with_representation(repr)
+}
 
 fn portal_client(
     registry: &Arc<MetricsRegistry>,
@@ -24,9 +33,8 @@ fn portal_client(
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
-            .cache_everything(Duration::from_secs(60))
+            .policy(forced(repr))
             .key_strategy(KeyStrategy::ToString)
-            .selector(FixedSelector(repr))
             .clock(clock.handle())
             .metrics(registry.clone())
             .metrics_label(label)
@@ -138,9 +146,8 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
-            .cache_everything(Duration::from_secs(60))
+            .policy(forced(ValueRepresentation::Serialization))
             .key_strategy(KeyStrategy::ToString)
-            .selector(FixedSelector(ValueRepresentation::Serialization))
             .clock(clock.handle())
             .metrics_label("exposed")
             .build(),

@@ -1,12 +1,11 @@
 //! The §6 "optimal configuration" through the full middleware: the
-//! default dynamic selector must pick the paper's representation for each
+//! default §6 table must pick the paper's representation for each
 //! of the three Google responses, with no administrator configuration.
 
 use std::sync::Arc;
 use std::time::Duration;
 use wsrcache::cache::{
-    CachePolicy, OperationPolicy, PaperSelector, RepresentationSelector, ResponseCache,
-    ValueRepresentation,
+    paper_choice, CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation,
 };
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{InProcTransport, Url};
@@ -53,21 +52,20 @@ fn requests() -> Vec<(&'static str, RpcRequest, ValueRepresentation)> {
 }
 
 #[test]
-fn selector_classifies_live_responses_like_the_paper() {
+fn table_classifies_live_responses_like_the_paper() {
     let service = GoogleService::new();
     let registry = google::registry();
-    let selector = PaperSelector;
     for (op, request, expected) in requests() {
         let value = service.call(&request).expect("service answers");
-        let chosen = selector.select(&value, &registry, false);
+        let chosen = paper_choice(&value, &registry, false);
         assert_eq!(chosen, expected, "operation {op}");
     }
 }
 
 #[test]
 fn default_middleware_applies_the_classification_end_to_end() {
-    // Build a client with NO selector or representation configuration —
-    // the default is the §6 dynamic classifier.
+    // Build a client with NO representation configuration — the default
+    // is the §6 dynamic classifier.
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())

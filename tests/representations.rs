@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::{
-    CachePolicy, FixedSelector, OperationPolicy, ResponseCache, ValueRepresentation,
-};
+use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{InProcTransport, Url};
 use wsrcache::services::google::{self, GoogleService};
@@ -26,8 +24,7 @@ fn client_with_repr(repr: Option<ValueRepresentation>) -> (ServiceClient, Arc<In
     if let Some(repr) = repr {
         let cache = Arc::new(
             ResponseCache::builder(google::registry())
-                .policy(google::default_policy())
-                .selector(FixedSelector(repr))
+                .policy(google::default_policy().with_representation(repr))
                 .build(),
         );
         builder = builder.cache(cache);
