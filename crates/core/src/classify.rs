@@ -134,11 +134,11 @@ mod tests {
             ValueRepresentation::ReflectionCopy
         );
         assert_eq!(
-            paper_choice(&Value::Bytes(vec![1, 2]), &r, false),
+            paper_choice(&Value::Bytes(vec![1, 2].into()), &r, false),
             ValueRepresentation::ReflectionCopy
         );
         assert_eq!(
-            paper_choice(&Value::Array(vec![Value::Int(1)]), &r, false),
+            paper_choice(&Value::Array(vec![Value::Int(1)].into()), &r, false),
             ValueRepresentation::ReflectionCopy
         );
     }

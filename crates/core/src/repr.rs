@@ -573,7 +573,7 @@ mod tests {
         assert!(StoredResponse::build(ValueRepresentation::CloneCopy, art, &r).is_err());
         assert!(StoredResponse::build(ValueRepresentation::PassByReference, art, &r).is_ok());
         // Byte array (CachedPage): clone is n/a, reflection works.
-        let b = fixture(Value::Bytes(vec![1; 64]), FieldType::Bytes);
+        let b = fixture(Value::Bytes(vec![1; 64].into()), FieldType::Bytes);
         let art = b.artifacts();
         assert!(StoredResponse::build(ValueRepresentation::ReflectionCopy, art, &r).is_ok());
         assert!(StoredResponse::build(ValueRepresentation::CloneCopy, art, &r).is_err());

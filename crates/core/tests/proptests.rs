@@ -105,7 +105,7 @@ fn arb_rec(rng: &mut Rng, depth: u32) -> Value {
         .with("b", rng.bytes(16));
     if depth > 0 {
         let kids: Vec<Value> = (0..rng.below(3)).map(|_| arb_rec(rng, depth - 1)).collect();
-        s.set("kids", Value::Array(kids));
+        s.set("kids", Value::Array(kids.into()));
     }
     Value::Struct(s)
 }

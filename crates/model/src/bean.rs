@@ -39,7 +39,7 @@ pub fn validate(
         (FieldType::String, Value::String(_)) => Ok(()),
         (FieldType::Bytes, Value::Bytes(_)) => Ok(()),
         (FieldType::ArrayOf(inner), Value::Array(items)) => {
-            for item in items {
+            for item in items.iter() {
                 validate(item, inner, registry)?;
             }
             Ok(())
@@ -140,9 +140,14 @@ mod tests {
     fn heterogeneous_arrays_are_rejected() {
         let r = registry();
         let ty = FieldType::ArrayOf(Box::new(FieldType::Int));
-        assert!(validate(&Value::Array(vec![Value::Int(1), Value::Int(2)]), &ty, &r).is_ok());
         assert!(validate(
-            &Value::Array(vec![Value::Int(1), Value::string("2")]),
+            &Value::Array(vec![Value::Int(1), Value::Int(2)].into()),
+            &ty,
+            &r
+        )
+        .is_ok());
+        assert!(validate(
+            &Value::Array(vec![Value::Int(1), Value::string("2")].into()),
             &ty,
             &r
         )

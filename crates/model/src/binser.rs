@@ -88,7 +88,7 @@ fn check_serializable(
 ) -> Result<(), ModelError> {
     match value {
         Value::Array(items) => {
-            for v in items {
+            for v in items.iter() {
                 check_serializable(v, declared, registry)?;
             }
             Ok(())
@@ -194,7 +194,7 @@ impl Writer {
             Value::Array(items) => {
                 self.out.push(TAG_ARRAY);
                 write_len(&mut self.out, items.len());
-                for v in items {
+                for v in items.iter() {
                     self.write_value(v);
                 }
             }
@@ -325,7 +325,7 @@ impl<'b> Reader<'b> {
             }
             TAG_BYTES => {
                 let len = self.len()?;
-                Ok(Value::Bytes(self.take(len)?.to_vec()))
+                Ok(Value::Bytes(Arc::from(self.take(len)?)))
             }
             TAG_ARRAY => {
                 let count = self.len()?;
@@ -336,7 +336,7 @@ impl<'b> Reader<'b> {
                 for _ in 0..count {
                     items.push(self.read_value(depth + 1)?);
                 }
-                Ok(Value::Array(items))
+                Ok(Value::Array(items.into()))
             }
             TAG_STRUCT_DESC => {
                 let type_name = self.string()?;
@@ -428,8 +428,8 @@ mod tests {
             Value::Double(f64::NAN),
             Value::Double(f64::INFINITY),
             Value::string("日本語"),
-            Value::Bytes(vec![]),
-            Value::Array(vec![]),
+            Value::from(Vec::<u8>::new()),
+            Value::from(Vec::<Value>::new()),
         ] {
             let back = deserialize(&serialize(&v)).unwrap();
             match (&v, &back) {
@@ -465,7 +465,7 @@ mod tests {
     #[test]
     fn shared_strings_are_written_once_and_stay_shared() {
         let shared = Value::string("a long shared string payload");
-        let v = Value::Array(vec![shared.clone(), shared.clone(), shared]);
+        let v = Value::from(vec![shared.clone(), shared.clone(), shared]);
         let bytes = serialize(&v);
         let text = String::from_utf8_lossy(&bytes).into_owned();
         assert_eq!(text.matches("a long shared string payload").count(), 1);
@@ -485,7 +485,7 @@ mod tests {
     #[test]
     fn equal_but_unshared_strings_are_written_twice() {
         // Identity semantics, like the Java handle table.
-        let v = Value::Array(vec![Value::string("twin"), Value::string("twin")]);
+        let v = Value::from(vec![Value::string("twin"), Value::string("twin")]);
         let text = String::from_utf8_lossy(&serialize(&v)).into_owned();
         assert_eq!(text.matches("twin").count(), 2);
     }
@@ -581,7 +581,7 @@ mod tests {
     fn varint_lengths_roundtrip() {
         let sizes = [0usize, 1, 127, 128, 300, 16_383, 16_384, 1_000_000];
         for n in sizes {
-            let v = Value::Bytes(vec![7u8; n]);
+            let v = Value::from(vec![7u8; n]);
             assert_eq!(deserialize(&serialize(&v)).unwrap(), v);
         }
     }
@@ -590,7 +590,7 @@ mod tests {
     fn deep_nesting_is_bounded() {
         let mut v = Value::Int(0);
         for _ in 0..300 {
-            v = Value::Array(vec![v]);
+            v = Value::from(vec![v]);
         }
         let bytes = serialize(&v);
         assert!(matches!(deserialize(&bytes), Err(ModelError::Corrupt(_))));
@@ -600,7 +600,7 @@ mod tests {
     fn same_type_different_shapes_get_distinct_descriptors() {
         let a = Value::Struct(StructValue::new("T").with("x", 1));
         let b = Value::Struct(StructValue::new("T").with("y", 2));
-        let v = Value::Array(vec![a.clone(), b.clone(), a, b]);
+        let v = Value::from(vec![a.clone(), b.clone(), a, b]);
         assert_eq!(deserialize(&serialize(&v)).unwrap(), v);
     }
 }

@@ -3,16 +3,20 @@
 //! The paper's §4.2.3-C observes that a WSDL compiler can emit a proper
 //! deep `clone()` on generated classes; calling it is a monomorphic
 //! structural walk with no name lookups, and is therefore much faster than
-//! reflection or serialization. Our `Value` tree's structural clone *is*
-//! exactly that walk (mutable containers duplicated, immutable `Arc<str>`
-//! leaves shared), so [`clone_copy`] validates the capability — only
-//! types whose descriptor declares `cloneable` may be cloned, reproducing
-//! the paper's "n/a" cells — and then performs the direct clone.
+//! reflection or serialization. [`clone_unchecked`] is that walk over a
+//! `Value` tree: every container node is duplicated, immutable `Arc<str>`
+//! leaves are shared. It is *not* `Value::clone()`, which shares the
+//! whole tree copy-on-write and costs a reference bump; the eager copy
+//! stays so the paper's Table 7 row keeps measuring a copy.
+//! [`clone_copy`] validates the capability first — only types whose
+//! descriptor declares `cloneable` may be cloned, reproducing the paper's
+//! "n/a" cells.
 
 use crate::error::ModelError;
 use crate::typeinfo::TypeRegistry;
 use crate::value::Value;
-use std::sync::OnceLock;
+use std::convert::Infallible;
+use std::sync::{Arc, OnceLock};
 use wsrc_obs::Histogram;
 
 fn copy_timer() -> &'static Histogram {
@@ -39,13 +43,29 @@ pub fn clone_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Model
 }
 
 /// The generated `clone()` body itself: a plain structural deep clone with
-/// no capability checks. Exposed for benchmarks that want to measure the
-/// mechanism without the classification cost.
+/// no capability checks. The result shares no container node with
+/// `value`. Exposed for benchmarks that want to measure the mechanism
+/// without the classification cost.
 pub fn clone_unchecked(value: &Value) -> Value {
     // Timed here (not in `clone_copy`) so the sample covers exactly the
     // generated `clone()` body and is never recorded twice per copy.
     let _span = copy_timer().timer();
-    value.clone()
+    deep(value)
+}
+
+fn deep(value: &Value) -> Value {
+    match value {
+        Value::Bytes(b) => Value::Bytes(Arc::from(&b[..])),
+        Value::Array(items) => Value::Array(items.iter().map(deep).collect()),
+        Value::Struct(s) => {
+            let copy = s.map_values(|v| Ok::<_, Infallible>(deep(v)));
+            match copy {
+                Ok(copy) => Value::Struct(copy),
+                Err(never) => match never {},
+            }
+        }
+        leaf => leaf.clone(),
+    }
 }
 
 #[cfg(test)]
@@ -85,13 +105,11 @@ mod tests {
         let v = doc();
         let mut copy = clone_copy(&v, &r).unwrap();
         assert_eq!(copy, v);
-        match copy.as_struct_mut().unwrap().get_mut("payload").unwrap() {
-            Value::Bytes(b) => b.push(3),
-            _ => unreachable!(),
-        }
+        let payload = copy.as_struct_mut().unwrap().get_mut("payload").unwrap();
+        payload.as_bytes_mut().unwrap()[0] = 3;
         assert_eq!(
             v.as_struct().unwrap().get("payload"),
-            Some(&Value::Bytes(vec![1, 2]))
+            Some(&Value::from(vec![1u8, 2]))
         );
     }
 
@@ -112,7 +130,7 @@ mod tests {
     #[test]
     fn uncloneable_values_are_rejected() {
         let r = registry();
-        for v in [Value::string("s"), Value::Bytes(vec![1]), Value::Int(3)] {
+        for v in [Value::string("s"), Value::from(vec![1u8]), Value::Int(3)] {
             assert!(matches!(
                 clone_copy(&v, &r),
                 Err(ModelError::NotSupported { .. })
@@ -127,13 +145,36 @@ mod tests {
     #[test]
     fn arrays_of_cloneables_are_cloneable() {
         let r = registry();
-        let arr = Value::Array(vec![doc(), doc()]);
+        let arr = Value::from(vec![doc(), doc()]);
         assert_eq!(clone_copy(&arr, &r).unwrap(), arr);
     }
 
     #[test]
     fn unchecked_clone_works_for_anything() {
-        let v = Value::Bytes(vec![9; 4]);
+        let v = Value::from(vec![9u8; 4]);
         assert_eq!(clone_unchecked(&v), v);
+    }
+
+    #[test]
+    fn the_clone_shares_no_container_node() {
+        let v = Value::from(vec![doc(), doc()]);
+        let copy = clone_unchecked(&v);
+        let (Value::Array(a), Value::Array(b)) = (&v, &copy) else {
+            unreachable!()
+        };
+        assert!(!Arc::ptr_eq(a, b));
+        for (x, y) in a.iter().zip(b.iter()) {
+            let (x, y) = (x.as_struct().unwrap(), y.as_struct().unwrap());
+            assert!(!x.ptr_eq(y));
+            match (x.get("payload"), y.get("payload")) {
+                (Some(Value::Bytes(p)), Some(Value::Bytes(q))) => assert!(!Arc::ptr_eq(p, q)),
+                _ => unreachable!(),
+            }
+        }
+        // Where `Value::clone` shares all of them.
+        let (Value::Array(a), Value::Array(c)) = (&v, &v.clone()) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, c));
     }
 }

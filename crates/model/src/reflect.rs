@@ -11,7 +11,7 @@
 use crate::error::ModelError;
 use crate::typeinfo::{StructPlan, TypeRegistry};
 use crate::value::{StructValue, Value};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use wsrc_obs::Histogram;
 
 fn copy_timer() -> &'static Histogram {
@@ -27,9 +27,11 @@ fn copy_timer() -> &'static Histogram {
 /// matching the paper's Table 7 "n/a" cell for the SpellingSuggestion
 /// response.
 ///
-/// Every container of the copy is allocated at exactly its length: a
-/// stored reflection copy holds no growth slack the byte accounting
-/// (which charges lengths) would not see.
+/// The copy shares no container node with `value` (it is an eager
+/// copy, unlike `Value::clone()`), and every container of it is
+/// allocated at exactly its length: a stored reflection copy holds no
+/// growth slack the byte accounting (which charges lengths) would not
+/// see.
 ///
 /// # Errors
 ///
@@ -38,7 +40,7 @@ fn copy_timer() -> &'static Histogram {
 pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelError> {
     let _span = copy_timer().timer();
     match value {
-        Value::Bytes(b) => Ok(Value::Bytes(b.clone())),
+        Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
         Value::Array(items) => copy_array(items, None, registry),
         Value::Struct(_) => copy_inner(value, None, registry),
         other => Err(ModelError::NotSupported {
@@ -57,7 +59,7 @@ fn copy_array(
     for item in items {
         out.push(copy_inner(item, declared, registry)?);
     }
-    Ok(Value::Array(out))
+    Ok(Value::Array(out.into()))
 }
 
 /// `declared` is the plan the parent's descriptor predicts for struct
@@ -75,7 +77,7 @@ fn copy_inner(
         | Value::Long(_)
         | Value::Double(_)
         | Value::String(_) => Ok(value.clone()),
-        Value::Bytes(b) => Ok(Value::Bytes(b.clone())),
+        Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
         Value::Array(items) => copy_array(items, declared, registry),
         Value::Struct(s) => {
             // "Reflection": look the type up, instantiate via the default
@@ -119,7 +121,6 @@ fn copy_inner(
 mod tests {
     use super::*;
     use crate::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
-    use std::sync::Arc;
 
     fn registry() -> TypeRegistry {
         TypeRegistry::builder()
@@ -170,10 +171,7 @@ mod tests {
             .unwrap()
             .as_struct_mut()
             .unwrap();
-        match leaf.get_mut("data").unwrap() {
-            Value::Bytes(b) => b[0] = 99,
-            _ => unreachable!(),
-        }
+        leaf.get_mut("data").unwrap().as_bytes_mut().unwrap()[0] = 99;
         // …original unchanged.
         let orig_data = v
             .as_struct()
@@ -184,7 +182,7 @@ mod tests {
             .unwrap()
             .get("data")
             .unwrap();
-        assert_eq!(orig_data, &Value::Bytes(vec![1, 2, 3]));
+        assert_eq!(orig_data, &Value::from(vec![1u8, 2, 3]));
     }
 
     #[test]
@@ -203,9 +201,9 @@ mod tests {
     #[test]
     fn arrays_and_byte_arrays_are_copyable() {
         let r = registry();
-        let bytes = Value::Bytes(vec![5; 8]);
+        let bytes = Value::from(vec![5u8; 8]);
         assert_eq!(reflect_copy(&bytes, &r).unwrap(), bytes);
-        let arr = Value::Array(vec![pair(), Value::Int(7)]);
+        let arr = Value::from(vec![pair(), Value::Int(7)]);
         assert_eq!(reflect_copy(&arr, &r).unwrap(), arr);
     }
 
@@ -250,11 +248,8 @@ mod tests {
     fn copies_hold_no_growth_slack() {
         fn assert_exact(v: &Value) {
             match v {
-                Value::Bytes(b) => assert_eq!(b.capacity(), b.len()),
-                Value::Array(items) => {
-                    assert_eq!(items.capacity(), items.len());
-                    items.iter().for_each(assert_exact);
-                }
+                // Arrays and byte buffers are slices: exact by type.
+                Value::Array(items) => items.iter().for_each(assert_exact),
                 Value::Struct(s) => {
                     assert_eq!(s.capacity(), s.len(), "{}", s.type_name());
                     s.fields().for_each(|(_, f)| assert_exact(f));
@@ -283,10 +278,31 @@ mod tests {
         }
         wide.set("pairs", vec![pair(), pair(), pair()]);
         wide.set("extra", 1);
-        let v = Value::Array(vec![Value::Struct(wide)]);
+        let v = Value::from(vec![Value::Struct(wide)]);
         let copy = reflect_copy(&v, &r).unwrap();
         assert_eq!(copy, v);
         assert_exact(&copy);
+    }
+
+    #[test]
+    fn the_copy_shares_no_container_node() {
+        let r = registry();
+        let v = Value::from(vec![pair(), pair()]);
+        let copy = reflect_copy(&v, &r).unwrap();
+        let (Value::Array(a), Value::Array(b)) = (&v, &copy) else {
+            unreachable!()
+        };
+        assert!(!Arc::ptr_eq(a, b));
+        for (x, y) in a.iter().zip(b.iter()) {
+            let (x, y) = (x.as_struct().unwrap(), y.as_struct().unwrap());
+            assert!(!x.ptr_eq(y));
+            let leaf = |s: &StructValue| s.get("right").unwrap().as_struct().unwrap().clone();
+            assert!(!leaf(x).ptr_eq(&leaf(y)));
+            match (leaf(x).get("data"), leaf(y).get("data")) {
+                (Some(Value::Bytes(p)), Some(Value::Bytes(q))) => assert!(!Arc::ptr_eq(p, q)),
+                _ => unreachable!(),
+            }
+        }
     }
 
     #[test]

@@ -87,15 +87,15 @@ mod tests {
         let short = deep_size(&Value::string("ab"));
         let long = deep_size(&Value::string("ab".repeat(50)));
         assert_eq!(long - short, 98);
-        let b1 = deep_size(&Value::Bytes(vec![0; 10]));
-        let b2 = deep_size(&Value::Bytes(vec![0; 1000]));
+        let b1 = deep_size(&Value::Bytes(vec![0; 10].into()));
+        let b2 = deep_size(&Value::Bytes(vec![0; 1000].into()));
         assert_eq!(b2 - b1, 990);
     }
 
     #[test]
     fn structures_add_per_node_overhead() {
-        let flat = Value::Bytes(vec![0; 100]);
-        let nested = Value::Array((0..10).map(|_| Value::Bytes(vec![0; 10])).collect());
+        let flat = Value::Bytes(vec![0; 100].into());
+        let nested = Value::Array((0..10).map(|_| Value::Bytes(vec![0; 10].into())).collect());
         // Same payload bytes, but the array of ten values carries more
         // per-node overhead — the "complex vs simple" distinction behind
         // the paper's GoogleSearch vs CachedPage comparison.
@@ -123,9 +123,9 @@ mod tests {
 
     #[test]
     fn java_object_size_counts_content_and_slots() {
-        let bytes = Value::Bytes(vec![0; 100]);
+        let bytes = Value::Bytes(vec![0; 100].into());
         assert_eq!(java_object_size(&bytes), 16 + 100);
-        let arr = Value::Array(vec![Value::Int(1), Value::Int(2)]);
+        let arr = Value::Array(vec![Value::Int(1), Value::Int(2)].into());
         assert_eq!(java_object_size(&arr), 16 + 8 * 2);
         let s = Value::string("abcd");
         assert_eq!(java_object_size(&s), 16 + 8 + 4);

@@ -156,14 +156,14 @@ mod tests {
     #[test]
     fn arrays_render_recursively() {
         let r = registry();
-        let v = Value::Array(vec![Value::Int(1), Value::string("x")]);
+        let v = Value::Array(vec![Value::Int(1), Value::string("x")].into());
         assert_eq!(to_string_key(&v, &r).unwrap(), "[1,1:x]");
     }
 
     #[test]
     fn unsupported_values_are_rejected() {
         let r = registry();
-        assert!(to_string_key(&Value::Bytes(vec![1]), &r).is_err());
+        assert!(to_string_key(&Value::Bytes(vec![1].into()), &r).is_err());
         let no_ts = Value::Struct(StructValue::new("NoToString"));
         assert!(matches!(
             to_string_key(&no_ts, &r),
@@ -175,7 +175,7 @@ mod tests {
             Err(ModelError::UnknownType(_))
         ));
         // Nested rejection propagates.
-        let nested = Value::Array(vec![Value::Bytes(vec![0])]);
+        let nested = Value::Array(vec![Value::Bytes(vec![0].into())].into());
         assert!(to_string_key(&nested, &r).is_err());
     }
 

@@ -504,7 +504,7 @@ impl TypeRegistry {
     ) {
         match value {
             Value::Array(items) => {
-                for item in items {
+                for item in items.iter() {
                     self.fold_capabilities(item, declared, all);
                 }
             }
@@ -643,8 +643,8 @@ mod tests {
         );
         assert!(!r.is_deeply_serializable(&with_opaque));
         // Primitives, strings, bytes and arrays of them are serializable.
-        assert!(r.is_deeply_serializable(&Value::Bytes(vec![1])));
-        assert!(r.is_deeply_serializable(&Value::Array(vec![Value::Int(1)])));
+        assert!(r.is_deeply_serializable(&Value::from(vec![1u8])));
+        assert!(r.is_deeply_serializable(&Value::from(vec![Value::Int(1)])));
         // Unregistered struct types are *not* (unknown ⇒ cannot prove).
         let unknown = Value::Struct(StructValue::new("Mystery"));
         assert!(!r.is_deeply_serializable(&unknown));
@@ -655,7 +655,7 @@ mod tests {
         let r = registry();
         // Bare String and byte[] responses have no deep clone (Table 7 n/a).
         assert!(!r.is_deeply_cloneable(&Value::string("s")));
-        assert!(!r.is_deeply_cloneable(&Value::Bytes(vec![1])));
+        assert!(!r.is_deeply_cloneable(&Value::from(vec![1u8])));
         // All-capable struct is cloneable; WSDL-generated (no clone) is not.
         assert!(r.is_deeply_cloneable(&bean()));
         let generated = Value::Struct(StructValue::new("Generated").with("x", 1));
@@ -667,13 +667,13 @@ mod tests {
         let r = registry();
         // Bare String: n/a. byte[] (array type): applicable.
         assert!(!r.is_reflect_copyable(&Value::string("s")));
-        assert!(r.is_reflect_copyable(&Value::Bytes(vec![1, 2])));
+        assert!(r.is_reflect_copyable(&Value::from(vec![1u8, 2])));
         assert!(r.is_reflect_copyable(&bean()));
         let opaque = Value::Struct(StructValue::new("Opaque"));
         assert!(!r.is_reflect_copyable(&opaque));
-        let arr_of_beans = Value::Array(vec![bean(), bean()]);
+        let arr_of_beans = Value::from(vec![bean(), bean()]);
         assert!(r.is_reflect_copyable(&arr_of_beans));
-        let arr_with_opaque = Value::Array(vec![bean(), opaque]);
+        let arr_with_opaque = Value::from(vec![bean(), opaque]);
         assert!(!r.is_reflect_copyable(&arr_with_opaque));
     }
 
@@ -824,27 +824,27 @@ mod tests {
         let values = [
             Value::Null,
             Value::string("s"),
-            Value::Bytes(vec![1]),
-            Value::Array(vec![]),
+            Value::from(vec![1u8]),
+            Value::from(Vec::<Value>::new()),
             bean(),
             generated(),
             opaque(),
             Value::Struct(StructValue::new("Unregistered")),
             // Well typed: every struct sits where its parent declares it.
-            outer(bean(), Value::Array(vec![Value::Array(vec![generated()])])),
-            outer(bean(), Value::Array(vec![])),
+            outer(bean(), Value::from(vec![Value::from(vec![generated()])])),
+            outer(bean(), Value::from(Vec::<Value>::new())),
             // Not what the declaration says: resolved by name instead.
-            outer(generated(), Value::Array(vec![bean(), opaque()])),
+            outer(generated(), Value::from(vec![bean(), opaque()])),
             outer(Value::Null, Value::Struct(StructValue::new("Unregistered"))),
             // Out of declaration order, an undeclared field, a struct
             // where a scalar is declared.
             Value::Struct(
                 StructValue::new("Outer")
-                    .with("generated", Value::Array(vec![generated()]))
+                    .with("generated", Value::from(vec![generated()]))
                     .with("extra", opaque())
                     .with("id", bean()),
             ),
-            Value::Array(vec![bean(), Value::Array(vec![opaque()])]),
+            Value::from(vec![bean(), Value::from(vec![opaque()])]),
         ];
         for v in &values {
             assert_eq!(r.deep_capabilities(v), reference_capabilities(&r, v), "{v}");

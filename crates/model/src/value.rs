@@ -1,4 +1,17 @@
 //! The dynamic application-object tree.
+//!
+//! A [`Value`] is a persistent tree: every container (`Bytes`, `Array`,
+//! `Struct`) is an `Arc`-shared node, so `Value::clone()` is a reference
+//! bump whatever the tree's size, and every mutating accessor goes
+//! through `Arc::make_mut` — a write copies the nodes on the path from
+//! the root it was reached through to the written node and nothing else;
+//! untouched siblings stay shared with every other clone. Two holders of
+//! clones of one tree can therefore never observe each other's writes,
+//! which is the call-by-copy semantics the paper's cache must preserve
+//! (§3.1), at pass-by-reference cost. The eager full copies the paper
+//! measures stay available as explicit functions
+//! ([`crate::reflect::reflect_copy`], [`crate::deep_clone::clone_copy`],
+//! [`crate::binser`]).
 
 use crate::error::ModelError;
 use std::fmt;
@@ -7,13 +20,8 @@ use std::sync::Arc;
 /// A dynamic application object — the middleware-visible shape of request
 /// parameters and response results.
 ///
-/// `String` values are reference-counted (`Arc<str>`) because strings are
-/// *immutable* in this model, exactly as in Java: sharing a string between
-/// the cache and the client application can never cause a side effect.
-/// Everything else that can contain other values (`Bytes`, `Array`,
-/// `Struct`) is mutable and therefore must be copied by one of the
-/// mechanisms in [`crate::reflect`], [`crate::deep_clone`] or
-/// [`crate::binser`] before crossing the cache boundary.
+/// Strings and containers alike are reference-counted; containers are
+/// copy-on-write (see the module docs), strings are immutable as in Java.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Java `null`.
@@ -28,11 +36,11 @@ pub enum Value {
     Double(f64),
     /// `java.lang.String` — immutable, cheaply shareable.
     String(Arc<str>),
-    /// `byte[]` — mutable.
-    Bytes(Vec<u8>),
-    /// A typed array of values.
-    Array(Vec<Value>),
-    /// A bean-style structured object.
+    /// `byte[]` — a shared, copy-on-write buffer.
+    Bytes(Arc<[u8]>),
+    /// A typed array of values — a shared, copy-on-write node.
+    Array(Arc<[Value]>),
+    /// A bean-style structured object — a shared, copy-on-write node.
     Struct(StructValue),
 }
 
@@ -57,9 +65,10 @@ impl Value {
         }
     }
 
-    /// Whether this value (the whole tree) consists only of immutable
-    /// leaves — `null`, primitives and strings. Such values can safely be
-    /// passed by reference between cache and application.
+    /// Whether this value consists only of what is immutable *in Java* —
+    /// `null`, primitives and strings — the objects the paper's §6 table
+    /// may pass by reference without an administrator's assertion. (In
+    /// this model every value can be shared; see the module docs.)
     pub fn is_deeply_immutable(&self) -> bool {
         match self {
             Value::Null
@@ -128,10 +137,29 @@ impl Value {
         }
     }
 
-    /// Mutable struct access.
+    /// Mutable struct access; the struct's own mutators copy its node
+    /// on the first write if it is shared.
     pub fn as_struct_mut(&mut self) -> Option<&mut StructValue> {
         match self {
             Value::Struct(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the bytes of a `Bytes`, copying the buffer
+    /// first if it is shared.
+    pub fn as_bytes_mut(&mut self) -> Option<&mut [u8]> {
+        match self {
+            Value::Bytes(b) => Some(Arc::make_mut(b)),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the elements of an `Array`, copying the node
+    /// (one reference bump per element) first if it is shared.
+    pub fn as_array_mut(&mut self) -> Option<&mut [Value]> {
+        match self {
+            Value::Array(items) => Some(Arc::make_mut(items)),
             _ => None,
         }
     }
@@ -178,12 +206,12 @@ impl From<String> for Value {
 }
 impl From<Vec<u8>> for Value {
     fn from(b: Vec<u8>) -> Value {
-        Value::Bytes(b)
+        Value::Bytes(b.into())
     }
 }
 impl From<Vec<Value>> for Value {
     fn from(items: Vec<Value>) -> Value {
-        Value::Array(items)
+        Value::Array(items.into())
     }
 }
 impl From<StructValue> for Value {
@@ -224,8 +252,22 @@ impl fmt::Display for Value {
 /// Field order is the declaration order from the type descriptor (or
 /// insertion order for ad-hoc structs); it is preserved by every copy
 /// mechanism and by serialization.
+///
+/// The struct is a handle on a shared node: cloning it is a reference
+/// bump, and the mutators ([`set`](StructValue::set),
+/// [`get_mut`](StructValue::get_mut), [`fields_mut`](StructValue::fields_mut),
+/// [`push_new`](StructValue::push_new)) first give this handle a node of
+/// its own if the node is shared — the field values of that copy are
+/// themselves reference bumps, so siblings of a written field stay
+/// shared.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StructValue {
+    node: Arc<StructNode>,
+}
+
+/// The shared part of a [`StructValue`].
+#[derive(Debug, Clone, PartialEq, Default)]
+struct StructNode {
     type_name: String,
     fields: Vec<(String, Value)>,
 }
@@ -234,10 +276,7 @@ impl StructValue {
     /// Creates an empty struct of the named type (the "default
     /// constructor" the reflection copier requires of bean types).
     pub fn new(type_name: impl Into<String>) -> Self {
-        StructValue {
-            type_name: type_name.into(),
-            fields: Vec::new(),
-        }
+        StructValue::with_capacity(type_name, 0)
     }
 
     /// Creates an empty struct with room for `fields` fields, for
@@ -245,19 +284,31 @@ impl StructValue {
     /// declared field count, the reflection copier the present one).
     pub fn with_capacity(type_name: impl Into<String>, fields: usize) -> Self {
         StructValue {
-            type_name: type_name.into(),
-            fields: Vec::with_capacity(fields),
+            node: Arc::new(StructNode {
+                type_name: type_name.into(),
+                fields: Vec::with_capacity(fields),
+            }),
         }
     }
 
     /// Number of fields the struct can hold without reallocating.
     pub fn capacity(&self) -> usize {
-        self.fields.capacity()
+        self.node.fields.capacity()
     }
 
     /// The struct's type name.
     pub fn type_name(&self) -> &str {
-        &self.type_name
+        &self.node.type_name
+    }
+
+    /// Whether `self` and `other` are handles on the same node — what a
+    /// clone is until one of the two is written through.
+    pub fn ptr_eq(&self, other: &StructValue) -> bool {
+        Arc::ptr_eq(&self.node, &other.node)
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.node.fields.iter().position(|(n, _)| n == name)
     }
 
     /// Appends a field the caller knows is not present yet, skipping the
@@ -270,7 +321,9 @@ impl StructValue {
             self.get(&name).is_none(),
             "push_new: field '{name}' already present"
         );
-        self.fields.push((name, value.into()));
+        Arc::make_mut(&mut self.node)
+            .fields
+            .push((name, value.into()));
     }
 
     /// Builder-style field setter.
@@ -283,23 +336,28 @@ impl StructValue {
     pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
         let name = name.into();
         let value = value.into();
-        match self.fields.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v = value,
-            None => self.fields.push((name, value)),
+        let at = self.position(&name);
+        let fields = &mut Arc::make_mut(&mut self.node).fields;
+        match at {
+            Some(at) => fields[at].1 = value,
+            None => fields.push((name, value)),
         }
     }
 
     /// Gets a field ("getter method").
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    /// Mutable field access.
-    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.fields
-            .iter_mut()
+        self.node
+            .fields
+            .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v)
+    }
+
+    /// Mutable field access. Copies this struct's node first if it is
+    /// shared — and only when the field exists.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        let at = self.position(name)?;
+        Some(&mut Arc::make_mut(&mut self.node).fields[at].1)
     }
 
     /// Gets a field or fails with [`ModelError::UnknownField`].
@@ -309,36 +367,59 @@ impl StructValue {
     /// Returns `UnknownField` when the field does not exist.
     pub fn require(&self, name: &str) -> Result<&Value, ModelError> {
         self.get(name).ok_or_else(|| ModelError::UnknownField {
-            type_name: self.type_name.clone(),
+            type_name: self.type_name().to_string(),
             field: name.to_string(),
         })
     }
 
     /// Number of fields present.
     pub fn len(&self) -> usize {
-        self.fields.len()
+        self.node.fields.len()
     }
 
     /// Whether the struct has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.node.fields.is_empty()
     }
 
     /// Iterates `(name, value)` pairs in declaration order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.fields.iter().map(|(n, v)| (n.as_str(), v))
+        self.node.fields.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Iterates mutably over `(name, value)` pairs.
+    /// Iterates mutably over `(name, value)` pairs, copying this
+    /// struct's node first if it is shared.
     pub fn fields_mut(&mut self) -> impl Iterator<Item = (&str, &mut Value)> {
-        self.fields.iter_mut().map(|(n, v)| (n.as_str(), v))
+        Arc::make_mut(&mut self.node)
+            .fields
+            .iter_mut()
+            .map(|(n, v)| (n.as_str(), v))
+    }
+
+    /// A struct with a node of its own, the same type and field names,
+    /// room for exactly the fields present, and each value mapped
+    /// through `copy` — the shape every eager copier produces.
+    pub(crate) fn map_values<E>(
+        &self,
+        mut copy: impl FnMut(&Value) -> Result<Value, E>,
+    ) -> Result<StructValue, E> {
+        let mut fields = Vec::with_capacity(self.len());
+        for (name, value) in &self.node.fields {
+            fields.push((name.clone(), copy(value)?));
+        }
+        Ok(StructValue {
+            node: Arc::new(StructNode {
+                type_name: self.node.type_name.clone(),
+                fields,
+            }),
+        })
     }
 }
 
 impl fmt::Display for StructValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{{", self.type_name)?;
-        for (i, (n, v)) in self.fields.iter().enumerate() {
+        write!(f, "{}{{", self.type_name())?;
+        for (i, (n, v)) in self.fields().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -396,14 +477,14 @@ mod tests {
         assert!(Value::string("s").is_deeply_immutable());
         assert!(Value::Int(1).is_deeply_immutable());
         assert!(Value::Null.is_deeply_immutable());
-        assert!(!Value::Bytes(vec![1]).is_deeply_immutable());
-        assert!(!Value::Array(vec![Value::Int(1)]).is_deeply_immutable());
+        assert!(!Value::from(vec![1u8]).is_deeply_immutable());
+        assert!(!Value::from(vec![Value::Int(1)]).is_deeply_immutable());
         assert!(!Value::Struct(sample_struct()).is_deeply_immutable());
     }
 
     #[test]
     fn node_count_counts_recursively() {
-        let v = Value::Array(vec![Value::Int(1), Value::Struct(sample_struct())]);
+        let v = Value::from(vec![Value::Int(1), Value::Struct(sample_struct())]);
         // array + int + struct + 3 fields
         assert_eq!(v.node_count(), 6);
     }
@@ -412,9 +493,9 @@ mod tests {
     fn display_renders_nested_values() {
         let v = Value::Struct(sample_struct());
         assert_eq!(v.to_string(), "Point{x=3, y=4, label=origin-ish}");
-        let arr = Value::Array(vec![Value::Int(1), Value::string("a")]);
+        let arr = Value::from(vec![Value::Int(1), Value::string("a")]);
         assert_eq!(arr.to_string(), "[1, a]");
-        assert_eq!(Value::Bytes(vec![0; 16]).to_string(), "bytes[16]");
+        assert_eq!(Value::from(vec![0u8; 16]).to_string(), "bytes[16]");
     }
 
     #[test]
@@ -425,6 +506,110 @@ mod tests {
             (Value::String(a), Value::String(b)) => assert!(Arc::ptr_eq(a, b)),
             _ => unreachable!(),
         }
+    }
+
+    /// `Outer{ id, rows: [Row{ n, blob }, Row{ n, blob }], tail: bytes }`.
+    fn nested() -> Value {
+        let row = |n: i32| {
+            Value::Struct(
+                StructValue::new("Row")
+                    .with("n", n)
+                    .with("blob", vec![n as u8; 4]),
+            )
+        };
+        Value::Struct(
+            StructValue::new("Outer")
+                .with("id", 7)
+                .with("rows", vec![row(1), row(2)])
+                .with("tail", vec![9u8; 8]),
+        )
+    }
+
+    fn field<'v>(v: &'v Value, name: &str) -> &'v Value {
+        v.as_struct().unwrap().get(name).unwrap()
+    }
+
+    #[test]
+    fn clone_shares_every_container_node() {
+        let v = nested();
+        let w = v.clone();
+        assert!(v.as_struct().unwrap().ptr_eq(w.as_struct().unwrap()));
+        match (field(&v, "tail"), field(&w, "tail")) {
+            (Value::Bytes(a), Value::Bytes(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn a_write_copies_only_the_path_it_touches() {
+        let original = nested();
+        let mut written = original.clone();
+        // Write a byte of the blob of the second row.
+        let rows = written
+            .as_struct_mut()
+            .unwrap()
+            .get_mut("rows")
+            .unwrap()
+            .as_array_mut()
+            .unwrap();
+        let blob = rows[1].as_struct_mut().unwrap().get_mut("blob").unwrap();
+        blob.as_bytes_mut().unwrap()[0] = 0xEE;
+
+        // The other holder sees nothing.
+        assert_eq!(original, nested());
+        assert_ne!(written, original);
+        let rows_of = |v: &'_ Value| field(v, "rows").as_array().unwrap().to_vec();
+        let (before, after) = (rows_of(&original), rows_of(&written));
+        assert_eq!(after[1].as_struct().unwrap().get("blob"), {
+            let mut blob = vec![2u8; 4];
+            blob[0] = 0xEE;
+            Some(&Value::from(blob))
+        });
+        // Off the path: the first row and the tail are still the same
+        // nodes. On it: root, array, second row and its blob are not.
+        assert!(before[0]
+            .as_struct()
+            .unwrap()
+            .ptr_eq(after[0].as_struct().unwrap()));
+        match (field(&original, "tail"), field(&written, "tail")) {
+            (Value::Bytes(a), Value::Bytes(b)) => assert!(Arc::ptr_eq(a, b)),
+            _ => unreachable!(),
+        }
+        assert!(!original
+            .as_struct()
+            .unwrap()
+            .ptr_eq(written.as_struct().unwrap()));
+        assert!(!before[1]
+            .as_struct()
+            .unwrap()
+            .ptr_eq(after[1].as_struct().unwrap()));
+    }
+
+    #[test]
+    fn an_unshared_value_is_written_in_place() {
+        let mut v = nested();
+        let tail_before = match field(&v, "tail") {
+            Value::Bytes(b) => Arc::as_ptr(b),
+            _ => unreachable!(),
+        };
+        v.as_struct_mut()
+            .unwrap()
+            .get_mut("tail")
+            .unwrap()
+            .as_bytes_mut()
+            .unwrap()[0] = 1;
+        match field(&v, "tail") {
+            Value::Bytes(b) => assert_eq!(Arc::as_ptr(b), tail_before),
+            _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn get_mut_of_a_missing_field_copies_nothing() {
+        let v = nested();
+        let mut w = v.clone();
+        assert!(w.as_struct_mut().unwrap().get_mut("missing").is_none());
+        assert!(v.as_struct().unwrap().ptr_eq(w.as_struct().unwrap()));
     }
 
     #[test]

@@ -98,7 +98,7 @@ fn arb_value(rng: &mut Rng, depth: u32) -> Value {
         3 => Value::Long(rng.next() as i64),
         4 => Value::Double(rng.double()),
         5 => Value::string(rng.ascii(20)),
-        6 => Value::Bytes(rng.bytes(64)),
+        6 => Value::from(rng.bytes(64)),
         7 => {
             let n = rng.below(6);
             Value::Array((0..n).map(|_| arb_value(rng, depth - 1)).collect())
@@ -209,36 +209,102 @@ fn deep_size_is_positive_and_monotone_under_wrapping() {
         let v = arb_value(&mut rng, 3);
         let base = deep_size(&v);
         assert!(base >= std::mem::size_of::<Value>());
-        let wrapped = Value::Array(vec![v]);
+        let wrapped = Value::Array(vec![v].into());
         assert!(deep_size(&wrapped) > base, "seed {seed}");
     }
 }
 
-/// Flips the first mutable leaf found, if any.
+/// Writes through the first container found (a byte, else an appended
+/// field), copying whatever shared nodes lie on the way there.
 fn mutate_first_mutable(v: &mut Value) -> bool {
     match v {
-        Value::Bytes(b) => {
-            b.push(0xAB);
+        Value::Bytes(b) if b.is_empty() => false,
+        Value::Bytes(_) => {
+            v.as_bytes_mut().expect("bytes")[0] ^= 0xAB;
             true
         }
-        Value::Array(items) => {
-            for item in items.iter_mut() {
-                if mutate_first_mutable(item) {
-                    return true;
-                }
+        Value::Array(items) if items.is_empty() => false,
+        Value::Array(_) => {
+            let items = v.as_array_mut().expect("array");
+            if !items.iter_mut().any(mutate_first_mutable) {
+                items[0] = Value::Int(-1);
             }
-            items.push(Value::Int(-1));
             true
         }
         Value::Struct(s) => {
-            for (_, fv) in s.fields_mut() {
-                if mutate_first_mutable(fv) {
-                    return true;
-                }
+            if !s.fields_mut().any(|(_, fv)| mutate_first_mutable(fv)) {
+                s.set("__mutation", 1);
             }
-            s.set("__mutation", 1);
             true
         }
         _ => false,
+    }
+}
+
+/// The containers of `v` in pre-order: `(path, node)`, a path being the
+/// child indices from the root.
+fn containers<'v>(v: &'v Value, path: &mut Vec<usize>, out: &mut Vec<(Vec<usize>, &'v Value)>) {
+    let children: Vec<&Value> = match v {
+        Value::Bytes(_) => Vec::new(),
+        Value::Array(items) => items.iter().collect(),
+        Value::Struct(s) => s.fields().map(|(_, fv)| fv).collect(),
+        _ => return,
+    };
+    out.push((path.clone(), v));
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        containers(child, path, out);
+        path.pop();
+    }
+}
+
+/// Descends `path` through the mutable accessors and writes at its end:
+/// a byte of a byte buffer, the first element of an array, a new field
+/// of a struct.
+fn write_at(v: &mut Value, path: &[usize]) {
+    match (v, path) {
+        (v @ Value::Bytes(_), []) => match v.as_bytes_mut().expect("bytes").first_mut() {
+            Some(byte) => *byte ^= 0x5A,
+            None => {}
+        },
+        (v @ Value::Array(_), []) => match v.as_array_mut().expect("array").first_mut() {
+            Some(item) => *item = Value::string("written"),
+            None => {}
+        },
+        (Value::Struct(s), []) => s.set("__written", 1),
+        (v @ Value::Array(_), [i, rest @ ..]) => {
+            write_at(&mut v.as_array_mut().expect("array")[*i], rest)
+        }
+        (Value::Struct(s), [i, rest @ ..]) => {
+            let (_, child) = s.fields_mut().nth(*i).expect("path names a field");
+            write_at(child, rest)
+        }
+        _ => unreachable!("paths end at containers"),
+    }
+}
+
+#[test]
+fn a_write_is_invisible_to_earlier_clones_and_equals_writing_a_deep_copy() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed + 8000);
+        let original = arb_value(&mut rng, 4);
+        let mut found = Vec::new();
+        containers(&original, &mut Vec::new(), &mut found);
+        if found.is_empty() {
+            continue;
+        }
+        let path = found[rng.below(found.len())].0.clone();
+        // Independent of any sharing: what the value looked like.
+        let before = binser::serialize(&original);
+
+        let snapshot = original.clone();
+        let mut shared = original.clone();
+        write_at(&mut shared, &path);
+        let mut deep = clone_unchecked(&original);
+        write_at(&mut deep, &path);
+
+        assert_eq!(shared, deep, "seed {seed} path {path:?}");
+        assert_eq!(binser::serialize(&original), before, "seed {seed}");
+        assert_eq!(binser::serialize(&snapshot), before, "seed {seed}");
     }
 }

@@ -159,7 +159,7 @@ impl AmazonService {
         Value::Struct(
             StructValue::new("SearchResultPage")
                 .with("totalResults", 500 + (stable_hash(keyword) % 10_000) as i32)
-                .with("details", Value::Array(details)),
+                .with("details", Value::Array(details.into())),
         )
     }
 

@@ -176,12 +176,12 @@ impl Corpus {
             .with("searchComments", "")
             .with("estimatedTotalResultsCount", estimated)
             .with("estimateIsExact", false)
-            .with("resultElements", Value::Array(elements))
+            .with("resultElements", Value::Array(elements.into()))
             .with("searchQuery", q)
             .with("startIndex", start)
             .with("endIndex", start + count)
             .with("searchTips", "")
-            .with("directoryCategories", Value::Array(categories))
+            .with("directoryCategories", Value::Array(categories.into()))
             .with("searchTime", (rng.below(400_000) as f64) / 1_000_000.0)
     }
 
@@ -299,7 +299,7 @@ mod tests {
     fn relative_sizes_match_table5_classification() {
         let c = Corpus::default();
         let small = c.spelling_suggestion("helo");
-        let large_simple = Value::Bytes(c.cached_page("http://x/"));
+        let large_simple = Value::Bytes(c.cached_page("http://x/").into());
         let large_complex = Value::Struct(c.search_result("q", 0, 10));
         assert!(deep_size(&small) < 200);
         assert!(deep_size(&large_simple) > 3000);

@@ -326,7 +326,9 @@ impl SoapService for GoogleService {
         };
         match request.operation.as_str() {
             "doSpellingSuggestion" => Ok(self.corpus.spelling_suggestion(str_param("phrase")?)),
-            "doGetCachedPage" => Ok(Value::Bytes(self.corpus.cached_page(str_param("url")?))),
+            "doGetCachedPage" => Ok(Value::Bytes(
+                self.corpus.cached_page(str_param("url")?).into(),
+            )),
             "doGoogleSearch" => {
                 let q = str_param("q")?;
                 let start = request.param("start").and_then(Value::as_int).unwrap_or(0);

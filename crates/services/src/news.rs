@@ -138,7 +138,7 @@ impl SoapService for NewsService {
                 )
             })
             .collect();
-        Ok(Value::Array(headlines))
+        Ok(Value::Array(headlines.into()))
     }
 }
 

@@ -147,7 +147,7 @@ impl SoapService for StockQuoteService {
                     .filter(|s| !s.is_empty())
                     .map(|s| Value::Struct(self.quote(s)))
                     .collect();
-                Ok(Value::Array(quotes))
+                Ok(Value::Array(quotes.into()))
             }
             other => Err(SoapFault::client(format!("unknown operation '{other}'"))),
         }

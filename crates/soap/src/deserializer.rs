@@ -396,7 +396,7 @@ impl<'r> ResponseReader<'r> {
             return Ok(Value::Null);
         }
         match container {
-            Some(Container::Array { items, .. }) => Ok(Value::Array(items)),
+            Some(Container::Array { items, .. }) => Ok(Value::Array(items.into())),
             Some(Container::Struct { value, .. }) => Ok(Value::Struct(value)),
             None => {
                 // Scalar: decide the lexical type.
@@ -525,12 +525,14 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
                 .map(Value::Double)
                 .map_err(|_| bad("double")),
         },
-        Some(FieldType::Bytes) => base64::decode(text.trim()).map(Value::Bytes),
+        Some(FieldType::Bytes) => base64::decode(text.trim()).map(Value::from),
         // Empty element of struct/array type is an empty instance.
         Some(FieldType::Struct(name)) if text.trim().is_empty() => {
             Ok(Value::Struct(StructValue::new(name.clone())))
         }
-        Some(FieldType::ArrayOf(_)) if text.trim().is_empty() => Ok(Value::Array(Vec::new())),
+        Some(FieldType::ArrayOf(_)) if text.trim().is_empty() => {
+            Ok(Value::Array(Vec::new().into()))
+        }
         Some(FieldType::String) | None => Ok(Value::string(text)),
         Some(other) => Err(SoapError::encoding(format!(
             "scalar text in <{element}> where {other} was expected"
@@ -822,7 +824,7 @@ pub fn element_to_value(
             None => {
                 // Untyped empty-ish element: Array xsi:type means empty array.
                 if xsi_local.as_deref() == Some("Array") {
-                    Ok(Value::Array(Vec::new()))
+                    Ok(Value::Array(Vec::new().into()))
                 } else {
                     parse_scalar(&elem.text(), None, elem.name.local_part())
                 }
@@ -835,7 +837,7 @@ pub fn element_to_value(
             for c in children {
                 items.push(element_to_value(c, Some(&inner), registry)?);
             }
-            Ok(Value::Array(items))
+            Ok(Value::Array(items.into()))
         }
         Some(FieldType::Struct(type_name)) => {
             let mut s = StructValue::new(type_name.clone());
@@ -861,7 +863,7 @@ pub fn element_to_value(
                 for c in children {
                     items.push(element_to_value(c, None, registry)?);
                 }
-                Ok(Value::Array(items))
+                Ok(Value::Array(items.into()))
             } else {
                 let type_name = xsi_local.unwrap_or_else(|| elem.name.local_part().to_string());
                 let mut s = StructValue::new(type_name);
@@ -937,8 +939,11 @@ mod tests {
         );
         assert_eq!(roundtrip(&Value::Null, &FieldType::String), Value::Null);
         assert_eq!(
-            roundtrip(&Value::Bytes(vec![0, 1, 254, 255]), &FieldType::Bytes),
-            Value::Bytes(vec![0, 1, 254, 255])
+            roundtrip(
+                &Value::Bytes(vec![0, 1, 254, 255].into()),
+                &FieldType::Bytes
+            ),
+            Value::Bytes(vec![0, 1, 254, 255].into())
         );
     }
 
@@ -979,12 +984,12 @@ mod tests {
 
     #[test]
     fn arrays_of_scalars_roundtrip() {
-        let v = Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
+        let v = Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)].into());
         assert_eq!(
             roundtrip(&v, &FieldType::ArrayOf(Box::new(FieldType::Int))),
             v
         );
-        let empty = Value::Array(vec![]);
+        let empty = Value::Array(vec![].into());
         assert_eq!(
             roundtrip(&empty, &FieldType::ArrayOf(Box::new(FieldType::Int))),
             empty
@@ -999,7 +1004,7 @@ mod tests {
             "urn:t",
             "op",
             "return",
-            &Value::Array(vec![Value::Int(7), Value::string("s")]),
+            &Value::Array(vec![Value::Int(7), Value::string("s")].into()),
             &r,
         )
         .unwrap();
@@ -1010,7 +1015,7 @@ mod tests {
         // With expected=array-of-string, the int lexical "7" is a string.
         assert_eq!(
             out.as_return().unwrap(),
-            &Value::Array(vec![Value::string("7"), Value::string("s")])
+            &Value::Array(vec![Value::string("7"), Value::string("s")].into())
         );
     }
 
@@ -1065,7 +1070,10 @@ mod tests {
             &FieldType::Int,
         )
         .unwrap();
-        assert_eq!(v, Value::Array(vec![Value::Int(4), Value::string("x")]));
+        assert_eq!(
+            v,
+            Value::Array(vec![Value::Int(4), Value::string("x")].into())
+        );
     }
 
     #[test]
@@ -1308,5 +1316,14 @@ mod tests {
         let e = read_response_xml("<<<", &FieldType::String, &r).unwrap_err();
         assert!(matches!(e, SoapError::Xml(_)));
         assert!(parse_request("<<<", &[], &r).is_err());
+    }
+
+    #[test]
+    fn array_type_counts_reserve_at_most_the_cap() {
+        assert_eq!(array_type_count("xsd:int[3]"), 3);
+        assert_eq!(array_type_count("x[4000000000]"), ARRAY_RESERVE_CAP as u32);
+        for malformed in ["x[99999999999999999999999]", "x[-1]", "]x[", "x", ""] {
+            assert_eq!(array_type_count(malformed), 0, "{malformed}");
+        }
     }
 }

@@ -168,7 +168,7 @@ fn write_value_typed(
                     format!("{PREFIX_XSD}:anyType[{}]", items.len()),
                 )?;
             }
-            for item in items {
+            for item in items.iter() {
                 write_value_typed(w, "item", item, registry, item_type)?;
             }
         }
@@ -275,10 +275,13 @@ mod tests {
 
     #[test]
     fn arrays_and_structs_serialize() {
-        let value = Value::Array(vec![
-            Value::Struct(StructValue::new("Pt").with("x", 1).with("y", 2)),
-            Value::Struct(StructValue::new("Pt").with("x", 3).with("y", 4)),
-        ]);
+        let value = Value::Array(
+            vec![
+                Value::Struct(StructValue::new("Pt").with("x", 1).with("y", 2)),
+                Value::Struct(StructValue::new("Pt").with("x", 3).with("y", 4)),
+            ]
+            .into(),
+        );
         let xml = serialize_response("urn:t", "op", "return", &value, &registry()).unwrap();
         assert!(xml.contains("soapenc:arrayType=\"xsd:anyType[2]\""));
         // The array itself is untyped (top level), so items carry

@@ -680,8 +680,9 @@ fn hostile_array_counts_reserve_at_most_the_cap() {
         if let Ok(RpcOutcome::Return(Value::Struct(s))) = &out {
             match s.get("a") {
                 Some(Value::Array(items)) => {
+                    // The finished array is a slice, exact by type; a
+                    // reservation sized by `n` would not have allocated.
                     assert_eq!(items.len(), 2);
-                    assert!(items.capacity() <= 1024, "{attrs}: {}", items.capacity());
                 }
                 other => panic!("{attrs}: {other:?}"),
             }

@@ -89,7 +89,7 @@ fn arb_scalar(rng: &mut Rng) -> (Value, FieldType) {
         2 => (Value::Long(rng.next() as i64), FieldType::Long),
         3 => (Value::Bool(rng.bool()), FieldType::Bool),
         4 => (Value::Double(rng.double()), FieldType::Double),
-        5 => (Value::Bytes(rng.bytes(64)), FieldType::Bytes),
+        5 => (Value::Bytes(rng.bytes(64).into()), FieldType::Bytes),
         _ => (Value::Null, FieldType::String),
     }
 }
@@ -112,7 +112,10 @@ fn arb_typed(rng: &mut Rng, depth: u32) -> (Value, FieldType) {
                     values.push(v);
                 }
             }
-            (Value::Array(values), FieldType::ArrayOf(Box::new(ty)))
+            (
+                Value::Array(values.into()),
+                FieldType::ArrayOf(Box::new(ty)),
+            )
         }
         _ => (arb_node(rng, depth), FieldType::Struct("Node".into())),
     }
@@ -127,7 +130,7 @@ fn arb_node(rng: &mut Rng, depth: u32) -> Value {
         let kids: Vec<Value> = (0..rng.below(3))
             .map(|_| arb_node(rng, depth - 1))
             .collect();
-        s.set("children", Value::Array(kids));
+        s.set("children", Value::Array(kids.into()));
     }
     Value::Struct(s)
 }
