@@ -11,7 +11,8 @@
 //!   later occurrences are back-references, like the Java handle table;
 //!   deserialization reconstructs the sharing.
 //! - The format carries type names and field names, so a value can be
-//!   reconstructed without a registry.
+//!   reconstructed without a registry. A reconstructed tree holds each
+//!   name once, in the stream's descriptor table; its instances share it.
 //!
 //! Copying a value through [`serialize`] + [`deserialize`] yields a deep
 //! copy (paper §4.2.3-A).
@@ -147,7 +148,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
 struct Writer {
     out: Vec<u8>,
     // (type name, field names in order) → descriptor id.
-    descriptors: HashMap<(String, Vec<String>), u32>,
+    descriptors: HashMap<(Arc<str>, Vec<Arc<str>>), u32>,
     // string identity (Arc data pointer) → handle id.
     strings: HashMap<usize, u32>,
 }
@@ -200,8 +201,10 @@ impl Writer {
             }
             Value::Struct(s) => {
                 let key = (
-                    s.type_name().to_string(),
-                    s.fields().map(|(n, _)| n.to_string()).collect::<Vec<_>>(),
+                    s.shared_type_name().clone(),
+                    s.shared_fields()
+                        .map(|(n, _)| n.clone())
+                        .collect::<Vec<_>>(),
                 );
                 if let Some(&id) = self.descriptors.get(&key) {
                     // Known shape: reference the descriptor, values only.
@@ -242,8 +245,9 @@ fn write_len(out: &mut Vec<u8>, mut len: usize) {
 struct Reader<'b> {
     bytes: &'b [u8],
     pos: usize,
-    // Descriptor table mirrored from the stream.
-    descriptors: Vec<(String, Vec<String>)>,
+    // Descriptor table mirrored from the stream; every instance of a
+    // shape shares its names.
+    descriptors: Vec<(Arc<str>, Vec<Arc<str>>)>,
     // String handle table for back-references (shared on reconstruction).
     strings: Vec<Arc<str>>,
 }
@@ -280,10 +284,12 @@ impl<'b> Reader<'b> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ModelError> {
+    fn string(&mut self) -> Result<Arc<str>, ModelError> {
         let len = self.len()?;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ModelError::corrupt("invalid utf-8"))
+        std::str::from_utf8(raw)
+            .map(Arc::from)
+            .map_err(|_| ModelError::corrupt("invalid utf-8"))
     }
 
     fn remaining(&self) -> usize {
@@ -311,7 +317,7 @@ impl<'b> Reader<'b> {
                 self.take(8)?.try_into().expect("8 bytes"),
             )))),
             TAG_STRING => {
-                let s: Arc<str> = Arc::from(self.string()?.as_str());
+                let s = self.string()?;
                 self.strings.push(s.clone());
                 Ok(Value::String(s))
             }
@@ -374,7 +380,7 @@ impl<'b> Reader<'b> {
             let (name, fields) = &self.descriptors[descriptor_id];
             (name.clone(), fields.len())
         };
-        let mut s = StructValue::new(type_name);
+        let mut s = StructValue::with_capacity(type_name, field_count);
         for i in 0..field_count {
             let v = self.read_value(depth + 1)?;
             let name = self.descriptors[descriptor_id].1[i].clone();

@@ -6,7 +6,9 @@
 //! mutable field values and sharing immutable ones. This module does the
 //! same over [`Value`]: struct nodes are rebuilt through descriptor
 //! lookups and name-based field access (paying the genuine "reflection"
-//! overhead), arrays element-wise, immutable leaves shared.
+//! overhead), arrays element-wise, immutable leaves shared. The names of
+//! the copy are the descriptor's own `Arc<str>` handles — a Java
+//! instance does not carry its field names either.
 
 use crate::error::ModelError;
 use crate::typeinfo::{StructPlan, TypeRegistry};
@@ -105,10 +107,10 @@ fn copy_inner(
             // descriptor would be silently dropped; treat that as a
             // mismatch instead of corrupting data.
             if fresh.len() != s.len() {
-                for (name, v) in s.fields() {
+                for (name, v) in s.shared_fields() {
                     if descriptor.field(name).is_none() {
                         let copied = copy_inner(v, None, registry)?;
-                        fresh.set(name.to_string(), copied);
+                        fresh.set(name.clone(), copied);
                     }
                 }
             }

@@ -2,11 +2,23 @@
 //! Tables 8 and 9 ("Memory size of cache keys / cached objects").
 //!
 //! Sizes are estimates of live bytes (inline enum size plus owned heap
-//! content), not allocator-rounded figures. Shared `Arc<str>` string
-//! content is charged to every referencing value; this matches how the
-//! paper reports per-entry cache footprint.
+//! content), not allocator-rounded figures. Which strings are charged
+//! where:
+//!
+//! - A string *value* (`Value::String`) is charged its content to every
+//!   value that references it, shared or not; this matches how the paper
+//!   reports per-entry cache footprint.
+//! - A type name or field name is charged as a handle — one `Arc<str>`
+//!   per use, no bytes. The bytes live once in the schema the name came
+//!   from (the registry's descriptor, a serialized stream's descriptor
+//!   table, the XML symbol table) and belong to no single value, as a
+//!   Java instance does not carry its `Class`.
+//!
+//! Container nodes are charged in full to every value that reaches them:
+//! two clones of one tree each report the whole tree.
 
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Approximate retained size of a value tree in bytes.
 ///
@@ -29,11 +41,9 @@ fn heap_size(value: &Value) -> usize {
             .map(|v| std::mem::size_of::<Value>() + heap_size(v))
             .sum(),
         Value::Struct(s) => {
-            s.type_name().len()
+            std::mem::size_of::<Arc<str>>()
                 + s.fields()
-                    .map(|(name, v)| {
-                        name.len() + std::mem::size_of::<(String, Value)>() + heap_size(v)
-                    })
+                    .map(|(_, v)| std::mem::size_of::<(Arc<str>, Value)>() + heap_size(v))
                     .sum::<usize>()
         }
     }
@@ -46,8 +56,9 @@ fn heap_size(value: &Value) -> usize {
 /// the `Class`), so this counts: a 16-byte object header per object, an
 /// 8-byte slot per field or array element, and string/byte content. This
 /// intentionally differs from [`deep_size`], which reports what *our*
-/// dynamic representation retains (including names); the cache store uses
-/// [`deep_size`]-based accounting, the Table 9 reproduction uses this.
+/// dynamic representation retains (a handle per name, 24-byte values);
+/// the cache store uses [`deep_size`]-based accounting, the Table 9
+/// reproduction uses this.
 pub fn java_object_size(value: &Value) -> usize {
     const HEADER: usize = 16;
     const SLOT: usize = 8;
@@ -103,22 +114,22 @@ mod tests {
     }
 
     #[test]
-    fn struct_size_includes_names() {
-        let short = Value::Struct(StructValue::new("T").with("f", 1));
-        let long = Value::Struct(StructValue::new("TypeWithLongName").with("fieldWithLongName", 1));
-        assert!(deep_size(&long) > deep_size(&short));
-    }
-
-    #[test]
-    fn java_object_size_excludes_names() {
-        // Same structure, wildly different name lengths: Java accounting
-        // must not change, Rust accounting must.
+    fn names_are_charged_as_handles_once_per_use() {
+        // Same structure, wildly different name lengths: neither
+        // accounting changes.
         let short = Value::Struct(StructValue::new("T").with("f", "xy"));
         let long = Value::Struct(
             StructValue::new("AVeryLongTypeNameIndeed").with("aVeryLongFieldNameIndeed", "xy"),
         );
         assert_eq!(java_object_size(&short), java_object_size(&long));
-        assert!(deep_size(&long) > deep_size(&short));
+        assert_eq!(deep_size(&short), deep_size(&long));
+        // One handle for the type, one per field, whether or not two
+        // fields share a name with another struct's.
+        let handle = std::mem::size_of::<Arc<str>>();
+        let value = std::mem::size_of::<Value>();
+        assert_eq!(deep_size(&short), value + handle + (handle + value) + 2);
+        let two = Value::from(vec![short.clone(), short.clone()]);
+        assert_eq!(deep_size(&two), value + 2 * deep_size(&short));
     }
 
     #[test]

@@ -145,8 +145,9 @@ impl fmt::Display for FieldType {
 /// One declared field of a struct type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDescriptor {
-    /// Field (and accessor) name.
-    pub name: String,
+    /// Field (and accessor) name. Shared: every instance decoded or
+    /// copied under this descriptor carries a clone of this handle.
+    pub name: Arc<str>,
     /// Element name on the wire; usually equal to `name`.
     pub xml_name: String,
     /// Static type.
@@ -155,10 +156,10 @@ pub struct FieldDescriptor {
 
 impl FieldDescriptor {
     /// Creates a field whose XML name equals its field name.
-    pub fn new(name: impl Into<String>, field_type: FieldType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, field_type: FieldType) -> Self {
         let name = name.into();
         FieldDescriptor {
-            xml_name: name.clone(),
+            xml_name: name.to_string(),
             name,
             field_type,
         }
@@ -168,8 +169,10 @@ impl FieldDescriptor {
 /// A registered struct type.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TypeDescriptor {
-    /// Registry name (also the default XML element name).
-    pub name: String,
+    /// Registry name (also the default XML element name). Shared with
+    /// every instance of the type, like
+    /// [`FieldDescriptor::name`].
+    pub name: Arc<str>,
     /// Declared fields in order.
     pub fields: Vec<FieldDescriptor>,
     /// What the type supports.
@@ -178,7 +181,7 @@ pub struct TypeDescriptor {
 
 impl TypeDescriptor {
     /// Creates a descriptor with [`Capabilities::all`].
-    pub fn new(name: impl Into<String>, fields: Vec<FieldDescriptor>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, fields: Vec<FieldDescriptor>) -> Self {
         TypeDescriptor {
             name: name.into(),
             fields,
@@ -194,7 +197,7 @@ impl TypeDescriptor {
 
     /// Looks up a field by name.
     pub fn field(&self, name: &str) -> Option<&FieldDescriptor> {
-        self.fields.iter().find(|f| f.name == name)
+        self.fields.iter().find(|f| &*f.name == name)
     }
 
     /// Looks up a field by its XML element name.
@@ -251,10 +254,10 @@ impl StructPlan {
     /// [`TypeDescriptor::field`]), probing `hint` first.
     fn slot_by_name(&self, name: &str, hint: usize) -> Option<usize> {
         let fields = &self.descriptor.fields;
-        if self.names_unique && fields.get(hint).is_some_and(|f| f.name == name) {
+        if self.names_unique && fields.get(hint).is_some_and(|f| &*f.name == name) {
             return Some(hint);
         }
-        fields.iter().position(|f| f.name == name)
+        fields.iter().position(|f| &*f.name == name)
     }
 
     /// The plan of the struct type field `slot` is declared to hold
@@ -280,6 +283,27 @@ impl StructPlan {
     ) -> Option<&'r StructPlan> {
         self.slot_by_name(name, position)
             .and_then(|slot| self.field_plan(slot, registry))
+    }
+
+    /// An instance of this type holding `fields` in the order given —
+    /// how a service builds its response. The instance carries the
+    /// descriptor's own type name and, for every field the type
+    /// declares, the descriptor's own field name: handles, not copies.
+    /// A name the type does not declare is copied.
+    pub fn instantiate<'n>(
+        &self,
+        fields: impl IntoIterator<Item = (&'n str, Value)>,
+    ) -> StructValue {
+        let fields = fields.into_iter();
+        let mut instance =
+            StructValue::with_capacity(self.descriptor.name.clone(), fields.size_hint().0);
+        for (position, (name, value)) in fields.enumerate() {
+            match self.slot_by_name(name, position) {
+                Some(slot) => instance.set(self.descriptor.fields[slot].name.clone(), value),
+                None => instance.set(name, value),
+            }
+        }
+        instance
     }
 
     /// The declared kind of field `slot`, resolved against `registry`
@@ -350,7 +374,7 @@ pub struct DeepCapabilities {
 #[derive(Debug, Default)]
 struct Compiled {
     /// Type name → index into `plans`.
-    index: HashMap<String, u32>,
+    index: HashMap<Arc<str>, u32>,
     /// One plan per registered type, sorted by type name.
     plans: Vec<StructPlan>,
 }
@@ -447,7 +471,10 @@ impl TypeRegistry {
         declared: Option<&'r StructPlan>,
     ) -> Option<&'r StructPlan> {
         declared
-            .filter(|p| p.descriptor.name == s.type_name())
+            .filter(|p| {
+                Arc::ptr_eq(&p.descriptor.name, s.shared_type_name())
+                    || *p.descriptor.name == *s.type_name()
+            })
             .or_else(|| self.plan(s.type_name()))
     }
 
@@ -532,7 +559,7 @@ impl TypeRegistry {
 /// Builder for [`TypeRegistry`].
 #[derive(Debug, Default)]
 pub struct TypeRegistryBuilder {
-    types: HashMap<String, TypeDescriptor>,
+    types: HashMap<Arc<str>, TypeDescriptor>,
 }
 
 impl TypeRegistryBuilder {
@@ -554,7 +581,7 @@ impl TypeRegistryBuilder {
     pub fn build(self) -> TypeRegistry {
         let mut descriptors: Vec<TypeDescriptor> = self.types.into_values().collect();
         descriptors.sort_by(|a, b| a.name.cmp(&b.name));
-        let index: HashMap<String, u32> = descriptors
+        let index: HashMap<Arc<str>, u32> = descriptors
             .iter()
             .enumerate()
             .map(|(i, d)| {
@@ -631,7 +658,7 @@ mod tests {
         let d = r.get("Bean").unwrap();
         assert_eq!(d.field("a").unwrap().field_type, FieldType::Int);
         assert!(d.field("z").is_none());
-        assert_eq!(d.field_by_xml_name("b").unwrap().name, "b");
+        assert_eq!(&*d.field_by_xml_name("b").unwrap().name, "b");
     }
 
     #[test]
@@ -701,12 +728,12 @@ mod tests {
     fn plans_resolve_nested_types_by_index() {
         let r = nested_registry();
         let outer = r.plan("Outer").unwrap();
-        assert_eq!(outer.descriptor().name, "Outer");
+        assert_eq!(&*outer.descriptor().name, "Outer");
         assert!(outer.field_plan(0, &r).is_none());
-        assert_eq!(outer.field_plan(1, &r).unwrap().descriptor().name, "Bean");
+        assert_eq!(&*outer.field_plan(1, &r).unwrap().descriptor().name, "Bean");
         // Through any depth of arrays.
         assert_eq!(
-            outer.field_plan(2, &r).unwrap().descriptor().name,
+            &*outer.field_plan(2, &r).unwrap().descriptor().name,
             "Generated"
         );
         // Unregistered struct types stay dynamic; no slot past the end.
@@ -716,7 +743,7 @@ mod tests {
 
         let bean = outer.field_kind(1, &r).unwrap();
         assert_eq!(bean.field_type(), &FieldType::Struct("Bean".into()));
-        assert_eq!(bean.struct_plan().unwrap().descriptor().name, "Bean");
+        assert_eq!(&*bean.struct_plan().unwrap().descriptor().name, "Bean");
         assert!(bean.element().is_none());
 
         // An array is not itself a struct; its innermost element is.
@@ -725,7 +752,7 @@ mod tests {
         let row = rows.element().unwrap();
         assert!(row.struct_plan().is_none());
         let cell = row.element().unwrap();
-        assert_eq!(cell.struct_plan().unwrap().descriptor().name, "Generated");
+        assert_eq!(&*cell.struct_plan().unwrap().descriptor().name, "Generated");
         assert!(cell.element().is_none());
 
         let ghost = outer.field_kind(3, &r).unwrap();
@@ -736,7 +763,8 @@ mod tests {
         let ty = FieldType::ArrayOf(Box::new(FieldType::Struct("Bean".into())));
         let top = r.kind_of(&ty);
         assert_eq!(
-            top.element()
+            &*top
+                .element()
                 .unwrap()
                 .struct_plan()
                 .unwrap()
@@ -745,6 +773,36 @@ mod tests {
             "Bean"
         );
         assert!(r.kind_of(&FieldType::Int).struct_plan().is_none());
+    }
+
+    #[test]
+    fn instances_share_the_descriptors_names() {
+        let r = registry();
+        let plan = r.plan("Bean").unwrap();
+        // Out of declaration order, with one undeclared field.
+        let s = plan.instantiate([
+            ("b", Value::string("s")),
+            ("extra", Value::Int(9)),
+            ("a", Value::Int(1)),
+        ]);
+        assert!(Arc::ptr_eq(s.shared_type_name(), &plan.descriptor().name));
+        let names: Vec<&str> = s.fields().map(|(n, _)| n).collect();
+        assert_eq!(names, ["b", "extra", "a"]);
+        for (name, _) in s.shared_fields() {
+            match plan.descriptor().field(name) {
+                Some(declared) => assert!(Arc::ptr_eq(name, &declared.name), "{name}"),
+                None => assert_eq!(&**name, "extra"),
+            }
+        }
+        assert_eq!(
+            Value::Struct(s),
+            Value::Struct(
+                StructValue::new("Bean")
+                    .with("b", "s")
+                    .with("extra", 9)
+                    .with("a", 1)
+            )
+        );
     }
 
     #[test]
@@ -781,7 +839,7 @@ mod tests {
         let twice = r.plan("Twice").unwrap();
         assert_eq!(twice.slot_by_xml_name("dup", 2), Some(1));
         assert_eq!(
-            twice.descriptor().field_by_xml_name("dup").unwrap().name,
+            &*twice.descriptor().field_by_xml_name("dup").unwrap().name,
             "first"
         );
         assert!(twice.names_unique());

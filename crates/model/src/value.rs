@@ -268,21 +268,26 @@ pub struct StructValue {
 /// The shared part of a [`StructValue`].
 #[derive(Debug, Clone, PartialEq, Default)]
 struct StructNode {
-    type_name: String,
-    fields: Vec<(String, Value)>,
+    type_name: Arc<str>,
+    fields: Vec<(Arc<str>, Value)>,
 }
 
 impl StructValue {
     /// Creates an empty struct of the named type (the "default
     /// constructor" the reflection copier requires of bean types).
-    pub fn new(type_name: impl Into<String>) -> Self {
+    ///
+    /// Names are `Arc<str>`: pass a clone of the registry descriptor's
+    /// (or any other shared name) and the struct carries a handle, not a
+    /// copy — as a Java instance points at its `Class` instead of
+    /// holding its field names. A `&str` or `String` is copied once.
+    pub fn new(type_name: impl Into<Arc<str>>) -> Self {
         StructValue::with_capacity(type_name, 0)
     }
 
     /// Creates an empty struct with room for `fields` fields, for
     /// builders that know the count up front (the SOAP decoder knows the
     /// declared field count, the reflection copier the present one).
-    pub fn with_capacity(type_name: impl Into<String>, fields: usize) -> Self {
+    pub fn with_capacity(type_name: impl Into<Arc<str>>, fields: usize) -> Self {
         StructValue {
             node: Arc::new(StructNode {
                 type_name: type_name.into(),
@@ -301,6 +306,11 @@ impl StructValue {
         &self.node.type_name
     }
 
+    /// The shared handle behind [`type_name`](StructValue::type_name).
+    pub fn shared_type_name(&self) -> &Arc<str> {
+        &self.node.type_name
+    }
+
     /// Whether `self` and `other` are handles on the same node — what a
     /// clone is until one of the two is written through.
     pub fn ptr_eq(&self, other: &StructValue) -> bool {
@@ -308,14 +318,14 @@ impl StructValue {
     }
 
     fn position(&self, name: &str) -> Option<usize> {
-        self.node.fields.iter().position(|(n, _)| n == name)
+        self.node.fields.iter().position(|(n, _)| &**n == name)
     }
 
     /// Appends a field the caller knows is not present yet, skipping the
     /// name scan [`set`](StructValue::set) pays. Appending a name that
     /// is present would break the one-value-per-name invariant every
     /// accessor relies on; debug builds check it.
-    pub fn push_new(&mut self, name: impl Into<String>, value: impl Into<Value>) {
+    pub fn push_new(&mut self, name: impl Into<Arc<str>>, value: impl Into<Value>) {
         let name = name.into();
         debug_assert!(
             self.get(&name).is_none(),
@@ -327,20 +337,21 @@ impl StructValue {
     }
 
     /// Builder-style field setter.
-    pub fn with(mut self, name: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, name: impl AsRef<str> + Into<Arc<str>>, value: impl Into<Value>) -> Self {
         self.set(name, value);
         self
     }
 
     /// Sets a field ("setter method"), replacing any existing value.
-    pub fn set(&mut self, name: impl Into<String>, value: impl Into<Value>) {
-        let name = name.into();
+    /// The name is converted (a `&str` copied) only when the field is
+    /// new.
+    pub fn set(&mut self, name: impl AsRef<str> + Into<Arc<str>>, value: impl Into<Value>) {
         let value = value.into();
-        let at = self.position(&name);
+        let at = self.position(name.as_ref());
         let fields = &mut Arc::make_mut(&mut self.node).fields;
         match at {
             Some(at) => fields[at].1 = value,
-            None => fields.push((name, value)),
+            None => fields.push((name.into(), value)),
         }
     }
 
@@ -349,7 +360,7 @@ impl StructValue {
         self.node
             .fields
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| &**n == name)
             .map(|(_, v)| v)
     }
 
@@ -384,7 +395,13 @@ impl StructValue {
 
     /// Iterates `(name, value)` pairs in declaration order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.node.fields.iter().map(|(n, v)| (n.as_str(), v))
+        self.node.fields.iter().map(|(n, v)| (&**n, v))
+    }
+
+    /// [`fields`](StructValue::fields) with the shared handle behind
+    /// each name.
+    pub fn shared_fields(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
+        self.node.fields.iter().map(|(n, v)| (n, v))
     }
 
     /// Iterates mutably over `(name, value)` pairs, copying this
@@ -393,7 +410,7 @@ impl StructValue {
         Arc::make_mut(&mut self.node)
             .fields
             .iter_mut()
-            .map(|(n, v)| (n.as_str(), v))
+            .map(|(n, v)| (&**n, v))
     }
 
     /// A struct with a node of its own, the same type and field names,

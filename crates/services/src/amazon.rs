@@ -7,11 +7,11 @@
 
 use crate::dispatch::SoapService;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
-use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
-use wsrc_model::value::{StructValue, Value};
+use wsrc_model::typeinfo::{FieldDescriptor, FieldType, StructPlan, TypeDescriptor, TypeRegistry};
+use wsrc_model::value::Value;
 use wsrc_soap::rpc::{OperationDescriptor, RpcRequest};
 use wsrc_soap::SoapFault;
 
@@ -56,33 +56,43 @@ pub const CART_OPERATIONS: [&str; 6] = [
 
 /// The registry for Amazon responses.
 pub fn registry() -> TypeRegistry {
-    TypeRegistry::builder()
-        .register(TypeDescriptor::new(
-            "ProductInfo",
-            vec![
-                FieldDescriptor::new("asin", FieldType::String),
-                FieldDescriptor::new("productName", FieldType::String),
-                FieldDescriptor::new("ourPrice", FieldType::String),
-            ],
-        ))
-        .register(TypeDescriptor::new(
-            "SearchResultPage",
-            vec![
-                FieldDescriptor::new("totalResults", FieldType::Int),
-                FieldDescriptor::new(
-                    "details",
-                    FieldType::ArrayOf(Box::new(FieldType::Struct("ProductInfo".into()))),
-                ),
-            ],
-        ))
-        .register(TypeDescriptor::new(
-            "ShoppingCart",
-            vec![
-                FieldDescriptor::new("cartId", FieldType::String),
-                FieldDescriptor::new("items", FieldType::ArrayOf(Box::new(FieldType::String))),
-            ],
-        ))
-        .build()
+    // Built once per process: every response the service builds shares
+    // the descriptors' names with every registry handed out here.
+    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            TypeRegistry::builder()
+                .register(TypeDescriptor::new(
+                    "ProductInfo",
+                    vec![
+                        FieldDescriptor::new("asin", FieldType::String),
+                        FieldDescriptor::new("productName", FieldType::String),
+                        FieldDescriptor::new("ourPrice", FieldType::String),
+                    ],
+                ))
+                .register(TypeDescriptor::new(
+                    "SearchResultPage",
+                    vec![
+                        FieldDescriptor::new("totalResults", FieldType::Int),
+                        FieldDescriptor::new(
+                            "details",
+                            FieldType::ArrayOf(Box::new(FieldType::Struct("ProductInfo".into()))),
+                        ),
+                    ],
+                ))
+                .register(TypeDescriptor::new(
+                    "ShoppingCart",
+                    vec![
+                        FieldDescriptor::new("cartId", FieldType::String),
+                        FieldDescriptor::new(
+                            "items",
+                            FieldType::ArrayOf(Box::new(FieldType::String)),
+                        ),
+                    ],
+                ))
+                .build()
+        })
+        .clone()
 }
 
 /// Operation descriptors for all 26 operations.
@@ -143,36 +153,45 @@ impl AmazonService {
 
     fn search(&self, operation: &str, keyword: &str, page: i32) -> Value {
         // Deterministic page of 5 products derived from the inputs.
+        let types = registry();
+        let product = plan(&types, "ProductInfo");
         let mut details = Vec::with_capacity(5);
         for i in 0..5 {
             let asin = stable_hash(&format!("{operation}|{keyword}|{page}|{i}"));
-            details.push(Value::Struct(
-                StructValue::new("ProductInfo")
-                    .with("asin", format!("B{asin:010}"))
-                    .with(
-                        "productName",
-                        format!("{keyword} ({operation} result {})", page * 5 + i),
-                    )
-                    .with("ourPrice", format!("${}.{:02}", 5 + asin % 95, asin % 100)),
-            ));
+            details.push(Value::Struct(product.instantiate([
+                ("asin", format!("B{asin:010}").into()),
+                (
+                    "productName",
+                    format!("{keyword} ({operation} result {})", page * 5 + i).into(),
+                ),
+                (
+                    "ourPrice",
+                    format!("${}.{:02}", 5 + asin % 95, asin % 100).into(),
+                ),
+            ])));
         }
-        Value::Struct(
-            StructValue::new("SearchResultPage")
-                .with("totalResults", 500 + (stable_hash(keyword) % 10_000) as i32)
-                .with("details", Value::Array(details.into())),
-        )
+        Value::Struct(plan(&types, "SearchResultPage").instantiate([
+            (
+                "totalResults",
+                (500 + (stable_hash(keyword) % 10_000) as i32).into(),
+            ),
+            ("details", details.into()),
+        ]))
     }
 
     fn cart_value(&self, cart_id: &str, items: &[String]) -> Value {
-        Value::Struct(
-            StructValue::new("ShoppingCart")
-                .with("cartId", cart_id)
-                .with(
-                    "items",
-                    Value::Array(items.iter().map(Value::string).collect()),
-                ),
-        )
+        Value::Struct(plan(&registry(), "ShoppingCart").instantiate([
+            ("cartId", cart_id.into()),
+            (
+                "items",
+                Value::Array(items.iter().map(Value::string).collect()),
+            ),
+        ]))
     }
+}
+
+fn plan<'r>(types: &'r TypeRegistry, name: &str) -> &'r StructPlan {
+    types.plan(name).expect("every response type is registered")
 }
 
 fn stable_hash(text: &str) -> u64 {

@@ -6,6 +6,7 @@
 //! land near the paper's Table 9 (CachedPage and GoogleSearch responses
 //! around 5 KB of XML, SpellingSuggestion around 0.5 KB).
 
+use wsrc_model::typeinfo::StructPlan;
 use wsrc_model::value::{StructValue, Value};
 
 /// Deterministic response generator.
@@ -160,58 +161,88 @@ impl Corpus {
     /// `doGoogleSearch`: a deterministic, fully-populated
     /// `GoogleSearchResult`. Large and complex.
     pub fn search_result(&self, q: &str, start: i32, max_results: i32) -> StructValue {
+        // The response's structs carry the registry's own type and
+        // field names.
+        let types = super::registry();
+        let plan = |name: &str| types.plan(name).expect("every Google type is registered");
+        let (result, element, category) = (
+            plan("GoogleSearchResult"),
+            plan("ResultElement"),
+            plan("DirectoryCategory"),
+        );
         let mut rng = Rng::seeded(q);
         let count = max_results.clamp(0, self.max_page_size);
         let estimated = 1_000 + rng.below(1_000_000) as i32;
         let mut elements = Vec::with_capacity(count as usize);
         for i in 0..count {
-            elements.push(Value::Struct(self.result_element(&mut rng, q, start + i)));
+            elements.push(Value::Struct(result_element(
+                element,
+                category,
+                &mut rng,
+                q,
+                start + i,
+            )));
         }
         let mut categories = Vec::new();
         for _ in 0..2 {
-            categories.push(Value::Struct(directory_category(&mut rng)));
+            categories.push(Value::Struct(directory_category(category, &mut rng)));
         }
-        StructValue::new("GoogleSearchResult")
-            .with("documentFiltering", rng.below(2) == 0)
-            .with("searchComments", "")
-            .with("estimatedTotalResultsCount", estimated)
-            .with("estimateIsExact", false)
-            .with("resultElements", Value::Array(elements.into()))
-            .with("searchQuery", q)
-            .with("startIndex", start)
-            .with("endIndex", start + count)
-            .with("searchTips", "")
-            .with("directoryCategories", Value::Array(categories.into()))
-            .with("searchTime", (rng.below(400_000) as f64) / 1_000_000.0)
-    }
-
-    fn result_element(&self, rng: &mut Rng, q: &str, rank: i32) -> StructValue {
-        let domain = DOMAINS[rng.below(DOMAINS.len() as u64) as usize];
-        let slug = rng.sentence(2).replace(' ', "-");
-        StructValue::new("ResultElement")
-            .with("summary", rng.sentence(5))
-            .with("URL", format!("http://{domain}/{slug}?r={rank}"))
-            .with(
-                "snippet",
-                format!("...{} <b>{}</b> {}...", rng.sentence(3), q, rng.sentence(3)),
-            )
-            .with("title", rng.sentence(3))
-            .with("cachedSize", format!("{}k", 1 + rng.below(90)))
-            .with("relatedInformationPresent", rng.below(2) == 0)
-            .with("hostName", domain)
-            .with("directoryCategory", Value::Struct(directory_category(rng)))
-            .with("directoryTitle", rng.sentence(2))
-            .with("language", "en")
+        result.instantiate([
+            ("documentFiltering", (rng.below(2) == 0).into()),
+            ("searchComments", "".into()),
+            ("estimatedTotalResultsCount", estimated.into()),
+            ("estimateIsExact", false.into()),
+            ("resultElements", elements.into()),
+            ("searchQuery", q.into()),
+            ("startIndex", start.into()),
+            ("endIndex", (start + count).into()),
+            ("searchTips", "".into()),
+            ("directoryCategories", categories.into()),
+            (
+                "searchTime",
+                ((rng.below(400_000) as f64) / 1_000_000.0).into(),
+            ),
+        ])
     }
 }
 
-fn directory_category(rng: &mut Rng) -> StructValue {
-    StructValue::new("DirectoryCategory")
-        .with(
+fn result_element(
+    element: &StructPlan,
+    category: &StructPlan,
+    rng: &mut Rng,
+    q: &str,
+    rank: i32,
+) -> StructValue {
+    let domain = DOMAINS[rng.below(DOMAINS.len() as u64) as usize];
+    let slug = rng.sentence(2).replace(' ', "-");
+    element.instantiate([
+        ("summary", rng.sentence(5).into()),
+        ("URL", format!("http://{domain}/{slug}?r={rank}").into()),
+        (
+            "snippet",
+            format!("...{} <b>{}</b> {}...", rng.sentence(3), q, rng.sentence(3)).into(),
+        ),
+        ("title", rng.sentence(3).into()),
+        ("cachedSize", format!("{}k", 1 + rng.below(90)).into()),
+        ("relatedInformationPresent", (rng.below(2) == 0).into()),
+        ("hostName", domain.into()),
+        (
+            "directoryCategory",
+            Value::Struct(directory_category(category, rng)),
+        ),
+        ("directoryTitle", rng.sentence(2).into()),
+        ("language", "en".into()),
+    ])
+}
+
+fn directory_category(category: &StructPlan, rng: &mut Rng) -> StructValue {
+    category.instantiate([
+        (
             "fullViewableName",
-            CATEGORIES[rng.below(CATEGORIES.len() as u64) as usize],
-        )
-        .with("specialEncoding", "")
+            CATEGORIES[rng.below(CATEGORIES.len() as u64) as usize].into(),
+        ),
+        ("specialEncoding", "".into()),
+    ])
 }
 
 #[cfg(test)]

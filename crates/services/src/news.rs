@@ -2,10 +2,11 @@
 //! motivating portal scenario.
 
 use crate::dispatch::SoapService;
+use std::sync::OnceLock;
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
-use wsrc_model::value::{StructValue, Value};
+use wsrc_model::value::Value;
 use wsrc_soap::rpc::{OperationDescriptor, RpcRequest};
 use wsrc_soap::SoapFault;
 
@@ -16,17 +17,24 @@ pub const PATH: &str = "/soap/news";
 
 /// Registry for headline responses.
 pub fn registry() -> TypeRegistry {
-    TypeRegistry::builder()
-        .register(TypeDescriptor::new(
-            "Headline",
-            vec![
-                FieldDescriptor::new("title", FieldType::String),
-                FieldDescriptor::new("source", FieldType::String),
-                FieldDescriptor::new("ageMinutes", FieldType::Int),
-                FieldDescriptor::new("url", FieldType::String),
-            ],
-        ))
-        .build()
+    // Built once per process: every response the service builds shares
+    // the descriptors' names with every registry handed out here.
+    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            TypeRegistry::builder()
+                .register(TypeDescriptor::new(
+                    "Headline",
+                    vec![
+                        FieldDescriptor::new("title", FieldType::String),
+                        FieldDescriptor::new("source", FieldType::String),
+                        FieldDescriptor::new("ageMinutes", FieldType::Int),
+                        FieldDescriptor::new("url", FieldType::String),
+                    ],
+                ))
+                .build()
+        })
+        .clone()
 }
 
 /// The single operation: `getHeadlines(topic, max)`.
@@ -123,19 +131,23 @@ impl SoapService for NewsService {
             h ^= b as u64;
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
+        let types = registry();
+        let headline = types.plan("Headline").expect("Headline is registered");
         let headlines: Vec<Value> = (0..max)
             .map(|i| {
                 let k = h.wrapping_add(i as u64 * 0x9e37_79b9);
                 let verb = VERBS[(k % VERBS.len() as u64) as usize];
                 let object = OBJECTS[((k >> 8) % OBJECTS.len() as u64) as usize];
                 let source = SOURCES[((k >> 16) % SOURCES.len() as u64) as usize];
-                Value::Struct(
-                    StructValue::new("Headline")
-                        .with("title", format!("{topic} {verb} {object}"))
-                        .with("source", source)
-                        .with("ageMinutes", ((k >> 24) % 600) as i32)
-                        .with("url", format!("http://{source}/story/{}", k % 100_000)),
-                )
+                Value::Struct(headline.instantiate([
+                    ("title", format!("{topic} {verb} {object}").into()),
+                    ("source", source.into()),
+                    ("ageMinutes", (((k >> 24) % 600) as i32).into()),
+                    (
+                        "url",
+                        format!("http://{source}/story/{}", k % 100_000).into(),
+                    ),
+                ]))
             })
             .collect();
         Ok(Value::Array(headlines.into()))

@@ -8,6 +8,7 @@
 
 use crate::dispatch::SoapService;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
@@ -22,18 +23,25 @@ pub const PATH: &str = "/soap/stock";
 
 /// Registry for quote responses.
 pub fn registry() -> TypeRegistry {
-    TypeRegistry::builder()
-        .register(TypeDescriptor::new(
-            "Quote",
-            vec![
-                FieldDescriptor::new("symbol", FieldType::String),
-                FieldDescriptor::new("price", FieldType::Double),
-                FieldDescriptor::new("change", FieldType::Double),
-                FieldDescriptor::new("volume", FieldType::Long),
-                FieldDescriptor::new("tick", FieldType::Long),
-            ],
-        ))
-        .build()
+    // Built once per process: every response the service builds shares
+    // the descriptors' names with every registry handed out here.
+    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
+    REGISTRY
+        .get_or_init(|| {
+            TypeRegistry::builder()
+                .register(TypeDescriptor::new(
+                    "Quote",
+                    vec![
+                        FieldDescriptor::new("symbol", FieldType::String),
+                        FieldDescriptor::new("price", FieldType::Double),
+                        FieldDescriptor::new("change", FieldType::Double),
+                        FieldDescriptor::new("volume", FieldType::Long),
+                        FieldDescriptor::new("tick", FieldType::Long),
+                    ],
+                ))
+                .build()
+        })
+        .clone()
 }
 
 /// The operations: `getQuote(symbol)` and `getQuotes(symbols…)` via a
@@ -102,12 +110,16 @@ impl StockQuoteService {
         }
         let base = 10.0 + (h % 99_000) as f64 / 100.0;
         let change = ((h >> 16) % 2001) as f64 / 100.0 - 10.0;
-        StructValue::new("Quote")
-            .with("symbol", symbol.to_uppercase())
-            .with("price", (base * 100.0).round() / 100.0)
-            .with("change", (change * 100.0).round() / 100.0)
-            .with("volume", ((h >> 8) % 10_000_000) as i64)
-            .with("tick", tick as i64)
+        registry()
+            .plan("Quote")
+            .expect("Quote is registered")
+            .instantiate([
+                ("symbol", symbol.to_uppercase().into()),
+                ("price", ((base * 100.0).round() / 100.0).into()),
+                ("change", ((change * 100.0).round() / 100.0).into()),
+                ("volume", (((h >> 8) % 10_000_000) as i64).into()),
+                ("tick", (tick as i64).into()),
+            ])
     }
 }
 

@@ -13,9 +13,11 @@
 //! its slot in the parent, children of a registered struct are resolved
 //! by probing the next declared slot, and all character data lands in
 //! one buffer shared by the whole document. Nothing is looked up by name
-//! and no `FieldType` or type name is cloned for a typed element; the
-//! `xsi:type`-driven path for untyped elements pays one registry probe
-//! per dynamic struct.
+//! and no `FieldType` is cloned for a typed element; the type name and
+//! field names of a decoded struct are the registry descriptor's own
+//! `Arc<str>` handles (undeclared fields share the parser's interned
+//! symbol), so a decode allocates no name. The `xsi:type`-driven path
+//! for untyped elements pays one registry probe per dynamic struct.
 //!
 //! [`read_response_dom`] walks a parsed tree instead and shares no code
 //! with the reader beyond scalar parsing — the reference the differential
@@ -28,6 +30,7 @@ use crate::envelope;
 use crate::error::SoapError;
 use crate::fault::SoapFault;
 use crate::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
+use std::sync::Arc;
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, Kind, StructPlan, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 use wsrc_xml::event::SaxEventSequence;
@@ -332,7 +335,7 @@ impl<'r> ResponseReader<'r> {
                 element: kind.element(),
             },
             Some((kind, FieldType::Struct(type_name))) => {
-                Container::new_struct(type_name.clone(), kind.struct_plan())
+                Container::new_struct(type_name, kind.struct_plan())
             }
             _ => {
                 // Untyped (or declared scalar, yet with children): arrays
@@ -349,9 +352,8 @@ impl<'r> ResponseReader<'r> {
                         element: None,
                     }
                 } else {
-                    let type_name = xsi.unwrap_or(frame.origin.name()).to_string();
-                    let plan = self.registry.plan(&type_name);
-                    Container::new_struct(type_name, plan)
+                    let type_name = xsi.unwrap_or(frame.origin.name());
+                    Container::new_struct(type_name, self.registry.plan(type_name))
                 }
             }
         };
@@ -409,6 +411,14 @@ impl<'r> ResponseReader<'r> {
                     }
                 };
                 let text = &self.text[frame.text_start as usize..];
+                // An empty element of a registered struct type: an empty
+                // instance under the descriptor's own name.
+                if let Some(plan) = frame.kind.and_then(|k| k.struct_plan()) {
+                    if text.trim().is_empty() {
+                        let name = plan.descriptor().name.clone();
+                        return Ok(Value::Struct(StructValue::new(name)));
+                    }
+                }
                 parse_scalar(text, effective, frame.origin.name())
             }
         }
@@ -434,7 +444,7 @@ impl<'r> ResponseReader<'r> {
                 Origin::Wire(name) => {
                     // An undeclared name may equal a declared field's.
                     *scan = true;
-                    parent.set(name.as_str().to_string(), value);
+                    parent.set(name.shared_str().clone(), value);
                 }
             },
             None => {
@@ -457,8 +467,14 @@ impl Frame<'_> {
 }
 
 impl<'r> Container<'r> {
-    fn new_struct(type_name: String, plan: Option<&'r StructPlan>) -> Self {
+    /// A struct of type `type_name`, which `plan` (when registered)
+    /// describes: the value then carries the descriptor's own name.
+    fn new_struct(type_name: &str, plan: Option<&'r StructPlan>) -> Self {
         let declared = plan.map_or(0, |p| p.descriptor().fields.len());
+        let type_name = match plan {
+            Some(plan) => plan.descriptor().name.clone(),
+            None => Arc::from(type_name),
+        };
         Container::Struct {
             value: StructValue::with_capacity(type_name, declared),
             plan,
@@ -528,7 +544,7 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
         Some(FieldType::Bytes) => base64::decode(text.trim()).map(Value::from),
         // Empty element of struct/array type is an empty instance.
         Some(FieldType::Struct(name)) if text.trim().is_empty() => {
-            Ok(Value::Struct(StructValue::new(name.clone())))
+            Ok(Value::Struct(StructValue::new(name.as_str())))
         }
         Some(FieldType::ArrayOf(_)) if text.trim().is_empty() => {
             Ok(Value::Array(Vec::new().into()))
@@ -840,15 +856,18 @@ pub fn element_to_value(
             Ok(Value::Array(items.into()))
         }
         Some(FieldType::Struct(type_name)) => {
-            let mut s = StructValue::new(type_name.clone());
             let descriptor = registry.get(&type_name);
+            let mut s = StructValue::new(match descriptor {
+                Some(d) => d.name.clone(),
+                None => Arc::from(type_name.as_str()),
+            });
             for c in children {
                 let xml_name = c.name.local_part();
                 let field = descriptor.and_then(|d| d.field_by_xml_name(xml_name));
                 let fv = element_to_value(c, field.map(|f| &f.field_type), registry)?;
                 let fname = field
                     .map(|f| f.name.clone())
-                    .unwrap_or_else(|| xml_name.to_string());
+                    .unwrap_or_else(|| Arc::from(xml_name));
                 s.set(fname, fv);
             }
             Ok(Value::Struct(s))

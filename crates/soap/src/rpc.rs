@@ -109,7 +109,7 @@ impl OperationDescriptor {
 
     /// Looks up a parameter descriptor by name.
     pub fn param(&self, name: &str) -> Option<&FieldDescriptor> {
-        self.params.iter().find(|p| p.name == name)
+        self.params.iter().find(|p| &*p.name == name)
     }
 
     /// Validates that a request matches this descriptor (same operation,

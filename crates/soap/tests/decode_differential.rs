@@ -362,7 +362,7 @@ impl Writer<'_> {
             .get(self.rng.below(descriptor.fields.len().max(1)))
             .map(|f| f.name.clone())
             .filter(|n| self.rng.one_in(2) && !taken(n));
-        let name = candidate.unwrap_or_else(|| "undeclared".to_string());
+        let name = candidate.unwrap_or_else(|| "undeclared".into());
         self.untyped(&name, depth);
     }
 

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             op.name,
             op.params
                 .iter()
-                .map(|p| p.name.as_str())
+                .map(|p| &*p.name)
                 .collect::<Vec<_>>()
                 .join(", "),
             op.return_type
