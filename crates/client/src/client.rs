@@ -207,7 +207,9 @@ impl ServiceClient {
         ValueHandle::Owned(value)
     }
 
-    /// Invokes and unwraps to an owned value (cloning shared hits).
+    /// Invokes and unwraps the handle to a value the caller may write
+    /// to. Nothing is copied, even on a shared hit: the value's nodes
+    /// are copy-on-write.
     ///
     /// # Errors
     ///

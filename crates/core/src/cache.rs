@@ -328,15 +328,17 @@ impl ResponseCache {
     ///
     /// Precedence: forced
     /// ([`with_representation`](OperationPolicy::with_representation)),
-    /// else adaptive if installed, else the §6 table. The returned mode
-    /// is `None` for the table (no decision counter is recorded for it).
+    /// else adaptive if installed, else the §6 pick over the candidate
+    /// set — the shared object, which every value supports. The returned
+    /// mode is `None` for that pick (no decision counter is recorded for
+    /// it).
     fn build_entry(
         &self,
         operation: &str,
         policy: &OperationPolicy,
         data: ResponseData<'_>,
     ) -> Option<(CacheEntry, ValueRepresentation, Option<SelectionMode>)> {
-        let candidates = candidate_representations(data.value, &self.registry, policy.read_only);
+        let candidates = candidate_representations(data.value, &self.registry);
         let (preferred, mode) = if let Some(forced) = policy.representation {
             (forced, Some(SelectionMode::Forced))
         } else if let Some(ad) = &self.adaptive {
@@ -729,11 +731,11 @@ mod tests {
     }
 
     #[test]
-    fn paper_table_picks_reflection_for_beans() {
+    fn the_default_pick_is_the_shared_object() {
         let cache = cacheable_cache();
         let f = fixture();
         let repr = cache.insert(URL, &request(), data(&f)).unwrap();
-        assert_eq!(repr, ValueRepresentation::ReflectionCopy);
+        assert_eq!(repr, ValueRepresentation::PassByReference);
     }
 
     #[test]
@@ -791,14 +793,8 @@ mod tests {
     }
 
     #[test]
-    fn read_only_policy_shares_by_reference() {
-        let cache = ResponseCache::builder(registry())
-            .policy(CachePolicy::new().with(
-                "getItem",
-                OperationPolicy::cacheable(Duration::from_secs(60)).with_read_only(),
-            ))
-            .clock(ManualClock::new())
-            .build();
+    fn the_default_shares_and_a_write_through_a_hit_is_invisible_to_the_next() {
+        let cache = cacheable_cache();
         let f = fixture();
         assert_eq!(
             cache.insert(URL, &request(), data(&f)),
@@ -806,6 +802,15 @@ mod tests {
         );
         let hit = cache.lookup(URL, &request(), &f.expected).unwrap();
         assert!(hit.is_shared());
+        // The hit is the tree the miss decoded, not a copy of it…
+        let cached = hit.as_value().as_struct().unwrap();
+        assert!(cached.ptr_eq(f.value.as_struct().unwrap()));
+        // …and it is the caller's to write to.
+        let mut mine = hit.into_value();
+        mine.as_struct_mut().unwrap().set("qty", 999);
+        assert_ne!(mine, f.value);
+        let next = cache.lookup(URL, &request(), &f.expected).unwrap();
+        assert_eq!(next.as_value(), &f.value);
     }
 
     #[test]

@@ -10,28 +10,46 @@
 //! | bean-type / array-type                    | copy by reflection|
 //! | serializable                              | Java serialization|
 //! | anything else                             | SAX event sequence|
+//!
+//! The table is about Java objects, where sharing a mutable object lets
+//! one holder's write reach the other. [`paper_choice`] reproduces it
+//! for the paper's tables. The cache itself picks over
+//! [`candidate_representations`], where every value is shareable — a
+//! [`Value`] tree is copy-on-write — so rule a) always applies and the
+//! copy forms are never candidates.
 
 use crate::repr::ValueRepresentation;
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 
-/// The §6 table: the representation the paper picks for `value`.
-/// `read_only` is the administrator's assertion from the operation
-/// policy (§4.2.4).
+/// The §6 table as the paper states it, for a Java object graph shaped
+/// like `value`: `shareable` says whether aliasing it is known to be
+/// harmless beyond what its type shows (the paper's read-only assertion,
+/// §4.2.4). Used by `reproduce`, the examples and the tests that check
+/// the paper's configuration; the cache does not consult it.
 pub fn paper_choice(
     value: &Value,
     registry: &TypeRegistry,
-    read_only: bool,
+    shareable: bool,
 ) -> ValueRepresentation {
-    paper_pick(&candidate_representations(value, registry, read_only))
+    let supports = registry.deep_capabilities(value);
+    let mut applicable = Vec::with_capacity(3);
+    if shareable || value.is_deeply_immutable() {
+        applicable.push(ValueRepresentation::PassByReference);
+    }
+    if supports.reflect_copyable {
+        applicable.push(ValueRepresentation::ReflectionCopy);
+    }
+    if supports.serializable {
+        applicable.push(ValueRepresentation::Serialization);
+    }
+    paper_pick(&applicable)
 }
 
 /// The §6 table applied to a set of applicable representations: rules
-/// a) to d) are a preference order over what the object supports, and
-/// [`candidate_representations`] already says what that is (sharing
-/// needs immutability or the read-only assertion, reflection a bean or
-/// array type, serialization a serializable one; SAX events always
-/// apply).
+/// a) to d) are a preference order over what the object supports
+/// (sharing, reflection needing a bean or array type, serialization a
+/// serializable one; SAX events always apply).
 pub(crate) fn paper_pick(candidates: &[ValueRepresentation]) -> ValueRepresentation {
     [
         ValueRepresentation::PassByReference,
@@ -45,36 +63,26 @@ pub(crate) fn paper_pick(candidates: &[ValueRepresentation]) -> ValueRepresentat
 
 /// Every representation `value` supports that is worth choosing — the
 /// candidate set the adaptive policy scores and the targets an entry
-/// may be converted to (the paper's Table 7 column minus its "n/a"
-/// cells). The XML message and SAX events apply to any response; the
-/// application-object forms require the matching registry capability,
-/// and pass-by-reference additionally requires immutability or the
-/// administrator's read-only assertion. The DOM tree is left out: SAX
-/// events beat it on build cost, retrieve cost and size alike, so it is
-/// only ever stored when forced. Ordered as
+/// may be converted to. The XML message, the SAX events and the shared
+/// object apply to any response; serialization requires the registry
+/// capability. Three forms are left out because a candidate beats each
+/// on build cost, retrieve cost and size alike, so they are only ever
+/// stored when forced: the DOM tree (by SAX events) and the reflection
+/// and clone copies (by the shared object — same accounted size, and it
+/// skips both the store-time and the per-hit copy). Ordered as
 /// [`ValueRepresentation::ALL_EXTENDED`].
 pub fn candidate_representations(
     value: &Value,
     registry: &TypeRegistry,
-    read_only: bool,
 ) -> Vec<ValueRepresentation> {
     let mut out = vec![
         ValueRepresentation::XmlMessage,
         ValueRepresentation::SaxEvents,
     ];
-    let supports = registry.deep_capabilities(value);
-    if supports.serializable {
+    if registry.deep_capabilities(value).serializable {
         out.push(ValueRepresentation::Serialization);
     }
-    if supports.reflect_copyable {
-        out.push(ValueRepresentation::ReflectionCopy);
-    }
-    if supports.cloneable {
-        out.push(ValueRepresentation::CloneCopy);
-    }
-    if value.is_deeply_immutable() || read_only {
-        out.push(ValueRepresentation::PassByReference);
-    }
+    out.push(ValueRepresentation::PassByReference);
     out
 }
 
@@ -169,32 +177,40 @@ mod tests {
     }
 
     #[test]
-    fn candidate_sets_track_capabilities() {
+    fn candidate_sets_hold_one_object_form() {
         let r = registry();
         let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
-        let c = candidate_representations(&bean, &r, false);
-        assert!(c.contains(&ValueRepresentation::XmlMessage));
-        assert!(c.contains(&ValueRepresentation::SaxEvents));
-        assert!(c.contains(&ValueRepresentation::ReflectionCopy));
-        assert!(c.contains(&ValueRepresentation::CloneCopy));
-        assert!(!c.contains(&ValueRepresentation::PassByReference));
-        // The read-only assertion unlocks sharing for the same object.
-        assert!(candidate_representations(&bean, &r, true)
-            .contains(&ValueRepresentation::PassByReference));
-        // Immutables share without any assertion; no object copies.
-        let s = candidate_representations(&Value::string("x"), &r, false);
-        assert!(s.contains(&ValueRepresentation::PassByReference));
-        assert!(!s.contains(&ValueRepresentation::ReflectionCopy));
-        // Opaque types still have the XML message and the events; the
-        // dominated DOM tree is never a candidate.
-        let o = candidate_representations(&Value::Struct(StructValue::new("Opaque")), &r, false);
         assert_eq!(
-            o,
+            candidate_representations(&bean, &r),
             vec![
                 ValueRepresentation::XmlMessage,
                 ValueRepresentation::SaxEvents,
+                ValueRepresentation::Serialization,
+                ValueRepresentation::PassByReference,
             ]
         );
-        assert!(!c.contains(&ValueRepresentation::DomTree));
+        // Opaque types lose serialization only: sharing needs nothing
+        // of the type. The dominated forms are never candidates.
+        let opaque = Value::Struct(StructValue::new("Opaque"));
+        assert_eq!(
+            candidate_representations(&opaque, &r),
+            vec![
+                ValueRepresentation::XmlMessage,
+                ValueRepresentation::SaxEvents,
+                ValueRepresentation::PassByReference,
+            ]
+        );
+        // So the §6 pick over a candidate set is always the shared
+        // object, where the paper's Java table says reflection.
+        for value in [&bean, &opaque, &Value::string("x")] {
+            assert_eq!(
+                paper_pick(&candidate_representations(value, &r)),
+                ValueRepresentation::PassByReference
+            );
+        }
+        assert_eq!(
+            paper_choice(&bean, &r, false),
+            ValueRepresentation::ReflectionCopy
+        );
     }
 }

@@ -4,14 +4,16 @@
 //!
 //! "We suggest that these cache policies are configured by a client
 //! application administrator or deployer": each operation is declared
-//! cacheable or uncacheable, with a TTL, an optional read-only assertion
-//! (enabling pass-by-reference for mutable types, §4.2.4) and an optional
-//! fixed representation override.
+//! cacheable or uncacheable, with a TTL and an optional fixed
+//! representation override. The paper's third knob, the read-only
+//! assertion that lets a Java cache share a mutable object (§4.2.4), does
+//! not exist here: every value is copy-on-write, so sharing is always
+//! sound and there is nothing to assert.
 //!
 //! Selection precedence: forced
 //! ([`OperationPolicy::with_representation`]), else [`AdaptivePolicy`]
-//! if installed on the cache, else the §6 table
-//! ([`paper_choice`](crate::classify::paper_choice)).
+//! if installed on the cache, else the §6 pick over the
+//! [candidate set](crate::classify::candidate_representations).
 
 use crate::classify::paper_pick;
 use crate::repr::ValueRepresentation;
@@ -28,9 +30,6 @@ pub struct OperationPolicy {
     pub cacheable: bool,
     /// Time-to-live for cached responses.
     pub ttl: Duration,
-    /// Administrator's assertion that the client application never
-    /// mutates this operation's responses, enabling pass-by-reference.
-    pub read_only: bool,
     /// Force a specific representation instead of dynamic selection.
     pub representation: Option<ValueRepresentation>,
 }
@@ -41,7 +40,6 @@ impl OperationPolicy {
         OperationPolicy {
             cacheable: true,
             ttl,
-            read_only: false,
             representation: None,
         }
     }
@@ -51,15 +49,8 @@ impl OperationPolicy {
         OperationPolicy {
             cacheable: false,
             ttl: Duration::ZERO,
-            read_only: false,
             representation: None,
         }
-    }
-
-    /// Builder-style read-only assertion.
-    pub fn with_read_only(mut self) -> Self {
-        self.read_only = true;
-        self
     }
 
     /// Builder-style representation override.
@@ -143,7 +134,7 @@ impl CachePolicy {
     /// ```text
     /// # comment
     /// doGoogleSearch        cacheable ttl=3600s
-    /// doSpellingSuggestion  cacheable ttl=1h read-only
+    /// doSpellingSuggestion  cacheable ttl=1h
     /// AddShoppingCartItems  uncacheable
     /// doGetCachedPage       cacheable ttl=30m repr=reflection
     /// ```
@@ -151,7 +142,9 @@ impl CachePolicy {
     /// # Errors
     ///
     /// Returns a message naming the offending line for unknown verbs,
-    /// unparsable TTLs or unknown representations.
+    /// unparsable TTLs, unknown representations and unknown options —
+    /// among them `read-only`, which earlier versions accepted: it is
+    /// rejected with its reason rather than silently ignored.
     pub fn parse(text: &str) -> Result<CachePolicy, String> {
         let mut policy = CachePolicy::new();
         for (lineno, raw) in text.lines().enumerate() {
@@ -176,7 +169,12 @@ impl CachePolicy {
                     entry.ttl = parse_duration(ttl)
                         .ok_or_else(|| format!("line {}: bad ttl '{ttl}'", lineno + 1))?;
                 } else if opt == "read-only" {
-                    entry.read_only = true;
+                    return Err(format!(
+                        "line {}: 'read-only' is no longer an option: responses are \
+                         copy-on-write, so the cache shares every one without the assertion; \
+                         remove the token",
+                        lineno + 1
+                    ));
                 } else if let Some(repr) = opt.strip_prefix("repr=") {
                     entry.representation = Some(parse_repr(repr).ok_or_else(|| {
                         format!("line {}: unknown representation '{repr}'", lineno + 1)
@@ -564,7 +562,7 @@ mod tests {
         let text = "
             # Google operations — all cacheable (paper Table 1)
             doGoogleSearch        cacheable ttl=3600s
-            doSpellingSuggestion  cacheable ttl=1h read-only
+            doSpellingSuggestion  cacheable ttl=1h
             doGetCachedPage       cacheable ttl=30m repr=reflection
             AddShoppingCartItems  uncacheable
         ";
@@ -574,7 +572,6 @@ mod tests {
         assert!(search.cacheable);
         assert_eq!(search.ttl, Duration::from_secs(3600));
         let spell = p.for_operation("doSpellingSuggestion");
-        assert!(spell.read_only);
         assert_eq!(spell.ttl, Duration::from_secs(3600));
         let page = p.for_operation("doGetCachedPage");
         assert_eq!(
@@ -592,6 +589,15 @@ mod tests {
         assert!(CachePolicy::parse("op cacheable repr=psychic").is_err());
         assert!(CachePolicy::parse("op cacheable frobnicate").is_err());
         assert!(CachePolicy::parse("op").is_err());
+    }
+
+    #[test]
+    fn the_retired_read_only_token_is_rejected_with_its_reason() {
+        let text = "# policy\nsearch cacheable ttl=1h\nspell cacheable ttl=1h read-only\n";
+        let err = CachePolicy::parse(text).unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+        assert!(err.contains("'read-only' is no longer an option"), "{err}");
+        assert!(err.contains("copy-on-write"), "{err}");
     }
 
     #[test]
@@ -613,9 +619,8 @@ mod tests {
     #[test]
     fn builders_compose() {
         let p = OperationPolicy::cacheable(Duration::from_secs(1))
-            .with_read_only()
             .with_representation(ValueRepresentation::CloneCopy);
-        assert!(p.read_only);
+        assert!(p.cacheable);
         assert_eq!(p.representation, Some(ValueRepresentation::CloneCopy));
     }
 

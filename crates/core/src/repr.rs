@@ -31,13 +31,19 @@ pub enum ValueRepresentation {
     /// the bytes.
     Serialization,
     /// Cache the application object; a hit deep-copies it via run-time
-    /// introspection.
+    /// introspection. A measurement mode: never chosen, see
+    /// [`PassByReference`](ValueRepresentation::PassByReference).
     ReflectionCopy,
     /// Cache the application object; a hit deep-copies it via the
-    /// generated `clone()`.
+    /// generated `clone()`. A measurement mode, like `ReflectionCopy`.
     CloneCopy,
     /// Cache the application object and *share* it with the client
-    /// application — only sound for immutable or read-only objects.
+    /// application. In the paper's Java this is only sound for immutable
+    /// or asserted-read-only objects; here it is sound for every value,
+    /// because a [`Value`] tree is copy-on-write — whoever writes through
+    /// a shared node gets a node of their own — so this is the one
+    /// object form the cache picks and the two copy forms above remain
+    /// only so the paper's tables can measure what a copy costs.
     PassByReference,
     /// Cache the parsed DOM tree; a hit walks the tree into the
     /// application object. The paper's §3.3 names this as the
@@ -136,7 +142,7 @@ impl ValueRepresentation {
     }
 
     /// Whether this representation stores the application object itself
-    /// (and therefore must respect copy semantics, §3.1).
+    /// (the forms §3.1's copy semantics are about).
     pub fn stores_application_object(&self) -> bool {
         matches!(
             self,
@@ -185,37 +191,38 @@ pub enum StoredResponse {
     /// Binary-serialized application object.
     Serialized(Arc<[u8]>),
     /// Application object; retrieval copies by reflection.
-    ReflectionCopy(Arc<Value>),
+    ReflectionCopy(Value),
     /// Application object; retrieval copies via `clone()`.
-    CloneCopy(Arc<Value>),
-    /// Application object shared by reference.
-    SharedRef(Arc<Value>),
+    CloneCopy(Value),
+    /// Application object shared by reference: the tree the miss
+    /// decoded, not a copy of it.
+    SharedRef(Value),
 }
 
-/// The application object handed back on a cache hit: either a fresh copy
-/// the client owns, or a shared reference to the cached object.
+/// The application object handed back on a cache hit: either a fresh
+/// tree built for this hit, or the cached tree itself. Both are the
+/// caller's to keep and to write to — a write through a shared tree
+/// copies the nodes it touches first (see [`wsrc_model::value`]).
 #[derive(Debug, Clone)]
 pub enum ValueHandle {
-    /// A fresh, independent application object.
+    /// A fresh application object no one else holds.
     Owned(Value),
-    /// The cached object itself, shared (pass-by-reference).
-    Shared(Arc<Value>),
+    /// The cached object itself (pass-by-reference): a reference bump.
+    Shared(Value),
 }
 
 impl ValueHandle {
     /// Borrows the underlying value.
     pub fn as_value(&self) -> &Value {
         match self {
-            ValueHandle::Owned(v) => v,
-            ValueHandle::Shared(v) => v,
+            ValueHandle::Owned(v) | ValueHandle::Shared(v) => v,
         }
     }
 
-    /// Converts into an owned value, cloning when shared.
+    /// Converts into the value; nothing is copied either way.
     pub fn into_value(self) -> Value {
         match self {
-            ValueHandle::Owned(v) => v,
-            ValueHandle::Shared(v) => (*v).clone(),
+            ValueHandle::Owned(v) | ValueHandle::Shared(v) => v,
         }
     }
 
@@ -228,10 +235,12 @@ impl ValueHandle {
 impl StoredResponse {
     /// Builds a stored entry under `repr` from the artifacts of a miss.
     ///
-    /// Application-object representations copy (or serialize) the response
-    /// **at store time**, as §3.1 requires — the cache must not alias an
-    /// object the client application also holds, except under
-    /// pass-by-reference.
+    /// The reflection- and clone-copy representations copy the response
+    /// **at store time**, as §3.1 requires of a Java cache that must not
+    /// alias an object the client application also holds.
+    /// Pass-by-reference stores the decoded tree itself: the missing
+    /// caller and the cache share it, and copy-on-write keeps either
+    /// from seeing the other's writes.
     ///
     /// # Errors
     ///
@@ -282,15 +291,13 @@ impl StoredResponse {
             ValueRepresentation::ReflectionCopy => {
                 // Copy-on-store: the cache keeps its own private instance.
                 let copy = reflect::reflect_copy(value, registry)?;
-                Ok(StoredResponse::ReflectionCopy(Arc::new(copy)))
+                Ok(StoredResponse::ReflectionCopy(copy))
             }
             ValueRepresentation::CloneCopy => {
                 let copy = deep_clone::clone_copy(value, registry)?;
-                Ok(StoredResponse::CloneCopy(Arc::new(copy)))
+                Ok(StoredResponse::CloneCopy(copy))
             }
-            ValueRepresentation::PassByReference => {
-                Ok(StoredResponse::SharedRef(Arc::new(value.clone())))
-            }
+            ValueRepresentation::PassByReference => Ok(StoredResponse::SharedRef(value.clone())),
             ValueRepresentation::XmlMessage
             | ValueRepresentation::DomTree
             | ValueRepresentation::SaxEvents => Err(CacheError::Unusable(format!(
@@ -301,8 +308,9 @@ impl StoredResponse {
 
     /// Builds a stored entry under `repr` from an application object a
     /// hit just retrieved — what convert-on-hit has in hand. The object
-    /// forms copy `value` exactly as [`build`](StoredResponse::build)
-    /// does; the XML-derived forms re-serialize it as the response of
+    /// forms copy or share `value` exactly as
+    /// [`build`](StoredResponse::build) does; the XML-derived forms
+    /// re-serialize it as the response of
     /// `namespace`/`operation` and record the events once. The network
     /// is never contacted.
     ///
@@ -520,14 +528,9 @@ mod tests {
         let r = registry();
         let f = struct_fixture();
         let artifacts = f.artifacts();
-        for repr in [
-            ValueRepresentation::XmlMessage,
-            ValueRepresentation::DomTree,
-            ValueRepresentation::SaxEvents,
-            ValueRepresentation::Serialization,
-            ValueRepresentation::ReflectionCopy,
-            ValueRepresentation::CloneCopy,
-        ] {
+        // Every form, the shared one included: its hit is the cached
+        // tree itself, and the write below copies the node it lands on.
+        for repr in ValueRepresentation::ALL_EXTENDED {
             let stored = StoredResponse::build(repr, artifacts, &r).unwrap();
             let mut first = stored.retrieve(&f.expected, &r).unwrap().into_value();
             // Client mutates what it got back…
@@ -539,28 +542,74 @@ mod tests {
     }
 
     #[test]
-    fn store_time_copy_protects_against_later_mutation_of_the_response() {
+    fn the_stored_object_is_safe_from_later_mutation_of_the_response() {
         // §3.1: "The copy is required … at the time when the response
         // application objects from the server are stored into the cache."
+        // The copy forms make it; the shared form does not need one.
         let r = registry();
         let f = struct_fixture();
-        let mut live = f.value.clone();
-        let stored = StoredResponse::build(
+        for repr in [
             ValueRepresentation::ReflectionCopy,
-            MissArtifacts {
-                xml: &f.xml,
-                events: &f.events,
-                value: &live,
-            },
-            &r,
-        )
-        .unwrap();
-        // The client mutates the object it was handed after the cache
-        // stored it…
-        live.as_struct_mut().unwrap().set("qty", -1);
-        // …the cached copy is unaffected.
-        let got = stored.retrieve(&f.expected, &r).unwrap();
-        assert_eq!(got.as_value(), &f.value);
+            ValueRepresentation::CloneCopy,
+            ValueRepresentation::PassByReference,
+        ] {
+            let mut live = f.value.clone();
+            let stored = StoredResponse::build(
+                repr,
+                MissArtifacts {
+                    xml: &f.xml,
+                    events: &f.events,
+                    value: &live,
+                },
+                &r,
+            )
+            .unwrap();
+            // The client mutates the object it was handed after the
+            // cache stored it…
+            live.as_struct_mut().unwrap().set("qty", -1);
+            // …the cached object is unaffected.
+            let got = stored.retrieve(&f.expected, &r).unwrap();
+            assert_eq!(got.as_value(), &f.value, "{repr}");
+        }
+    }
+
+    #[test]
+    fn the_shared_form_stores_the_decoded_tree_itself() {
+        let r = registry();
+        let f = struct_fixture();
+        let stored =
+            StoredResponse::build(ValueRepresentation::PassByReference, f.artifacts(), &r).unwrap();
+        let StoredResponse::SharedRef(kept) = &stored else {
+            panic!("expected the shared form");
+        };
+        let miss = f.value.as_struct().unwrap();
+        assert!(kept.as_struct().unwrap().ptr_eq(miss), "no store-time copy");
+        // While the copy forms keep an instance of their own.
+        for repr in [
+            ValueRepresentation::ReflectionCopy,
+            ValueRepresentation::CloneCopy,
+        ] {
+            match StoredResponse::build(repr, f.artifacts(), &r).unwrap() {
+                StoredResponse::ReflectionCopy(kept) | StoredResponse::CloneCopy(kept) => {
+                    assert!(!kept.as_struct().unwrap().ptr_eq(miss), "{repr}");
+                }
+                other => panic!("{repr} built {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_three_object_forms_are_charged_alike() {
+        let r = registry();
+        let f = struct_fixture();
+        let size = |repr| {
+            StoredResponse::build(repr, f.artifacts(), &r)
+                .unwrap()
+                .approximate_size()
+        };
+        let shared = size(ValueRepresentation::PassByReference);
+        assert_eq!(size(ValueRepresentation::ReflectionCopy), shared);
+        assert_eq!(size(ValueRepresentation::CloneCopy), shared);
     }
 
     #[test]
@@ -680,7 +729,9 @@ mod tests {
         let h1 = stored.retrieve(&f.expected, &r).unwrap();
         let h2 = stored.retrieve(&f.expected, &r).unwrap();
         match (&h1, &h2) {
-            (ValueHandle::Shared(a), ValueHandle::Shared(b)) => assert!(Arc::ptr_eq(a, b)),
+            (ValueHandle::Shared(Value::Struct(a)), ValueHandle::Shared(Value::Struct(b))) => {
+                assert!(a.ptr_eq(b))
+            }
             _ => panic!("expected shared handles"),
         }
     }

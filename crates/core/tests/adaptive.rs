@@ -78,19 +78,19 @@ fn data(f: &Fixture) -> ResponseData<'_> {
 }
 
 /// A cache whose entries are forced to start as `XmlMessage`, with an
-/// adaptive policy seeded so that a conversion to `CloneCopy` is clearly
-/// worthwhile from the very first hit.
+/// adaptive policy seeded so that a conversion to the shared object is
+/// clearly worthwhile from the very first hit.
 fn convert_ready_cache() -> (ResponseCache, Arc<AdaptivePolicy>) {
     let adaptive = Arc::new(
         AdaptivePolicy::new()
             .with_size_weight(0)
             .with_convert_after_hits(1),
     );
-    // Retrieval from the stored XML is "slow", clone retrieval is
+    // Retrieval from the stored XML is "slow", the shared object is
     // "fast" and cheap to build: the payoff test passes at one hit.
     adaptive.record_retrieve(OP, ValueRepresentation::XmlMessage, SLOW);
-    adaptive.record_retrieve(OP, ValueRepresentation::CloneCopy, FAST);
-    adaptive.record_build(OP, ValueRepresentation::CloneCopy, FAST, 64);
+    adaptive.record_retrieve(OP, ValueRepresentation::PassByReference, FAST);
+    adaptive.record_build(OP, ValueRepresentation::PassByReference, FAST, 64);
     let cache = ResponseCache::builder(registry())
         .policy(
             CachePolicy::new().with(
@@ -113,12 +113,15 @@ fn convert_on_hit_happens_exactly_once() {
         cache.insert(URL, &request(), data(&f)),
         Some(ValueRepresentation::XmlMessage)
     );
-    // First hit serves the XML form and converts once to CloneCopy.
+    // First hit serves the XML form and converts once to the object.
     let hit = cache.lookup(URL, &request(), &f.expected).expect("hit");
     assert_eq!(hit.as_value(), &f.value);
     let stats = cache.stats();
     assert_eq!(stats.conversions, 1);
-    assert_eq!(stats.conversions_for(ValueRepresentation::CloneCopy), 1);
+    assert_eq!(
+        stats.conversions_for(ValueRepresentation::PassByReference),
+        1
+    );
     assert_eq!(stats.hits_for(ValueRepresentation::XmlMessage), 1);
     // Every further hit is served from the converted form; the counter
     // never moves again because the entry already holds the target.
@@ -128,14 +131,14 @@ fn convert_on_hit_happens_exactly_once() {
     }
     let stats = cache.stats();
     assert_eq!(stats.conversions, 1, "conversion must happen exactly once");
-    assert_eq!(stats.hits_for(ValueRepresentation::CloneCopy), 10);
+    assert_eq!(stats.hits_for(ValueRepresentation::PassByReference), 10);
     // The converted entry is charged for one form, not two.
     let probe = ResponseCache::builder(registry())
         .policy(
             CachePolicy::new().with(
                 OP,
                 OperationPolicy::cacheable(Duration::from_secs(600))
-                    .with_representation(ValueRepresentation::CloneCopy),
+                    .with_representation(ValueRepresentation::PassByReference),
             ),
         )
         .build();
@@ -189,10 +192,10 @@ fn scoring_flips_deterministically_under_manual_clock() {
             .with_size_weight(0)
             .with_convert_after_hits(u64::MAX);
         // Seed both candidates' build costs only: XmlMessage is cheap to
-        // build, CloneCopy expensive. With zero observed hits the
+        // build, the object (seeded) expensive. With zero observed hits the
         // expected-hits term vanishes and build cost decides.
         adaptive.record_build(OP, ValueRepresentation::XmlMessage, FAST, 64);
-        adaptive.record_build(OP, ValueRepresentation::CloneCopy, SLOW / 2, 64);
+        adaptive.record_build(OP, ValueRepresentation::PassByReference, SLOW / 2, 64);
         let adaptive = Arc::new(adaptive);
         let clock = ManualClock::new();
         let handle = clock.handle();
@@ -211,7 +214,7 @@ fn scoring_flips_deterministically_under_manual_clock() {
         // dominates, then let the entry expire and re-insert.
         for _ in 0..8 {
             adaptive.record_retrieve(OP, ValueRepresentation::XmlMessage, SLOW);
-            adaptive.record_retrieve(OP, ValueRepresentation::CloneCopy, FAST);
+            adaptive.record_retrieve(OP, ValueRepresentation::PassByReference, FAST);
         }
         handle.advance_millis(2_000);
         let second = cache.insert(URL, &request(), data(&f)).unwrap();
@@ -223,7 +226,7 @@ fn scoring_flips_deterministically_under_manual_clock() {
     assert_eq!(first, ValueRepresentation::XmlMessage);
     assert_eq!(
         second,
-        ValueRepresentation::CloneCopy,
+        ValueRepresentation::PassByReference,
         "hit-dominated scoring must flip to the cheap-to-retrieve form"
     );
     assert_eq!(
@@ -231,7 +234,7 @@ fn scoring_flips_deterministically_under_manual_clock() {
         1
     );
     assert_eq!(
-        stats.selections_for(SelectionMode::Exploit, ValueRepresentation::CloneCopy),
+        stats.selections_for(SelectionMode::Exploit, ValueRepresentation::PassByReference),
         1
     );
 
@@ -307,7 +310,7 @@ fn hits_racing_inserts_never_see_a_superseded_response() {
 fn retrieve_after_replace_equals_the_miss_path_for_every_pair() {
     let r = registry();
     let f = fixture();
-    let targets = candidate_representations(&f.value, &r, true);
+    let targets = candidate_representations(&f.value, &r);
     let mask = targets.iter().fold(0u8, |m, t| m | t.bit());
     let key = CacheKey::Text("k".into());
     let retrieve = |store: &CacheStore| match store.get(&key, 0) {
@@ -346,4 +349,54 @@ fn retrieve_after_replace_equals_the_miss_path_for_every_pair() {
             assert_eq!(again.as_value(), &f.value, "{source} -> {target}");
         }
     }
+}
+
+/// One object form: an unseen operation explores exactly the four
+/// candidates — the XML message, the SAX events, the serialized object
+/// and the shared object — starting from the shared object, and no
+/// insert, whatever the mode, stores a reflection or clone copy. (With
+/// three object forms in the set, which of them the exploit phase landed
+/// on depended on a sub-microsecond difference in two samples each.)
+#[test]
+fn the_explore_phase_has_no_second_object_form_to_land_in() {
+    let adaptive = Arc::new(AdaptivePolicy::new().with_convert_after_hits(u64::MAX));
+    let cache = ResponseCache::builder(registry())
+        .cache_everything(Duration::from_secs(600))
+        .clock(ManualClock::new())
+        .adaptive(adaptive)
+        .build();
+    let f = fixture();
+    let inserts = 32;
+    let mut picked = Vec::new();
+    for id in 0..inserts {
+        let request = RpcRequest::new("urn:t", OP).with_param("id", id);
+        picked.push(cache.insert(URL, &request, data(&f)).expect("stored"));
+        cache.lookup(URL, &request, &f.expected).expect("hit");
+    }
+    assert_eq!(picked[0], ValueRepresentation::PassByReference);
+    let candidates = candidate_representations(&f.value, &registry());
+    assert_eq!(candidates.len(), 4);
+    let stats = cache.stats();
+    let explored: u64 = candidates
+        .iter()
+        .map(|&r| stats.selections_for(SelectionMode::Explore, r))
+        .sum();
+    // Two build samples per candidate (the default) and then exploit.
+    assert_eq!(explored, 2 * candidates.len() as u64);
+    for &repr in &candidates {
+        assert_eq!(stats.selections_for(SelectionMode::Explore, repr), 2);
+    }
+    for repr in [
+        ValueRepresentation::ReflectionCopy,
+        ValueRepresentation::CloneCopy,
+        ValueRepresentation::DomTree,
+    ] {
+        assert!(!picked.contains(&repr), "{repr} was stored");
+        assert_eq!(stats.inserts_for(repr), 0, "{repr}");
+    }
+    let exploited: u64 = candidates
+        .iter()
+        .map(|&r| stats.selections_for(SelectionMode::Exploit, r))
+        .sum();
+    assert_eq!(explored + exploited, inserts as u64);
 }

@@ -148,8 +148,9 @@ pub struct FieldDescriptor {
     /// Field (and accessor) name. Shared: every instance decoded or
     /// copied under this descriptor carries a clone of this handle.
     pub name: Arc<str>,
-    /// Element name on the wire; usually equal to `name`.
-    pub xml_name: String,
+    /// Element name on the wire; usually equal to `name` (and then the
+    /// same handle).
+    pub xml_name: Arc<str>,
     /// Static type.
     pub field_type: FieldType,
 }
@@ -159,7 +160,7 @@ impl FieldDescriptor {
     pub fn new(name: impl Into<Arc<str>>, field_type: FieldType) -> Self {
         let name = name.into();
         FieldDescriptor {
-            xml_name: name.to_string(),
+            xml_name: name.clone(),
             name,
             field_type,
         }
@@ -202,7 +203,7 @@ impl TypeDescriptor {
 
     /// Looks up a field by its XML element name.
     pub fn field_by_xml_name(&self, xml_name: &str) -> Option<&FieldDescriptor> {
-        self.fields.iter().find(|f| f.xml_name == xml_name)
+        self.fields.iter().find(|f| &*f.xml_name == xml_name)
     }
 }
 
@@ -244,10 +245,10 @@ impl StructPlan {
     /// the overwhelming case, so the scan is one compare.
     pub fn slot_by_xml_name(&self, xml_name: &str, hint: usize) -> Option<usize> {
         let fields = &self.descriptor.fields;
-        if self.xml_names_unique && fields.get(hint).is_some_and(|f| f.xml_name == xml_name) {
+        if self.xml_names_unique && fields.get(hint).is_some_and(|f| &*f.xml_name == xml_name) {
             return Some(hint);
         }
-        fields.iter().position(|f| f.xml_name == xml_name)
+        fields.iter().position(|f| &*f.xml_name == xml_name)
     }
 
     /// Slot of the declared field named `name` (first match, as

@@ -179,7 +179,7 @@ fn write_value_typed(
             let descriptor = registry.get(s.type_name());
             for (field_name, field_value) in s.fields() {
                 let field = descriptor.and_then(|d| d.field(field_name));
-                let xml_name = field.map(|f| f.xml_name.as_str()).unwrap_or(field_name);
+                let xml_name = field.map(|f| &*f.xml_name).unwrap_or(field_name);
                 write_value_typed(
                     w,
                     xml_name,

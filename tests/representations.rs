@@ -104,13 +104,7 @@ fn pass_by_reference_shares_the_cached_object() {
 
 #[test]
 fn mutating_a_retrieved_object_never_poisons_the_cache() {
-    for repr in [
-        ValueRepresentation::XmlMessage,
-        ValueRepresentation::SaxEvents,
-        ValueRepresentation::Serialization,
-        ValueRepresentation::ReflectionCopy,
-        ValueRepresentation::CloneCopy,
-    ] {
+    for repr in ValueRepresentation::ALL {
         let (client, _) = client_with_repr(Some(repr));
         let search = &requests()[2];
         client.invoke(search).expect("warm");
@@ -136,12 +130,15 @@ fn mutating_a_retrieved_object_never_poisons_the_cache() {
 }
 
 #[test]
-fn read_only_policy_enables_sharing_for_mutable_types() {
+fn the_default_policy_shares_mutable_types_and_keeps_them_pristine() {
+    // No forced representation and no assertion: the search result — a
+    // mutable bean in the paper's terms — is shared by default, and a
+    // write through one hit is invisible to the next.
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let policy = CachePolicy::new().with(
         "doGoogleSearch",
-        OperationPolicy::cacheable(Duration::from_secs(60)).with_read_only(),
+        OperationPolicy::cacheable(Duration::from_secs(60)),
     );
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
@@ -156,8 +153,18 @@ fn read_only_policy_enables_sharing_for_mutable_types() {
     let search = &requests()[2];
     client.invoke(search).expect("warm");
     let (hit, _) = client.invoke(search).expect("hit");
-    assert!(
-        hit.is_shared(),
-        "read-only assertion should enable pass-by-reference"
+    assert!(hit.is_shared(), "the default should be pass-by-reference");
+    let mut mine = hit.into_value();
+    mine.as_struct_mut()
+        .unwrap()
+        .set("searchQuery", "VANDALIZED");
+    let (next, _) = client.invoke(search).expect("hit again");
+    assert_eq!(
+        next.as_value()
+            .as_struct()
+            .unwrap()
+            .get("searchQuery")
+            .and_then(wsrcache::model::Value::as_str),
+        Some("equivalence")
     );
 }
