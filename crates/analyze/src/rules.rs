@@ -5,8 +5,8 @@
 //! check over the token-level source model (see `DESIGN.md` §7 for the
 //! paper mapping):
 //!
-//! - **R1 `repr-safety`** — types reachable from the pass-by-reference
-//!   value graph must not contain interior mutability.
+//! - **R1 `repr-safety`** — types reachable from the shared
+//!   (copy-on-write) value graph must not contain interior mutability.
 //! - **R2 `relaxed-ordering`** — `Ordering::Relaxed` only in allowlisted
 //!   observability counter code.
 //! - **R3 `clock-discipline`** — no `Instant::now` / `SystemTime::now`
@@ -88,7 +88,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R1",
         "repr-safety",
-        "no interior mutability in types reachable from pass-by-reference cache values",
+        "no interior mutability in types reachable from shared (copy-on-write) cache values",
     ),
     (
         "R2",
@@ -143,8 +143,10 @@ pub const RULES: &[(&str, &str, &str)] = &[
 const R1_ROOTS: &[&str] = &["Value", "StructValue", "StoredResponse", "ValueHandle"];
 
 /// Interior-mutability carriers: presence of any of these in a type
-/// reachable from a shared cache value breaks the deep-immutability
-/// premise of pass-by-reference (paper §6 rule a / §4.2.4).
+/// reachable from a shared cache value defeats the copy-on-write that
+/// makes sharing sound for every value (paper §6 rule a without §4.2.4's
+/// assertion): `Arc::make_mut` copies a node, not what a cell or lock
+/// inside it guards.
 const INTERIOR_MUTABILITY: &[&str] = &[
     "Cell",
     "RefCell",
@@ -322,8 +324,9 @@ fn rule_repr_safety(files: &[SourceFile], diags: &mut Vec<Diagnostic>) {
                         line: *line,
                         message: format!(
                             "`{referent}` inside `{name}`, which is reachable from a \
-                             pass-by-reference cache value; interior mutability breaks \
-                             the deep-immutability premise of shared cache entries"
+                             cache value every hit shares; a write through interior \
+                             mutability bypasses copy-on-write and reaches the cache \
+                             and every other holder"
                         ),
                     });
                 } else if graph.contains_key(referent.as_str()) && seen.insert(referent) {

@@ -50,6 +50,24 @@ fn r1_fixtures() {
     assert_clean("r1_clean.rs");
 }
 
+/// The copy-on-write value model: R1 follows `Value` through both `Arc`
+/// hops of the shared node types.
+#[test]
+fn r1_shared_node_fixtures() {
+    let (ok, stdout) = run_deny(&[corpus("r1_shared_node_trigger.rs")], &[]);
+    assert!(!ok, "the trigger must fail --deny; output:\n{stdout}");
+    assert!(stdout.contains("[R1/repr-safety]"), "output:\n{stdout}");
+    assert!(
+        stdout.contains("`Mutex` inside `FieldIndex`"),
+        "the lock is found two hops down; output:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("copy-on-write"),
+        "the message says what the lock would defeat; output:\n{stdout}"
+    );
+    assert_clean("r1_shared_node_clean.rs");
+}
+
 #[test]
 fn r2_fixtures() {
     assert_triggers("r2_trigger.rs", "R2");

@@ -51,10 +51,11 @@ impl CacheEntry {
         self.candidates
     }
 
-    /// Replaces the stored form, keeping the candidate set.
-    pub(crate) fn set_form(&mut self, form: StoredResponse) {
+    /// Replaces the stored form, keeping the candidate set, and returns
+    /// the form it held (for the store to drop outside its lock).
+    pub(crate) fn set_form(&mut self, form: StoredResponse) -> StoredResponse {
         self.candidates |= form.representation().bit();
-        self.form = form;
+        std::mem::replace(&mut self.form, form)
     }
 
     /// Approximate memory footprint: the fixed entry overhead plus the

@@ -10,11 +10,15 @@
 //!   concatenation.
 //! - [`repr`] — the six cache-value representations of Table 3/7:
 //!   XML message, SAX events sequence, serialized form, reflection copy,
-//!   clone copy, pass-by-reference.
+//!   clone copy, pass-by-reference. The last is the one object form the
+//!   cache picks: values are copy-on-write, so sharing needs no
+//!   immutability and no assertion; the two copy forms are measurement
+//!   modes.
 //! - [`policy`] — per-operation cacheability and TTL, configured by the
 //!   client-side administrator (paper §3.2).
-//! - [`classify`] — the §6 optimal-configuration table that picks a
-//!   representation per response object at run time.
+//! - [`classify`] — the candidate set the cache picks from, the §6
+//!   preference order over it, and the paper's own table for Java
+//!   objects.
 //! - [`entry`] — cache entries: one response under one stored form,
 //!   plus the representations it may be converted to on a hit.
 //! - [`store`] — the concurrent sharded cache table with TTL expiry and

@@ -28,6 +28,15 @@
 //! The entry being inserted is pinned for the duration of its own `put`
 //! so a fresh insert can never evict itself.
 //!
+//! # Payloads are dropped outside the lock
+//!
+//! Freeing a stored response can be hundreds of deallocations (a
+//! decoded search result is ~150 nodes). Every operation that removes or
+//! replaces a payload — eviction, replacement, form swap, invalidation,
+//! expiry, `clear` — moves it out of the shard and hands it back to the
+//! caller of the locked section, which drops it after the guard is
+//! released.
+//!
 //! # One form per entry, replaced by compare-and-swap
 //!
 //! Each slot holds a [`CacheEntry`] — one response under one stored
@@ -290,9 +299,10 @@ impl Shard {
     }
 
     /// Replaces the payload of an existing slot, adjusting byte
-    /// accounting. A replacement is a fresh response: the hit count
-    /// resets with it, and the slot's generation is bumped so a form
-    /// converted from the old payload can no longer be published.
+    /// accounting, and returns the payload it held. A replacement is a
+    /// fresh response: the hit count resets with it, and the slot's
+    /// generation is bumped so a form converted from the old payload can
+    /// no longer be published.
     fn replace(
         &mut self,
         idx: u32,
@@ -300,22 +310,17 @@ impl Shard {
         expires_at_millis: u64,
         size_bytes: usize,
         validator: Option<Arc<str>>,
-    ) {
+    ) -> Option<CacheEntry> {
         let generation = self.bump_generation();
-        let old_size = match self.slot_mut(idx) {
-            Some(slot) => {
-                let old = slot.size_bytes;
-                slot.entry = entry;
-                slot.expires_at_millis = expires_at_millis;
-                slot.size_bytes = size_bytes;
-                slot.validator = validator;
-                slot.hits = 0;
-                slot.generation = generation;
-                old
-            }
-            None => return,
-        };
+        let slot = self.slot_mut(idx)?;
+        let old_size = std::mem::replace(&mut slot.size_bytes, size_bytes);
+        let old_entry = std::mem::replace(&mut slot.entry, entry);
+        slot.expires_at_millis = expires_at_millis;
+        slot.validator = validator;
+        slot.hits = 0;
+        slot.generation = generation;
         self.bytes = self.bytes.saturating_sub(old_size) + size_bytes;
+        Some(old_entry)
     }
 
     /// Removes and returns the slot at `idx`: unlinks it from the recency
@@ -384,8 +389,9 @@ impl Shard {
         }
     }
 
-    fn clear(&mut self) {
-        self.slots.clear();
+    /// Empties the shard and returns what it held.
+    fn clear(&mut self) -> Vec<Option<Slot>> {
+        let slots = std::mem::take(&mut self.slots);
         self.free.clear();
         self.table.clear();
         self.lru_head = NIL;
@@ -394,6 +400,7 @@ impl Shard {
         self.bytes = 0;
         // `last_generation` deliberately survives: stamps stay unique
         // for the shard's whole lifetime.
+        slots
     }
 
     /// Cross-checks every invariant the shard maintains incrementally.
@@ -575,6 +582,8 @@ impl CacheStore {
     /// `If-Modified-Since` handshake).
     pub fn get(&self, key: &CacheKey, now_millis: u64) -> Lookup {
         let hash = hash_key(key);
+        // Declared before the guard, so dropped after it.
+        let _expired;
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
         let Some(idx) = shard.find(hash, key) else {
             return Lookup::Absent;
@@ -585,7 +594,7 @@ impl CacheStore {
         };
         match (expired, validator) {
             (true, None) => {
-                let _ = shard.remove_index(idx);
+                _expired = shard.remove_index(idx);
                 Lookup::Expired
             }
             (true, Some(validator)) => {
@@ -665,50 +674,63 @@ impl CacheStore {
         }
         let validator: Option<Arc<str>> = validator.map(Arc::from);
         let hash = hash_key(&key);
+        // Declared before the guard, so dropped after it.
+        let (_replaced, _victims);
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
         let pinned = match shard.find(hash, &key) {
             Some(idx) => {
-                shard.replace(idx, entry, expires_at_millis, size_bytes, validator);
+                _replaced = shard.replace(idx, entry, expires_at_millis, size_bytes, validator);
                 shard.touch(idx);
                 idx
             }
-            None => shard.insert_new(Slot {
-                key,
-                hash,
-                entry,
-                expires_at_millis,
-                size_bytes,
-                validator,
-                hits: 0,
-                generation: 0, // stamped by insert_new
-                lru_prev: NIL,
-                lru_next: NIL,
-                chain_next: NIL,
-            }),
+            None => {
+                _replaced = None;
+                shard.insert_new(Slot {
+                    key,
+                    hash,
+                    entry,
+                    expires_at_millis,
+                    size_bytes,
+                    validator,
+                    hits: 0,
+                    generation: 0, // stamped by insert_new
+                    lru_prev: NIL,
+                    lru_next: NIL,
+                    chain_next: NIL,
+                })
+            }
         };
-        Some(self.evict_over_budget(&mut shard, now_millis, pinned))
+        let summary;
+        (summary, _victims) = self.evict_over_budget(&mut shard, now_millis, pinned);
+        Some(summary)
     }
 
     /// Evicts within a locked shard until its budget holds, never
-    /// choosing the pinned slot.
+    /// choosing the pinned slot. The victims are handed back for the
+    /// caller to drop once it has released the shard.
     fn evict_over_budget(
         &self,
         shard: &mut Shard,
         now_millis: u64,
         pinned: u32,
-    ) -> EvictionSummary {
+    ) -> (EvictionSummary, Vec<Slot>) {
         let mut summary = EvictionSummary::default();
+        let mut victims = Vec::new();
         while shard.entries > self.shard_max_entries || shard.bytes > self.shard_max_bytes {
-            let Some(victim) = shard.pick_victim(now_millis, pinned) else {
+            let Some(slot) = shard
+                .pick_victim(now_millis, pinned)
+                .and_then(|victim| shard.remove_index(victim))
+            else {
                 break;
             };
-            match shard.remove_index(victim) {
-                Some(slot) if slot.expires_at_millis <= now_millis => summary.expired += 1,
-                Some(_) => summary.live += 1,
-                None => break,
+            if slot.expires_at_millis <= now_millis {
+                summary.expired += 1;
+            } else {
+                summary.live += 1;
             }
+            victims.push(slot);
         }
-        summary
+        (summary, victims)
     }
 
     /// Convert-on-hit's publish: swaps `form` in as the stored form of
@@ -737,6 +759,8 @@ impl CacheStore {
             return None;
         }
         let hash = hash_key(key);
+        // Declared before the guard, so dropped after it.
+        let (_old_form, _victims);
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
         let idx = shard.find(hash, key)?;
         if shard.slot(idx)?.generation != generation {
@@ -745,27 +769,33 @@ impl CacheStore {
         let generation = shard.bump_generation();
         let slot = shard.slot_mut(idx)?;
         let old_size = std::mem::replace(&mut slot.size_bytes, new_size);
-        slot.entry.set_form(form);
+        _old_form = slot.entry.set_form(form);
         slot.generation = generation;
         shard.bytes = shard.bytes - old_size + new_size;
-        Some(self.evict_over_budget(&mut shard, now_millis, idx))
+        let summary;
+        (summary, _victims) = self.evict_over_budget(&mut shard, now_millis, idx);
+        Some(summary)
     }
 
     /// Removes one entry. Returns whether it was present.
     pub fn invalidate(&self, key: &CacheKey) -> bool {
         let hash = hash_key(key);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
-            return false;
+        let removed = {
+            let mut shard =
+                sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
+            shard
+                .find(hash, key)
+                .and_then(|idx| shard.remove_index(idx))
         };
-        shard.remove_index(idx).is_some()
+        removed.is_some()
     }
 
     /// Removes everything.
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut shard = sync::lock_class("CacheStore.shards", shard);
-            shard.clear();
+            // The guard is a temporary of the first statement only.
+            let emptied = sync::lock_class("CacheStore.shards", shard).clear();
+            drop(emptied);
         }
     }
 
@@ -1294,6 +1324,91 @@ mod tests {
         assert!(matches!(store.get(&key(0), 0), Lookup::Absent));
         assert!(matches!(store.get(&key(1), 0), Lookup::Live(_)));
         assert!(store.bytes() <= 2 * single + 32);
+        store.audit().unwrap();
+    }
+
+    #[test]
+    fn removed_payloads_are_handed_back_to_the_caller_of_the_locked_section() {
+        // Each payload is an `Arc` the test also holds: while its count
+        // is 2 the payload is alive, wherever it now sits.
+        let payload = |n: u8| -> Arc<[u8]> { Arc::from(vec![n; 16]) };
+        let entry = |xml: &Arc<[u8]>| CacheEntry::single(StoredResponse::XmlMessage(xml.clone()));
+        let (a, b, c, d) = (payload(1), payload(2), payload(3), payload(4));
+        let store = CacheStore::with_shards(
+            Capacity {
+                max_entries: 2,
+                max_bytes: usize::MAX,
+            },
+            1,
+        );
+        store.put(key(0), entry(&a), 1000, 0);
+        store.put(key(1), entry(&b), 1000, 0);
+        {
+            let mut shard = sync::lock_class("CacheStore.shards", &store.shards[0]);
+            // Replacement: the old payload comes back, still alive.
+            let idx = shard.find(hash_key(&key(0)), &key(0)).unwrap();
+            let size = entry(&c).approximate_size() + key(0).approximate_size();
+            let replaced = shard.replace(idx, entry(&c), 1000, size, None);
+            shard.touch(idx);
+            assert_eq!(Arc::strong_count(&a), 2);
+            assert!(matches!(
+                replaced.as_ref().map(CacheEntry::form),
+                Some(StoredResponse::XmlMessage(xml)) if Arc::ptr_eq(xml, &a)
+            ));
+            // Eviction: push the shard over budget by hand, as `put`
+            // does before it calls `evict_over_budget`.
+            let slot = Slot {
+                key: key(2),
+                hash: hash_key(&key(2)),
+                entry: entry(&d),
+                expires_at_millis: 1000,
+                size_bytes: size,
+                validator: None,
+                hits: 0,
+                generation: 0,
+                lru_prev: NIL,
+                lru_next: NIL,
+                chain_next: NIL,
+            };
+            let pinned = shard.insert_new(slot);
+            let (summary, victims) = store.evict_over_budget(&mut shard, 0, pinned);
+            assert_eq!((summary.live, victims.len()), (1, 1));
+            assert_eq!(victims[0].key, key(1));
+            assert_eq!(
+                Arc::strong_count(&b),
+                2,
+                "the victim outlives the locked section"
+            );
+            // Form swap and clear hand theirs back too.
+            let old_form = shard
+                .slot_mut(pinned)
+                .unwrap()
+                .entry
+                .set_form(other_form(8));
+            assert!(matches!(old_form, StoredResponse::XmlMessage(xml) if Arc::ptr_eq(&xml, &d)));
+            assert_eq!(Arc::strong_count(&c), 2);
+            let emptied = shard.clear();
+            assert_eq!(emptied.iter().flatten().count(), 2);
+            assert_eq!(Arc::strong_count(&c), 2);
+            drop(shard);
+            drop((replaced, victims, emptied));
+        }
+        for xml in [&a, &b, &c, &d] {
+            assert_eq!(Arc::strong_count(xml), 1);
+        }
+        store.audit().unwrap();
+        // And through the public operations nothing is leaked or kept.
+        store.put(key(0), entry(&a), 10, 0);
+        store.put(key(0), entry(&b), 10, 0);
+        assert_eq!(Arc::strong_count(&a), 1, "replaced");
+        assert!(store.invalidate(&key(0)));
+        assert_eq!(Arc::strong_count(&b), 1, "invalidated");
+        store.put(key(0), entry(&c), 10, 0);
+        assert!(matches!(store.get(&key(0), 10), Lookup::Expired));
+        assert_eq!(Arc::strong_count(&c), 1, "expired");
+        store.put(key(0), entry(&d), 10, 0);
+        store.clear();
+        assert_eq!(Arc::strong_count(&d), 1, "cleared");
         store.audit().unwrap();
     }
 

@@ -15,7 +15,6 @@
 use crate::error::ModelError;
 use crate::typeinfo::TypeRegistry;
 use crate::value::Value;
-use std::convert::Infallible;
 use std::sync::{Arc, OnceLock};
 use wsrc_obs::Histogram;
 
@@ -57,13 +56,7 @@ fn deep(value: &Value) -> Value {
     match value {
         Value::Bytes(b) => Value::Bytes(Arc::from(&b[..])),
         Value::Array(items) => Value::Array(items.iter().map(deep).collect()),
-        Value::Struct(s) => {
-            let copy = s.map_values(|v| Ok::<_, Infallible>(deep(v)));
-            match copy {
-                Ok(copy) => Value::Struct(copy),
-                Err(never) => match never {},
-            }
-        }
+        Value::Struct(s) => Value::Struct(s.map_values(deep)),
         leaf => leaf.clone(),
     }
 }

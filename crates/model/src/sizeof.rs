@@ -123,8 +123,8 @@ mod tests {
         );
         assert_eq!(java_object_size(&short), java_object_size(&long));
         assert_eq!(deep_size(&short), deep_size(&long));
-        // One handle for the type, one per field, whether or not two
-        // fields share a name with another struct's.
+        // One handle for the type and one per field, per use: two
+        // structs of one shape are charged twice.
         let handle = std::mem::size_of::<Arc<str>>();
         let value = std::mem::size_of::<Value>();
         assert_eq!(deep_size(&short), value + handle + (handle + value) + 2);

@@ -357,11 +357,7 @@ impl StructValue {
 
     /// Gets a field ("getter method").
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.node
-            .fields
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, v)| v)
+        self.position(name).map(|at| &self.node.fields[at].1)
     }
 
     /// Mutable field access. Copies this struct's node first if it is
@@ -415,21 +411,21 @@ impl StructValue {
 
     /// A struct with a node of its own, the same type and field names,
     /// room for exactly the fields present, and each value mapped
-    /// through `copy` — the shape every eager copier produces.
-    pub(crate) fn map_values<E>(
-        &self,
-        mut copy: impl FnMut(&Value) -> Result<Value, E>,
-    ) -> Result<StructValue, E> {
+    /// through `copy` — the shape the generated deep clone produces.
+    pub(crate) fn map_values(&self, mut copy: impl FnMut(&Value) -> Value) -> StructValue {
         let mut fields = Vec::with_capacity(self.len());
-        for (name, value) in &self.node.fields {
-            fields.push((name.clone(), copy(value)?));
-        }
-        Ok(StructValue {
+        fields.extend(
+            self.node
+                .fields
+                .iter()
+                .map(|(name, value)| (name.clone(), copy(value))),
+        );
+        StructValue {
             node: Arc::new(StructNode {
                 type_name: self.node.type_name.clone(),
                 fields,
             }),
-        })
+        }
     }
 }
 
