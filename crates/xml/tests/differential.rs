@@ -1,22 +1,26 @@
-//! Differential harness for the zero-alloc reader.
-//!
-//! Two halves:
+//! Differential harness for the reader.
 //!
 //! 1. **Fixpoint** — writer-built documents survive parse → rewrite,
 //!    and the rewritten form is a *fixpoint*: rewriting it again yields
 //!    byte-identical output. This pins the reader/writer pair as a
 //!    canonicalizer, not just an approximate round-trip.
-//! 2. **Malformed corpus** — a hand-curated set of broken inputs
-//!    (unbalanced tags, bad entities, truncated CDATA, non-UTF-8
-//!    bytes, DOCTYPE) must produce clean `XmlError`s — never panics —
-//!    and every parsing front end (`read_sequence`, `parse_into`,
-//!    `next_event`, `read_sequence_into`) must agree on success, events,
-//!    and error message, since they share one scanner behind different
-//!    event sinks.
+//! 2. **Oracle** — the three front ends (`read_sequence`, `parse_into`,
+//!    `read_sequence_into`) share one scanner behind different sinks,
+//!    so agreeing with each other proves little. Each is compared, on
+//!    accept/reject and on events, with the naive parser in
+//!    `reference/`, which shares no code with them. Among themselves
+//!    they must also agree on the unmerged call log and on the error
+//!    message.
+//! 3. **Corpora** — hand-curated malformed inputs (unbalanced tags, bad
+//!    entities, truncated CDATA, DOCTYPE), valid documents, writer-built
+//!    documents and SOAP-shaped envelopes go through (2); non-UTF-8
+//!    bytes must fail cleanly.
 
-use wsrc_xml::event::SaxEvent;
+mod probe;
+mod reference;
+
+use probe::Probe;
 use wsrc_xml::reader::XmlReader;
-use wsrc_xml::sax::Recorder;
 use wsrc_xml::writer::{events_to_string, XmlWriter};
 
 /// Deterministic xorshift64* generator (same scheme as proptests.rs:
@@ -134,115 +138,211 @@ fn writer_parse_rewrite_reaches_fixpoint() {
     }
 }
 
-/// Every front end over the same input: `read_sequence` (arena),
-/// `parse_into` a [`Recorder`] (push), the `next_event` pull loop
-/// (owned) and `read_sequence_into` a [`Recorder`] (arena + push in one
-/// scan). Returns the owned event stream or the error message.
-fn all_frontends(input: &str) -> Result<Vec<SaxEvent>, String> {
+/// The three library front ends over the same input: `read_sequence`
+/// (arena, read back through `iter()`), `parse_into` a [`Probe`] (push)
+/// and `read_sequence_into` a [`Probe`] (arena + push in one scan).
+/// Returns the call log or the error message they all agree on.
+fn all_frontends(input: &str) -> Result<Vec<String>, String> {
     let arena = XmlReader::new(input).read_sequence();
-    let mut rec = Recorder::new();
-    let push = XmlReader::new(input).parse_into(&mut rec);
-    let mut pull_events = Vec::new();
-    let mut reader = XmlReader::new(input);
-    let pull = loop {
-        match reader.next_event() {
-            Ok(Some(e)) => pull_events.push(e),
-            Ok(None) => break Ok(()),
-            Err(e) => break Err(e),
-        }
-    };
-    // The recording pass that also feeds a handler: both of its outputs
-    // are one more view of the same scan.
-    let mut fed = Recorder::new();
+    let mut pushed = Probe::default();
+    let push = XmlReader::new(input).parse_into(&mut pushed);
+    let mut fed = Probe::default();
     let tee = XmlReader::new(input).read_sequence_into(&mut fed);
-    match (&arena, tee) {
-        (Ok(seq), Ok(recorded)) => {
-            assert_eq!(&recorded, seq, "tee arena != arena");
-            assert_eq!(fed.sequence(), seq, "tee handler != arena");
+    match (arena, push, tee) {
+        (Ok(seq), Ok(()), Ok(recorded)) => {
+            let mut iterated = Probe::default();
+            for event in seq.iter() {
+                iterated.event(event).unwrap();
+            }
+            assert_eq!(recorded, seq, "tee arena != arena for {input:?}");
+            assert_eq!(fed.log, iterated.log, "tee handler != arena for {input:?}");
+            assert_eq!(pushed.log, iterated.log, "push != arena for {input:?}");
+            Ok(iterated.log)
         }
-        (Err(a), Err(t)) => assert_eq!(a.to_string(), t.to_string(), "tee error != arena error"),
-        (a, t) => panic!(
-            "read_sequence and read_sequence_into disagree on success for {input:?}: {} vs {}",
-            a.is_ok(),
-            t.is_ok()
-        ),
-    }
-    match (arena, push, pull) {
-        (Ok(seq), Ok(()), Ok(())) => {
-            let owned = seq.to_owned_events();
-            assert_eq!(owned, rec.sequence().to_owned_events(), "push != arena");
-            assert_eq!(owned, pull_events, "pull != arena");
-            Ok(owned)
-        }
-        (Err(a), Err(p), Err(q)) => {
-            let (a, p, q) = (a.to_string(), p.to_string(), q.to_string());
-            assert_eq!(a, p, "push error != arena error");
-            assert_eq!(a, q, "pull error != arena error");
+        (Err(a), Err(p), Err(t)) => {
+            let a = a.to_string();
+            assert_eq!(a, p.to_string(), "push error != arena error");
+            assert_eq!(a, t.to_string(), "tee error != arena error");
             Err(a)
         }
-        (arena, push, pull) => panic!(
-            "front ends disagree on success for {input:?}: \
-             arena={:?} push={:?} pull={:?}",
+        (arena, push, tee) => panic!(
+            "front ends disagree on success for {input:?}: arena={:?} push={} tee={}",
             arena.map(|_| ()),
             push.is_ok(),
-            pull.is_ok()
+            tee.is_ok()
         ),
     }
 }
 
-/// Hand-curated malformed corpus: every entry must yield a clean error
-/// (never a panic), identical across all three front ends.
+/// Joins adjacent `characters:` lines: a CDATA section and the text
+/// around it are separate calls but one run to the reference.
+fn merged(log: Vec<String>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for line in log {
+        match (line.strip_prefix("characters: "), out.last_mut()) {
+            (Some(text), Some(last)) if last.starts_with("characters: ") => last.push_str(text),
+            _ => out.push(line),
+        }
+    }
+    out
+}
+
+/// Runs `input` through the front ends and the reference and checks
+/// they agree; returns whether it was accepted.
+fn agrees_with_reference(input: &str) -> bool {
+    match (all_frontends(input), reference::parse(input)) {
+        (Ok(log), Some(expected)) => {
+            assert_eq!(merged(log), expected, "events differ for {input:?}");
+            true
+        }
+        (Err(msg), None) => {
+            assert!(!msg.is_empty(), "error for {input:?} must carry a message");
+            false
+        }
+        (library, reference) => panic!(
+            "library and reference disagree on {input:?}: library={library:?} reference={reference:?}"
+        ),
+    }
+}
+
+/// Every entry must yield a clean error (never a panic).
+const MALFORMED: &[&str] = &[
+    // Unbalanced / mismatched tags.
+    "<a>",
+    "</a>",
+    "<a><b></a>",
+    "<a></b>",
+    "<a><b><c></b></c></a>",
+    "<a/><a/>",
+    "<a></a",
+    "<a",
+    "<a foo=\"1\"",
+    // Bad entities.
+    "<a>&unknown;</a>",
+    "<a>&;</a>",
+    "<a>&</a>",
+    "<a>&amp</a>",
+    "<a>&#xzz;</a>",
+    "<a>&#;</a>",
+    "<a>&#x110000;</a>",
+    "<a>&#xD800;</a>",
+    "<a b=\"&nope;\"/>",
+    // Truncated CDATA / comments / PIs.
+    "<a><![CDATA[unterminated",
+    "<a><![CDATA[almost]]",
+    "<a><![CDA",
+    "<a><!-- no end",
+    "<a><?pi no end",
+    // DOCTYPE is rejected outright (SOAP forbids DTDs).
+    "<!DOCTYPE html><a/>",
+    "<!doctype html><a/>",
+    "<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>",
+    // Junk before/after the root.
+    "text<a/>",
+    "<a/>trailing",
+    "<a/><!-- ok --><b/>",
+    // Malformed names and attributes.
+    "<1a/>",
+    "<a:b:c/>",
+    "<a foo>",
+    "<a foo=bar/>",
+    "<a foo=\"unterminated>",
+    "<a foo=\"x\" foo=\"y\"/>",
+    "<a <b/>/>",
+];
+
+const VALID: &[&str] = &[
+    "<a/>",
+    "<a>text</a>",
+    "<a b=\"1\" c=\"2\">x<d/>y</a>",
+    "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">\
+     <s:Body><r xsi:type=\"xsd:string\">ok &amp; well</r></s:Body></s:Envelope>",
+    "<a><!-- comment --><?pi data?><![CDATA[<raw>&stuff;]]></a>",
+    "<a>&#x65;&#101;&lt;&gt;&quot;&apos;&amp;</a>",
+    "<\u{e9}l\u{e9}ment attr=\"\u{2603}\">\u{1f4a9}</\u{e9}l\u{e9}ment>",
+];
+
+/// The shapes the request path parses: prefixed names, `xsi:type`,
+/// `SOAP-ENC:arrayType`, entities in text and attribute values, a
+/// ten-item array, CDATA, a leading XML declaration.
+fn soap_shaped_corpus() -> Vec<String> {
+    const OPEN: &str = "<SOAP-ENV:Envelope \
+        xmlns:SOAP-ENV=\"http://schemas.xmlsoap.org/soap/envelope/\" \
+        xmlns:SOAP-ENC=\"http://schemas.xmlsoap.org/soap/encoding/\" \
+        xmlns:xsi=\"http://www.w3.org/1999/XMLSchema-instance\" \
+        xmlns:xsd=\"http://www.w3.org/1999/XMLSchema\" \
+        SOAP-ENV:encodingStyle=\"http://schemas.xmlsoap.org/soap/encoding/\"><SOAP-ENV:Body>";
+    const CLOSE: &str = "</SOAP-ENV:Body></SOAP-ENV:Envelope>";
+    let items: String = (0..10)
+        .map(|i| {
+            format!(
+                "<item xsi:type=\"ns1:ResultElement\">\
+                 <URL xsi:type=\"xsd:string\">http://example.org/?q=a&amp;n={i}</URL>\
+                 <title xsi:type=\"xsd:string\">&lt;b&gt;hit&lt;/b&gt; &#35;{i}</title>\
+                 <cachedSize xsi:type=\"xsd:string\">{i}k</cachedSize></item>"
+            )
+        })
+        .collect();
+    vec![
+        format!(
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n{OPEN}\
+             <ns1:doGoogleSearchResponse xmlns:ns1=\"urn:GoogleSearch\">\
+             <return xsi:type=\"ns1:GoogleSearchResult\">\
+             <resultElements xsi:type=\"SOAP-ENC:Array\" \
+             SOAP-ENC:arrayType=\"ns1:ResultElement[10]\">{items}</resultElements>\
+             <searchQuery xsi:type=\"xsd:string\">a &amp; b</searchQuery>\
+             <documentFiltering xsi:type=\"xsd:boolean\">false</documentFiltering>\
+             </return></ns1:doGoogleSearchResponse>{CLOSE}"
+        ),
+        format!(
+            "{OPEN}<ns1:doSpellingSuggestionResponse xmlns:ns1=\"urn:GoogleSearch\">\
+             <return xsi:type=\"xsd:string\" note=\"a &lt; b &amp;&amp; &quot;c&quot; &#x3e; d\">\
+             before <![CDATA[<raw> & unescaped]]> after</return>\
+             </ns1:doSpellingSuggestionResponse>{CLOSE}"
+        ),
+        format!(
+            "<?xml version='1.0'?>{OPEN}\n  <SOAP-ENV:Fault>\n    \
+             <faultcode>SOAP-ENV:Client</faultcode>\n    \
+             <faultstring>it&apos;s &quot;broken&quot;</faultstring>\n    \
+             <detail xsi:nil='true'/>\n  </SOAP-ENV:Fault>\n{CLOSE}\n"
+        ),
+        format!(
+            "{OPEN}<ns1:doGetCachedPageResponse xmlns:ns1=\"urn:GoogleSearch\">\
+             <return xsi:type=\"xsd:base64Binary\">PGh0bWw+aGk8L2h0bWw+\n</return>\
+             </ns1:doGetCachedPageResponse>{CLOSE}"
+        ),
+    ]
+}
+
+/// The oracle has teeth of its own: with no library involved it
+/// rejects all of the malformed corpus and accepts all of the valid.
+#[test]
+fn reference_alone_separates_the_corpora() {
+    assert_eq!(MALFORMED.len(), 36);
+    for input in MALFORMED {
+        assert_eq!(reference::parse(input), None, "{input:?} must be rejected");
+    }
+    for input in VALID {
+        assert!(reference::parse(input).is_some(), "{input:?} must parse");
+    }
+    assert_eq!(
+        reference::parse("<doc><para>Hello, <![CDATA[world]]>!</para></doc>").unwrap(),
+        [
+            "start document",
+            "start element: doc",
+            "start element: para",
+            "characters: Hello, world!",
+            "end element: para",
+            "end element: doc",
+            "end document",
+        ]
+    );
+}
+
 #[test]
 fn malformed_corpus_fails_cleanly_and_identically() {
-    let corpus: &[&str] = &[
-        // Unbalanced / mismatched tags.
-        "<a>",
-        "</a>",
-        "<a><b></a>",
-        "<a></b>",
-        "<a><b><c></b></c></a>",
-        "<a/><a/>",
-        "<a></a",
-        "<a",
-        "<a foo=\"1\"",
-        // Bad entities.
-        "<a>&unknown;</a>",
-        "<a>&;</a>",
-        "<a>&</a>",
-        "<a>&amp</a>",
-        "<a>&#xzz;</a>",
-        "<a>&#;</a>",
-        "<a>&#x110000;</a>",
-        "<a>&#xD800;</a>",
-        "<a b=\"&nope;\"/>",
-        // Truncated CDATA / comments / PIs.
-        "<a><![CDATA[unterminated",
-        "<a><![CDATA[almost]]",
-        "<a><![CDA",
-        "<a><!-- no end",
-        "<a><?pi no end",
-        // DOCTYPE is rejected outright (SOAP forbids DTDs).
-        "<!DOCTYPE html><a/>",
-        "<!doctype html><a/>",
-        "<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>",
-        // Junk before/after the root.
-        "text<a/>",
-        "<a/>trailing",
-        "<a/><!-- ok --><b/>",
-        // Malformed names and attributes.
-        "<1a/>",
-        "<a:b:c/>",
-        "<a foo>",
-        "<a foo=bar/>",
-        "<a foo=\"unterminated>",
-        "<a foo=\"x\" foo=\"y\"/>",
-        "<a <b/>/>",
-    ];
-    for input in corpus {
-        match all_frontends(input) {
-            Err(msg) => assert!(!msg.is_empty(), "error for {input:?} must carry a message"),
-            Ok(events) => panic!("{input:?} must fail; parsed {} events", events.len()),
-        }
+    for input in MALFORMED {
+        assert!(!agrees_with_reference(input), "{input:?} must fail");
     }
 }
 
@@ -263,9 +363,9 @@ fn non_utf8_bytes_fail_cleanly() {
     for input in corpus {
         let err = match XmlReader::from_bytes(input) {
             Err(e) => e,
-            Ok(r) => match r.read_all() {
+            Ok(r) => match r.read_sequence() {
                 Err(e) => e,
-                Ok(evs) => panic!("{input:?} must fail; parsed {} events", evs.len()),
+                Ok(seq) => panic!("{input:?} must fail; parsed {} events", seq.len()),
             },
         };
         assert!(
@@ -275,35 +375,19 @@ fn non_utf8_bytes_fail_cleanly() {
     }
 }
 
-/// The same differential harness over *valid* documents: all three
-/// front ends must produce identical event streams (exercises the
-/// borrowed → owned bridge against the arena path).
 #[test]
-fn frontends_agree_on_valid_documents() {
-    let corpus: &[&str] = &[
-        "<a/>",
-        "<a>text</a>",
-        "<a b=\"1\" c=\"2\">x<d/>y</a>",
-        "<s:Envelope xmlns:s=\"http://schemas.xmlsoap.org/soap/envelope/\">\
-         <s:Body><r xsi:type=\"xsd:string\">ok &amp; well</r></s:Body></s:Envelope>",
-        "<a><!-- comment --><?pi data?><![CDATA[<raw>&stuff;]]></a>",
-        "<a>&#x65;&#101;&lt;&gt;&quot;&apos;&amp;</a>",
-        "<\u{e9}l\u{e9}ment attr=\"\u{2603}\">\u{1f4a9}</\u{e9}l\u{e9}ment>",
-    ];
-    for input in corpus {
-        let events =
-            all_frontends(input).unwrap_or_else(|e| panic!("{input:?} must parse, got error: {e}"));
-        assert!(
-            events.len() >= 3,
-            "{input:?} must produce at least start/element/end"
-        );
+fn frontends_agree_with_the_reference_on_valid_documents() {
+    for input in VALID {
+        assert!(agrees_with_reference(input), "{input:?} must parse");
     }
-    let mut rng = Rng::new(42);
-    for seed in 0..64u64 {
-        let mut doc_rng = Rng::new(seed + rng.next());
-        let doc = writer_doc(&mut doc_rng);
-        if let Err(e) = all_frontends(&doc) {
-            panic!("seed {seed}: writer doc must parse, got error: {e}");
-        }
+    for doc in soap_shaped_corpus() {
+        assert!(agrees_with_reference(&doc), "{doc} must parse");
+    }
+    for seed in 0..256u64 {
+        let doc = writer_doc(&mut Rng::new(seed));
+        assert!(
+            agrees_with_reference(&doc),
+            "seed {seed}: writer doc must parse\n{doc}"
+        );
     }
 }
