@@ -2,7 +2,7 @@
 //! event sequences for DOM-based middleware.
 
 use crate::error::XmlError;
-use crate::event::{Attribute, SaxEvent, SaxEventRef, SaxEventSequence};
+use crate::event::{Attribute, SaxEventRef, SaxEventSequence};
 use crate::name::QName;
 use crate::reader::XmlReader;
 use crate::writer::XmlWriter;
@@ -150,30 +150,6 @@ impl Element {
             .expect("fresh writer accepts a single tree");
         w.finish().expect("tree is balanced by construction")
     }
-
-    /// Flattens this subtree into SAX events (without document markers).
-    pub fn to_events(&self) -> Vec<SaxEvent> {
-        let mut out = Vec::new();
-        self.push_events(&mut out);
-        out
-    }
-
-    fn push_events(&self, out: &mut Vec<SaxEvent>) {
-        out.push(SaxEvent::StartElement {
-            name: self.name.clone(),
-            attributes: self.attributes.clone(),
-        });
-        for c in &self.children {
-            match c {
-                Node::Element(e) => e.push_events(out),
-                Node::Text(t) => out.push(SaxEvent::Characters(t.clone())),
-                Node::Comment(t) => out.push(SaxEvent::Comment(t.clone())),
-            }
-        }
-        out.push(SaxEvent::EndElement {
-            name: self.name.clone(),
-        });
-    }
 }
 
 /// A parsed document: the root element (plus anything we chose to keep from
@@ -298,31 +274,12 @@ mod tests {
     }
 
     #[test]
-    fn events_roundtrip_through_dom() {
-        let doc = Document::parse(SAMPLE).unwrap();
-        let mut events = vec![SaxEvent::StartDocument];
-        events.extend(doc.root.to_events());
-        events.push(SaxEvent::EndDocument);
-        let rebuilt = Document::from_events(&events.into()).unwrap();
-        assert_eq!(doc, rebuilt);
-    }
-
-    #[test]
     fn adjacent_text_runs_merge() {
-        let events: SaxEventSequence = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::StartElement {
-                name: QName::local("e"),
-                attributes: vec![],
-            },
-            SaxEvent::Characters("a".into()),
-            SaxEvent::Characters("b".into()),
-            SaxEvent::EndElement {
-                name: QName::local("e"),
-            },
-            SaxEvent::EndDocument,
-        ]
-        .into();
+        // Text and a CDATA section are two character events.
+        let events = XmlReader::new("<e>a<![CDATA[b]]></e>")
+            .read_sequence()
+            .unwrap();
+        assert_eq!(events.len(), 6);
         let doc = Document::from_events(&events).unwrap();
         assert_eq!(doc.root.text(), "ab");
         assert_eq!(doc.root.children.len(), 1);
@@ -344,20 +301,8 @@ mod tests {
     }
 
     #[test]
-    fn unbalanced_event_streams_are_rejected() {
-        let open_only: SaxEventSequence = vec![SaxEvent::StartElement {
-            name: QName::local("a"),
-            attributes: vec![],
-        }]
-        .into();
-        assert!(Document::from_events(&open_only).is_err());
-        let close_only: SaxEventSequence = vec![SaxEvent::EndElement {
-            name: QName::local("a"),
-        }]
-        .into();
-        assert!(Document::from_events(&close_only).is_err());
-        let empty: SaxEventSequence = vec![SaxEvent::StartDocument, SaxEvent::EndDocument].into();
-        assert!(Document::from_events(&empty).is_err());
+    fn an_empty_event_stream_is_rejected() {
+        assert!(Document::from_events(&SaxEventSequence::new()).is_err());
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! name table (each distinct [`QName`] held exactly once). Events and
 //! attribute records are plain old data — recording and dropping a
 //! sequence touches no per-event reference counts. Replaying borrows
-//! straight out of the arenas — the hit path performs no allocation —
-//! while [`SaxEvent`] remains the owned, per-event compatibility view.
+//! straight out of the arenas — the hit path performs no allocation.
+//! [`SaxEventRef`] is the one event type: a borrowed view of an arena
+//! entry. Only [`crate::reader::XmlReader`] can add events to a
+//! sequence, so its name ids and spans are valid by construction.
 
 use crate::name::QName;
 use std::fmt;
 
-/// An attribute as reported on a start-element event.
+/// An owned attribute — the DOM's attribute type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name, possibly prefixed; includes `xmlns`/`xmlns:p`
@@ -63,18 +65,12 @@ pub struct AttrRef<'a> {
 }
 
 impl AttrRef<'_> {
-    /// Materializes the owned compatibility form.
+    /// Materializes the owned form the DOM stores.
     pub fn to_attribute(&self) -> Attribute {
         Attribute {
             name: self.name.clone(),
             value: self.value.to_string(),
         }
-    }
-}
-
-impl PartialEq<Attribute> for AttrRef<'_> {
-    fn eq(&self, other: &Attribute) -> bool {
-        *self.name == other.name && self.value == other.value
     }
 }
 
@@ -106,43 +102,25 @@ pub(crate) struct AttrRecord {
 
 /// The attribute list delivered on a start-element event.
 ///
-/// A cheap `Copy` view over one of two storages — a slice of owned
-/// [`Attribute`]s (owned events) or span records plus their backing
-/// buffers (the reader's borrowed path and the arena sequence).
+/// A cheap `Copy` view over span records plus their backing buffers —
+/// the reader's scratch on the parse path, the arena on replay.
 /// Iteration yields [`AttrRef`]s either way, so handlers are agnostic
-/// to where the bytes live and the borrowed path allocates nothing.
-#[derive(Debug, Clone, Copy)]
+/// to where the bytes live and nothing is allocated per attribute.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Attributes<'a> {
-    repr: AttrsRepr<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum AttrsRepr<'a> {
-    Owned(&'a [Attribute]),
-    Records {
-        records: &'a [AttrRecord],
-        /// Name table the records' `name` ids index.
-        names: &'a [QName],
-        /// Backs spans with `in_alt == false`.
-        primary: &'a str,
-        /// Backs spans with `in_alt == true`.
-        alt: &'a str,
-    },
+    records: &'a [AttrRecord],
+    /// Name table the records' `name` ids index.
+    names: &'a [QName],
+    /// Backs spans with `in_alt == false`.
+    primary: &'a str,
+    /// Backs spans with `in_alt == true`.
+    alt: &'a str,
 }
 
 impl<'a> Attributes<'a> {
     /// An empty attribute list.
     pub fn empty() -> Attributes<'static> {
-        Attributes {
-            repr: AttrsRepr::Owned(&[]),
-        }
-    }
-
-    /// Views a slice of owned attributes.
-    pub fn from_slice(attributes: &'a [Attribute]) -> Self {
-        Attributes {
-            repr: AttrsRepr::Owned(attributes),
-        }
+        Attributes::default()
     }
 
     pub(crate) fn from_records(
@@ -152,49 +130,33 @@ impl<'a> Attributes<'a> {
         alt: &'a str,
     ) -> Self {
         Attributes {
-            repr: AttrsRepr::Records {
-                records,
-                names,
-                primary,
-                alt,
-            },
+            records,
+            names,
+            primary,
+            alt,
         }
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        match self.repr {
-            AttrsRepr::Owned(slice) => slice.len(),
-            AttrsRepr::Records { records, .. } => records.len(),
-        }
+        self.records.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.records.is_empty()
     }
 
     /// The attribute at `index`.
     pub fn get(&self, index: usize) -> Option<AttrRef<'a>> {
-        match self.repr {
-            AttrsRepr::Owned(slice) => slice.get(index).map(|a| AttrRef {
-                name: &a.name,
-                value: &a.value,
-            }),
-            AttrsRepr::Records {
-                records,
-                names,
-                primary,
-                alt,
-            } => records.get(index).map(|r| AttrRef {
-                name: &names[r.name as usize],
-                value: if r.in_alt {
-                    &alt[r.start as usize..r.end as usize]
-                } else {
-                    &primary[r.start as usize..r.end as usize]
-                },
-            }),
-        }
+        self.records.get(index).map(|r| AttrRef {
+            name: &self.names[r.name as usize],
+            value: if r.in_alt {
+                &self.alt[r.start as usize..r.end as usize]
+            } else {
+                &self.primary[r.start as usize..r.end as usize]
+            },
+        })
     }
 
     /// Iterates over the attributes as borrowed [`AttrRef`]s.
@@ -205,34 +167,10 @@ impl<'a> Attributes<'a> {
         }
     }
 
-    /// Materializes owned [`Attribute`]s (allocates; the borrowed
-    /// pipeline never needs this).
+    /// Materializes owned [`Attribute`]s for the DOM builder (allocates;
+    /// the borrowed pipeline never needs this).
     pub fn to_owned_vec(&self) -> Vec<Attribute> {
         self.iter().map(|a| a.to_attribute()).collect()
-    }
-}
-
-impl Default for Attributes<'_> {
-    fn default() -> Self {
-        Attributes::empty()
-    }
-}
-
-impl<'a> From<&'a [Attribute]> for Attributes<'a> {
-    fn from(attributes: &'a [Attribute]) -> Self {
-        Attributes::from_slice(attributes)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [Attribute; N]> for Attributes<'a> {
-    fn from(attributes: &'a [Attribute; N]) -> Self {
-        Attributes::from_slice(attributes)
-    }
-}
-
-impl<'a> From<&'a Vec<Attribute>> for Attributes<'a> {
-    fn from(attributes: &'a Vec<Attribute>) -> Self {
-        Attributes::from_slice(attributes)
     }
 }
 
@@ -256,24 +194,6 @@ impl<'a> IntoIterator for &Attributes<'a> {
 impl PartialEq for Attributes<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl PartialEq<[Attribute]> for Attributes<'_> {
-    fn eq(&self, other: &[Attribute]) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == *b)
-    }
-}
-
-impl PartialEq<&[Attribute]> for Attributes<'_> {
-    fn eq(&self, other: &&[Attribute]) -> bool {
-        *self == **other
-    }
-}
-
-impl PartialEq<Vec<Attribute>> for Attributes<'_> {
-    fn eq(&self, other: &Vec<Attribute>) -> bool {
-        *self == other[..]
     }
 }
 
@@ -302,13 +222,11 @@ impl<'a> Iterator for AttrIter<'a> {
 impl ExactSizeIterator for AttrIter<'_> {}
 
 /// One parsing event, mirroring the SAX `ContentHandler` callbacks the
-/// paper's Table 4 illustrates.
-///
-/// This is the *owned* event form — the compatibility view of an arena
-/// [`SaxEventSequence`] entry (see [`SaxEventRef`] for the borrowed
-/// form that replay and iteration use).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SaxEvent {
+/// paper's Table 4 illustrates, *borrowed* from an arena
+/// [`SaxEventSequence`]: names point at the sequence's interned symbols,
+/// text at its shared buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SaxEventRef<'a> {
     /// Document begins.
     StartDocument,
     /// Document ends.
@@ -316,95 +234,6 @@ pub enum SaxEvent {
     /// `<name attr="…">` — attributes include namespace declarations.
     StartElement {
         /// Element name as written (prefix preserved).
-        name: QName,
-        /// Attributes in document order.
-        attributes: Vec<Attribute>,
-    },
-    /// `</name>` or the implicit close of `<name/>`.
-    EndElement {
-        /// Element name as written.
-        name: QName,
-    },
-    /// Character data with entities already expanded. Adjacent runs may be
-    /// reported as a single event.
-    Characters(String),
-    /// `<!-- … -->`.
-    Comment(String),
-    /// `<?target data?>`.
-    ProcessingInstruction {
-        /// The PI target.
-        target: String,
-        /// Everything after the target, whitespace-trimmed on the left.
-        data: String,
-    },
-}
-
-impl SaxEvent {
-    /// Short label used by `Display` and the paper-style Table 4 printout.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SaxEvent::StartDocument => "start document",
-            SaxEvent::EndDocument => "end document",
-            SaxEvent::StartElement { .. } => "start element",
-            SaxEvent::EndElement { .. } => "end element",
-            SaxEvent::Characters(_) => "characters",
-            SaxEvent::Comment(_) => "comment",
-            SaxEvent::ProcessingInstruction { .. } => "processing instruction",
-        }
-    }
-
-    /// Approximate retained heap + inline size in bytes of this event as
-    /// an *owned* value (every string charged to this event).
-    ///
-    /// Arena sequences account differently — names interned in the
-    /// sequence's name table are charged once per table; see
-    /// [`SaxEventSequence::approximate_size`].
-    pub fn approximate_size(&self) -> usize {
-        let base = std::mem::size_of::<SaxEvent>();
-        match self {
-            SaxEvent::StartDocument | SaxEvent::EndDocument => base,
-            SaxEvent::StartElement { name, attributes } => {
-                base + name.text_len()
-                    + attributes
-                        .iter()
-                        .map(|a| {
-                            std::mem::size_of::<Attribute>() + a.name.text_len() + a.value.len()
-                        })
-                        .sum::<usize>()
-            }
-            SaxEvent::EndElement { name } => base + name.text_len(),
-            SaxEvent::Characters(s) | SaxEvent::Comment(s) => base + s.len(),
-            SaxEvent::ProcessingInstruction { target, data } => base + target.len() + data.len(),
-        }
-    }
-}
-
-impl fmt::Display for SaxEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SaxEvent::StartDocument | SaxEvent::EndDocument => f.write_str(self.kind()),
-            SaxEvent::StartElement { name, .. } => write!(f, "start element: {name}"),
-            SaxEvent::EndElement { name } => write!(f, "end element: {name}"),
-            SaxEvent::Characters(s) => write!(f, "characters: {s}"),
-            SaxEvent::Comment(s) => write!(f, "comment: {s}"),
-            SaxEvent::ProcessingInstruction { target, data } => {
-                write!(f, "processing instruction: {target} {data}")
-            }
-        }
-    }
-}
-
-/// One event *borrowed* from an arena [`SaxEventSequence`]: names point
-/// at the sequence's interned symbols, text at its shared buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SaxEventRef<'a> {
-    /// Document begins.
-    StartDocument,
-    /// Document ends.
-    EndDocument,
-    /// `<name attr="…">`.
-    StartElement {
-        /// Element name as written.
         name: &'a QName,
         /// Attributes in document order.
         attributes: Attributes<'a>,
@@ -414,7 +243,8 @@ pub enum SaxEventRef<'a> {
         /// Element name as written.
         name: &'a QName,
     },
-    /// Character data.
+    /// Character data with entities already expanded. Adjacent runs may
+    /// be reported as separate events.
     Characters(&'a str),
     /// `<!-- … -->`.
     Comment(&'a str),
@@ -428,7 +258,7 @@ pub enum SaxEventRef<'a> {
 }
 
 impl SaxEventRef<'_> {
-    /// Short label matching [`SaxEvent::kind`].
+    /// Short label used by `Display` and the paper-style Table 4 printout.
     pub fn kind(&self) -> &'static str {
         match self {
             SaxEventRef::StartDocument => "start document",
@@ -438,27 +268,6 @@ impl SaxEventRef<'_> {
             SaxEventRef::Characters(_) => "characters",
             SaxEventRef::Comment(_) => "comment",
             SaxEventRef::ProcessingInstruction { .. } => "processing instruction",
-        }
-    }
-
-    /// Materializes the owned compatibility form of this event.
-    pub fn to_owned_event(&self) -> SaxEvent {
-        match *self {
-            SaxEventRef::StartDocument => SaxEvent::StartDocument,
-            SaxEventRef::EndDocument => SaxEvent::EndDocument,
-            SaxEventRef::StartElement { name, attributes } => SaxEvent::StartElement {
-                name: name.clone(),
-                attributes: attributes.to_owned_vec(),
-            },
-            SaxEventRef::EndElement { name } => SaxEvent::EndElement { name: name.clone() },
-            SaxEventRef::Characters(text) => SaxEvent::Characters(text.to_string()),
-            SaxEventRef::Comment(text) => SaxEvent::Comment(text.to_string()),
-            SaxEventRef::ProcessingInstruction { target, data } => {
-                SaxEvent::ProcessingInstruction {
-                    target: target.to_string(),
-                    data: data.to_string(),
-                }
-            }
         }
     }
 }
@@ -474,49 +283,6 @@ impl fmt::Display for SaxEventRef<'_> {
             SaxEventRef::ProcessingInstruction { target, data } => {
                 write!(f, "processing instruction: {target} {data}")
             }
-        }
-    }
-}
-
-impl<'a> From<&'a SaxEvent> for SaxEventRef<'a> {
-    fn from(event: &'a SaxEvent) -> Self {
-        match event {
-            SaxEvent::StartDocument => SaxEventRef::StartDocument,
-            SaxEvent::EndDocument => SaxEventRef::EndDocument,
-            SaxEvent::StartElement { name, attributes } => SaxEventRef::StartElement {
-                name,
-                attributes: Attributes::from_slice(attributes),
-            },
-            SaxEvent::EndElement { name } => SaxEventRef::EndElement { name },
-            SaxEvent::Characters(text) => SaxEventRef::Characters(text),
-            SaxEvent::Comment(text) => SaxEventRef::Comment(text),
-            SaxEvent::ProcessingInstruction { target, data } => {
-                SaxEventRef::ProcessingInstruction { target, data }
-            }
-        }
-    }
-}
-
-impl PartialEq<SaxEvent> for SaxEventRef<'_> {
-    fn eq(&self, other: &SaxEvent) -> bool {
-        match (self, other) {
-            (SaxEventRef::StartDocument, SaxEvent::StartDocument)
-            | (SaxEventRef::EndDocument, SaxEvent::EndDocument) => true,
-            (
-                SaxEventRef::StartElement { name, attributes },
-                SaxEvent::StartElement {
-                    name: n,
-                    attributes: a,
-                },
-            ) => *name == n && *attributes == a.as_slice(),
-            (SaxEventRef::EndElement { name }, SaxEvent::EndElement { name: n }) => *name == n,
-            (SaxEventRef::Characters(s), SaxEvent::Characters(t))
-            | (SaxEventRef::Comment(s), SaxEvent::Comment(t)) => s == t,
-            (
-                SaxEventRef::ProcessingInstruction { target, data },
-                SaxEvent::ProcessingInstruction { target: t, data: d },
-            ) => target == t && data == d,
-            _ => false,
         }
     }
 }
@@ -559,19 +325,6 @@ enum ArenaEvent {
     ProcessingInstruction { target: ArenaSpan, data: ArenaSpan },
 }
 
-/// Bucket marker for an empty slot in the name-id index.
-const NO_NAME: u32 = u32::MAX;
-
-/// Order-independent hash of a qualified name from its parts' cached
-/// FNV hashes (no byte of the name is re-read).
-fn qname_hash(name: &QName) -> u64 {
-    let local = name.local_symbol().hash64();
-    match name.prefix_symbol() {
-        None => local,
-        Some(p) => local ^ p.hash64().rotate_left(17),
-    }
-}
-
 /// A recorded sequence of SAX events — the paper's cached "SAX events
 /// sequence" value representation, stored in arena form.
 ///
@@ -595,79 +348,12 @@ pub struct SaxEventSequence {
     /// Distinct element/attribute names, each held once; events and
     /// attribute records refer to them by index.
     names: Vec<QName>,
-    /// Open-addressed name→id index over `names`, keyed by the names'
-    /// cached hashes. Only the incremental record paths need it; a
-    /// sequence built by the reader adopts a finished `names` table and
-    /// leaves this empty until (if ever) another name is recorded.
-    name_ids: Vec<u32>,
 }
 
 impl SaxEventSequence {
     /// Creates an empty sequence.
     pub fn new() -> Self {
         SaxEventSequence::default()
-    }
-
-    /// Appends one owned event, moving its payload into the arenas.
-    pub fn push(&mut self, event: SaxEvent) {
-        match event {
-            SaxEvent::StartDocument => self.events.push(ArenaEvent::StartDocument),
-            SaxEvent::EndDocument => self.events.push(ArenaEvent::EndDocument),
-            SaxEvent::StartElement { name, attributes } => {
-                let name = self.intern_name(&name);
-                let start = self.attrs.len();
-                for a in &attributes {
-                    let name = self.intern_name(&a.name);
-                    let span = self.append_text(&a.value);
-                    self.attrs.push(AttrRecord {
-                        name,
-                        start: span.start,
-                        end: span.end,
-                        in_alt: false,
-                    });
-                }
-                self.events.push(ArenaEvent::StartElement {
-                    name,
-                    attrs: ArenaSpan::new(start, self.attrs.len()),
-                });
-            }
-            SaxEvent::EndElement { name } => {
-                let name = self.intern_name(&name);
-                self.events.push(ArenaEvent::EndElement { name });
-            }
-            SaxEvent::Characters(text) => self.record_characters(&text),
-            SaxEvent::Comment(text) => self.record_comment(&text),
-            SaxEvent::ProcessingInstruction { target, data } => {
-                self.record_processing_instruction(&target, &data)
-            }
-        }
-    }
-
-    /// Records a start-element, interning the names into the sequence's
-    /// name table (an index probe when already present) and copying
-    /// attribute values into the shared text arena.
-    pub fn record_start_element<'a>(
-        &mut self,
-        name: &QName,
-        attributes: impl Into<Attributes<'a>>,
-    ) {
-        let attributes = attributes.into();
-        let name = self.intern_name(name);
-        let start = self.attrs.len();
-        for a in attributes {
-            let name = self.intern_name(a.name);
-            let span = self.append_text(a.value);
-            self.attrs.push(AttrRecord {
-                name,
-                start: span.start,
-                end: span.end,
-                in_alt: false,
-            });
-        }
-        self.events.push(ArenaEvent::StartElement {
-            name,
-            attrs: ArenaSpan::new(start, self.attrs.len()),
-        });
     }
 
     /// Records an end-element whose name id refers to the table this
@@ -711,50 +397,6 @@ impl SaxEventSequence {
         });
     }
 
-    /// Resolves `name` to its id in this sequence's name table, adding
-    /// it if new. The open-addressed index probes on the name's cached
-    /// hash; it is (re)built lazily so sequences that adopt a finished
-    /// table never pay for it.
-    fn intern_name(&mut self, name: &QName) -> u32 {
-        if self.name_ids.len() < (self.names.len() + 1) * 2 {
-            self.grow_name_index();
-        }
-        let mask = self.name_ids.len() - 1;
-        let mut slot = (qname_hash(name) as usize) & mask;
-        loop {
-            match self.name_ids[slot] {
-                NO_NAME => break,
-                id => {
-                    if &self.names[id as usize] == name {
-                        return id;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-        let id = u32::try_from(self.names.len()).expect("name table exceeds u32 range");
-        self.names.push(name.clone());
-        self.name_ids[slot] = id;
-        id
-    }
-
-    /// Builds (or doubles) the name→id index over `names`.
-    fn grow_name_index(&mut self) {
-        let new_len = (self.name_ids.len() * 2)
-            .max(16)
-            .max((self.names.len() * 2 + 1).next_power_of_two());
-        self.name_ids.clear();
-        self.name_ids.resize(new_len, NO_NAME);
-        let mask = new_len - 1;
-        for (id, name) in self.names.iter().enumerate() {
-            let mut slot = (qname_hash(name) as usize) & mask;
-            while self.name_ids[slot] != NO_NAME {
-                slot = (slot + 1) & mask;
-            }
-            self.name_ids[slot] = id as u32;
-        }
-    }
-
     /// Pre-sizes the arenas for a document of `input_len` bytes (rough
     /// SOAP-shaped ratios), so recording a whole parse does not pay
     /// repeated growth copies.
@@ -774,36 +416,30 @@ impl SaxEventSequence {
         self.names = names;
     }
 
-    /// Records an end-element.
-    pub fn record_end_element(&mut self, name: &QName) {
-        let name = self.intern_name(name);
-        self.events.push(ArenaEvent::EndElement { name });
-    }
-
     /// Records a start-document marker.
-    pub fn record_start_document(&mut self) {
+    pub(crate) fn record_start_document(&mut self) {
         self.events.push(ArenaEvent::StartDocument);
     }
 
     /// Records an end-document marker.
-    pub fn record_end_document(&mut self) {
+    pub(crate) fn record_end_document(&mut self) {
         self.events.push(ArenaEvent::EndDocument);
     }
 
     /// Records character data into the shared text arena.
-    pub fn record_characters(&mut self, text: &str) {
+    pub(crate) fn record_characters(&mut self, text: &str) {
         let span = self.append_text(text);
         self.events.push(ArenaEvent::Characters(span));
     }
 
     /// Records a comment into the shared text arena.
-    pub fn record_comment(&mut self, text: &str) {
+    pub(crate) fn record_comment(&mut self, text: &str) {
         let span = self.append_text(text);
         self.events.push(ArenaEvent::Comment(span));
     }
 
     /// Records a processing instruction into the shared text arena.
-    pub fn record_processing_instruction(&mut self, target: &str, data: &str) {
+    pub(crate) fn record_processing_instruction(&mut self, target: &str, data: &str) {
         let target = self.append_text(target);
         let data = self.append_text(data);
         self.events
@@ -837,12 +473,6 @@ impl SaxEventSequence {
             seq: self,
             inner: self.events.iter(),
         }
-    }
-
-    /// Materializes the owned-event compatibility view of the whole
-    /// sequence (allocates; the hit path never needs this).
-    pub fn to_owned_events(&self) -> Vec<SaxEvent> {
-        self.iter().map(|e| e.to_owned_event()).collect()
     }
 
     /// The distinct element/attribute names referenced by this
@@ -900,7 +530,6 @@ impl SaxEventSequence {
             + self.text.len()
             + self.names.len() * std::mem::size_of::<QName>()
             + self.names_bytes()
-            + self.name_ids.capacity() * std::mem::size_of::<u32>()
     }
 
     fn view<'a>(&'a self, event: &'a ArenaEvent) -> SaxEventRef<'a> {
@@ -960,36 +589,6 @@ impl<'a> Iterator for Iter<'a> {
 
 impl ExactSizeIterator for Iter<'_> {}
 
-impl FromIterator<SaxEvent> for SaxEventSequence {
-    fn from_iter<I: IntoIterator<Item = SaxEvent>>(iter: I) -> Self {
-        let mut seq = SaxEventSequence::new();
-        seq.extend(iter);
-        seq
-    }
-}
-
-impl Extend<SaxEvent> for SaxEventSequence {
-    fn extend<I: IntoIterator<Item = SaxEvent>>(&mut self, iter: I) {
-        for event in iter {
-            self.push(event);
-        }
-    }
-}
-
-impl From<Vec<SaxEvent>> for SaxEventSequence {
-    fn from(events: Vec<SaxEvent>) -> Self {
-        events.into_iter().collect()
-    }
-}
-
-impl IntoIterator for SaxEventSequence {
-    type Item = SaxEvent;
-    type IntoIter = std::vec::IntoIter<SaxEvent>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.to_owned_events().into_iter()
-    }
-}
-
 impl<'a> IntoIterator for &'a SaxEventSequence {
     type Item = SaxEventRef<'a>;
     type IntoIter = Iter<'a>;
@@ -1001,85 +600,77 @@ impl<'a> IntoIterator for &'a SaxEventSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::XmlError;
+    use crate::reader::XmlReader;
+    use crate::sax::ContentHandler;
 
-    fn sample() -> SaxEventSequence {
-        vec![
-            SaxEvent::StartDocument,
-            SaxEvent::StartElement {
-                name: QName::local("doc"),
-                attributes: vec![],
-            },
-            SaxEvent::Characters("hi".into()),
-            SaxEvent::EndElement {
-                name: QName::local("doc"),
-            },
-            SaxEvent::EndDocument,
-        ]
-        .into()
+    fn parse(xml: &str) -> SaxEventSequence {
+        XmlReader::new(xml).read_sequence().unwrap()
     }
+
+    const EVERY_KIND: &str = r#"<ns:doc ns:attr="v1" b="v2">hello<!--note--><?pi d?></ns:doc>"#;
 
     #[test]
     fn display_matches_paper_table4_style() {
-        assert_eq!(SaxEvent::StartDocument.to_string(), "start document");
+        let seq = parse(EVERY_KIND);
+        let lines: Vec<String> = seq.iter().map(|e| e.to_string()).collect();
         assert_eq!(
-            SaxEvent::StartElement {
-                name: QName::local("para"),
-                attributes: vec![]
-            }
-            .to_string(),
-            "start element: para"
-        );
-        assert_eq!(
-            SaxEvent::Characters("Hello, world!".into()).to_string(),
-            "characters: Hello, world!"
-        );
-        assert_eq!(
-            SaxEvent::EndElement {
-                name: QName::local("para")
-            }
-            .to_string(),
-            "end element: para"
-        );
-        assert_eq!(SaxEvent::EndDocument.to_string(), "end document");
-    }
-
-    #[test]
-    fn sequence_collects_and_iterates_in_order() {
-        let seq = sample();
-        assert_eq!(seq.len(), 5);
-        assert!(!seq.is_empty());
-        let kinds: Vec<_> = seq.iter().map(|e| e.kind()).collect();
-        assert_eq!(
-            kinds,
+            lines,
             [
                 "start document",
-                "start element",
-                "characters",
-                "end element",
-                "end document"
+                "start element: ns:doc",
+                "characters: hello",
+                "comment: note",
+                "processing instruction: pi d",
+                "end element: ns:doc",
+                "end document",
             ]
         );
     }
 
     #[test]
-    fn size_accounts_for_strings() {
-        let small = SaxEvent::Characters("a".into()).approximate_size();
-        let big = SaxEvent::Characters("a".repeat(100)).approximate_size();
-        assert_eq!(big - small, 99);
+    fn arena_views_every_event_kind() {
+        let seq = parse(EVERY_KIND);
+        assert_eq!(seq.len(), 7);
+        assert!(!seq.is_empty());
+        assert_eq!(seq.get(0), Some(SaxEventRef::StartDocument));
+        match seq.get(1) {
+            Some(SaxEventRef::StartElement { name, attributes }) => {
+                assert_eq!((name.prefix(), name.local_part()), ("ns", "doc"));
+                let pairs: Vec<_> = attributes
+                    .iter()
+                    .map(|a| (a.name.to_string(), a.value))
+                    .collect();
+                assert_eq!(
+                    pairs,
+                    [("ns:attr".to_string(), "v1"), ("b".to_string(), "v2")]
+                );
+                assert_eq!(attributes.to_owned_vec()[1], Attribute::new("b", "v2"));
+                assert_eq!(attributes.get(2), None);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_eq!(seq.get(2), Some(SaxEventRef::Characters("hello")));
+        assert_eq!(seq.get(3), Some(SaxEventRef::Comment("note")));
+        assert_eq!(
+            seq.get(4),
+            Some(SaxEventRef::ProcessingInstruction {
+                target: "pi",
+                data: "d"
+            })
+        );
+        assert_eq!(seq.get(5).map(|e| e.kind()), Some("end element"));
+        assert_eq!(seq.get(6), Some(SaxEventRef::EndDocument));
+        assert_eq!(seq.get(7), None);
     }
 
     #[test]
-    fn size_accounts_for_attributes() {
-        let bare = SaxEvent::StartElement {
-            name: QName::local("e"),
-            attributes: vec![],
-        }
-        .approximate_size();
-        let with_attr = SaxEvent::StartElement {
-            name: QName::local("e"),
-            attributes: vec![Attribute::new("href", "value")],
-        }
-        .approximate_size();
+    fn size_accounts_for_text_and_attributes() {
+        let small = parse("<e>a</e>").approximate_size();
+        let big = parse(&format!("<e>{}</e>", "a".repeat(100))).approximate_size();
+        assert_eq!(big - small, 99);
+        let bare = parse("<e/>").approximate_size();
+        let with_attr = parse(r#"<e href="value"/>"#).approximate_size();
         assert!(with_attr > bare + "href".len() + "value".len());
     }
 
@@ -1090,63 +681,29 @@ mod tests {
     }
 
     #[test]
-    fn arena_roundtrips_owned_events() {
-        let owned = vec![
-            SaxEvent::StartDocument,
-            SaxEvent::StartElement {
-                name: QName::parse("ns:doc"),
-                attributes: vec![Attribute::new("ns:attr", "v1"), Attribute::new("b", "v2")],
-            },
-            SaxEvent::Characters("hello".into()),
-            SaxEvent::Comment("note".into()),
-            SaxEvent::ProcessingInstruction {
-                target: "pi".into(),
-                data: "d".into(),
-            },
-            SaxEvent::EndElement {
-                name: QName::parse("ns:doc"),
-            },
-            SaxEvent::EndDocument,
-        ];
-        let seq: SaxEventSequence = owned.clone().into();
-        assert_eq!(seq.to_owned_events(), owned);
-        for (a, b) in seq.iter().zip(&owned) {
-            assert_eq!(a, *b);
-        }
-        assert_eq!(seq.get(2), Some(SaxEventRef::Characters("hello")));
-        assert_eq!(seq.get(99), None);
+    fn equality_is_by_events_not_by_source_text() {
+        let a = parse(r#"<doc k="&lt;">hi</doc>"#);
+        let b = parse("<?xml version='1.0'?>\n<doc k = '&#60;' >hi</doc >");
+        assert_eq!(a, b);
+        assert_ne!(a, parse(r#"<doc k="&lt;">hi<!--extra--></doc>"#));
+        assert_ne!(a, parse(r#"<doc k="&gt;">hi</doc>"#));
     }
 
-    #[test]
-    fn equality_is_semantic_across_arena_layouts() {
-        // Same events pushed in one batch vs. recorded incrementally.
-        let a = sample();
-        let mut b = SaxEventSequence::new();
-        b.record_start_document();
-        b.record_start_element(&QName::local("doc"), &[]);
-        b.record_characters("hi");
-        b.record_end_element(&QName::local("doc"));
-        b.record_end_document();
-        assert_eq!(a, b);
-        let mut c = b.clone();
-        c.record_characters("extra");
-        assert_ne!(a, c);
+    fn list_of(name: &str, n: usize) -> SaxEventSequence {
+        parse(&format!("<list>{}</list>", format!("<{name}/>").repeat(n)))
     }
 
     #[test]
     fn repeated_names_are_interned_once() {
-        let mut seq = SaxEventSequence::new();
-        let item = QName::local("item");
-        for _ in 0..100 {
-            seq.record_start_element(&item, &[]);
-            seq.record_end_element(&item);
-        }
-        assert_eq!(seq.len(), 200);
-        assert_eq!(seq.names().len(), 1);
-        assert_eq!(seq.names_bytes(), "item".len());
+        let seq = list_of("item", 100);
+        assert_eq!(seq.len(), 204);
+        assert_eq!(seq.names().len(), 2);
+        assert_eq!(seq.names_bytes(), "list".len() + "item".len());
         // All events share one allocation for the name.
         let mut locals = seq.iter().filter_map(|e| match e {
-            SaxEventRef::StartElement { name, .. } | SaxEventRef::EndElement { name } => {
+            SaxEventRef::StartElement { name, .. } | SaxEventRef::EndElement { name }
+                if name.local_part() == "item" =>
+            {
                 Some(name.local_symbol().clone())
             }
             _ => None,
@@ -1157,16 +714,8 @@ mod tests {
 
     #[test]
     fn size_charges_interned_names_once() {
-        let mut small = SaxEventSequence::new();
-        let mut big = SaxEventSequence::new();
-        let name = QName::local("element-with-a-long-name");
-        for seq_ops in [(&mut small, 2usize), (&mut big, 200usize)] {
-            let (seq, n) = seq_ops;
-            for _ in 0..n {
-                seq.record_start_element(&name, &[]);
-                seq.record_end_element(&name);
-            }
-        }
+        let small = list_of("element-with-a-long-name", 1);
+        let big = list_of("element-with-a-long-name", 100);
         let per_event = (big.approximate_size() - small.approximate_size()) as f64
             / (big.len() - small.len()) as f64;
         // The marginal event costs its arena slot only — far less than
@@ -1178,12 +727,61 @@ mod tests {
         assert_eq!(big.names_bytes(), small.names_bytes());
     }
 
+    fn line(event: SaxEventRef<'_>) -> String {
+        let mut line = event.to_string();
+        if let SaxEventRef::StartElement { attributes, .. } = event {
+            for a in attributes {
+                line.push_str(&format!(" {a}"));
+            }
+        }
+        line
+    }
+
+    /// Logs each callback as the line `iter()`'s view of it renders to.
+    struct Lines(Vec<String>);
+
+    impl Lines {
+        fn push(&mut self, event: SaxEventRef<'_>) -> Result<(), XmlError> {
+            self.0.push(line(event));
+            Ok(())
+        }
+    }
+
+    impl ContentHandler for Lines {
+        type Error = XmlError;
+        fn start_document(&mut self) -> Result<(), XmlError> {
+            self.push(SaxEventRef::StartDocument)
+        }
+        fn end_document(&mut self) -> Result<(), XmlError> {
+            self.push(SaxEventRef::EndDocument)
+        }
+        fn start_element(
+            &mut self,
+            name: &QName,
+            attributes: Attributes<'_>,
+        ) -> Result<(), XmlError> {
+            self.push(SaxEventRef::StartElement { name, attributes })
+        }
+        fn end_element(&mut self, name: &QName) -> Result<(), XmlError> {
+            self.push(SaxEventRef::EndElement { name })
+        }
+        fn characters(&mut self, text: &str) -> Result<(), XmlError> {
+            self.push(SaxEventRef::Characters(text))
+        }
+        fn comment(&mut self, text: &str) -> Result<(), XmlError> {
+            self.push(SaxEventRef::Comment(text))
+        }
+        fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), XmlError> {
+            self.push(SaxEventRef::ProcessingInstruction { target, data })
+        }
+    }
+
     #[test]
-    fn replay_delivers_borrowed_events() {
-        use crate::sax::Recorder;
-        let seq = sample();
-        let mut rec = Recorder::new();
-        seq.replay(&mut rec).unwrap();
-        assert_eq!(rec.sequence(), &seq);
+    fn replay_delivers_the_recorded_events() {
+        let seq = parse(EVERY_KIND);
+        let mut lines = Lines(Vec::new());
+        seq.replay(&mut lines).unwrap();
+        assert_eq!(lines.0[1], r#"start element: ns:doc ns:attr="v1" b="v2""#);
+        assert_eq!(lines.0, seq.iter().map(line).collect::<Vec<_>>());
     }
 }

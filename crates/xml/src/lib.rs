@@ -4,21 +4,23 @@
 //! XML substrate for the wsrcache project.
 //!
 //! This crate provides everything the SOAP layer needs from XML, built from
-//! scratch: text escaping, qualified names and namespace handling, a
-//! streaming [`writer::XmlWriter`], a pull [`reader::XmlReader`] that emits
-//! [`event::SaxEvent`]s, a recordable/replayable [`event::SaxEventSequence`]
-//! (the paper's "SAX events sequence" cache representation), and a small
-//! [`dom`] tree.
+//! scratch: text escaping, qualified names, a streaming
+//! [`writer::XmlWriter`], a [`reader::XmlReader`] that pushes events into a
+//! [`sax::ContentHandler`] and/or records them as a replayable
+//! [`event::SaxEventSequence`] (the paper's "SAX events sequence" cache
+//! representation, viewed as [`event::SaxEventRef`]s), and a small [`dom`]
+//! tree.
 //!
 //! # Example
 //!
 //! ```
 //! use wsrc_xml::reader::XmlReader;
-//! use wsrc_xml::event::SaxEvent;
+//! use wsrc_xml::event::SaxEventRef;
 //!
 //! # fn main() -> Result<(), wsrc_xml::error::XmlError> {
-//! let events = XmlReader::new("<doc><para>Hello, world!</para></doc>").read_all()?;
-//! assert!(matches!(events.first(), Some(SaxEvent::StartDocument)));
+//! let events = XmlReader::new("<doc><para>Hello, world!</para></doc>").read_sequence()?;
+//! assert_eq!(events.iter().next(), Some(SaxEventRef::StartDocument));
+//! assert_eq!(events.get(3).unwrap().to_string(), "characters: Hello, world!");
 //! # Ok(())
 //! # }
 //! ```
@@ -36,8 +38,8 @@ pub mod writer;
 
 pub use dom::{Document, Element, Node};
 pub use error::XmlError;
-pub use event::{AttrRef, Attribute, Attributes, SaxEvent, SaxEventRef, SaxEventSequence};
-pub use name::{NamespaceContext, QName};
+pub use event::{AttrRef, Attribute, Attributes, SaxEventRef, SaxEventSequence};
+pub use name::QName;
 pub use reader::XmlReader;
 pub use symbol::{Symbol, SymbolTable};
 pub use writer::XmlWriter;

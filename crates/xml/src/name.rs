@@ -1,19 +1,17 @@
-//! Qualified names and namespace scope handling.
+//! Qualified names.
 
 use crate::symbol::Symbol;
 use std::fmt;
 
 /// The reserved `xmlns` attribute prefix.
 pub const XMLNS: &str = "xmlns";
-/// Namespace URI bound to the reserved `xml` prefix.
-pub const XML_NS_URI: &str = "http://www.w3.org/XML/1998/namespace";
 
 /// A qualified XML name: an optional prefix plus a local part.
 ///
 /// `QName` stores the *lexical* form (`soap:Envelope` → prefix `soap`,
-/// local `Envelope`). Resolution of prefixes to namespace URIs is done with
-/// a [`NamespaceContext`], which mirrors how a streaming parser or a SAX
-/// consumer tracks in-scope bindings.
+/// local `Envelope`). Prefixes are not resolved to namespace URIs:
+/// `xmlns` declarations travel as ordinary attributes, and the SOAP layer
+/// matches elements on their local parts.
 ///
 /// Both parts are interned [`Symbol`]s: cloning a `QName` is two pointer
 /// bumps, names produced through one [`crate::symbol::SymbolTable`]
@@ -126,107 +124,6 @@ impl fmt::Display for QName {
     }
 }
 
-/// A stack of in-scope namespace bindings.
-///
-/// Consumers push a scope when they see a start-element, declare any
-/// `xmlns`/`xmlns:p` attributes into it, and pop on the matching
-/// end-element. [`resolve`](NamespaceContext::resolve) walks the stack from
-/// innermost to outermost.
-#[derive(Debug, Clone, Default)]
-pub struct NamespaceContext {
-    // (prefix, uri) pairs per scope; small scopes make Vec faster than maps.
-    scopes: Vec<Vec<(String, String)>>,
-}
-
-impl NamespaceContext {
-    /// Creates an empty context (only the built-in `xml` prefix resolves).
-    pub fn new() -> Self {
-        NamespaceContext::default()
-    }
-
-    /// Enters a new element scope.
-    pub fn push_scope(&mut self) {
-        self.scopes.push(Vec::new());
-    }
-
-    /// Leaves the innermost scope.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no scope is active; that indicates unbalanced push/pop by
-    /// the caller, which is a programming error rather than bad input.
-    pub fn pop_scope(&mut self) {
-        self.scopes
-            .pop()
-            .expect("pop_scope without matching push_scope");
-    }
-
-    /// Declares `prefix` (empty string for the default namespace) to map to
-    /// `uri` in the innermost scope.
-    pub fn declare(&mut self, prefix: impl Into<String>, uri: impl Into<String>) {
-        if self.scopes.is_empty() {
-            self.scopes.push(Vec::new());
-        }
-        self.scopes
-            .last_mut()
-            .expect("scope exists")
-            .push((prefix.into(), uri.into()));
-    }
-
-    /// Resolves a prefix to its namespace URI, if bound.
-    ///
-    /// The empty prefix resolves to the in-scope default namespace. The
-    /// `xml` prefix always resolves to its fixed URI.
-    pub fn resolve(&self, prefix: &str) -> Option<&str> {
-        if prefix == "xml" {
-            return Some(XML_NS_URI);
-        }
-        for scope in self.scopes.iter().rev() {
-            // Later declarations in the same scope win, matching document order.
-            for (p, uri) in scope.iter().rev() {
-                if p == prefix {
-                    return Some(uri);
-                }
-            }
-        }
-        None
-    }
-
-    /// Resolves the namespace URI of an element name.
-    pub fn resolve_element(&self, name: &QName) -> Option<&str> {
-        self.resolve(name.prefix())
-    }
-
-    /// Resolves the namespace URI of an attribute name.
-    ///
-    /// Unprefixed attributes are in *no* namespace (not the default one),
-    /// per the Namespaces in XML recommendation.
-    pub fn resolve_attribute(&self, name: &QName) -> Option<&str> {
-        if name.is_prefixed() {
-            self.resolve(name.prefix())
-        } else {
-            None
-        }
-    }
-
-    /// Finds a prefix bound to `uri`, preferring the innermost binding.
-    pub fn prefix_for(&self, uri: &str) -> Option<&str> {
-        for scope in self.scopes.iter().rev() {
-            for (p, u) in scope.iter().rev() {
-                if u == uri {
-                    return Some(p);
-                }
-            }
-        }
-        None
-    }
-
-    /// Number of active scopes. Useful for consumers asserting balance.
-    pub fn depth(&self) -> usize {
-        self.scopes.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,52 +146,5 @@ mod tests {
         assert!(QName::parse("xmlns").is_namespace_declaration());
         assert!(QName::parse("xmlns:soap").is_namespace_declaration());
         assert!(!QName::parse("soap:Body").is_namespace_declaration());
-    }
-
-    #[test]
-    fn resolution_walks_scopes_inner_to_outer() {
-        let mut ctx = NamespaceContext::new();
-        ctx.push_scope();
-        ctx.declare("a", "uri:outer");
-        ctx.declare("", "uri:default-outer");
-        ctx.push_scope();
-        ctx.declare("a", "uri:inner");
-        assert_eq!(ctx.resolve("a"), Some("uri:inner"));
-        assert_eq!(ctx.resolve(""), Some("uri:default-outer"));
-        ctx.pop_scope();
-        assert_eq!(ctx.resolve("a"), Some("uri:outer"));
-    }
-
-    #[test]
-    fn unprefixed_attribute_is_in_no_namespace() {
-        let mut ctx = NamespaceContext::new();
-        ctx.push_scope();
-        ctx.declare("", "uri:default");
-        assert_eq!(ctx.resolve_element(&QName::parse("e")), Some("uri:default"));
-        assert_eq!(ctx.resolve_attribute(&QName::parse("a")), None);
-    }
-
-    #[test]
-    fn xml_prefix_is_builtin() {
-        let ctx = NamespaceContext::new();
-        assert_eq!(ctx.resolve("xml"), Some(XML_NS_URI));
-    }
-
-    #[test]
-    fn prefix_for_finds_innermost() {
-        let mut ctx = NamespaceContext::new();
-        ctx.push_scope();
-        ctx.declare("o", "uri:x");
-        ctx.push_scope();
-        ctx.declare("i", "uri:x");
-        assert_eq!(ctx.prefix_for("uri:x"), Some("i"));
-        assert_eq!(ctx.prefix_for("uri:missing"), None);
-    }
-
-    #[test]
-    fn unresolved_prefix_is_none() {
-        let mut ctx = NamespaceContext::new();
-        ctx.push_scope();
-        assert_eq!(ctx.resolve("nope"), None);
     }
 }

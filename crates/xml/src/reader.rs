@@ -1,16 +1,17 @@
-//! A hand-written, non-validating pull parser producing SAX events.
+//! A hand-written, non-validating parser producing SAX events.
 //!
 //! The scanner is byte-table-driven and zero-allocation on its hot
-//! path: a 256-entry class table (see [`crate::scan`]) classifies bytes,
+//! path: a 256-entry class table (`crate::scan`) classifies bytes,
 //! SWAR memchr loops skip to the `<` / `&` / quote delimiters eight
 //! bytes at a time, and every payload the parser delivers — character
 //! data, comment and PI bodies, attribute values — is a borrowed slice
 //! of the input. Only content containing entity references takes the
 //! slow path, which unescapes into a scratch buffer reused across runs;
-//! names are validated, hashed and interned in one byte scan. The owned
-//! [`SaxEvent`] form survives as a compatibility view materialized by
-//! [`next_event`](XmlReader::next_event); `read_sequence` and
-//! `parse_into` never build it.
+//! names are validated, hashed and interned in one byte scan. Three
+//! whole-document entry points share that scanner behind three sinks:
+//! [`read_sequence`](XmlReader::read_sequence) records an arena,
+//! [`parse_into`](XmlReader::parse_into) feeds a handler, and
+//! [`read_sequence_into`](XmlReader::read_sequence_into) does both.
 //!
 //! Supported: elements, attributes (single- or double-quoted), character
 //! data, CDATA sections, comments, processing instructions, the XML
@@ -23,7 +24,7 @@
 
 use crate::error::XmlError;
 use crate::escape::unescape_into;
-use crate::event::{AttrRecord, Attributes, SaxEvent, SaxEventSequence};
+use crate::event::{AttrRecord, Attributes, SaxEventSequence};
 use crate::name::QName;
 use crate::sax::ContentHandler;
 use crate::scan;
@@ -33,14 +34,11 @@ use wsrc_obs::Histogram;
 
 /// Whole-document parse timers in the process-wide metrics registry,
 /// `wsrc_xml_parse_seconds{op=…}`. Initialised once; recording is
-/// lock-free afterwards. Per-event `next_event` calls are deliberately
-/// not timed — only the whole-document entry points.
+/// lock-free afterwards.
 fn parse_timer(op: &'static str) -> &'static Histogram {
-    static READ_ALL: OnceLock<Histogram> = OnceLock::new();
     static READ_SEQUENCE: OnceLock<Histogram> = OnceLock::new();
     static PARSE_INTO: OnceLock<Histogram> = OnceLock::new();
     let cell = match op {
-        "read-all" => &READ_ALL,
         "read-sequence" => &READ_SEQUENCE,
         _ => &PARSE_INTO,
     };
@@ -366,84 +364,20 @@ impl<H: ContentHandler> EventSink for TeeSink<'_, H> {
     }
 }
 
-/// Materializes the owned compatibility [`SaxEvent`] for one advance —
-/// the sink behind [`XmlReader::next_event`]; the whole-document paths
-/// never come through here.
-struct OwnedSink {
-    event: Option<SaxEvent>,
-}
-
-/// The single sanctioned owned-copy site in the reader: every parser
-/// input span that becomes an owned `String` does so here, for the
-/// [`OwnedSink`] compatibility path. Analyzer rule R6's parser-span
-/// check pins copies to this function.
-fn owned_text(text: &str) -> String {
-    text.to_string()
-}
-
-impl EventSink for OwnedSink {
-    type Error = XmlError;
-
-    fn start_document(&mut self) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::StartDocument);
-        Ok(())
-    }
-    fn end_document(&mut self) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::EndDocument);
-        Ok(())
-    }
-    fn start_element(
-        &mut self,
-        name: u32,
-        names: &[QName],
-        attrs: &mut Vec<AttrRecord>,
-        input: &str,
-        scratch: &str,
-    ) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::StartElement {
-            name: names[name as usize].clone(),
-            attributes: Attributes::from_records(attrs, names, input, scratch).to_owned_vec(),
-        });
-        Ok(())
-    }
-    fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::EndElement {
-            name: names[name as usize].clone(),
-        });
-        Ok(())
-    }
-    fn characters(&mut self, text: &str) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::Characters(owned_text(text)));
-        Ok(())
-    }
-    fn comment(&mut self, text: &str) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::Comment(owned_text(text)));
-        Ok(())
-    }
-    fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), XmlError> {
-        self.event = Some(SaxEvent::ProcessingInstruction {
-            target: owned_text(target),
-            data: owned_text(data),
-        });
-        Ok(())
-    }
-}
-
-/// A streaming XML pull parser.
+/// A streaming XML parser over a complete in-memory document.
 ///
-/// Call [`next_event`](XmlReader::next_event) until it returns
-/// `Ok(None)`, or use the convenience methods [`read_all`](XmlReader::read_all),
-/// [`read_sequence`](XmlReader::read_sequence) and
-/// [`parse_into`](XmlReader::parse_into).
+/// Consumed by one of [`read_sequence`](XmlReader::read_sequence),
+/// [`parse_into`](XmlReader::parse_into) or
+/// [`read_sequence_into`](XmlReader::read_sequence_into).
 ///
 /// ```
-/// use wsrc_xml::{XmlReader, SaxEvent};
+/// use wsrc_xml::{SaxEventRef, XmlReader};
 /// # fn main() -> Result<(), wsrc_xml::XmlError> {
-/// let mut reader = XmlReader::new("<greet who='world'/>");
-/// while let Some(event) = reader.next_event()? {
-///     if let SaxEvent::StartElement { name, attributes } = event {
+/// let seq = XmlReader::new("<greet who='world'/>").read_sequence()?;
+/// for event in seq.iter() {
+///     if let SaxEventRef::StartElement { name, attributes } = event {
 ///         assert_eq!(name.local_part(), "greet");
-///         assert_eq!(attributes[0].value, "world");
+///         assert_eq!(attributes.get(0).unwrap().value, "world");
 ///     }
 /// }
 /// # Ok(())
@@ -535,20 +469,6 @@ impl<'x> XmlReader<'x> {
         }
     }
 
-    /// Parses the whole document, returning every event in order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first syntax or well-formedness error encountered.
-    pub fn read_all(mut self) -> Result<Vec<SaxEvent>, XmlError> {
-        let _span = parse_timer("read-all").timer();
-        let mut events = Vec::new();
-        while let Some(e) = self.next_event()? {
-            events.push(e);
-        }
-        Ok(events)
-    }
-
     /// Parses the whole document into an arena [`SaxEventSequence`],
     /// recording borrowed payloads straight into the sequence's buffers
     /// — no intermediate owned events exist. Names are interned once,
@@ -619,23 +539,6 @@ impl<'x> XmlReader<'x> {
         let mut sink = HandlerSink { handler };
         while self.advance_into(&mut sink)? {}
         Ok(())
-    }
-
-    /// Returns the next event, or `None` once `EndDocument` was delivered.
-    ///
-    /// This is the owned compatibility entry point; the whole-document
-    /// methods stay borrowed throughout.
-    ///
-    /// # Errors
-    ///
-    /// Returns a positioned [`XmlError`] on malformed input.
-    pub fn next_event(&mut self) -> Result<Option<SaxEvent>, XmlError> {
-        let mut sink = OwnedSink { event: None };
-        if self.advance_into(&mut sink)? {
-            Ok(sink.event)
-        } else {
-            Ok(None)
-        }
     }
 
     /// Scans to the next event and delivers it to `sink`. Returns
@@ -1225,14 +1128,6 @@ fn arena_index(at: usize) -> u32 {
     u32::try_from(at).expect("XML input exceeds u32 span range")
 }
 
-impl Iterator for XmlReader<'_> {
-    type Item = Result<SaxEvent, XmlError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_event().transpose()
-    }
-}
-
 impl Drop for XmlReader<'_> {
     /// Hands the warmed vocabulary cache back to the thread, so the
     /// next parse on this thread starts with the service's names
@@ -1274,17 +1169,28 @@ impl<E> From<XmlError> for ParseIntoError<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SaxEventRef;
 
-    fn events(xml: &str) -> Vec<SaxEvent> {
+    fn events(xml: &str) -> SaxEventSequence {
         XmlReader::new(xml)
-            .collect::<Result<Vec<_>, _>>()
+            .read_sequence()
             .unwrap_or_else(|e| panic!("parse failed for {xml:?}: {e}"))
     }
 
     fn expect_err(xml: &str) -> XmlError {
         XmlReader::new(xml)
-            .collect::<Result<Vec<_>, _>>()
+            .read_sequence()
             .expect_err(&format!("expected failure for {xml:?}"))
+    }
+
+    /// Attribute values of the start element at `index`.
+    fn attr_values(seq: &SaxEventSequence, index: usize) -> Vec<&str> {
+        match seq.get(index) {
+            Some(SaxEventRef::StartElement { attributes, .. }) => {
+                attributes.iter().map(|a| a.value).collect()
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
     }
 
     #[test]
@@ -1308,20 +1214,13 @@ mod tests {
     #[test]
     fn attributes_with_both_quote_styles() {
         let evs = events(r#"<e a="1" b='two words'/>"#);
-        match &evs[1] {
-            SaxEvent::StartElement { attributes, .. } => {
-                assert_eq!(attributes.len(), 2);
-                assert_eq!(attributes[0].value, "1");
-                assert_eq!(attributes[1].value, "two words");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        assert_eq!(attr_values(&evs, 1), ["1", "two words"]);
     }
 
     #[test]
     fn empty_element_produces_start_and_end() {
         let evs = events("<a><b/></a>");
-        let kinds: Vec<_> = evs.iter().map(SaxEvent::kind).collect();
+        let kinds: Vec<_> = evs.iter().map(|e| e.kind()).collect();
         assert_eq!(
             kinds,
             [
@@ -1338,11 +1237,8 @@ mod tests {
     #[test]
     fn entities_are_expanded_in_text_and_attributes() {
         let evs = events(r#"<e a="&lt;&amp;&gt;">&#65;&amp;B</e>"#);
-        match &evs[1] {
-            SaxEvent::StartElement { attributes, .. } => assert_eq!(attributes[0].value, "<&>"),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(evs[2], SaxEvent::Characters("A&B".into()));
+        assert_eq!(attr_values(&evs, 1), ["<&>"]);
+        assert_eq!(evs.get(2), Some(SaxEventRef::Characters("A&B")));
     }
 
     #[test]
@@ -1350,8 +1246,8 @@ mod tests {
         // The slow-path scratch is reused between runs; each run must
         // see only its own expansion.
         let evs = events("<a><b>&amp;x</b><c>&lt;y</c></a>");
-        assert_eq!(evs[3], SaxEvent::Characters("&x".into()));
-        assert_eq!(evs[6], SaxEvent::Characters("<y".into()));
+        assert_eq!(evs.get(3), Some(SaxEventRef::Characters("&x")));
+        assert_eq!(evs.get(6), Some(SaxEventRef::Characters("<y")));
     }
 
     #[test]
@@ -1359,42 +1255,40 @@ mod tests {
         // Escape-free values borrow the input; entity values live in
         // the scratch — both on one tag, in both orders.
         let evs = events(r#"<e a="plain" b="&amp;1" c="also plain" d="&lt;2"/>"#);
-        match &evs[1] {
-            SaxEvent::StartElement { attributes, .. } => {
-                let values: Vec<&str> = attributes.iter().map(|a| a.value.as_str()).collect();
-                assert_eq!(values, ["plain", "&1", "also plain", "<2"]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(attr_values(&evs, 1), ["plain", "&1", "also plain", "<2"]);
     }
 
     #[test]
     fn cdata_is_delivered_verbatim() {
         let evs = events("<e><![CDATA[<not-a-tag> & stuff]]></e>");
-        assert_eq!(evs[2], SaxEvent::Characters("<not-a-tag> & stuff".into()));
+        assert_eq!(
+            evs.get(2),
+            Some(SaxEventRef::Characters("<not-a-tag> & stuff"))
+        );
     }
 
     #[test]
     fn comments_and_pis_are_reported() {
         let evs = events("<?xml version=\"1.0\"?><!-- hi --><e><?pi some data?></e>");
-        assert_eq!(evs[1], SaxEvent::Comment(" hi ".into()));
+        assert_eq!(evs.get(1), Some(SaxEventRef::Comment(" hi ")));
         assert_eq!(
-            evs[3],
-            SaxEvent::ProcessingInstruction {
-                target: "pi".into(),
-                data: "some data".into()
-            }
+            evs.get(3),
+            Some(SaxEventRef::ProcessingInstruction {
+                target: "pi",
+                data: "some data"
+            })
         );
     }
 
     #[test]
     fn namespace_declarations_are_plain_attributes() {
         let evs = events(r#"<s:e xmlns:s="uri:s" s:a="v"></s:e>"#);
-        match &evs[1] {
-            SaxEvent::StartElement { name, attributes } => {
+        match evs.get(1) {
+            Some(SaxEventRef::StartElement { name, attributes }) => {
                 assert_eq!(name.to_string(), "s:e");
-                assert!(attributes[0].name.is_namespace_declaration());
-                assert_eq!(attributes[1].name.to_string(), "s:a");
+                let names: Vec<_> = attributes.iter().map(|a| a.name).collect();
+                assert!(names[0].is_namespace_declaration());
+                assert_eq!(names[1].to_string(), "s:a");
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1410,7 +1304,7 @@ mod tests {
     fn from_bytes_parses_and_validates() {
         let evs = XmlReader::from_bytes(b"<doc>ok</doc>")
             .unwrap()
-            .read_all()
+            .read_sequence()
             .unwrap();
         assert_eq!(evs.len(), 5);
         let err = XmlReader::from_bytes(b"<doc>\xff</doc>").unwrap_err();
@@ -1473,50 +1367,24 @@ mod tests {
             "<a><!-- ",
             "<a><![CDATA[x",
         ] {
-            assert!(
-                XmlReader::new(xml).collect::<Result<Vec<_>, _>>().is_err(),
-                "expected error for {xml:?}"
-            );
+            expect_err(xml);
         }
     }
 
     #[test]
     fn invalid_names_are_rejected() {
         for xml in ["<1a/>", "<a:b:c/>", "<-x/>", "<a .b='c'/>"] {
-            assert!(
-                XmlReader::new(xml).collect::<Result<Vec<_>, _>>().is_err(),
-                "expected error for {xml:?}"
-            );
+            expect_err(xml);
         }
-    }
-
-    #[test]
-    fn parse_into_recorder_equals_read_all() {
-        let xml = r#"<a x="1"><b>text &amp; more</b><c/></a>"#;
-        let direct = XmlReader::new(xml).read_sequence().unwrap();
-        let mut rec = crate::sax::Recorder::new();
-        XmlReader::new(xml).parse_into(&mut rec).unwrap();
-        assert_eq!(rec.into_sequence(), direct);
     }
 
     #[test]
     fn read_sequence_interns_names_once() {
         let xml = r#"<list><item n="1"/><item n="2"/><item n="3"/></list>"#;
-        let seq = XmlReader::new(xml).read_sequence().unwrap();
+        let seq = events(xml);
         // list, item, n — id-resolved by the reader's scan, adopted whole.
         assert_eq!(seq.names().len(), 3);
-        let owned = XmlReader::new(xml).read_all().unwrap();
-        for (a, b) in seq.iter().zip(&owned) {
-            assert_eq!(a, *b);
-        }
-    }
-
-    #[test]
-    fn iterator_and_pull_agree() {
-        let xml = "<a><b/>t</a>";
-        let via_iter: Vec<_> = XmlReader::new(xml).collect::<Result<_, _>>().unwrap();
-        let via_pull = XmlReader::new(xml).read_all().unwrap();
-        assert_eq!(via_iter, via_pull);
+        assert_eq!(seq.len(), 10);
     }
 
     #[test]
@@ -1536,20 +1404,17 @@ mod tests {
     #[test]
     fn unicode_content_is_preserved() {
         let evs = events("<e attr='héllo'>日本語テキスト</e>");
-        assert_eq!(evs[2], SaxEvent::Characters("日本語テキスト".into()));
-        match &evs[1] {
-            SaxEvent::StartElement { attributes, .. } => {
-                assert_eq!(attributes[0].value, "héllo");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(evs.get(2), Some(SaxEventRef::Characters("日本語テキスト")));
+        assert_eq!(attr_values(&evs, 1), ["héllo"]);
     }
 
     #[test]
     fn unicode_element_names_take_the_slow_path() {
         let evs = events("<héllo>x</héllo>");
-        match &evs[1] {
-            SaxEvent::StartElement { name, .. } => assert_eq!(name.local_part(), "héllo"),
+        match evs.get(1) {
+            Some(SaxEventRef::StartElement { name, .. }) => {
+                assert_eq!(name.local_part(), "héllo")
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -216,14 +216,6 @@ impl SymbolTable {
         }
     }
 
-    /// Re-interns a QName produced elsewhere so equal names share one
-    /// allocation in this table (cached hashes are reused).
-    pub fn unify_qname(&mut self, name: &crate::name::QName) -> crate::name::QName {
-        let prefix = name.prefix_symbol().map(|p| self.intern_symbol(p));
-        let local = self.intern_symbol(name.local_symbol());
-        crate::name::QName::from_symbols(prefix, local)
-    }
-
     /// Looks up a previously interned name without inserting.
     pub fn get(&self, text: &str) -> Option<Symbol> {
         self.find(fnv1a(text), text)

@@ -2,8 +2,7 @@
 
 use crate::error::XmlError;
 use crate::escape::{escape_attribute, escape_text};
-use crate::event::{SaxEvent, SaxEventRef};
-use crate::name::QName;
+use crate::event::SaxEventRef;
 
 /// Builds an XML document into an in-memory `String`.
 ///
@@ -285,14 +284,12 @@ impl XmlWriter {
 ///
 /// Fails when the event stream itself is ill-formed (e.g. unbalanced
 /// elements).
-pub fn events_to_string<'e, I, E>(events: I) -> Result<String, XmlError>
-where
-    I: IntoIterator<Item = E>,
-    E: Into<SaxEventRef<'e>>,
-{
+pub fn events_to_string<'e>(
+    events: impl IntoIterator<Item = SaxEventRef<'e>>,
+) -> Result<String, XmlError> {
     let mut w = XmlWriter::new();
     for event in events {
-        match event.into() {
+        match event {
             SaxEventRef::StartDocument | SaxEventRef::EndDocument => {}
             SaxEventRef::StartElement { name, attributes } => {
                 w.start(name.to_string())?;
@@ -325,12 +322,6 @@ where
         }
     }
     w.finish()
-}
-
-/// Convenience: the end-element name matching a start event, for consumers
-/// hand-rolling event streams.
-pub fn end_of(name: &QName) -> SaxEvent {
-    SaxEvent::EndElement { name: name.clone() }
 }
 
 #[cfg(test)]
@@ -375,8 +366,8 @@ mod tests {
         let xml = w.finish().unwrap();
         assert_eq!(xml, r#"<e a="x&quot;&lt;y">1 &lt; 2 &amp; 3 &gt; 2</e>"#);
         // And it parses back to the original data.
-        let evs = XmlReader::new(&xml).read_all().unwrap();
-        assert!(matches!(&evs[2], SaxEvent::Characters(t) if t == "1 < 2 & 3 > 2"));
+        let evs = XmlReader::new(&xml).read_sequence().unwrap();
+        assert_eq!(evs.get(2), Some(SaxEventRef::Characters("1 < 2 & 3 > 2")));
     }
 
     #[test]
@@ -433,9 +424,10 @@ mod tests {
     #[test]
     fn events_roundtrip_through_writer() {
         let xml = r#"<a x="1"><b>hello &amp; goodbye</b><c/><!-- note --></a>"#;
-        let events = XmlReader::new(xml).read_all().unwrap();
-        let rewritten = events_to_string(&events).unwrap();
-        let reparsed = XmlReader::new(&rewritten).read_all().unwrap();
+        let events = XmlReader::new(xml).read_sequence().unwrap();
+        let rewritten = events_to_string(events.iter()).unwrap();
+        assert_eq!(rewritten, xml);
+        let reparsed = XmlReader::new(&rewritten).read_sequence().unwrap();
         assert_eq!(events, reparsed);
     }
 
@@ -446,7 +438,10 @@ mod tests {
         w.text("日本語 & <stuff>").unwrap();
         w.end().unwrap();
         let xml = w.finish().unwrap();
-        let evs = XmlReader::new(&xml).read_all().unwrap();
-        assert!(matches!(&evs[2], SaxEvent::Characters(t) if t == "日本語 & <stuff>"));
+        let evs = XmlReader::new(&xml).read_sequence().unwrap();
+        assert_eq!(
+            evs.get(2),
+            Some(SaxEventRef::Characters("日本語 & <stuff>"))
+        );
     }
 }

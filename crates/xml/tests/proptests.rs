@@ -1,15 +1,17 @@
 //! Randomized round-trip tests for the XML substrate: generated documents
-//! survive write→parse and parse→rewrite round-trips, and SAX recording is
-//! equivalent to direct parsing.
+//! survive write→parse and parse→rewrite round-trips, and replaying a
+//! recorded sequence is equivalent to direct parsing.
 //!
 //! The build environment is offline (no `proptest`), so these use a
 //! hand-rolled deterministic xorshift generator with fixed seeds —
 //! failures reproduce exactly by seed.
 
+mod probe;
+
+use probe::Probe;
 use wsrc_xml::dom::{Document, Element, Node};
 use wsrc_xml::escape::{escape_attribute, escape_text, unescape};
 use wsrc_xml::reader::XmlReader;
-use wsrc_xml::sax::Recorder;
 use wsrc_xml::SaxEventRef;
 
 const CASES: u64 = 256;
@@ -143,10 +145,12 @@ fn sax_record_equals_direct_parse() {
         let mut rng = Rng::new(seed + 3000);
         let root = arb_element(&mut rng, 3);
         let xml = root.to_xml();
-        let direct = XmlReader::new(&xml).read_sequence().unwrap();
-        let mut rec = Recorder::new();
-        XmlReader::new(&xml).parse_into(&mut rec).unwrap();
-        assert_eq!(rec.into_sequence(), direct, "seed {seed}");
+        let mut replayed = Probe::default();
+        let recorded = XmlReader::new(&xml).read_sequence().unwrap();
+        recorded.replay(&mut replayed).unwrap();
+        let mut direct = Probe::default();
+        XmlReader::new(&xml).parse_into(&mut direct).unwrap();
+        assert_eq!(replayed.log, direct.log, "seed {seed}");
     }
 }
 
@@ -246,8 +250,8 @@ fn arena_size_within_fixed_factor_of_heap_use() {
 /// Interned names are charged once per symbol table, not once per event:
 /// adding more elements with an already seen (long) name grows the
 /// sequence by the fixed per-event width only, and the arena accounting
-/// stays strictly below the owned-event accounting that charges the
-/// name on every event.
+/// stays strictly below an accounting that charges the name on every
+/// event.
 #[test]
 fn interned_names_charged_once_per_table() {
     for seed in 0..32u64 {
@@ -281,16 +285,12 @@ fn interned_names_charged_once_per_table() {
             &name[..8]
         );
 
-        // Owned events charge the name on every start/end; the arena
-        // must come in strictly below that once the name repeats.
-        let owned: usize = seq_many
-            .to_owned_events()
-            .iter()
-            .map(|e| e.approximate_size())
-            .sum();
+        // Charging the name on every start/end would cost at least
+        // this; the arena must come in strictly below it.
+        let per_event = 2 * many * name.len();
         assert!(
-            seq_many.approximate_size() < owned,
-            "seed {seed}: arena {} not below owned {owned}",
+            seq_many.approximate_size() < per_event,
+            "seed {seed}: arena {} not below per-event {per_event}",
             seq_many.approximate_size()
         );
     }
@@ -305,7 +305,7 @@ fn parser_never_panics_on_arbitrary_input() {
             .map(|_| char::from_u32(rng.next() as u32 % 0x400).unwrap_or('?'))
             .collect();
         // Errors are fine; panics or hangs are not.
-        let _ = XmlReader::new(&s).read_all();
+        let _ = XmlReader::new(&s).read_sequence();
     }
 }
 
@@ -318,6 +318,6 @@ fn parser_never_panics_on_tag_soup() {
         let s: String = (0..n)
             .map(|_| SOUP[rng.below(SOUP.len())] as char)
             .collect();
-        let _ = XmlReader::new(&s).read_all();
+        let _ = XmlReader::new(&s).read_sequence();
     }
 }
