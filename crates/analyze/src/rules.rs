@@ -15,10 +15,9 @@
 //!   code of the `core`, `client` and `http` crates.
 //! - **R6 `zero-copy-pipeline`** — no copying methods (`.to_vec()`,
 //!   `.clone()`, …) on the shared body/event buffers outside the
-//!   allowlisted construction sites; and inside the zero-alloc XML
+//!   allowlisted construction site; and inside the zero-alloc XML
 //!   reader, no `.to_string()` / `.to_owned()` / `String::from(` on
-//!   parser input spans outside the one sanctioned owned-copy
-//!   function.
+//!   parser input spans at all.
 //! - **R7 `bounded-spawn`** — no raw `thread::spawn` /
 //!   `Builder::spawn` outside the allowlisted pool construction sites;
 //!   concurrency must be bounded (worker pools, connection pools,
@@ -108,7 +107,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R6",
         "zero-copy-pipeline",
-        "no copying methods on shared buffers or parser input spans outside sanctioned sites",
+        "no copying methods on shared buffers outside Body; no owned copies of parser input spans",
     ),
     (
         "R7",
@@ -194,11 +193,9 @@ const R6_BUFFERS: &[&str] = &["body", "response_xml", "response_events", "xml_by
 /// Methods that materialize a copy of a shared buffer.
 const R6_COPY_METHODS: &[&str] = &["to_vec", "to_owned", "into_owned", "clone"];
 
-/// The only files allowed to copy payload bytes: the `Body` newtype
-/// (the single read-buffer → `Arc<[u8]>` copy at construction) and the
-/// SAX arena (which owns the event buffers and the owned-event
-/// compatibility bridge).
-const R6_ALLOWLIST: &[&str] = &["crates/http/src/body.rs", "crates/xml/src/event.rs"];
+/// The only file allowed to copy payload bytes: the `Body` newtype
+/// (the single read-buffer → `Arc<[u8]>` copy at construction).
+const R6_ALLOWLIST: &[&str] = &["crates/http/src/body.rs"];
 
 /// The parser file subject to R6's parser-span check. The byte-table
 /// reader emits borrowed spans of its input (that is the whole point of
@@ -207,11 +204,6 @@ const R6_ALLOWLIST: &[&str] = &["crates/http/src/body.rs", "crates/xml/src/event
 /// copy on the miss path. Corpus fixtures whose filename contains
 /// `r6_parser` opt into the same check.
 const R6_PARSER_SCOPE: &[&str] = &["crates/xml/src/reader.rs"];
-
-/// The one function in the parser allowed to copy an input span into an
-/// owned `String`: the compatibility bridge behind
-/// `XmlReader::next_event`. Everything else delivers spans borrowed.
-const R6_PARSER_SANCTIONED_FN: &str = "owned_text";
 
 /// The only file allowed to spawn raw OS threads: the HTTP server's
 /// pool construction (one accept thread plus a fixed set of workers,
@@ -417,9 +409,8 @@ fn rule_panic_freedom(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
 /// contract is that body bytes and recorded events are copied exactly
 /// once, at construction; every later layer shares the `Arc`. A
 /// `.to_vec()` / `.clone()` / `.to_owned()` / `.into_owned()` whose
-/// receiver is one of the buffer names — or a `.to_owned_events()`
-/// call, the deliberate owned-event bridge — reintroduces a per-layer
-/// copy and is flagged outside the allowlisted construction files.
+/// receiver is one of the buffer names reintroduces a per-layer copy
+/// and is flagged outside the allowlisted construction file.
 fn rule_zero_copy_pipeline(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     r6_parser_spans(file, diags);
     if !file.is_corpus && path_in(&file.path, R6_ALLOWLIST) {
@@ -452,45 +443,24 @@ fn rule_zero_copy_pipeline(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 ),
             });
         }
-        // `.to_owned_events(` — the owned-event compatibility bridge.
-        if t.is_punct('.') && toks[i + 1].is_ident("to_owned_events") && toks[i + 2].is_punct('(') {
-            diags.push(Diagnostic {
-                code: "R6",
-                rule: "zero-copy-pipeline",
-                path: file.path.clone(),
-                line: toks[i + 1].line,
-                message: "`.to_owned_events()` materializes every recorded event; iterate \
-                          the arena (`SaxEventSequence::iter`) or replay it instead"
-                    .to_string(),
-            });
-        }
     }
 }
 
 /// R6, parser-span check: owned-copy calls inside the zero-alloc
 /// reader. The reader's event sinks receive `&str` spans borrowed from
-/// the input (or the entity scratch); copying one to a `String` anywhere
-/// except [`R6_PARSER_SANCTIONED_FN`] — the `next_event` compatibility
-/// bridge — undoes the zero-allocation contract one event at a time.
-/// Detected shapes, outside test code and outside the sanctioned
-/// function body: `.to_string(`, `.to_owned(`, and `String::from(`.
+/// the input (or the entity scratch); copying one to a `String` undoes
+/// the zero-allocation contract one event at a time. Detected shapes,
+/// outside test code: `.to_string(`, `.to_owned(`, and `String::from(`.
 fn r6_parser_spans(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
     let in_scope =
         path_in(&file.path, R6_PARSER_SCOPE) || (file.is_corpus && file.path.contains("r6_parser"));
     if !in_scope {
         return;
     }
-    let sanctioned: Vec<(usize, usize)> = file
-        .fns
-        .iter()
-        .filter(|f| f.name == R6_PARSER_SANCTIONED_FN)
-        .map(|f| f.body)
-        .collect();
-    let in_sanctioned = |idx: usize| sanctioned.iter().any(|&(lo, hi)| lo <= idx && idx <= hi);
     let toks = &file.tokens;
     for i in 0..toks.len().saturating_sub(2) {
         let t = &toks[i];
-        if file.in_test(t.line) || in_sanctioned(i) {
+        if file.in_test(t.line) {
             continue;
         }
         // `.to_string(` / `.to_owned(`
@@ -515,9 +485,8 @@ fn r6_parser_spans(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 path: file.path.clone(),
                 line,
                 message: format!(
-                    "{what} copies a parser input span; the reader delivers spans \
-                     borrowed — route the one sanctioned owned copy through \
-                     `{R6_PARSER_SANCTIONED_FN}` (the `next_event` bridge)"
+                    "{what} copies a parser input span; the reader delivers every \
+                     span borrowed — hand the `&str` to the sink instead"
                 ),
             });
         }
@@ -690,15 +659,18 @@ mod tests {
     }
 
     #[test]
-    fn r6_flags_clone_and_owned_event_bridge() {
+    fn r6_flags_clone_of_the_recorded_events() {
         let cl = "fn f(e: &Exchange) { store(e.response_events.clone()); }";
         assert_eq!(codes(&diags_for("crates/portal/src/site.rs", cl)), ["R6"]);
-        let bridge = "fn f(seq: &SaxEventSequence) { let v = seq.to_owned_events(); }";
-        assert_eq!(
-            codes(&diags_for("crates/portal/src/site.rs", bridge)),
-            ["R6"]
-        );
-        assert!(diags_for("crates/xml/src/event.rs", bridge).is_empty());
+    }
+
+    #[test]
+    fn r6_flags_every_owned_copy_inside_the_reader() {
+        let copy = "fn owned_text(text: &str) -> String { text.to_string() }";
+        assert_eq!(codes(&diags_for("crates/xml/src/reader.rs", copy)), ["R6"]);
+        let from = "fn f(text: &str) -> String { String::from(text) }";
+        assert_eq!(codes(&diags_for("crates/xml/src/reader.rs", from)), ["R6"]);
+        assert!(diags_for("crates/xml/src/writer.rs", copy).is_empty());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! test regions (`#[cfg(test)]` / `#[test]` blocks and files under a
 //! `tests/` directory), `// wsrc-allow(rule): reason` suppressions,
 //! struct/enum declarations with the type names they reference (for the
-//! R1 reachability graph), and function-body spans (for the R6 parser
-//! check and the call-graph model). No expression grammar is needed — brace matching and a few
+//! R1 reachability graph), and function-body spans (for the call-graph
+//! model). No expression grammar is needed — brace matching and a few
 //! keyword anchors carry all of it.
 
 use crate::lexer::{lex, Token, TokenKind};

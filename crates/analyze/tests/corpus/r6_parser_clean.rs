@@ -1,17 +1,14 @@
-//! R6 parser-span clean: spans flow to the sink borrowed, and the one
-//! owned copy the compatibility bridge needs goes through the
-//! sanctioned `owned_text` function.
-
-/// The single sanctioned owned-copy site.
-fn owned_text(text: &str) -> String {
-    text.to_string()
-}
+//! R6 parser-span clean: every span flows to the sink borrowed; the
+//! reader has no owned-copy site at all.
 
 fn r6pc_deliver_text(sink: &mut dyn EventSink, input: &str, start: usize, lt: usize) {
     // Borrowed delivery: no copy at all.
     sink.characters(&input[start..lt]);
 }
 
-fn r6pc_owned_event(text: &str) -> SaxEvent {
-    SaxEvent::Characters(owned_text(text))
+fn r6pc_deliver_unescaped(sink: &mut dyn EventSink, scratch: &mut String, raw: &str) {
+    // Entity text is expanded into a reused scratch and lent out.
+    scratch.clear();
+    unescape_into(raw, scratch);
+    sink.characters(scratch);
 }

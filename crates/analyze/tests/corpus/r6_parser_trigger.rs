@@ -1,15 +1,12 @@
 //! R6 parser-span trigger: the reader materializing owned copies of
 //! input spans at delivery sites instead of handing them out borrowed.
 
-fn r6p_deliver_text(input: &str, start: usize, lt: usize) -> SaxEvent {
+fn r6p_deliver_text(sink: &mut Vec<String>, input: &str, start: usize, lt: usize) {
     // Owned copy of a borrowed input span at the characters site.
-    SaxEvent::Characters(input[start..lt].to_string())
+    sink.push(input[start..lt].to_string());
 }
 
-fn r6p_deliver_pi(target: &str, data: &str) -> SaxEvent {
-    SaxEvent::ProcessingInstruction {
-        // Copies the target span out of the input.
-        target: String::from(target),
-        data: data.to_owned(),
-    }
+fn r6p_deliver_pi(sink: &mut Vec<(String, String)>, target: &str, data: &str) {
+    // Copies both spans out of the input.
+    sink.push((String::from(target), data.to_owned()));
 }

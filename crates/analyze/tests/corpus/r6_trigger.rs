@@ -6,7 +6,7 @@ fn echo(request: &Request) -> Response {
     Response::ok("text/plain", bytes)
 }
 
-fn stash(exchange: &Exchange) -> Vec<SaxEvent> {
-    // Materializes every recorded event out of the arena.
-    exchange.response_events.to_owned_events()
+fn stash(exchange: &Exchange) -> SaxEventSequence {
+    // Deep-copies the recorded arena instead of sharing its `Arc`.
+    exchange.response_events.to_owned()
 }
