@@ -1,7 +1,6 @@
 //! The low-level invocation object: one SOAP round-trip, no cache.
 
 use crate::error::ClientError;
-use crate::interceptor::InterceptorChain;
 use std::sync::{Arc, OnceLock};
 use wsrc_http::{Request, Transport, Url};
 use wsrc_model::typeinfo::TypeRegistry;
@@ -81,7 +80,6 @@ pub struct Call {
     endpoint: Url,
     transport: Arc<dyn Transport>,
     registry: TypeRegistry,
-    interceptors: InterceptorChain,
 }
 
 impl std::fmt::Debug for Call {
@@ -99,13 +97,7 @@ impl Call {
             endpoint,
             transport,
             registry,
-            interceptors: InterceptorChain::new(),
         }
-    }
-
-    /// Adds an interceptor to the HTTP exchange.
-    pub fn add_interceptor(&mut self, interceptor: impl crate::interceptor::Interceptor + 'static) {
-        self.interceptors.push(interceptor);
     }
 
     /// The bound endpoint.
@@ -175,11 +167,9 @@ impl Call {
         if let Some(ims) = if_modified_since {
             http_request = http_request.with_header("If-Modified-Since", ims.to_string());
         }
-        self.interceptors.apply_request(&mut http_request);
-        let mut http_response = traced("exchange", "transport", || {
+        let http_response = traced("exchange", "transport", || {
             stage_timer("transport").time(|| self.transport.execute(&self.endpoint, &http_request))
         })?;
-        self.interceptors.apply_response(&mut http_response);
 
         if http_response.status == wsrc_http::Status::NOT_MODIFIED {
             return Ok(ConditionalOutcome::NotModified);
@@ -350,36 +340,5 @@ mod tests {
             call.invoke(&echo_op(), &req),
             Err(ClientError::Soap(_))
         ));
-    }
-
-    #[test]
-    fn interceptors_see_the_exchange() {
-        struct Stamp;
-        impl crate::interceptor::Interceptor for Stamp {
-            fn on_request(&self, request: &mut Request) {
-                request.headers.set("X-Stamp", "on");
-            }
-        }
-        let saw_stamp = Arc::new(AtomicU64::new(0));
-        let saw = saw_stamp.clone();
-        let handler: Arc<dyn Handler> = Arc::new(move |req: &Request| {
-            if req.headers.get("X-Stamp") == Some("on") {
-                saw.fetch_add(1, Ordering::SeqCst);
-            }
-            let xml = serialize_response(
-                "urn:Echo",
-                "echo",
-                "return",
-                &Value::string("ok"),
-                &TypeRegistry::new(),
-            )
-            .unwrap();
-            Response::ok("text/xml", xml.into_bytes())
-        });
-        let (mut call, _t) = call_over(handler);
-        call.add_interceptor(Stamp);
-        let req = RpcRequest::new("urn:Echo", "echo").with_param("text", "x");
-        call.invoke(&echo_op(), &req).unwrap();
-        assert_eq!(saw_stamp.load(Ordering::SeqCst), 1);
     }
 }

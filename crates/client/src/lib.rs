@@ -5,8 +5,8 @@
 //!
 //! [`call::Call`] is the low-level invocation object (serialize → POST →
 //! deserialize). [`client::ServiceClient`] is the full middleware: it
-//! owns the operation descriptors, the type registry, an interceptor
-//! chain, and — transparently to the application — the response cache.
+//! owns the operation descriptors, the type registry and —
+//! transparently to the application — the response cache.
 //! "This response cache can be used without any changes to the user
 //! client application running on the middleware" (paper §3.2); the
 //! application-facing API is identical with or without a cache attached.
@@ -15,13 +15,11 @@ pub mod call;
 pub mod client;
 pub mod coalesce;
 pub mod error;
-pub mod interceptor;
 
 pub use call::Call;
 pub use client::{Disposition, ServiceClient, ServiceClientBuilder};
 pub use coalesce::{InflightTable, LeaderGuard, Role};
 pub use error::ClientError;
-pub use interceptor::{Interceptor, InterceptorChain, LoggingInterceptor, TimingInterceptor};
 
 /// The typed-stub hook generated code calls through (see
 /// `wsrc_wsdl::codegen`).

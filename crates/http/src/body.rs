@@ -3,8 +3,8 @@
 //! A [`Body`] is an `Arc<[u8]>`: the payload bytes are copied exactly
 //! once, when the body is constructed from the socket read buffer (or
 //! from a serializer's output), and every layer after that — transport,
-//! interceptors, request coalescing, the cache store — shares the same
-//! allocation by bumping the reference count. `Body` is deeply
+//! request coalescing, the cache store — shares the same allocation by
+//! bumping the reference count. `Body` is deeply
 //! immutable, so a body frozen inside a cached value satisfies analyzer
 //! rule R1 like any other plain data.
 
