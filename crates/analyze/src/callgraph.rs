@@ -1,6 +1,6 @@
 //! Conservative call graph + the interprocedural rules built on it.
 //!
-//! Resolution maps each [`model::CallSite`] to workspace functions
+//! Resolution maps each [`crate::model::CallSite`] to workspace functions
 //! using receiver-shape heuristics (see [`resolve`]). Anything the
 //! heuristics cannot pin down lands in an explicit *unresolved bucket*
 //! that is always reported — never silently dropped — split into

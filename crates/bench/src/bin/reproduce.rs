@@ -8,8 +8,7 @@
 //!
 //! After the artifacts run, the per-stage metrics the instrumented
 //! pipeline recorded (hits by representation, p50/p99 per stage) are
-//! printed and written to `results/metrics_summary.json`; suppress with
-//! `--no-metrics`.
+//! printed; suppress with `--no-metrics`.
 
 use wsrc_bench::figures::{render_figure, run_figure, speedups_at_full_hit, FigureConfig};
 use wsrc_bench::obs_report;
@@ -145,11 +144,5 @@ fn main() {
     if !no_metrics {
         let snapshot = wsrc_obs::global().snapshot();
         println!("{}", obs_report::summary_tables(&snapshot));
-        let json = obs_report::per_stage_json(&snapshot);
-        let path = std::path::Path::new("results").join("metrics_summary.json");
-        match std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, &json)) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
     }
 }

@@ -6,9 +6,9 @@
 //! representation, and latency histograms for every stage (key
 //! generation, lookup, retrieve/build per representation, XML parse,
 //! binary (de)serialization, deep copies, client serialize / transport /
-//! deserialize). This module renders that snapshot as a human table and
-//! as the JSON document written under `results/` (schema in
-//! `EXPERIMENTS.md`).
+//! deserialize). This module renders that snapshot as human tables; the
+//! machine-readable form of the same accounting is the per-layer ledger
+//! `benchmark/` prints.
 
 use crate::render_table;
 use wsrc_obs::MetricsSnapshot;
@@ -121,49 +121,6 @@ pub fn slowest_traces_table(store: &wsrc_obs::TraceStore) -> String {
     )
 }
 
-/// Renders the snapshot as the `results/metrics_summary.json` document:
-/// `hits_by_repr`, `inserts_by_repr`, and one `stages` entry per
-/// non-empty histogram with count and p50/p99/mean nanoseconds.
-pub fn per_stage_json(snapshot: &MetricsSnapshot) -> String {
-    let counter_map = |pairs: &[(String, u64)]| -> String {
-        pairs
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let hits = snapshot.sum_counters_by_label("wsrc_cache_hits_total", "repr");
-    let inserts = snapshot.sum_counters_by_label("wsrc_cache_inserts_total", "repr");
-    let stages: Vec<String> = snapshot
-        .histograms
-        .iter()
-        .filter(|(_, h)| h.count > 0)
-        .map(|(id, h)| {
-            let labels = id
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{}\"", v.replace('"', "\\\"")))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"name\":\"{}\",\"labels\":{{{labels}}},\"count\":{},\
-                 \"p50_nanos\":{},\"p99_nanos\":{},\"mean_nanos\":{}}}",
-                id.name,
-                h.count,
-                h.p50_nanos(),
-                h.p99_nanos(),
-                h.mean_nanos()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"hits_by_repr\":{{{}}},\"inserts_by_repr\":{{{}}},\"stages\":[{}]}}",
-        counter_map(&hits),
-        counter_map(&inserts),
-        stages.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +147,7 @@ mod tests {
         let h = r.histogram("wsrc_cache_stage_seconds", &[("stage", "lookup")]);
         h.record_nanos(1_000);
         h.record_nanos(2_000);
-        r.histogram("wsrc_xml_parse_seconds", &[("op", "read-all")]);
+        r.histogram("wsrc_xml_parse_seconds", &[("op", "parse-into")]);
         r.snapshot()
     }
 
@@ -207,22 +164,6 @@ mod tests {
         );
         // The never-recorded parse histogram is not listed.
         assert!(!text.contains("wsrc_xml_parse_seconds"), "{text}");
-    }
-
-    #[test]
-    fn json_is_wellformed_and_has_percentiles() {
-        let json = per_stage_json(&populated());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(json.contains("\"dom-tree\":5"), "{json}");
-        assert!(json.contains("\"sax-events\":2"), "{json}");
-        assert!(
-            json.contains("\"name\":\"wsrc_cache_stage_seconds\""),
-            "{json}"
-        );
-        assert!(json.contains("\"p50_nanos\""), "{json}");
-        assert!(json.contains("\"p99_nanos\""), "{json}");
-        assert!(!json.contains("wsrc_xml_parse_seconds"), "{json}");
     }
 
     #[test]
@@ -245,7 +186,5 @@ mod tests {
         let snap = Arc::new(MetricsRegistry::new()).snapshot();
         let text = summary_tables(&snap);
         assert!(text.contains("(no samples)"));
-        let json = per_stage_json(&snap);
-        assert!(json.contains("\"stages\":[]"));
     }
 }

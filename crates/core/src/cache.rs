@@ -7,7 +7,7 @@
 //! "does not need to be at all conscious of how the response data is
 //! cached" (paper §6).
 
-use crate::classify::{candidate_representations, paper_pick};
+use crate::classify::candidate_representations;
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
 use crate::key::{generate_key, CacheKey, KeyStrategy};
@@ -338,14 +338,22 @@ impl ResponseCache {
         policy: &OperationPolicy,
         data: ResponseData<'_>,
     ) -> Option<(CacheEntry, ValueRepresentation, Option<SelectionMode>)> {
-        let candidates = candidate_representations(data.value, &self.registry);
+        // The candidate set costs a walk of the whole value and only
+        // the adaptive policy reads it (here and, through the entry's
+        // mask, in `maybe_convert`).
+        let candidates = match &self.adaptive {
+            Some(_) => candidate_representations(data.value, &self.registry),
+            None => Vec::new(),
+        };
         let (preferred, mode) = if let Some(forced) = policy.representation {
             (forced, Some(SelectionMode::Forced))
         } else if let Some(ad) = &self.adaptive {
             let selection = ad.select_insert(operation, &candidates);
             (selection.representation, Some(selection.mode))
         } else {
-            (paper_pick(&candidates), None)
+            // The §6 function over a candidate set always lands on the
+            // shared object (every value supports it).
+            (ValueRepresentation::PassByReference, None)
         };
         let chain = [
             preferred,
@@ -492,11 +500,6 @@ impl ResponseCache {
     /// The registry this cache types values with.
     pub fn registry(&self) -> &TypeRegistry {
         &self.registry
-    }
-
-    /// The effective policy for an operation (for diagnostics).
-    pub fn policy_for(&self, operation: &str) -> OperationPolicy {
-        self.policy.for_operation(operation)
     }
 }
 

@@ -140,17 +140,6 @@ impl ValueRepresentation {
             .into_iter()
             .filter(move |r| mask & r.bit() != 0)
     }
-
-    /// Whether this representation stores the application object itself
-    /// (the forms §3.1's copy semantics are about).
-    pub fn stores_application_object(&self) -> bool {
-        matches!(
-            self,
-            ValueRepresentation::ReflectionCopy
-                | ValueRepresentation::CloneCopy
-                | ValueRepresentation::PassByReference
-        )
-    }
 }
 
 impl fmt::Display for ValueRepresentation {

@@ -23,7 +23,7 @@
 //! so small capacities still get a meaningful per-shard budget.
 //!
 //! Eviction prefers already-expired victims: it inspects up to
-//! [`EVICT_SCAN`] entries from the cold end of the LRU list and takes the
+//! `EVICT_SCAN` entries from the cold end of the LRU list and takes the
 //! first expired one, falling back to the least-recently-used live entry.
 //! The entry being inserted is pinned for the duration of its own `put`
 //! so a fresh insert can never evict itself.

@@ -114,11 +114,6 @@ impl HttpClient {
         }
     }
 
-    /// The pool sizing in effect.
-    pub fn pool_config(&self) -> PoolConfig {
-        self.config
-    }
-
     /// Idle pooled connections across all destinations (for tests and
     /// diagnostics).
     pub fn idle_connections(&self) -> usize {
@@ -212,14 +207,6 @@ impl HttpClient {
     pub fn get(&self, url: &Url) -> Result<Response, HttpError> {
         let req = Request::get(url.path());
         self.execute(url, &req)
-    }
-
-    /// Drops all idle pooled connections. Checked-out slots are
-    /// unaffected and return to an empty pool.
-    pub fn clear_pool(&self) {
-        for pool in sync::lock_class("HttpClient.pool", &self.pool).values_mut() {
-            pool.idle.clear();
-        }
     }
 
     /// Acquires one slot for `authority`: an idle pooled connection

@@ -3,7 +3,7 @@
 
 //! Minimal HTTP/1.1 substrate for the wsrcache project.
 //!
-//! SOAP "is independent of transport protocols like HTTP, [but] in many
+//! SOAP "is independent of transport protocols like HTTP, \[but\] in many
 //! cases, HTTP is used" (paper §3.2) — so this crate provides the HTTP
 //! layer the client middleware and the dummy services run on:
 //!

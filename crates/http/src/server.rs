@@ -43,7 +43,7 @@ where
 }
 
 /// Wraps an application handler, answering `GET /metrics` from a
-/// [`MetricsRegistry`](wsrc_obs::MetricsRegistry), `GET /trace` from a
+/// [`MetricsRegistry`], `GET /trace` from a
 /// [`Tracer`]'s tail-sampled trace store, and delegating every other
 /// request to the inner handler.
 ///

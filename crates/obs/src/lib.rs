@@ -28,7 +28,7 @@
 //! - [`render`] — Prometheus-style text exposition and a hand-rolled
 //!   JSON renderer (the build environment is offline: no `prometheus`,
 //!   no `serde`).
-//! - [`global`] — the process-wide default registry and tracer that
+//! - [`mod@global`] — the process-wide default registry and tracer that
 //!   library-level instrumentation (XML parse, copy mechanisms, client
 //!   stages) records into.
 //! - [`sync`] — poison-tolerant `Mutex`/`Condvar` helpers so hot paths

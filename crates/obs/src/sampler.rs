@@ -123,7 +123,7 @@ fn render_span(
     };
     format!(
         "{{\"span_id\":\"{}\",\"parent_span_id\":{},\"name\":\"{}\",\"stage\":\"{}\",\
-         \"start_nanos\":{},\"end_nanos\":{},\"duration_nanos\":{},\"repr\":{},\
+         \"start_nanos\":{},\"end_nanos\":{},\"duration_nanos\":{},\
          \"annotation\":{},\"error\":{},\"children\":[{}]}}",
         format_span_id(span.span_id),
         span.parent_span_id
@@ -134,7 +134,6 @@ fn render_span(
         span.start_nanos,
         span.end_nanos,
         span.duration_nanos(),
-        opt(&span.repr),
         opt(&span.annotation),
         span.error,
         kids
@@ -354,7 +353,6 @@ mod tests {
             stage,
             start_nanos: 0,
             end_nanos: 100,
-            repr: None,
             annotation: None,
             error: false,
         }

@@ -185,9 +185,6 @@ pub struct SpanRecord {
     pub start_nanos: u64,
     /// End reading of the tracer clock.
     pub end_nanos: u64,
-    /// Cached-representation tag (`xml-text`, `sax-events`, …), when
-    /// the stage touched one.
-    pub repr: Option<String>,
     /// Free-form annotation, e.g. the cache outcome.
     pub annotation: Option<String>,
     /// Whether the span ended in an error.
@@ -419,7 +416,6 @@ pub struct ActiveSpan {
     name: &'static str,
     stage: &'static str,
     start_nanos: u64,
-    repr: Option<String>,
     annotation: Option<String>,
     error: bool,
     root: RootKind,
@@ -442,7 +438,6 @@ impl ActiveSpan {
             name,
             stage,
             start_nanos,
-            repr: None,
             annotation: None,
             error: false,
             root,
@@ -469,11 +464,6 @@ impl ActiveSpan {
     /// children ending where this span began).
     pub fn start_nanos(&self) -> u64 {
         self.start_nanos
-    }
-
-    /// Tags the cached representation this span touched.
-    pub fn set_repr(&mut self, repr: impl Into<String>) {
-        self.repr = Some(repr.into());
     }
 
     /// Attaches a free-form annotation (e.g. the cache outcome).
@@ -509,7 +499,6 @@ impl ActiveSpan {
             stage,
             start_nanos,
             end_nanos,
-            repr: None,
             annotation: None,
             error: false,
         };
@@ -541,7 +530,6 @@ impl ActiveSpan {
             stage: self.stage,
             start_nanos: self.start_nanos,
             end_nanos,
-            repr: self.repr.take(),
             annotation: self.annotation.take(),
             error: self.error,
         };

@@ -3,7 +3,7 @@
 
 //! Dummy back-end Web services for the evaluation.
 //!
-//! The paper's portal experiment uses "dummy Google Web services [that]
+//! The paper's portal experiment uses "dummy Google Web services \[that\]
 //! actually return the same response XML messages every time" — the real
 //! Google SOAP API has been defunct since 2006, so this crate *is* the
 //! faithful substitute (see DESIGN.md). It provides:

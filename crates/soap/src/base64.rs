@@ -72,7 +72,7 @@ pub fn encode(data: &[u8]) -> String {
 /// canonical form allows line breaks inside base64 content).
 ///
 /// Runs of whole alphabet-only quanta decode four bytes at a time
-/// through [`DECODE`]; whitespace, padding and errors drop to the
+/// through the `DECODE` table; whitespace, padding and errors drop to the
 /// byte-at-a-time state machine until the next quantum boundary.
 ///
 /// # Errors

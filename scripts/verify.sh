@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, workspace tests, benchmark
-# smoke, formatting, static analysis.
+# smoke, rustdoc, formatting, static analysis.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -15,8 +15,11 @@ cargo test -q --workspace
 # failed (prints `"correct": true`; ~30 s cold). Never judges timings.
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# Doc rot is a failure: an intra-doc link to an item that no longer
+# exists (or never did) stops the gate here (~4 s).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 cargo fmt --check
 # Workspace invariants the compiler cannot see. See crates/analyze.
 cargo run -q --release -p wsrc-analyze -- --deny crates src
 
-echo "verify: build, tests, formatting, and analysis all clean"
+echo "verify: build, tests, docs, formatting, and analysis all clean"

@@ -18,10 +18,6 @@ const SCANNED: &[&str] = &[
     ".claude/skills/verify/SKILL.md",
 ];
 
-/// Written by `reproduce` on every run and ignored by git, so docs may
-/// name it although the tree does not hold it.
-const GENERATED: &[&str] = &["results/metrics_summary.json"];
-
 /// Records the package in `dir` and every binary it builds.
 fn package(dir: &Path, packages: &mut BTreeSet<String>, bins: &mut BTreeSet<String>) {
     let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
@@ -91,10 +87,7 @@ fn docs_name_only_commands_and_results_that_exist() {
                 .take_while(|c| c.is_ascii_alphanumeric() || "_.*-".contains(*c))
                 .collect();
             let path = format!("results/{}", name.trim_end_matches('.'));
-            if path != "results/"
-                && !GENERATED.contains(&path.as_str())
-                && !root.join(&path).exists()
-            {
+            if path != "results/" && !root.join(&path).exists() {
                 dangling.push(format!("{file}: {path}"));
             }
         }
