@@ -341,9 +341,10 @@ impl ResponseCache {
         // The candidate set costs a walk of the whole value and only
         // the adaptive policy reads it (here and, through the entry's
         // mask, in `maybe_convert`).
-        let candidates = match &self.adaptive {
-            Some(_) => candidate_representations(data.value, &self.registry),
-            None => Vec::new(),
+        let candidates = if self.adaptive.is_some() {
+            candidate_representations(data.value, &self.registry)
+        } else {
+            Vec::new()
         };
         let (preferred, mode) = if let Some(forced) = policy.representation {
             (forced, Some(SelectionMode::Forced))

@@ -600,9 +600,7 @@ impl<'a> IntoIterator for &'a SaxEventSequence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::XmlError;
     use crate::reader::XmlReader;
-    use crate::sax::ContentHandler;
 
     fn parse(xml: &str) -> SaxEventSequence {
         XmlReader::new(xml).read_sequence().unwrap()
@@ -725,63 +723,5 @@ mod tests {
             "marginal event size {per_event} should not include the name"
         );
         assert_eq!(big.names_bytes(), small.names_bytes());
-    }
-
-    fn line(event: SaxEventRef<'_>) -> String {
-        let mut line = event.to_string();
-        if let SaxEventRef::StartElement { attributes, .. } = event {
-            for a in attributes {
-                line.push_str(&format!(" {a}"));
-            }
-        }
-        line
-    }
-
-    /// Logs each callback as the line `iter()`'s view of it renders to.
-    struct Lines(Vec<String>);
-
-    impl Lines {
-        fn push(&mut self, event: SaxEventRef<'_>) -> Result<(), XmlError> {
-            self.0.push(line(event));
-            Ok(())
-        }
-    }
-
-    impl ContentHandler for Lines {
-        type Error = XmlError;
-        fn start_document(&mut self) -> Result<(), XmlError> {
-            self.push(SaxEventRef::StartDocument)
-        }
-        fn end_document(&mut self) -> Result<(), XmlError> {
-            self.push(SaxEventRef::EndDocument)
-        }
-        fn start_element(
-            &mut self,
-            name: &QName,
-            attributes: Attributes<'_>,
-        ) -> Result<(), XmlError> {
-            self.push(SaxEventRef::StartElement { name, attributes })
-        }
-        fn end_element(&mut self, name: &QName) -> Result<(), XmlError> {
-            self.push(SaxEventRef::EndElement { name })
-        }
-        fn characters(&mut self, text: &str) -> Result<(), XmlError> {
-            self.push(SaxEventRef::Characters(text))
-        }
-        fn comment(&mut self, text: &str) -> Result<(), XmlError> {
-            self.push(SaxEventRef::Comment(text))
-        }
-        fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), XmlError> {
-            self.push(SaxEventRef::ProcessingInstruction { target, data })
-        }
-    }
-
-    #[test]
-    fn replay_delivers_the_recorded_events() {
-        let seq = parse(EVERY_KIND);
-        let mut lines = Lines(Vec::new());
-        seq.replay(&mut lines).unwrap();
-        assert_eq!(lines.0[1], r#"start element: ns:doc ns:attr="v1" b="v2""#);
-        assert_eq!(lines.0, seq.iter().map(line).collect::<Vec<_>>());
     }
 }
