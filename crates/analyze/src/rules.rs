@@ -666,7 +666,7 @@ mod tests {
 
     #[test]
     fn r6_flags_every_owned_copy_inside_the_reader() {
-        let copy = "fn owned_text(text: &str) -> String { text.to_string() }";
+        let copy = "fn f(text: &str) -> String { text.to_string() }";
         assert_eq!(codes(&diags_for("crates/xml/src/reader.rs", copy)), ["R6"]);
         let from = "fn f(text: &str) -> String { String::from(text) }";
         assert_eq!(codes(&diags_for("crates/xml/src/reader.rs", from)), ["R6"]);
