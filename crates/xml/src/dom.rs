@@ -300,9 +300,40 @@ mod tests {
         assert!(doc.root.child("missing").is_none());
     }
 
+    /// A sequence of bare tags over the names `a` (id 0) and `b` (id 1),
+    /// `true` opening and `false` closing — built through the reader's
+    /// crate-private recorders, because the reader itself only ever
+    /// hands out balanced sequences.
+    fn tags(shape: &[(bool, u32)]) -> SaxEventSequence {
+        let mut seq = SaxEventSequence::new();
+        for &(open, name) in shape {
+            if open {
+                seq.record_start_element_drained(name, &mut Vec::new(), "", "");
+            } else {
+                seq.record_end_element_id(name);
+            }
+        }
+        seq.adopt_names(vec![QName::local("a"), QName::local("b")]);
+        seq
+    }
+
     #[test]
-    fn an_empty_event_stream_is_rejected() {
-        assert!(Document::from_events(&SaxEventSequence::new()).is_err());
+    fn unbalanced_event_streams_are_rejected() {
+        let (open, close) = (true, false);
+        let cases: [(&[(bool, u32)], &str); 5] = [
+            (&[(open, 0)], "ended with open elements"),
+            (&[(close, 0)], "end element without start"),
+            (&[(open, 0), (close, 1)], "<a> closed by </b>"),
+            (
+                &[(open, 0), (close, 0), (open, 1), (close, 1)],
+                "multiple root elements",
+            ),
+            (&[], "no root element"),
+        ];
+        for (shape, expected) in cases {
+            let err = Document::from_events(&tags(shape)).unwrap_err();
+            assert!(err.message().contains(expected), "{shape:?}: {err}");
+        }
     }
 
     #[test]

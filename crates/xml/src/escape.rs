@@ -99,13 +99,13 @@ pub fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
             "quot" => out.push('"'),
             "apos" => out.push('\''),
             _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let code = u32::from_str_radix(&name[2..], 16).map_err(|_| {
+                let code = code_point(&name[2..], 16).ok_or_else(|| {
                     XmlError::new(format!("invalid hex character reference '&{name};'"))
                 })?;
                 out.push(char_for(code, name)?);
             }
             _ if name.starts_with('#') => {
-                let code = name[1..].parse::<u32>().map_err(|_| {
+                let code = code_point(&name[1..], 10).ok_or_else(|| {
                     XmlError::new(format!("invalid character reference '&{name};'"))
                 })?;
                 out.push(char_for(code, name)?);
@@ -118,6 +118,15 @@ pub fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
     }
     out.push_str(rest);
     Ok(())
+}
+
+/// The number a character reference spells. Digits only, as XML has
+/// it: the integer parser alone would also take a leading `+`.
+fn code_point(digits: &str, radix: u32) -> Option<u32> {
+    if digits.starts_with('+') {
+        return None;
+    }
+    u32::from_str_radix(digits, radix).ok()
 }
 
 fn char_for(code: u32, name: &str) -> Result<char, XmlError> {
@@ -170,6 +179,8 @@ mod tests {
     fn unescape_rejects_bad_references() {
         assert!(unescape("&bogus;").is_err());
         assert!(unescape("&#xZZ;").is_err());
+        assert!(unescape("&#+65;").is_err()); // digits only, no sign
+        assert!(unescape("&#x+41;").is_err());
         assert!(unescape("&#1114112;").is_err()); // above char::MAX
         assert!(unescape("&amp").is_err()); // unterminated
     }

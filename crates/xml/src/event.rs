@@ -118,11 +118,6 @@ pub struct Attributes<'a> {
 }
 
 impl<'a> Attributes<'a> {
-    /// An empty attribute list.
-    pub fn empty() -> Attributes<'static> {
-        Attributes::default()
-    }
-
     pub(crate) fn from_records(
         records: &'a [AttrRecord],
         names: &'a [QName],

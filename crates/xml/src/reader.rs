@@ -620,18 +620,13 @@ impl<'x> XmlReader<'x> {
         }
     }
 
-    /// Whether the span is whitespace, per the byte table; Unicode
-    /// whitespace (e.g. NBSP) falls back to `str::trim`, matching the
-    /// char-oriented reader.
+    /// Whether the span is whitespace, per the byte table — the same
+    /// ASCII set skipped inside a tag. Unicode spaces such as NBSP are
+    /// character data, which only the root may hold.
     fn span_is_ws(&self, start: usize, end: usize) -> bool {
-        let bytes = self.input.as_bytes();
-        if bytes[start..end]
+        self.input.as_bytes()[start..end]
             .iter()
             .all(|&b| scan::CLASS[b as usize] & scan::WS != 0)
-        {
-            return true;
-        }
-        self.input[start..end].trim().is_empty()
     }
 
     fn finish_document<S: EventSink>(&mut self, sink: &mut S) -> Result<bool, S::Error> {

@@ -227,6 +227,9 @@ const MALFORMED: &[&str] = &[
     "<a>&#x110000;</a>",
     "<a>&#xD800;</a>",
     "<a b=\"&nope;\"/>",
+    // A reference is digits only; Rust's integer parser takes a sign.
+    "<a>&#+65;</a>",
+    "<a b=\"&#x+41;\"/>",
     // Truncated CDATA / comments / PIs.
     "<a><![CDATA[unterminated",
     "<a><![CDATA[almost]]",
@@ -241,6 +244,7 @@ const MALFORMED: &[&str] = &[
     "text<a/>",
     "<a/>trailing",
     "<a/><!-- ok --><b/>",
+    "\u{a0}<a/>", // a Unicode space is text, not XML whitespace
     // Malformed names and attributes.
     "<1a/>",
     "<a:b:c/>",
@@ -318,7 +322,7 @@ fn soap_shaped_corpus() -> Vec<String> {
 /// rejects all of the malformed corpus and accepts all of the valid.
 #[test]
 fn reference_alone_separates_the_corpora() {
-    assert_eq!(MALFORMED.len(), 36);
+    assert_eq!(MALFORMED.len(), 39);
     for input in MALFORMED {
         assert_eq!(reference::parse(input), None, "{input:?} must be rejected");
     }

@@ -5,11 +5,12 @@
 //! `Vec<char>` one character at a time by recursive descent, decodes
 //! entity and character references itself, and uses no item of
 //! `wsrc_xml`. It implements the dialect `reader.rs` documents (no DTD,
-//! one root, unique attributes, the five predefined entities, a
-//! declaration only at offset 0) and answers either `None` — rejected —
-//! or the event stream, one line per event in the Table-4 style with
-//! attributes appended as ` name="value"`, adjacent character runs
-//! merged into one line.
+//! one root, unique attributes, the five predefined entities, digit-only
+//! character references, ASCII whitespace, a declaration only at
+//! offset 0) and answers either `None` — rejected — or the event
+//! stream, one line per event in the Table-4 style with attributes
+//! appended as ` name="value"`, adjacent character runs merged into one
+//! line.
 
 /// Parses `input`; `None` when it is not a well-formed document.
 pub fn parse(input: &str) -> Option<Vec<String>> {
@@ -91,8 +92,9 @@ impl Parser {
         let mut roots = 0;
         while let Some(c) = self.peek() {
             if c != '<' {
-                // Only whitespace may surround the root.
-                if !c.is_whitespace() {
+                // Only whitespace may surround the root — the same
+                // ASCII set `skip_ws` skips inside a tag.
+                if !c.is_ascii_whitespace() {
                     return None;
                 }
                 self.pos += 1;
@@ -264,11 +266,15 @@ fn decode(raw: &str) -> Option<String> {
             "apos" => '\'',
             _ => {
                 let digits = entity.strip_prefix('#')?;
-                let code = match digits.strip_prefix(['x', 'X']) {
-                    Some(hex) => u32::from_str_radix(hex, 16),
-                    None => digits.parse(),
+                let (digits, radix) = match digits.strip_prefix(['x', 'X']) {
+                    Some(hex) => (hex, 16),
+                    None => (digits, 10),
                 };
-                char::from_u32(code.ok()?)?
+                // Digits only: `from_str_radix` alone would take a sign.
+                if !digits.chars().all(|c| c.is_digit(radix)) {
+                    return None;
+                }
+                char::from_u32(u32::from_str_radix(digits, radix).ok()?)?
             }
         });
         rest = tail;
