@@ -144,8 +144,8 @@ const R1_ROOTS: &[&str] = &["Value", "StructValue", "StoredResponse", "ValueHand
 /// Interior-mutability carriers: presence of any of these in a type
 /// reachable from a shared cache value defeats the copy-on-write that
 /// makes sharing sound for every value (paper §6 rule a without §4.2.4's
-/// assertion): `Arc::make_mut` copies a node, not what a cell or lock
-/// inside it guards.
+/// assertion): a written container copies its own range out of a shared
+/// block, not what a cell or lock inside the block or the shape guards.
 const INTERIOR_MUTABILITY: &[&str] = &[
     "Cell",
     "RefCell",

@@ -50,8 +50,8 @@ fn r1_fixtures() {
     assert_clean("r1_clean.rs");
 }
 
-/// The copy-on-write value model: R1 follows `Value` through both `Arc`
-/// hops of the shared node types.
+/// The copy-on-write value model: R1 follows `Value` through its block
+/// handles and its shape handle.
 #[test]
 fn r1_shared_node_fixtures() {
     let (ok, stdout) = run_deny(&[corpus("r1_shared_node_trigger.rs")], &[]);
@@ -59,11 +59,15 @@ fn r1_shared_node_fixtures() {
     assert!(stdout.contains("[R1/repr-safety]"), "output:\n{stdout}");
     assert!(
         stdout.contains("`Mutex` inside `FieldIndex`"),
-        "the lock is found two hops down; output:\n{stdout}"
+        "the lock is found two hops down the shape handle; output:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("`OnceLock` inside `TextBlock`"),
+        "the cell is found behind the block handle; output:\n{stdout}"
     );
     assert!(
         stdout.contains("copy-on-write"),
-        "the message says what the lock would defeat; output:\n{stdout}"
+        "the message says what they would defeat; output:\n{stdout}"
     );
     assert_clean("r1_shared_node_clean.rs");
 }

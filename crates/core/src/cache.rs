@@ -316,10 +316,16 @@ impl ResponseCache {
             }
             self.stats.record_evictions(evicted);
         }
+        self.set_occupancy_gauges();
+        Some(repr)
+    }
+
+    /// Publishes the store's totals — two atomic loads; the insert or
+    /// form swap that moved them locked only the shard it wrote.
+    fn set_occupancy_gauges(&self) {
         let (entries, bytes) = self.store.occupancy();
         self.timers.entries.set(entries as i64);
         self.timers.bytes.set(bytes as i64);
-        Some(repr)
     }
 
     /// Picks a representation and builds the entry, falling back down
@@ -435,9 +441,7 @@ impl ResponseCache {
         self.stats.record_conversion(target);
         self.stats.record_evictions(evicted);
         ad.record_build(operation, target, elapsed, size);
-        let (entries, bytes) = self.store.occupancy();
-        self.timers.entries.set(entries as i64);
-        self.timers.bytes.set(bytes as i64);
+        self.set_occupancy_gauges();
         if let Some(span) = span.as_mut() {
             span.annotate(format!(
                 "converted {} -> {}",
@@ -479,11 +483,21 @@ impl ResponseCache {
         self.store.bytes()
     }
 
+    /// Cross-checks the store's incremental accounting against a
+    /// recount ([`CacheStore::audit`](crate::store::CacheStore::audit));
+    /// for tests and stress harnesses.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn audit(&self) -> Result<(), String> {
+        self.store.audit()
+    }
+
     /// Drops every entry.
     pub fn clear(&self) {
         self.store.clear();
-        self.timers.entries.set(0);
-        self.timers.bytes.set(0);
+        self.set_occupancy_gauges();
     }
 
     /// The metrics registry this cache records into (the process-wide

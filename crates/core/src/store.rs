@@ -17,10 +17,14 @@
 //!
 //! Capacity is budgeted per shard (`max_entries / shards`,
 //! `max_bytes / shards`), which makes the configured global limits hard
-//! invariants without any cross-shard coordination: no global counters,
-//! no all-shard re-checks, and eviction never inspects another shard's
-//! entries. [`CacheStore::new`] sizes the shard count down automatically
-//! so small capacities still get a meaningful per-shard budget.
+//! invariants without any cross-shard coordination: no all-shard
+//! re-checks, and eviction never inspects another shard's entries.
+//! [`CacheStore::new`] sizes the shard count down automatically so small
+//! capacities still get a meaningful per-shard budget. The store-wide
+//! totals ([`CacheStore::occupancy`]) are two atomics nothing is
+//! budgeted by: every operation that changes a shard adds the shard's
+//! net change to them before it releases the shard, so reading them
+//! takes no lock and an insert touches exactly the shard it writes.
 //!
 //! Eviction prefers already-expired victims: it inspects up to
 //! `EVICT_SCAN` entries from the cold end of the LRU list and takes the
@@ -30,9 +34,9 @@
 //!
 //! # Payloads are dropped outside the lock
 //!
-//! Freeing a stored response can be hundreds of deallocations (a
-//! decoded search result is ~150 nodes). Every operation that removes or
-//! replaces a payload — eviction, replacement, form swap, invalidation,
+//! Freeing a stored response can be many deallocations (a DOM tree, a
+//! value built node by node, an event arena). Every operation that
+//! removes or replaces a payload — eviction, replacement, form swap, invalidation,
 //! expiry, `clear` — moves it out of the shard and hands it back to the
 //! caller of the locked section, which drops it after the guard is
 //! released.
@@ -56,6 +60,7 @@ use crate::repr::StoredResponse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wsrc_obs::sync;
 
@@ -520,6 +525,10 @@ pub struct CacheStore {
     capacity: Capacity,
     shard_max_entries: usize,
     shard_max_bytes: usize,
+    /// Sums of the shards' `entries` and `bytes`, each shard's share as
+    /// of the last time it was released; see [`CacheStore::settle`].
+    entries: AtomicUsize,
+    bytes: AtomicUsize,
 }
 
 /// Largest power of two `<= x` (callers guarantee `x >= 1`).
@@ -553,7 +562,22 @@ impl CacheStore {
             capacity,
             shard_max_entries: capacity.max_entries / shards,
             shard_max_bytes: capacity.max_bytes / shards,
+            entries: AtomicUsize::new(0),
+            bytes: AtomicUsize::new(0),
         }
+    }
+
+    /// Adds what a locked shard gained or lost since it held `before`
+    /// `(entries, bytes)` to the store-wide totals. Called with the
+    /// shard still locked, once its budget holds again, so each shard's
+    /// share of a total goes from one within-budget value to the next
+    /// and the totals never exceed the configured capacity.
+    fn settle(&self, before: (usize, usize), shard: &Shard) {
+        // Two's complement: adding the wrapped difference subtracts.
+        self.entries
+            .fetch_add(shard.entries.wrapping_sub(before.0), Ordering::AcqRel);
+        self.bytes
+            .fetch_add(shard.bytes.wrapping_sub(before.1), Ordering::AcqRel);
     }
 
     /// Number of shards (always a power of two).
@@ -594,7 +618,9 @@ impl CacheStore {
         };
         match (expired, validator) {
             (true, None) => {
+                let before = (shard.entries, shard.bytes);
                 _expired = shard.remove_index(idx);
+                self.settle(before, &shard);
                 Lookup::Expired
             }
             (true, Some(validator)) => {
@@ -677,6 +703,7 @@ impl CacheStore {
         // Declared before the guard, so dropped after it.
         let (_replaced, _victims);
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
+        let before = (shard.entries, shard.bytes);
         let pinned = match shard.find(hash, &key) {
             Some(idx) => {
                 _replaced = shard.replace(idx, entry, expires_at_millis, size_bytes, validator);
@@ -702,6 +729,7 @@ impl CacheStore {
         };
         let summary;
         (summary, _victims) = self.evict_over_budget(&mut shard, now_millis, pinned);
+        self.settle(before, &shard);
         Some(summary)
     }
 
@@ -766,6 +794,7 @@ impl CacheStore {
         if shard.slot(idx)?.generation != generation {
             return None;
         }
+        let before = (shard.entries, shard.bytes);
         let generation = shard.bump_generation();
         let slot = shard.slot_mut(idx)?;
         let old_size = std::mem::replace(&mut slot.size_bytes, new_size);
@@ -774,6 +803,7 @@ impl CacheStore {
         shard.bytes = shard.bytes - old_size + new_size;
         let summary;
         (summary, _victims) = self.evict_over_budget(&mut shard, now_millis, idx);
+        self.settle(before, &shard);
         Some(summary)
     }
 
@@ -783,9 +813,12 @@ impl CacheStore {
         let removed = {
             let mut shard =
                 sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-            shard
+            let before = (shard.entries, shard.bytes);
+            let removed = shard
                 .find(hash, key)
-                .and_then(|idx| shard.remove_index(idx))
+                .and_then(|idx| shard.remove_index(idx));
+            self.settle(before, &shard);
+            removed
         };
         removed.is_some()
     }
@@ -793,26 +826,27 @@ impl CacheStore {
     /// Removes everything.
     pub fn clear(&self) {
         for shard in &self.shards {
-            // The guard is a temporary of the first statement only.
-            let emptied = sync::lock_class("CacheStore.shards", shard).clear();
+            let emptied = {
+                let mut shard = sync::lock_class("CacheStore.shards", shard);
+                let before = (shard.entries, shard.bytes);
+                let emptied = shard.clear();
+                self.settle(before, &shard);
+                emptied
+            };
             drop(emptied);
         }
     }
 
-    /// Current `(entries, approximate bytes)` in a single shard sweep —
-    /// cheaper than calling [`len`](CacheStore::len) and
-    /// [`bytes`](CacheStore::bytes) back to back, and the two numbers
-    /// come from the same instant per shard (used for occupancy gauges).
-    /// Reads each shard's maintained counters; no entry iteration.
+    /// Current `(entries, approximate bytes)` over all shards, from the
+    /// store-wide totals: two atomic loads, no lock. Exact whenever no
+    /// operation is in flight; under concurrency each number is some
+    /// recent total (the two need not be of the same instant), never
+    /// more than the configured capacity.
     pub fn occupancy(&self) -> (usize, usize) {
-        let mut entries = 0;
-        let mut bytes = 0;
-        for shard in &self.shards {
-            let shard = sync::lock_class("CacheStore.shards", shard);
-            entries += shard.entries;
-            bytes += shard.bytes;
-        }
-        (entries, bytes)
+        (
+            self.entries.load(Ordering::Acquire),
+            self.bytes.load(Ordering::Acquire),
+        )
     }
 
     /// Current number of entries (including not-yet-reaped expired ones).
@@ -1078,12 +1112,66 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_matches_len_and_bytes() {
-        let store = CacheStore::default();
+    fn totals_follow_every_operation_that_changes_a_shard() {
+        /// The shards' own counters, summed under their locks.
+        fn recount(store: &CacheStore) -> (usize, usize) {
+            store.shards.iter().fold((0, 0), |(entries, bytes), shard| {
+                let shard = shard.lock().unwrap();
+                (entries + shard.entries, bytes + shard.bytes)
+            })
+        }
+        let store = CacheStore::with_shards(
+            Capacity {
+                max_entries: 8,
+                max_bytes: 4096,
+            },
+            4,
+        );
+        let check = |what: &str| {
+            assert_eq!(store.occupancy(), recount(&store), "{what}");
+            assert_eq!(store.occupancy(), (store.len(), store.bytes()), "{what}");
+            store.audit().expect(what);
+        };
+        for i in 0..6 {
+            store.put(key(i), value(100), 100, 0);
+        }
+        check("inserts");
+        store.put(key(0), value(300), 100, 0);
+        check("a replacement of another size");
+        for i in 6..40 {
+            store.put(key(i), value(100), 100, 0);
+        }
+        check("inserts that evict");
+        assert!(store.len() <= 8);
+        let survivor = (0..40)
+            .find(|i| matches!(store.get(&key(*i), 0), Lookup::Live(_)))
+            .expect("something is stored");
+        let Lookup::Live(found) = store.get(&key(survivor), 0) else {
+            unreachable!()
+        };
+        let form = StoredResponse::XmlMessage(Arc::from(vec![b'x'; 7]));
+        assert!(store
+            .replace_form(&key(survivor), found.generation, form, 0)
+            .is_some());
+        check("a form swap");
+        assert!(store
+            .put_validated(key(99), value(5000), 100, 0, None)
+            .is_none());
+        check("a refused insert");
+        assert!(store.invalidate(&key(survivor)));
+        assert!(!store.invalidate(&key(survivor)));
+        check("an invalidation");
+        let before = store.len();
+        let expired = (0..40)
+            .filter(|i| matches!(store.get(&key(*i), 200), Lookup::Expired))
+            .count();
+        assert_eq!(store.len(), before - expired);
+        assert!(expired > 0);
+        check("expiry on lookup");
         store.put(key(1), value(100), 100, 0);
-        store.put(key(2), value(200), 100, 0);
-        assert_eq!(store.occupancy(), (store.len(), store.bytes()));
-        assert_eq!(store.occupancy().0, 2);
+        store.clear();
+        check("clear");
+        assert_eq!(store.occupancy(), (0, 0));
     }
 
     #[test]

@@ -1,15 +1,23 @@
 //! Stress and property tests for the sharded intrusive-LRU store:
 //! eviction order against a reference model, per-shard capacity
-//! boundaries, and multi-threaded accounting drift.
+//! boundaries, multi-threaded accounting drift, and two callers evicting
+//! each other's decoded responses from one byte-budgeted cache.
 //!
 //! The build environment is offline (no `proptest`), so these use a
 //! hand-rolled deterministic xorshift generator with fixed seeds, like
 //! `proptests.rs`.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 use wsrc_cache::repr::StoredResponse;
 use wsrc_cache::store::{CacheStore, Capacity, Lookup};
-use wsrc_cache::{CacheEntry, CacheKey};
+use wsrc_cache::{CacheEntry, CacheKey, ResponseCache, ResponseData};
+use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
+use wsrc_model::value::{StructValue, Value};
+use wsrc_soap::deserializer::read_response_bytes_recording;
+use wsrc_soap::rpc::RpcRequest;
+use wsrc_soap::serializer::serialize_response;
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -313,4 +321,196 @@ fn sixteen_thread_stress_accounting_never_drifts() {
     let (entries, bytes) = store.occupancy();
     assert!(entries <= 256, "entries={entries}");
     assert!(bytes <= 512 * 1024, "bytes={bytes}");
+}
+
+/// A search-result-like schema: a struct of an array of structs of
+/// structs, most leaves strings.
+fn search_registry() -> TypeRegistry {
+    let string = |name: &str| FieldDescriptor::new(name, FieldType::String);
+    TypeRegistry::builder()
+        .register(TypeDescriptor::new(
+            "Category",
+            vec![string("name"), string("encoding")],
+        ))
+        .register(TypeDescriptor::new(
+            "Element",
+            vec![
+                string("title"),
+                string("url"),
+                FieldDescriptor::new("rank", FieldType::Int),
+                FieldDescriptor::new("category", FieldType::Struct("Category".into())),
+            ],
+        ))
+        .register(TypeDescriptor::new(
+            "Result",
+            vec![
+                string("query"),
+                FieldDescriptor::new(
+                    "elements",
+                    FieldType::ArrayOf(Box::new(FieldType::Struct("Element".into()))),
+                ),
+                FieldDescriptor::new("seconds", FieldType::Double),
+            ],
+        ))
+        .build()
+}
+
+/// What the back end answers to request `n` of `caller`: distinct per
+/// pair, and the same every time it is asked.
+fn search_result(caller: usize, n: usize) -> Value {
+    let elements: Vec<Value> = (0..6)
+        .map(|rank| {
+            let category = StructValue::from_fields(
+                "Category",
+                [
+                    ("name", Value::string(format!("Top/{caller}/{}", n % 7))),
+                    ("encoding", Value::string("")),
+                ],
+            );
+            Value::Struct(StructValue::from_fields(
+                "Element",
+                [
+                    (
+                        "title",
+                        Value::string(format!("result {rank} of {caller}:{n}")),
+                    ),
+                    (
+                        "url",
+                        Value::string(format!("http://{caller}.test/{n}/{rank}")),
+                    ),
+                    ("rank", Value::Int(rank)),
+                    ("category", Value::Struct(category)),
+                ],
+            ))
+        })
+        .collect();
+    Value::Struct(StructValue::from_fields(
+        "Result",
+        [
+            ("query", Value::string(format!("q{caller}-{n}"))),
+            ("elements", Value::from(elements)),
+            ("seconds", Value::Double(n as f64 / 1000.0)),
+        ],
+    ))
+}
+
+/// Two callers miss on distinct requests, decode the responses and
+/// insert the decoded trees into one cache whose byte budget holds two
+/// or three entries per shard — so nearly every insert evicts, and the
+/// tree it frees is as often as not one the *other* thread decoded —
+/// while each also looks up what the other has inserted. Correctness
+/// only: every hit is the response its key's miss decoded, the budget
+/// holds throughout, the accounting reconciles. Timings are the
+/// benchmark's (`portal-zipf`).
+#[test]
+fn two_callers_evict_each_others_decoded_responses() {
+    const URL: &str = "http://backend.test/soap";
+    const REQUESTS: usize = 1500;
+    let registry = search_registry();
+    let expected = FieldType::Struct("Result".into());
+    let request = |caller: usize, n: usize| {
+        RpcRequest::new("urn:search", "search")
+            .with_param("caller", caller as i32)
+            .with_param("n", n as i32)
+    };
+    /// One miss: the exchange's artifacts, decoded as the client does.
+    fn miss(
+        cache: &ResponseCache,
+        registry: &TypeRegistry,
+        expected: &FieldType,
+        request: &RpcRequest,
+        answer: &Value,
+    ) {
+        let xml = serialize_response("urn:search", "search", "return", answer, registry).unwrap();
+        let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
+        let (outcome, events) = read_response_bytes_recording(&xml, expected, registry).unwrap();
+        let decoded = outcome.into_return().expect("not a fault");
+        assert_eq!(&decoded, answer);
+        let data = ResponseData {
+            xml: &xml,
+            events: &Arc::new(events),
+            value: &decoded,
+        };
+        cache.insert(URL, request, data).expect("cacheable");
+    }
+    let cache_of = |capacity: Capacity| {
+        ResponseCache::builder(registry.clone())
+            .cache_everything(Duration::from_secs(3600))
+            .capacity(capacity)
+            .build()
+    };
+    // What one entry weighs, to size a budget of 2.5 entries per shard.
+    let entry_bytes = {
+        let probe = cache_of(Capacity::default());
+        miss(
+            &probe,
+            &registry,
+            &expected,
+            &request(0, 0),
+            &search_result(0, 0),
+        );
+        probe.bytes()
+    };
+    let capacity = Capacity {
+        max_entries: usize::MAX,
+        max_bytes: 16 * (entry_bytes * 5 / 2),
+    };
+    let cache = cache_of(capacity);
+    let progress = [AtomicUsize::new(0), AtomicUsize::new(0)];
+    let start = Barrier::new(2);
+    let hits: Vec<usize> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..2)
+            .map(|me| {
+                let (cache, registry, expected) = (&cache, &registry, &expected);
+                let (progress, start) = (&progress, &start);
+                scope.spawn(move || {
+                    let other = 1 - me;
+                    let mut rng = Rng::new(me as u64 + 1);
+                    let mut hits = 0;
+                    start.wait();
+                    for n in 0..REQUESTS {
+                        miss(
+                            cache,
+                            registry,
+                            expected,
+                            &request(me, n),
+                            &search_result(me, n),
+                        );
+                        progress[me].store(n + 1, Ordering::SeqCst);
+                        assert!(cache.bytes() <= capacity.max_bytes);
+                        // One of the other caller's latest, and one of
+                        // our own: whatever is still there is exact.
+                        for who in [other, me] {
+                            let done = progress[who].load(Ordering::SeqCst);
+                            if done == 0 {
+                                continue;
+                            }
+                            let n = done - 1 - rng.below(done.min(24));
+                            if let Some(hit) = cache.lookup(URL, &request(who, n), expected) {
+                                assert_eq!(hit.as_value(), &search_result(who, n));
+                                hits += 1;
+                            }
+                        }
+                    }
+                    hits
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|caller| caller.join().expect("a caller panicked"))
+            .collect()
+    });
+    assert!(hits.iter().all(|&h| h > 0), "hits per caller: {hits:?}");
+    let stats = cache.stats();
+    assert_eq!(stats.inserts, 2 * REQUESTS as u64);
+    assert!(
+        stats.evictions > 2 * REQUESTS as u64 * 9 / 10,
+        "nearly every insert evicts: {} of {}",
+        stats.evictions,
+        2 * REQUESTS
+    );
+    cache.audit().expect("accounting after two-caller eviction");
+    assert!(cache.bytes() <= capacity.max_bytes);
+    assert!(cache.len() <= 16 * 2);
 }

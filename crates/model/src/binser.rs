@@ -7,20 +7,24 @@
 //!   descriptor; later instances reference it by id and write values
 //!   only, exactly like `ObjectOutputStream`'s class-descriptor handles.
 //! - **Shared strings serialize once.** String values are tracked by
-//!   identity (their `Arc` pointer) in a per-stream handle table and
-//!   later occurrences are back-references, like the Java handle table;
-//!   deserialization reconstructs the sharing.
+//!   identity (the bytes of the block they view) in a per-stream handle
+//!   table and later occurrences are back-references, like the Java
+//!   handle table; deserialization reconstructs the sharing.
 //! - The format carries type names and field names, so a value can be
 //!   reconstructed without a registry. A reconstructed tree holds each
-//!   name once, in the stream's descriptor table; its instances share it.
+//!   shape once, in the stream's descriptor table; its instances share
+//!   it. The tree itself is built as one ([`TreeBuilder`]): one text
+//!   block, one node block per nesting level.
 //!
 //! Copying a value through [`serialize`] + [`deserialize`] yields a deep
 //! copy (paper §4.2.3-A).
 
 use crate::error::ModelError;
+use crate::tree::TreeBuilder;
 use crate::typeinfo::{StructPlan, TypeRegistry};
-use crate::value::{StructValue, Value};
-use std::collections::HashMap;
+use crate::value::{Shape, Value};
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use wsrc_obs::Histogram;
 
@@ -127,6 +131,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
         pos: 0,
         descriptors: Vec::new(),
         strings: Vec::new(),
+        tree: TreeBuilder::new(),
     };
     let magic = r.take(4)?;
     if magic != MAGIC {
@@ -138,19 +143,19 @@ pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
             "unsupported version {version}"
         )));
     }
-    let value = r.read_value(0)?;
+    r.read_value(0)?;
     if r.pos != r.bytes.len() {
         return Err(ModelError::corrupt("trailing bytes after value"));
     }
-    Ok(value)
+    r.tree.finish()
 }
 
 struct Writer {
     out: Vec<u8>,
     // (type name, field names in order) → descriptor id.
-    descriptors: HashMap<(Arc<str>, Vec<Arc<str>>), u32>,
-    // string identity (Arc data pointer) → handle id.
-    strings: HashMap<usize, u32>,
+    descriptors: HashMap<Arc<Shape>, u32>,
+    // string identity (where its bytes are, and how many) → handle id.
+    strings: HashMap<(usize, usize), u32>,
 }
 
 impl Writer {
@@ -175,7 +180,7 @@ impl Writer {
             }
             Value::String(s) => {
                 // Handle table: aliased strings are written once.
-                let identity = Arc::as_ptr(s) as *const u8 as usize;
+                let identity = (s.as_ptr() as usize, s.len());
                 if let Some(&id) = self.strings.get(&identity) {
                     self.out.push(TAG_STRING_REF);
                     write_len(&mut self.out, id as usize);
@@ -200,13 +205,7 @@ impl Writer {
                 }
             }
             Value::Struct(s) => {
-                let key = (
-                    s.shared_type_name().clone(),
-                    s.shared_fields()
-                        .map(|(n, _)| n.clone())
-                        .collect::<Vec<_>>(),
-                );
-                if let Some(&id) = self.descriptors.get(&key) {
+                if let Some(&id) = self.descriptors.get(&**s.shape()) {
                     // Known shape: reference the descriptor, values only.
                     self.out.push(TAG_STRUCT_REF);
                     write_len(&mut self.out, id as usize);
@@ -220,7 +219,7 @@ impl Writer {
                         write_len(&mut self.out, name.len());
                         self.out.extend_from_slice(name.as_bytes());
                     }
-                    self.descriptors.insert(key, id);
+                    self.descriptors.insert(s.shape().clone(), id);
                 }
                 for (_, v) in s.fields() {
                     self.write_value(v);
@@ -246,17 +245,23 @@ struct Reader<'b> {
     bytes: &'b [u8],
     pos: usize,
     // Descriptor table mirrored from the stream; every instance of a
-    // shape shares its names.
-    descriptors: Vec<(Arc<str>, Vec<Arc<str>>)>,
-    // String handle table for back-references (shared on reconstruction).
-    strings: Vec<Arc<str>>,
+    // shape shares it.
+    descriptors: Vec<Arc<Shape>>,
+    // String handle table for back-references: where in the tree's text
+    // each string read so far lies.
+    strings: Vec<Range<usize>>,
+    tree: TreeBuilder,
 }
 
 const MAX_DEPTH: usize = 256;
 
+/// Largest child count a length read from the stream may reserve up
+/// front; the children that arrive decide the container.
+const RESERVE_CAP: usize = 4096;
+
 impl<'b> Reader<'b> {
     fn take(&mut self, n: usize) -> Result<&'b [u8], ModelError> {
-        if self.pos + n > self.bytes.len() {
+        if n > self.remaining() {
             return Err(ModelError::corrupt("unexpected end of data"));
         }
         let s = &self.bytes[self.pos..self.pos + n];
@@ -284,79 +289,89 @@ impl<'b> Reader<'b> {
         }
     }
 
-    fn string(&mut self) -> Result<Arc<str>, ModelError> {
+    fn str(&mut self) -> Result<&'b str, ModelError> {
         let len = self.len()?;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw)
-            .map(Arc::from)
-            .map_err(|_| ModelError::corrupt("invalid utf-8"))
+        std::str::from_utf8(self.take(len)?).map_err(|_| ModelError::corrupt("invalid utf-8"))
     }
 
     fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    fn read_value(&mut self, depth: usize) -> Result<Value, ModelError> {
+    /// Reads one value into the tree.
+    fn read_value(&mut self, depth: usize) -> Result<(), ModelError> {
         if depth > MAX_DEPTH {
             return Err(ModelError::corrupt("nesting too deep"));
         }
-        match self.u8()? {
-            TAG_NULL => Ok(Value::Null),
+        let scalar = match self.u8()? {
+            TAG_NULL => Value::Null,
             TAG_BOOL => match self.u8()? {
-                0 => Ok(Value::Bool(false)),
-                1 => Ok(Value::Bool(true)),
-                other => Err(ModelError::corrupt(format!("invalid bool byte {other}"))),
+                0 => Value::Bool(false),
+                1 => Value::Bool(true),
+                other => return Err(ModelError::corrupt(format!("invalid bool byte {other}"))),
             },
-            TAG_INT => Ok(Value::Int(i32::from_le_bytes(
+            TAG_INT => Value::Int(i32::from_le_bytes(
                 self.take(4)?.try_into().expect("4 bytes"),
-            ))),
-            TAG_LONG => Ok(Value::Long(i64::from_le_bytes(
+            )),
+            TAG_LONG => Value::Long(i64::from_le_bytes(
+                self.take(8)?.try_into().expect("8 bytes"),
+            )),
+            TAG_DOUBLE => Value::Double(f64::from_bits(u64::from_le_bytes(
                 self.take(8)?.try_into().expect("8 bytes"),
             ))),
-            TAG_DOUBLE => Ok(Value::Double(f64::from_bits(u64::from_le_bytes(
-                self.take(8)?.try_into().expect("8 bytes"),
-            )))),
             TAG_STRING => {
-                let s = self.string()?;
-                self.strings.push(s.clone());
-                Ok(Value::String(s))
+                let start = self.tree.text_len();
+                let s = self.str()?;
+                self.tree.push_text(s);
+                self.strings.push(start..self.tree.text_len());
+                self.tree.string_at(start..self.tree.text_len());
+                return Ok(());
             }
             TAG_STRING_REF => {
                 let id = self.len()?;
-                let s = self
+                let range = self
                     .strings
                     .get(id)
                     .ok_or_else(|| ModelError::corrupt(format!("dangling string handle {id}")))?;
-                Ok(Value::String(s.clone()))
+                self.tree.string_at(range.clone());
+                return Ok(());
             }
             TAG_BYTES => {
                 let len = self.len()?;
-                Ok(Value::Bytes(Arc::from(self.take(len)?)))
+                Value::Bytes(Arc::from(self.take(len)?))
             }
             TAG_ARRAY => {
                 let count = self.len()?;
                 if count > self.remaining() {
                     return Err(ModelError::corrupt("array count exceeds input"));
                 }
-                let mut items = Vec::with_capacity(count.min(4096));
+                self.tree.open(count.min(RESERVE_CAP));
                 for _ in 0..count {
-                    items.push(self.read_value(depth + 1)?);
+                    self.read_value(depth + 1)?;
                 }
-                Ok(Value::Array(items.into()))
+                self.tree.close_array();
+                return Ok(());
             }
             TAG_STRUCT_DESC => {
-                let type_name = self.string()?;
+                let type_name = self.str()?;
                 let count = self.len()?;
                 if count > self.remaining() {
                     return Err(ModelError::corrupt("field count exceeds input"));
                 }
-                let mut names = Vec::with_capacity(count.min(1024));
+                let mut names = Vec::with_capacity(count.min(RESERVE_CAP));
+                let mut distinct = HashSet::with_capacity(count.min(RESERVE_CAP));
                 for _ in 0..count {
-                    names.push(self.string()?);
+                    let name = self.str()?;
+                    if !distinct.insert(name) {
+                        return Err(ModelError::corrupt(format!(
+                            "field '{name}' declared twice in '{type_name}'"
+                        )));
+                    }
+                    names.push(Arc::from(name));
                 }
-                self.descriptors.push((type_name, names));
-                let id = self.descriptors.len() - 1;
-                self.read_struct_body(id, depth)
+                self.descriptors
+                    .push(Arc::new(Shape::new(type_name, names)));
+                return self.read_struct_body(self.descriptors.len() - 1, depth);
             }
             TAG_STRUCT_REF => {
                 let id = self.len()?;
@@ -365,28 +380,22 @@ impl<'b> Reader<'b> {
                         "dangling descriptor handle {id}"
                     )));
                 }
-                self.read_struct_body(id, depth)
+                return self.read_struct_body(id, depth);
             }
-            other => Err(ModelError::corrupt(format!("unknown tag {other}"))),
-        }
+            other => return Err(ModelError::corrupt(format!("unknown tag {other}"))),
+        };
+        self.tree.value(scalar);
+        Ok(())
     }
 
-    fn read_struct_body(
-        &mut self,
-        descriptor_id: usize,
-        depth: usize,
-    ) -> Result<Value, ModelError> {
-        let (type_name, field_count) = {
-            let (name, fields) = &self.descriptors[descriptor_id];
-            (name.clone(), fields.len())
-        };
-        let mut s = StructValue::with_capacity(type_name, field_count);
-        for i in 0..field_count {
-            let v = self.read_value(depth + 1)?;
-            let name = self.descriptors[descriptor_id].1[i].clone();
-            s.set(name, v);
+    fn read_struct_body(&mut self, descriptor_id: usize, depth: usize) -> Result<(), ModelError> {
+        let shape = self.descriptors[descriptor_id].clone();
+        self.tree.open(shape.names().len());
+        for _ in shape.names() {
+            self.read_value(depth + 1)?;
         }
-        Ok(Value::Struct(s))
+        self.tree.close_struct(shape);
+        Ok(())
     }
 }
 
@@ -394,6 +403,7 @@ impl<'b> Reader<'b> {
 mod tests {
     use super::*;
     use crate::typeinfo::{Capabilities, TypeDescriptor, TypeRegistry};
+    use crate::value::StructValue;
 
     fn complex_value() -> Value {
         Value::Struct(
@@ -480,7 +490,7 @@ mod tests {
             Value::Array(items) => match (&items[0], &items[1]) {
                 (Value::String(a), Value::String(b)) => {
                     assert_eq!(a, b);
-                    assert!(Arc::ptr_eq(a, b), "sharing must be reconstructed");
+                    assert!(a.ptr_eq(b), "sharing must be reconstructed");
                 }
                 _ => panic!("expected strings"),
             },

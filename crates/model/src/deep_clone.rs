@@ -4,15 +4,17 @@
 //! deep `clone()` on generated classes; calling it is a monomorphic
 //! structural walk with no name lookups, and is therefore much faster than
 //! reflection or serialization. [`clone_unchecked`] is that walk over a
-//! `Value` tree: every container node is duplicated, immutable `Arc<str>`
-//! leaves are shared. It is *not* `Value::clone()`, which shares the
-//! whole tree copy-on-write and costs a reference bump; the eager copy
-//! stays so the paper's Table 7 row keeps measuring a copy.
+//! `Value` tree: every container node is duplicated (into one block per
+//! nesting level, through [`TreeBuilder`]), immutable strings and shapes
+//! are shared. It is *not* `Value::clone()`, which shares the whole tree
+//! copy-on-write and costs a reference bump; the eager copy stays so the
+//! paper's Table 7 row keeps measuring a copy.
 //! [`clone_copy`] validates the capability first — only types whose
 //! descriptor declares `cloneable` may be cloned, reproducing the paper's
 //! "n/a" cells.
 
 use crate::error::ModelError;
+use crate::tree::TreeBuilder;
 use crate::typeinfo::TypeRegistry;
 use crate::value::Value;
 use std::sync::{Arc, OnceLock};
@@ -42,22 +44,39 @@ pub fn clone_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Model
 }
 
 /// The generated `clone()` body itself: a plain structural deep clone with
-/// no capability checks. The result shares no container node with
-/// `value`. Exposed for benchmarks that want to measure the mechanism
-/// without the classification cost.
+/// no capability checks. The result shares no node block with `value`.
+/// Exposed for benchmarks that want to measure the mechanism without the
+/// classification cost.
 pub fn clone_unchecked(value: &Value) -> Value {
     // Timed here (not in `clone_copy`) so the sample covers exactly the
     // generated `clone()` body and is never recorded twice per copy.
     let _span = copy_timer().timer();
-    deep(value)
-}
-
-fn deep(value: &Value) -> Value {
     match value {
         Value::Bytes(b) => Value::Bytes(Arc::from(&b[..])),
-        Value::Array(items) => Value::Array(items.iter().map(deep).collect()),
-        Value::Struct(s) => Value::Struct(s.map_values(deep)),
+        Value::Array(_) | Value::Struct(_) => {
+            let mut copy = TreeBuilder::new();
+            deep(&mut copy, value);
+            copy.finish()
+                .expect("no level of a copy outgrows what the original's handles address")
+        }
         leaf => leaf.clone(),
+    }
+}
+
+fn deep(copy: &mut TreeBuilder, value: &Value) {
+    match value {
+        Value::Bytes(b) => copy.value(Value::Bytes(Arc::from(&b[..]))),
+        Value::Array(items) => {
+            copy.open(items.len());
+            items.iter().for_each(|item| deep(copy, item));
+            copy.close_array();
+        }
+        Value::Struct(s) => {
+            copy.open(s.len());
+            s.fields().for_each(|(_, field)| deep(copy, field));
+            copy.close_struct(s.shape().clone());
+        }
+        leaf => copy.value(leaf.clone()),
     }
 }
 
@@ -115,7 +134,7 @@ mod tests {
             v.as_struct().unwrap().get("title"),
             copy.as_struct().unwrap().get("title"),
         ) {
-            (Some(Value::String(a)), Some(Value::String(b))) => assert!(Arc::ptr_eq(a, b)),
+            (Some(Value::String(a)), Some(Value::String(b))) => assert!(a.ptr_eq(b)),
             _ => unreachable!(),
         }
     }
@@ -155,9 +174,12 @@ mod tests {
         let (Value::Array(a), Value::Array(b)) = (&v, &copy) else {
             unreachable!()
         };
-        assert!(!Arc::ptr_eq(a, b));
+        assert!(!a.ptr_eq(b));
+        assert_ne!(v.block(), copy.block());
         for (x, y) in a.iter().zip(b.iter()) {
+            assert_ne!(x.block(), y.block());
             let (x, y) = (x.as_struct().unwrap(), y.as_struct().unwrap());
+            assert!(Arc::ptr_eq(x.shape(), y.shape()), "names are shared");
             assert!(!x.ptr_eq(y));
             match (x.get("payload"), y.get("payload")) {
                 (Some(Value::Bytes(p)), Some(Value::Bytes(q))) => assert!(!Arc::ptr_eq(p, q)),
@@ -168,6 +190,6 @@ mod tests {
         let (Value::Array(a), Value::Array(c)) = (&v, &v.clone()) else {
             unreachable!()
         };
-        assert!(Arc::ptr_eq(a, c));
+        assert!(a.ptr_eq(c));
     }
 }

@@ -37,6 +37,9 @@ pub enum ModelError {
         /// What was found.
         found: String,
     },
+    /// A tree's text, or the nodes of one of its nesting levels, exceed
+    /// the `u32` range the handles of a built tree address.
+    TooLarge,
 }
 
 impl ModelError {
@@ -62,6 +65,9 @@ impl fmt::Display for ModelError {
             ModelError::Corrupt(m) => write!(f, "corrupt serialized data: {m}"),
             ModelError::TypeMismatch { expected, found } => {
                 write!(f, "type mismatch: expected {expected}, found {found}")
+            }
+            ModelError::TooLarge => {
+                f.write_str("a tree's text or one of its levels exceeds the u32 range")
             }
         }
     }

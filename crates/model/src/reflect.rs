@@ -6,13 +6,15 @@
 //! mutable field values and sharing immutable ones. This module does the
 //! same over [`Value`]: struct nodes are rebuilt through descriptor
 //! lookups and name-based field access (paying the genuine "reflection"
-//! overhead), arrays element-wise, immutable leaves shared. The names of
-//! the copy are the descriptor's own `Arc<str>` handles — a Java
-//! instance does not carry its field names either.
+//! overhead), arrays element-wise, immutable leaves shared. The copy is
+//! built as one tree ([`TreeBuilder`]) and its structs carry the
+//! descriptor's own shape — a Java instance does not carry its field
+//! names either.
 
 use crate::error::ModelError;
+use crate::tree::TreeBuilder;
 use crate::typeinfo::{StructPlan, TypeRegistry};
-use crate::value::{StructValue, Value};
+use crate::value::{Shape, Value};
 use std::sync::{Arc, OnceLock};
 use wsrc_obs::Histogram;
 
@@ -29,11 +31,9 @@ fn copy_timer() -> &'static Histogram {
 /// matching the paper's Table 7 "n/a" cell for the SpellingSuggestion
 /// response.
 ///
-/// The copy shares no container node with `value` (it is an eager
-/// copy, unlike `Value::clone()`), and every container of it is
-/// allocated at exactly its length: a stored reflection copy holds no
-/// growth slack the byte accounting (which charges lengths) would not
-/// see.
+/// The copy shares no node block with `value` (it is an eager copy,
+/// unlike `Value::clone()`); its containers are one exact-fit block per
+/// nesting level, and its strings are `value`'s own.
 ///
 /// # Errors
 ///
@@ -43,8 +43,11 @@ pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Mod
     let _span = copy_timer().timer();
     match value {
         Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
-        Value::Array(items) => copy_array(items, None, registry),
-        Value::Struct(_) => copy_inner(value, None, registry),
+        Value::Array(_) | Value::Struct(_) => {
+            let mut copy = TreeBuilder::new();
+            copy_into(&mut copy, value, None, registry)?;
+            copy.finish()
+        }
         other => Err(ModelError::NotSupported {
             type_name: other.type_label().to_string(),
             capability: "reflection copy (not a bean or array type)",
@@ -52,25 +55,14 @@ pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Mod
     }
 }
 
-fn copy_array(
-    items: &[Value],
-    declared: Option<&StructPlan>,
-    registry: &TypeRegistry,
-) -> Result<Value, ModelError> {
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        out.push(copy_inner(item, declared, registry)?);
-    }
-    Ok(Value::Array(out.into()))
-}
-
 /// `declared` is the plan the parent's descriptor predicts for struct
 /// nodes under `value`; it saves the by-name lookup when it matches.
-fn copy_inner(
+fn copy_into(
+    copy: &mut TreeBuilder,
     value: &Value,
     declared: Option<&StructPlan>,
     registry: &TypeRegistry,
-) -> Result<Value, ModelError> {
+) -> Result<(), ModelError> {
     match value {
         // Immutable leaves are shared, not copied (paper §4.2.4).
         Value::Null
@@ -78,9 +70,15 @@ fn copy_inner(
         | Value::Int(_)
         | Value::Long(_)
         | Value::Double(_)
-        | Value::String(_) => Ok(value.clone()),
-        Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
-        Value::Array(items) => copy_array(items, declared, registry),
+        | Value::String(_) => copy.value(value.clone()),
+        Value::Bytes(b) => copy.value(Value::Bytes(Arc::from(&b[..]))),
+        Value::Array(items) => {
+            copy.open(items.len());
+            for item in items.iter() {
+                copy_into(copy, item, declared, registry)?;
+            }
+            copy.close_array();
+        }
         Value::Struct(s) => {
             // "Reflection": look the type up, instantiate via the default
             // constructor, then copy field-by-field through named access.
@@ -94,35 +92,49 @@ fn copy_inner(
                     capability: "reflection copy (not a bean type)",
                 });
             }
-            let mut fresh = StructValue::with_capacity(descriptor.name.clone(), s.len());
+            copy.open(s.len());
+            let mut declared_present = 0;
             for (slot, field) in descriptor.fields.iter().enumerate() {
                 // Getter by name…
                 if let Some(v) = s.get(&field.name) {
-                    let copied = copy_inner(v, plan.field_plan(slot, registry), registry)?;
                     // …setter by name.
-                    fresh.set(field.name.clone(), copied);
+                    copy_into(copy, v, plan.field_plan(slot, registry), registry)?;
+                    declared_present += 1;
                 }
+            }
+            if declared_present == s.len() && declared_present == descriptor.fields.len() {
+                copy.close_struct(plan.shape().clone());
+                return Ok(());
             }
             // Fields present on the instance but absent from the
             // descriptor would be silently dropped; treat that as a
             // mismatch instead of corrupting data.
-            if fresh.len() != s.len() {
-                for (name, v) in s.shared_fields() {
-                    if descriptor.field(name).is_none() {
-                        let copied = copy_inner(v, None, registry)?;
-                        fresh.set(name.clone(), copied);
-                    }
-                }
+            let undeclared = || {
+                let fields = s.fields().zip(s.shape().names());
+                fields.filter(|(_, name)| descriptor.field(name).is_none())
+            };
+            for ((_, v), _) in undeclared() {
+                copy_into(copy, v, None, registry)?;
             }
-            Ok(Value::Struct(fresh))
+            let declared = descriptor.fields.iter().map(|f| &f.name);
+            let names = declared
+                .filter(|name| s.get(name).is_some())
+                .chain(undeclared().map(|(_, name)| name));
+            copy.close_struct(Arc::new(Shape::new(
+                descriptor.name.clone(),
+                names.cloned(),
+            )));
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sizeof::deep_size;
     use crate::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use crate::value::{StructValue, BLOCK_HEADER};
 
     fn registry() -> TypeRegistry {
         TypeRegistry::builder()
@@ -195,7 +207,7 @@ mod tests {
         let orig_left = v.as_struct().unwrap().get("left").unwrap();
         let copy_left = copy.as_struct().unwrap().get("left").unwrap();
         match (orig_left, copy_left) {
-            (Value::String(a), Value::String(b)) => assert!(Arc::ptr_eq(a, b)),
+            (Value::String(a), Value::String(b)) => assert!(a.ptr_eq(b)),
             _ => unreachable!(),
         }
     }
@@ -247,18 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn copies_hold_no_growth_slack() {
-        fn assert_exact(v: &Value) {
-            match v {
-                // Arrays and byte buffers are slices: exact by type.
-                Value::Array(items) => items.iter().for_each(assert_exact),
-                Value::Struct(s) => {
-                    assert_eq!(s.capacity(), s.len(), "{}", s.type_name());
-                    s.fields().for_each(|(_, f)| assert_exact(f));
-                }
-                _ => {}
-            }
-        }
+    fn a_copy_is_one_exact_block_per_level() {
         let r = TypeRegistry::builder()
             .merge(&registry())
             .register(TypeDescriptor::new(
@@ -272,8 +273,7 @@ mod tests {
                     .collect(),
             ))
             .build();
-        // 13 of 14 declared fields present plus one undeclared: built
-        // with `set` from empty, the field vector would sit at 16.
+        // 13 of 14 declared fields present plus one undeclared.
         let mut wide = StructValue::new("Wide");
         for i in 0..12 {
             wide.set(format!("f{i}"), i);
@@ -283,7 +283,28 @@ mod tests {
         let v = Value::from(vec![Value::Struct(wide)]);
         let copy = reflect_copy(&v, &r).unwrap();
         assert_eq!(copy, v);
-        assert_exact(&copy);
+        // [Wide] / Wide's 14 / 3 pairs / 3 x (left, right) / 3 x data,
+        // the three byte buffers, and the source's own three strings.
+        let nodes = [1, 14, 3, 6, 3].map(|n| BLOCK_HEADER + n * std::mem::size_of::<Value>());
+        assert_eq!(
+            deep_size(&copy),
+            std::mem::size_of::<Value>()
+                + nodes.iter().sum::<usize>()
+                + 3 * (BLOCK_HEADER + 3)
+                + 3 * (BLOCK_HEADER + 1)
+        );
+    }
+
+    #[test]
+    fn a_fully_populated_copy_carries_the_descriptors_shape() {
+        let r = registry();
+        let copy = reflect_copy(&pair(), &r).unwrap();
+        let copy = copy.as_struct().unwrap();
+        assert!(Arc::ptr_eq(copy.shape(), r.plan("Pair").unwrap().shape()));
+        assert!(!Arc::ptr_eq(
+            copy.shape(),
+            pair().as_struct().unwrap().shape()
+        ));
     }
 
     #[test]
@@ -294,12 +315,18 @@ mod tests {
         let (Value::Array(a), Value::Array(b)) = (&v, &copy) else {
             unreachable!()
         };
-        assert!(!Arc::ptr_eq(a, b));
+        assert!(!a.ptr_eq(b));
+        assert_ne!(v.block(), copy.block());
         for (x, y) in a.iter().zip(b.iter()) {
+            assert_ne!(x.block(), y.block());
             let (x, y) = (x.as_struct().unwrap(), y.as_struct().unwrap());
             assert!(!x.ptr_eq(y));
             let leaf = |s: &StructValue| s.get("right").unwrap().as_struct().unwrap().clone();
             assert!(!leaf(x).ptr_eq(&leaf(y)));
+            assert_ne!(
+                Value::Struct(leaf(x)).block(),
+                Value::Struct(leaf(y)).block()
+            );
             match (leaf(x).get("data"), leaf(y).get("data")) {
                 (Some(Value::Bytes(p)), Some(Value::Bytes(q))) => assert!(!Arc::ptr_eq(p, q)),
                 _ => unreachable!(),

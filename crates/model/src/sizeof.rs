@@ -1,52 +1,97 @@
 //! Deep retained-size accounting for values — used by the paper's
-//! Tables 8 and 9 ("Memory size of cache keys / cached objects").
+//! Tables 8 and 9 ("Memory size of cache keys / cached objects") and, as
+//! [`deep_size`], by the cache's byte budget.
 //!
-//! Sizes are estimates of live bytes (inline enum size plus owned heap
-//! content), not allocator-rounded figures. Which strings are charged
-//! where:
+//! [`deep_size`] charges what a value *pins*: the inline root plus every
+//! distinct block it keeps alive ([`Value::block`]), each in full —
+//! [`BLOCK_HEADER`] and whole content,
+//! whatever part of the block the value views. These are the sizes the
+//! allocator is asked for; its own rounding and bookkeeping (a few bytes
+//! per block) are not included, which is why a tree of few large blocks
+//! is accounted nearly exactly and the figure is kept honest by keeping
+//! trees that way.
 //!
-//! - A string *value* (`Value::String`) is charged its content to every
-//!   value that references it, shared or not; this matches how the paper
-//!   reports per-entry cache footprint.
-//! - A type name or field name is charged as a handle — one `Arc<str>`
-//!   per use, no bytes. The bytes live once in the schema the name came
-//!   from (the registry's descriptor, a serialized stream's descriptor
-//!   table, the XML symbol table) and belong to no single value, as a
-//!   Java instance does not carry its `Class`.
-//!
-//! Container nodes are charged in full to every value that reaches them:
-//! two clones of one tree each report the whole tree.
+//! - A tree as [`TreeBuilder`](crate::tree::TreeBuilder) makes it — a
+//!   decoded response, an eager copy — is charged nodes ×
+//!   `size_of::<Value>()` + text bytes + one header per block.
+//! - A value sliced out of a larger tree, or a container that copied
+//!   itself out of a shared block on a write, is charged every block it
+//!   still points into, whole, *and whatever the rest of that block
+//!   pins*: the slots it does not view hold handles of their own.
+//! - A block reached only as a whole (a string or container made by
+//!   hand, viewed entirely) is charged once per reference, as it always
+//!   was: two clones of one string in one tree count twice. A block
+//!   viewed in part is charged once per walk. Over-counting what is
+//!   shared is deliberate; under-counting would let the cache exceed its
+//!   budget.
+//! - A struct's [`Shape`](crate::value::Shape) — type name and field
+//!   names — is not charged. It is schema: the registry's for every
+//!   decoded or instantiated struct, as a Java instance does not carry
+//!   its `Class`.
 
-use crate::value::Value;
-use std::sync::Arc;
+use crate::value::{Value, BLOCK_HEADER};
+use std::collections::HashSet;
 
-/// Approximate retained size of a value tree in bytes.
+/// Retained size of a value tree in bytes; see the module docs.
 ///
 /// ```
 /// use wsrc_model::{sizeof::deep_size, Value};
-/// assert!(deep_size(&Value::string("hello")) > deep_size(&Value::Int(1)) - 1);
+/// assert!(deep_size(&Value::string("hello")) > deep_size(&Value::Int(1)));
 /// ```
 pub fn deep_size(value: &Value) -> usize {
-    let inline = std::mem::size_of::<Value>();
-    inline + heap_size(value)
+    std::mem::size_of::<Value>() + pinned(value, &mut Seen::default())
 }
 
-fn heap_size(value: &Value) -> usize {
+/// The blocks viewed in part that a walk has charged already, by
+/// address. A built tree has *depth* + 2 of them, so the first few are
+/// kept inline (0 is no block's address).
+#[derive(Default)]
+struct Seen {
+    few: [usize; 8],
+    len: usize,
+    more: HashSet<usize>,
+}
+
+impl Seen {
+    /// Whether this is the walk's first sight of the block at `id`.
+    fn first_sight(&mut self, id: usize) -> bool {
+        if self.few.contains(&id) {
+            return false;
+        }
+        if self.len < self.few.len() {
+            self.few[self.len] = id;
+            self.len += 1;
+            return true;
+        }
+        self.more.insert(id)
+    }
+}
+
+/// Bytes of the blocks `value` pins and `seen` has not charged.
+fn pinned(value: &Value, seen: &mut Seen) -> usize {
     match value {
         Value::Null | Value::Bool(_) | Value::Int(_) | Value::Long(_) | Value::Double(_) => 0,
-        Value::String(s) => s.len(),
-        Value::Bytes(b) => b.len(),
-        Value::Array(items) => items
-            .iter()
-            .map(|v| std::mem::size_of::<Value>() + heap_size(v))
-            .sum(),
-        Value::Struct(s) => {
-            std::mem::size_of::<Arc<str>>()
-                + s.fields()
-                    .map(|(_, v)| std::mem::size_of::<(Arc<str>, Value)>() + heap_size(v))
-                    .sum::<usize>()
+        Value::Bytes(b) => BLOCK_HEADER + b.len(),
+        Value::String(s) => {
+            let all = s.block_text();
+            match s.len() == all.len() || seen.first_sight(all.as_ptr() as usize) {
+                true => BLOCK_HEADER + all.len(),
+                false => 0,
+            }
         }
+        Value::Array(items) => nodes(items.len(), items.block_nodes(), seen),
+        Value::Struct(s) => nodes(s.len(), s.block_nodes(), seen),
     }
+}
+
+/// A container viewing `viewed` nodes of the block `all`: when that is
+/// all of it, the block and what its nodes pin, per reference; when it
+/// is a part, the block and what *all* its nodes pin, once per walk.
+fn nodes(viewed: usize, all: &[Value], seen: &mut Seen) -> usize {
+    if viewed != all.len() && !seen.first_sight(all.as_ptr() as usize) {
+        return 0;
+    }
+    BLOCK_HEADER + std::mem::size_of_val(all) + all.iter().map(|v| pinned(v, seen)).sum::<usize>()
 }
 
 /// Approximate size of the value as a *Java* object graph — the
@@ -56,8 +101,8 @@ fn heap_size(value: &Value) -> usize {
 /// the `Class`), so this counts: a 16-byte object header per object, an
 /// 8-byte slot per field or array element, and string/byte content. This
 /// intentionally differs from [`deep_size`], which reports what *our*
-/// dynamic representation retains (a handle per name, 24-byte values);
-/// the cache store uses [`deep_size`]-based accounting, the Table 9
+/// dynamic representation pins (32-byte values in shared blocks); the
+/// cache store uses [`deep_size`]-based accounting, the Table 9
 /// reproduction uses this.
 pub fn java_object_size(value: &Value) -> usize {
     const HEADER: usize = 16;
@@ -82,10 +127,15 @@ pub fn java_object_size(value: &Value) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::StructValue;
+    use crate::tree::TreeBuilder;
+    use crate::value::{Shape, StructValue};
+    use std::sync::Arc;
+
+    const VALUE: usize = std::mem::size_of::<Value>();
 
     #[test]
     fn scalars_have_fixed_size() {
+        assert_eq!(deep_size(&Value::Null), VALUE);
         assert_eq!(deep_size(&Value::Null), deep_size(&Value::Int(5)));
         assert_eq!(
             deep_size(&Value::Bool(true)),
@@ -94,12 +144,14 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_bytes_scale_with_content() {
+    fn strings_and_bytes_are_a_header_and_their_content() {
+        assert_eq!(deep_size(&Value::string("ab")), VALUE + BLOCK_HEADER + 2);
         let short = deep_size(&Value::string("ab"));
         let long = deep_size(&Value::string("ab".repeat(50)));
         assert_eq!(long - short, 98);
         let b1 = deep_size(&Value::Bytes(vec![0; 10].into()));
         let b2 = deep_size(&Value::Bytes(vec![0; 1000].into()));
+        assert_eq!(b1, VALUE + BLOCK_HEADER + 10);
         assert_eq!(b2 - b1, 990);
     }
 
@@ -114,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn names_are_charged_as_handles_once_per_use() {
+    fn names_are_schema_and_cost_an_instance_nothing() {
         // Same structure, wildly different name lengths: neither
         // accounting changes.
         let short = Value::Struct(StructValue::new("T").with("f", "xy"));
@@ -123,13 +175,111 @@ mod tests {
         );
         assert_eq!(java_object_size(&short), java_object_size(&long));
         assert_eq!(deep_size(&short), deep_size(&long));
-        // One handle for the type and one per field, per use: two
-        // structs of one shape are charged twice.
-        let handle = std::mem::size_of::<Arc<str>>();
-        let value = std::mem::size_of::<Value>();
-        assert_eq!(deep_size(&short), value + handle + (handle + value) + 2);
+        // The inline root, a block of one field, a block of two bytes.
+        assert_eq!(
+            deep_size(&short),
+            VALUE + (BLOCK_HEADER + VALUE) + (BLOCK_HEADER + 2)
+        );
+        // Whole blocks are charged per reference.
         let two = Value::from(vec![short.clone(), short.clone()]);
-        assert_eq!(deep_size(&two), value + 2 * deep_size(&short));
+        assert_eq!(
+            deep_size(&two),
+            VALUE + BLOCK_HEADER + 2 * deep_size(&short)
+        );
+    }
+
+    /// `[Row{ name, tags: [..] }, ..]` built the way a decoder builds it.
+    fn built(rows: usize) -> Value {
+        let row = Arc::new(Shape::new("Row", ["name", "tags"].map(Arc::from)));
+        let mut tree = TreeBuilder::new();
+        tree.open(rows);
+        for i in 0..rows {
+            tree.open(2);
+            for text in [format!("row {i}"), "tag".to_string()] {
+                let start = tree.text_len();
+                tree.push_text(&text);
+                if text == "tag" {
+                    tree.open(1);
+                    tree.string_at(start..tree.text_len());
+                    tree.close_array();
+                } else {
+                    tree.string_at(start..tree.text_len());
+                }
+            }
+            tree.close_struct(row.clone());
+        }
+        tree.close_array();
+        tree.finish().unwrap()
+    }
+
+    #[test]
+    fn a_built_tree_is_charged_its_nodes_its_text_and_a_header_per_block() {
+        let v = built(3);
+        let text = "row 0tagrow 1tagrow 2tag".len();
+        assert_eq!(v.node_count(), 1 + 3 + 3 * 2 + 3);
+        assert_eq!(
+            deep_size(&v),
+            VALUE * v.node_count() + text + 4 * BLOCK_HEADER
+        );
+    }
+
+    #[test]
+    fn a_slice_is_charged_everything_its_blocks_pin() {
+        let v = built(3);
+        let row = v.as_array().unwrap()[1].clone();
+        // One row of three views a third of the rows' fields, but keeps
+        // all of them alive, and through them every tags array and the
+        // whole text: all but the block of the three rows themselves.
+        assert_eq!(deep_size(&row), deep_size(&v) - (BLOCK_HEADER + 3 * VALUE));
+        // Its tags array pins the tag block and the text only.
+        let tags = row.as_struct().unwrap().get("tags").unwrap();
+        assert_eq!(
+            deep_size(tags),
+            VALUE + (BLOCK_HEADER + 3 * VALUE) + (BLOCK_HEADER + 24)
+        );
+        // And one string of it, the whole text.
+        let name = row.as_struct().unwrap().get("name").unwrap();
+        assert_eq!(name.as_str(), Some("row 1"));
+        assert_eq!(deep_size(name), VALUE + BLOCK_HEADER + 24);
+    }
+
+    #[test]
+    fn a_written_copy_is_charged_the_block_it_left_and_the_one_it_made() {
+        let v = built(3);
+        let mut written = v.clone();
+        written.as_array_mut().unwrap()[0]
+            .as_struct_mut()
+            .unwrap()
+            .set("name", 7);
+        // The three rows moved to a block of the copy's own, and so did
+        // the first row's two fields; everything they left is still
+        // pinned through the other rows.
+        assert_eq!(
+            deep_size(&written),
+            deep_size(&v) + (BLOCK_HEADER + 2 * VALUE)
+        );
+        assert_eq!(
+            deep_size(&v),
+            deep_size(&built(3)),
+            "and the original nothing"
+        );
+    }
+
+    #[test]
+    fn many_partly_viewed_blocks_are_each_charged_once() {
+        // Twenty trees' worth of blocks under one root, each row in it
+        // twice: more distinct blocks than the walk keeps inline.
+        let rows: Vec<Value> = (0..20)
+            .flat_map(|_| {
+                let row = built(2).as_array().unwrap()[0].clone();
+                [row.clone(), row]
+            })
+            .collect();
+        let one = deep_size(&rows[0]) - VALUE;
+        assert_eq!(
+            deep_size(&Value::from(rows)),
+            VALUE + BLOCK_HEADER + 40 * VALUE + 20 * one
+        );
     }
 
     #[test]

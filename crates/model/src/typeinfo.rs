@@ -8,7 +8,7 @@
 //! (populated by hand or by the WSDL compiler in `wsrc-wsdl`).
 
 use crate::error::ModelError;
-use crate::value::{StructValue, Value};
+use crate::value::{Shape, StructValue, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -215,6 +215,9 @@ impl TypeDescriptor {
 #[derive(Debug)]
 pub struct StructPlan {
     descriptor: TypeDescriptor,
+    /// The descriptor's name and field names as the one handle an
+    /// instance holding every declared field, in order, carries.
+    shape: Arc<Shape>,
     /// Per declared field, the index (in the registry's plan table) of
     /// the struct its type bottoms out in, when that struct is
     /// registered.
@@ -231,6 +234,27 @@ impl StructPlan {
     /// The descriptor this plan was compiled from.
     pub fn descriptor(&self) -> &TypeDescriptor {
         &self.descriptor
+    }
+
+    /// The shape of a fully populated instance in declaration order —
+    /// what a decoded or instantiated struct of this type carries, so
+    /// that all of them share one set of names.
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
+    }
+
+    /// The shape of an instance holding the first `count` declared
+    /// fields in declaration order: the plan's own when that is all of
+    /// them, else one made here over the descriptor's name handles.
+    pub fn prefix_shape(&self, count: usize) -> Arc<Shape> {
+        let declared = &self.descriptor.fields;
+        match count == declared.len() {
+            true => self.shape.clone(),
+            false => Arc::new(Shape::new(
+                self.descriptor.name.clone(),
+                declared[..count].iter().map(|f| f.name.clone()),
+            )),
+        }
     }
 
     /// Whether appending each declared field at most once yields
@@ -287,24 +311,45 @@ impl StructPlan {
     }
 
     /// An instance of this type holding `fields` in the order given —
-    /// how a service builds its response. The instance carries the
-    /// descriptor's own type name and, for every field the type
-    /// declares, the descriptor's own field name: handles, not copies.
-    /// A name the type does not declare is copied.
+    /// how a service builds its response: one allocation for the field
+    /// values and, when the fields are the declared ones in declaration
+    /// order, the plan's own [`shape`](StructPlan::shape). Any other
+    /// field list is [`StructValue::from_fields`] under the descriptor's
+    /// names.
     pub fn instantiate<'n>(
         &self,
         fields: impl IntoIterator<Item = (&'n str, Value)>,
     ) -> StructValue {
-        let fields = fields.into_iter();
-        let mut instance =
-            StructValue::with_capacity(self.descriptor.name.clone(), fields.size_hint().0);
-        for (position, (name, value)) in fields.enumerate() {
-            match self.slot_by_name(name, position) {
-                Some(slot) => instance.set(self.descriptor.fields[slot].name.clone(), value),
-                None => instance.set(name, value),
-            }
+        let declared = &self.descriptor.fields;
+        // The names given, once they stop following the declaration.
+        let mut other: Option<Vec<&str>> = (!self.names_unique).then(Vec::new);
+        let mut count = 0;
+        let values: Arc<[Value]> = fields
+            .into_iter()
+            .map(|(name, value)| {
+                if other.is_none() && declared.get(count).is_none_or(|f| *f.name != *name) {
+                    other = Some(declared[..count].iter().map(|f| &*f.name).collect());
+                }
+                if let Some(names) = &mut other {
+                    names.push(name);
+                }
+                count += 1;
+                value
+            })
+            .collect();
+        match other {
+            None => StructValue::slice(values, self.prefix_shape(count), 0),
+            Some(names) => StructValue::from_fields(
+                self.descriptor.name.clone(),
+                names
+                    .into_iter()
+                    .map(|name| match self.slot_by_name(name, usize::MAX) {
+                        Some(slot) => declared[slot].name.clone(),
+                        None => Arc::from(name),
+                    })
+                    .zip(values.iter().cloned()),
+            ),
         }
-        instance
     }
 
     /// The declared kind of field `slot`, resolved against `registry`
@@ -472,10 +517,7 @@ impl TypeRegistry {
         declared: Option<&'r StructPlan>,
     ) -> Option<&'r StructPlan> {
         declared
-            .filter(|p| {
-                Arc::ptr_eq(&p.descriptor.name, s.shared_type_name())
-                    || *p.descriptor.name == *s.type_name()
-            })
+            .filter(|p| Arc::ptr_eq(&p.shape, s.shape()) || *p.descriptor.name == *s.type_name())
             .or_else(|| self.plan(s.type_name()))
     }
 
@@ -598,6 +640,10 @@ impl TypeRegistryBuilder {
                     (1..fields.len()).all(|i| fields[..i].iter().all(|f| key(f) != key(&fields[i])))
                 };
                 StructPlan {
+                    shape: Arc::new(Shape::new(
+                        descriptor.name.clone(),
+                        fields.iter().map(|f| f.name.clone()),
+                    )),
                     field_plans: fields
                         .iter()
                         .map(|f| {
@@ -780,16 +826,29 @@ mod tests {
     fn instances_share_the_descriptors_names() {
         let r = registry();
         let plan = r.plan("Bean").unwrap();
-        // Out of declaration order, with one undeclared field.
+        // Every declared field in declaration order: the plan's own
+        // shape, and one block for the values.
+        let full = plan.instantiate([("a", Value::Int(1)), ("b", Value::string("s"))]);
+        assert!(Arc::ptr_eq(full.shape(), plan.shape()));
+        assert_eq!(Value::Struct(full), bean());
+        // A declared prefix: a shape of its own over the same names.
+        let prefix = plan.instantiate([("a", Value::Int(1))]);
+        assert!(Arc::ptr_eq(
+            &prefix.shape().names()[0],
+            &plan.descriptor().fields[0].name
+        ));
+        assert_eq!(prefix, StructValue::new("Bean").with("a", 1));
+        // Out of declaration order, with one undeclared field and one
+        // given twice.
         let s = plan.instantiate([
-            ("b", Value::string("s")),
+            ("b", Value::string("first")),
             ("extra", Value::Int(9)),
             ("a", Value::Int(1)),
+            ("b", Value::string("s")),
         ]);
-        assert!(Arc::ptr_eq(s.shared_type_name(), &plan.descriptor().name));
         let names: Vec<&str> = s.fields().map(|(n, _)| n).collect();
         assert_eq!(names, ["b", "extra", "a"]);
-        for (name, _) in s.shared_fields() {
+        for name in s.shape().names() {
             match plan.descriptor().field(name) {
                 Some(declared) => assert!(Arc::ptr_eq(name, &declared.name), "{name}"),
                 None => assert_eq!(&**name, "extra"),

@@ -1,27 +1,81 @@
 //! The dynamic application-object tree.
 //!
-//! A [`Value`] is a persistent tree: every container (`Bytes`, `Array`,
-//! `Struct`) is an `Arc`-shared node, so `Value::clone()` is a reference
-//! bump whatever the tree's size, and every mutating accessor goes
-//! through `Arc::make_mut` — a write copies the nodes on the path from
-//! the root it was reached through to the written node and nothing else;
-//! untouched siblings stay shared with every other clone. Two holders of
-//! clones of one tree can therefore never observe each other's writes,
-//! which is the call-by-copy semantics the paper's cache must preserve
-//! (§3.1), at pass-by-reference cost. The eager full copies the paper
-//! measures stay available as explicit functions
-//! ([`crate::reflect::reflect_copy`], [`crate::deep_clone::clone_copy`],
-//! [`crate::binser`]).
+//! A [`Value`] is a persistent tree stored in *blocks*. A string is a
+//! [`Text`] — a `(block, start, len)` view of a shared, immutable text
+//! block; an array or a struct is a range of a shared block of nodes.
+//! A tree made by [`TreeBuilder`](crate::tree::TreeBuilder) — every
+//! decoded response, every eager copy — keeps all its strings in one text
+//! block and all the containers of one nesting level in one node block,
+//! so a response of depth *d* is *d* + 2 allocations however many nodes
+//! it has. A value built by hand (`Value::string`, `StructValue::new`,
+//! `Value::from(vec)`) is a block of its own, exactly as large as its
+//! content.
+//!
+//! `Value::clone()` is a reference bump whatever the tree's size, and
+//! every mutating accessor is copy-on-write at container granularity: it
+//! writes in place when the container is the only holder of its block,
+//! and otherwise first copies *that container's own range* into a block
+//! of its own (element copies are reference bumps). A write therefore
+//! copies the containers on the path from the root it was reached
+//! through to the written node and nothing else; untouched siblings keep
+//! sharing. Two holders of clones of one tree can never observe each
+//! other's writes, which is the call-by-copy semantics the paper's cache
+//! must preserve (§3.1), at pass-by-reference cost.
+//!
+//! **A slice keeps its block alive.** A value taken out of a larger tree
+//! (or a container that copied itself out of a shared block) still
+//! references the blocks its handles point into, whole, for as long as
+//! it lives. [`crate::sizeof::deep_size`] charges exactly that — every
+//! block in full — so the cache's byte budget sees what a stored slice
+//! really pins.
+//!
+//! The eager full copies the paper measures stay available as explicit
+//! functions ([`crate::reflect::reflect_copy`],
+//! [`crate::deep_clone::clone_copy`], [`crate::binser`]).
 
 use crate::error::ModelError;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// What every shared block carries besides its content: the two
+/// reference counts of an `Arc`.
+pub const BLOCK_HEADER: usize = 2 * std::mem::size_of::<usize>();
+
+/// One shared allocation a value keeps alive: which, and what it weighs
+/// (header and content, whatever part of it the value views).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Block {
+    /// The allocation's address: equal for handles on one block.
+    pub id: usize,
+    /// [`BLOCK_HEADER`] plus the block's whole content.
+    pub bytes: usize,
+}
+
+impl Block {
+    fn of<T: ?Sized>(block: &Arc<T>) -> Block {
+        Block {
+            id: Arc::as_ptr(block) as *const u8 as usize,
+            bytes: BLOCK_HEADER + std::mem::size_of_val::<T>(block),
+        }
+    }
+}
+
+/// A range start or length as the handles store it.
+///
+/// # Panics
+///
+/// When `n` does not fit: a handle never wraps.
+fn range_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("a value block exceeds the u32 range its handles address")
+}
 
 /// A dynamic application object — the middleware-visible shape of request
 /// parameters and response results.
 ///
-/// Strings and containers alike are reference-counted; containers are
-/// copy-on-write (see the module docs), strings are immutable as in Java.
+/// Strings and containers alike are views of reference-counted blocks;
+/// containers are copy-on-write (see the module docs), strings are
+/// immutable as in Java.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Java `null`.
@@ -35,19 +89,20 @@ pub enum Value {
     /// `double`.
     Double(f64),
     /// `java.lang.String` — immutable, cheaply shareable.
-    String(Arc<str>),
+    String(Text),
     /// `byte[]` — a shared, copy-on-write buffer.
     Bytes(Arc<[u8]>),
-    /// A typed array of values — a shared, copy-on-write node.
-    Array(Arc<[Value]>),
-    /// A bean-style structured object — a shared, copy-on-write node.
+    /// A typed array of values — a copy-on-write range of a node block.
+    Array(ArrayValue),
+    /// A bean-style structured object — a copy-on-write range of a node
+    /// block plus a handle on its [`Shape`].
     Struct(StructValue),
 }
 
 impl Value {
-    /// Creates a string value.
+    /// Creates a string value: one allocation, exactly the string's size.
     pub fn string(s: impl AsRef<str>) -> Value {
-        Value::String(Arc::from(s.as_ref()))
+        Value::String(Text::from(s.as_ref()))
     }
 
     /// Short name of this value's runtime type, for diagnostics.
@@ -137,8 +192,8 @@ impl Value {
         }
     }
 
-    /// Mutable struct access; the struct's own mutators copy its node
-    /// on the first write if it is shared.
+    /// Mutable struct access; the struct's own mutators copy its fields
+    /// out of a shared block on the first write.
     pub fn as_struct_mut(&mut self) -> Option<&mut StructValue> {
         match self {
             Value::Struct(s) => Some(s),
@@ -155,11 +210,16 @@ impl Value {
         }
     }
 
-    /// Mutable access to the elements of an `Array`, copying the node
-    /// (one reference bump per element) first if it is shared.
+    /// Mutable access to the elements of an `Array`, copying them (one
+    /// reference bump per element) into a block of the array's own
+    /// first if its block is shared.
     pub fn as_array_mut(&mut self) -> Option<&mut [Value]> {
         match self {
-            Value::Array(items) => Some(Arc::make_mut(items)),
+            Value::Array(items) => Some(own_range(
+                &mut items.block,
+                &mut items.start,
+                items.len as usize,
+            )),
             _ => None,
         }
     }
@@ -170,6 +230,20 @@ impl Value {
             Value::Array(items) => items.iter().map(Value::node_count).sum(),
             Value::Struct(s) => s.fields().map(|(_, v)| v.node_count()).sum(),
             _ => 0,
+        }
+    }
+
+    /// The block this node's content lives in: the text block of a
+    /// string, the buffer of a `byte[]`, the node block holding an
+    /// array's elements or a struct's fields. `None` for the values that
+    /// are wholly inline.
+    pub fn block(&self) -> Option<Block> {
+        match self {
+            Value::String(s) => Some(Block::of(&s.block)),
+            Value::Bytes(b) => Some(Block::of(b)),
+            Value::Array(items) => Some(Block::of(&items.block)),
+            Value::Struct(s) => Some(Block::of(&s.block)),
+            _ => None,
         }
     }
 }
@@ -201,7 +275,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(s: String) -> Value {
-        Value::String(Arc::from(s.as_str()))
+        Value::string(s)
     }
 }
 impl From<Vec<u8>> for Value {
@@ -247,78 +321,332 @@ impl fmt::Display for Value {
     }
 }
 
+/// An immutable string: a view of a shared text block.
+///
+/// All string leaves of one built tree view one block; a string made on
+/// its own ([`Value::string`], `Text::from`) is the whole of a block
+/// exactly its size. Equality, `Debug` and `Display` go by content.
+#[derive(Clone)]
+pub struct Text {
+    block: Arc<str>,
+    start: u32,
+    len: u32,
+}
+
+impl Text {
+    /// The bytes `start .. start + len` of `block`, which must lie on
+    /// character boundaries.
+    pub(crate) fn slice(block: Arc<str>, start: u32, len: u32) -> Text {
+        debug_assert!(block
+            .get(start as usize..start as usize + len as usize)
+            .is_some());
+        Text { block, start, len }
+    }
+
+    /// The string itself.
+    pub fn as_str(&self) -> &str {
+        let start = self.start as usize;
+        &self.block[start..start + self.len as usize]
+    }
+
+    /// All the text of the block this string views, its own and the
+    /// rest.
+    pub(crate) fn block_text(&self) -> &str {
+        &self.block
+    }
+
+    /// Whether `self` and `other` are the same bytes of the same block —
+    /// what a clone is, and what two equal strings made separately are
+    /// not.
+    pub fn ptr_eq(&self, other: &Text) -> bool {
+        Arc::ptr_eq(&self.block, &other.block) && self.start == other.start && self.len == other.len
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        Text {
+            len: range_u32(s.len()),
+            block: Arc::from(s),
+            start: 0,
+        }
+    }
+}
+
+impl Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl AsRef<str> for Text {
+    fn as_ref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The elements `start .. start + len` of `block`.
+fn range(block: &[Value], start: u32, len: usize) -> &[Value] {
+    &block[start as usize..start as usize + len]
+}
+
+/// Copy-on-write: mutable access to a container's `len` elements at
+/// `start` of `block`. In place when the container is the block's only
+/// holder; otherwise the elements are first copied (reference bumps)
+/// into a block of the container's own, exactly their size, and the
+/// shared block is left as every other holder sees it.
+fn own_range<'b>(block: &'b mut Arc<[Value]>, start: &mut u32, len: usize) -> &'b mut [Value] {
+    if Arc::get_mut(block).is_none() {
+        *block = range(block, *start, len).iter().cloned().collect();
+        *start = 0;
+    }
+    let own = Arc::get_mut(block).expect("the only holder of its block");
+    &mut own[*start as usize..*start as usize + len]
+}
+
+/// An array: a view of `len` consecutive nodes of a shared block.
+///
+/// Dereferences to the element slice. Cloning is a reference bump;
+/// [`Value::as_array_mut`] is the copy-on-write mutable access.
+#[derive(Clone)]
+pub struct ArrayValue {
+    block: Arc<[Value]>,
+    start: u32,
+    len: u32,
+}
+
+impl ArrayValue {
+    /// The nodes `start .. start + len` of `block`.
+    pub(crate) fn slice(block: Arc<[Value]>, start: u32, len: u32) -> ArrayValue {
+        debug_assert!(start as usize + len as usize <= block.len());
+        ArrayValue { block, start, len }
+    }
+
+    /// The whole of `block`.
+    fn whole(block: Arc<[Value]>) -> ArrayValue {
+        ArrayValue {
+            len: range_u32(block.len()),
+            block,
+            start: 0,
+        }
+    }
+
+    /// Whether `self` and `other` are views of the same nodes of the
+    /// same block — what a clone is until one of the two is written
+    /// through.
+    pub fn ptr_eq(&self, other: &ArrayValue) -> bool {
+        Arc::ptr_eq(&self.block, &other.block) && self.start == other.start && self.len == other.len
+    }
+
+    /// Every node of the block this array views, its own and the rest.
+    pub(crate) fn block_nodes(&self) -> &[Value] {
+        &self.block
+    }
+}
+
+impl Deref for ArrayValue {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        range(&self.block, self.start, self.len as usize)
+    }
+}
+
+impl From<Vec<Value>> for ArrayValue {
+    fn from(items: Vec<Value>) -> ArrayValue {
+        ArrayValue::whole(items.into())
+    }
+}
+
+impl FromIterator<Value> for ArrayValue {
+    fn from_iter<I: IntoIterator<Item = Value>>(items: I) -> ArrayValue {
+        ArrayValue::whole(items.into_iter().collect())
+    }
+}
+
+impl PartialEq for ArrayValue {
+    fn eq(&self, other: &ArrayValue) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for ArrayValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// What the structs of one type and field set have in common: the type
+/// name and the field names in order — as a Java instance points at its
+/// `Class` instead of holding its field names. A registered type's
+/// shape is compiled with its registry
+/// ([`StructPlan::shape`](crate::typeinfo::StructPlan::shape)) and
+/// shared by every instance decoded or instantiated under it; a struct
+/// built field by field grows a shape of its own.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Shape {
+    type_name: Arc<str>,
+    names: Vec<Arc<str>>,
+}
+
+impl Shape {
+    /// A shape of the named type with `names` as its fields, in order.
+    /// The names must be distinct: every accessor relies on one value
+    /// per name.
+    pub fn new(type_name: impl Into<Arc<str>>, names: impl IntoIterator<Item = Arc<str>>) -> Shape {
+        Shape {
+            type_name: type_name.into(),
+            names: names.into_iter().collect(),
+        }
+    }
+
+    /// The type name.
+    pub fn type_name(&self) -> &str {
+        &self.type_name
+    }
+
+    /// The field names, in order, as shared handles.
+    pub fn names(&self) -> &[Arc<str>] {
+        &self.names
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| **n == *name)
+    }
+}
+
+/// One always-zero byte. `StructValue` is the widest payload of
+/// [`Value`]; the unused values of this byte are where the compiler
+/// keeps `Value`'s discriminant, which holds `size_of::<Value>()` at 32.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Filler {
+    Zero = 0,
+}
+
 /// A bean-style structured object: a type name plus ordered named fields.
 ///
 /// Field order is the declaration order from the type descriptor (or
 /// insertion order for ad-hoc structs); it is preserved by every copy
 /// mechanism and by serialization.
 ///
-/// The struct is a handle on a shared node: cloning it is a reference
-/// bump, and the mutators ([`set`](StructValue::set),
+/// The struct is a view of consecutive nodes of a shared block — one per
+/// field of its [`Shape`] — so cloning it is two reference bumps, and
+/// the mutators ([`set`](StructValue::set),
 /// [`get_mut`](StructValue::get_mut), [`fields_mut`](StructValue::fields_mut),
-/// [`push_new`](StructValue::push_new)) first give this handle a node of
-/// its own if the node is shared — the field values of that copy are
-/// themselves reference bumps, so siblings of a written field stay
-/// shared.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// [`push_new`](StructValue::push_new)) first copy the fields into a
+/// block of the struct's own if the block is shared — the field values
+/// of that copy are themselves reference bumps, so siblings of a written
+/// field stay shared.
+#[derive(Clone)]
 pub struct StructValue {
-    node: Arc<StructNode>,
-}
-
-/// The shared part of a [`StructValue`].
-#[derive(Debug, Clone, PartialEq, Default)]
-struct StructNode {
-    type_name: Arc<str>,
-    fields: Vec<(Arc<str>, Value)>,
+    block: Arc<[Value]>,
+    shape: Arc<Shape>,
+    start: u32,
+    _filler: Filler,
 }
 
 impl StructValue {
     /// Creates an empty struct of the named type (the "default
     /// constructor" the reflection copier requires of bean types).
-    ///
-    /// Names are `Arc<str>`: pass a clone of the registry descriptor's
-    /// (or any other shared name) and the struct carries a handle, not a
-    /// copy — as a Java instance points at its `Class` instead of
-    /// holding its field names. A `&str` or `String` is copied once.
+    /// Every field then [`set`](StructValue::set) reallocates the
+    /// fields at their new, exact size; where all fields are in hand,
+    /// [`from_fields`](StructValue::from_fields) allocates once.
     pub fn new(type_name: impl Into<Arc<str>>) -> Self {
-        StructValue::with_capacity(type_name, 0)
+        StructValue::from_fields(type_name, std::iter::empty::<(Arc<str>, Value)>())
     }
 
-    /// Creates an empty struct with room for `fields` fields, for
-    /// builders that know the count up front (the SOAP decoder knows the
-    /// declared field count, the reflection copier the present one).
-    pub fn with_capacity(type_name: impl Into<Arc<str>>, fields: usize) -> Self {
+    /// A struct of the named type holding `fields`, as if each were
+    /// [`set`](StructValue::set) in turn — a name given twice keeps its
+    /// first position and its last value — in one block.
+    pub fn from_fields<N: Into<Arc<str>>>(
+        type_name: impl Into<Arc<str>>,
+        fields: impl IntoIterator<Item = (N, Value)>,
+    ) -> Self {
+        let fields = fields.into_iter();
+        let mut names: Vec<Arc<str>> = Vec::with_capacity(fields.size_hint().0);
+        let mut values: Vec<Value> = Vec::with_capacity(fields.size_hint().0);
+        for (name, value) in fields {
+            let name = name.into();
+            match names.iter().position(|n| *n == name) {
+                Some(at) => values[at] = value,
+                None => {
+                    names.push(name);
+                    values.push(value);
+                }
+            }
+        }
         StructValue {
-            node: Arc::new(StructNode {
+            block: values.into(),
+            shape: Arc::new(Shape {
                 type_name: type_name.into(),
-                fields: Vec::with_capacity(fields),
+                names,
             }),
+            start: 0,
+            _filler: Filler::Zero,
         }
     }
 
-    /// Number of fields the struct can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        self.node.fields.capacity()
+    /// The `shape.names().len()` nodes of `block` from `start`, as the
+    /// fields of a struct of that shape.
+    pub(crate) fn slice(block: Arc<[Value]>, shape: Arc<Shape>, start: u32) -> StructValue {
+        debug_assert!(start as usize + shape.names.len() <= block.len());
+        StructValue {
+            block,
+            shape,
+            start,
+            _filler: Filler::Zero,
+        }
     }
 
     /// The struct's type name.
     pub fn type_name(&self) -> &str {
-        &self.node.type_name
+        &self.shape.type_name
     }
 
-    /// The shared handle behind [`type_name`](StructValue::type_name).
-    pub fn shared_type_name(&self) -> &Arc<str> {
-        &self.node.type_name
+    /// The shared shape: type name and field names.
+    pub fn shape(&self) -> &Arc<Shape> {
+        &self.shape
     }
 
-    /// Whether `self` and `other` are handles on the same node — what a
-    /// clone is until one of the two is written through.
+    /// Whether `self` and `other` are views of the same nodes of the
+    /// same block — what a clone is until one of the two is written
+    /// through.
     pub fn ptr_eq(&self, other: &StructValue) -> bool {
-        Arc::ptr_eq(&self.node, &other.node)
+        Arc::ptr_eq(&self.block, &other.block)
+            && self.start == other.start
+            && self.len() == other.len()
     }
 
-    fn position(&self, name: &str) -> Option<usize> {
-        self.node.fields.iter().position(|(n, _)| &**n == name)
+    fn values(&self) -> &[Value] {
+        range(&self.block, self.start, self.len())
+    }
+
+    fn values_mut(&mut self) -> &mut [Value] {
+        own_range(&mut self.block, &mut self.start, self.shape.names.len())
+    }
+
+    /// Every node of the block this struct views, its own and the rest.
+    pub(crate) fn block_nodes(&self) -> &[Value] {
+        &self.block
     }
 
     /// Appends a field the caller knows is not present yet, skipping the
@@ -331,9 +659,16 @@ impl StructValue {
             self.get(&name).is_none(),
             "push_new: field '{name}' already present"
         );
-        Arc::make_mut(&mut self.node)
-            .fields
-            .push((name, value.into()));
+        // Blocks are exact-fit: one more field is a new block, which is
+        // this struct's own whoever shared the old one.
+        self.block = self
+            .values()
+            .iter()
+            .cloned()
+            .chain(std::iter::once(value.into()))
+            .collect();
+        self.start = 0;
+        Arc::make_mut(&mut self.shape).names.push(name);
     }
 
     /// Builder-style field setter.
@@ -346,25 +681,22 @@ impl StructValue {
     /// The name is converted (a `&str` copied) only when the field is
     /// new.
     pub fn set(&mut self, name: impl AsRef<str> + Into<Arc<str>>, value: impl Into<Value>) {
-        let value = value.into();
-        let at = self.position(name.as_ref());
-        let fields = &mut Arc::make_mut(&mut self.node).fields;
-        match at {
-            Some(at) => fields[at].1 = value,
-            None => fields.push((name.into(), value)),
+        match self.shape.position(name.as_ref()) {
+            Some(at) => self.values_mut()[at] = value.into(),
+            None => self.push_new(name, value),
         }
     }
 
     /// Gets a field ("getter method").
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.position(name).map(|at| &self.node.fields[at].1)
+        self.shape.position(name).map(|at| &self.values()[at])
     }
 
-    /// Mutable field access. Copies this struct's node first if it is
-    /// shared — and only when the field exists.
+    /// Mutable field access. Copies this struct's fields out of a shared
+    /// block first — and only when the field exists.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        let at = self.position(name)?;
-        Some(&mut Arc::make_mut(&mut self.node).fields[at].1)
+        let at = self.shape.position(name)?;
+        Some(&mut self.values_mut()[at])
     }
 
     /// Gets a field or fails with [`ModelError::UnknownField`].
@@ -381,51 +713,41 @@ impl StructValue {
 
     /// Number of fields present.
     pub fn len(&self) -> usize {
-        self.node.fields.len()
+        self.shape.names.len()
     }
 
     /// Whether the struct has no fields.
     pub fn is_empty(&self) -> bool {
-        self.node.fields.is_empty()
+        self.shape.names.is_empty()
     }
 
     /// Iterates `(name, value)` pairs in declaration order.
     pub fn fields(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.node.fields.iter().map(|(n, v)| (&**n, v))
-    }
-
-    /// [`fields`](StructValue::fields) with the shared handle behind
-    /// each name.
-    pub fn shared_fields(&self) -> impl Iterator<Item = (&Arc<str>, &Value)> {
-        self.node.fields.iter().map(|(n, v)| (n, v))
+        self.shape.names.iter().map(|n| &**n).zip(self.values())
     }
 
     /// Iterates mutably over `(name, value)` pairs, copying this
-    /// struct's node first if it is shared.
+    /// struct's fields out of a shared block first.
     pub fn fields_mut(&mut self) -> impl Iterator<Item = (&str, &mut Value)> {
-        Arc::make_mut(&mut self.node)
-            .fields
-            .iter_mut()
-            .map(|(n, v)| (&**n, v))
+        let values = own_range(&mut self.block, &mut self.start, self.shape.names.len());
+        self.shape.names.iter().map(|n| &**n).zip(values)
     }
+}
 
-    /// A struct with a node of its own, the same type and field names,
-    /// room for exactly the fields present, and each value mapped
-    /// through `copy` — the shape the generated deep clone produces.
-    pub(crate) fn map_values(&self, mut copy: impl FnMut(&Value) -> Value) -> StructValue {
-        let mut fields = Vec::with_capacity(self.len());
-        fields.extend(
-            self.node
-                .fields
-                .iter()
-                .map(|(name, value)| (name.clone(), copy(value))),
-        );
-        StructValue {
-            node: Arc::new(StructNode {
-                type_name: self.node.type_name.clone(),
-                fields,
-            }),
+impl PartialEq for StructValue {
+    fn eq(&self, other: &StructValue) -> bool {
+        (Arc::ptr_eq(&self.shape, &other.shape) || self.shape == other.shape)
+            && self.values() == other.values()
+    }
+}
+
+impl fmt::Debug for StructValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct(self.type_name());
+        for (name, value) in self.fields() {
+            s.field(name, value);
         }
+        s.finish()
     }
 }
 
@@ -451,6 +773,15 @@ mod tests {
             .with("x", 3)
             .with("y", 4)
             .with("label", "origin-ish")
+    }
+
+    #[test]
+    fn a_value_is_four_words() {
+        // 148 nodes of the search fixture at 32 bytes are what the cache
+        // is charged; a fifth word per node would cost more than the
+        // per-field name handles the shape removed.
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<StructValue>(), 32);
     }
 
     #[test]
@@ -486,6 +817,70 @@ mod tests {
     }
 
     #[test]
+    fn from_fields_is_set_in_turn_in_one_block() {
+        let built = StructValue::from_fields(
+            "Point",
+            [
+                ("x", Value::Int(0)),
+                ("y", Value::Int(4)),
+                ("x", Value::Int(3)),
+                ("label", Value::string("origin-ish")),
+            ],
+        );
+        assert_eq!(built, sample_struct());
+        assert_eq!(
+            Value::Struct(built).block().unwrap().bytes,
+            BLOCK_HEADER + 3 * std::mem::size_of::<Value>()
+        );
+    }
+
+    #[test]
+    fn hand_built_values_are_one_exact_block_each() {
+        let s = Value::string("héllo");
+        assert_eq!(s.block().unwrap().bytes, BLOCK_HEADER + "héllo".len());
+        let a = Value::from(vec![Value::Int(1), Value::Int(2)]);
+        assert_eq!(
+            a.block().unwrap().bytes,
+            BLOCK_HEADER + 2 * std::mem::size_of::<Value>()
+        );
+        // Growing a struct leaves no slack behind.
+        assert_eq!(
+            Value::Struct(sample_struct()).block().unwrap().bytes,
+            BLOCK_HEADER + 3 * std::mem::size_of::<Value>()
+        );
+        assert!(Value::Int(1).block().is_none());
+    }
+
+    #[test]
+    fn a_struct_built_by_hand_grows_a_shape_of_its_own() {
+        let a = sample_struct();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(a.shape(), b.shape()));
+        b.set("extra", 1);
+        assert_eq!(a.len(), 3, "the clone's new field is not the original's");
+        assert_eq!(b.len(), 4);
+        assert_eq!(a.shape().names().len(), 3);
+        assert_eq!(b.shape().type_name(), "Point");
+        assert_ne!(Value::Struct(a), Value::Struct(b));
+    }
+
+    #[test]
+    fn structs_compare_by_type_names_and_values() {
+        let a = sample_struct();
+        assert_eq!(a, sample_struct());
+        let renamed = StructValue::from_fields("Spot", a.fields().map(|(n, v)| (n, v.clone())));
+        assert_ne!(a, renamed);
+        let reordered = StructValue::new("Point")
+            .with("y", 4)
+            .with("x", 3)
+            .with("label", "origin-ish");
+        assert_ne!(a, reordered);
+        // NaN is unequal to itself, shared node or not.
+        let nan = Value::from(vec![Value::Double(f64::NAN)]);
+        assert_ne!(nan, nan.clone());
+    }
+
+    #[test]
     fn immutability_classification() {
         assert!(Value::string("s").is_deeply_immutable());
         assert!(Value::Int(1).is_deeply_immutable());
@@ -503,12 +898,17 @@ mod tests {
     }
 
     #[test]
-    fn display_renders_nested_values() {
+    fn display_and_debug_render_nested_values() {
         let v = Value::Struct(sample_struct());
         assert_eq!(v.to_string(), "Point{x=3, y=4, label=origin-ish}");
         let arr = Value::from(vec![Value::Int(1), Value::string("a")]);
         assert_eq!(arr.to_string(), "[1, a]");
         assert_eq!(Value::from(vec![0u8; 16]).to_string(), "bytes[16]");
+        assert_eq!(format!("{arr:?}"), "Array([Int(1), String(\"a\")])");
+        assert_eq!(
+            format!("{v:?}"),
+            "Struct(Point { x: Int(3), y: Int(4), label: String(\"origin-ish\") })"
+        );
     }
 
     #[test]
@@ -516,7 +916,11 @@ mod tests {
         let v = Value::string("shared");
         let w = v.clone();
         match (&v, &w) {
-            (Value::String(a), Value::String(b)) => assert!(Arc::ptr_eq(a, b)),
+            (Value::String(a), Value::String(b)) => assert!(a.ptr_eq(b)),
+            _ => unreachable!(),
+        }
+        match (&v, &Value::string("shared")) {
+            (Value::String(a), Value::String(b)) => assert!(a == b && !a.ptr_eq(b)),
             _ => unreachable!(),
         }
     }
@@ -592,6 +996,10 @@ mod tests {
             .as_struct()
             .unwrap()
             .ptr_eq(written.as_struct().unwrap()));
+        match (field(&original, "rows"), field(&written, "rows")) {
+            (Value::Array(a), Value::Array(b)) => assert!(!a.ptr_eq(b)),
+            _ => unreachable!(),
+        }
         assert!(!before[1]
             .as_struct()
             .unwrap()
@@ -601,20 +1009,27 @@ mod tests {
     #[test]
     fn an_unshared_value_is_written_in_place() {
         let mut v = nested();
-        let tail_before = match field(&v, "tail") {
-            Value::Bytes(b) => Arc::as_ptr(b),
-            _ => unreachable!(),
-        };
-        v.as_struct_mut()
-            .unwrap()
-            .get_mut("tail")
-            .unwrap()
-            .as_bytes_mut()
-            .unwrap()[0] = 1;
-        match field(&v, "tail") {
-            Value::Bytes(b) => assert_eq!(Arc::as_ptr(b), tail_before),
-            _ => unreachable!(),
+        let before = (
+            v.block().unwrap().id,
+            field(&v, "rows").block().unwrap().id,
+            field(&v, "tail").block().unwrap().id,
+        );
+        let root = v.as_struct_mut().unwrap();
+        root.get_mut("tail").unwrap().as_bytes_mut().unwrap()[0] = 1;
+        root.get_mut("rows").unwrap().as_array_mut().unwrap()[0] = Value::Null;
+        root.set("id", 8);
+        for (_, value) in root.fields_mut() {
+            if let Value::Int(id) = value {
+                *id += 1;
+            }
         }
+        let after = (
+            v.block().unwrap().id,
+            field(&v, "rows").block().unwrap().id,
+            field(&v, "tail").block().unwrap().id,
+        );
+        assert_eq!(before, after);
+        assert_eq!(field(&v, "id"), &Value::Int(9));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use wsrc_model::deep_clone::clone_unchecked;
 use wsrc_model::reflect::reflect_copy;
 use wsrc_model::sizeof::deep_size;
 use wsrc_model::tostring::to_string_key;
+use wsrc_model::tree::TreeBuilder;
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 
@@ -111,6 +112,82 @@ fn arb_value(rng: &mut Rng, depth: u32) -> Value {
             }
             Value::Struct(s)
         }
+    }
+}
+
+/// `v` again, built the way a decoder builds it: every string in one
+/// text block, the containers of one nesting level in one node block.
+fn rebuilt(v: &Value) -> Value {
+    fn add(tree: &mut TreeBuilder, v: &Value) {
+        match v {
+            Value::String(s) => {
+                let start = tree.text_len();
+                tree.push_text(s);
+                tree.string_at(start..tree.text_len());
+            }
+            Value::Array(items) => {
+                tree.open(items.len());
+                items.iter().for_each(|item| add(tree, item));
+                tree.close_array();
+            }
+            Value::Struct(s) => {
+                tree.open(s.len());
+                s.fields().for_each(|(_, field)| add(tree, field));
+                tree.close_struct(s.shape().clone());
+            }
+            other => tree.value(other.clone()),
+        }
+    }
+    let mut tree = TreeBuilder::new();
+    add(&mut tree, v);
+    tree.finish().expect("small trees fit")
+}
+
+/// Nesting depth (a leaf is 0) and number of `byte[]` leaves.
+fn depth_and_buffers(v: &Value) -> (usize, usize) {
+    let children: Vec<&Value> = match v {
+        Value::Bytes(_) => return (0, 1),
+        Value::Array(items) => items.iter().collect(),
+        Value::Struct(s) => s.fields().map(|(_, fv)| fv).collect(),
+        _ => return (0, 0),
+    };
+    let below = children.into_iter().map(depth_and_buffers);
+    let (depth, buffers) = below.fold((0, 0), |(d, b), (cd, cb)| (d.max(cd), b + cb));
+    (depth + 1, buffers)
+}
+
+fn distinct_blocks(v: &Value, ids: &mut std::collections::HashSet<usize>) {
+    ids.extend(v.block().map(|b| b.id));
+    match v {
+        Value::Array(items) => items.iter().for_each(|item| distinct_blocks(item, ids)),
+        Value::Struct(s) => s.fields().for_each(|(_, fv)| distinct_blocks(fv, ids)),
+        _ => {}
+    }
+}
+
+#[test]
+fn a_tree_through_the_builder_equals_the_one_made_by_hand() {
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed + 9000);
+        let by_hand = arb_value(&mut rng, 4);
+        let built = rebuilt(&by_hand);
+        assert_eq!(built, by_hand, "seed {seed}");
+        assert_eq!(
+            binser::deserialize(&binser::serialize(&built)).unwrap(),
+            by_hand,
+            "seed {seed}"
+        );
+        // One text block, one node block per level below the root, one
+        // buffer per `byte[]` — however many nodes there are.
+        let (depth, buffers) = depth_and_buffers(&built);
+        let mut ids = std::collections::HashSet::new();
+        distinct_blocks(&built, &mut ids);
+        assert!(
+            ids.len() <= depth + 1 + buffers,
+            "seed {seed}: {}",
+            ids.len()
+        );
+        assert!(deep_size(&built) >= std::mem::size_of::<Value>() * built.node_count());
     }
 }
 
@@ -287,24 +364,28 @@ fn write_at(v: &mut Value, path: &[usize]) {
 fn a_write_is_invisible_to_earlier_clones_and_equals_writing_a_deep_copy() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed + 8000);
-        let original = arb_value(&mut rng, 4);
+        let by_hand = arb_value(&mut rng, 4);
         let mut found = Vec::new();
-        containers(&original, &mut Vec::new(), &mut found);
+        containers(&by_hand, &mut Vec::new(), &mut found);
         if found.is_empty() {
             continue;
         }
         let path = found[rng.below(found.len())].0.clone();
         // Independent of any sharing: what the value looked like.
-        let before = binser::serialize(&original);
+        let before = binser::serialize(&by_hand);
 
-        let snapshot = original.clone();
-        let mut shared = original.clone();
-        write_at(&mut shared, &path);
-        let mut deep = clone_unchecked(&original);
-        write_at(&mut deep, &path);
+        // A block per node, and the few blocks of a built tree, where a
+        // written container leaves a block its siblings still share.
+        for original in [by_hand.clone(), rebuilt(&by_hand)] {
+            let snapshot = original.clone();
+            let mut shared = original.clone();
+            write_at(&mut shared, &path);
+            let mut deep = clone_unchecked(&original);
+            write_at(&mut deep, &path);
 
-        assert_eq!(shared, deep, "seed {seed} path {path:?}");
-        assert_eq!(binser::serialize(&original), before, "seed {seed}");
-        assert_eq!(binser::serialize(&snapshot), before, "seed {seed}");
+            assert_eq!(shared, deep, "seed {seed} path {path:?}");
+            assert_eq!(binser::serialize(&original), before, "seed {seed}");
+            assert_eq!(binser::serialize(&snapshot), before, "seed {seed}");
+        }
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::dispatch::SoapService;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, StructPlan, TypeDescriptor, TypeRegistry};
@@ -56,43 +56,37 @@ pub const CART_OPERATIONS: [&str; 6] = [
 
 /// The registry for Amazon responses.
 pub fn registry() -> TypeRegistry {
-    // Built once per process: every response the service builds shares
-    // the descriptors' names with every registry handed out here.
-    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| {
-            TypeRegistry::builder()
-                .register(TypeDescriptor::new(
-                    "ProductInfo",
-                    vec![
-                        FieldDescriptor::new("asin", FieldType::String),
-                        FieldDescriptor::new("productName", FieldType::String),
-                        FieldDescriptor::new("ourPrice", FieldType::String),
-                    ],
-                ))
-                .register(TypeDescriptor::new(
-                    "SearchResultPage",
-                    vec![
-                        FieldDescriptor::new("totalResults", FieldType::Int),
-                        FieldDescriptor::new(
-                            "details",
-                            FieldType::ArrayOf(Box::new(FieldType::Struct("ProductInfo".into()))),
-                        ),
-                    ],
-                ))
-                .register(TypeDescriptor::new(
-                    "ShoppingCart",
-                    vec![
-                        FieldDescriptor::new("cartId", FieldType::String),
-                        FieldDescriptor::new(
-                            "items",
-                            FieldType::ArrayOf(Box::new(FieldType::String)),
-                        ),
-                    ],
-                ))
-                .build()
-        })
-        .clone()
+    crate::registry_of(crate::Service::Amazon, build_registry)
+}
+
+fn build_registry() -> TypeRegistry {
+    TypeRegistry::builder()
+        .register(TypeDescriptor::new(
+            "ProductInfo",
+            vec![
+                FieldDescriptor::new("asin", FieldType::String),
+                FieldDescriptor::new("productName", FieldType::String),
+                FieldDescriptor::new("ourPrice", FieldType::String),
+            ],
+        ))
+        .register(TypeDescriptor::new(
+            "SearchResultPage",
+            vec![
+                FieldDescriptor::new("totalResults", FieldType::Int),
+                FieldDescriptor::new(
+                    "details",
+                    FieldType::ArrayOf(Box::new(FieldType::Struct("ProductInfo".into()))),
+                ),
+            ],
+        ))
+        .register(TypeDescriptor::new(
+            "ShoppingCart",
+            vec![
+                FieldDescriptor::new("cartId", FieldType::String),
+                FieldDescriptor::new("items", FieldType::ArrayOf(Box::new(FieldType::String))),
+            ],
+        ))
+        .build()
 }
 
 /// Operation descriptors for all 26 operations.

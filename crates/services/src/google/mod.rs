@@ -14,7 +14,6 @@ pub mod data;
 
 use crate::dispatch::SoapService;
 use data::Corpus;
-use std::sync::OnceLock;
 use wsrc_model::typeinfo::{
     Capabilities, FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry,
 };
@@ -33,10 +32,7 @@ pub const PATH: &str = "/soap/google";
 /// GoogleSearchResult objects so that all of the methods could be
 /// applied" (serializable, bean, deep clone, toString).
 pub fn registry() -> TypeRegistry {
-    // Built once per process: the service's responses and every
-    // client-side registry handed out here share one set of names.
-    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(build_registry).clone()
+    crate::registry_of(crate::Service::Google, build_registry)
 }
 
 fn build_registry() -> TypeRegistry {

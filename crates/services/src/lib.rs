@@ -28,3 +28,24 @@ pub mod news;
 pub mod stock;
 
 pub use dispatch::{SoapDispatcher, SoapService};
+
+use std::sync::OnceLock;
+use wsrc_model::typeinfo::TypeRegistry;
+
+/// The services that keep a type registry.
+#[derive(Debug, Clone, Copy)]
+enum Service {
+    Amazon,
+    Google,
+    News,
+    Stock,
+}
+
+/// `service`'s registry, made by `build` the first time it is asked for
+/// and shared from then on: every response the service instantiates and
+/// every client-side registry handed out carry one set of shapes and
+/// names, so a decoded struct and a served one can share theirs.
+fn registry_of(service: Service, build: fn() -> TypeRegistry) -> TypeRegistry {
+    static REGISTRIES: [OnceLock<TypeRegistry>; 4] = [const { OnceLock::new() }; 4];
+    REGISTRIES[service as usize].get_or_init(build).clone()
+}

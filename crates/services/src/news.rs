@@ -2,7 +2,6 @@
 //! motivating portal scenario.
 
 use crate::dispatch::SoapService;
-use std::sync::OnceLock;
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
@@ -17,24 +16,21 @@ pub const PATH: &str = "/soap/news";
 
 /// Registry for headline responses.
 pub fn registry() -> TypeRegistry {
-    // Built once per process: every response the service builds shares
-    // the descriptors' names with every registry handed out here.
-    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| {
-            TypeRegistry::builder()
-                .register(TypeDescriptor::new(
-                    "Headline",
-                    vec![
-                        FieldDescriptor::new("title", FieldType::String),
-                        FieldDescriptor::new("source", FieldType::String),
-                        FieldDescriptor::new("ageMinutes", FieldType::Int),
-                        FieldDescriptor::new("url", FieldType::String),
-                    ],
-                ))
-                .build()
-        })
-        .clone()
+    crate::registry_of(crate::Service::News, build_registry)
+}
+
+fn build_registry() -> TypeRegistry {
+    TypeRegistry::builder()
+        .register(TypeDescriptor::new(
+            "Headline",
+            vec![
+                FieldDescriptor::new("title", FieldType::String),
+                FieldDescriptor::new("source", FieldType::String),
+                FieldDescriptor::new("ageMinutes", FieldType::Int),
+                FieldDescriptor::new("url", FieldType::String),
+            ],
+        ))
+        .build()
 }
 
 /// The single operation: `getHeadlines(topic, max)`.

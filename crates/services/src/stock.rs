@@ -8,7 +8,6 @@
 
 use crate::dispatch::SoapService;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 use wsrc_cache::policy::{CachePolicy, OperationPolicy};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
@@ -23,25 +22,22 @@ pub const PATH: &str = "/soap/stock";
 
 /// Registry for quote responses.
 pub fn registry() -> TypeRegistry {
-    // Built once per process: every response the service builds shares
-    // the descriptors' names with every registry handed out here.
-    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
-    REGISTRY
-        .get_or_init(|| {
-            TypeRegistry::builder()
-                .register(TypeDescriptor::new(
-                    "Quote",
-                    vec![
-                        FieldDescriptor::new("symbol", FieldType::String),
-                        FieldDescriptor::new("price", FieldType::Double),
-                        FieldDescriptor::new("change", FieldType::Double),
-                        FieldDescriptor::new("volume", FieldType::Long),
-                        FieldDescriptor::new("tick", FieldType::Long),
-                    ],
-                ))
-                .build()
-        })
-        .clone()
+    crate::registry_of(crate::Service::Stock, build_registry)
+}
+
+fn build_registry() -> TypeRegistry {
+    TypeRegistry::builder()
+        .register(TypeDescriptor::new(
+            "Quote",
+            vec![
+                FieldDescriptor::new("symbol", FieldType::String),
+                FieldDescriptor::new("price", FieldType::Double),
+                FieldDescriptor::new("change", FieldType::Double),
+                FieldDescriptor::new("volume", FieldType::Long),
+                FieldDescriptor::new("tick", FieldType::Long),
+            ],
+        ))
+        .build()
 }
 
 /// The operations: `getQuote(symbol)` and `getQuotes(symbols…)` via a

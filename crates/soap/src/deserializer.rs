@@ -10,14 +10,18 @@
 //!
 //! The reader works from the schema the [`TypeRegistry`] compiled when it
 //! was built: each open element carries a [`Kind`] (two references) and
-//! its slot in the parent, children of a registered struct are resolved
-//! by probing the next declared slot, and all character data lands in
-//! one buffer shared by the whole document. Nothing is looked up by name
-//! and no `FieldType` is cloned for a typed element; the type name and
-//! field names of a decoded struct are the registry descriptor's own
-//! `Arc<str>` handles (undeclared fields share the parser's interned
-//! symbol), so a decode allocates no name. The `xsi:type`-driven path
-//! for untyped elements pays one registry probe per dynamic struct.
+//! its slot in the parent, and children of a registered struct are
+//! resolved by probing the next declared slot. Nothing is looked up by
+//! name and no `FieldType` is cloned for a typed element. The value is
+//! built as one tree ([`TreeBuilder`]): character data lands in the
+//! tree's text, where a string leaf stays without a copy; a closed
+//! container is a range of its nesting level; `finish()` freezes text
+//! and levels into *depth* + 2 exact-fit blocks. A struct that holds its
+//! type's declared fields in declaration order carries the registry's
+//! own [`Shape`] (a reference bump); any other gets a shape of its own
+//! over the descriptor's name handles (undeclared fields share the
+//! parser's interned symbol). The `xsi:type`-driven path for untyped
+//! elements pays one registry probe per dynamic struct.
 //!
 //! [`read_response_dom`] walks a parsed tree instead and shares no code
 //! with the reader beyond scalar parsing — the reference the differential
@@ -31,8 +35,9 @@ use crate::error::SoapError;
 use crate::fault::SoapFault;
 use crate::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
 use std::sync::Arc;
+use wsrc_model::tree::TreeBuilder;
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, Kind, StructPlan, TypeRegistry};
-use wsrc_model::value::{StructValue, Value};
+use wsrc_model::value::{Shape, StructValue, Value};
 use wsrc_xml::event::SaxEventSequence;
 use wsrc_xml::reader::ParseIntoError;
 use wsrc_xml::sax::ContentHandler;
@@ -151,9 +156,8 @@ const ARRAY_RESERVE_CAP: usize = 1024;
 enum Origin<'r> {
     Declared {
         field: &'r FieldDescriptor,
-        /// The slot's bit in the parent's seen-set; 0 for slots the set
-        /// does not track (past 63).
-        seen_bit: u64,
+        /// The field's position in the parent's declaration.
+        slot: usize,
     },
     Wire(Symbol),
 }
@@ -166,49 +170,86 @@ impl Origin<'_> {
             Origin::Wire(name) => name.as_str(),
         }
     }
+
+    /// The name of the struct field this element is, as a shared handle.
+    fn field_name(&self) -> &Arc<str> {
+        match self {
+            Origin::Declared { field, .. } => &field.name,
+            Origin::Wire(name) => name.shared_str(),
+        }
+    }
 }
 
-/// One open value element. A container's growing value sits on the
-/// reader's `containers` stack instead, so scalar elements — most of a
-/// response — push and pop a few words of plain data.
+/// One open value element. What it is accumulating sits in the reader's
+/// tree (and, for a container, on the `containers` stack), so scalar
+/// elements — most of a response — push and pop a few words of plain
+/// data.
 #[derive(Debug)]
 struct Frame<'r> {
     origin: Origin<'r>,
     /// Declared kind, `None` for an untyped element.
     kind: Option<Kind<'r>>,
-    /// Where this element's character data starts in the shared text
-    /// buffer. The `xsi_len` bytes before it hold the local part of its
-    /// `xsi:type`, kept only when no container kind is declared.
-    text_start: u32,
-    xsi_len: Option<u32>,
+    /// Where this element's character data starts in the tree's text.
+    text_start: usize,
+    /// The local part of its `xsi:type` as a range of the reader's `xsi`
+    /// scratch, kept only when no container kind is declared.
+    xsi: Option<(usize, usize)>,
     /// Capped element count from an `arrayType` attribute.
     reserve: u32,
     nil: bool,
-    /// A child element was seen: the top of `containers` is this
-    /// element's.
+    /// A child element was seen: the innermost open container of the
+    /// tree, and the top of `containers`, are this element's.
     container: bool,
 }
 
-/// The value a container element is accumulating.
+/// The type of an open struct element: registered, with its compiled
+/// plan, or known by name only.
+#[derive(Debug)]
+enum StructType<'r> {
+    Registered(&'r StructPlan),
+    Dynamic(Arc<str>),
+}
+
+impl<'r> StructType<'r> {
+    fn plan(&self) -> Option<&'r StructPlan> {
+        match self {
+            StructType::Registered(plan) => Some(plan),
+            StructType::Dynamic(_) => None,
+        }
+    }
+
+    /// The declared fields; none for a dynamic struct.
+    fn declared(&self) -> &'r [FieldDescriptor] {
+        self.plan().map_or(&[], |p| &p.descriptor().fields)
+    }
+
+    /// The type name as a shared handle — the descriptor's own when the
+    /// type is registered.
+    fn name(&self) -> Arc<str> {
+        match self {
+            StructType::Registered(plan) => plan.descriptor().name.clone(),
+            StructType::Dynamic(name) => name.clone(),
+        }
+    }
+}
+
+/// What the reader knows of a container element while it is open; its
+/// children are in the tree.
 #[derive(Debug)]
 enum Container<'r> {
     Array {
-        items: Vec<Value>,
         element: Option<Kind<'r>>,
     },
     Struct {
-        value: StructValue,
-        /// The compiled plan when the struct's type is registered.
-        plan: Option<&'r StructPlan>,
+        ty: StructType<'r>,
         /// Declared slot the next child is expected in.
         next_slot: usize,
-        /// Declared slots already attached (slots past 63 are not
-        /// tracked and attach with the name scan).
-        seen: u64,
-        /// Attach with [`StructValue::set`]'s name scan: some name may
-        /// already be present (an undeclared field was attached, or the
-        /// plan's names are not distinct).
-        scan: bool,
+        /// The names of the fields so far, in order — kept only once
+        /// they are something else than the type's first declared
+        /// fields in declaration order (a field skipped, out of order or
+        /// undeclared; declared names that are not distinct; a dynamic
+        /// type).
+        other: Option<Vec<Arc<str>>>,
     },
 }
 
@@ -223,10 +264,12 @@ pub struct ResponseReader<'r> {
     state: State,
     frames: Vec<Frame<'r>>,
     containers: Vec<Container<'r>>,
-    /// Character data (and `xsi:type` names) of every open scalar
-    /// element, innermost last; see [`Frame::text_start`].
-    text: String,
-    result: Option<Value>,
+    /// The return value so far; its text also holds the character data
+    /// of every open scalar element, innermost last (see
+    /// [`Frame::text_start`]).
+    tree: TreeBuilder,
+    /// `xsi:type` local names of the open elements; see [`Frame::xsi`].
+    xsi: String,
     skipping: usize,
     fault_code: String,
     fault_string: String,
@@ -245,8 +288,8 @@ impl<'r> ResponseReader<'r> {
             state: State::BeforeEnvelope,
             frames: Vec::with_capacity(8),
             containers: Vec::new(),
-            text: String::new(),
-            result: None,
+            tree: TreeBuilder::new(),
+            xsi: String::new(),
             skipping: 0,
             fault_code: String::new(),
             fault_string: String::new(),
@@ -261,7 +304,8 @@ impl<'r> ResponseReader<'r> {
     ///
     /// # Errors
     ///
-    /// Returns an encoding error when no complete response was seen.
+    /// Returns an encoding error when no complete response was seen, or
+    /// when the response outgrew what a value tree can address.
     pub fn finish(self) -> Result<RpcOutcome, SoapError> {
         if self.saw_fault {
             return Ok(RpcOutcome::Fault(SoapFault {
@@ -273,8 +317,8 @@ impl<'r> ResponseReader<'r> {
         if self.state != State::Done {
             return Err(SoapError::encoding("incomplete response envelope"));
         }
-        // A void operation has no return element.
-        Ok(RpcOutcome::Return(self.result.unwrap_or(Value::Null)))
+        // A void operation has no return element: an empty tree is null.
+        Ok(RpcOutcome::Return(self.tree.finish()?))
     }
 
     fn push_frame(
@@ -290,7 +334,8 @@ impl<'r> ResponseReader<'r> {
         );
         let mut nil = false;
         let mut reserve = 0;
-        let mut xsi_len = None;
+        let xsi_start = self.xsi.len();
+        let mut xsi = None;
         for a in attributes {
             match a.name.local_part() {
                 "nil" | "null" => {
@@ -301,9 +346,9 @@ impl<'r> ResponseReader<'r> {
                     // ("xsd:int" → "int", "ns1:Pt" → "Pt").
                     let local = a.value.split_once(':').map(|(_, l)| l).unwrap_or(a.value);
                     // The last such attribute wins.
-                    self.text.truncate(self.text.len() - xsi_len.unwrap_or(0));
-                    self.text.push_str(local);
-                    xsi_len = Some(local.len());
+                    self.xsi.truncate(xsi_start);
+                    self.xsi.push_str(local);
+                    xsi = Some((xsi_start, local.len()));
                 }
                 "arrayType" => reserve = array_type_count(a.value),
                 _ => {}
@@ -312,8 +357,8 @@ impl<'r> ResponseReader<'r> {
         self.frames.push(Frame {
             origin,
             kind,
-            text_start: buffer_offset(self.text.len()),
-            xsi_len: xsi_len.map(buffer_offset),
+            text_start: self.tree.text_len(),
+            xsi,
             reserve,
             nil,
             container: false,
@@ -328,10 +373,8 @@ impl<'r> ResponseReader<'r> {
             return;
         };
         frame.container = true;
-        let items = || Vec::with_capacity(frame.reserve as usize);
         let container = match frame.kind.map(|k| (k, k.field_type())) {
             Some((kind, FieldType::ArrayOf(_))) => Container::Array {
-                items: items(),
                 element: kind.element(),
             },
             Some((kind, FieldType::Struct(type_name))) => {
@@ -342,21 +385,25 @@ impl<'r> ResponseReader<'r> {
                 // are recognized by the SOAP-ENC Array xsi:type or by
                 // `item` children; anything else becomes a dynamic struct
                 // named after its xsi:type or element.
-                let xsi = frame.xsi(&self.text);
+                let xsi = frame.xsi(&self.xsi);
                 let is_array = xsi
                     .map(|t| t == "Array")
                     .unwrap_or(child.local_part() == "item");
                 if is_array {
-                    Container::Array {
-                        items: items(),
-                        element: None,
-                    }
+                    Container::Array { element: None }
                 } else {
                     let type_name = xsi.unwrap_or(frame.origin.name());
                     Container::new_struct(type_name, self.registry.plan(type_name))
                 }
             }
         };
+        // Whatever character data came before the first child is not a
+        // value's.
+        self.tree.truncate_text(frame.text_start);
+        self.tree.open(match &container {
+            Container::Array { .. } => frame.reserve as usize,
+            Container::Struct { ty, .. } => ty.declared().len(),
+        });
         self.containers.push(container);
     }
 
@@ -367,18 +414,14 @@ impl<'r> ResponseReader<'r> {
                 return (Origin::Wire(child.local_symbol().clone()), *element);
             }
             Some(Container::Struct {
-                plan: Some(plan),
+                ty: StructType::Registered(plan),
                 next_slot,
                 ..
             }) => {
                 if let Some(slot) = plan.slot_by_xml_name(child.local_part(), *next_slot) {
                     *next_slot = slot + 1;
                     let field = &plan.descriptor().fields[slot];
-                    let seen_bit = u32::try_from(slot)
-                        .ok()
-                        .and_then(|slot| 1u64.checked_shl(slot))
-                        .unwrap_or(0);
-                    let origin = Origin::Declared { field, seen_bit };
+                    let origin = Origin::Declared { field, slot };
                     return (origin, plan.field_kind(slot, self.registry));
                 }
             }
@@ -387,72 +430,115 @@ impl<'r> ResponseReader<'r> {
         (Origin::Wire(child.local_symbol().clone()), None)
     }
 
-    /// The finished value of `frame`, just popped.
-    fn finalize_frame(&mut self, frame: &Frame<'r>) -> Result<Value, SoapError> {
-        let container = if frame.container {
-            self.containers.pop()
-        } else {
-            None
+    /// Adds the finished value of `frame`, just popped, to the tree.
+    fn finalize_frame(&mut self, frame: &Frame<'r>) -> Result<(), SoapError> {
+        let container = match frame.container {
+            true => self.containers.pop(),
+            false => None,
         };
         if frame.nil {
-            return Ok(Value::Null);
+            // The content was read, and had to be valid; the value is
+            // null all the same.
+            if container.is_some() {
+                self.tree.close_discarding();
+            }
+            self.tree.truncate_text(frame.text_start);
+            self.tree.value(Value::Null);
+            return Ok(());
         }
         match container {
-            Some(Container::Array { items, .. }) => Ok(Value::Array(items.into())),
-            Some(Container::Struct { value, .. }) => Ok(Value::Struct(value)),
+            Some(Container::Array { .. }) => self.tree.close_array(),
+            Some(Container::Struct { ty, other, .. }) => {
+                let shape = match (ty.plan(), other) {
+                    (Some(plan), None) => plan.prefix_shape(self.tree.children()),
+                    (_, names) => Arc::new(Shape::new(ty.name(), names.unwrap_or_default())),
+                };
+                self.tree.close_struct(shape);
+            }
             None => {
                 // Scalar: decide the lexical type.
                 let from_xsi;
                 let effective = match frame.kind {
                     Some(kind) => Some(kind.field_type()),
                     None => {
-                        from_xsi = type_from_xsi(frame.xsi(&self.text));
+                        from_xsi = type_from_xsi(frame.xsi(&self.xsi));
                         from_xsi.as_ref()
                     }
                 };
-                let text = &self.text[frame.text_start as usize..];
-                // An empty element of a registered struct type: an empty
-                // instance under the descriptor's own name.
-                if let Some(plan) = frame.kind.and_then(|k| k.struct_plan()) {
-                    if text.trim().is_empty() {
-                        let name = plan.descriptor().name.clone();
-                        return Ok(Value::Struct(StructValue::new(name)));
+                let text = self.tree.text_from(frame.text_start);
+                let empty = || text.trim().is_empty();
+                let value = match effective {
+                    // The character data is the string, where it lies.
+                    Some(FieldType::String) | None => {
+                        self.tree.string_at(frame.text_start..self.tree.text_len());
+                        return Ok(());
                     }
-                }
-                parse_scalar(text, effective, frame.origin.name())
+                    // An empty element of struct or array type is an
+                    // empty instance: a container closed as it opens —
+                    // under the descriptor's own name when the type is
+                    // registered.
+                    Some(FieldType::Struct(name)) if empty() => {
+                        let shape = match frame.kind.and_then(|k| k.struct_plan()) {
+                            Some(plan) => plan.prefix_shape(0),
+                            None => Arc::new(Shape::new(name.as_str(), [])),
+                        };
+                        self.tree.truncate_text(frame.text_start);
+                        self.tree.open(0);
+                        self.tree.close_struct(shape);
+                        return Ok(());
+                    }
+                    Some(FieldType::ArrayOf(_)) if empty() => {
+                        self.tree.truncate_text(frame.text_start);
+                        self.tree.open(0);
+                        self.tree.close_array();
+                        return Ok(());
+                    }
+                    _ => parse_scalar(text, effective, frame.origin.name())?,
+                };
+                self.tree.truncate_text(frame.text_start);
+                self.tree.value(value);
             }
         }
+        Ok(())
     }
 
-    fn attach(&mut self, value: Value, child: &Frame<'r>) -> Result<(), SoapError> {
-        match self.containers.last_mut() {
-            Some(Container::Array { items, .. }) => items.push(value),
-            Some(Container::Struct {
-                value: parent,
-                seen,
-                scan,
-                ..
-            }) => match &child.origin {
-                Origin::Declared { field, seen_bit } => {
-                    if *scan || *seen_bit == 0 || *seen & seen_bit != 0 {
-                        parent.set(field.name.clone(), value);
-                    } else {
-                        *seen |= seen_bit;
-                        parent.push_new(field.name.clone(), value);
-                    }
-                }
-                Origin::Wire(name) => {
-                    // An undeclared name may equal a declared field's.
-                    *scan = true;
-                    parent.set(name.shared_str().clone(), value);
-                }
-            },
+    /// Makes the value of `child`, just added to the tree, a child of
+    /// the innermost container: an array takes it as it comes, a struct
+    /// under the child's field name — in place of the field's earlier
+    /// value if it has one.
+    fn attach(&mut self, child: &Frame<'r>) -> Result<(), SoapError> {
+        let (ty, other) = match self.containers.last_mut() {
+            Some(Container::Array { .. }) => return Ok(()),
+            Some(Container::Struct { ty, other, .. }) => (ty, other),
             None => {
                 return Err(SoapError::encoding(format!(
                     "element <{}> nested inside a scalar value",
                     child.origin.name()
                 )));
             }
+        };
+        let before = self.tree.children() - 1;
+        let names = match other {
+            Some(names) => names,
+            // So far the fields are the first `before` declared ones.
+            None => match child.origin {
+                Origin::Declared { slot, .. } if slot == before => return Ok(()),
+                Origin::Declared { slot, .. } if slot < before => {
+                    self.tree.replace_child(slot);
+                    return Ok(());
+                }
+                _ => other.insert(
+                    ty.declared()[..before]
+                        .iter()
+                        .map(|f| f.name.clone())
+                        .collect(),
+                ),
+            },
+        };
+        let name = child.origin.field_name();
+        match names.iter().position(|n| n == name) {
+            Some(at) => self.tree.replace_child(at),
+            None => names.push(name.clone()),
         }
         Ok(())
     }
@@ -460,33 +546,24 @@ impl<'r> ResponseReader<'r> {
 
 impl Frame<'_> {
     /// The local part of this element's `xsi:type`, if it was kept.
-    fn xsi<'t>(&self, text: &'t str) -> Option<&'t str> {
-        let end = self.text_start as usize;
-        self.xsi_len.map(|len| &text[end - len as usize..end])
+    fn xsi<'t>(&self, scratch: &'t str) -> Option<&'t str> {
+        self.xsi.map(|(start, len)| &scratch[start..start + len])
     }
 }
 
 impl<'r> Container<'r> {
     /// A struct of type `type_name`, which `plan` (when registered)
-    /// describes: the value then carries the descriptor's own name.
+    /// describes.
     fn new_struct(type_name: &str, plan: Option<&'r StructPlan>) -> Self {
-        let declared = plan.map_or(0, |p| p.descriptor().fields.len());
-        let type_name = match plan {
-            Some(plan) => plan.descriptor().name.clone(),
-            None => Arc::from(type_name),
-        };
         Container::Struct {
-            value: StructValue::with_capacity(type_name, declared),
-            plan,
+            ty: match plan {
+                Some(plan) => StructType::Registered(plan),
+                None => StructType::Dynamic(Arc::from(type_name)),
+            },
             next_slot: 0,
-            seen: 0,
-            scan: !plan.is_some_and(StructPlan::names_unique),
+            other: (!plan.is_some_and(StructPlan::names_unique)).then(Vec::new),
         }
     }
-}
-
-fn buffer_offset(at: usize) -> u32 {
-    u32::try_from(at).expect("response text exceeds u32 range")
 }
 
 /// The element count in `arrayType="xsd:anyType[3]"`, capped at
@@ -636,14 +713,14 @@ impl ContentHandler for ResponseReader<'_> {
         match self.state {
             State::InValue => {
                 let frame = self.frames.pop().expect("InValue implies a frame");
-                let value = self.finalize_frame(&frame)?;
-                self.text
-                    .truncate((frame.text_start - frame.xsi_len.unwrap_or(0)) as usize);
+                self.finalize_frame(&frame)?;
+                if let Some((start, _)) = frame.xsi {
+                    self.xsi.truncate(start);
+                }
                 if self.frames.is_empty() {
-                    self.result = Some(value);
                     self.state = State::AfterValue;
                 } else {
-                    self.attach(value, &frame)?;
+                    self.attach(&frame)?;
                 }
             }
             State::AfterValue | State::InWrapper => {
@@ -687,7 +764,7 @@ impl ContentHandler for ResponseReader<'_> {
                         )));
                     }
                 } else {
-                    self.text.push_str(text);
+                    self.tree.push_text(text);
                 }
             }
             State::InFault => match self.fault_field {
@@ -857,10 +934,7 @@ pub fn element_to_value(
         }
         Some(FieldType::Struct(type_name)) => {
             let descriptor = registry.get(&type_name);
-            let mut s = StructValue::new(match descriptor {
-                Some(d) => d.name.clone(),
-                None => Arc::from(type_name.as_str()),
-            });
+            let mut fields = Vec::with_capacity(children.len());
             for c in children {
                 let xml_name = c.name.local_part();
                 let field = descriptor.and_then(|d| d.field_by_xml_name(xml_name));
@@ -868,9 +942,13 @@ pub fn element_to_value(
                 let fname = field
                     .map(|f| f.name.clone())
                     .unwrap_or_else(|| Arc::from(xml_name));
-                s.set(fname, fv);
+                fields.push((fname, fv));
             }
-            Ok(Value::Struct(s))
+            let type_name = match descriptor {
+                Some(d) => d.name.clone(),
+                None => Arc::from(type_name.as_str()),
+            };
+            Ok(Value::Struct(StructValue::from_fields(type_name, fields)))
         }
         _ => {
             // Untyped with children: array when they are all <item>,
@@ -885,12 +963,11 @@ pub fn element_to_value(
                 Ok(Value::Array(items.into()))
             } else {
                 let type_name = xsi_local.unwrap_or_else(|| elem.name.local_part().to_string());
-                let mut s = StructValue::new(type_name);
+                let mut fields = Vec::with_capacity(children.len());
                 for c in children {
-                    let fv = element_to_value(c, None, registry)?;
-                    s.set(c.name.local_part().to_string(), fv);
+                    fields.push((c.name.local_part(), element_to_value(c, None, registry)?));
                 }
-                Ok(Value::Struct(s))
+                Ok(Value::Struct(StructValue::from_fields(type_name, fields)))
             }
         }
     }

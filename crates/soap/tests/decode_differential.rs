@@ -475,6 +475,33 @@ fn envelope(seed: u64, registry: &TypeRegistry, expected: &FieldType) -> String 
 
 type Outcome = Result<RpcOutcome, String>;
 
+/// What the reader decodes is one tree: at most one text block, one node
+/// block per nesting level below the root and one buffer per `byte[]`,
+/// however many nodes it has.
+fn assert_few_blocks(outcome: &Outcome, what: &str) {
+    fn walk(v: &Value, ids: &mut std::collections::HashSet<usize>) -> (usize, usize) {
+        ids.extend(v.block().map(|b| b.id));
+        let children: Vec<&Value> = match v {
+            Value::Bytes(_) => return (0, 1),
+            Value::Array(items) => items.iter().collect(),
+            Value::Struct(s) => s.fields().map(|(_, v)| v).collect(),
+            _ => return (0, 0),
+        };
+        let below = children.into_iter().map(|child| walk(child, ids));
+        let (depth, buffers) = below.fold((0, 0), |(d, b), (cd, cb)| (d.max(cd), b + cb));
+        (depth + 1, buffers)
+    }
+    if let Ok(RpcOutcome::Return(value)) = outcome {
+        let mut ids = std::collections::HashSet::new();
+        let (depth, buffers) = walk(value, &mut ids);
+        assert!(
+            ids.len() <= depth + 1 + buffers,
+            "{what}: {} blocks for depth {depth} and {buffers} buffers",
+            ids.len()
+        );
+    }
+}
+
 /// Runs `xml` through every entry point, checks them against the tree
 /// walk and each other, and returns what they agreed on.
 fn decode_all_ways(
@@ -490,14 +517,18 @@ fn decode_all_ways(
     };
     let parsed = text(read_response_xml(xml, expected, registry));
     assert_eq!(parsed, reference, "{what}: read_response_xml\n{xml}");
+    assert_few_blocks(&parsed, what);
     let arena = XmlReader::new(xml).read_sequence();
     if let Ok(arena) = &arena {
         let replayed = text(read_response_events(arena, expected, registry));
         assert_eq!(replayed, reference, "{what}: read_response_events\n{xml}");
+        assert_few_blocks(&replayed, what);
     }
     match read_response_bytes_recording(xml.as_bytes(), expected, registry) {
         Ok((outcome, recorded)) => {
-            assert_eq!(Ok(outcome), reference, "{what}: recording\n{xml}");
+            let outcome = Ok(outcome);
+            assert_few_blocks(&outcome, what);
+            assert_eq!(outcome, reference, "{what}: recording\n{xml}");
             let arena = arena.expect("the recording pass parsed the document");
             assert_eq!(recorded, arena, "{what}: recorded arena\n{xml}");
         }

@@ -1,21 +1,26 @@
 //! What the value model shares and what it never does, on the paper's
-//! three Google responses: names are the registry's own handles, eager
-//! copies share names but no container node, and — for every stored
-//! form, however it was built — a hit equals the miss, and a write
-//! through it reaches neither the cache nor the caller that missed.
+//! three Google responses: a decoded response is a handful of blocks
+//! charged exactly, its structs carry the registry's own shapes, eager
+//! copies share names and strings but no node block, and — for every
+//! stored form, however it was built — a hit equals the miss, and a
+//! write through any mutator at any depth of it reaches neither the
+//! cache nor the caller that missed.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use wsrcache::cache::repr::MissArtifacts;
 use wsrcache::cache::{
-    CacheEntry, CacheError, CacheKey, CacheStore, StoredResponse, ValueRepresentation,
+    CacheEntry, CacheError, CacheKey, CacheStore, Capacity, StoredResponse, ValueRepresentation,
 };
 use wsrcache::model::deep_clone::clone_copy;
 use wsrcache::model::reflect::reflect_copy;
+use wsrcache::model::sizeof::deep_size;
 use wsrcache::model::typeinfo::{FieldType, TypeRegistry};
+use wsrcache::model::value::BLOCK_HEADER;
 use wsrcache::model::Value;
 use wsrcache::services::dispatch::SoapService;
 use wsrcache::services::google::{self, GoogleService};
-use wsrcache::soap::deserializer::read_response_xml_recording;
+use wsrcache::soap::deserializer::read_response_bytes_recording;
 use wsrcache::soap::serializer::serialize_response;
 use wsrcache::soap::RpcRequest;
 use wsrcache::xml::event::SaxEventSequence;
@@ -69,8 +74,9 @@ fn google_fixtures() -> Vec<Fixture> {
             let xml =
                 serialize_response(google::NAMESPACE, operation, "return", &served, &registry)
                     .expect("responses serialize");
-            let (outcome, events) = read_response_xml_recording(&xml, &return_type, &registry)
-                .expect("the reader accepts the serializer's output");
+            let (outcome, events) =
+                read_response_bytes_recording(xml.as_bytes(), &return_type, &registry)
+                    .expect("the reader accepts the serializer's output");
             let value = outcome.into_return().expect("not a fault");
             assert_eq!(value, served, "{operation} does not survive a round trip");
             Fixture {
@@ -96,56 +102,58 @@ fn for_each_struct(value: &Value, visit: &mut impl FnMut(&wsrcache::model::Struc
     }
 }
 
-/// Every struct of `value` carries the registry's own handles: its type
-/// name and each declared field name are the descriptor's `Arc<str>`.
+/// Every struct of `value` carries the registry's own shape — one
+/// handle for its type name and all its field names.
 fn assert_names_are_the_registrys(value: &Value, registry: &TypeRegistry, what: &str) {
     let mut structs = 0;
     for_each_struct(value, &mut |s| {
         structs += 1;
-        let descriptor = registry
-            .get(s.type_name())
+        let plan = registry
+            .plan(s.type_name())
             .unwrap_or_else(|| panic!("{what}: {} is not registered", s.type_name()));
         assert!(
-            Arc::ptr_eq(s.shared_type_name(), &descriptor.name),
-            "{what}: type name {} is a copy",
+            Arc::ptr_eq(s.shape(), plan.shape()),
+            "{what}: the shape of a {} is a copy",
             s.type_name()
         );
-        assert_eq!(s.len(), descriptor.fields.len(), "{what}: fully populated");
-        for (name, _) in s.shared_fields() {
-            let declared = descriptor
-                .field(name)
-                .unwrap_or_else(|| panic!("{what}: {name} is not declared"));
-            assert!(
-                Arc::ptr_eq(name, &declared.name),
-                "{what}: field name {}.{name} is a copy",
-                s.type_name()
-            );
-        }
+        assert_eq!(s.len(), plan.descriptor().fields.len());
     });
     assert!(structs > 10, "{what}: the search result nests structs");
 }
 
-/// No container node of `copy` is a node of `original`; the two are
-/// equal and of one shape.
-fn assert_no_shared_container(original: &Value, copy: &Value, what: &str) {
-    match (original, copy) {
-        (Value::Bytes(a), Value::Bytes(b)) => assert!(!Arc::ptr_eq(a, b), "{what}: bytes shared"),
-        (Value::Array(a), Value::Array(b)) => {
-            assert!(!Arc::ptr_eq(a, b), "{what}: array shared");
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_no_shared_container(x, y, what);
-            }
-        }
-        (Value::Struct(a), Value::Struct(b)) => {
-            assert!(!a.ptr_eq(b), "{what}: struct {} shared", a.type_name());
-            assert_eq!(a.len(), b.len());
-            for ((_, x), (_, y)) in a.fields().zip(b.fields()) {
-                assert_no_shared_container(x, y, what);
-            }
-        }
-        (a, b) => assert_eq!(a, b, "{what}"),
+/// The blocks `value` reaches by a plain walk: id to bytes.
+fn blocks(value: &Value, into: &mut HashMap<usize, usize>) {
+    if let Some(block) = value.block() {
+        into.insert(block.id, block.bytes);
     }
+    match value {
+        Value::Array(items) => items.iter().for_each(|v| blocks(v, into)),
+        Value::Struct(s) => s.fields().for_each(|(_, v)| blocks(v, into)),
+        _ => {}
+    }
+}
+
+/// The blocks holding the nodes and byte buffers of `value` (not text,
+/// which copies share).
+fn container_blocks(value: &Value, into: &mut HashSet<usize>) {
+    match value {
+        Value::Bytes(_) => {}
+        Value::Array(items) => items.iter().for_each(|v| container_blocks(v, into)),
+        Value::Struct(s) => s.fields().for_each(|(_, v)| container_blocks(v, into)),
+        _ => return,
+    }
+    into.extend(value.block().map(|b| b.id));
+}
+
+/// No node block or byte buffer of `copy` is one of `original`; the two
+/// are equal.
+fn assert_no_shared_container(original: &Value, copy: &Value, what: &str) {
+    assert_eq!(original, copy, "{what}");
+    let (mut ours, mut theirs) = (HashSet::new(), HashSet::new());
+    container_blocks(original, &mut ours);
+    container_blocks(copy, &mut theirs);
+    assert!(!ours.is_empty(), "{what}: nothing to share");
+    assert!(ours.is_disjoint(&theirs), "{what}: a block is shared");
 }
 
 #[test]
@@ -181,34 +189,114 @@ fn eager_copies_share_names_but_no_container_node() {
     }
 }
 
-fn field<'v>(value: &'v Value, name: &str) -> &'v Value {
-    value
-        .as_struct()
-        .and_then(|s| s.get(name))
-        .unwrap_or_else(|| panic!("no field {name}"))
+/// The paths (child indices from the root) of every container of `v`,
+/// byte buffers included, in pre-order.
+fn container_paths(v: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+    let children: Vec<&Value> = match v {
+        Value::Bytes(_) => Vec::new(),
+        Value::Array(items) => items.iter().collect(),
+        Value::Struct(s) => s.fields().map(|(_, fv)| fv).collect(),
+        _ => return,
+    };
+    out.push(path.clone());
+    for (i, child) in children.into_iter().enumerate() {
+        path.push(i);
+        container_paths(child, path, out);
+        path.pop();
+    }
 }
 
-/// Writes as deep as the shape allows: a field of a struct inside an
-/// array element of the search result, a byte of the cached page. A bare
-/// string has no inside to write to.
-fn write_at_depth(value: &mut Value) -> bool {
-    match value {
-        Value::Bytes(_) => {
-            value.as_bytes_mut().expect("bytes")[0] ^= 0xFF;
-            true
+fn at<'v>(v: &'v Value, path: &[usize]) -> &'v Value {
+    path.iter().fold(v, |v, &i| match v {
+        Value::Array(items) => &items[i],
+        Value::Struct(s) => s.fields().nth(i).expect("path names a field").1,
+        _ => unreachable!("paths run through containers"),
+    })
+}
+
+/// The ways to write to a value: every mutating accessor of the model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mutator {
+    Set,
+    GetMut,
+    FieldsMut,
+    PushNew,
+    AsArrayMut,
+    AsBytesMut,
+}
+
+impl Mutator {
+    /// The mutators that apply to the container `v`.
+    fn of(v: &Value) -> &'static [Mutator] {
+        match v {
+            Value::Struct(_) => &[
+                Mutator::Set,
+                Mutator::GetMut,
+                Mutator::FieldsMut,
+                Mutator::PushNew,
+            ],
+            Value::Array(_) => &[Mutator::AsArrayMut],
+            Value::Bytes(_) => &[Mutator::AsBytesMut],
+            _ => &[],
         }
-        Value::Struct(result) => {
-            let elements = result
-                .get_mut("resultElements")
-                .and_then(Value::as_array_mut)
-                .expect("the search result has elements");
-            elements[0]
-                .as_struct_mut()
-                .expect("elements are structs")
-                .set("title", "VANDALIZED");
-            true
+    }
+
+    /// Descends `path` through the mutable accessors (structs by name,
+    /// through `get_mut`) and writes with `self` at its end. Returns
+    /// whether anything was there to write.
+    fn write(self, v: &mut Value, path: &[usize]) -> bool {
+        if let [i, rest @ ..] = path {
+            let child = match v {
+                Value::Array(_) => &mut v.as_array_mut().expect("array")[*i],
+                Value::Struct(s) => {
+                    let name = s
+                        .fields()
+                        .nth(*i)
+                        .expect("path names a field")
+                        .0
+                        .to_string();
+                    s.get_mut(&name).expect("the field is there")
+                }
+                _ => unreachable!("paths run through containers"),
+            };
+            return self.write(child, rest);
         }
-        _ => false,
+        let first_field = |v: &Value| {
+            let s = v.as_struct().expect("a struct mutator");
+            s.fields().next().map(|(name, _)| name.to_string())
+        };
+        match self {
+            Mutator::Set => match first_field(v) {
+                Some(name) => v.as_struct_mut().expect("struct").set(name, -1),
+                None => return false,
+            },
+            Mutator::GetMut => match first_field(v) {
+                Some(name) => {
+                    *v.as_struct_mut()
+                        .expect("struct")
+                        .get_mut(&name)
+                        .expect("present") = Value::Int(-2)
+                }
+                None => return false,
+            },
+            Mutator::FieldsMut => {
+                let s = v.as_struct_mut().expect("struct");
+                if s.is_empty() {
+                    return false;
+                }
+                s.fields_mut().for_each(|(_, field)| *field = Value::Null);
+            }
+            Mutator::PushNew => v.as_struct_mut().expect("struct").push_new("__pushed", 1),
+            Mutator::AsArrayMut => match v.as_array_mut().expect("array").first_mut() {
+                Some(item) => *item = Value::string("written"),
+                None => return false,
+            },
+            Mutator::AsBytesMut => match v.as_bytes_mut().expect("bytes").first_mut() {
+                Some(byte) => *byte ^= 0xFF,
+                None => return false,
+            },
+        }
+        true
     }
 }
 
@@ -217,10 +305,13 @@ fn every_form_however_built_is_equivalent_and_isolated() {
     let registry = google::registry();
     let store = CacheStore::default();
     let mut stored_forms = 0;
+    let mut writes = 0;
     for f in google_fixtures() {
         // The missing caller keeps what the reader handed it.
         let held_by_the_missing_caller = f.value.clone();
         let pristine = wsrcache::model::deep_clone::clone_unchecked(&f.value);
+        let mut paths = Vec::new();
+        container_paths(&pristine, &mut Vec::new(), &mut paths);
         let artifacts = MissArtifacts {
             xml: &f.xml,
             events: &f.events,
@@ -257,60 +348,51 @@ fn every_form_however_built_is_equivalent_and_isolated() {
                     Err(e) => panic!("{what}: {e}"),
                 };
                 assert_eq!(stored.representation(), repr, "{what}");
-                let hit = stored.retrieve(&f.return_type, &registry).expect(&what);
+                let hit = || stored.retrieve(&f.return_type, &registry).expect(&what);
                 assert_eq!(
-                    hit.as_value(),
+                    hit().as_value(),
                     &pristine,
                     "{what}: hit differs from the miss"
                 );
 
-                let mut mine = hit.into_value();
-                if write_at_depth(&mut mine) {
-                    assert_ne!(mine, pristine, "{what}: the write landed");
-                }
-                let next = stored.retrieve(&f.return_type, &registry).expect(&what);
-                assert_eq!(
-                    next.as_value(),
-                    &pristine,
-                    "{what}: the next hit saw the write"
-                );
-                assert_eq!(
-                    held_by_the_missing_caller, pristine,
-                    "{what}: the missing caller saw the write"
-                );
-
-                if repr == ValueRepresentation::PassByReference {
-                    assert!(next.is_shared(), "{what}");
-                    if let Value::Struct(cached) = next.as_value() {
-                        // On the written path: copied.
-                        let written = mine.as_struct().expect("still a struct");
-                        assert!(!written.ptr_eq(cached), "{what}: root");
-                        let elements =
-                            |v: &Value| field(v, "resultElements").as_array().unwrap().to_vec();
-                        let (ours, theirs) = (elements(&mine), elements(next.as_value()));
-                        let same = |a: &Value, b: &Value| {
-                            a.as_struct().unwrap().ptr_eq(b.as_struct().unwrap())
-                        };
-                        assert!(!same(&ours[0], &theirs[0]), "{what}: written element");
-                        // Off it: still the cached tree's own nodes.
-                        for (a, b) in ours.iter().zip(&theirs).skip(1) {
-                            assert!(same(a, b), "{what}: untouched sibling was copied");
+                // Every mutator, at every container of the value.
+                for path in &paths {
+                    for &mutator in Mutator::of(at(&pristine, path)) {
+                        let what = format!("{what}, {mutator:?} at {path:?}");
+                        let mut mine = hit().into_value();
+                        if !mutator.write(&mut mine, path) {
+                            continue;
                         }
-                        assert!(
-                            same(
-                                field(&ours[0], "directoryCategory"),
-                                field(&theirs[0], "directoryCategory")
-                            ),
-                            "{what}: untouched child of the written element was copied"
+                        writes += 1;
+                        assert_ne!(mine, pristine, "{what}: the write landed");
+                        let next = hit();
+                        assert_eq!(
+                            next.as_value(),
+                            &pristine,
+                            "{what}: the next hit saw the write"
                         );
-                        match (
-                            field(&mine, "directoryCategories"),
-                            field(next.as_value(), "directoryCategories"),
-                        ) {
-                            (Value::Array(a), Value::Array(b)) => {
-                                assert!(Arc::ptr_eq(a, b), "{what}: untouched array was copied")
+                        assert_eq!(
+                            held_by_the_missing_caller, pristine,
+                            "{what}: the missing caller saw the write"
+                        );
+                        if repr != ValueRepresentation::PassByReference {
+                            continue;
+                        }
+                        // The hit was the cached tree itself: on the
+                        // written path its containers were copied out of
+                        // their blocks, off it they still are the cached
+                        // tree's own nodes in the cached tree's blocks.
+                        assert!(next.is_shared(), "{what}");
+                        let cached = next.as_value();
+                        for other in &paths {
+                            let on_path = path.starts_with(other);
+                            let gone =
+                                mutator == Mutator::FieldsMut || mutator == Mutator::AsArrayMut;
+                            if !on_path && other.starts_with(path) && gone {
+                                continue; // overwritten along with its parent
                             }
-                            _ => panic!("{what}: directoryCategories is an array"),
+                            let same = at(&mine, other).block() == at(cached, other).block();
+                            assert_eq!(same, !on_path, "{what}: the container at {other:?}");
                         }
                     }
                 }
@@ -325,6 +407,9 @@ fn every_form_however_built_is_equivalent_and_isolated() {
     // 3 fixtures x 7 forms x 2 builds, less the n/a cells: reflection
     // and clone for the string, clone for the bytes.
     assert_eq!(stored_forms, 3 * 7 * 2 - 2 * (2 + 1));
+    // The search result has 25 containers, 23 of them structs (four
+    // mutators each); the page is one buffer; the string has no inside.
+    assert_eq!(writes, 14 * (23 * 4 + 2) + 12);
     assert_eq!(store.len(), stored_forms);
     store.audit().expect("byte accounting reconciles");
 }
@@ -355,4 +440,113 @@ fn the_three_object_forms_of_a_response_weigh_the_same() {
             f.operation
         );
     }
+}
+
+#[test]
+fn a_decoded_response_is_a_handful_of_blocks_charged_exactly() {
+    let registry = google::registry();
+    let value = std::mem::size_of::<Value>();
+    assert_eq!(value, 32);
+    for f in google_fixtures() {
+        let mut pinned = HashMap::new();
+        blocks(&f.value, &mut pinned);
+        // What the cache is charged is what the tree pins: the inline
+        // root and every block, whole, once.
+        assert_eq!(
+            deep_size(&f.value),
+            value + pinned.values().sum::<usize>(),
+            "{}",
+            f.operation
+        );
+        if f.operation != "doGoogleSearch" {
+            // A string, a byte buffer: one allocation.
+            assert_eq!(pinned.len(), 1, "{}", f.operation);
+            continue;
+        }
+        // 148 nodes in four levels below the root, and one block of
+        // text: 5 allocations where there were 155.
+        assert_eq!(f.value.node_count(), 148);
+        assert_eq!(pinned.len(), 5);
+        let text: usize = {
+            let mut strings = Vec::new();
+            fn collect<'v>(v: &'v Value, into: &mut Vec<&'v str>) {
+                match v {
+                    Value::String(s) => into.push(s),
+                    Value::Array(items) => items.iter().for_each(|v| collect(v, into)),
+                    Value::Struct(s) => s.fields().for_each(|(_, v)| collect(v, into)),
+                    _ => {}
+                }
+            }
+            collect(&f.value, &mut strings);
+            strings.iter().map(|s| s.len()).sum()
+        };
+        assert_eq!(deep_size(&f.value), 148 * value + text + 5 * BLOCK_HEADER);
+        // And so is each object form of it, below what the same tree
+        // weighed as 155 allocations (8 872 bytes).
+        let artifacts = MissArtifacts {
+            xml: &f.xml,
+            events: &f.events,
+            value: &f.value,
+        };
+        let stored =
+            StoredResponse::build(ValueRepresentation::PassByReference, artifacts, &registry)
+                .expect("every value can be shared");
+        assert_eq!(
+            stored.approximate_size(),
+            std::mem::size_of::<StoredResponse>() + deep_size(&f.value)
+        );
+        assert!(
+            stored.approximate_size() < 8_000,
+            "{}",
+            stored.approximate_size()
+        );
+    }
+    // A string made on its own is one allocation of its size too.
+    let alone = Value::string("alone");
+    assert_eq!(alone.block().map(|b| b.bytes), Some(BLOCK_HEADER + 5));
+    assert_eq!(deep_size(&alone), value + BLOCK_HEADER + 5);
+}
+
+#[test]
+fn a_slice_stored_on_its_own_is_charged_the_blocks_it_pins() {
+    let registry = google::registry();
+    let search = google_fixtures().pop().expect("three fixtures");
+    let elements = search.value.as_struct().unwrap().get("resultElements");
+    let element = elements.and_then(Value::as_array).expect("ten elements")[3].clone();
+    let (mut whole, mut pinned) = (HashMap::new(), HashMap::new());
+    blocks(&search.value, &mut whole);
+    blocks(&element, &mut pinned);
+    // The element views 10 of the 104 nodes of its level, yet keeps the
+    // level, the level below it and all the text alive.
+    assert_eq!(pinned.len(), 3);
+    let pinned_bytes: usize = pinned.values().sum();
+    assert!(pinned_bytes > whole.values().sum::<usize>() * 8 / 10);
+    assert!(deep_size(&element) >= std::mem::size_of::<Value>() + pinned_bytes);
+    assert!(deep_size(&element) < deep_size(&search.value));
+
+    // Stored as a response of its own it is charged all of that, and a
+    // byte budget of ten such entries holds ten, not a hundred.
+    let artifacts = MissArtifacts {
+        xml: &search.xml,
+        events: &search.events,
+        value: &element,
+    };
+    let stored = StoredResponse::build(ValueRepresentation::PassByReference, artifacts, &registry)
+        .expect("every value can be shared");
+    assert!(stored.approximate_size() >= pinned_bytes);
+    let key = |i: usize| CacheKey::Text(format!("slice {i:03}"));
+    let entry_bytes =
+        CacheEntry::single(stored.clone()).approximate_size() + key(0).approximate_size();
+    let capacity = Capacity {
+        max_entries: usize::MAX,
+        max_bytes: 10 * entry_bytes + entry_bytes / 2,
+    };
+    let store = CacheStore::with_shards(capacity, 1);
+    for i in 0..100 {
+        store.put(key(i), CacheEntry::single(stored.clone()), u64::MAX, 0);
+        assert!(store.bytes() <= capacity.max_bytes, "after insert {i}");
+    }
+    assert_eq!(store.len(), 10);
+    assert_eq!(store.bytes(), 10 * entry_bytes);
+    store.audit().expect("byte accounting reconciles");
 }
