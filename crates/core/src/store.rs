@@ -869,20 +869,47 @@ impl CacheStore {
         self.capacity
     }
 
-    /// Cross-checks every shard's incremental accounting (entry/byte
-    /// counters, recency list, collision chains, slab free list) against
-    /// a from-scratch recount. Intended for tests and stress harnesses;
-    /// takes each shard lock in turn.
+    /// Cross-checks every shard's incremental accounting
+    /// ([`audit_shards`](CacheStore::audit_shards)) and the store-wide
+    /// totals [`occupancy`](CacheStore::occupancy) reads against the sum
+    /// of the shards' counters — a mutation that did not add its
+    /// shard's net change to the totals, or did twice, shows up here.
+    /// Intended for tests and stress harnesses, *between* operations:
+    /// the totals and the sum are only comparable while nothing else is
+    /// in flight.
     ///
     /// # Errors
     ///
     /// A description of the first violated invariant.
     pub fn audit(&self) -> Result<(), String> {
+        let shards = self.audit_shards()?;
+        let totals = self.occupancy();
+        if totals != shards {
+            return Err(format!(
+                "store totals (entries, bytes) = {totals:?} but the shards sum to {shards:?}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The part of [`audit`](CacheStore::audit) that holds at any
+    /// moment, other threads mid-operation included: each shard's
+    /// entry/byte counters, recency list, collision chains and slab free
+    /// list against a from-scratch recount, one shard lock at a time.
+    /// Returns the sum of the shards' `(entries, bytes)` counters.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated invariant.
+    pub fn audit_shards(&self) -> Result<(usize, usize), String> {
+        let mut sum = (0, 0);
         for (shard_no, shard) in self.shards.iter().enumerate() {
             let shard = sync::lock_class("CacheStore.shards", shard);
             shard.check(shard_no)?;
+            sum.0 += shard.entries;
+            sum.1 += shard.bytes;
         }
-        Ok(())
+        Ok(sum)
     }
 }
 
@@ -1113,13 +1140,6 @@ mod tests {
 
     #[test]
     fn totals_follow_every_operation_that_changes_a_shard() {
-        /// The shards' own counters, summed under their locks.
-        fn recount(store: &CacheStore) -> (usize, usize) {
-            store.shards.iter().fold((0, 0), |(entries, bytes), shard| {
-                let shard = shard.lock().unwrap();
-                (entries + shard.entries, bytes + shard.bytes)
-            })
-        }
         let store = CacheStore::with_shards(
             Capacity {
                 max_entries: 8,
@@ -1127,8 +1147,13 @@ mod tests {
             },
             4,
         );
+        // `audit` compares the totals with the shards' counters, summed.
         let check = |what: &str| {
-            assert_eq!(store.occupancy(), recount(&store), "{what}");
+            assert_eq!(
+                store.occupancy(),
+                store.audit_shards().expect(what),
+                "{what}"
+            );
             assert_eq!(store.occupancy(), (store.len(), store.bytes()), "{what}");
             store.audit().expect(what);
         };
@@ -1172,6 +1197,13 @@ mod tests {
         store.clear();
         check("clear");
         assert_eq!(store.occupancy(), (0, 0));
+        // A total that drifts from its shards is what `audit` is for;
+        // the shards themselves are still sound.
+        store.put(key(1), value(100), 100, 0);
+        store.bytes.fetch_add(1, Ordering::AcqRel);
+        let drift = store.audit().unwrap_err();
+        assert!(drift.contains("but the shards sum to"), "{drift}");
+        store.audit_shards().unwrap();
     }
 
     #[test]
@@ -1433,6 +1465,7 @@ mod tests {
         store.put(key(1), entry(&b), 1000, 0);
         {
             let mut shard = sync::lock_class("CacheStore.shards", &store.shards[0]);
+            let before = (shard.entries, shard.bytes);
             // Replacement: the old payload comes back, still alive.
             let idx = shard.find(hash_key(&key(0)), &key(0)).unwrap();
             let size = entry(&c).approximate_size() + key(0).approximate_size();
@@ -1478,6 +1511,8 @@ mod tests {
             let emptied = shard.clear();
             assert_eq!(emptied.iter().flatten().count(), 2);
             assert_eq!(Arc::strong_count(&c), 2);
+            // As every operation does before it releases its shard.
+            store.settle(before, &shard);
             drop(shard);
             drop((replaced, victims, emptied));
         }

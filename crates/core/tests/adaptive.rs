@@ -56,11 +56,13 @@ fn fixture() -> Fixture {
 fn fixture_of(value: Value) -> Fixture {
     let expected = FieldType::Struct("Item".into());
     let xml = serialize_response("urn:t", OP, "return", &value, &registry()).unwrap();
-    let (_, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
+    let (outcome, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
+    assert_eq!(outcome.as_return(), Some(&value));
     Fixture {
         xml: Arc::from(xml.into_bytes()),
         events: Arc::new(events),
-        value,
+        // As a miss leaves it: decoded, under the registry's shape.
+        value: outcome.into_return().unwrap(),
         expected,
     }
 }

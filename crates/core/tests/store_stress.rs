@@ -268,7 +268,7 @@ fn sixteen_thread_stress_accounting_never_drifts() {
         std::thread::spawn(move || {
             let mut audits = 0u32;
             while !done.load(std::sync::atomic::Ordering::SeqCst) {
-                store.audit().expect("mid-flight audit");
+                store.audit_shards().expect("mid-flight audit");
                 audits += 1;
                 std::thread::yield_now();
             }

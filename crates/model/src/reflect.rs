@@ -286,12 +286,22 @@ mod tests {
         // [Wide] / Wide's 14 / 3 pairs / 3 x (left, right) / 3 x data,
         // the three byte buffers, and the source's own three strings.
         let nodes = [1, 14, 3, 6, 3].map(|n| BLOCK_HEADER + n * std::mem::size_of::<Value>());
+        // The pairs carry the registry's shape; Wide, a field short and
+        // one over, a shape of its own: "Wide" and fourteen names, 36
+        // bytes between them, each a handle and a block.
+        let handle = std::mem::size_of::<Arc<str>>();
+        let wide_shape = BLOCK_HEADER
+            + std::mem::size_of::<Shape>()
+            + (BLOCK_HEADER + 4)
+            + 14 * (handle + BLOCK_HEADER)
+            + 36;
         assert_eq!(
             deep_size(&copy),
             std::mem::size_of::<Value>()
                 + nodes.iter().sum::<usize>()
                 + 3 * (BLOCK_HEADER + 3)
                 + 3 * (BLOCK_HEADER + 1)
+                + wide_shape
         );
     }
 

@@ -13,7 +13,8 @@
 //!
 //! - A tree as [`TreeBuilder`](crate::tree::TreeBuilder) makes it — a
 //!   decoded response, an eager copy — is charged nodes ×
-//!   `size_of::<Value>()` + text bytes + one header per block.
+//!   `size_of::<Value>()` + text bytes + one header per block (+ the
+//!   shapes that are its own; last item).
 //! - A value sliced out of a larger tree, or a container that copied
 //!   itself out of a shared block on a write, is charged every block it
 //!   still points into, whole, *and whatever the rest of that block
@@ -24,13 +25,22 @@
 //!   viewed in part is charged once per walk. Over-counting what is
 //!   shared is deliberate; under-counting would let the cache exceed its
 //!   budget.
-//! - A struct's [`Shape`](crate::value::Shape) — type name and field
-//!   names — is not charged. It is schema: the registry's for every
-//!   decoded or instantiated struct, as a Java instance does not carry
-//!   its `Class`.
+//! - A struct's [`Shape`] — type name and field names — is charged to
+//!   the struct unless it is a registry's own
+//!   ([`Shape::is_schema`]): that one is schema, pinned by the registry
+//!   whatever the cache holds, as a Java instance does not carry its
+//!   `Class`. It is what a decoded or instantiated struct holds when its
+//!   fields are exactly its type's declared ones in order. Any other
+//!   shape — of a struct that skips a declared field or has them out of
+//!   order, of an unregistered type, of one built by hand — was
+//!   allocated for that struct (or for a few that share it) and is
+//!   charged to each in full: the shape, a handle per name, and the text
+//!   of the type name and of every name, which over-counts the names it
+//!   shares with a registry or a parser's symbol table.
 
-use crate::value::{Value, BLOCK_HEADER};
+use crate::value::{Shape, Value, BLOCK_HEADER};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Retained size of a value tree in bytes; see the module docs.
 ///
@@ -43,8 +53,13 @@ pub fn deep_size(value: &Value) -> usize {
 }
 
 /// The blocks viewed in part that a walk has charged already, by
-/// address. A built tree has *depth* + 2 of them, so the first few are
-/// kept inline (0 is no block's address).
+/// address. Every string and container of a built tree asks (132 times
+/// for the search fixture) and there are *depth* + 2 answers, so the
+/// first few are scanned, not hashed: `deep_size` of the decoded search
+/// result takes 0.65 µs this way and 2.1–2.8 µs with the `HashSet`
+/// alone, against the 1.8–2.0 µs of a whole cache insert. A `Vec`
+/// scanned to any length is as fast, and quadratic in the depth of a
+/// hostile nest; the set bounds that. (0 is no block's address.)
 #[derive(Default)]
 struct Seen {
     few: [usize; 8],
@@ -80,8 +95,22 @@ fn pinned(value: &Value, seen: &mut Seen) -> usize {
             }
         }
         Value::Array(items) => nodes(items.len(), items.block_nodes(), seen),
-        Value::Struct(s) => nodes(s.len(), s.block_nodes(), seen),
+        Value::Struct(s) => nodes(s.len(), s.block_nodes(), seen) + shape(s.shape()),
     }
+}
+
+/// What a struct pins through its shape: nothing of a registry's own;
+/// any other in full, names and all, per reference.
+fn shape(shape: &Shape) -> usize {
+    if shape.is_schema() {
+        return 0;
+    }
+    let text = |s: &str| BLOCK_HEADER + s.len();
+    let name = |n: &Arc<str>| std::mem::size_of::<Arc<str>>() + text(n);
+    BLOCK_HEADER
+        + std::mem::size_of::<Shape>()
+        + text(shape.type_name())
+        + shape.names().iter().map(name).sum::<usize>()
 }
 
 /// A container viewing `viewed` nodes of the block `all`: when that is
@@ -165,32 +194,101 @@ mod tests {
         assert!(deep_size(&nested) > deep_size(&flat));
     }
 
+    /// What [`deep_size`] adds for a shape that is no registry's.
+    fn own_shape(type_name: &str, names: &[&str]) -> usize {
+        let text = |s: &str| BLOCK_HEADER + s.len();
+        let handle = std::mem::size_of::<Arc<str>>();
+        BLOCK_HEADER
+            + std::mem::size_of::<Shape>()
+            + text(type_name)
+            + names.iter().map(|n| handle + text(n)).sum::<usize>()
+    }
+
     #[test]
-    fn names_are_schema_and_cost_an_instance_nothing() {
-        // Same structure, wildly different name lengths: neither
-        // accounting changes.
-        let short = Value::Struct(StructValue::new("T").with("f", "xy"));
-        let long = Value::Struct(
-            StructValue::new("AVeryLongTypeNameIndeed").with("aVeryLongFieldNameIndeed", "xy"),
+    fn a_registrys_shape_is_schema_and_any_other_is_the_structs_to_pay() {
+        use crate::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
+        let registry = TypeRegistry::builder()
+            .register(TypeDescriptor::new(
+                "Pair",
+                vec![
+                    FieldDescriptor::new("first", FieldType::Int),
+                    FieldDescriptor::new("second", FieldType::Int),
+                ],
+            ))
+            .build();
+        let plan = registry.plan("Pair").unwrap();
+        let fields = BLOCK_HEADER + 2 * VALUE;
+        // Every declared field in order: the registry's shape, free —
+        // in Java's accounting names never cost an instance anything.
+        let full = Value::Struct(plan.instantiate([("first", 1.into()), ("second", 2.into())]));
+        assert!(full.as_struct().unwrap().shape().is_schema());
+        assert_eq!(deep_size(&full), VALUE + fields);
+        // The same struct made by hand carries names of its own.
+        let by_hand = Value::Struct(StructValue::new("Pair").with("first", 1).with("second", 2));
+        assert_eq!(by_hand, full);
+        assert_eq!(java_object_size(&by_hand), java_object_size(&full));
+        assert_eq!(
+            deep_size(&by_hand),
+            VALUE + fields + own_shape("Pair", &["first", "second"])
         );
-        assert_eq!(java_object_size(&short), java_object_size(&long));
-        assert_eq!(deep_size(&short), deep_size(&long));
-        // The inline root, a block of one field, a block of two bytes.
+        // So does an instance that stops short of its declaration, or
+        // strays from its order: a shape was allocated for it.
+        let short = Value::Struct(plan.instantiate([("first", 1.into())]));
         assert_eq!(
             deep_size(&short),
-            VALUE + (BLOCK_HEADER + VALUE) + (BLOCK_HEADER + 2)
+            VALUE + (BLOCK_HEADER + VALUE) + own_shape("Pair", &["first"])
         );
-        // Whole blocks are charged per reference.
-        let two = Value::from(vec![short.clone(), short.clone()]);
+        let swapped = Value::Struct(plan.instantiate([("second", 2.into()), ("first", 1.into())]));
+        assert_eq!(
+            deep_size(&swapped),
+            VALUE + fields + own_shape("Pair", &["second", "first"])
+        );
+        // A field added to a clone of the full instance leaves the
+        // registry's shape for one of the clone's own.
+        let mut grown = full.clone();
+        grown.as_struct_mut().unwrap().set("third", 3);
+        assert_eq!(
+            deep_size(&grown),
+            VALUE + (BLOCK_HEADER + 3 * VALUE) + own_shape("Pair", &["first", "second", "third"])
+        );
+        assert_eq!(
+            deep_size(&full),
+            VALUE + fields,
+            "and the original is as it was"
+        );
+        // Whole blocks, and the shapes with them, are charged per
+        // reference.
+        let two = Value::from(vec![by_hand.clone(), by_hand.clone()]);
         assert_eq!(
             deep_size(&two),
-            VALUE + BLOCK_HEADER + 2 * deep_size(&short)
+            VALUE + BLOCK_HEADER + 2 * deep_size(&by_hand)
         );
     }
 
-    /// `[Row{ name, tags: [..] }, ..]` built the way a decoder builds it.
+    #[test]
+    fn a_built_tree_is_charged_each_shape_of_its_own_once_per_struct() {
+        // Two rows sharing one hand-made shape, as one stream of
+        // `binser` or one eager copy leaves them.
+        let row = Arc::new(Shape::new("Row", ["n"].map(Arc::from)));
+        let mut tree = TreeBuilder::new();
+        tree.open(2);
+        for n in 0..2 {
+            tree.open(1);
+            tree.value(Value::Int(n));
+            tree.close_struct(row.clone());
+        }
+        tree.close_array();
+        let v = tree.finish().unwrap();
+        assert_eq!(
+            deep_size(&v),
+            VALUE * v.node_count() + 2 * BLOCK_HEADER + 2 * own_shape("Row", &["n"])
+        );
+    }
+
+    /// `[Row{ name, tags: [..] }, ..]` built the way a decoder builds it,
+    /// `Row` a registered type.
     fn built(rows: usize) -> Value {
-        let row = Arc::new(Shape::new("Row", ["name", "tags"].map(Arc::from)));
+        let row = Arc::new(Shape::schema("Row", ["name", "tags"].map(Arc::from)));
         let mut tree = TreeBuilder::new();
         tree.open(rows);
         for i in 0..rows {

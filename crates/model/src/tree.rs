@@ -9,10 +9,12 @@
 //! [`finish`](TreeBuilder::finish) freezes the text first and then the
 //! levels deepest-first, binding in one pass over a level the handles its
 //! strings hold on the text block and its containers on the level below,
-//! each frozen block allocated at exactly its size. The SOAP decoder,
-//! the eager copiers and [`crate::binser::deserialize`] all build this
-//! way, so their trees are *depth* + 2 allocations however many nodes
-//! they have.
+//! each frozen block allocated at exactly its size — the size of what
+//! was added: all of it reachable from the root, but for what a
+//! [replaced](TreeBuilder::replace_child) child leaves behind. The SOAP
+//! decoder, the eager copiers and [`crate::binser::deserialize`] all
+//! build this way, so their trees are *depth* + 2 allocations however
+//! many nodes they have.
 
 use crate::error::ModelError;
 use crate::value::{ArrayValue, Shape, StructValue, Text, Value};
@@ -153,6 +155,15 @@ impl TreeBuilder {
     /// The innermost open container's newest child takes the place of
     /// its child at `position`, which is dropped — how a field that
     /// arrives twice keeps its first position and its last value.
+    ///
+    /// Only the replaced node itself goes. What it kept elsewhere — the
+    /// text of a string, the descendants of a container — lies in the
+    /// middle of the text and of the deeper levels, where later nodes'
+    /// ranges would all have to move to close the gap; it stays, is
+    /// frozen into the blocks as content no node views, and is charged
+    /// with them ([`deep_size`](crate::sizeof::deep_size) counts whole
+    /// blocks). A document can grow its tree this way by no more than
+    /// its own length.
     pub fn replace_child(&mut self, position: usize) {
         let start = *self.open.last().expect("a container is open");
         let children = &mut self.levels[self.open.len()];
@@ -212,15 +223,20 @@ impl TreeBuilder {
     /// # Errors
     ///
     /// [`ModelError::TooLarge`] when the text or one level outgrew the
-    /// `u32` range a handle addresses.
+    /// `u32` range a handle addresses; [`ModelError::Corrupt`] when more
+    /// than one root was added — what is built is what some outside
+    /// input described, and two values are not a tree.
     ///
     /// # Panics
     ///
-    /// When a container is still open or more than one root was added.
+    /// When a container is still open.
     pub fn finish(self) -> Result<Value, ModelError> {
         assert!(self.open.is_empty(), "every container is closed");
         if self.overflow {
             return Err(ModelError::TooLarge);
+        }
+        if self.levels.first().is_some_and(|root| root.len() > 1) {
+            return Err(ModelError::corrupt("more than one root value"));
         }
         let text: Arc<str> = match self.text.is_empty() {
             true => Arc::default(),
@@ -228,7 +244,6 @@ impl TreeBuilder {
         };
         let mut levels = self.levels.into_iter();
         let mut root = levels.next().unwrap_or_default();
-        assert!(root.len() <= 1, "a tree has one root");
         let mut below: Arc<[Value]> = Arc::default();
         for level in levels.rev() {
             below = match level.is_empty() {
@@ -407,14 +422,29 @@ mod tests {
         tree.replace_child(1);
         assert_eq!(tree.children(), 3);
         tree.close_struct(shape("T", &["a", "b", "c"]));
+        let v = tree.finish().unwrap();
         assert_eq!(
-            tree.finish().unwrap(),
+            v,
             Value::Struct(
                 StructValue::new("T")
                     .with("a", 1)
                     .with("b", vec![Value::Int(2)])
                     .with("c", 3)
             )
+        );
+        // The replaced array is gone from its level; its one element
+        // stays behind in the level below, viewed by nothing.
+        let mut pinned = Vec::new();
+        blocks(&v, &mut pinned);
+        let value = std::mem::size_of::<Value>();
+        let mut bytes: Vec<usize> = pinned.iter().map(|b| b.bytes).collect();
+        bytes.sort_unstable();
+        assert_eq!(
+            bytes,
+            [
+                BLOCK_HEADER + 2 * value, // Int(99), orphaned, and Int(2)
+                BLOCK_HEADER + 3 * value, // the three fields
+            ]
         );
     }
 
@@ -459,6 +489,19 @@ mod tests {
             .map(|b| (b.bytes - BLOCK_HEADER) / std::mem::size_of::<Value>())
             .sum();
         assert_eq!(nodes, v.node_count() - 1, "every frozen node is reachable");
+    }
+
+    #[test]
+    fn two_roots_are_an_error_not_a_tree() {
+        let mut tree = TreeBuilder::new();
+        tree.open(0);
+        tree.value(Value::Int(1));
+        tree.close_array();
+        tree.value(Value::Int(2));
+        assert_eq!(
+            tree.finish(),
+            Err(ModelError::corrupt("more than one root value"))
+        );
     }
 
     #[test]

@@ -640,7 +640,7 @@ impl TypeRegistryBuilder {
                     (1..fields.len()).all(|i| fields[..i].iter().all(|f| key(f) != key(&fields[i])))
                 };
                 StructPlan {
-                    shape: Arc::new(Shape::new(
+                    shape: Arc::new(Shape::schema(
                         descriptor.name.clone(),
                         fields.iter().map(|f| f.name.clone()),
                     )),

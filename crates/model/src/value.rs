@@ -7,7 +7,10 @@
 //! decoded response, every eager copy — keeps all its strings in one text
 //! block and all the containers of one nesting level in one node block,
 //! so a response of depth *d* is *d* + 2 allocations however many nodes
-//! it has. A value built by hand (`Value::string`, `StructValue::new`,
+//! it has — a struct's names being its type's [`Shape`], compiled once
+//! with the registry; only a struct whose fields are not exactly the
+//! declared ones in order gets a shape, one more allocation, of its
+//! own. A value built by hand (`Value::string`, `StructValue::new`,
 //! `Value::from(vec)`) is a block of its own, exactly as large as its
 //! content.
 //!
@@ -26,8 +29,8 @@
 //! (or a container that copied itself out of a shared block) still
 //! references the blocks its handles point into, whole, for as long as
 //! it lives. [`crate::sizeof::deep_size`] charges exactly that — every
-//! block in full — so the cache's byte budget sees what a stored slice
-//! really pins.
+//! block in full, and every shape that is not a registry's — so the
+//! cache's byte budget sees what a stored slice really pins.
 //!
 //! The eager full copies the paper measures stay available as explicit
 //! functions ([`crate::reflect::reflect_copy`],
@@ -500,11 +503,18 @@ impl fmt::Debug for ArrayValue {
 /// shape is compiled with its registry
 /// ([`StructPlan::shape`](crate::typeinfo::StructPlan::shape)) and
 /// shared by every instance decoded or instantiated under it; a struct
-/// built field by field grows a shape of its own.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// built field by field grows a shape of its own, and so does a decoded
+/// one whose fields are not exactly its type's declared ones in order.
+///
+/// Equality and hashing go by the names alone, not by who made the
+/// shape.
+#[derive(Debug, Clone)]
 pub struct Shape {
     type_name: Arc<str>,
     names: Vec<Arc<str>>,
+    /// Compiled into a type registry, which keeps it alive whatever
+    /// values come and go; see [`is_schema`](Shape::is_schema).
+    schema: bool,
 }
 
 impl Shape {
@@ -515,6 +525,19 @@ impl Shape {
         Shape {
             type_name: type_name.into(),
             names: names.into_iter().collect(),
+            schema: false,
+        }
+    }
+
+    /// [`new`](Shape::new), for the one shape a registry compiles per
+    /// type and keeps for as long as it lives.
+    pub(crate) fn schema(
+        type_name: impl Into<Arc<str>>,
+        names: impl IntoIterator<Item = Arc<str>>,
+    ) -> Shape {
+        Shape {
+            schema: true,
+            ..Shape::new(type_name, names)
         }
     }
 
@@ -528,8 +551,31 @@ impl Shape {
         &self.names
     }
 
+    /// Whether this is a registry's own shape of a type: schema, which
+    /// the registry pins and no instance pays for. Any other shape was
+    /// allocated for the struct that holds it (or for a few that share
+    /// it) and is part of what that struct weighs.
+    pub fn is_schema(&self) -> bool {
+        self.schema
+    }
+
     fn position(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| **n == *name)
+    }
+}
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Shape) -> bool {
+        self.type_name == other.type_name && self.names == other.names
+    }
+}
+
+impl Eq for Shape {}
+
+impl std::hash::Hash for Shape {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.type_name.hash(state);
+        self.names.hash(state);
     }
 }
 
@@ -594,11 +640,15 @@ impl StructValue {
                 }
             }
         }
+        // Exact-fit, like the block: a name given twice reserved a slot
+        // it did not take.
+        names.shrink_to_fit();
         StructValue {
             block: values.into(),
             shape: Arc::new(Shape {
                 type_name: type_name.into(),
                 names,
+                schema: false,
             }),
             start: 0,
             _filler: Filler::Zero,
@@ -668,7 +718,12 @@ impl StructValue {
             .chain(std::iter::once(value.into()))
             .collect();
         self.start = 0;
-        Arc::make_mut(&mut self.shape).names.push(name);
+        // Likewise the names: a shape of this struct's own from here on,
+        // whoever compiled the one it is copied from, and exact-fit.
+        let shape = Arc::make_mut(&mut self.shape);
+        shape.schema = false;
+        shape.names.reserve_exact(1);
+        shape.names.push(name);
     }
 
     /// Builder-style field setter.

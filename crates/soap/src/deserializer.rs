@@ -276,6 +276,8 @@ pub struct ResponseReader<'r> {
     fault_detail: Option<String>,
     fault_field: Option<&'static str>,
     saw_fault: bool,
+    /// The Body's one response element has been opened.
+    saw_wrapper: bool,
     fault_depth: usize,
 }
 
@@ -296,6 +298,7 @@ impl<'r> ResponseReader<'r> {
             fault_detail: None,
             fault_field: None,
             saw_fault: false,
+            saw_wrapper: false,
             fault_depth: 0,
         }
     }
@@ -666,7 +669,15 @@ impl ContentHandler for ResponseReader<'_> {
                     self.state = State::InFault;
                     self.saw_fault = true;
                     self.fault_depth = 1;
+                } else if self.saw_wrapper {
+                    // One return value, one tree: a second response
+                    // element (or an Axis `multiRef`) is not decoded
+                    // over the first.
+                    return Err(SoapError::encoding(format!(
+                        "unexpected second element <{name}> in Body"
+                    )));
                 } else {
+                    self.saw_wrapper = true;
                     self.state = State::InWrapper;
                 }
             }
@@ -826,14 +837,22 @@ pub fn read_response_dom(
         }));
     }
     // The opResponse wrapper's first child element is the return value.
-    match first.child_elements().next() {
-        Some(ret) => Ok(RpcOutcome::Return(element_to_value(
-            ret,
-            Some(expected),
-            registry,
-        )?)),
-        None => Ok(RpcOutcome::Return(Value::Null)),
+    let value = match first.child_elements().next() {
+        Some(ret) => element_to_value(ret, Some(expected), registry)?,
+        None => Value::Null,
+    };
+    // As the streaming reader: one response element to a Body.
+    if let Some(second) = body
+        .child_elements()
+        .skip(1)
+        .find(|e| !envelope::is_fault(&e.name))
+    {
+        return Err(SoapError::encoding(format!(
+            "unexpected second element <{}> in Body",
+            second.name
+        )));
     }
+    Ok(RpcOutcome::Return(value))
 }
 
 /// Parses a request envelope on the server side, matching it against the
@@ -1192,6 +1211,52 @@ mod tests {
     }
 
     #[test]
+    fn a_struct_off_its_declaration_is_charged_the_shape_made_for_it() {
+        use std::mem::size_of;
+        use wsrc_model::sizeof::deep_size;
+        use wsrc_model::value::BLOCK_HEADER;
+        const VALUE: usize = size_of::<Value>();
+        let nodes = |n: usize| BLOCK_HEADER + n * VALUE;
+        let own_shape = |type_name: &str, names: &[&str]| {
+            let text = |s: &str| BLOCK_HEADER + s.len();
+            let names = names.iter().map(|n| size_of::<Arc<str>>() + text(n));
+            BLOCK_HEADER + size_of::<Shape>() + text(type_name) + names.sum::<usize>()
+        };
+        let points = FieldType::ArrayOf(Box::new(FieldType::Struct("Pt".into())));
+        // Three points as declared: two blocks of nodes, the registry's
+        // shape, nothing else.
+        let array = |item: &str, n: usize| format!("<return>{}</return>", item.repeat(n));
+        let whole = read_body(&array("<item><x>1</x><y>2</y></item>", 3), &points).unwrap();
+        for p in whole.as_array().unwrap() {
+            assert!(p.as_struct().unwrap().shape().is_schema());
+        }
+        assert_eq!(deep_size(&whole), VALUE + nodes(3) + nodes(6));
+        // Each without its last field: a shape was made per instance,
+        // and the byte budget sees every one.
+        let short = read_body(&array("<item><x>1</x></item>", 3), &points).unwrap();
+        assert_eq!(
+            deep_size(&short),
+            VALUE + nodes(3) + nodes(3) + 3 * own_shape("Pt", &["x"])
+        );
+        // Out of order.
+        let swapped = read_body(&array("<item><y>2</y><x>1</x></item>", 1), &points).unwrap();
+        assert_eq!(
+            deep_size(&swapped),
+            VALUE + nodes(1) + nodes(2) + own_shape("Pt", &["y", "x"])
+        );
+        // A type no registry knows, its two strings in the tree's text.
+        let loose = read_body(
+            "<return><a>s</a><b>t</b></return>",
+            &FieldType::Struct("Loose".into()),
+        )
+        .unwrap();
+        assert_eq!(
+            deep_size(&loose),
+            VALUE + nodes(2) + (BLOCK_HEADER + 2) + own_shape("Loose", &["a", "b"])
+        );
+    }
+
+    #[test]
     fn mixed_content_and_nil_containers() {
         let boxed = FieldType::Struct("Box".into());
         let e = read_body("<return><label>a</label>stray</return>", &boxed).unwrap_err();
@@ -1350,6 +1415,55 @@ mod tests {
                    <return2>b</return2>\
                    </opResponse></Body></Envelope>";
         assert!(read_response_xml(xml, &FieldType::String, &r).is_err());
+    }
+
+    #[test]
+    fn second_body_element_is_rejected_every_way() {
+        let r = registry();
+        let body = |inner: &str| format!("<Envelope><Body>{inner}</Body></Envelope>");
+        for (inner, expected) in [
+            // Two responses, scalar and struct.
+            (
+                "<aResponse><return>1</return></aResponse><bResponse><return>2</return></bResponse>",
+                FieldType::Int,
+            ),
+            (
+                "<opResponse><return><x>1</x><y>2</y></return></opResponse>\
+                 <opResponse><return><x>3</x><y>4</y></return></opResponse>",
+                FieldType::Struct("Pt".into()),
+            ),
+            // A void response first; an Axis multiRef with one child.
+            ("<opResponse/><opResponse><return>2</return></opResponse>", FieldType::Int),
+            (
+                "<opResponse><return href=\"#id0\"/></opResponse>\
+                 <multiRef id=\"id0\"><x>1</x></multiRef>",
+                FieldType::Struct("Pt".into()),
+            ),
+        ] {
+            let xml = body(inner);
+            let streamed = read_response_xml(&xml, &expected, &r).unwrap_err();
+            assert!(
+                streamed.to_string().contains("unexpected second element <"),
+                "{streamed}"
+            );
+            let events = XmlReader::new(&xml).read_sequence().unwrap();
+            let replayed = read_response_events(&events, &expected, &r).unwrap_err();
+            let recorded = read_response_bytes_recording(xml.as_bytes(), &expected, &r).unwrap_err();
+            let walked = read_response_dom(&wsrc_xml::Document::parse(&xml).unwrap(), &expected, &r)
+                .unwrap_err();
+            for other in [replayed, recorded, walked] {
+                assert_eq!(other.to_string(), streamed.to_string(), "{xml}");
+            }
+        }
+        // A fault beside a response is the outcome, whichever comes first.
+        let fault = "<Fault><faultstring>boom</faultstring></Fault>";
+        for inner in [
+            format!("<opResponse><return>1</return></opResponse>{fault}"),
+            format!("{fault}<opResponse><return>1</return></opResponse>"),
+        ] {
+            let out = read_response_xml(&body(&inner), &FieldType::Int, &r).unwrap();
+            assert!(matches!(out, RpcOutcome::Fault(_)), "{out:?}");
+        }
     }
 
     #[test]

@@ -643,6 +643,18 @@ fn handwritten_envelopes_decode_alike() {
         "{err}"
     );
 
+    // A Body holds one response element: a second one is not decoded
+    // over the first, whichever way the document is driven.
+    let xml = body(
+        "<aResponse><return><count>1</count></return></aResponse>\
+         <bResponse><return><count>2</count></return></bResponse>",
+    );
+    let err = decode_all_ways(&xml, &node, &r, "two wrappers").unwrap_err();
+    assert!(
+        err.contains("unexpected second element <bResponse> in Body"),
+        "{err}"
+    );
+
     // Malformed XML is an XML error every way.
     for xml in [
         wrap("<return><count>1</count></return>").replace("</e:Envelope>", ""),
