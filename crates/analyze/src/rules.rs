@@ -41,7 +41,7 @@
 //! - **R10 `budget-accounting`** — every `StoredResponse` variant sizes
 //!   itself in a same-file `approximate_size` with no wildcard arm, and
 //!   every `CacheStore` function accepting a `StoredResponse` or
-//!   `CacheEntry` (insert, form swap) reaches an `approximate_size`
+//!   `CacheEntry` (the insert) reaches an `approximate_size`
 //!   call, so new representations cannot silently escape the store's
 //!   byte budget.
 //!

@@ -93,15 +93,6 @@ impl ServiceClient {
                         CacheOutcome::Stale { .. } => "outcome=stale",
                         CacheOutcome::Miss => "outcome=miss",
                     });
-                    // Convert-on-hit is rare enough to be worth calling
-                    // out per-span.
-                    if let CacheOutcome::Fresh {
-                        converted: Some(repr),
-                        ..
-                    } = &outcome
-                    {
-                        span.annotate(format!("converted-to={}", repr.metric_label()));
-                    }
                     span.finish();
                 }
                 outcome

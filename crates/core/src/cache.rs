@@ -7,18 +7,16 @@
 //! "does not need to be at all conscious of how the response data is
 //! cached" (paper §6).
 
-use crate::classify::candidate_representations;
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
-use crate::key::{generate_key, CacheKey, KeyStrategy};
-use crate::policy::{AdaptivePolicy, CachePolicy, OperationPolicy, SelectionMode};
+use crate::key::{generate_key, KeyStrategy};
+use crate::policy::{CachePolicy, OperationPolicy};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
-use crate::store::{CacheStore, Capacity, FoundEntry, Lookup};
+use crate::store::{CacheStore, Capacity, Lookup};
 use std::sync::Arc;
 use std::time::Duration;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
-use wsrc_model::Value;
 use wsrc_obs::{Clock, Gauge, Histogram, MetricsRegistry, SystemClock};
 use wsrc_soap::rpc::RpcRequest;
 
@@ -31,9 +29,6 @@ pub enum CacheOutcome {
     Fresh {
         /// The retrieved application object.
         handle: ValueHandle,
-        /// When the hit triggered a convert-on-hit, the representation
-        /// the entry was re-homed to (for tracing/diagnostics).
-        converted: Option<ValueRepresentation>,
     },
     /// An expired entry with a revalidation token is available: the
     /// caller may revalidate (e.g. with `If-Modified-Since`) and either
@@ -64,10 +59,6 @@ struct CacheTimers {
     /// `wsrc_cache_build_seconds{repr=…}` — response artifacts → stored
     /// form (only the successful representation records a sample).
     build: [Histogram; ValueRepresentation::COUNT],
-    /// `wsrc_cache_convert_seconds{repr=…}` — building the target form
-    /// of a published convert-on-hit (from the retrieved object, never
-    /// the network).
-    convert: [Histogram; ValueRepresentation::COUNT],
     /// `wsrc_cache_entries` / `wsrc_cache_bytes` occupancy gauges.
     entries: Gauge,
     bytes: Gauge,
@@ -98,7 +89,6 @@ impl CacheTimers {
             insert: stage("insert"),
             retrieve: per_repr("wsrc_cache_retrieve_seconds"),
             build: per_repr("wsrc_cache_build_seconds"),
-            convert: per_repr("wsrc_cache_convert_seconds"),
             entries: registry.gauge("wsrc_cache_entries", &[("cache", label)]),
             bytes: registry.gauge("wsrc_cache_bytes", &[("cache", label)]),
         }
@@ -110,7 +100,6 @@ pub struct ResponseCache {
     store: CacheStore,
     policy: CachePolicy,
     key_strategy: KeyStrategy,
-    adaptive: Option<Arc<AdaptivePolicy>>,
     clock: Arc<dyn Clock>,
     registry: TypeRegistry,
     metrics: Arc<MetricsRegistry>,
@@ -136,7 +125,6 @@ impl ResponseCache {
             registry,
             policy: CachePolicy::new(),
             key_strategy: KeyStrategy::Auto,
-            adaptive: None,
             clock: Arc::new(SystemClock),
             capacity: Capacity::default(),
             metrics: None,
@@ -189,22 +177,18 @@ impl ResponseCache {
             }
         };
         match self.store.get(&key, self.clock.now_millis()) {
-            Lookup::Live(found) => {
-                let repr = found.entry.form().representation();
+            Lookup::Live(entry) => {
+                let repr = entry.form().representation();
+                // Timed by hand: a scope timer clones the histogram's
+                // two `Arc`s, four atomic operations a hit can do without.
                 let histogram = &self.timers.retrieve[repr.index()];
                 let started = histogram.now_nanos();
-                let result = found.entry.form().retrieve(expected, &self.registry);
-                let elapsed = histogram.now_nanos().saturating_sub(started);
-                histogram.record_nanos(elapsed);
+                let result = entry.form().retrieve(expected, &self.registry);
+                histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
                 match result {
                     Ok(handle) => {
                         self.stats.record_hit(repr);
-                        if let Some(ad) = &self.adaptive {
-                            ad.record_retrieve(&request.operation, repr, elapsed);
-                        }
-                        let converted =
-                            self.maybe_convert(&key, request, &found, handle.as_value(), expected);
-                        CacheOutcome::Fresh { handle, converted }
+                        CacheOutcome::Fresh { handle }
                     }
                     Err(_) => {
                         // A cache entry that cannot produce its object is
@@ -216,8 +200,6 @@ impl ResponseCache {
                 }
             }
             Lookup::Stale { entry, validator } => {
-                // Stale entries never convert: they may be replaced
-                // momentarily.
                 let repr = entry.form().representation();
                 match self.timers.retrieve[repr.index()]
                     .time(|| entry.form().retrieve(expected, &self.registry))
@@ -263,8 +245,11 @@ impl ResponseCache {
     }
 
     /// Stores the artifacts of a completed exchange. Returns the
-    /// representation actually used, or `None` when the operation is
-    /// uncacheable or the response could not be keyed.
+    /// representation actually used, or `None` when nothing was stored:
+    /// the operation is uncacheable, the response could not be keyed or
+    /// built, or the store refused it as larger than a shard's byte
+    /// budget (counted in `store_failures`; the superseded entry, if
+    /// any, is gone).
     pub fn insert(
         &self,
         endpoint_url: &str,
@@ -296,160 +281,67 @@ impl ResponseCache {
             .keygen
             .time(|| generate_key(self.key_strategy, endpoint_url, request, &self.registry))
             .ok()?;
-        let (entry, repr, mode) = self.build_entry(&request.operation, &policy, data)?;
+        let (entry, repr) = self.build_entry(&policy, data)?;
         let now = self.clock.now_millis();
         let expires = now.saturating_add(policy.ttl.as_millis() as u64);
         let accepted = self
             .store
             .put_validated(key, entry, expires, now, validator);
-        self.stats.record_insert(repr);
-        if let Some(mode) = mode {
-            self.stats.record_selection(mode, repr);
-        }
-        if let Some(evicted) = accepted {
-            // Only entries the store accepted count as inserts for the
-            // adaptive policy — a refused (oversized) entry can never
-            // serve a hit, and counting it would deflate
-            // `expected_hits = hits / inserts`.
-            if let Some(ad) = &self.adaptive {
-                ad.record_insert(&request.operation);
-            }
-            self.stats.record_evictions(evicted);
-        }
         self.set_occupancy_gauges();
-        Some(repr)
+        match accepted {
+            Some(evicted) => {
+                self.stats.record_insert(repr);
+                self.stats.record_evictions(evicted);
+                Some(repr)
+            }
+            None => {
+                self.stats.record_store_failure();
+                None
+            }
+        }
     }
 
-    /// Publishes the store's totals — two atomic loads; the insert or
-    /// form swap that moved them locked only the shard it wrote.
+    /// Publishes the store's totals — two atomic loads; the insert that
+    /// moved them locked only the shard it wrote.
     fn set_occupancy_gauges(&self) {
         let (entries, bytes) = self.store.occupancy();
         self.timers.entries.set(entries as i64);
         self.timers.bytes.set(bytes as i64);
     }
 
-    /// Picks a representation and builds the entry, falling back down
-    /// the always-applicable chain when the preferred choice is not
-    /// applicable to this value.
-    ///
-    /// Precedence: forced
-    /// ([`with_representation`](OperationPolicy::with_representation)),
-    /// else adaptive if installed, else the §6 pick over the candidate
-    /// set — the shared object, which every value supports. The returned
-    /// mode is `None` for that pick (no decision counter is recorded for
-    /// it).
+    /// Builds the entry under the form the policy forces, else the
+    /// shared object (which every value supports), falling back down
+    /// the always-applicable chain when a forced form is n/a for this
+    /// value.
     fn build_entry(
         &self,
-        operation: &str,
         policy: &OperationPolicy,
         data: ResponseData<'_>,
-    ) -> Option<(CacheEntry, ValueRepresentation, Option<SelectionMode>)> {
-        // The candidate set costs a walk of the whole value and only
-        // the adaptive policy reads it (here and, through the entry's
-        // mask, in `maybe_convert`).
-        let candidates = if self.adaptive.is_some() {
-            candidate_representations(data.value, &self.registry)
-        } else {
-            Vec::new()
-        };
-        let (preferred, mode) = if let Some(forced) = policy.representation {
-            (forced, Some(SelectionMode::Forced))
-        } else if let Some(ad) = &self.adaptive {
-            let selection = ad.select_insert(operation, &candidates);
-            (selection.representation, Some(selection.mode))
-        } else {
-            // The §6 function over a candidate set always lands on the
-            // shared object (every value supports it).
-            (ValueRepresentation::PassByReference, None)
-        };
+    ) -> Option<(CacheEntry, ValueRepresentation)> {
+        let preferred = policy
+            .representation
+            .unwrap_or(ValueRepresentation::PassByReference);
         let chain = [
             preferred,
             ValueRepresentation::SaxEvents,
             ValueRepresentation::XmlMessage,
         ];
         for repr in chain {
+            // Failed attempts record no sample — the histogram measures
+            // the cost of the representation actually used.
             let histogram = &self.timers.build[repr.index()];
             let started = histogram.now_nanos();
             match StoredResponse::build(repr, data, &self.registry) {
                 Ok(stored) => {
-                    let elapsed = histogram.now_nanos().saturating_sub(started);
-                    histogram.record_nanos(elapsed);
-                    if let Some(ad) = &self.adaptive {
-                        ad.record_build(operation, repr, elapsed, stored.approximate_size());
-                    }
-                    let mask = candidates.iter().fold(0u8, |m, r| m | r.bit());
-                    let entry = CacheEntry::single(stored).with_candidates(mask);
-                    return Some((entry, repr, mode));
+                    histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
+                    return Some((CacheEntry::single(stored), repr));
                 }
-                // Failed attempts record no sample — the histogram
-                // measures the cost of the representation actually used.
                 Err(CacheError::NotApplicable(_)) => continue,
                 Err(_) => break,
             }
         }
         self.stats.record_store_failure();
         None
-    }
-
-    /// Convert-on-hit: when the adaptive policy judges that a cheaper
-    /// representation would pay for its one-time build cost under this
-    /// key's observed hit rate, build it from the object this hit just
-    /// retrieved and swap it in for the stored form.
-    /// [`CacheStore::replace_form`] publishes only if the slot still
-    /// holds the payload this hit was served from (`found.generation`),
-    /// so a conversion raced by an insert, an invalidation, an eviction
-    /// or another converter publishes nothing — concurrent hits may each
-    /// build the form, but exactly one lands and only that one counts.
-    fn maybe_convert(
-        &self,
-        key: &CacheKey,
-        request: &RpcRequest,
-        found: &FoundEntry,
-        value: &Value,
-        expected: &FieldType,
-    ) -> Option<ValueRepresentation> {
-        let ad = self.adaptive.as_ref()?;
-        let operation = &request.operation;
-        let served = found.entry.form().representation();
-        let target =
-            ad.conversion_target(operation, found.hits, served, found.entry.candidates_mask())?;
-        let mut span = wsrc_obs::trace::child_span("cache-convert", "cache");
-        let histogram = &self.timers.convert[target.index()];
-        let started = histogram.now_nanos();
-        let built = StoredResponse::from_value(
-            target,
-            value,
-            &request.namespace,
-            operation,
-            expected,
-            &self.registry,
-        );
-        let elapsed = histogram.now_nanos().saturating_sub(started);
-        let Ok(form) = built else {
-            if let Some(span) = span.as_mut() {
-                span.set_error();
-            }
-            return None;
-        };
-        let size = form.approximate_size();
-        // `None`: raced with a replacement, an eviction or another
-        // converter, or the form no longer fits — nothing was stored.
-        let evicted =
-            self.store
-                .replace_form(key, found.generation, form, self.clock.now_millis())?;
-        histogram.record_nanos(elapsed);
-        self.stats.record_conversion(target);
-        self.stats.record_evictions(evicted);
-        ad.record_build(operation, target, elapsed, size);
-        self.set_occupancy_gauges();
-        if let Some(span) = span.as_mut() {
-            span.annotate(format!(
-                "converted {} -> {}",
-                served.metric_label(),
-                target.metric_label()
-            ));
-        }
-        Some(target)
     }
 
     /// The cache key this cache would use for `request`, if the strategy
@@ -518,12 +410,24 @@ impl ResponseCache {
     }
 }
 
+/// What [`ResponseCacheBuilder::adaptive`] takes. Kept, empty, because
+/// `benchmark/src/stack.rs` names it; goes with ROADMAP item 1.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct AdaptivePolicy;
+
+impl AdaptivePolicy {
+    /// The only value there is.
+    pub fn new() -> Self {
+        AdaptivePolicy
+    }
+}
+
 /// Builder for [`ResponseCache`].
 pub struct ResponseCacheBuilder {
     registry: TypeRegistry,
     policy: CachePolicy,
     key_strategy: KeyStrategy,
-    adaptive: Option<Arc<AdaptivePolicy>>,
     clock: Arc<dyn Clock>,
     capacity: Capacity,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -559,14 +463,11 @@ impl ResponseCacheBuilder {
         self
     }
 
-    /// Installs the online [`AdaptivePolicy`]: inserts score the
-    /// candidate representations from observed build/retrieve costs and
-    /// sizes, hits may convert the entry to a cheaper form in place.
-    /// Takes an `Arc` so callers can keep a handle for inspection or
-    /// pre-seeding. Forced `with_representation` overrides still win;
-    /// without an adaptive policy the §6 table decides.
-    pub fn adaptive(mut self, policy: Arc<AdaptivePolicy>) -> Self {
-        self.adaptive = Some(policy);
+    /// Accepted and ignored: there is no learner to install. Kept
+    /// because `benchmark/src/stack.rs` calls it; goes with ROADMAP
+    /// item 1.
+    #[doc(hidden)]
+    pub fn adaptive(self, _policy: Arc<AdaptivePolicy>) -> Self {
         self
     }
 
@@ -602,17 +503,10 @@ impl ResponseCacheBuilder {
         let label = self.metrics_label.unwrap_or_else(crate::stats::auto_label);
         let stats = CacheStats::in_registry(&metrics, &label);
         let timers = CacheTimers::new(&metrics, &label, self.key_strategy);
-        if let Some(ad) = &self.adaptive {
-            // Share the cache's own latency histograms with the policy
-            // so scoring starts from live observations even for
-            // representations this operation has not tried yet.
-            ad.attach_observations(timers.build.clone(), timers.retrieve.clone());
-        }
         ResponseCache {
             store: CacheStore::new(self.capacity),
             policy: self.policy,
             key_strategy: self.key_strategy,
-            adaptive: self.adaptive,
             clock: self.clock,
             registry: self.registry,
             metrics,
@@ -654,8 +548,13 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
-        let value = Value::Struct(StructValue::new("Item").with("name", "n").with("qty", 2));
-        let expected = FieldType::Struct("Item".into());
+        fixture_of(
+            Value::Struct(StructValue::new("Item").with("name", "n").with("qty", 2)),
+            FieldType::Struct("Item".into()),
+        )
+    }
+
+    fn fixture_of(value: Value, expected: FieldType) -> Fixture {
         let xml = serialize_response("urn:t", "getItem", "return", &value, &registry()).unwrap();
         let (_, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
         Fixture {
@@ -748,12 +647,63 @@ mod tests {
         assert_eq!(cache.len(), 0);
     }
 
+    /// No unforced insert stores a copy form, whatever the response's
+    /// type: the shapes of the three Google return types — a string, a
+    /// byte array, a struct — where the paper's table copies two.
     #[test]
     fn the_default_pick_is_the_shared_object() {
         let cache = cacheable_cache();
+        let fixtures = [
+            fixture_of(Value::string("suggestion"), FieldType::String),
+            fixture_of(Value::Bytes(vec![7; 64].into()), FieldType::Bytes),
+            fixture(),
+        ];
+        for (id, f) in fixtures.iter().enumerate() {
+            let request = RpcRequest::new("urn:t", "getItem").with_param("id", id as i32);
+            let repr = cache.insert(URL, &request, data(f)).unwrap();
+            assert_eq!(repr, ValueRepresentation::PassByReference, "{:?}", f.value);
+            let hit = cache.lookup(URL, &request, &f.expected).expect("hit");
+            assert!(hit.is_shared(), "{:?}", f.value);
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.inserts, 3);
+        assert_eq!(stats.inserts_for(ValueRepresentation::PassByReference), 3);
+    }
+
+    /// An entry no shard can hold is not an insert: it is counted as a
+    /// store failure, and the older response it would have replaced is
+    /// not served in its place.
+    #[test]
+    fn a_refused_insert_is_reported_and_leaves_nothing_behind() {
         let f = fixture();
-        let repr = cache.insert(URL, &request(), data(&f)).unwrap();
-        assert_eq!(repr, ValueRepresentation::PassByReference);
+        let big = fixture_of(
+            Value::Struct(
+                StructValue::new("Item")
+                    .with("name", "n".repeat(4096))
+                    .with("qty", 2),
+            ),
+            FieldType::Struct("Item".into()),
+        );
+        let cache = ResponseCache::builder(registry())
+            .cache_everything(Duration::from_secs(60))
+            .clock(ManualClock::new())
+            .capacity(Capacity {
+                max_entries: 16,
+                max_bytes: 16 * 2048,
+            })
+            .build();
+        assert!(cache.insert(URL, &request(), data(&f)).is_some());
+        assert!(cache.lookup(URL, &request(), &f.expected).is_some());
+        let before = cache.stats();
+        assert_eq!(cache.insert(URL, &request(), data(&big)), None);
+        let after = cache.stats();
+        assert_eq!(after.inserts, before.inserts);
+        assert_eq!(after.inserts_by_repr, before.inserts_by_repr);
+        assert_eq!(after.store_failures, before.store_failures + 1);
+        assert!(cache.lookup(URL, &request(), &f.expected).is_none());
+        assert_eq!(cache.stats().misses, before.misses + 1);
+        assert_eq!((cache.len(), cache.bytes()), (0, 0));
+        cache.audit().unwrap();
     }
 
     #[test]
@@ -788,26 +738,11 @@ mod tests {
             )
             .clock(ManualClock::new())
             .build();
-        let value = Value::string("bare");
-        let xml = serialize_response("urn:t", "getItem", "return", &value, &registry()).unwrap();
-        let (_, events) =
-            read_response_xml_recording(&xml, &FieldType::String, &registry()).unwrap();
-        let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
-        let events = Arc::new(events);
-        let repr = cache
-            .insert(
-                URL,
-                &request(),
-                ResponseData {
-                    xml: &xml,
-                    events: &events,
-                    value: &value,
-                },
-            )
-            .unwrap();
+        let f = fixture_of(Value::string("bare"), FieldType::String);
+        let repr = cache.insert(URL, &request(), data(&f)).unwrap();
         assert_eq!(repr, ValueRepresentation::SaxEvents);
-        let hit = cache.lookup(URL, &request(), &FieldType::String).unwrap();
-        assert_eq!(hit.as_value(), &value);
+        let hit = cache.lookup(URL, &request(), &f.expected).unwrap();
+        assert_eq!(hit.as_value(), &f.value);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //!
 //! The table is about Java objects, where sharing a mutable object lets
 //! one holder's write reach the other. [`paper_choice`] reproduces it
-//! for the paper's tables. The cache itself picks over
-//! [`candidate_representations`], where every value is shareable — a
-//! [`Value`] tree is copy-on-write — so rule a) always applies and the
-//! copy forms are never candidates.
+//! for the paper's tables. The cache itself does not classify: a
+//! [`Value`] tree is copy-on-write, so every value is shareable, rule a)
+//! always applies and the copy forms are never picked.
 
 use crate::repr::ValueRepresentation;
 use wsrc_model::typeinfo::TypeRegistry;
@@ -32,58 +31,18 @@ pub fn paper_choice(
     registry: &TypeRegistry,
     shareable: bool,
 ) -> ValueRepresentation {
+    // Rules a) to d) are a preference order over what the object
+    // supports; SAX events always apply.
     let supports = registry.deep_capabilities(value);
-    let mut applicable = Vec::with_capacity(3);
     if shareable || value.is_deeply_immutable() {
-        applicable.push(ValueRepresentation::PassByReference);
+        ValueRepresentation::PassByReference
+    } else if supports.reflect_copyable {
+        ValueRepresentation::ReflectionCopy
+    } else if supports.serializable {
+        ValueRepresentation::Serialization
+    } else {
+        ValueRepresentation::SaxEvents
     }
-    if supports.reflect_copyable {
-        applicable.push(ValueRepresentation::ReflectionCopy);
-    }
-    if supports.serializable {
-        applicable.push(ValueRepresentation::Serialization);
-    }
-    paper_pick(&applicable)
-}
-
-/// The §6 table applied to a set of applicable representations: rules
-/// a) to d) are a preference order over what the object supports
-/// (sharing, reflection needing a bean or array type, serialization a
-/// serializable one; SAX events always apply).
-pub(crate) fn paper_pick(candidates: &[ValueRepresentation]) -> ValueRepresentation {
-    [
-        ValueRepresentation::PassByReference,
-        ValueRepresentation::ReflectionCopy,
-        ValueRepresentation::Serialization,
-    ]
-    .into_iter()
-    .find(|repr| candidates.contains(repr))
-    .unwrap_or(ValueRepresentation::SaxEvents)
-}
-
-/// Every representation `value` supports that is worth choosing — the
-/// candidate set the adaptive policy scores and the targets an entry
-/// may be converted to. The XML message, the SAX events and the shared
-/// object apply to any response; serialization requires the registry
-/// capability. Three forms are left out because a candidate beats each
-/// on build cost, retrieve cost and size alike, so they are only ever
-/// stored when forced: the DOM tree (by SAX events) and the reflection
-/// and clone copies (by the shared object — same accounted size, and it
-/// skips both the store-time and the per-hit copy). Ordered as
-/// [`ValueRepresentation::ALL_EXTENDED`].
-pub fn candidate_representations(
-    value: &Value,
-    registry: &TypeRegistry,
-) -> Vec<ValueRepresentation> {
-    let mut out = vec![
-        ValueRepresentation::XmlMessage,
-        ValueRepresentation::SaxEvents,
-    ];
-    if registry.deep_capabilities(value).serializable {
-        out.push(ValueRepresentation::Serialization);
-    }
-    out.push(ValueRepresentation::PassByReference);
-    out
 }
 
 #[cfg(test)]
@@ -173,44 +132,6 @@ mod tests {
         assert_eq!(
             paper_choice(&unknown, &r, false),
             ValueRepresentation::SaxEvents
-        );
-    }
-
-    #[test]
-    fn candidate_sets_hold_one_object_form() {
-        let r = registry();
-        let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
-        assert_eq!(
-            candidate_representations(&bean, &r),
-            vec![
-                ValueRepresentation::XmlMessage,
-                ValueRepresentation::SaxEvents,
-                ValueRepresentation::Serialization,
-                ValueRepresentation::PassByReference,
-            ]
-        );
-        // Opaque types lose serialization only: sharing needs nothing
-        // of the type. The dominated forms are never candidates.
-        let opaque = Value::Struct(StructValue::new("Opaque"));
-        assert_eq!(
-            candidate_representations(&opaque, &r),
-            vec![
-                ValueRepresentation::XmlMessage,
-                ValueRepresentation::SaxEvents,
-                ValueRepresentation::PassByReference,
-            ]
-        );
-        // So the §6 pick over a candidate set is always the shared
-        // object, where the paper's Java table says reflection.
-        for value in [&bean, &opaque, &Value::string("x")] {
-            assert_eq!(
-                paper_pick(&candidate_representations(value, &r)),
-                ValueRepresentation::PassByReference
-            );
-        }
-        assert_eq!(
-            paper_choice(&bean, &r, false),
-            ValueRepresentation::ReflectionCopy
         );
     }
 }

@@ -14,13 +14,13 @@
 //!   cache picks: values are copy-on-write, so sharing needs no
 //!   immutability and no assertion; the two copy forms are measurement
 //!   modes.
-//! - [`policy`] — per-operation cacheability and TTL, configured by the
-//!   client-side administrator (paper §3.2).
-//! - [`classify`] — the candidate set the cache picks from, the §6
-//!   preference order over it, and the paper's own table for Java
-//!   objects.
-//! - [`entry`] — cache entries: one response under one stored form,
-//!   plus the representations it may be converted to on a hit.
+//! - [`policy`] — per-operation cacheability, TTL and optional forced
+//!   representation, configured by the client-side administrator
+//!   (paper §3.2).
+//! - [`classify`] — the paper's §6 table for Java objects, for the
+//!   reproduced tables; the cache itself stores the shared object unless
+//!   the policy forces a form.
+//! - [`entry`] — cache entries: one response under one stored form.
 //! - [`store`] — the concurrent sharded cache table with TTL expiry and
 //!   size-aware LRU eviction.
 //! - [`cache`] — [`cache::ResponseCache`], the facade the client
@@ -37,12 +37,15 @@ pub mod repr;
 pub mod stats;
 pub mod store;
 
+// Remnant `benchmark/src/stack.rs` names; goes with ROADMAP item 1.
+#[doc(hidden)]
+pub use cache::AdaptivePolicy;
 pub use cache::{CacheOutcome, ResponseCache, ResponseCacheBuilder, ResponseData};
 pub use classify::paper_choice;
 pub use entry::CacheEntry;
 pub use error::CacheError;
 pub use key::{CacheKey, KeyStrategy};
-pub use policy::{AdaptivePolicy, CachePolicy, OperationPolicy, Selection, SelectionMode};
+pub use policy::{CachePolicy, OperationPolicy};
 pub use repr::{StoredResponse, ValueHandle, ValueRepresentation};
 pub use stats::{CacheStats, StatsSnapshot};
 pub use store::{CacheStore, Capacity};

@@ -11,11 +11,8 @@ use std::sync::Arc;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
 use wsrc_model::value::Value;
 use wsrc_model::{binser, deep_clone, reflect, sizeof};
-use wsrc_soap::deserializer::{
-    read_response_dom, read_response_events, read_response_xml, read_response_xml_recording,
-};
+use wsrc_soap::deserializer::{read_response_dom, read_response_events, read_response_xml};
 use wsrc_soap::rpc::RpcOutcome;
-use wsrc_soap::serializer::serialize_response;
 use wsrc_xml::event::SaxEventSequence;
 
 /// The six cache-value representations, in the paper's Table 7 order
@@ -123,22 +120,6 @@ impl ValueRepresentation {
             ValueRepresentation::CloneCopy => 5,
             ValueRepresentation::PassByReference => 6,
         }
-    }
-
-    /// This representation's bit in a representation-set mask (shifted
-    /// [`index`](ValueRepresentation::index); fits `u8` since
-    /// [`COUNT`](ValueRepresentation::COUNT) is 7).
-    pub fn bit(&self) -> u8 {
-        1u8 << self.index()
-    }
-
-    /// Decodes a mask produced with [`bit`](ValueRepresentation::bit)
-    /// back into representations, in
-    /// [`ALL_EXTENDED`](ValueRepresentation::ALL_EXTENDED) order.
-    pub fn from_mask(mask: u8) -> impl Iterator<Item = ValueRepresentation> {
-        ValueRepresentation::ALL_EXTENDED
-            .into_iter()
-            .filter(move |r| mask & r.bit() != 0)
     }
 }
 
@@ -255,85 +236,23 @@ impl StoredResponse {
                 // Zero-copy: the stored entry shares the recorded arena.
                 Ok(StoredResponse::SaxEvents(Arc::clone(artifacts.events)))
             }
-            ValueRepresentation::Serialization
-            | ValueRepresentation::ReflectionCopy
-            | ValueRepresentation::CloneCopy
-            | ValueRepresentation::PassByReference => {
-                StoredResponse::from_object(repr, artifacts.value, registry)
-            }
-        }
-    }
-
-    /// The four forms that are made from the application object alone.
-    fn from_object(
-        repr: ValueRepresentation,
-        value: &Value,
-        registry: &TypeRegistry,
-    ) -> Result<StoredResponse, CacheError> {
-        match repr {
             ValueRepresentation::Serialization => {
-                let bytes = binser::serialize_checked(value, registry)?;
+                let bytes = binser::serialize_checked(artifacts.value, registry)?;
                 Ok(StoredResponse::Serialized(Arc::from(
                     bytes.into_boxed_slice(),
                 )))
             }
             ValueRepresentation::ReflectionCopy => {
                 // Copy-on-store: the cache keeps its own private instance.
-                let copy = reflect::reflect_copy(value, registry)?;
+                let copy = reflect::reflect_copy(artifacts.value, registry)?;
                 Ok(StoredResponse::ReflectionCopy(copy))
             }
             ValueRepresentation::CloneCopy => {
-                let copy = deep_clone::clone_copy(value, registry)?;
+                let copy = deep_clone::clone_copy(artifacts.value, registry)?;
                 Ok(StoredResponse::CloneCopy(copy))
             }
-            ValueRepresentation::PassByReference => Ok(StoredResponse::SharedRef(value.clone())),
-            ValueRepresentation::XmlMessage
-            | ValueRepresentation::DomTree
-            | ValueRepresentation::SaxEvents => Err(CacheError::Unusable(format!(
-                "{repr} is built from the response XML, not from the object"
-            ))),
-        }
-    }
-
-    /// Builds a stored entry under `repr` from an application object a
-    /// hit just retrieved — what convert-on-hit has in hand. The object
-    /// forms copy or share `value` exactly as
-    /// [`build`](StoredResponse::build) does; the XML-derived forms
-    /// re-serialize it as the response of
-    /// `namespace`/`operation` and record the events once. The network
-    /// is never contacted.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError::NotApplicable`] when the value does not support
-    /// `repr`, and encoding errors from the re-serialization.
-    pub fn from_value(
-        repr: ValueRepresentation,
-        value: &Value,
-        namespace: &str,
-        operation: &str,
-        expected: &FieldType,
-        registry: &TypeRegistry,
-    ) -> Result<StoredResponse, CacheError> {
-        match repr {
-            ValueRepresentation::XmlMessage
-            | ValueRepresentation::DomTree
-            | ValueRepresentation::SaxEvents => {
-                let text = serialize_response(namespace, operation, "return", value, registry)?;
-                let (_, events) = read_response_xml_recording(&text, expected, registry)?;
-                let (xml, events) = (Arc::from(text.into_bytes()), Arc::new(events));
-                let artifacts = MissArtifacts {
-                    xml: &xml,
-                    events: &events,
-                    value,
-                };
-                StoredResponse::build(repr, artifacts, registry)
-            }
-            ValueRepresentation::Serialization
-            | ValueRepresentation::ReflectionCopy
-            | ValueRepresentation::CloneCopy
-            | ValueRepresentation::PassByReference => {
-                StoredResponse::from_object(repr, value, registry)
+            ValueRepresentation::PassByReference => {
+                Ok(StoredResponse::SharedRef(artifacts.value.clone()))
             }
         }
     }
@@ -424,6 +343,8 @@ mod tests {
     use super::*;
     use wsrc_model::typeinfo::{Capabilities, FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::StructValue;
+    use wsrc_soap::deserializer::read_response_xml_recording;
+    use wsrc_soap::serializer::serialize_response;
 
     fn registry() -> TypeRegistry {
         TypeRegistry::builder()
@@ -617,31 +538,6 @@ mod tests {
         let art = b.artifacts();
         assert!(StoredResponse::build(ValueRepresentation::ReflectionCopy, art, &r).is_ok());
         assert!(StoredResponse::build(ValueRepresentation::CloneCopy, art, &r).is_err());
-    }
-
-    #[test]
-    fn from_value_rebuilds_every_form_and_keeps_the_na_cells() {
-        let r = registry();
-        let f = struct_fixture();
-        for repr in ValueRepresentation::ALL_EXTENDED {
-            let stored = StoredResponse::from_value(repr, &f.value, "urn:t", "op", &f.expected, &r)
-                .unwrap_or_else(|e| panic!("{repr} failed to build: {e}"));
-            assert_eq!(stored.representation(), repr);
-            let handle = stored.retrieve(&f.expected, &r).unwrap();
-            assert_eq!(handle.as_value(), &f.value, "{repr}");
-        }
-        // A bare string supports neither reflection nor clone copies.
-        let bare = Value::string("bare");
-        for repr in [
-            ValueRepresentation::ReflectionCopy,
-            ValueRepresentation::CloneCopy,
-        ] {
-            assert!(
-                StoredResponse::from_value(repr, &bare, "urn:t", "op", &FieldType::String, &r)
-                    .is_err(),
-                "{repr} must be n/a for a bare string"
-            );
-        }
     }
 
     #[test]

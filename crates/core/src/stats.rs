@@ -7,28 +7,11 @@
 //! unchanged (plus per-representation breakdowns and
 //! [`StatsSnapshot::to_json`]).
 
-use crate::policy::SelectionMode;
 use crate::repr::ValueRepresentation;
 use crate::store::EvictionSummary;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrc_obs::{Counter, MetricsRegistry};
-
-/// The selection modes in metric/JSON order.
-const MODES: [SelectionMode; 3] = [
-    SelectionMode::Forced,
-    SelectionMode::Explore,
-    SelectionMode::Exploit,
-];
-
-/// `MODES` position for a mode (indexes the selection counter grid).
-fn mode_index(mode: SelectionMode) -> usize {
-    match mode {
-        SelectionMode::Forced => 0,
-        SelectionMode::Explore => 1,
-        SelectionMode::Exploit => 2,
-    }
-}
 
 /// Distinguishes caches sharing one registry: each `CacheStats` built
 /// without an explicit label gets `cache-0`, `cache-1`, …
@@ -46,8 +29,6 @@ pub struct CacheStats {
     label: String,
     hits_by_repr: [Counter; ValueRepresentation::COUNT],
     inserts_by_repr: [Counter; ValueRepresentation::COUNT],
-    conversions_by_repr: [Counter; ValueRepresentation::COUNT],
-    selections: [[Counter; ValueRepresentation::COUNT]; MODES.len()],
     misses: Counter,
     expired: Counter,
     evictions_expired: Counter,
@@ -81,19 +62,15 @@ pub struct StatsSnapshot {
     pub store_failures: u64,
     /// Stale entries renewed by a successful revalidation (304).
     pub revalidated: u64,
-    /// Published convert-on-hit form swaps (total across target
-    /// representations).
+    /// Always 0: nothing converts a stored form any more. Kept because
+    /// `benchmark/src/run.rs` reads it; goes with ROADMAP item 1.
+    #[doc(hidden)]
     pub conversions: u64,
     /// Hits broken down by the stored entry's representation, indexed by
     /// [`ValueRepresentation::index`].
     pub hits_by_repr: [u64; ValueRepresentation::COUNT],
     /// Inserts broken down by representation, same indexing.
     pub inserts_by_repr: [u64; ValueRepresentation::COUNT],
-    /// Convert-on-hit target representations, same indexing.
-    pub conversions_by_repr: [u64; ValueRepresentation::COUNT],
-    /// Insert-time selection decisions by mode (forced / explore /
-    /// exploit, in that order) and chosen representation.
-    pub selections: [[u64; ValueRepresentation::COUNT]; 3],
 }
 
 impl StatsSnapshot {
@@ -117,16 +94,6 @@ impl StatsSnapshot {
         self.inserts_by_repr[repr.index()]
     }
 
-    /// Conversions targeting one representation.
-    pub fn conversions_for(&self, repr: ValueRepresentation) -> u64 {
-        self.conversions_by_repr[repr.index()]
-    }
-
-    /// Selection decisions for one mode and representation.
-    pub fn selections_for(&self, mode: SelectionMode, repr: ValueRepresentation) -> u64 {
-        self.selections[mode_index(mode)][repr.index()]
-    }
-
     /// Renders the snapshot as a JSON object (no external dependencies;
     /// the schema is documented in `EXPERIMENTS.md`).
     pub fn to_json(&self) -> String {
@@ -137,24 +104,12 @@ impl StatsSnapshot {
                 .collect::<Vec<_>>()
                 .join(",")
         };
-        let selections = MODES
-            .iter()
-            .map(|m| {
-                format!(
-                    "\"{}\":{{{}}}",
-                    m.metric_label(),
-                    by_repr(&self.selections[mode_index(*m)])
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
         format!(
             "{{\"hits\":{},\"misses\":{},\"expired\":{},\"inserts\":{},\
              \"evictions\":{},\"evictions_expired\":{},\"evictions_lru\":{},\
              \"uncacheable\":{},\"store_failures\":{},\
-             \"revalidated\":{},\"conversions\":{},\"hit_ratio\":{:.6},\
-             \"hits_by_repr\":{{{}}},\"inserts_by_repr\":{{{}}},\
-             \"conversions_by_repr\":{{{}}},\"selections\":{{{}}}}}",
+             \"revalidated\":{},\"hit_ratio\":{:.6},\
+             \"hits_by_repr\":{{{}}},\"inserts_by_repr\":{{{}}}}}",
             self.hits,
             self.misses,
             self.expired,
@@ -165,12 +120,9 @@ impl StatsSnapshot {
             self.uncacheable,
             self.store_failures,
             self.revalidated,
-            self.conversions,
             self.hit_ratio(),
             by_repr(&self.hits_by_repr),
             by_repr(&self.inserts_by_repr),
-            by_repr(&self.conversions_by_repr),
-            selections,
         )
     }
 }
@@ -200,20 +152,6 @@ impl CacheStats {
                 .map(|r| repr_counter("wsrc_cache_hits_total", r)),
             inserts_by_repr: ValueRepresentation::ALL_EXTENDED
                 .map(|r| repr_counter("wsrc_cache_inserts_total", r)),
-            conversions_by_repr: ValueRepresentation::ALL_EXTENDED
-                .map(|r| repr_counter("wsrc_cache_conversions_total", r)),
-            selections: MODES.map(|m| {
-                ValueRepresentation::ALL_EXTENDED.map(|r| {
-                    registry.counter(
-                        "wsrc_cache_adaptive_selections_total",
-                        &[
-                            ("cache", label),
-                            ("mode", m.metric_label()),
-                            ("repr", r.metric_label()),
-                        ],
-                    )
-                })
-            }),
             misses: counter("wsrc_cache_misses_total"),
             expired: counter("wsrc_cache_expired_total"),
             evictions_expired: registry.counter(
@@ -247,12 +185,6 @@ impl CacheStats {
     pub(crate) fn record_insert(&self, repr: ValueRepresentation) {
         self.inserts_by_repr[repr.index()].inc();
     }
-    pub(crate) fn record_conversion(&self, repr: ValueRepresentation) {
-        self.conversions_by_repr[repr.index()].inc();
-    }
-    pub(crate) fn record_selection(&self, mode: SelectionMode, repr: ValueRepresentation) {
-        self.selections[mode_index(mode)][repr.index()].inc();
-    }
     pub(crate) fn record_evictions(&self, summary: EvictionSummary) {
         if summary.expired > 0 {
             self.evictions_expired.add(summary.expired);
@@ -275,15 +207,9 @@ impl CacheStats {
     pub fn snapshot(&self) -> StatsSnapshot {
         let mut hits_by_repr = [0u64; ValueRepresentation::COUNT];
         let mut inserts_by_repr = [0u64; ValueRepresentation::COUNT];
-        let mut conversions_by_repr = [0u64; ValueRepresentation::COUNT];
-        let mut selections = [[0u64; ValueRepresentation::COUNT]; MODES.len()];
         for i in 0..ValueRepresentation::COUNT {
             hits_by_repr[i] = self.hits_by_repr[i].value();
             inserts_by_repr[i] = self.inserts_by_repr[i].value();
-            conversions_by_repr[i] = self.conversions_by_repr[i].value();
-            for (m, row) in selections.iter_mut().enumerate() {
-                row[i] = self.selections[m][i].value();
-            }
         }
         let evictions_expired = self.evictions_expired.value();
         let evictions_lru = self.evictions_lru.value();
@@ -298,11 +224,9 @@ impl CacheStats {
             uncacheable: self.uncacheable.value(),
             store_failures: self.store_failures.value(),
             revalidated: self.revalidated.value(),
-            conversions: conversions_by_repr.iter().sum(),
             hits_by_repr,
             inserts_by_repr,
-            conversions_by_repr,
-            selections,
+            ..StatsSnapshot::default()
         }
     }
 }
@@ -332,9 +256,6 @@ mod tests {
         s.record_uncacheable();
         s.record_store_failure();
         s.record_revalidated();
-        s.record_conversion(ValueRepresentation::CloneCopy);
-        s.record_selection(SelectionMode::Exploit, ValueRepresentation::CloneCopy);
-        s.record_selection(SelectionMode::Explore, ValueRepresentation::XmlMessage);
         let snap = s.snapshot();
         assert_eq!(snap.hits, 2);
         assert_eq!(snap.misses, 1);
@@ -350,20 +271,6 @@ mod tests {
         assert_eq!(snap.hits_for(ValueRepresentation::ReflectionCopy), 1);
         assert_eq!(snap.hits_for(ValueRepresentation::CloneCopy), 0);
         assert_eq!(snap.inserts_for(ValueRepresentation::ReflectionCopy), 1);
-        assert_eq!(snap.conversions, 1);
-        assert_eq!(snap.conversions_for(ValueRepresentation::CloneCopy), 1);
-        assert_eq!(
-            snap.selections_for(SelectionMode::Exploit, ValueRepresentation::CloneCopy),
-            1
-        );
-        assert_eq!(
-            snap.selections_for(SelectionMode::Explore, ValueRepresentation::XmlMessage),
-            1
-        );
-        assert_eq!(
-            snap.selections_for(SelectionMode::Forced, ValueRepresentation::CloneCopy),
-            0
-        );
     }
 
     #[test]
@@ -420,14 +327,10 @@ mod tests {
         assert!(json.contains("\"hit_ratio\":0.5"));
         assert!(json.contains("\"clone-copy\":1"));
         assert!(json.contains("\"hits_by_repr\":{"));
-        assert!(json.contains("\"conversions\":0"));
-        assert!(json.contains("\"conversions_by_repr\":{"));
-        assert!(json.contains("\"selections\":{\"forced\":{"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // All seven representations appear in each breakdown: hits,
-        // inserts, conversions, and the three selection modes.
+        // All seven representations appear in both breakdowns.
         for repr in ValueRepresentation::ALL_EXTENDED {
-            assert_eq!(json.matches(repr.metric_label()).count(), 6, "{repr}");
+            assert_eq!(json.matches(repr.metric_label()).count(), 2, "{repr}");
         }
     }
 }

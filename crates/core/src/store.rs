@@ -36,27 +36,21 @@
 //!
 //! Freeing a stored response can be many deallocations (a DOM tree, a
 //! value built node by node, an event arena). Every operation that
-//! removes or replaces a payload — eviction, replacement, form swap, invalidation,
-//! expiry, `clear` — moves it out of the shard and hands it back to the
-//! caller of the locked section, which drops it after the guard is
-//! released.
+//! removes or replaces a payload — eviction, replacement, refusal,
+//! invalidation, expiry, `clear` — moves it out of the shard and hands it
+//! back to the caller of the locked section, which drops it after the
+//! guard is released.
 //!
-//! # One form per entry, replaced by compare-and-swap
+//! # One form per entry, fixed at insert
 //!
 //! Each slot holds a [`CacheEntry`] — one response under one stored
-//! form. Every insert or replacement bumps a per-shard counter stamped
-//! onto the slot, and lookups report that *generation* in
-//! [`FoundEntry`]. [`CacheStore::replace_form`] is the only operation
-//! that changes a live slot's form and the only place a generation is
-//! compared: it swaps the form in only if the slot still carries the
-//! generation the caller read, then bumps it. A form built from a
-//! response that has since been replaced, invalidated, evicted or
-//! already converted is therefore never published, and of several hits
-//! that race to convert the same payload exactly one lands.
+//! form. Nothing changes a live slot's form: a `put` of the same key
+//! replaces the whole payload under the shard lock, so a lookup returns
+//! either the response an insert stored or the one a later insert
+//! stored, never anything derived from a superseded one.
 
 use crate::entry::CacheEntry;
 use crate::key::CacheKey;
-use crate::repr::StoredResponse;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -159,13 +153,6 @@ struct Slot {
     /// Entries with a validator outlive their TTL as *stale* entries that
     /// can be refreshed by a successful revalidation (paper §3.2).
     validator: Option<Arc<str>>,
-    /// Live lookups served from this slot since it was (re)inserted —
-    /// the per-key popularity signal the adaptive policy reads.
-    hits: u64,
-    /// Per-shard monotonic stamp identifying this slot's current
-    /// payload; bumped on insert, replacement and form swap, and
-    /// compared only by [`CacheStore::replace_form`].
-    generation: u64,
     lru_prev: u32,
     lru_next: u32,
     chain_next: u32,
@@ -184,10 +171,6 @@ struct Shard {
     lru_tail: u32,
     entries: usize,
     bytes: usize,
-    /// Last generation stamp handed out; never reset (not even by
-    /// [`clear`](Shard::clear)) so a stamp can never be reused by a
-    /// later payload within this shard.
-    last_generation: u64,
 }
 
 impl Default for Shard {
@@ -200,7 +183,6 @@ impl Default for Shard {
             lru_tail: NIL,
             entries: 0,
             bytes: 0,
-            last_generation: 0,
         }
     }
 }
@@ -276,15 +258,8 @@ impl Shard {
         self.lru_push_front(idx);
     }
 
-    /// The generation stamp for a payload being installed right now.
-    fn bump_generation(&mut self) -> u64 {
-        self.last_generation += 1;
-        self.last_generation
-    }
-
     /// Inserts a slot not currently present, returning its slab index.
     fn insert_new(&mut self, mut slot: Slot) -> u32 {
-        slot.generation = self.bump_generation();
         let idx = match self.free.pop() {
             Some(recycled) => recycled,
             None => {
@@ -304,10 +279,7 @@ impl Shard {
     }
 
     /// Replaces the payload of an existing slot, adjusting byte
-    /// accounting, and returns the payload it held. A replacement is a
-    /// fresh response: the hit count resets with it, and the slot's
-    /// generation is bumped so a form converted from the old payload can
-    /// no longer be published.
+    /// accounting, and returns the payload it held.
     fn replace(
         &mut self,
         idx: u32,
@@ -316,14 +288,11 @@ impl Shard {
         size_bytes: usize,
         validator: Option<Arc<str>>,
     ) -> Option<CacheEntry> {
-        let generation = self.bump_generation();
         let slot = self.slot_mut(idx)?;
         let old_size = std::mem::replace(&mut slot.size_bytes, size_bytes);
         let old_entry = std::mem::replace(&mut slot.entry, entry);
         slot.expires_at_millis = expires_at_millis;
         slot.validator = validator;
-        slot.hits = 0;
-        slot.generation = generation;
         self.bytes = self.bytes.saturating_sub(old_size) + size_bytes;
         Some(old_entry)
     }
@@ -403,8 +372,6 @@ impl Shard {
         self.lru_tail = NIL;
         self.entries = 0;
         self.bytes = 0;
-        // `last_generation` deliberately survives: stamps stay unique
-        // for the shard's whole lifetime.
         slots
     }
 
@@ -430,19 +397,13 @@ impl Shard {
             ));
         }
         // The bytes charged for a slot must equal its entry's size plus
-        // its key — a form swap that skipped accounting shows up here.
+        // its key.
         for slot in self.slots.iter().flatten() {
             let expected = slot.entry.approximate_size() + slot.key.approximate_size();
             if slot.size_bytes != expected {
                 return Err(format!(
                     "shard {shard_no}: slot charges {} bytes but its entry and key sum to {expected}",
                     slot.size_bytes
-                ));
-            }
-            if slot.generation == 0 || slot.generation > self.last_generation {
-                return Err(format!(
-                    "shard {shard_no}: slot generation {} outside 1..={}",
-                    slot.generation, self.last_generation
                 ));
             }
         }
@@ -635,15 +596,8 @@ impl CacheStore {
             }
             (false, _) => {
                 shard.touch(idx);
-                match shard.slot_mut(idx) {
-                    Some(slot) => {
-                        slot.hits += 1;
-                        Lookup::Live(FoundEntry {
-                            entry: slot.entry.clone(),
-                            hits: slot.hits,
-                            generation: slot.generation,
-                        })
-                    }
+                match shard.slot(idx) {
+                    Some(slot) => Lookup::Live(slot.entry.clone()),
                     None => Lookup::Absent,
                 }
             }
@@ -683,8 +637,10 @@ impl CacheStore {
     /// [`put`](CacheStore::put) with a revalidation token. Entries with a
     /// validator become `Stale` instead of `Expired` when their TTL
     /// lapses. Returns `None` when the entry was refused because it can
-    /// never fit a shard's budget (nothing was stored), `Some` with the
-    /// eviction summary otherwise.
+    /// never fit a shard's budget: nothing was stored, and whatever the
+    /// key held — older than the response being refused — is removed
+    /// rather than left to be served. `Some` with the eviction summary
+    /// otherwise.
     pub fn put_validated(
         &self,
         key: CacheKey,
@@ -696,6 +652,7 @@ impl CacheStore {
         let size_bytes = entry.approximate_size() + key.approximate_size();
         // Entries that can never fit a shard's budget are not cacheable.
         if self.shard_max_entries == 0 || size_bytes > self.shard_max_bytes {
+            self.invalidate(&key);
             return None;
         }
         let validator: Option<Arc<str>> = validator.map(Arc::from);
@@ -719,8 +676,6 @@ impl CacheStore {
                     expires_at_millis,
                     size_bytes,
                     validator,
-                    hits: 0,
-                    generation: 0, // stamped by insert_new
                     lru_prev: NIL,
                     lru_next: NIL,
                     chain_next: NIL,
@@ -759,52 +714,6 @@ impl CacheStore {
             victims.push(slot);
         }
         (summary, victims)
-    }
-
-    /// Convert-on-hit's publish: swaps `form` in as the stored form of
-    /// the entry under `key`, but only if the slot still carries
-    /// `generation` — the stamp the caller read in [`FoundEntry`] along
-    /// with the payload it built `form` from. Expiry, validator, hit
-    /// count and recency position are kept; the size difference is
-    /// re-charged to the shard byte budget (evicting *other* entries if
-    /// the shard is now over it — the swapped entry is pinned), and the
-    /// generation is bumped, so a second publish from the same read is
-    /// refused.
-    ///
-    /// Returns what had to be evicted, or `None` when nothing changed:
-    /// the entry is gone, its payload was replaced or already converted
-    /// since the read, or the new form alone would exceed the shard
-    /// budget (the old form stays).
-    pub fn replace_form(
-        &self,
-        key: &CacheKey,
-        generation: u64,
-        form: StoredResponse,
-        now_millis: u64,
-    ) -> Option<EvictionSummary> {
-        let new_size = CacheEntry::size_holding(&form) + key.approximate_size();
-        if new_size > self.shard_max_bytes {
-            return None;
-        }
-        let hash = hash_key(key);
-        // Declared before the guard, so dropped after it.
-        let (_old_form, _victims);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let idx = shard.find(hash, key)?;
-        if shard.slot(idx)?.generation != generation {
-            return None;
-        }
-        let before = (shard.entries, shard.bytes);
-        let generation = shard.bump_generation();
-        let slot = shard.slot_mut(idx)?;
-        let old_size = std::mem::replace(&mut slot.size_bytes, new_size);
-        _old_form = slot.entry.set_form(form);
-        slot.generation = generation;
-        shard.bytes = shard.bytes - old_size + new_size;
-        let summary;
-        (summary, _victims) = self.evict_over_budget(&mut shard, now_millis, idx);
-        self.settle(before, &shard);
-        Some(summary)
     }
 
     /// Removes one entry. Returns whether it was present.
@@ -926,8 +835,8 @@ pub enum Lookup {
     Absent,
     /// An entry existed but its TTL had elapsed; it was removed.
     Expired,
-    /// A live entry.
-    Live(FoundEntry),
+    /// A live entry (its form shares `Arc`s with the stored slot).
+    Live(CacheEntry),
     /// An expired entry that carries a revalidation token; it remains
     /// stored and can be renewed with [`CacheStore::refresh`].
     Stale {
@@ -939,25 +848,10 @@ pub enum Lookup {
     },
 }
 
-/// A live entry returned by [`CacheStore::get`], with the per-key
-/// popularity signal the adaptive policy reads.
-#[derive(Debug)]
-pub struct FoundEntry {
-    /// The entry (its form shares `Arc`s with the stored slot).
-    pub entry: CacheEntry,
-    /// Live lookups served under this key since (re)insertion,
-    /// including this one.
-    pub hits: u64,
-    /// Generation stamp of the payload this entry was read from. Pass
-    /// it to [`CacheStore::replace_form`] so a form built from this
-    /// payload is refused once the payload has been superseded.
-    pub generation: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repr::ValueRepresentation;
+    use crate::repr::StoredResponse;
 
     fn key(n: usize) -> CacheKey {
         CacheKey::Text(format!("key-{n}"))
@@ -967,19 +861,6 @@ mod tests {
         CacheEntry::single(StoredResponse::XmlMessage(Arc::from(
             "x".repeat(size).into_bytes(),
         )))
-    }
-
-    /// A form of another representation to swap in for `value`'s XML.
-    fn other_form(size: usize) -> StoredResponse {
-        StoredResponse::Serialized(Arc::from(vec![0u8; size].into_boxed_slice()))
-    }
-
-    /// The live entry under `k` (panics when the lookup is not a hit).
-    fn live(store: &CacheStore, k: &CacheKey, now: u64) -> FoundEntry {
-        match store.get(k, now) {
-            Lookup::Live(found) => found,
-            other => panic!("expected live, got {other:?}"),
-        }
     }
 
     #[test]
@@ -1110,6 +991,28 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_replacement_removes_the_entry_it_would_have_replaced() {
+        let store = CacheStore::with_shards(
+            Capacity {
+                max_entries: 10,
+                max_bytes: 1000,
+            },
+            1,
+        );
+        store.put(key(1), value(10), 1000, 0);
+        store.put(key(2), value(10), 1000, 0);
+        // A newer response for key 1 that no shard can hold: the older
+        // one must not go on being served in its place.
+        assert!(store
+            .put_validated(key(1), value(5000), 1000, 0, None)
+            .is_none());
+        assert!(matches!(store.get(&key(1), 0), Lookup::Absent));
+        assert!(matches!(store.get(&key(2), 0), Lookup::Live(_)));
+        assert_eq!(store.len(), 1);
+        store.audit().unwrap();
+    }
+
+    #[test]
     fn auto_sharding_keeps_global_caps_hard() {
         let store = CacheStore::new(Capacity {
             max_entries: 10,
@@ -1168,21 +1071,18 @@ mod tests {
         }
         check("inserts that evict");
         assert!(store.len() <= 8);
-        let survivor = (0..40)
-            .find(|i| matches!(store.get(&key(*i), 0), Lookup::Live(_)))
-            .expect("something is stored");
-        let Lookup::Live(found) = store.get(&key(survivor), 0) else {
-            unreachable!()
-        };
-        let form = StoredResponse::XmlMessage(Arc::from(vec![b'x'; 7]));
-        assert!(store
-            .replace_form(&key(survivor), found.generation, form, 0)
-            .is_some());
-        check("a form swap");
+        let mut survivors = (0..40).filter(|i| matches!(store.get(&key(*i), 0), Lookup::Live(_)));
+        let (survivor, superseded) = (survivors.next().unwrap(), survivors.next().unwrap());
         assert!(store
             .put_validated(key(99), value(5000), 100, 0, None)
             .is_none());
         check("a refused insert");
+        let before = store.len();
+        assert!(store
+            .put_validated(key(superseded), value(5000), 100, 0, None)
+            .is_none());
+        assert_eq!(store.len(), before - 1);
+        check("a refused replacement");
         assert!(store.invalidate(&key(survivor)));
         assert!(!store.invalidate(&key(survivor)));
         check("an invalidation");
@@ -1255,8 +1155,6 @@ mod tests {
                 expires_at_millis: 1000,
                 size_bytes,
                 validator: None,
-                hits: 0,
-                generation: 0, // stamped by insert_new
                 lru_prev: NIL,
                 lru_next: NIL,
                 chain_next: NIL,
@@ -1302,152 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_form_swaps_in_place_and_recharges_the_size_delta() {
-        let store = CacheStore::with_shards(Capacity::default(), 1);
-        store.put_validated(key(1), value(100), 1000, 0, Some("etag-1".into()));
-        let _ = live(&store, &key(1), 0);
-        let found = live(&store, &key(1), 0);
-        assert_eq!(found.hits, 2);
-        let before = store.bytes();
-        let old_size = found.entry.form().approximate_size();
-        let form = other_form(64);
-        let new_size = form.approximate_size();
-        let evicted = store
-            .replace_form(&key(1), found.generation, form, 0)
-            .expect("generation matches");
-        assert_eq!(evicted.total(), 0);
-        // One form is charged, not two.
-        assert_eq!(store.bytes(), before - old_size + new_size);
-        assert_eq!(store.len(), 1);
-        store.audit().unwrap();
-        // Hit count, expiry and validator survive the swap.
-        let after = live(&store, &key(1), 999);
-        assert_eq!(after.hits, 3);
-        assert_eq!(
-            after.entry.form().representation(),
-            ValueRepresentation::Serialization
-        );
-        assert_ne!(
-            after.entry.candidates_mask() & ValueRepresentation::XmlMessage.bit(),
-            0,
-            "candidates survive the swap"
-        );
-        match store.get(&key(1), 1000) {
-            Lookup::Stale { validator, .. } => assert_eq!(&*validator, "etag-1"),
-            other => panic!("expected stale, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn a_second_publish_from_the_same_read_is_refused() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let generation = live(&store, &key(1), 0).generation;
-        assert!(store
-            .replace_form(&key(1), generation, other_form(8), 0)
-            .is_some());
-        let bytes = store.bytes();
-        // Another hit that read the same payload built its own copy of
-        // the form; the first publish bumped the generation.
-        assert!(store
-            .replace_form(&key(1), generation, other_form(32), 0)
-            .is_none());
-        assert_eq!(store.bytes(), bytes);
-        store.audit().unwrap();
-    }
-
-    #[test]
-    fn replace_form_with_a_stale_generation_changes_nothing() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        let old_generation = live(&store, &key(1), 0).generation;
-        // The payload is replaced in place while a conversion of the
-        // old one is in flight…
-        store.put(key(1), value(20), 1000, 0);
-        let bytes = store.bytes();
-        assert!(store
-            .replace_form(&key(1), old_generation, other_form(8), 0)
-            .is_none());
-        assert_eq!(store.bytes(), bytes);
-        store.audit().unwrap();
-        // …and the next hit is served the newer payload.
-        match live(&store, &key(1), 0).entry.form() {
-            StoredResponse::XmlMessage(xml) => assert_eq!(xml.len(), 20),
-            other => panic!("stale form was published: {other:?}"),
-        }
-        // The same holds when the key was removed and re-inserted, or
-        // is simply gone.
-        let replaced = live(&store, &key(1), 0).generation;
-        assert!(store.invalidate(&key(1)));
-        assert!(store
-            .replace_form(&key(1), replaced, other_form(8), 0)
-            .is_none());
-        store.put(key(1), value(30), 1000, 0);
-        assert!(store
-            .replace_form(&key(1), replaced, other_form(8), 0)
-            .is_none());
-        store.clear();
-        store.put(key(1), value(30), 1000, 0);
-        assert!(store
-            .replace_form(&key(1), replaced, other_form(8), 0)
-            .is_none());
-        store.audit().unwrap();
-    }
-
-    #[test]
-    fn replace_form_that_busts_the_budget_alone_is_refused() {
-        let store = CacheStore::with_shards(
-            Capacity {
-                max_entries: 10,
-                max_bytes: 600,
-            },
-            1,
-        );
-        store.put(key(1), value(10), 1000, 0);
-        let generation = live(&store, &key(1), 0).generation;
-        let before = store.bytes();
-        assert!(store
-            .replace_form(&key(1), generation, other_form(600), 0)
-            .is_none());
-        assert_eq!(store.bytes(), before);
-        // The old form is kept, and a form that does fit can still be
-        // published from the same read.
-        let found = live(&store, &key(1), 0);
-        assert_eq!(
-            found.entry.form().representation(),
-            ValueRepresentation::XmlMessage
-        );
-        assert_eq!(found.generation, generation);
-        store.audit().unwrap();
-    }
-
-    #[test]
-    fn replace_form_evicts_other_entries_to_fit() {
-        let single = value(10).approximate_size() + key(0).approximate_size();
-        let store = CacheStore::with_shards(
-            Capacity {
-                max_entries: 10,
-                // Room for two small entries plus a little slack, but
-                // not for one of them grown by 48 bytes.
-                max_bytes: 2 * single + 32,
-            },
-            1,
-        );
-        store.put(key(0), value(10), 1000, 0);
-        store.put(key(1), value(10), 1000, 0);
-        let generation = live(&store, &key(1), 0).generation;
-        let evicted = store
-            .replace_form(&key(1), generation, other_form(58), 0)
-            .expect("generation matches");
-        assert_eq!(evicted.live, 1);
-        // The grown entry was pinned; its neighbour was the victim.
-        assert!(matches!(store.get(&key(0), 0), Lookup::Absent));
-        assert!(matches!(store.get(&key(1), 0), Lookup::Live(_)));
-        assert!(store.bytes() <= 2 * single + 32);
-        store.audit().unwrap();
-    }
-
-    #[test]
     fn removed_payloads_are_handed_back_to_the_caller_of_the_locked_section() {
         // Each payload is an `Arc` the test also holds: while its count
         // is 2 the payload is alive, wherever it now sits.
@@ -1485,8 +1237,6 @@ mod tests {
                 expires_at_millis: 1000,
                 size_bytes: size,
                 validator: None,
-                hits: 0,
-                generation: 0,
                 lru_prev: NIL,
                 lru_next: NIL,
                 chain_next: NIL,
@@ -1500,17 +1250,10 @@ mod tests {
                 2,
                 "the victim outlives the locked section"
             );
-            // Form swap and clear hand theirs back too.
-            let old_form = shard
-                .slot_mut(pinned)
-                .unwrap()
-                .entry
-                .set_form(other_form(8));
-            assert!(matches!(old_form, StoredResponse::XmlMessage(xml) if Arc::ptr_eq(&xml, &d)));
-            assert_eq!(Arc::strong_count(&c), 2);
+            // Clear hands its payloads back too.
             let emptied = shard.clear();
             assert_eq!(emptied.iter().flatten().count(), 2);
-            assert_eq!(Arc::strong_count(&c), 2);
+            assert_eq!((Arc::strong_count(&c), Arc::strong_count(&d)), (2, 2));
             // As every operation does before it releases its shard.
             store.settle(before, &shard);
             drop(shard);
@@ -1533,24 +1276,6 @@ mod tests {
         store.clear();
         assert_eq!(Arc::strong_count(&d), 1, "cleared");
         store.audit().unwrap();
-    }
-
-    #[test]
-    fn hit_counts_accumulate_and_reset_on_replacement() {
-        let store = CacheStore::default();
-        store.put(key(1), value(10), 1000, 0);
-        for expected in 1..=3u64 {
-            match store.get(&key(1), 0) {
-                Lookup::Live(found) => assert_eq!(found.hits, expected),
-                other => panic!("expected live, got {other:?}"),
-            }
-        }
-        // A replacement is a fresh response: popularity starts over.
-        store.put(key(1), value(10), 1000, 0);
-        match store.get(&key(1), 0) {
-            Lookup::Live(found) => assert_eq!(found.hits, 1),
-            other => panic!("expected live, got {other:?}"),
-        }
     }
 
     #[test]

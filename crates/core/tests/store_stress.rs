@@ -1,23 +1,25 @@
 //! Stress and property tests for the sharded intrusive-LRU store:
 //! eviction order against a reference model, per-shard capacity
-//! boundaries, multi-threaded accounting drift, and two callers evicting
-//! each other's decoded responses from one byte-budgeted cache.
+//! boundaries, multi-threaded accounting drift, hits racing inserts of
+//! one key, and two callers evicting each other's decoded responses from
+//! one byte-budgeted cache.
 //!
 //! The build environment is offline (no `proptest`), so these use a
 //! hand-rolled deterministic xorshift generator with fixed seeds, like
 //! `proptests.rs`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
-use wsrc_cache::repr::StoredResponse;
+use wsrc_cache::repr::{StoredResponse, ValueRepresentation};
 use wsrc_cache::store::{CacheStore, Capacity, Lookup};
-use wsrc_cache::{CacheEntry, CacheKey, ResponseCache, ResponseData};
+use wsrc_cache::{CacheEntry, CacheKey, CachePolicy, OperationPolicy, ResponseCache, ResponseData};
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 use wsrc_soap::deserializer::read_response_bytes_recording;
 use wsrc_soap::rpc::RpcRequest;
 use wsrc_soap::serializer::serialize_response;
+use wsrc_xml::event::SaxEventSequence;
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -253,8 +255,8 @@ fn eviction_pressure_ten_k_inserts_into_one_k_store() {
 }
 
 /// Sixteen writer threads hammer overlapping keys through get/put/
-/// replace_form/invalidate while an auditor thread repeatedly
-/// cross-checks every shard's accounting; counters must never drift.
+/// invalidate while an auditor thread repeatedly cross-checks every
+/// shard's accounting; counters must never drift.
 #[test]
 fn sixteen_thread_stress_accounting_never_drifts() {
     let store = Arc::new(CacheStore::new(Capacity {
@@ -289,19 +291,6 @@ fn sixteen_thread_stress_accounting_never_drifts() {
                     1..=3 => {
                         let _ = store.get(&key(k), i as u64);
                     }
-                    4 => {
-                        // Convert-on-hit: read, then publish a form of
-                        // another size against the generation read —
-                        // refused whenever another thread got in between.
-                        if let Lookup::Live(found) = store.get(&key(k), i as u64) {
-                            let form = StoredResponse::Serialized(Arc::from(vec![
-                                0u8;
-                                8 + rng
-                                    .below(400)
-                            ]));
-                            let _ = store.replace_form(&key(k), found.generation, form, i as u64);
-                        }
-                    }
                     _ => {
                         let size = 16 + rng.below(240);
                         let ttl = 1 + rng.below(5000) as u64;
@@ -321,6 +310,89 @@ fn sixteen_thread_stress_accounting_never_drifts() {
     let (entries, bytes) = store.occupancy();
     assert!(entries <= 256, "entries={entries}");
     assert!(bytes <= 512 * 1024, "bytes={bytes}");
+}
+
+/// While one thread alternates two different responses under one key,
+/// every concurrent hit equals one of the two, and from the moment an
+/// insert returns every hit equals the response it stored — checked by
+/// the writer after each insert and by everyone after the last. Once per
+/// form the cache stores in production, forced by policy.
+#[test]
+fn hits_racing_inserts_never_see_a_superseded_response() {
+    const URL: &str = "http://backend.test/soap";
+    let registry = search_registry();
+    let expected = FieldType::Struct("Result".into());
+    let request = RpcRequest::new("urn:search", "search").with_param("n", 7);
+    let exchange = |answer| Exchange::answering(&answer, &expected, &registry);
+    let (a, b) = (exchange(search_result(0, 1)), exchange(search_result(1, 2)));
+    assert_ne!(a.value, b.value);
+    /// Stops the readers when the writer is done, even by a failed
+    /// assertion — the scope would otherwise wait on them forever.
+    struct StopReaders<'a>(&'a AtomicBool);
+    impl Drop for StopReaders<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    for form in [
+        ValueRepresentation::XmlMessage,
+        ValueRepresentation::SaxEvents,
+        ValueRepresentation::Serialization,
+        ValueRepresentation::PassByReference,
+    ] {
+        let cache = ResponseCache::builder(registry.clone())
+            .policy(
+                CachePolicy::new()
+                    .with_default(OperationPolicy::cacheable(Duration::from_secs(3600)))
+                    .with_representation(form),
+            )
+            .build();
+        let insert = |x: &Exchange| {
+            assert_eq!(cache.insert(URL, &request, x.data()), Some(form));
+        };
+        insert(&a);
+        let writer_done = AtomicBool::new(false);
+        // Readers and writer leave the barrier together, so the hits
+        // overlap the inserts from the first round on.
+        let start = Barrier::new(5);
+        std::thread::scope(|scope| {
+            let _stop = StopReaders(&writer_done);
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    while !writer_done.load(Ordering::SeqCst) {
+                        let hit = cache.lookup(URL, &request, &expected).expect("hit");
+                        let got = hit.as_value();
+                        assert!(
+                            got == &a.value || got == &b.value,
+                            "{form}: hit equals neither inserted response: {got:?}"
+                        );
+                    }
+                });
+            }
+            start.wait();
+            for round in 0..2000 {
+                let x = if round % 2 == 0 { &b } else { &a };
+                insert(x);
+                let hit = cache.lookup(URL, &request, &expected).expect("hit");
+                assert_eq!(
+                    hit.as_value(),
+                    &x.value,
+                    "{form}, round {round}: a superseded response was served"
+                );
+            }
+        });
+        // The last insert (round 1999) stored `a`.
+        for _ in 0..20 {
+            let hit = cache.lookup(URL, &request, &expected).expect("hit");
+            assert_eq!(hit.as_value(), &a.value, "{form}");
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.inserts_for(form), 2001, "{form}");
+        assert_eq!(stats.hits, stats.hits_for(form), "{form}");
+        assert_eq!(cache.len(), 1);
+        cache.audit().expect("accounting after the race");
+    }
 }
 
 /// A search-result-like schema: a struct of an array of structs of
@@ -353,6 +425,37 @@ fn search_registry() -> TypeRegistry {
             ],
         ))
         .build()
+}
+
+/// The artifacts of the exchange in which the back end answered `value`,
+/// decoded as the client does.
+struct Exchange {
+    xml: Arc<[u8]>,
+    events: Arc<SaxEventSequence>,
+    value: Value,
+}
+
+impl Exchange {
+    fn answering(answer: &Value, expected: &FieldType, registry: &TypeRegistry) -> Exchange {
+        let xml = serialize_response("urn:search", "search", "return", answer, registry).unwrap();
+        let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
+        let (outcome, events) = read_response_bytes_recording(&xml, expected, registry).unwrap();
+        let value = outcome.into_return().expect("not a fault");
+        assert_eq!(&value, answer);
+        Exchange {
+            xml,
+            events: Arc::new(events),
+            value,
+        }
+    }
+
+    fn data(&self) -> ResponseData<'_> {
+        ResponseData {
+            xml: &self.xml,
+            events: &self.events,
+            value: &self.value,
+        }
+    }
 }
 
 /// What the back end answers to request `n` of `caller`: distinct per
@@ -421,17 +524,10 @@ fn two_callers_evict_each_others_decoded_responses() {
         request: &RpcRequest,
         answer: &Value,
     ) {
-        let xml = serialize_response("urn:search", "search", "return", answer, registry).unwrap();
-        let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
-        let (outcome, events) = read_response_bytes_recording(&xml, expected, registry).unwrap();
-        let decoded = outcome.into_return().expect("not a fault");
-        assert_eq!(&decoded, answer);
-        let data = ResponseData {
-            xml: &xml,
-            events: &Arc::new(events),
-            value: &decoded,
-        };
-        cache.insert(URL, request, data).expect("cacheable");
+        let exchange = Exchange::answering(answer, expected, registry);
+        cache
+            .insert(URL, request, exchange.data())
+            .expect("cacheable");
     }
     let cache_of = |capacity: Capacity| {
         ResponseCache::builder(registry.clone())

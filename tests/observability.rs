@@ -2,6 +2,7 @@
 //! SOAP dispatch → caching client middleware) recorded into a metrics
 //! registry, exposed over `GET /metrics`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 use wsrcache::cache::{
@@ -196,4 +197,69 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
     ] {
         assert!(body.contains(metric), "missing {metric} in:\n{body}");
     }
+}
+
+/// The cache's metric families are a checked list: what a freshly built
+/// cache registers is exactly what README's Observability table names,
+/// and no label takes a value outside the fixed sets below. A family
+/// added without a row, a row whose family is gone, or a label that can
+/// grow without bound fails here.
+#[test]
+fn the_caches_metric_families_are_the_documented_list() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let _cache = ResponseCache::builder(google::registry())
+        .metrics(registry.clone())
+        .metrics_label("catalogue")
+        .build();
+    let snap = registry.snapshot();
+    let ids = snap
+        .counters
+        .iter()
+        .map(|(id, _)| id)
+        .chain(snap.gauges.iter().map(|(id, _)| id))
+        .chain(snap.histograms.iter().map(|(id, _)| id));
+    let reprs = ValueRepresentation::ALL_EXTENDED.map(|r| r.metric_label());
+    let mut registered = BTreeSet::new();
+    for id in ids {
+        registered.insert(id.name.clone());
+        for (label, value) in &id.labels {
+            let allowed: &[&str] = match label.as_str() {
+                "cache" => &["catalogue"],
+                "repr" => &reprs,
+                "stage" => &["keygen", "lookup", "insert"],
+                "strategy" => &["auto", "xml-message", "serialization", "to-string"],
+                "kind" => &["expired", "lru"],
+                other => panic!("{}: label `{other}` is not in the catalogue", id.name),
+            };
+            assert!(
+                allowed.contains(&value.as_str()),
+                "{}: {label}={value} is outside {allowed:?}",
+                id.name
+            );
+        }
+    }
+
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let section = readme
+        .split("\n## Observability")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("README has an Observability section");
+    let documented: BTreeSet<String> = section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .flat_map(|row| row.split('`'))
+        .filter(|token| token.starts_with("wsrc_cache_"))
+        .map(|token| {
+            let end = token
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
+                .unwrap_or(token.len());
+            token[..end].to_string()
+        })
+        .collect();
+    assert_eq!(
+        registered, documented,
+        "registered by the cache (left) against README's Observability table (right)"
+    );
 }

@@ -65,7 +65,7 @@ fn table_classifies_live_responses_like_the_paper() {
 }
 
 /// A client with NO representation configuration — the default is the
-/// §6 pick over the candidate set.
+/// shared object.
 fn default_client() -> ServiceClient {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let cache = Arc::new(
