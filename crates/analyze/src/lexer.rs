@@ -44,16 +44,6 @@ impl Token {
     }
 }
 
-/// The result of lexing one file: code tokens plus the line comments
-/// (needed for `// wsrc-allow(...)` suppressions).
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// All code tokens in source order.
-    pub tokens: Vec<Token>,
-    /// `(line, text-after-slashes)` for every `//` comment.
-    pub line_comments: Vec<(u32, String)>,
-}
-
 fn is_ident_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_'
 }
@@ -62,16 +52,17 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Lexes `source` into tokens and line comments.
-pub fn lex(source: &str) -> Lexed {
+/// Lexes `source` into its code tokens, in source order; comments are
+/// dropped.
+pub fn lex(source: &str) -> Vec<Token> {
     let bytes = source.as_bytes();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
 
     macro_rules! push {
         ($kind:expr, $text:expr) => {
-            out.tokens.push(Token {
+            out.push(Token {
                 line,
                 kind: $kind,
                 text: $text,
@@ -88,14 +79,9 @@ pub fn lex(source: &str) -> Lexed {
             }
             _ if b.is_ascii_whitespace() => i += 1,
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
-                let mut end = start;
-                while end < bytes.len() && bytes[end] != b'\n' {
-                    end += 1;
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
                 }
-                let text = String::from_utf8_lossy(&bytes[start..end]).into_owned();
-                out.line_comments.push((line, text));
-                i = end;
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 // Block comments nest in Rust.
@@ -275,7 +261,6 @@ mod tests {
 
     fn idents(src: &str) -> Vec<String> {
         lex(src)
-            .tokens
             .into_iter()
             .filter(|t| t.kind == TokenKind::Ident)
             .map(|t| t.text)
@@ -286,8 +271,8 @@ mod tests {
     fn idents_and_puncts() {
         let l = lex("fn main() { x.y(); }");
         assert_eq!(idents("fn main() { x.y(); }"), ["fn", "main", "x", "y"]);
-        assert!(l.tokens.iter().any(|t| t.is_punct('{')));
-        assert!(l.tokens.iter().any(|t| t.is_punct('.')));
+        assert!(l.iter().any(|t| t.is_punct('{')));
+        assert!(l.iter().any(|t| t.is_punct('.')));
     }
 
     #[test]
@@ -298,19 +283,18 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_captured_not_tokenized() {
-        let l = lex("let a = 1; // wsrc-allow(panic-freedom): reason\nlet b = 2;");
-        assert_eq!(l.line_comments.len(), 1);
-        assert_eq!(l.line_comments[0].0, 1);
-        assert!(l.line_comments[0].1.contains("wsrc-allow"));
-        assert!(!l.tokens.iter().any(|t| t.is_ident("wsrc")));
+    fn comments_are_not_tokenized() {
+        assert_eq!(
+            idents("let a = 1; // Ordering::Relaxed\nlet b = 2;"),
+            ["let", "a", "let", "b"]
+        );
     }
 
     #[test]
     fn block_comments_nest_and_track_lines() {
         let l = lex("/* outer /* inner */ still */ fn f() {}\nfn g() {}");
-        let f = l.tokens.iter().find(|t| t.is_ident("f")).unwrap();
-        let g = l.tokens.iter().find(|t| t.is_ident("g")).unwrap();
+        let f = l.iter().find(|t| t.is_ident("f")).unwrap();
+        let g = l.iter().find(|t| t.is_ident("g")).unwrap();
         assert_eq!(f.line, 1);
         assert_eq!(g.line, 2);
     }
@@ -319,32 +303,23 @@ mod tests {
     fn lifetimes_and_char_literals() {
         let l = lex("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
         assert_eq!(
-            l.tokens
-                .iter()
-                .filter(|t| t.kind == TokenKind::Lifetime)
-                .count(),
+            l.iter().filter(|t| t.kind == TokenKind::Lifetime).count(),
             2
         );
-        assert_eq!(
-            l.tokens
-                .iter()
-                .filter(|t| t.kind == TokenKind::Literal)
-                .count(),
-            2
-        );
+        assert_eq!(l.iter().filter(|t| t.kind == TokenKind::Literal).count(), 2);
     }
 
     #[test]
     fn numbers_do_not_eat_ranges() {
         let l = lex("for i in 0..10 { let x = 1.5; }");
-        let dots = l.tokens.iter().filter(|t| t.is_punct('.')).count();
+        let dots = l.iter().filter(|t| t.is_punct('.')).count();
         assert_eq!(dots, 2, "0..10 keeps both dots");
     }
 
     #[test]
     fn line_numbers_advance_in_strings() {
         let l = lex("let s = \"a\nb\";\nfn f() {}");
-        let f = l.tokens.iter().find(|t| t.is_ident("fn")).unwrap();
+        let f = l.iter().find(|t| t.is_ident("fn")).unwrap();
         assert_eq!(f.line, 3);
     }
 }

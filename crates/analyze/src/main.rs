@@ -1,32 +1,20 @@
 //! CLI for the workspace static analyzer.
 //!
 //! ```text
-//! wsrc-analyze [PATH ...] [--format text|json|sarif] [--sarif] [--unresolved] [--deny]
+//! wsrc-analyze [PATH ...] [--deny]
 //! ```
 //!
 //! With no paths, scans the current directory. `--deny` exits non-zero
-//! when any violation (or malformed suppression) is found — this is the
-//! mode `scripts/verify.sh` runs as a tier-1 gate. `--sarif` is
-//! shorthand for `--format sarif` (CI uploads it for GitHub
-//! annotations). `--unresolved` appends the lock-relevant
-//! unresolved-call bucket to text output; unresolved calls bound what
-//! the interprocedural rules can see but never fail `--deny`.
+//! when any violation is found — this is the mode `scripts/verify.sh`
+//! runs as a tier-1 gate.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn usage() -> ! {
-    eprintln!(
-        "usage: wsrc-analyze [PATH ...] [--format text|json|sarif] [--sarif] [--unresolved] [--deny]"
-    );
+    eprintln!("usage: wsrc-analyze [PATH ...] [--deny]");
     eprintln!();
     eprintln!("rules:");
     for (code, id, summary) in wsrc_analyze::RULES {
@@ -37,23 +25,11 @@ fn usage() -> ! {
 
 fn main() -> ExitCode {
     let mut paths: Vec<PathBuf> = Vec::new();
-    let mut format = Format::Text;
     let mut deny = false;
-    let mut unresolved = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--sarif" => format = Format::Sarif,
-            "--unresolved" => unresolved = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                _ => usage(),
-            },
-            "--help" | "-h" => usage(),
             other if other.starts_with('-') => usage(),
             other => paths.push(PathBuf::from(other)),
         }
@@ -62,21 +38,10 @@ fn main() -> ExitCode {
         paths.push(PathBuf::from("."));
     }
 
-    let report = wsrc_analyze::analyze_paths_full(&paths);
-    let rendered = match format {
-        Format::Text => {
-            let mut text = wsrc_analyze::render_text(&report.diagnostics);
-            if unresolved {
-                text.push_str(&wsrc_analyze::render_unresolved(&report));
-            }
-            text
-        }
-        Format::Json => wsrc_analyze::render_json(&report),
-        Format::Sarif => wsrc_analyze::render_sarif(&report),
-    };
-    print!("{rendered}");
+    let diagnostics = wsrc_analyze::analyze_paths(&paths);
+    print!("{}", wsrc_analyze::render_text(&diagnostics));
 
-    if deny && !report.diagnostics.is_empty() {
+    if deny && !diagnostics.is_empty() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -2,24 +2,12 @@
 //!
 //! One pass over a file's tokens recovers everything the rules need:
 //! test regions (`#[cfg(test)]` / `#[test]` blocks and files under a
-//! `tests/` directory), `// wsrc-allow(rule): reason` suppressions,
-//! struct/enum declarations with the type names they reference (for the
-//! R1 reachability graph), and function-body spans (for the call-graph
-//! model). No expression grammar is needed — brace matching and a few
-//! keyword anchors carry all of it.
+//! `tests/` directory) and struct/enum declarations with the type names
+//! they reference (for the R1 reachability graph). No expression
+//! grammar is needed — brace matching and a few keyword anchors carry
+//! all of it.
 
 use crate::lexer::{lex, Token, TokenKind};
-
-/// A parsed `// wsrc-allow(rule-id): reason` suppression comment.
-#[derive(Debug, Clone)]
-pub struct Suppression {
-    /// Line the comment sits on.
-    pub line: u32,
-    /// The rule id being suppressed (e.g. `clock-discipline`).
-    pub rule: String,
-    /// The mandatory human reason.
-    pub reason: String,
-}
 
 /// A struct/enum declaration and the type names its body references.
 #[derive(Debug, Clone)]
@@ -34,20 +22,6 @@ pub struct TypeDecl {
     pub refs: Vec<(u32, String)>,
 }
 
-/// A function body, as a token index range.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// Function name.
-    pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
-    /// Token index of the function-name identifier (the signature —
-    /// generics, parameters, return type — sits between it and `body.0`).
-    pub name_idx: usize,
-    /// Token indices of the opening and closing body braces (inclusive).
-    pub body: (usize, usize),
-}
-
 /// One analyzed source file.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -55,10 +29,6 @@ pub struct SourceFile {
     pub path: String,
     /// Lexed code tokens.
     pub tokens: Vec<Token>,
-    /// Well-formed suppressions.
-    pub suppressions: Vec<Suppression>,
-    /// `(line, problem)` for malformed `wsrc-allow` comments.
-    pub malformed_suppressions: Vec<(u32, String)>,
     /// Line ranges (inclusive) covered by `#[cfg(test)]` / `#[test]`.
     pub test_ranges: Vec<(u32, u32)>,
     /// Whole file is test code (lives under a `tests/` directory).
@@ -67,32 +37,22 @@ pub struct SourceFile {
     pub is_corpus: bool,
     /// Struct/enum declarations.
     pub types: Vec<TypeDecl>,
-    /// Function bodies.
-    pub fns: Vec<FnSpan>,
 }
 
 impl SourceFile {
     /// Parses `source` as the file at `path`.
     pub fn parse(path: &str, source: &str) -> SourceFile {
-        let lexed = lex(source);
         let is_corpus = has_component(path, "corpus");
         let mut file = SourceFile {
             path: path.replace('\\', "/"),
             is_corpus,
             is_test_file: !is_corpus && has_component(path, "tests"),
-            tokens: lexed.tokens,
-            suppressions: Vec::new(),
-            malformed_suppressions: Vec::new(),
+            tokens: lex(source),
             test_ranges: Vec::new(),
             types: Vec::new(),
-            fns: Vec::new(),
         };
-        for (line, text) in &lexed.line_comments {
-            parse_suppression(*line, text, &mut file);
-        }
         find_test_ranges(&mut file);
         find_types(&mut file);
-        find_fns(&mut file);
         file
     }
 
@@ -104,52 +64,15 @@ impl SourceFile {
                 .iter()
                 .any(|&(a, b)| a <= line && line <= b)
     }
-
-    /// Whether a diagnostic for `rule` on `line` is suppressed by a
-    /// `wsrc-allow` comment on the same line or the line above.
-    pub fn is_suppressed(&self, rule: &str, line: u32) -> bool {
-        self.suppressions
-            .iter()
-            .any(|s| s.rule == rule && (s.line == line || s.line + 1 == line))
-    }
 }
 
 fn has_component(path: &str, component: &str) -> bool {
     path.replace('\\', "/").split('/').any(|c| c == component)
 }
 
-fn parse_suppression(line: u32, text: &str, file: &mut SourceFile) {
-    let trimmed = text.trim();
-    let Some(rest) = trimmed.strip_prefix("wsrc-allow") else {
-        return;
-    };
-    let malformed = |file: &mut SourceFile, why: &str| {
-        file.malformed_suppressions.push((line, why.to_string()));
-    };
-    let Some(rest) = rest.trim_start().strip_prefix('(') else {
-        return malformed(file, "expected `wsrc-allow(rule-id): reason`");
-    };
-    let Some(close) = rest.find(')') else {
-        return malformed(file, "unclosed `(` in wsrc-allow");
-    };
-    let rule = rest[..close].trim().to_string();
-    if rule.is_empty() {
-        return malformed(file, "empty rule id in wsrc-allow");
-    }
-    let after = rest[close + 1..].trim_start();
-    let Some(reason) = after.strip_prefix(':') else {
-        return malformed(file, "missing `: reason` — suppressions must say why");
-    };
-    let reason = reason.trim().to_string();
-    if reason.is_empty() {
-        return malformed(file, "empty reason — suppressions must say why");
-    }
-    file.suppressions.push(Suppression { line, rule, reason });
-}
-
 /// Finds the token index of the brace matching the opening brace at
 /// `open` (which must be `{`). Returns the last token on failure.
-pub(crate) fn matching_brace(tokens: &[Token], open: usize) -> usize {
+fn matching_brace(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
         match t.kind {
@@ -315,71 +238,9 @@ fn collect_type_refs(tokens: &[Token], is_enum: bool, refs: &mut Vec<(u32, Strin
     }
 }
 
-/// Records every `fn` body as a token range.
-fn find_fns(file: &mut SourceFile) {
-    let tokens = &file.tokens;
-    let mut fns = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !tokens[i].is_ident("fn") {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1) else {
-            break;
-        };
-        if name_tok.kind != TokenKind::Ident {
-            i += 1;
-            continue;
-        }
-        // The body is the first `{` before a `;` (trait methods without a
-        // default body end at `;`).
-        let mut j = i + 2;
-        while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-            j += 1;
-        }
-        if j < tokens.len() && tokens[j].is_punct('{') {
-            let close = matching_brace(tokens, j);
-            fns.push(FnSpan {
-                name: name_tok.text.clone(),
-                line: tokens[i].line,
-                name_idx: i + 1,
-                body: (j, close),
-            });
-        }
-        i = j + 1;
-    }
-    file.fns = fns;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suppressions_parse_with_reason() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "// wsrc-allow(clock-discipline): fixture needs real time\nfn f() {}",
-        );
-        assert_eq!(f.suppressions.len(), 1);
-        assert_eq!(f.suppressions[0].rule, "clock-discipline");
-        assert!(f.is_suppressed("clock-discipline", 1));
-        assert!(f.is_suppressed("clock-discipline", 2));
-        assert!(!f.is_suppressed("clock-discipline", 3));
-        assert!(!f.is_suppressed("panic-freedom", 2));
-    }
-
-    #[test]
-    fn suppressions_without_reason_are_malformed() {
-        let f = SourceFile::parse("x.rs", "// wsrc-allow(panic-freedom)\nfn f() {}");
-        assert!(f.suppressions.is_empty());
-        assert_eq!(f.malformed_suppressions.len(), 1);
-        let f = SourceFile::parse("x.rs", "// wsrc-allow(panic-freedom):   \nfn f() {}");
-        assert_eq!(f.malformed_suppressions.len(), 1);
-        let f = SourceFile::parse("x.rs", "// wsrc-allow: no rule\nfn f() {}");
-        assert_eq!(f.malformed_suppressions.len(), 1);
-    }
 
     #[test]
     fn cfg_test_blocks_become_test_ranges() {
@@ -428,14 +289,6 @@ mod tests {
             "variant names skipped"
         );
         assert!(!e.contains(&"inner"), "struct-variant field names skipped");
-    }
-
-    #[test]
-    fn fn_bodies_are_spanned() {
-        let src = "fn a() { if x { y(); } }\ntrait T { fn b(&self); }\nfn c() {}";
-        let f = SourceFile::parse("x.rs", src);
-        let names: Vec<&str> = f.fns.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["a", "c"], "bodyless trait fn is skipped");
     }
 
     #[test]

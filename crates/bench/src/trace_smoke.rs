@@ -107,6 +107,10 @@ pub fn run_trace_smoke() -> Result<String, String> {
 
     // One miss (pays the back-end latency) and one hit on the same query.
     for _ in 0..2 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the smoke driver is the edge of the world: a trace starts here"
+        )]
         let mut root = tracer.root_span("trace-smoke", "/portal");
         let url = base.with_path("/portal?q=trace-smoke".to_string());
         let outcome = client.get(&url);

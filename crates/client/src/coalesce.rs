@@ -98,31 +98,37 @@ impl InflightTable {
     /// later callers block until the leader finishes and then return as
     /// followers.
     pub fn join(self: &Arc<Self>, key: CacheKey) -> Role {
-        let existing = {
+        let (flight, leads) = {
             let mut flights = sync::lock_class("InflightTable.flights", &self.flights);
             match flights.get(&key) {
-                Some(existing) => existing.clone(),
+                Some(existing) => (existing.clone(), false),
                 None => {
                     let flight = Arc::new(Flight::default());
                     if let Some(ctx) = wsrc_obs::trace::current_context() {
                         flight.leader_span.store(ctx.span_id, Ordering::SeqCst);
                     }
                     flights.insert(key.clone(), flight.clone());
-                    role_counter("leader").inc();
-                    return Role::Leader(LeaderGuard {
-                        table: self.clone(),
-                        key,
-                        flight,
-                    });
+                    (flight, true)
                 }
             }
         };
+        if leads {
+            // Counted outside the table's critical section: the first
+            // leader in a process resolves the counter by name through
+            // the global registry's lock.
+            role_counter("leader").inc();
+            return Role::Leader(LeaderGuard {
+                table: self.clone(),
+                key,
+                flight,
+            });
+        }
         // A tracing follower records its wait as a span referencing the
         // leader's exchange span, so coalesced requests stay correlatable.
         let span = wsrc_obs::trace::child_span("coalesce-wait", "coalesce");
-        existing.wait();
+        flight.wait();
         if let Some(mut span) = span {
-            let leader = existing.leader_span.load(Ordering::SeqCst);
+            let leader = flight.leader_span.load(Ordering::SeqCst);
             if leader != 0 {
                 span.annotate(format!(
                     "leader_span={}",

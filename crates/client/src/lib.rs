@@ -1,5 +1,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Every cached call runs through this crate: errors propagate, and a
+// poisoned lock is recovered via `wsrc_obs::sync`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! Web services client middleware — the Apache-Axis analog.
 //!

@@ -1,5 +1,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Every cached call runs through this crate: errors propagate, and a
+// poisoned lock is recovered via `wsrc_obs::sync`.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! The paper's contribution: a transparent response cache for Web
 //! services client middleware, with selectable cache-key and cache-value

@@ -323,7 +323,10 @@ impl StoredResponse {
         }
     }
 
-    /// Approximate memory footprint in bytes (the paper's Table 9).
+    /// Approximate memory footprint in bytes (the paper's Table 9). No
+    /// wildcard arm: a new form does not compile until it says what it
+    /// charges the byte budget.
+    #[deny(clippy::wildcard_enum_match_arm)]
     pub fn approximate_size(&self) -> usize {
         std::mem::size_of::<StoredResponse>()
             + match self {

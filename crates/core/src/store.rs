@@ -415,7 +415,8 @@ impl Shard {
             ));
         }
         // Recency list must visit every live slot exactly once, both ways.
-        let walks: [(u32, fn(&Slot) -> u32, u32); 2] = [
+        type Walk = (u32, fn(&Slot) -> u32, u32);
+        let walks: [Walk; 2] = [
             (self.lru_head, |s: &Slot| s.lru_next, self.lru_tail),
             (self.lru_tail, |s: &Slot| s.lru_prev, self.lru_head),
         ];

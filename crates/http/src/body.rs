@@ -152,7 +152,7 @@ impl<const N: usize> PartialEq<[u8; N]> for Body {
 
 impl<const N: usize> PartialEq<&[u8; N]> for Body {
     fn eq(&self, other: &&[u8; N]) -> bool {
-        &*self.0 == &other[..]
+        *self.0 == other[..]
     }
 }
 

@@ -142,7 +142,7 @@ mod tests {
     use std::time::UNIX_EPOCH;
     use wsrc_obs::{Clock, SystemClock};
 
-    /// Wall time via the injected clock (analyzer rule R3).
+    /// Wall time via the injected clock.
     fn clock_now() -> SystemTime {
         UNIX_EPOCH + Duration::from_millis(SystemClock.now_millis())
     }

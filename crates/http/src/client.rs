@@ -299,6 +299,7 @@ impl HttpClient {
     }
 
     fn connect(&self, authority: &str) -> Result<TcpStream, HttpError> {
+        sync::assert_unlocked("TcpStream::connect");
         let stream = TcpStream::connect(authority)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(self.timeout)?;

@@ -277,6 +277,7 @@ impl Request {
     /// Returns protocol errors for malformed requests and I/O errors from
     /// the reader.
     pub fn read_from<R: BufRead>(r: &mut R) -> Result<Option<Request>, HttpError> {
+        wsrc_obs::sync::assert_unlocked("an HTTP request read");
         let line = match read_line(r)? {
             Some(l) => l,
             None => return Ok(None),
@@ -390,6 +391,7 @@ impl Response {
     /// Returns protocol errors for malformed responses, including EOF
     /// before a complete message.
     pub fn read_from<R: BufRead>(r: &mut R) -> Result<Response, HttpError> {
+        wsrc_obs::sync::assert_unlocked("an HTTP response read");
         let line = read_line(r)?
             .ok_or_else(|| HttpError::protocol("connection closed before response"))?;
         let mut parts = line.splitn(3, ' ');
@@ -452,6 +454,7 @@ fn push_header_lines(head: &mut String, headers: &Headers, body_len: usize) {
 /// writer in one syscall when the transport supports it, instead of
 /// the old two sequential `write_all` calls.
 fn write_message<W: Write>(w: &mut W, head: &str, body: &[u8]) -> Result<(), HttpError> {
+    wsrc_obs::sync::assert_unlocked("an HTTP message write");
     let head = head.as_bytes();
     let total = head.len() + body.len();
     let mut written = 0usize;

@@ -142,7 +142,7 @@ pub struct ServerConfig {
     pub clock: Arc<dyn Clock>,
     /// Tracer continuing `traceparent` contexts received on requests.
     /// The server never mints roots — untraced requests stay untraced
-    /// (rule R8's no-orphan-roots discipline).
+    /// (no orphan roots: `clippy.toml` disallows `root_span` here).
     pub tracer: Arc<Tracer>,
 }
 
@@ -310,6 +310,10 @@ impl Server {
             metrics: ServerMetrics::new(&config.registry),
         });
         let accept_shared = shared.clone();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pool construction: one accept thread, joined on shutdown"
+        )]
         let accept_thread = std::thread::Builder::new()
             .name(format!("http-accept-{port}"))
             .spawn(move || accept_loop(listener, accept_shared))
@@ -317,6 +321,10 @@ impl Server {
         let mut workers = Vec::with_capacity(worker_count);
         for i in 0..worker_count {
             let worker_shared = shared.clone();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "pool construction: a fixed set of workers, joined on shutdown"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("http-worker-{port}-{i}"))
                 .spawn(move || worker_loop(worker_shared))

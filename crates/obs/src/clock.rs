@@ -28,6 +28,7 @@ pub trait Clock: Send + Sync {
     /// `wsrc_http::LatencyTransport`) is instantaneous and deterministic
     /// in tests.
     fn sleep(&self, duration: std::time::Duration) {
+        crate::sync::assert_unlocked("Clock::sleep");
         std::thread::sleep(duration);
     }
 }
@@ -37,6 +38,10 @@ pub trait Clock: Send + Sync {
 pub struct SystemClock;
 
 impl Clock for SystemClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Clock implementations are where real time enters"
+    )]
     fn now_millis(&self) -> u64 {
         SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -44,6 +49,10 @@ impl Clock for SystemClock {
             .unwrap_or(0)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Clock implementations are where real time enters"
+    )]
     fn now_nanos(&self) -> u64 {
         SystemTime::now()
             .duration_since(UNIX_EPOCH)
@@ -61,6 +70,10 @@ pub struct MonotonicClock {
 
 impl MonotonicClock {
     /// A clock whose epoch is "now".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Clock implementations are where real time enters"
+    )]
     pub fn new() -> Self {
         MonotonicClock {
             origin: Instant::now(),

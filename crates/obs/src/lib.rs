@@ -32,8 +32,8 @@
 //!   library-level instrumentation (XML parse, copy mechanisms, client
 //!   stages) records into.
 //! - [`sync`] — poison-tolerant `Mutex`/`Condvar` helpers so hot paths
-//!   stay panic-free (analyzer rule R4) without sprinkling
-//!   `unwrap_or_else(PoisonError::into_inner)` everywhere.
+//!   stay panic-free (`clippy::unwrap_used` is denied there) without
+//!   sprinkling `unwrap_or_else(PoisonError::into_inner)` everywhere.
 
 pub mod clock;
 pub mod global;

@@ -445,11 +445,7 @@ impl HistogramSnapshot {
 
     /// Mean sample in nanoseconds (0 when empty).
     pub fn mean_nanos(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.sum_nanos / self.count
-        }
+        self.sum_nanos.checked_div(self.count).unwrap_or(0)
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! Retained traces land in a fixed-capacity ring of recent traces plus
 //! a per-route slowest table; everything else is counted and dropped.
-//! All accessors take the single inner mutex exactly once (rule R5).
+//! All accessors take the single inner mutex exactly once.
 
 use crate::render::json_escape;
 use crate::sync;
@@ -270,12 +270,12 @@ impl TraceStore {
                         .is_some_and(|floor| duration_nanos > floor.duration_nanos));
             if qualifies_slowest {
                 slot.push(trace.clone());
-                slot.sort_by(|a, b| b.duration_nanos.cmp(&a.duration_nanos));
+                slot.sort_by_key(|t| std::cmp::Reverse(t.duration_nanos));
                 slot.truncate(self.config.slowest_per_route);
             }
 
             let sampled_in = self.config.sample_one_in > 0
-                && trace_id % u128::from(self.config.sample_one_in) == 0;
+                && trace_id.is_multiple_of(u128::from(self.config.sample_one_in));
             let retained = error || qualifies_slowest || sampled_in;
             if retained {
                 inner.recent.push_back(trace);
@@ -309,7 +309,7 @@ impl TraceStore {
             .flatten()
             .cloned()
             .collect();
-        all.sort_by(|a, b| b.duration_nanos.cmp(&a.duration_nanos));
+        all.sort_by_key(|t| std::cmp::Reverse(t.duration_nanos));
         all
     }
 

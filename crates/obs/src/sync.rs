@@ -1,33 +1,28 @@
-//! Poison-tolerant locking helpers, plus a debug-only lock-order
-//! witness.
+//! Poison-tolerant locking helpers, plus a debug-only lock witness.
 //!
-//! The cache hot path must be panic-free (analyzer rule R4), which rules
-//! out `.lock().unwrap()`. Poisoning only signals that *another* thread
-//! panicked while holding the guard; for the cache's own state —
-//! monotone maps, counters, condvar-paired flags — the data is still
-//! structurally valid, so every caller in this workspace prefers
-//! recovering the guard over propagating a secondary panic.
+//! The cache hot path must be panic-free (`clippy::unwrap_used` and
+//! `clippy::expect_used` are denied in `core`, `client` and `http`),
+//! which rules out `.lock().unwrap()`. Poisoning only signals that
+//! *another* thread panicked while holding the guard; for the cache's
+//! own state — monotone maps, counters, condvar-paired flags — the data
+//! is still structurally valid, so every caller in this workspace
+//! prefers recovering the guard over propagating a secondary panic.
 //!
-//! # Lock-order witness
+//! # Lock witness
 //!
-//! [`lock_class`] is [`lock`] with a *lock class* label — the same
-//! `"Owner.field"` classes the static analyzer's R5v2 rule derives for
-//! the workspace acquisition graph. In debug builds every `lock_class`
-//! acquisition is checked against a process-global edge set: each
-//! thread keeps a stack of the classes it holds, acquiring `B` while
-//! holding `A` records the edge `A -> B` together with a captured
-//! backtrace, and a later acquisition of `A` under `B` **panics**
-//! carrying *both* backtraces — the prior `B`-under-`A` site and the
-//! current inversion. The same cycle is what R5v2 reports statically
-//! (see `crates/analyze/tests/corpus/r5v2_trigger.rs` and the stress
-//! test in `crates/obs/tests/lock_witness.rs`); the witness catches
-//! orders the static model cannot see (trait objects, closures, calls
-//! through `dyn`). In release builds the witness is compiled out and
-//! [`lock_class`] costs exactly one poison-recovering `lock()`.
-//!
-//! Re-acquiring a class already held by the same thread also panics
-//! immediately: with `std::sync::Mutex` that is a guaranteed
-//! self-deadlock, not an ordering question.
+//! No thread in this workspace ever holds two locks, and none blocks
+//! while holding one — so there is no lock order to get wrong.
+//! [`lock_class`] is [`lock`] with a *lock class* label
+//! (`"Owner.field"`), and in debug builds it asserts exactly that: each
+//! thread remembers the one class it holds, acquiring a second
+//! **panics** naming both, and [`assert_unlocked`] — called where the
+//! workspace blocks (socket reads and writes, `TcpStream::connect`,
+//! `Clock::sleep`) — panics under any held class. A condvar wait
+//! releases the guard it waits on, so [`wait_class`] is not a blocking
+//! call in this sense. Every debug test run checks the property on
+//! every path it executes; in release builds the witness is compiled
+//! out, [`lock_class`] costs exactly one poison-recovering `lock()` and
+//! [`assert_unlocked`] nothing.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
@@ -57,8 +52,8 @@ pub fn wait_timeout<'a, T>(
 }
 
 /// A [`MutexGuard`] labelled with its lock class. Dereferences to the
-/// protected data; releases the class on the witness stack when
-/// dropped. Obtain one via [`lock_class`].
+/// protected data; tells the witness the thread holds nothing again
+/// when dropped. Obtain one via [`lock_class`].
 pub struct ClassGuard<'a, T> {
     // `Option` so `wait_class` can move the inner guard out while the
     // wrapper (and its witness registration) stays alive across the
@@ -101,21 +96,19 @@ impl<T> std::ops::DerefMut for ClassGuard<'_, T> {
 
 impl<T> Drop for ClassGuard<'_, T> {
     fn drop(&mut self) {
-        // Drop the inner guard (releasing the mutex) before retiring
-        // the class from this thread's witness stack.
+        // Drop the inner guard (releasing the mutex) before telling the
+        // witness.
         if self.guard.take().is_some() {
-            witness::released(self.class);
+            witness::released();
         }
     }
 }
 
 /// [`lock`], labelled with the acquisition's lock class.
 ///
-/// `class` should be the analyzer-visible class of `mutex`
-/// (`"Owner.field"`); keeping the two in agreement is what lets a
-/// runtime inversion panic and a static R5v2 diagnostic point at the
-/// same bug. The witness check runs *before* the mutex is touched, so
-/// an inversion panics instead of deadlocking.
+/// `class` names `mutex` as `"Owner.field"`. The witness check runs
+/// *before* the mutex is touched, so a nested acquisition panics
+/// instead of deadlocking.
 pub fn lock_class<'a, T>(class: &'static str, mutex: &'a Mutex<T>) -> ClassGuard<'a, T> {
     witness::acquiring(class);
     ClassGuard {
@@ -125,9 +118,9 @@ pub fn lock_class<'a, T>(class: &'static str, mutex: &'a Mutex<T>) -> ClassGuard
 }
 
 /// [`wait`] for a [`ClassGuard`]: blocks on `cv`, atomically releasing
-/// and reacquiring the guard's mutex. The class stays on the witness
-/// stack for the duration — the wait returns holding the same lock, so
-/// from an ordering perspective nothing was released.
+/// and reacquiring the guard's mutex. The class stays held for the
+/// witness — the wait returns holding the same lock, so a nested
+/// acquisition after wake-up is as wrong as one before it.
 pub fn wait_class<'a, T>(cv: &Condvar, mut guard: ClassGuard<'a, T>) -> ClassGuard<'a, T> {
     if let Some(inner) = guard.guard.take() {
         guard.guard = Some(cv.wait(inner).unwrap_or_else(PoisonError::into_inner));
@@ -157,69 +150,44 @@ pub fn wait_timeout_class<'a, T>(
     }
 }
 
-/// Debug-build lock-order witness: per-thread class stacks, a global
-/// first-seen edge set with captured backtraces, and a panic carrying
-/// both stacks when an acquisition inverts a recorded edge.
+/// Panics (debug builds only) if this thread holds a classed lock.
+/// `what` names the blocking operation about to start; call it where a
+/// thread may park on something other than the condvar of its own
+/// guard.
+#[inline]
+pub fn assert_unlocked(what: &'static str) {
+    witness::assert_unlocked(what);
+}
+
+/// Debug-build witness: the one class this thread holds, if any.
 #[cfg(debug_assertions)]
 mod witness {
-    use std::backtrace::Backtrace;
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock, PoisonError};
+    use std::cell::Cell;
 
     thread_local! {
-        /// Classes held by this thread, in acquisition order.
-        static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// `(held, acquired)` -> backtrace of the first acquisition that
-    /// created the edge. Never pruned: classes are a small static set.
-    fn edges() -> &'static Mutex<HashMap<(&'static str, &'static str), String>> {
-        static EDGES: OnceLock<Mutex<HashMap<(&'static str, &'static str), String>>> =
-            OnceLock::new();
-        EDGES.get_or_init(|| Mutex::new(HashMap::new()))
+        static HELD: Cell<Option<&'static str>> = const { Cell::new(None) };
     }
 
     pub(super) fn acquiring(class: &'static str) {
-        let stack: Vec<&'static str> = HELD.with(|h| h.borrow().clone());
-        assert!(
-            !stack.contains(&class),
-            "lock-order witness: thread re-acquires class `{class}` it already holds \
-             (held: {stack:?}); with std::sync::Mutex this self-deadlocks"
-        );
-        if !stack.is_empty() {
-            let bt = Backtrace::force_capture().to_string();
-            let mut map = edges().lock().unwrap_or_else(PoisonError::into_inner);
-            for &under in &stack {
-                if let Some(prior) = map.get(&(class, under)) {
-                    let msg = format!(
-                        "lock-order witness: inversion of `{class}` and `{under}` — this \
-                         thread acquires `{class}` while holding `{under}`, but `{under}` \
-                         was previously acquired while holding `{class}`. Static rule R5v2 \
-                         flags the same cycle.\n\
-                         --- stack that acquired `{under}` under `{class}` ---\n{prior}\n\
-                         --- stack now acquiring `{class}` under `{under}` ---\n{bt}"
-                    );
-                    drop(map);
-                    panic!("{msg}");
-                }
-            }
-            for &under in &stack {
-                map.entry((under, class)).or_insert_with(|| bt.clone());
-            }
+        if let Some(held) = HELD.get() {
+            panic!(
+                "lock witness: acquiring `{class}` while holding `{held}`; no thread \
+                 holds two classed locks"
+            );
         }
-        HELD.with(|h| h.borrow_mut().push(class));
+        HELD.set(Some(class));
     }
 
-    pub(super) fn released(class: &'static str) {
-        HELD.with(|h| {
-            let mut s = h.borrow_mut();
-            // Guards may drop out of acquisition order; retire the most
-            // recent instance of the class.
-            if let Some(pos) = s.iter().rposition(|&c| c == class) {
-                s.remove(pos);
-            }
-        });
+    pub(super) fn released() {
+        HELD.set(None);
+    }
+
+    pub(super) fn assert_unlocked(what: &'static str) {
+        if let Some(held) = HELD.get() {
+            panic!(
+                "lock witness: {what} while holding `{held}`; nothing blocks under a classed lock"
+            );
+        }
     }
 }
 
@@ -227,7 +195,8 @@ mod witness {
 #[cfg(not(debug_assertions))]
 mod witness {
     pub(super) fn acquiring(_class: &'static str) {}
-    pub(super) fn released(_class: &'static str) {}
+    pub(super) fn released() {}
+    pub(super) fn assert_unlocked(_what: &'static str) {}
 }
 
 #[cfg(test)]
@@ -329,32 +298,5 @@ mod tests {
             done = wait_class(cv, done);
         }
         waker.join().unwrap();
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn witness_panics_on_same_thread_reentry() {
-        let m1 = Mutex::new(0u32);
-        let err = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _a = lock_class("tests.reentry", &m1);
-                // Second acquisition of the same class on this thread:
-                // guaranteed deadlock, so the witness panics instead.
-                let m2 = Mutex::new(0u32);
-                let _b = lock_class("tests.reentry", &m2);
-            })
-            .join()
-        })
-        .unwrap_err();
-        let msg = panic_text(&err);
-        assert!(msg.contains("re-acquires class `tests.reentry`"), "{msg}");
-    }
-
-    #[cfg(debug_assertions)]
-    fn panic_text(err: &Box<dyn std::any::Any + Send>) -> String {
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
     }
 }

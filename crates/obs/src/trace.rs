@@ -23,10 +23,11 @@
 //!   [`Clock`], so span trees are exact under a
 //!   [`crate::clock::ManualClock`].
 //!
-//! Root discipline (analyzer rule R8): request-path spans must descend
-//! from a propagated context. Only designated root sites — the load
-//! generator and benchmark drivers — may mint fresh roots; servers
-//! *continue* a received context via [`Tracer::span_from`].
+//! Root discipline (`clippy.toml` disallows [`Tracer::root_span`]):
+//! request-path spans must descend from a propagated context. Only
+//! designated root sites — the load generator and benchmark drivers —
+//! may mint fresh roots; servers *continue* a received context via
+//! [`Tracer::span_from`].
 
 use crate::clock::Clock;
 use crate::sampler::{TraceStore, TraceStoreConfig};
@@ -56,8 +57,8 @@ pub fn format_span_id(id: u64) -> String {
 
 fn mix(n: u64) -> u64 {
     // One process-wide random hash seed; ids are hashes of a global
-    // serial, unique without consulting a wall clock (rule R3 keeps
-    // `Instant::now` out of library code).
+    // serial, unique without consulting a wall clock (`clippy.toml`
+    // keeps `Instant::now` out of library code).
     static SEED: OnceLock<RandomState> = OnceLock::new();
     let mut h = SEED.get_or_init(RandomState::new).build_hasher();
     h.write_u64(n);
@@ -236,8 +237,8 @@ impl Tracer {
     }
 
     /// Mints a fresh trace root. Only designated root sites (load
-    /// generator, benchmark drivers) may call this — rule R8 flags
-    /// other callers, because a request-path span created from thin
+    /// generator, benchmark drivers) may call this — `clippy.toml`
+    /// disallows it elsewhere, because a request-path span created from thin
     /// air breaks end-to-end attribution.
     pub fn root_span(self: &Arc<Self>, name: &'static str, route: &str) -> ActiveSpan {
         let ctx = TraceContext::root();

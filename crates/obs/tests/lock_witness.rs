@@ -1,21 +1,18 @@
-//! Stress test for the debug-only runtime lock-order witness.
-//!
-//! Provokes the exact inversion that the static analyzer's R5v2 rule
-//! flags on `crates/analyze/tests/corpus/r5v2_trigger.rs`: one code
-//! path acquires `alpha` then `beta`, another acquires `beta` then
-//! `alpha`. Statically that is a cycle in the workspace acquisition
-//! graph; dynamically the witness must panic at the second path's
-//! `alpha` acquisition, carrying *both* captured stacks. The two
-//! detectors agreeing on one seeded bug is the point of the test.
+//! The debug-only lock witness: a thread holds at most one classed
+//! lock and never blocks under it.
 #![cfg(debug_assertions)]
 
-use std::sync::{Arc, Mutex};
-use wsrc_obs::sync::lock_class;
+use std::sync::{Arc, Condvar, Mutex};
+use wsrc_obs::sync::{assert_unlocked, lock_class, wait_class};
 
-const ALPHA: &str = "stress.alpha";
-const BETA: &str = "stress.beta";
+const ALPHA: &str = "witness.alpha";
+const BETA: &str = "witness.beta";
 
-fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
+/// Runs `f` on its own thread and returns its panic message.
+fn panic_of(f: impl FnOnce() + Send + 'static) -> String {
+    let err = std::thread::spawn(f)
+        .join()
+        .expect_err("the witness must panic");
     err.downcast_ref::<String>()
         .cloned()
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
@@ -23,63 +20,80 @@ fn panic_text(err: Box<dyn std::any::Any + Send>) -> String {
 }
 
 #[test]
-fn witness_catches_seeded_inversion_with_both_stacks() {
-    let alpha = Arc::new(Mutex::new(0u64));
-    let beta = Arc::new(Mutex::new(0u64));
+fn a_second_class_under_a_held_one_panics_naming_both() {
+    let msg = panic_of(|| {
+        let (alpha, beta) = (Mutex::new(0u64), Mutex::new(0u64));
+        let _ga = lock_class(ALPHA, &alpha);
+        let _gb = lock_class(BETA, &beta);
+    });
+    assert!(msg.contains("lock witness"), "{msg}");
+    assert!(
+        msg.contains(&format!("acquiring `{BETA}` while holding `{ALPHA}`")),
+        "{msg}"
+    );
+}
 
-    // Phase 1: hammer the *consistent* order from several threads. No
-    // panic — a consistent order is exactly what the witness permits —
-    // and the alpha -> beta edge (plus its backtrace) gets recorded.
-    let mut workers = Vec::new();
-    for _ in 0..4 {
-        let (a, b) = (Arc::clone(&alpha), Arc::clone(&beta));
-        workers.push(std::thread::spawn(move || {
-            for _ in 0..100 {
-                let mut ga = lock_class(ALPHA, &a);
-                let mut gb = lock_class(BETA, &b);
-                *ga += 1;
-                *gb += 1;
+#[test]
+fn back_to_back_acquisitions_pass() {
+    let (alpha, beta) = (Mutex::new(0u64), Mutex::new(0u64));
+    for _ in 0..100 {
+        *lock_class(ALPHA, &alpha) += 1;
+        *lock_class(BETA, &beta) += 1;
+        // Either order: with one lock at a time there is no order.
+        *lock_class(ALPHA, &alpha) += 1;
+    }
+    assert_eq!(*lock_class(ALPHA, &alpha), 200);
+    assert_eq!(*lock_class(BETA, &beta), 100);
+}
+
+#[test]
+fn the_class_stays_held_across_a_wait() {
+    // 0: start, 1: the waiter is parked (it set this under the lock and
+    // only `wait_class` released it), 2: woken.
+    let pair = Arc::new((Mutex::new(0u8), Condvar::new()));
+    let waker = {
+        let pair = Arc::clone(&pair);
+        std::thread::spawn(move || loop {
+            let (state, cv) = &*pair;
+            let mut state = lock_class(ALPHA, state);
+            if *state == 1 {
+                *state = 2;
+                cv.notify_all();
+                return;
             }
-        }));
-    }
-    for w in workers {
-        w.join()
-            .expect("consistent order must not trip the witness");
-    }
+            drop(state);
+            std::thread::yield_now();
+        })
+    };
+    let msg = panic_of(move || {
+        let (state, cv) = &*pair;
+        let mut state = lock_class(ALPHA, state);
+        *state = 1;
+        while *state != 2 {
+            state = wait_class(cv, state);
+        }
+        let beta = Mutex::new(0u64);
+        let _gb = lock_class(BETA, &beta); // nested after wake-up
+    });
+    waker.join().expect("the waker holds one lock at a time");
+    assert!(
+        msg.contains(&format!("acquiring `{BETA}` while holding `{ALPHA}`")),
+        "{msg}"
+    );
+}
 
-    // Phase 2: one thread inverts the order. Because the witness checks
-    // *edges*, not live contention, this is caught deterministically —
-    // no second thread needs to be parked inside the critical section,
-    // so the test can never deadlock.
-    let (a, b) = (Arc::clone(&alpha), Arc::clone(&beta));
-    let err = std::thread::spawn(move || {
-        let _gb = lock_class(BETA, &b);
-        let _ga = lock_class(ALPHA, &a); // inversion: alpha under beta
-    })
-    .join()
-    .expect_err("inverted order must panic");
-
-    let msg = panic_text(err);
+#[test]
+fn assert_unlocked_panics_under_a_guard_and_is_silent_without_one() {
+    assert_unlocked("a blocking call");
+    let msg = panic_of(|| {
+        let alpha = Mutex::new(0u64);
+        let _ga = lock_class(ALPHA, &alpha);
+        assert_unlocked("a blocking call");
+    });
     assert!(
-        msg.contains("lock-order witness: inversion"),
-        "witness panic expected, got: {msg}"
+        msg.contains(&format!("a blocking call while holding `{ALPHA}`")),
+        "{msg}"
     );
-    assert!(msg.contains(ALPHA) && msg.contains(BETA), "{msg}");
-    // Both stacks: the recorded first-order acquisition and the
-    // inverting one.
-    assert!(
-        msg.contains(&format!(
-            "--- stack that acquired `{BETA}` under `{ALPHA}` ---"
-        )),
-        "prior stack missing: {msg}"
-    );
-    assert!(
-        msg.contains(&format!(
-            "--- stack now acquiring `{ALPHA}` under `{BETA}` ---"
-        )),
-        "current stack missing: {msg}"
-    );
-    // The static half of the agreement: R5v2 names the same rule code
-    // in the message so a runtime report leads back to the analyzer.
-    assert!(msg.contains("R5v2"), "{msg}");
+    // The guard died with its thread; this one holds nothing.
+    assert_unlocked("a blocking call");
 }

@@ -10,11 +10,9 @@
 //! of the paper's Figures 3 and 4.
 
 pub mod loadgen;
-pub mod multi;
 pub mod scenario;
 pub mod site;
 
 pub use loadgen::{LoadConfig, LoadReport};
-pub use multi::MultiPortal;
 pub use scenario::{run_portal_scenario, ScenarioConfig, ScenarioResult, TransportMode};
 pub use site::PortalSite;

@@ -112,7 +112,7 @@ impl QuerySchedule {
 /// The workers share the global schedule, so the aggregate mix matches
 /// the target hit ratio regardless of per-worker interleaving. Report
 /// timing comes from `clock`, so it is deterministic under
-/// [`wsrc_obs::ManualClock`] (analyzer rule R3). With a `tracer`, every
+/// [`wsrc_obs::ManualClock`]. With a `tracer`, every
 /// measured request becomes a root span in it (the load generator is the
 /// designated trace root — servers and clients only continue propagated
 /// contexts), so slow requests are explainable from the tracer's
@@ -149,6 +149,10 @@ pub fn run_load<T: PortalTarget>(
                         return;
                     }
                     let query = schedule.next_query();
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the load generator is the edge of the world: a trace starts here"
+                    )]
                     let root = tracer.map(|t| t.root_span("loadgen", "/portal"));
                     let t0 = clock.now_nanos();
                     let outcome = conn.fetch(&query);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, workspace tests, benchmark
-# smoke, rustdoc, formatting, static analysis.
+# smoke, rustdoc, formatting, clippy, static analysis.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -19,7 +19,10 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # exists (or never did) stops the gate here (~4 s).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
 cargo fmt --check
-# Workspace invariants the compiler cannot see. See crates/analyze.
+# Workspace invariants (DESIGN.md §7): clippy.toml's disallowed methods
+# and the crates' own `deny` lints (test code stays exempt: no
+# --all-targets), then the three rules that need a token model.
+cargo clippy --workspace --offline -- -D warnings
 cargo run -q --release -p wsrc-analyze -- --deny crates src
 
-echo "verify: build, tests, docs, formatting, and analysis all clean"
+echo "verify: build, tests, docs, formatting, clippy and analysis all clean"

@@ -1,8 +1,8 @@
 //! Docs and scripts cannot name a command or a recorded result that does
 //! not exist: every `-p <crate>`, `--bin <name>`, `--example <name>`,
 //! `--manifest-path <path>` and `results/<file>` in the files below must
-//! resolve in the tree. Nor can the analyzer's rule tables drift from
-//! the rules it runs.
+//! resolve in the tree. Nor can the invariant tables drift from the
+//! rules the analyzer runs or the methods `clippy.toml` disallows.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -100,8 +100,8 @@ fn docs_name_only_commands_and_results_that_exist() {
 }
 
 /// `(code, id)` of every rule-table row in `text`: a table line whose
-/// first cell opens with a rule code (`| R5v2 | \`id\` |` in the README,
-/// `| **R5v2 \`id\`** |` in DESIGN).
+/// first cell opens with a rule code (`| R1 \`id\`: … |` in the README,
+/// `| **R1 \`id\`** — … |` in DESIGN).
 fn rule_rows(text: &str) -> BTreeSet<(String, String)> {
     text.lines()
         .filter_map(|line| line.strip_prefix("| "))
@@ -133,5 +133,30 @@ fn rule_tables_list_exactly_the_rules_the_analyzer_runs() {
             undocumented.is_empty() && stale.is_empty(),
             "{file}: rules without a row {undocumented:?}, rows without a rule {stale:?}"
         );
+    }
+}
+
+/// Every `path` in `clippy.toml` is named by a table row that cites
+/// `clippy.toml`, and such rows name no other fully qualified path
+/// (three or more segments, back-ticked).
+#[test]
+fn invariant_tables_and_clippy_toml_name_the_same_methods() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let toml = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let disallowed: BTreeSet<&str> = toml
+        .split("path = \"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert!(!disallowed.is_empty(), "clippy.toml lists no path");
+    for file in ["README.md", "DESIGN.md"] {
+        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let documented: BTreeSet<&str> = text
+            .lines()
+            .filter(|line| line.starts_with("| ") && line.contains("`clippy.toml`"))
+            .flat_map(|row| row.split('`').skip(1).step_by(2))
+            .filter(|code| code.matches("::").count() >= 2 && !code.contains(' '))
+            .collect();
+        assert_eq!(documented, disallowed, "{file} vs clippy.toml");
     }
 }
