@@ -98,31 +98,36 @@ impl InflightTable {
     /// later callers block until the leader finishes and then return as
     /// followers.
     pub fn join(self: &Arc<Self>, key: CacheKey) -> Role {
-        let (flight, leads) = {
+        let joined = {
             let mut flights = sync::lock_class("InflightTable.flights", &self.flights);
             match flights.get(&key) {
-                Some(existing) => (existing.clone(), false),
+                Some(existing) => Err(existing.clone()),
                 None => {
                     let flight = Arc::new(Flight::default());
                     if let Some(ctx) = wsrc_obs::trace::current_context() {
                         flight.leader_span.store(ctx.span_id, Ordering::SeqCst);
                     }
                     flights.insert(key.clone(), flight.clone());
-                    (flight, true)
+                    // The guard exists from the moment the flight is
+                    // registered: whatever panics later releases followers.
+                    Ok(LeaderGuard {
+                        table: self.clone(),
+                        key,
+                        flight,
+                    })
                 }
             }
         };
-        if leads {
-            // Counted outside the table's critical section: the first
-            // leader in a process resolves the counter by name through
-            // the global registry's lock.
-            role_counter("leader").inc();
-            return Role::Leader(LeaderGuard {
-                table: self.clone(),
-                key,
-                flight,
-            });
-        }
+        let flight = match joined {
+            Ok(guard) => {
+                // Counted outside the table's critical section: the first
+                // leader in a process resolves the counter by name through
+                // the global registry's lock.
+                role_counter("leader").inc();
+                return Role::Leader(guard);
+            }
+            Err(existing) => existing,
+        };
         // A tracing follower records its wait as a span referencing the
         // leader's exchange span, so coalesced requests stay correlatable.
         let span = wsrc_obs::trace::child_span("coalesce-wait", "coalesce");

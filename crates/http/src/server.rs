@@ -374,6 +374,7 @@ impl Server {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
+        sync::assert_unlocked("joining the server's threads");
         // Unblock accept() by poking the listener.
         let _ = TcpStream::connect(("127.0.0.1", self.port));
         if let Some(t) = self.accept_thread.take() {
@@ -522,6 +523,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared) -> ServeOutcome {
             if shared.shutting_down.load(Ordering::SeqCst) {
                 return ServeOutcome::Close;
             }
+            sync::assert_unlocked("a keep-alive poll");
             match conn.reader.fill_buf().map(|buf| buf.is_empty()) {
                 Ok(true) => return ServeOutcome::Close, // clean EOF
                 Ok(false) => break,

@@ -10,14 +10,16 @@
 //!
 //! # Lock witness
 //!
-//! No thread in this workspace ever holds two locks, and none blocks
-//! while holding one — so there is no lock order to get wrong.
+//! No thread in this workspace ever holds two classed locks, and none
+//! blocks while holding one — so there is no lock order to get wrong.
 //! [`lock_class`] is [`lock`] with a *lock class* label
 //! (`"Owner.field"`), and in debug builds it asserts exactly that: each
 //! thread remembers the one class it holds, acquiring a second
 //! **panics** naming both, and [`assert_unlocked`] — called where the
-//! workspace blocks (socket reads and writes, `TcpStream::connect`,
-//! `Clock::sleep`) — panics under any held class. A condvar wait
+//! workspace blocks (HTTP message reads and writes, the server's
+//! keep-alive poll and thread joins, `TcpStream::connect`,
+//! `Clock::sleep`) — panics under any held class. A plain [`lock`] is
+//! invisible to it. A condvar wait
 //! releases the guard it waits on, so [`wait_class`] is not a blocking
 //! call in this sense. Every debug test run checks the property on
 //! every path it executes; in release builds the witness is compiled

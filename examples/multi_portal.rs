@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wsrcache::cache::{KeyStrategy, ResponseCache};
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{
-    Handler, HttpClient, Method, Request, Response, Server, Status, TcpTransport, Url,
+    Handler, HttpClient, Method, Request, Response, Server, Status, TcpTransport, Transport, Url,
 };
 use wsrcache::model::Value;
 use wsrcache::services::google::{self, GoogleService};
@@ -144,15 +144,8 @@ impl Handler for MultiPortal {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // One back-end server hosting all three services.
-    let dispatcher = SoapDispatcher::new()
-        .mount(google::PATH, Arc::new(GoogleService::new()))
-        .mount(stock::PATH, Arc::new(StockQuoteService::new()))
-        .mount(news::PATH, Arc::new(NewsService::new()));
-    let backend = Server::bind("127.0.0.1:0", Arc::new(dispatcher))?;
-    println!("back-end services on 127.0.0.1:{}", backend.port());
-
+/// One caching client per back-end, each with the service's own policy.
+fn portal(host: &str, port: u16, transport: Arc<dyn Transport>) -> MultiPortal {
     let make_client = |path: &str,
                        registry: wsrcache::model::TypeRegistry,
                        ops: Vec<wsrcache::soap::OperationDescriptor>,
@@ -164,17 +157,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .build(),
         );
         Arc::new(
-            ServiceClient::builder(
-                Url::new("127.0.0.1", backend.port(), path),
-                Arc::new(TcpTransport::new()),
-            )
-            .registry(registry)
-            .operations(ops)
-            .cache(cache)
-            .build(),
+            ServiceClient::builder(Url::new(host, port, path), transport.clone())
+                .registry(registry)
+                .operations(ops)
+                .cache(cache)
+                .build(),
         )
     };
-    let portal = MultiPortal {
+    MultiPortal {
         search: make_client(
             google::PATH,
             google::registry(),
@@ -193,7 +183,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             news::operations(),
             news::default_policy(),
         ),
-    };
+    }
+}
+
+/// All three services behind one dispatcher.
+fn backends() -> SoapDispatcher {
+    SoapDispatcher::new()
+        .mount(google::PATH, Arc::new(GoogleService::new()))
+        .mount(stock::PATH, Arc::new(StockQuoteService::new()))
+        .mount(news::PATH, Arc::new(NewsService::new()))
+}
+
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // One back-end server hosting all three services.
+    let backend = Server::bind("127.0.0.1:0", Arc::new(backends()))?;
+    println!("back-end services on 127.0.0.1:{}", backend.port());
+
+    let portal = portal("127.0.0.1", backend.port(), Arc::new(TcpTransport::new()));
     let portal_server = Server::bind("127.0.0.1:0", Arc::new(portal))?;
     println!("portal on http://127.0.0.1:{}/home\n", portal_server.port());
 
@@ -230,4 +236,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nthe second visit added no backend requests: all three sections were cache hits");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wsrcache::http::InProcTransport;
+
+    fn portal() -> MultiPortal {
+        let transport = InProcTransport::new(Arc::new(backends()));
+        super::portal("backend.test", 80, Arc::new(transport))
+    }
+
+    #[test]
+    fn page_aggregates_all_three_services() {
+        let p = portal();
+        let resp = p.handle(&Request::get(
+            "/home?q=caching&symbols=ibm,sun&topic=middleware",
+        ));
+        assert_eq!(resp.status, Status::OK);
+        let html = resp.body_text().expect("portal pages are utf-8");
+        assert!(html.contains("<section id=\"search\">"), "{html}");
+        assert!(html.contains("<section id=\"ticker\">"));
+        assert!(html.contains("<section id=\"news\">"));
+        assert!(html.contains("IBM"));
+        assert!(html.contains("middleware "));
+    }
+
+    #[test]
+    fn each_backend_has_its_own_cache() {
+        let p = portal();
+        p.handle(&Request::get("/home?q=a&symbols=ibm&topic=t"));
+        p.handle(&Request::get("/home?q=a&symbols=ibm&topic=t"));
+        for client in [&p.search, &p.quotes, &p.headlines] {
+            let stats = client.cache().unwrap().stats();
+            assert_eq!(stats.hits, 1, "{client:?}");
+            assert_eq!(stats.misses, 1, "{client:?}");
+        }
+    }
+
+    #[test]
+    fn defaults_apply_when_params_missing() {
+        let resp = portal().handle(&Request::get("/home"));
+        assert_eq!(resp.status, Status::OK);
+        assert!(resp
+            .body_text()
+            .expect("portal pages are utf-8")
+            .contains("IBM"));
+    }
+
+    #[test]
+    fn post_is_rejected() {
+        let resp = portal().handle(&Request::post("/home", "text/plain", vec![]));
+        assert_eq!(resp.status, Status::METHOD_NOT_ALLOWED);
+    }
 }
