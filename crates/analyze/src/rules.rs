@@ -195,7 +195,7 @@ fn rule_relaxed_ordering(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 path: file.path.clone(),
                 line: t.line,
                 message: "Ordering::Relaxed outside the allowlisted wsrc-obs counters; \
-                          coalescing and cache state need acquire/release or stronger"
+                          cache state needs acquire/release or stronger"
                     .to_string(),
             });
         }

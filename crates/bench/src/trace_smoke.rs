@@ -69,7 +69,6 @@ pub fn run_trace_smoke() -> Result<String, String> {
             .registry(google::registry())
             .operations(google::operations())
             .cache(cache)
-            .coalesce_misses(true)
             .build(),
     );
     let portal: Arc<dyn Handler> = Arc::new(PortalSite::new(service));

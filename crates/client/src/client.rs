@@ -1,8 +1,7 @@
 //! [`ServiceClient`] — the full client middleware with the transparent
 //! response cache.
 
-use crate::call::{Call, ConditionalOutcome, Exchange};
-use crate::coalesce::{InflightTable, Role};
+use crate::call::{Call, ConditionalOutcome};
 use crate::error::ClientError;
 use crate::TypedCall;
 use std::sync::Arc;
@@ -21,8 +20,9 @@ pub enum Disposition {
     CacheHit,
     /// Full exchange performed; the response was stored.
     CacheMiss,
-    /// Full exchange performed; the operation is uncacheable (or no cache
-    /// is attached).
+    /// Full exchange performed and nothing stored: no cache is attached,
+    /// the policy excludes the operation, or no key strategy applies to
+    /// the request.
     Uncached,
     /// A stale entry was revalidated with `If-Modified-Since`; the server
     /// answered `304 Not Modified` and the cached object was reused
@@ -37,7 +37,6 @@ pub struct ServiceClient {
     endpoint_url: String,
     operations: Vec<OperationDescriptor>,
     cache: Option<Arc<ResponseCache>>,
-    inflight: Option<Arc<InflightTable>>,
 }
 
 impl std::fmt::Debug for ServiceClient {
@@ -59,7 +58,6 @@ impl ServiceClient {
             registry: TypeRegistry::new(),
             operations: Vec::new(),
             cache: None,
-            coalesce: false,
         }
     }
 
@@ -75,127 +73,60 @@ impl ServiceClient {
             .iter()
             .find(|o| o.name == request.operation)
             .ok_or_else(|| ClientError::UnknownOperation(request.operation.clone()))?;
-        let Some(cache) = &self.cache else {
+        // Policy and key are resolved here, once, for whichever of
+        // lookup, refresh and insert the call goes on to need.
+        let cached = self
+            .cache
+            .as_ref()
+            .and_then(|cache| cache.call(&self.endpoint_url, request));
+        let Some(cached) = cached else {
             let exchange = self.call.invoke(descriptor, request)?;
             return Ok((ValueHandle::Owned(exchange.value), Disposition::Uncached));
         };
-        loop {
-            // Under an active trace the cache interaction becomes its own
-            // span, annotated with the outcome so a `/trace` reader can
-            // tell hits from misses without cross-referencing metrics.
-            let lookup = {
-                let span = wsrc_obs::trace::child_span("cache-lookup", "lookup");
-                let outcome =
-                    cache.lookup_detailed(&self.endpoint_url, request, &descriptor.return_type);
-                if let Some(mut span) = span {
-                    span.annotate(match &outcome {
-                        CacheOutcome::Fresh { .. } => "outcome=hit",
-                        CacheOutcome::Stale { .. } => "outcome=stale",
-                        CacheOutcome::Miss => "outcome=miss",
-                    });
-                    span.finish();
-                }
-                outcome
-            };
-            match lookup {
-                CacheOutcome::Fresh { handle, .. } => {
-                    if let Some(span) = wsrc_obs::trace::child_span("cache-retrieve", "retrieve") {
-                        span.finish();
+        // Under an active trace the lookup is its own span, annotated
+        // with the outcome so a `/trace` reader can tell hits from
+        // misses without cross-referencing metrics.
+        let span = wsrc_obs::trace::child_span("cache-lookup", "lookup");
+        let outcome = cached.lookup(&descriptor.return_type);
+        if let Some(mut span) = span {
+            span.annotate(match &outcome {
+                CacheOutcome::Fresh { .. } => "outcome=hit",
+                CacheOutcome::Stale { .. } => "outcome=stale",
+                CacheOutcome::Miss => "outcome=miss",
+            });
+            span.finish();
+        }
+        let exchange = match outcome {
+            CacheOutcome::Fresh { handle } => return Ok((handle, Disposition::CacheHit)),
+            // Expired but revalidatable: ask the server whether the
+            // response changed since the cached copy.
+            CacheOutcome::Stale { handle, validator } => {
+                match self
+                    .call
+                    .invoke_conditional(descriptor, request, &validator)?
+                {
+                    ConditionalOutcome::NotModified => {
+                        cached.refresh();
+                        return Ok((handle, Disposition::Revalidated));
                     }
-                    return Ok((handle, Disposition::CacheHit));
-                }
-                CacheOutcome::Stale { handle, validator } => {
-                    // Expired but revalidatable: ask the server whether the
-                    // response changed since the cached copy.
-                    match self
-                        .call
-                        .invoke_conditional(descriptor, request, &validator)?
-                    {
-                        ConditionalOutcome::NotModified => {
-                            cache.refresh(&self.endpoint_url, request);
-                            return Ok((handle, Disposition::Revalidated));
-                        }
-                        ConditionalOutcome::Fresh(exchange) => {
-                            return Ok((
-                                self.store_exchange(cache, request, exchange),
-                                Disposition::CacheMiss,
-                            ));
-                        }
-                    }
-                }
-                CacheOutcome::Miss => {
-                    // Single-flight: when enabled, only one thread fetches
-                    // a given key; the others wait and re-read the cache.
-                    if let (Some(inflight), Some(key)) =
-                        (&self.inflight, cache.key_for(&self.endpoint_url, request))
-                    {
-                        match inflight.join(key) {
-                            Role::Leader(guard) => {
-                                // A lookup that missed before an earlier
-                                // leader inserted, followed by a join after
-                                // that leader released, wins a fresh flight
-                                // for a key the cache now holds: re-read
-                                // once instead of repeating the exchange.
-                                if let CacheOutcome::Fresh { handle, .. } = cache.lookup_detailed(
-                                    &self.endpoint_url,
-                                    request,
-                                    &descriptor.return_type,
-                                ) {
-                                    return Ok((handle, Disposition::CacheHit));
-                                }
-                                // Store BEFORE completing the guard: a
-                                // follower released earlier could re-read
-                                // the cache ahead of the insert, miss, and
-                                // start a duplicate exchange. (Error paths
-                                // release via the guard's Drop.)
-                                let exchange = self.call.invoke(descriptor, request)?;
-                                let handle = self.store_exchange(cache, request, exchange);
-                                guard.complete();
-                                return Ok((handle, Disposition::CacheMiss));
-                            }
-                            Role::Follower => {
-                                // The leader finished (or failed); retry the
-                                // cache. A failed leader leads this thread to
-                                // become the next leader.
-                                continue;
-                            }
-                        }
-                    }
-                    let exchange = self.call.invoke(descriptor, request)?;
-                    let handle = self.store_exchange(cache, request, exchange);
-                    return Ok((handle, Disposition::CacheMiss));
+                    ConditionalOutcome::Fresh(exchange) => exchange,
                 }
             }
-        }
-    }
-
-    fn store_exchange(
-        &self,
-        cache: &Arc<ResponseCache>,
-        request: &RpcRequest,
-        exchange: Exchange,
-    ) -> ValueHandle {
+            CacheOutcome::Miss => self.call.invoke(descriptor, request)?,
+        };
         let span = wsrc_obs::trace::child_span("cache-build", "build");
-        let Exchange {
-            response_xml,
-            response_events,
-            value,
-            last_modified,
-        } = exchange;
-        cache.insert_validated(
-            &self.endpoint_url,
-            request,
+        cached.insert(
             MissArtifacts {
-                xml: &response_xml,
-                events: &response_events,
-                value: &value,
+                xml: &exchange.response_xml,
+                events: &exchange.response_events,
+                value: &exchange.value,
             },
-            last_modified,
+            exchange.last_modified,
         );
         if let Some(span) = span {
             span.finish();
         }
-        ValueHandle::Owned(value)
+        Ok((ValueHandle::Owned(exchange.value), Disposition::CacheMiss))
     }
 
     /// Invokes and unwraps the handle to a value the caller may write
@@ -248,7 +179,6 @@ pub struct ServiceClientBuilder {
     registry: TypeRegistry,
     operations: Vec<OperationDescriptor>,
     cache: Option<Arc<ResponseCache>>,
-    coalesce: bool,
 }
 
 impl std::fmt::Debug for ServiceClientBuilder {
@@ -279,14 +209,6 @@ impl ServiceClientBuilder {
         self
     }
 
-    /// Enables miss coalescing (single-flight): concurrent misses on the
-    /// same cache key perform only one back-end exchange. Only effective
-    /// when a cache is attached.
-    pub fn coalesce_misses(mut self, enabled: bool) -> Self {
-        self.coalesce = enabled;
-        self
-    }
-
     /// Finishes the client.
     pub fn build(self) -> ServiceClient {
         let endpoint_url = self.endpoint.to_string();
@@ -294,11 +216,6 @@ impl ServiceClientBuilder {
             call: Call::new(self.endpoint, self.transport, self.registry),
             endpoint_url,
             operations: self.operations,
-            inflight: if self.coalesce && self.cache.is_some() {
-                Some(InflightTable::new())
-            } else {
-                None
-            },
             cache: self.cache,
         }
     }
@@ -307,11 +224,11 @@ impl ServiceClientBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
     use std::time::Duration;
+    use wsrc_cache::{CachePolicy, OperationPolicy};
     use wsrc_http::{Handler, InProcTransport, Request, Response};
     use wsrc_model::typeinfo::{FieldDescriptor, FieldType};
-    use wsrc_obs::ManualClock;
+    use wsrc_obs::{ManualClock, MetricsRegistry};
     use wsrc_soap::serializer::serialize_response;
 
     fn op() -> OperationDescriptor {
@@ -349,19 +266,26 @@ mod tests {
         })
     }
 
-    fn cached_client() -> (ServiceClient, Arc<InProcTransport>, ManualClock) {
-        let transport = Arc::new(InProcTransport::new(upper_handler()));
-        let clock = ManualClock::new();
-        let cache = Arc::new(
-            ResponseCache::builder(TypeRegistry::new())
-                .cache_everything(Duration::from_secs(60))
-                .clock(clock.handle())
-                .build(),
-        );
+    fn client_over(
+        handler: Arc<dyn Handler>,
+        cache: wsrc_cache::ResponseCacheBuilder,
+    ) -> (ServiceClient, Arc<InProcTransport>) {
+        let transport = Arc::new(InProcTransport::new(handler));
         let client = ServiceClient::builder(Url::new("svc.test", 80, "/soap"), transport.clone())
             .operations([op()])
-            .cache(cache)
+            .cache(Arc::new(cache.build()))
             .build();
+        (client, transport)
+    }
+
+    fn cached_client() -> (ServiceClient, Arc<InProcTransport>, ManualClock) {
+        let clock = ManualClock::new();
+        let (client, transport) = client_over(
+            upper_handler(),
+            ResponseCache::builder(TypeRegistry::new())
+                .cache_everything(Duration::from_secs(60))
+                .clock(clock.handle()),
+        );
         (client, transport, clock)
     }
 
@@ -466,149 +390,73 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_deduplicates_concurrent_misses() {
-        // A slow backend: every exchange takes ~40ms, so 8 threads racing
-        // on the same key would all miss without coalescing.
-        let slow: Arc<dyn Handler> = {
-            let inner = upper_handler();
-            Arc::new(move |req: &Request| {
-                std::thread::sleep(Duration::from_millis(40));
-                inner.handle(req)
-            })
-        };
-        let transport = Arc::new(InProcTransport::new(slow));
-        let cache = Arc::new(
+    fn uncacheable_operations_skip_the_cache_and_say_so() {
+        let policy = CachePolicy::new().with("upper", OperationPolicy::uncacheable());
+        let (client, transport) = client_over(
+            upper_handler(),
             ResponseCache::builder(TypeRegistry::new())
-                .cache_everything(Duration::from_secs(60))
-                .clock(ManualClock::new())
-                .build(),
+                .policy(policy)
+                .clock(ManualClock::new()),
         );
-        let client = Arc::new(
-            ServiceClient::builder(Url::new("svc.test", 80, "/soap"), transport.clone())
-                .operations([op()])
-                .cache(cache)
-                .coalesce_misses(true)
-                .build(),
-        );
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let client = client.clone();
-                scope.spawn(move || {
-                    let (v, _) = client.as_ref().invoke(&request("same")).expect("call");
-                    assert_eq!(v.as_value(), &Value::string("SAME"));
-                });
-            }
-        });
-        assert_eq!(
-            transport.requests_served(),
-            1,
-            "one exchange for 8 racing threads"
-        );
-        let stats = client.cache().unwrap().stats();
-        assert_eq!(stats.hits, 7);
-        assert_eq!(stats.inserts, 1);
-    }
-
-    /// A tracer clock that runs one whole leader flight for the same key
-    /// at the first reading taken after the traced caller's lookup has
-    /// missed: its `cache-lookup` span finishes between the lookup and
-    /// the join, which is where the interleaving has to happen.
-    struct LeaderBetweenLookupAndJoin {
-        client: Arc<ServiceClient>,
-        armed: AtomicBool,
-    }
-
-    impl wsrc_obs::Clock for LeaderBetweenLookupAndJoin {
-        fn now_millis(&self) -> u64 {
-            let missed = self.client.cache().is_some_and(|c| c.stats().misses > 0);
-            if missed && self.armed.swap(false, SeqCst) {
-                let leader = self.client.as_ref().invoke(&request("late"));
-                assert_eq!(leader.expect("leader flight").1, Disposition::CacheMiss);
-            }
-            0
+        let cache = client.cache().unwrap();
+        for calls in 1..=2 {
+            let (v, d) = client.invoke(&request("cart")).unwrap();
+            assert_eq!(v.as_value(), &Value::string("CART"));
+            assert_eq!(d, Disposition::Uncached);
+            let stats = cache.stats();
+            assert_eq!(stats.uncacheable, calls, "counted once per call");
+            assert_eq!((stats.misses, stats.store_failures), (0, 0));
+            assert_eq!(transport.requests_served(), calls);
         }
+        assert_eq!(cache.len(), 0);
     }
 
+    /// A miss, a hit and a 304 revalidation each render the cache key
+    /// once. (That `lookup_detailed` and `insert_validated` called on
+    /// their own still render one each is `wsrc-cache`'s
+    /// `metrics_registry_sees_stages_and_representations`.)
     #[test]
-    fn join_after_a_completed_flight_does_not_exchange_again() {
-        let transport = Arc::new(InProcTransport::new(upper_handler()));
-        let cache = Arc::new(
-            ResponseCache::builder(TypeRegistry::new())
-                .cache_everything(Duration::from_secs(60))
-                .clock(ManualClock::new())
-                .build(),
-        );
-        let client = Arc::new(
-            ServiceClient::builder(Url::new("svc.test", 80, "/soap"), transport.clone())
-                .operations([op()])
-                .cache(cache)
-                .coalesce_misses(true)
-                .build(),
-        );
-        let clock = Arc::new(LeaderBetweenLookupAndJoin {
-            client: client.clone(),
-            armed: AtomicBool::new(true),
-        });
-        let tracer = wsrc_obs::Tracer::new(clock.clone());
-        let root = tracer.root_span("late-joiner", "/test");
-        let (v, d) = client.as_ref().invoke(&request("late")).expect("late call");
-        root.finish();
-        assert!(!clock.armed.load(SeqCst), "the leader flight ran");
-        assert_eq!(v.as_value(), &Value::string("LATE"));
-        assert_eq!(d, Disposition::CacheHit);
-        assert_eq!(
-            transport.requests_served(),
-            1,
-            "a leader that finds the entry cached must not exchange"
-        );
-    }
-
-    #[test]
-    fn coalescing_survives_leader_errors() {
-        // First exchange fails; followers retry, one becomes the next
-        // leader, and the system makes progress.
-        let failures = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let f2 = failures.clone();
-        let flaky: Arc<dyn Handler> = {
+    fn every_call_renders_its_key_once() {
+        let revalidating: Arc<dyn Handler> = {
             let inner = upper_handler();
             Arc::new(move |req: &Request| {
-                std::thread::sleep(Duration::from_millis(10));
-                if f2.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
-                    return Response::error(wsrc_http::Status::NOT_FOUND, "flaky");
+                if req.headers.contains("If-Modified-Since") {
+                    Response::not_modified()
+                } else {
+                    inner
+                        .handle(req)
+                        .with_header("Last-Modified", "Thu, 01 Jan 2004 00:00:00 GMT")
                 }
-                inner.handle(req)
             })
         };
-        let transport = Arc::new(InProcTransport::new(flaky));
-        let cache = Arc::new(
+        let metrics = Arc::new(MetricsRegistry::new());
+        let clock = ManualClock::new();
+        let (client, _transport) = client_over(
+            revalidating,
             ResponseCache::builder(TypeRegistry::new())
                 .cache_everything(Duration::from_secs(60))
-                .clock(ManualClock::new())
-                .build(),
+                .clock(clock.handle())
+                .metrics(metrics.clone())
+                .metrics_label("unit"),
         );
-        let client = Arc::new(
-            ServiceClient::builder(Url::new("svc.test", 80, "/soap"), transport)
-                .operations([op()])
-                .cache(cache)
-                .coalesce_misses(true)
-                .build(),
-        );
-        let mut successes = 0;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let client = client.clone();
-                    scope.spawn(move || client.as_ref().invoke(&request("retry")).is_ok())
-                })
-                .collect();
-            for h in handles {
-                if h.join().expect("thread") {
-                    successes += 1;
-                }
-            }
-        });
-        // Exactly one thread saw the injected failure; the rest succeeded.
-        assert_eq!(successes, 3, "one leader fails, followers recover");
+        let renders = || {
+            let labels = [("cache", "unit"), ("stage", "keygen"), ("strategy", "auto")];
+            metrics
+                .snapshot()
+                .histogram("wsrc_cache_stage_seconds", &labels)
+                .map_or(0, |h| h.count)
+        };
+        let steps = [
+            (0, Disposition::CacheMiss),
+            (0, Disposition::CacheHit),
+            (61_000, Disposition::Revalidated),
+        ];
+        for (calls, (advance, expected)) in (1..).zip(steps) {
+            clock.advance_millis(advance);
+            let (_, disposition) = client.invoke(&request("once")).unwrap();
+            assert_eq!(disposition, expected);
+            assert_eq!(renders(), calls, "{expected:?}");
+        }
     }
 
     #[test]

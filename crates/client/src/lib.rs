@@ -1,7 +1,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-// Every cached call runs through this crate: errors propagate, and a
-// poisoned lock is recovered via `wsrc_obs::sync`.
+// Every cached call runs through this crate: errors propagate.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 //! Web services client middleware — the Apache-Axis analog.
@@ -16,12 +15,10 @@
 
 pub mod call;
 pub mod client;
-pub mod coalesce;
 pub mod error;
 
 pub use call::Call;
 pub use client::{Disposition, ServiceClient, ServiceClientBuilder};
-pub use coalesce::{InflightTable, LeaderGuard, Role};
 pub use error::ClientError;
 
 /// The typed-stub hook generated code calls through (see

@@ -1,15 +1,18 @@
 //! [`ResponseCache`] — the facade the client middleware plugs in.
 //!
-//! On each call the middleware asks the cache first ([`ResponseCache::lookup`]);
-//! on a miss it performs the real exchange and hands the artifacts to
-//! [`ResponseCache::insert`]. Key strategy, representation selection,
-//! per-operation policy and TTL all live here, so the client application
-//! "does not need to be at all conscious of how the response data is
-//! cached" (paper §6).
+//! On each call the middleware resolves the request once
+//! ([`ResponseCache::call`]: policy probe and key render) and asks the
+//! handle first ([`CachedCall::lookup`]); on a miss it performs the real
+//! exchange and hands the artifacts to [`CachedCall::insert`].
+//! [`ResponseCache::lookup`] and [`ResponseCache::insert`] are the same
+//! steps for a caller that has only one of them to make. Key strategy,
+//! representation selection, per-operation policy and TTL all live
+//! here, so the client application "does not need to be at all
+//! conscious of how the response data is cached" (paper §6).
 
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
-use crate::key::{generate_key, KeyStrategy};
+use crate::key::{generate_key, CacheKey, KeyStrategy};
 use crate::policy::{CachePolicy, OperationPolicy};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
@@ -32,7 +35,7 @@ pub enum CacheOutcome {
     },
     /// An expired entry with a revalidation token is available: the
     /// caller may revalidate (e.g. with `If-Modified-Since`) and either
-    /// [`ResponseCache::refresh`] the entry or replace it.
+    /// [`CachedCall::refresh`] the entry or replace it.
     Stale {
         /// The stale application object (usable if revalidation
         /// succeeds).
@@ -50,9 +53,11 @@ pub enum CacheOutcome {
 struct CacheTimers {
     /// `wsrc_cache_stage_seconds{stage="keygen",strategy=…}`.
     keygen: Histogram,
-    /// `wsrc_cache_stage_seconds{stage="lookup"}` — the whole lookup path.
+    /// `wsrc_cache_stage_seconds{stage="lookup"}` — store read and
+    /// retrieve; disjoint from `keygen`.
     lookup: Histogram,
-    /// `wsrc_cache_stage_seconds{stage="insert"}` — the whole insert path.
+    /// `wsrc_cache_stage_seconds{stage="insert"}` — build and store
+    /// write; disjoint from `keygen`.
     insert: Histogram,
     /// `wsrc_cache_retrieve_seconds{repr=…}` — stored form → object.
     retrieve: [Histogram; ValueRepresentation::COUNT],
@@ -132,6 +137,33 @@ impl ResponseCache {
         }
     }
 
+    /// Resolves `request` against this cache once: probes the
+    /// operation's policy and renders the cache key, the two things
+    /// every later step of the call needs. `None` when the cache takes
+    /// no part in the call — the policy excludes the operation, or no
+    /// key strategy applies to the request — which is counted once, as
+    /// uncacheable; the caller performs a plain exchange.
+    pub fn call(&self, endpoint_url: &str, request: &RpcRequest) -> Option<CachedCall<'_>> {
+        let policy = self.policy.for_operation(&request.operation);
+        let key = if policy.cacheable {
+            self.timers
+                .keygen
+                .time(|| generate_key(self.key_strategy, endpoint_url, request, &self.registry))
+                .ok()
+        } else {
+            None
+        };
+        let Some(key) = key else {
+            self.stats.record_uncacheable();
+            return None;
+        };
+        Some(CachedCall {
+            cache: self,
+            policy,
+            key,
+        })
+    }
+
     /// Looks up the response for `request`, returning the application
     /// object on a hit.
     ///
@@ -152,96 +184,18 @@ impl ResponseCache {
 
     /// Like [`lookup`](ResponseCache::lookup) but distinguishes stale
     /// entries that can be revalidated (paper §3.2's HTTP consistency
-    /// mechanism applied to the response cache).
+    /// mechanism applied to the response cache):
+    /// [`call`](ResponseCache::call) then [`CachedCall::lookup`].
     pub fn lookup_detailed(
         &self,
         endpoint_url: &str,
         request: &RpcRequest,
         expected: &FieldType,
     ) -> CacheOutcome {
-        let policy = self.policy.for_operation(&request.operation);
-        if !policy.cacheable {
-            self.stats.record_uncacheable();
-            return CacheOutcome::Miss;
+        match self.call(endpoint_url, request) {
+            Some(call) => call.lookup(expected),
+            None => CacheOutcome::Miss,
         }
-        let _lookup_span = self.timers.lookup.timer();
-        let key = match self
-            .timers
-            .keygen
-            .time(|| generate_key(self.key_strategy, endpoint_url, request, &self.registry))
-        {
-            Ok(k) => k,
-            Err(_) => {
-                self.stats.record_miss();
-                return CacheOutcome::Miss;
-            }
-        };
-        match self.store.get(&key, self.clock.now_millis()) {
-            Lookup::Live(entry) => {
-                let repr = entry.form().representation();
-                // Timed by hand: a scope timer clones the histogram's
-                // two `Arc`s, four atomic operations a hit can do without.
-                let histogram = &self.timers.retrieve[repr.index()];
-                let started = histogram.now_nanos();
-                let result = entry.form().retrieve(expected, &self.registry);
-                histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
-                match result {
-                    Ok(handle) => {
-                        self.stats.record_hit(repr);
-                        CacheOutcome::Fresh { handle }
-                    }
-                    Err(_) => {
-                        // A cache entry that cannot produce its object is
-                        // poison; drop it and treat as a miss.
-                        self.store.invalidate(&key);
-                        self.stats.record_miss();
-                        CacheOutcome::Miss
-                    }
-                }
-            }
-            Lookup::Stale { entry, validator } => {
-                let repr = entry.form().representation();
-                match self.timers.retrieve[repr.index()]
-                    .time(|| entry.form().retrieve(expected, &self.registry))
-                {
-                    Ok(handle) => {
-                        self.stats.record_expired();
-                        CacheOutcome::Stale { handle, validator }
-                    }
-                    Err(_) => {
-                        self.store.invalidate(&key);
-                        self.stats.record_miss();
-                        CacheOutcome::Miss
-                    }
-                }
-            }
-            Lookup::Expired => {
-                self.stats.record_expired();
-                self.stats.record_miss();
-                CacheOutcome::Miss
-            }
-            Lookup::Absent => {
-                self.stats.record_miss();
-                CacheOutcome::Miss
-            }
-        }
-    }
-
-    /// Renews the TTL of a (stale) entry after a successful revalidation
-    /// (e.g. a `304 Not Modified` response). Returns whether an entry was
-    /// refreshed.
-    pub fn refresh(&self, endpoint_url: &str, request: &RpcRequest) -> bool {
-        let policy = self.policy.for_operation(&request.operation);
-        let Ok(key) = generate_key(self.key_strategy, endpoint_url, request, &self.registry) else {
-            return false;
-        };
-        let now = self.clock.now_millis();
-        let expires = now.saturating_add(policy.ttl.as_millis() as u64);
-        let refreshed = self.store.refresh(&key, expires);
-        if refreshed {
-            self.stats.record_revalidated();
-        }
-        refreshed
     }
 
     /// Stores the artifacts of a completed exchange. Returns the
@@ -260,9 +214,8 @@ impl ResponseCache {
     }
 
     /// [`insert`](ResponseCache::insert) with a revalidation token
-    /// (typically the response's `Last-Modified` header). Entries with a
-    /// token become *stale* instead of vanishing at TTL expiry, enabling
-    /// the `If-Modified-Since`/304 handshake.
+    /// (typically the response's `Last-Modified` header):
+    /// [`call`](ResponseCache::call) then [`CachedCall::insert`].
     pub fn insert_validated(
         &self,
         endpoint_url: &str,
@@ -270,35 +223,7 @@ impl ResponseCache {
         data: ResponseData<'_>,
         validator: Option<String>,
     ) -> Option<ValueRepresentation> {
-        let policy = self.policy.for_operation(&request.operation);
-        if !policy.cacheable {
-            self.stats.record_uncacheable();
-            return None;
-        }
-        let _insert_span = self.timers.insert.timer();
-        let key = self
-            .timers
-            .keygen
-            .time(|| generate_key(self.key_strategy, endpoint_url, request, &self.registry))
-            .ok()?;
-        let (entry, repr) = self.build_entry(&policy, data)?;
-        let now = self.clock.now_millis();
-        let expires = now.saturating_add(policy.ttl.as_millis() as u64);
-        let accepted = self
-            .store
-            .put_validated(key, entry, expires, now, validator);
-        self.set_occupancy_gauges();
-        match accepted {
-            Some(evicted) => {
-                self.stats.record_insert(repr);
-                self.stats.record_evictions(evicted);
-                Some(repr)
-            }
-            None => {
-                self.stats.record_store_failure();
-                None
-            }
-        }
+        self.call(endpoint_url, request)?.insert(data, validator)
     }
 
     /// Publishes the store's totals — two atomic loads; the insert that
@@ -342,17 +267,6 @@ impl ResponseCache {
         }
         self.stats.record_store_failure();
         None
-    }
-
-    /// The cache key this cache would use for `request`, if the strategy
-    /// applies. Exposed so the middleware can coalesce concurrent misses
-    /// on the same key (single-flight).
-    pub fn key_for(
-        &self,
-        endpoint_url: &str,
-        request: &RpcRequest,
-    ) -> Option<crate::key::CacheKey> {
-        generate_key(self.key_strategy, endpoint_url, request, &self.registry).ok()
     }
 
     /// Point-in-time statistics.
@@ -407,6 +321,126 @@ impl ResponseCache {
     /// The registry this cache types values with.
     pub fn registry(&self) -> &TypeRegistry {
         &self.registry
+    }
+}
+
+/// One call's view of a [`ResponseCache`]: the operation's policy and
+/// the request's key, resolved once by [`ResponseCache::call`]. That the
+/// lookup, the insert and the refresh of one call agree on both is held
+/// by this type rather than by each step deriving them again.
+#[derive(Debug)]
+pub struct CachedCall<'a> {
+    cache: &'a ResponseCache,
+    policy: OperationPolicy,
+    key: CacheKey,
+}
+
+impl CachedCall<'_> {
+    fn expires_at(&self, now_millis: u64) -> u64 {
+        now_millis.saturating_add(self.policy.ttl.as_millis() as u64)
+    }
+
+    /// Reads the store and retrieves the application object from the
+    /// stored form; `expected` is the operation's return type.
+    pub fn lookup(&self, expected: &FieldType) -> CacheOutcome {
+        let cache = self.cache;
+        let _lookup_span = cache.timers.lookup.timer();
+        match cache.store.get(&self.key, cache.clock.now_millis()) {
+            Lookup::Live(entry) => {
+                let repr = entry.form().representation();
+                // Timed by hand: a scope timer clones the histogram's
+                // two `Arc`s, four atomic operations a hit can do without.
+                let histogram = &cache.timers.retrieve[repr.index()];
+                let started = histogram.now_nanos();
+                let result = entry.form().retrieve(expected, &cache.registry);
+                histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
+                match result {
+                    Ok(handle) => {
+                        cache.stats.record_hit(repr);
+                        CacheOutcome::Fresh { handle }
+                    }
+                    Err(_) => {
+                        // A cache entry that cannot produce its object is
+                        // poison; drop it and treat as a miss.
+                        cache.store.invalidate(&self.key);
+                        cache.stats.record_miss();
+                        CacheOutcome::Miss
+                    }
+                }
+            }
+            Lookup::Stale { entry, validator } => {
+                let repr = entry.form().representation();
+                match cache.timers.retrieve[repr.index()]
+                    .time(|| entry.form().retrieve(expected, &cache.registry))
+                {
+                    Ok(handle) => {
+                        cache.stats.record_expired();
+                        CacheOutcome::Stale { handle, validator }
+                    }
+                    Err(_) => {
+                        cache.store.invalidate(&self.key);
+                        cache.stats.record_miss();
+                        CacheOutcome::Miss
+                    }
+                }
+            }
+            Lookup::Expired => {
+                cache.stats.record_expired();
+                cache.stats.record_miss();
+                CacheOutcome::Miss
+            }
+            Lookup::Absent => {
+                cache.stats.record_miss();
+                CacheOutcome::Miss
+            }
+        }
+    }
+
+    /// Stores the artifacts of the call's completed exchange under its
+    /// key, with an optional revalidation token (typically the
+    /// response's `Last-Modified` header). Entries with a token become
+    /// *stale* instead of vanishing at TTL expiry, enabling the
+    /// `If-Modified-Since`/304 handshake. Returns the representation
+    /// used, or `None` when nothing was stored
+    /// ([`ResponseCache::insert`] lists the reasons).
+    pub fn insert(
+        self,
+        data: ResponseData<'_>,
+        validator: Option<String>,
+    ) -> Option<ValueRepresentation> {
+        let cache = self.cache;
+        let _insert_span = cache.timers.insert.timer();
+        let (entry, repr) = cache.build_entry(&self.policy, data)?;
+        let now = cache.clock.now_millis();
+        let expires = self.expires_at(now);
+        let accepted = cache
+            .store
+            .put_validated(self.key, entry, expires, now, validator);
+        cache.set_occupancy_gauges();
+        match accepted {
+            Some(evicted) => {
+                cache.stats.record_insert(repr);
+                cache.stats.record_evictions(evicted);
+                Some(repr)
+            }
+            None => {
+                cache.stats.record_store_failure();
+                None
+            }
+        }
+    }
+
+    /// Renews the TTL of the call's (stale) entry after a successful
+    /// revalidation (e.g. a `304 Not Modified` response). Returns
+    /// whether an entry was refreshed.
+    pub fn refresh(&self) -> bool {
+        let cache = self.cache;
+        let expires = self.expires_at(cache.clock.now_millis());
+        let refreshed = cache.store.refresh(&self.key, expires);
+        if refreshed {
+            cache.stats.record_revalidated();
+        }
+        refreshed
     }
 }
 

@@ -3,10 +3,9 @@
 //! A [`Body`] is an `Arc<[u8]>`: the payload bytes are copied exactly
 //! once, when the body is constructed from the socket read buffer (or
 //! from a serializer's output), and every layer after that — transport,
-//! request coalescing, the cache store — shares the same allocation by
-//! bumping the reference count. `Body` is deeply
-//! immutable, so a body frozen inside a cached value satisfies analyzer
-//! rule R1 like any other plain data.
+//! the cache store — shares the same allocation by bumping the
+//! reference count. `Body` is deeply immutable, so a body frozen inside
+//! a cached value satisfies analyzer rule R1 like any other plain data.
 
 use crate::error::HttpError;
 use std::fmt;
@@ -34,7 +33,7 @@ impl Body {
     }
 
     /// The shared buffer itself — a clone is a reference-count bump,
-    /// letting non-HTTP layers (cache store, coalescer) hold the same
+    /// letting non-HTTP layers (the cache store) hold the same
     /// allocation.
     pub fn shared(&self) -> Arc<[u8]> {
         Arc::clone(&self.0)
@@ -62,7 +61,7 @@ impl Body {
     }
 
     /// Whether two bodies share one allocation (zero-copy check used in
-    /// tests and the coalescing path).
+    /// tests).
     pub fn ptr_eq(&self, other: &Body) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }

@@ -16,8 +16,8 @@
 //! - [`server`] — a bounded worker-pool server with backpressure
 //!   (503 + `Retry-After` once the connection queue fills) and graceful
 //!   shutdown that joins every worker.
-//! - [`cache_control`] — `Cache-Control` / `If-Modified-Since` / `304`
-//!   support mirroring the paper's §3.2 discussion of HTTP consistency.
+//! - [`cache_control`] — the server side of the `If-Modified-Since` /
+//!   `304` handshake of the paper's §3.2 discussion of HTTP consistency.
 //! - [`transport`] — a pluggable transport abstraction: real TCP, direct
 //!   in-process dispatch, and a simulated-latency wrapper for
 //!   deterministic benchmarks.

@@ -6,7 +6,6 @@
 
 use std::io::BufReader;
 use std::time::{Duration, UNIX_EPOCH};
-use wsrc_http::cache_control::CacheControl;
 use wsrc_http::date::{format_http_date, parse_http_date};
 use wsrc_http::{Headers, Request, Response, Status};
 
@@ -31,10 +30,6 @@ impl Rng {
 
     fn below(&mut self, n: usize) -> usize {
         (self.next() % n as u64) as usize
-    }
-
-    fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
     }
 
     fn bytes(&mut self, max: usize) -> Vec<u8> {
@@ -164,24 +159,6 @@ fn request_parser_never_panics() {
         let data = rng.bytes(256);
         let _ = Request::read_from(&mut BufReader::new(&data[..]));
         let _ = Response::read_from(&mut BufReader::new(&data[..]));
-    }
-}
-
-#[test]
-fn cache_control_roundtrips() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 5000);
-        let cc = CacheControl {
-            no_store: rng.bool(),
-            no_cache: rng.bool(),
-            max_age: if rng.bool() {
-                Some(Duration::from_secs(rng.next() % 1_000_000))
-            } else {
-                None
-            },
-        };
-        let parsed = CacheControl::parse(&cc.to_header_value());
-        assert_eq!(parsed, cc, "seed {seed}");
     }
 }
 

@@ -12,14 +12,15 @@
 //!
 //! No thread in this workspace ever holds two classed locks, and none
 //! blocks while holding one — so there is no lock order to get wrong.
-//! [`lock_class`] is [`lock`] with a *lock class* label
-//! (`"Owner.field"`), and in debug builds it asserts exactly that: each
-//! thread remembers the one class it holds, acquiring a second
+//! [`lock_class`] is a poison-recovering `lock()` with a *lock class*
+//! label (`"Owner.field"`; five classes: `CacheStore.shards`,
+//! `HttpClient.pool`, `Shared.queue`, `MetricsRegistry.slots`,
+//! `TraceStore.inner`), and in debug builds it asserts exactly that:
+//! each thread remembers the one class it holds, acquiring a second
 //! **panics** naming both, and [`assert_unlocked`] — called where the
 //! workspace blocks (HTTP message reads and writes, the server's
 //! keep-alive poll and thread joins, `TcpStream::connect`,
-//! `Clock::sleep`) — panics under any held class. A plain [`lock`] is
-//! invisible to it. A condvar wait
+//! `Clock::sleep`) — panics under any held class. A condvar wait
 //! releases the guard it waits on, so [`wait_class`] is not a blocking
 //! call in this sense. Every debug test run checks the property on
 //! every path it executes; in release builds the witness is compiled
@@ -30,27 +31,8 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
 use std::time::Duration;
 
 /// Acquires `mutex`, recovering the guard if a previous holder panicked.
-pub fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Blocks on `cv` with `guard`, recovering the guard on poison.
-pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Blocks on `cv` for at most `timeout`, recovering the guard on poison.
-///
-/// Callers deciding deadlines should re-check their own clock rather than
-/// trusting the [`WaitTimeoutResult`] alone — spurious wakeups return
-/// early with `timed_out() == false`.
-pub fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, timeout)
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A [`MutexGuard`] labelled with its lock class. Dereferences to the
@@ -106,7 +88,8 @@ impl<T> Drop for ClassGuard<'_, T> {
     }
 }
 
-/// [`lock`], labelled with the acquisition's lock class.
+/// Acquires `mutex` under its lock class, recovering the guard if a
+/// previous holder panicked.
 ///
 /// `class` names `mutex` as `"Owner.field"`. The witness check runs
 /// *before* the mutex is touched, so a nested acquisition panics
@@ -119,8 +102,8 @@ pub fn lock_class<'a, T>(class: &'static str, mutex: &'a Mutex<T>) -> ClassGuard
     }
 }
 
-/// [`wait`] for a [`ClassGuard`]: blocks on `cv`, atomically releasing
-/// and reacquiring the guard's mutex. The class stays held for the
+/// Blocks on `cv`, atomically releasing and reacquiring the guard's
+/// mutex (recovered on poison). The class stays held for the
 /// witness — the wait returns holding the same lock, so a nested
 /// acquisition after wake-up is as wrong as one before it.
 pub fn wait_class<'a, T>(cv: &Condvar, mut guard: ClassGuard<'a, T>) -> ClassGuard<'a, T> {
@@ -130,15 +113,18 @@ pub fn wait_class<'a, T>(cv: &Condvar, mut guard: ClassGuard<'a, T>) -> ClassGua
     guard
 }
 
-/// [`wait_timeout`] for a [`ClassGuard`]; see [`wait_class`].
+/// [`wait_class`] for at most `timeout`.
+///
+/// Callers deciding deadlines should re-check their own clock rather than
+/// trusting the [`WaitTimeoutResult`] alone — spurious wakeups return
+/// early with `timed_out() == false`.
 pub fn wait_timeout_class<'a, T>(
     cv: &Condvar,
     mut guard: ClassGuard<'a, T>,
     timeout: Duration,
 ) -> (ClassGuard<'a, T>, WaitTimeoutResult) {
-    // The Option is always `Some` here (no public API removes the inner
-    // guard), but stay panic-free: fall back to a zero wait via the
-    // plain helpers if it ever is not.
+    // The Option is always `Some` here: no public API removes the inner
+    // guard.
     let inner = guard.guard.take();
     match inner {
         Some(g) => {
@@ -217,50 +203,6 @@ mod tests {
         .join();
         assert!(m.is_poisoned());
         assert_eq!(*lock(&m), 7, "data survives the panic");
-    }
-
-    #[test]
-    fn wait_timeout_returns_after_deadline() {
-        let pair = (Mutex::new(false), Condvar::new());
-        let guard = lock(&pair.0);
-        let (guard, result) = wait_timeout(&pair.1, guard, std::time::Duration::from_millis(5));
-        assert!(result.timed_out());
-        assert!(!*guard);
-    }
-
-    #[test]
-    fn wait_timeout_wakes_on_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let waker = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            *lock(m) = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut done = lock(m);
-        while !*done {
-            let (guard, _) = wait_timeout(cv, done, std::time::Duration::from_secs(5));
-            done = guard;
-        }
-        waker.join().unwrap();
-    }
-
-    #[test]
-    fn wait_wakes_on_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let waker = std::thread::spawn(move || {
-            let (m, cv) = &*pair2;
-            *lock(m) = true;
-            cv.notify_all();
-        });
-        let (m, cv) = &*pair;
-        let mut done = lock(m);
-        while !*done {
-            done = wait(cv, done);
-        }
-        waker.join().unwrap();
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
+use wsrc_http::{Request, Status, Transport, Url};
 use wsrc_obs::Clock;
 
 /// Load parameters.
@@ -47,23 +48,6 @@ pub struct LoadReport {
     pub mean_response: Duration,
     /// Completed requests per second.
     pub throughput_rps: f64,
-}
-
-/// One worker's connection to the portal (workers never share
-/// connections, like the paper's load tool).
-pub trait PortalConn: Send {
-    /// Fetches one portal page; returns an error description on failure.
-    fn fetch(&mut self, query: &str) -> Result<(), String>;
-}
-
-/// A portal as seen by the load generator: a factory of per-worker
-/// connections.
-pub trait PortalTarget: Sync {
-    /// The per-worker connection type.
-    type Conn: PortalConn;
-
-    /// Opens a connection for one worker.
-    fn connect(&self) -> Self::Conn;
 }
 
 /// The deterministic query schedule controlling the hit ratio.
@@ -107,7 +91,11 @@ impl QuerySchedule {
     }
 }
 
-/// Runs the load and aggregates the report.
+/// Runs the load against the portal at `base` (its path is the page's,
+/// `/portal`) and aggregates the report. `transport` decides how a page
+/// is fetched — [`wsrc_http::InProcTransport`] over the portal handler,
+/// or a pooled TCP client — and a page counts as completed when it comes
+/// back `200 OK`.
 ///
 /// The workers share the global schedule, so the aggregate mix matches
 /// the target hit ratio regardless of per-worker interleaving. Report
@@ -117,20 +105,25 @@ impl QuerySchedule {
 /// designated trace root — servers and clients only continue propagated
 /// contexts), so slow requests are explainable from the tracer's
 /// tail-sampled store.
-pub fn run_load<T: PortalTarget>(
-    target: &T,
+pub fn run_load(
+    transport: &dyn Transport,
+    base: &Url,
     config: &LoadConfig,
     clock: &dyn Clock,
     tracer: Option<&std::sync::Arc<wsrc_obs::Tracer>>,
 ) -> LoadReport {
     let schedule = QuerySchedule::new(config.hit_ratio, config.hot_queries);
+    // The URL's path is what a TCP transport puts on the wire, the
+    // request's target what an in-process handler reads: name both.
+    let fetch = |query: &str| {
+        let url = base.with_path(format!("{}?q={query}", base.path()));
+        let page = Request::get(url.path());
+        matches!(transport.execute(&url, &page), Ok(response) if response.status == Status::OK)
+    };
     // Priming phase: hot queries are warmed so the measured phase sees
     // the intended hit ratio (the paper likewise measures after warmup).
-    {
-        let mut conn = target.connect();
-        for q in schedule.prime_queries() {
-            let _ = conn.fetch(&q);
-        }
+    for q in schedule.prime_queries() {
+        fetch(&q);
     }
     let remaining = AtomicUsize::new(config.requests);
     let completed = AtomicUsize::new(0);
@@ -140,7 +133,6 @@ pub fn run_load<T: PortalTarget>(
     std::thread::scope(|scope| {
         for _ in 0..config.concurrency.max(1) {
             scope.spawn(|| {
-                let mut conn = target.connect();
                 loop {
                     // Claim one request slot.
                     let prev = remaining.fetch_sub(1, Ordering::SeqCst);
@@ -155,22 +147,19 @@ pub fn run_load<T: PortalTarget>(
                     )]
                     let root = tracer.map(|t| t.root_span("loadgen", "/portal"));
                     let t0 = clock.now_nanos();
-                    let outcome = conn.fetch(&query);
+                    let ok = fetch(&query);
                     if let Some(mut root) = root {
-                        if outcome.is_err() {
+                        if !ok {
                             root.set_error();
                         }
                         root.finish();
                     }
-                    match outcome {
-                        Ok(()) => {
-                            completed.fetch_add(1, Ordering::SeqCst);
-                            let nanos = clock.now_nanos().saturating_sub(t0);
-                            total_latency_nanos.fetch_add(nanos, Ordering::SeqCst);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::SeqCst);
-                        }
+                    if ok {
+                        completed.fetch_add(1, Ordering::SeqCst);
+                        let nanos = clock.now_nanos().saturating_sub(t0);
+                        total_latency_nanos.fetch_add(nanos, Ordering::SeqCst);
+                    } else {
+                        errors.fetch_add(1, Ordering::SeqCst);
                     }
                 }
             });
@@ -199,65 +188,48 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
     use std::sync::Mutex;
+    use wsrc_http::{InProcTransport, Response};
     use wsrc_obs::MonotonicClock;
 
-    /// Counts fetches and which queries were repeats.
-    struct CountingTarget {
-        seen: Arc<Mutex<HashSet<String>>>,
-        hits: Arc<AtomicUsize>,
-        total: Arc<AtomicUsize>,
+    fn base() -> Url {
+        Url::new("portal.test", 80, "/portal")
     }
 
-    struct CountingConn {
-        seen: Arc<Mutex<HashSet<String>>>,
-        hits: Arc<AtomicUsize>,
-        total: Arc<AtomicUsize>,
+    fn page() -> Response {
+        Response::ok("text/html", Vec::new())
     }
 
-    impl PortalConn for CountingConn {
-        fn fetch(&mut self, query: &str) -> Result<(), String> {
-            self.total.fetch_add(1, Ordering::SeqCst);
-            if !self.seen.lock().unwrap().insert(query.to_string()) {
-                self.hits.fetch_add(1, Ordering::SeqCst);
+    fn portal(handler: impl Fn(&Request) -> Response + Send + Sync + 'static) -> InProcTransport {
+        InProcTransport::new(Arc::new(handler))
+    }
+
+    /// A portal that counts the pages asked for a second time.
+    fn counting_portal() -> (InProcTransport, Arc<AtomicUsize>) {
+        let repeats = Arc::new(AtomicUsize::new(0));
+        let (seen, counter) = (Mutex::new(HashSet::new()), repeats.clone());
+        let portal = portal(move |request| {
+            if !seen.lock().unwrap().insert(request.target.clone()) {
+                counter.fetch_add(1, Ordering::SeqCst);
             }
-            Ok(())
-        }
-    }
-
-    impl PortalTarget for CountingTarget {
-        type Conn = CountingConn;
-        fn connect(&self) -> CountingConn {
-            CountingConn {
-                seen: self.seen.clone(),
-                hits: self.hits.clone(),
-                total: self.total.clone(),
-            }
-        }
-    }
-
-    fn counting_target() -> CountingTarget {
-        CountingTarget {
-            seen: Arc::new(Mutex::new(HashSet::new())),
-            hits: Arc::new(AtomicUsize::new(0)),
-            total: Arc::new(AtomicUsize::new(0)),
-        }
+            page()
+        });
+        (portal, repeats)
     }
 
     #[test]
     fn schedule_achieves_target_ratio() {
         for ratio in [0.0, 0.2, 0.5, 0.8, 1.0] {
-            let target = counting_target();
+            let (portal, repeats) = counting_portal();
             let config = LoadConfig {
                 concurrency: 1,
                 requests: 1000,
                 hit_ratio: ratio,
                 hot_queries: 8,
             };
-            let report = run_load(&target, &config, &MonotonicClock::new(), None);
+            let report = run_load(&portal, &base(), &config, &MonotonicClock::new(), None);
             assert_eq!(report.completed, 1000);
             // Measured repeats / measured requests (priming excluded).
-            let measured_hits = target.hits.load(Ordering::SeqCst);
-            let observed = measured_hits as f64 / 1000.0;
+            let observed = repeats.load(Ordering::SeqCst) as f64 / 1000.0;
             assert!(
                 (observed - ratio).abs() < 0.02,
                 "ratio {ratio}: observed {observed}"
@@ -267,30 +239,30 @@ mod tests {
 
     #[test]
     fn concurrency_preserves_the_ratio_and_count() {
-        let target = counting_target();
+        let (portal, repeats) = counting_portal();
         let config = LoadConfig {
             concurrency: 8,
             requests: 2000,
             hit_ratio: 0.6,
             hot_queries: 8,
         };
-        let report = run_load(&target, &config, &MonotonicClock::new(), None);
+        let report = run_load(&portal, &base(), &config, &MonotonicClock::new(), None);
         assert_eq!(report.completed, 2000);
         assert_eq!(report.errors, 0);
-        let observed = target.hits.load(Ordering::SeqCst) as f64 / 2000.0;
+        let observed = repeats.load(Ordering::SeqCst) as f64 / 2000.0;
         assert!((observed - 0.6).abs() < 0.03, "observed {observed}");
     }
 
     #[test]
     fn report_math_is_consistent() {
-        let target = counting_target();
+        let (portal, _repeats) = counting_portal();
         let config = LoadConfig {
             concurrency: 2,
             requests: 100,
             hit_ratio: 0.5,
             hot_queries: 4,
         };
-        let report = run_load(&target, &config, &MonotonicClock::new(), None);
+        let report = run_load(&portal, &base(), &config, &MonotonicClock::new(), None);
         assert!(report.throughput_rps > 0.0);
         assert!(report.elapsed > Duration::ZERO);
         assert!(report.mean_response <= report.elapsed);
@@ -298,26 +270,17 @@ mod tests {
 
     #[test]
     fn errors_are_counted_separately() {
-        struct FailingTarget;
-        struct FailingConn(usize);
-        impl PortalConn for FailingConn {
-            fn fetch(&mut self, _q: &str) -> Result<(), String> {
-                self.0 += 1;
-                if self.0.is_multiple_of(2) {
-                    Err("boom".into())
-                } else {
-                    Ok(())
-                }
+        let served = AtomicUsize::new(0);
+        let every_other_fails = portal(move |_request| {
+            if served.fetch_add(1, Ordering::SeqCst) % 2 == 1 {
+                Response::error(Status::INTERNAL_SERVER_ERROR, "boom")
+            } else {
+                page()
             }
-        }
-        impl PortalTarget for FailingTarget {
-            type Conn = FailingConn;
-            fn connect(&self) -> FailingConn {
-                FailingConn(0)
-            }
-        }
+        });
         let report = run_load(
-            &FailingTarget,
+            &every_other_fails,
+            &base(),
             &LoadConfig {
                 concurrency: 1,
                 requests: 100,
@@ -327,37 +290,20 @@ mod tests {
             &MonotonicClock::new(),
             None,
         );
-        assert_eq!(report.completed + report.errors, 100);
-        assert!(report.errors > 0);
+        assert_eq!((report.completed, report.errors), (50, 50));
     }
 
     #[test]
     fn manual_clock_makes_report_timing_deterministic() {
         use wsrc_obs::ManualClock;
-        struct TickingTarget {
-            clock: ManualClock,
-        }
-        struct TickingConn {
-            clock: ManualClock,
-        }
-        impl PortalConn for TickingConn {
-            fn fetch(&mut self, _q: &str) -> Result<(), String> {
-                // Every fetch "takes" exactly 2ms of fake time.
-                self.clock.advance_millis(2);
-                Ok(())
-            }
-        }
-        impl PortalTarget for TickingTarget {
-            type Conn = TickingConn;
-            fn connect(&self) -> TickingConn {
-                TickingConn {
-                    clock: self.clock.handle(),
-                }
-            }
-        }
         let clock = ManualClock::new();
-        let target = TickingTarget {
-            clock: clock.handle(),
+        // Every fetch "takes" exactly 2ms of fake time.
+        let ticking = {
+            let clock = clock.handle();
+            portal(move |_request| {
+                clock.advance_millis(2);
+                page()
+            })
         };
         let config = LoadConfig {
             concurrency: 1,
@@ -365,7 +311,7 @@ mod tests {
             hit_ratio: 0.0,
             hot_queries: 1,
         };
-        let report = run_load(&target, &config, &clock, None);
+        let report = run_load(&ticking, &base(), &config, &clock, None);
         assert_eq!(report.completed, 10);
         // Priming (1 hot query) happens before the measured window, so
         // the window is exactly 10 fetches × 2ms.
@@ -377,24 +323,14 @@ mod tests {
     #[test]
     fn traced_runs_root_every_request_and_break_down_stages() {
         use wsrc_obs::ManualClock;
-        struct PlainTarget;
-        struct PlainConn;
-        impl PortalConn for PlainConn {
-            fn fetch(&mut self, _q: &str) -> Result<(), String> {
-                // A traced fetch contributes a child stage span, the way
-                // the real portal's client middleware does.
-                if let Some(span) = wsrc_obs::trace::child_span("fetch", "transfer") {
-                    span.finish();
-                }
-                Ok(())
+        // A traced fetch contributes a child stage span, the way the
+        // real portal's client middleware does.
+        let plain = portal(|_request| {
+            if let Some(span) = wsrc_obs::trace::child_span("fetch", "transfer") {
+                span.finish();
             }
-        }
-        impl PortalTarget for PlainTarget {
-            type Conn = PlainConn;
-            fn connect(&self) -> PlainConn {
-                PlainConn
-            }
-        }
+            page()
+        });
         let clock = ManualClock::new();
         let tracer = wsrc_obs::Tracer::new(Arc::new(clock.handle()));
         let config = LoadConfig {
@@ -403,7 +339,7 @@ mod tests {
             hit_ratio: 0.0,
             hot_queries: 1,
         };
-        let report = run_load(&PlainTarget, &config, &clock, Some(&tracer));
+        let report = run_load(&plain, &base(), &config, &clock, Some(&tracer));
         assert_eq!(report.completed, 20);
         // Every request rooted a trace; the tail-sampling store retained
         // at least the slowest-N for the route.

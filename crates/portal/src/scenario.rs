@@ -1,15 +1,14 @@
 //! Wires the full portal scenario (Figure 2 of the paper): load simulator
 //! → portal site → caching client middleware → dummy Google back-end.
 
-use crate::loadgen::{run_load, LoadConfig, LoadReport, PortalConn, PortalTarget};
+use crate::loadgen::{run_load, LoadConfig, LoadReport};
 use crate::site::PortalSite;
 use std::sync::Arc;
 use std::time::Duration;
 use wsrc_cache::{KeyStrategy, ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
 use wsrc_http::{
-    Handler, HttpClient, InProcTransport, PoolConfig, Request, Server, Status, TcpTransport,
-    Transport, Url,
+    Handler, HttpClient, InProcTransport, PoolConfig, Server, TcpTransport, Transport, Url,
 };
 use wsrc_obs::MonotonicClock;
 use wsrc_services::google::{self, GoogleService};
@@ -89,7 +88,7 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
             backend_inproc = Some(inproc.clone());
             if config.backend_latency > Duration::ZERO {
                 Arc::new(wsrc_http::LatencyTransport::new(
-                    ArcTransport(inproc),
+                    inproc,
                     config.backend_latency,
                 ))
             } else {
@@ -123,37 +122,38 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
     );
 
     // --- the portal site ---
-    let portal = Arc::new(PortalSite::new(client));
+    let portal: Arc<dyn Handler> = Arc::new(PortalSite::new(client));
     let load_config = LoadConfig {
         concurrency: config.concurrency,
         requests: config.requests,
         hit_ratio: config.hit_ratio,
         hot_queries: 8,
     };
-    let clock = MonotonicClock::new();
-    let load = match config.transport {
-        TransportMode::InProcess => {
-            let target = InProcPortal {
-                portal: portal.clone(),
-            };
-            run_load(&target, &load_config, &clock, None)
-        }
+    // --- the load generator, over the same choice of transport ---
+    let mut portal_server = None;
+    let (portal_transport, portal_url): (Box<dyn Transport>, Url) = match config.transport {
+        TransportMode::InProcess => (
+            Box::new(InProcTransport::new(portal)),
+            Url::new("portal.test", 80, "/portal"),
+        ),
         TransportMode::Tcp => {
-            let server = Server::bind("127.0.0.1:0", portal.clone() as Arc<dyn Handler>)
-                .expect("bind portal");
+            let server = Server::bind("127.0.0.1:0", portal).expect("bind portal");
+            let url = Url::new("127.0.0.1", server.port(), "/portal");
+            portal_server = Some(server);
+            // One pooled client shared by every worker, so the generator
+            // exercises (and benefits from) the client-side connection
+            // pool instead of dialing a socket per worker.
             let pool = PoolConfig {
                 max_per_authority: config.concurrency.max(1),
                 ..PoolConfig::default()
             };
-            let target = TcpPortal {
-                url: Url::new("127.0.0.1", server.port(), "/portal"),
-                client: Arc::new(HttpClient::with_pool(pool)),
-            };
-            let report = run_load(&target, &load_config, &clock, None);
-            drop(server);
-            report
+            let client = Arc::new(HttpClient::with_pool(pool));
+            (Box::new(TcpTransport::with_client(client)), url)
         }
     };
+    let clock = MonotonicClock::new();
+    let load = run_load(&*portal_transport, &portal_url, &load_config, &clock, None);
+    drop(portal_server);
     let stats = cache.stats();
     let backend_requests = backend_inproc
         .map(|t| t.requests_served())
@@ -178,83 +178,6 @@ pub fn sweep_hit_ratios(base: &ScenarioConfig, ratios: &[f64]) -> Vec<(f64, Scen
             (r, run_portal_scenario(&config))
         })
         .collect()
-}
-
-/// Adapter: `Arc<InProcTransport>` as an owned `Transport` for wrapping.
-struct ArcTransport(Arc<InProcTransport>);
-
-impl Transport for ArcTransport {
-    fn execute(
-        &self,
-        url: &Url,
-        request: &Request,
-    ) -> Result<wsrc_http::Response, wsrc_http::HttpError> {
-        self.0.execute(url, request)
-    }
-}
-
-struct InProcPortal {
-    portal: Arc<PortalSite>,
-}
-
-struct InProcConn {
-    portal: Arc<PortalSite>,
-}
-
-impl PortalConn for InProcConn {
-    fn fetch(&mut self, query: &str) -> Result<(), String> {
-        let response = self
-            .portal
-            .handle(&Request::get(format!("/portal?q={query}")));
-        if response.status == Status::OK {
-            Ok(())
-        } else {
-            Err(format!("portal returned {}", response.status))
-        }
-    }
-}
-
-impl PortalTarget for InProcPortal {
-    type Conn = InProcConn;
-    fn connect(&self) -> InProcConn {
-        InProcConn {
-            portal: self.portal.clone(),
-        }
-    }
-}
-
-struct TcpPortal {
-    url: Url,
-    /// One pooled client shared by every load-generator connection, so
-    /// the generator exercises (and benefits from) the client-side
-    /// connection pool instead of dialing a socket per worker.
-    client: Arc<HttpClient>,
-}
-
-struct TcpConn {
-    client: Arc<HttpClient>,
-    url: Url,
-}
-
-impl PortalConn for TcpConn {
-    fn fetch(&mut self, query: &str) -> Result<(), String> {
-        let url = self.url.with_path(format!("/portal?q={query}"));
-        match self.client.get(&url) {
-            Ok(resp) if resp.status == Status::OK => Ok(()),
-            Ok(resp) => Err(format!("portal returned {}", resp.status)),
-            Err(e) => Err(e.to_string()),
-        }
-    }
-}
-
-impl PortalTarget for TcpPortal {
-    type Conn = TcpConn;
-    fn connect(&self) -> TcpConn {
-        TcpConn {
-            client: self.client.clone(),
-            url: self.url.clone(),
-        }
-    }
 }
 
 #[cfg(test)]

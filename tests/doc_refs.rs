@@ -2,7 +2,8 @@
 //! not exist: every `-p <crate>`, `--bin <name>`, `--example <name>`,
 //! `--manifest-path <path>` and `results/<file>` in the files below must
 //! resolve in the tree. Nor can the invariant tables drift from the
-//! rules the analyzer runs or the methods `clippy.toml` disallows.
+//! rules the analyzer runs, the methods `clippy.toml` disallows or the
+//! lock classes the code takes.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -158,5 +159,52 @@ fn invariant_tables_and_clippy_toml_name_the_same_methods() {
             .filter(|code| code.matches("::").count() >= 2 && !code.contains(' '))
             .collect();
         assert_eq!(documented, disallowed, "{file} vs clippy.toml");
+    }
+}
+
+/// Collects the class of every `lock_class("…", …)` call under `dir`
+/// (integration tests aside; the witness's own unit tests take
+/// throwaway `tests.*` classes).
+fn lock_classes_taken(dir: &Path, taken: &mut BTreeSet<String>) {
+    for path in fs::read_dir(dir).expect("readable dir").flatten() {
+        let path = path.path();
+        if path.is_dir() {
+            if !path.ends_with("tests") && !path.ends_with("target") {
+                lock_classes_taken(&path, taken);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = fs::read_to_string(&path).expect("readable source");
+            taken.extend(
+                text.split("lock_class(\"")
+                    .skip(1)
+                    .filter_map(|call| call.split('"').next())
+                    .filter(|class| !class.starts_with("tests."))
+                    .map(str::to_string),
+            );
+        }
+    }
+}
+
+/// The witness's module docs and DESIGN §7's lock row each list the
+/// workspace's lock classes ("N classes: `Owner.field`, …)"); both lists
+/// are exactly the classes some `lock_class` call takes.
+#[test]
+fn lock_class_lists_name_exactly_the_classes_taken() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut taken = BTreeSet::new();
+    lock_classes_taken(&root.join("crates"), &mut taken);
+    for file in ["crates/obs/src/sync.rs", "DESIGN.md"] {
+        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        let list = text
+            .split_once(" classes: ")
+            .and_then(|(_, rest)| rest.split(')').next())
+            .unwrap_or_else(|| panic!("{file} lists no lock classes"));
+        let listed: BTreeSet<String> = list
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect();
+        assert_eq!(listed, taken, "{file} (left) against the code (right)");
     }
 }

@@ -167,50 +167,6 @@ fn repeated_identical_requests_are_absorbed_by_the_cache() {
 }
 
 #[test]
-fn coalescing_absorbs_the_flood_completely() {
-    // With single-flight enabled even the racing first burst collapses
-    // to one back-end exchange.
-    let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
-    let server = Server::bind("127.0.0.1:0", Arc::new(dispatcher)).expect("bind");
-    let cache = Arc::new(
-        ResponseCache::builder(google::registry())
-            .policy(google::default_policy())
-            .build(),
-    );
-    let client = Arc::new(
-        ServiceClient::builder(
-            Url::new("127.0.0.1", server.port(), google::PATH),
-            Arc::new(TcpTransport::new()),
-        )
-        .registry(google::registry())
-        .operations(google::operations())
-        .cache(cache)
-        .coalesce_misses(true)
-        .build(),
-    );
-    let mut workers = Vec::new();
-    for _ in 0..8 {
-        let client = client.clone();
-        workers.push(std::thread::spawn(move || {
-            for _ in 0..50 {
-                client
-                    .as_ref()
-                    .invoke(&spelling("the same request"))
-                    .expect("absorbed");
-            }
-        }));
-    }
-    for w in workers {
-        w.join().expect("worker");
-    }
-    assert_eq!(
-        server.requests_served(),
-        1,
-        "single-flight should collapse the flood to one exchange"
-    );
-}
-
-#[test]
 fn soap_fault_from_service_reaches_the_application() {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let client = caching_client(

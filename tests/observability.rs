@@ -95,7 +95,8 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
         Some(3)
     );
     // Every hit retrieved through the DOM-tree path, and each of the 9
-    // lookups recorded a latency sample.
+    // calls recorded one lookup sample and rendered one key — the three
+    // inserts reuse the key their lookups rendered.
     let retrieve = snap
         .histogram("wsrc_cache_retrieve_seconds", &[e2e, ("repr", "dom-tree")])
         .expect("retrieve histogram");
@@ -104,6 +105,13 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
         .histogram("wsrc_cache_stage_seconds", &[e2e, ("stage", "lookup")])
         .expect("lookup histogram");
     assert_eq!(lookup.count, 9);
+    let keygen = snap
+        .histogram(
+            "wsrc_cache_stage_seconds",
+            &[e2e, ("stage", "keygen"), ("strategy", "to-string")],
+        )
+        .expect("keygen histogram");
+    assert_eq!(keygen.count, 9);
 }
 
 #[test]
@@ -199,6 +207,62 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
     }
 }
 
+/// The families whose names start with `prefix` in a registry's
+/// snapshot; `allowed` lists each label's value set, and a label or a
+/// value outside it (one that could grow without bound) panics.
+fn registered(
+    registry: &MetricsRegistry,
+    prefix: &str,
+    allowed: impl Fn(&str) -> Option<Vec<&'static str>>,
+) -> BTreeSet<String> {
+    let snap = registry.snapshot();
+    let ids = snap
+        .counters
+        .iter()
+        .map(|(id, _)| id)
+        .chain(snap.gauges.iter().map(|(id, _)| id))
+        .chain(snap.histograms.iter().map(|(id, _)| id))
+        .filter(|id| id.name.starts_with(prefix));
+    let mut names = BTreeSet::new();
+    for id in ids {
+        names.insert(id.name.clone());
+        for (label, value) in &id.labels {
+            let values = allowed(label)
+                .unwrap_or_else(|| panic!("{}: label `{label}` is not in the catalogue", id.name));
+            assert!(
+                values.contains(&value.as_str()),
+                "{}: {label}={value} is outside {values:?}",
+                id.name
+            );
+        }
+    }
+    names
+}
+
+/// The families whose names start with `prefix` in the rows of README's
+/// Observability table.
+fn documented(prefix: &str) -> BTreeSet<String> {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md");
+    let section = readme
+        .split("\n## Observability")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("README has an Observability section");
+    section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .flat_map(|row| row.split('`'))
+        .filter(|token| token.starts_with(prefix))
+        .map(|token| {
+            let end = token
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
+                .unwrap_or(token.len());
+            token[..end].to_string()
+        })
+        .collect()
+}
+
 /// The cache's metric families are a checked list: what a freshly built
 /// cache registers is exactly what README's Observability table names,
 /// and no label takes a value outside the fixed sets below. A family
@@ -211,55 +275,41 @@ fn the_caches_metric_families_are_the_documented_list() {
         .metrics(registry.clone())
         .metrics_label("catalogue")
         .build();
-    let snap = registry.snapshot();
-    let ids = snap
-        .counters
-        .iter()
-        .map(|(id, _)| id)
-        .chain(snap.gauges.iter().map(|(id, _)| id))
-        .chain(snap.histograms.iter().map(|(id, _)| id));
     let reprs = ValueRepresentation::ALL_EXTENDED.map(|r| r.metric_label());
-    let mut registered = BTreeSet::new();
-    for id in ids {
-        registered.insert(id.name.clone());
-        for (label, value) in &id.labels {
-            let allowed: &[&str] = match label.as_str() {
-                "cache" => &["catalogue"],
-                "repr" => &reprs,
-                "stage" => &["keygen", "lookup", "insert"],
-                "strategy" => &["auto", "xml-message", "serialization", "to-string"],
-                "kind" => &["expired", "lru"],
-                other => panic!("{}: label `{other}` is not in the catalogue", id.name),
-            };
-            assert!(
-                allowed.contains(&value.as_str()),
-                "{}: {label}={value} is outside {allowed:?}",
-                id.name
-            );
-        }
-    }
-
-    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
-        .expect("README.md");
-    let section = readme
-        .split("\n## Observability")
-        .nth(1)
-        .and_then(|rest| rest.split("\n## ").next())
-        .expect("README has an Observability section");
-    let documented: BTreeSet<String> = section
-        .lines()
-        .filter(|line| line.starts_with('|'))
-        .flat_map(|row| row.split('`'))
-        .filter(|token| token.starts_with("wsrc_cache_"))
-        .map(|token| {
-            let end = token
-                .find(|c: char| !(c.is_ascii_lowercase() || c == '_'))
-                .unwrap_or(token.len());
-            token[..end].to_string()
-        })
-        .collect();
+    let found = registered(&registry, "wsrc_cache_", |label| match label {
+        "cache" => Some(vec!["catalogue"]),
+        "repr" => Some(reprs.to_vec()),
+        "stage" => Some(vec!["keygen", "lookup", "insert"]),
+        "strategy" => Some(vec!["auto", "xml-message", "serialization", "to-string"]),
+        "kind" => Some(vec!["expired", "lru"]),
+        _ => None,
+    });
     assert_eq!(
-        registered, documented,
+        found,
+        documented("wsrc_cache_"),
         "registered by the cache (left) against README's Observability table (right)"
+    );
+}
+
+/// The same check for the client middleware: after a cached miss (the
+/// one path through every client stage) the process-wide registry holds
+/// exactly the `wsrc_client_*` families the table names.
+#[test]
+fn the_clients_metric_families_are_the_documented_list() {
+    let client = portal_client(
+        &Arc::new(MetricsRegistry::new()),
+        "client-catalogue",
+        ValueRepresentation::PassByReference,
+        &ManualClock::new(),
+    );
+    let (_, disposition) = client.invoke(&spelling("catalogue")).expect("call");
+    assert_eq!(disposition, Disposition::CacheMiss);
+    let found = registered(&wsrcache::obs::global(), "wsrc_client_", |label| {
+        (label == "stage").then(|| vec!["serialize", "transport", "deserialize"])
+    });
+    assert_eq!(
+        found,
+        documented("wsrc_client_"),
+        "registered by the client (left) against README's Observability table (right)"
     );
 }
