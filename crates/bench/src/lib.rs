@@ -22,7 +22,6 @@
 
 pub mod figures;
 pub mod fixtures;
-pub mod json;
 pub mod obs_report;
 pub mod tables;
 pub mod timing;

@@ -3,12 +3,12 @@
 //! After the benchmark artifacts run, the process-wide
 //! [`MetricsRegistry`](wsrc_obs::MetricsRegistry) holds everything the
 //! instrumented pipeline recorded: cache hit/insert counters labelled by
-//! representation, and latency histograms for every stage (key
-//! generation, lookup, retrieve/build per representation, XML parse,
-//! binary (de)serialization, deep copies, client serialize / transport /
-//! deserialize). This module renders that snapshot as human tables; the
-//! machine-readable form of the same accounting is the per-layer ledger
-//! `benchmark/` prints.
+//! representation, and latency histograms for every stage the cache,
+//! the client and the HTTP layer own (key generation, lookup, insert,
+//! retrieve/build per representation; serialize / transport /
+//! deserialize; queue and pool waits). This module renders that
+//! snapshot as human tables; the machine-readable form of the same
+//! accounting is the per-layer ledger `benchmark/` prints.
 
 use crate::render_table;
 use wsrc_obs::MetricsSnapshot;
@@ -147,7 +147,7 @@ mod tests {
         let h = r.histogram("wsrc_cache_stage_seconds", &[("stage", "lookup")]);
         h.record_nanos(1_000);
         h.record_nanos(2_000);
-        r.histogram("wsrc_xml_parse_seconds", &[("op", "parse-into")]);
+        r.histogram("wsrc_cache_stage_seconds", &[("stage", "insert")]);
         r.snapshot()
     }
 
@@ -162,8 +162,8 @@ mod tests {
             text.contains("wsrc_cache_stage_seconds{stage=\"lookup\"}"),
             "{text}"
         );
-        // The never-recorded parse histogram is not listed.
-        assert!(!text.contains("wsrc_xml_parse_seconds"), "{text}");
+        // The never-recorded insert histogram is not listed.
+        assert!(!text.contains("stage=\"insert\""), "{text}");
     }
 
     #[test]

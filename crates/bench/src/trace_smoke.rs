@@ -11,10 +11,9 @@
 //! check is deterministic: a span accounting bug fails it every run, not
 //! one run in ten.
 
-use crate::json::Json;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrc_cache::{KeyStrategy, ResponseCache, ValueRepresentation};
+use wsrc_cache::{ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
 use wsrc_http::{
     Handler, HttpClient, InProcTransport, LatencyTransport, MetricsRoute, Server, ServerConfig,
@@ -43,9 +42,9 @@ pub const REQUIRED_STAGES: &[&str] = &[
 ///
 /// # Errors
 ///
-/// Fails when the stack cannot be driven, `/trace` does not parse, a
-/// required stage is missing, or root coverage falls below
-/// [`MIN_COVERAGE`].
+/// Fails when the stack cannot be driven, `/trace` does not serve what
+/// the store retained, a required stage is missing, or root coverage
+/// falls below [`MIN_COVERAGE`].
 pub fn run_trace_smoke() -> Result<String, String> {
     let clock = ManualClock::new();
     let tracer = Tracer::new(Arc::new(clock.handle()));
@@ -61,7 +60,6 @@ pub fn run_trace_smoke() -> Result<String, String> {
             .policy(
                 google::default_policy().with_representation(ValueRepresentation::PassByReference),
             )
-            .key_strategy(KeyStrategy::ToString)
             .build(),
     );
     let service = Arc::new(
@@ -91,19 +89,6 @@ pub fn run_trace_smoke() -> Result<String, String> {
     let client = HttpClient::with_timeout(Some(Duration::from_secs(10)));
     let base = Url::new("127.0.0.1", server.port(), "/portal");
 
-    // Regression guard on the reader's instrumentation: the zero-alloc
-    // parser must keep recording `wsrc_xml_parse_seconds` into the
-    // process-wide registry. Measured as a delta so parses from
-    // elsewhere in the process can only add, never fake, the signal.
-    let parse_count = |snap: &wsrc_obs::MetricsSnapshot| -> u64 {
-        ["read-all", "read-sequence", "parse-into"]
-            .iter()
-            .filter_map(|op| snap.histogram("wsrc_xml_parse_seconds", &[("op", op)]))
-            .map(|h| h.count)
-            .sum()
-    };
-    let parses_before = parse_count(&wsrc_obs::global().snapshot());
-
     // One miss (pays the back-end latency) and one hit on the same query.
     for _ in 0..2 {
         #[expect(
@@ -125,15 +110,6 @@ pub fn run_trace_smoke() -> Result<String, String> {
         }
     }
 
-    let parses_after = parse_count(&wsrc_obs::global().snapshot());
-    if parses_after <= parses_before {
-        return Err(format!(
-            "wsrc_xml_parse_seconds did not advance across a miss+hit \
-             (count {parses_before} before, {parses_after} after); the \
-             reader's parse timers are no longer recording"
-        ));
-    }
-
     // The endpoint must serve the same trees the store retained.
     let trace_url = base.with_path("/trace".to_string());
     let body = client
@@ -144,13 +120,11 @@ pub fn run_trace_smoke() -> Result<String, String> {
     }
     let text = body
         .body_text()
-        .map_err(|e| format!("/trace body not utf-8: {e}"))?
-        .to_string();
-    let doc = Json::parse(&text).map_err(|e| format!("/trace is not valid JSON: {e}"))?;
-    let recent = doc
-        .get("recent")
-        .and_then(Json::as_arr)
-        .ok_or("/trace missing recent array")?;
+        .map_err(|e| format!("/trace body not utf-8: {e}"))?;
+    if text != tracer.store().to_json() {
+        return Err(format!("/trace is not the store's rendering: {text}"));
+    }
+    let recent = tracer.store().recent();
     if recent.is_empty() {
         return Err("/trace retained no traces".to_string());
     }
@@ -180,11 +154,10 @@ pub fn run_trace_smoke() -> Result<String, String> {
     }
     Ok(format!(
         "trace_smoke: {} traces retained, {} spans in miss trace, \
-         root coverage {:.1}%, {} parse(s) timed, /trace payload {} bytes\n{}",
+         root coverage {:.1}%, /trace payload {} bytes\n{}",
         recent.len(),
         miss.spans.len(),
         coverage * 100.0,
-        parses_after - parses_before,
         text.len(),
         crate::obs_report::slowest_traces_table(tracer.store())
     ))

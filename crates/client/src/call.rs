@@ -11,39 +11,38 @@ use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
 use wsrc_soap::serializer::serialize_request;
 use wsrc_xml::event::SaxEventSequence;
 
-/// Runs one pipeline stage under a trace span (when a trace is active on
-/// this thread), marking the span failed when the stage errors.
-fn traced<T, E>(
-    name: &'static str,
-    stage: &'static str,
-    f: impl FnOnce() -> Result<T, E>,
-) -> Result<T, E> {
-    let span = wsrc_obs::trace::child_span(name, stage);
-    let result = f();
-    if let Some(mut span) = span {
-        if result.is_err() {
-            span.set_error();
-        }
-        span.finish();
-    }
-    result
+/// The miss path's three stages. Each runs under a trace span (when a
+/// trace is active on this thread; marked failed when the stage errors)
+/// and records into its own series of
+/// `wsrc_client_stage_seconds{stage=…}` in the process-wide registry.
+#[derive(Clone, Copy)]
+enum Stage {
+    Serialize,
+    Transport,
+    Deserialize,
 }
 
-/// Per-stage timers for the miss path, in the process-wide registry as
-/// `wsrc_client_stage_seconds{stage=…}`: request serialization, the HTTP
-/// exchange itself, and response deserialization.
-fn stage_timer(stage: &'static str) -> &'static Histogram {
-    static SERIALIZE: OnceLock<Histogram> = OnceLock::new();
-    static TRANSPORT: OnceLock<Histogram> = OnceLock::new();
-    static DESERIALIZE: OnceLock<Histogram> = OnceLock::new();
-    let cell = match stage {
-        "serialize" => &SERIALIZE,
-        "transport" => &TRANSPORT,
-        _ => &DESERIALIZE,
-    };
-    cell.get_or_init(|| {
-        wsrc_obs::global().histogram("wsrc_client_stage_seconds", &[("stage", stage)])
-    })
+impl Stage {
+    fn run<T, E>(self, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        static HISTOGRAMS: [OnceLock<Histogram>; 3] = [const { OnceLock::new() }; 3];
+        let (span_name, span_stage, label) = match self {
+            Stage::Serialize => ("serialize", "serialize", "serialize"),
+            Stage::Transport => ("exchange", "transport", "transport"),
+            Stage::Deserialize => ("parse", "parse", "deserialize"),
+        };
+        let histogram = HISTOGRAMS[self as usize].get_or_init(|| {
+            wsrc_obs::global().histogram("wsrc_client_stage_seconds", &[("stage", label)])
+        });
+        let span = wsrc_obs::trace::child_span(span_name, span_stage);
+        let result = histogram.time(f);
+        if let Some(mut span) = span {
+            if result.is_err() {
+                span.set_error();
+            }
+            span.finish();
+        }
+        result
+    }
 }
 
 /// Everything a completed exchange produced — handed to the cache layer.
@@ -154,10 +153,9 @@ impl Call {
         descriptor
             .check_request(request)
             .map_err(ClientError::Soap)?;
-        let request_xml = traced("serialize", "serialize", || {
-            stage_timer("serialize").time(|| serialize_request(request, &self.registry))
-        })
-        .map_err(ClientError::Soap)?;
+        let request_xml = Stage::Serialize
+            .run(|| serialize_request(request, &self.registry))
+            .map_err(ClientError::Soap)?;
         let mut http_request = Request::post(
             self.endpoint.path(),
             wsrc_soap::envelope::CONTENT_TYPE,
@@ -167,9 +165,8 @@ impl Call {
         if let Some(ims) = if_modified_since {
             http_request = http_request.with_header("If-Modified-Since", ims.to_string());
         }
-        let http_response = traced("exchange", "transport", || {
-            stage_timer("transport").time(|| self.transport.execute(&self.endpoint, &http_request))
-        })?;
+        let http_response =
+            Stage::Transport.run(|| self.transport.execute(&self.endpoint, &http_request))?;
 
         if http_response.status == wsrc_http::Status::NOT_MODIFIED {
             return Ok(ConditionalOutcome::NotModified);
@@ -193,16 +190,15 @@ impl Call {
         // a mangled body fails loudly instead of being silently repaired
         // and then cached) and records the arena sequence in the same
         // pass — the miss path never materializes owned events.
-        let (outcome, events) = traced("parse", "parse", || {
-            stage_timer("deserialize").time(|| {
+        let (outcome, events) = Stage::Deserialize
+            .run(|| {
                 read_response_bytes_recording(
                     http_response.body.as_bytes(),
                     &descriptor.return_type,
                     &self.registry,
                 )
             })
-        })
-        .map_err(ClientError::Soap)?;
+            .map_err(ClientError::Soap)?;
         match outcome {
             // Zero-copy hand-off: the exchange shares the HTTP body's
             // allocation instead of re-owning the text.

@@ -440,7 +440,7 @@ mod tests {
                 .metrics_label("unit"),
         );
         let renders = || {
-            let labels = [("cache", "unit"), ("stage", "keygen"), ("strategy", "auto")];
+            let labels = [("cache", "unit"), ("stage", "keygen")];
             metrics
                 .snapshot()
                 .histogram("wsrc_cache_stage_seconds", &labels)

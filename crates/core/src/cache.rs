@@ -5,14 +5,14 @@
 //! handle first ([`CachedCall::lookup`]); on a miss it performs the real
 //! exchange and hands the artifacts to [`CachedCall::insert`].
 //! [`ResponseCache::lookup`] and [`ResponseCache::insert`] are the same
-//! steps for a caller that has only one of them to make. Key strategy,
+//! steps for a caller that has only one of them to make. Keying,
 //! representation selection, per-operation policy and TTL all live
 //! here, so the client application "does not need to be at all
 //! conscious of how the response data is cached" (paper §6).
 
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
-use crate::key::{generate_key, CacheKey, KeyStrategy};
+use crate::key::{first_applicable_key, CacheKey};
 use crate::policy::{CachePolicy, OperationPolicy};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
@@ -51,7 +51,7 @@ pub enum CacheOutcome {
 /// Per-stage latency histograms and occupancy gauges for one cache, all
 /// registered under its `cache=<label>` in a [`MetricsRegistry`].
 struct CacheTimers {
-    /// `wsrc_cache_stage_seconds{stage="keygen",strategy=…}`.
+    /// `wsrc_cache_stage_seconds{stage="keygen"}`.
     keygen: Histogram,
     /// `wsrc_cache_stage_seconds{stage="lookup"}` — store read and
     /// retrieve; disjoint from `keygen`.
@@ -70,7 +70,7 @@ struct CacheTimers {
 }
 
 impl CacheTimers {
-    fn new(registry: &Arc<MetricsRegistry>, label: &str, strategy: KeyStrategy) -> Self {
+    fn new(registry: &Arc<MetricsRegistry>, label: &str) -> Self {
         let stage = |s: &str| {
             registry.histogram(
                 "wsrc_cache_stage_seconds",
@@ -82,14 +82,7 @@ impl CacheTimers {
                 .map(|r| registry.histogram(name, &[("cache", label), ("repr", r.metric_label())]))
         };
         CacheTimers {
-            keygen: registry.histogram(
-                "wsrc_cache_stage_seconds",
-                &[
-                    ("cache", label),
-                    ("stage", "keygen"),
-                    ("strategy", strategy.metric_label()),
-                ],
-            ),
+            keygen: stage("keygen"),
             lookup: stage("lookup"),
             insert: stage("insert"),
             retrieve: per_repr("wsrc_cache_retrieve_seconds"),
@@ -104,7 +97,6 @@ impl CacheTimers {
 pub struct ResponseCache {
     store: CacheStore,
     policy: CachePolicy,
-    key_strategy: KeyStrategy,
     clock: Arc<dyn Clock>,
     registry: TypeRegistry,
     metrics: Arc<MetricsRegistry>,
@@ -116,7 +108,6 @@ impl std::fmt::Debug for ResponseCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseCache")
             .field("entries", &self.store.len())
-            .field("key_strategy", &self.key_strategy)
             .field("stats", &self.stats.snapshot())
             .finish()
     }
@@ -129,7 +120,6 @@ impl ResponseCache {
         ResponseCacheBuilder {
             registry,
             policy: CachePolicy::new(),
-            key_strategy: KeyStrategy::Auto,
             clock: Arc::new(SystemClock),
             capacity: Capacity::default(),
             metrics: None,
@@ -141,14 +131,14 @@ impl ResponseCache {
     /// operation's policy and renders the cache key, the two things
     /// every later step of the call needs. `None` when the cache takes
     /// no part in the call — the policy excludes the operation, or no
-    /// key strategy applies to the request — which is counted once, as
+    /// key method applies to the request — which is counted once, as
     /// uncacheable; the caller performs a plain exchange.
     pub fn call(&self, endpoint_url: &str, request: &RpcRequest) -> Option<CachedCall<'_>> {
         let policy = self.policy.for_operation(&request.operation);
         let key = if policy.cacheable {
             self.timers
                 .keygen
-                .time(|| generate_key(self.key_strategy, endpoint_url, request, &self.registry))
+                .time(|| first_applicable_key(endpoint_url, request, &self.registry))
                 .ok()
         } else {
             None
@@ -344,56 +334,45 @@ impl CachedCall<'_> {
     /// stored form; `expected` is the operation's return type.
     pub fn lookup(&self, expected: &FieldType) -> CacheOutcome {
         let cache = self.cache;
-        let _lookup_span = cache.timers.lookup.timer();
-        match cache.store.get(&self.key, cache.clock.now_millis()) {
-            Lookup::Live(entry) => {
-                let repr = entry.form().representation();
-                // Timed by hand: a scope timer clones the histogram's
-                // two `Arc`s, four atomic operations a hit can do without.
-                let histogram = &cache.timers.retrieve[repr.index()];
-                let started = histogram.now_nanos();
-                let result = entry.form().retrieve(expected, &cache.registry);
-                histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
-                match result {
-                    Ok(handle) => {
+        // The entry's object and the form it came from; an entry that
+        // cannot produce its object is poison — dropped, and a miss.
+        let retrieve = |entry: &CacheEntry| {
+            let repr = entry.form().representation();
+            let result = cache.timers.retrieve[repr.index()]
+                .time(|| entry.form().retrieve(expected, &cache.registry));
+            if result.is_err() {
+                cache.store.invalidate(&self.key);
+                cache.stats.record_miss();
+            }
+            result.ok().map(|handle| (handle, repr))
+        };
+        cache.timers.lookup.time(
+            || match cache.store.get(&self.key, cache.clock.now_millis()) {
+                Lookup::Live(entry) => match retrieve(&entry) {
+                    Some((handle, repr)) => {
                         cache.stats.record_hit(repr);
                         CacheOutcome::Fresh { handle }
                     }
-                    Err(_) => {
-                        // A cache entry that cannot produce its object is
-                        // poison; drop it and treat as a miss.
-                        cache.store.invalidate(&self.key);
-                        cache.stats.record_miss();
-                        CacheOutcome::Miss
-                    }
-                }
-            }
-            Lookup::Stale { entry, validator } => {
-                let repr = entry.form().representation();
-                match cache.timers.retrieve[repr.index()]
-                    .time(|| entry.form().retrieve(expected, &cache.registry))
-                {
-                    Ok(handle) => {
+                    None => CacheOutcome::Miss,
+                },
+                Lookup::Stale { entry, validator } => match retrieve(&entry) {
+                    Some((handle, _)) => {
                         cache.stats.record_expired();
                         CacheOutcome::Stale { handle, validator }
                     }
-                    Err(_) => {
-                        cache.store.invalidate(&self.key);
-                        cache.stats.record_miss();
-                        CacheOutcome::Miss
-                    }
+                    None => CacheOutcome::Miss,
+                },
+                Lookup::Expired => {
+                    cache.stats.record_expired();
+                    cache.stats.record_miss();
+                    CacheOutcome::Miss
                 }
-            }
-            Lookup::Expired => {
-                cache.stats.record_expired();
-                cache.stats.record_miss();
-                CacheOutcome::Miss
-            }
-            Lookup::Absent => {
-                cache.stats.record_miss();
-                CacheOutcome::Miss
-            }
-        }
+                Lookup::Absent => {
+                    cache.stats.record_miss();
+                    CacheOutcome::Miss
+                }
+            },
+        )
     }
 
     /// Stores the artifacts of the call's completed exchange under its
@@ -409,25 +388,26 @@ impl CachedCall<'_> {
         validator: Option<String>,
     ) -> Option<ValueRepresentation> {
         let cache = self.cache;
-        let _insert_span = cache.timers.insert.timer();
-        let (entry, repr) = cache.build_entry(&self.policy, data)?;
-        let now = cache.clock.now_millis();
-        let expires = self.expires_at(now);
-        let accepted = cache
-            .store
-            .put_validated(self.key, entry, expires, now, validator);
-        cache.set_occupancy_gauges();
-        match accepted {
-            Some(evicted) => {
-                cache.stats.record_insert(repr);
-                cache.stats.record_evictions(evicted);
-                Some(repr)
+        cache.timers.insert.time(|| {
+            let (entry, repr) = cache.build_entry(&self.policy, data)?;
+            let now = cache.clock.now_millis();
+            let expires = self.expires_at(now);
+            let accepted = cache
+                .store
+                .put_validated(self.key, entry, expires, now, validator);
+            cache.set_occupancy_gauges();
+            match accepted {
+                Some(evicted) => {
+                    cache.stats.record_insert(repr);
+                    cache.stats.record_evictions(evicted);
+                    Some(repr)
+                }
+                None => {
+                    cache.stats.record_store_failure();
+                    None
+                }
             }
-            None => {
-                cache.stats.record_store_failure();
-                None
-            }
-        }
+        })
     }
 
     /// Renews the TTL of the call's (stale) entry after a successful
@@ -461,7 +441,6 @@ impl AdaptivePolicy {
 pub struct ResponseCacheBuilder {
     registry: TypeRegistry,
     policy: CachePolicy,
-    key_strategy: KeyStrategy,
     clock: Arc<dyn Clock>,
     capacity: Capacity,
     metrics: Option<Arc<MetricsRegistry>>,
@@ -471,7 +450,6 @@ pub struct ResponseCacheBuilder {
 impl std::fmt::Debug for ResponseCacheBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResponseCacheBuilder")
-            .field("key_strategy", &self.key_strategy)
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -488,12 +466,6 @@ impl ResponseCacheBuilder {
     pub fn cache_everything(mut self, ttl: Duration) -> Self {
         self.policy =
             std::mem::take(&mut self.policy).with_default(OperationPolicy::cacheable(ttl));
-        self
-    }
-
-    /// Sets the cache-key strategy (default: [`KeyStrategy::Auto`]).
-    pub fn key_strategy(mut self, strategy: KeyStrategy) -> Self {
-        self.key_strategy = strategy;
         self
     }
 
@@ -536,11 +508,10 @@ impl ResponseCacheBuilder {
         let metrics = self.metrics.unwrap_or_else(wsrc_obs::global);
         let label = self.metrics_label.unwrap_or_else(crate::stats::auto_label);
         let stats = CacheStats::in_registry(&metrics, &label);
-        let timers = CacheTimers::new(&metrics, &label, self.key_strategy);
+        let timers = CacheTimers::new(&metrics, &label);
         ResponseCache {
             store: CacheStore::new(self.capacity),
             policy: self.policy,
-            key_strategy: self.key_strategy,
             clock: self.clock,
             registry: self.registry,
             metrics,
@@ -883,10 +854,7 @@ mod tests {
             1
         );
         assert_eq!(
-            h(
-                "wsrc_cache_stage_seconds",
-                &[unit, ("stage", "keygen"), ("strategy", "auto")]
-            ),
+            h("wsrc_cache_stage_seconds", &[unit, ("stage", "keygen")]),
             3
         );
         let repr_label = ("repr", repr.metric_label());

@@ -9,6 +9,9 @@
 //! | `XmlMessage`      | serialize the request envelope| none (but slow) |
 //! | `Serialization`   | binary-serialize each value   | values must be serializable |
 //! | `ToString`        | `toString()` each value       | values need value-based `toString` |
+//!
+//! A [`ResponseCache`](crate::ResponseCache) keys every request one
+//! way: by the fastest method that applies to it.
 
 use crate::error::CacheError;
 use wsrc_model::typeinfo::TypeRegistry;
@@ -26,9 +29,6 @@ pub enum KeyStrategy {
     /// Render parameter values with their value-based `toString`
     /// (fastest; requires suitable `toString`).
     ToString,
-    /// Try `ToString`, fall back to `Serialization`, then `XmlMessage` —
-    /// the middleware's no-configuration default.
-    Auto,
 }
 
 impl KeyStrategy {
@@ -45,17 +45,15 @@ impl KeyStrategy {
             KeyStrategy::XmlMessage => "XML message",
             KeyStrategy::Serialization => "Java serialization",
             KeyStrategy::ToString => "toString method",
-            KeyStrategy::Auto => "auto",
         }
     }
 
-    /// Stable kebab-case label for metric `strategy` label values.
+    /// Stable kebab-case label for metric and benchmark row names.
     pub fn metric_label(&self) -> &'static str {
         match self {
             KeyStrategy::XmlMessage => "xml-message",
             KeyStrategy::Serialization => "serialization",
             KeyStrategy::ToString => "to-string",
-            KeyStrategy::Auto => "auto",
         }
     }
 }
@@ -130,10 +128,25 @@ pub fn generate_key(
             }
             Ok(CacheKey::Text(key))
         }
-        KeyStrategy::Auto => generate_key(KeyStrategy::ToString, endpoint_url, request, registry)
-            .or_else(|_| generate_key(KeyStrategy::Serialization, endpoint_url, request, registry))
-            .or_else(|_| generate_key(KeyStrategy::XmlMessage, endpoint_url, request, registry)),
     }
+}
+
+/// The key a [`ResponseCache`](crate::ResponseCache) files `request`
+/// under: `ToString` (the fastest, Table 6), else `Serialization`, else
+/// `XmlMessage`, which applies to anything the request serializer
+/// accepts.
+///
+/// # Errors
+///
+/// The `XmlMessage` attempt's error, when no method applies.
+pub(crate) fn first_applicable_key(
+    endpoint_url: &str,
+    request: &RpcRequest,
+    registry: &TypeRegistry,
+) -> Result<CacheKey, CacheError> {
+    generate_key(KeyStrategy::ToString, endpoint_url, request, registry)
+        .or_else(|_| generate_key(KeyStrategy::Serialization, endpoint_url, request, registry))
+        .or_else(|_| generate_key(KeyStrategy::XmlMessage, endpoint_url, request, registry))
 }
 
 fn push_delimited(out: &mut Vec<u8>, data: &[u8]) {
@@ -240,15 +253,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_falls_back_down_the_chain() {
+    fn the_caches_key_falls_back_down_the_chain() {
         let r = registry();
-        // Simple params → toString text key.
-        let k = generate_key(KeyStrategy::Auto, URL, &request(), &r).unwrap();
-        assert!(matches!(k, CacheKey::Text(_)));
+        // Simple params → the toString key.
+        assert_eq!(
+            first_applicable_key(URL, &request(), &r).unwrap(),
+            generate_key(KeyStrategy::ToString, URL, &request(), &r).unwrap()
+        );
         // Opaque param → falls through to the XML message key.
         let req = RpcRequest::new("urn:t", "op")
             .with_param("o", Value::Struct(StructValue::new("Opaque")));
-        let k = generate_key(KeyStrategy::Auto, URL, &req, &r).unwrap();
+        let k = first_applicable_key(URL, &req, &r).unwrap();
         match k {
             CacheKey::Text(t) => assert!(t.contains("Envelope"), "expected XML fallback"),
             CacheKey::Binary(_) => panic!("expected text key"),
@@ -274,7 +289,7 @@ mod tests {
         // Serialization handles byte arrays fine.
         assert!(generate_key(KeyStrategy::Serialization, URL, &req, &r).is_ok());
         assert!(matches!(
-            generate_key(KeyStrategy::Auto, URL, &req, &r).unwrap(),
+            first_applicable_key(URL, &req, &r).unwrap(),
             CacheKey::Binary(_)
         ));
     }

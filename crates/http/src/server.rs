@@ -912,7 +912,7 @@ mod tests {
             )
             .add(3);
         registry
-            .histogram("wsrc_xml_parse_seconds", &[("op", "read-all")])
+            .histogram("wsrc_http_queue_wait_seconds", &[])
             .record_nanos(1_500);
         let app: Arc<dyn Handler> =
             Arc::new(|_req: &Request| Response::ok("text/plain", b"app".to_vec()));
@@ -935,9 +935,12 @@ mod tests {
             body.contains("wsrc_cache_hits_total{cache=\"m\",repr=\"dom-tree\"} 3"),
             "{body}"
         );
-        assert!(body.contains("wsrc_xml_parse_seconds_bucket"), "{body}");
         assert!(
-            body.contains("# TYPE wsrc_xml_parse_seconds histogram"),
+            body.contains("wsrc_http_queue_wait_seconds_bucket"),
+            "{body}"
+        );
+        assert!(
+            body.contains("# TYPE wsrc_http_queue_wait_seconds histogram"),
             "{body}"
         );
 

@@ -25,18 +25,7 @@ use crate::typeinfo::{StructPlan, TypeRegistry};
 use crate::value::{Shape, Value};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
-use wsrc_obs::Histogram;
-
-fn serialize_timer() -> &'static Histogram {
-    static T: OnceLock<Histogram> = OnceLock::new();
-    T.get_or_init(|| wsrc_obs::global().histogram("wsrc_model_serialize_seconds", &[]))
-}
-
-fn deserialize_timer() -> &'static Histogram {
-    static T: OnceLock<Histogram> = OnceLock::new();
-    T.get_or_init(|| wsrc_obs::global().histogram("wsrc_model_deserialize_seconds", &[]))
-}
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"WSRB";
 const VERSION: u8 = 2;
@@ -59,7 +48,6 @@ const TAG_STRING_REF: u8 = 10;
 /// [`serialize_checked`] to enforce the Java `Serializable` capability
 /// the way the paper's middleware does.
 pub fn serialize(value: &Value) -> Vec<u8> {
-    let _span = serialize_timer().timer();
     let mut w = Writer {
         out: Vec::with_capacity(64),
         descriptors: HashMap::new(),
@@ -125,7 +113,6 @@ fn check_serializable(
 ///
 /// Returns [`ModelError::Corrupt`] on malformed input.
 pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
-    let _span = deserialize_timer().timer();
     let mut r = Reader {
         bytes,
         pos: 0,

@@ -17,13 +17,7 @@ use crate::error::ModelError;
 use crate::tree::TreeBuilder;
 use crate::typeinfo::TypeRegistry;
 use crate::value::Value;
-use std::sync::{Arc, OnceLock};
-use wsrc_obs::Histogram;
-
-fn copy_timer() -> &'static Histogram {
-    static T: OnceLock<Histogram> = OnceLock::new();
-    T.get_or_init(|| wsrc_obs::global().histogram("wsrc_copy_seconds", &[("mech", "clone")]))
-}
+use std::sync::Arc;
 
 /// Deep-copies `value` via its generated `clone()`.
 ///
@@ -48,9 +42,6 @@ pub fn clone_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, Model
 /// Exposed for benchmarks that want to measure the mechanism without the
 /// classification cost.
 pub fn clone_unchecked(value: &Value) -> Value {
-    // Timed here (not in `clone_copy`) so the sample covers exactly the
-    // generated `clone()` body and is never recorded twice per copy.
-    let _span = copy_timer().timer();
     match value {
         Value::Bytes(b) => Value::Bytes(Arc::from(&b[..])),
         Value::Array(_) | Value::Struct(_) => {

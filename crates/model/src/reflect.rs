@@ -15,13 +15,7 @@ use crate::error::ModelError;
 use crate::tree::TreeBuilder;
 use crate::typeinfo::{StructPlan, TypeRegistry};
 use crate::value::{Shape, Value};
-use std::sync::{Arc, OnceLock};
-use wsrc_obs::Histogram;
-
-fn copy_timer() -> &'static Histogram {
-    static T: OnceLock<Histogram> = OnceLock::new();
-    T.get_or_init(|| wsrc_obs::global().histogram("wsrc_copy_seconds", &[("mech", "reflect")]))
-}
+use std::sync::Arc;
 
 /// Deep-copies `value` using run-time introspection.
 ///
@@ -40,7 +34,6 @@ fn copy_timer() -> &'static Histogram {
 /// Returns [`ModelError::NotSupported`] when some type in the tree is not
 /// a bean/array, and [`ModelError::UnknownType`] for unregistered structs.
 pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelError> {
-    let _span = copy_timer().timer();
     match value {
         Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
         Value::Array(_) | Value::Struct(_) => {

@@ -1,11 +1,11 @@
 //! The process-wide default registry.
 //!
-//! Library-level instrumentation (XML parse, per-mechanism copy
-//! timings, client stages) records here so callers get metrics without
-//! threading a registry through every API. Components that need
-//! isolation (unit tests asserting exact counts) construct their own
-//! [`MetricsRegistry`] and pass it explicitly, or disambiguate with
-//! labels.
+//! The client's stage histograms, and every cache or server built
+//! without a registry of its own, record here so callers get metrics
+//! without threading a registry through every API. Components that
+//! need isolation (unit tests asserting exact counts) construct their
+//! own [`MetricsRegistry`] and pass it explicitly, or disambiguate
+//! with labels.
 
 use crate::clock::MonotonicClock;
 use crate::metrics::MetricsRegistry;

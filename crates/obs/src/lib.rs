@@ -13,9 +13,8 @@
 //! - [`metrics`] — a [`MetricsRegistry`] of named atomic counters,
 //!   gauges and fixed log2-bucket latency histograms. Recording is
 //!   lock-free (plain atomics); only registration takes a lock, so hot
-//!   paths pre-register handles (or cache them in `OnceLock` statics).
-//! - [`span`] — a scope timer: [`ScopeTimer::enter`] starts the clock
-//!   and the drop records the elapsed time into a histogram.
+//!   paths pre-register handles (or cache them in `OnceLock` statics);
+//!   [`Histogram::time`] is the one way to time an interval.
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
 //!   propagated over the wire, [`trace::ActiveSpan`]s recorded against
 //!   the injected clock, and histogram exemplars linking aggregate
@@ -28,9 +27,9 @@
 //! - [`render`] — Prometheus-style text exposition and a hand-rolled
 //!   JSON renderer (the build environment is offline: no `prometheus`,
 //!   no `serde`).
-//! - [`mod@global`] — the process-wide default registry and tracer that
-//!   library-level instrumentation (XML parse, copy mechanisms, client
-//!   stages) records into.
+//! - [`mod@global`] — the process-wide default registry and tracer: the
+//!   client's stage histograms record there, as does any cache or
+//!   server built without a registry of its own.
 //! - [`sync`] — poison-tolerant `Mutex`/`Condvar` helpers so hot paths
 //!   stay panic-free (`clippy::unwrap_used` is denied there) without
 //!   sprinkling `unwrap_or_else(PoisonError::into_inner)` everywhere.
@@ -40,7 +39,6 @@ pub mod global;
 pub mod metrics;
 pub mod render;
 pub mod sampler;
-pub mod span;
 pub mod sync;
 pub mod trace;
 
@@ -51,5 +49,4 @@ pub use metrics::{
 };
 pub use render::{to_json, to_prometheus};
 pub use sampler::{StoredTrace, TraceStore, TraceStoreConfig};
-pub use span::ScopeTimer;
 pub use trace::{SpanRecord, TraceContext, Tracer, TRACEPARENT_HEADER};

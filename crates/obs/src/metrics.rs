@@ -8,11 +8,9 @@
 //! typically in a `OnceLock` static or a struct field.
 
 use crate::clock::{Clock, MonotonicClock};
-use crate::span::ScopeTimer;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// Number of histogram buckets: bucket `i` counts samples with a value
 /// of at most 2^i nanoseconds; the last bucket is unbounded (+Inf).
@@ -204,8 +202,8 @@ impl HistogramCore {
     }
 }
 
-/// A latency histogram handle; carries the registry clock so scope
-/// timers can be started directly from it.
+/// A latency histogram handle; carries the registry clock so an
+/// interval can be timed directly from it.
 #[derive(Clone)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -235,23 +233,18 @@ impl Histogram {
         self.core.record_nanos(nanos, trace_id);
     }
 
-    /// Records a [`Duration`] sample.
-    pub fn record(&self, d: Duration) {
-        self.record_nanos(d.as_nanos() as u64);
-    }
-
-    /// Starts a [`ScopeTimer`] that records into this histogram on drop.
-    pub fn timer(&self) -> ScopeTimer {
-        ScopeTimer::enter(self)
-    }
-
-    /// Times a closure.
+    /// Times a closure: reads this handle's clock before and after and
+    /// records the difference once. A closure that panics records no
+    /// sample (the timed crates deny `unwrap`/`expect` outside tests).
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _timer = self.timer();
-        f()
+        let started = self.now_nanos();
+        let out = f();
+        self.record_nanos(self.now_nanos().saturating_sub(started));
+        out
     }
 
-    /// The clock's current reading (used by [`ScopeTimer`]).
+    /// The clock's current reading, for a caller that decides after the
+    /// fact whether the interval is a sample.
     pub fn now_nanos(&self) -> u64 {
         self.clock.now_nanos()
     }
@@ -363,13 +356,6 @@ impl MetricsRegistry {
             },
             _ => panic!("metric '{name}' is already registered as a different kind"),
         }
-    }
-
-    /// Get-or-create a histogram and immediately start a timer on it —
-    /// the `ScopeTimer::enter` convenience. Takes the registration
-    /// lock; prefer holding a [`Histogram`] handle on hot paths.
-    pub fn timer(&self, name: &str, labels: &[(&str, &str)]) -> ScopeTimer {
-        self.histogram(name, labels).timer()
     }
 
     /// A point-in-time copy of every metric. Values are read with
@@ -582,15 +568,16 @@ mod tests {
     }
 
     #[test]
-    fn timers_use_the_registry_clock() {
+    fn time_reads_the_registry_clock_and_returns_the_closures_value() {
         let clock = ManualClock::new();
         let handle = clock.handle();
         let r = MetricsRegistry::with_clock(std::sync::Arc::new(clock));
         let h = r.histogram("op_seconds", &[]);
-        {
-            let _timer = h.timer();
+        let out = h.time(|| {
             handle.advance_nanos(5000);
-        }
+            "done"
+        });
+        assert_eq!(out, "done");
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.sum_nanos, 5000);

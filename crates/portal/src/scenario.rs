@@ -5,7 +5,7 @@ use crate::loadgen::{run_load, LoadConfig, LoadReport};
 use crate::site::PortalSite;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrc_cache::{KeyStrategy, ResponseCache, ValueRepresentation};
+use wsrc_cache::{ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
 use wsrc_http::{
     Handler, HttpClient, InProcTransport, PoolConfig, Server, TcpTransport, Transport, Url,
@@ -110,7 +110,6 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy().with_representation(config.representation))
-            .key_strategy(KeyStrategy::ToString)
             .build(),
     );
     let client = Arc::new(

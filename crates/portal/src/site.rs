@@ -118,7 +118,7 @@ impl Handler for PortalSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsrc_cache::{KeyStrategy, ResponseCache};
+    use wsrc_cache::ResponseCache;
     use wsrc_http::{InProcTransport, Url};
     use wsrc_services::google::GoogleService;
     use wsrc_services::SoapDispatcher;
@@ -129,7 +129,6 @@ mod tests {
         let cache = Arc::new(
             ResponseCache::builder(google::registry())
                 .policy(google::default_policy())
-                .key_strategy(KeyStrategy::ToString)
                 .build(),
         );
         let client = Arc::new(

@@ -29,21 +29,6 @@ use crate::name::QName;
 use crate::sax::ContentHandler;
 use crate::scan;
 use crate::symbol::{SymbolTable, FNV_OFFSET, FNV_PRIME};
-use std::sync::OnceLock;
-use wsrc_obs::Histogram;
-
-/// Whole-document parse timers in the process-wide metrics registry,
-/// `wsrc_xml_parse_seconds{op=…}`. Initialised once; recording is
-/// lock-free afterwards.
-fn parse_timer(op: &'static str) -> &'static Histogram {
-    static READ_SEQUENCE: OnceLock<Histogram> = OnceLock::new();
-    static PARSE_INTO: OnceLock<Histogram> = OnceLock::new();
-    let cell = match op {
-        "read-sequence" => &READ_SEQUENCE,
-        _ => &PARSE_INTO,
-    };
-    cell.get_or_init(|| wsrc_obs::global().histogram("wsrc_xml_parse_seconds", &[("op", op)]))
-}
 
 /// Slots in the direct-mapped name cache. SOAP documents draw names
 /// from a vocabulary of a few dozen strings; 256 slots keyed by the
@@ -480,7 +465,6 @@ impl<'x> XmlReader<'x> {
     ///
     /// Returns the first syntax or well-formedness error encountered.
     pub fn read_sequence(mut self) -> Result<SaxEventSequence, XmlError> {
-        let _span = parse_timer("read-sequence").timer();
         let mut sequence = SaxEventSequence::new();
         sequence.reserve_for_input(self.input.len());
         let mut sink = RecordSink {
@@ -505,7 +489,6 @@ impl<'x> XmlReader<'x> {
         mut self,
         handler: &mut H,
     ) -> Result<SaxEventSequence, ParseIntoError<H::Error>> {
-        let _span = parse_timer("read-sequence").timer();
         let mut sequence = SaxEventSequence::new();
         sequence.reserve_for_input(self.input.len());
         let mut sink = TeeSink {
@@ -535,7 +518,6 @@ impl<'x> XmlReader<'x> {
         mut self,
         handler: &mut H,
     ) -> Result<(), ParseIntoError<H::Error>> {
-        let _span = parse_timer("parse-into").timer();
         let mut sink = HandlerSink { handler };
         while self.advance_into(&mut sink)? {}
         Ok(())

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::{KeyStrategy, ResponseCache};
+use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{HttpClient, MetricsRoute, Server, TcpTransport, Url};
 use wsrcache::services::google::{self, GoogleService};
@@ -32,7 +32,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .cache_everything(Duration::from_secs(3600))
-            .key_strategy(KeyStrategy::ToString)
             .metrics_label("portal")
             .build(),
     );

@@ -8,7 +8,7 @@
 //! ```
 
 use std::sync::Arc;
-use wsrcache::cache::{KeyStrategy, ResponseCache};
+use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{
     Handler, HttpClient, Method, Request, Response, Server, Status, TcpTransport, Transport, Url,
@@ -153,7 +153,6 @@ fn portal(host: &str, port: u16, transport: Arc<dyn Transport>) -> MultiPortal {
         let cache = Arc::new(
             ResponseCache::builder(registry.clone())
                 .policy(policy)
-                .key_strategy(KeyStrategy::ToString)
                 .build(),
         );
         Arc::new(

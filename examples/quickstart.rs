@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use wsrcache::cache::{KeyStrategy, ResponseCache};
+use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{Server, TcpTransport, Url};
 use wsrcache::model::Value;
@@ -31,7 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())
-            .key_strategy(KeyStrategy::ToString)
             .build(),
     );
     let client = ServiceClient::builder(

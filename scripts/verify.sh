@@ -26,3 +26,5 @@ cargo clippy --workspace --offline -- -D warnings
 cargo run -q --release -p wsrc-analyze -- --deny crates src
 
 echo "verify: build, tests, docs, formatting, clippy and analysis all clean"
+# The size simplicity PRs quote in CHANGES.md; reported, never gated.
+scripts/loc.sh | tail -1

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::{KeyStrategy, ResponseCache};
+use wsrcache::cache::ResponseCache;
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{Server, TcpTransport, Url};
 use wsrcache::model::Value;
@@ -25,7 +25,6 @@ fn stack() -> Stack {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())
-            .key_strategy(KeyStrategy::Auto)
             .clock(clock.handle())
             .build(),
     );

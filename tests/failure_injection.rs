@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use wsrcache::cache::store::Capacity;
-use wsrcache::cache::{KeyStrategy, ResponseCache};
+use wsrcache::cache::ResponseCache;
 use wsrcache::client::{ClientError, ServiceClient};
 use wsrcache::http::{Handler, InProcTransport, Request, Response, Server, TcpTransport, Url};
 use wsrcache::services::google::{self, GoogleService};
@@ -103,7 +103,6 @@ fn capacity_pressure_evicts_but_never_corrupts() {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())
-            .key_strategy(KeyStrategy::ToString)
             .capacity(Capacity {
                 max_entries: 4,
                 max_bytes: usize::MAX,

@@ -5,14 +5,13 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
-use wsrcache::cache::{
-    CachePolicy, KeyStrategy, OperationPolicy, ResponseCache, ValueRepresentation,
-};
+use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{
-    Handler, HttpClient, InProcTransport, MetricsRoute, Request, Response, Server, Url,
+    Handler, HttpClient, InProcTransport, MetricsRoute, Request, Response, Server, Status, Url,
 };
-use wsrcache::obs::{ManualClock, MetricsRegistry};
+use wsrcache::obs::{ManualClock, MetricId, MetricsRegistry};
+use wsrcache::portal::PortalSite;
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -35,7 +34,6 @@ fn portal_client(
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(forced(repr))
-            .key_strategy(KeyStrategy::ToString)
             .clock(clock.handle())
             .metrics(registry.clone())
             .metrics_label(label)
@@ -106,10 +104,7 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
         .expect("lookup histogram");
     assert_eq!(lookup.count, 9);
     let keygen = snap
-        .histogram(
-            "wsrc_cache_stage_seconds",
-            &[e2e, ("stage", "keygen"), ("strategy", "to-string")],
-        )
+        .histogram("wsrc_cache_stage_seconds", &[e2e, ("stage", "keygen")])
         .expect("keygen histogram");
     assert_eq!(keygen.count, 9);
 }
@@ -148,15 +143,14 @@ fn expired_lookups_count_as_expired_and_missed() {
 #[test]
 fn metrics_endpoint_exposes_the_full_pipeline() {
     // The cache records into the process-wide registry here (the
-    // default), because the XML/model/client stage histograms live
-    // there; a unique label keeps this test's counters identifiable.
+    // default), beside the client's stage histograms; a unique label
+    // keeps this test's counters identifiable.
     let clock = ManualClock::new();
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(forced(ValueRepresentation::Serialization))
-            .key_strategy(KeyStrategy::ToString)
             .clock(clock.handle())
             .metrics_label("exposed")
             .build(),
@@ -193,18 +187,29 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
         body.contains("wsrc_cache_misses_total{cache=\"exposed\"} 1"),
         "{body}"
     );
-    // …and the parse/deserialize/copy stage histograms from the layers
-    // below the cache (global registry; other tests may add samples, so
-    // presence is asserted rather than exact counts).
+    // …and the stage histograms of the client and the cache (global
+    // registry; other tests may add samples, so presence is asserted
+    // rather than exact counts).
     for metric in [
-        "# TYPE wsrc_xml_parse_seconds histogram",
-        "# TYPE wsrc_model_serialize_seconds histogram",
-        "# TYPE wsrc_model_deserialize_seconds histogram",
         "wsrc_client_stage_seconds_bucket{stage=\"transport\"",
         "wsrc_cache_retrieve_seconds_bucket{cache=\"exposed\",repr=\"serialization\"",
     ] {
         assert!(body.contains(metric), "missing {metric} in:\n{body}");
     }
+}
+
+/// Every series in a registry's snapshot whose family name starts with
+/// `prefix`.
+fn series(registry: &MetricsRegistry, prefix: &str) -> Vec<MetricId> {
+    let snap = registry.snapshot();
+    let counters = snap.counters.into_iter().map(|(id, _)| id);
+    let gauges = snap.gauges.into_iter().map(|(id, _)| id);
+    let histograms = snap.histograms.into_iter().map(|(id, _)| id);
+    counters
+        .chain(gauges)
+        .chain(histograms)
+        .filter(|id| id.name.starts_with(prefix))
+        .collect()
 }
 
 /// The families whose names start with `prefix` in a registry's
@@ -215,17 +220,8 @@ fn registered(
     prefix: &str,
     allowed: impl Fn(&str) -> Option<Vec<&'static str>>,
 ) -> BTreeSet<String> {
-    let snap = registry.snapshot();
-    let ids = snap
-        .counters
-        .iter()
-        .map(|(id, _)| id)
-        .chain(snap.gauges.iter().map(|(id, _)| id))
-        .chain(snap.histograms.iter().map(|(id, _)| id))
-        .filter(|id| id.name.starts_with(prefix));
     let mut names = BTreeSet::new();
-    for id in ids {
-        names.insert(id.name.clone());
+    for id in series(registry, prefix) {
         for (label, value) in &id.labels {
             let values = allowed(label)
                 .unwrap_or_else(|| panic!("{}: label `{label}` is not in the catalogue", id.name));
@@ -235,6 +231,7 @@ fn registered(
                 id.name
             );
         }
+        names.insert(id.name);
     }
     names
 }
@@ -280,7 +277,6 @@ fn the_caches_metric_families_are_the_documented_list() {
         "cache" => Some(vec!["catalogue"]),
         "repr" => Some(reprs.to_vec()),
         "stage" => Some(vec!["keygen", "lookup", "insert"]),
-        "strategy" => Some(vec!["auto", "xml-message", "serialization", "to-string"]),
         "kind" => Some(vec!["expired", "lru"]),
         _ => None,
     });
@@ -312,4 +308,45 @@ fn the_clients_metric_families_are_the_documented_list() {
         documented("wsrc_client_"),
         "registered by the client (left) against README's Observability table (right)"
     );
+}
+
+/// The catalogue closes: one portal miss and one hit over loopback, with
+/// every layer recording into the process-wide registry, register the
+/// six `wsrc_http_*` families the table names (unlabelled) and nothing
+/// outside the three documented prefixes. An undocumented family, a
+/// stale row or a fourth prefix fails here.
+#[test]
+fn every_registered_family_is_a_documented_row_under_three_prefixes() {
+    let global = wsrcache::obs::global();
+    let service = portal_client(
+        &global,
+        "closed-catalogue",
+        ValueRepresentation::PassByReference,
+        &ManualClock::new(),
+    );
+    let portal = Arc::new(PortalSite::new(Arc::new(service)));
+    let server = Server::bind("127.0.0.1:0", portal.clone()).expect("bind");
+    let page = Url::new("127.0.0.1", server.port(), "/portal?q=catalogue");
+    let http = HttpClient::new();
+    for _ in 0..2 {
+        let response = http.get(&page).expect("GET /portal");
+        assert_eq!(response.status, Status::OK);
+    }
+    let stats = portal.client().cache().expect("cache").stats();
+    assert_eq!((stats.misses, stats.hits), (1, 1));
+
+    assert_eq!(
+        registered(&global, "wsrc_http_", |_| None),
+        documented("wsrc_http_"),
+        "registered by the HTTP layer (left) against README's Observability table (right)"
+    );
+    let stray: Vec<MetricId> = series(&global, "")
+        .into_iter()
+        .filter(|id| {
+            !["wsrc_cache_", "wsrc_client_", "wsrc_http_"]
+                .iter()
+                .any(|prefix| id.name.starts_with(prefix))
+        })
+        .collect();
+    assert!(stray.is_empty(), "series outside the catalogue: {stray:?}");
 }
