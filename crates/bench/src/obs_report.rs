@@ -168,17 +168,12 @@ mod tests {
 
     #[test]
     fn slowest_traces_render_as_a_table() {
-        let tracer = wsrc_obs::Tracer::new(Arc::new(wsrc_obs::ManualClock::new()));
-        {
-            let span = tracer.root_span("bench", "/portal");
-            span.finish();
-        }
-        let text = slowest_traces_table(tracer.store());
+        let registry = MetricsRegistry::new();
+        assert!(slowest_traces_table(registry.tracer().store()).contains("none retained"));
+        registry.tracer().root_span("bench", "/portal").finish();
+        let text = slowest_traces_table(registry.tracer().store());
         assert!(text.contains("/portal"), "{text}");
         assert!(text.contains("trace id"), "{text}");
-
-        let empty = wsrc_obs::Tracer::new(Arc::new(wsrc_obs::ManualClock::new()));
-        assert!(slowest_traces_table(empty.store()).contains("none retained"));
     }
 
     #[test]

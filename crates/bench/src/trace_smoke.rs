@@ -3,13 +3,18 @@
 //!
 //! Drives one miss and one hit through the full stack — pooled HTTP
 //! client → worker-pool server → portal site → caching client middleware
-//! → latency-wrapped back-end — with a shared [`ManualClock`], then
+//! → latency-wrapped back-end — with one [`MetricsRegistry`] over a
+//! [`ManualClock`] handed to the cache, the server and the route, then
 //! fetches `GET /trace` and checks that the retained span tree names
 //! every pipeline stage and that the root span's direct children account
 //! for at least [`MIN_COVERAGE`] of its wall time. Under the fake clock
 //! the only time that passes is the injected back-end latency, so the
 //! check is deterministic: a span accounting bug fails it every run, not
-//! one run in ten.
+//! one run in ten. Because the registry is the one place time enters,
+//! the same run checks that spans, histogram samples and TTLs share an
+//! axis: the latency shows up once in the stage histograms and once in
+//! the spans' self time, in the same stage, and the entry expires at its
+//! TTL on the clock that timed both.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +24,7 @@ use wsrc_http::{
     Handler, HttpClient, InProcTransport, LatencyTransport, MetricsRoute, Server, ServerConfig,
     Status, Transport, Url,
 };
-use wsrc_obs::{ManualClock, MetricsRegistry, StoredTrace, Tracer};
+use wsrc_obs::{Clock, ManualClock, MetricsRegistry, StoredTrace};
 use wsrc_portal::PortalSite;
 use wsrc_services::google::{self, GoogleService};
 use wsrc_services::SoapDispatcher;
@@ -43,51 +48,52 @@ pub const REQUIRED_STAGES: &[&str] = &[
 /// # Errors
 ///
 /// Fails when the stack cannot be driven, `/trace` does not serve what
-/// the store retained, a required stage is missing, or root coverage
-/// falls below [`MIN_COVERAGE`].
+/// the store retained, a required stage is missing, root coverage falls
+/// below [`MIN_COVERAGE`], a histogram and the spans disagree about
+/// where the injected latency went, or the entry does not expire at its
+/// TTL on the registry's clock.
 pub fn run_trace_smoke() -> Result<String, String> {
     let clock = ManualClock::new();
-    let tracer = Tracer::new(Arc::new(clock.handle()));
+    let registry = Arc::new(MetricsRegistry::with_clock(clock.handle()));
+    let tracer = registry.tracer();
     let dispatcher: Arc<dyn Handler> =
         Arc::new(SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new())));
     let backend: Arc<dyn Transport> = Arc::new(LatencyTransport::with_clock(
         InProcTransport::new(dispatcher),
         BACKEND_LATENCY,
-        Arc::new(clock.handle()),
+        registry.clock().clone(),
     ));
+    let policy = google::default_policy().with_representation(ValueRepresentation::PassByReference);
+    let ttl = policy.for_operation("doGoogleSearch").ttl;
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
-            .policy(
-                google::default_policy().with_representation(ValueRepresentation::PassByReference),
-            )
+            .policy(policy)
+            .metrics(registry.clone())
             .build(),
     );
     let service = Arc::new(
         ServiceClient::builder(Url::new("backend.test", 80, google::PATH), backend)
             .registry(google::registry())
             .operations(google::operations())
-            .cache(cache)
+            .cache(cache.clone())
             .build(),
     );
     let portal: Arc<dyn Handler> = Arc::new(PortalSite::new(service));
-    let registry = Arc::new(MetricsRegistry::new());
-    let routed: Arc<dyn Handler> =
-        Arc::new(MetricsRoute::with_registry(registry.clone(), portal).tracer(tracer.clone()));
+    let routed: Arc<dyn Handler> = Arc::new(MetricsRoute::with_registry(registry.clone(), portal));
     let server = Server::bind_with_config(
         "127.0.0.1:0",
         routed,
         ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            registry,
-            clock: Arc::new(clock.handle()),
-            tracer: tracer.clone(),
+            registry: registry.clone(),
             ..ServerConfig::default()
         },
     )
     .map_err(|e| format!("bind smoke server: {e}"))?;
     let client = HttpClient::with_timeout(Some(Duration::from_secs(10)));
     let base = Url::new("127.0.0.1", server.port(), "/portal");
+    let page = base.with_path("/portal?q=trace-smoke".to_string());
 
     // One miss (pays the back-end latency) and one hit on the same query.
     for _ in 0..2 {
@@ -96,8 +102,7 @@ pub fn run_trace_smoke() -> Result<String, String> {
             reason = "the smoke driver is the edge of the world: a trace starts here"
         )]
         let mut root = tracer.root_span("trace-smoke", "/portal");
-        let url = base.with_path("/portal?q=trace-smoke".to_string());
-        let outcome = client.get(&url);
+        let outcome = client.get(&page);
         let ok = matches!(&outcome, Ok(resp) if resp.status == Status::OK);
         if !ok {
             root.set_error();
@@ -152,7 +157,8 @@ pub fn run_trace_smoke() -> Result<String, String> {
             MIN_COVERAGE * 100.0
         ));
     }
-    Ok(format!(
+    one_axis(&registry, &recent)?;
+    let report = format!(
         "trace_smoke: {} traces retained, {} spans in miss trace, \
          root coverage {:.1}%, /trace payload {} bytes\n{}",
         recent.len(),
@@ -160,7 +166,56 @@ pub fn run_trace_smoke() -> Result<String, String> {
         coverage * 100.0,
         text.len(),
         crate::obs_report::slowest_traces_table(tracer.store())
-    ))
+    );
+
+    // The entry went in when the miss returned, which is now: nothing
+    // has moved the clock since. One millisecond short of its TTL the
+    // page is a hit; one past it, an expired miss.
+    let before = cache.stats();
+    let near_ttl = [
+        (ttl - Duration::from_millis(1), (before.hits + 1, 0)),
+        (Duration::from_millis(2), (before.hits + 1, 1)),
+    ];
+    for (advance, expected) in near_ttl {
+        clock.sleep(advance);
+        let answered = client.get(&page).map(|resp| resp.status);
+        let stats = cache.stats();
+        if !matches!(answered, Ok(Status::OK)) || (stats.hits, stats.expired) != expected {
+            return Err(format!(
+                "{} ms into a {ttl:?} TTL the portal answered {answered:?} with {stats:?}",
+                clock.now_millis()
+            ));
+        }
+    }
+    Ok(report)
+}
+
+/// Histograms and spans agree stage by stage: the injected latency is
+/// the `transport` stage's and nobody else's, exactly, on both.
+fn one_axis(registry: &MetricsRegistry, traces: &[StoredTrace]) -> Result<(), String> {
+    let latency = BACKEND_LATENCY.as_nanos() as u64;
+    for (id, histogram) in &registry.snapshot().histograms {
+        let transport =
+            id.name == "wsrc_client_stage_seconds" && id.label("stage") == Some("transport");
+        let expected = if transport { latency } else { 0 };
+        if histogram.sum_nanos != expected {
+            return Err(format!(
+                "{}{} sums to {} ns, expected {expected}",
+                id.name,
+                id.render_labels(),
+                histogram.sum_nanos
+            ));
+        }
+    }
+    for (stage, self_nanos) in wsrc_obs::sampler::stage_breakdown(traces) {
+        let expected = if stage == "transport" { latency } else { 0 };
+        if self_nanos != expected {
+            return Err(format!(
+                "stage '{stage}' spans {self_nanos} ns of self time, expected {expected}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Fraction of the root span's wall time accounted for by its direct

@@ -1,11 +1,11 @@
 //! The low-level invocation object: one SOAP round-trip, no cache.
 
 use crate::error::ClientError;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use wsrc_http::{Request, Transport, Url};
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
-use wsrc_obs::Histogram;
+use wsrc_obs::{Histogram, MetricsRegistry};
 use wsrc_soap::deserializer::read_response_bytes_recording;
 use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
 use wsrc_soap::serializer::serialize_request;
@@ -14,7 +14,7 @@ use wsrc_xml::event::SaxEventSequence;
 /// The miss path's three stages. Each runs under a trace span (when a
 /// trace is active on this thread; marked failed when the stage errors)
 /// and records into its own series of
-/// `wsrc_client_stage_seconds{stage=…}` in the process-wide registry.
+/// `wsrc_client_stage_seconds{stage=…}` in the call's registry.
 #[derive(Clone, Copy)]
 enum Stage {
     Serialize,
@@ -23,18 +23,17 @@ enum Stage {
 }
 
 impl Stage {
-    fn run<T, E>(self, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
-        static HISTOGRAMS: [OnceLock<Histogram>; 3] = [const { OnceLock::new() }; 3];
-        let (span_name, span_stage, label) = match self {
-            Stage::Serialize => ("serialize", "serialize", "serialize"),
-            Stage::Transport => ("exchange", "transport", "transport"),
-            Stage::Deserialize => ("parse", "parse", "deserialize"),
-        };
-        let histogram = HISTOGRAMS[self as usize].get_or_init(|| {
-            wsrc_obs::global().histogram("wsrc_client_stage_seconds", &[("stage", label)])
-        });
+    /// Span name, span stage and `stage` label, indexed by variant.
+    const NAMES: [(&'static str, &'static str, &'static str); 3] = [
+        ("serialize", "serialize", "serialize"),
+        ("exchange", "transport", "transport"),
+        ("parse", "parse", "deserialize"),
+    ];
+
+    fn run<T, E>(self, call: &Call, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+        let (span_name, span_stage, _) = Self::NAMES[self as usize];
         let span = wsrc_obs::trace::child_span(span_name, span_stage);
-        let result = histogram.time(f);
+        let result = call.stages[self as usize].time(f);
         if let Some(mut span) = span {
             if result.is_err() {
                 span.set_error();
@@ -79,6 +78,8 @@ pub struct Call {
     endpoint: Url,
     transport: Arc<dyn Transport>,
     registry: TypeRegistry,
+    /// `wsrc_client_stage_seconds`, indexed by [`Stage`].
+    stages: [Histogram; 3],
 }
 
 impl std::fmt::Debug for Call {
@@ -90,12 +91,29 @@ impl std::fmt::Debug for Call {
 }
 
 impl Call {
-    /// Creates a call object bound to one endpoint.
+    /// Creates a call object bound to one endpoint, recording its stage
+    /// durations in the process-wide registry.
     pub fn new(endpoint: Url, transport: Arc<dyn Transport>, registry: TypeRegistry) -> Self {
+        Call::in_registry(endpoint, transport, registry, &wsrc_obs::global())
+    }
+
+    /// [`new`](Call::new), recording in `metrics` — what a
+    /// [`ServiceClient`](crate::ServiceClient) passes its cache's
+    /// registry to, so one injected registry holds the whole call.
+    pub(crate) fn in_registry(
+        endpoint: Url,
+        transport: Arc<dyn Transport>,
+        registry: TypeRegistry,
+        metrics: &MetricsRegistry,
+    ) -> Self {
+        let stages = Stage::NAMES.map(|(_, _, stage)| {
+            metrics.histogram("wsrc_client_stage_seconds", &[("stage", stage)])
+        });
         Call {
             endpoint,
             transport,
             registry,
+            stages,
         }
     }
 
@@ -154,7 +172,7 @@ impl Call {
             .check_request(request)
             .map_err(ClientError::Soap)?;
         let request_xml = Stage::Serialize
-            .run(|| serialize_request(request, &self.registry))
+            .run(self, || serialize_request(request, &self.registry))
             .map_err(ClientError::Soap)?;
         let mut http_request = Request::post(
             self.endpoint.path(),
@@ -165,8 +183,9 @@ impl Call {
         if let Some(ims) = if_modified_since {
             http_request = http_request.with_header("If-Modified-Since", ims.to_string());
         }
-        let http_response =
-            Stage::Transport.run(|| self.transport.execute(&self.endpoint, &http_request))?;
+        let http_response = Stage::Transport.run(self, || {
+            self.transport.execute(&self.endpoint, &http_request)
+        })?;
 
         if http_response.status == wsrc_http::Status::NOT_MODIFIED {
             return Ok(ConditionalOutcome::NotModified);
@@ -191,7 +210,7 @@ impl Call {
         // and then cached) and records the arena sequence in the same
         // pass — the miss path never materializes owned events.
         let (outcome, events) = Stage::Deserialize
-            .run(|| {
+            .run(self, || {
                 read_response_bytes_recording(
                     http_response.body.as_bytes(),
                     &descriptor.return_type,

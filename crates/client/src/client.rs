@@ -3,7 +3,6 @@
 
 use crate::call::{Call, ConditionalOutcome};
 use crate::error::ClientError;
-use crate::TypedCall;
 use std::sync::Arc;
 use wsrc_cache::repr::MissArtifacts;
 use wsrc_cache::{CacheOutcome, ResponseCache, ValueHandle};
@@ -156,22 +155,6 @@ impl ServiceClient {
     }
 }
 
-impl TypedCall for ServiceClient {
-    type Error = ClientError;
-
-    fn invoke(&self, request: RpcRequest) -> Result<Value, ClientError> {
-        self.invoke_owned(&request)
-    }
-}
-
-impl TypedCall for Arc<ServiceClient> {
-    type Error = ClientError;
-
-    fn invoke(&self, request: RpcRequest) -> Result<Value, ClientError> {
-        self.invoke_owned(&request)
-    }
-}
-
 /// Builder for [`ServiceClient`].
 pub struct ServiceClientBuilder {
     endpoint: Url,
@@ -203,7 +186,9 @@ impl ServiceClientBuilder {
     }
 
     /// Attaches a response cache. Without one, every call goes to the
-    /// network.
+    /// network. The client records its stage durations in the cache's
+    /// registry (the process-wide one without a cache), so a registry
+    /// injected into the cache holds the whole call.
     pub fn cache(mut self, cache: Arc<ResponseCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -212,8 +197,12 @@ impl ServiceClientBuilder {
     /// Finishes the client.
     pub fn build(self) -> ServiceClient {
         let endpoint_url = self.endpoint.to_string();
+        let metrics = self
+            .cache
+            .as_ref()
+            .map_or_else(wsrc_obs::global, |cache| cache.metrics().clone());
         ServiceClient {
-            call: Call::new(self.endpoint, self.transport, self.registry),
+            call: Call::in_registry(self.endpoint, self.transport, self.registry, &metrics),
             endpoint_url,
             operations: self.operations,
             cache: self.cache,
@@ -284,7 +273,7 @@ mod tests {
             upper_handler(),
             ResponseCache::builder(TypeRegistry::new())
                 .cache_everything(Duration::from_secs(60))
-                .clock(clock.handle()),
+                .metrics(Arc::new(MetricsRegistry::with_clock(clock.handle()))),
         );
         (client, transport, clock)
     }
@@ -365,7 +354,6 @@ mod tests {
         let cache = Arc::new(
             ResponseCache::builder(TypeRegistry::new())
                 .cache_everything(Duration::from_secs(60))
-                .clock(ManualClock::new())
                 .build(),
         );
         let client = ServiceClient::builder(
@@ -383,20 +371,11 @@ mod tests {
     }
 
     #[test]
-    fn typed_call_trait_unwraps_values() {
-        let (client, _t, _c) = cached_client();
-        let v = TypedCall::invoke(&client, request("hi")).unwrap();
-        assert_eq!(v, Value::string("HI"));
-    }
-
-    #[test]
     fn uncacheable_operations_skip_the_cache_and_say_so() {
         let policy = CachePolicy::new().with("upper", OperationPolicy::uncacheable());
         let (client, transport) = client_over(
             upper_handler(),
-            ResponseCache::builder(TypeRegistry::new())
-                .policy(policy)
-                .clock(ManualClock::new()),
+            ResponseCache::builder(TypeRegistry::new()).policy(policy),
         );
         let cache = client.cache().unwrap();
         for calls in 1..=2 {
@@ -429,13 +408,12 @@ mod tests {
                 }
             })
         };
-        let metrics = Arc::new(MetricsRegistry::new());
         let clock = ManualClock::new();
+        let metrics = Arc::new(MetricsRegistry::with_clock(clock.handle()));
         let (client, _transport) = client_over(
             revalidating,
             ResponseCache::builder(TypeRegistry::new())
                 .cache_everything(Duration::from_secs(60))
-                .clock(clock.handle())
                 .metrics(metrics.clone())
                 .metrics_label("unit"),
         );

@@ -20,13 +20,3 @@ pub mod error;
 pub use call::Call;
 pub use client::{Disposition, ServiceClient, ServiceClientBuilder};
 pub use error::ClientError;
-
-/// The typed-stub hook generated code calls through (see
-/// `wsrc_wsdl::codegen`).
-pub trait TypedCall {
-    /// Error produced by the implementation.
-    type Error;
-
-    /// Invokes an RPC request and returns the response object.
-    fn invoke(&self, request: wsrc_soap::RpcRequest) -> Result<wsrc_model::Value, Self::Error>;
-}

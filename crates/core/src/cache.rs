@@ -20,7 +20,7 @@ use crate::store::{CacheStore, Capacity, Lookup};
 use std::sync::Arc;
 use std::time::Duration;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
-use wsrc_obs::{Clock, Gauge, Histogram, MetricsRegistry, SystemClock};
+use wsrc_obs::{Gauge, Histogram, MetricsRegistry};
 use wsrc_soap::rpc::RpcRequest;
 
 pub use crate::repr::MissArtifacts as ResponseData;
@@ -97,7 +97,6 @@ impl CacheTimers {
 pub struct ResponseCache {
     store: CacheStore,
     policy: CachePolicy,
-    clock: Arc<dyn Clock>,
     registry: TypeRegistry,
     metrics: Arc<MetricsRegistry>,
     stats: CacheStats,
@@ -120,7 +119,6 @@ impl ResponseCache {
         ResponseCacheBuilder {
             registry,
             policy: CachePolicy::new(),
-            clock: Arc::new(SystemClock),
             capacity: Capacity::default(),
             metrics: None,
             metrics_label: None,
@@ -298,7 +296,8 @@ impl ResponseCache {
 
     /// The metrics registry this cache records into (the process-wide
     /// one unless overridden at build time) — hand it to a `/metrics`
-    /// endpoint for exposition.
+    /// endpoint for exposition. Its clock is the one entries expire by,
+    /// and a client over this cache records its stages here too.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -326,8 +325,11 @@ pub struct CachedCall<'a> {
 }
 
 impl CachedCall<'_> {
+    /// Saturating: a TTL beyond the clock's range never expires rather
+    /// than wrapping to an arbitrary lifetime.
     fn expires_at(&self, now_millis: u64) -> u64 {
-        now_millis.saturating_add(self.policy.ttl.as_millis() as u64)
+        let ttl = u64::try_from(self.policy.ttl.as_millis()).unwrap_or(u64::MAX);
+        now_millis.saturating_add(ttl)
     }
 
     /// Reads the store and retrieves the application object from the
@@ -346,8 +348,11 @@ impl CachedCall<'_> {
             }
             result.ok().map(|handle| (handle, repr))
         };
-        cache.timers.lookup.time(
-            || match cache.store.get(&self.key, cache.clock.now_millis()) {
+        cache.timers.lookup.time(|| {
+            match cache
+                .store
+                .get(&self.key, cache.metrics.clock().now_millis())
+            {
                 Lookup::Live(entry) => match retrieve(&entry) {
                     Some((handle, repr)) => {
                         cache.stats.record_hit(repr);
@@ -371,8 +376,8 @@ impl CachedCall<'_> {
                     cache.stats.record_miss();
                     CacheOutcome::Miss
                 }
-            },
-        )
+            }
+        })
     }
 
     /// Stores the artifacts of the call's completed exchange under its
@@ -390,7 +395,7 @@ impl CachedCall<'_> {
         let cache = self.cache;
         cache.timers.insert.time(|| {
             let (entry, repr) = cache.build_entry(&self.policy, data)?;
-            let now = cache.clock.now_millis();
+            let now = cache.metrics.clock().now_millis();
             let expires = self.expires_at(now);
             let accepted = cache
                 .store
@@ -415,7 +420,7 @@ impl CachedCall<'_> {
     /// whether an entry was refreshed.
     pub fn refresh(&self) -> bool {
         let cache = self.cache;
-        let expires = self.expires_at(cache.clock.now_millis());
+        let expires = self.expires_at(cache.metrics.clock().now_millis());
         let refreshed = cache.store.refresh(&self.key, expires);
         if refreshed {
             cache.stats.record_revalidated();
@@ -441,7 +446,6 @@ impl AdaptivePolicy {
 pub struct ResponseCacheBuilder {
     registry: TypeRegistry,
     policy: CachePolicy,
-    clock: Arc<dyn Clock>,
     capacity: Capacity,
     metrics: Option<Arc<MetricsRegistry>>,
     metrics_label: Option<String>,
@@ -477,20 +481,16 @@ impl ResponseCacheBuilder {
         self
     }
 
-    /// Sets the clock (tests use [`wsrc_obs::ManualClock`]).
-    pub fn clock(mut self, clock: impl Clock + 'static) -> Self {
-        self.clock = Arc::new(clock);
-        self
-    }
-
     /// Sets capacity limits.
     pub fn capacity(mut self, capacity: Capacity) -> Self {
         self.capacity = capacity;
         self
     }
 
-    /// Records metrics into `registry` instead of the process-wide one
-    /// (tests use an isolated registry for deterministic counters).
+    /// Records metrics into `registry` instead of the process-wide one,
+    /// and expires entries by its clock (tests use an isolated registry
+    /// for deterministic counters, built over a [`wsrc_obs::ManualClock`]
+    /// for deterministic expiry).
     pub fn metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(registry);
         self
@@ -512,7 +512,6 @@ impl ResponseCacheBuilder {
         ResponseCache {
             store: CacheStore::new(self.capacity),
             policy: self.policy,
-            clock: self.clock,
             registry: self.registry,
             metrics,
             stats,
@@ -577,8 +576,14 @@ mod tests {
     fn cacheable_cache() -> ResponseCache {
         ResponseCache::builder(registry())
             .cache_everything(Duration::from_secs(60))
-            .clock(ManualClock::new())
             .build()
+    }
+
+    /// A registry whose clock the test advances by hand.
+    fn manual_metrics() -> (Arc<MetricsRegistry>, ManualClock) {
+        let clock = ManualClock::new();
+        let metrics = Arc::new(MetricsRegistry::with_clock(clock.handle()));
+        (metrics, clock)
     }
 
     fn data(f: &Fixture) -> ResponseData<'_> {
@@ -618,11 +623,10 @@ mod tests {
 
     #[test]
     fn ttl_expiry_with_manual_clock() {
-        let clock = ManualClock::new();
-        let handle = clock.handle();
+        let (metrics, handle) = manual_metrics();
         let cache = ResponseCache::builder(registry())
             .cache_everything(Duration::from_secs(60))
-            .clock(clock)
+            .metrics(metrics)
             .build();
         let f = fixture();
         cache.insert(URL, &request(), data(&f));
@@ -634,6 +638,32 @@ mod tests {
         assert_eq!(cache.stats().expired, 1);
     }
 
+    /// A TTL the millisecond axis cannot hold never expires. Truncating
+    /// instead keeps the low 64 bits: 384 ms for the second TTL here, 0
+    /// for the third.
+    #[test]
+    fn a_ttl_beyond_the_clocks_range_saturates_instead_of_wrapping() {
+        let ttls = [
+            Duration::from_secs(u64::MAX),
+            Duration::from_secs(18_446_744_073_709_552),
+            Duration::from_millis(u64::MAX) + Duration::from_millis(1),
+        ];
+        for ttl in ttls {
+            let (metrics, clock) = manual_metrics();
+            let cache = ResponseCache::builder(registry())
+                .cache_everything(ttl)
+                .metrics(metrics)
+                .build();
+            let f = fixture();
+            cache.insert(URL, &request(), data(&f));
+            clock.advance_millis(86_400_000);
+            assert!(
+                cache.lookup(URL, &request(), &f.expected).is_some(),
+                "{ttl:?}"
+            );
+        }
+    }
+
     #[test]
     fn uncacheable_operations_bypass_the_cache() {
         let cache = ResponseCache::builder(registry())
@@ -642,7 +672,6 @@ mod tests {
                     .with("AddShoppingCartItems", OperationPolicy::uncacheable())
                     .with_default(OperationPolicy::cacheable(Duration::from_secs(60))),
             )
-            .clock(ManualClock::new())
             .build();
         let f = fixture();
         let cart = RpcRequest::new("urn:t", "AddShoppingCartItems").with_param("id", 1);
@@ -691,7 +720,6 @@ mod tests {
         );
         let cache = ResponseCache::builder(registry())
             .cache_everything(Duration::from_secs(60))
-            .clock(ManualClock::new())
             .capacity(Capacity {
                 max_entries: 16,
                 max_bytes: 16 * 2048,
@@ -721,7 +749,6 @@ mod tests {
                         .with_representation(ValueRepresentation::XmlMessage),
                 ),
             )
-            .clock(ManualClock::new())
             .build();
         let f = fixture();
         assert_eq!(
@@ -741,7 +768,6 @@ mod tests {
                         .with_representation(ValueRepresentation::CloneCopy),
                 ),
             )
-            .clock(ManualClock::new())
             .build();
         let f = fixture_of(Value::string("bare"), FieldType::String);
         let repr = cache.insert(URL, &request(), data(&f)).unwrap();
@@ -787,10 +813,7 @@ mod tests {
             .with_default(OperationPolicy::cacheable(Duration::from_secs(60)))
             .with_representation(ValueRepresentation::Serialization);
         assert!(!policy.for_operation("other").cacheable);
-        let cache = ResponseCache::builder(registry())
-            .policy(policy)
-            .clock(ManualClock::new())
-            .build();
+        let cache = ResponseCache::builder(registry()).policy(policy).build();
         let f = fixture();
         assert_eq!(
             cache.insert(URL, &request(), data(&f)),
@@ -814,7 +837,6 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::new());
         let cache = ResponseCache::builder(registry())
             .cache_everything(Duration::from_secs(60))
-            .clock(ManualClock::new())
             .metrics(metrics.clone())
             .metrics_label("unit")
             .build();
@@ -873,6 +895,9 @@ mod tests {
         assert!(gauge("wsrc_cache_bytes") > 0);
         cache.clear();
         assert_eq!(cache.metrics().snapshot().gauges.len(), snap.gauges.len());
+        // Unlabelled caches sharing a registry stay distinguishable.
+        let (a, b) = (cacheable_cache(), cacheable_cache());
+        assert_ne!(a.metrics_label(), b.metrics_label());
     }
 
     #[test]

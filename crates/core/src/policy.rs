@@ -190,9 +190,9 @@ fn parse_duration(s: &str) -> Option<Duration> {
     match unit {
         "" | "s" => Some(Duration::from_secs(n)),
         "ms" => Some(Duration::from_millis(n)),
-        "m" => Some(Duration::from_secs(n * 60)),
-        "h" => Some(Duration::from_secs(n * 3600)),
-        "d" => Some(Duration::from_secs(n * 86_400)),
+        "m" => n.checked_mul(60).map(Duration::from_secs),
+        "h" => n.checked_mul(3600).map(Duration::from_secs),
+        "d" => n.checked_mul(86_400).map(Duration::from_secs),
         _ => None,
     }
 }
@@ -262,6 +262,9 @@ mod tests {
         assert!(CachePolicy::parse("op cacheable repr=psychic").is_err());
         assert!(CachePolicy::parse("op cacheable frobnicate").is_err());
         assert!(CachePolicy::parse("op").is_err());
+        // A TTL whose seconds overflow is a bad TTL, not a wrapped one.
+        let err = CachePolicy::parse("# policy\nop cacheable ttl=999999999999999d").unwrap_err();
+        assert_eq!(err, "line 2: bad ttl '999999999999999d'");
     }
 
     #[test]
@@ -285,6 +288,12 @@ mod tests {
         assert_eq!(parse_duration("250ms"), Some(Duration::from_millis(250)));
         assert_eq!(parse_duration("2m"), Some(Duration::from_secs(120)));
         assert_eq!(parse_duration("1d"), Some(Duration::from_secs(86_400)));
+        assert_eq!(parse_duration("999999999999999d"), None);
+        assert_eq!(parse_duration("307445734561825861m"), None);
+        assert_eq!(
+            parse_duration("18446744073709551615s"),
+            Some(Duration::from_secs(u64::MAX))
+        );
         assert_eq!(parse_duration("5y"), None);
         assert_eq!(parse_duration(""), None);
     }

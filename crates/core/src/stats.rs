@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wsrc_obs::{Counter, MetricsRegistry};
 
-/// Distinguishes caches sharing one registry: each `CacheStats` built
-/// without an explicit label gets `cache-0`, `cache-1`, …
+/// Distinguishes caches sharing one registry: each cache built without
+/// an explicit label gets `cache-0`, `cache-1`, …
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Next auto-assigned `cache=<label>` value (`cache-0`, `cache-1`, …).
@@ -127,19 +127,7 @@ impl StatsSnapshot {
     }
 }
 
-impl Default for CacheStats {
-    fn default() -> Self {
-        CacheStats::new()
-    }
-}
-
 impl CacheStats {
-    /// Counters in the process-wide registry, auto-labelled
-    /// `cache="cache-N"` so multiple caches stay distinguishable.
-    pub fn new() -> Self {
-        CacheStats::in_registry(&wsrc_obs::global(), &auto_label())
-    }
-
     /// Counters registered in `registry` under `cache=<label>`.
     pub fn in_registry(registry: &Arc<MetricsRegistry>, label: &str) -> Self {
         let repr_counter = |name: &str, repr: ValueRepresentation| {
@@ -290,17 +278,6 @@ mod tests {
             snap.counter_value("wsrc_cache_misses_total", &[("cache", "test")]),
             Some(1)
         );
-    }
-
-    #[test]
-    fn default_labels_are_distinct() {
-        let a = CacheStats::new();
-        let b = CacheStats::new();
-        assert_ne!(a.label(), b.label());
-        // Distinct labels → distinct counters despite the shared registry.
-        a.record_miss();
-        assert_eq!(a.snapshot().misses, 1);
-        assert_eq!(b.snapshot().misses, 0);
     }
 
     #[test]

@@ -50,17 +50,15 @@ pub fn not_modified_since(req: &Request, last_modified: SystemTime) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::UNIX_EPOCH;
-    use wsrc_obs::{Clock, SystemClock};
 
-    /// Wall time via the injected clock.
-    fn clock_now() -> SystemTime {
-        UNIX_EPOCH + Duration::from_millis(SystemClock.now_millis())
+    /// The instant the tests' resource was last modified.
+    fn t0() -> SystemTime {
+        SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000)
     }
 
     #[test]
     fn conditional_handshake() {
-        let t0 = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000);
+        let t0 = t0();
         let resp = stamp_validators(
             Response::ok("text/xml", b"<r/>".to_vec()),
             t0,
@@ -83,8 +81,8 @@ mod tests {
     #[test]
     fn requests_without_validators_never_304() {
         let req = Request::get("/x");
-        assert!(!not_modified_since(&req, clock_now()));
+        assert!(!not_modified_since(&req, t0()));
         let bad = Request::get("/x").with_header("If-Modified-Since", "garbage");
-        assert!(!not_modified_since(&bad, clock_now()));
+        assert!(!not_modified_since(&bad, t0()));
     }
 }

@@ -18,7 +18,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
-use wsrc_obs::{sync, Clock, Histogram, MonotonicClock};
+use wsrc_obs::{sync, Histogram};
 
 /// Sizing for the client connection pool.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +69,8 @@ pub struct HttpClient {
     slot_freed: Condvar,
     config: PoolConfig,
     timeout: Option<Duration>,
-    clock: std::sync::Arc<dyn Clock>,
+    /// Also the pool's reading of time: idle ages and the checkout
+    /// deadline are on the histogram's clock.
     checkout_wait: Histogram,
 }
 
@@ -108,7 +109,6 @@ impl HttpClient {
             slot_freed: Condvar::new(),
             config,
             timeout,
-            clock: std::sync::Arc::new(MonotonicClock::new()),
             checkout_wait: wsrc_obs::global()
                 .histogram("wsrc_http_pool_checkout_wait_seconds", &[]),
         }
@@ -212,30 +212,24 @@ impl HttpClient {
     /// Acquires one slot for `authority`: an idle pooled connection
     /// (`Some`), or a permit to dial a new one (`None`).
     fn checkout(&self, authority: &str) -> Result<Option<TcpStream>, HttpError> {
-        let started = self.clock.now_nanos();
+        let started = self.checkout_wait.now_nanos();
         let deadline = started.saturating_add(duration_nanos(self.config.checkout_timeout));
         let ttl = duration_nanos(self.config.idle_ttl);
         let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
         loop {
-            let now = self.clock.now_nanos();
+            let now = self.checkout_wait.now_nanos();
             let entry = pool.entry(authority.to_string()).or_default();
             // Reap idle connections past their TTL (newest kept last).
             entry
                 .idle
                 .retain(|c| now.saturating_sub(c.since_nanos) < ttl);
-            if let Some(conn) = entry.idle.pop() {
+            let idle = entry.idle.pop();
+            if idle.is_some() || entry.in_use < self.config.max_per_authority.max(1) {
                 entry.in_use += 1;
                 drop(pool);
                 self.checkout_wait
-                    .record_nanos(self.clock.now_nanos().saturating_sub(started));
-                return Ok(Some(conn.stream));
-            }
-            if entry.in_use < self.config.max_per_authority.max(1) {
-                entry.in_use += 1;
-                drop(pool);
-                self.checkout_wait
-                    .record_nanos(self.clock.now_nanos().saturating_sub(started));
-                return Ok(None);
+                    .record_nanos(self.checkout_wait.now_nanos().saturating_sub(started));
+                return Ok(idle.map(|conn| conn.stream));
             }
             if now >= deadline {
                 return Err(HttpError::PoolExhausted);
@@ -251,7 +245,7 @@ impl HttpClient {
 
     /// Returns a healthy keep-alive connection to the idle pool.
     fn check_in(&self, authority: &str, stream: TcpStream) {
-        let now = self.clock.now_nanos();
+        let now = self.checkout_wait.now_nanos();
         {
             let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
             let entry = pool.entry(authority.to_string()).or_default();

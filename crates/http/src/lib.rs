@@ -37,5 +37,5 @@ pub use client::{HttpClient, PoolConfig};
 pub use error::HttpError;
 pub use message::{Headers, Method, Request, Response, Status};
 pub use server::{Handler, MetricsRoute, Server, ServerConfig};
-pub use transport::{InProcTransport, LatencyTransport, TcpTransport, Transport};
+pub use transport::{InProcTransport, LatencyTransport, Transport};
 pub use url::Url;

@@ -20,7 +20,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wsrc_obs::{
-    sync, Clock, Counter, Gauge, Histogram, MetricsRegistry, MonotonicClock, TraceContext, Tracer,
+    sync, Clock, Counter, Gauge, Histogram, MetricsRegistry, TraceContext, Tracer,
     TRACEPARENT_HEADER,
 };
 
@@ -43,16 +43,15 @@ where
 }
 
 /// Wraps an application handler, answering `GET /metrics` from a
-/// [`MetricsRegistry`], `GET /trace` from a
-/// [`Tracer`]'s tail-sampled trace store, and delegating every other
-/// request to the inner handler.
+/// [`MetricsRegistry`], `GET /trace` from that registry's tracer's
+/// tail-sampled trace store, and delegating every other request to the
+/// inner handler.
 ///
 /// The default `/metrics` body is the Prometheus text exposition;
 /// append `?format=json` for the JSON rendering. `/trace` is always
 /// JSON: recent and slowest traces as span trees.
 pub struct MetricsRoute {
-    registry: Arc<wsrc_obs::MetricsRegistry>,
-    tracer: Arc<Tracer>,
+    registry: Arc<MetricsRegistry>,
     inner: Arc<dyn Handler>,
 }
 
@@ -63,29 +62,17 @@ impl std::fmt::Debug for MetricsRoute {
 }
 
 impl MetricsRoute {
-    /// Exposes the process-wide registry and tracer in front of `inner`.
+    /// Exposes the process-wide registry in front of `inner`.
     pub fn new(inner: Arc<dyn Handler>) -> Self {
         MetricsRoute::with_registry(wsrc_obs::global(), inner)
     }
 
-    /// Exposes a specific registry (and the process-wide tracer) in
-    /// front of `inner`.
-    pub fn with_registry(
-        registry: Arc<wsrc_obs::MetricsRegistry>,
-        inner: Arc<dyn Handler>,
-    ) -> Self {
-        MetricsRoute {
-            registry,
-            tracer: wsrc_obs::global_tracer(),
-            inner,
-        }
-    }
-
-    /// Serves `/trace` from a specific tracer instead of the
-    /// process-wide one (pair this with [`ServerConfig::tracer`]).
-    pub fn tracer(mut self, tracer: Arc<Tracer>) -> Self {
-        self.tracer = tracer;
-        self
+    /// Exposes a specific registry — its metrics and its traces — in
+    /// front of `inner`. Give the server the same one
+    /// ([`ServerConfig::registry`]) and `/trace` shows the spans it
+    /// records.
+    pub fn with_registry(registry: Arc<MetricsRegistry>, inner: Arc<dyn Handler>) -> Self {
+        MetricsRoute { registry, inner }
     }
 }
 
@@ -102,7 +89,7 @@ impl Handler for MetricsRoute {
         if path == "/trace" {
             return Response::ok(
                 "application/json",
-                self.tracer.store().to_json().into_bytes(),
+                self.registry.tracer().store().to_json().into_bytes(),
             );
         }
         let snapshot = self.registry.snapshot();
@@ -121,7 +108,7 @@ impl Handler for MetricsRoute {
 }
 
 /// Sizing and observability knobs for a [`Server`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads draining the connection queue. Default:
     /// `std::thread::available_parallelism()` (at least 2).
@@ -137,13 +124,11 @@ pub struct ServerConfig {
     /// Value of the `Retry-After` header on `503` rejections.
     pub retry_after: Duration,
     /// Registry receiving the server's queue/worker/connection metrics.
+    /// Its clock times idle accounting and queue waits, and its tracer
+    /// continues the `traceparent` contexts received on requests. The
+    /// server never mints roots — untraced requests stay untraced (no
+    /// orphan roots: `clippy.toml` disallows `root_span` here).
     pub registry: Arc<MetricsRegistry>,
-    /// Time source for idle accounting and queue-wait timing.
-    pub clock: Arc<dyn Clock>,
-    /// Tracer continuing `traceparent` contexts received on requests.
-    /// The server never mints roots — untraced requests stay untraced
-    /// (no orphan roots: `clippy.toml` disallows `root_span` here).
-    pub tracer: Arc<Tracer>,
 }
 
 impl Default for ServerConfig {
@@ -157,20 +142,7 @@ impl Default for ServerConfig {
             idle_keep_alive: Duration::from_secs(15),
             retry_after: Duration::from_secs(1),
             registry: wsrc_obs::global(),
-            clock: Arc::new(MonotonicClock::new()),
-            tracer: wsrc_obs::global_tracer(),
         }
-    }
-}
-
-impl std::fmt::Debug for ServerConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerConfig")
-            .field("workers", &self.workers)
-            .field("queue_capacity", &self.queue_capacity)
-            .field("idle_keep_alive", &self.idle_keep_alive)
-            .field("retry_after", &self.retry_after)
-            .finish_non_exhaustive()
     }
 }
 
@@ -305,8 +277,8 @@ impl Server {
             idle_keep_alive: config.idle_keep_alive,
             poll_quantum,
             retry_after: config.retry_after,
-            clock: config.clock,
-            tracer: config.tracer,
+            clock: config.registry.clock().clone(),
+            tracer: config.registry.tracer().clone(),
             metrics: ServerMetrics::new(&config.registry),
         });
         let accept_shared = shared.clone();

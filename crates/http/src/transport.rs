@@ -1,7 +1,7 @@
 //! Pluggable request transports.
 //!
 //! The client middleware talks to services through a [`Transport`] so that
-//! the same caching stack runs over real TCP ([`TcpTransport`]), directly
+//! the same caching stack runs over real TCP ([`HttpClient`]), directly
 //! against an in-process handler ([`InProcTransport`], used by the
 //! deterministic benchmarks), or with injected network latency
 //! ([`LatencyTransport`], standing in for the paper's LAN between portal
@@ -28,44 +28,11 @@ pub trait Transport: Send + Sync {
     fn execute(&self, url: &Url, request: &Request) -> Result<Response, HttpError>;
 }
 
-/// Real TCP transport backed by [`HttpClient`].
-#[derive(Debug)]
-pub struct TcpTransport {
-    client: Arc<HttpClient>,
-}
-
-impl Default for TcpTransport {
-    fn default() -> Self {
-        TcpTransport::new()
-    }
-}
-
-impl TcpTransport {
-    /// Creates a transport with default client settings.
-    pub fn new() -> Self {
-        TcpTransport::with_client(Arc::new(HttpClient::new()))
-    }
-
-    /// Creates a transport with a custom I/O timeout.
-    pub fn with_timeout(timeout: Option<Duration>) -> Self {
-        TcpTransport::with_client(Arc::new(HttpClient::with_timeout(timeout)))
-    }
-
-    /// Creates a transport over a shared client, so many transports (or
-    /// many load-generator connections) draw from one connection pool.
-    pub fn with_client(client: Arc<HttpClient>) -> Self {
-        TcpTransport { client }
-    }
-
-    /// The underlying shared client.
-    pub fn client(&self) -> &Arc<HttpClient> {
-        &self.client
-    }
-}
-
-impl Transport for TcpTransport {
+/// Real TCP: the pooled client is itself a transport, so callers that
+/// share one `Arc<HttpClient>` share its connection pool.
+impl Transport for HttpClient {
     fn execute(&self, url: &Url, request: &Request) -> Result<Response, HttpError> {
-        self.client.execute(url, request)
+        HttpClient::execute(self, url, request)
     }
 }
 
@@ -185,7 +152,7 @@ mod tests {
     fn tcp_transport_matches_inproc_behavior() {
         let server = Server::bind("127.0.0.1:0", echo_handler()).unwrap();
         let url = Url::new("127.0.0.1", server.port(), "/svc");
-        let tcp = TcpTransport::new();
+        let tcp: Arc<dyn Transport> = Arc::new(HttpClient::new());
         let inproc = InProcTransport::new(echo_handler());
         let req = Request::post("/svc", "text/plain", b"same".to_vec());
         let a = tcp.execute(&url, &req).unwrap();
@@ -228,9 +195,8 @@ mod tests {
     #[test]
     fn tcp_transports_can_share_one_pooled_client() {
         let client = Arc::new(HttpClient::new());
-        let a = TcpTransport::with_client(client.clone());
-        let b = TcpTransport::with_client(client.clone());
-        assert!(Arc::ptr_eq(a.client(), b.client()));
+        let a: Arc<dyn Transport> = client.clone();
+        let b: Arc<dyn Transport> = client.clone();
         let server = Server::bind("127.0.0.1:0", echo_handler()).unwrap();
         let url = Url::new("127.0.0.1", server.port(), "/svc");
         a.execute(&url, &Request::get("/svc")).unwrap();

@@ -4,21 +4,19 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 /// Supplies the current time on some monotone axis.
 pub trait Clock: Send + Sync {
-    /// Milliseconds since the clock's epoch. Must be non-decreasing.
-    fn now_millis(&self) -> u64;
+    /// Nanoseconds since the clock's epoch. Must be non-decreasing: TTL
+    /// expiry, span timestamps and histogram samples all read this one
+    /// axis, so a step backwards would stretch an entry's life past its
+    /// TTL.
+    fn now_nanos(&self) -> u64;
 
-    /// Nanoseconds since the clock's epoch. Must be non-decreasing.
-    ///
-    /// The default derives from [`now_millis`](Clock::now_millis);
-    /// implementations with finer resolution should override it — span
-    /// timings for sub-millisecond stages (XML parse, deep copy) depend
-    /// on it.
-    fn now_nanos(&self) -> u64 {
-        self.now_millis().saturating_mul(1_000_000)
+    /// Whole milliseconds since the clock's epoch (the TTL resolution).
+    fn now_millis(&self) -> u64 {
+        self.now_nanos() / 1_000_000
     }
 
     /// Blocks the caller until `duration` has passed *on this clock*.
@@ -33,36 +31,8 @@ pub trait Clock: Send + Sync {
     }
 }
 
-/// The real wall clock (Unix epoch).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SystemClock;
-
-impl Clock for SystemClock {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the Clock implementations are where real time enters"
-    )]
-    fn now_millis(&self) -> u64 {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0)
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the Clock implementations are where real time enters"
-    )]
-    fn now_nanos(&self) -> u64 {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0)
-    }
-}
-
 /// A monotonic clock anchored at its creation instant — the default for
-/// metric registries, where only durations matter.
+/// metric registries, and so for everything built over one.
 #[derive(Debug, Clone, Copy)]
 pub struct MonotonicClock {
     origin: Instant,
@@ -72,7 +42,7 @@ impl MonotonicClock {
     /// A clock whose epoch is "now".
     #[expect(
         clippy::disallowed_methods,
-        reason = "the Clock implementations are where real time enters"
+        reason = "the one place real time enters the workspace"
     )]
     pub fn new() -> Self {
         MonotonicClock {
@@ -88,10 +58,6 @@ impl Default for MonotonicClock {
 }
 
 impl Clock for MonotonicClock {
-    fn now_millis(&self) -> u64 {
-        self.origin.elapsed().as_millis() as u64
-    }
-
     fn now_nanos(&self) -> u64 {
         self.origin.elapsed().as_nanos() as u64
     }
@@ -136,10 +102,6 @@ impl ManualClock {
 }
 
 impl Clock for ManualClock {
-    fn now_millis(&self) -> u64 {
-        self.nanos.load(Ordering::SeqCst) / 1_000_000
-    }
-
     fn now_nanos(&self) -> u64 {
         self.nanos.load(Ordering::SeqCst)
     }
@@ -152,10 +114,6 @@ impl Clock for ManualClock {
 }
 
 impl<C: Clock + ?Sized> Clock for Arc<C> {
-    fn now_millis(&self) -> u64 {
-        (**self).now_millis()
-    }
-
     fn now_nanos(&self) -> u64 {
         (**self).now_nanos()
     }
@@ -168,16 +126,6 @@ impl<C: Clock + ?Sized> Clock for Arc<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn system_clock_is_monotone_enough() {
-        let c = SystemClock;
-        let a = c.now_millis();
-        let b = c.now_millis();
-        assert!(b >= a);
-        assert!(a > 1_600_000_000_000); // after 2020
-        assert!(c.now_nanos() > 1_600_000_000_000_000_000);
-    }
 
     #[test]
     fn monotonic_clock_advances() {
@@ -229,13 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn default_nanos_derives_from_millis() {
-        struct Coarse;
-        impl Clock for Coarse {
-            fn now_millis(&self) -> u64 {
-                7
+    fn millis_derive_from_the_one_required_reading() {
+        struct Fixed;
+        impl Clock for Fixed {
+            fn now_nanos(&self) -> u64 {
+                7_999_999
             }
         }
-        assert_eq!(Coarse.now_nanos(), 7_000_000);
+        assert_eq!(Fixed.now_millis(), 7);
     }
 }

@@ -13,11 +13,13 @@
 //! - [`metrics`] — a [`MetricsRegistry`] of named atomic counters,
 //!   gauges and fixed log2-bucket latency histograms. Recording is
 //!   lock-free (plain atomics); only registration takes a lock, so hot
-//!   paths pre-register handles (or cache them in `OnceLock` statics);
-//!   [`Histogram::time`] is the one way to time an interval.
+//!   paths pre-register handles; [`Histogram::time`] is the one way to
+//!   time an interval. The registry is also the one handle through
+//!   which time and traces enter a component: it owns its [`Clock`] and
+//!   the [`Tracer`] over it.
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
 //!   propagated over the wire, [`trace::ActiveSpan`]s recorded against
-//!   the injected clock, and histogram exemplars linking aggregate
+//!   the registry's clock, and histogram exemplars linking aggregate
 //!   buckets back to full span trees.
 //! - [`sampler`] — the tail-sampling [`TraceStore`]: keeps error
 //!   traces, the slowest-N per route, and a probabilistic sample of
@@ -27,9 +29,9 @@
 //! - [`render`] — Prometheus-style text exposition and a hand-rolled
 //!   JSON renderer (the build environment is offline: no `prometheus`,
 //!   no `serde`).
-//! - [`mod@global`] — the process-wide default registry and tracer: the
-//!   client's stage histograms record there, as does any cache or
-//!   server built without a registry of its own.
+//! - [`mod@global`] — the process-wide default registry: where any
+//!   cache, client or server built without a registry of its own
+//!   records.
 //! - [`sync`] — poison-tolerant `Mutex`/`Condvar` helpers so hot paths
 //!   stay panic-free (`clippy::unwrap_used` is denied there) without
 //!   sprinkling `unwrap_or_else(PoisonError::into_inner)` everywhere.
@@ -42,11 +44,11 @@ pub mod sampler;
 pub mod sync;
 pub mod trace;
 
-pub use clock::{Clock, ManualClock, MonotonicClock, SystemClock};
-pub use global::{global, global_tracer};
+pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use global::global;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricsRegistry, MetricsSnapshot,
 };
 pub use render::{to_json, to_prometheus};
-pub use sampler::{StoredTrace, TraceStore, TraceStoreConfig};
+pub use sampler::{StoredTrace, TraceStore};
 pub use trace::{SpanRecord, TraceContext, Tracer, TRACEPARENT_HEADER};

@@ -4,10 +4,11 @@
 //! Recording through a handle ([`Counter::inc`], [`Gauge::set`],
 //! [`Histogram::record_nanos`]) is lock-free — plain relaxed atomics.
 //! Only *registration* (get-or-create by name + labels) takes a mutex,
-//! so hot paths register once and keep the handle (a cheap `Arc` clone),
-//! typically in a `OnceLock` static or a struct field.
+//! so hot paths register once and keep the handle (a cheap `Arc` clone)
+//! in a struct field.
 
 use crate::clock::{Clock, MonotonicClock};
+use crate::trace::Tracer;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -262,9 +263,14 @@ enum Slot {
     Histogram(Arc<HistogramCore>),
 }
 
-/// A registry of metrics, keyed by name + labels.
+/// A registry of metrics, keyed by name + labels — and the one handle
+/// through which time, metrics and traces enter a component: it owns
+/// the [`Clock`] its histograms time against and the [`Tracer`] built
+/// over that same clock, so whatever is handed a registry puts its TTLs,
+/// its samples and its spans on one axis.
 pub struct MetricsRegistry {
     clock: Arc<dyn Clock>,
+    tracer: Arc<Tracer>,
     slots: Mutex<BTreeMap<MetricId, Slot>>,
 }
 
@@ -285,23 +291,34 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// A registry timing scopes with a fresh [`MonotonicClock`].
+    /// A registry over a fresh [`MonotonicClock`].
     pub fn new() -> Self {
-        MetricsRegistry::with_clock(Arc::new(MonotonicClock::new()))
+        MetricsRegistry::with_clock(MonotonicClock::new())
     }
 
-    /// A registry timing scopes with the given clock — tests pass a
-    /// [`crate::clock::ManualClock`] handle for deterministic durations.
-    pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
+    /// A registry over the given clock — tests pass a
+    /// [`crate::clock::ManualClock`] handle for deterministic durations,
+    /// expiries and span trees.
+    pub fn with_clock(clock: impl Clock + 'static) -> Self {
+        let clock: Arc<dyn Clock> = Arc::new(clock);
         MetricsRegistry {
+            tracer: Tracer::new(clock.clone()),
             clock,
             slots: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// The clock timers started from this registry's histograms use.
+    /// The clock this registry's histograms, its tracer and every
+    /// component built over it read.
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
+    }
+
+    /// The tracer over [`clock`](MetricsRegistry::clock): where a
+    /// component handed this registry records its spans, and what
+    /// `GET /trace` renders.
+    pub fn tracer(&self) -> &Arc<Tracer> {
+        &self.tracer
     }
 
     /// Gets or creates a counter.
@@ -570,17 +587,34 @@ mod tests {
     #[test]
     fn time_reads_the_registry_clock_and_returns_the_closures_value() {
         let clock = ManualClock::new();
-        let handle = clock.handle();
-        let r = MetricsRegistry::with_clock(std::sync::Arc::new(clock));
+        let r = MetricsRegistry::with_clock(clock.handle());
         let h = r.histogram("op_seconds", &[]);
         let out = h.time(|| {
-            handle.advance_nanos(5000);
+            clock.advance_nanos(5000);
             "done"
         });
         assert_eq!(out, "done");
         let snap = h.snapshot();
         assert_eq!(snap.count, 1);
         assert_eq!(snap.sum_nanos, 5000);
+    }
+
+    /// The handle's point: an interval timed by a histogram and the span
+    /// around it are the same number, and both are the registry clock's.
+    #[test]
+    fn a_span_and_a_sample_of_one_interval_agree() {
+        let clock = ManualClock::new();
+        let r = MetricsRegistry::with_clock(clock.handle());
+        let h = r.histogram("op_seconds", &[]);
+        clock.advance_nanos(40);
+        let root = r.tracer().root_span("request", "/r");
+        h.time(|| clock.advance_nanos(700));
+        root.finish();
+        let traces = r.tracer().store().recent();
+        assert_eq!(traces[0].spans[0].start_nanos, 40);
+        assert_eq!(traces[0].duration_nanos, 700);
+        assert_eq!(h.snapshot().sum_nanos, 700);
+        assert_eq!(r.clock().now_nanos(), 740);
     }
 
     #[test]

@@ -21,34 +21,17 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Retention knobs for a [`TraceStore`].
-#[derive(Debug, Clone)]
-pub struct TraceStoreConfig {
-    /// Capacity of the recent-traces ring.
-    pub recent_capacity: usize,
-    /// Slowest traces kept per route.
-    pub slowest_per_route: usize,
-    /// Keep one in this many non-error, non-slowest traces (1 keeps
-    /// all, 0 keeps none).
-    pub sample_one_in: u64,
-    /// Maximum traces with spans awaiting finalization; batches for new
-    /// traces beyond this are dropped (and counted).
-    pub max_pending: usize,
-    /// Maximum spans buffered per pending trace.
-    pub max_spans_per_trace: usize,
-}
-
-impl Default for TraceStoreConfig {
-    fn default() -> Self {
-        TraceStoreConfig {
-            recent_capacity: 64,
-            slowest_per_route: 8,
-            sample_one_in: 16,
-            max_pending: 256,
-            max_spans_per_trace: 128,
-        }
-    }
-}
+/// Capacity of the recent-traces ring.
+pub const RECENT_CAPACITY: usize = 64;
+/// Slowest traces kept per route.
+pub const SLOWEST_PER_ROUTE: usize = 8;
+/// One in this many non-error, non-slowest traces is kept.
+pub const SAMPLE_ONE_IN: u128 = 16;
+/// Maximum traces with spans awaiting finalization; batches for new
+/// traces beyond this are dropped (and counted).
+pub const MAX_PENDING: usize = 256;
+/// Maximum spans buffered per pending trace.
+pub const MAX_SPANS_PER_TRACE: usize = 128;
 
 /// One retained trace with its finished spans.
 #[derive(Debug, Clone)]
@@ -177,8 +160,8 @@ struct StoreInner {
 
 /// The tail-sampling trace store. See the module docs for the
 /// retention policy.
+#[derive(Default)]
 pub struct TraceStore {
-    config: TraceStoreConfig,
     inner: Mutex<StoreInner>,
     dropped: AtomicU64,
 }
@@ -190,15 +173,6 @@ impl std::fmt::Debug for TraceStore {
 }
 
 impl TraceStore {
-    /// A store with the given retention configuration.
-    pub fn new(config: TraceStoreConfig) -> TraceStore {
-        TraceStore {
-            config,
-            inner: Mutex::new(StoreInner::default()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
     /// Registers `trace_id` as owned by an in-process global root, so
     /// provisional (wire-continued) finalizations leave it pending.
     pub fn open_root(&self, trace_id: u128) {
@@ -214,12 +188,12 @@ impl TraceStore {
             let mut inner = sync::lock_class("TraceStore.inner", &self.inner);
             for span in batch {
                 let known = inner.pending.contains_key(&span.trace_id);
-                if !known && inner.pending.len() >= self.config.max_pending {
+                if !known && inner.pending.len() >= MAX_PENDING {
                     dropped += 1;
                     continue;
                 }
                 let spans = inner.pending.entry(span.trace_id).or_default();
-                if spans.len() >= self.config.max_spans_per_trace {
+                if spans.len() >= MAX_SPANS_PER_TRACE {
                     dropped += 1;
                     continue;
                 }
@@ -263,24 +237,21 @@ impl TraceStore {
             // Slowest-N per route: always keep while the table is
             // filling, then only when beating the current floor.
             let slot = inner.slowest.entry(route.to_string()).or_default();
-            let qualifies_slowest = self.config.slowest_per_route > 0
-                && (slot.len() < self.config.slowest_per_route
-                    || slot
-                        .last()
-                        .is_some_and(|floor| duration_nanos > floor.duration_nanos));
+            let qualifies_slowest = slot.len() < SLOWEST_PER_ROUTE
+                || slot
+                    .last()
+                    .is_some_and(|floor| duration_nanos > floor.duration_nanos);
             if qualifies_slowest {
                 slot.push(trace.clone());
                 slot.sort_by_key(|t| std::cmp::Reverse(t.duration_nanos));
-                slot.truncate(self.config.slowest_per_route);
+                slot.truncate(SLOWEST_PER_ROUTE);
             }
 
-            let sampled_in = self.config.sample_one_in > 0
-                && trace_id.is_multiple_of(u128::from(self.config.sample_one_in));
+            let sampled_in = trace_id.is_multiple_of(SAMPLE_ONE_IN);
             let retained = error || qualifies_slowest || sampled_in;
             if retained {
                 inner.recent.push_back(trace);
-                let cap = self.config.recent_capacity.max(1);
-                while inner.recent.len() > cap {
+                while inner.recent.len() > RECENT_CAPACITY {
                     inner.recent.pop_front();
                 }
             }
@@ -359,75 +330,71 @@ mod tests {
     }
 
     fn store() -> TraceStore {
-        TraceStore::new(TraceStoreConfig {
-            recent_capacity: 4,
-            slowest_per_route: 2,
-            sample_one_in: 0, // only errors and slowest qualify
-            max_pending: 8,
-            max_spans_per_trace: 8,
-        })
+        TraceStore::default()
+    }
+
+    /// Finishes a one-span trace on route `/r`.
+    fn finish(s: &TraceStore, id: u128, duration: u64, error: bool) {
+        s.record_batch(vec![span(id, 1, None, "root")]);
+        s.finalize(id, "/r", duration, error, false);
+    }
+
+    /// Fills `/r`'s slowest table with traces no later one outlasts, so
+    /// what follows is retained only as an error or by the id sample.
+    /// Their ids (2001…) are outside the sample.
+    fn fill_slowest(s: &TraceStore) {
+        for i in 0..SLOWEST_PER_ROUTE as u128 {
+            finish(s, 2001 + i, 1_000_000, false);
+        }
     }
 
     #[test]
     fn slowest_per_route_keeps_the_tail() {
         let s = store();
-        for (id, duration) in [(2u128, 100), (3, 900), (4, 500), (5, 50)] {
-            s.record_batch(vec![span(id, 1, None, "root")]);
-            s.finalize(id, "/r", duration, false, false);
+        // Ten traces, none in the id sample: durations 100, 200, … 1000.
+        for i in 1..=10u64 {
+            finish(&s, u128::from(i), i * 100, false);
         }
-        let slow = s.slowest();
-        assert_eq!(slow.len(), 2);
-        assert_eq!(slow[0].duration_nanos, 900);
-        assert_eq!(slow[1].duration_nanos, 500);
-        // 100 and 50 were evicted/rejected; only the initial fill kept
-        // 100 temporarily, then 500 displaced it.
-        assert!(s.dropped() >= 1);
+        let slow: Vec<u64> = s.slowest().iter().map(|t| t.duration_nanos).collect();
+        assert_eq!(slow, [1000, 900, 800, 700, 600, 500, 400, 300]);
+        // Every one beat the floor when it arrived, so all ten were
+        // retained in the ring; a late short one is not.
+        assert_eq!(s.dropped(), 0);
+        finish(&s, 11, 50, false);
+        assert_eq!(s.dropped(), 1);
     }
 
     #[test]
     fn error_traces_are_always_retained() {
         let s = store();
-        // Fill the slowest table so errors cannot qualify as slowest.
-        for (id, duration) in [(2u128, 900), (3, 800)] {
-            s.record_batch(vec![span(id, 1, None, "root")]);
-            s.finalize(id, "/r", duration, false, false);
-        }
-        s.record_batch(vec![span(9, 1, None, "root")]);
-        s.finalize(9, "/r", 1, true, false);
+        fill_slowest(&s);
+        finish(&s, 9, 1, true);
         let recent = s.recent();
         assert!(recent.iter().any(|t| t.trace_id == 9 && t.error));
     }
 
     #[test]
     fn probabilistic_sampling_is_id_stable() {
-        let s = TraceStore::new(TraceStoreConfig {
-            sample_one_in: 4,
-            slowest_per_route: 0,
-            ..TraceStoreConfig::default()
-        });
-        for id in 1u128..=16 {
-            s.record_batch(vec![span(id, 1, None, "root")]);
-            s.finalize(id, "/r", 10, false, false);
+        let s = store();
+        fill_slowest(&s);
+        for id in 1u128..=48 {
+            finish(&s, id, 10, false);
         }
         let kept: Vec<u128> = s.recent().iter().map(|t| t.trace_id).collect();
-        assert_eq!(kept, vec![16, 12, 8, 4], "ids divisible by 4, newest first");
+        assert_eq!(kept[..3], [48, 32, 16], "ids divisible by 16, newest first");
+        assert_eq!(kept.len(), 3 + SLOWEST_PER_ROUTE);
     }
 
     #[test]
     fn recent_ring_is_bounded() {
-        let s = TraceStore::new(TraceStoreConfig {
-            recent_capacity: 3,
-            slowest_per_route: 0,
-            sample_one_in: 1,
-            ..TraceStoreConfig::default()
-        });
-        for id in 1u128..=10 {
-            s.record_batch(vec![span(id, 1, None, "root")]);
-            s.finalize(id, "/r", 10, false, false);
+        let s = store();
+        let last = RECENT_CAPACITY as u128 + 6;
+        for id in 1..=last {
+            finish(&s, id, 10, true);
         }
         let recent = s.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(recent[0].trace_id, 10, "newest first");
+        assert_eq!(recent.len(), RECENT_CAPACITY);
+        assert_eq!(recent[0].trace_id, last, "newest first");
     }
 
     #[test]
@@ -460,13 +427,15 @@ mod tests {
 
     #[test]
     fn pending_capacity_is_enforced() {
-        let s = store(); // max_pending 8, max_spans_per_trace 8
-        for id in 1u128..=10 {
+        let s = store();
+        for id in 1..=MAX_PENDING as u128 + 2 {
             s.record_batch(vec![span(id, 1, None, "root")]);
         }
-        assert_eq!(s.pending_traces(), 8);
+        assert_eq!(s.pending_traces(), MAX_PENDING);
         assert_eq!(s.dropped(), 2);
-        let many: Vec<SpanRecord> = (1..=20).map(|i| span(1, i, None, "x")).collect();
+        let many: Vec<SpanRecord> = (1..=MAX_SPANS_PER_TRACE as u64 + 20)
+            .map(|i| span(1, i, None, "x"))
+            .collect();
         s.record_batch(many);
         assert!(s.dropped() > 2, "per-trace span cap counted");
     }

@@ -19,9 +19,10 @@
 //!   and are drained into the store in batches — once per request on
 //!   the root's finish, or when the buffer fills. The hit path records
 //!   two or three spans and takes at most one store lock per request.
-//! - **Deterministic.** All timestamps come from the tracer's injected
-//!   [`Clock`], so span trees are exact under a
-//!   [`crate::clock::ManualClock`].
+//! - **Deterministic.** All timestamps come from the clock of the
+//!   [`crate::MetricsRegistry`] that owns the tracer, so span trees are
+//!   exact under a [`crate::clock::ManualClock`] and a span and a
+//!   histogram sample of one interval read one axis.
 //!
 //! Root discipline (`clippy.toml` disallows [`Tracer::root_span`]):
 //! request-path spans must descend from a propagated context. Only
@@ -30,7 +31,7 @@
 //! [`Tracer::span_from`].
 
 use crate::clock::Clock;
-use crate::sampler::{TraceStore, TraceStoreConfig};
+use crate::sampler::TraceStore;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
@@ -199,8 +200,10 @@ impl SpanRecord {
     }
 }
 
-/// Records spans against an injected clock and retains them in a
-/// tail-sampling [`TraceStore`].
+/// Records spans against its registry's clock and retains them in a
+/// tail-sampling [`TraceStore`]. Every [`crate::MetricsRegistry`] owns
+/// one ([`crate::MetricsRegistry::tracer`]); there is no other way to
+/// build it.
 pub struct Tracer {
     clock: Arc<dyn Clock>,
     store: TraceStore,
@@ -213,22 +216,11 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    /// A tracer with the default retention configuration.
-    pub fn new(clock: Arc<dyn Clock>) -> Arc<Tracer> {
-        Tracer::with_config(clock, TraceStoreConfig::default())
-    }
-
-    /// A tracer with an explicit retention configuration.
-    pub fn with_config(clock: Arc<dyn Clock>, config: TraceStoreConfig) -> Arc<Tracer> {
+    pub(crate) fn new(clock: Arc<dyn Clock>) -> Arc<Tracer> {
         Arc::new(Tracer {
             clock,
-            store: TraceStore::new(config),
+            store: TraceStore::default(),
         })
-    }
-
-    /// The clock all span timestamps come from.
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
     }
 
     /// The backing trace store (for `/trace` rendering and reports).
@@ -568,8 +560,7 @@ mod tests {
 
     fn manual_tracer() -> (Arc<Tracer>, ManualClock) {
         let clock = ManualClock::new();
-        let handle = clock.handle();
-        (Tracer::new(Arc::new(clock)), handle)
+        (Tracer::new(Arc::new(clock.handle())), clock)
     }
 
     #[test]

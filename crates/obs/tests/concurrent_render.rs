@@ -7,29 +7,23 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsrc_obs::clock::ManualClock;
-use wsrc_obs::{to_json, to_prometheus, MetricsRegistry, TraceStoreConfig, Tracer};
+use wsrc_obs::sampler::{RECENT_CAPACITY, SLOWEST_PER_ROUTE};
+use wsrc_obs::{to_json, to_prometheus, MetricsRegistry};
 
 const WORKERS: usize = 16;
-const TRACES_PER_WORKER: usize = 16;
+/// Each worker has a route of its own, so every one of its traces is
+/// among that route's slowest and is retained: the test asserts exact
+/// counts, and the id sample would keep one in sixteen.
+const TRACES_PER_WORKER: usize = 4;
+const _: () = assert!(TRACES_PER_WORKER <= SLOWEST_PER_ROUTE);
+const _: () = assert!(WORKERS * TRACES_PER_WORKER <= RECENT_CAPACITY);
 /// Spans per trace: one root plus two children.
 const SPANS_PER_TRACE: usize = 3;
 
 #[test]
 fn concurrent_rendering_never_loses_or_duplicates_spans() {
-    let clock = ManualClock::new();
-    let tracer = Tracer::with_config(
-        Arc::new(clock.handle()),
-        TraceStoreConfig {
-            // Retain everything: the test asserts exact counts, so the
-            // probabilistic sampler is pinned wide open.
-            recent_capacity: WORKERS * TRACES_PER_WORKER,
-            slowest_per_route: 4,
-            sample_one_in: 1,
-            max_pending: WORKERS * TRACES_PER_WORKER,
-            max_spans_per_trace: 64,
-        },
-    );
-    let registry = Arc::new(MetricsRegistry::with_clock(Arc::new(clock.handle())));
+    let registry = Arc::new(MetricsRegistry::with_clock(ManualClock::new()));
+    let tracer = registry.tracer().clone();
     let histogram = registry.histogram("wsrc_test_stage_seconds", &[("stage", "work")]);
     let writers_done = AtomicUsize::new(0);
 
@@ -86,7 +80,7 @@ fn concurrent_rendering_never_loses_or_duplicates_spans() {
         }
     });
 
-    // Every trace was retained (sampler pinned open) with its exact span
+    // Every trace was retained (slowest of its route) with its exact span
     // complement — nothing lost to a race, nothing double-drained.
     let recent = tracer.store().recent();
     assert_eq!(recent.len(), WORKERS * TRACES_PER_WORKER);

@@ -104,7 +104,10 @@ impl QuerySchedule {
 /// measured request becomes a root span in it (the load generator is the
 /// designated trace root — servers and clients only continue propagated
 /// contexts), so slow requests are explainable from the tracer's
-/// tail-sampled store.
+/// tail-sampled store. Pass one registry's
+/// [`clock`](wsrc_obs::MetricsRegistry::clock) and
+/// [`tracer`](wsrc_obs::MetricsRegistry::tracer) and the report and the
+/// spans share an axis.
 pub fn run_load(
     transport: &dyn Transport,
     base: &Url,
@@ -331,15 +334,15 @@ mod tests {
             }
             page()
         });
-        let clock = ManualClock::new();
-        let tracer = wsrc_obs::Tracer::new(Arc::new(clock.handle()));
+        let registry = wsrc_obs::MetricsRegistry::with_clock(ManualClock::new());
+        let tracer = registry.tracer();
         let config = LoadConfig {
             concurrency: 2,
             requests: 20,
             hit_ratio: 0.0,
             hot_queries: 1,
         };
-        let report = run_load(&plain, &base(), &config, &clock, Some(&tracer));
+        let report = run_load(&plain, &base(), &config, registry.clock(), Some(tracer));
         assert_eq!(report.completed, 20);
         // Every request rooted a trace; the tail-sampling store retained
         // at least the slowest-N for the route.

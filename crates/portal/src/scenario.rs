@@ -7,9 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrc_cache::{ResponseCache, ValueRepresentation};
 use wsrc_client::ServiceClient;
-use wsrc_http::{
-    Handler, HttpClient, InProcTransport, PoolConfig, Server, TcpTransport, Transport, Url,
-};
+use wsrc_http::{Handler, HttpClient, InProcTransport, PoolConfig, Server, Transport, Url};
 use wsrc_obs::MonotonicClock;
 use wsrc_services::google::{self, GoogleService};
 use wsrc_services::SoapDispatcher;
@@ -98,7 +96,7 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
         TransportMode::Tcp => {
             let server = Server::bind("127.0.0.1:0", dispatcher).expect("bind backend");
             backend_server = Some(server);
-            Arc::new(TcpTransport::new())
+            Arc::new(HttpClient::new())
         }
     };
     let backend_url = match &backend_server {
@@ -146,8 +144,7 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
                 max_per_authority: config.concurrency.max(1),
                 ..PoolConfig::default()
             };
-            let client = Arc::new(HttpClient::with_pool(pool));
-            (Box::new(TcpTransport::with_client(client)), url)
+            (Box::new(HttpClient::with_pool(pool)), url)
         }
     };
     let clock = MonotonicClock::new();

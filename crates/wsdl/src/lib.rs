@@ -10,11 +10,8 @@
 //! compiler ([`compile()`]) turns a [`model::Definitions`] into a
 //! [`wsrc_model::TypeRegistry`] with exactly those capabilities (plus an
 //! optional generated deep clone, which the paper proposes) and a set of
-//! [`wsrc_soap::OperationDescriptor`]s for the client and server. The
-//! [`codegen`] module additionally emits Rust stub source, mirroring
-//! WSDL2Java.
+//! [`wsrc_soap::OperationDescriptor`]s for the client and server.
 
-pub mod codegen;
 pub mod compile;
 pub mod model;
 pub mod parser;

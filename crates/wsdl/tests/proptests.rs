@@ -212,20 +212,3 @@ fn parser_never_panics_on_garbage() {
         let _ = parser::parse_wsdl(&s);
     }
 }
-
-#[test]
-fn codegen_is_balanced() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 3000);
-        let defs = arb_definitions(&mut rng);
-        if defs.validate().is_err() {
-            continue;
-        }
-        let src = wsrc_wsdl::codegen::generate_rust_stub(&defs);
-        assert_eq!(
-            src.matches('{').count(),
-            src.matches('}').count(),
-            "seed {seed}"
-        );
-    }
-}

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
-use wsrcache::http::{HttpClient, MetricsRoute, Server, TcpTransport, Url};
+use wsrcache::http::{HttpClient, MetricsRoute, Server, Url};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", port, google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())

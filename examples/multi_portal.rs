@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{
-    Handler, HttpClient, Method, Request, Response, Server, Status, TcpTransport, Transport, Url,
+    Handler, HttpClient, Method, Request, Response, Server, Status, Transport, Url,
 };
 use wsrcache::model::Value;
 use wsrcache::services::google::{self, GoogleService};
@@ -198,7 +198,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let backend = Server::bind("127.0.0.1:0", Arc::new(backends()))?;
     println!("back-end services on 127.0.0.1:{}", backend.port());
 
-    let portal = portal("127.0.0.1", backend.port(), Arc::new(TcpTransport::new()));
+    let portal = portal("127.0.0.1", backend.port(), Arc::new(HttpClient::new()));
     let portal_server = Server::bind("127.0.0.1:0", Arc::new(portal))?;
     println!("portal on http://127.0.0.1:{}/home\n", portal_server.port());
 

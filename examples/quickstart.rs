@@ -7,10 +7,10 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
-use wsrcache::http::{Server, TcpTransport, Url};
+use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::model::Value;
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
@@ -25,9 +25,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.port()
     );
 
-    // 2. The client middleware with a transparent response cache.
-    //    The §6 "optimal configuration" table is the default: it picks
-    //    the representation per response object at run time.
+    // 2. The client middleware with a transparent response cache. With
+    //    no representation forced by the policy, every response is
+    //    stored as the shared, copy-on-write application object.
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", server.port(), google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())
@@ -109,9 +109,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         server.requests_served()
     );
     println!("stats as JSON: {}", stats.to_json());
-
-    // Cached entries expire after the per-operation TTL (1h by default
-    // for Google operations per §3.2) — long enough for this demo.
-    let _ = Duration::from_secs(3600);
     Ok(())
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache};
 use wsrcache::client::ServiceClient;
-use wsrcache::http::{Server, TcpTransport, Url};
-use wsrcache::obs::ManualClock;
+use wsrcache::http::{HttpClient, Server, Url};
+use wsrcache::obs::{ManualClock, MetricsRegistry};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -34,12 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(CachePolicy::new().with_default(OperationPolicy::cacheable(ttl)))
-            .clock(clock.handle())
+            .metrics(Arc::new(MetricsRegistry::with_clock(clock.handle())))
             .build(),
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", server.port(), google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())

@@ -1,7 +1,6 @@
 //! The WSDL pipeline: author the GoogleSearch WSDL in the document model,
-//! emit it as XML, parse it back, compile it into runtime artifacts, and
-//! generate Rust stub source — then use the compiled artifacts to make a
-//! real call.
+//! emit it as XML, parse it back, compile it into runtime artifacts — then
+//! use the compiled artifacts to make a real call.
 //!
 //! ```text
 //! cargo run --example wsdl_compiler
@@ -13,7 +12,7 @@ use wsrcache::http::{InProcTransport, Url};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
-use wsrcache::wsdl::{codegen, compile, parser, writer, CompileOptions};
+use wsrcache::wsdl::{compile, parser, writer, CompileOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Author + emit.
@@ -48,20 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 3. Generate Rust stub source (what a build script would write).
-    let stub = codegen::generate_rust_stub(&parsed);
-    println!(
-        "\ngenerated {} lines of Rust stub source; excerpt:",
-        stub.lines().count()
-    );
-    for line in stub
-        .lines()
-        .filter(|l| l.starts_with("pub struct") || l.contains("pub fn"))
-    {
-        println!("  {line}");
-    }
-
-    // 4. Use the *compiled* artifacts (not the hand-written ones) to call
+    // 3. Use the *compiled* artifacts (not the hand-written ones) to call
     //    the dummy service.
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let client = ServiceClient::builder(

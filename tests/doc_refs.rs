@@ -3,7 +3,8 @@
 //! `--manifest-path <path>` and `results/<file>` in the files below must
 //! resolve in the tree. Nor can the invariant tables drift from the
 //! rules the analyzer runs, the methods `clippy.toml` disallows or the
-//! lock classes the code takes.
+//! lock classes the code takes, or the prose keep naming a path the code
+//! deleted.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -162,27 +163,34 @@ fn invariant_tables_and_clippy_toml_name_the_same_methods() {
     }
 }
 
+/// Calls `visit` with the text of every `.rs` file under `dir`, build
+/// output aside — and `tests` directories too unless `with_tests`.
+fn each_source(dir: &Path, with_tests: bool, visit: &mut dyn FnMut(&str)) {
+    for path in fs::read_dir(dir).expect("readable dir").flatten() {
+        let path = path.path();
+        if path.is_dir() {
+            if !path.ends_with("target") && (with_tests || !path.ends_with("tests")) {
+                each_source(&path, with_tests, visit);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            visit(&fs::read_to_string(&path).expect("readable source"));
+        }
+    }
+}
+
 /// Collects the class of every `lock_class("…", …)` call under `dir`
 /// (integration tests aside; the witness's own unit tests take
 /// throwaway `tests.*` classes).
 fn lock_classes_taken(dir: &Path, taken: &mut BTreeSet<String>) {
-    for path in fs::read_dir(dir).expect("readable dir").flatten() {
-        let path = path.path();
-        if path.is_dir() {
-            if !path.ends_with("tests") && !path.ends_with("target") {
-                lock_classes_taken(&path, taken);
-            }
-        } else if path.extension().is_some_and(|ext| ext == "rs") {
-            let text = fs::read_to_string(&path).expect("readable source");
-            taken.extend(
-                text.split("lock_class(\"")
-                    .skip(1)
-                    .filter_map(|call| call.split('"').next())
-                    .filter(|class| !class.starts_with("tests."))
-                    .map(str::to_string),
-            );
-        }
-    }
+    each_source(dir, false, &mut |text| {
+        taken.extend(
+            text.split("lock_class(\"")
+                .skip(1)
+                .filter_map(|call| call.split('"').next())
+                .filter(|class| !class.starts_with("tests."))
+                .map(str::to_string),
+        );
+    });
 }
 
 /// The witness's module docs and DESIGN §7's lock row each list the
@@ -207,4 +215,72 @@ fn lock_class_lists_name_exactly_the_classes_taken() {
             .collect();
         assert_eq!(listed, taken, "{file} (left) against the code (right)");
     }
+}
+
+fn is_ident_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// The `A::b` paths in a piece of code: each run of identifiers joined
+/// by `::`, with the `{…}` group such a run may end in.
+fn paths(code: &str) -> Vec<&str> {
+    let mut found = Vec::new();
+    let mut rest = code;
+    while let Some(at) = rest.find("::") {
+        let start = rest[..at]
+            .rfind(|c| !is_ident_char(c))
+            .map_or(0, |before| before + 1);
+        let tail = &rest[at..];
+        let mut end = tail
+            .find(|c| !is_ident_char(c) && c != ':')
+            .unwrap_or(tail.len());
+        if tail[..end].ends_with("::") && tail[end..].starts_with('{') {
+            end += tail[end..].find('}').unwrap_or(tail.len() - end - 1) + 1;
+        }
+        found.push(&rest[start..at + end]);
+        rest = &rest[at + end..];
+    }
+    found
+}
+
+/// Every back-ticked `A::b` path in README.md and DESIGN.md, inline or
+/// in a fenced block, is made of identifiers that occur in the sources:
+/// when the code deletes an item, the prose that names it fails here.
+#[test]
+fn back_ticked_paths_are_made_of_identifiers_the_sources_contain() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut identifiers = BTreeSet::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        each_source(&root.join(dir), true, &mut |text| {
+            identifiers.extend(
+                text.split(|c| !is_ident_char(c))
+                    .filter(|word| !word.is_empty())
+                    .map(str::to_string),
+            );
+        });
+    }
+    let mut stale = Vec::new();
+    for file in ["README.md", "DESIGN.md"] {
+        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+        // Runs of back-ticks delimit code, inline and fenced alike.
+        let code = text
+            .split('`')
+            .filter(|piece| !piece.is_empty())
+            .skip(1)
+            .step_by(2);
+        for path in code.flat_map(paths) {
+            let unknown: Vec<&str> = path
+                .split(|c| !is_ident_char(c))
+                .filter(|word| !word.is_empty() && !identifiers.contains(*word))
+                .collect();
+            if !unknown.is_empty() {
+                stale.push(format!("{file}: `{path}` names {unknown:?}"));
+            }
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "paths the sources no longer contain:\n{}",
+        stale.join("\n")
+    );
 }

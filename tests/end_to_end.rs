@@ -5,9 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::{Disposition, ServiceClient};
-use wsrcache::http::{Server, TcpTransport, Url};
+use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::model::Value;
-use wsrcache::obs::ManualClock;
+use wsrcache::obs::{ManualClock, MetricsRegistry};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -25,12 +25,12 @@ fn stack() -> Stack {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(google::default_policy())
-            .clock(clock.handle())
+            .metrics(Arc::new(MetricsRegistry::with_clock(clock.handle())))
             .build(),
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", server.port(), google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())

@@ -10,7 +10,7 @@ use std::time::Duration;
 use wsrcache::cache::store::Capacity;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::{ClientError, ServiceClient};
-use wsrcache::http::{Handler, InProcTransport, Request, Response, Server, TcpTransport, Url};
+use wsrcache::http::{Handler, HttpClient, InProcTransport, Request, Response, Server, Url};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -90,7 +90,7 @@ fn connection_reset_mid_response_is_an_io_error() {
         }
     });
     let client = caching_client(
-        Arc::new(TcpTransport::with_timeout(Some(Duration::from_secs(2)))),
+        Arc::new(HttpClient::with_timeout(Some(Duration::from_secs(2)))),
         Url::new("127.0.0.1", port, google::PATH),
     );
     let err = client.invoke(&spelling("x")).expect_err("must fail");
@@ -140,7 +140,7 @@ fn repeated_identical_requests_are_absorbed_by_the_cache() {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let server = Server::bind("127.0.0.1:0", Arc::new(dispatcher)).expect("bind");
     let client = Arc::new(caching_client(
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
         Url::new("127.0.0.1", server.port(), google::PATH),
     ));
     let mut workers = Vec::new();
@@ -186,7 +186,7 @@ fn http_404_from_wrong_path_is_a_status_error() {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let server = Server::bind("127.0.0.1:0", Arc::new(dispatcher)).expect("bind");
     let client = caching_client(
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
         Url::new("127.0.0.1", server.port(), "/soap/wrong-path"),
     );
     let err = client.invoke(&spelling("x")).expect_err("404 expected");

@@ -27,14 +27,12 @@ fn portal_client(
     registry: &Arc<MetricsRegistry>,
     label: &str,
     repr: ValueRepresentation,
-    clock: &ManualClock,
 ) -> ServiceClient {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(forced(repr))
-            .clock(clock.handle())
             .metrics(registry.clone())
             .metrics_label(label)
             .build(),
@@ -55,8 +53,7 @@ fn spelling(phrase: &str) -> RpcRequest {
 #[test]
 fn per_representation_hit_counters_accumulate_end_to_end() {
     let registry = Arc::new(MetricsRegistry::new());
-    let clock = ManualClock::new();
-    let client = portal_client(&registry, "e2e", ValueRepresentation::DomTree, &clock);
+    let client = portal_client(&registry, "e2e", ValueRepresentation::DomTree);
 
     // 3 distinct queries, each asked 3 times: 3 misses, 6 hits.
     for _round in 0..3 {
@@ -111,9 +108,9 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
 
 #[test]
 fn expired_lookups_count_as_expired_and_missed() {
-    let registry = Arc::new(MetricsRegistry::new());
     let clock = ManualClock::new();
-    let client = portal_client(&registry, "ttl", ValueRepresentation::SaxEvents, &clock);
+    let registry = Arc::new(MetricsRegistry::with_clock(clock.handle()));
+    let client = portal_client(&registry, "ttl", ValueRepresentation::SaxEvents);
 
     let (_, d1) = client.invoke(&spelling("stale")).expect("prime");
     assert_eq!(d1, Disposition::CacheMiss);
@@ -145,13 +142,11 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
     // The cache records into the process-wide registry here (the
     // default), beside the client's stage histograms; a unique label
     // keeps this test's counters identifiable.
-    let clock = ManualClock::new();
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
     let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(forced(ValueRepresentation::Serialization))
-            .clock(clock.handle())
             .metrics_label("exposed")
             .build(),
     );
@@ -288,19 +283,19 @@ fn the_caches_metric_families_are_the_documented_list() {
 }
 
 /// The same check for the client middleware: after a cached miss (the
-/// one path through every client stage) the process-wide registry holds
+/// one path through every client stage) the cache's registry holds
 /// exactly the `wsrc_client_*` families the table names.
 #[test]
 fn the_clients_metric_families_are_the_documented_list() {
+    let registry = Arc::new(MetricsRegistry::new());
     let client = portal_client(
-        &Arc::new(MetricsRegistry::new()),
+        &registry,
         "client-catalogue",
         ValueRepresentation::PassByReference,
-        &ManualClock::new(),
     );
     let (_, disposition) = client.invoke(&spelling("catalogue")).expect("call");
     assert_eq!(disposition, Disposition::CacheMiss);
-    let found = registered(&wsrcache::obs::global(), "wsrc_client_", |label| {
+    let found = registered(&registry, "wsrc_client_", |label| {
         (label == "stage").then(|| vec!["serialize", "transport", "deserialize"])
     });
     assert_eq!(
@@ -322,7 +317,6 @@ fn every_registered_family_is_a_documented_row_under_three_prefixes() {
         &global,
         "closed-catalogue",
         ValueRepresentation::PassByReference,
-        &ManualClock::new(),
     );
     let portal = Arc::new(PortalSite::new(Arc::new(service)));
     let server = Server::bind("127.0.0.1:0", portal.clone()).expect("bind");

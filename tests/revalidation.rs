@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache};
 use wsrcache::client::{Disposition, ServiceClient};
-use wsrcache::http::{Server, TcpTransport, Url};
-use wsrcache::obs::ManualClock;
+use wsrcache::http::{HttpClient, Server, Url};
+use wsrcache::obs::{ManualClock, MetricsRegistry};
 use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
@@ -36,12 +36,12 @@ fn stack() -> Stack {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(policy)
-            .clock(clock.handle())
+            .metrics(Arc::new(MetricsRegistry::with_clock(clock.handle())))
             .build(),
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", server.port(), google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())
@@ -141,12 +141,12 @@ fn backends_without_validators_expire_normally() {
     let cache = Arc::new(
         ResponseCache::builder(google::registry())
             .policy(CachePolicy::new().with_default(OperationPolicy::cacheable(TTL)))
-            .clock(clock.handle())
+            .metrics(Arc::new(MetricsRegistry::with_clock(clock.handle())))
             .build(),
     );
     let client = ServiceClient::builder(
         Url::new("127.0.0.1", server.port(), google::PATH),
-        Arc::new(TcpTransport::new()),
+        Arc::new(HttpClient::new()),
     )
     .registry(google::registry())
     .operations(google::operations())
