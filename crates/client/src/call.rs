@@ -5,43 +5,27 @@ use std::sync::Arc;
 use wsrc_http::{Request, Transport, Url};
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
-use wsrc_obs::{Histogram, MetricsRegistry};
+use wsrc_obs::{MetricsRegistry, Stage, Timing};
 use wsrc_soap::deserializer::read_response_bytes_recording;
 use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
 use wsrc_soap::serializer::serialize_request;
 use wsrc_xml::event::SaxEventSequence;
 
-/// The miss path's three stages. Each runs under a trace span (when a
-/// trace is active on this thread; marked failed when the stage errors)
-/// and records into its own series of
-/// `wsrc_client_stage_seconds{stage=…}` in the call's registry.
-#[derive(Clone, Copy)]
-enum Stage {
-    Serialize,
-    Transport,
-    Deserialize,
-}
+/// The miss path's three stages — span name, span stage and `stage`
+/// label of `wsrc_client_stage_seconds` — in the order they run.
+const STAGES: [(&str, &str, &str); 3] = [
+    ("serialize", "serialize", "serialize"),
+    ("exchange", "transport", "transport"),
+    ("parse", "parse", "deserialize"),
+];
 
-impl Stage {
-    /// Span name, span stage and `stage` label, indexed by variant.
-    const NAMES: [(&'static str, &'static str, &'static str); 3] = [
-        ("serialize", "serialize", "serialize"),
-        ("exchange", "transport", "transport"),
-        ("parse", "parse", "deserialize"),
-    ];
-
-    fn run<T, E>(self, call: &Call, f: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
-        let (span_name, span_stage, _) = Self::NAMES[self as usize];
-        let span = wsrc_obs::trace::child_span(span_name, span_stage);
-        let result = call.stages[self as usize].time(f);
-        if let Some(mut span) = span {
-            if result.is_err() {
-                span.set_error();
-            }
-            span.finish();
-        }
-        result
+/// Ends a stage's timing, its span marked failed when `result` is an
+/// error, and returns the end reading: where the next stage starts.
+fn end<T, E>(mut timing: Timing<'_>, result: &Result<T, E>) -> u64 {
+    if result.is_err() {
+        timing.set_error();
     }
+    timing.end(None)
 }
 
 /// Everything a completed exchange produced — handed to the cache layer.
@@ -78,8 +62,9 @@ pub struct Call {
     endpoint: Url,
     transport: Arc<dyn Transport>,
     registry: TypeRegistry,
-    /// `wsrc_client_stage_seconds`, indexed by [`Stage`].
-    stages: [Histogram; 3],
+    /// Serialize, transport and deserialize, each starting where the one
+    /// before it ends ([`STAGES`]).
+    stages: [Stage; 3],
 }
 
 impl std::fmt::Debug for Call {
@@ -106,8 +91,9 @@ impl Call {
         registry: TypeRegistry,
         metrics: &MetricsRegistry,
     ) -> Self {
-        let stages = Stage::NAMES.map(|(_, _, stage)| {
-            metrics.histogram("wsrc_client_stage_seconds", &[("stage", stage)])
+        let stages = STAGES.map(|(span, span_stage, stage)| {
+            Stage::new(metrics, "wsrc_client_stage_seconds", &[("stage", stage)])
+                .traced(span, span_stage)
         });
         Call {
             endpoint,
@@ -171,9 +157,11 @@ impl Call {
         descriptor
             .check_request(request)
             .map_err(ClientError::Soap)?;
-        let request_xml = Stage::Serialize
-            .run(self, || serialize_request(request, &self.registry))
-            .map_err(ClientError::Soap)?;
+        let [serialize, transport, deserialize] = &self.stages;
+        let timing = serialize.start(None);
+        let request_xml = serialize_request(request, &self.registry);
+        let serialized = end(timing, &request_xml);
+        let request_xml = request_xml.map_err(ClientError::Soap)?;
         let mut http_request = Request::post(
             self.endpoint.path(),
             wsrc_soap::envelope::CONTENT_TYPE,
@@ -183,9 +171,10 @@ impl Call {
         if let Some(ims) = if_modified_since {
             http_request = http_request.with_header("If-Modified-Since", ims.to_string());
         }
-        let http_response = Stage::Transport.run(self, || {
-            self.transport.execute(&self.endpoint, &http_request)
-        })?;
+        let timing = transport.start(Some(serialized));
+        let http_response = self.transport.execute(&self.endpoint, &http_request);
+        let exchanged = end(timing, &http_response);
+        let http_response = http_response?;
 
         if http_response.status == wsrc_http::Status::NOT_MODIFIED {
             return Ok(ConditionalOutcome::NotModified);
@@ -209,15 +198,14 @@ impl Call {
         // a mangled body fails loudly instead of being silently repaired
         // and then cached) and records the arena sequence in the same
         // pass — the miss path never materializes owned events.
-        let (outcome, events) = Stage::Deserialize
-            .run(self, || {
-                read_response_bytes_recording(
-                    http_response.body.as_bytes(),
-                    &descriptor.return_type,
-                    &self.registry,
-                )
-            })
-            .map_err(ClientError::Soap)?;
+        let timing = deserialize.start(Some(exchanged));
+        let parsed = read_response_bytes_recording(
+            http_response.body.as_bytes(),
+            &descriptor.return_type,
+            &self.registry,
+        );
+        end(timing, &parsed);
+        let (outcome, events) = parsed.map_err(ClientError::Soap)?;
         match outcome {
             // Zero-copy hand-off: the exchange shares the HTTP body's
             // allocation instead of re-owning the text.

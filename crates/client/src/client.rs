@@ -82,20 +82,7 @@ impl ServiceClient {
             let exchange = self.call.invoke(descriptor, request)?;
             return Ok((ValueHandle::Owned(exchange.value), Disposition::Uncached));
         };
-        // Under an active trace the lookup is its own span, annotated
-        // with the outcome so a `/trace` reader can tell hits from
-        // misses without cross-referencing metrics.
-        let span = wsrc_obs::trace::child_span("cache-lookup", "lookup");
-        let outcome = cached.lookup(&descriptor.return_type);
-        if let Some(mut span) = span {
-            span.annotate(match &outcome {
-                CacheOutcome::Fresh { .. } => "outcome=hit",
-                CacheOutcome::Stale { .. } => "outcome=stale",
-                CacheOutcome::Miss => "outcome=miss",
-            });
-            span.finish();
-        }
-        let exchange = match outcome {
+        let exchange = match cached.lookup(&descriptor.return_type) {
             CacheOutcome::Fresh { handle } => return Ok((handle, Disposition::CacheHit)),
             // Expired but revalidatable: ask the server whether the
             // response changed since the cached copy.
@@ -113,7 +100,6 @@ impl ServiceClient {
             }
             CacheOutcome::Miss => self.call.invoke(descriptor, request)?,
         };
-        let span = wsrc_obs::trace::child_span("cache-build", "build");
         cached.insert(
             MissArtifacts {
                 xml: &exchange.response_xml,
@@ -122,9 +108,6 @@ impl ServiceClient {
             },
             exchange.last_modified,
         );
-        if let Some(span) = span {
-            span.finish();
-        }
         Ok((ValueHandle::Owned(exchange.value), Disposition::CacheMiss))
     }
 

@@ -17,10 +17,11 @@ use crate::policy::{CachePolicy, OperationPolicy};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
 use crate::store::{CacheStore, Capacity, Lookup};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
-use wsrc_obs::{Gauge, Histogram, MetricsRegistry};
+use wsrc_obs::{Gauge, MetricsRegistry, Stage};
 use wsrc_soap::rpc::RpcRequest;
 
 pub use crate::repr::MissArtifacts as ResponseData;
@@ -48,22 +49,25 @@ pub enum CacheOutcome {
     Miss,
 }
 
-/// Per-stage latency histograms and occupancy gauges for one cache, all
-/// registered under its `cache=<label>` in a [`MetricsRegistry`].
+/// Per-stage timers and occupancy gauges for one cache, all registered
+/// under its `cache=<label>` in a [`MetricsRegistry`]. Adjacent stages
+/// share boundary readings: keygen ends where lookup starts, retrieve
+/// ends where lookup ends, build starts where insert starts.
 struct CacheTimers {
     /// `wsrc_cache_stage_seconds{stage="keygen"}`.
-    keygen: Histogram,
+    keygen: Stage,
     /// `wsrc_cache_stage_seconds{stage="lookup"}` — store read and
-    /// retrieve; disjoint from `keygen`.
-    lookup: Histogram,
+    /// retrieve; disjoint from `keygen`. Traced as `cache-lookup`,
+    /// annotated with the outcome.
+    lookup: Stage,
     /// `wsrc_cache_stage_seconds{stage="insert"}` — build and store
-    /// write; disjoint from `keygen`.
-    insert: Histogram,
+    /// write; disjoint from `keygen`. Traced as `cache-build`.
+    insert: Stage,
     /// `wsrc_cache_retrieve_seconds{repr=…}` — stored form → object.
-    retrieve: [Histogram; ValueRepresentation::COUNT],
+    retrieve: [Stage; ValueRepresentation::COUNT],
     /// `wsrc_cache_build_seconds{repr=…}` — response artifacts → stored
     /// form (only the successful representation records a sample).
-    build: [Histogram; ValueRepresentation::COUNT],
+    build: [Stage; ValueRepresentation::COUNT],
     /// `wsrc_cache_entries` / `wsrc_cache_bytes` occupancy gauges.
     entries: Gauge,
     bytes: Gauge,
@@ -72,19 +76,25 @@ struct CacheTimers {
 impl CacheTimers {
     fn new(registry: &Arc<MetricsRegistry>, label: &str) -> Self {
         let stage = |s: &str| {
-            registry.histogram(
+            Stage::new(
+                registry,
                 "wsrc_cache_stage_seconds",
                 &[("cache", label), ("stage", s)],
             )
         };
         let per_repr = |name: &str| {
-            ValueRepresentation::ALL_EXTENDED
-                .map(|r| registry.histogram(name, &[("cache", label), ("repr", r.metric_label())]))
+            ValueRepresentation::ALL_EXTENDED.map(|r| {
+                Stage::new(
+                    registry,
+                    name,
+                    &[("cache", label), ("repr", r.metric_label())],
+                )
+            })
         };
         CacheTimers {
             keygen: stage("keygen"),
-            lookup: stage("lookup"),
-            insert: stage("insert"),
+            lookup: stage("lookup").traced("cache-lookup", "lookup"),
+            insert: stage("insert").traced("cache-build", "build"),
             retrieve: per_repr("wsrc_cache_retrieve_seconds"),
             build: per_repr("wsrc_cache_build_seconds"),
             entries: registry.gauge("wsrc_cache_entries", &[("cache", label)]),
@@ -133,15 +143,12 @@ impl ResponseCache {
     /// uncacheable; the caller performs a plain exchange.
     pub fn call(&self, endpoint_url: &str, request: &RpcRequest) -> Option<CachedCall<'_>> {
         let policy = self.policy.for_operation(&request.operation);
-        let key = if policy.cacheable {
-            self.timers
-                .keygen
-                .time(|| first_applicable_key(endpoint_url, request, &self.registry))
-                .ok()
-        } else {
-            None
-        };
-        let Some(key) = key else {
+        let keyed = policy.cacheable.then(|| {
+            let timing = self.timers.keygen.start(None);
+            let key = first_applicable_key(endpoint_url, request, &self.registry);
+            (key, timing.end(None))
+        });
+        let Some((Ok(key), keyed)) = keyed else {
             self.stats.record_uncacheable();
             return None;
         };
@@ -149,6 +156,7 @@ impl ResponseCache {
             cache: self,
             policy,
             key,
+            keyed: Cell::new(Some(keyed)),
         })
     }
 
@@ -225,11 +233,12 @@ impl ResponseCache {
     /// Builds the entry under the form the policy forces, else the
     /// shared object (which every value supports), falling back down
     /// the always-applicable chain when a forced form is n/a for this
-    /// value.
+    /// value. The first attempt starts at `started`, the insert's start.
     fn build_entry(
         &self,
         policy: &OperationPolicy,
         data: ResponseData<'_>,
+        started: u64,
     ) -> Option<(CacheEntry, ValueRepresentation)> {
         let preferred = policy
             .representation
@@ -239,14 +248,14 @@ impl ResponseCache {
             ValueRepresentation::SaxEvents,
             ValueRepresentation::XmlMessage,
         ];
+        let mut started = Some(started);
         for repr in chain {
-            // Failed attempts record no sample — the histogram measures
-            // the cost of the representation actually used.
-            let histogram = &self.timers.build[repr.index()];
-            let started = histogram.now_nanos();
+            // Failed attempts are dropped unrecorded — the histogram
+            // measures the cost of the representation actually used.
+            let timing = self.timers.build[repr.index()].start(started.take());
             match StoredResponse::build(repr, data, &self.registry) {
                 Ok(stored) => {
-                    histogram.record_nanos(histogram.now_nanos().saturating_sub(started));
+                    timing.end(None);
                     return Some((CacheEntry::single(stored), repr));
                 }
                 Err(CacheError::NotApplicable(_)) => continue,
@@ -322,6 +331,9 @@ pub struct CachedCall<'a> {
     cache: &'a ResponseCache,
     policy: OperationPolicy,
     key: CacheKey,
+    /// Keygen's end reading, until the stage that directly follows it
+    /// (a lookup, or an insert with no lookup before it) starts there.
+    keyed: Cell<Option<u64>>,
 }
 
 impl CachedCall<'_> {
@@ -333,51 +345,65 @@ impl CachedCall<'_> {
     }
 
     /// Reads the store and retrieves the application object from the
-    /// stored form; `expected` is the operation's return type.
+    /// stored form; `expected` is the operation's return type. Expiry
+    /// is judged at the lookup's start reading.
     pub fn lookup(&self, expected: &FieldType) -> CacheOutcome {
         let cache = self.cache;
+        let mut timing = cache.timers.lookup.start(self.keyed.take());
+        // A successful retrieve's end reading is the lookup's end.
+        let mut ended = None;
         // The entry's object and the form it came from; an entry that
         // cannot produce its object is poison — dropped, and a miss.
-        let retrieve = |entry: &CacheEntry| {
+        let mut retrieve = |entry: &CacheEntry| {
             let repr = entry.form().representation();
-            let result = cache.timers.retrieve[repr.index()]
-                .time(|| entry.form().retrieve(expected, &cache.registry));
-            if result.is_err() {
-                cache.store.invalidate(&self.key);
-                cache.stats.record_miss();
+            let retrieving = cache.timers.retrieve[repr.index()].start(None);
+            match entry.form().retrieve(expected, &cache.registry) {
+                Ok(handle) => {
+                    ended = Some(retrieving.end(None));
+                    Some((handle, repr))
+                }
+                Err(_) => {
+                    retrieving.end(None);
+                    cache.store.invalidate(&self.key);
+                    cache.stats.record_miss();
+                    None
+                }
             }
-            result.ok().map(|handle| (handle, repr))
         };
-        cache.timers.lookup.time(|| {
-            match cache
-                .store
-                .get(&self.key, cache.metrics.clock().now_millis())
-            {
-                Lookup::Live(entry) => match retrieve(&entry) {
-                    Some((handle, repr)) => {
-                        cache.stats.record_hit(repr);
-                        CacheOutcome::Fresh { handle }
-                    }
-                    None => CacheOutcome::Miss,
-                },
-                Lookup::Stale { entry, validator } => match retrieve(&entry) {
-                    Some((handle, _)) => {
-                        cache.stats.record_expired();
-                        CacheOutcome::Stale { handle, validator }
-                    }
-                    None => CacheOutcome::Miss,
-                },
-                Lookup::Expired => {
+        let outcome = match cache.store.get(&self.key, timing.started() / 1_000_000) {
+            Lookup::Live(entry) => match retrieve(&entry) {
+                Some((handle, repr)) => {
+                    cache.stats.record_hit(repr);
+                    CacheOutcome::Fresh { handle }
+                }
+                None => CacheOutcome::Miss,
+            },
+            Lookup::Stale { entry, validator } => match retrieve(&entry) {
+                Some((handle, _)) => {
                     cache.stats.record_expired();
-                    cache.stats.record_miss();
-                    CacheOutcome::Miss
+                    CacheOutcome::Stale { handle, validator }
                 }
-                Lookup::Absent => {
-                    cache.stats.record_miss();
-                    CacheOutcome::Miss
-                }
+                None => CacheOutcome::Miss,
+            },
+            Lookup::Expired => {
+                cache.stats.record_expired();
+                cache.stats.record_miss();
+                CacheOutcome::Miss
             }
-        })
+            Lookup::Absent => {
+                cache.stats.record_miss();
+                CacheOutcome::Miss
+            }
+        };
+        // A `/trace` reader tells hits from misses without
+        // cross-referencing metrics.
+        timing.annotate(match &outcome {
+            CacheOutcome::Fresh { .. } => "outcome=hit",
+            CacheOutcome::Stale { .. } => "outcome=stale",
+            CacheOutcome::Miss => "outcome=miss",
+        });
+        timing.end(ended);
+        outcome
     }
 
     /// Stores the artifacts of the call's completed exchange under its
@@ -393,10 +419,12 @@ impl CachedCall<'_> {
         validator: Option<String>,
     ) -> Option<ValueRepresentation> {
         let cache = self.cache;
-        cache.timers.insert.time(|| {
-            let (entry, repr) = cache.build_entry(&self.policy, data)?;
-            let now = cache.metrics.clock().now_millis();
-            let expires = self.expires_at(now);
+        // Build starts, and the entry's TTL runs, from the insert's start.
+        let timing = cache.timers.insert.start(self.keyed.take());
+        let now = timing.started() / 1_000_000;
+        let expires = self.expires_at(now);
+        let built = cache.build_entry(&self.policy, data, timing.started());
+        let stored = built.and_then(|(entry, repr)| {
             let accepted = cache
                 .store
                 .put_validated(self.key, entry, expires, now, validator);
@@ -412,7 +440,9 @@ impl CachedCall<'_> {
                     None
                 }
             }
-        })
+        });
+        timing.end(None);
+        stored
     }
 
     /// Renews the TTL of the call's (stale) entry after a successful

@@ -16,9 +16,9 @@ use crate::url::Url;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
-use wsrc_obs::{sync, Histogram};
+use wsrc_obs::{sync, Clock, Stage};
 
 /// Sizing for the client connection pool.
 #[derive(Debug, Clone, Copy)]
@@ -69,9 +69,11 @@ pub struct HttpClient {
     slot_freed: Condvar,
     config: PoolConfig,
     timeout: Option<Duration>,
-    /// Also the pool's reading of time: idle ages and the checkout
-    /// deadline are on the histogram's clock.
-    checkout_wait: Histogram,
+    /// The pool's reading of time: idle ages and the checkout deadline.
+    clock: Arc<dyn Clock>,
+    /// `wsrc_http_pool_checkout_wait_seconds`, traced as
+    /// `pool-checkout`.
+    checkout_wait: Stage,
 }
 
 impl std::fmt::Debug for HttpClient {
@@ -102,15 +104,17 @@ impl HttpClient {
 
     /// Creates a client with explicit I/O timeout and pool sizing.
     /// Checkout-wait timings land in the process-wide metrics registry
-    /// as `wsrc_http_pool_checkout_wait_seconds`.
+    /// as `wsrc_http_pool_checkout_wait_seconds`, on its clock.
     pub fn with_settings(timeout: Option<Duration>, config: PoolConfig) -> Self {
+        let registry = wsrc_obs::global();
         HttpClient {
             pool: Mutex::new(HashMap::new()),
             slot_freed: Condvar::new(),
             config,
             timeout,
-            checkout_wait: wsrc_obs::global()
-                .histogram("wsrc_http_pool_checkout_wait_seconds", &[]),
+            clock: registry.clock().clone(),
+            checkout_wait: Stage::new(&registry, "wsrc_http_pool_checkout_wait_seconds", &[])
+                .traced("pool-checkout", "checkout"),
         }
     }
 
@@ -148,17 +152,7 @@ impl HttpClient {
         // the wire exchange each become child spans, and the exchange's
         // context rides the request as a `traceparent` header so the
         // server can continue the tree.
-        let pooled = {
-            let span = wsrc_obs::trace::child_span("pool-checkout", "checkout");
-            let result = self.checkout(&authority);
-            if let Some(mut span) = span {
-                if result.is_err() {
-                    span.set_error();
-                }
-                span.finish();
-            }
-            result?
-        };
+        let pooled = self.checkout(&authority)?;
         let mut span = wsrc_obs::trace::child_span("transfer", "transfer");
         let traceparent = span.as_ref().map(|s| s.context().to_traceparent());
         let driven = self.drive(pooled, &authority, url, request, traceparent.as_deref());
@@ -210,14 +204,15 @@ impl HttpClient {
     }
 
     /// Acquires one slot for `authority`: an idle pooled connection
-    /// (`Some`), or a permit to dial a new one (`None`).
+    /// (`Some`), or a permit to dial a new one (`None`). A checkout that
+    /// times out records no sample; its span is marked failed.
     fn checkout(&self, authority: &str) -> Result<Option<TcpStream>, HttpError> {
-        let started = self.checkout_wait.now_nanos();
-        let deadline = started.saturating_add(duration_nanos(self.config.checkout_timeout));
+        let mut timing = self.checkout_wait.start(None);
+        let mut now = timing.started();
+        let deadline = now.saturating_add(duration_nanos(self.config.checkout_timeout));
         let ttl = duration_nanos(self.config.idle_ttl);
         let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
         loop {
-            let now = self.checkout_wait.now_nanos();
             let entry = pool.entry(authority.to_string()).or_default();
             // Reap idle connections past their TTL (newest kept last).
             entry
@@ -227,11 +222,12 @@ impl HttpClient {
             if idle.is_some() || entry.in_use < self.config.max_per_authority.max(1) {
                 entry.in_use += 1;
                 drop(pool);
-                self.checkout_wait
-                    .record_nanos(self.checkout_wait.now_nanos().saturating_sub(started));
+                timing.end(None);
                 return Ok(idle.map(|conn| conn.stream));
             }
             if now >= deadline {
+                drop(pool);
+                timing.set_error();
                 return Err(HttpError::PoolExhausted);
             }
             let (guard, _timed_out) = sync::wait_timeout_class(
@@ -240,12 +236,13 @@ impl HttpClient {
                 Duration::from_nanos(deadline - now),
             );
             pool = guard;
+            now = self.clock.now_nanos();
         }
     }
 
     /// Returns a healthy keep-alive connection to the idle pool.
     fn check_in(&self, authority: &str, stream: TcpStream) {
-        let now = self.checkout_wait.now_nanos();
+        let now = self.clock.now_nanos();
         {
             let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
             let entry = pool.entry(authority.to_string()).or_default();
@@ -314,15 +311,8 @@ impl HttpClient {
     ) -> Result<(Response, Option<TcpStream>), HttpError> {
         {
             let mut writer = BufWriter::new(stream.try_clone()?);
-            match traceparent {
-                Some(value) => request.write_to_target_with_headers(
-                    &mut writer,
-                    &url.authority(),
-                    url.path(),
-                    &[(wsrc_obs::TRACEPARENT_HEADER, value)],
-                )?,
-                None => request.write_to_target(&mut writer, &url.authority(), url.path())?,
-            }
+            let extra = traceparent.map(|value| (wsrc_obs::TRACEPARENT_HEADER, value));
+            request.write_to_target(&mut writer, &url.authority(), url.path(), extra.as_slice())?;
         }
         let mut reader = BufReader::new(stream.try_clone()?);
         let response = Response::read_from(&mut reader)?;

@@ -131,14 +131,6 @@ impl Headers {
             .map(|(_, v)| v.as_str())
     }
 
-    /// All values of `name`.
-    pub fn get_all<'h>(&'h self, name: &'h str) -> impl Iterator<Item = &'h str> + 'h {
-        self.entries
-            .iter()
-            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Whether `name` is present.
     pub fn contains(&self, name: &str) -> bool {
         self.get(name).is_some()
@@ -210,35 +202,19 @@ impl Request {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to<W: Write>(&self, w: &mut W, host: &str) -> Result<(), HttpError> {
-        self.write_to_target(w, host, &self.target)
+        self.write_to_target(w, host, &self.target, &[])
     }
 
     /// Like [`write_to`](Request::write_to), but serializes `target` in
-    /// the request line instead of `self.target`. The client uses this
-    /// to rewrite the path for a destination URL without cloning the
-    /// whole request (and its shared body) first.
+    /// the request line instead of `self.target`, plus `extra` header
+    /// lines. The client uses this to rewrite the path for a destination
+    /// URL and inject per-exchange headers (e.g. `traceparent`) without
+    /// mutating or cloning the shared request (and its body).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_to_target<W: Write>(
-        &self,
-        w: &mut W,
-        host: &str,
-        target: &str,
-    ) -> Result<(), HttpError> {
-        self.write_to_target_with_headers(w, host, target, &[])
-    }
-
-    /// Like [`write_to_target`](Request::write_to_target), additionally
-    /// serializing `extra` header lines. The client uses this to inject
-    /// per-exchange headers (e.g. `traceparent`) without mutating or
-    /// cloning the shared request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to_target_with_headers<W: Write>(
         &self,
         w: &mut W,
         host: &str,
@@ -583,9 +559,9 @@ mod tests {
         h.insert("x-A", "2");
         assert_eq!(h.get("content-type"), Some("text/xml"));
         assert_eq!(h.get("X-A"), Some("1"));
-        assert_eq!(h.get_all("x-a").collect::<Vec<_>>(), ["1", "2"]);
+        assert_eq!(h.len(), 3);
         h.set("x-a", "3");
-        assert_eq!(h.get_all("x-a").collect::<Vec<_>>(), ["3"]);
+        assert_eq!(h.get("X-A"), Some("3"));
         assert_eq!(h.len(), 2);
     }
 
@@ -612,7 +588,7 @@ mod tests {
     fn write_to_target_overrides_request_line_only() {
         let req = Request::post("/original", "text/xml", b"<x/>".to_vec());
         let mut wire = Vec::new();
-        req.write_to_target(&mut wire, "example.test:80", "/rewritten")
+        req.write_to_target(&mut wire, "example.test:80", "/rewritten", &[])
             .unwrap();
         let text = String::from_utf8(wire).unwrap();
         assert!(text.starts_with("POST /rewritten HTTP/1.1\r\n"), "{text}");

@@ -451,12 +451,10 @@ fn reject(stream: TcpStream, shared: &Shared) {
 fn worker_loop(shared: Arc<Shared>) {
     shared.live_workers.fetch_add(1, Ordering::SeqCst);
     while let Some(mut conn) = next_conn(&shared) {
-        shared
-            .metrics
-            .queue_wait
-            .record_nanos(shared.clock.now_nanos().saturating_sub(conn.enqueued_nanos));
+        let queue_wait_nanos = shared.clock.now_nanos().saturating_sub(conn.enqueued_nanos);
+        shared.metrics.queue_wait.record_nanos(queue_wait_nanos);
         shared.metrics.busy_workers.add(1);
-        let outcome = serve_connection(&mut conn, &shared);
+        let outcome = serve_connection(&mut conn, &shared, queue_wait_nanos);
         shared.metrics.busy_workers.add(-1);
         match outcome {
             ServeOutcome::Close => shared.metrics.open_connections.add(-1),
@@ -482,11 +480,11 @@ fn next_conn(shared: &Shared) -> Option<Conn> {
 }
 
 /// Serves requests on one connection until it closes, idles out, or
-/// yields the worker to queued peers.
-fn serve_connection(conn: &mut Conn, shared: &Shared) -> ServeOutcome {
-    // The queue wait applies to the first request served after this
-    // dequeue; later keep-alive requests on the connection did not wait.
-    let mut queue_wait_nanos = shared.clock.now_nanos().saturating_sub(conn.enqueued_nanos);
+/// yields the worker to queued peers. `queue_wait_nanos`, the wait its
+/// histogram sample recorded, applies to the first request served after
+/// this dequeue; later keep-alive requests on the connection did not
+/// wait.
+fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64) -> ServeOutcome {
     loop {
         // Wait for the next request head one poll quantum at a time, so
         // shutdown is noticed promptly and an idle connection hands its

@@ -3,7 +3,7 @@
 //! observability layer sits below every other crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Supplies the current time on some monotone axis.
@@ -29,37 +29,44 @@ pub trait Clock: Send + Sync {
         crate::sync::assert_unlocked("Clock::sleep");
         std::thread::sleep(duration);
     }
-}
 
-/// A monotonic clock anchored at its creation instant — the default for
-/// metric registries, and so for everything built over one.
-#[derive(Debug, Clone, Copy)]
-pub struct MonotonicClock {
-    origin: Instant,
-}
-
-impl MonotonicClock {
-    /// A clock whose epoch is "now".
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the one place real time enters the workspace"
-    )]
-    pub fn new() -> Self {
-        MonotonicClock {
-            origin: Instant::now(),
-        }
+    /// Names the axis this clock reads: two clocks on one axis give the
+    /// same reading at the same instant, so a reading of one stands for
+    /// a reading of the other. Every [`MonotonicClock`] shares one
+    /// process-wide axis and a [`ManualClock`] shares its with its
+    /// handles; any other clock is an axis of its own.
+    fn axis(&self) -> usize {
+        std::ptr::from_ref(self).cast::<()>() as usize
     }
 }
 
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        MonotonicClock::new()
+/// The instant every [`MonotonicClock`] counts from.
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+
+/// A monotonic clock on one process-wide axis — the default for metric
+/// registries, and so for everything built over one. Any two read the
+/// same value at the same instant, whichever registry owns them.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MonotonicClock;
+
+impl MonotonicClock {
+    /// A handle to the process-wide monotonic axis.
+    pub fn new() -> Self {
+        MonotonicClock
     }
 }
 
 impl Clock for MonotonicClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one place real time enters the workspace"
+    )]
     fn now_nanos(&self) -> u64 {
-        self.origin.elapsed().as_nanos() as u64
+        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    }
+
+    fn axis(&self) -> usize {
+        std::ptr::from_ref(&EPOCH) as usize
     }
 }
 
@@ -111,6 +118,10 @@ impl Clock for ManualClock {
     fn sleep(&self, duration: std::time::Duration) {
         self.advance_nanos(duration.as_nanos().min(u64::MAX as u128) as u64);
     }
+
+    fn axis(&self) -> usize {
+        Arc::as_ptr(&self.nanos) as usize
+    }
 }
 
 impl<C: Clock + ?Sized> Clock for Arc<C> {
@@ -120,6 +131,10 @@ impl<C: Clock + ?Sized> Clock for Arc<C> {
 
     fn sleep(&self, duration: std::time::Duration) {
         (**self).sleep(duration);
+    }
+
+    fn axis(&self) -> usize {
+        (**self).axis()
     }
 }
 
@@ -133,6 +148,17 @@ mod tests {
         let a = c.now_nanos();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(c.now_nanos() > a);
+    }
+
+    #[test]
+    fn axes_are_shared_exactly_where_readings_are() {
+        let (a, b) = (MonotonicClock::new(), MonotonicClock::new());
+        assert_eq!(a.axis(), b.axis(), "one process-wide epoch");
+        let manual = ManualClock::new();
+        let shared: Arc<dyn Clock> = Arc::new(manual.handle());
+        assert_eq!(manual.axis(), shared.axis(), "handles share an axis");
+        assert_ne!(manual.axis(), ManualClock::new().axis());
+        assert_ne!(manual.axis(), a.axis());
     }
 
     #[test]

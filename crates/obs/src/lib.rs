@@ -13,10 +13,12 @@
 //! - [`metrics`] — a [`MetricsRegistry`] of named atomic counters,
 //!   gauges and fixed log2-bucket latency histograms. Recording is
 //!   lock-free (plain atomics); only registration takes a lock, so hot
-//!   paths pre-register handles; [`Histogram::time`] is the one way to
-//!   time an interval. The registry is also the one handle through
-//!   which time and traces enter a component: it owns its [`Clock`] and
-//!   the [`Tracer`] over it.
+//!   paths pre-register handles. The registry is also the one handle
+//!   through which time and traces enter a component: it owns its
+//!   [`Clock`] and the [`Tracer`] over it.
+//! - [`stage`] — [`Stage`], the one way to time a stage: one clock
+//!   reading at entry and one at exit make both the histogram sample
+//!   and, under an active trace, the span.
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
 //!   propagated over the wire, [`trace::ActiveSpan`]s recorded against
 //!   the registry's clock, and histogram exemplars linking aggregate
@@ -41,6 +43,7 @@ pub mod global;
 pub mod metrics;
 pub mod render;
 pub mod sampler;
+pub mod stage;
 pub mod sync;
 pub mod trace;
 
@@ -51,4 +54,5 @@ pub use metrics::{
 };
 pub use render::{to_json, to_prometheus};
 pub use sampler::{StoredTrace, TraceStore};
+pub use stage::{Stage, Timing};
 pub use trace::{SpanRecord, TraceContext, Tracer, TRACEPARENT_HEADER};

@@ -203,12 +203,11 @@ impl HistogramCore {
     }
 }
 
-/// A latency histogram handle; carries the registry clock so an
-/// interval can be timed directly from it.
+/// A latency histogram handle. Intervals are timed through a
+/// [`crate::Stage`] over it.
 #[derive(Clone)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
-    clock: Arc<dyn Clock>,
 }
 
 impl std::fmt::Debug for Histogram {
@@ -232,22 +231,6 @@ impl Histogram {
     /// none), for callers that carry a context across threads.
     pub fn record_nanos_with_exemplar(&self, nanos: u64, trace_id: u128) {
         self.core.record_nanos(nanos, trace_id);
-    }
-
-    /// Times a closure: reads this handle's clock before and after and
-    /// records the difference once. A closure that panics records no
-    /// sample (the timed crates deny `unwrap`/`expect` outside tests).
-    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        let started = self.now_nanos();
-        let out = f();
-        self.record_nanos(self.now_nanos().saturating_sub(started));
-        out
-    }
-
-    /// The clock's current reading, for a caller that decides after the
-    /// fact whether the interval is a sample.
-    pub fn now_nanos(&self) -> u64 {
-        self.clock.now_nanos()
     }
 
     /// Point-in-time copy of the bucket counts.
@@ -367,10 +350,7 @@ impl MetricsRegistry {
             .entry(id)
             .or_insert_with(|| Slot::Histogram(Arc::new(HistogramCore::new())));
         match slot {
-            Slot::Histogram(core) => Histogram {
-                core: core.clone(),
-                clock: self.clock.clone(),
-            },
+            Slot::Histogram(core) => Histogram { core: core.clone() },
             _ => panic!("metric '{name}' is already registered as a different kind"),
         }
     }
@@ -464,15 +444,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Appends another snapshot (for rendering several registries as
-    /// one exposition).
-    pub fn merge(mut self, other: MetricsSnapshot) -> MetricsSnapshot {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.histograms.extend(other.histograms);
-        self
-    }
-
     /// The value of one counter, if present.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         let id = MetricId::new(name, labels);
@@ -509,7 +480,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
 
     #[test]
     fn counters_and_gauges_accumulate() {
@@ -585,40 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn time_reads_the_registry_clock_and_returns_the_closures_value() {
-        let clock = ManualClock::new();
-        let r = MetricsRegistry::with_clock(clock.handle());
-        let h = r.histogram("op_seconds", &[]);
-        let out = h.time(|| {
-            clock.advance_nanos(5000);
-            "done"
-        });
-        assert_eq!(out, "done");
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.sum_nanos, 5000);
-    }
-
-    /// The handle's point: an interval timed by a histogram and the span
-    /// around it are the same number, and both are the registry clock's.
-    #[test]
-    fn a_span_and_a_sample_of_one_interval_agree() {
-        let clock = ManualClock::new();
-        let r = MetricsRegistry::with_clock(clock.handle());
-        let h = r.histogram("op_seconds", &[]);
-        clock.advance_nanos(40);
-        let root = r.tracer().root_span("request", "/r");
-        h.time(|| clock.advance_nanos(700));
-        root.finish();
-        let traces = r.tracer().store().recent();
-        assert_eq!(traces[0].spans[0].start_nanos, 40);
-        assert_eq!(traces[0].duration_nanos, 700);
-        assert_eq!(h.snapshot().sum_nanos, 700);
-        assert_eq!(r.clock().now_nanos(), 740);
-    }
-
-    #[test]
-    fn snapshot_covers_all_kinds_and_merges() {
+    fn snapshot_covers_all_kinds() {
         let r = MetricsRegistry::new();
         r.counter("c", &[]).inc();
         r.gauge("g", &[]).set(5);
@@ -627,12 +564,6 @@ mod tests {
         assert_eq!(snap.counter_value("c", &[]), Some(1));
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histogram("h", &[]).unwrap().count, 1);
-
-        let r2 = MetricsRegistry::new();
-        r2.counter("c2", &[]).add(7);
-        let merged = snap.merge(r2.snapshot());
-        assert_eq!(merged.counter_value("c2", &[]), Some(7));
-        assert_eq!(merged.counters.len(), 2);
     }
 
     #[test]

@@ -147,13 +147,22 @@ pub fn assert_unlocked(what: &'static str) {
     witness::assert_unlocked(what);
 }
 
-/// Debug-build witness: the one class this thread holds, if any.
+/// Classed-lock acquisitions this thread has made so far, for tests
+/// that pin how many locks a path takes — counted in debug builds next
+/// to the witness; `None` in release builds, where it is compiled out.
+pub fn acquisitions() -> Option<u64> {
+    witness::acquisitions()
+}
+
+/// Debug-build witness: the one class this thread holds, if any, and
+/// how many classed locks it has taken.
 #[cfg(debug_assertions)]
 mod witness {
     use std::cell::Cell;
 
     thread_local! {
         static HELD: Cell<Option<&'static str>> = const { Cell::new(None) };
+        static ACQUIRED: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(super) fn acquiring(class: &'static str) {
@@ -164,6 +173,11 @@ mod witness {
             );
         }
         HELD.set(Some(class));
+        ACQUIRED.set(ACQUIRED.get() + 1);
+    }
+
+    pub(super) fn acquisitions() -> Option<u64> {
+        Some(ACQUIRED.get())
     }
 
     pub(super) fn released() {
@@ -183,6 +197,9 @@ mod witness {
 #[cfg(not(debug_assertions))]
 mod witness {
     pub(super) fn acquiring(_class: &'static str) {}
+    pub(super) fn acquisitions() -> Option<u64> {
+        None
+    }
     pub(super) fn released() {}
     pub(super) fn assert_unlocked(_what: &'static str) {}
 }
@@ -213,6 +230,9 @@ mod tests {
             *g += 1;
             assert_eq!(g.class(), "tests.m");
         }
+        let before = acquisitions();
+        drop(lock_class("tests.m", &m));
+        assert_eq!(acquisitions(), before.map(|n| n + 1), "counted per thread");
         // Released: a plain lock succeeds immediately.
         assert_eq!(*lock(&m), 42);
     }

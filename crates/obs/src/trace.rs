@@ -21,8 +21,9 @@
 //!   two or three spans and takes at most one store lock per request.
 //! - **Deterministic.** All timestamps come from the clock of the
 //!   [`crate::MetricsRegistry`] that owns the tracer, so span trees are
-//!   exact under a [`crate::clock::ManualClock`] and a span and a
-//!   histogram sample of one interval read one axis.
+//!   exact under a [`crate::clock::ManualClock`]. A [`crate::Stage`]
+//!   whose clock shares that axis emits its span from the two readings
+//!   its histogram sample is made of.
 //!
 //! Root discipline (`clippy.toml` disallows [`Tracer::root_span`]):
 //! request-path spans must descend from a propagated context. Only
@@ -206,6 +207,8 @@ impl SpanRecord {
 /// build it.
 pub struct Tracer {
     clock: Arc<dyn Clock>,
+    /// `clock.axis()`, compared against a stage's on every traced stage.
+    axis: usize,
     store: TraceStore,
 }
 
@@ -218,9 +221,20 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     pub(crate) fn new(clock: Arc<dyn Clock>) -> Arc<Tracer> {
         Arc::new(Tracer {
+            axis: clock.axis(),
             clock,
             store: TraceStore::default(),
         })
+    }
+
+    /// A reading on this tracer's axis: `at = (axis, nanos)`, a reading
+    /// a [`crate::Stage`] already took, when `axis` is this tracer's;
+    /// else this tracer's own clock, read now.
+    fn reading(&self, at: Option<(usize, u64)>) -> u64 {
+        match at {
+            Some((axis, nanos)) if axis == self.axis => nanos,
+            _ => self.clock.now_nanos(),
+        }
     }
 
     /// The backing trace store (for `/trace` rendering and reports).
@@ -243,6 +257,7 @@ impl Tracer {
             RootKind::Global {
                 route: route.to_string(),
             },
+            None,
         )
     }
 
@@ -266,6 +281,7 @@ impl Tracer {
             RootKind::Wire {
                 route: route.to_string(),
             },
+            None,
         )
     }
 }
@@ -299,30 +315,31 @@ thread_local! {
     static TLS: RefCell<TraceTls> = RefCell::new(TraceTls::default());
 }
 
-/// The current thread's innermost active context, if any.
-pub fn current_context() -> Option<TraceContext> {
-    TLS.try_with(|t| {
-        t.try_borrow()
-            .ok()
-            .and_then(|t| t.stack.last().map(|f| f.ctx))
-    })
-    .ok()
-    .flatten()
-}
-
 /// The current thread's sampled trace id, or 0 when no sampled trace is
 /// active — the value histogram exemplars attach.
 pub fn current_trace_id() -> u128 {
-    match current_context() {
-        Some(ctx) if ctx.sampled => ctx.trace_id,
-        _ => 0,
-    }
+    TLS.try_with(|t| match t.try_borrow().ok()?.stack.last() {
+        Some(f) if f.ctx.sampled => Some(f.ctx.trace_id),
+        _ => None,
+    })
+    .ok()
+    .flatten()
+    .unwrap_or(0)
 }
 
 /// Starts a child of the current thread's active span, or returns
 /// `None` when no trace is active (untraced callers pay only a TLS
 /// read). The span finishes on drop or [`ActiveSpan::finish`].
 pub fn child_span(name: &'static str, stage: &'static str) -> Option<ActiveSpan> {
+    child_span_at(name, stage, None)
+}
+
+/// [`child_span`] starting at `started` (see [`Tracer::reading`]).
+pub(crate) fn child_span_at(
+    name: &'static str,
+    stage: &'static str,
+    started: Option<(usize, u64)>,
+) -> Option<ActiveSpan> {
     let (tracer, parent) = TLS
         .try_with(|t| {
             t.try_borrow()
@@ -337,6 +354,7 @@ pub fn child_span(name: &'static str, stage: &'static str) -> Option<ActiveSpan>
         name,
         stage,
         RootKind::NotRoot,
+        started,
     ))
 }
 
@@ -422,8 +440,9 @@ impl ActiveSpan {
         name: &'static str,
         stage: &'static str,
         root: RootKind,
+        started: Option<(usize, u64)>,
     ) -> ActiveSpan {
-        let start_nanos = tracer.clock.now_nanos();
+        let start_nanos = tracer.reading(started);
         push_frame(&tracer, ctx);
         ActiveSpan {
             tracer,
@@ -502,15 +521,20 @@ impl ActiveSpan {
 
     /// Finishes the span now (same as dropping it).
     pub fn finish(mut self) {
-        self.finish_inner();
+        self.finish_inner(None);
     }
 
-    fn finish_inner(&mut self) {
+    /// Finishes the span at `ended` (see [`Tracer::reading`]).
+    pub(crate) fn finish_at(mut self, ended: (usize, u64)) {
+        self.finish_inner(Some(ended));
+    }
+
+    fn finish_inner(&mut self, ended: Option<(usize, u64)>) {
         if self.finished {
             return;
         }
         self.finished = true;
-        let end_nanos = self.tracer.clock.now_nanos();
+        let end_nanos = self.tracer.reading(ended);
         pop_frame(self.ctx.span_id);
         if !self.ctx.sampled {
             return;
@@ -549,7 +573,7 @@ impl ActiveSpan {
 
 impl Drop for ActiveSpan {
     fn drop(&mut self) {
-        self.finish_inner();
+        self.finish_inner(None);
     }
 }
 
@@ -652,7 +676,6 @@ mod tests {
     fn no_active_trace_means_no_child_span() {
         assert!(child_span("x", "y").is_none());
         assert_eq!(current_trace_id(), 0);
-        assert!(current_context().is_none());
     }
 
     #[test]

@@ -113,9 +113,14 @@ impl SoapDispatcher {
             return Response::error(Status::NOT_FOUND, "no service at this path");
         };
         // The §3.2 conditional-request handshake: unchanged data answers
-        // `304 Not Modified` without executing the service at all.
-        if let Some(v) = &self.validation {
-            let last_modified = *v.last_modified.lock().unwrap();
+        // `304 Not Modified` without executing the service at all. The
+        // validator is read once: a `touch` while the service runs must
+        // not stamp the data it read with the time of a later change.
+        let validator = self
+            .validation
+            .as_ref()
+            .map(|v| (*v.last_modified.lock().unwrap(), v.max_age));
+        if let Some((last_modified, _)) = validator {
             if not_modified_since(request, last_modified) {
                 return Response::not_modified();
             }
@@ -145,12 +150,10 @@ impl SoapDispatcher {
                     Ok(xml) => {
                         let resp =
                             Response::ok(wsrc_soap::envelope::CONTENT_TYPE, xml.into_bytes());
-                        match &self.validation {
-                            Some(v) => stamp_validators(
-                                resp,
-                                *v.last_modified.lock().unwrap(),
-                                Some(v.max_age),
-                            ),
+                        match validator {
+                            Some((last_modified, max_age)) => {
+                                stamp_validators(resp, last_modified, Some(max_age))
+                            }
                             None => resp,
                         }
                     }
@@ -339,6 +342,61 @@ mod tests {
             .body_text()
             .expect("soap bodies are utf-8")
             .contains(">3</return>"));
+    }
+
+    /// Data that changes while a call runs: the response carries the
+    /// validator read before the call, so revalidating with it fetches
+    /// the change instead of a 304 for data the caller never saw.
+    #[test]
+    fn a_touch_during_the_call_is_not_stamped_on_its_response() {
+        struct Bumping {
+            version: std::sync::atomic::AtomicI32,
+            dispatcher: std::sync::OnceLock<std::sync::Weak<SoapDispatcher>>,
+            touched_at: SystemTime,
+        }
+        impl SoapService for Bumping {
+            fn namespace(&self) -> &str {
+                "urn:Adder"
+            }
+            fn operations(&self) -> Vec<OperationDescriptor> {
+                Adder.operations()
+            }
+            fn registry(&self) -> TypeRegistry {
+                TypeRegistry::new()
+            }
+            fn call(&self, _request: &RpcRequest) -> Result<Value, SoapFault> {
+                let version = self
+                    .version
+                    .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                if let Some(d) = self.dispatcher.get().and_then(std::sync::Weak::upgrade) {
+                    d.touch(self.touched_at);
+                }
+                Ok(Value::Int(version))
+            }
+        }
+        let t0 = SystemTime::UNIX_EPOCH + Duration::from_secs(1_000_000_000);
+        let service = Arc::new(Bumping {
+            version: std::sync::atomic::AtomicI32::new(1),
+            dispatcher: std::sync::OnceLock::new(),
+            touched_at: t0 + Duration::from_secs(2),
+        });
+        let d = Arc::new(
+            SoapDispatcher::new()
+                .mount("/soap/adder", service.clone())
+                .with_validation(t0, Duration::from_secs(60)),
+        );
+        service.dispatcher.set(Arc::downgrade(&d)).unwrap();
+        let req = RpcRequest::new("urn:Adder", "add")
+            .with_param("a", 1)
+            .with_param("b", 2);
+        let xml = serialize_request(&req, &TypeRegistry::new()).unwrap();
+        let first = d.handle(&soap_post("/soap/adder", xml.clone()));
+        let lm = first.headers.get("Last-Modified").expect("stamped");
+        assert_eq!(lm, wsrc_http::date::format_http_date(t0));
+        let cond = soap_post("/soap/adder", xml).with_header("If-Modified-Since", lm.to_string());
+        let second = d.handle(&cond);
+        assert_eq!(second.status, Status::OK, "the data changed after t0");
+        assert!(second.body_text().unwrap().contains(">2</return>"));
     }
 
     #[test]
