@@ -475,7 +475,7 @@ mod tests {
         // on a loaded host; keep the smallest observation per cell across
         // a few runs (min-filtering) before asserting the ordering.
         let mut raw = table6_raw(Protocol::quick());
-        for _ in 0..2 {
+        for _ in 0..4 {
             let again = table6_raw(Protocol::quick());
             for (row, (_, cells)) in raw.iter_mut().enumerate() {
                 for (i, cell) in cells.iter_mut().enumerate() {

@@ -6,7 +6,7 @@ use wsrc_http::{Request, Transport, Url};
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 use wsrc_obs::{MetricsRegistry, Stage, Timing};
-use wsrc_soap::deserializer::read_response_bytes_recording;
+use wsrc_soap::deserializer::{read_response_bytes, read_response_bytes_recording};
 use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
 use wsrc_soap::serializer::serialize_request;
 use wsrc_xml::event::SaxEventSequence;
@@ -33,12 +33,16 @@ fn end<T, E>(mut timing: Timing<'_>, result: &Result<T, E>) -> u64 {
 /// The XML bytes are the HTTP response body's own allocation and the
 /// event sequence is behind an `Arc`, so storing either representation
 /// in the cache is a reference-count bump: the bytes read from the
-/// socket are never copied again.
+/// socket are never copied again. The events are recorded only when the
+/// caller asked for them — when the form the cache stores keeps them;
+/// otherwise the sequence is empty, and a form that needs it after all
+/// records it from the XML.
 #[derive(Debug)]
 pub struct Exchange {
     /// The response XML bytes, shared with the HTTP response body.
     pub response_xml: Arc<[u8]>,
-    /// The SAX events recorded while parsing the response.
+    /// The SAX events recorded while parsing the response; empty when
+    /// the exchange was not asked to record them.
     pub response_events: Arc<SaxEventSequence>,
     /// The deserialized return value.
     pub value: Value,
@@ -47,14 +51,27 @@ pub struct Exchange {
     pub last_modified: Option<String>,
 }
 
-/// Result of a conditional invocation ([`Call::invoke_conditional`]).
+/// Result of an exchange that may be conditional.
 #[derive(Debug)]
-pub enum ConditionalOutcome {
+pub(crate) enum ConditionalOutcome {
     /// The server answered `304 Not Modified`: the cached response is
     /// still valid.
     NotModified,
     /// The server sent a full (changed) response.
     Fresh(Exchange),
+}
+
+impl ConditionalOutcome {
+    /// The exchange of an unconditional request, to which a 304 is a
+    /// protocol error.
+    pub(crate) fn into_fresh(self) -> Result<Exchange, ClientError> {
+        match self {
+            ConditionalOutcome::Fresh(exchange) => Ok(exchange),
+            ConditionalOutcome::NotModified => Err(ClientError::Http(
+                wsrc_http::HttpError::protocol("unexpected 304 to an unconditional request"),
+            )),
+        }
+    }
 }
 
 /// A low-level SOAP call object (the Axis `Call` analog).
@@ -114,7 +131,8 @@ impl Call {
     }
 
     /// Performs one full exchange, returning the raw artifacts (response
-    /// XML, recorded events, deserialized value).
+    /// XML, deserialized value). Nothing caches what an uncached call
+    /// returns, so it records no events.
     ///
     /// # Errors
     ///
@@ -125,34 +143,24 @@ impl Call {
         descriptor: &OperationDescriptor,
         request: &RpcRequest,
     ) -> Result<Exchange, ClientError> {
-        match self.invoke_inner(descriptor, request, None)? {
-            ConditionalOutcome::Fresh(exchange) => Ok(exchange),
-            ConditionalOutcome::NotModified => Err(ClientError::Http(
-                wsrc_http::HttpError::protocol("unexpected 304 to an unconditional request"),
-            )),
-        }
+        self.exchange(descriptor, request, None, false)?
+            .into_fresh()
     }
 
-    /// Performs a *conditional* exchange: sends `If-Modified-Since` and
-    /// reports `NotModified` when the server answers 304 with no body.
+    /// One exchange. With `if_modified_since` it is conditional: it
+    /// sends the header and reports `NotModified` when the server
+    /// answers 304 with no body. With `record` the response's SAX events
+    /// are recorded in the pass that decodes it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`invoke`](Call::invoke).
-    pub fn invoke_conditional(
-        &self,
-        descriptor: &OperationDescriptor,
-        request: &RpcRequest,
-        if_modified_since: &str,
-    ) -> Result<ConditionalOutcome, ClientError> {
-        self.invoke_inner(descriptor, request, Some(if_modified_since))
-    }
-
-    fn invoke_inner(
+    pub(crate) fn exchange(
         &self,
         descriptor: &OperationDescriptor,
         request: &RpcRequest,
         if_modified_since: Option<&str>,
+        record: bool,
     ) -> Result<ConditionalOutcome, ClientError> {
         descriptor
             .check_request(request)
@@ -196,14 +204,16 @@ impl Call {
             .map(str::to_string);
         // The parser reads the shared body bytes directly (strict UTF-8:
         // a mangled body fails loudly instead of being silently repaired
-        // and then cached) and records the arena sequence in the same
-        // pass — the miss path never materializes owned events.
+        // and then cached) and, when asked, records the arena sequence in
+        // the same pass — the miss path never materializes owned events.
         let timing = deserialize.start(Some(exchanged));
-        let parsed = read_response_bytes_recording(
-            http_response.body.as_bytes(),
-            &descriptor.return_type,
-            &self.registry,
-        );
+        let body = http_response.body.as_bytes();
+        let (expected, registry) = (&descriptor.return_type, &self.registry);
+        let parsed = match record {
+            true => read_response_bytes_recording(body, expected, registry),
+            false => read_response_bytes(body, expected, registry)
+                .map(|outcome| (outcome, SaxEventSequence::new())),
+        };
         end(timing, &parsed);
         let (outcome, events) = parsed.map_err(ClientError::Soap)?;
         match outcome {
@@ -290,7 +300,8 @@ mod tests {
         assert_eq!(exchange.value, Value::string("echo: hello"));
         let xml = std::str::from_utf8(&exchange.response_xml).unwrap();
         assert!(xml.contains("echoResponse"));
-        assert!(exchange.response_events.len() > 5);
+        // An uncached call records nothing.
+        assert!(exchange.response_events.is_empty());
         assert_eq!(transport.requests_served(), 1);
     }
 

@@ -82,6 +82,9 @@ impl ServiceClient {
             let exchange = self.call.invoke(descriptor, request)?;
             return Ok((ValueHandle::Owned(exchange.value), Disposition::Uncached));
         };
+        // The miss records the response's events only for a form that
+        // stores them.
+        let record = cached.keeps_events();
         let exchange = match cached.lookup(&descriptor.return_type) {
             CacheOutcome::Fresh { handle } => return Ok((handle, Disposition::CacheHit)),
             // Expired but revalidatable: ask the server whether the
@@ -89,7 +92,7 @@ impl ServiceClient {
             CacheOutcome::Stale { handle, validator } => {
                 match self
                     .call
-                    .invoke_conditional(descriptor, request, &validator)?
+                    .exchange(descriptor, request, Some(&validator), record)?
                 {
                     ConditionalOutcome::NotModified => {
                         cached.refresh();
@@ -98,7 +101,10 @@ impl ServiceClient {
                     ConditionalOutcome::Fresh(exchange) => exchange,
                 }
             }
-            CacheOutcome::Miss => self.call.invoke(descriptor, request)?,
+            CacheOutcome::Miss => self
+                .call
+                .exchange(descriptor, request, None, record)?
+                .into_fresh()?,
         };
         cached.insert(
             MissArtifacts {

@@ -240,11 +240,8 @@ impl ResponseCache {
         data: ResponseData<'_>,
         started: u64,
     ) -> Option<(CacheEntry, ValueRepresentation)> {
-        let preferred = policy
-            .representation
-            .unwrap_or(ValueRepresentation::PassByReference);
         let chain = [
-            preferred,
+            preferred_form(policy),
             ValueRepresentation::SaxEvents,
             ValueRepresentation::XmlMessage,
         ];
@@ -322,6 +319,14 @@ impl ResponseCache {
     }
 }
 
+/// The form an entry is built under first: the one the policy forces,
+/// else the shared object.
+fn preferred_form(policy: &OperationPolicy) -> ValueRepresentation {
+    policy
+        .representation
+        .unwrap_or(ValueRepresentation::PassByReference)
+}
+
 /// One call's view of a [`ResponseCache`]: the operation's policy and
 /// the request's key, resolved once by [`ResponseCache::call`]. That the
 /// lookup, the insert and the refresh of one call agree on both is held
@@ -342,6 +347,19 @@ impl CachedCall<'_> {
     fn expires_at(&self, now_millis: u64) -> u64 {
         let ttl = u64::try_from(self.policy.ttl.as_millis()).unwrap_or(u64::MAX);
         now_millis.saturating_add(ttl)
+    }
+
+    /// Whether the form this call's entry is built under keeps the
+    /// response's SAX events (`sax-events`, `dom-tree`) — the one case
+    /// where recording them while the miss is decoded pays. A form that
+    /// needs them and finds none (a fallback down the chain) records them
+    /// from the XML instead, so this is a hint, never a condition of
+    /// correctness.
+    pub fn keeps_events(&self) -> bool {
+        matches!(
+            preferred_form(&self.policy),
+            ValueRepresentation::SaxEvents | ValueRepresentation::DomTree
+        )
     }
 
     /// Reads the store and retrieves the application object from the

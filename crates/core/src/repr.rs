@@ -14,6 +14,7 @@ use wsrc_model::{binser, deep_clone, reflect, sizeof};
 use wsrc_soap::deserializer::{read_response_dom, read_response_events, read_response_xml};
 use wsrc_soap::rpc::RpcOutcome;
 use wsrc_xml::event::SaxEventSequence;
+use wsrc_xml::XmlReader;
 
 /// The six cache-value representations, in the paper's Table 7 order
 /// (slowest to fastest retrieval).
@@ -136,6 +137,9 @@ impl fmt::Display for ValueRepresentation {
 /// sequence recorded during deserialization, so building the
 /// `XmlMessage` or `SaxEvents` representation is a reference-count bump
 /// — no byte of the response is copied between socket read and store.
+/// A miss records events only for a form that keeps them; an empty
+/// sequence means none were, and a form that needs them records them
+/// from `xml`.
 #[derive(Debug, Clone, Copy)]
 pub struct MissArtifacts<'m> {
     /// The raw response XML bytes, shared with the transport body.
@@ -144,6 +148,20 @@ pub struct MissArtifacts<'m> {
     pub events: &'m Arc<SaxEventSequence>,
     /// The deserialized application object.
     pub value: &'m Value,
+}
+
+/// The events the miss recorded — a reference bump — or, when it
+/// recorded none (its call's form does not keep them, and this build is
+/// a fallback down the chain), the events of the response XML, read
+/// where it lies.
+fn events_of(artifacts: MissArtifacts<'_>) -> Result<Arc<SaxEventSequence>, CacheError> {
+    if !artifacts.events.is_empty() {
+        return Ok(Arc::clone(artifacts.events));
+    }
+    let recorded = XmlReader::from_bytes(artifacts.xml)
+        .and_then(XmlReader::read_sequence)
+        .map_err(|e| CacheError::Soap(e.into()))?;
+    Ok(Arc::new(recorded))
 }
 
 /// A response stored in the cache under some representation.
@@ -228,13 +246,13 @@ impl StoredResponse {
             }
             ValueRepresentation::DomTree => {
                 // Rebuild the DOM from the recorded events (no re-parse).
-                let document = wsrc_xml::Document::from_events(artifacts.events)
+                let document = wsrc_xml::Document::from_events(&*events_of(artifacts)?)
                     .map_err(|e| CacheError::Soap(e.into()))?;
                 Ok(StoredResponse::DomTree(Arc::new(document)))
             }
             ValueRepresentation::SaxEvents => {
                 // Zero-copy: the stored entry shares the recorded arena.
-                Ok(StoredResponse::SaxEvents(Arc::clone(artifacts.events)))
+                Ok(StoredResponse::SaxEvents(events_of(artifacts)?))
             }
             ValueRepresentation::Serialization => {
                 let bytes = binser::serialize_checked(artifacts.value, registry)?;
@@ -608,6 +626,35 @@ mod tests {
             stored.approximate_size() > f.xml.len(),
             "DOM trees cost more memory than text"
         );
+    }
+
+    /// A miss that recorded nothing still builds every form: the event
+    /// forms record from the XML, equal to what the miss would have
+    /// recorded.
+    #[test]
+    fn event_forms_record_from_the_xml_when_the_miss_did_not() {
+        let r = registry();
+        let f = struct_fixture();
+        let none = Arc::new(SaxEventSequence::new());
+        let artifacts = MissArtifacts {
+            xml: &f.xml,
+            events: &none,
+            value: &f.value,
+        };
+        for repr in ValueRepresentation::ALL_EXTENDED {
+            let stored = StoredResponse::build(repr, artifacts, &r).unwrap();
+            assert_eq!(stored.approximate_size(), {
+                StoredResponse::build(repr, f.artifacts(), &r)
+                    .unwrap()
+                    .approximate_size()
+            });
+            let handle = stored.retrieve(&f.expected, &r).unwrap();
+            assert_eq!(handle.as_value(), &f.value, "{repr}");
+        }
+        match StoredResponse::build(ValueRepresentation::SaxEvents, artifacts, &r).unwrap() {
+            StoredResponse::SaxEvents(events) => assert_eq!(*events, *f.events),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -270,6 +270,16 @@ impl TreeBuilder {
     }
 }
 
+/// Formats into the gathered text, as [`push_text`](TreeBuilder::push_text)
+/// does — a number becomes part of a string leaf with no `String` of its
+/// own.
+impl std::fmt::Write for TreeBuilder {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.push_text(s);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,14 @@
 //! The portal web site: an HTTP handler whose pages are built from
 //! back-end Web service results fetched through the caching client.
 
+use std::fmt::Write;
 use std::sync::Arc;
 use wsrc_client::ServiceClient;
 use wsrc_http::{Handler, Method, Request, Response, Status};
 use wsrc_model::Value;
 use wsrc_services::google;
 use wsrc_soap::rpc::RpcRequest;
+use wsrc_xml::escape::{escape_attribute_into, escape_text_into};
 
 /// The portal site handler. `GET /portal?q=<query>` renders an HTML page
 /// of search results obtained via `doGoogleSearch` on the back-end.
@@ -45,13 +47,13 @@ impl PortalSite {
             .with_param("oe", "utf-8")
     }
 
+    /// The page, written into one buffer: text escaped in place, no
+    /// string made per result.
     fn render(query: &str, result: &Value) -> String {
         let mut html = String::with_capacity(4096);
-        html.push_str("<html><head><title>Portal search</title></head><body>");
-        html.push_str(&format!(
-            "<h1>Results for {}</h1>",
-            wsrc_xml::escape::escape_text(query)
-        ));
+        html.push_str("<html><head><title>Portal search</title></head><body><h1>Results for ");
+        escape_text_into(query, &mut html);
+        html.push_str("</h1>");
         let Some(s) = result.as_struct() else {
             html.push_str("<p>no results</p></body></html>");
             return html;
@@ -64,9 +66,8 @@ impl PortalSite {
             .get("searchTime")
             .and_then(Value::as_double)
             .unwrap_or(0.0);
-        html.push_str(&format!(
-            "<p>about {estimated} results ({time:.6}s)</p><ol>"
-        ));
+        write!(html, "<p>about {estimated} results ({time:.6}s)</p><ol>")
+            .expect("writing to a String cannot fail");
         if let Some(elements) = s.get("resultElements").and_then(Value::as_array) {
             for e in elements {
                 let Some(e) = e.as_struct() else { continue };
@@ -76,12 +77,15 @@ impl PortalSite {
                     .and_then(Value::as_str)
                     .unwrap_or("(untitled)");
                 let snippet = e.get("snippet").and_then(Value::as_str).unwrap_or("");
-                html.push_str(&format!(
-                    "<li><a href=\"{}\">{}</a><br/>{}</li>",
-                    wsrc_xml::escape::escape_attribute(url),
-                    wsrc_xml::escape::escape_text(title),
-                    snippet // snippet already carries markup from the service
-                ));
+                html.push_str("<li><a href=\"");
+                escape_attribute_into(url, &mut html);
+                html.push_str("\">");
+                escape_text_into(title, &mut html);
+                html.push_str("</a><br/>");
+                // The snippet is HTML the service writes: its markup is
+                // the service's, and the service escapes what it quotes.
+                html.push_str(snippet);
+                html.push_str("</li>");
             }
         }
         html.push_str("</ol></body></html>");
@@ -89,16 +93,22 @@ impl PortalSite {
     }
 }
 
+/// The value of parameter `key` in the query string of `target`: the
+/// `&`-separated `name=value` pairs after the `?`, first match.
+fn query_param<'t>(target: &'t str, key: &str) -> Option<&'t str> {
+    let (_, query) = target.split_once('?')?;
+    query
+        .split('&')
+        .filter_map(|pair| pair.split_once('='))
+        .find_map(|(name, value)| (name == key).then_some(value))
+}
+
 impl Handler for PortalSite {
     fn handle(&self, request: &Request) -> Response {
         if request.method != Method::Get {
             return Response::error(Status::METHOD_NOT_ALLOWED, "GET only");
         }
-        let query = request
-            .target
-            .split_once("q=")
-            .map(|(_, q)| q.split('&').next().unwrap_or(q))
-            .unwrap_or("");
+        let query = query_param(&request.target, "q").unwrap_or("");
         if query.is_empty() {
             return Response::error(Status::BAD_REQUEST, "missing q parameter");
         }
@@ -194,5 +204,54 @@ mod tests {
             .body_text()
             .expect("portal pages are utf-8")
             .contains("Results for zig"));
+    }
+
+    fn page(p: &PortalSite, target: &str) -> (Status, String) {
+        let resp = p.handle(&Request::get(target));
+        let html = resp
+            .body_text()
+            .expect("portal pages are utf-8")
+            .to_string();
+        (resp.status, html)
+    }
+
+    /// The query is the `q` pair, not the first `q=` in the string.
+    #[test]
+    fn the_query_is_the_q_parameter_wherever_it_sits() {
+        let p = portal();
+        let (status, html) = page(&p, "/portal?seq=5&q=rust");
+        assert_eq!(status, Status::OK);
+        assert!(html.contains("<h1>Results for rust</h1>"), "{html}");
+        for target in [
+            "/portal?seq=5",
+            "/portal?q",
+            "/portal?faq=1&q=",
+            "/portal?q&x=1",
+        ] {
+            assert_eq!(page(&p, target).0, Status::BAD_REQUEST, "{target}");
+        }
+        assert!(page(&p, "/portal?a=1&q=zig&q=zag")
+            .1
+            .contains("Results for zig"));
+    }
+
+    /// A query with markup is escaped everywhere the page shows it —
+    /// the heading and each result's snippet, which the service builds.
+    #[test]
+    fn a_query_with_markup_is_never_reflected_raw() {
+        let p = portal();
+        let (status, html) = page(&p, "/portal?q=<script>alert(1)</script>");
+        assert_eq!(status, Status::OK);
+        assert!(!html.contains("<script>"), "{html}");
+        assert_eq!(
+            html.matches("&lt;script&gt;alert(1)&lt;/script&gt;")
+                .count(),
+            11
+        );
+        assert_eq!(
+            html.matches("<b>").count(),
+            10,
+            "the service's own markup stays"
+        );
     }
 }

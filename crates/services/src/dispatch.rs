@@ -275,6 +275,34 @@ mod tests {
             .contains("soapenv:Client"));
     }
 
+    /// A body that is not UTF-8 never reaches the request decoder, and
+    /// no byte sequence makes the dispatcher panic.
+    #[test]
+    fn non_utf8_bodies_are_bad_requests() {
+        let d = dispatcher();
+        let req = RpcRequest::new("urn:Adder", "add")
+            .with_param("a", 1)
+            .with_param("b", 2);
+        let mut body = serialize_request(&req, &TypeRegistry::new())
+            .unwrap()
+            .into_bytes();
+        let at = body.len() / 2;
+        for bad in [[0xff, 0xfe].as_slice(), &[0xc3], &[0xed, 0xa0, 0x80]] {
+            let mut damaged = body.clone();
+            damaged.splice(at..at, bad.iter().copied());
+            let request = Request::post("/soap/adder", wsrc_soap::envelope::CONTENT_TYPE, damaged);
+            assert_eq!(d.handle(&request).status, Status::BAD_REQUEST);
+        }
+        body.truncate(at);
+        let truncated = d.handle(&Request::post(
+            "/soap/adder",
+            wsrc_soap::envelope::CONTENT_TYPE,
+            body,
+        ));
+        assert_eq!(truncated.status, Status::INTERNAL_SERVER_ERROR);
+        assert!(truncated.body_text().unwrap().contains("soapenv:Client"));
+    }
+
     #[test]
     fn unknown_operations_fault() {
         let d = dispatcher();

@@ -340,7 +340,7 @@ impl SoapService for GoogleService {
                     .param("maxResults")
                     .and_then(Value::as_int)
                     .unwrap_or(10);
-                Ok(Value::Struct(self.corpus.search_result(q, start, max)))
+                Ok(self.corpus.search_result(q, start, max))
             }
             other => Err(SoapFault::client(format!("unknown operation '{other}'"))),
         }

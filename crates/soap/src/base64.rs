@@ -48,24 +48,48 @@ fn sextets(triple: u32) -> [u8; 4] {
 /// assert_eq!(wsrc_soap::base64::encode(b"Ma"), "TWE=");
 /// ```
 pub fn encode(data: &[u8]) -> String {
-    let mut out = Vec::with_capacity(data.len().div_ceil(3) * 4);
+    let mut out = String::with_capacity(data.len().div_ceil(3) * 4);
+    encode_into(data, &mut out);
+    out
+}
+
+/// Appends the padded base64 of `data` to `out` — [`encode`] with no
+/// string of its own, how the serializer writes `xsd:base64Binary`.
+/// Quanta are gathered in a stack block and appended a block at a time.
+pub fn encode_into(data: &[u8], out: &mut String) {
+    out.reserve(data.len().div_ceil(3) * 4);
+    let mut block = [0u8; 256];
+    let mut filled = 0;
     let mut chunks = data.chunks_exact(3);
     for c in &mut chunks {
         let triple = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
-        out.extend_from_slice(&sextets(triple));
+        block[filled..filled + 4].copy_from_slice(&sextets(triple));
+        filled += 4;
+        if filled == block.len() {
+            push_ascii(out, &block);
+            filled = 0;
+        }
     }
-    match *chunks.remainder() {
+    let last = match *chunks.remainder() {
         [b0] => {
             let q = sextets(u32::from(b0) << 16);
-            out.extend_from_slice(&[q[0], q[1], b'=', b'=']);
+            Some([q[0], q[1], b'=', b'='])
         }
         [b0, b1] => {
             let q = sextets((u32::from(b0) << 16) | (u32::from(b1) << 8));
-            out.extend_from_slice(&[q[0], q[1], q[2], b'=']);
+            Some([q[0], q[1], q[2], b'='])
         }
-        _ => {}
+        _ => None,
+    };
+    if let Some(quantum) = last {
+        block[filled..filled + 4].copy_from_slice(&quantum);
+        filled += 4;
     }
-    String::from_utf8(out).expect("the base64 alphabet is ASCII")
+    push_ascii(out, &block[..filled]);
+}
+
+fn push_ascii(out: &mut String, ascii: &[u8]) {
+    out.push_str(std::str::from_utf8(ascii).expect("the base64 alphabet is ASCII"));
 }
 
 /// Decodes a base64 string, tolerating embedded ASCII whitespace (XML

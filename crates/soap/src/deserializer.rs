@@ -1,12 +1,13 @@
 //! Deserialization of SOAP envelopes back into application objects.
 //!
 //! There is one decoder, [`ResponseReader`], a SAX [`ContentHandler`]
-//! driven three ways: by the XML parser while it records the event arena
-//! (cache miss; [`read_response_bytes_recording`]), by the XML parser
-//! alone (hit on a cached XML message; [`read_response_xml`]) and by
-//! replaying a recorded arena (hit on cached SAX events;
-//! [`read_response_events`]). The cost difference between the last two is
-//! the paper's first optimization.
+//! driven by the XML parser while it records the event arena (cache miss
+//! of a form that keeps events; [`read_response_bytes_recording`]), by
+//! the XML parser alone (any other miss, [`read_response_bytes`]; hit on
+//! a cached XML message, [`read_response_xml`]) and by replaying a
+//! recorded arena (hit on cached SAX events; [`read_response_events`]).
+//! The cost difference between the last two is the paper's first
+//! optimization.
 //!
 //! The reader works from the schema the [`TypeRegistry`] compiled when it
 //! was built: each open element carries a [`Kind`] (two references) and
@@ -23,11 +24,15 @@
 //! parser's interned symbol). The `xsi:type`-driven path for untyped
 //! elements pays one registry probe per dynamic struct.
 //!
+//! The same reader decodes the server's side of the exchange: driven by
+//! the parser over a request envelope ([`parse_request`]), its frames are
+//! the call's parameters, each typed by the operation's declaration of
+//! its name, and their values are the children of one tree.
+//!
 //! [`read_response_dom`] walks a parsed tree instead and shares no code
 //! with the reader beyond scalar parsing — the reference the differential
-//! tests hold the reader to. Server-side request parsing
-//! ([`parse_request`]) is DOM-based too: it is not on the
-//! latency-critical client path.
+//! tests hold the reader to, for requests ([`element_to_value`]) as for
+//! responses.
 
 use crate::base64;
 use crate::envelope;
@@ -110,6 +115,28 @@ pub fn read_response_bytes_recording(
 ) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
     let parser = XmlReader::from_bytes(bytes).map_err(SoapError::Xml)?;
     read_recording(parser, expected, registry)
+}
+
+/// [`read_response_bytes_recording`] without the recording: one pass
+/// over the body bytes that only decodes — the miss of a call whose
+/// cached form does not keep events, and of an uncached call. A document
+/// that is both malformed and not a valid response reports the XML
+/// error, as the recording pass does.
+///
+/// # Errors
+///
+/// Same conditions as [`read_response_bytes_recording`].
+pub fn read_response_bytes(
+    bytes: &[u8],
+    expected: &FieldType,
+    registry: &TypeRegistry,
+) -> Result<RpcOutcome, SoapError> {
+    let mut reader = ResponseReader::new(expected, registry);
+    XmlReader::from_bytes(bytes)
+        .map_err(SoapError::Xml)?
+        .parse_into(&mut reader)
+        .map_err(flatten_parse_error)?;
+    reader.finish()
 }
 
 fn read_recording(
@@ -253,14 +280,32 @@ enum Container<'r> {
     },
 }
 
-/// A streaming deserializer for RPC response envelopes.
+/// What the Body's one element is read as.
+#[derive(Debug)]
+enum Message<'r> {
+    /// A response wrapper, whose one child is the return value of this
+    /// kind.
+    Response(Kind<'r>),
+    /// A call to one of `operations`. Each child is a parameter, typed by
+    /// the operation's declaration of that name; the values are the
+    /// children of the tree's root, an array that opens with the call.
+    Request {
+        operations: &'r [OperationDescriptor],
+        call: Option<&'r OperationDescriptor>,
+        /// The parameters' names, in wire order.
+        names: Vec<String>,
+    },
+}
+
+/// A streaming deserializer for RPC envelopes — responses through
+/// [`new`](ResponseReader::new), requests through [`parse_request`].
 ///
 /// Feed it SAX events (from a parser or a replayed recording), then call
 /// [`finish`](ResponseReader::finish).
 #[derive(Debug)]
 pub struct ResponseReader<'r> {
     registry: &'r TypeRegistry,
-    expected: Kind<'r>,
+    message: Message<'r>,
     state: State,
     frames: Vec<Frame<'r>>,
     containers: Vec<Container<'r>>,
@@ -284,9 +329,23 @@ pub struct ResponseReader<'r> {
 impl<'r> ResponseReader<'r> {
     /// Creates a reader expecting a return value of `expected` type.
     pub fn new(expected: &'r FieldType, registry: &'r TypeRegistry) -> Self {
+        ResponseReader::reading(Message::Response(registry.kind_of(expected)), registry)
+    }
+
+    /// A reader for a request envelope calling one of `operations`.
+    fn for_request(operations: &'r [OperationDescriptor], registry: &'r TypeRegistry) -> Self {
+        let message = Message::Request {
+            operations,
+            call: None,
+            names: Vec::new(),
+        };
+        ResponseReader::reading(message, registry)
+    }
+
+    fn reading(message: Message<'r>, registry: &'r TypeRegistry) -> Self {
         ResponseReader {
             registry,
-            expected: registry.kind_of(expected),
+            message,
             state: State::BeforeEnvelope,
             frames: Vec::with_capacity(8),
             containers: Vec::new(),
@@ -322,6 +381,29 @@ impl<'r> ResponseReader<'r> {
         }
         // A void operation has no return element: an empty tree is null.
         Ok(RpcOutcome::Return(self.tree.finish()?))
+    }
+
+    /// The request a [`for_request`](ResponseReader::for_request) reader
+    /// read from a whole, well-formed document, once its every declared
+    /// parameter is there.
+    fn finish_request(self) -> Result<RpcRequest, SoapError> {
+        let Message::Request {
+            call: Some(call),
+            names,
+            ..
+        } = self.message
+        else {
+            return Err(SoapError::encoding("empty Body"));
+        };
+        let values = self.tree.finish()?;
+        let values = values.as_array().unwrap_or_default();
+        let request = RpcRequest {
+            namespace: call.namespace.clone(),
+            operation: call.name.clone(),
+            params: names.into_iter().zip(values.iter().cloned()).collect(),
+        };
+        call.check_request(&request)?;
+        Ok(request)
     }
 
     fn push_frame(
@@ -665,7 +747,8 @@ impl ContentHandler for ResponseReader<'_> {
                 }
             }
             State::InBody => {
-                if envelope::is_fault(name) {
+                let response = matches!(self.message, Message::Response(_));
+                if response && envelope::is_fault(name) {
                     self.state = State::InFault;
                     self.saw_fault = true;
                     self.fault_depth = 1;
@@ -679,11 +762,32 @@ impl ContentHandler for ResponseReader<'_> {
                 } else {
                     self.saw_wrapper = true;
                     self.state = State::InWrapper;
+                    if let Message::Request {
+                        operations, call, ..
+                    } = &mut self.message
+                    {
+                        let op = name.local_part();
+                        let found = operations.iter().find(|o| o.name == op).ok_or_else(|| {
+                            SoapError::encoding(format!("unknown operation '{op}'"))
+                        })?;
+                        *call = Some(found);
+                        self.tree.open(found.params.len());
+                    }
                 }
             }
             State::InWrapper => {
+                let registry = self.registry;
+                let kind = match &mut self.message {
+                    Message::Response(expected) => Some(*expected),
+                    Message::Request { call, names, .. } => {
+                        let param = name.local_part();
+                        names.push(param.to_string());
+                        call.and_then(|c| c.param(param))
+                            .map(|p| registry.kind_of(&p.field_type))
+                    }
+                };
                 let origin = Origin::Wire(name.local_symbol().clone());
-                self.push_frame(origin, Some(self.expected), attributes);
+                self.push_frame(origin, kind, attributes);
                 self.state = State::InValue;
             }
             State::InValue => {
@@ -729,13 +833,20 @@ impl ContentHandler for ResponseReader<'_> {
                     self.xsi.truncate(start);
                 }
                 if self.frames.is_empty() {
-                    self.state = State::AfterValue;
+                    // A response has one value; a call, one per parameter.
+                    self.state = match self.message {
+                        Message::Response(_) => State::AfterValue,
+                        Message::Request { .. } => State::InWrapper,
+                    };
                 } else {
                     self.attach(&frame)?;
                 }
             }
             State::AfterValue | State::InWrapper => {
-                // closing the opResponse wrapper
+                // closing the opResponse wrapper, or the call
+                if let Message::Request { .. } = self.message {
+                    self.tree.close_array();
+                }
                 self.state = State::InBody;
             }
             State::InFault => {
@@ -747,13 +858,17 @@ impl ContentHandler for ResponseReader<'_> {
             }
             State::InBody => {
                 // closing Body
+                if !self.saw_wrapper && matches!(self.message, Message::Request { .. }) {
+                    return Err(SoapError::encoding("empty Body"));
+                }
                 self.state = State::AfterBody;
             }
             State::AfterBody => {
                 // closing Envelope
                 self.state = State::Done;
             }
-            State::InEnvelope | State::BeforeEnvelope | State::Done => {
+            State::InEnvelope => return Err(SoapError::encoding("missing Body")),
+            State::BeforeEnvelope | State::Done => {
                 return Err(SoapError::encoding("unbalanced end element"));
             }
         }
@@ -856,49 +971,31 @@ pub fn read_response_dom(
 }
 
 /// Parses a request envelope on the server side, matching it against the
-/// service's operations.
+/// service's operations — one streaming pass of the one reader, no tree
+/// of the document: each parameter is decoded under its declared type as
+/// its element arrives.
 ///
 /// # Errors
 ///
-/// Returns XML errors for malformed documents, and encoding errors when
-/// the body is missing, the operation is unknown, or a parameter fails to
-/// parse under its declared type.
+/// Returns XML errors for malformed documents (anywhere in them: the scan
+/// checks the whole document before a decoding error is reported), and
+/// encoding errors when the body is missing, the operation is unknown, a
+/// declared parameter is missing, or a parameter fails to parse under its
+/// declared type.
 pub fn parse_request(
     xml: &str,
     operations: &[OperationDescriptor],
     registry: &TypeRegistry,
 ) -> Result<RpcRequest, SoapError> {
-    let doc = wsrc_xml::Document::parse(xml)?;
-    if !envelope::is_envelope(&doc.root.name) {
-        return Err(SoapError::encoding("root element is not Envelope"));
-    }
-    let body = doc
-        .root
-        .child_elements()
-        .find(|e| envelope::is_body(&e.name))
-        .ok_or_else(|| SoapError::encoding("missing Body"))?;
-    let call = body
-        .child_elements()
-        .next()
-        .ok_or_else(|| SoapError::encoding("empty Body"))?;
-    let op_name = call.name.local_part();
-    let descriptor = operations
-        .iter()
-        .find(|o| o.name == op_name)
-        .ok_or_else(|| SoapError::encoding(format!("unknown operation '{op_name}'")))?;
-    let mut request = RpcRequest::new(descriptor.namespace.clone(), descriptor.name.clone());
-    for param_elem in call.child_elements() {
-        let pname = param_elem.name.local_part();
-        let expected = descriptor.param(pname).map(|p| p.field_type.clone());
-        let value = element_to_value(param_elem, expected.as_ref(), registry)?;
-        request.params.push((pname.to_string(), value));
-    }
-    descriptor.check_request(&request)?;
-    Ok(request)
+    let mut reader = ResponseReader::for_request(operations, registry);
+    XmlReader::new(xml)
+        .parse_into(&mut reader)
+        .map_err(flatten_parse_error)?;
+    reader.finish_request()
 }
 
 /// Converts a DOM element into a value under an optional expected type —
-/// shared by request parsing and tests.
+/// the tree walk the differential tests hold the streaming reader to.
 ///
 /// # Errors
 ///

@@ -79,11 +79,9 @@ pub fn is_fault(name: &QName) -> bool {
     name.local_part() == "Fault"
 }
 
-/// The conventional response wrapper name for an operation
-/// (`doGoogleSearch` → `doGoogleSearchResponse`).
-pub fn response_wrapper(operation: &str) -> String {
-    format!("{operation}Response")
-}
+/// What the conventional response wrapper appends to an operation's
+/// name (`doGoogleSearch` → `doGoogleSearchResponse`).
+pub const RESPONSE_SUFFIX: &str = "Response";
 
 #[cfg(test)]
 mod tests {
@@ -98,11 +96,6 @@ mod tests {
         assert!(is_body(&QName::parse("s:Body")));
         assert!(is_header(&QName::parse("s:Header")));
         assert!(is_fault(&QName::parse("s:Fault")));
-    }
-
-    #[test]
-    fn response_wrapper_convention() {
-        assert_eq!(response_wrapper("doGoogleSearch"), "doGoogleSearchResponse");
     }
 
     #[test]

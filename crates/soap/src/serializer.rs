@@ -5,8 +5,10 @@ use crate::envelope::*;
 use crate::error::SoapError;
 use crate::fault::SoapFault;
 use crate::rpc::RpcRequest;
-use wsrc_model::typeinfo::TypeRegistry;
+use std::sync::Arc;
+use wsrc_model::typeinfo::{Kind, StructPlan, TypeRegistry};
 use wsrc_model::Value;
+use wsrc_xml::escape::escape_attribute_into;
 use wsrc_xml::XmlWriter;
 
 /// Serializes an RPC request into a SOAP 1.1 envelope.
@@ -24,11 +26,9 @@ pub fn serialize_request(
     let mut w = XmlWriter::with_declaration();
     start_envelope(&mut w)?;
     w.start(QN_BODY)?;
-    w.start(format!("{PREFIX_SERVICE}:{}", request.operation))?;
-    w.attr(QN_ENCODING_STYLE, SOAP_ENC_NS)?;
-    w.namespace(PREFIX_SERVICE, &request.namespace)?;
+    start_operation(&mut w, &request.operation, "", &request.namespace)?;
     for (name, value) in &request.params {
-        write_value(&mut w, name, value, registry)?;
+        write_value(&mut w, name, value, registry, None)?;
     }
     w.end()?; // operation
     w.end()?; // Body
@@ -51,10 +51,8 @@ pub fn serialize_response(
     let mut w = XmlWriter::with_declaration();
     start_envelope(&mut w)?;
     w.start(QN_BODY)?;
-    w.start(format!("{PREFIX_SERVICE}:{}", response_wrapper(operation)))?;
-    w.attr(QN_ENCODING_STYLE, SOAP_ENC_NS)?;
-    w.namespace(PREFIX_SERVICE, namespace)?;
-    write_value(&mut w, return_name, value, registry)?;
+    start_operation(&mut w, operation, RESPONSE_SUFFIX, namespace)?;
+    write_value(&mut w, return_name, value, registry, None)?;
     w.end()?; // wrapper
     w.end()?; // Body
     w.end()?; // Envelope
@@ -91,102 +89,121 @@ fn start_envelope(w: &mut XmlWriter) -> Result<(), SoapError> {
     Ok(())
 }
 
-/// Writes one value as `<name xsi:type="…">…</name>` per SOAP encoding.
-pub(crate) fn write_value(
+/// `<ns1:{operation}{suffix} soapenv:encodingStyle=… xmlns:ns1=…>`.
+fn start_operation(
     w: &mut XmlWriter,
-    name: &str,
-    value: &Value,
-    registry: &TypeRegistry,
+    operation: &str,
+    suffix: &str,
+    namespace: &str,
 ) -> Result<(), SoapError> {
-    write_value_typed(w, name, value, registry, None)
+    w.start_with(|out| {
+        out.push_str(PREFIX_SERVICE);
+        out.push(':');
+        out.push_str(operation);
+        out.push_str(suffix);
+    })?;
+    w.attr(QN_ENCODING_STYLE, SOAP_ENC_NS)?;
+    w.namespace(PREFIX_SERVICE, namespace)?;
+    Ok(())
 }
 
-/// Writes one value. When `declared` names the element's schema type, the
-/// `xsi:type` attribute is omitted — schema-aware SOAP encoding: a reader
-/// that knows the WSDL recovers the type from the descriptor, and the
-/// paper-scale responses stay near their published byte sizes instead of
-/// being dominated by per-element type annotations.
-fn write_value_typed(
+/// Writes one value as `<name>…</name>` per SOAP encoding. When
+/// `declared` is the element's schema type the `xsi:type` attribute is
+/// omitted — schema-aware SOAP encoding: a reader that knows the WSDL
+/// recovers the type from the descriptor, and the paper-scale responses
+/// stay near their published byte sizes instead of being dominated by
+/// per-element type annotations.
+///
+/// A struct that carries its registered plan's own shape — every
+/// declared field, in order, as the service built it and the reader
+/// decodes it — is walked by declaration index: each field's XML name
+/// and kind come from the plan's slot, with no lookup by name. Any other
+/// struct is matched to its descriptor field by field name.
+fn write_value(
     w: &mut XmlWriter,
     name: &str,
     value: &Value,
     registry: &TypeRegistry,
-    declared: Option<&wsrc_model::typeinfo::FieldType>,
+    declared: Option<Kind<'_>>,
 ) -> Result<(), SoapError> {
-    use wsrc_model::typeinfo::FieldType;
     let known = declared.is_some();
+    let xsi_type = |w: &mut XmlWriter, xsd: &str| match known {
+        true => Ok(()),
+        false => w.attr(QN_XSI_TYPE, xsd).map(drop),
+    };
     w.start(name)?;
     match value {
         Value::Null => {
             w.attr(QN_XSI_NIL, "true")?;
         }
         Value::Bool(b) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_BOOLEAN)?;
-            }
+            xsi_type(w, QN_XSD_BOOLEAN)?;
             w.text(if *b { "true" } else { "false" })?;
         }
         Value::Int(i) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_INT)?;
-            }
-            w.text(i.to_string())?;
+            xsi_type(w, QN_XSD_INT)?;
+            w.text_with(|out| push_display(out, i))?;
         }
         Value::Long(l) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_LONG)?;
-            }
-            w.text(l.to_string())?;
+            xsi_type(w, QN_XSD_LONG)?;
+            w.text_with(|out| push_display(out, l))?;
         }
         Value::Double(d) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_DOUBLE)?;
-            }
-            w.text(format_double(*d))?;
+            xsi_type(w, QN_XSD_DOUBLE)?;
+            w.text_with(|out| push_double(out, *d))?;
         }
         Value::String(s) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_STRING)?;
-            }
+            xsi_type(w, QN_XSD_STRING)?;
             w.text(s.as_ref())?;
         }
         Value::Bytes(b) => {
-            if !known {
-                w.attr(QN_XSI_TYPE, QN_XSD_BASE64)?;
-            }
-            w.text(base64::encode(b))?;
+            xsi_type(w, QN_XSD_BASE64)?;
+            w.text_with(|out| base64::encode_into(b, out))?;
         }
         Value::Array(items) => {
-            let item_type = match declared {
-                Some(FieldType::ArrayOf(inner)) => Some(inner.as_ref()),
-                _ => None,
-            };
-            if item_type.is_none() {
+            let item_kind = declared.and_then(|k| k.element());
+            if item_kind.is_none() {
                 w.attr(QN_XSI_TYPE, QN_ENC_ARRAY)?;
-                w.attr(
-                    QN_ENC_ARRAY_TYPE,
-                    format!("{PREFIX_XSD}:anyType[{}]", items.len()),
-                )?;
+                w.attr_with(QN_ENC_ARRAY_TYPE, |out| {
+                    out.push_str(PREFIX_XSD);
+                    out.push_str(":anyType[");
+                    push_display(out, items.len());
+                    out.push(']');
+                })?;
             }
             for item in items.iter() {
-                write_value_typed(w, "item", item, registry, item_type)?;
+                write_value(w, "item", item, registry, item_kind)?;
             }
         }
         Value::Struct(s) => {
             if !known {
-                w.attr(QN_XSI_TYPE, format!("{PREFIX_SERVICE}:{}", s.type_name()))?;
+                w.attr_with(QN_XSI_TYPE, |out| {
+                    out.push_str(PREFIX_SERVICE);
+                    out.push(':');
+                    escape_attribute_into(s.type_name(), out);
+                })?;
             }
-            let descriptor = registry.get(s.type_name());
-            for (field_name, field_value) in s.fields() {
-                let field = descriptor.and_then(|d| d.field(field_name));
-                let xml_name = field.map(|f| &*f.xml_name).unwrap_or(field_name);
-                write_value_typed(
-                    w,
-                    xml_name,
-                    field_value,
-                    registry,
-                    field.map(|f| &f.field_type),
-                )?;
+            let plan = declared
+                .and_then(|k| k.struct_plan())
+                .filter(|p| Arc::ptr_eq(p.shape(), s.shape()))
+                .or_else(|| registry.plan(s.type_name()));
+            match plan {
+                Some(plan) if Arc::ptr_eq(plan.shape(), s.shape()) => {
+                    let fields = &plan.descriptor().fields;
+                    for (slot, ((_, field_value), field)) in s.fields().zip(fields).enumerate() {
+                        let kind = plan.field_kind(slot, registry);
+                        write_value(w, &field.xml_name, field_value, registry, kind)?;
+                    }
+                }
+                _ => {
+                    let descriptor = plan.map(StructPlan::descriptor);
+                    for (field_name, field_value) in s.fields() {
+                        let field = descriptor.and_then(|d| d.field(field_name));
+                        let xml_name = field.map_or(field_name, |f| &*f.xml_name);
+                        let kind = field.map(|f| registry.kind_of(&f.field_type));
+                        write_value(w, xml_name, field_value, registry, kind)?;
+                    }
+                }
             }
         }
     }
@@ -194,17 +211,24 @@ fn write_value_typed(
     Ok(())
 }
 
-/// Formats a double per XML Schema lexical rules (enough digits to
+/// Appends a number's `Display` form — no intermediate `String`.
+fn push_display(out: &mut String, n: impl std::fmt::Display) {
+    use std::fmt::Write;
+    write!(out, "{n}").expect("writing to a String cannot fail");
+}
+
+/// Appends a double per XML Schema lexical rules (enough digits to
 /// round-trip, `INF`/`-INF`/`NaN` spellings).
-pub(crate) fn format_double(d: f64) -> String {
+fn push_double(out: &mut String, d: f64) {
     if d.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if d == f64::INFINITY {
-        "INF".to_string()
+        out.push_str("INF");
     } else if d == f64::NEG_INFINITY {
-        "-INF".to_string()
+        out.push_str("-INF");
     } else {
-        format!("{d:?}")
+        use std::fmt::Write;
+        write!(out, "{d:?}").expect("writing to a String cannot fail");
     }
 }
 
@@ -309,9 +333,15 @@ mod tests {
 
     #[test]
     fn special_doubles_use_xsd_lexicals() {
-        assert_eq!(format_double(f64::NAN), "NaN");
-        assert_eq!(format_double(f64::INFINITY), "INF");
-        assert_eq!(format_double(f64::NEG_INFINITY), "-INF");
-        assert_eq!(format_double(0.5), "0.5");
+        for (d, lexical) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "INF"),
+            (f64::NEG_INFINITY, "-INF"),
+            (0.5, "0.5"),
+        ] {
+            let mut out = String::new();
+            push_double(&mut out, d);
+            assert_eq!(out, lexical);
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! Differential harness for the response decoder.
+//! Differential harness for the decoder, responses and requests.
 //!
 //! One reader ([`wsrc_soap::deserializer::ResponseReader`]) is driven
-//! three ways — by the parser alone (`read_response_xml`), by arena
-//! replay (`read_response_events`) and by the parser while it records
-//! (`read_response_bytes_recording`). `read_response_dom` walks a parsed
+//! by the parser alone (`read_response_xml`, and over bytes
+//! `read_response_bytes`), by arena replay (`read_response_events`) and
+//! by the parser while it records (`read_response_bytes_recording`). `read_response_dom` walks a parsed
 //! tree with `element_to_value` and shares nothing with the reader but
 //! scalar parsing, so it is the reference: on every generated envelope
 //! all four must agree on the outcome or on the error message, and the
@@ -29,6 +29,19 @@
 //!   "mixed content"), children under `xsi:nil`, `nil` and `null` on one
 //!   element.
 //!
+//! Requests go the same way: `parse_request` is the reader's fourth
+//! drive, and the reference is the tree walk it replaced — the
+//! document parsed into a tree, each parameter converted by
+//! `element_to_value` under the operation's declaration of its name.
+//! Generated calls carry scalar, struct and array parameters, `xsi:nil`,
+//! untyped parameters with `xsi:type`, and parameters that are unknown,
+//! repeated, out of order or missing; both must return the same request
+//! or the same error. Malformed requests (no `Body`, an empty one, an
+//! unknown operation, truncated XML) must fail with the same kind of
+//! error and never panic. A body that is not UTF-8 never reaches the
+//! decoder: the dispatcher answers it with 400 (`wsrc-services`'
+//! `non_utf8_bodies_are_bad_requests`).
+//!
 //! The build environment is offline (no `proptest`), so this uses the
 //! same hand-rolled xorshift generator as `proptests.rs`; failures
 //! reproduce by seed.
@@ -37,9 +50,12 @@ use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegis
 use wsrc_model::value::Value;
 use wsrc_soap::base64;
 use wsrc_soap::deserializer::{
-    read_response_bytes_recording, read_response_dom, read_response_events, read_response_xml,
+    element_to_value, parse_request, read_response_bytes, read_response_bytes_recording,
+    read_response_dom, read_response_events, read_response_xml,
 };
-use wsrc_soap::rpc::RpcOutcome;
+use wsrc_soap::envelope;
+use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
+use wsrc_soap::SoapError;
 use wsrc_xml::{Document, XmlReader};
 
 const CASES: u64 = 400;
@@ -518,6 +534,8 @@ fn decode_all_ways(
     let parsed = text(read_response_xml(xml, expected, registry));
     assert_eq!(parsed, reference, "{what}: read_response_xml\n{xml}");
     assert_few_blocks(&parsed, what);
+    let from_bytes = text(read_response_bytes(xml.as_bytes(), expected, registry));
+    assert_eq!(from_bytes, reference, "{what}: read_response_bytes\n{xml}");
     let arena = XmlReader::new(xml).read_sequence();
     if let Ok(arena) = &arena {
         let replayed = text(read_response_events(arena, expected, registry));
@@ -665,15 +683,16 @@ fn handwritten_envelopes_decode_alike() {
         assert!(err.starts_with("xml error"), "{err}");
     }
 
-    // Malformed *and* undecodable: the recording pass reports the XML
-    // error wherever it sits, as parsing the whole document before
-    // decoding any of it did; the parse-only pass stops at the first
-    // event the decoder rejects, as it always has.
+    // Malformed *and* undecodable: every pass reports the XML error
+    // wherever it sits, as parsing the whole document before decoding
+    // any of it does.
     let xml = wrap("<return><count>many</count></return>").replace("</e:Envelope>", "");
     let err = read_response_bytes_recording(xml.as_bytes(), &node, &r).unwrap_err();
     assert!(err.to_string().starts_with("xml error"), "{err}");
+    let err = read_response_bytes(xml.as_bytes(), &node, &r).unwrap_err();
+    assert!(err.to_string().starts_with("xml error"), "{err}");
     let err = read_response_xml(&xml, &node, &r).unwrap_err();
-    assert!(err.to_string().contains("invalid int value"), "{err}");
+    assert!(err.to_string().starts_with("xml error"), "{err}");
 }
 
 /// An unprefixed `type` attribute is application data: it does not
@@ -816,5 +835,227 @@ fn a_mebibyte_of_base64_decodes_alike() {
     ] {
         let err = decode_all_ways(&wrap(&damaged), &FieldType::Bytes, &r, message).unwrap_err();
         assert!(err.contains(message), "{message}: {err}");
+    }
+}
+
+/// Operations whose parameters cover every kind the registries have.
+fn operations(google: bool) -> Vec<OperationDescriptor> {
+    let param = |name: &str, ty: FieldType| FieldDescriptor::new(name, ty);
+    let op =
+        |name: &str, params| OperationDescriptor::new("urn:t", name, params, FieldType::String);
+    let mut ops = vec![
+        op(
+            "scalars",
+            vec![
+                param("key", FieldType::String),
+                param("start", FieldType::Int),
+                param("big", FieldType::Long),
+                param("ratio", FieldType::Double),
+                param("filter", FieldType::Bool),
+                param("blob", FieldType::Bytes),
+            ],
+        ),
+        op("nothing", vec![]),
+    ];
+    ops.push(match google {
+        true => op(
+            "containers",
+            vec![
+                param("result", strukt("GoogleSearchResult")),
+                param("categories", array_of(strukt("DirectoryCategory"))),
+                param("q", FieldType::String),
+            ],
+        ),
+        false => op(
+            "containers",
+            vec![
+                param("node", strukt("Node")),
+                param("grid", array_of(array_of(FieldType::Int))),
+                param("loose", strukt("Unregistered")),
+            ],
+        ),
+    });
+    ops
+}
+
+/// One call to `op`: its parameters, some missing, sometimes shuffled or
+/// repeated, now and then an undeclared one; a `Header` sometimes.
+fn request_envelope(seed: u64, registry: &TypeRegistry, op: &OperationDescriptor) -> String {
+    let mut w = Writer {
+        rng: Rng::new(seed),
+        registry,
+        out: String::new(),
+    };
+    if w.rng.one_in(3) {
+        w.out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+    }
+    w.out
+        .push_str("<soapenv:Envelope xmlns:soapenv=\"http://schemas.xmlsoap.org/soap/envelope/\">");
+    if w.rng.one_in(4) {
+        w.out
+            .push_str("<soapenv:Header><auth><token>t</token></auth></soapenv:Header>");
+    }
+    w.gap();
+    w.out.push_str("<soapenv:Body>");
+    w.gap();
+    w.out
+        .push_str(&format!("<ns1:{} xmlns:ns1=\"urn:t\">", op.name));
+    let mut order: Vec<usize> = (0..op.params.len()).filter(|_| !w.rng.one_in(12)).collect();
+    if w.rng.one_in(3) {
+        for i in (1..order.len()).rev() {
+            order.swap(i, w.rng.below(i + 1));
+        }
+    }
+    if !order.is_empty() && w.rng.one_in(5) {
+        let again = order[w.rng.below(order.len())];
+        order.insert(w.rng.below(order.len() + 1), again);
+    }
+    let unknown_at = w.rng.one_in(3).then(|| w.rng.below(order.len() + 1));
+    for i in 0..=order.len() {
+        if unknown_at == Some(i) {
+            w.untyped("extra", 2);
+        }
+        if let Some(slot) = order.get(i) {
+            let p = &op.params[*slot];
+            w.element(&p.name, Some(&p.field_type), 3);
+        }
+    }
+    w.gap();
+    w.out.push_str(&format!("</ns1:{}>", op.name));
+    w.gap();
+    w.out.push_str("</soapenv:Body></soapenv:Envelope>");
+    w.out
+}
+
+/// The tree walk `parse_request` replaced: parse the whole document,
+/// then convert each child of the call under its declared type.
+fn request_by_tree(
+    xml: &str,
+    operations: &[OperationDescriptor],
+    registry: &TypeRegistry,
+) -> Result<RpcRequest, SoapError> {
+    let doc = Document::parse(xml)?;
+    if !envelope::is_envelope(&doc.root.name) {
+        return Err(SoapError::encoding("root element is not Envelope"));
+    }
+    let body = doc
+        .root
+        .child_elements()
+        .find(|e| envelope::is_body(&e.name))
+        .ok_or_else(|| SoapError::encoding("missing Body"))?;
+    let call = body
+        .child_elements()
+        .next()
+        .ok_or_else(|| SoapError::encoding("empty Body"))?;
+    let op_name = call.name.local_part();
+    let descriptor = operations
+        .iter()
+        .find(|o| o.name == op_name)
+        .ok_or_else(|| SoapError::encoding(format!("unknown operation '{op_name}'")))?;
+    let mut request = RpcRequest::new(descriptor.namespace.clone(), descriptor.name.clone());
+    for param in call.child_elements() {
+        let name = param.name.local_part();
+        let expected = descriptor.param(name).map(|p| &p.field_type);
+        let value = element_to_value(param, expected, registry)?;
+        request.params.push((name.to_string(), value));
+    }
+    descriptor.check_request(&request)?;
+    Ok(request)
+}
+
+fn error_kind(e: &SoapError) -> &'static str {
+    match e {
+        SoapError::Xml(_) => "xml",
+        SoapError::Encoding(_) => "encoding",
+        SoapError::Fault(_) => "fault",
+        SoapError::Model(_) => "model",
+    }
+}
+
+#[test]
+fn generated_requests_decode_as_the_tree_walk_does() {
+    let (mut requests, mut errors) = (0, 0);
+    for (google, registry) in [(true, google_registry()), (false, adhoc_registry())] {
+        let ops = operations(google);
+        for seed in 0..CASES {
+            let op = &ops[seed as usize % ops.len()];
+            let xml = request_envelope(seed, &registry, op);
+            let what = format!("seed {seed} ({}, google={google})", op.name);
+            let streamed = parse_request(&xml, &ops, &registry).map_err(|e| e.to_string());
+            let walked = request_by_tree(&xml, &ops, &registry).map_err(|e| e.to_string());
+            assert_eq!(streamed, walked, "{what}\n{xml}");
+            match streamed {
+                Ok(_) => requests += 1,
+                Err(_) => errors += 1,
+            }
+        }
+    }
+    assert!(
+        requests > errors * 2,
+        "{requests} requests, {errors} errors"
+    );
+    assert!(errors > 0, "no generated request exercised an error");
+}
+
+#[test]
+fn malformed_requests_fail_alike() {
+    let registry = adhoc_registry();
+    let ops = operations(false);
+    let env = |inner: &str| {
+        format!(
+            "<e:Envelope xmlns:e=\"http://schemas.xmlsoap.org/soap/envelope/\">{inner}</e:Envelope>"
+        )
+    };
+    let valid = env(
+        "<e:Body><ns1:scalars xmlns:ns1=\"urn:t\"><key>k</key><start>1</start>\
+         <big>2</big><ratio>0.5</ratio><filter>true</filter><blob>AQID</blob>\
+         </ns1:scalars></e:Body>",
+    );
+    let mut cases = vec![
+        ("no Body".to_string(), env("")),
+        ("only a Header".into(), env("<e:Header><x/></e:Header>")),
+        ("empty Body".into(), env("<e:Body></e:Body>")),
+        ("empty Body element".into(), env("<e:Body/>")),
+        (
+            "unknown operation".into(),
+            env("<e:Body><ns1:doOther/></e:Body>"),
+        ),
+        (
+            "missing parameter".into(),
+            env("<e:Body><scalars><key>k</key></scalars></e:Body>"),
+        ),
+        ("not an envelope".into(), "<notsoap/>".into()),
+        ("garbage".into(), "<<<".into()),
+        ("empty".into(), String::new()),
+        (
+            "bad value, then truncated".into(),
+            env("<e:Body><scalars><start>many</start>").replace("</e:Envelope>", ""),
+        ),
+    ];
+    // Every prefix of a valid request is truncated XML.
+    for cut in (1..valid.len()).filter(|&i| valid.is_char_boundary(i)) {
+        cases.push((format!("truncated at {cut}"), valid[..cut].to_string()));
+    }
+    assert!(parse_request(&valid, &ops, &registry).is_ok());
+    for (what, xml) in cases {
+        let streamed = parse_request(&xml, &ops, &registry).unwrap_err();
+        let walked = request_by_tree(&xml, &ops, &registry).unwrap_err();
+        assert_eq!(
+            error_kind(&streamed),
+            error_kind(&walked),
+            "{what}: {streamed} / {walked}\n{xml}"
+        );
+    }
+    // The structural errors say what is wrong, as the tree walk did.
+    for (inner, message) in [
+        ("", "missing Body"),
+        ("<e:Body></e:Body>", "empty Body"),
+        (
+            "<e:Body><ns1:doOther/></e:Body>",
+            "unknown operation 'doOther'",
+        ),
+    ] {
+        let e = parse_request(&env(inner), &ops, &registry).unwrap_err();
+        assert_eq!(e.to_string(), format!("soap encoding error: {message}"));
     }
 }

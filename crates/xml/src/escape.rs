@@ -1,6 +1,7 @@
 //! Escaping and unescaping of XML character data and attribute values.
 
 use crate::error::XmlError;
+use crate::scan;
 use std::borrow::Cow;
 
 /// Escapes text for use as element character data.
@@ -26,33 +27,60 @@ pub fn escape_attribute(s: &str) -> Cow<'_, str> {
     escape_with(s, true)
 }
 
-fn needs_escape(c: char, attr: bool) -> bool {
-    match c {
-        '&' | '<' | '>' => true,
-        '"' | '\t' | '\n' | '\r' => attr,
-        _ => false,
+/// Appends `s` to `out` escaped as element character data — the
+/// allocation-free form of [`escape_text`] the writer uses.
+pub fn escape_text_into(s: &str, out: &mut String) {
+    escape_into(s, false, out);
+}
+
+/// Appends `s` to `out` escaped as a double-quoted attribute value — the
+/// allocation-free form of [`escape_attribute`].
+pub fn escape_attribute_into(s: &str, out: &mut String) {
+    escape_into(s, true, out);
+}
+
+/// The entity reference `b` is written as, if it needs one. Every byte
+/// that does is ASCII, so scanning bytes never splits a character.
+fn replacement(b: u8, attr: bool) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' if attr => Some("&quot;"),
+        b'\t' if attr => Some("&#9;"),
+        b'\n' if attr => Some("&#10;"),
+        b'\r' if attr => Some("&#13;"),
+        _ => None,
     }
 }
 
-fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
-    let first = match s.char_indices().find(|&(_, c)| needs_escape(c, attr)) {
-        Some((i, _)) => i,
-        None => return Cow::Borrowed(s),
-    };
-    let mut out = String::with_capacity(s.len() + 8);
-    out.push_str(&s[..first]);
-    for c in s[first..].chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if attr => out.push_str("&quot;"),
-            '\t' if attr => out.push_str("&#9;"),
-            '\n' if attr => out.push_str("&#10;"),
-            '\r' if attr => out.push_str("&#13;"),
-            other => out.push(other),
-        }
+/// Offset of the first byte of `bytes` that escapes. Character data has
+/// three such bytes, found eight at a time; attribute values are short.
+fn next_escape(bytes: &[u8], attr: bool) -> Option<usize> {
+    match attr {
+        false => scan::memchr3(b'&', b'<', b'>', bytes),
+        true => bytes.iter().position(|&b| replacement(b, true).is_some()),
     }
+}
+
+fn escape_into(s: &str, attr: bool, out: &mut String) {
+    let bytes = s.as_bytes();
+    let mut copied = 0;
+    while let Some(offset) = next_escape(&bytes[copied..], attr) {
+        let at = copied + offset;
+        out.push_str(&s[copied..at]);
+        out.push_str(replacement(bytes[at], attr).unwrap_or_default());
+        copied = at + 1;
+    }
+    out.push_str(&s[copied..]);
+}
+
+fn escape_with(s: &str, attr: bool) -> Cow<'_, str> {
+    if next_escape(s.as_bytes(), attr).is_none() {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len() + 8);
+    escape_into(s, attr, &mut out);
     Cow::Owned(out)
 }
 

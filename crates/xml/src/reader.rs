@@ -8,10 +8,12 @@
 //! of the input. Only content containing entity references takes the
 //! slow path, which unescapes into a scratch buffer reused across runs;
 //! names are validated, hashed and interned in one byte scan. Three
-//! whole-document entry points share that scanner behind three sinks:
+//! whole-document entry points share that scanner behind two sinks:
 //! [`read_sequence`](XmlReader::read_sequence) records an arena,
 //! [`parse_into`](XmlReader::parse_into) feeds a handler, and
-//! [`read_sequence_into`](XmlReader::read_sequence_into) does both.
+//! [`read_sequence_into`](XmlReader::read_sequence_into) does both; a
+//! handler's rejection never stops the scan, so an XML error anywhere
+//! in a document is what every entry point reports first.
 //!
 //! Supported: elements, attributes (single- or double-quoted), character
 //! data, CDATA sections, comments, processing instructions, the XML
@@ -160,24 +162,38 @@ trait EventSink {
     /// Sink-side error; parse errors convert into it via `From`.
     type Error: From<XmlError>;
 
-    fn start_document(&mut self) -> Result<(), Self::Error>;
-    fn end_document(&mut self) -> Result<(), Self::Error>;
+    fn start_document(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn end_document(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
     /// `names[name as usize]` is the element name; `attrs` are span
     /// records over `input` (escape-free values) or `scratch` (entity
     /// values). A sink may drain `attrs`; the scanner clears it at the
     /// next start tag either way.
     fn start_element(
         &mut self,
-        name: u32,
-        names: &[QName],
-        attrs: &mut Vec<AttrRecord>,
-        input: &str,
-        scratch: &str,
-    ) -> Result<(), Self::Error>;
-    fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), Self::Error>;
-    fn characters(&mut self, text: &str) -> Result<(), Self::Error>;
-    fn comment(&mut self, text: &str) -> Result<(), Self::Error>;
-    fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), Self::Error>;
+        _name: u32,
+        _names: &[QName],
+        _attrs: &mut Vec<AttrRecord>,
+        _input: &str,
+        _scratch: &str,
+    ) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn end_element(&mut self, _name: u32, _names: &[QName]) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn characters(&mut self, _text: &str) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn comment(&mut self, _text: &str) -> Result<(), Self::Error> {
+        Ok(())
+    }
+    fn processing_instruction(&mut self, _target: &str, _data: &str) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// Records events into an arena [`SaxEventSequence`] — the miss-path
@@ -229,73 +245,27 @@ impl EventSink for RecordSink<'_> {
     }
 }
 
-/// Adapts a [`ContentHandler`] to the sink interface: ids resolve to
-/// `&QName` through the document name table, attributes become the
-/// borrowed [`Attributes`] view.
-struct HandlerSink<'s, H> {
-    handler: &'s mut H,
+/// Records nothing: what [`XmlReader::parse_into`] tees the handler
+/// with, so the scan still checks every byte after a rejection.
+impl EventSink for () {
+    type Error = XmlError;
 }
 
-impl<H: ContentHandler> EventSink for HandlerSink<'_, H> {
-    type Error = ParseIntoError<H::Error>;
-
-    fn start_document(&mut self) -> Result<(), Self::Error> {
-        self.handler
-            .start_document()
-            .map_err(ParseIntoError::Handler)
-    }
-    fn end_document(&mut self) -> Result<(), Self::Error> {
-        self.handler.end_document().map_err(ParseIntoError::Handler)
-    }
-    fn start_element(
-        &mut self,
-        name: u32,
-        names: &[QName],
-        attrs: &mut Vec<AttrRecord>,
-        input: &str,
-        scratch: &str,
-    ) -> Result<(), Self::Error> {
-        self.handler
-            .start_element(
-                &names[name as usize],
-                Attributes::from_records(attrs, names, input, scratch),
-            )
-            .map_err(ParseIntoError::Handler)
-    }
-    fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), Self::Error> {
-        self.handler
-            .end_element(&names[name as usize])
-            .map_err(ParseIntoError::Handler)
-    }
-    fn characters(&mut self, text: &str) -> Result<(), Self::Error> {
-        self.handler
-            .characters(text)
-            .map_err(ParseIntoError::Handler)
-    }
-    fn comment(&mut self, text: &str) -> Result<(), Self::Error> {
-        self.handler.comment(text).map_err(ParseIntoError::Handler)
-    }
-    fn processing_instruction(&mut self, target: &str, data: &str) -> Result<(), Self::Error> {
-        self.handler
-            .processing_instruction(target, data)
-            .map_err(ParseIntoError::Handler)
-    }
-}
-
-/// Records into the arena and feeds a [`ContentHandler`] from the same
-/// scan — the sink behind [`XmlReader::read_sequence_into`]. The handler
-/// sees each event first (its attribute view borrows the records the
-/// recorder then drains). A handler error does not stop the scan: it is
-/// held while the rest of the document is checked, so a document that is
-/// both malformed and unacceptable to the handler reports the parse
-/// error — the answer a parse followed by a replay gives.
-struct TeeSink<'s, H: ContentHandler> {
-    record: RecordSink<'s>,
+/// Feeds a [`ContentHandler`] and a recorder (the arena's, or `()`)
+/// from the same scan — the sink behind [`XmlReader::read_sequence_into`]
+/// and [`XmlReader::parse_into`]. The handler sees each event first
+/// (its attribute view borrows the records the recorder then drains). A
+/// handler error does not stop the scan: it is held while the rest of
+/// the document is checked, so a document that is both malformed and
+/// unacceptable to the handler reports the parse error — the answer a
+/// parse followed by a replay gives.
+struct TeeSink<'s, H: ContentHandler, R> {
+    record: R,
     handler: &'s mut H,
     rejected: Option<H::Error>,
 }
 
-impl<H: ContentHandler> TeeSink<'_, H> {
+impl<H: ContentHandler, R> TeeSink<'_, H, R> {
     fn feed(&mut self, event: impl FnOnce(&mut H) -> Result<(), H::Error>) {
         if self.rejected.is_none() {
             self.rejected = event(self.handler).err();
@@ -303,7 +273,7 @@ impl<H: ContentHandler> TeeSink<'_, H> {
     }
 }
 
-impl<H: ContentHandler> EventSink for TeeSink<'_, H> {
+impl<H: ContentHandler, R: EventSink<Error = XmlError>> EventSink for TeeSink<'_, H, R> {
     type Error = XmlError;
 
     fn start_document(&mut self) -> Result<(), XmlError> {
@@ -377,7 +347,6 @@ pub struct XmlReader<'x> {
     /// name spans for the end-tag byte-compare fast path.
     open_elements: Vec<OpenTag>,
     seen_root: bool,
-    pending_end: bool,
     /// Names seen so far: repeated element/attribute names in one
     /// document come back as pointer bumps, hashed once.
     symbols: SymbolTable,
@@ -419,7 +388,6 @@ impl<'x> XmlReader<'x> {
             // each instead of a doubling ladder mid-parse.
             open_elements: Vec::with_capacity(16),
             seen_root: false,
-            pending_end: false,
             symbols: SymbolTable::new(),
             name_cache: take_name_cache(),
             doc_names: Vec::with_capacity(32),
@@ -506,37 +474,38 @@ impl<'x> XmlReader<'x> {
         Ok(sequence)
     }
 
-    /// Parses the document, pushing events into `handler`. Callbacks
-    /// receive payloads borrowed from the input (or the entity scratch)
-    /// — nothing owned is materialized.
+    /// Parses the document, pushing events into `handler` until it
+    /// rejects one. Callbacks receive payloads borrowed from the input
+    /// (or the entity scratch) — nothing owned is materialized. The scan
+    /// goes on after a rejection, so an XML error anywhere in the
+    /// document takes precedence over the handler's — what parsing to a
+    /// tree and then walking it reports — at no cost to a document the
+    /// handler accepts.
     ///
     /// # Errors
     ///
-    /// Returns `Parse` for XML problems and `Handler` when the handler
-    /// rejects an event.
+    /// `Parse` for XML problems anywhere in the document; otherwise
+    /// `Handler` with the first event the handler rejected.
     pub fn parse_into<H: ContentHandler>(
         mut self,
         handler: &mut H,
     ) -> Result<(), ParseIntoError<H::Error>> {
-        let mut sink = HandlerSink { handler };
+        let mut sink = TeeSink {
+            record: (),
+            handler,
+            rejected: None,
+        };
         while self.advance_into(&mut sink)? {}
-        Ok(())
+        match sink.rejected {
+            Some(e) => Err(ParseIntoError::Handler(e)),
+            None => Ok(()),
+        }
     }
 
-    /// Scans to the next event and delivers it to `sink`. Returns
-    /// `Ok(true)` while events keep coming, `Ok(false)` once
-    /// `EndDocument` has been delivered.
+    /// Scans to the next piece of content and delivers its events to
+    /// `sink` (two for `<empty/>`). Returns `Ok(true)` while events keep
+    /// coming, `Ok(false)` once `EndDocument` has been delivered.
     fn advance_into<S: EventSink>(&mut self, sink: &mut S) -> Result<bool, S::Error> {
-        // Synthesized end-element for `<empty/>` takes priority.
-        if self.pending_end {
-            self.pending_end = false;
-            let open = self
-                .open_elements
-                .pop()
-                .expect("pending end implies an open element");
-            sink.end_element(open.id, &self.doc_names)?;
-            return Ok(true);
-        }
         match self.state {
             State::Start => {
                 self.state = State::InDocument;
@@ -830,14 +799,9 @@ impl<'x> XmlReader<'x> {
                             .into());
                     }
                     self.note_root()?;
-                    // Deliver the start event now and synthesize the end
-                    // event on the next advance via the pending flag.
+                    // `<empty/>` is its start and end event, delivered in
+                    // this one step; it never joins the open elements.
                     self.pos = i + 2;
-                    self.open_elements.push(OpenTag {
-                        id: name,
-                        span: name_span,
-                    });
-                    self.pending_end = true;
                     sink.start_element(
                         name,
                         &self.doc_names,
@@ -845,6 +809,7 @@ impl<'x> XmlReader<'x> {
                         input,
                         &self.attr_scratch,
                     )?;
+                    sink.end_element(name, &self.doc_names)?;
                     return Ok(());
                 }
                 _ => {

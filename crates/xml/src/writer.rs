@@ -1,7 +1,7 @@
 //! A streaming XML writer with automatic escaping.
 
 use crate::error::XmlError;
-use crate::escape::{escape_attribute, escape_text};
+use crate::escape::{escape_attribute_into, escape_text_into};
 use crate::event::SaxEventRef;
 
 /// Builds an XML document into an in-memory `String`.
@@ -9,6 +9,13 @@ use crate::event::SaxEventRef;
 /// Elements are opened with [`start`](XmlWriter::start) (attributes may be
 /// added until content is written) and closed with [`end`](XmlWriter::end).
 /// The writer tracks the open-element stack and refuses misuse.
+///
+/// Everything is written straight into the output: the names of the
+/// open elements sit end to end in one buffer, text and attribute values
+/// are escaped in place, and the `_with` forms let a caller format a
+/// name, a number or base64 directly into the document. Building a
+/// document allocates nothing but the output's and those two buffers'
+/// growth.
 ///
 /// ```
 /// use wsrc_xml::XmlWriter;
@@ -26,14 +33,24 @@ use crate::event::SaxEventRef;
 #[derive(Debug, Default)]
 pub struct XmlWriter {
     out: String,
-    open: Vec<String>,
+    /// The names of the open elements, outermost first, end to end.
+    names: String,
+    open: Vec<Open>,
     tag_open: bool,
     root_closed: bool,
     declaration: bool,
     indent: Option<usize>,
-    // true when the current open element has child elements (pretty mode)
-    had_children: Vec<bool>,
-    had_text: Vec<bool>,
+}
+
+/// One open element.
+#[derive(Debug, Clone, Copy)]
+struct Open {
+    /// Where its name starts in [`XmlWriter::names`].
+    name_start: usize,
+    /// It has child elements (pretty mode).
+    children: bool,
+    /// It has character data.
+    text: bool,
 }
 
 impl XmlWriter {
@@ -90,6 +107,16 @@ impl XmlWriter {
     ///
     /// Fails if the document's root element was already closed.
     pub fn start(&mut self, name: impl AsRef<str>) -> Result<&mut Self, XmlError> {
+        self.start_with(|out| out.push_str(name.as_ref()))
+    }
+
+    /// Opens an element whose name `write` appends to the output — a
+    /// prefixed name from its parts, say, with nothing formatted first.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`start`](XmlWriter::start).
+    pub fn start_with(&mut self, write: impl FnOnce(&mut String)) -> Result<&mut Self, XmlError> {
         if self.root_closed {
             return Err(XmlError::new(
                 "cannot start an element after the root was closed",
@@ -97,19 +124,26 @@ impl XmlWriter {
         }
         self.write_declaration_if_needed();
         self.close_pending_tag();
-        if let Some(last) = self.had_children.last_mut() {
-            *last = true;
-        }
-        let depth = self.open.len();
-        let suppress_indent = self.had_text.last().copied().unwrap_or(false);
+        let suppress_indent = match self.open.last_mut() {
+            Some(parent) => {
+                parent.children = true;
+                parent.text
+            }
+            None => false,
+        };
         if !suppress_indent {
-            self.newline_and_indent(depth);
+            self.newline_and_indent(self.open.len());
         }
         self.out.push('<');
-        self.out.push_str(name.as_ref());
-        self.open.push(name.as_ref().to_string());
-        self.had_children.push(false);
-        self.had_text.push(false);
+        let at = self.out.len();
+        write(&mut self.out);
+        let name_start = self.names.len();
+        self.names.push_str(&self.out[at..]);
+        self.open.push(Open {
+            name_start,
+            children: false,
+            text: false,
+        });
         self.tag_open = true;
         Ok(self)
     }
@@ -125,18 +159,24 @@ impl XmlWriter {
         name: impl AsRef<str>,
         value: impl AsRef<str>,
     ) -> Result<&mut Self, XmlError> {
-        if !self.tag_open {
-            return Err(XmlError::new(format!(
-                "attribute '{}' written after element content",
-                name.as_ref()
-            )));
-        }
-        self.out.push(' ');
-        self.out.push_str(name.as_ref());
-        self.out.push_str("=\"");
-        self.out.push_str(&escape_attribute(value.as_ref()));
-        self.out.push('"');
-        Ok(self)
+        self.attr_with(name.as_ref(), |out| {
+            escape_attribute_into(value.as_ref(), out)
+        })
+    }
+
+    /// Adds an attribute whose value `write` appends to the output. What
+    /// it appends goes in as written: it must need no escaping (a
+    /// number, a name) or be escaped already.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`attr`](XmlWriter::attr).
+    pub fn attr_with(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&mut String),
+    ) -> Result<&mut Self, XmlError> {
+        self.attribute([name, ""], write)
     }
 
     /// Declares a namespace on the open element: `xmlns:prefix="uri"`, or
@@ -146,11 +186,32 @@ impl XmlWriter {
     ///
     /// Same conditions as [`attr`](XmlWriter::attr).
     pub fn namespace(&mut self, prefix: &str, uri: &str) -> Result<&mut Self, XmlError> {
-        if prefix.is_empty() {
-            self.attr("xmlns", uri)
-        } else {
-            self.attr(format!("xmlns:{prefix}"), uri)
+        let name = match prefix.is_empty() {
+            true => ["xmlns", ""],
+            false => ["xmlns:", prefix],
+        };
+        self.attribute(name, |out| escape_attribute_into(uri, out))
+    }
+
+    /// Writes ` name="…"`, the name given in two parts.
+    fn attribute(
+        &mut self,
+        name: [&str; 2],
+        write: impl FnOnce(&mut String),
+    ) -> Result<&mut Self, XmlError> {
+        if !self.tag_open {
+            let [a, b] = name;
+            return Err(XmlError::new(format!(
+                "attribute '{a}{b}' written after element content"
+            )));
         }
+        self.out.push(' ');
+        self.out.push_str(name[0]);
+        self.out.push_str(name[1]);
+        self.out.push_str("=\"");
+        write(&mut self.out);
+        self.out.push('"');
+        Ok(self)
     }
 
     /// Writes escaped character data inside the current element.
@@ -159,14 +220,22 @@ impl XmlWriter {
     ///
     /// Fails when no element is open.
     pub fn text(&mut self, text: impl AsRef<str>) -> Result<&mut Self, XmlError> {
-        if self.open.is_empty() {
+        self.text_with(|out| escape_text_into(text.as_ref(), out))
+    }
+
+    /// Writes character data that `write` appends to the output as it
+    /// stands: digits, base64, or text it escaped itself.
+    ///
+    /// # Errors
+    ///
+    /// Fails when no element is open.
+    pub fn text_with(&mut self, write: impl FnOnce(&mut String)) -> Result<&mut Self, XmlError> {
+        let Some(open) = self.open.last_mut() else {
             return Err(XmlError::new("text outside the root element"));
-        }
+        };
+        open.text = true;
         self.close_pending_tag();
-        if let Some(t) = self.had_text.last_mut() {
-            *t = true;
-        }
-        self.out.push_str(&escape_text(text.as_ref()));
+        write(&mut self.out);
         Ok(self)
     }
 
@@ -177,15 +246,7 @@ impl XmlWriter {
     ///
     /// Fails when no element is open.
     pub fn raw(&mut self, markup: impl AsRef<str>) -> Result<&mut Self, XmlError> {
-        if self.open.is_empty() {
-            return Err(XmlError::new("raw markup outside the root element"));
-        }
-        self.close_pending_tag();
-        if let Some(t) = self.had_text.last_mut() {
-            *t = true;
-        }
-        self.out.push_str(markup.as_ref());
-        Ok(self)
+        self.text_with(|out| out.push_str(markup.as_ref()))
     }
 
     /// Writes a comment.
@@ -211,23 +272,22 @@ impl XmlWriter {
     ///
     /// Fails when no element is open.
     pub fn end(&mut self) -> Result<&mut Self, XmlError> {
-        let name = self
+        let open = self
             .open
             .pop()
             .ok_or_else(|| XmlError::new("end() with no open element"))?;
-        let had_children = self.had_children.pop().unwrap_or(false);
-        let had_text = self.had_text.pop().unwrap_or(false);
         if self.tag_open {
             self.out.push_str("/>");
             self.tag_open = false;
         } else {
-            if had_children && !had_text {
+            if open.children && !open.text {
                 self.newline_and_indent(self.open.len());
             }
             self.out.push_str("</");
-            self.out.push_str(&name);
+            self.out.push_str(&self.names[open.name_start..]);
             self.out.push('>');
         }
+        self.names.truncate(open.name_start);
         if self.open.is_empty() {
             self.root_closed = true;
         }
@@ -257,7 +317,8 @@ impl XmlWriter {
     pub fn finish(self) -> Result<String, XmlError> {
         if let Some(open) = self.open.last() {
             return Err(XmlError::new(format!(
-                "finish() while <{open}> is still open"
+                "finish() while <{}> is still open",
+                &self.names[open.name_start..]
             )));
         }
         if !self.root_closed {

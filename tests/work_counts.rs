@@ -139,34 +139,34 @@ const EXPECTED: [[[Work; 2]; 5]; 4] = [
     // xml-message
     [
         [w(4, 3, 1, 86, 0), w(6, 3, 4, 103, 0)], // Hit
-        [w(10, 7, 2, 748, 610), w(12, 7, 5, 766, 610)], // Miss
-        [w(8, 5, 2, 131, 1), w(10, 5, 5, 147, 1)], // Revalidated
-        [w(10, 7, 2, 745, 610), w(12, 7, 5, 763, 610)], // Refused
-        [w(4, 3, 0, 732, 610), w(6, 3, 3, 745, 610)], // Uncacheable
+        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Miss
+        [w(8, 5, 2, 108, 1), w(10, 5, 5, 124, 1)], // Revalidated
+        [w(10, 7, 2, 205, 96), w(12, 7, 5, 223, 96)], // Refused
+        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
     ],
     // sax-events
     [
         [w(4, 3, 1, 66, 0), w(6, 3, 4, 82, 0)], // Hit
-        [w(10, 7, 2, 748, 610), w(12, 7, 5, 766, 610)], // Miss
-        [w(8, 5, 2, 111, 1), w(10, 5, 5, 127, 1)], // Revalidated
-        [w(10, 7, 2, 745, 610), w(12, 7, 5, 763, 610)], // Refused
-        [w(4, 3, 0, 732, 610), w(6, 3, 3, 745, 610)], // Uncacheable
+        [w(10, 7, 2, 211, 96), w(12, 7, 5, 229, 96)], // Miss
+        [w(8, 5, 2, 88, 1), w(10, 5, 5, 104, 1)], // Revalidated
+        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Refused
+        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
     ],
     // serialization
     [
         [w(4, 3, 1, 104, 0), w(6, 3, 4, 120, 0)], // Hit
-        [w(10, 7, 2, 764, 610), w(12, 7, 5, 782, 610)], // Miss
-        [w(8, 5, 2, 149, 1), w(10, 5, 5, 165, 1)], // Revalidated
-        [w(10, 7, 2, 761, 610), w(12, 7, 5, 779, 610)], // Refused
-        [w(4, 3, 0, 732, 610), w(6, 3, 3, 745, 610)], // Uncacheable
+        [w(10, 7, 2, 224, 96), w(12, 7, 5, 242, 96)], // Miss
+        [w(8, 5, 2, 126, 1), w(10, 5, 5, 142, 1)], // Revalidated
+        [w(10, 7, 2, 221, 96), w(12, 7, 5, 239, 96)], // Refused
+        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
     ],
     // pass-by-reference
     [
         [w(4, 3, 1, 34, 0), w(6, 3, 4, 50, 0)], // Hit
-        [w(10, 7, 2, 748, 610), w(12, 7, 5, 766, 610)], // Miss
-        [w(8, 5, 2, 79, 1), w(10, 5, 5, 95, 1)], // Revalidated
-        [w(10, 7, 2, 745, 610), w(12, 7, 5, 763, 610)], // Refused
-        [w(4, 3, 0, 732, 610), w(6, 3, 3, 745, 610)], // Uncacheable
+        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Miss
+        [w(8, 5, 2, 56, 1), w(10, 5, 5, 72, 1)], // Revalidated
+        [w(10, 7, 2, 205, 96), w(12, 7, 5, 223, 96)], // Refused
+        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
     ],
 ];
 
