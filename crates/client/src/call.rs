@@ -2,13 +2,13 @@
 
 use crate::error::ClientError;
 use std::sync::Arc;
-use wsrc_http::{Request, Transport, Url};
+use wsrc_http::{Body, Request, Transport, Url};
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 use wsrc_obs::{MetricsRegistry, Stage, Timing};
 use wsrc_soap::deserializer::{read_response_bytes, read_response_bytes_recording};
 use wsrc_soap::rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
-use wsrc_soap::serializer::serialize_request;
+use wsrc_soap::serializer::serialize_request_as;
 use wsrc_xml::event::SaxEventSequence;
 
 /// The miss path's three stages — span name, span stage and `stage`
@@ -167,13 +167,15 @@ impl Call {
             .map_err(ClientError::Soap)?;
         let [serialize, transport, deserialize] = &self.stages;
         let timing = serialize.start(None);
-        let request_xml = serialize_request(request, &self.registry);
-        let serialized = end(timing, &request_xml);
-        let request_xml = request_xml.map_err(ClientError::Soap)?;
+        // The envelope is written in the thread's scratch and becomes
+        // the request body in one allocation of its size.
+        let body = serialize_request_as(request, &self.registry, |xml| Body::from(xml));
+        let serialized = end(timing, &body);
+        let body = body.map_err(ClientError::Soap)?;
         let mut http_request = Request::post(
             self.endpoint.path(),
             wsrc_soap::envelope::CONTENT_TYPE,
-            request_xml,
+            body,
         )
         .with_header("SOAPAction", format!("\"{}\"", descriptor.soap_action));
         if let Some(ims) = if_modified_since {

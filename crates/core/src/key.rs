@@ -110,8 +110,13 @@ pub fn generate_key(
             push_delimited(&mut bytes, request.operation.as_bytes());
             for (name, value) in &request.params {
                 push_delimited(&mut bytes, name.as_bytes());
-                let ser = binser::serialize_checked(value, registry)?;
-                push_delimited(&mut bytes, &ser);
+                // The value is serialized in place behind its length,
+                // which is filled in after.
+                let at = bytes.len();
+                bytes.extend_from_slice(&[0; 4]);
+                binser::serialize_checked_into(value, registry, &mut bytes)?;
+                let len = (bytes.len() - at - 4) as u32;
+                bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
             }
             Ok(CacheKey::Binary(bytes))
         }

@@ -309,13 +309,17 @@ impl HttpClient {
         request: &Request,
         traceparent: Option<&str>,
     ) -> Result<(Response, Option<TcpStream>), HttpError> {
-        {
-            let mut writer = BufWriter::new(stream.try_clone()?);
-            let extra = traceparent.map(|value| (wsrc_obs::TRACEPARENT_HEADER, value));
-            request.write_to_target(&mut writer, &url.authority(), url.path(), extra.as_slice())?;
-        }
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let response = Response::read_from(&mut reader)?;
+        // Both directions go through `&TcpStream` (std's `Read`/`Write`
+        // for a shared reference): no duplicated descriptor per request.
+        // `write_to_target` flushes the writer before it returns.
+        let extra = traceparent.map(|value| (wsrc_obs::TRACEPARENT_HEADER, value));
+        request.write_to_target(
+            &mut BufWriter::new(&stream),
+            &url.authority(),
+            url.path(),
+            extra.as_slice(),
+        )?;
+        let response = Response::read_from(&mut BufReader::new(&stream))?;
         let keep_alive = !response
             .headers
             .get("Connection")

@@ -48,15 +48,23 @@ const TAG_STRING_REF: u8 = 10;
 /// [`serialize_checked`] to enforce the Java `Serializable` capability
 /// the way the paper's middleware does.
 pub fn serialize(value: &Value) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    serialize_into(value, &mut out);
+    out
+}
+
+/// [`serialize`], appending the binary form to `out` — how a cache key
+/// made of several values is written into one buffer.
+pub fn serialize_into(value: &Value, out: &mut Vec<u8>) {
     let mut w = Writer {
-        out: Vec::with_capacity(64),
+        out: std::mem::take(out),
         descriptors: HashMap::new(),
         strings: HashMap::new(),
     };
     w.out.extend_from_slice(MAGIC);
     w.out.push(VERSION);
     w.write_value(value);
-    w.out
+    *out = w.out;
 }
 
 /// Serializes, first verifying that every struct type in the tree declares
@@ -70,6 +78,22 @@ pub fn serialize(value: &Value) -> Vec<u8> {
 pub fn serialize_checked(value: &Value, registry: &TypeRegistry) -> Result<Vec<u8>, ModelError> {
     check_serializable(value, None, registry)?;
     Ok(serialize(value))
+}
+
+/// [`serialize_checked`], appending to `out` as [`serialize_into`] does;
+/// `out` is untouched when the check fails.
+///
+/// # Errors
+///
+/// Same conditions as [`serialize_checked`].
+pub fn serialize_checked_into(
+    value: &Value,
+    registry: &TypeRegistry,
+    out: &mut Vec<u8>,
+) -> Result<(), ModelError> {
+    check_serializable(value, None, registry)?;
+    serialize_into(value, out);
+    Ok(())
 }
 
 /// `declared` is the plan the parent's descriptor predicts for struct

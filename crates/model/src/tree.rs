@@ -65,7 +65,11 @@ impl Pending {
 ///
 /// The root is whatever is added while no container is open — one leaf,
 /// or one [`open`](TreeBuilder::open) … `close_*` pair.
-#[derive(Debug, Default)]
+///
+/// The text and the levels are the thread's scratch: a builder starts
+/// in the buffers the last one on its thread grew (up to 8 KiB of text
+/// and 8 KiB of nodes), so what a tree allocates is its frozen blocks.
+#[derive(Debug)]
 pub struct TreeBuilder {
     text: String,
     /// `levels[d]` holds the children of the containers at depth `d - 1`;
@@ -78,10 +82,89 @@ pub struct TreeBuilder {
     overflow: bool,
 }
 
+/// Text or nodes over this many bytes are not kept for the thread's
+/// next builder.
+const SCRATCH_CAP: usize = 8 << 10;
+/// Levels kept for the thread's next builder: deeper than any SOAP
+/// message this crate's services exchange.
+const LEVELS_KEPT: usize = 16;
+
+thread_local! {
+    /// The buffers of the last builder to finish on this thread; a
+    /// builder that starts while another is open takes new ones.
+    static SCRATCH: std::cell::Cell<Option<TreeScratch>> = const { std::cell::Cell::new(None) };
+}
+
+/// The buffers a [`TreeBuilder`] works in, empty between trees.
+#[derive(Debug, Default)]
+struct TreeScratch {
+    text: String,
+    levels: Vec<Vec<Pending>>,
+    open: Vec<usize>,
+}
+
+impl TreeScratch {
+    /// Empties the buffers and keeps them for the thread's next builder,
+    /// less whatever outgrew the cap, unless a nested builder's, back
+    /// first, have more room.
+    fn give_back(mut self) {
+        self.text.clear();
+        if self.text.capacity() > SCRATCH_CAP {
+            self.text = String::new();
+        }
+        self.open.clear();
+        if self.open.capacity() * std::mem::size_of::<usize>() > SCRATCH_CAP {
+            self.open = Vec::new();
+        }
+        self.levels.truncate(LEVELS_KEPT);
+        self.levels.shrink_to(LEVELS_KEPT);
+        let mut kept = 0;
+        for level in &mut self.levels {
+            level.clear();
+            let bytes = level.capacity() * std::mem::size_of::<Pending>();
+            match kept + bytes <= SCRATCH_CAP {
+                true => kept += bytes,
+                false => *level = Vec::new(),
+            }
+        }
+        SCRATCH.with(|slot| {
+            let keep = match slot.take() {
+                Some(kept) if kept.text.capacity() > self.text.capacity() => kept,
+                _ => self,
+            };
+            slot.set(Some(keep));
+        });
+    }
+}
+
+impl Default for TreeBuilder {
+    fn default() -> Self {
+        TreeBuilder::new()
+    }
+}
+
+impl Drop for TreeBuilder {
+    fn drop(&mut self) {
+        TreeScratch {
+            text: std::mem::take(&mut self.text),
+            levels: std::mem::take(&mut self.levels),
+            open: std::mem::take(&mut self.open),
+        }
+        .give_back();
+    }
+}
+
 impl TreeBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        TreeBuilder::default()
+        let TreeScratch { text, levels, open } =
+            SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
+        TreeBuilder {
+            text,
+            levels,
+            open,
+            overflow: false,
+        }
     }
 
     /// Length of the text gathered so far — the start of whatever is
@@ -230,7 +313,7 @@ impl TreeBuilder {
     /// # Panics
     ///
     /// When a container is still open.
-    pub fn finish(self) -> Result<Value, ModelError> {
+    pub fn finish(mut self) -> Result<Value, ModelError> {
         assert!(self.open.is_empty(), "every container is closed");
         if self.overflow {
             return Err(ModelError::TooLarge);
@@ -240,18 +323,17 @@ impl TreeBuilder {
         }
         let text: Arc<str> = match self.text.is_empty() {
             true => Arc::default(),
-            false => Arc::from(self.text),
+            false => Arc::from(self.text.as_str()),
         };
-        let mut levels = self.levels.into_iter();
-        let mut root = levels.next().unwrap_or_default();
         let mut below: Arc<[Value]> = Arc::default();
-        for level in levels.rev() {
+        for level in self.levels.iter_mut().skip(1).rev() {
             below = match level.is_empty() {
                 true => Arc::default(),
-                false => level.into_iter().map(|n| n.bind(&text, &below)).collect(),
+                false => level.drain(..).map(|n| n.bind(&text, &below)).collect(),
             };
         }
-        Ok(root.pop().map_or(Value::Null, |n| n.bind(&text, &below)))
+        let root = self.levels.first_mut().and_then(Vec::pop);
+        Ok(root.map_or(Value::Null, |n| n.bind(&text, &below)))
     }
 
     fn add(&mut self, node: Pending) {

@@ -6,12 +6,12 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 use wsrc_http::cache_control::{not_modified_since, stamp_validators};
-use wsrc_http::{Handler, Method, Request, Response, Status};
+use wsrc_http::{Body, Handler, Method, Request, Response, Status};
 use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 use wsrc_soap::deserializer::parse_request;
 use wsrc_soap::rpc::{OperationDescriptor, RpcRequest};
-use wsrc_soap::serializer::{serialize_fault, serialize_response};
+use wsrc_soap::serializer::{serialize_fault_as, serialize_response_as};
 use wsrc_soap::{SoapError, SoapFault};
 
 /// A SOAP service implementation.
@@ -140,16 +140,18 @@ impl SoapDispatcher {
             .expect("parse_request only accepts known operations");
         match route.service.call(&rpc) {
             Ok(value) => {
-                match serialize_response(
+                // Written in the thread's scratch, the envelope becomes
+                // the response body in one allocation of its size.
+                match serialize_response_as(
                     route.service.namespace(),
                     &descriptor.name,
                     &descriptor.return_name,
                     &value,
                     &route.registry,
+                    |xml| Body::from(xml),
                 ) {
-                    Ok(xml) => {
-                        let resp =
-                            Response::ok(wsrc_soap::envelope::CONTENT_TYPE, xml.into_bytes());
+                    Ok(body) => {
+                        let resp = Response::ok(wsrc_soap::envelope::CONTENT_TYPE, body);
                         match validator {
                             Some((last_modified, max_age)) => {
                                 stamp_validators(resp, last_modified, Some(max_age))
@@ -184,11 +186,12 @@ fn client_fault(e: SoapError) -> SoapFault {
 }
 
 fn fault_response(fault: &SoapFault) -> Response {
-    let xml = serialize_fault(fault).unwrap_or_else(|_| String::from("<fault/>"));
+    let body =
+        serialize_fault_as(fault, |xml| Body::from(xml)).unwrap_or_else(|_| Body::from("<fault/>"));
     Response::new(
         Status::INTERNAL_SERVER_ERROR,
         wsrc_soap::envelope::CONTENT_TYPE,
-        xml.into_bytes(),
+        body,
     )
 }
 
@@ -248,6 +251,32 @@ mod tests {
             .body_text()
             .expect("soap bodies are utf-8")
             .contains(">5</return>"));
+    }
+
+    /// A fault quotes at most 64 characters of what it was sent: a
+    /// request with a 1 MiB `<start>`, or a 1 MiB element name, gets a
+    /// fault of a few hundred bytes, not of a megabyte.
+    #[test]
+    fn faults_quote_bounded_input() {
+        let d = SoapDispatcher::new().mount(
+            crate::google::PATH,
+            Arc::new(crate::google::GoogleService::new()),
+        );
+        let huge = "9".repeat(1 << 20);
+        let search = RpcRequest::new(crate::google::NAMESPACE, "doGoogleSearch")
+            .with_param("key", "k")
+            .with_param("q", "q")
+            .with_param("start", huge.as_str());
+        let bad_int = serialize_request(&search, &TypeRegistry::new()).unwrap();
+        let long_name = format!("<{huge}></x>");
+        for (xml, says) in [(bad_int, "invalid int value"), (long_name, "xml error")] {
+            let resp = d.handle(&soap_post(crate::google::PATH, xml));
+            assert_eq!(resp.status, Status::INTERNAL_SERVER_ERROR);
+            let body = resp.body_text().expect("soap bodies are utf-8");
+            assert!(body.contains(says), "{body}");
+            assert!(body.contains("99…"), "{body}");
+            assert!(body.len() < 1024, "a fault of {} bytes", body.len());
+        }
     }
 
     #[test]

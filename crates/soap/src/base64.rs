@@ -53,24 +53,48 @@ pub fn encode(data: &[u8]) -> String {
     out
 }
 
+/// Two characters per 12 bits: the encoder turns six bytes into eight
+/// characters with four loads.
+const PAIRS: [[u8; 2]; 4096] = {
+    let mut table = [[0u8; 2]; 4096];
+    let mut i = 0;
+    while i < 4096 {
+        table[i] = [ALPHABET[i >> 6], ALPHABET[i & 0x3f]];
+        i += 1;
+    }
+    table
+};
+
 /// Appends the padded base64 of `data` to `out` — [`encode`] with no
-/// string of its own, how the serializer writes `xsd:base64Binary`.
-/// Quanta are gathered in a stack block and appended a block at a time.
+/// string of its own, how the serializer writes `xsd:base64Binary`. Six
+/// bytes at a time become eight characters of a stack block, appended a
+/// block at a time.
 pub fn encode_into(data: &[u8], out: &mut String) {
     out.reserve(data.len().div_ceil(3) * 4);
     let mut block = [0u8; 256];
     let mut filled = 0;
-    let mut chunks = data.chunks_exact(3);
-    for c in &mut chunks {
-        let triple = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
-        block[filled..filled + 4].copy_from_slice(&sextets(triple));
-        filled += 4;
+    let mut sixes = data.chunks_exact(6);
+    for six in &mut sixes {
+        let mut word = [0u8; 8];
+        word[..6].copy_from_slice(six);
+        let bits = u64::from_be_bytes(word);
+        let chars = &mut block[filled..filled + 8];
+        for (k, pair) in chars.chunks_exact_mut(2).enumerate() {
+            pair.copy_from_slice(&PAIRS[(bits >> (52 - 12 * k)) as usize & 0xfff]);
+        }
+        filled += 8;
         if filled == block.len() {
             push_ascii(out, &block);
             filled = 0;
         }
     }
-    let last = match *chunks.remainder() {
+    let mut threes = sixes.remainder().chunks_exact(3);
+    for c in &mut threes {
+        let triple = (u32::from(c[0]) << 16) | (u32::from(c[1]) << 8) | u32::from(c[2]);
+        block[filled..filled + 4].copy_from_slice(&sextets(triple));
+        filled += 4;
+    }
+    let last = match *threes.remainder() {
         [b0] => {
             let q = sextets(u32::from(b0) << 16);
             Some([q[0], q[1], b'=', b'='])
@@ -92,37 +116,114 @@ fn push_ascii(out: &mut String, ascii: &[u8]) {
     out.push_str(std::str::from_utf8(ascii).expect("the base64 alphabet is ASCII"));
 }
 
+/// Marks a [`PLACED`] entry of a byte outside the alphabet.
+const NOT_ALPHABET: u32 = 1 << 31;
+
+/// [`DECODE`] per position in a quantum: the sextet shifted to where it
+/// goes in the quantum's 24 bits, or [`NOT_ALPHABET`]. Four loads and
+/// three ORs decode a quantum, and one test tells whether it was all
+/// alphabet.
+const PLACED: [[u32; 256]; 4] = {
+    let mut table = [[NOT_ALPHABET; 256]; 4];
+    let mut b = 0;
+    while b < 256 {
+        let sextet = DECODE[b];
+        if sextet < WS {
+            let mut at = 0;
+            while at < 4 {
+                table[at][b] = (sextet as u32) << (18 - 6 * at);
+                at += 1;
+            }
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Decoded bytes over this many are not kept for the thread's next
+/// [`decode_with`].
+const SCRATCH_CAP: usize = 4 << 10;
+
+thread_local! {
+    /// The buffer the last [`decode_with`] on this thread decoded into.
+    static SCRATCH: std::cell::Cell<Option<Vec<u8>>> = const { std::cell::Cell::new(None) };
+}
+
 /// Decodes a base64 string, tolerating embedded ASCII whitespace (XML
 /// canonical form allows line breaks inside base64 content).
-///
-/// Runs of whole alphabet-only quanta decode four bytes at a time
-/// through the `DECODE` table; whitespace, padding and errors drop to the
-/// byte-at-a-time state machine until the next quantum boundary.
 ///
 /// # Errors
 ///
 /// Returns an encoding error for illegal characters, bad padding or a
 /// truncated final quantum.
 pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
+    decode_with(text, <[u8]>::to_vec)
+}
+
+/// [`decode`] into the thread's scratch, handing the bytes to `make`,
+/// which builds what outlives the call from them — a `byte[]` value's
+/// shared block, say, in one allocation of its exact size.
+///
+/// Runs of whole alphabet-only quanta decode sixteen characters to
+/// twelve bytes at a time through the `PLACED` tables, into output
+/// sized once for the whole text; whitespace, padding and errors drop to the
+/// byte-at-a-time state machine until the next quantum boundary.
+///
+/// # Errors
+///
+/// Same conditions as [`decode`].
+pub fn decode_with<T>(text: &str, make: impl FnOnce(&[u8]) -> T) -> Result<T, SoapError> {
+    let mut out = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
+    let decoded = decode_into(text, &mut out).map(|len| make(&out[..len]));
+    if out.capacity() <= SCRATCH_CAP {
+        SCRATCH.with(|slot| slot.set(Some(out)));
+    }
+    decoded
+}
+
+/// Decodes `text` into `out`, which it sizes, and returns the decoded
+/// length.
+fn decode_into(text: &str, out: &mut Vec<u8>) -> Result<usize, SoapError> {
     let bytes = text.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len() / 4 * 3);
+    out.clear();
+    out.resize(bytes.len() / 4 * 3, 0);
+    let mut written = 0;
     let mut quad = [0u8; 4];
     let mut filled = 0;
     let mut pad = 0;
     let mut i = 0;
     while i < bytes.len() {
         if filled == 0 && pad == 0 {
-            while let Some(q) = bytes.get(i..i + 4) {
-                let (a, b, c, d) = (
-                    DECODE[q[0] as usize],
-                    DECODE[q[1] as usize],
-                    DECODE[q[2] as usize],
-                    DECODE[q[3] as usize],
-                );
-                if (a | b | c | d) >= WS {
+            while let Some(sixteen) = bytes.get(i..i + 16) {
+                let quads: [u32; 4] = std::array::from_fn(|k| {
+                    let q = &sixteen[4 * k..4 * k + 4];
+                    PLACED[0][q[0] as usize]
+                        | PLACED[1][q[1] as usize]
+                        | PLACED[2][q[2] as usize]
+                        | PLACED[3][q[3] as usize]
+                });
+                if quads.iter().fold(0, |any, q| any | q) & NOT_ALPHABET != 0 {
                     break;
                 }
-                push_quantum(&[a, b, c, d], 0, &mut out);
+                let Some(dst) = out.get_mut(written..written + 12) else {
+                    break;
+                };
+                for (three, quad) in dst.chunks_exact_mut(3).zip(quads) {
+                    three.copy_from_slice(&quad.to_be_bytes()[1..]);
+                }
+                written += 12;
+                i += 16;
+            }
+            while let Some(q) = bytes.get(i..i + 4) {
+                let quad = PLACED[0][q[0] as usize]
+                    | PLACED[1][q[1] as usize]
+                    | PLACED[2][q[2] as usize]
+                    | PLACED[3][q[3] as usize];
+                if quad & NOT_ALPHABET != 0 {
+                    break;
+                }
+                out[written..written + 3].copy_from_slice(&quad.to_be_bytes()[1..]);
+                written += 3;
                 i += 4;
             }
             if i >= bytes.len() {
@@ -141,8 +242,8 @@ pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
                 quad[filled] = 0;
             }
             BAD => {
-                // Only ASCII bytes were stepped over, so `i - 1` is a
-                // character boundary.
+                // Only ASCII bytes were stepped over, so `i - 1` starts
+                // a character.
                 let other = text[i - 1..].chars().next().unwrap_or('\u{fffd}');
                 return Err(SoapError::encoding(format!(
                     "invalid base64 character '{other}'"
@@ -157,25 +258,26 @@ pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
         }
         filled += 1;
         if filled == 4 {
-            push_quantum(&quad, pad, &mut out);
+            written += put_quantum(&quad, pad, &mut out[written..]);
             filled = 0;
         }
     }
     if filled != 0 {
         return Err(SoapError::encoding("truncated base64 quantum"));
     }
-    Ok(out)
+    Ok(written)
 }
 
-/// Appends the bytes of one quantum of four sextets, the last `pad` of
-/// which are padding.
-fn push_quantum(quad: &[u8; 4], pad: usize, out: &mut Vec<u8>) {
+/// Writes the bytes of one quantum of four sextets, the last `pad` of
+/// which are padding, at the start of `out`; returns how many.
+fn put_quantum(quad: &[u8; 4], pad: usize, out: &mut [u8]) -> usize {
     let triple = (u32::from(quad[0]) << 18)
         | (u32::from(quad[1]) << 12)
         | (u32::from(quad[2]) << 6)
         | u32::from(quad[3]);
     let bytes = [(triple >> 16) as u8, (triple >> 8) as u8, triple as u8];
-    out.extend_from_slice(&bytes[..3 - pad]);
+    out[..3 - pad].copy_from_slice(&bytes[..3 - pad]);
+    3 - pad
 }
 
 #[cfg(test)]

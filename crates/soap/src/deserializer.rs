@@ -43,10 +43,11 @@ use std::sync::Arc;
 use wsrc_model::tree::TreeBuilder;
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, Kind, StructPlan, TypeRegistry};
 use wsrc_model::value::{Shape, StructValue, Value};
+use wsrc_xml::error::Quoted;
 use wsrc_xml::event::SaxEventSequence;
 use wsrc_xml::reader::ParseIntoError;
-use wsrc_xml::sax::ContentHandler;
-use wsrc_xml::{Attributes, QName, Symbol, XmlReader};
+use wsrc_xml::sax::{ContentHandler, ElementName};
+use wsrc_xml::{Attributes, Symbol, XmlReader};
 
 /// Reads a response envelope (parse + deserialize in one pass).
 ///
@@ -178,7 +179,8 @@ const ARRAY_RESERVE_CAP: usize = 1024;
 /// How an open element is known: declared by its parent struct's plan
 /// (its names come from the registry, nothing is reference-counted), or
 /// only from the wire — the return element, array items and fields the
-/// parent does not declare keep the event's interned local name.
+/// parent does not declare are known by their name's id in the document
+/// (see [`NameMemo`]).
 #[derive(Debug)]
 enum Origin<'r> {
     Declared {
@@ -186,25 +188,96 @@ enum Origin<'r> {
         /// The field's position in the parent's declaration.
         slot: usize,
     },
-    Wire(Symbol),
+    Wire(u32),
 }
 
 impl Origin<'_> {
     /// The element's local name as written.
-    fn name(&self) -> &str {
+    fn name<'a>(&'a self, names: &'a [NameMemo]) -> &'a str {
         match self {
             Origin::Declared { field, .. } => &field.xml_name,
-            Origin::Wire(name) => name.as_str(),
+            Origin::Wire(id) => names[*id as usize].local().as_str(),
         }
     }
 
     /// The name of the struct field this element is, as a shared handle.
-    fn field_name(&self) -> &Arc<str> {
+    fn field_name<'a>(&'a self, names: &'a [NameMemo]) -> &'a Arc<str> {
         match self {
             Origin::Declared { field, .. } => &field.name,
-            Origin::Wire(name) => name.shared_str(),
+            Origin::Wire(id) => names[*id as usize].local().shared_str(),
         }
     }
+}
+
+/// What the reader works out about one name of the document, once: its
+/// local part, and the declared slot it has in the registered struct it
+/// last appeared in. Indexed by the name's id ([`ElementName::id`]), so
+/// per element the lookup is an index and a pointer compare.
+#[derive(Debug, Clone, Default)]
+struct NameMemo {
+    /// The local part, once the name has been an element's.
+    local: Option<Symbol>,
+    /// Address of the plan `slot` was looked up in (0 before any).
+    plan: usize,
+    /// The declared slot in that plan, [`NOT_DECLARED`] for none.
+    slot: u32,
+}
+
+/// Notes a reader starts with once it needs one: more than the names of
+/// one SOAP service's messages.
+const MEMO_START: usize = 64;
+
+/// [`NameMemo::slot`] of a name its plan does not declare.
+const NOT_DECLARED: u32 = u32::MAX;
+
+impl NameMemo {
+    fn local(&self) -> &Symbol {
+        self.local
+            .as_ref()
+            .expect("an element's name is noted when it opens")
+    }
+}
+
+/// The buffers a reader works in that die with the message: its frames,
+/// containers, name notes, `xsi:type` names and parameter ids. Each
+/// thread keeps one set for its next reader (a reader that starts while
+/// another is open takes new ones). Frames and containers are kept
+/// empty under a `'static` lifetime and re-typed by [`retype`].
+#[derive(Debug, Default)]
+struct DecoderScratch {
+    frames: Vec<Frame<'static>>,
+    containers: Vec<Container<'static>>,
+    names: Vec<NameMemo>,
+    params: Vec<u32>,
+    xsi: String,
+}
+
+/// Scratch buffers larger than this are not kept.
+const SCRATCH_CAP: usize = 4 << 10;
+
+thread_local! {
+    static SCRATCH: std::cell::Cell<Option<DecoderScratch>> = const { std::cell::Cell::new(None) };
+}
+
+/// `items` emptied for the next reader, or a new vector when it holds
+/// more than [`SCRATCH_CAP`] bytes.
+fn emptied<T>(mut items: Vec<T>) -> Vec<T> {
+    items.clear();
+    match items.capacity() * std::mem::size_of::<T>() <= SCRATCH_CAP {
+        true => items,
+        false => Vec::new(),
+    }
+}
+
+/// An empty vector of another lifetime over the same allocation: the
+/// two element types differ in lifetimes only, so they have one layout
+/// and std collects in place.
+fn retype<T, U>(mut items: Vec<T>) -> Vec<U> {
+    items.clear();
+    items
+        .into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 /// One open value element. What it is accumulating sits in the reader's
@@ -292,8 +365,6 @@ enum Message<'r> {
     Request {
         operations: &'r [OperationDescriptor],
         call: Option<&'r OperationDescriptor>,
-        /// The parameters' names, in wire order.
-        names: Vec<String>,
     },
 }
 
@@ -315,6 +386,10 @@ pub struct ResponseReader<'r> {
     tree: TreeBuilder,
     /// `xsi:type` local names of the open elements; see [`Frame::xsi`].
     xsi: String,
+    /// Per name id of the document, what is known of the name.
+    names: Vec<NameMemo>,
+    /// A call's parameters' name ids, in wire order.
+    params: Vec<u32>,
     skipping: usize,
     fault_code: String,
     fault_string: String,
@@ -337,20 +412,22 @@ impl<'r> ResponseReader<'r> {
         let message = Message::Request {
             operations,
             call: None,
-            names: Vec::new(),
         };
         ResponseReader::reading(message, registry)
     }
 
     fn reading(message: Message<'r>, registry: &'r TypeRegistry) -> Self {
+        let scratch = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
         ResponseReader {
             registry,
             message,
             state: State::BeforeEnvelope,
-            frames: Vec::with_capacity(8),
-            containers: Vec::new(),
+            frames: retype(scratch.frames),
+            containers: retype(scratch.containers),
             tree: TreeBuilder::new(),
-            xsi: String::new(),
+            xsi: scratch.xsi,
+            names: scratch.names,
+            params: scratch.params,
             skipping: 0,
             fault_code: String::new(),
             fault_string: String::new(),
@@ -368,7 +445,8 @@ impl<'r> ResponseReader<'r> {
     ///
     /// Returns an encoding error when no complete response was seen, or
     /// when the response outgrew what a value tree can address.
-    pub fn finish(self) -> Result<RpcOutcome, SoapError> {
+    pub fn finish(mut self) -> Result<RpcOutcome, SoapError> {
+        self.give_back_scratch();
         if self.saw_fault {
             return Ok(RpcOutcome::Fault(SoapFault {
                 code: self.fault_code,
@@ -386,24 +464,58 @@ impl<'r> ResponseReader<'r> {
     /// The request a [`for_request`](ResponseReader::for_request) reader
     /// read from a whole, well-formed document, once its every declared
     /// parameter is there.
-    fn finish_request(self) -> Result<RpcRequest, SoapError> {
+    fn finish_request(mut self) -> Result<RpcRequest, SoapError> {
         let Message::Request {
-            call: Some(call),
-            names,
-            ..
+            call: Some(call), ..
         } = self.message
         else {
+            self.give_back_scratch();
             return Err(SoapError::encoding("empty Body"));
         };
+        // The parameters' names, then their values once the tree is
+        // frozen: one vector, one string per name.
+        let mut params: Vec<(String, Value)> = self
+            .params
+            .iter()
+            .map(|id| {
+                (
+                    self.names[*id as usize].local().as_str().to_string(),
+                    Value::Null,
+                )
+            })
+            .collect();
+        self.give_back_scratch();
         let values = self.tree.finish()?;
         let values = values.as_array().unwrap_or_default();
+        params.truncate(values.len());
+        for ((_, slot), value) in params.iter_mut().zip(values.iter()) {
+            *slot = value.clone();
+        }
         let request = RpcRequest {
             namespace: call.namespace.clone(),
             operation: call.name.clone(),
-            params: names.into_iter().zip(values.iter().cloned()).collect(),
+            params,
         };
         call.check_request(&request)?;
         Ok(request)
+    }
+
+    /// Hands the reader's buffers, emptied, to the thread's next reader
+    /// (those over [`SCRATCH_CAP`] are dropped).
+    fn give_back_scratch(&mut self) {
+        let mut xsi = std::mem::take(&mut self.xsi);
+        xsi.clear();
+        let scratch = DecoderScratch {
+            frames: retype(emptied(std::mem::take(&mut self.frames))),
+            containers: retype(emptied(std::mem::take(&mut self.containers))),
+            names: emptied(std::mem::take(&mut self.names)),
+            params: emptied(std::mem::take(&mut self.params)),
+            xsi: match xsi.capacity() <= SCRATCH_CAP {
+                true => xsi,
+                false => String::new(),
+            },
+        };
+        SCRATCH.with(|slot| slot.set(Some(scratch)));
     }
 
     fn push_frame(
@@ -453,7 +565,7 @@ impl<'r> ResponseReader<'r> {
     /// Makes the innermost open element a container, on its first child
     /// (`child`): by its declared kind, else by `xsi:type` and the
     /// child's name.
-    fn open_container(&mut self, child: &QName) {
+    fn open_container(&mut self, child: ElementName<'_>) {
         let Some(frame) = self.frames.last_mut() else {
             return;
         };
@@ -477,7 +589,7 @@ impl<'r> ResponseReader<'r> {
                 if is_array {
                     Container::Array { element: None }
                 } else {
-                    let type_name = xsi.unwrap_or(frame.origin.name());
+                    let type_name = xsi.unwrap_or(frame.origin.name(&self.names));
                     Container::new_struct(type_name, self.registry.plan(type_name))
                 }
             }
@@ -492,27 +604,63 @@ impl<'r> ResponseReader<'r> {
         self.containers.push(container);
     }
 
-    /// Origin and declared kind of a child of the innermost container.
-    fn child_expectation(&mut self, child: &QName) -> (Origin<'r>, Option<Kind<'r>>) {
-        match self.containers.last_mut() {
+    /// The note on name `id`, made empty if there is none yet. The notes
+    /// grow in one step to cover a service's vocabulary, not one name at
+    /// a time.
+    fn memo(&mut self, id: u32) -> &mut NameMemo {
+        let at = id as usize;
+        if at >= self.names.len() {
+            let len = (at + 1).next_power_of_two().max(MEMO_START);
+            self.names.resize(len, NameMemo::default());
+        }
+        &mut self.names[at]
+    }
+
+    /// An origin on the wire for `name`, whose local part the reader
+    /// notes the first time (see [`NameMemo`]).
+    fn wire(&mut self, name: ElementName<'_>) -> Origin<'r> {
+        let memo = self.memo(name.id());
+        if memo.local.is_none() {
+            memo.local = Some(name.local_symbol().clone());
+        }
+        Origin::Wire(name.id())
+    }
+
+    /// Origin and declared kind of `child`, a child of the innermost
+    /// container. Which slot of a registered struct a name declares is
+    /// looked up once per document and struct type.
+    fn child_expectation(&mut self, child: ElementName<'_>) -> (Origin<'r>, Option<Kind<'r>>) {
+        let (plan, hint) = match self.containers.last() {
             Some(Container::Array { element, .. }) => {
-                return (Origin::Wire(child.local_symbol().clone()), *element);
+                let element = *element;
+                return (self.wire(child), element);
             }
             Some(Container::Struct {
                 ty: StructType::Registered(plan),
                 next_slot,
                 ..
-            }) => {
-                if let Some(slot) = plan.slot_by_xml_name(child.local_part(), *next_slot) {
-                    *next_slot = slot + 1;
-                    let field = &plan.descriptor().fields[slot];
-                    let origin = Origin::Declared { field, slot };
-                    return (origin, plan.field_kind(slot, self.registry));
-                }
-            }
-            _ => {}
+            }) => (*plan, *next_slot),
+            _ => return (self.wire(child), None),
+        };
+        let memo = self.memo(child.id());
+        let address = std::ptr::from_ref(plan) as usize;
+        if memo.plan != address {
+            let slot = plan.slot_by_xml_name(child.local_part(), hint);
+            memo.plan = address;
+            memo.slot = slot.map_or(NOT_DECLARED, |s| s as u32);
         }
-        (Origin::Wire(child.local_symbol().clone()), None)
+        if memo.slot == NOT_DECLARED {
+            return (self.wire(child), None);
+        }
+        let slot = memo.slot as usize;
+        if let Some(Container::Struct { next_slot, .. }) = self.containers.last_mut() {
+            *next_slot = slot + 1;
+        }
+        let field = &plan.descriptor().fields[slot];
+        (
+            Origin::Declared { field, slot },
+            plan.field_kind(slot, self.registry),
+        )
     }
 
     /// Adds the finished value of `frame`, just popped, to the tree.
@@ -578,7 +726,7 @@ impl<'r> ResponseReader<'r> {
                         self.tree.close_array();
                         return Ok(());
                     }
-                    _ => parse_scalar(text, effective, frame.origin.name())?,
+                    _ => parse_scalar(text, effective, frame.origin.name(&self.names))?,
                 };
                 self.tree.truncate_text(frame.text_start);
                 self.tree.value(value);
@@ -598,7 +746,7 @@ impl<'r> ResponseReader<'r> {
             None => {
                 return Err(SoapError::encoding(format!(
                     "element <{}> nested inside a scalar value",
-                    child.origin.name()
+                    Quoted(child.origin.name(&self.names))
                 )));
             }
         };
@@ -620,7 +768,7 @@ impl<'r> ResponseReader<'r> {
                 ),
             },
         };
-        let name = child.origin.field_name();
+        let name = child.origin.field_name(&self.names);
         match names.iter().position(|n| n == name) {
             Some(at) => self.tree.replace_child(at),
             None => names.push(name.clone()),
@@ -676,8 +824,13 @@ fn type_from_xsi(local: Option<&str>) -> Option<FieldType> {
 }
 
 fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Value, SoapError> {
-    let bad =
-        |what: &str| SoapError::encoding(format!("invalid {what} value '{text}' in <{element}>"));
+    let bad = |what: &str| {
+        SoapError::encoding(format!(
+            "invalid {what} value '{}' in <{}>",
+            Quoted(text),
+            Quoted(element)
+        ))
+    };
     match ty {
         Some(FieldType::Bool) => match text.trim() {
             "true" | "1" => Ok(Value::Bool(true)),
@@ -703,7 +856,9 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
                 .map(Value::Double)
                 .map_err(|_| bad("double")),
         },
-        Some(FieldType::Bytes) => base64::decode(text.trim()).map(Value::from),
+        Some(FieldType::Bytes) => {
+            base64::decode_with(text.trim(), |bytes| Value::Bytes(Arc::from(bytes)))
+        }
         // Empty element of struct/array type is an empty instance.
         Some(FieldType::Struct(name)) if text.trim().is_empty() => {
             Ok(Value::Struct(StructValue::new(name.as_str())))
@@ -713,7 +868,8 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
         }
         Some(FieldType::String) | None => Ok(Value::string(text)),
         Some(other) => Err(SoapError::encoding(format!(
-            "scalar text in <{element}> where {other} was expected"
+            "scalar text in <{}> where {other} was expected",
+            Quoted(element)
         ))),
     }
 }
@@ -721,34 +877,40 @@ fn parse_scalar(text: &str, ty: Option<&FieldType>, element: &str) -> Result<Val
 impl ContentHandler for ResponseReader<'_> {
     type Error = SoapError;
 
-    fn start_element(&mut self, name: &QName, attributes: Attributes<'_>) -> Result<(), SoapError> {
+    fn start_element(
+        &mut self,
+        name: ElementName<'_>,
+        attributes: Attributes<'_>,
+    ) -> Result<(), SoapError> {
         if self.skipping > 0 {
             self.skipping += 1;
             return Ok(());
         }
         match self.state {
             State::BeforeEnvelope => {
-                if !envelope::is_envelope(name) {
+                if !envelope::is_envelope(name.qname()) {
                     return Err(SoapError::encoding(format!(
-                        "expected <Envelope>, found <{name}>"
+                        "expected <Envelope>, found <{}>",
+                        Quoted(name)
                     )));
                 }
                 self.state = State::InEnvelope;
             }
             State::InEnvelope => {
-                if envelope::is_header(name) {
+                if envelope::is_header(name.qname()) {
                     self.skipping = 1;
-                } else if envelope::is_body(name) {
+                } else if envelope::is_body(name.qname()) {
                     self.state = State::InBody;
                 } else {
                     return Err(SoapError::encoding(format!(
-                        "unexpected <{name}> inside Envelope"
+                        "unexpected <{}> inside Envelope",
+                        Quoted(name)
                     )));
                 }
             }
             State::InBody => {
                 let response = matches!(self.message, Message::Response(_));
-                if response && envelope::is_fault(name) {
+                if response && envelope::is_fault(name.qname()) {
                     self.state = State::InFault;
                     self.saw_fault = true;
                     self.fault_depth = 1;
@@ -757,7 +919,8 @@ impl ContentHandler for ResponseReader<'_> {
                     // element (or an Axis `multiRef`) is not decoded
                     // over the first.
                     return Err(SoapError::encoding(format!(
-                        "unexpected second element <{name}> in Body"
+                        "unexpected second element <{}> in Body",
+                        Quoted(name)
                     )));
                 } else {
                     self.saw_wrapper = true;
@@ -768,7 +931,7 @@ impl ContentHandler for ResponseReader<'_> {
                     {
                         let op = name.local_part();
                         let found = operations.iter().find(|o| o.name == op).ok_or_else(|| {
-                            SoapError::encoding(format!("unknown operation '{op}'"))
+                            SoapError::encoding(format!("unknown operation '{}'", Quoted(op)))
                         })?;
                         *call = Some(found);
                         self.tree.open(found.params.len());
@@ -777,16 +940,15 @@ impl ContentHandler for ResponseReader<'_> {
             }
             State::InWrapper => {
                 let registry = self.registry;
-                let kind = match &mut self.message {
+                let origin = self.wire(name);
+                let kind = match &self.message {
                     Message::Response(expected) => Some(*expected),
-                    Message::Request { call, names, .. } => {
-                        let param = name.local_part();
-                        names.push(param.to_string());
-                        call.and_then(|c| c.param(param))
+                    Message::Request { call, .. } => {
+                        self.params.push(name.id());
+                        call.and_then(|c| c.param(name.local_part()))
                             .map(|p| registry.kind_of(&p.field_type))
                     }
                 };
-                let origin = Origin::Wire(name.local_symbol().clone());
                 self.push_frame(origin, kind, attributes);
                 self.state = State::InValue;
             }
@@ -799,7 +961,8 @@ impl ContentHandler for ResponseReader<'_> {
             }
             State::AfterValue => {
                 return Err(SoapError::encoding(format!(
-                    "unexpected second return element <{name}>"
+                    "unexpected second return element <{}>",
+                    Quoted(name)
                 )));
             }
             State::InFault => {
@@ -813,14 +976,15 @@ impl ContentHandler for ResponseReader<'_> {
             }
             State::AfterBody | State::Done => {
                 return Err(SoapError::encoding(format!(
-                    "unexpected <{name}> after Body"
+                    "unexpected <{}> after Body",
+                    Quoted(name)
                 )));
             }
         }
         Ok(())
     }
 
-    fn end_element(&mut self, _name: &QName) -> Result<(), SoapError> {
+    fn end_element(&mut self, _name: ElementName<'_>) -> Result<(), SoapError> {
         if self.skipping > 0 {
             self.skipping -= 1;
             return Ok(());
@@ -886,7 +1050,7 @@ impl ContentHandler for ResponseReader<'_> {
                     if !text.trim().is_empty() {
                         return Err(SoapError::encoding(format!(
                             "mixed content in <{}>",
-                            frame.origin.name()
+                            Quoted(frame.origin.name(&self.names))
                         )));
                     }
                 } else {
@@ -964,7 +1128,7 @@ pub fn read_response_dom(
     {
         return Err(SoapError::encoding(format!(
             "unexpected second element <{}> in Body",
-            second.name
+            Quoted(&second.name)
         )));
     }
     Ok(RpcOutcome::Return(value))

@@ -23,6 +23,22 @@ pub fn serialize_request(
     request: &RpcRequest,
     registry: &TypeRegistry,
 ) -> Result<String, SoapError> {
+    serialize_request_as(request, registry, str::to_string)
+}
+
+/// [`serialize_request`], handing the finished envelope to `make`,
+/// which builds what outlives the call from it in one allocation — the
+/// `String`, or the shared bytes of an HTTP body. The envelope itself is
+/// written in the thread's scratch ([`XmlWriter`]).
+///
+/// # Errors
+///
+/// Same conditions as [`serialize_request`].
+pub fn serialize_request_as<T>(
+    request: &RpcRequest,
+    registry: &TypeRegistry,
+    make: impl FnOnce(&str) -> T,
+) -> Result<T, SoapError> {
     let mut w = XmlWriter::with_declaration();
     start_envelope(&mut w)?;
     w.start(QN_BODY)?;
@@ -33,7 +49,7 @@ pub fn serialize_request(
     w.end()?; // operation
     w.end()?; // Body
     w.end()?; // Envelope
-    Ok(w.finish()?)
+    Ok(w.finish_with(make)?)
 }
 
 /// Serializes a normal RPC response (`<opResponse><return>…`).
@@ -48,6 +64,30 @@ pub fn serialize_response(
     value: &Value,
     registry: &TypeRegistry,
 ) -> Result<String, SoapError> {
+    serialize_response_as(
+        namespace,
+        operation,
+        return_name,
+        value,
+        registry,
+        str::to_string,
+    )
+}
+
+/// [`serialize_response`], handing the finished envelope to `make` as
+/// [`serialize_request_as`] does.
+///
+/// # Errors
+///
+/// Propagates writer errors.
+pub fn serialize_response_as<T>(
+    namespace: &str,
+    operation: &str,
+    return_name: &str,
+    value: &Value,
+    registry: &TypeRegistry,
+    make: impl FnOnce(&str) -> T,
+) -> Result<T, SoapError> {
     let mut w = XmlWriter::with_declaration();
     start_envelope(&mut w)?;
     w.start(QN_BODY)?;
@@ -56,7 +96,7 @@ pub fn serialize_response(
     w.end()?; // wrapper
     w.end()?; // Body
     w.end()?; // Envelope
-    Ok(w.finish()?)
+    Ok(w.finish_with(make)?)
 }
 
 /// Serializes a fault envelope.
@@ -65,6 +105,19 @@ pub fn serialize_response(
 ///
 /// Propagates writer errors.
 pub fn serialize_fault(fault: &SoapFault) -> Result<String, SoapError> {
+    serialize_fault_as(fault, str::to_string)
+}
+
+/// [`serialize_fault`], handing the finished envelope to `make` as
+/// [`serialize_request_as`] does.
+///
+/// # Errors
+///
+/// Propagates writer errors.
+pub fn serialize_fault_as<T>(
+    fault: &SoapFault,
+    make: impl FnOnce(&str) -> T,
+) -> Result<T, SoapError> {
     let mut w = XmlWriter::with_declaration();
     start_envelope(&mut w)?;
     w.start(QN_BODY)?;
@@ -77,7 +130,7 @@ pub fn serialize_fault(fault: &SoapFault) -> Result<String, SoapError> {
     w.end()?; // Fault
     w.end()?; // Body
     w.end()?; // Envelope
-    Ok(w.finish()?)
+    Ok(w.finish_with(make)?)
 }
 
 fn start_envelope(w: &mut XmlWriter) -> Result<(), SoapError> {
@@ -102,7 +155,7 @@ fn start_operation(
         out.push_str(operation);
         out.push_str(suffix);
     })?;
-    w.attr(QN_ENCODING_STYLE, SOAP_ENC_NS)?;
+    constant_attr(w, QN_ENCODING_STYLE, SOAP_ENC_NS)?;
     w.namespace(PREFIX_SERVICE, namespace)?;
     Ok(())
 }
@@ -127,14 +180,14 @@ fn write_value(
     declared: Option<Kind<'_>>,
 ) -> Result<(), SoapError> {
     let known = declared.is_some();
-    let xsi_type = |w: &mut XmlWriter, xsd: &str| match known {
+    let xsi_type = |w: &mut XmlWriter, xsd: &'static str| match known {
         true => Ok(()),
-        false => w.attr(QN_XSI_TYPE, xsd).map(drop),
+        false => constant_attr(w, QN_XSI_TYPE, xsd),
     };
     w.start(name)?;
     match value {
         Value::Null => {
-            w.attr(QN_XSI_NIL, "true")?;
+            constant_attr(w, QN_XSI_NIL, "true")?;
         }
         Value::Bool(b) => {
             xsi_type(w, QN_XSD_BOOLEAN)?;
@@ -163,7 +216,7 @@ fn write_value(
         Value::Array(items) => {
             let item_kind = declared.and_then(|k| k.element());
             if item_kind.is_none() {
-                w.attr(QN_XSI_TYPE, QN_ENC_ARRAY)?;
+                constant_attr(w, QN_XSI_TYPE, QN_ENC_ARRAY)?;
                 w.attr_with(QN_ENC_ARRAY_TYPE, |out| {
                     out.push_str(PREFIX_XSD);
                     out.push_str(":anyType[");
@@ -208,6 +261,13 @@ fn write_value(
         }
     }
     w.end()?;
+    Ok(())
+}
+
+/// Adds an attribute whose value is one of this module's constants,
+/// which need no escaping.
+fn constant_attr(w: &mut XmlWriter, name: &str, value: &'static str) -> Result<(), SoapError> {
+    w.attr_with(name, |out| out.push_str(value))?;
     Ok(())
 }
 

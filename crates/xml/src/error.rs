@@ -53,6 +53,59 @@ impl fmt::Display for XmlError {
 
 impl Error for XmlError {}
 
+/// Characters of input an error message quotes at most.
+pub const QUOTE_LIMIT: usize = 64;
+
+/// Input as an error message quotes it: the first [`QUOTE_LIMIT`]
+/// characters of its `Display` form, then `…` when there were more. A
+/// message that echoes what it was sent stays small however large the
+/// input.
+///
+/// ```
+/// use wsrc_xml::error::Quoted;
+/// assert_eq!(Quoted("short").to_string(), "short");
+/// let long = "x".repeat(1000);
+/// assert_eq!(Quoted(&long).to_string(), format!("{}…", "x".repeat(64)));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Quoted<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for Quoted<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write;
+        let mut bounded = Bounded {
+            out: f,
+            left: QUOTE_LIMIT,
+        };
+        write!(bounded, "{}", self.0)
+    }
+}
+
+/// Passes on the first `left` characters written to it, then `…` once.
+struct Bounded<'a, 'f> {
+    out: &'a mut fmt::Formatter<'f>,
+    left: usize,
+}
+
+impl fmt::Write for Bounded<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.left == usize::MAX {
+            return Ok(());
+        }
+        match s.char_indices().nth(self.left) {
+            Some((cut, _)) => {
+                self.left = usize::MAX;
+                self.out.write_str(&s[..cut])?;
+                self.out.write_str("…")
+            }
+            None => {
+                self.left -= s.chars().count();
+                self.out.write_str(s)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

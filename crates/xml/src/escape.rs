@@ -1,6 +1,6 @@
 //! Escaping and unescaping of XML character data and attribute values.
 
-use crate::error::XmlError;
+use crate::error::{Quoted, XmlError};
 use crate::scan;
 use std::borrow::Cow;
 
@@ -54,12 +54,24 @@ fn replacement(b: u8, attr: bool) -> Option<&'static str> {
     }
 }
 
+/// Bytes an attribute value escapes, by value.
+const ATTRIBUTE_ESCAPES: [bool; 256] = {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = matches!(b as u8, b'&' | b'<' | b'>' | b'"' | b'\t' | b'\n' | b'\r');
+        b += 1;
+    }
+    table
+};
+
 /// Offset of the first byte of `bytes` that escapes. Character data has
-/// three such bytes, found eight at a time; attribute values are short.
+/// three such bytes, found eight at a time; attribute values are short,
+/// and a table settles each byte in one load.
 fn next_escape(bytes: &[u8], attr: bool) -> Option<usize> {
     match attr {
         false => scan::memchr3(b'&', b'<', b'>', bytes),
-        true => bytes.iter().position(|&b| replacement(b, true).is_some()),
+        true => bytes.iter().position(|&b| ATTRIBUTE_ESCAPES[b as usize]),
     }
 }
 
@@ -113,13 +125,15 @@ pub fn unescape(s: &str) -> Result<Cow<'_, str>, XmlError> {
 /// expansion; callers discard it.
 pub fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
     let mut rest = s;
-    while let Some(amp) = rest.find('&') {
+    // `&` and `;` are ASCII, so the byte offsets found are character
+    // boundaries.
+    while let Some(amp) = scan::memchr(b'&', rest.as_bytes()) {
         out.push_str(&rest[..amp]);
         let after = &rest[amp + 1..];
-        let semi = after
-            .find(';')
+        let semi = scan::memchr(b';', after.as_bytes())
             .ok_or_else(|| XmlError::new("unterminated entity reference"))?;
         let name = &after[..semi];
+        let quoted = Quoted(name);
         match name {
             "amp" => out.push('&'),
             "lt" => out.push('<'),
@@ -128,18 +142,18 @@ pub fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
             "apos" => out.push('\''),
             _ if name.starts_with("#x") || name.starts_with("#X") => {
                 let code = code_point(&name[2..], 16).ok_or_else(|| {
-                    XmlError::new(format!("invalid hex character reference '&{name};'"))
+                    XmlError::new(format!("invalid hex character reference '&{quoted};'"))
                 })?;
                 out.push(char_for(code, name)?);
             }
             _ if name.starts_with('#') => {
                 let code = code_point(&name[1..], 10).ok_or_else(|| {
-                    XmlError::new(format!("invalid character reference '&{name};'"))
+                    XmlError::new(format!("invalid character reference '&{quoted};'"))
                 })?;
                 out.push(char_for(code, name)?);
             }
             _ => {
-                return Err(XmlError::new(format!("unknown entity '&{name};'")));
+                return Err(XmlError::new(format!("unknown entity '&{quoted};'")));
             }
         }
         rest = &after[semi + 1..];
@@ -160,7 +174,8 @@ fn code_point(digits: &str, radix: u32) -> Option<u32> {
 fn char_for(code: u32, name: &str) -> Result<char, XmlError> {
     char::from_u32(code).ok_or_else(|| {
         XmlError::new(format!(
-            "character reference '&{name};' is not a valid char"
+            "character reference '&{};' is not a valid char",
+            Quoted(name)
         ))
     })
 }

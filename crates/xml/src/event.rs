@@ -19,6 +19,7 @@
 //! sequence, so its name ids and spans are valid by construction.
 
 use crate::name::QName;
+use crate::sax::ElementName;
 use std::fmt;
 
 /// An owned attribute — the DOM's attribute type.
@@ -403,9 +404,9 @@ impl SaxEventSequence {
         self.attrs.reserve(input_len / 96);
     }
 
-    /// Installs the name table the id-based record methods referenced.
-    /// The reader resolves every name to an id exactly once while
-    /// scanning, then hands its document name table over here by move.
+    /// Installs the name table the id-based record methods referred to:
+    /// the names of the recorded document, each once, in first-use
+    /// order.
     pub(crate) fn adopt_names(&mut self, names: Vec<QName>) {
         debug_assert!(self.names.is_empty(), "adopt_names would orphan name ids");
         self.names = names;
@@ -492,7 +493,7 @@ impl SaxEventSequence {
                 ArenaEvent::StartDocument => handler.start_document()?,
                 ArenaEvent::EndDocument => handler.end_document()?,
                 ArenaEvent::StartElement { name, attrs } => handler.start_element(
-                    &self.names[*name as usize],
+                    ElementName::new(*name, &self.names),
                     Attributes::from_records(
                         attrs.records(&self.attrs),
                         &self.names,
@@ -501,7 +502,7 @@ impl SaxEventSequence {
                     ),
                 )?,
                 ArenaEvent::EndElement { name } => {
-                    handler.end_element(&self.names[*name as usize])?
+                    handler.end_element(ElementName::new(*name, &self.names))?
                 }
                 ArenaEvent::Characters(span) => handler.characters(span.text(&self.text))?,
                 ArenaEvent::Comment(span) => handler.comment(span.text(&self.text))?,

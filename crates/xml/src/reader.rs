@@ -24,59 +24,177 @@
 //! Not supported (rejected with an error, as documented in DESIGN.md):
 //! DTDs / `<!DOCTYPE …>` — SOAP explicitly forbids them.
 
-use crate::error::XmlError;
+use crate::error::{Quoted, XmlError};
 use crate::escape::unescape_into;
 use crate::event::{AttrRecord, Attributes, SaxEventSequence};
 use crate::name::QName;
-use crate::sax::ContentHandler;
+use crate::sax::{ContentHandler, ElementName};
 use crate::scan;
 use crate::symbol::{SymbolTable, FNV_OFFSET, FNV_PRIME};
 
-/// Slots in the direct-mapped name cache. SOAP documents draw names
-/// from a vocabulary of a few dozen strings; 256 slots keyed by the
-/// raw bytes keep the load factor low enough that direct mapping
-/// rarely collides (a collision only costs the re-intern it evicts).
-const NAME_CACHE_SLOTS: usize = 256;
+/// Names a thread's vocabulary holds. A SOAP service draws its element
+/// and attribute names from a few dozen strings (the Google service,
+/// request and response together, from 46), so the first 128 distinct
+/// names a thread meets are, in practice, all it will ever meet.
+const VOCABULARY_NAMES: usize = 128;
+/// Longest name, in bytes, the vocabulary keeps.
+const VOCABULARY_NAME_BYTES: usize = 64;
+/// Slots of the vocabulary's open-addressed index: twice the names, so a
+/// probe ends within a slot or two.
+const VOCABULARY_SLOTS: usize = 2 * VOCABULARY_NAMES;
+
+/// Per-thread buffers over this many bytes are dropped when a reader
+/// finishes, rather than kept for the next document.
+const SCRATCH_BUFFER_CAP: usize = 4 << 10;
 
 thread_local! {
-    /// The name cache of the last reader to finish on this thread. A
+    /// The scratch of the last reader to finish on this thread. A
     /// server thread parses the same service vocabulary request after
     /// request, so carrying the validated, interned names across parses
     /// turns every first occurrence in a document — the case that pays
-    /// an `Arc<str>` allocation and a table insert — into two word
-    /// loads and a clone. Bounded at [`NAME_CACHE_SLOTS`] entries.
-    static TLS_NAME_CACHE: std::cell::Cell<Option<Box<[Option<CachedName>]>>> =
+    /// an `Arc<str>` allocation and a table insert — into a probe, and
+    /// the per-document buffers stop being allocated at all.
+    /// A reader that starts while another is open on the thread gets
+    /// scratch of its own.
+    static SCRATCH: std::cell::Cell<Option<Scratch>> =
         const { std::cell::Cell::new(None) };
-
-    /// Monotonic per-thread parse counter; each reader takes the next
-    /// value so cache entries can be generation-stamped with the parse
-    /// that last assigned them a document name id.
-    static READER_GEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Takes the thread's cached vocabulary, or builds an empty cache.
-fn take_name_cache() -> Box<[Option<CachedName>]> {
-    TLS_NAME_CACHE
-        .with(std::cell::Cell::take)
-        .filter(|c| c.len() == NAME_CACHE_SLOTS)
-        .unwrap_or_else(|| vec![None; NAME_CACHE_SLOTS].into_boxed_slice())
+/// What a reader works in: the thread's vocabulary, and buffers that
+/// outlive no document, cleared between documents.
+#[derive(Debug, Default)]
+struct Scratch {
+    vocabulary: Vocabulary,
+    /// The name table every id the scanner hands out indexes: the
+    /// vocabulary's names, in the order it met them, then the names of
+    /// this document that did not join it, dropped when it ends. An id
+    /// names one name for the life of the vocabulary, so the scanner
+    /// resolves a known name without touching a reference count.
+    names: Vec<QName>,
+    /// Open elements as name ids, with their start tags' name spans for
+    /// the end-tag byte-compare fast path.
+    open_elements: Vec<OpenTag>,
+    /// Unescape target, cleared and reused across text runs.
+    text: String,
+    /// Attributes of the current start tag, as span records over the
+    /// input (escape-free values) or `attr_text`.
+    attr_recs: Vec<AttrRecord>,
+    /// Unescape target for attribute values, cleared per start tag.
+    attr_text: String,
+    /// While recording, per name id the id the recording gives the name
+    /// (`u32::MAX` until it has one): a recording's table holds the
+    /// names its document uses, in first-use order.
+    recorded: Vec<u32>,
+    /// The recording's name table while it is made.
+    recorded_names: Vec<QName>,
 }
 
-/// A validated, interned name memoized under its raw byte key, so a
-/// repeated `<item>` or `xsi:type` costs a few word loads and a key
-/// compare instead of re-validating, re-hashing and re-probing the
-/// table. The `(gen, doc_id)` stamp records the document name id this
-/// entry resolved to in generation `gen`'s parse: within one parse a
-/// repeated name returns its id without touching a reference count.
-#[derive(Debug, Clone)]
-struct CachedName {
-    key: (u64, u64, u64),
-    len: u8,
-    name: QName,
-    /// Parse generation that last stamped `doc_id`.
-    gen: u64,
-    /// This name's index in that parse's document name table.
-    doc_id: u32,
+impl Scratch {
+    /// The thread's scratch, or new scratch when another reader holds it.
+    fn take() -> Scratch {
+        SCRATCH.with(std::cell::Cell::take).unwrap_or_default()
+    }
+
+    /// Clears the document's state and hands the scratch back to the
+    /// thread, keeping the larger vocabulary when a nested reader's
+    /// scratch got there first.
+    fn give_back(mut self) {
+        self.names.truncate(self.vocabulary.len());
+        self.names.shrink_to(VOCABULARY_NAMES);
+        self.open_elements = emptied(std::mem::take(&mut self.open_elements));
+        self.attr_recs = emptied(std::mem::take(&mut self.attr_recs));
+        self.recorded = emptied(std::mem::take(&mut self.recorded));
+        self.recorded_names = emptied(std::mem::take(&mut self.recorded_names));
+        for text in [&mut self.text, &mut self.attr_text] {
+            text.clear();
+            if text.capacity() > SCRATCH_BUFFER_CAP {
+                *text = String::new();
+            }
+        }
+        SCRATCH.with(|slot| {
+            let keep = match slot.take() {
+                Some(kept) if kept.vocabulary.len() > self.vocabulary.len() => kept,
+                _ => self,
+            };
+            slot.set(Some(keep));
+        });
+    }
+}
+
+/// `items` emptied for the next document, or a new vector when it holds
+/// more than [`SCRATCH_BUFFER_CAP`] bytes.
+fn emptied<T>(mut items: Vec<T>) -> Vec<T> {
+    items.clear();
+    match items.capacity() * std::mem::size_of::<T>() <= SCRATCH_BUFFER_CAP {
+        true => items,
+        false => Vec::new(),
+    }
+}
+
+/// A thread's validated, interned names, found by their raw bytes: a
+/// repeated `<item>` or `xsi:type` costs a probe and a key compare
+/// instead of re-validating, re-hashing and re-interning. It keeps the
+/// first [`VOCABULARY_NAMES`] distinct names it meets (of at most
+/// [`VOCABULARY_NAME_BYTES`]) and evicts none; any other name is
+/// validated and interned per document. The
+/// names themselves are the first entries of [`Scratch::names`].
+#[derive(Debug)]
+struct Vocabulary {
+    /// Per slot, 0 when empty, else the name's id plus one.
+    index: [u8; VOCABULARY_SLOTS],
+    /// Per name id, its raw-byte key and byte length.
+    keys: Vec<((u64, u64, u64), usize)>,
+    /// The names' parts, each interned once (the `soapenv` of
+    /// `soapenv:Envelope` and `soapenv:Body` is one allocation).
+    symbols: SymbolTable,
+}
+
+impl Default for Vocabulary {
+    fn default() -> Self {
+        Vocabulary {
+            index: [0; VOCABULARY_SLOTS],
+            keys: Vec::new(),
+            symbols: SymbolTable::new(),
+        }
+    }
+}
+
+impl Vocabulary {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The id of the name whose bytes are `bytes` and whose key is `key`,
+    /// if the vocabulary holds it; `names` is the name table.
+    fn find(&self, key: (u64, u64, u64), bytes: &[u8], names: &[QName]) -> Option<u32> {
+        let mut slot = vocabulary_slot(key);
+        loop {
+            let id = usize::from(self.index[slot]).checked_sub(1)?;
+            if self.keys[id] == (key, bytes.len())
+                && (bytes.len() <= NAME_KEY_EXACT || qname_eq_bytes(&names[id], bytes))
+            {
+                return Some(id as u32);
+            }
+            slot = (slot + 1) % VOCABULARY_SLOTS;
+        }
+    }
+
+    /// Whether a name of `len` bytes may join: there is room, and it is
+    /// no longer than [`VOCABULARY_NAME_BYTES`] (a huge name is not kept
+    /// for the thread's life).
+    fn admits(&self, len: usize) -> bool {
+        self.keys.len() < VOCABULARY_NAMES && len <= VOCABULARY_NAME_BYTES
+    }
+
+    /// Gives the name the next id; the vocabulary [`admits`](Self::admits) it.
+    fn insert(&mut self, key: (u64, u64, u64), len: usize) {
+        let mut slot = vocabulary_slot(key);
+        while self.index[slot] != 0 {
+            slot = (slot + 1) % VOCABULARY_SLOTS;
+        }
+        self.keys.push((key, len));
+        self.index[slot] = u8::try_from(self.keys.len()).expect("at most 128 names");
+    }
 }
 
 /// Names whose byte length is at most this are identified exactly by
@@ -116,7 +234,7 @@ fn name_key(bytes: &[u8]) -> (u64, u64, u64) {
     }
 }
 
-fn cache_slot(key: (u64, u64, u64)) -> usize {
+fn vocabulary_slot(key: (u64, u64, u64)) -> usize {
     ((key.0 ^ key.1.rotate_left(32) ^ key.2).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
 }
 
@@ -199,9 +317,50 @@ trait EventSink {
 /// Records events into an arena [`SaxEventSequence`] — the miss-path
 /// fast lane: text lands in the sequence's text buffer, names flow as
 /// ids, attribute records are drained wholesale, nothing allocates per
-/// event.
+/// event. The sequence's name table holds the names its document uses:
+/// a name joins it on first use, and `recorded` maps the scanner's ids
+/// to the sequence's.
 struct RecordSink<'s> {
     sequence: &'s mut SaxEventSequence,
+    recorded: Vec<u32>,
+    /// The sequence's name table so far, adopted at the end at its
+    /// exact size.
+    names: Vec<QName>,
+}
+
+impl RecordSink<'_> {
+    /// Hands the sequence its name table and the buffers back to the
+    /// reader's scratch.
+    fn finish(self, scratch: &mut Scratch) {
+        let mut names = self.names;
+        let mut table = Vec::with_capacity(names.len());
+        table.append(&mut names);
+        self.sequence.adopt_names(table);
+        (scratch.recorded, scratch.recorded_names) = (self.recorded, names);
+    }
+
+    /// The sequence's id for name `id` of `names`.
+    #[inline]
+    fn recorded_id(&mut self, id: u32, names: &[QName]) -> u32 {
+        match self.recorded.get(id as usize) {
+            Some(&recorded) if recorded != u32::MAX => recorded,
+            _ => self.first_use(id, names),
+        }
+    }
+
+    /// Gives name `id` of `names` the sequence's next id.
+    #[cold]
+    fn first_use(&mut self, id: u32, names: &[QName]) -> u32 {
+        let at = id as usize;
+        if at >= self.recorded.len() {
+            // In one step to cover a service's vocabulary.
+            let len = (at + 1).next_power_of_two().max(64);
+            self.recorded.resize(len, u32::MAX);
+        }
+        self.recorded[at] = arena_index(self.names.len());
+        self.names.push(names[at].clone());
+        self.recorded[at]
+    }
 }
 
 impl EventSink for RecordSink<'_> {
@@ -218,16 +377,21 @@ impl EventSink for RecordSink<'_> {
     fn start_element(
         &mut self,
         name: u32,
-        _names: &[QName],
+        names: &[QName],
         attrs: &mut Vec<AttrRecord>,
         input: &str,
         scratch: &str,
     ) -> Result<(), XmlError> {
+        let name = self.recorded_id(name, names);
+        for record in attrs.iter_mut() {
+            record.name = self.recorded_id(record.name, names);
+        }
         self.sequence
             .record_start_element_drained(name, attrs, input, scratch);
         Ok(())
     }
-    fn end_element(&mut self, name: u32, _names: &[QName]) -> Result<(), XmlError> {
+    fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), XmlError> {
+        let name = self.recorded_id(name, names);
         self.sequence.record_end_element_id(name);
         Ok(())
     }
@@ -294,7 +458,7 @@ impl<H: ContentHandler, R: EventSink<Error = XmlError>> EventSink for TeeSink<'_
     ) -> Result<(), XmlError> {
         self.feed(|h| {
             h.start_element(
-                &names[name as usize],
+                ElementName::new(name, names),
                 Attributes::from_records(attrs, names, input, scratch),
             )
         });
@@ -302,7 +466,7 @@ impl<H: ContentHandler, R: EventSink<Error = XmlError>> EventSink for TeeSink<'_
             .start_element(name, names, attrs, input, scratch)
     }
     fn end_element(&mut self, name: u32, names: &[QName]) -> Result<(), XmlError> {
-        self.feed(|h| h.end_element(&names[name as usize]));
+        self.feed(|h| h.end_element(ElementName::new(name, names)));
         self.record.end_element(name, names)
     }
     fn characters(&mut self, text: &str) -> Result<(), XmlError> {
@@ -343,30 +507,9 @@ pub struct XmlReader<'x> {
     input: &'x str,
     pos: usize,
     state: State,
-    /// Open elements as ids into `doc_names`, with their start tags'
-    /// name spans for the end-tag byte-compare fast path.
-    open_elements: Vec<OpenTag>,
     seen_root: bool,
-    /// Names seen so far: repeated element/attribute names in one
-    /// document come back as pointer bumps, hashed once.
-    symbols: SymbolTable,
-    /// Direct-mapped cache from raw name bytes to interned `QName`s;
-    /// skips validation and table probes for repeated names.
-    name_cache: Box<[Option<CachedName>]>,
-    /// Distinct names of this document in first-seen order; everything
-    /// the scanner tracks per element or attribute is a `u32` index
-    /// into this table, and `read_sequence` hands it to the produced
-    /// sequence by move.
-    doc_names: Vec<QName>,
-    /// This parse's generation stamp (see [`CachedName`]).
-    gen: u64,
-    /// Unescape target, cleared and reused across text runs.
-    text_scratch: String,
-    /// Attributes of the current start tag, as span records over the
-    /// input (escape-free values) or `attr_scratch`.
-    attr_recs: Vec<AttrRecord>,
-    /// Unescape target for attribute values, cleared per start tag.
-    attr_scratch: String,
+    /// The thread's vocabulary and this document's buffers.
+    scratch: Scratch,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -383,22 +526,8 @@ impl<'x> XmlReader<'x> {
             input,
             pos: 0,
             state: State::Start,
-            // Pre-size the per-parse vectors for a typical SOAP payload
-            // (nesting ≤16, a few dozen distinct names): one allocation
-            // each instead of a doubling ladder mid-parse.
-            open_elements: Vec::with_capacity(16),
             seen_root: false,
-            symbols: SymbolTable::new(),
-            name_cache: take_name_cache(),
-            doc_names: Vec::with_capacity(32),
-            gen: READER_GEN.with(|g| {
-                let next = g.get().wrapping_add(1);
-                g.set(next);
-                next
-            }),
-            text_scratch: String::new(),
-            attr_recs: Vec::with_capacity(8),
-            attr_scratch: String::new(),
+            scratch: Scratch::take(),
         }
     }
 
@@ -437,9 +566,12 @@ impl<'x> XmlReader<'x> {
         sequence.reserve_for_input(self.input.len());
         let mut sink = RecordSink {
             sequence: &mut sequence,
+            recorded: std::mem::take(&mut self.scratch.recorded),
+            names: std::mem::take(&mut self.scratch.recorded_names),
         };
-        while self.advance_into(&mut sink)? {}
-        sequence.adopt_names(std::mem::take(&mut self.doc_names));
+        let scanned = self.scan(&mut sink);
+        sink.finish(&mut self.scratch);
+        scanned?;
         Ok(sequence)
     }
 
@@ -462,15 +594,18 @@ impl<'x> XmlReader<'x> {
         let mut sink = TeeSink {
             record: RecordSink {
                 sequence: &mut sequence,
+                recorded: std::mem::take(&mut self.scratch.recorded),
+                names: std::mem::take(&mut self.scratch.recorded_names),
             },
             handler,
             rejected: None,
         };
-        while self.advance_into(&mut sink)? {}
+        let scanned = self.scan(&mut sink);
+        sink.record.finish(&mut self.scratch);
+        scanned?;
         if let Some(e) = sink.rejected {
             return Err(ParseIntoError::Handler(e));
         }
-        sequence.adopt_names(std::mem::take(&mut self.doc_names));
         Ok(sequence)
     }
 
@@ -495,11 +630,17 @@ impl<'x> XmlReader<'x> {
             handler,
             rejected: None,
         };
-        while self.advance_into(&mut sink)? {}
+        self.scan(&mut sink)?;
         match sink.rejected {
             Some(e) => Err(ParseIntoError::Handler(e)),
             None => Ok(()),
         }
+    }
+
+    /// Scans the whole document into `sink`.
+    fn scan<S: EventSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
+        while self.advance_into(sink)? {}
+        Ok(())
     }
 
     /// Scans to the next piece of content and delivers its events to
@@ -552,17 +693,17 @@ impl<'x> XmlReader<'x> {
             }
             if lt > start {
                 self.pos = lt;
-                if self.open_elements.is_empty() {
+                if self.scratch.open_elements.is_empty() {
                     if !self.span_is_ws(start, lt) {
                         return Err(self.err("character data outside the root element").into());
                     }
                     continue;
                 }
                 if amp.is_some() {
-                    self.text_scratch.clear();
-                    unescape_into(&input[start..lt], &mut self.text_scratch)
+                    self.scratch.text.clear();
+                    unescape_into(&input[start..lt], &mut self.scratch.text)
                         .map_err(|e| self.err(e.message()))?;
-                    sink.characters(&self.text_scratch)?;
+                    sink.characters(&self.scratch.text)?;
                 } else {
                     sink.characters(&input[start..lt])?;
                 }
@@ -581,8 +722,8 @@ impl<'x> XmlReader<'x> {
     }
 
     fn finish_document<S: EventSink>(&mut self, sink: &mut S) -> Result<bool, S::Error> {
-        if let Some(open) = self.open_elements.last() {
-            let open = &self.doc_names[open.id as usize];
+        if let Some(open) = self.scratch.open_elements.last() {
+            let open = self.quoted(open.id);
             return Err(self
                 .err(format!("unexpected end of input; <{open}> is still open"))
                 .into());
@@ -639,7 +780,7 @@ impl<'x> XmlReader<'x> {
     }
 
     fn read_cdata<S: EventSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
-        if self.open_elements.is_empty() {
+        if self.scratch.open_elements.is_empty() {
             return Err(self.err("CDATA section outside the root element").into());
         }
         let input = self.input;
@@ -690,7 +831,7 @@ impl<'x> XmlReader<'x> {
         // directly and check for the closing `>` — no name scan, no
         // table lookup. Any mismatch (different name, `</tag >`,
         // truncation) falls through to the full scan below.
-        if let Some(&open) = self.open_elements.last() {
+        if let Some(&open) = self.scratch.open_elements.last() {
             let (s, e) = (open.span.0 as usize, open.span.1 as usize);
             let after = name_start + (e - s);
             if after < bytes.len()
@@ -698,8 +839,8 @@ impl<'x> XmlReader<'x> {
                 && scan::bytes_eq(&bytes[s..e], &bytes[name_start..after])
             {
                 self.pos = after + 1;
-                self.open_elements.pop();
-                sink.end_element(open.id, &self.doc_names)?;
+                self.scratch.open_elements.pop();
+                sink.end_element(open.id, &self.scratch.names)?;
                 return Ok(());
             }
         }
@@ -716,35 +857,35 @@ impl<'x> XmlReader<'x> {
         }
         // Whitespace variant of the fast path (`</tag >`): the span
         // compare still settles the innermost match without the table.
-        if let Some(&open) = self.open_elements.last() {
+        if let Some(&open) = self.scratch.open_elements.last() {
             if scan::bytes_eq(
                 &bytes[open.span.0 as usize..open.span.1 as usize],
                 &bytes[name_start..name_end],
             ) {
                 self.pos = i + 1;
-                self.open_elements.pop();
-                sink.end_element(open.id, &self.doc_names)?;
+                self.scratch.open_elements.pop();
+                sink.end_element(open.id, &self.scratch.names)?;
                 return Ok(());
             }
         }
         let id = self.tag_name(name_start, name_end)?;
         self.pos = i + 1;
-        match self.open_elements.pop() {
+        match self.scratch.open_elements.pop() {
             // Document name ids are canonical (one id per distinct
             // name), so id equality is name equality.
             Some(open) if open.id == id => {
-                sink.end_element(id, &self.doc_names)?;
+                sink.end_element(id, &self.scratch.names)?;
                 Ok(())
             }
             Some(open) => {
-                let name = &self.doc_names[id as usize];
-                let open = &self.doc_names[open.id as usize];
+                let name = self.quoted(id);
+                let open = self.quoted(open.id);
                 Err(self
                     .err(format!("mismatched end tag </{name}>; expected </{open}>"))
                     .into())
             }
             None => {
-                let name = &self.doc_names[id as usize];
+                let name = self.quoted(id);
                 Err(self
                     .err(format!("end tag </{name}> with no open element"))
                     .into())
@@ -753,8 +894,8 @@ impl<'x> XmlReader<'x> {
     }
 
     fn read_start_tag<S: EventSink>(&mut self, sink: &mut S) -> Result<(), S::Error> {
-        self.attr_recs.clear();
-        self.attr_scratch.clear();
+        self.scratch.attr_recs.clear();
+        self.scratch.attr_text.clear();
         let input = self.input;
         let bytes = input.as_bytes();
         let name_start = self.pos + 1;
@@ -772,23 +913,23 @@ impl<'x> XmlReader<'x> {
                 i += 1;
             }
             if i >= bytes.len() {
-                let name = &self.doc_names[name as usize];
+                let name = self.quoted(name);
                 return Err(self.err(format!("unterminated start tag <{name}>")).into());
             }
             match bytes[i] {
                 b'>' => {
                     self.note_root()?;
                     self.pos = i + 1;
-                    self.open_elements.push(OpenTag {
+                    self.scratch.open_elements.push(OpenTag {
                         id: name,
                         span: name_span,
                     });
                     sink.start_element(
                         name,
-                        &self.doc_names,
-                        &mut self.attr_recs,
+                        &self.scratch.names,
+                        &mut self.scratch.attr_recs,
                         input,
-                        &self.attr_scratch,
+                        &self.scratch.attr_text,
                     )?;
                     return Ok(());
                 }
@@ -804,12 +945,12 @@ impl<'x> XmlReader<'x> {
                     self.pos = i + 2;
                     sink.start_element(
                         name,
-                        &self.doc_names,
-                        &mut self.attr_recs,
+                        &self.scratch.names,
+                        &mut self.scratch.attr_recs,
                         input,
-                        &self.attr_scratch,
+                        &self.scratch.attr_text,
                     )?;
-                    sink.end_element(name, &self.doc_names)?;
+                    sink.end_element(name, &self.scratch.names)?;
                     return Ok(());
                 }
                 _ => {
@@ -820,7 +961,7 @@ impl<'x> XmlReader<'x> {
     }
 
     fn note_root(&mut self) -> Result<(), XmlError> {
-        if self.open_elements.is_empty() {
+        if self.scratch.open_elements.is_empty() {
             if self.seen_root {
                 return Err(self.err("multiple root elements"));
             }
@@ -841,7 +982,7 @@ impl<'x> XmlReader<'x> {
                 matches!(b, b'=' | b' ' | b'\t' | b'\n' | b'\r' | b'>' | b'/')
             });
         if i == start {
-            let element = &self.doc_names[element as usize];
+            let element = self.quoted(element);
             return Err(self.err(format!("malformed attribute in <{element}>")));
         }
         let name = self.tag_name(start, i)?;
@@ -849,7 +990,7 @@ impl<'x> XmlReader<'x> {
             i += 1;
         }
         if i >= bytes.len() || bytes[i] != b'=' {
-            let name = &self.doc_names[name as usize];
+            let name = self.quoted(name);
             return Err(self.err(format!("attribute '{name}' is missing '='")));
         }
         i += 1;
@@ -857,7 +998,7 @@ impl<'x> XmlReader<'x> {
             i += 1;
         }
         if i >= bytes.len() || (bytes[i] != b'"' && bytes[i] != b'\'') {
-            let name = &self.doc_names[name as usize];
+            let name = self.quoted(name);
             return Err(self.err(format!("attribute '{name}' value must be quoted")));
         }
         let quote = bytes[i];
@@ -867,14 +1008,14 @@ impl<'x> XmlReader<'x> {
         loop {
             match scan::memchr3(quote, b'<', b'&', &bytes[i..]) {
                 None => {
-                    let name = &self.doc_names[name as usize];
+                    let name = self.quoted(name);
                     return Err(self.err(format!("unterminated value for attribute '{name}'")));
                 }
                 Some(off) => {
                     let at = i + off;
                     match bytes[at] {
                         b'<' => {
-                            let name = &self.doc_names[name as usize];
+                            let name = self.quoted(name);
                             return Err(
                                 self.err(format!("'<' is not allowed in attribute '{name}'"))
                             );
@@ -893,13 +1034,13 @@ impl<'x> XmlReader<'x> {
         }
         let value_end = i;
         let record = if has_amp {
-            let scratch_start = self.attr_scratch.len();
-            unescape_into(&input[value_start..value_end], &mut self.attr_scratch)
+            let scratch_start = self.scratch.attr_text.len();
+            unescape_into(&input[value_start..value_end], &mut self.scratch.attr_text)
                 .map_err(|e| self.err(e.message()))?;
             AttrRecord {
                 name,
                 start: arena_index(scratch_start),
-                end: arena_index(self.attr_scratch.len()),
+                end: arena_index(self.scratch.attr_text.len()),
                 in_alt: true,
             }
         } else {
@@ -912,153 +1053,69 @@ impl<'x> XmlReader<'x> {
         };
         // Ids are canonical within the document, so duplicate names are
         // exactly duplicate ids.
-        if self.attr_recs.iter().any(|r| r.name == record.name) {
-            let name = &self.doc_names[name as usize];
-            let element = &self.doc_names[element as usize];
+        if self.scratch.attr_recs.iter().any(|r| r.name == record.name) {
+            let name = self.quoted(name);
+            let element = self.quoted(element);
             return Err(self.err(format!("duplicate attribute '{name}' on <{element}>")));
         }
-        self.attr_recs.push(record);
+        self.scratch.attr_recs.push(record);
         Ok(value_end + 1)
     }
 
-    /// Resolves `input[start..end]` to its id in this document's name
-    /// table via the direct-mapped name cache: a repeated name is a few
-    /// word loads, a key compare and a generation check — no reference
-    /// count moves (names over [`NAME_KEY_EXACT`] bytes additionally
-    /// verify the full bytes, since their key covers only head, middle
-    /// and tail words). A first occurrence takes the full
-    /// [`check_name`](Self::check_name) validate-and-intern path and
-    /// populates the cache.
+    /// Resolves `input[start..end]` to its id through the thread's
+    /// vocabulary: a known name is a probe and a key compare — nothing
+    /// is cloned or counted (names over [`NAME_KEY_EXACT`] bytes also
+    /// compare their bytes, since their key covers only head, middle and
+    /// tail words). A name the vocabulary does not hold takes
+    /// [`new_name`](Self::new_name).
     fn tag_name(&mut self, start: usize, end: usize) -> Result<u32, XmlError> {
         let bytes = &self.input.as_bytes()[start..end];
-        let len = bytes.len();
-        if len == 0 {
+        if bytes.is_empty() {
             return Err(self.err("empty name"));
         }
         let key = name_key(bytes);
-        let slot = cache_slot(key);
-        if let Some(cached) = &mut self.name_cache[slot] {
-            if cached.key == key
-                && usize::from(cached.len) == len.min(255)
-                && (len <= NAME_KEY_EXACT || qname_eq_bytes(&cached.name, bytes))
-            {
-                if cached.gen == self.gen {
-                    return Ok(cached.doc_id);
-                }
-                // First occurrence this parse of a name cached by an
-                // earlier parse. A stale stamp implies the name holds
-                // no id this parse yet (assigning one always stamps
-                // this same slot), so it can be appended unscanned.
-                let id = arena_index(self.doc_names.len());
-                self.doc_names.push(cached.name.clone());
-                cached.gen = self.gen;
-                cached.doc_id = id;
-                return Ok(id);
-            }
+        let scratch = &self.scratch;
+        match scratch.vocabulary.find(key, bytes, &scratch.names) {
+            Some(id) => Ok(id),
+            None => self.new_name(start, end, key),
         }
-        let name = self.check_name(start, end)?;
-        // Cache eviction can bounce a name out of and back into its
-        // slot within one parse; scan for an existing id so ids stay
-        // canonical (duplicate-attribute and end-tag checks compare
-        // ids, and this path is rare).
-        let id = match self.doc_names.iter().position(|n| *n == name) {
-            Some(at) => arena_index(at),
-            None => {
-                let id = arena_index(self.doc_names.len());
-                self.doc_names.push(name.clone());
-                id
-            }
+    }
+
+    /// Validates and interns a name the vocabulary does not hold and
+    /// gives it the next id: in the vocabulary when it may join (see
+    /// [`Vocabulary::admits`]) and the document has no name of its own
+    /// yet — so the vocabulary's ids stay the first of the table — else
+    /// for this document only, interned on its own and found again by a
+    /// scan of the document's names.
+    #[cold]
+    fn new_name(
+        &mut self,
+        start: usize,
+        end: usize,
+        key: (u64, u64, u64),
+    ) -> Result<u32, XmlError> {
+        let scratch = &mut self.scratch;
+        let known = scratch.vocabulary.len();
+        let joins = scratch.vocabulary.admits(end - start) && scratch.names.len() == known;
+        let mut own = SymbolTable::new();
+        let symbols = match joins {
+            true => &mut scratch.vocabulary.symbols,
+            false => &mut own,
         };
-        self.name_cache[slot] = Some(CachedName {
-            key,
-            len: len.min(255) as u8,
-            name,
-            gen: self.gen,
-            doc_id: id,
-        });
-        Ok(id)
+        let name = check_name(&self.input[start..end], symbols).map_err(|e| self.err(e))?;
+        let scratch = &mut self.scratch;
+        if joins {
+            scratch.vocabulary.insert(key, end - start);
+        } else if let Some(at) = scratch.names[known..].iter().position(|n| *n == name) {
+            return Ok(arena_index(known + at));
+        }
+        scratch.names.push(name);
+        Ok(arena_index(scratch.names.len() - 1))
     }
 
-    /// Validates `input[start..end]` as a (possibly prefixed) XML name,
-    /// folding the FNV-1a hash of each part into the same byte scan and
-    /// interning without re-reading the bytes. Non-ASCII names fall back
-    /// to the char-oriented path.
-    fn check_name(&mut self, start: usize, end: usize) -> Result<QName, XmlError> {
-        let input = self.input;
-        let text = &input[start..end];
-        if text.is_empty() {
-            return Err(self.err("empty name"));
-        }
-        let bytes = text.as_bytes();
-        let mut hash = FNV_OFFSET;
-        let mut colon: Option<(usize, u64)> = None;
-        let mut part_start = 0;
-        let mut i = 0;
-        while i < bytes.len() {
-            let b = bytes[i];
-            if b >= 0x80 {
-                return self.check_name_slow(text);
-            }
-            if b == b':' {
-                if colon.is_some() || i == 0 {
-                    return Err(self.err(format!("invalid name '{text}'")));
-                }
-                colon = Some((i, hash));
-                hash = FNV_OFFSET;
-                part_start = i + 1;
-                i += 1;
-                continue;
-            }
-            let class = scan::CLASS[b as usize];
-            let valid = if i == part_start {
-                class & scan::NAME_START != 0
-            } else {
-                class & scan::NAME != 0
-            };
-            if !valid {
-                return Err(self.err(format!("invalid name '{text}'")));
-            }
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(FNV_PRIME);
-            i += 1;
-        }
-        if colon.is_some() && part_start == bytes.len() {
-            return Err(self.err(format!("invalid name '{text}'")));
-        }
-        Ok(match colon {
-            None => QName::from_symbols(None, self.symbols.intern_prehashed(hash, text)),
-            Some((at, prefix_hash)) => {
-                let prefix = self.symbols.intern_prehashed(prefix_hash, &text[..at]);
-                let local = self.symbols.intern_prehashed(hash, &text[at + 1..]);
-                QName::from_symbols(Some(prefix), local)
-            }
-        })
-    }
-
-    /// Char-oriented name validation for names containing non-ASCII
-    /// bytes (Unicode letters are valid name characters).
-    fn check_name_slow(&mut self, text: &str) -> Result<QName, XmlError> {
-        let valid_start = |c: char| c.is_alphabetic() || c == '_';
-        let valid_rest = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
-        let mut parts = text.splitn(2, ':');
-        let first = parts.next().expect("splitn yields at least one part");
-        let second = parts.next();
-        for part in [Some(first), second].into_iter().flatten() {
-            let mut chars = part.chars();
-            match chars.next() {
-                Some(c) if valid_start(c) => {}
-                _ => {
-                    return Err(self.err(format!("invalid name '{text}'")));
-                }
-            }
-            if !chars.all(valid_rest) {
-                return Err(self.err(format!("invalid name '{text}'")));
-            }
-        }
-        if second.map(|s| s.contains(':')).unwrap_or(false) {
-            return Err(self.err(format!("invalid name '{text}': more than one ':'")));
-        }
-        Ok(self.symbols.intern_qname(text))
+    /// Name `id` of this document as an error message quotes it.
+    fn quoted(&self, id: u32) -> Quoted<&QName> {
+        Quoted(&self.scratch.names[id as usize])
     }
 
     fn err(&self, message: impl Into<String>) -> XmlError {
@@ -1071,14 +1128,83 @@ fn arena_index(at: usize) -> u32 {
 }
 
 impl Drop for XmlReader<'_> {
-    /// Hands the warmed vocabulary cache back to the thread, so the
-    /// next parse on this thread starts with the service's names
-    /// already validated and interned.
+    /// Hands the scratch, with its warmed vocabulary, back to the
+    /// thread, so the next parse on this thread starts with the
+    /// service's names already validated and interned.
     fn drop(&mut self) {
-        if self.name_cache.len() == NAME_CACHE_SLOTS {
-            TLS_NAME_CACHE.with(|c| c.set(Some(std::mem::take(&mut self.name_cache))));
+        std::mem::take(&mut self.scratch).give_back();
+    }
+}
+
+/// Validates `text` as a (possibly prefixed) XML name and interns its
+/// parts in `symbols`, folding the FNV-1a hash of each part into the
+/// byte scan that validates it. Non-ASCII names take the char-oriented
+/// path. The error is the message, without a position.
+fn check_name(text: &str, symbols: &mut SymbolTable) -> Result<QName, String> {
+    let invalid = || format!("invalid name '{}'", Quoted(text));
+    let bytes = text.as_bytes();
+    let mut hash = FNV_OFFSET;
+    let mut colon: Option<(usize, u64)> = None;
+    let mut part_start = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x80 {
+            return check_name_slow(text, symbols);
+        }
+        if b == b':' {
+            if colon.is_some() || i == 0 {
+                return Err(invalid());
+            }
+            colon = Some((i, hash));
+            hash = FNV_OFFSET;
+            part_start = i + 1;
+            continue;
+        }
+        let class = scan::CLASS[b as usize];
+        let valid = match i == part_start {
+            true => class & scan::NAME_START != 0,
+            false => class & scan::NAME != 0,
+        };
+        if !valid {
+            return Err(invalid());
+        }
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    if colon.is_some() && part_start == bytes.len() {
+        return Err(invalid());
+    }
+    Ok(match colon {
+        None => QName::from_symbols(None, symbols.intern_prehashed(hash, text)),
+        Some((at, prefix_hash)) => {
+            let prefix = symbols.intern_prehashed(prefix_hash, &text[..at]);
+            let local = symbols.intern_prehashed(hash, &text[at + 1..]);
+            QName::from_symbols(Some(prefix), local)
+        }
+    })
+}
+
+/// Char-oriented name validation for names containing non-ASCII bytes
+/// (Unicode letters are valid name characters).
+fn check_name_slow(text: &str, symbols: &mut SymbolTable) -> Result<QName, String> {
+    let valid_start = |c: char| c.is_alphabetic() || c == '_';
+    let valid_rest = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
+    let mut parts = text.splitn(2, ':');
+    let first = parts.next().expect("splitn yields at least one part");
+    let second = parts.next();
+    for part in [Some(first), second].into_iter().flatten() {
+        let mut chars = part.chars();
+        let starts = chars.next().is_some_and(valid_start);
+        if !starts || !chars.all(valid_rest) {
+            return Err(format!("invalid name '{}'", Quoted(text)));
         }
     }
+    if second.is_some_and(|s| s.contains(':')) {
+        return Err(format!(
+            "invalid name '{}': more than one ':'",
+            Quoted(text)
+        ));
+    }
+    Ok(symbols.intern_qname(text))
 }
 
 /// Error from [`XmlReader::parse_into`]: either a parse failure or a

@@ -10,12 +10,14 @@ use crate::event::SaxEventRef;
 /// added until content is written) and closed with [`end`](XmlWriter::end).
 /// The writer tracks the open-element stack and refuses misuse.
 ///
-/// Everything is written straight into the output: the names of the
-/// open elements sit end to end in one buffer, text and attribute values
-/// are escaped in place, and the `_with` forms let a caller format a
-/// name, a number or base64 directly into the document. Building a
-/// document allocates nothing but the output's and those two buffers'
-/// growth.
+/// Everything is written straight into the output: an end tag copies
+/// its name from the start tag already written, text and attribute
+/// values are escaped in place, and the `_with` forms let a caller
+/// format a name, a number or base64 directly into the document. The
+/// output is the thread's scratch (see `WriterScratch`): a document is
+/// built in a buffer a previous one grew, and
+/// [`finish`](XmlWriter::finish) allocates the result once, at its exact
+/// size.
 ///
 /// ```
 /// use wsrc_xml::XmlWriter;
@@ -30,57 +32,122 @@ use crate::event::SaxEventRef;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct XmlWriter {
     out: String,
-    /// The names of the open elements, outermost first, end to end.
-    names: String,
     open: Vec<Open>,
     tag_open: bool,
     root_closed: bool,
-    declaration: bool,
+    /// The output begins with the XML declaration.
+    declared: bool,
     indent: Option<usize>,
 }
 
 /// One open element.
 #[derive(Debug, Clone, Copy)]
 struct Open {
-    /// Where its name starts in [`XmlWriter::names`].
-    name_start: usize,
+    /// Where its name is in the output: its start tag's.
+    name: (usize, usize),
     /// It has child elements (pretty mode).
     children: bool,
     /// It has character data.
     text: bool,
 }
 
+/// Buffers a writer keeps for the next document on its thread are
+/// dropped instead when its output grew past this many bytes.
+const SCRATCH_CAP: usize = 16 << 10;
+/// … or when its open elements took more than this many.
+const OPEN_CAP: usize = 2 << 10;
+
+thread_local! {
+    /// The buffers of the last writer to finish on this thread. A writer
+    /// that starts while another is open takes new ones.
+    static SCRATCH: std::cell::Cell<Option<WriterScratch>> = const { std::cell::Cell::new(None) };
+}
+
+/// What an [`XmlWriter`] builds its document in: the output and the open
+/// elements. They die with the document, so a thread keeps one set and
+/// every writer on it reuses the capacity the last one grew, up to
+/// 16 KiB of output.
+#[derive(Debug, Default)]
+struct WriterScratch {
+    out: String,
+    open: Vec<Open>,
+}
+
+impl WriterScratch {
+    fn take() -> WriterScratch {
+        SCRATCH.with(std::cell::Cell::take).unwrap_or_default()
+    }
+
+    /// Empties the buffers and keeps them for the thread's next writer,
+    /// unless they outgrew the cap or a nested writer's got there first
+    /// with more room.
+    fn give_back(mut self) {
+        let open_bytes = self.open.capacity() * std::mem::size_of::<Open>();
+        if self.out.capacity() > SCRATCH_CAP || open_bytes > OPEN_CAP {
+            return;
+        }
+        self.out.clear();
+        self.open.clear();
+        SCRATCH.with(|slot| {
+            let keep = match slot.take() {
+                Some(kept) if kept.out.capacity() > self.out.capacity() => kept,
+                _ => self,
+            };
+            slot.set(Some(keep));
+        });
+    }
+}
+
+impl Default for XmlWriter {
+    fn default() -> Self {
+        XmlWriter::new()
+    }
+}
+
+impl Drop for XmlWriter {
+    fn drop(&mut self) {
+        WriterScratch {
+            out: std::mem::take(&mut self.out),
+            open: std::mem::take(&mut self.open),
+        }
+        .give_back();
+    }
+}
+
 impl XmlWriter {
     /// Creates a writer producing compact output (no declaration).
     pub fn new() -> Self {
-        XmlWriter::default()
+        let WriterScratch { out, open } = WriterScratch::take();
+        XmlWriter {
+            out,
+            open,
+            tag_open: false,
+            root_closed: false,
+            declared: false,
+            indent: None,
+        }
     }
 
     /// Creates a writer that first emits `<?xml version="1.0" encoding="UTF-8"?>`.
     pub fn with_declaration() -> Self {
-        XmlWriter {
-            declaration: true,
-            ..XmlWriter::default()
-        }
+        let mut writer = XmlWriter::new();
+        writer
+            .out
+            .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
+        writer.declared = true;
+        writer
     }
 
     /// Enables pretty-printing with the given indent width.
     pub fn indented(mut self, spaces: usize) -> Self {
+        if self.declared && self.indent.is_none() {
+            self.out.push('\n');
+        }
         self.indent = Some(spaces);
         self
-    }
-
-    fn write_declaration_if_needed(&mut self) {
-        if self.declaration && self.out.is_empty() {
-            self.out
-                .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-            if self.indent.is_some() {
-                self.out.push('\n');
-            }
-        }
     }
 
     fn close_pending_tag(&mut self) {
@@ -90,6 +157,7 @@ impl XmlWriter {
         }
     }
 
+    #[inline]
     fn newline_and_indent(&mut self, depth: usize) {
         if let Some(width) = self.indent {
             if !self.out.is_empty() && !self.out.ends_with('\n') {
@@ -122,7 +190,6 @@ impl XmlWriter {
                 "cannot start an element after the root was closed",
             ));
         }
-        self.write_declaration_if_needed();
         self.close_pending_tag();
         let suppress_indent = match self.open.last_mut() {
             Some(parent) => {
@@ -137,10 +204,8 @@ impl XmlWriter {
         self.out.push('<');
         let at = self.out.len();
         write(&mut self.out);
-        let name_start = self.names.len();
-        self.names.push_str(&self.out[at..]);
         self.open.push(Open {
-            name_start,
+            name: (at, self.out.len()),
             children: false,
             text: false,
         });
@@ -258,7 +323,6 @@ impl XmlWriter {
         if text.as_ref().contains("--") {
             return Err(XmlError::new("'--' is not allowed inside comments"));
         }
-        self.write_declaration_if_needed();
         self.close_pending_tag();
         self.out.push_str("<!--");
         self.out.push_str(text.as_ref());
@@ -284,10 +348,9 @@ impl XmlWriter {
                 self.newline_and_indent(self.open.len());
             }
             self.out.push_str("</");
-            self.out.push_str(&self.names[open.name_start..]);
+            self.out.extend_from_within(open.name.0..open.name.1);
             self.out.push('>');
         }
-        self.names.truncate(open.name_start);
         if self.open.is_empty() {
             self.root_closed = true;
         }
@@ -315,10 +378,21 @@ impl XmlWriter {
     ///
     /// Fails if elements remain open or nothing was written.
     pub fn finish(self) -> Result<String, XmlError> {
+        self.finish_with(|xml| xml.to_string())
+    }
+
+    /// Finishes the document and hands it to `make`, which builds what
+    /// outlives the writer from it — a `String`, or shared bytes for a
+    /// message body — in one allocation of exactly its size.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`finish`](XmlWriter::finish).
+    pub fn finish_with<T>(self, make: impl FnOnce(&str) -> T) -> Result<T, XmlError> {
         if let Some(open) = self.open.last() {
             return Err(XmlError::new(format!(
                 "finish() while <{}> is still open",
-                &self.names[open.name_start..]
+                &self.out[open.name.0..open.name.1]
             )));
         }
         if !self.root_closed {
@@ -326,7 +400,7 @@ impl XmlWriter {
                 "finish() before any root element was written",
             ));
         }
-        Ok(self.out)
+        Ok(make(&self.out))
     }
 
     /// Current nesting depth (0 at the top level).

@@ -3,8 +3,8 @@
 //! as ` name="value"`.
 
 use std::convert::Infallible;
-use wsrc_xml::sax::ContentHandler;
-use wsrc_xml::{Attributes, QName, SaxEventRef};
+use wsrc_xml::sax::{ContentHandler, ElementName};
+use wsrc_xml::{Attributes, SaxEventRef};
 
 #[derive(Debug, Default)]
 pub struct Probe {
@@ -36,12 +36,14 @@ impl ContentHandler for Probe {
     }
     fn start_element(
         &mut self,
-        name: &QName,
+        name: ElementName<'_>,
         attributes: Attributes<'_>,
     ) -> Result<(), Infallible> {
+        let name = name.qname();
         self.event(SaxEventRef::StartElement { name, attributes })
     }
-    fn end_element(&mut self, name: &QName) -> Result<(), Infallible> {
+    fn end_element(&mut self, name: ElementName<'_>) -> Result<(), Infallible> {
+        let name = name.qname();
         self.event(SaxEventRef::EndElement { name })
     }
     fn characters(&mut self, text: &str) -> Result<(), Infallible> {

@@ -3,15 +3,18 @@
 #![allow(unsafe_code)]
 
 //! Exact work counts per call: clock reads, histogram records, classed
-//! lock acquisitions and heap allocations of one `ServiceClient::invoke`
+//! lock acquisitions, heap allocations and the bytes they asked for, of
+//! one `ServiceClient::invoke`
 //! over `InProcTransport`, for each forced production form × {hit, miss,
 //! stale → 304, refused oversize insert, uncacheable}, untraced and
 //! traced. The table is committed below: a change that adds work to a
 //! path edits it, so the diff states the claim.
 //!
-//! Locks and allocations are checked in debug builds only (the lock
-//! count lives next to the debug-only lock witness, and release builds
-//! may elide allocations); clock reads and records in every build.
+//! Locks and allocations (count and bytes) are checked in debug builds
+//! only (the lock count lives next to the debug-only lock witness, and
+//! release builds may elide allocations); clock reads and records in
+//! every build. A reallocation counts as an allocation of its new size,
+//! so a buffer that grows by doubling shows as a ladder in both columns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,12 +30,12 @@ use wsrcache::services::google::{self, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
 
-/// Counts allocations per thread, so tests running in parallel do not
-/// see each other's.
+/// Counts allocations and their bytes per thread, so tests running in
+/// parallel do not see each other's.
 struct CountingAlloc;
 
 thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 // SAFETY: every call forwards to `System` with the caller's own
@@ -40,7 +43,10 @@ thread_local! {
 // a const-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = ALLOCATIONS.try_with(|n| {
+            let (count, bytes) = n.get();
+            n.set((count + 1, bytes + layout.size() as u64));
+        });
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -54,7 +60,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn allocations() -> u64 {
+/// Allocations so far on this thread, and the bytes they asked for.
+fn allocations() -> (u64, u64) {
     ALLOCATIONS.with(Cell::get)
 }
 
@@ -79,10 +86,10 @@ struct Backend {
 
 impl Handler for Backend {
     fn handle(&self, request: &Request) -> Response {
-        let before = allocations();
+        let before = allocations().0;
         let response = self.dispatcher.handle(request);
         self.allocations
-            .fetch_add(allocations() - before, Ordering::SeqCst);
+            .fetch_add(allocations().0 - before, Ordering::SeqCst);
         response
     }
 }
@@ -96,23 +103,33 @@ enum Path {
     Uncacheable,
 }
 
-/// One invoke's work. `backend_allocs` is the part of `allocs` the
-/// dummy service's dispatcher made.
+/// One invoke's work. `bytes` is what `allocs` asked for;
+/// `backend_allocs` is the part of `allocs` the dummy service's
+/// dispatcher made.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Work {
     reads: u64,
     records: u64,
     locks: u64,
     allocs: u64,
+    bytes: u64,
     backend_allocs: u64,
 }
 
-const fn w(reads: u64, records: u64, locks: u64, allocs: u64, backend_allocs: u64) -> Work {
+const fn w(
+    reads: u64,
+    records: u64,
+    locks: u64,
+    allocs: u64,
+    bytes: u64,
+    backend_allocs: u64,
+) -> Work {
     Work {
         reads,
         records,
         locks,
         allocs,
+        bytes,
         backend_allocs,
     }
 }
@@ -133,40 +150,41 @@ const PATHS: [Path; 5] = [
 ];
 
 /// The committed table, indexed [form][path][untraced, traced]:
-/// `w(clock reads, records, locks, allocations, of which the back end's)`.
+/// `w(clock reads, records, locks, allocations, bytes allocated, of the
+/// allocations the back end's)`.
 #[rustfmt::skip]
 const EXPECTED: [[[Work; 2]; 5]; 4] = [
     // xml-message
     [
-        [w(4, 3, 1, 86, 0), w(6, 3, 4, 103, 0)], // Hit
-        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Miss
-        [w(8, 5, 2, 108, 1), w(10, 5, 5, 124, 1)], // Revalidated
-        [w(10, 7, 2, 205, 96), w(12, 7, 5, 223, 96)], // Refused
-        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
+        [w(4, 3, 1, 39, 9967, 0), w(6, 3, 4, 56, 13164, 0)], // Hit
+        [w(10, 7, 2, 83, 28018, 30), w(12, 7, 5, 101, 33522, 30)], // Miss
+        [w(8, 5, 2, 51, 11211, 1), w(10, 5, 5, 67, 14414, 1)], // Revalidated
+        [w(10, 7, 2, 80, 27374, 30), w(12, 7, 5, 98, 32878, 30)], // Refused
+        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
     ],
     // sax-events
     [
-        [w(4, 3, 1, 66, 0), w(6, 3, 4, 82, 0)], // Hit
-        [w(10, 7, 2, 211, 96), w(12, 7, 5, 229, 96)], // Miss
-        [w(8, 5, 2, 88, 1), w(10, 5, 5, 104, 1)], // Revalidated
-        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Refused
-        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
+        [w(4, 3, 1, 39, 9967, 0), w(6, 3, 4, 55, 12908, 0)], // Hit
+        [w(10, 7, 2, 87, 43688, 30), w(12, 7, 5, 105, 49192, 30)], // Miss
+        [w(8, 5, 2, 51, 11211, 1), w(10, 5, 5, 67, 14414, 1)], // Revalidated
+        [w(10, 7, 2, 84, 43044, 30), w(12, 7, 5, 102, 48548, 30)], // Refused
+        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
     ],
     // serialization
     [
-        [w(4, 3, 1, 104, 0), w(6, 3, 4, 120, 0)], // Hit
-        [w(10, 7, 2, 224, 96), w(12, 7, 5, 242, 96)], // Miss
-        [w(8, 5, 2, 126, 1), w(10, 5, 5, 142, 1)], // Revalidated
-        [w(10, 7, 2, 221, 96), w(12, 7, 5, 239, 96)], // Refused
-        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
+        [w(4, 3, 1, 81, 16099, 0), w(6, 3, 4, 97, 19040, 0)], // Hit
+        [w(10, 7, 2, 99, 49264, 30), w(12, 7, 5, 117, 54768, 30)], // Miss
+        [w(8, 5, 2, 93, 17343, 1), w(10, 5, 5, 109, 20546, 1)], // Revalidated
+        [w(10, 7, 2, 96, 48620, 30), w(12, 7, 5, 114, 54124, 30)], // Refused
+        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
     ],
     // pass-by-reference
     [
-        [w(4, 3, 1, 34, 0), w(6, 3, 4, 50, 0)], // Hit
-        [w(10, 7, 2, 208, 96), w(12, 7, 5, 226, 96)], // Miss
-        [w(8, 5, 2, 56, 1), w(10, 5, 5, 72, 1)], // Revalidated
-        [w(10, 7, 2, 205, 96), w(12, 7, 5, 223, 96)], // Refused
-        [w(4, 3, 0, 192, 96), w(6, 3, 3, 205, 96)], // Uncacheable
+        [w(4, 3, 1, 34, 2551, 0), w(6, 3, 4, 50, 5492, 0)], // Hit
+        [w(10, 7, 2, 83, 28018, 30), w(12, 7, 5, 101, 33522, 30)], // Miss
+        [w(8, 5, 2, 46, 3795, 1), w(10, 5, 5, 62, 6998, 1)], // Revalidated
+        [w(10, 7, 2, 80, 27374, 30), w(12, 7, 5, 98, 32878, 30)], // Refused
+        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
     ],
 ];
 
@@ -242,11 +260,11 @@ fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
     };
     let (reads, recorded) = (clock.reads.load(Ordering::SeqCst), records());
     let locks = wsrcache::obs::sync::acquisitions();
-    let allocs = allocations();
+    let (allocs, bytes) = allocations();
     let root = traced.then(|| metrics.tracer().root_span("work-counts", "/work"));
     let (handle, disposition) = client.invoke(&search()).expect("invoke");
     drop(root);
-    let allocs = allocations() - allocs;
+    let (allocs, bytes) = (allocations().0 - allocs, allocations().1 - bytes);
     let locks = wsrcache::obs::sync::acquisitions()
         .zip(locks)
         .map_or(0, |(after, before)| after - before);
@@ -255,6 +273,7 @@ fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
         records: records() - recorded,
         locks,
         allocs,
+        bytes,
         backend_allocs: backend.allocations.load(Ordering::SeqCst),
     };
     drop(handle);
@@ -284,8 +303,8 @@ fn every_path_does_exactly_the_committed_work() {
                 let mut got = measure(form, path, traced);
                 let mut want = EXPECTED[f][p][t];
                 if !cfg!(debug_assertions) {
-                    (got.locks, got.allocs, got.backend_allocs) = (0, 0, 0);
-                    (want.locks, want.allocs, want.backend_allocs) = (0, 0, 0);
+                    (got.locks, got.allocs, got.bytes, got.backend_allocs) = (0, 0, 0, 0);
+                    (want.locks, want.allocs, want.bytes, want.backend_allocs) = (0, 0, 0, 0);
                 }
                 mismatched |= got != want;
                 let Work {
@@ -293,10 +312,11 @@ fn every_path_does_exactly_the_committed_work() {
                     records,
                     locks,
                     allocs,
+                    bytes,
                     backend_allocs,
                 } = got;
                 row.push(format!(
-                    "w({reads}, {records}, {locks}, {allocs}, {backend_allocs})"
+                    "w({reads}, {records}, {locks}, {allocs}, {bytes}, {backend_allocs})"
                 ));
             }
             measured.push_str(&format!("        [{}], // {path:?}\n", row.join(", ")));
