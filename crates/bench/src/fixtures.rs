@@ -6,7 +6,7 @@ use wsrc_model::typeinfo::{FieldType, TypeRegistry};
 use wsrc_model::Value;
 use wsrc_services::dispatch::SoapService;
 use wsrc_services::google::{self, GoogleService};
-use wsrc_soap::deserializer::read_response_xml_recording;
+use wsrc_soap::deserializer::read_response_bytes_recording;
 use wsrc_soap::rpc::RpcRequest;
 use wsrc_soap::serializer::serialize_response;
 use wsrc_xml::event::SaxEventSequence;
@@ -99,8 +99,9 @@ pub fn google_fixtures() -> Vec<OperationFixture> {
             let xml =
                 serialize_response(google::NAMESPACE, operation, "return", &served, &registry)
                     .expect("serializable response");
-            let (outcome, events) = read_response_xml_recording(&xml, &return_type, &registry)
-                .expect("own output parses");
+            let (outcome, events) =
+                read_response_bytes_recording(xml.as_bytes(), &return_type, &registry)
+                    .expect("own output parses");
             // What a miss hands the cache is the tree the reader decoded
             // (a few blocks), not the one the service built (a block per
             // node and string).

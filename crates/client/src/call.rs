@@ -120,16 +120,6 @@ impl Call {
         }
     }
 
-    /// The bound endpoint.
-    pub fn endpoint(&self) -> &Url {
-        &self.endpoint
-    }
-
-    /// The registry used to type exchanges.
-    pub fn registry(&self) -> &TypeRegistry {
-        &self.registry
-    }
-
     /// Performs one full exchange, returning the raw artifacts (response
     /// XML, deserialized value). Nothing caches what an uncached call
     /// returns, so it records no events.
@@ -329,9 +319,12 @@ mod tests {
         });
         let (call, _t) = call_over(faulty);
         let req = RpcRequest::new("urn:Echo", "echo").with_param("text", "x");
-        let err = call.invoke(&echo_op(), &req).unwrap_err();
-        let fault = err.as_fault().expect("fault");
-        assert_eq!(fault.string, "backend down");
+        match call.invoke(&echo_op(), &req).unwrap_err() {
+            ClientError::Soap(wsrc_soap::SoapError::Fault(fault)) => {
+                assert_eq!(fault.string, "backend down");
+            }
+            other => panic!("expected a SOAP fault, got {other}"),
+        }
     }
 
     #[test]

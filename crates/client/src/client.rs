@@ -133,11 +133,6 @@ impl ServiceClient {
         self.cache.as_ref()
     }
 
-    /// The operation descriptors this client knows.
-    pub fn operations(&self) -> &[OperationDescriptor] {
-        &self.operations
-    }
-
     /// The endpoint URL string used in cache keys.
     pub fn endpoint_url(&self) -> &str {
         &self.endpoint_url

@@ -14,16 +14,6 @@ pub enum ClientError {
     UnknownOperation(String),
 }
 
-impl ClientError {
-    /// The SOAP fault if the server returned one.
-    pub fn as_fault(&self) -> Option<&wsrc_soap::SoapFault> {
-        match self {
-            ClientError::Soap(wsrc_soap::SoapError::Fault(f)) => Some(f),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -63,9 +53,12 @@ mod tests {
     #[test]
     fn fault_extraction() {
         let e: ClientError = wsrc_soap::SoapError::Fault(wsrc_soap::SoapFault::server("x")).into();
-        assert!(e.as_fault().is_some());
+        assert!(matches!(
+            e,
+            ClientError::Soap(wsrc_soap::SoapError::Fault(_))
+        ));
         let e: ClientError = wsrc_http::HttpError::Timeout.into();
-        assert!(e.as_fault().is_none());
+        assert!(matches!(e, ClientError::Http(_)));
         assert!(ClientError::UnknownOperation("op".into())
             .to_string()
             .contains("op"));

@@ -13,9 +13,9 @@
 //! client application running on the middleware" (paper §3.2); the
 //! application-facing API is identical with or without a cache attached.
 
-pub mod call;
-pub mod client;
-pub mod error;
+pub(crate) mod call;
+pub(crate) mod client;
+pub(crate) mod error;
 
 pub use call::Call;
 pub use client::{Disposition, ServiceClient, ServiceClientBuilder};

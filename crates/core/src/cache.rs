@@ -307,16 +307,6 @@ impl ResponseCache {
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
-
-    /// The `cache=<label>` value on every metric this cache emits.
-    pub fn metrics_label(&self) -> &str {
-        self.stats.label()
-    }
-
-    /// The registry this cache types values with.
-    pub fn registry(&self) -> &TypeRegistry {
-        &self.registry
-    }
 }
 
 /// The form an entry is built under first: the one the policy forces,
@@ -574,7 +564,7 @@ mod tests {
     use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::{StructValue, Value};
     use wsrc_obs::ManualClock;
-    use wsrc_soap::deserializer::read_response_xml_recording;
+    use wsrc_soap::deserializer::read_response_bytes_recording;
     use wsrc_soap::serializer::serialize_response;
     use wsrc_xml::event::SaxEventSequence;
 
@@ -608,7 +598,8 @@ mod tests {
 
     fn fixture_of(value: Value, expected: FieldType) -> Fixture {
         let xml = serialize_response("urn:t", "getItem", "return", &value, &registry()).unwrap();
-        let (_, events) = read_response_xml_recording(&xml, &expected, &registry()).unwrap();
+        let (_, events) =
+            read_response_bytes_recording(xml.as_bytes(), &expected, &registry()).unwrap();
         Fixture {
             xml: Arc::from(xml.into_bytes()),
             events: Arc::new(events),
@@ -888,7 +879,6 @@ mod tests {
             .metrics(metrics.clone())
             .metrics_label("unit")
             .build();
-        assert_eq!(cache.metrics_label(), "unit");
         let f = fixture();
         assert!(cache.lookup(URL, &request(), &f.expected).is_none());
         let repr = cache.insert(URL, &request(), data(&f)).unwrap();
@@ -943,9 +933,20 @@ mod tests {
         assert!(gauge("wsrc_cache_bytes") > 0);
         cache.clear();
         assert_eq!(cache.metrics().snapshot().gauges.len(), snap.gauges.len());
-        // Unlabelled caches sharing a registry stay distinguishable.
-        let (a, b) = (cacheable_cache(), cacheable_cache());
-        assert_ne!(a.metrics_label(), b.metrics_label());
+        // Unlabelled caches sharing a registry stay distinguishable:
+        // each counts its own miss.
+        let shared = Arc::new(MetricsRegistry::new());
+        for _ in 0..2 {
+            let unlabelled = ResponseCache::builder(registry())
+                .cache_everything(Duration::from_secs(60))
+                .metrics(shared.clone())
+                .build();
+            assert!(unlabelled.lookup(URL, &request(), &f.expected).is_none());
+        }
+        let snap = shared.snapshot();
+        let misses = snap.counters.iter();
+        let misses = misses.filter(|(id, n)| id.name == "wsrc_cache_misses_total" && *n == 1);
+        assert_eq!(misses.count(), 2);
     }
 
     #[test]

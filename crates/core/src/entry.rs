@@ -19,7 +19,7 @@ impl CacheEntry {
     }
 
     /// The stored form.
-    pub fn form(&self) -> &StoredResponse {
+    pub(crate) fn form(&self) -> &StoredResponse {
         &self.form
     }
 

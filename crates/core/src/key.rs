@@ -39,15 +39,6 @@ impl KeyStrategy {
         KeyStrategy::ToString,
     ];
 
-    /// Human-readable label matching the paper's tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KeyStrategy::XmlMessage => "XML message",
-            KeyStrategy::Serialization => "Java serialization",
-            KeyStrategy::ToString => "toString method",
-        }
-    }
-
     /// Stable kebab-case label for metric and benchmark row names.
     pub fn metric_label(&self) -> &'static str {
         match self {
@@ -297,12 +288,5 @@ mod tests {
             first_applicable_key(URL, &req, &r).unwrap(),
             CacheKey::Binary(_)
         ));
-    }
-
-    #[test]
-    fn labels_match_paper() {
-        assert_eq!(KeyStrategy::XmlMessage.label(), "XML message");
-        assert_eq!(KeyStrategy::Serialization.label(), "Java serialization");
-        assert_eq!(KeyStrategy::ToString.label(), "toString method");
     }
 }

@@ -20,24 +20,24 @@
 //! - [`policy`] — per-operation cacheability, TTL and optional forced
 //!   representation, configured by the client-side administrator
 //!   (paper §3.2).
-//! - [`classify`] — the paper's §6 table for Java objects, for the
+//! - `classify` — the paper's §6 table for Java objects, for the
 //!   reproduced tables; the cache itself stores the shared object unless
 //!   the policy forces a form.
-//! - [`entry`] — cache entries: one response under one stored form.
+//! - `entry` — cache entries: one response under one stored form.
 //! - [`store`] — the concurrent sharded cache table with TTL expiry and
 //!   size-aware LRU eviction.
-//! - [`cache`] — [`cache::ResponseCache`], the facade the client
+//! - `cache` — [`cache::ResponseCache`], the facade the client
 //!   middleware plugs in.
-//! - [`stats`] — hit/miss/eviction counters.
+//! - `stats` — hit/miss/eviction counters.
 
-pub mod cache;
-pub mod classify;
-pub mod entry;
-pub mod error;
+pub(crate) mod cache;
+pub(crate) mod classify;
+pub(crate) mod entry;
+pub(crate) mod error;
 pub mod key;
 pub mod policy;
 pub mod repr;
-pub mod stats;
+pub(crate) mod stats;
 pub mod store;
 
 // Remnant `benchmark/src/stack.rs` names; goes with ROADMAP item 1.
@@ -50,5 +50,5 @@ pub use error::CacheError;
 pub use key::{CacheKey, KeyStrategy};
 pub use policy::{CachePolicy, OperationPolicy};
 pub use repr::{StoredResponse, ValueHandle, ValueRepresentation};
-pub use stats::{CacheStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use store::{CacheStore, Capacity};

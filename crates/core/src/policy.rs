@@ -118,11 +118,6 @@ impl CachePolicy {
         self.operations.is_empty()
     }
 
-    /// Iterates declared `(operation, policy)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &OperationPolicy)> {
-        self.operations.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Parses a policy from the simple text format used by deployment
     /// descriptors:
     ///

@@ -111,7 +111,7 @@ impl ValueRepresentation {
     /// This representation's position in
     /// [`ALL_EXTENDED`](ValueRepresentation::ALL_EXTENDED) — the index
     /// into per-representation metric arrays.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             ValueRepresentation::XmlMessage => 0,
             ValueRepresentation::DomTree => 1,
@@ -364,7 +364,7 @@ mod tests {
     use super::*;
     use wsrc_model::typeinfo::{Capabilities, FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::StructValue;
-    use wsrc_soap::deserializer::read_response_xml_recording;
+    use wsrc_soap::deserializer::read_response_bytes_recording;
     use wsrc_soap::serializer::serialize_response;
 
     fn registry() -> TypeRegistry {
@@ -403,7 +403,8 @@ mod tests {
     fn fixture(value: Value, expected: FieldType) -> Fixture {
         let r = registry();
         let xml = serialize_response("urn:t", "op", "return", &value, &r).unwrap();
-        let (outcome, events) = read_response_xml_recording(&xml, &expected, &r).unwrap();
+        let (outcome, events) =
+            read_response_bytes_recording(xml.as_bytes(), &expected, &r).unwrap();
         assert_eq!(outcome.as_return().unwrap(), &value);
         Fixture {
             xml: Arc::from(xml.into_bytes()),

@@ -25,8 +25,7 @@ pub(crate) fn auto_label() -> String {
 /// Thread-safe hit/miss/eviction counters, labelled `cache=<label>` in
 /// the owning registry; hits and inserts carry a `repr` label too.
 #[derive(Debug)]
-pub struct CacheStats {
-    label: String,
+pub(crate) struct CacheStats {
     hits_by_repr: [Counter; ValueRepresentation::COUNT],
     inserts_by_repr: [Counter; ValueRepresentation::COUNT],
     misses: Counter,
@@ -67,7 +66,7 @@ pub struct StatsSnapshot {
     #[doc(hidden)]
     pub conversions: u64,
     /// Hits broken down by the stored entry's representation, indexed by
-    /// [`ValueRepresentation::index`].
+    /// `ValueRepresentation::index`.
     pub hits_by_repr: [u64; ValueRepresentation::COUNT],
     /// Inserts broken down by representation, same indexing.
     pub inserts_by_repr: [u64; ValueRepresentation::COUNT],
@@ -129,13 +128,12 @@ impl StatsSnapshot {
 
 impl CacheStats {
     /// Counters registered in `registry` under `cache=<label>`.
-    pub fn in_registry(registry: &Arc<MetricsRegistry>, label: &str) -> Self {
+    pub(crate) fn in_registry(registry: &Arc<MetricsRegistry>, label: &str) -> Self {
         let repr_counter = |name: &str, repr: ValueRepresentation| {
             registry.counter(name, &[("cache", label), ("repr", repr.metric_label())])
         };
         let counter = |name: &str| registry.counter(name, &[("cache", label)]);
         CacheStats {
-            label: label.to_string(),
             hits_by_repr: ValueRepresentation::ALL_EXTENDED
                 .map(|r| repr_counter("wsrc_cache_hits_total", r)),
             inserts_by_repr: ValueRepresentation::ALL_EXTENDED
@@ -154,11 +152,6 @@ impl CacheStats {
             store_failures: counter("wsrc_cache_store_failures_total"),
             revalidated: counter("wsrc_cache_revalidated_total"),
         }
-    }
-
-    /// The `cache` label these counters carry in the registry.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     pub(crate) fn record_hit(&self, repr: ValueRepresentation) {
@@ -192,7 +185,7 @@ impl CacheStats {
     }
 
     /// Copies the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let mut hits_by_repr = [0u64; ValueRepresentation::COUNT];
         let mut inserts_by_repr = [0u64; ValueRepresentation::COUNT];
         for i in 0..ValueRepresentation::COUNT {

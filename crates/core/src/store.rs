@@ -484,7 +484,6 @@ pub struct CacheStore {
     shards: Vec<Mutex<Shard>>,
     /// `shards.len() - 1`; the shard count is always a power of two.
     shard_mask: usize,
-    capacity: Capacity,
     shard_max_entries: usize,
     shard_max_bytes: usize,
     /// Sums of the shards' `entries` and `bytes`, each shard's share as
@@ -521,7 +520,6 @@ impl CacheStore {
         CacheStore {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_mask: shards - 1,
-            capacity,
             shard_max_entries: capacity.max_entries / shards,
             shard_max_bytes: capacity.max_bytes / shards,
             entries: AtomicUsize::new(0),
@@ -543,7 +541,8 @@ impl CacheStore {
     }
 
     /// Number of shards (always a power of two).
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shard_mask + 1
     }
 
@@ -607,7 +606,7 @@ impl CacheStore {
 
     /// Renews a (typically stale) entry's deadline after a successful
     /// revalidation. Returns whether the entry was present.
-    pub fn refresh(&self, key: &CacheKey, expires_at_millis: u64) -> bool {
+    pub(crate) fn refresh(&self, key: &CacheKey, expires_at_millis: u64) -> bool {
         let hash = hash_key(key);
         let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
         let Some(idx) = shard.find(hash, key) else {
@@ -623,7 +622,7 @@ impl CacheStore {
     /// Inserts (or replaces) an entry expiring at `expires_at_millis`,
     /// evicting within the locked shard as needed. Returns what was
     /// evicted to make room (nothing when the entry was refused — use
-    /// [`put_validated`](CacheStore::put_validated) to distinguish).
+    /// `put_validated` to distinguish).
     pub fn put(
         &self,
         key: CacheKey,
@@ -642,7 +641,7 @@ impl CacheStore {
     /// key held — older than the response being refused — is removed
     /// rather than left to be served. `Some` with the eviction summary
     /// otherwise.
-    pub fn put_validated(
+    pub(crate) fn put_validated(
         &self,
         key: CacheKey,
         entry: CacheEntry,
@@ -734,7 +733,7 @@ impl CacheStore {
     }
 
     /// Removes everything.
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for shard in &self.shards {
             let emptied = {
                 let mut shard = sync::lock_class("CacheStore.shards", shard);
@@ -772,11 +771,6 @@ impl CacheStore {
     /// Current approximate byte usage.
     pub fn bytes(&self) -> usize {
         self.occupancy().1
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> Capacity {
-        self.capacity
     }
 
     /// Cross-checks every shard's incremental accounting
@@ -839,7 +833,7 @@ pub enum Lookup {
     /// A live entry (its form shares `Arc`s with the stored slot).
     Live(CacheEntry),
     /// An expired entry that carries a revalidation token; it remains
-    /// stored and can be renewed with [`CacheStore::refresh`].
+    /// stored and can be renewed with `CacheStore::refresh`.
     Stale {
         /// The stale entry.
         entry: CacheEntry,

@@ -12,7 +12,7 @@ use wsrc_cache::store::{CacheStore, Capacity};
 use wsrc_cache::CacheKey;
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
-use wsrc_soap::deserializer::read_response_xml_recording;
+use wsrc_soap::deserializer::read_response_bytes_recording;
 use wsrc_soap::rpc::RpcRequest;
 use wsrc_soap::serializer::serialize_response;
 
@@ -147,7 +147,8 @@ fn applicable_representations_agree_on_retrieval() {
         let value = arb_rec(&mut rng, 2);
         let expected = FieldType::Struct("Rec".into());
         let xml = serialize_response("urn:t", "op", "return", &value, &r).unwrap();
-        let (outcome, events) = read_response_xml_recording(&xml, &expected, &r).unwrap();
+        let (outcome, events) =
+            read_response_bytes_recording(xml.as_bytes(), &expected, &r).unwrap();
         assert_eq!(outcome.as_return().unwrap(), &value, "seed {seed}");
         let xml: std::sync::Arc<[u8]> = std::sync::Arc::from(xml.into_bytes());
         let events = std::sync::Arc::new(events);

@@ -23,7 +23,7 @@ pub struct Body(Arc<[u8]>);
 impl Body {
     /// An empty body (no allocation is shared repeatedly; construction
     /// of an empty `Arc<[u8]>` is cheap and rare).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Body(Arc::from(&[][..]))
     }
 
@@ -40,12 +40,12 @@ impl Body {
     }
 
     /// Body length in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
     }
 
     /// Whether the body is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
 
@@ -56,13 +56,14 @@ impl Body {
     /// Returns [`HttpError::BodyNotUtf8`] when the bytes are not valid
     /// UTF-8 (the old accessors silently replaced bad sequences, which
     /// corrupted cached XML; see DESIGN.md §3b).
-    pub fn text(&self) -> Result<&str, HttpError> {
+    pub(crate) fn text(&self) -> Result<&str, HttpError> {
         std::str::from_utf8(&self.0).map_err(HttpError::BodyNotUtf8)
     }
 
     /// Whether two bodies share one allocation (zero-copy check used in
     /// tests).
-    pub fn ptr_eq(&self, other: &Body) -> bool {
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Body) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
 }

@@ -105,7 +105,7 @@ impl HttpClient {
     /// Creates a client with explicit I/O timeout and pool sizing.
     /// Checkout-wait timings land in the process-wide metrics registry
     /// as `wsrc_http_pool_checkout_wait_seconds`, on its clock.
-    pub fn with_settings(timeout: Option<Duration>, config: PoolConfig) -> Self {
+    pub(crate) fn with_settings(timeout: Option<Duration>, config: PoolConfig) -> Self {
         let registry = wsrc_obs::global();
         HttpClient {
             pool: Mutex::new(HashMap::new()),
@@ -118,9 +118,9 @@ impl HttpClient {
         }
     }
 
-    /// Idle pooled connections across all destinations (for tests and
-    /// diagnostics).
-    pub fn idle_connections(&self) -> usize {
+    /// Idle pooled connections across all destinations.
+    #[cfg(test)]
+    pub(crate) fn idle_connections(&self) -> usize {
         sync::lock_class("HttpClient.pool", &self.pool)
             .values()
             .map(|p| p.idle.len())
@@ -128,7 +128,8 @@ impl HttpClient {
     }
 
     /// Checked-out connections across all destinations.
-    pub fn in_use_connections(&self) -> usize {
+    #[cfg(test)]
+    fn in_use_connections(&self) -> usize {
         sync::lock_class("HttpClient.pool", &self.pool)
             .values()
             .map(|p| p.in_use)
@@ -176,21 +177,6 @@ impl HttpClient {
                 Err(e)
             }
         }
-    }
-
-    /// Convenience: POST `body` to `url` with the given content type.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`execute`](HttpClient::execute).
-    pub fn post(
-        &self,
-        url: &Url,
-        content_type: &str,
-        body: Vec<u8>,
-    ) -> Result<Response, HttpError> {
-        let req = Request::post(url.path(), content_type, body);
-        self.execute(url, &req)
     }
 
     /// Convenience: GET `url`.
@@ -377,9 +363,8 @@ mod tests {
         let r = client.get(&url).unwrap();
         assert_eq!(r.status, Status::OK);
         assert_eq!(r.body, b"/echo");
-        let r = client
-            .post(&url, "text/plain", b"payload".to_vec())
-            .unwrap();
+        let post = Request::post(url.path(), "text/plain", b"payload".to_vec());
+        let r = client.execute(&url, &post).unwrap();
         assert_eq!(r.body, b"payload");
         assert_eq!(handler.hits.load(Ordering::SeqCst), 2);
     }

@@ -52,7 +52,13 @@ pub fn parse_http_date(s: &str) -> Result<SystemTime, HttpError> {
         .position(|m| *m == month_name)
         .ok_or_else(bad)? as i64
         + 1;
-    let year: i64 = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
+    // IMF-fixdate's year is exactly four digits, which also keeps the
+    // calendar arithmetic below far from overflow.
+    let year = parts.next().ok_or_else(bad)?;
+    if year.len() != 4 || !year.bytes().all(|b| b.is_ascii_digit()) {
+        return Err(bad());
+    }
+    let year: i64 = year.parse().map_err(|_| bad())?;
     let hms = parts.next().ok_or_else(bad)?;
     let zone = parts.next().ok_or_else(bad)?;
     if zone != "GMT" {
@@ -62,7 +68,7 @@ pub fn parse_http_date(s: &str) -> Result<SystemTime, HttpError> {
     let h: i64 = hms_it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
     let m: i64 = hms_it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
     let sec: i64 = hms_it.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-    if !(1..=31).contains(&day)
+    if !(1..=days_in_month(year, month)).contains(&day)
         || !(0..24).contains(&h)
         || !(0..60).contains(&m)
         || !(0..60).contains(&sec)
@@ -75,6 +81,16 @@ pub fn parse_http_date(s: &str) -> Result<SystemTime, HttpError> {
         return Err(bad());
     }
     Ok(UNIX_EPOCH + Duration::from_secs(total as u64))
+}
+
+/// Days in `month` (1–12) of `year`, proleptic Gregorian.
+fn days_in_month(year: i64, month: i64) -> i64 {
+    match month {
+        2 if year % 4 == 0 && (year % 100 != 0 || year % 400 == 0) => 29,
+        2 => 28,
+        4 | 6 | 9 | 11 => 30,
+        _ => 31,
+    }
 }
 
 /// Days-since-epoch → (year, month, day). Howard Hinnant's algorithm.
@@ -157,6 +173,12 @@ mod tests {
             "Sun, 99 Nov 1994 08:49:37 GMT",
             "Sun, 06 Nov 1994 25:49:37 GMT",
             "Sun, 06 Nov 1994 08:49 GMT",
+            "Sun, 06 Nov 99999999999999999 08:49:37 GMT",
+            "Sun, 06 Nov 19940 08:49:37 GMT",
+            "Sun, 06 Nov +994 08:49:37 GMT",
+            "Sun, 31 Feb 1994 08:49:37 GMT",
+            "Sun, 29 Feb 1900 08:49:37 GMT",
+            "Sun, 31 Apr 1994 08:49:37 GMT",
         ] {
             assert!(parse_http_date(s).is_err(), "expected error for {s:?}");
         }

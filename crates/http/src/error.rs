@@ -30,7 +30,7 @@ pub enum HttpError {
     /// no request was sent, so the caller may safely retry or shed load.
     PoolExhausted,
     /// A body was accessed as text but is not valid UTF-8. Raised by
-    /// the strict accessors ([`crate::Body::text`]) that replaced the
+    /// the strict accessors (`crate::Body::text`) that replaced the
     /// old lossy ones — bad bytes now fail loudly instead of being
     /// silently replaced before caching.
     BodyNotUtf8(std::str::Utf8Error),
@@ -99,7 +99,7 @@ mod tests {
         assert!(s.to_string().contains("500"));
         assert_eq!(HttpError::Timeout.to_string(), "http operation timed out");
         assert!(HttpError::PoolExhausted.to_string().contains("pool"));
-        let utf8 = std::str::from_utf8(&[0xff]).unwrap_err();
+        let utf8 = String::from_utf8(vec![0xff]).unwrap_err().utf8_error();
         assert!(HttpError::BodyNotUtf8(utf8)
             .to_string()
             .contains("not valid utf-8"));

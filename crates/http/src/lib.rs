@@ -10,27 +10,27 @@
 //! cases, HTTP is used" (paper §3.2) — so this crate provides the HTTP
 //! layer the client middleware and the dummy services run on:
 //!
-//! - [`message`] — request/response model with case-insensitive headers.
-//! - [`client`] — a blocking keep-alive client over `std::net` with a
+//! - `message` — request/response model with case-insensitive headers.
+//! - `client` — a blocking keep-alive client over `std::net` with a
 //!   bounded per-destination connection pool.
-//! - [`server`] — a bounded worker-pool server with backpressure
+//! - `server` — a bounded worker-pool server with backpressure
 //!   (503 + `Retry-After` once the connection queue fills) and graceful
 //!   shutdown that joins every worker.
 //! - [`cache_control`] — the server side of the `If-Modified-Since` /
 //!   `304` handshake of the paper's §3.2 discussion of HTTP consistency.
-//! - [`transport`] — a pluggable transport abstraction: real TCP, direct
+//! - `transport` — a pluggable transport abstraction: real TCP, direct
 //!   in-process dispatch, and a simulated-latency wrapper for
 //!   deterministic benchmarks.
 
-pub mod body;
+pub(crate) mod body;
 pub mod cache_control;
-pub mod client;
+pub(crate) mod client;
 pub mod date;
-pub mod error;
-pub mod message;
-pub mod server;
-pub mod transport;
-pub mod url;
+pub(crate) mod error;
+pub(crate) mod message;
+pub(crate) mod server;
+pub(crate) mod transport;
+pub(crate) mod url;
 
 pub use body::Body;
 pub use client::{HttpClient, PoolConfig};

@@ -24,7 +24,7 @@ pub enum Method {
 
 impl Method {
     /// The wire token.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             Method::Get => "GET",
             Method::Post => "POST",
@@ -37,7 +37,7 @@ impl Method {
     /// # Errors
     ///
     /// Returns a protocol error for unsupported methods.
-    pub fn parse(s: &str) -> Result<Method, HttpError> {
+    pub(crate) fn parse(s: &str) -> Result<Method, HttpError> {
         match s {
             "GET" => Ok(Method::Get),
             "POST" => Ok(Method::Post),
@@ -72,7 +72,7 @@ impl Status {
     pub const INTERNAL_SERVER_ERROR: Status = Status(500);
     /// `503 Service Unavailable` — the server's connection queue is
     /// full; sent with `Retry-After` by the overload path.
-    pub const SERVICE_UNAVAILABLE: Status = Status(503);
+    pub(crate) const SERVICE_UNAVAILABLE: Status = Status(503);
 
     /// The standard reason phrase.
     pub fn reason(&self) -> &'static str {
@@ -113,7 +113,7 @@ impl Headers {
     }
 
     /// Appends a header (duplicates allowed, as HTTP permits).
-    pub fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
+    pub(crate) fn insert(&mut self, name: impl Into<String>, value: impl Into<String>) {
         self.entries.push((name.into(), value.into()));
     }
 
@@ -147,7 +147,7 @@ impl Headers {
     }
 
     /// Iterates `(name, value)` pairs in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
         self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
     }
 }
@@ -214,7 +214,7 @@ impl Request {
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
-    pub fn write_to_target<W: Write>(
+    pub(crate) fn write_to_target<W: Write>(
         &self,
         w: &mut W,
         host: &str,

@@ -323,19 +323,22 @@ impl Server {
     }
 
     /// Configured worker-pool size.
-    pub fn worker_count(&self) -> usize {
+    #[cfg(test)]
+    fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
     /// Worker threads currently alive — the bounded-concurrency
     /// invariant: never exceeds [`worker_count`](Server::worker_count),
     /// and zero once [`shutdown`](Server::shutdown) returns.
-    pub fn live_workers(&self) -> usize {
+    #[cfg(test)]
+    fn live_workers(&self) -> usize {
         self.shared.live_workers.load(Ordering::SeqCst)
     }
 
     /// Connections currently waiting in the queue.
-    pub fn queued_connections(&self) -> usize {
+    #[cfg(test)]
+    fn queued_connections(&self) -> usize {
         sync::lock_class("Shared.queue", &self.shared.queue).len()
     }
 

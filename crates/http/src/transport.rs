@@ -100,16 +100,6 @@ impl<T: Transport> LatencyTransport<T> {
             clock,
         }
     }
-
-    /// The configured latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
-    /// Unwraps the inner transport.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
 }
 
 impl<T: Transport> Transport for LatencyTransport<T> {
@@ -172,7 +162,6 @@ mod tests {
         let start = clock.now_nanos();
         t.execute(&url, &Request::get("/")).unwrap();
         assert!(clock.now_nanos() - start >= 20_000_000);
-        assert_eq!(t.latency(), Duration::from_millis(20));
     }
 
     #[test]

@@ -8,9 +8,8 @@ use std::fmt;
 /// ```
 /// use wsrc_http::Url;
 /// # fn main() -> Result<(), wsrc_http::HttpError> {
-/// let u = Url::parse("http://api.google.test:8080/search/beta2")?;
-/// assert_eq!(u.host(), "api.google.test");
-/// assert_eq!(u.port(), 8080);
+/// let u: Url = "http://api.google.test:8080/search/beta2".parse()?;
+/// assert_eq!(u.authority(), "api.google.test:8080");
 /// assert_eq!(u.path(), "/search/beta2");
 /// # Ok(())
 /// # }
@@ -29,7 +28,7 @@ impl Url {
     ///
     /// Returns [`HttpError::BadUrl`] for non-HTTP schemes, empty hosts and
     /// unparsable ports.
-    pub fn parse(s: &str) -> Result<Url, HttpError> {
+    pub(crate) fn parse(s: &str) -> Result<Url, HttpError> {
         let rest = s
             .strip_prefix("http://")
             .ok_or_else(|| HttpError::BadUrl(format!("{s} (only http:// is supported)")))?;
@@ -67,16 +66,6 @@ impl Url {
             port,
             path,
         }
-    }
-
-    /// Host name.
-    pub fn host(&self) -> &str {
-        &self.host
-    }
-
-    /// Port (80 when omitted).
-    pub fn port(&self) -> u16 {
-        self.port
     }
 
     /// Path, always beginning with `/`.
@@ -119,8 +108,6 @@ mod tests {
     #[test]
     fn parses_full_url() {
         let u = Url::parse("http://h:1234/a/b?q=1").unwrap();
-        assert_eq!(u.host(), "h");
-        assert_eq!(u.port(), 1234);
         assert_eq!(u.path(), "/a/b?q=1");
         assert_eq!(u.authority(), "h:1234");
     }
@@ -128,7 +115,7 @@ mod tests {
     #[test]
     fn defaults_port_and_path() {
         let u = Url::parse("http://example.test").unwrap();
-        assert_eq!(u.port(), 80);
+        assert_eq!(u.authority(), "example.test:80");
         assert_eq!(u.path(), "/");
         assert_eq!(u.to_string(), "http://example.test/");
     }
@@ -159,6 +146,6 @@ mod tests {
     #[test]
     fn from_str_works_with_parse() {
         let u: Url = "http://h:9/p".parse().unwrap();
-        assert_eq!(u.port(), 9);
+        assert_eq!(u.authority(), "h:9");
     }
 }

@@ -55,7 +55,7 @@ pub fn serialize(value: &Value) -> Vec<u8> {
 
 /// [`serialize`], appending the binary form to `out` — how a cache key
 /// made of several values is written into one buffer.
-pub fn serialize_into(value: &Value, out: &mut Vec<u8>) {
+pub(crate) fn serialize_into(value: &Value, out: &mut Vec<u8>) {
     let mut w = Writer {
         out: std::mem::take(out),
         descriptors: HashMap::new(),
@@ -80,7 +80,7 @@ pub fn serialize_checked(value: &Value, registry: &TypeRegistry) -> Result<Vec<u
     Ok(serialize(value))
 }
 
-/// [`serialize_checked`], appending to `out` as [`serialize_into`] does;
+/// [`serialize_checked`], appending to `out` as `serialize_into` does;
 /// `out` is untouched when the check fails.
 ///
 /// # Errors

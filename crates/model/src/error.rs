@@ -44,7 +44,7 @@ pub enum ModelError {
 
 impl ModelError {
     /// Convenience for corrupt-data errors.
-    pub fn corrupt(msg: impl Into<String>) -> Self {
+    pub(crate) fn corrupt(msg: impl Into<String>) -> Self {
         ModelError::Corrupt(msg.into())
     }
 }

@@ -43,7 +43,7 @@
 pub mod bean;
 pub mod binser;
 pub mod deep_clone;
-pub mod error;
+pub(crate) mod error;
 pub mod reflect;
 pub mod sizeof;
 pub mod tostring;
@@ -52,5 +52,4 @@ pub mod typeinfo;
 pub mod value;
 
 pub use error::ModelError;
-pub use typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 pub use value::{StructValue, Value};

@@ -96,7 +96,7 @@ pub enum FieldType {
 
 impl FieldType {
     /// The registry name for struct types, if any.
-    pub fn struct_name(&self) -> Option<&str> {
+    pub(crate) fn struct_name(&self) -> Option<&str> {
         match self {
             FieldType::Struct(n) => Some(n),
             FieldType::ArrayOf(inner) => inner.struct_name(),
@@ -104,21 +104,8 @@ impl FieldType {
         }
     }
 
-    /// The default value of this type (Java field defaults).
-    pub fn default_value(&self) -> Value {
-        match self {
-            FieldType::Bool => Value::Bool(false),
-            FieldType::Int => Value::Int(0),
-            FieldType::Long => Value::Long(0),
-            FieldType::Double => Value::Double(0.0),
-            FieldType::String | FieldType::Bytes | FieldType::ArrayOf(_) | FieldType::Struct(_) => {
-                Value::Null
-            }
-        }
-    }
-
     /// The XML Schema type name used on the wire (`xsd:` prefix assumed).
-    pub fn xsd_name(&self) -> &'static str {
+    pub(crate) fn xsd_name(&self) -> &'static str {
         match self {
             FieldType::Bool => "boolean",
             FieldType::Int => "int",
@@ -210,7 +197,7 @@ impl TypeDescriptor {
 /// One registered struct type as compiled when its registry is built:
 /// the descriptor plus everything a per-message walk would otherwise
 /// look up by name. Decoders and the capability walk reach a child's
-/// plan through [`field_plan`](StructPlan::field_plan) — an index, not a
+/// plan through `field_plan` — an index, not a
 /// `HashMap<String>` probe.
 #[derive(Debug)]
 pub struct StructPlan {
@@ -288,7 +275,7 @@ impl StructPlan {
     /// The plan of the struct type field `slot` is declared to hold
     /// (directly or as array elements), when registered in `registry` —
     /// which must be the registry this plan came from.
-    pub fn field_plan<'r>(
+    pub(crate) fn field_plan<'r>(
         &self,
         slot: usize,
         registry: &'r TypeRegistry,
@@ -489,7 +476,7 @@ impl TypeRegistry {
     /// # Errors
     ///
     /// Returns `UnknownType` when the name is not registered.
-    pub fn require(&self, name: &str) -> Result<&TypeDescriptor, ModelError> {
+    pub(crate) fn require(&self, name: &str) -> Result<&TypeDescriptor, ModelError> {
         self.get(name)
             .ok_or_else(|| ModelError::UnknownType(name.to_string()))
     }
@@ -505,7 +492,8 @@ impl TypeRegistry {
     }
 
     /// Iterates over all descriptors, sorted by type name.
-    pub fn iter(&self) -> impl Iterator<Item = &TypeDescriptor> {
+    #[cfg(test)]
+    fn iter(&self) -> impl Iterator<Item = &TypeDescriptor> {
         self.inner.plans.iter().map(StructPlan::descriptor)
     }
 
@@ -542,16 +530,10 @@ impl TypeRegistry {
         }
     }
 
-    /// Checks whether every struct node in `value` is serializable
-    /// (the middleware's run-time detection from paper §4.2.3-A).
-    pub fn is_deeply_serializable(&self, value: &Value) -> bool {
-        self.deep_capabilities(value).serializable
-    }
-
     /// Checks whether every struct node in `value` has a deep clone.
     /// The paper treats a bare `byte[]` / `String` as having no usable
     /// deep clone method (Table 7's n/a cells).
-    pub fn is_deeply_cloneable(&self, value: &Value) -> bool {
+    pub(crate) fn is_deeply_cloneable(&self, value: &Value) -> bool {
         self.deep_capabilities(value).cloneable
     }
 
@@ -613,7 +595,8 @@ impl TypeRegistryBuilder {
     }
 
     /// Merges every descriptor from another registry.
-    pub fn merge(mut self, other: &TypeRegistry) -> Self {
+    #[cfg(test)]
+    pub(crate) fn merge(mut self, other: &TypeRegistry) -> Self {
         for d in other.iter() {
             self.types.insert(d.name.clone(), d.clone());
         }
@@ -711,17 +694,20 @@ mod tests {
     #[test]
     fn serializability_detection_is_deep() {
         let r = registry();
-        assert!(r.is_deeply_serializable(&bean()));
+        assert!(r.deep_capabilities(&bean()).serializable);
         let with_opaque = Value::Struct(
             StructValue::new("Bean").with("a", Value::Struct(StructValue::new("Opaque"))),
         );
-        assert!(!r.is_deeply_serializable(&with_opaque));
+        assert!(!r.deep_capabilities(&with_opaque).serializable);
         // Primitives, strings, bytes and arrays of them are serializable.
-        assert!(r.is_deeply_serializable(&Value::from(vec![1u8])));
-        assert!(r.is_deeply_serializable(&Value::from(vec![Value::Int(1)])));
+        assert!(r.deep_capabilities(&Value::from(vec![1u8])).serializable);
+        assert!(
+            r.deep_capabilities(&Value::from(vec![Value::Int(1)]))
+                .serializable
+        );
         // Unregistered struct types are *not* (unknown ⇒ cannot prove).
         let unknown = Value::Struct(StructValue::new("Mystery"));
-        assert!(!r.is_deeply_serializable(&unknown));
+        assert!(!r.deep_capabilities(&unknown).serializable);
     }
 
     #[test]
@@ -971,8 +957,6 @@ mod tests {
 
     #[test]
     fn field_type_defaults_and_display() {
-        assert_eq!(FieldType::Int.default_value(), Value::Int(0));
-        assert_eq!(FieldType::String.default_value(), Value::Null);
         assert_eq!(
             FieldType::ArrayOf(Box::new(FieldType::Int)).to_string(),
             "int[]"
@@ -982,17 +966,6 @@ mod tests {
             FieldType::ArrayOf(Box::new(FieldType::Struct("T".into()))).struct_name(),
             Some("T")
         );
-    }
-
-    #[test]
-    fn builder_merge_overrides() {
-        let r1 = registry();
-        let r2 = TypeRegistry::builder()
-            .merge(&r1)
-            .register(TypeDescriptor::new("Extra", vec![]))
-            .build();
-        assert_eq!(r2.len(), 4);
-        assert!(r2.get("Bean").is_some());
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! functions ([`crate::reflect::reflect_copy`],
 //! [`crate::deep_clone::clone_copy`], [`crate::binser`]).
 
-use crate::error::ModelError;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -151,14 +150,6 @@ impl Value {
     pub fn as_int(&self) -> Option<i32> {
         match self {
             Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// The `bool` if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -347,7 +338,7 @@ impl Text {
     }
 
     /// The string itself.
-    pub fn as_str(&self) -> &str {
+    pub(crate) fn as_str(&self) -> &str {
         let start = self.start as usize;
         &self.block[start..start + self.len as usize]
     }
@@ -361,7 +352,8 @@ impl Text {
     /// Whether `self` and `other` are the same bytes of the same block —
     /// what a clone is, and what two equal strings made separately are
     /// not.
-    pub fn ptr_eq(&self, other: &Text) -> bool {
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Text) -> bool {
         Arc::ptr_eq(&self.block, &other.block) && self.start == other.start && self.len == other.len
     }
 }
@@ -456,7 +448,8 @@ impl ArrayValue {
     /// Whether `self` and `other` are views of the same nodes of the
     /// same block — what a clone is until one of the two is written
     /// through.
-    pub fn ptr_eq(&self, other: &ArrayValue) -> bool {
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &ArrayValue) -> bool {
         Arc::ptr_eq(&self.block, &other.block) && self.start == other.start && self.len == other.len
     }
 
@@ -542,12 +535,12 @@ impl Shape {
     }
 
     /// The type name.
-    pub fn type_name(&self) -> &str {
+    pub(crate) fn type_name(&self) -> &str {
         &self.type_name
     }
 
     /// The field names, in order, as shared handles.
-    pub fn names(&self) -> &[Arc<str>] {
+    pub(crate) fn names(&self) -> &[Arc<str>] {
         &self.names
     }
 
@@ -754,18 +747,6 @@ impl StructValue {
         Some(&mut self.values_mut()[at])
     }
 
-    /// Gets a field or fails with [`ModelError::UnknownField`].
-    ///
-    /// # Errors
-    ///
-    /// Returns `UnknownField` when the field does not exist.
-    pub fn require(&self, name: &str) -> Result<&Value, ModelError> {
-        self.get(name).ok_or_else(|| ModelError::UnknownField {
-            type_name: self.type_name().to_string(),
-            field: name.to_string(),
-        })
-    }
-
     /// Number of fields present.
     pub fn len(&self) -> usize {
         self.shape.names.len()
@@ -842,7 +823,6 @@ mod tests {
     #[test]
     fn accessors_return_expected_variants() {
         assert_eq!(Value::from(5).as_int(), Some(5));
-        assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::from(2.5).as_double(), Some(2.5));
         assert_eq!(Value::string("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
@@ -858,10 +838,6 @@ mod tests {
         assert_eq!(s.get("x"), Some(&Value::Int(10)));
         assert_eq!(s.len(), 3);
         assert!(s.get("missing").is_none());
-        assert!(matches!(
-            s.require("missing"),
-            Err(ModelError::UnknownField { .. })
-        ));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl ManualClock {
     }
 
     /// Advances the clock by nanoseconds (for span-timing tests).
-    pub fn advance_nanos(&self, delta: u64) {
+    pub(crate) fn advance_nanos(&self, delta: u64) {
         self.nanos.fetch_add(delta, Ordering::SeqCst);
     }
 

@@ -10,13 +10,13 @@
 //! other crate in the workspace attribute time and traffic to a stage
 //! and a representation:
 //!
-//! - [`metrics`] — a [`MetricsRegistry`] of named atomic counters,
+//! - `metrics` — a [`MetricsRegistry`] of named atomic counters,
 //!   gauges and fixed log2-bucket latency histograms. Recording is
 //!   lock-free (plain atomics); only registration takes a lock, so hot
 //!   paths pre-register handles. The registry is also the one handle
 //!   through which time and traces enter a component: it owns its
 //!   [`Clock`] and the [`Tracer`] over it.
-//! - [`stage`] — [`Stage`], the one way to time a stage: one clock
+//! - `stage` — [`Stage`], the one way to time a stage: one clock
 //!   reading at entry and one at exit make both the histogram sample
 //!   and, under an active trace, the span.
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
@@ -28,7 +28,7 @@
 //!   the rest, rendered as span trees for `GET /trace`.
 //! - [`clock`] — the mockable time source; [`clock::ManualClock`] keeps
 //!   TTL, timer and trace tests deterministic.
-//! - [`render`] — Prometheus-style text exposition and a hand-rolled
+//! - `render` — Prometheus-style text exposition and a hand-rolled
 //!   JSON renderer (the build environment is offline: no `prometheus`,
 //!   no `serde`).
 //! - [`mod@global`] — the process-wide default registry: where any
@@ -40,10 +40,10 @@
 
 pub mod clock;
 pub mod global;
-pub mod metrics;
-pub mod render;
+pub(crate) mod metrics;
+pub(crate) mod render;
 pub mod sampler;
-pub mod stage;
+pub(crate) mod stage;
 pub mod sync;
 pub mod trace;
 
@@ -55,4 +55,4 @@ pub use metrics::{
 pub use render::{to_json, to_prometheus};
 pub use sampler::{StoredTrace, TraceStore};
 pub use stage::{Stage, Timing};
-pub use trace::{SpanRecord, TraceContext, Tracer, TRACEPARENT_HEADER};
+pub use trace::{TraceContext, Tracer, TRACEPARENT_HEADER};

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 /// Number of histogram buckets: bucket `i` counts samples with a value
 /// of at most 2^i nanoseconds; the last bucket is unbounded (+Inf).
 /// 2^38 ns ≈ 275 s, far beyond any per-request stage.
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// A metric identity: name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,7 +55,7 @@ impl MetricId {
     }
 
     /// Renders labels with extra pairs appended (used for `le`).
-    pub fn render_labels_with_extra(&self, extra: &[(&str, &str)]) -> String {
+    pub(crate) fn render_labels_with_extra(&self, extra: &[(&str, &str)]) -> String {
         if self.labels.is_empty() && extra.is_empty() {
             return String::new();
         }
@@ -129,7 +129,7 @@ impl Gauge {
 
 /// Shared histogram state. All fields are atomics: `record` never locks.
 #[derive(Debug)]
-pub struct HistogramCore {
+pub(crate) struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_nanos: AtomicU64,
@@ -153,7 +153,7 @@ impl HistogramCore {
     }
 
     /// The bucket a sample of `nanos` falls into.
-    pub fn bucket_index(nanos: u64) -> usize {
+    pub(crate) fn bucket_index(nanos: u64) -> usize {
         if nanos <= 1 {
             0
         } else {
@@ -164,7 +164,7 @@ impl HistogramCore {
 
     /// The inclusive upper bound of bucket `i` in nanoseconds, or `None`
     /// for the unbounded last bucket.
-    pub fn bucket_bound_nanos(i: usize) -> Option<u64> {
+    pub(crate) fn bucket_bound_nanos(i: usize) -> Option<u64> {
         if i + 1 < BUCKETS {
             Some(1u64 << i)
         } else {
@@ -228,8 +228,9 @@ impl Histogram {
     }
 
     /// Records one sample with an explicit exemplar trace id (0 for
-    /// none), for callers that carry a context across threads.
-    pub fn record_nanos_with_exemplar(&self, nanos: u64, trace_id: u128) {
+    /// none), so a test can pin the exemplars without a live trace.
+    #[cfg(test)]
+    pub(crate) fn record_nanos_with_exemplar(&self, nanos: u64, trace_id: u128) {
         self.core.record_nanos(nanos, trace_id);
     }
 
@@ -390,7 +391,7 @@ impl HistogramSnapshot {
     /// The quantile `q` in `[0, 1]`, reported as the upper bound of the
     /// bucket containing it (0 when empty). The unbounded last bucket
     /// reports its lower bound.
-    pub fn quantile_nanos(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_nanos(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -422,7 +423,7 @@ impl HistogramSnapshot {
     }
 
     /// The exemplar trace id of bucket `i` (0 when none was recorded).
-    pub fn exemplar(&self, i: usize) -> u128 {
+    pub(crate) fn exemplar(&self, i: usize) -> u128 {
         self.exemplars.get(i).copied().unwrap_or(0)
     }
 

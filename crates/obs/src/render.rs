@@ -8,7 +8,7 @@ use crate::metrics::{HistogramCore, HistogramSnapshot, MetricId, MetricsSnapshot
 use crate::trace::format_trace_id;
 
 /// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

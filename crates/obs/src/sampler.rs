@@ -26,12 +26,12 @@ pub const RECENT_CAPACITY: usize = 64;
 /// Slowest traces kept per route.
 pub const SLOWEST_PER_ROUTE: usize = 8;
 /// One in this many non-error, non-slowest traces is kept.
-pub const SAMPLE_ONE_IN: u128 = 16;
+pub(crate) const SAMPLE_ONE_IN: u128 = 16;
 /// Maximum traces with spans awaiting finalization; batches for new
 /// traces beyond this are dropped (and counted).
-pub const MAX_PENDING: usize = 256;
+pub(crate) const MAX_PENDING: usize = 256;
 /// Maximum spans buffered per pending trace.
-pub const MAX_SPANS_PER_TRACE: usize = 128;
+pub(crate) const MAX_SPANS_PER_TRACE: usize = 128;
 
 /// One retained trace with its finished spans.
 #[derive(Debug, Clone)]
@@ -175,14 +175,14 @@ impl std::fmt::Debug for TraceStore {
 impl TraceStore {
     /// Registers `trace_id` as owned by an in-process global root, so
     /// provisional (wire-continued) finalizations leave it pending.
-    pub fn open_root(&self, trace_id: u128) {
+    pub(crate) fn open_root(&self, trace_id: u128) {
         sync::lock_class("TraceStore.inner", &self.inner)
             .open_roots
             .insert(trace_id);
     }
 
     /// Accepts a batch of finished spans from a thread buffer.
-    pub fn record_batch(&self, batch: Vec<SpanRecord>) {
+    pub(crate) fn record_batch(&self, batch: Vec<SpanRecord>) {
         let mut dropped = 0u64;
         {
             let mut inner = sync::lock_class("TraceStore.inner", &self.inner);
@@ -208,7 +208,7 @@ impl TraceStore {
     /// Completes a trace and applies the tail-retention policy.
     /// `provisional` finalizations (from wire-continued local roots)
     /// are skipped while an in-process global root owns the trace.
-    pub fn finalize(
+    pub(crate) fn finalize(
         &self,
         trace_id: u128,
         route: &str,
@@ -290,7 +290,8 @@ impl TraceStore {
     }
 
     /// Traces with spans still awaiting finalization.
-    pub fn pending_traces(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_traces(&self) -> usize {
         sync::lock_class("TraceStore.inner", &self.inner)
             .pending
             .len()

@@ -43,15 +43,9 @@ pub struct ClassGuard<'a, T> {
     // wrapper (and its witness registration) stays alive across the
     // wait; `None` only ever transiently inside this module.
     guard: Option<MutexGuard<'a, T>>,
-    class: &'static str,
 }
 
 impl<T> ClassGuard<'_, T> {
-    /// The lock class this guard was acquired under.
-    pub fn class(&self) -> &'static str {
-        self.class
-    }
-
     fn inner(&self) -> &MutexGuard<'_, T> {
         match &self.guard {
             Some(g) => g,
@@ -98,7 +92,6 @@ pub fn lock_class<'a, T>(class: &'static str, mutex: &'a Mutex<T>) -> ClassGuard
     witness::acquiring(class);
     ClassGuard {
         guard: Some(lock(mutex)),
-        class,
     }
 }
 
@@ -228,7 +221,6 @@ mod tests {
         {
             let mut g = lock_class("tests.m", &m);
             *g += 1;
-            assert_eq!(g.class(), "tests.m");
         }
         let before = acquisitions();
         drop(lock_class("tests.m", &m));

@@ -53,7 +53,7 @@ pub fn format_trace_id(id: u128) -> String {
 }
 
 /// Renders a 64-bit span id as 16 lowercase hex digits.
-pub fn format_span_id(id: u64) -> String {
+pub(crate) fn format_span_id(id: u64) -> String {
     format!("{id:016x}")
 }
 
@@ -112,7 +112,7 @@ pub struct TraceContext {
 impl TraceContext {
     /// Mints a fresh root context (always sampled — retention is
     /// decided *after* the fact by tail sampling).
-    pub fn root() -> TraceContext {
+    pub(crate) fn root() -> TraceContext {
         TraceContext {
             trace_id: fresh_trace_id(),
             span_id: fresh_span_id(),
@@ -122,7 +122,7 @@ impl TraceContext {
     }
 
     /// A child context: same trace, fresh span id, parented here.
-    pub fn child(&self) -> TraceContext {
+    pub(crate) fn child(&self) -> TraceContext {
         TraceContext {
             trace_id: self.trace_id,
             span_id: fresh_span_id(),
@@ -317,7 +317,7 @@ thread_local! {
 
 /// The current thread's sampled trace id, or 0 when no sampled trace is
 /// active — the value histogram exemplars attach.
-pub fn current_trace_id() -> u128 {
+pub(crate) fn current_trace_id() -> u128 {
     TLS.try_with(|t| match t.try_borrow().ok()?.stack.last() {
         Some(f) if f.ctx.sampled => Some(f.ctx.trace_id),
         _ => None,
@@ -460,16 +460,6 @@ impl ActiveSpan {
     /// The span's context (what a propagation header should carry).
     pub fn context(&self) -> TraceContext {
         self.ctx
-    }
-
-    /// The owning trace id.
-    pub fn trace_id(&self) -> u128 {
-        self.ctx.trace_id
-    }
-
-    /// This span's id.
-    pub fn span_id(&self) -> u64 {
-        self.ctx.span_id
     }
 
     /// The clock reading when the span started (for retroactive
@@ -682,7 +672,7 @@ mod tests {
     fn current_trace_id_feeds_exemplars_only_while_active() {
         let (tracer, _clock) = manual_tracer();
         let root = tracer.root_span("request", "/r");
-        assert_eq!(current_trace_id(), root.trace_id());
+        assert_eq!(current_trace_id(), root.context().trace_id);
         root.finish();
         assert_eq!(current_trace_id(), 0);
     }
@@ -695,8 +685,11 @@ mod tests {
         let remote = TraceContext::parse_traceparent(&wire).expect("parses");
         {
             let server = tracer.span_from(remote, "server", "server", "/r");
-            assert_eq!(server.trace_id(), root.trace_id());
-            assert_eq!(server.context().parent_span_id, Some(root.span_id()));
+            assert_eq!(server.context().trace_id, root.context().trace_id);
+            assert_eq!(
+                server.context().parent_span_id,
+                Some(root.context().span_id)
+            );
             clock.advance_nanos(5);
         }
         root.finish();

@@ -9,10 +9,10 @@
 //! the whole thing up and produces the throughput / response-time points
 //! of the paper's Figures 3 and 4.
 
-pub mod loadgen;
+pub(crate) mod loadgen;
 pub mod scenario;
-pub mod site;
+pub(crate) mod site;
 
-pub use loadgen::{LoadConfig, LoadReport};
-pub use scenario::{run_portal_scenario, ScenarioConfig, ScenarioResult, TransportMode};
+pub use loadgen::LoadReport;
+pub use scenario::ScenarioResult;
 pub use site::PortalSite;

@@ -13,7 +13,7 @@ use wsrc_obs::Clock;
 
 /// Load parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct LoadConfig {
+pub(crate) struct LoadConfig {
     /// Number of closed-loop workers (1 for Figure 3, 25 for Figure 4).
     pub concurrency: usize,
     /// Total measured requests across all workers.
@@ -52,7 +52,7 @@ pub struct LoadReport {
 
 /// The deterministic query schedule controlling the hit ratio.
 #[derive(Debug)]
-pub struct QuerySchedule {
+pub(crate) struct QuerySchedule {
     hit_ratio: f64,
     hot_queries: usize,
     counter: AtomicUsize,
@@ -60,7 +60,7 @@ pub struct QuerySchedule {
 
 impl QuerySchedule {
     /// Creates a schedule for the target ratio.
-    pub fn new(hit_ratio: f64, hot_queries: usize) -> Self {
+    pub(crate) fn new(hit_ratio: f64, hot_queries: usize) -> Self {
         QuerySchedule {
             hit_ratio: hit_ratio.clamp(0.0, 1.0),
             hot_queries: hot_queries.max(1),
@@ -70,14 +70,14 @@ impl QuerySchedule {
 
     /// The hot queries that must be primed (fetched once) before
     /// measurement so their first use is not a miss.
-    pub fn prime_queries(&self) -> Vec<String> {
+    pub(crate) fn prime_queries(&self) -> Vec<String> {
         (0..self.hot_queries)
             .map(|i| format!("hot-query-{i}"))
             .collect()
     }
 
     /// The next query in the global schedule.
-    pub fn next_query(&self) -> String {
+    pub(crate) fn next_query(&self) -> String {
         let i = self.counter.fetch_add(1, Ordering::SeqCst);
         // Bresenham-style accumulator: request i is a "hit" request when
         // the integer part of i*ratio advances.
@@ -108,7 +108,7 @@ impl QuerySchedule {
 /// [`clock`](wsrc_obs::MetricsRegistry::clock) and
 /// [`tracer`](wsrc_obs::MetricsRegistry::tracer) and the report and the
 /// spans share an axis.
-pub fn run_load(
+pub(crate) fn run_load(
     transport: &dyn Transport,
     base: &Url,
     config: &LoadConfig,

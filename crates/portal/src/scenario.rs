@@ -162,20 +162,6 @@ pub fn run_portal_scenario(config: &ScenarioConfig) -> ScenarioResult {
     }
 }
 
-/// Sweeps hit ratios for one representation (one figure series).
-pub fn sweep_hit_ratios(base: &ScenarioConfig, ratios: &[f64]) -> Vec<(f64, ScenarioResult)> {
-    ratios
-        .iter()
-        .map(|&r| {
-            let config = ScenarioConfig {
-                hit_ratio: r,
-                ..*base
-            };
-            (r, run_portal_scenario(&config))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,16 +234,5 @@ mod tests {
         assert_eq!(result.load.errors, 0);
         assert_eq!(result.load.completed, 100);
         assert!((result.observed_hit_ratio - 0.5).abs() < 0.1);
-    }
-
-    #[test]
-    fn sweep_produces_one_result_per_ratio() {
-        let base = ScenarioConfig {
-            requests: 60,
-            ..ScenarioConfig::default()
-        };
-        let points = sweep_hit_ratios(&base, &[0.0, 0.5, 1.0]);
-        assert_eq!(points.len(), 3);
-        assert!(points.iter().all(|(_, r)| r.load.completed == 60));
     }
 }

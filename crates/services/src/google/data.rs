@@ -13,7 +13,7 @@ use wsrc_xml::escape::escape_text;
 
 /// Deterministic response generator.
 #[derive(Debug, Clone)]
-pub struct Corpus {
+pub(crate) struct Corpus {
     /// Target size of cached-page payloads in bytes (pre-base64).
     pub page_bytes: usize,
     /// Result elements per search page when the caller asks for more.
@@ -132,7 +132,7 @@ impl Rng {
 impl Corpus {
     /// `doSpellingSuggestion`: a deterministic "correction" of the phrase.
     /// Small and simple (a single string).
-    pub fn spelling_suggestion(&self, phrase: &str) -> Value {
+    pub(crate) fn spelling_suggestion(&self, phrase: &str) -> Value {
         let mut rng = Rng::seeded(phrase);
         // Deterministically "fix" the phrase by doubling a vowel-less
         // word's first letter or appending a dictionary word.
@@ -146,7 +146,7 @@ impl Corpus {
 
     /// `doGetCachedPage`: a deterministic HTML page of ~`page_bytes`
     /// bytes. Large and simple (one byte array).
-    pub fn cached_page(&self, url: &str) -> Vec<u8> {
+    pub(crate) fn cached_page(&self, url: &str) -> Vec<u8> {
         let mut rng = Rng::seeded(url);
         let mut html = String::with_capacity(self.page_bytes + 256);
         html.push_str("<html><head><title>");
@@ -169,7 +169,7 @@ impl Corpus {
     /// the registry's own shapes, and the whole result is *depth* + 2
     /// allocations. The snippet is HTML the service writes, so the query
     /// goes into it escaped.
-    pub fn search_result(&self, q: &str, start: i32, max_results: i32) -> Value {
+    pub(crate) fn search_result(&self, q: &str, start: i32, max_results: i32) -> Value {
         let types = super::registry();
         let shape = |name: &str| {
             types

@@ -10,7 +10,7 @@
 //!   eleven fields, nine simple plus a `ResultElement[]` and a
 //!   `DirectoryCategory[]`.
 
-pub mod data;
+pub(crate) mod data;
 
 use crate::dispatch::SoapService;
 use data::Corpus;

@@ -15,17 +15,12 @@
 //!   deterministically per query.
 //! - [`amazon`] — the 26 Amazon operations of paper Table 1 (20 cacheable
 //!   search operations, 6 stateful shopping-cart operations).
-//! - [`stock`], [`news`] — the other two back-end services of the
-//!   introduction's portal scenario (stock quotes with a short TTL,
-//!   news headlines with a medium TTL).
 //! - [`dispatch`] — a SOAP dispatcher that hosts any [`SoapService`] on
 //!   the `wsrc-http` server.
 
 pub mod amazon;
 pub mod dispatch;
 pub mod google;
-pub mod news;
-pub mod stock;
 
 pub use dispatch::{SoapDispatcher, SoapService};
 
@@ -37,8 +32,11 @@ use wsrc_model::typeinfo::TypeRegistry;
 enum Service {
     Amazon,
     Google,
-    News,
-    Stock,
+}
+
+impl Service {
+    /// One past the last variant: the length of [`registry_of`]'s table.
+    const COUNT: usize = Service::Google as usize + 1;
 }
 
 /// `service`'s registry, made by `build` the first time it is asked for
@@ -46,6 +44,7 @@ enum Service {
 /// every client-side registry handed out carry one set of shapes and
 /// names, so a decoded struct and a served one can share theirs.
 fn registry_of(service: Service, build: fn() -> TypeRegistry) -> TypeRegistry {
-    static REGISTRIES: [OnceLock<TypeRegistry>; 4] = [const { OnceLock::new() }; 4];
+    static REGISTRIES: [OnceLock<TypeRegistry>; Service::COUNT] =
+        [const { OnceLock::new() }; Service::COUNT];
     REGISTRIES[service as usize].get_or_init(build).clone()
 }

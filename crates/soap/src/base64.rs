@@ -69,7 +69,7 @@ const PAIRS: [[u8; 2]; 4096] = {
 /// string of its own, how the serializer writes `xsd:base64Binary`. Six
 /// bytes at a time become eight characters of a stack block, appended a
 /// block at a time.
-pub fn encode_into(data: &[u8], out: &mut String) {
+pub(crate) fn encode_into(data: &[u8], out: &mut String) {
     out.reserve(data.len().div_ceil(3) * 4);
     let mut block = [0u8; 256];
     let mut filled = 0;
@@ -150,19 +150,10 @@ thread_local! {
 }
 
 /// Decodes a base64 string, tolerating embedded ASCII whitespace (XML
-/// canonical form allows line breaks inside base64 content).
-///
-/// # Errors
-///
-/// Returns an encoding error for illegal characters, bad padding or a
-/// truncated final quantum.
-pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
-    decode_with(text, <[u8]>::to_vec)
-}
-
-/// [`decode`] into the thread's scratch, handing the bytes to `make`,
-/// which builds what outlives the call from them — a `byte[]` value's
-/// shared block, say, in one allocation of its exact size.
+/// canonical form allows line breaks inside base64 content), into the
+/// thread's scratch, handing the bytes to `make`, which builds what
+/// outlives the call from them — a `byte[]` value's shared block, say,
+/// in one allocation of its exact size.
 ///
 /// Runs of whole alphabet-only quanta decode sixteen characters to
 /// twelve bytes at a time through the `PLACED` tables, into output
@@ -171,8 +162,9 @@ pub fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
 ///
 /// # Errors
 ///
-/// Same conditions as [`decode`].
-pub fn decode_with<T>(text: &str, make: impl FnOnce(&[u8]) -> T) -> Result<T, SoapError> {
+/// Returns an encoding error for illegal characters, bad padding or a
+/// truncated final quantum.
+pub(crate) fn decode_with<T>(text: &str, make: impl FnOnce(&[u8]) -> T) -> Result<T, SoapError> {
     let mut out = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
     let decoded = decode_into(text, &mut out).map(|len| make(&out[..len]));
     if out.capacity() <= SCRATCH_CAP {
@@ -283,6 +275,10 @@ fn put_quantum(quad: &[u8; 4], pad: usize, out: &mut [u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(text: &str) -> Result<Vec<u8>, SoapError> {
+        decode_with(text, <[u8]>::to_vec)
+    }
 
     #[test]
     fn rfc4648_vectors() {

@@ -1,11 +1,13 @@
 //! Deserialization of SOAP envelopes back into application objects.
 //!
-//! There is one decoder, [`ResponseReader`], a SAX [`ContentHandler`]
-//! driven by the XML parser while it records the event arena (cache miss
-//! of a form that keeps events; [`read_response_bytes_recording`]), by
-//! the XML parser alone (any other miss, [`read_response_bytes`]; hit on
-//! a cached XML message, [`read_response_xml`]) and by replaying a
-//! recorded arena (hit on cached SAX events; [`read_response_events`]).
+//! There is one decoder, `ResponseReader`, a SAX [`ContentHandler`]
+//! driven by the XML parser over a response body's bytes while it
+//! records the event arena (cache miss of a form that keeps events;
+//! [`read_response_bytes_recording`]), by the XML parser alone (any other
+//! miss, [`read_response_bytes`]; hit on a cached XML message's text,
+//! [`read_response_xml`]) and by replaying a recorded arena (hit on
+//! cached SAX events; [`read_response_events`]) — one entry point per
+//! drive and input type.
 //! The cost difference between the last two is the paper's first
 //! optimization.
 //!
@@ -84,38 +86,30 @@ pub fn read_response_events(
     reader.finish()
 }
 
-/// Reads a response envelope while also producing its SAX event
-/// sequence, so a cache miss pays for only one pass: the parser records
-/// each event into the arena ([`XmlReader::read_sequence_into`]) and
-/// hands it to the deserializer in the same scan.
+/// Reads a response envelope from raw body bytes (the transport's
+/// shared `Arc<[u8]>` payload) while also producing its SAX event
+/// sequence, so a cache miss pays for only one pass: the reader
+/// UTF-8-validates the whole buffer once up front, then the parser
+/// records each event into the arena
+/// ([`XmlReader::read_sequence_into`]) and hands it to the deserializer
+/// in the same scan.
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_response_xml`]; a document that is both
-/// malformed and not a valid response reports the XML error.
-pub fn read_response_xml_recording(
-    xml: &str,
-    expected: &FieldType,
-    registry: &TypeRegistry,
-) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
-    read_recording(XmlReader::new(xml), expected, registry)
-}
-
-/// [`read_response_xml_recording`] over raw body bytes (the transport's
-/// shared `Arc<[u8]>` payload): the reader UTF-8-validates the whole
-/// buffer once up front and parses without a `&str` round-trip.
-///
-/// # Errors
-///
-/// Same conditions as [`read_response_xml_recording`], plus an XML error
-/// when the bytes are not valid UTF-8.
+/// Same conditions as [`read_response_xml`], plus an XML error when the
+/// bytes are not valid UTF-8; a document that is both malformed and not
+/// a valid response reports the XML error.
 pub fn read_response_bytes_recording(
     bytes: &[u8],
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
     let parser = XmlReader::from_bytes(bytes).map_err(SoapError::Xml)?;
-    read_recording(parser, expected, registry)
+    let mut reader = ResponseReader::new(expected, registry);
+    let events = parser
+        .read_sequence_into(&mut reader)
+        .map_err(flatten_parse_error)?;
+    Ok((reader.finish()?, events))
 }
 
 /// [`read_response_bytes_recording`] without the recording: one pass
@@ -138,18 +132,6 @@ pub fn read_response_bytes(
         .parse_into(&mut reader)
         .map_err(flatten_parse_error)?;
     reader.finish()
-}
-
-fn read_recording(
-    parser: XmlReader<'_>,
-    expected: &FieldType,
-    registry: &TypeRegistry,
-) -> Result<(RpcOutcome, SaxEventSequence), SoapError> {
-    let mut reader = ResponseReader::new(expected, registry);
-    let events = parser
-        .read_sequence_into(&mut reader)
-        .map_err(flatten_parse_error)?;
-    Ok((reader.finish()?, events))
 }
 
 fn flatten_parse_error(e: ParseIntoError<SoapError>) -> SoapError {
@@ -374,7 +356,7 @@ enum Message<'r> {
 /// Feed it SAX events (from a parser or a replayed recording), then call
 /// [`finish`](ResponseReader::finish).
 #[derive(Debug)]
-pub struct ResponseReader<'r> {
+pub(crate) struct ResponseReader<'r> {
     registry: &'r TypeRegistry,
     message: Message<'r>,
     state: State,
@@ -403,7 +385,7 @@ pub struct ResponseReader<'r> {
 
 impl<'r> ResponseReader<'r> {
     /// Creates a reader expecting a return value of `expected` type.
-    pub fn new(expected: &'r FieldType, registry: &'r TypeRegistry) -> Self {
+    pub(crate) fn new(expected: &'r FieldType, registry: &'r TypeRegistry) -> Self {
         ResponseReader::reading(Message::Response(registry.kind_of(expected)), registry)
     }
 
@@ -445,7 +427,7 @@ impl<'r> ResponseReader<'r> {
     ///
     /// Returns an encoding error when no complete response was seen, or
     /// when the response outgrew what a value tree can address.
-    pub fn finish(mut self) -> Result<RpcOutcome, SoapError> {
+    pub(crate) fn finish(mut self) -> Result<RpcOutcome, SoapError> {
         self.give_back_scratch();
         if self.saw_fault {
             return Ok(RpcOutcome::Fault(SoapFault {
@@ -1399,7 +1381,7 @@ mod tests {
         let xml = format!("<Envelope><Body><opResponse>{ret}</opResponse></Body></Envelope>");
         let r = registry();
         let out = read_response_xml(&xml, expected, &r)?;
-        let (recorded, events) = read_response_xml_recording(&xml, expected, &r)?;
+        let (recorded, events) = read_response_bytes_recording(xml.as_bytes(), expected, &r)?;
         assert_eq!(recorded, out);
         assert_eq!(read_response_events(&events, expected, &r)?, out);
         Ok(out.as_return().expect("not a fault").clone())
@@ -1567,7 +1549,8 @@ mod tests {
         ));
         let expected = FieldType::Struct("Box".into());
         let xml = serialize_response("urn:t", "op", "return", &v, &r).unwrap();
-        let (from_xml, events) = read_response_xml_recording(&xml, &expected, &r).unwrap();
+        let (from_xml, events) =
+            read_response_bytes_recording(xml.as_bytes(), &expected, &r).unwrap();
         let from_events = read_response_events(&events, &expected, &r).unwrap();
         assert_eq!(from_xml, from_events);
         assert_eq!(from_xml.as_return().unwrap(), &v);

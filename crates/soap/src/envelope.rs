@@ -3,24 +3,24 @@
 use wsrc_xml::QName;
 
 /// SOAP 1.1 envelope namespace.
-pub const SOAP_ENV_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
+pub(crate) const SOAP_ENV_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
 /// SOAP 1.1 encoding namespace (`SOAP-ENC`).
-pub const SOAP_ENC_NS: &str = "http://schemas.xmlsoap.org/soap/encoding/";
+pub(crate) const SOAP_ENC_NS: &str = "http://schemas.xmlsoap.org/soap/encoding/";
 /// XML Schema datatypes namespace.
-pub const XSD_NS: &str = "http://www.w3.org/2001/XMLSchema";
+pub(crate) const XSD_NS: &str = "http://www.w3.org/2001/XMLSchema";
 /// XML Schema instance namespace (`xsi:type`, `xsi:nil`).
-pub const XSI_NS: &str = "http://www.w3.org/2001/XMLSchema-instance";
+pub(crate) const XSI_NS: &str = "http://www.w3.org/2001/XMLSchema-instance";
 
 /// Prefix conventions used by our writer (readers accept any prefix).
-pub const PREFIX_ENV: &str = "soapenv";
+pub(crate) const PREFIX_ENV: &str = "soapenv";
 /// Writer prefix for the encoding namespace.
-pub const PREFIX_ENC: &str = "soapenc";
+pub(crate) const PREFIX_ENC: &str = "soapenc";
 /// Writer prefix for XML Schema datatypes.
-pub const PREFIX_XSD: &str = "xsd";
+pub(crate) const PREFIX_XSD: &str = "xsd";
 /// Writer prefix for the schema-instance namespace.
-pub const PREFIX_XSI: &str = "xsi";
+pub(crate) const PREFIX_XSI: &str = "xsi";
 /// Writer prefix for the service namespace.
-pub const PREFIX_SERVICE: &str = "ns1";
+pub(crate) const PREFIX_SERVICE: &str = "ns1";
 
 /// The MIME type of SOAP 1.1 messages.
 pub const CONTENT_TYPE: &str = "text/xml; charset=utf-8";
@@ -31,33 +31,33 @@ pub const CONTENT_TYPE: &str = "text/xml; charset=utf-8";
 // asserts they stay in sync with the PREFIX_* constants above).
 
 /// `soapenv:Envelope` element name.
-pub const QN_ENVELOPE: &str = "soapenv:Envelope";
+pub(crate) const QN_ENVELOPE: &str = "soapenv:Envelope";
 /// `soapenv:Body` element name.
-pub const QN_BODY: &str = "soapenv:Body";
+pub(crate) const QN_BODY: &str = "soapenv:Body";
 /// `soapenv:Fault` element name.
-pub const QN_FAULT: &str = "soapenv:Fault";
+pub(crate) const QN_FAULT: &str = "soapenv:Fault";
 /// `soapenv:encodingStyle` attribute name.
-pub const QN_ENCODING_STYLE: &str = "soapenv:encodingStyle";
+pub(crate) const QN_ENCODING_STYLE: &str = "soapenv:encodingStyle";
 /// `xsi:type` attribute name.
-pub const QN_XSI_TYPE: &str = "xsi:type";
+pub(crate) const QN_XSI_TYPE: &str = "xsi:type";
 /// `xsi:nil` attribute name.
-pub const QN_XSI_NIL: &str = "xsi:nil";
+pub(crate) const QN_XSI_NIL: &str = "xsi:nil";
 /// `xsd:boolean` type name.
-pub const QN_XSD_BOOLEAN: &str = "xsd:boolean";
+pub(crate) const QN_XSD_BOOLEAN: &str = "xsd:boolean";
 /// `xsd:int` type name.
-pub const QN_XSD_INT: &str = "xsd:int";
+pub(crate) const QN_XSD_INT: &str = "xsd:int";
 /// `xsd:long` type name.
-pub const QN_XSD_LONG: &str = "xsd:long";
+pub(crate) const QN_XSD_LONG: &str = "xsd:long";
 /// `xsd:double` type name.
-pub const QN_XSD_DOUBLE: &str = "xsd:double";
+pub(crate) const QN_XSD_DOUBLE: &str = "xsd:double";
 /// `xsd:string` type name.
-pub const QN_XSD_STRING: &str = "xsd:string";
+pub(crate) const QN_XSD_STRING: &str = "xsd:string";
 /// `xsd:base64Binary` type name.
-pub const QN_XSD_BASE64: &str = "xsd:base64Binary";
+pub(crate) const QN_XSD_BASE64: &str = "xsd:base64Binary";
 /// `soapenc:Array` type name.
-pub const QN_ENC_ARRAY: &str = "soapenc:Array";
+pub(crate) const QN_ENC_ARRAY: &str = "soapenc:Array";
 /// `soapenc:arrayType` attribute name.
-pub const QN_ENC_ARRAY_TYPE: &str = "soapenc:arrayType";
+pub(crate) const QN_ENC_ARRAY_TYPE: &str = "soapenc:arrayType";
 
 /// Whether `name` is the envelope's `Envelope` element (any prefix).
 pub fn is_envelope(name: &QName) -> bool {
@@ -70,18 +70,18 @@ pub fn is_body(name: &QName) -> bool {
 }
 
 /// Whether `name` is the `Header` element (any prefix).
-pub fn is_header(name: &QName) -> bool {
+pub(crate) fn is_header(name: &QName) -> bool {
     name.local_part() == "Header"
 }
 
 /// Whether `name` is the `Fault` element (any prefix).
-pub fn is_fault(name: &QName) -> bool {
+pub(crate) fn is_fault(name: &QName) -> bool {
     name.local_part() == "Fault"
 }
 
 /// What the conventional response wrapper appends to an operation's
 /// name (`doGoogleSearch` → `doGoogleSearchResponse`).
-pub const RESPONSE_SUFFIX: &str = "Response";
+pub(crate) const RESPONSE_SUFFIX: &str = "Response";
 
 #[cfg(test)]
 mod tests {

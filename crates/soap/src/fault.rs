@@ -37,11 +37,6 @@ impl SoapFault {
         self.detail = Some(detail.into());
         self
     }
-
-    /// Whether this is a client-side fault.
-    pub fn is_client_fault(&self) -> bool {
-        self.code.ends_with("Client")
-    }
 }
 
 impl fmt::Display for SoapFault {
@@ -64,10 +59,9 @@ mod tests {
     fn constructors_and_display() {
         let f = SoapFault::server("backend died").with_detail("stack trace");
         assert_eq!(f.code, "soapenv:Server");
-        assert!(!f.is_client_fault());
         assert_eq!(f.to_string(), "soapenv:Server: backend died (stack trace)");
         let c = SoapFault::client("no such operation");
-        assert!(c.is_client_fault());
+        assert_eq!(c.code, "soapenv:Client");
         assert_eq!(c.to_string(), "soapenv:Client: no such operation");
     }
 }

@@ -19,11 +19,11 @@
 pub mod base64;
 pub mod deserializer;
 pub mod envelope;
-pub mod error;
-pub mod fault;
+pub(crate) mod error;
+pub(crate) mod fault;
 pub mod rpc;
 pub mod serializer;
 
 pub use error::SoapError;
 pub use fault::SoapFault;
-pub use rpc::{OperationDescriptor, RpcOutcome, RpcRequest};
+pub use rpc::{OperationDescriptor, RpcRequest};

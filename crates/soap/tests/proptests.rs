@@ -7,7 +7,7 @@
 use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::value::{StructValue, Value};
 use wsrc_soap::deserializer::{
-    read_response_events, read_response_xml, read_response_xml_recording,
+    read_response_bytes_recording, read_response_events, read_response_xml,
 };
 use wsrc_soap::rpc::RpcOutcome;
 use wsrc_soap::serializer::serialize_response;
@@ -161,7 +161,7 @@ fn sax_replay_equals_direct_parse() {
         let mut rng = Rng::new(seed + 1000);
         let (value, ty) = arb_typed(&mut rng, 3);
         let xml = serialize_response("urn:p", "op", "return", &value, &r).unwrap();
-        let (direct, events) = read_response_xml_recording(&xml, &ty, &r).unwrap();
+        let (direct, events) = read_response_bytes_recording(xml.as_bytes(), &ty, &r).unwrap();
         let replayed = read_response_events(&events, &ty, &r).unwrap();
         assert_eq!(direct, replayed, "seed {seed}");
     }

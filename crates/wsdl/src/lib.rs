@@ -8,7 +8,7 @@
 //! Axis WSDL compiler generates the Java classes the cache later copies —
 //! "the generated classes are serializable and bean-type" (§4.2.3). Our
 //! compiler ([`compile()`]) turns a [`model::Definitions`] into a
-//! [`wsrc_model::TypeRegistry`] with exactly those capabilities (plus an
+//! [`wsrc_model::typeinfo::TypeRegistry`] with exactly those capabilities (plus an
 //! optional generated deep clone, which the paper proposes) and a set of
 //! [`wsrc_soap::OperationDescriptor`]s for the client and server.
 

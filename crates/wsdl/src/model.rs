@@ -27,7 +27,7 @@ pub enum XsdType {
 
 impl XsdType {
     /// The `xsd:` local name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             XsdType::String => "string",
             XsdType::Int => "int",
@@ -39,7 +39,7 @@ impl XsdType {
     }
 
     /// Parses an `xsd:` local name.
-    pub fn parse(name: &str) -> Option<XsdType> {
+    pub(crate) fn parse(name: &str) -> Option<XsdType> {
         match name {
             "string" => Some(XsdType::String),
             "int" => Some(XsdType::Int),
@@ -135,7 +135,7 @@ pub struct Schema {
 
 impl Schema {
     /// Looks up a complex type by name.
-    pub fn complex_type(&self, name: &str) -> Option<&ComplexType> {
+    pub(crate) fn complex_type(&self, name: &str) -> Option<&ComplexType> {
         self.types.iter().find(|t| t.name == name)
     }
 }

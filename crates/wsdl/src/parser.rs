@@ -193,8 +193,8 @@ fn strip_prefix(qname: &str) -> &str {
 }
 
 /// Shared fixture for the wsdl crate's tests (the `TinySearch` service).
-#[doc(hidden)]
-pub fn tests_fixture() -> Definitions {
+#[cfg(test)]
+pub(crate) fn tests_fixture() -> Definitions {
     Definitions {
         name: "TinySearch".into(),
         target_namespace: "urn:TinySearch".into(),

@@ -74,11 +74,6 @@ impl Element {
         })
     }
 
-    /// First child element with the given *local* name, ignoring prefix.
-    pub fn child(&self, local: &str) -> Option<&Element> {
-        self.child_elements().find(|e| e.name.local_part() == local)
-    }
-
     /// Concatenated text content of this element's direct text children.
     pub fn text(&self) -> String {
         let mut out = String::new();
@@ -90,16 +85,8 @@ impl Element {
         out
     }
 
-    /// Recursively counts elements in this subtree, including `self`.
-    pub fn element_count(&self) -> usize {
-        1 + self
-            .child_elements()
-            .map(Element::element_count)
-            .sum::<usize>()
-    }
-
     /// Approximate retained size in bytes (for memory accounting).
-    pub fn approximate_size(&self) -> usize {
+    pub(crate) fn approximate_size(&self) -> usize {
         let mut size = std::mem::size_of::<Element>()
             + self.name.prefix().len()
             + self.name.local_part().len();
@@ -123,7 +110,7 @@ impl Element {
     /// # Errors
     ///
     /// Propagates writer errors (e.g. when used after the root closed).
-    pub fn write_to(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
+    pub(crate) fn write_to(&self, w: &mut XmlWriter) -> Result<(), XmlError> {
         w.start(self.name.to_string())?;
         for a in &self.attributes {
             w.attr(a.name.to_string(), &a.value)?;
@@ -237,11 +224,6 @@ impl Document {
             .ok_or_else(|| XmlError::new("event stream contains no root element"))
     }
 
-    /// Serializes the document as compact XML text.
-    pub fn to_xml(&self) -> String {
-        self.root.to_xml()
-    }
-
     /// Approximate retained size in bytes.
     pub fn approximate_size(&self) -> usize {
         std::mem::size_of::<Document>() + self.root.approximate_size()
@@ -263,13 +245,12 @@ mod tests {
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].text(), "widget");
         assert_eq!(items[1].attribute("qty"), Some("1"));
-        assert_eq!(doc.root.element_count(), 3);
     }
 
     #[test]
     fn to_xml_roundtrips() {
         let doc = Document::parse(SAMPLE).unwrap();
-        let reparsed = Document::parse(&doc.to_xml()).unwrap();
+        let reparsed = Document::parse(&doc.root.to_xml()).unwrap();
         assert_eq!(doc, reparsed);
     }
 
@@ -291,13 +272,6 @@ mod tests {
             .with_attr("k", "v")
             .with_child(Element::new("c").with_text("t"));
         assert_eq!(e.to_xml(), r#"<r k="v"><c>t</c></r>"#);
-    }
-
-    #[test]
-    fn child_lookup_ignores_prefix() {
-        let doc = Document::parse(r#"<r xmlns:n="u"><n:x>1</n:x></r>"#).unwrap();
-        assert_eq!(doc.root.child("x").unwrap().text(), "1");
-        assert!(doc.root.child("missing").is_none());
     }
 
     /// A sequence of bare tags over the names `a` (id 0) and `b` (id 1),

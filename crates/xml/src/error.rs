@@ -15,7 +15,7 @@ pub struct XmlError {
 
 impl XmlError {
     /// Creates an error at a specific byte offset of the input.
-    pub fn at(offset: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn at(offset: usize, message: impl Into<String>) -> Self {
         XmlError {
             message: message.into(),
             offset,
@@ -31,13 +31,8 @@ impl XmlError {
     }
 
     /// The human-readable description of the problem.
-    pub fn message(&self) -> &str {
+    pub(crate) fn message(&self) -> &str {
         &self.message
-    }
-
-    /// Byte offset into the input at which the problem was detected.
-    pub fn offset(&self) -> usize {
-        self.offset
     }
 }
 
@@ -54,9 +49,9 @@ impl fmt::Display for XmlError {
 impl Error for XmlError {}
 
 /// Characters of input an error message quotes at most.
-pub const QUOTE_LIMIT: usize = 64;
+pub(crate) const QUOTE_LIMIT: usize = 64;
 
-/// Input as an error message quotes it: the first [`QUOTE_LIMIT`]
+/// Input as an error message quotes it: the first `QUOTE_LIMIT`
 /// characters of its `Display` form, then `…` when there were more. A
 /// message that echoes what it was sent stays small however large the
 /// input.
@@ -114,7 +109,6 @@ mod tests {
     fn display_includes_offset_when_present() {
         let e = XmlError::at(17, "unexpected '<'");
         assert_eq!(e.to_string(), "xml error at byte 17: unexpected '<'");
-        assert_eq!(e.offset(), 17);
     }
 
     #[test]

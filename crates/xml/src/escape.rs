@@ -123,7 +123,7 @@ pub fn unescape(s: &str) -> Result<Cow<'_, str>, XmlError> {
 ///
 /// Same conditions as [`unescape`]. On error `out` may hold a partial
 /// expansion; callers discard it.
-pub fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
+pub(crate) fn unescape_into(s: &str, out: &mut String) -> Result<(), XmlError> {
     let mut rest = s;
     // `&` and `;` are ASCII, so the byte offsets found are character
     // boundaries.

@@ -34,7 +34,7 @@ pub struct Attribute {
 
 impl Attribute {
     /// Convenience constructor.
-    pub fn new(name: impl AsRef<str>, value: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl AsRef<str>, value: impl Into<String>) -> Self {
         Attribute {
             name: QName::parse(name.as_ref()),
             value: value.into(),
@@ -67,7 +67,7 @@ pub struct AttrRef<'a> {
 
 impl AttrRef<'_> {
     /// Materializes the owned form the DOM stores.
-    pub fn to_attribute(&self) -> Attribute {
+    pub(crate) fn to_attribute(self) -> Attribute {
         Attribute {
             name: self.name.clone(),
             value: self.value.to_string(),
@@ -134,17 +134,12 @@ impl<'a> Attributes<'a> {
     }
 
     /// Number of attributes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The attribute at `index`.
-    pub fn get(&self, index: usize) -> Option<AttrRef<'a>> {
+    pub(crate) fn get(&self, index: usize) -> Option<AttrRef<'a>> {
         self.records.get(index).map(|r| AttrRef {
             name: &self.names[r.name as usize],
             value: if r.in_alt {
@@ -156,7 +151,7 @@ impl<'a> Attributes<'a> {
     }
 
     /// Iterates over the attributes as borrowed [`AttrRef`]s.
-    pub fn iter(&self) -> AttrIter<'a> {
+    pub(crate) fn iter(&self) -> AttrIter<'a> {
         AttrIter {
             attrs: *self,
             index: 0,
@@ -165,7 +160,7 @@ impl<'a> Attributes<'a> {
 
     /// Materializes owned [`Attribute`]s for the DOM builder (allocates;
     /// the borrowed pipeline never needs this).
-    pub fn to_owned_vec(&self) -> Vec<Attribute> {
+    pub(crate) fn to_owned_vec(self) -> Vec<Attribute> {
         self.iter().map(|a| a.to_attribute()).collect()
     }
 }
@@ -255,7 +250,7 @@ pub enum SaxEventRef<'a> {
 
 impl SaxEventRef<'_> {
     /// Short label used by `Display` and the paper-style Table 4 printout.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             SaxEventRef::StartDocument => "start document",
             SaxEventRef::EndDocument => "end document",
@@ -459,7 +454,8 @@ impl SaxEventSequence {
     }
 
     /// The event at `index`, borrowed from the arenas.
-    pub fn get(&self, index: usize) -> Option<SaxEventRef<'_>> {
+    #[cfg(test)]
+    pub(crate) fn get(&self, index: usize) -> Option<SaxEventRef<'_>> {
         self.events.get(index).map(|e| self.view(e))
     }
 
@@ -473,13 +469,14 @@ impl SaxEventSequence {
 
     /// The distinct element/attribute names referenced by this
     /// sequence, each held exactly once; events refer to them by index.
-    pub fn names(&self) -> &[QName] {
+    #[cfg(test)]
+    pub(crate) fn names(&self) -> &[QName] {
         &self.names
     }
 
     /// Heap bytes retained by the distinct names — each name charged
     /// once, however many events or attributes reference it.
-    pub fn names_bytes(&self) -> usize {
+    pub(crate) fn names_bytes(&self) -> usize {
         self.names.iter().map(QName::text_len).sum()
     }
 

@@ -20,7 +20,7 @@
 //! # fn main() -> Result<(), wsrc_xml::error::XmlError> {
 //! let events = XmlReader::new("<doc><para>Hello, world!</para></doc>").read_sequence()?;
 //! assert_eq!(events.iter().next(), Some(SaxEventRef::StartDocument));
-//! assert_eq!(events.get(3).unwrap().to_string(), "characters: Hello, world!");
+//! assert_eq!(events.iter().nth(3).unwrap().to_string(), "characters: Hello, world!");
 //! # Ok(())
 //! # }
 //! ```
@@ -29,17 +29,17 @@ pub mod dom;
 pub mod error;
 pub mod escape;
 pub mod event;
-pub mod name;
+pub(crate) mod name;
 pub mod reader;
 pub mod sax;
 mod scan;
-pub mod symbol;
+pub(crate) mod symbol;
 pub mod writer;
 
-pub use dom::{Document, Element, Node};
+pub use dom::{Document, Element};
 pub use error::XmlError;
-pub use event::{AttrRef, Attribute, Attributes, SaxEventRef, SaxEventSequence};
+pub use event::{Attributes, SaxEventRef};
 pub use name::QName;
 pub use reader::XmlReader;
-pub use symbol::{Symbol, SymbolTable};
+pub use symbol::Symbol;
 pub use writer::XmlWriter;

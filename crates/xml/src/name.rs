@@ -3,9 +3,6 @@
 use crate::symbol::Symbol;
 use std::fmt;
 
-/// The reserved `xmlns` attribute prefix.
-pub const XMLNS: &str = "xmlns";
-
 /// A qualified XML name: an optional prefix plus a local part.
 ///
 /// `QName` stores the *lexical* form (`soap:Envelope` → prefix `soap`,
@@ -14,12 +11,12 @@ pub const XMLNS: &str = "xmlns";
 /// matches elements on their local parts.
 ///
 /// Both parts are interned [`Symbol`]s: cloning a `QName` is two pointer
-/// bumps, names produced through one [`crate::symbol::SymbolTable`]
+/// bumps, names produced through one `crate::symbol::SymbolTable`
 /// share their text allocations, and equality/hashing reuse the hash
 /// computed when the name was interned.
 ///
 /// ```
-/// use wsrc_xml::name::QName;
+/// use wsrc_xml::QName;
 /// let q = QName::parse("soap:Envelope");
 /// assert_eq!(q.prefix(), "soap");
 /// assert_eq!(q.local_part(), "Envelope");
@@ -33,7 +30,7 @@ pub struct QName {
 
 impl QName {
     /// Creates a name with no prefix.
-    pub fn local(name: impl AsRef<str>) -> Self {
+    pub(crate) fn local(name: impl AsRef<str>) -> Self {
         QName {
             prefix: None,
             local: Symbol::new(name.as_ref()),
@@ -41,7 +38,7 @@ impl QName {
     }
 
     /// Creates a prefixed name.
-    pub fn prefixed(prefix: impl AsRef<str>, local: impl AsRef<str>) -> Self {
+    pub(crate) fn prefixed(prefix: impl AsRef<str>, local: impl AsRef<str>) -> Self {
         let prefix = prefix.as_ref();
         QName {
             prefix: if prefix.is_empty() {
@@ -63,7 +60,7 @@ impl QName {
 
     /// Assembles a name from already interned symbols (the allocation-free
     /// constructor used by [`crate::symbol::SymbolTable::intern_qname`]).
-    pub fn from_symbols(prefix: Option<Symbol>, local: Symbol) -> Self {
+    pub(crate) fn from_symbols(prefix: Option<Symbol>, local: Symbol) -> Self {
         QName {
             prefix: prefix.filter(|p| !p.is_empty()),
             local,
@@ -81,7 +78,7 @@ impl QName {
     }
 
     /// The interned prefix symbol, if any.
-    pub fn prefix_symbol(&self) -> Option<&Symbol> {
+    pub(crate) fn prefix_symbol(&self) -> Option<&Symbol> {
         self.prefix.as_ref()
     }
 
@@ -90,24 +87,11 @@ impl QName {
         &self.local
     }
 
-    /// Whether this name has a prefix.
-    pub fn is_prefixed(&self) -> bool {
-        self.prefix.is_some()
-    }
-
-    /// Whether this is the `xmlns` attribute or an `xmlns:foo` declaration.
-    pub fn is_namespace_declaration(&self) -> bool {
-        match &self.prefix {
-            Some(p) => *p == XMLNS,
-            None => self.local == XMLNS,
-        }
-    }
-
     /// Heap bytes retained by this name if it were the only owner of its
     /// text (interned names are typically shared; see
-    /// [`crate::symbol::SymbolTable::names_bytes`] for charged-once
+    /// [`crate::event::SaxEventSequence::names_bytes`] for charged-once
     /// accounting).
-    pub fn text_len(&self) -> usize {
+    pub(crate) fn text_len(&self) -> usize {
         self.prefix().len() + self.local.len()
     }
 }
@@ -139,12 +123,5 @@ mod tests {
     fn display_roundtrips() {
         assert_eq!(QName::parse("x:y").to_string(), "x:y");
         assert_eq!(QName::parse("plain").to_string(), "plain");
-    }
-
-    #[test]
-    fn xmlns_detection() {
-        assert!(QName::parse("xmlns").is_namespace_declaration());
-        assert!(QName::parse("xmlns:soap").is_namespace_declaration());
-        assert!(!QName::parse("soap:Body").is_namespace_declaration());
     }
 }

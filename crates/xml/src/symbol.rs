@@ -49,7 +49,7 @@ pub struct Symbol {
 impl Symbol {
     /// Interns `text` outside any table (computes the hash, allocates).
     /// Prefer [`SymbolTable::intern`] when many names repeat.
-    pub fn new(text: &str) -> Self {
+    pub(crate) fn new(text: &str) -> Self {
         Symbol {
             text: Arc::from(text),
             hash: fnv1a(text),
@@ -61,18 +61,13 @@ impl Symbol {
         &self.text
     }
 
-    /// The cached 64-bit hash of the text.
-    pub fn hash64(&self) -> u64 {
-        self.hash
-    }
-
     /// Length of the text in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.text.len()
     }
 
     /// Whether the text is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.text.is_empty()
     }
 
@@ -82,7 +77,8 @@ impl Symbol {
     }
 
     /// Whether two symbols share one allocation (same table entry).
-    pub fn ptr_eq(&self, other: &Symbol) -> bool {
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &Symbol) -> bool {
         Arc::ptr_eq(&self.text, &other.text)
     }
 }
@@ -154,7 +150,7 @@ const EMPTY: u32 = u32::MAX;
 /// `&mut self` — a table frozen inside an `Arc`'d cached value is plain
 /// immutable data (rule R1).
 #[derive(Debug, Clone, Default)]
-pub struct SymbolTable {
+pub(crate) struct SymbolTable {
     symbols: Vec<Symbol>,
     /// Power-of-two bucket array of indices into `symbols`.
     buckets: Vec<u32>,
@@ -162,13 +158,13 @@ pub struct SymbolTable {
 
 impl SymbolTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SymbolTable::default()
     }
 
     /// Interns `text`, returning the shared symbol (a pointer bump when
     /// the name was seen before).
-    pub fn intern(&mut self, text: &str) -> Symbol {
+    pub(crate) fn intern(&mut self, text: &str) -> Symbol {
         let hash = fnv1a(text);
         if let Some(found) = self.find(hash, text) {
             return found;
@@ -194,18 +190,9 @@ impl SymbolTable {
         })
     }
 
-    /// Interns an existing symbol, reusing its cached hash (the
-    /// hash-once path between tables: no byte of the name is re-hashed).
-    pub fn intern_symbol(&mut self, symbol: &Symbol) -> Symbol {
-        if let Some(found) = self.find(symbol.hash, &symbol.text) {
-            return found;
-        }
-        self.insert_new(symbol.clone())
-    }
-
     /// Interns a lexical QName (`ns:elem` or `elem`) with both parts
     /// deduplicated through this table.
-    pub fn intern_qname(&mut self, raw: &str) -> crate::name::QName {
+    pub(crate) fn intern_qname(&mut self, raw: &str) -> crate::name::QName {
         match raw.split_once(':') {
             Some((prefix, local)) => {
                 let prefix = self.intern(prefix);
@@ -217,36 +204,15 @@ impl SymbolTable {
     }
 
     /// Looks up a previously interned name without inserting.
-    pub fn get(&self, text: &str) -> Option<Symbol> {
+    #[cfg(test)]
+    fn get(&self, text: &str) -> Option<Symbol> {
         self.find(fnv1a(text), text)
     }
 
     /// Number of distinct interned names.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.symbols.len()
-    }
-
-    /// Whether no names are interned.
-    pub fn is_empty(&self) -> bool {
-        self.symbols.is_empty()
-    }
-
-    /// Iterates over the distinct interned symbols.
-    pub fn iter(&self) -> impl Iterator<Item = &Symbol> {
-        self.symbols.iter()
-    }
-
-    /// Heap bytes retained by the distinct names — each name charged
-    /// **once**, however many events or attributes reference it.
-    pub fn names_bytes(&self) -> usize {
-        self.symbols.iter().map(|s| s.len()).sum()
-    }
-
-    /// Approximate retained size: unique name bytes plus table overhead.
-    pub fn approximate_size(&self) -> usize {
-        self.names_bytes()
-            + self.symbols.capacity() * std::mem::size_of::<Symbol>()
-            + self.buckets.capacity() * std::mem::size_of::<u32>()
     }
 
     fn find(&self, hash: u64, text: &str) -> Option<Symbol> {
@@ -321,7 +287,6 @@ mod tests {
         let mut table = SymbolTable::new();
         let b = table.intern("item");
         assert_eq!(a, b);
-        assert_eq!(a.hash64(), b.hash64());
         assert!(!a.ptr_eq(&b), "different allocations, equal values");
         // A HashSet keyed by symbols finds equal symbols from any table
         // (hashing writes the cached value, never the text bytes).
@@ -329,16 +294,6 @@ mod tests {
         set.insert(a);
         assert!(set.contains(&b));
         assert!(!set.contains(&Symbol::new("other")));
-    }
-
-    #[test]
-    fn intern_symbol_reuses_existing_allocation() {
-        let mut table = SymbolTable::new();
-        let first = table.intern("return");
-        let outside = Symbol::new("return");
-        let unified = table.intern_symbol(&outside);
-        assert!(unified.ptr_eq(&first));
-        assert_eq!(table.len(), 1);
     }
 
     #[test]
@@ -354,17 +309,6 @@ mod tests {
         assert_eq!(table.len(), 3);
         let again = table.intern_qname("soapenv:Body");
         assert!(again.local_symbol().ptr_eq(q.local_symbol()));
-    }
-
-    #[test]
-    fn names_are_charged_once() {
-        let mut table = SymbolTable::new();
-        for _ in 0..1000 {
-            table.intern("Envelope");
-            table.intern("Body");
-        }
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.names_bytes(), "Envelope".len() + "Body".len());
     }
 
     #[test]

@@ -310,7 +310,7 @@ impl XmlWriter {
     /// # Errors
     ///
     /// Fails when no element is open.
-    pub fn raw(&mut self, markup: impl AsRef<str>) -> Result<&mut Self, XmlError> {
+    pub(crate) fn raw(&mut self, markup: impl AsRef<str>) -> Result<&mut Self, XmlError> {
         self.text_with(|out| out.push_str(markup.as_ref()))
     }
 
@@ -404,7 +404,7 @@ impl XmlWriter {
     }
 
     /// Current nesting depth (0 at the top level).
-    pub fn depth(&self) -> usize {
+    pub(crate) fn depth(&self) -> usize {
         self.open.len()
     }
 }

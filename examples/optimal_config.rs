@@ -21,7 +21,7 @@ use wsrcache::cache::{
 };
 use wsrcache::services::dispatch::SoapService;
 use wsrcache::services::google::{self, GoogleService};
-use wsrcache::soap::deserializer::read_response_xml_recording;
+use wsrcache::soap::deserializer::read_response_bytes_recording;
 use wsrcache::soap::serializer::serialize_response;
 use wsrcache::soap::RpcRequest;
 
@@ -74,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .find(|o| o.name == op)
             .expect("known operation");
         let xml = serialize_response(google::NAMESPACE, op, "return", &value, &registry)?;
-        let (_, events) = read_response_xml_recording(&xml, &descriptor.return_type, &registry)?;
+        let (_, events) =
+            read_response_bytes_recording(xml.as_bytes(), &descriptor.return_type, &registry)?;
         let xml: std::sync::Arc<[u8]> = std::sync::Arc::from(xml.into_bytes());
         let events = std::sync::Arc::new(events);
         let artifacts = wsrcache::cache::repr::MissArtifacts {
@@ -147,7 +148,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let answer = service.call(&search("selector demo"))?;
     let xml = serialize_response(google::NAMESPACE, op, "return", &answer, &registry)?;
     // What a miss has in hand: the tree the reader decoded.
-    let (outcome, events) = read_response_xml_recording(&xml, &descriptor.return_type, &registry)?;
+    let (outcome, events) =
+        read_response_bytes_recording(xml.as_bytes(), &descriptor.return_type, &registry)?;
     let value = outcome.into_return()?;
     let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
     let events = Arc::new(events);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, workspace tests, benchmark
-# smoke, rustdoc, formatting, clippy, static analysis.
+# smoke, rustdoc, warnings in every target, formatting, clippy, static
+# analysis.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -18,6 +19,12 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 # Doc rot is a failure: an intra-doc link to an item that no longer
 # exists (or never did) stops the gate here (~4 s).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline -q
+# No rustc warning in any target: tests, examples and benches compile
+# with `-D warnings` too, so `dead_code` also covers test-only code.
+# Clippy's lints stay off there (see the clippy step). A target dir of
+# its own keeps the flag from invalidating the main build (~10 s).
+RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/deny-warnings \
+    cargo check --workspace --all-targets --offline -q
 cargo fmt --check
 # Workspace invariants (DESIGN.md §7): clippy.toml's disallowed methods
 # and the crates' own `deny` lints (test code stays exempt: no
@@ -25,6 +32,6 @@ cargo fmt --check
 cargo clippy --workspace --offline -- -D warnings
 cargo run -q --release -p wsrc-analyze -- --deny crates src
 
-echo "verify: build, tests, docs, formatting, clippy and analysis all clean"
+echo "verify: build, tests, docs, warnings, formatting, clippy and analysis all clean"
 # The size simplicity PRs quote in CHANGES.md; reported, never gated.
 scripts/loc.sh | tail -1
