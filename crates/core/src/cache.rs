@@ -10,6 +10,11 @@
 //! here, so the client application "does not need to be at all
 //! conscious of how the response data is cached" (paper §6).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a `CachedCall` carries its keygen reading between its own stages; it is never stored"
+)]
+
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
 use crate::key::{first_applicable_key, CacheKey};

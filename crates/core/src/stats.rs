@@ -7,6 +7,11 @@
 //! unchanged (plus per-representation breakdowns and
 //! [`StatsSnapshot::to_json`]).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the cache-label counter is process-wide; the statistics themselves are `wsrc-obs` handles"
+)]
+
 use crate::repr::ValueRepresentation;
 use crate::store::EvictionSummary;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -49,6 +49,11 @@
 //! either the response an insert stored or the one a later insert
 //! stored, never anything derived from a superseded one.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shard locks and the byte and entry gauges are the store's shared state; a slot's payload is plain data"
+)]
+
 use crate::entry::CacheEntry;
 use crate::key::CacheKey;
 use std::collections::hash_map::DefaultHasher;

@@ -4,8 +4,10 @@
 //! once, when the body is constructed from the socket read buffer (or
 //! from a serializer's output), and every layer after that — transport,
 //! the cache store — shares the same allocation by bumping the
-//! reference count. `Body` is deeply immutable, so a body frozen inside
-//! a cached value satisfies analyzer rule R1 like any other plain data.
+//! reference count. `Body` is deeply immutable: the cache keeps the
+//! [`Body::shared`] bytes as a plain `Arc<[u8]>`, which invariant R1
+//! (no interior mutability below a cached value) allows like any other
+//! plain data.
 
 use crate::error::HttpError;
 use std::fmt;

@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the worker pool and the connection pool are shared mutable state; a `Body` is a plain `Arc<[u8]>`"
+)]
 // Every cached call runs through this crate: errors propagate, and a
 // poisoned lock is recovered via `wsrc_obs::sync`.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

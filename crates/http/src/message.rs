@@ -459,9 +459,12 @@ fn write_message<W: Write>(w: &mut W, head: &str, body: &[u8]) -> Result<(), Htt
 
 fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
     let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+    let n = io::Read::take(r, MAX_LINE as u64 + 1).read_line(&mut line)?;
     if n == 0 {
         return Ok(None);
+    }
+    if n > MAX_LINE {
+        return Err(HttpError::protocol("line too long"));
     }
     while line.ends_with('\n') || line.ends_with('\r') {
         line.pop();
@@ -470,6 +473,8 @@ fn read_line<R: BufRead>(r: &mut R) -> Result<Option<String>, HttpError> {
 }
 
 const MAX_HEADERS: usize = 128;
+/// Longest request, status, header or chunk-size line, its CRLF included.
+const MAX_LINE: usize = 8 * 1024;
 const MAX_BODY: usize = 64 * 1024 * 1024;
 
 fn read_headers<R: BufRead>(r: &mut R) -> Result<Headers, HttpError> {
@@ -521,7 +526,8 @@ fn read_chunked<R: BufRead>(r: &mut R) -> Result<Vec<u8>, HttpError> {
         let size_text = line.split(';').next().unwrap_or_default().trim();
         let size = usize::from_str_radix(size_text, 16)
             .map_err(|_| HttpError::protocol(format!("bad chunk size '{size_text}'")))?;
-        if body.len() + size > MAX_BODY {
+        // `size` is the peer's: compare before adding, which could wrap.
+        if size > MAX_BODY - body.len() {
             return Err(HttpError::protocol("chunked body too large"));
         }
         if size == 0 {
@@ -670,6 +676,22 @@ mod tests {
         assert!(Response::read_from(&mut BufReader::new(&bad_size[..])).is_err());
         let bad_term = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWikiXX0\r\n\r\n";
         assert!(Response::read_from(&mut BufReader::new(&bad_term[..])).is_err());
+        // A size that wraps `usize` when added to the body read so far.
+        let huge = "chunked\r\n\r\n5\r\nhello\r\nfffffffffffffffd\r\nhi\r\n0\r\n\r\n";
+        let request = format!("POST /x HTTP/1.1\r\nTransfer-Encoding: {huge}");
+        assert!(Request::read_from(&mut BufReader::new(request.as_bytes())).is_err());
+        let response = format!("HTTP/1.1 200 OK\r\nTransfer-Encoding: {huge}");
+        assert!(Response::read_from(&mut BufReader::new(response.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn a_header_line_longer_than_max_line_is_rejected() {
+        let header = |len: usize| format!("X-Long: {}\r\n", "a".repeat(len - 10));
+        for (len, ok) in [(MAX_LINE, true), (MAX_LINE + 1, false), (1 << 20, false)] {
+            let wire = format!("GET /x HTTP/1.1\r\n{}\r\n", header(len));
+            let read = Request::read_from(&mut BufReader::new(wire.as_bytes()));
+            assert_eq!(read.is_ok(), ok, "a {len}-byte line");
+        }
     }
 
     #[test]

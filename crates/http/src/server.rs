@@ -876,6 +876,42 @@ mod tests {
     }
 
     #[test]
+    fn hostile_framing_never_costs_a_worker() {
+        let handler: Arc<dyn Handler> =
+            Arc::new(|_req: &Request| Response::ok("text/plain", b"ok".to_vec()));
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with_config("127.0.0.1:0", handler, config).unwrap();
+        let url = Url::new("127.0.0.1", server.port(), "/good");
+        let long_line = format!("GET /x HTTP/1.1\r\nX-Long: {}\r\n\r\n", "a".repeat(1 << 20));
+        let hostile = [
+            "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\nfffffffffffffffd\r\nhi\r\n",
+            &long_line,
+            "GET /x HTTP/1.1\r\nHost: h",
+            "POST /x HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\n4\r\nWiki\r\n0\r\n\r\n",
+        ];
+        use std::io::{Read, Write};
+        for (at, wire) in hostile.iter().chain(&hostile).enumerate() {
+            let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(3)))
+                .unwrap();
+            // The server may close before it has read everything.
+            let _ = stream.write_all(wire.as_bytes());
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.read_to_end(&mut Vec::new());
+            // Not `live_workers()`: a panicking worker never decrements it.
+            let client = HttpClient::with_timeout(Some(Duration::from_secs(3)));
+            let resp = client
+                .get(&url)
+                .unwrap_or_else(|e| panic!("a good GET after hostile input {at}: {e}"));
+            assert_eq!(resp.status, crate::message::Status::OK);
+        }
+    }
+
+    #[test]
     fn metrics_route_serves_prometheus_and_json() {
         let registry = Arc::new(wsrc_obs::MetricsRegistry::new());
         registry

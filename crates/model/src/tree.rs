@@ -92,6 +92,7 @@ const LEVELS_KEPT: usize = 16;
 thread_local! {
     /// The buffers of the last builder to finish on this thread; a
     /// builder that starts while another is open takes new ones.
+    #[expect(clippy::disallowed_types, reason = "per-thread scratch, never reachable from a value")]
     static SCRATCH: std::cell::Cell<Option<TreeScratch>> = const { std::cell::Cell::new(None) };
 }
 
@@ -157,8 +158,7 @@ impl Drop for TreeBuilder {
 impl TreeBuilder {
     /// An empty builder.
     pub fn new() -> Self {
-        let TreeScratch { text, levels, open } =
-            SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
+        let TreeScratch { text, levels, open } = SCRATCH.take().unwrap_or_default();
         TreeBuilder {
             text,
             levels,

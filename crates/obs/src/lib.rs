@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "counters, histograms, the tracer and the lock witness are shared mutable state by design; no cached value holds one"
+)]
 
 //! `wsrc-obs` — a dependency-free observability layer.
 //!

@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "the type registries, validators and carts are the back end's shared state; no cached value holds them"
+)]
 
 //! Dummy back-end Web services for the evaluation.
 //!

@@ -146,6 +146,7 @@ const SCRATCH_CAP: usize = 4 << 10;
 
 thread_local! {
     /// The buffer the last [`decode_with`] on this thread decoded into.
+    #[expect(clippy::disallowed_types, reason = "per-thread scratch, never reachable from a value")]
     static SCRATCH: std::cell::Cell<Option<Vec<u8>>> = const { std::cell::Cell::new(None) };
 }
 
@@ -165,7 +166,7 @@ thread_local! {
 /// Returns an encoding error for illegal characters, bad padding or a
 /// truncated final quantum.
 pub(crate) fn decode_with<T>(text: &str, make: impl FnOnce(&[u8]) -> T) -> Result<T, SoapError> {
-    let mut out = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
+    let mut out = SCRATCH.take().unwrap_or_default();
     let decoded = decode_into(text, &mut out).map(|len| make(&out[..len]));
     if out.capacity() <= SCRATCH_CAP {
         SCRATCH.with(|slot| slot.set(Some(out)));

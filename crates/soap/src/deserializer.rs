@@ -238,6 +238,7 @@ struct DecoderScratch {
 const SCRATCH_CAP: usize = 4 << 10;
 
 thread_local! {
+    #[expect(clippy::disallowed_types, reason = "per-thread scratch, never reachable from a value")]
     static SCRATCH: std::cell::Cell<Option<DecoderScratch>> = const { std::cell::Cell::new(None) };
 }
 
@@ -399,7 +400,7 @@ impl<'r> ResponseReader<'r> {
     }
 
     fn reading(message: Message<'r>, registry: &'r TypeRegistry) -> Self {
-        let scratch = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
+        let scratch = SCRATCH.take().unwrap_or_default();
         ResponseReader {
             registry,
             message,

@@ -56,6 +56,7 @@ thread_local! {
     /// the per-document buffers stop being allocated at all.
     /// A reader that starts while another is open on the thread gets
     /// scratch of its own.
+    #[expect(clippy::disallowed_types, reason = "per-thread scratch, never reachable from a value")]
     static SCRATCH: std::cell::Cell<Option<Scratch>> =
         const { std::cell::Cell::new(None) };
 }
@@ -92,7 +93,7 @@ struct Scratch {
 impl Scratch {
     /// The thread's scratch, or new scratch when another reader holds it.
     fn take() -> Scratch {
-        SCRATCH.with(std::cell::Cell::take).unwrap_or_default()
+        SCRATCH.take().unwrap_or_default()
     }
 
     /// Clears the document's state and hands the scratch back to the

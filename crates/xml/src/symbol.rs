@@ -10,7 +10,8 @@
 //!
 //! The table deliberately has **no interior mutability** — interning
 //! requires `&mut self` — so tables embedded in cached values stay
-//! deeply immutable (analyzer rule R1).
+//! deeply immutable (invariant R1; `clippy.toml` disallows every cell,
+//! lock and atomic type in this crate).
 
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -63,6 +63,7 @@ const OPEN_CAP: usize = 2 << 10;
 thread_local! {
     /// The buffers of the last writer to finish on this thread. A writer
     /// that starts while another is open takes new ones.
+    #[expect(clippy::disallowed_types, reason = "per-thread scratch, never reachable from a value")]
     static SCRATCH: std::cell::Cell<Option<WriterScratch>> = const { std::cell::Cell::new(None) };
 }
 
@@ -78,7 +79,7 @@ struct WriterScratch {
 
 impl WriterScratch {
     fn take() -> WriterScratch {
-        SCRATCH.with(std::cell::Cell::take).unwrap_or_default()
+        SCRATCH.take().unwrap_or_default()
     }
 
     /// Empties the buffers and keeps them for the thread's next writer,

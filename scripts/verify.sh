@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, workspace tests, benchmark
-# smoke, rustdoc, warnings in every target, formatting, clippy, static
-# analysis.
+# smoke, rustdoc, warnings in every target, formatting, clippy.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -27,11 +26,10 @@ RUSTFLAGS="-D warnings" CARGO_TARGET_DIR=target/deny-warnings \
     cargo check --workspace --all-targets --offline -q
 cargo fmt --check
 # Workspace invariants (DESIGN.md §7): clippy.toml's disallowed methods
-# and the crates' own `deny` lints (test code stays exempt: no
-# --all-targets), then the three rules that need a token model.
+# and types and the crates' own `deny` lints (test code stays exempt: no
+# --all-targets). R2 and R6 are tests, run above.
 cargo clippy --workspace --offline -- -D warnings
-cargo run -q --release -p wsrc-analyze -- --deny crates src
 
-echo "verify: build, tests, docs, warnings, formatting, clippy and analysis all clean"
+echo "verify: build, tests, docs, warnings, formatting and clippy all clean"
 # The size simplicity PRs quote in CHANGES.md; reported, never gated.
 scripts/loc.sh | tail -1

@@ -2,9 +2,9 @@
 //! not exist: every `-p <crate>`, `--bin <name>`, `--example <name>`,
 //! `--manifest-path <path>` and `results/<file>` in the files below must
 //! resolve in the tree. Nor can the invariant tables drift from the
-//! rules the analyzer runs, the methods `clippy.toml` disallows or the
-//! lock classes the code takes, or the prose keep naming a path the code
-//! deleted.
+//! paths `clippy.toml` disallows or the lock classes the code takes, or
+//! the prose keep naming a path the code deleted. R2, the one invariant
+//! no lint can name, is checked here too.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -101,71 +101,44 @@ fn docs_name_only_commands_and_results_that_exist() {
     );
 }
 
-/// `(code, id)` of every rule-table row in `text`: a table line whose
-/// first cell opens with a rule code (`| R1 \`id\`: … |` in the README,
-/// `| **R1 \`id\`** — … |` in DESIGN).
-fn rule_rows(text: &str) -> BTreeSet<(String, String)> {
-    text.lines()
-        .filter_map(|line| line.strip_prefix("| "))
-        .filter_map(|row| {
-            let mut words = row
-                .split(|c: char| c.is_whitespace() || "|*`".contains(c))
-                .filter(|w| !w.is_empty());
-            let (code, id) = (words.next()?, words.next()?);
-            let digits = code.strip_prefix('R')?.replace('v', "");
-            (!digits.is_empty() && digits.chars().all(|c| c.is_ascii_digit()))
-                .then(|| (code.to_string(), id.to_string()))
-        })
-        .collect()
-}
-
+/// Every `path` in `clippy.toml`, method or type, is named by a table
+/// row that cites `clippy.toml`, and such rows name no other fully
+/// qualified path (three or more segments, back-ticked; `a::b::{C, D}`
+/// names `a::b::C` and `a::b::D`).
 #[test]
-fn rule_tables_list_exactly_the_rules_the_analyzer_runs() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let live: BTreeSet<(String, String)> = wsrc_analyze::RULES
-        .iter()
-        .map(|(code, id, _)| (code.to_string(), id.to_string()))
-        .collect();
-    for file in ["README.md", "DESIGN.md"] {
-        let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let rows = rule_rows(&text);
-        let undocumented: Vec<_> = live.difference(&rows).collect();
-        let stale: Vec<_> = rows.difference(&live).collect();
-        assert!(
-            undocumented.is_empty() && stale.is_empty(),
-            "{file}: rules without a row {undocumented:?}, rows without a rule {stale:?}"
-        );
-    }
-}
-
-/// Every `path` in `clippy.toml` is named by a table row that cites
-/// `clippy.toml`, and such rows name no other fully qualified path
-/// (three or more segments, back-ticked).
-#[test]
-fn invariant_tables_and_clippy_toml_name_the_same_methods() {
+fn invariant_tables_and_clippy_toml_name_the_same_paths() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let toml = fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
-    let disallowed: BTreeSet<&str> = toml
+    let disallowed: BTreeSet<String> = toml
         .split("path = \"")
         .skip(1)
         .filter_map(|rest| rest.split('"').next())
+        .map(str::to_string)
         .collect();
     assert!(!disallowed.is_empty(), "clippy.toml lists no path");
     for file in ["README.md", "DESIGN.md"] {
         let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let documented: BTreeSet<&str> = text
+        let documented: BTreeSet<String> = text
             .lines()
             .filter(|line| line.starts_with("| ") && line.contains("`clippy.toml`"))
             .flat_map(|row| row.split('`').skip(1).step_by(2))
-            .filter(|code| code.matches("::").count() >= 2 && !code.contains(' '))
+            .flat_map(|code| match code.split_once("::{") {
+                Some((prefix, group)) => group
+                    .trim_end_matches('}')
+                    .split(", ")
+                    .map(|name| format!("{prefix}::{name}"))
+                    .collect(),
+                None => vec![code.to_string()],
+            })
+            .filter(|path| path.matches("::").count() >= 2 && !path.contains(' '))
             .collect();
         assert_eq!(documented, disallowed, "{file} vs clippy.toml");
     }
 }
 
-/// Calls `visit` with the text of every `.rs` file under `dir`, build
-/// output aside — and `tests` directories too unless `with_tests`.
-fn each_source(dir: &Path, with_tests: bool, visit: &mut dyn FnMut(&str)) {
+/// Calls `visit` with the path and text of every `.rs` file under `dir`,
+/// build output aside — and `tests` directories too unless `with_tests`.
+fn each_source(dir: &Path, with_tests: bool, visit: &mut dyn FnMut(&Path, &str)) {
     for path in fs::read_dir(dir).expect("readable dir").flatten() {
         let path = path.path();
         if path.is_dir() {
@@ -173,7 +146,7 @@ fn each_source(dir: &Path, with_tests: bool, visit: &mut dyn FnMut(&str)) {
                 each_source(&path, with_tests, visit);
             }
         } else if path.extension().is_some_and(|ext| ext == "rs") {
-            visit(&fs::read_to_string(&path).expect("readable source"));
+            visit(&path, &fs::read_to_string(&path).expect("readable source"));
         }
     }
 }
@@ -182,7 +155,7 @@ fn each_source(dir: &Path, with_tests: bool, visit: &mut dyn FnMut(&str)) {
 /// (integration tests aside; the witness's own unit tests take
 /// throwaway `tests.*` classes).
 fn lock_classes_taken(dir: &Path, taken: &mut BTreeSet<String>) {
-    each_source(dir, false, &mut |text| {
+    each_source(dir, false, &mut |_, text| {
         taken.extend(
             text.split("lock_class(\"")
                 .skip(1)
@@ -217,6 +190,38 @@ fn lock_class_lists_name_exactly_the_classes_taken() {
     }
 }
 
+/// R2: `Ordering::Relaxed` orders nothing across threads, so it is only
+/// for the monotonic counters in `crates/obs/src/metrics.rs`, read for
+/// exposition alone. Clippy cannot disallow an enum variant, hence this
+/// check of the product sources, comments and `#[cfg(test)]` tails aside.
+#[test]
+fn relaxed_ordering_appears_only_in_the_metric_counters() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = Vec::new();
+    for dir in ["crates", "src"] {
+        each_source(&root.join(dir), false, &mut |path, text| {
+            if path.ends_with("crates/obs/src/metrics.rs") {
+                return;
+            }
+            let product = text.split("\n#[cfg(test)]").next().unwrap_or(text);
+            for (at, line) in product.lines().enumerate() {
+                let code = line.split("//").next().unwrap_or(line);
+                if code
+                    .split(|c| !is_ident_char(c))
+                    .any(|word| word == "Relaxed")
+                {
+                    found.push(format!("{}:{}: {}", path.display(), at + 1, line.trim()));
+                }
+            }
+        });
+    }
+    assert!(
+        found.is_empty(),
+        "Relaxed outside the metric counters:\n{}",
+        found.join("\n")
+    );
+}
+
 fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
@@ -244,21 +249,28 @@ fn paths(code: &str) -> Vec<&str> {
 }
 
 /// Every back-ticked `A::b` path in README.md and DESIGN.md, inline or
-/// in a fenced block, is made of identifiers that occur in the sources:
-/// when the code deletes an item, the prose that names it fails here.
+/// in a fenced block, is made of identifiers that occur in the sources
+/// or `clippy.toml`: when the code deletes an item, the prose that names
+/// it fails here.
 #[test]
 fn back_ticked_paths_are_made_of_identifiers_the_sources_contain() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut identifiers = BTreeSet::new();
+    let mut add = |_: &Path, text: &str| {
+        identifiers.extend(
+            text.split(|c| !is_ident_char(c))
+                .filter(|word| !word.is_empty())
+                .map(str::to_string),
+        )
+    };
     for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
-        each_source(&root.join(dir), true, &mut |text| {
-            identifiers.extend(
-                text.split(|c| !is_ident_char(c))
-                    .filter(|word| !word.is_empty())
-                    .map(str::to_string),
-            );
-        });
+        each_source(&root.join(dir), true, &mut add);
     }
+    // The std types clippy.toml disallows, whose paths clippy resolves.
+    add(
+        Path::new("clippy.toml"),
+        &fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml"),
+    );
     let mut stale = Vec::new();
     for file in ["README.md", "DESIGN.md"] {
         let text = fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
