@@ -3,11 +3,10 @@
 
 //! Reproduces every table and figure of the paper.
 //!
-//! - [`fixtures`] — the three Google operations' requests and responses,
-//!   produced through the real service + SOAP pipeline.
 //! - [`timing`] — the paper's measurement protocol (§5.1: 10,000 warmup
 //!   iterations, then 10,000 measured).
-//! - [`tables`] — Tables 1–9 as printable text tables.
+//! - [`tables`] — Tables 1–9 as printable text tables, measured on
+//!   [`wsrc_services::google::fixtures`].
 //! - [`figures`] — the Figure 3/4 portal sweeps.
 //! - [`trace_smoke`] — a deterministic end-to-end check of the span tree.
 //!
@@ -21,7 +20,6 @@
 //! ```
 
 pub mod figures;
-pub mod fixtures;
 pub mod obs_report;
 pub mod tables;
 pub mod timing;

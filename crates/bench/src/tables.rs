@@ -1,6 +1,5 @@
 //! Regenerates the paper's Tables 1–9.
 
-use crate::fixtures::{google_fixtures, registry, OperationFixture, ENDPOINT};
 use crate::render_table;
 use crate::timing::{fmt_msec, measure, Protocol};
 use wsrc_cache::key::{generate_key, KeyStrategy};
@@ -8,7 +7,11 @@ use wsrc_cache::repr::{StoredResponse, ValueRepresentation};
 use wsrc_model::tostring::to_string_key;
 use wsrc_model::Value;
 use wsrc_services::amazon;
+use wsrc_services::google::{fixtures, registry, OperationFixture};
 use wsrc_xml::XmlReader;
+
+/// The endpoint URL used in cache keys.
+const ENDPOINT: &str = "http://api.google.test/search/beta2";
 
 const OPS: [&str; 3] = ["Spelling Suggestion", "Cached Page", "Google Search"];
 
@@ -123,7 +126,7 @@ pub fn table4() -> String {
 
 /// Table 5: summary of the three Google operations.
 pub fn table5() -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let describe_params = |f: &OperationFixture| {
         let mut strings = 0;
         let mut ints = 0;
@@ -168,7 +171,7 @@ pub fn table5() -> String {
 
 /// Table 6: processing times for cache key generation (msec).
 pub fn table6(protocol: Protocol) -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let strategies = [
         ("XML message", KeyStrategy::XmlMessage),
@@ -199,7 +202,7 @@ pub fn table6(protocol: Protocol) -> String {
 /// Table 7: processing times for cached data retrieval (msec), with the
 /// paper's n/a cells.
 pub fn table7(protocol: Protocol) -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let rows: Vec<Vec<String>> = ValueRepresentation::ALL
         .iter()
@@ -230,7 +233,7 @@ pub fn table7(protocol: Protocol) -> String {
 
 /// Table 8: memory size of cache keys (bytes).
 pub fn table8() -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let strategies = [
         ("XML message", KeyStrategy::XmlMessage),
@@ -263,7 +266,7 @@ pub fn table8() -> String {
 /// [`wsrc_model::sizeof::java_object_size`] — field/type names live in
 /// the class, not the instance).
 pub fn table9() -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let rows: Vec<Vec<String>> = [
         (
             "XML message",
@@ -300,7 +303,7 @@ pub fn table9() -> String {
 
 /// Raw (numeric) Table 6 cells for assertions and EXPERIMENTS.md.
 pub fn table6_raw(protocol: Protocol) -> Vec<(KeyStrategy, Vec<std::time::Duration>)> {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     KeyStrategy::CONCRETE
         .iter()
@@ -323,7 +326,7 @@ pub fn table6_raw(protocol: Protocol) -> Vec<(KeyStrategy, Vec<std::time::Durati
 pub fn table7_raw(
     protocol: Protocol,
 ) -> Vec<(ValueRepresentation, Vec<Option<std::time::Duration>>)> {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     ValueRepresentation::ALL
         .iter()
@@ -350,7 +353,7 @@ pub fn table7_raw(
 /// Sanity helper used by the optimal-configuration discussion (§6): what
 /// the paper's table picks for each of the three responses.
 pub fn optimal_configuration() -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let rows: Vec<Vec<String>> = fixtures
         .iter()
@@ -375,7 +378,7 @@ pub fn optimal_configuration() -> String {
 /// measures both halves per representation for the GoogleSearch
 /// response, plus total bytes held.
 pub fn ablation_store_vs_retrieve(protocol: Protocol) -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let search = fixtures.last().expect("google search fixture");
     let rows: Vec<Vec<String>> = ValueRepresentation::ALL_EXTENDED
@@ -408,7 +411,7 @@ pub fn ablation_store_vs_retrieve(protocol: Protocol) -> String {
 
 /// A quick toString check mirroring §4.1.2-B (used by `reproduce keys`).
 pub fn tostring_keys() -> String {
-    let fixtures = google_fixtures();
+    let fixtures = fixtures();
     let registry = registry();
     let rows: Vec<Vec<String>> = fixtures
         .iter()
@@ -604,6 +607,17 @@ mod tests {
         assert!(obj_vals[2] < xml_vals[2]);
         // CachedPage: sizes are close (payload dominates) — within 2x.
         assert!(obj_vals[1] * 2 > xml_vals[1]);
+        // Both tables are exact byte counts of the shared fixtures: a
+        // change here means the requests or responses are not the ones
+        // every other table and count measures.
+        assert_eq!(
+            [xml_keys, ser_keys, str_keys],
+            [[644, 636, 946], [171, 171, 341], [143, 143, 223]]
+        );
+        assert_eq!(
+            [xml_vals, cells(&t9, "Java serialized form"), obj_vals],
+            [[561, 5486, 7616], [46, 3732, 3620], [63, 3740, 7084]]
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! connection threads outlive the [`Server`].
 
 use crate::error::HttpError;
-use crate::message::{Request, Response};
+use crate::message::{Request, Response, Status};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -189,6 +190,7 @@ struct ServerMetrics {
     busy_workers: Gauge,
     open_connections: Gauge,
     rejected: Counter,
+    handler_panics: Counter,
     queue_wait: Histogram,
 }
 
@@ -199,6 +201,7 @@ impl ServerMetrics {
             busy_workers: registry.gauge("wsrc_http_busy_workers", &[]),
             open_connections: registry.gauge("wsrc_http_open_connections", &[]),
             rejected: registry.counter("wsrc_http_rejected_total", &[]),
+            handler_panics: registry.counter("wsrc_http_handler_panics_total", &[]),
             queue_wait: registry.histogram("wsrc_http_queue_wait_seconds", &[]),
         }
     }
@@ -439,12 +442,9 @@ fn reject(stream: TcpStream, shared: &Shared) {
         .and_then(|req| req.headers.get(TRACEPARENT_HEADER).map(str::to_string))
         .filter(|value| TraceContext::parse_traceparent(value).is_some());
     let mut stream = stream;
-    let mut response = Response::error(
-        crate::message::Status::SERVICE_UNAVAILABLE,
-        "connection queue full",
-    )
-    .with_header("Retry-After", shared.retry_after.as_secs().to_string())
-    .with_header("Connection", "close");
+    let mut response = Response::error(Status::SERVICE_UNAVAILABLE, "connection queue full")
+        .with_header("Retry-After", shared.retry_after.as_secs().to_string())
+        .with_header("Connection", "close");
     if let Some(value) = traceparent {
         response.headers.set(TRACEPARENT_HEADER, value);
     }
@@ -525,8 +525,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
             Err(HttpError::Timeout) | Err(HttpError::Io(_)) => return ServeOutcome::Close,
             Err(_) => {
                 // Malformed request: best-effort 400, then close.
-                let resp =
-                    Response::error(crate::message::Status::BAD_REQUEST, "malformed request");
+                let resp = Response::error(Status::BAD_REQUEST, "malformed request");
                 let _ = resp.write_to(&mut conn.writer);
                 return ServeOutcome::Close;
             }
@@ -568,7 +567,20 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
             );
         }
         queue_wait_nanos = 0;
-        let mut response = shared.handler.handle(&request);
+        // A panicking handler costs its connection, never the worker:
+        // the caller gets a 500 and the connection closes, so the gauges
+        // come back down as on any other close.
+        let (mut response, close) = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+            shared.handler.handle(&request)
+        })) {
+            Ok(response) => (response, close_requested),
+            Err(_) => {
+                shared.metrics.handler_panics.add(1);
+                let response = Response::error(Status::INTERNAL_SERVER_ERROR, "handler panicked")
+                    .with_header("Connection", "close");
+                (response, true)
+            }
+        };
         shared.requests_served.fetch_add(1, Ordering::SeqCst);
         if let Some(mut span) = span {
             if response.status.0 >= 500 {
@@ -587,7 +599,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
             return ServeOutcome::Close;
         }
         conn.idle_since_nanos = shared.clock.now_nanos();
-        if close_requested {
+        if close {
             return ServeOutcome::Close;
         }
         // Fairness between keep-alive connections: yield the worker when
@@ -907,8 +919,45 @@ mod tests {
             let resp = client
                 .get(&url)
                 .unwrap_or_else(|e| panic!("a good GET after hostile input {at}: {e}"));
-            assert_eq!(resp.status, crate::message::Status::OK);
+            assert_eq!(resp.status, Status::OK);
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_never_costs_a_worker() {
+        let handler: Arc<dyn Handler> = Arc::new(|req: &Request| {
+            assert_ne!(req.target, "/panic", "the handler's own bug");
+            Response::ok("text/plain", b"ok".to_vec())
+        });
+        let registry = Arc::new(wsrc_obs::MetricsRegistry::new());
+        let config = ServerConfig {
+            workers: 2,
+            registry: registry.clone(),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with_config("127.0.0.1:0", handler, config).unwrap();
+        let client = HttpClient::with_timeout(Some(Duration::from_secs(3)));
+        for _ in 0..2 {
+            let resp = client
+                .get(&Url::new("127.0.0.1", server.port(), "/panic"))
+                .unwrap();
+            assert_eq!(resp.status, Status::INTERNAL_SERVER_ERROR);
+            assert_eq!(resp.headers.get("Connection"), Some("close"));
+        }
+        let resp = client
+            .get(&Url::new("127.0.0.1", server.port(), "/good"))
+            .unwrap_or_else(|e| panic!("a good GET after two panics: {e}"));
+        assert_eq!(resp.status, Status::OK);
+        let panics = registry
+            .snapshot()
+            .counter_value("wsrc_http_handler_panics_total", &[]);
+        assert_eq!(panics, Some(2));
+        drop(client);
+        let gauge = |name| registry.gauge(name, &[]).value();
+        wait_until("every connection to close", || {
+            gauge("wsrc_http_open_connections") == 0
+        });
+        assert_eq!(gauge("wsrc_http_busy_workers"), 0);
     }
 
     #[test]

@@ -7,7 +7,6 @@ use wsrc_client::ServiceClient;
 use wsrc_http::{Handler, Method, Request, Response, Status};
 use wsrc_model::Value;
 use wsrc_services::google;
-use wsrc_soap::rpc::RpcRequest;
 use wsrc_xml::escape::{escape_attribute_into, escape_text_into};
 
 /// The portal site handler. `GET /portal?q=<query>` renders an HTML page
@@ -31,20 +30,6 @@ impl PortalSite {
     /// The backing client (for inspecting cache statistics in tests).
     pub fn client(&self) -> &Arc<ServiceClient> {
         &self.client
-    }
-
-    fn search_request(query: &str) -> RpcRequest {
-        RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-            .with_param("key", "demo-key")
-            .with_param("q", query)
-            .with_param("start", 0)
-            .with_param("maxResults", 10)
-            .with_param("filter", true)
-            .with_param("restrict", "")
-            .with_param("safeSearch", false)
-            .with_param("lr", "")
-            .with_param("ie", "utf-8")
-            .with_param("oe", "utf-8")
     }
 
     /// The page, written into one buffer: text escaped in place, no
@@ -112,7 +97,7 @@ impl Handler for PortalSite {
         if query.is_empty() {
             return Response::error(Status::BAD_REQUEST, "missing q parameter");
         }
-        match self.client.invoke(&Self::search_request(query)) {
+        match self.client.invoke(&google::search_request(query)) {
             Ok((handle, _disposition)) => {
                 let html = Self::render(query, handle.as_value());
                 Response::ok("text/html; charset=utf-8", html.into_bytes())

@@ -11,6 +11,9 @@
 //!   `DirectoryCategory[]`.
 
 pub(crate) mod data;
+mod fixture;
+
+pub use fixture::{fixtures, OperationFixture};
 
 use crate::dispatch::SoapService;
 use data::Corpus;
@@ -136,6 +139,39 @@ pub fn operations() -> Vec<OperationDescriptor> {
             FieldType::Struct("GoogleSearchResult".into()),
         ),
     ]
+}
+
+/// The API key every built request carries.
+const KEY: &str = "demo-key";
+
+/// A `doSpellingSuggestion` request for `phrase`.
+pub fn spelling_request(phrase: &str) -> RpcRequest {
+    RpcRequest::new(NAMESPACE, "doSpellingSuggestion")
+        .with_param("key", KEY)
+        .with_param("phrase", phrase)
+}
+
+/// A `doGetCachedPage` request for `url`.
+pub fn cached_page_request(url: &str) -> RpcRequest {
+    RpcRequest::new(NAMESPACE, "doGetCachedPage")
+        .with_param("key", KEY)
+        .with_param("url", url)
+}
+
+/// A `doGoogleSearch` request for the first ten results of `q`, with
+/// the other eight parameters at the values the portal sends.
+pub fn search_request(q: &str) -> RpcRequest {
+    RpcRequest::new(NAMESPACE, "doGoogleSearch")
+        .with_param("key", KEY)
+        .with_param("q", q)
+        .with_param("start", 0)
+        .with_param("maxResults", 10)
+        .with_param("filter", true)
+        .with_param("restrict", "")
+        .with_param("safeSearch", false)
+        .with_param("lr", "")
+        .with_param("ie", "utf-8")
+        .with_param("oe", "utf-8")
 }
 
 /// The paper's cache-policy for Google: "all the three operations in
@@ -417,31 +453,30 @@ mod tests {
     }
 
     #[test]
+    fn built_requests_send_the_declared_parameters_in_order() {
+        let built = [
+            spelling_request("p"),
+            cached_page_request("u"),
+            search_request("q"),
+        ];
+        for (request, op) in built.iter().zip(operations()) {
+            assert_eq!(request.operation, op.name);
+            let sent = request.params.iter().map(|(name, _)| name.as_str());
+            assert!(sent.eq(op.params.iter().map(|p| &*p.name)), "{}", op.name);
+        }
+    }
+
+    #[test]
     fn service_answers_all_three_operations() {
         let svc = GoogleService::new();
-        let spell = RpcRequest::new(NAMESPACE, "doSpellingSuggestion")
-            .with_param("key", "k")
-            .with_param("phrase", "helo wrld");
+        let spell = spelling_request("helo wrld");
         assert!(svc.call(&spell).unwrap().as_str().is_some());
 
-        let page = RpcRequest::new(NAMESPACE, "doGetCachedPage")
-            .with_param("key", "k")
-            .with_param("url", "http://example.test/page");
+        let page = cached_page_request("http://example.test/page");
         let bytes = svc.call(&page).unwrap();
         assert!(bytes.as_bytes().unwrap().len() > 3000, "large and simple");
 
-        let search = RpcRequest::new(NAMESPACE, "doGoogleSearch")
-            .with_param("key", "k")
-            .with_param("q", "distributed caching")
-            .with_param("start", 0)
-            .with_param("maxResults", 10)
-            .with_param("filter", true)
-            .with_param("restrict", "")
-            .with_param("safeSearch", false)
-            .with_param("lr", "")
-            .with_param("ie", "utf-8")
-            .with_param("oe", "utf-8");
-        let result = svc.call(&search).unwrap();
+        let result = svc.call(&search_request("distributed caching")).unwrap();
         let s = result.as_struct().unwrap();
         assert_eq!(s.type_name(), "GoogleSearchResult");
         assert_eq!(
@@ -453,18 +488,7 @@ mod tests {
     #[test]
     fn search_responses_conform_to_the_registry() {
         let svc = GoogleService::new();
-        let search = RpcRequest::new(NAMESPACE, "doGoogleSearch")
-            .with_param("key", "k")
-            .with_param("q", "conformance")
-            .with_param("start", 0)
-            .with_param("maxResults", 10)
-            .with_param("filter", true)
-            .with_param("restrict", "")
-            .with_param("safeSearch", false)
-            .with_param("lr", "")
-            .with_param("ie", "utf-8")
-            .with_param("oe", "utf-8");
-        let value = svc.call(&search).unwrap();
+        let value = svc.call(&search_request("conformance")).unwrap();
         wsrc_model::bean::validate(
             &value,
             &FieldType::Struct("GoogleSearchResult".into()),
@@ -476,17 +500,7 @@ mod tests {
     #[test]
     fn responses_are_deterministic() {
         let svc = GoogleService::new();
-        let req = RpcRequest::new(NAMESPACE, "doGoogleSearch")
-            .with_param("key", "k")
-            .with_param("q", "same query")
-            .with_param("start", 0)
-            .with_param("maxResults", 10)
-            .with_param("filter", true)
-            .with_param("restrict", "")
-            .with_param("safeSearch", false)
-            .with_param("lr", "")
-            .with_param("ie", "utf-8")
-            .with_param("oe", "utf-8");
+        let req = search_request("same query");
         assert_eq!(svc.call(&req).unwrap(), svc.call(&req).unwrap());
     }
 

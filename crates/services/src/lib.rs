@@ -16,7 +16,8 @@
 //!   shapes of paper Table 5 (`doSpellingSuggestion` → small simple
 //!   string; `doGetCachedPage` → large simple byte array;
 //!   `doGoogleSearch` → large complex `GoogleSearchResult`), generated
-//!   deterministically per query.
+//!   deterministically per query, with a request builder per operation
+//!   and the paper's three fixtures ([`google::fixtures`]).
 //! - [`amazon`] — the 26 Amazon operations of paper Table 1 (20 cacheable
 //!   search operations, 6 stateful shopping-cart operations).
 //! - [`dispatch`] — a SOAP dispatcher that hosts any [`SoapService`] on

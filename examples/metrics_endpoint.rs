@@ -16,9 +16,8 @@ use std::time::Duration;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{HttpClient, MetricsRoute, Server, Url};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
@@ -47,9 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two distinct queries, three rounds: 2 misses, 4 hits.
     for _ in 0..3 {
         for phrase in ["optimal representation", "response caching"] {
-            let request = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-                .with_param("key", "demo")
-                .with_param("phrase", phrase);
+            let request = spelling_request(phrase);
             client.invoke(&request)?;
         }
     }

@@ -13,94 +13,41 @@
 //! cargo run --release --example optimal_config
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wsrcache::cache::repr::StoredResponse;
-use wsrcache::cache::{
-    paper_choice, CachePolicy, Capacity, ResponseCache, ResponseData, ValueRepresentation,
-};
-use wsrcache::services::dispatch::SoapService;
-use wsrcache::services::google::{self, GoogleService};
-use wsrcache::soap::deserializer::read_response_bytes_recording;
-use wsrcache::soap::serializer::serialize_response;
-use wsrcache::soap::RpcRequest;
-
-fn search(q: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "k")
-        .with_param("q", q)
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8")
-}
+use wsrcache::cache::{paper_choice, CachePolicy, Capacity, ResponseCache, ValueRepresentation};
+use wsrcache::services::google::{self, search_request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let service = GoogleService::new();
     let registry = google::registry();
-    let requests = vec![
-        (
-            "doSpellingSuggestion",
-            RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-                .with_param("key", "k")
-                .with_param("phrase", "optmal confguration"),
-        ),
-        (
-            "doGetCachedPage",
-            RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-                .with_param("key", "k")
-                .with_param("url", "http://example.test/"),
-        ),
-        ("doGoogleSearch", search("selector demo")),
-    ];
+    let fixtures = google::fixtures();
 
     println!("classification (one decision per response type):\n");
     println!(
         "{:<22} {:<22} {:<16} {:<22} {:<16}",
         "operation", "paper table (§6)", "retrieval time", "this cache's default", "retrieval time"
     );
-    for (op, request) in &requests {
-        let op = *op;
-        let value = service.call(request)?;
-        let choice = paper_choice(&value, &registry, false);
-
-        // Materialize the choice and time one retrieval.
-        let descriptor = google::operations()
-            .into_iter()
-            .find(|o| o.name == op)
-            .expect("known operation");
-        let xml = serialize_response(google::NAMESPACE, op, "return", &value, &registry)?;
-        let (_, events) =
-            read_response_bytes_recording(xml.as_bytes(), &descriptor.return_type, &registry)?;
-        let xml: std::sync::Arc<[u8]> = std::sync::Arc::from(xml.into_bytes());
-        let events = std::sync::Arc::new(events);
-        let artifacts = wsrcache::cache::repr::MissArtifacts {
-            xml: &xml,
-            events: &events,
-            value: &value,
-        };
+    for f in &fixtures {
+        let choice = paper_choice(&f.value, &registry, false);
+        let artifacts = f.artifacts();
         // What a cache with no configuration at all stores.
         let default = ResponseCache::builder(google::registry())
             .cache_everything(Duration::from_secs(600))
             .build()
-            .insert("http://optimal-config.demo/soap", request, artifacts)
+            .insert("http://optimal-config.demo/soap", &f.request, artifacts)
             .expect("the default cache stores every response");
         let time = |repr| -> Result<Duration, Box<dyn std::error::Error>> {
             let stored = StoredResponse::build(repr, artifacts, &registry)?;
             let t = Instant::now();
             let iterations = 1000;
             for _ in 0..iterations {
-                std::hint::black_box(stored.retrieve(&descriptor.return_type, &registry)?);
+                std::hint::black_box(stored.retrieve(&f.return_type, &registry)?);
             }
             Ok(t.elapsed() / iterations)
         };
         println!(
             "{:<22} {:<22} {:<16} {:<22} {:<16}",
-            op,
+            f.request.operation,
             choice.label(),
             format!("{:?}", time(choice)?),
             default.label(),
@@ -140,24 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "policy line", "stored as", "bytes/entry", "entries"
     );
     const URL: &str = "http://optimal-config.demo/soap";
-    let op = "doGoogleSearch";
-    let descriptor = google::operations()
-        .into_iter()
-        .find(|o| o.name == op)
-        .expect("known operation");
-    let answer = service.call(&search("selector demo"))?;
-    let xml = serialize_response(google::NAMESPACE, op, "return", &answer, &registry)?;
-    // What a miss has in hand: the tree the reader decoded.
-    let (outcome, events) =
-        read_response_bytes_recording(xml.as_bytes(), &descriptor.return_type, &registry)?;
-    let value = outcome.into_return()?;
-    let xml: Arc<[u8]> = Arc::from(xml.into_bytes());
-    let events = Arc::new(events);
-    let data = ResponseData {
-        xml: &xml,
-        events: &events,
-        value: &value,
-    };
+    let data = fixtures.last().expect("the search fixture").artifacts();
     for line in [
         "doGoogleSearch cacheable ttl=1h",
         "doGoogleSearch cacheable ttl=1h repr=serialization",
@@ -172,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // More distinct queries than either form can hold.
         let mut stored = None;
         for n in 0..6000 {
-            stored = cache.insert(URL, &search(&format!("selector demo {n}")), data);
+            stored = cache.insert(URL, &search_request(&format!("selector demo {n}")), data);
         }
         println!(
             "{:<38} {:<20} {:<14} {:<10}",

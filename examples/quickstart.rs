@@ -12,9 +12,8 @@ use wsrcache::cache::ResponseCache;
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::model::Value;
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, search_request, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The back-end: a SOAP server hosting the dummy Google service.
@@ -44,9 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Call the service. The application code is identical with or
     //    without the cache (paper §3.2: no changes to the application).
-    let request = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "demo-key")
-        .with_param("phrase", "distrubted web servces cahing");
+    let request = spelling_request("distrubted web servces cahing");
 
     let t0 = Instant::now();
     let (first, d1) = client.invoke(&request)?;
@@ -74,17 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. A heavier operation: the large-and-complex GoogleSearch result.
-    let search = RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "demo-key")
-        .with_param("q", "response caching")
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8");
+    let search = search_request("response caching");
     let (result, _) = client.invoke(&search)?;
     let elements = result
         .as_value()

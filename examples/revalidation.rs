@@ -13,9 +13,8 @@ use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache};
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::obs::{ManualClock, MetricsRegistry};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ttl = Duration::from_secs(60);
@@ -46,9 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .cache(cache.clone())
     .build();
 
-    let request = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", "revalidaton demo");
+    let request = spelling_request("revalidaton demo");
 
     let (_, d) = client.invoke(&request)?;
     println!(

@@ -8,7 +8,9 @@ use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::model::Value;
 use wsrcache::obs::{ManualClock, MetricsRegistry};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{
+    self, cached_page_request, search_request, spelling_request, GoogleService,
+};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
 
@@ -43,35 +45,21 @@ fn stack() -> Stack {
     }
 }
 
-fn spelling(phrase: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", phrase)
-}
-
-fn search(q: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "k")
-        .with_param("q", q)
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8")
-}
-
 #[test]
 fn roundtrip_over_tcp_and_cache_hit_avoids_network() {
     let s = stack();
-    let (v1, d1) = s.client.invoke(&spelling("helo")).expect("first call");
+    let (v1, d1) = s
+        .client
+        .invoke(&spelling_request("helo"))
+        .expect("first call");
     assert_eq!(d1, Disposition::CacheMiss);
     assert!(v1.as_value().as_str().is_some());
     assert_eq!(s.server.requests_served(), 1);
 
-    let (v2, d2) = s.client.invoke(&spelling("helo")).expect("second call");
+    let (v2, d2) = s
+        .client
+        .invoke(&spelling_request("helo"))
+        .expect("second call");
     assert_eq!(d2, Disposition::CacheHit);
     assert_eq!(v1.as_value(), v2.as_value());
     assert_eq!(
@@ -84,13 +72,14 @@ fn roundtrip_over_tcp_and_cache_hit_avoids_network() {
 #[test]
 fn all_three_google_operations_roundtrip_over_tcp() {
     let s = stack();
-    let page = RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-        .with_param("key", "k")
-        .with_param("url", "http://x.test/");
+    let page = cached_page_request("http://x.test/");
     let (v, _) = s.client.invoke(&page).expect("cached page");
     assert!(v.as_value().as_bytes().expect("byte array").len() > 3000);
 
-    let (v, _) = s.client.invoke(&search("integration")).expect("search");
+    let (v, _) = s
+        .client
+        .invoke(&search_request("integration"))
+        .expect("search");
     let result = v.as_value().as_struct().expect("struct");
     assert_eq!(result.type_name(), "GoogleSearchResult");
     assert_eq!(
@@ -101,19 +90,22 @@ fn all_three_google_operations_roundtrip_over_tcp() {
         Some(10)
     );
 
-    let (v, _) = s.client.invoke(&spelling("abc")).expect("spelling");
+    let (v, _) = s.client.invoke(&spelling_request("abc")).expect("spelling");
     assert!(v.as_value().as_str().is_some());
 }
 
 #[test]
 fn ttl_expiry_refetches_from_the_server() {
     let s = stack();
-    s.client.invoke(&search("ttl-test")).expect("miss");
-    s.client.invoke(&search("ttl-test")).expect("hit");
+    s.client.invoke(&search_request("ttl-test")).expect("miss");
+    s.client.invoke(&search_request("ttl-test")).expect("hit");
     assert_eq!(s.server.requests_served(), 1);
     // The Google policy TTL is one hour.
     s.clock.advance_millis(3_600_001);
-    let (_, d) = s.client.invoke(&search("ttl-test")).expect("refetch");
+    let (_, d) = s
+        .client
+        .invoke(&search_request("ttl-test"))
+        .expect("refetch");
     assert_eq!(d, Disposition::CacheMiss);
     assert_eq!(s.server.requests_served(), 2);
 }
@@ -137,7 +129,7 @@ fn concurrent_clients_share_one_cache_correctly() {
         handles.push(std::thread::spawn(move || {
             for i in 0..25 {
                 let q = format!("query-{}", (t * 25 + i) % 10);
-                let (v, _) = s.client.invoke(&search(&q)).expect("search");
+                let (v, _) = s.client.invoke(&search_request(&q)).expect("search");
                 // Every thread sees a complete, consistent result.
                 assert_eq!(
                     v.as_value()
@@ -168,15 +160,21 @@ fn concurrent_clients_share_one_cache_correctly() {
 fn cache_is_transparent_to_response_content() {
     // Byte-identical application data from hit and miss paths.
     let s = stack();
-    let (miss, _) = s.client.invoke(&search("transparency")).expect("miss");
-    let (hit, _) = s.client.invoke(&search("transparency")).expect("hit");
+    let (miss, _) = s
+        .client
+        .invoke(&search_request("transparency"))
+        .expect("miss");
+    let (hit, _) = s
+        .client
+        .invoke(&search_request("transparency"))
+        .expect("hit");
     assert_eq!(miss.as_value(), hit.as_value());
 }
 
 #[test]
 fn server_shutdown_surfaces_as_client_error() {
     let mut s = stack();
-    s.client.invoke(&spelling("x")).expect("server up");
+    s.client.invoke(&spelling_request("x")).expect("server up");
     let port_dead = {
         s.server.shutdown();
         true
@@ -185,10 +183,10 @@ fn server_shutdown_surfaces_as_client_error() {
     // Cached entry still answers…
     let (_, d) = s
         .client
-        .invoke(&spelling("x"))
+        .invoke(&spelling_request("x"))
         .expect("cache still answers");
     assert_eq!(d, Disposition::CacheHit);
     // …but a new request must fail.
-    assert!(s.client.invoke(&spelling("brand new")).is_err());
+    assert!(s.client.invoke(&spelling_request("brand new")).is_err());
     let _ = Duration::ZERO;
 }

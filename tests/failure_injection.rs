@@ -11,15 +11,9 @@ use wsrcache::cache::store::Capacity;
 use wsrcache::cache::ResponseCache;
 use wsrcache::client::{ClientError, ServiceClient};
 use wsrcache::http::{Handler, HttpClient, InProcTransport, Request, Response, Server, Url};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
-
-fn spelling(phrase: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", phrase)
-}
 
 fn caching_client(transport: Arc<dyn wsrcache::http::Transport>, url: Url) -> ServiceClient {
     let cache = Arc::new(
@@ -48,7 +42,7 @@ fn garbage_response_bodies_error_and_are_never_cached() {
     );
     for _ in 0..3 {
         assert!(matches!(
-            client.invoke(&spelling("x")),
+            client.invoke(&spelling_request("x")),
             Err(ClientError::Soap(_))
         ));
     }
@@ -70,7 +64,7 @@ fn truncated_envelope_is_rejected() {
         Arc::new(InProcTransport::new(truncated)),
         Url::new("g.test", 80, google::PATH),
     );
-    assert!(client.invoke(&spelling("x")).is_err());
+    assert!(client.invoke(&spelling_request("x")).is_err());
 }
 
 #[test]
@@ -93,7 +87,9 @@ fn connection_reset_mid_response_is_an_io_error() {
         Arc::new(HttpClient::with_timeout(Some(Duration::from_secs(2)))),
         Url::new("127.0.0.1", port, google::PATH),
     );
-    let err = client.invoke(&spelling("x")).expect_err("must fail");
+    let err = client
+        .invoke(&spelling_request("x"))
+        .expect_err("must fail");
     assert!(matches!(err, ClientError::Http(_)), "got {err}");
 }
 
@@ -121,10 +117,10 @@ fn capacity_pressure_evicts_but_never_corrupts() {
     for round in 0..3 {
         for i in 0..20 {
             let v = client
-                .invoke_owned(&spelling(&format!("q{i}")))
+                .invoke_owned(&spelling_request(&format!("q{i}")))
                 .expect("call");
             let expected = client
-                .invoke_owned(&spelling(&format!("q{i}")))
+                .invoke_owned(&spelling_request(&format!("q{i}")))
                 .expect("repeat");
             assert_eq!(v, expected, "round {round}, i {i}");
         }
@@ -149,7 +145,7 @@ fn repeated_identical_requests_are_absorbed_by_the_cache() {
         workers.push(std::thread::spawn(move || {
             for _ in 0..50 {
                 client
-                    .invoke(&spelling("the same request"))
+                    .invoke(&spelling_request("the same request"))
                     .expect("absorbed");
             }
         }));
@@ -189,7 +185,9 @@ fn http_404_from_wrong_path_is_a_status_error() {
         Arc::new(HttpClient::new()),
         Url::new("127.0.0.1", server.port(), "/soap/wrong-path"),
     );
-    let err = client.invoke(&spelling("x")).expect_err("404 expected");
+    let err = client
+        .invoke(&spelling_request("x"))
+        .expect_err("404 expected");
     match err {
         ClientError::Http(wsrcache::http::HttpError::Status { code, .. }) => assert_eq!(code, 404),
         other => panic!("expected 404 status error, got {other}"),

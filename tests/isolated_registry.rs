@@ -9,24 +9,13 @@ use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache, ValueRepresen
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{InProcTransport, Url};
 use wsrcache::obs::MetricsRegistry;
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, search_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 #[test]
 fn a_cache_with_its_own_registry_writes_nothing_to_the_process_wide_one() {
     let isolated = Arc::new(MetricsRegistry::new());
-    let search = RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "k")
-        .with_param("q", "isolated")
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8");
+    let search = search_request("isolated");
 
     // A miss and a hit under every stored form, each cache labelled by
     // its form.

@@ -11,7 +11,7 @@ use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{Handler, InProcTransport, Request, Response, Url};
 use wsrcache::model::typeinfo::{FieldDescriptor, FieldType, TypeRegistry};
 use wsrcache::model::Value;
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, cached_page_request, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::serializer::serialize_response;
 use wsrcache::soap::{OperationDescriptor, RpcRequest};
@@ -29,12 +29,8 @@ fn strategies_do_not_share_entries_across_operations() {
         .operations(google::operations())
         .cache(Arc::new(cache))
         .build();
-    let spell = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", "identical");
-    let page = RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-        .with_param("key", "k")
-        .with_param("url", "identical");
+    let spell = spelling_request("identical");
+    let page = cached_page_request("identical");
     client.invoke(&spell).expect("spell miss");
     let (_, d) = client.invoke(&page).expect("page call");
     assert_eq!(

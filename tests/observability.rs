@@ -12,9 +12,8 @@ use wsrcache::http::{
 };
 use wsrcache::obs::{ManualClock, MetricId, MetricsRegistry};
 use wsrcache::portal::PortalSite;
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 /// Everything cacheable for a minute, stored under `repr`.
 fn forced(repr: ValueRepresentation) -> CachePolicy {
@@ -44,12 +43,6 @@ fn portal_client(
         .build()
 }
 
-fn spelling(phrase: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", phrase)
-}
-
 #[test]
 fn per_representation_hit_counters_accumulate_end_to_end() {
     let registry = Arc::new(MetricsRegistry::new());
@@ -58,7 +51,7 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
     // 3 distinct queries, each asked 3 times: 3 misses, 6 hits.
     for _round in 0..3 {
         for phrase in ["alpha", "beta", "gamma"] {
-            client.invoke(&spelling(phrase)).expect("call");
+            client.invoke(&spelling_request(phrase)).expect("call");
         }
     }
 
@@ -112,10 +105,10 @@ fn expired_lookups_count_as_expired_and_missed() {
     let registry = Arc::new(MetricsRegistry::with_clock(clock.handle()));
     let client = portal_client(&registry, "ttl", ValueRepresentation::SaxEvents);
 
-    let (_, d1) = client.invoke(&spelling("stale")).expect("prime");
+    let (_, d1) = client.invoke(&spelling_request("stale")).expect("prime");
     assert_eq!(d1, Disposition::CacheMiss);
     clock.advance_millis(61_000);
-    let (_, d2) = client.invoke(&spelling("stale")).expect("refetch");
+    let (_, d2) = client.invoke(&spelling_request("stale")).expect("refetch");
     assert_eq!(d2, Disposition::CacheMiss);
 
     let snap = registry.snapshot();
@@ -156,7 +149,9 @@ fn metrics_endpoint_exposes_the_full_pipeline() {
         .cache(cache.clone())
         .build();
     for _ in 0..2 {
-        client.invoke(&spelling("prometheus")).expect("call");
+        client
+            .invoke(&spelling_request("prometheus"))
+            .expect("call");
     }
 
     let app: Arc<dyn Handler> =
@@ -293,7 +288,7 @@ fn the_clients_metric_families_are_the_documented_list() {
         "client-catalogue",
         ValueRepresentation::PassByReference,
     );
-    let (_, disposition) = client.invoke(&spelling("catalogue")).expect("call");
+    let (_, disposition) = client.invoke(&spelling_request("catalogue")).expect("call");
     assert_eq!(disposition, Disposition::CacheMiss);
     let found = registered(&registry, "wsrc_client_", |label| {
         (label == "stage").then(|| vec!["serialize", "transport", "deserialize"])

@@ -12,7 +12,9 @@ use wsrcache::cache::{
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{InProcTransport, Url};
 use wsrcache::services::dispatch::SoapService;
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{
+    self, cached_page_request, search_request, spelling_request, GoogleService,
+};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
 
@@ -20,33 +22,19 @@ fn requests() -> Vec<(&'static str, RpcRequest, ValueRepresentation)> {
     vec![
         (
             "doSpellingSuggestion",
-            RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-                .with_param("key", "k")
-                .with_param("phrase", "optimal"),
+            spelling_request("optimal"),
             // a) immutable → pass by reference
             ValueRepresentation::PassByReference,
         ),
         (
             "doGetCachedPage",
-            RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-                .with_param("key", "k")
-                .with_param("url", "http://opt.test/"),
+            cached_page_request("http://opt.test/"),
             // b) array type (byte[]) → copy by reflection
             ValueRepresentation::ReflectionCopy,
         ),
         (
             "doGoogleSearch",
-            RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-                .with_param("key", "k")
-                .with_param("q", "optimal configuration")
-                .with_param("start", 0)
-                .with_param("maxResults", 10)
-                .with_param("filter", true)
-                .with_param("restrict", "")
-                .with_param("safeSearch", false)
-                .with_param("lr", "")
-                .with_param("ie", "utf-8")
-                .with_param("oe", "utf-8"),
+            search_request("optimal configuration"),
             // b) bean type → copy by reflection
             ValueRepresentation::ReflectionCopy,
         ),

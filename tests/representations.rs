@@ -8,7 +8,9 @@ use std::time::Duration;
 use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{InProcTransport, Url};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{
+    self, cached_page_request, search_request, spelling_request, GoogleService,
+};
 use wsrcache::services::SoapDispatcher;
 use wsrcache::soap::RpcRequest;
 
@@ -34,23 +36,9 @@ fn client_with_repr(repr: Option<ValueRepresentation>) -> (ServiceClient, Arc<In
 
 fn requests() -> Vec<RpcRequest> {
     vec![
-        RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-            .with_param("key", "k")
-            .with_param("phrase", "equivalnce"),
-        RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-            .with_param("key", "k")
-            .with_param("url", "http://equiv.test/"),
-        RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-            .with_param("key", "k")
-            .with_param("q", "equivalence")
-            .with_param("start", 0)
-            .with_param("maxResults", 10)
-            .with_param("filter", true)
-            .with_param("restrict", "")
-            .with_param("safeSearch", false)
-            .with_param("lr", "")
-            .with_param("ie", "utf-8")
-            .with_param("oe", "utf-8"),
+        spelling_request("equivalnce"),
+        cached_page_request("http://equiv.test/"),
+        search_request("equivalence"),
     ]
 }
 

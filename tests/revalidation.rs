@@ -9,9 +9,8 @@ use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{HttpClient, Server, Url};
 use wsrcache::obs::{ManualClock, MetricsRegistry};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{self, spelling_request, GoogleService};
 use wsrcache::services::SoapDispatcher;
-use wsrcache::soap::RpcRequest;
 
 const TTL: Duration = Duration::from_secs(60);
 
@@ -56,28 +55,25 @@ fn stack() -> Stack {
     }
 }
 
-fn spelling(phrase: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", phrase)
-}
-
 #[test]
 fn expired_entry_is_revalidated_with_304() {
     let s = stack();
-    let (v1, d1) = s.client.invoke(&spelling("reval")).expect("miss");
+    let (v1, d1) = s.client.invoke(&spelling_request("reval")).expect("miss");
     assert_eq!(d1, Disposition::CacheMiss);
     assert_eq!(s.server.requests_served(), 1);
 
     // Within TTL: plain hit, no traffic.
-    let (_, d) = s.client.invoke(&spelling("reval")).expect("hit");
+    let (_, d) = s.client.invoke(&spelling_request("reval")).expect("hit");
     assert_eq!(d, Disposition::CacheHit);
     assert_eq!(s.server.requests_served(), 1);
 
     // Past TTL: the entry is stale; a conditional request goes out and
     // the unchanged backend answers 304.
     s.clock.advance_millis(TTL.as_millis() as u64 + 1);
-    let (v2, d2) = s.client.invoke(&spelling("reval")).expect("revalidate");
+    let (v2, d2) = s
+        .client
+        .invoke(&spelling_request("reval"))
+        .expect("revalidate");
     assert_eq!(d2, Disposition::Revalidated);
     assert_eq!(v1.as_value(), v2.as_value());
     // The conditional exchange did hit the server (one more request)…
@@ -86,7 +82,7 @@ fn expired_entry_is_revalidated_with_304() {
     // …and renewed the entry: the next lookup is a plain hit again.
     let (_, d3) = s
         .client
-        .invoke(&spelling("reval"))
+        .invoke(&spelling_request("reval"))
         .expect("hit after refresh");
     assert_eq!(d3, Disposition::CacheHit);
     assert_eq!(s.server.requests_served(), 2);
@@ -97,13 +93,15 @@ fn expired_entry_is_revalidated_with_304() {
 #[test]
 fn modified_backend_data_defeats_revalidation() {
     let s = stack();
-    s.client.invoke(&spelling("change-me")).expect("miss");
+    s.client
+        .invoke(&spelling_request("change-me"))
+        .expect("miss");
     s.clock.advance_millis(TTL.as_millis() as u64 + 1);
     // The backend's data changes after the entry went stale.
     s.dispatcher.touch(s.epoch + Duration::from_secs(120));
     let (_, d) = s
         .client
-        .invoke(&spelling("change-me"))
+        .invoke(&spelling_request("change-me"))
         .expect("full refetch");
     assert_eq!(
         d,
@@ -112,17 +110,23 @@ fn modified_backend_data_defeats_revalidation() {
     );
     assert_eq!(s.server.requests_served(), 2);
     // The replacement entry is fresh again.
-    let (_, d) = s.client.invoke(&spelling("change-me")).expect("hit");
+    let (_, d) = s
+        .client
+        .invoke(&spelling_request("change-me"))
+        .expect("hit");
     assert_eq!(d, Disposition::CacheHit);
 }
 
 #[test]
 fn revalidation_works_repeatedly() {
     let s = stack();
-    s.client.invoke(&spelling("loop")).expect("miss");
+    s.client.invoke(&spelling_request("loop")).expect("miss");
     for round in 1..=3 {
         s.clock.advance_millis(TTL.as_millis() as u64 + 1);
-        let (_, d) = s.client.invoke(&spelling("loop")).expect("revalidate");
+        let (_, d) = s
+            .client
+            .invoke(&spelling_request("loop"))
+            .expect("revalidate");
         assert_eq!(d, Disposition::Revalidated, "round {round}");
     }
     assert_eq!(s.client.cache().unwrap().stats().revalidated, 3);
@@ -152,9 +156,9 @@ fn backends_without_validators_expire_normally() {
     .operations(google::operations())
     .cache(cache)
     .build();
-    client.invoke(&spelling("plain")).expect("miss");
+    client.invoke(&spelling_request("plain")).expect("miss");
     clock.advance_millis(TTL.as_millis() as u64 + 1);
-    let (_, d) = client.invoke(&spelling("plain")).expect("refetch");
+    let (_, d) = client.invoke(&spelling_request("plain")).expect("refetch");
     assert_eq!(d, Disposition::CacheMiss);
     assert_eq!(server.requests_served(), 2);
 }

@@ -13,7 +13,9 @@ use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use wsrcache::client::ServiceClient;
 use wsrcache::http::{Body, Handler, InProcTransport, Request, Response, Url};
-use wsrcache::services::google::{self, GoogleService};
+use wsrcache::services::google::{
+    self, cached_page_request, search_request, spelling_request, GoogleService,
+};
 use wsrcache::services::{SoapDispatcher, SoapService};
 use wsrcache::soap::serializer::{serialize_request, serialize_response};
 use wsrcache::soap::RpcRequest;
@@ -62,35 +64,13 @@ impl Handler for Recording {
     }
 }
 
-fn search(q: &str) -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "k")
-        .with_param("q", q)
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8")
-}
-
 fn requests() -> Vec<RpcRequest> {
-    let spelling = |phrase: &str| {
-        RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-            .with_param("key", "k")
-            .with_param("phrase", phrase)
-    };
-    let page = RpcRequest::new(google::NAMESPACE, "doGetCachedPage")
-        .with_param("key", "k")
-        .with_param("url", "http://pages.test/a & b");
     vec![
-        search("scratch <one>"),
-        spelling("helo wrld"),
-        page,
-        search("scratch two"),
-        spelling("a"),
+        search_request("scratch <one>"),
+        spelling_request("helo wrld"),
+        cached_page_request("http://pages.test/a & b"),
+        search_request("scratch two"),
+        spelling_request("a"),
     ]
 }
 
@@ -158,9 +138,7 @@ fn a_thread_keeps_at_most_64_kib_after_a_1_mib_message() {
         Arc::new(SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new())));
     let client = client(backend);
     let huge = "x".repeat(1 << 20);
-    let request = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "k")
-        .with_param("phrase", huge.as_str());
+    let request = spelling_request(huge.as_str());
     let kept = std::thread::scope(|s| {
         s.spawn(|| {
             let start = LIVE.with(Cell::get);

@@ -1,10 +1,10 @@
 //! What the value model shares and what it never does, on the paper's
-//! three Google responses: a decoded response is a handful of blocks
-//! charged exactly, its structs carry the registry's own shapes, eager
-//! copies share names and strings but no node block, and — for every
-//! stored form — a hit equals the miss, and a write through any mutator
-//! at any depth of it reaches neither the cache nor the caller that
-//! missed.
+//! three Google responses (`google::fixtures`): a decoded response is a
+//! handful of blocks charged exactly, its structs carry the registry's
+//! own shapes, eager copies share names and strings but no node block,
+//! and — for every stored form — a hit equals the miss, and a write
+//! through any mutator at any depth of it reaches neither the cache nor
+//! the caller that missed.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -15,80 +15,10 @@ use wsrcache::cache::{
 use wsrcache::model::deep_clone::clone_copy;
 use wsrcache::model::reflect::reflect_copy;
 use wsrcache::model::sizeof::deep_size;
-use wsrcache::model::typeinfo::{FieldType, TypeRegistry};
+use wsrcache::model::typeinfo::TypeRegistry;
 use wsrcache::model::value::BLOCK_HEADER;
 use wsrcache::model::Value;
-use wsrcache::services::dispatch::SoapService;
-use wsrcache::services::google::{self, GoogleService};
-use wsrcache::soap::deserializer::read_response_bytes_recording;
-use wsrcache::soap::serializer::serialize_response;
-use wsrcache::soap::RpcRequest;
-use wsrcache::xml::event::SaxEventSequence;
-
-/// One Google operation's response in every form a miss produces.
-struct Fixture {
-    operation: &'static str,
-    return_type: FieldType,
-    /// The value the reader decoded from `xml` — what a miss hands on.
-    value: Value,
-    xml: Arc<[u8]>,
-    events: Arc<SaxEventSequence>,
-}
-
-/// SpellingSuggestion (a string), CachedPage (bytes), GoogleSearch (a
-/// struct of arrays of structs), through the real service and reader.
-fn google_fixtures() -> Vec<Fixture> {
-    let service = GoogleService::new();
-    let registry = google::registry();
-    let request = |op: &str| RpcRequest::new(google::NAMESPACE, op).with_param("key", "k");
-    let specs = [
-        (
-            "doSpellingSuggestion",
-            request("doSpellingSuggestion").with_param("phrase", "sharring"),
-            FieldType::String,
-        ),
-        (
-            "doGetCachedPage",
-            request("doGetCachedPage").with_param("url", "http://sharing.test/"),
-            FieldType::Bytes,
-        ),
-        (
-            "doGoogleSearch",
-            request("doGoogleSearch")
-                .with_param("q", "sharing")
-                .with_param("start", 0)
-                .with_param("maxResults", 10)
-                .with_param("filter", true)
-                .with_param("restrict", "")
-                .with_param("safeSearch", false)
-                .with_param("lr", "")
-                .with_param("ie", "utf-8")
-                .with_param("oe", "utf-8"),
-            FieldType::Struct("GoogleSearchResult".into()),
-        ),
-    ];
-    specs
-        .into_iter()
-        .map(|(operation, request, return_type)| {
-            let served = service.call(&request).expect("the dummy service answers");
-            let xml =
-                serialize_response(google::NAMESPACE, operation, "return", &served, &registry)
-                    .expect("responses serialize");
-            let (outcome, events) =
-                read_response_bytes_recording(xml.as_bytes(), &return_type, &registry)
-                    .expect("the reader accepts the serializer's output");
-            let value = outcome.into_return().expect("not a fault");
-            assert_eq!(value, served, "{operation} does not survive a round trip");
-            Fixture {
-                operation,
-                return_type,
-                value,
-                xml: Arc::from(xml.into_bytes()),
-                events: Arc::new(events),
-            }
-        })
-        .collect()
-}
+use wsrcache::services::google::{self, fixtures};
 
 /// Calls `visit` on every struct under `value`, the root included.
 fn for_each_struct(value: &Value, visit: &mut impl FnMut(&wsrcache::model::StructValue)) {
@@ -159,21 +89,21 @@ fn assert_no_shared_container(original: &Value, copy: &Value, what: &str) {
 #[test]
 fn a_decoded_struct_carries_the_registrys_own_names() {
     let registry = google::registry();
-    let search = google_fixtures().pop().expect("three fixtures");
-    assert_eq!(search.operation, "doGoogleSearch");
+    let search = fixtures().pop().expect("three fixtures");
+    assert_eq!(search.request.operation, "doGoogleSearch");
     assert_names_are_the_registrys(&search.value, &registry, "decoded");
 }
 
 #[test]
 fn eager_copies_share_names_but_no_container_node() {
     let registry = google::registry();
-    for f in google_fixtures() {
+    for f in fixtures() {
         let copies = [
             ("reflect_copy", reflect_copy(&f.value, &registry)),
             ("clone_copy", clone_copy(&f.value, &registry)),
         ];
         for (mechanism, copy) in copies {
-            let what = format!("{mechanism} of {}", f.operation);
+            let what = format!("{mechanism} of {}", f.request.operation);
             // The paper's n/a cells: a bare string has neither copy, a
             // bare byte[] no deep clone.
             let Ok(copy) = copy else {
@@ -306,19 +236,15 @@ fn every_form_however_built_is_equivalent_and_isolated() {
     let store = CacheStore::default();
     let mut stored_forms = 0;
     let mut writes = 0;
-    for f in google_fixtures() {
+    for f in fixtures() {
         // The missing caller keeps what the reader handed it.
         let held_by_the_missing_caller = f.value.clone();
         let pristine = wsrcache::model::deep_clone::clone_unchecked(&f.value);
         let mut paths = Vec::new();
         container_paths(&pristine, &mut Vec::new(), &mut paths);
-        let artifacts = MissArtifacts {
-            xml: &f.xml,
-            events: &f.events,
-            value: &f.value,
-        };
+        let artifacts = f.artifacts();
         for repr in ValueRepresentation::ALL_EXTENDED {
-            let what = format!("{} as {repr}", f.operation);
+            let what = format!("{} as {repr}", f.request.operation);
             let stored = match StoredResponse::build(repr, artifacts, &registry) {
                 Ok(stored) => stored,
                 // The paper's n/a cells, and only those.
@@ -400,7 +326,7 @@ fn every_form_however_built_is_equivalent_and_isolated() {
 #[test]
 fn the_three_object_forms_of_a_response_weigh_the_same() {
     let registry = google::registry();
-    for f in google_fixtures() {
+    for f in fixtures() {
         let sizes: Vec<usize> = [
             ValueRepresentation::ReflectionCopy,
             ValueRepresentation::CloneCopy,
@@ -408,11 +334,7 @@ fn the_three_object_forms_of_a_response_weigh_the_same() {
         ]
         .into_iter()
         .filter_map(|repr| {
-            let artifacts = MissArtifacts {
-                xml: &f.xml,
-                events: &f.events,
-                value: &f.value,
-            };
+            let artifacts = f.artifacts();
             StoredResponse::build(repr, artifacts, &registry).ok()
         })
         .map(|stored| stored.approximate_size())
@@ -420,7 +342,7 @@ fn the_three_object_forms_of_a_response_weigh_the_same() {
         assert!(
             sizes.windows(2).all(|w| w[0] == w[1]),
             "{}: {sizes:?}",
-            f.operation
+            f.request.operation
         );
     }
 }
@@ -430,7 +352,7 @@ fn a_decoded_response_is_a_handful_of_blocks_charged_exactly() {
     let registry = google::registry();
     let value = std::mem::size_of::<Value>();
     assert_eq!(value, 32);
-    for f in google_fixtures() {
+    for f in fixtures() {
         let mut pinned = HashMap::new();
         blocks(&f.value, &mut pinned);
         // What the cache is charged is what the tree pins: the inline
@@ -439,11 +361,11 @@ fn a_decoded_response_is_a_handful_of_blocks_charged_exactly() {
             deep_size(&f.value),
             value + pinned.values().sum::<usize>(),
             "{}",
-            f.operation
+            f.request.operation
         );
-        if f.operation != "doGoogleSearch" {
+        if f.request.operation != "doGoogleSearch" {
             // A string, a byte buffer: one allocation.
-            assert_eq!(pinned.len(), 1, "{}", f.operation);
+            assert_eq!(pinned.len(), 1, "{}", f.request.operation);
             continue;
         }
         // 148 nodes in four levels below the root, and one block of
@@ -466,11 +388,7 @@ fn a_decoded_response_is_a_handful_of_blocks_charged_exactly() {
         assert_eq!(deep_size(&f.value), 148 * value + text + 5 * BLOCK_HEADER);
         // And so is each object form of it, below what the same tree
         // weighed as 155 allocations (8 872 bytes).
-        let artifacts = MissArtifacts {
-            xml: &f.xml,
-            events: &f.events,
-            value: &f.value,
-        };
+        let artifacts = f.artifacts();
         let stored =
             StoredResponse::build(ValueRepresentation::PassByReference, artifacts, &registry)
                 .expect("every value can be shared");
@@ -493,7 +411,7 @@ fn a_decoded_response_is_a_handful_of_blocks_charged_exactly() {
 #[test]
 fn a_slice_stored_on_its_own_is_charged_the_blocks_it_pins() {
     let registry = google::registry();
-    let search = google_fixtures().pop().expect("three fixtures");
+    let search = fixtures().pop().expect("three fixtures");
     let elements = search.value.as_struct().unwrap().get("resultElements");
     let element = elements.and_then(Value::as_array).expect("ten elements")[3].clone();
     let (mut whole, mut pinned) = (HashMap::new(), HashMap::new());

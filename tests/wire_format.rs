@@ -3,17 +3,14 @@
 //! (cache keys generated from XML messages depend on byte stability).
 
 use wsrcache::model::Value;
-use wsrcache::services::google;
+use wsrcache::services::google::{self, spelling_request};
 use wsrcache::soap::deserializer::read_response_xml;
 use wsrcache::soap::rpc::RpcOutcome;
 use wsrcache::soap::serializer::{serialize_request, serialize_response};
-use wsrcache::soap::RpcRequest;
 
 #[test]
 fn spelling_request_envelope_is_byte_stable() {
-    let req = RpcRequest::new(google::NAMESPACE, "doSpellingSuggestion")
-        .with_param("key", "demo-key")
-        .with_param("phrase", "hella warld");
+    let req = spelling_request("hella warld");
     let xml = serialize_request(&req, &google::registry()).unwrap();
     let expected = concat!(
         "<?xml version=\"1.0\" encoding=\"UTF-8\"?>",

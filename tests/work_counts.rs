@@ -10,11 +10,12 @@
 //! traced. The table is committed below: a change that adds work to a
 //! path edits it, so the diff states the claim.
 //!
-//! Locks and allocations (count and bytes) are checked in debug builds
-//! only (the lock count lives next to the debug-only lock witness, and
-//! release builds may elide allocations); clock reads and records in
-//! every build. A reallocation counts as an allocation of its new size,
-//! so a buffer that grows by doubling shows as a ladder in both columns.
+//! The call is the search request Tables 6–9 measure
+//! (`google::fixtures`), built before the counted window. Locks are
+//! checked in debug builds only, where the lock witness that counts
+//! them lives; everything else in every build. A reallocation counts as
+//! an allocation of its new size, so a buffer that grows by doubling
+//! shows as a ladder in both columns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -156,55 +157,46 @@ const PATHS: [Path; 5] = [
 const EXPECTED: [[[Work; 2]; 5]; 4] = [
     // xml-message
     [
-        [w(4, 3, 1, 39, 9967, 0), w(6, 3, 4, 56, 13164, 0)], // Hit
-        [w(10, 7, 2, 83, 28018, 30), w(12, 7, 5, 101, 33522, 30)], // Miss
-        [w(8, 5, 2, 51, 11211, 1), w(10, 5, 5, 67, 14414, 1)], // Revalidated
-        [w(10, 7, 2, 80, 27374, 30), w(12, 7, 5, 98, 32878, 30)], // Refused
-        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
+        [w(4, 3, 1, 18, 8496, 0), w(6, 3, 4, 35, 11693, 0)], // Hit
+        [w(10, 7, 2, 62, 27211, 30), w(12, 7, 5, 80, 32715, 30)], // Miss
+        [w(8, 5, 2, 30, 9764, 1), w(10, 5, 5, 46, 12967, 1)], // Revalidated
+        [w(10, 7, 2, 59, 26567, 30), w(12, 7, 5, 77, 32071, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // sax-events
     [
-        [w(4, 3, 1, 39, 9967, 0), w(6, 3, 4, 55, 12908, 0)], // Hit
-        [w(10, 7, 2, 87, 43688, 30), w(12, 7, 5, 105, 49192, 30)], // Miss
-        [w(8, 5, 2, 51, 11211, 1), w(10, 5, 5, 67, 14414, 1)], // Revalidated
-        [w(10, 7, 2, 84, 43044, 30), w(12, 7, 5, 102, 48548, 30)], // Refused
-        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
+        [w(4, 3, 1, 18, 8496, 0), w(6, 3, 4, 34, 11437, 0)], // Hit
+        [w(10, 7, 2, 66, 43483, 30), w(12, 7, 5, 84, 48987, 30)], // Miss
+        [w(8, 5, 2, 30, 9764, 1), w(10, 5, 5, 46, 12967, 1)], // Revalidated
+        [w(10, 7, 2, 63, 42839, 30), w(12, 7, 5, 81, 48343, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // serialization
     [
-        [w(4, 3, 1, 81, 16099, 0), w(6, 3, 4, 97, 19040, 0)], // Hit
-        [w(10, 7, 2, 99, 49264, 30), w(12, 7, 5, 117, 54768, 30)], // Miss
-        [w(8, 5, 2, 93, 17343, 1), w(10, 5, 5, 109, 20546, 1)], // Revalidated
-        [w(10, 7, 2, 96, 48620, 30), w(12, 7, 5, 114, 54124, 30)], // Refused
-        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
+        [w(4, 3, 1, 60, 14628, 0), w(6, 3, 4, 76, 17569, 0)], // Hit
+        [w(10, 7, 2, 78, 49079, 30), w(12, 7, 5, 96, 54583, 30)], // Miss
+        [w(8, 5, 2, 72, 15896, 1), w(10, 5, 5, 88, 19099, 1)], // Revalidated
+        [w(10, 7, 2, 75, 48435, 30), w(12, 7, 5, 93, 53939, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // pass-by-reference
     [
-        [w(4, 3, 1, 34, 2551, 0), w(6, 3, 4, 50, 5492, 0)], // Hit
-        [w(10, 7, 2, 83, 28018, 30), w(12, 7, 5, 101, 33522, 30)], // Miss
-        [w(8, 5, 2, 46, 3795, 1), w(10, 5, 5, 62, 6998, 1)], // Revalidated
-        [w(10, 7, 2, 80, 27374, 30), w(12, 7, 5, 98, 32878, 30)], // Refused
-        [w(4, 3, 0, 67, 26606, 30), w(6, 3, 3, 80, 29770, 30)], // Uncacheable
+        [w(4, 3, 1, 13, 768, 0), w(6, 3, 4, 29, 3709, 0)], // Hit
+        [w(10, 7, 2, 62, 27211, 30), w(12, 7, 5, 80, 32715, 30)], // Miss
+        [w(8, 5, 2, 25, 2036, 1), w(10, 5, 5, 41, 5239, 1)], // Revalidated
+        [w(10, 7, 2, 59, 26567, 30), w(12, 7, 5, 77, 32071, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
 ];
 
+/// The search request of the paper's fixtures.
 fn search() -> RpcRequest {
-    RpcRequest::new(google::NAMESPACE, "doGoogleSearch")
-        .with_param("key", "k")
-        .with_param("q", "work counts")
-        .with_param("start", 0)
-        .with_param("maxResults", 10)
-        .with_param("filter", true)
-        .with_param("restrict", "")
-        .with_param("safeSearch", false)
-        .with_param("lr", "")
-        .with_param("ie", "utf-8")
-        .with_param("oe", "utf-8")
+    google::fixtures().pop().expect("three fixtures").request
 }
 
-/// Measures the one invoke `path` is about, after the calls that set it
-/// up.
-fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
+/// Measures the one invoke of `request` that `path` is about, after the
+/// calls that set it up.
+fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, traced: bool) -> Work {
     let ttl = Duration::from_secs(3600);
     let epoch = SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
     let backend = Arc::new(Backend {
@@ -245,7 +237,7 @@ fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
     .build();
     match path {
         Path::Hit | Path::Revalidated => {
-            client.invoke(&search()).expect("warming miss");
+            client.invoke(request).expect("warming miss");
         }
         _ => {}
     }
@@ -262,7 +254,7 @@ fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
     let locks = wsrcache::obs::sync::acquisitions();
     let (allocs, bytes) = allocations();
     let root = traced.then(|| metrics.tracer().root_span("work-counts", "/work"));
-    let (handle, disposition) = client.invoke(&search()).expect("invoke");
+    let (handle, disposition) = client.invoke(request).expect("invoke");
     drop(root);
     let (allocs, bytes) = (allocations().0 - allocs, allocations().1 - bytes);
     let locks = wsrcache::obs::sync::acquisitions()
@@ -293,6 +285,7 @@ fn measure(form: ValueRepresentation, path: Path, traced: bool) -> Work {
 
 #[test]
 fn every_path_does_exactly_the_committed_work() {
+    let request = search();
     let mut measured = String::new();
     let mut mismatched = false;
     for (f, form) in FORMS.into_iter().enumerate() {
@@ -300,11 +293,10 @@ fn every_path_does_exactly_the_committed_work() {
         for (p, path) in PATHS.into_iter().enumerate() {
             let mut row = Vec::new();
             for (t, traced) in [false, true].into_iter().enumerate() {
-                let mut got = measure(form, path, traced);
+                let mut got = measure(&request, form, path, traced);
                 let mut want = EXPECTED[f][p][t];
                 if !cfg!(debug_assertions) {
-                    (got.locks, got.allocs, got.bytes, got.backend_allocs) = (0, 0, 0, 0);
-                    (want.locks, want.allocs, want.bytes, want.backend_allocs) = (0, 0, 0, 0);
+                    (got.locks, want.locks) = (0, 0);
                 }
                 mismatched |= got != want;
                 let Work {
@@ -330,9 +322,10 @@ fn every_path_does_exactly_the_committed_work() {
 /// tracing a call adds only its root span's two readings.
 #[test]
 fn tracing_adds_only_the_roots_two_readings() {
+    let request = search();
     for path in PATHS {
-        let untraced = measure(ValueRepresentation::PassByReference, path, false);
-        let traced = measure(ValueRepresentation::PassByReference, path, true);
+        let untraced = measure(&request, ValueRepresentation::PassByReference, path, false);
+        let traced = measure(&request, ValueRepresentation::PassByReference, path, true);
         assert!(traced.reads <= untraced.reads + 2, "{path:?}");
         assert_eq!(traced.records, untraced.records, "{path:?}");
     }
