@@ -612,7 +612,7 @@ mod tests {
         // every other table and count measures.
         assert_eq!(
             [xml_keys, ser_keys, str_keys],
-            [[644, 636, 946], [171, 171, 341], [143, 143, 223]]
+            [[644, 636, 946], [171, 171, 341], [153, 153, 251]]
         );
         assert_eq!(
             [xml_vals, cells(&t9, "Java serialized form"), obj_vals],

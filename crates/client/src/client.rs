@@ -375,7 +375,8 @@ mod tests {
     }
 
     /// A miss, a hit and a 304 revalidation each render the cache key
-    /// once. (That `lookup_detailed` and `insert_validated` called on
+    /// once, counted by the keygen samples of traced (so timed) calls.
+    /// (That `lookup_detailed` and `insert_validated` called on
     /// their own still render one each is `wsrc-cache`'s
     /// `metrics_registry_sees_stages_and_representations`.)
     #[test]
@@ -415,7 +416,11 @@ mod tests {
         ];
         for (calls, (advance, expected)) in (1..).zip(steps) {
             clock.advance_millis(advance);
+            // Traced, so the render is timed whatever the thread's
+            // one-in-N counter says.
+            let root = metrics.tracer().root_span("unit", "/unit");
             let (_, disposition) = client.invoke(&request("once")).unwrap();
+            root.finish();
             assert_eq!(disposition, expected);
             assert_eq!(renders(), calls, "{expected:?}");
         }

@@ -9,15 +9,26 @@
 //! representation selection, per-operation policy and TTL all live
 //! here, so the client application "does not need to be at all
 //! conscious of how the response data is cached" (paper §6).
+//!
+//! # One call in [`TIME_ONE_CALL_IN`] is timed
+//!
+//! Every hit and miss is counted, but the `keygen`, `lookup` and
+//! `retrieve` histograms are fed by the timed calls only: every traced
+//! call, and one untraced call in [`TIME_ONE_CALL_IN`] on each thread,
+//! picked by a per-thread counter whatever its lookup then finds, so the
+//! samples are hits and misses in the proportion the calls are. An
+//! untimed call renders its key without reading the clock and reads it
+//! once at its lookup, for the TTL; a hit costs no other reading. Only
+//! misses reach an insert, and every insert is timed.
 
 #![expect(
     clippy::disallowed_types,
-    reason = "a `CachedCall` carries its keygen reading between its own stages; it is never stored"
+    reason = "a `CachedCall` carries its keygen reading between its own stages, and the per-thread timing counter; neither is ever stored"
 )]
 
 use crate::entry::CacheEntry;
 use crate::error::CacheError;
-use crate::key::{first_applicable_key, CacheKey};
+use crate::key::{render_first_applicable, RenderedKey};
 use crate::policy::{CachePolicy, OperationPolicy};
 use crate::repr::{StoredResponse, ValueHandle, ValueRepresentation};
 use crate::stats::{CacheStats, StatsSnapshot};
@@ -30,6 +41,37 @@ use wsrc_obs::{Gauge, MetricsRegistry, Stage};
 use wsrc_soap::rpc::RpcRequest;
 
 pub use crate::repr::MissArtifacts as ResponseData;
+
+/// One untraced call in this many, per thread, is timed (see the module
+/// docs); every other hit reads the clock once and records no sample.
+/// 64 keeps the cost of timing under 2 % of a hit while a second of
+/// 100 000 hits still feeds each histogram about 1 500 samples.
+pub const TIME_ONE_CALL_IN: u32 = 64;
+
+thread_local! {
+    /// Untraced calls left on this thread before the next timed one.
+    static UNTIMED_LEFT: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Whether the call starting now is timed: a traced one always, else
+/// the first on each thread and one in [`TIME_ONE_CALL_IN`] after it.
+fn timed_call() -> bool {
+    if wsrc_obs::trace::active() {
+        return true;
+    }
+    UNTIMED_LEFT
+        .try_with(|left| match left.get() {
+            0 => {
+                left.set(TIME_ONE_CALL_IN - 1);
+                true
+            }
+            n => {
+                left.set(n - 1);
+                false
+            }
+        })
+        .unwrap_or(true)
+}
 
 /// Detailed result of [`ResponseCache::lookup_detailed`].
 #[derive(Debug)]
@@ -148,12 +190,20 @@ impl ResponseCache {
     /// uncacheable; the caller performs a plain exchange.
     pub fn call(&self, endpoint_url: &str, request: &RpcRequest) -> Option<CachedCall<'_>> {
         let policy = self.policy.for_operation(&request.operation);
-        let keyed = policy.cacheable.then(|| {
+        if !policy.cacheable {
+            self.stats.record_uncacheable();
+            return None;
+        }
+        let render = || render_first_applicable(endpoint_url, request, &self.registry);
+        let timed = timed_call();
+        let (key, keyed) = if timed {
             let timing = self.timers.keygen.start(None);
-            let key = first_applicable_key(endpoint_url, request, &self.registry);
-            (key, timing.end(None))
-        });
-        let Some((Ok(key), keyed)) = keyed else {
+            let key = render();
+            (key, Some(timing.end(None)))
+        } else {
+            (render(), None)
+        };
+        let Ok(key) = key else {
             self.stats.record_uncacheable();
             return None;
         };
@@ -161,7 +211,8 @@ impl ResponseCache {
             cache: self,
             policy,
             key,
-            keyed: Cell::new(Some(keyed)),
+            timed,
+            keyed: Cell::new(keyed),
         })
     }
 
@@ -325,12 +376,16 @@ fn preferred_form(policy: &OperationPolicy) -> ValueRepresentation {
 /// One call's view of a [`ResponseCache`]: the operation's policy and
 /// the request's key, resolved once by [`ResponseCache::call`]. That the
 /// lookup, the insert and the refresh of one call agree on both is held
-/// by this type rather than by each step deriving them again.
+/// by this type rather than by each step deriving them again. The key
+/// lives in the thread's scratch until the call is dropped; the store
+/// copies it only if the call inserts a new entry.
 #[derive(Debug)]
 pub struct CachedCall<'a> {
     cache: &'a ResponseCache,
     policy: OperationPolicy,
-    key: CacheKey,
+    key: RenderedKey,
+    /// Whether this call's stages are timed (see the module docs).
+    timed: bool,
     /// Keygen's end reading, until the stage that directly follows it
     /// (a lookup, or an insert with no lookup before it) starts there.
     keyed: Cell<Option<u64>>,
@@ -359,39 +414,48 @@ impl CachedCall<'_> {
 
     /// Reads the store and retrieves the application object from the
     /// stored form; `expected` is the operation's return type. Expiry
-    /// is judged at the lookup's start reading.
+    /// is judged at the lookup's start reading — on an untimed call the
+    /// only reading the lookup takes, and it records no sample.
     pub fn lookup(&self, expected: &FieldType) -> CacheOutcome {
         let cache = self.cache;
-        let mut timing = cache.timers.lookup.start(self.keyed.take());
-        // A successful retrieve's end reading is the lookup's end.
+        let timing = self
+            .timed
+            .then(|| cache.timers.lookup.start(self.keyed.take()));
+        let now = match &timing {
+            Some(timing) => timing.started(),
+            None => cache.metrics.clock().now_nanos(),
+        };
+        let timed = timing.is_some();
+        // A successful timed retrieve's end reading is the lookup's end.
         let mut ended = None;
         // The entry's object and the form it came from; an entry that
         // cannot produce its object is poison — dropped, and a miss.
-        let mut retrieve = |entry: &CacheEntry| {
+        let mut retrieve = |entry: CacheEntry| {
             let repr = entry.form().representation();
-            let retrieving = cache.timers.retrieve[repr.index()].start(None);
-            match entry.form().retrieve(expected, &cache.registry) {
-                Ok(handle) => {
-                    ended = Some(retrieving.end(None));
-                    Some((handle, repr))
-                }
+            let retrieving = timed.then(|| cache.timers.retrieve[repr.index()].start(None));
+            let handle = entry.into_form().into_handle(expected, &cache.registry);
+            if let Some(retrieving) = retrieving {
+                let end = retrieving.end(None);
+                ended = handle.is_ok().then_some(end);
+            }
+            match handle {
+                Ok(handle) => Some((handle, repr)),
                 Err(_) => {
-                    retrieving.end(None);
-                    cache.store.invalidate(&self.key);
+                    cache.store.invalidate_ref(self.key.as_ref());
                     cache.stats.record_miss();
                     None
                 }
             }
         };
-        let outcome = match cache.store.get(&self.key, timing.started() / 1_000_000) {
-            Lookup::Live(entry) => match retrieve(&entry) {
+        let outcome = match cache.store.get_ref(self.key.as_ref(), now / 1_000_000) {
+            Lookup::Live(entry) => match retrieve(entry) {
                 Some((handle, repr)) => {
                     cache.stats.record_hit(repr);
                     CacheOutcome::Fresh { handle }
                 }
                 None => CacheOutcome::Miss,
             },
-            Lookup::Stale { entry, validator } => match retrieve(&entry) {
+            Lookup::Stale { entry, validator } => match retrieve(entry) {
                 Some((handle, _)) => {
                     cache.stats.record_expired();
                     CacheOutcome::Stale { handle, validator }
@@ -408,14 +472,16 @@ impl CachedCall<'_> {
                 CacheOutcome::Miss
             }
         };
-        // A `/trace` reader tells hits from misses without
-        // cross-referencing metrics.
-        timing.annotate(match &outcome {
-            CacheOutcome::Fresh { .. } => "outcome=hit",
-            CacheOutcome::Stale { .. } => "outcome=stale",
-            CacheOutcome::Miss => "outcome=miss",
-        });
-        timing.end(ended);
+        if let Some(mut timing) = timing {
+            // A `/trace` reader tells hits from misses without
+            // cross-referencing metrics.
+            timing.annotate(match &outcome {
+                CacheOutcome::Fresh { .. } => "outcome=hit",
+                CacheOutcome::Stale { .. } => "outcome=stale",
+                CacheOutcome::Miss => "outcome=miss",
+            });
+            timing.end(ended);
+        }
         outcome
     }
 
@@ -438,9 +504,10 @@ impl CachedCall<'_> {
         let expires = self.expires_at(now);
         let built = cache.build_entry(&self.policy, data, timing.started());
         let stored = built.and_then(|(entry, repr)| {
-            let accepted = cache
-                .store
-                .put_validated(self.key, entry, expires, now, validator);
+            let accepted =
+                cache
+                    .store
+                    .put_validated(self.key.as_ref(), entry, expires, now, validator);
             cache.set_occupancy_gauges();
             match accepted {
                 Some(evicted) => {
@@ -464,7 +531,7 @@ impl CachedCall<'_> {
     pub fn refresh(&self) -> bool {
         let cache = self.cache;
         let expires = self.expires_at(cache.metrics.clock().now_millis());
-        let refreshed = cache.store.refresh(&self.key, expires);
+        let refreshed = cache.store.refresh(self.key.as_ref(), expires);
         if refreshed {
             cache.stats.record_revalidated();
         }
@@ -885,9 +952,12 @@ mod tests {
             .metrics_label("unit")
             .build();
         let f = fixture();
+        // Traced, so every call is timed (see `one_untraced_call_in_n_is_timed`).
+        let root = metrics.tracer().root_span("unit", "/unit");
         assert!(cache.lookup(URL, &request(), &f.expected).is_none());
         let repr = cache.insert(URL, &request(), data(&f)).unwrap();
         cache.lookup(URL, &request(), &f.expected).expect("hit");
+        root.finish();
 
         let snap = metrics.snapshot();
         let unit = ("cache", "unit");
@@ -952,6 +1022,89 @@ mod tests {
         let misses = snap.counters.iter();
         let misses = misses.filter(|(id, n)| id.name == "wsrc_cache_misses_total" && *n == 1);
         assert_eq!(misses.count(), 2);
+    }
+
+    /// Untraced, every hit is counted and one call in
+    /// `TIME_ONE_CALL_IN` on a thread — its first among them — is timed.
+    #[test]
+    fn one_untraced_call_in_n_is_timed() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let cache = ResponseCache::builder(registry())
+            .cache_everything(Duration::from_secs(60))
+            .metrics(metrics.clone())
+            .metrics_label("sampled")
+            .build();
+        let f = fixture();
+        let hits = 2 * TIME_ONE_CALL_IN as u64;
+        // A thread of its own, so the test knows where its counter is.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                cache.insert(URL, &request(), data(&f)).unwrap();
+                for _ in 0..hits {
+                    cache.lookup(URL, &request(), &f.expected).expect("hit");
+                }
+            });
+        });
+        let snap = metrics.snapshot();
+        let unit = ("cache", "sampled");
+        let repr = ("repr", ValueRepresentation::PassByReference.metric_label());
+        assert_eq!(
+            snap.counter_value("wsrc_cache_hits_total", &[unit, repr]),
+            Some(hits)
+        );
+        let count =
+            |name: &str, label: (&str, &str)| snap.histogram(name, &[unit, label]).map(|h| h.count);
+        // The insert was call 1; calls 65 and 129 were timed hits.
+        assert_eq!(
+            count("wsrc_cache_stage_seconds", ("stage", "keygen")),
+            Some(3)
+        );
+        assert_eq!(
+            count("wsrc_cache_stage_seconds", ("stage", "insert")),
+            Some(1)
+        );
+        assert_eq!(
+            count("wsrc_cache_stage_seconds", ("stage", "lookup")),
+            Some(2)
+        );
+        assert_eq!(count("wsrc_cache_retrieve_seconds", repr), Some(2));
+    }
+
+    /// An untimed miss records no lookup sample, as an untimed hit does,
+    /// so the lookup histogram samples hits and misses alike; the insert
+    /// only a miss reaches is always timed.
+    #[test]
+    fn an_untimed_miss_records_no_lookup_but_times_its_insert() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let cache = ResponseCache::builder(registry())
+            .cache_everything(Duration::from_secs(60))
+            .metrics(metrics.clone())
+            .metrics_label("miss")
+            .build();
+        let f = fixture();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // Call 1 is timed; calls 2 and 3 are not.
+                let warm = RpcRequest::new("urn:t", "getItem").with_param("id", 0);
+                assert!(cache.lookup(URL, &warm, &f.expected).is_none());
+                let call = cache.call(URL, &request()).unwrap();
+                assert!(matches!(call.lookup(&f.expected), CacheOutcome::Miss));
+                call.insert(data(&f), None).unwrap();
+            });
+        });
+        let snap = metrics.snapshot();
+        let unit = ("cache", "miss");
+        let stage = |s| {
+            snap.histogram("wsrc_cache_stage_seconds", &[unit, ("stage", s)])
+                .map(|h| h.count)
+        };
+        assert_eq!(stage("keygen"), Some(1));
+        assert_eq!(stage("lookup"), Some(1));
+        assert_eq!(stage("insert"), Some(1));
+        assert_eq!(
+            snap.counter_value("wsrc_cache_misses_total", &[unit]),
+            Some(2)
+        );
     }
 
     #[test]

@@ -23,6 +23,11 @@ impl CacheEntry {
         &self.form
     }
 
+    /// The stored form, moved out.
+    pub(crate) fn into_form(self) -> StoredResponse {
+        self.form
+    }
+
     /// Approximate memory footprint: the fixed entry overhead plus the
     /// stored form's size.
     pub fn approximate_size(&self) -> usize {

@@ -43,7 +43,9 @@ pub mod store;
 // Remnant `benchmark/src/stack.rs` names; goes with ROADMAP item 1.
 #[doc(hidden)]
 pub use cache::AdaptivePolicy;
-pub use cache::{CacheOutcome, CachedCall, ResponseCache, ResponseCacheBuilder, ResponseData};
+pub use cache::{
+    CacheOutcome, CachedCall, ResponseCache, ResponseCacheBuilder, ResponseData, TIME_ONE_CALL_IN,
+};
 pub use classify::paper_choice;
 pub use entry::CacheEntry;
 pub use error::CacheError;

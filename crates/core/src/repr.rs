@@ -341,6 +341,20 @@ impl StoredResponse {
         }
     }
 
+    /// [`retrieve`](StoredResponse::retrieve) from a copy of the stored
+    /// form the store handed out: the shared object moves into the
+    /// handle instead of being cloned a second time.
+    pub(crate) fn into_handle(
+        self,
+        expected: &FieldType,
+        registry: &TypeRegistry,
+    ) -> Result<ValueHandle, CacheError> {
+        match self {
+            StoredResponse::SharedRef(value) => Ok(ValueHandle::Shared(value)),
+            other => other.retrieve(expected, registry),
+        }
+    }
+
     /// Approximate memory footprint in bytes (the paper's Table 9). No
     /// wildcard arm: a new form does not compile until it says what it
     /// charges the byte budget.

@@ -10,7 +10,10 @@
 //! promotion. Every operation:
 //!
 //! - hashes the key **exactly once** (the same 64-bit hash selects the
-//!   shard and keys the shard's index table),
+//!   shard and keys the shard's index table) — a cache's own calls hash
+//!   it where they render it, and probe with the borrowed bytes,
+//! - finds an entry by its key's bytes: a hash only narrows the search,
+//!   and two keys with one hash keep an entry each,
 //! - locks **exactly one** shard,
 //! - runs in O(1): `get` promotes by relinking three nodes, `put` evicts
 //!   LRU-first within the locked shard at O(1) per victim.
@@ -55,10 +58,10 @@
 )]
 
 use crate::entry::CacheEntry;
-use crate::key::CacheKey;
+use crate::key::{charge, CacheKey, KeyKind};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wsrc_obs::sync;
@@ -108,16 +111,75 @@ impl EvictionSummary {
     }
 }
 
-/// Hashes a key once with the std SipHash; the result both selects the
-/// shard and keys the shard's index table.
-fn hash_key(key: &CacheKey) -> u64 {
+/// The store's hash of a key: the std SipHash over its kind, then its
+/// bytes. It both selects the shard and keys the shard's index table; a
+/// cache computes it where it renders the key, so the probe carries it.
+pub(crate) fn key_hash(kind: KeyKind, bytes: &[u8]) -> u64 {
+    #[cfg(test)]
+    if let Some(forced) = FORCED_HASH.get() {
+        return forced;
+    }
     let mut hasher = DefaultHasher::new();
-    key.hash(&mut hasher);
+    hasher.write_u8(kind as u8);
+    hasher.write(bytes);
     hasher.finish()
 }
 
+#[cfg(test)]
+thread_local! {
+    /// When set, every key hashed on this thread hashes to it: the seam
+    /// that puts two distinct keys on one fingerprint.
+    static FORCED_HASH: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// A key as the store is probed with it: borrowed bytes, their kind and
+/// their hash.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyRef<'a> {
+    kind: KeyKind,
+    bytes: &'a [u8],
+    hash: u64,
+}
+
+impl<'a> KeyRef<'a> {
+    /// `hash` must be [`key_hash`] of `kind` and `bytes`.
+    pub(crate) fn new(kind: KeyKind, bytes: &'a [u8], hash: u64) -> Self {
+        KeyRef { kind, bytes, hash }
+    }
+
+    fn of(key: &'a CacheKey) -> Self {
+        let (kind, bytes) = key.parts();
+        KeyRef::new(kind, bytes, key_hash(kind, bytes))
+    }
+
+    /// The store's own copy, made once, when a new entry is inserted.
+    fn to_stored(self) -> StoredKey {
+        StoredKey {
+            kind: self.kind,
+            bytes: Box::from(self.bytes),
+        }
+    }
+}
+
+/// A stored entry's key: its bytes at exactly their size, and their kind.
+#[derive(Debug, PartialEq, Eq)]
+struct StoredKey {
+    kind: KeyKind,
+    bytes: Box<[u8]>,
+}
+
+impl StoredKey {
+    fn matches(&self, key: KeyRef<'_>) -> bool {
+        self.kind == key.kind && *self.bytes == *key.bytes
+    }
+
+    fn approximate_size(&self) -> usize {
+        charge(self.bytes.len())
+    }
+}
+
 /// A cheap finalizing mixer for the shard tables, which are keyed by the
-/// already-SipHashed `u64` from [`hash_key`]. Identity hashing would reuse
+/// already-SipHashed `u64` from [`key_hash`]. Identity hashing would reuse
 /// the same low bits that picked the shard; one multiply-xor round
 /// (splitmix64's finalizer core) redistributes them.
 #[derive(Debug, Default)]
@@ -149,7 +211,7 @@ impl Hasher for Mix64 {
 /// `chain_next` resolves full-64-bit hash collisions within the table.
 #[derive(Debug)]
 struct Slot {
-    key: CacheKey,
+    key: StoredKey,
     hash: u64,
     entry: CacheEntry,
     expires_at_millis: u64,
@@ -208,12 +270,13 @@ impl Shard {
     }
 
     /// Finds the slab index holding `key`, walking the (almost always
-    /// single-element) collision chain for its hash.
-    fn find(&self, hash: u64, key: &CacheKey) -> Option<u32> {
-        let mut idx = *self.table.get(&hash)?;
+    /// single-element) collision chain for its hash and comparing bytes:
+    /// a slot with the same hash and other bytes is another key.
+    fn find(&self, key: KeyRef<'_>) -> Option<u32> {
+        let mut idx = *self.table.get(&key.hash)?;
         while idx != NIL {
             let slot = self.slot(idx)?;
-            if slot.key == *key {
+            if slot.key.matches(key) {
                 return Some(idx);
             }
             idx = slot.chain_next;
@@ -571,50 +634,57 @@ impl CacheStore {
     /// `Stale` so the caller can attempt revalidation (paper §3.2's
     /// `If-Modified-Since` handshake).
     pub fn get(&self, key: &CacheKey, now_millis: u64) -> Lookup {
-        let hash = hash_key(key);
+        self.get_ref(KeyRef::of(key), now_millis)
+    }
+
+    /// [`get`](CacheStore::get) by a borrowed key and its hash: what a
+    /// cache probes with, so a hit copies no key.
+    pub(crate) fn get_ref(&self, key: KeyRef<'_>, now_millis: u64) -> Lookup {
         // Declared before the guard, so dropped after it.
         let _expired;
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
+        let mut shard = sync::lock_class(
+            "CacheStore.shards",
+            &self.shards[self.shard_index(key.hash)],
+        );
+        let Some(idx) = shard.find(key) else {
             return Lookup::Absent;
         };
-        let (expired, validator) = match shard.slot(idx) {
-            Some(slot) => (slot.expires_at_millis <= now_millis, slot.validator.clone()),
+        let (expired, validated) = match shard.slot(idx) {
+            Some(slot) => (
+                slot.expires_at_millis <= now_millis,
+                slot.validator.is_some(),
+            ),
             None => return Lookup::Absent,
         };
-        match (expired, validator) {
-            (true, None) => {
-                let before = (shard.entries, shard.bytes);
-                _expired = shard.remove_index(idx);
-                self.settle(before, &shard);
-                Lookup::Expired
-            }
-            (true, Some(validator)) => {
-                shard.touch(idx);
-                match shard.slot(idx) {
-                    Some(slot) => Lookup::Stale {
-                        entry: slot.entry.clone(),
-                        validator,
-                    },
-                    None => Lookup::Absent,
-                }
-            }
-            (false, _) => {
-                shard.touch(idx);
-                match shard.slot(idx) {
-                    Some(slot) => Lookup::Live(slot.entry.clone()),
-                    None => Lookup::Absent,
-                }
-            }
+        if expired && !validated {
+            let before = (shard.entries, shard.bytes);
+            _expired = shard.remove_index(idx);
+            self.settle(before, &shard);
+            return Lookup::Expired;
+        }
+        shard.touch(idx);
+        match shard.slot(idx) {
+            Some(Slot {
+                entry,
+                validator: Some(validator),
+                ..
+            }) if expired => Lookup::Stale {
+                entry: entry.clone(),
+                validator: validator.clone(),
+            },
+            Some(slot) => Lookup::Live(slot.entry.clone()),
+            None => Lookup::Absent,
         }
     }
 
     /// Renews a (typically stale) entry's deadline after a successful
     /// revalidation. Returns whether the entry was present.
-    pub(crate) fn refresh(&self, key: &CacheKey, expires_at_millis: u64) -> bool {
-        let hash = hash_key(key);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
-        let Some(idx) = shard.find(hash, key) else {
+    pub(crate) fn refresh(&self, key: KeyRef<'_>, expires_at_millis: u64) -> bool {
+        let mut shard = sync::lock_class(
+            "CacheStore.shards",
+            &self.shards[self.shard_index(key.hash)],
+        );
+        let Some(idx) = shard.find(key) else {
             return false;
         };
         if let Some(slot) = shard.slot_mut(idx) {
@@ -635,7 +705,7 @@ impl CacheStore {
         expires_at_millis: u64,
         now_millis: u64,
     ) -> EvictionSummary {
-        self.put_validated(key, entry, expires_at_millis, now_millis, None)
+        self.put_validated(KeyRef::of(&key), entry, expires_at_millis, now_millis, None)
             .unwrap_or_default()
     }
 
@@ -646,27 +716,31 @@ impl CacheStore {
     /// key held — older than the response being refused — is removed
     /// rather than left to be served. `Some` with the eviction summary
     /// otherwise.
+    /// The key is copied only when it is new to the store: a replacement
+    /// keeps the copy it has.
     pub(crate) fn put_validated(
         &self,
-        key: CacheKey,
+        key: KeyRef<'_>,
         entry: CacheEntry,
         expires_at_millis: u64,
         now_millis: u64,
         validator: Option<String>,
     ) -> Option<EvictionSummary> {
-        let size_bytes = entry.approximate_size() + key.approximate_size();
+        let size_bytes = entry.approximate_size() + charge(key.bytes.len());
         // Entries that can never fit a shard's budget are not cacheable.
         if self.shard_max_entries == 0 || size_bytes > self.shard_max_bytes {
-            self.invalidate(&key);
+            self.invalidate_ref(key);
             return None;
         }
         let validator: Option<Arc<str>> = validator.map(Arc::from);
-        let hash = hash_key(&key);
         // Declared before the guard, so dropped after it.
         let (_replaced, _victims);
-        let mut shard = sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
+        let mut shard = sync::lock_class(
+            "CacheStore.shards",
+            &self.shards[self.shard_index(key.hash)],
+        );
         let before = (shard.entries, shard.bytes);
-        let pinned = match shard.find(hash, &key) {
+        let pinned = match shard.find(key) {
             Some(idx) => {
                 _replaced = shard.replace(idx, entry, expires_at_millis, size_bytes, validator);
                 shard.touch(idx);
@@ -675,8 +749,8 @@ impl CacheStore {
             None => {
                 _replaced = None;
                 shard.insert_new(Slot {
-                    key,
-                    hash,
+                    key: key.to_stored(),
+                    hash: key.hash,
                     entry,
                     expires_at_millis,
                     size_bytes,
@@ -723,14 +797,18 @@ impl CacheStore {
 
     /// Removes one entry. Returns whether it was present.
     pub fn invalidate(&self, key: &CacheKey) -> bool {
-        let hash = hash_key(key);
+        self.invalidate_ref(KeyRef::of(key))
+    }
+
+    /// [`invalidate`](CacheStore::invalidate) by a borrowed key.
+    pub(crate) fn invalidate_ref(&self, key: KeyRef<'_>) -> bool {
         let removed = {
-            let mut shard =
-                sync::lock_class("CacheStore.shards", &self.shards[self.shard_index(hash)]);
+            let mut shard = sync::lock_class(
+                "CacheStore.shards",
+                &self.shards[self.shard_index(key.hash)],
+            );
             let before = (shard.entries, shard.bytes);
-            let removed = shard
-                .find(hash, key)
-                .and_then(|idx| shard.remove_index(idx));
+            let removed = shard.find(key).and_then(|idx| shard.remove_index(idx));
             self.settle(before, &shard);
             removed
         };
@@ -855,6 +933,12 @@ mod tests {
 
     fn key(n: usize) -> CacheKey {
         CacheKey::Text(format!("key-{n}"))
+    }
+
+    /// `k` under a hash of the caller's choosing.
+    fn at(hash: u64, k: &CacheKey) -> KeyRef<'_> {
+        let (kind, bytes) = k.parts();
+        KeyRef::new(kind, bytes, hash)
     }
 
     fn value(size: usize) -> CacheEntry {
@@ -985,7 +1069,7 @@ mod tests {
             max_bytes: 100,
         });
         assert!(store
-            .put_validated(key(1), value(1000), 1000, 0, None)
+            .put_validated(KeyRef::of(&key(1)), value(1000), 1000, 0, None)
             .is_none());
         assert_eq!(store.len(), 0);
     }
@@ -1004,7 +1088,7 @@ mod tests {
         // A newer response for key 1 that no shard can hold: the older
         // one must not go on being served in its place.
         assert!(store
-            .put_validated(key(1), value(5000), 1000, 0, None)
+            .put_validated(KeyRef::of(&key(1)), value(5000), 1000, 0, None)
             .is_none());
         assert!(matches!(store.get(&key(1), 0), Lookup::Absent));
         assert!(matches!(store.get(&key(2), 0), Lookup::Live(_)));
@@ -1074,12 +1158,12 @@ mod tests {
         let mut survivors = (0..40).filter(|i| matches!(store.get(&key(*i), 0), Lookup::Live(_)));
         let (survivor, superseded) = (survivors.next().unwrap(), survivors.next().unwrap());
         assert!(store
-            .put_validated(key(99), value(5000), 100, 0, None)
+            .put_validated(KeyRef::of(&key(99)), value(5000), 100, 0, None)
             .is_none());
         check("a refused insert");
         let before = store.len();
         assert!(store
-            .put_validated(key(superseded), value(5000), 100, 0, None)
+            .put_validated(KeyRef::of(&key(superseded)), value(5000), 100, 0, None)
             .is_none());
         assert_eq!(store.len(), before - 1);
         check("a refused replacement");
@@ -1122,13 +1206,19 @@ mod tests {
     #[test]
     fn validated_entries_go_stale_instead_of_expiring() {
         let store = CacheStore::default();
-        store.put_validated(key(1), value(10), 100, 0, Some("etag-1".into()));
+        store.put_validated(
+            KeyRef::of(&key(1)),
+            value(10),
+            100,
+            0,
+            Some("etag-1".into()),
+        );
         match store.get(&key(1), 150) {
             Lookup::Stale { validator, .. } => assert_eq!(&*validator, "etag-1"),
             other => panic!("expected stale, got {other:?}"),
         }
         // Still present; refresh renews it.
-        assert!(store.refresh(&key(1), 300));
+        assert!(store.refresh(KeyRef::of(&key(1)), 300));
         assert!(matches!(store.get(&key(1), 200), Lookup::Live(_)));
         assert!(matches!(store.get(&key(1), 300), Lookup::Stale { .. }));
     }
@@ -1136,7 +1226,7 @@ mod tests {
     #[test]
     fn refresh_of_missing_entry_is_false() {
         let store = CacheStore::default();
-        assert!(!store.refresh(&key(9), 10));
+        assert!(!store.refresh(KeyRef::of(&key(9)), 10));
     }
 
     #[test]
@@ -1149,7 +1239,7 @@ mod tests {
             let entry = value(8);
             let size_bytes = entry.approximate_size() + key(n).approximate_size();
             Slot {
-                key: key(n),
+                key: KeyRef::of(&key(n)).to_stored(),
                 hash: 0xDEAD_BEEF,
                 entry,
                 expires_at_millis: 1000,
@@ -1162,19 +1252,60 @@ mod tests {
         };
         let a = shard.insert_new(slot(1));
         let b = shard.insert_new(slot(2));
-        assert_eq!(shard.find(0xDEAD_BEEF, &key(1)), Some(a));
-        assert_eq!(shard.find(0xDEAD_BEEF, &key(2)), Some(b));
+        assert_eq!(shard.find(at(0xDEAD_BEEF, &key(1))), Some(a));
+        assert_eq!(shard.find(at(0xDEAD_BEEF, &key(2))), Some(b));
         shard.check(0).unwrap();
         // Remove the chain head; the survivor must stay findable.
         assert!(shard.remove_index(b).is_some());
-        assert_eq!(shard.find(0xDEAD_BEEF, &key(1)), Some(a));
-        assert_eq!(shard.find(0xDEAD_BEEF, &key(2)), None);
+        assert_eq!(shard.find(at(0xDEAD_BEEF, &key(1))), Some(a));
+        assert_eq!(shard.find(at(0xDEAD_BEEF, &key(2))), None);
         shard.check(0).unwrap();
         // And remove a mid-chain member after re-adding.
         let c = shard.insert_new(slot(3));
         assert!(shard.remove_index(a).is_some());
-        assert_eq!(shard.find(0xDEAD_BEEF, &key(3)), Some(c));
+        assert_eq!(shard.find(at(0xDEAD_BEEF, &key(3))), Some(c));
         shard.check(0).unwrap();
+    }
+
+    /// Distinct keys forced onto one 64-bit fingerprint (the same bytes
+    /// under the other kind among them) each keep their own entry, and
+    /// none is ever served for another: a hash match only narrows the
+    /// search to the bytes.
+    #[test]
+    fn keys_sharing_a_fingerprint_keep_their_own_entries() {
+        FORCED_HASH.set(Some(0x5EED));
+        let keys = [key(1), CacheKey::Binary(b"key-1".to_vec()), key(2)];
+        assert_eq!(KeyRef::of(&keys[0]).hash, KeyRef::of(&keys[1]).hash);
+        let payloads: Vec<Arc<[u8]>> = (0..3u8).map(|n| Arc::from(vec![n; 16])).collect();
+        let store = CacheStore::with_shards(Capacity::default(), 4);
+        for (k, xml) in keys.iter().zip(&payloads) {
+            store.put(
+                k.clone(),
+                CacheEntry::single(StoredResponse::XmlMessage(xml.clone())),
+                1000,
+                0,
+            );
+        }
+        assert_eq!(store.len(), 3);
+        let served = |k: &CacheKey| match store.get(k, 0) {
+            Lookup::Live(entry) => match entry.form() {
+                StoredResponse::XmlMessage(xml) => Some(xml[0]),
+                _ => None,
+            },
+            _ => None,
+        };
+        for (n, k) in keys.iter().enumerate() {
+            assert_eq!(served(k), Some(n as u8), "{k:?}");
+        }
+        // A key never stored, on the same fingerprint, finds nothing.
+        assert_eq!(served(&key(3)), None);
+        assert!(!store.invalidate(&key(3)));
+        // Removing one leaves the others where they were.
+        assert!(store.invalidate(&keys[1]));
+        assert_eq!(served(&keys[1]), None);
+        assert_eq!((served(&keys[0]), served(&keys[2])), (Some(0), Some(2)));
+        store.audit().unwrap();
+        FORCED_HASH.set(None);
     }
 
     #[test]
@@ -1219,7 +1350,7 @@ mod tests {
             let mut shard = sync::lock_class("CacheStore.shards", &store.shards[0]);
             let before = (shard.entries, shard.bytes);
             // Replacement: the old payload comes back, still alive.
-            let idx = shard.find(hash_key(&key(0)), &key(0)).unwrap();
+            let idx = shard.find(KeyRef::of(&key(0))).unwrap();
             let size = entry(&c).approximate_size() + key(0).approximate_size();
             let replaced = shard.replace(idx, entry(&c), 1000, size, None);
             shard.touch(idx);
@@ -1231,8 +1362,8 @@ mod tests {
             // Eviction: push the shard over budget by hand, as `put`
             // does before it calls `evict_over_budget`.
             let slot = Slot {
-                key: key(2),
-                hash: hash_key(&key(2)),
+                key: KeyRef::of(&key(2)).to_stored(),
+                hash: KeyRef::of(&key(2)).hash,
                 entry: entry(&d),
                 expires_at_millis: 1000,
                 size_bytes: size,
@@ -1244,7 +1375,7 @@ mod tests {
             let pinned = shard.insert_new(slot);
             let (summary, victims) = store.evict_over_budget(&mut shard, 0, pinned);
             assert_eq!((summary.live, victims.len()), (1, 1));
-            assert_eq!(victims[0].key, key(1));
+            assert_eq!(victims[0].key, KeyRef::of(&key(1)).to_stored());
             assert_eq!(
                 Arc::strong_count(&b),
                 2,

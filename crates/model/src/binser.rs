@@ -49,22 +49,9 @@ const TAG_STRING_REF: u8 = 10;
 /// the way the paper's middleware does.
 pub fn serialize(value: &Value) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    serialize_into(value, &mut out);
+    // Unchecked: nothing can fail.
+    let _ = write_stream(value, None, &mut out);
     out
-}
-
-/// [`serialize`], appending the binary form to `out` — how a cache key
-/// made of several values is written into one buffer.
-pub(crate) fn serialize_into(value: &Value, out: &mut Vec<u8>) {
-    let mut w = Writer {
-        out: std::mem::take(out),
-        descriptors: HashMap::new(),
-        strings: HashMap::new(),
-    };
-    w.out.extend_from_slice(MAGIC);
-    w.out.push(VERSION);
-    w.write_value(value);
-    *out = w.out;
 }
 
 /// Serializes, first verifying that every struct type in the tree declares
@@ -76,12 +63,14 @@ pub(crate) fn serialize_into(value: &Value, out: &mut Vec<u8>) {
 /// Returns [`ModelError::NotSupported`] when some type in the tree is not
 /// serializable.
 pub fn serialize_checked(value: &Value, registry: &TypeRegistry) -> Result<Vec<u8>, ModelError> {
-    check_serializable(value, None, registry)?;
-    Ok(serialize(value))
+    let mut out = Vec::with_capacity(64);
+    serialize_checked_into(value, registry, &mut out)?;
+    Ok(out)
 }
 
-/// [`serialize_checked`], appending to `out` as `serialize_into` does;
-/// `out` is untouched when the check fails.
+/// [`serialize_checked`], appending to `out` — how a cache key made of
+/// several values is written into one buffer. One pass checks and
+/// writes; when the check fails, `out` is cut back to where it was.
 ///
 /// # Errors
 ///
@@ -91,43 +80,40 @@ pub fn serialize_checked_into(
     registry: &TypeRegistry,
     out: &mut Vec<u8>,
 ) -> Result<(), ModelError> {
-    check_serializable(value, None, registry)?;
-    serialize_into(value, out);
-    Ok(())
+    let start = out.len();
+    write_stream(value, Some(registry), out).inspect_err(|_| out.truncate(start))
 }
 
-/// `declared` is the plan the parent's descriptor predicts for struct
-/// nodes under `value`; it saves the by-name lookup when it matches.
-fn check_serializable(
+/// Writes one stream for `value` at the end of `out`, checking each
+/// struct's `serializable` capability against `registry` when one is
+/// given.
+fn write_stream(
     value: &Value,
-    declared: Option<&StructPlan>,
-    registry: &TypeRegistry,
+    registry: Option<&TypeRegistry>,
+    out: &mut Vec<u8>,
 ) -> Result<(), ModelError> {
-    match value {
-        Value::Array(items) => {
-            for v in items.iter() {
-                check_serializable(v, declared, registry)?;
-            }
+    let mut w = Writer {
+        out: std::mem::take(out),
+        registry,
+        descriptors: HashMap::new(),
+        strings: HashMap::new(),
+    };
+    w.out.extend_from_slice(MAGIC);
+    w.out.push(VERSION);
+    let written = match value {
+        // Nothing follows a root string in its stream, so it needs no
+        // handle (and the handle table no allocation): the bytes are
+        // the same either way.
+        Value::String(s) => {
+            w.out.push(TAG_STRING);
+            write_len(&mut w.out, s.len());
+            w.out.extend_from_slice(s.as_bytes());
             Ok(())
         }
-        Value::Struct(s) => {
-            let plan = registry
-                .plan_for(s, declared)
-                .filter(|p| p.descriptor().capabilities.serializable)
-                .ok_or_else(|| ModelError::NotSupported {
-                    type_name: s.type_name().to_string(),
-                    capability: "serialization",
-                })?;
-            for (position, (name, v)) in s.fields().enumerate() {
-                if matches!(v, Value::Array(_) | Value::Struct(_)) {
-                    let declared = plan.child_plan(name, position, registry);
-                    check_serializable(v, declared, registry)?;
-                }
-            }
-            Ok(())
-        }
-        _ => Ok(()),
-    }
+        _ => w.write_value(value, None),
+    };
+    *out = w.out;
+    written
 }
 
 /// Deserializes a value from its binary form, reconstructing a fresh
@@ -161,16 +147,24 @@ pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
     r.tree.finish()
 }
 
-struct Writer {
+struct Writer<'r> {
     out: Vec<u8>,
+    /// Checks every struct's `serializable` capability, when present.
+    registry: Option<&'r TypeRegistry>,
     // (type name, field names in order) → descriptor id.
     descriptors: HashMap<Arc<Shape>, u32>,
     // string identity (where its bytes are, and how many) → handle id.
     strings: HashMap<(usize, usize), u32>,
 }
 
-impl Writer {
-    fn write_value(&mut self, value: &Value) {
+impl Writer<'_> {
+    /// `declared` is the plan the parent's descriptor predicts for struct
+    /// nodes under `value`; it saves the by-name lookup when it matches.
+    fn write_value(
+        &mut self,
+        value: &Value,
+        declared: Option<&StructPlan>,
+    ) -> Result<(), ModelError> {
         match value {
             Value::Null => self.out.push(TAG_NULL),
             Value::Bool(b) => {
@@ -212,10 +206,22 @@ impl Writer {
                 self.out.push(TAG_ARRAY);
                 write_len(&mut self.out, items.len());
                 for v in items.iter() {
-                    self.write_value(v);
+                    self.write_value(v, declared)?;
                 }
             }
             Value::Struct(s) => {
+                let plan = match self.registry {
+                    Some(registry) => Some(
+                        registry
+                            .plan_for(s, declared)
+                            .filter(|p| p.descriptor().capabilities.serializable)
+                            .ok_or_else(|| ModelError::NotSupported {
+                                type_name: s.type_name().to_string(),
+                                capability: "serialization",
+                            })?,
+                    ),
+                    None => None,
+                };
                 if let Some(&id) = self.descriptors.get(&**s.shape()) {
                     // Known shape: reference the descriptor, values only.
                     self.out.push(TAG_STRUCT_REF);
@@ -232,11 +238,20 @@ impl Writer {
                     }
                     self.descriptors.insert(s.shape().clone(), id);
                 }
-                for (_, v) in s.fields() {
-                    self.write_value(v);
+                for (position, (name, v)) in s.fields().enumerate() {
+                    let declared = match (plan, self.registry) {
+                        (Some(plan), Some(registry))
+                            if matches!(v, Value::Array(_) | Value::Struct(_)) =>
+                        {
+                            plan.child_plan(name, position, registry)
+                        }
+                        _ => None,
+                    };
+                    self.write_value(v, declared)?;
                 }
             }
         }
+        Ok(())
     }
 }
 

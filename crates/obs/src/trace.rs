@@ -327,6 +327,13 @@ pub(crate) fn current_trace_id() -> u128 {
     .unwrap_or(0)
 }
 
+/// Whether a trace is active on this thread, so that a stage timed now
+/// emits a span.
+pub fn active() -> bool {
+    TLS.try_with(|t| t.try_borrow().is_ok_and(|t| !t.stack.is_empty()))
+        .unwrap_or(false)
+}
+
 /// Starts a child of the current thread's active span, or returns
 /// `None` when no trace is active (untraced callers pay only a TLS
 /// read). The span finishes on drop or [`ActiveSpan::finish`].

@@ -38,8 +38,15 @@ fn a_cache_with_its_own_registry_writes_nothing_to_the_process_wide_one() {
         .operations(google::operations())
         .cache(Arc::new(cache))
         .build();
-        let (_, miss) = client.invoke(&search).expect("miss");
-        let (_, hit) = client.invoke(&search).expect("hit");
+        // Traced, so that every stage is timed: untraced, the cache
+        // times one call in `TIME_ONE_CALL_IN`.
+        let traced = |what| {
+            let root = isolated.tracer().root_span("isolated", "/isolated");
+            let (_, disposition) = client.invoke(&search).expect(what);
+            root.finish();
+            disposition
+        };
+        let (miss, hit) = (traced("miss"), traced("hit"));
         assert_eq!(
             (miss, hit),
             (Disposition::CacheMiss, Disposition::CacheHit),

@@ -89,3 +89,36 @@ fn a_bytes_parameter_falls_back_to_the_next_key_and_still_hits() {
     assert_eq!(transport.requests_served(), 2);
     assert_eq!(client.cache().expect("cache").stats().uncacheable, 0);
 }
+
+/// A parameter name holding the text a toString key puts between a name
+/// and its value cannot make one request's key out of another's: the
+/// forged request is not answered with the cached response, and fails at
+/// the back end as it does without a cache.
+#[test]
+fn a_parameter_name_cannot_forge_another_requests_key() {
+    let dispatcher = SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new()));
+    let transport = Arc::new(InProcTransport::new(Arc::new(dispatcher)));
+    let client = ServiceClient::builder(Url::new("g.test", 80, google::PATH), transport)
+        .registry(google::registry())
+        .operations(google::operations())
+        .cache(Arc::new(
+            ResponseCache::builder(google::registry())
+                .policy(google::default_policy())
+                .build(),
+        ))
+        .build();
+    let genuine = spelling_request("response-caching");
+    let (_, d) = client.invoke(&genuine).expect("genuine miss");
+    assert_eq!(d, Disposition::CacheMiss);
+    // One parameter, named for the genuine request's first parameter, its
+    // value and the second parameter's name: `key=8:demo-key|phrase`.
+    let key = genuine.param("key").and_then(Value::as_str).expect("a key");
+    let forged = RpcRequest::new(genuine.namespace.as_str(), "doSpellingSuggestion").with_param(
+        format!("key={}:{key}|phrase", key.len()),
+        "response-caching",
+    );
+    match client.invoke(&forged) {
+        Err(e) => assert!(e.to_string().contains("'key'"), "{e}"),
+        Ok((v, d)) => panic!("answered {d:?} with {:?}", v.into_value()),
+    }
+}

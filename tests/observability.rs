@@ -48,10 +48,14 @@ fn per_representation_hit_counters_accumulate_end_to_end() {
     let registry = Arc::new(MetricsRegistry::new());
     let client = portal_client(&registry, "e2e", ValueRepresentation::DomTree);
 
-    // 3 distinct queries, each asked 3 times: 3 misses, 6 hits.
+    // 3 distinct queries, each asked 3 times: 3 misses, 6 hits. Traced,
+    // so that every call is timed (untraced, the cache times one call in
+    // `TIME_ONE_CALL_IN`; the hit counters count every hit either way).
     for _round in 0..3 {
         for phrase in ["alpha", "beta", "gamma"] {
+            let root = registry.tracer().root_span("e2e", "/e2e");
             client.invoke(&spelling_request(phrase)).expect("call");
+            root.finish();
         }
     }
 

@@ -6,9 +6,11 @@
 //! lock acquisitions, heap allocations and the bytes they asked for, of
 //! one `ServiceClient::invoke`
 //! over `InProcTransport`, for each forced production form × {hit, miss,
-//! stale → 304, refused oversize insert, uncacheable}, untraced and
-//! traced. The table is committed below: a change that adds work to a
-//! path edits it, so the diff states the claim.
+//! stale → 304, refused oversize insert, uncacheable}, as an untimed
+//! call (the cache times one untraced call in `TIME_ONE_CALL_IN` per
+//! thread), as the timed one, and traced. The table is committed below:
+//! a change that adds work to a path edits it, so the diff states the
+//! claim.
 //!
 //! The call is the search request Tables 6–9 measure
 //! (`google::fixtures`), built before the counted window. Locks are
@@ -23,7 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 use wsrcache::cache::store::Capacity;
-use wsrcache::cache::{CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation};
+use wsrcache::cache::{
+    CachePolicy, OperationPolicy, ResponseCache, ValueRepresentation, TIME_ONE_CALL_IN,
+};
 use wsrcache::client::{Disposition, ServiceClient};
 use wsrcache::http::{Handler, InProcTransport, Request, Response, Url};
 use wsrcache::obs::{Clock, ManualClock, MetricsRegistry};
@@ -150,42 +154,54 @@ const PATHS: [Path; 5] = [
     Path::Uncacheable,
 ];
 
-/// The committed table, indexed [form][path][untraced, traced]:
+/// How the measured call is made: as one of the untraced calls the cache
+/// does not time, as the one in `TIME_ONE_CALL_IN` it does, or traced
+/// (always timed).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Untimed,
+    Timed,
+    Traced,
+}
+
+const MODES: [Mode; 3] = [Mode::Untimed, Mode::Timed, Mode::Traced];
+
+/// The committed table, indexed [form][path][untimed, timed, traced]:
 /// `w(clock reads, records, locks, allocations, bytes allocated, of the
 /// allocations the back end's)`.
 #[rustfmt::skip]
-const EXPECTED: [[[Work; 2]; 5]; 4] = [
+const EXPECTED: [[[Work; 3]; 5]; 4] = [
     // xml-message
     [
-        [w(4, 3, 1, 18, 8496, 0), w(6, 3, 4, 35, 11693, 0)], // Hit
-        [w(10, 7, 2, 62, 27211, 30), w(12, 7, 5, 80, 32715, 30)], // Miss
-        [w(8, 5, 2, 30, 9764, 1), w(10, 5, 5, 46, 12967, 1)], // Revalidated
-        [w(10, 7, 2, 59, 26567, 30), w(12, 7, 5, 77, 32071, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
+        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 4, 22, 10925, 0)], // Hit
+        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 5, 68, 32130, 30)], // Miss
+        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 5, 33, 12199, 1)], // Revalidated
+        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 5, 64, 31303, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // sax-events
     [
-        [w(4, 3, 1, 18, 8496, 0), w(6, 3, 4, 34, 11437, 0)], // Hit
-        [w(10, 7, 2, 66, 43483, 30), w(12, 7, 5, 84, 48987, 30)], // Miss
-        [w(8, 5, 2, 30, 9764, 1), w(10, 5, 5, 46, 12967, 1)], // Revalidated
-        [w(10, 7, 2, 63, 42839, 30), w(12, 7, 5, 81, 48343, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
+        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 4, 21, 10669, 0)], // Hit
+        [w(8, 5, 2, 54, 42898, 30), w(10, 7, 2, 54, 42898, 30), w(12, 7, 5, 72, 48402, 30)], // Miss
+        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 5, 33, 12199, 1)], // Revalidated
+        [w(8, 5, 2, 50, 42071, 30), w(10, 7, 2, 50, 42071, 30), w(12, 7, 5, 68, 47575, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // serialization
     [
-        [w(4, 3, 1, 60, 14628, 0), w(6, 3, 4, 76, 17569, 0)], // Hit
-        [w(10, 7, 2, 78, 49079, 30), w(12, 7, 5, 96, 54583, 30)], // Miss
-        [w(8, 5, 2, 72, 15896, 1), w(10, 5, 5, 88, 19099, 1)], // Revalidated
-        [w(10, 7, 2, 75, 48435, 30), w(12, 7, 5, 93, 53939, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
+        [w(1, 0, 1, 47, 13860, 0), w(4, 3, 1, 47, 13860, 0), w(6, 3, 4, 63, 16801, 0)], // Hit
+        [w(8, 5, 2, 66, 48494, 30), w(10, 7, 2, 66, 48494, 30), w(12, 7, 5, 84, 53998, 30)], // Miss
+        [w(5, 2, 2, 59, 15128, 1), w(8, 5, 2, 59, 15128, 1), w(10, 5, 5, 75, 18331, 1)], // Revalidated
+        [w(8, 5, 2, 62, 47667, 30), w(10, 7, 2, 62, 47667, 30), w(12, 7, 5, 80, 53171, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
     // pass-by-reference
     [
-        [w(4, 3, 1, 13, 768, 0), w(6, 3, 4, 29, 3709, 0)], // Hit
-        [w(10, 7, 2, 62, 27211, 30), w(12, 7, 5, 80, 32715, 30)], // Miss
-        [w(8, 5, 2, 25, 2036, 1), w(10, 5, 5, 41, 5239, 1)], // Revalidated
-        [w(10, 7, 2, 59, 26567, 30), w(12, 7, 5, 77, 32071, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
+        [w(1, 0, 1, 0, 0, 0), w(4, 3, 1, 0, 0, 0), w(6, 3, 4, 16, 2941, 0)], // Hit
+        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 5, 68, 32130, 30)], // Miss
+        [w(5, 2, 2, 12, 1268, 1), w(8, 5, 2, 12, 1268, 1), w(10, 5, 5, 28, 4471, 1)], // Revalidated
+        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 5, 64, 31303, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 3, 59, 28963, 30)], // Uncacheable
     ],
 ];
 
@@ -194,9 +210,70 @@ fn search() -> RpcRequest {
     google::fixtures().pop().expect("three fixtures").request
 }
 
+/// Moves this thread's timing counter to where the next cached call is
+/// the timed one (`Mode::Timed`) or one of the untimed calls after it:
+/// hits on a probe client of its own until one reads the clock more than
+/// once, then, for `Mode::Timed`, the untimed calls between it and the
+/// next timed one.
+fn align_timing(mode: Mode) {
+    if mode == Mode::Traced {
+        return;
+    }
+    let clock = Arc::new(CountingClock {
+        clock: ManualClock::new(),
+        reads: AtomicU64::new(0),
+    });
+    let probe = client(
+        Arc::new(MetricsRegistry::with_clock(clock.clone())),
+        CachePolicy::new().with_default(OperationPolicy::cacheable(Duration::from_secs(3600))),
+        Arc::new(InProcTransport::new(Arc::new(
+            SoapDispatcher::new().mount(google::PATH, Arc::new(GoogleService::new())),
+        ))),
+        None,
+    )
+    .0;
+    let request = google::spelling_request("probe");
+    probe.invoke(&request).expect("probe miss");
+    for _ in 0..=TIME_ONE_CALL_IN {
+        let before = clock.reads.load(Ordering::SeqCst);
+        probe.invoke(&request).expect("probe hit");
+        if clock.reads.load(Ordering::SeqCst) - before > 1 {
+            if mode == Mode::Timed {
+                for _ in 1..TIME_ONE_CALL_IN {
+                    probe.invoke(&request).expect("probe hit");
+                }
+            }
+            return;
+        }
+    }
+    panic!("no timed call in {} hits", TIME_ONE_CALL_IN + 1);
+}
+
+/// A caching client of `transport`, and its cache.
+fn client(
+    metrics: Arc<MetricsRegistry>,
+    policy: CachePolicy,
+    transport: Arc<InProcTransport>,
+    capacity: Option<Capacity>,
+) -> (ServiceClient, Arc<ResponseCache>) {
+    let mut cache = ResponseCache::builder(google::registry())
+        .policy(policy)
+        .metrics(metrics);
+    if let Some(capacity) = capacity {
+        cache = cache.capacity(capacity);
+    }
+    let cache = Arc::new(cache.build());
+    let client = ServiceClient::builder(Url::new("backend.test", 80, google::PATH), transport)
+        .registry(google::registry())
+        .operations(google::operations())
+        .cache(cache.clone())
+        .build();
+    (client, cache)
+}
+
 /// Measures the one invoke of `request` that `path` is about, after the
 /// calls that set it up.
-fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, traced: bool) -> Work {
+fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, mode: Mode) -> Work {
     let ttl = Duration::from_secs(3600);
     let epoch = SystemTime::UNIX_EPOCH + Duration::from_secs(1_700_000_000);
     let backend = Arc::new(Backend {
@@ -217,24 +294,16 @@ fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, traced: 
         _ => CachePolicy::new()
             .with_default(OperationPolicy::cacheable(ttl).with_representation(form)),
     };
-    let mut cache = ResponseCache::builder(google::registry())
-        .policy(policy)
-        .metrics(metrics.clone());
-    if path == Path::Refused {
-        cache = cache.capacity(Capacity {
-            max_entries: 16,
-            max_bytes: 64,
-        });
-    }
-    let cache = Arc::new(cache.build());
-    let client = ServiceClient::builder(
-        Url::new("backend.test", 80, google::PATH),
+    let capacity = (path == Path::Refused).then_some(Capacity {
+        max_entries: 16,
+        max_bytes: 64,
+    });
+    let (client, cache) = client(
+        metrics.clone(),
+        policy,
         Arc::new(InProcTransport::new(backend.clone())),
-    )
-    .registry(google::registry())
-    .operations(google::operations())
-    .cache(cache.clone())
-    .build();
+        capacity,
+    );
     match path {
         Path::Hit | Path::Revalidated => {
             client.invoke(request).expect("warming miss");
@@ -244,6 +313,7 @@ fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, traced: 
     if path == Path::Revalidated {
         clock.clock.advance_millis(3_600_001);
     }
+    align_timing(mode);
     backend.allocations.store(0, Ordering::SeqCst);
 
     let records = || -> u64 {
@@ -253,7 +323,7 @@ fn measure(request: &RpcRequest, form: ValueRepresentation, path: Path, traced: 
     let (reads, recorded) = (clock.reads.load(Ordering::SeqCst), records());
     let locks = wsrcache::obs::sync::acquisitions();
     let (allocs, bytes) = allocations();
-    let root = traced.then(|| metrics.tracer().root_span("work-counts", "/work"));
+    let root = (mode == Mode::Traced).then(|| metrics.tracer().root_span("work-counts", "/work"));
     let (handle, disposition) = client.invoke(request).expect("invoke");
     drop(root);
     let (allocs, bytes) = (allocations().0 - allocs, allocations().1 - bytes);
@@ -292,9 +362,9 @@ fn every_path_does_exactly_the_committed_work() {
         measured.push_str(&format!("    // {}\n    [\n", form.metric_label()));
         for (p, path) in PATHS.into_iter().enumerate() {
             let mut row = Vec::new();
-            for (t, traced) in [false, true].into_iter().enumerate() {
-                let mut got = measure(&request, form, path, traced);
-                let mut want = EXPECTED[f][p][t];
+            for (m, mode) in MODES.into_iter().enumerate() {
+                let mut got = measure(&request, form, path, mode);
+                let mut want = EXPECTED[f][p][m];
                 if !cfg!(debug_assertions) {
                     (got.locks, want.locks) = (0, 0);
                 }
@@ -319,14 +389,33 @@ fn every_path_does_exactly_the_committed_work() {
 }
 
 /// For `pass-by-reference` on every path:
-/// tracing a call adds only its root span's two readings.
+/// tracing a call adds only its root span's two readings to the timed
+/// call.
 #[test]
 fn tracing_adds_only_the_roots_two_readings() {
     let request = search();
     for path in PATHS {
-        let untraced = measure(&request, ValueRepresentation::PassByReference, path, false);
-        let traced = measure(&request, ValueRepresentation::PassByReference, path, true);
+        let form = ValueRepresentation::PassByReference;
+        let untraced = measure(&request, form, path, Mode::Timed);
+        let traced = measure(&request, form, path, Mode::Traced);
         assert!(traced.reads <= untraced.reads + 2, "{path:?}");
         assert_eq!(traced.records, untraced.records, "{path:?}");
     }
+}
+
+/// The hit the cache exists for: an untimed `pass-by-reference` hit
+/// reads the clock once, for the TTL, records nothing and allocates
+/// nothing.
+#[test]
+fn an_untimed_shared_hit_reads_the_clock_once_and_allocates_nothing() {
+    let hit = measure(
+        &search(),
+        ValueRepresentation::PassByReference,
+        Path::Hit,
+        Mode::Untimed,
+    );
+    assert_eq!(
+        (hit.reads, hit.records, hit.allocs, hit.bytes),
+        (1, 0, 0, 0)
+    );
 }
