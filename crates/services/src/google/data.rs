@@ -161,6 +161,16 @@ impl Corpus {
         html.into_bytes()
     }
 
+    /// How many results a page starting at `start` holds: `max_results`
+    /// within `0..=max_page_size`, cut so that `start + count` — the
+    /// page's `endIndex` — still fits an `i32`. `start` comes off the
+    /// wire: at `i32::MAX` the page is empty, not an overflow.
+    fn page_len(&self, start: i32, max_results: i32) -> i32 {
+        max_results
+            .clamp(0, self.max_page_size)
+            .min(i32::MAX.saturating_sub(start))
+    }
+
     /// `doGoogleSearch`: a deterministic, fully-populated
     /// `GoogleSearchResult`. Large and complex.
     ///
@@ -186,7 +196,7 @@ impl Corpus {
             tree: TreeBuilder::new(),
             rng: Rng::seeded(q),
         };
-        let count = max_results.clamp(0, self.max_page_size);
+        let count = self.page_len(start, max_results);
         let estimated = 1_000 + b.rng.below(1_000_000) as i32;
         let q_html = escape_text(q);
         b.tree.open(11);
@@ -310,8 +320,8 @@ mod tests {
 
     /// The search result as the corpus built it before it built one tree:
     /// struct by struct through `StructPlan::instantiate`, every string a
-    /// `String` of its own — with the snippet's query escaped, the one
-    /// change made on purpose since.
+    /// `String` of its own — with the snippet's query escaped and the page
+    /// cut where its end would overflow, the changes made on purpose since.
     fn search_by_instantiate(c: &Corpus, q: &str, start: i32, max_results: i32) -> Value {
         let types = crate::google::registry();
         let plan = |name: &str| types.plan(name).unwrap();
@@ -321,7 +331,7 @@ mod tests {
             plan("DirectoryCategory"),
         );
         let mut rng = Rng::seeded(q);
-        let count = max_results.clamp(0, c.max_page_size);
+        let count = c.page_len(start, max_results);
         let estimated = 1_000 + rng.below(1_000_000) as i32;
         let mut elements = Vec::new();
         for i in 0..count {

@@ -17,6 +17,7 @@ pub use fixture::{fixtures, OperationFixture};
 
 use crate::dispatch::SoapService;
 use data::Corpus;
+use std::sync::OnceLock;
 use wsrc_model::typeinfo::{
     Capabilities, FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry,
 };
@@ -34,8 +35,14 @@ pub const PATH: &str = "/soap/google";
 /// generate it — with the paper's modification: "we modified the
 /// GoogleSearchResult objects so that all of the methods could be
 /// applied" (serializable, bean, deep clone, toString).
+///
+/// Built the first time it is asked for and shared from then on: every
+/// response the service instantiates and every client-side registry
+/// handed out carry one set of shapes and names, so a decoded struct and
+/// a served one can share theirs.
 pub fn registry() -> TypeRegistry {
-    crate::registry_of(crate::Service::Google, build_registry)
+    static REGISTRY: OnceLock<TypeRegistry> = OnceLock::new();
+    REGISTRY.get_or_init(build_registry).clone()
 }
 
 fn build_registry() -> TypeRegistry {
@@ -502,6 +509,26 @@ mod tests {
         let svc = GoogleService::new();
         let req = search_request("same query");
         assert_eq!(svc.call(&req).unwrap(), svc.call(&req).unwrap());
+    }
+
+    #[test]
+    fn a_start_whose_page_would_overflow_answers_without_wrapping() {
+        let svc = GoogleService::new();
+        for start in [i32::MAX, i32::MAX - 3, i32::MIN] {
+            let mut req = search_request("x");
+            for (name, value) in &mut req.params {
+                if name == "start" {
+                    *value = Value::Int(start);
+                }
+            }
+            let result = svc.call(&req).expect("a search page, however short");
+            let s = result.as_struct().unwrap();
+            let index = |field| s.get(field).and_then(Value::as_int).unwrap();
+            let rows = s.get("resultElements").unwrap().as_array().unwrap().len();
+            assert_eq!(index("startIndex"), start);
+            assert!(index("endIndex") >= start, "start {start}: page wrapped");
+            assert_eq!(index("endIndex") - start, rows as i32, "start {start}");
+        }
     }
 
     #[test]

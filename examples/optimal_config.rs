@@ -15,7 +15,9 @@
 
 use std::time::{Duration, Instant};
 use wsrcache::cache::repr::StoredResponse;
-use wsrcache::cache::{paper_choice, CachePolicy, Capacity, ResponseCache, ValueRepresentation};
+use wsrcache::cache::{
+    paper_choice, CachePolicy, Capacity, OperationPolicy, ResponseCache, ValueRepresentation,
+};
 use wsrcache::services::google::{self, search_request};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -80,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // budget the serialized form holds about twice the entries, and in
     // front of a slow back end the hits that buys outweigh the 9 µs
     // each one costs (DESIGN.md §3e has the measured table). It is one
-    // token of policy text, not a mechanism.
+    // builder call on the operation's policy, not a mechanism.
     println!("\nthe same search response under a 16 MiB byte budget:\n");
     println!(
         "{:<38} {:<20} {:<14} {:<10}",
@@ -88,12 +90,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     const URL: &str = "http://optimal-config.demo/soap";
     let data = fixtures.last().expect("the search fixture").artifacts();
-    for line in [
-        "doGoogleSearch cacheable ttl=1h",
-        "doGoogleSearch cacheable ttl=1h repr=serialization",
+    let hour = OperationPolicy::cacheable(Duration::from_secs(3600));
+    for (line, policy) in [
+        ("cacheable ttl=1h", hour.clone()),
+        (
+            "cacheable ttl=1h repr=serialization",
+            hour.with_representation(ValueRepresentation::Serialization),
+        ),
     ] {
         let cache = ResponseCache::builder(google::registry())
-            .policy(CachePolicy::parse(line)?)
+            .policy(CachePolicy::new().with("doGoogleSearch", policy))
             .capacity(Capacity {
                 max_entries: usize::MAX,
                 max_bytes: 16 * 1024 * 1024,
@@ -106,7 +112,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!(
             "{:<38} {:<20} {:<14} {:<10}",
-            line.trim_start_matches("doGoogleSearch "),
+            line,
             stored.expect("the response fits a shard").metric_label(),
             cache.bytes() / cache.len(),
             cache.len()

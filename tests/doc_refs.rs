@@ -296,3 +296,42 @@ fn back_ticked_paths_are_made_of_identifiers_the_sources_contain() {
         stale.join("\n")
     );
 }
+
+/// The bytes README, DESIGN, EXPERIMENTS, CHANGES, `results/README.md`
+/// and the verify skill — the Markdown code changes write — may hold
+/// together; ROADMAP, PAPER*, SNIPPETS and the task files are not
+/// counted. Prose grows only by raising this number in the same diff.
+const PROSE_BUDGET: usize = 253 * 1024;
+
+/// Every `PR n:` entry of CHANGES.md is at most 1 536 B; the detail
+/// belongs in a test, a row or EXPERIMENTS.md.
+#[test]
+fn prose_stays_within_its_budget() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |file| fs::read_to_string(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let prose = [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "CHANGES.md",
+        "results/README.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+    let total: usize = prose.into_iter().map(|file| read(file).len()).sum();
+    assert!(
+        total <= PROSE_BUDGET,
+        "the prose is {total} B, over its {PROSE_BUDGET} B budget"
+    );
+    let changes = read("CHANGES.md");
+    let long: Vec<&str> = changes
+        .lines()
+        .filter(|line| line.len() > 1536)
+        .filter_map(|line| line.strip_prefix("PR ")?.split_once(':'))
+        .filter(|(n, _)| n.parse::<u32>().is_ok())
+        .map(|(n, _)| n)
+        .collect();
+    assert!(
+        long.is_empty(),
+        "CHANGES.md entries over 1 536 B: PR {long:?}"
+    );
+}
