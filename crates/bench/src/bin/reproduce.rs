@@ -1,49 +1,50 @@
 //! Regenerates every table and figure of the paper.
 //!
 //! ```text
-//! reproduce [--quick] [--tcp] [--latency-ms N] [--no-metrics] <artifact>...
+//! reproduce [--quick] [--latency-ms N] <artifact>...
 //! artifacts: table1 table2 table3 table4 table5 table6 table7 table8
 //!            table9 figure3 figure4 optimal tables figures all
 //! ```
 //!
-//! After the artifacts run, the per-stage metrics the instrumented
-//! pipeline recorded (hits by representation, p50/p99 per stage) are
-//! printed; suppress with `--no-metrics`.
+//! An unknown option or artifact exits 2 with the usage line.
 
-use wsrc_bench::figures::{render_figure, run_figure, speedups_at_full_hit, FigureConfig};
-use wsrc_bench::obs_report;
+use std::time::Duration;
+use wsrc_bench::figures::{render_figure, run_figure, speedups_at_full_hit};
 use wsrc_bench::tables;
 use wsrc_bench::timing::Protocol;
-use wsrc_portal::scenario::TransportMode;
+
+const USAGE: &str = "usage: reproduce [--quick] [--latency-ms N] <artifact>...";
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let tcp = args.iter().any(|a| a == "--tcp");
-    let no_metrics = args.iter().any(|a| a == "--no-metrics");
-    let latency_ms: u64 = args
-        .iter()
-        .filter_map(|a| a.strip_prefix("--latency-ms="))
-        .chain(
-            args.windows(2)
-                .filter(|w| w[0] == "--latency-ms")
-                .map(|w| w[1].as_str()),
-        )
-        .find_map(|v| v.parse().ok())
-        .unwrap_or(0);
-    let mut artifacts: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    // Drop the value of a space-separated --latency-ms.
-    if let Some(pos) = args.iter().position(|a| a == "--latency-ms") {
-        if let Some(v) = args.get(pos + 1) {
-            artifacts.retain(|a| *a != v.as_str());
-        }
+    let mut quick = false;
+    let mut latency_ms: u64 = 0;
+    let mut artifacts: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let latency = if arg == "--quick" {
+            quick = true;
+            continue;
+        } else if arg == "--latency-ms" {
+            args.next()
+        } else if let Some(value) = arg.strip_prefix("--latency-ms=") {
+            Some(value.to_string())
+        } else if arg.starts_with("--") {
+            usage_error(&format!("unknown option '{arg}'"))
+        } else {
+            artifacts.push(arg);
+            continue;
+        };
+        latency_ms = latency
+            .and_then(|value| value.parse().ok())
+            .unwrap_or_else(|| usage_error("--latency-ms takes a whole number of milliseconds"));
     }
     if artifacts.is_empty() {
-        artifacts.push("all");
+        artifacts.push("all".to_string());
     }
     let protocol = if quick {
         Protocol::quick()
@@ -51,15 +52,11 @@ fn main() {
         Protocol::paper()
     };
     let figure_requests = if quick { 300 } else { 3000 };
-    let transport = if tcp {
-        TransportMode::Tcp
-    } else {
-        TransportMode::InProcess
-    };
+    let backend_latency = Duration::from_millis(latency_ms);
 
     let expanded: Vec<&str> = artifacts
         .iter()
-        .flat_map(|a| match *a {
+        .flat_map(|a| match a.as_str() {
             "all" => vec![
                 "table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8",
                 "table9", "optimal", "ablation", "figure3", "figure4",
@@ -103,25 +100,15 @@ fn main() {
             }
             "keys" => println!("{}", tables::tostring_keys()),
             "figure3" | "figure4" => {
-                let (title, mut config) = if artifact == "figure3" {
-                    (
-                        "Figure 3 (no concurrent access)",
-                        FigureConfig::figure3(figure_requests),
-                    )
+                let (title, callers) = if artifact == "figure3" {
+                    ("Figure 3 (no concurrent access)", 1)
                 } else {
-                    (
-                        "Figure 4 (25 concurrent accesses)",
-                        FigureConfig::figure4(figure_requests),
-                    )
+                    ("Figure 4 (25 concurrent accesses)", 25)
                 };
-                config.transport = transport;
-                config.backend_latency = std::time::Duration::from_millis(latency_ms);
                 eprintln!(
-                    "running {title}: 6 representations x {} ratios x {} requests…",
-                    config.hit_ratios.len(),
-                    config.requests
+                    "running {title}: 6 representations x 6 ratios x {figure_requests} requests…"
                 );
-                let series = run_figure(&config);
+                let series = run_figure(callers, figure_requests, backend_latency);
                 println!("{}", render_figure(title, &series));
                 println!("Speedups at 100% vs 0% cache-hit ratio:");
                 for (repr, tput, lat) in speedups_at_full_hit(&series) {
@@ -134,15 +121,7 @@ fn main() {
                 }
                 println!();
             }
-            other => {
-                eprintln!("unknown artifact '{other}'");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown artifact '{other}'")),
         }
-    }
-
-    if !no_metrics {
-        let snapshot = wsrc_obs::global().snapshot();
-        println!("{}", obs_report::summary_tables(&snapshot));
     }
 }

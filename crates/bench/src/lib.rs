@@ -7,7 +7,8 @@
 //!   iterations, then 10,000 measured).
 //! - [`tables`] — Tables 1–9 as printable text tables, measured on
 //!   [`wsrc_services::google::fixtures`].
-//! - [`figures`] — the Figure 3/4 portal sweeps.
+//! - [`figures`] — Figures 3–4: one closed loop per (form, hit ratio)
+//!   cell over the in-process portal stack.
 //! - [`trace_smoke`] — a deterministic end-to-end check of the span tree.
 //!
 //! Performance numbers come from the `benchmark/` package at the root of
@@ -20,7 +21,6 @@
 //! ```
 
 pub mod figures;
-pub mod obs_report;
 pub mod tables;
 pub mod timing;
 pub mod trace_smoke;

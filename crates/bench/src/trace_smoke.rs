@@ -120,7 +120,7 @@ pub fn run_trace_smoke() -> Result<String, String> {
         miss.spans.len(),
         coverage * 100.0,
         text.len(),
-        crate::obs_report::slowest_traces_table(tracer.store())
+        slowest_traces_table(tracer.store())
     );
 
     // The entry went in when the miss returned, which is now: nothing
@@ -315,6 +315,50 @@ fn one_axis(registry: &MetricsRegistry, traces: &[StoredTrace]) -> Result<(), St
     Ok(())
 }
 
+/// Renders the tracer's slowest retained traces: route, trace id, total
+/// duration and the top per-stage self times, the table that links an
+/// aggregate tail percentile back to concrete span trees.
+fn slowest_traces_table(store: &wsrc_obs::TraceStore) -> String {
+    let slowest = store.slowest();
+    if slowest.is_empty() {
+        return "Slowest traces: (none retained)\n".to_string();
+    }
+    let usec = |nanos: u64| format!("{:.1}", nanos as f64 / 1_000.0);
+    let rows: Vec<Vec<String>> = slowest
+        .iter()
+        .map(|t| {
+            let mut stages = wsrc_obs::sampler::stage_breakdown(std::slice::from_ref(t));
+            // Breakdown comes back stage-alphabetical; "top" means by
+            // self time here.
+            stages.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            let top = stages
+                .iter()
+                .take(3)
+                .map(|(stage, nanos)| format!("{stage}={}", usec(*nanos)))
+                .collect::<Vec<_>>()
+                .join(" ");
+            vec![
+                t.route.clone(),
+                wsrc_obs::trace::format_trace_id(t.trace_id),
+                usec(t.duration_nanos),
+                if t.error { "yes" } else { "no" }.to_string(),
+                top,
+            ]
+        })
+        .collect();
+    crate::render_table(
+        "Slowest traces (tail-sampled, per route)",
+        &[
+            "route",
+            "trace id",
+            "total us",
+            "error",
+            "top stages (self us)",
+        ],
+        &rows,
+    )
+}
+
 /// Fraction of the root span's wall time accounted for by its direct
 /// children.
 fn root_coverage(trace: &StoredTrace) -> Result<f64, String> {
@@ -340,6 +384,16 @@ fn root_coverage(trace: &StoredTrace) -> Result<f64, String> {
 mod tests {
     use super::*;
     use wsrc_obs::MonotonicClock;
+
+    #[test]
+    fn slowest_traces_render_as_a_table() {
+        let registry = MetricsRegistry::new();
+        assert!(slowest_traces_table(registry.tracer().store()).contains("none retained"));
+        registry.tracer().root_span("bench", "/portal").finish();
+        let text = slowest_traces_table(registry.tracer().store());
+        assert!(text.contains("/portal"), "{text}");
+        assert!(text.contains("trace id"), "{text}");
+    }
 
     #[test]
     fn trace_smoke_passes_end_to_end() {

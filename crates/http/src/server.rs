@@ -120,7 +120,7 @@ pub struct ServerConfig {
     /// admitted), so the instantaneous depth may briefly exceed this.
     pub queue_capacity: usize,
     /// How long an idle keep-alive connection is kept before the server
-    /// closes it. Replaces the old hard-coded 60 s.
+    /// closes it, and how long a begun request may take to arrive.
     pub idle_keep_alive: Duration,
     /// Value of the `Retry-After` header on `503` rejections.
     pub retry_after: Duration,
@@ -161,7 +161,7 @@ pub struct Server {
 /// keep-alive connection back to the queue without losing bytes a
 /// pipelining client may already have sent.
 struct Conn {
-    reader: BufReader<TcpStream>,
+    reader: BufReader<ReadHalf>,
     writer: BufWriter<TcpStream>,
     /// When the connection last finished a request (or was accepted).
     idle_since_nanos: u64,
@@ -170,12 +170,17 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, poll: Duration, now_nanos: u64) -> Result<Conn, HttpError> {
+    fn new(stream: TcpStream, shared: &Shared, now_nanos: u64) -> Result<Conn, HttpError> {
         stream.set_nodelay(true)?;
         // Workers poll in short quanta so idle connections can yield the
         // worker and shutdown stays prompt.
-        stream.set_read_timeout(Some(poll))?;
-        let read_half = stream.try_clone()?;
+        stream.set_read_timeout(Some(shared.poll_quantum))?;
+        let read_half = ReadHalf {
+            stream: stream.try_clone()?,
+            clock: shared.clock.clone(),
+            limit_nanos: nanos(shared.idle_keep_alive),
+            deadline: Deadline::Idle,
+        };
         Ok(Conn {
             reader: BufReader::new(read_half),
             writer: BufWriter::new(stream),
@@ -183,6 +188,55 @@ impl Conn {
             enqueued_nanos: now_nanos,
         })
     }
+}
+
+/// A connection's read side. Each socket read times out after the poll
+/// quantum, so a peer that sends a byte just inside it would never time
+/// out; a request therefore also gets `idle_keep_alive` as a whole to
+/// arrive, head and body (a rejected one, its read timeout).
+struct ReadHalf {
+    stream: TcpStream,
+    clock: Arc<dyn Clock>,
+    limit_nanos: u64,
+    deadline: Deadline,
+}
+
+/// Where a [`ReadHalf`] is in the request it reads.
+#[derive(Clone, Copy)]
+enum Deadline {
+    /// Between requests: reads are the keep-alive poll, unbounded here.
+    Idle,
+    /// A request has begun; its first read past the buffered bytes sets
+    /// the deadline, so a request that arrives at once reads no clock.
+    Armed,
+    /// The request must be in by this instant.
+    At(u64),
+}
+
+impl std::io::Read for ReadHalf {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        match self.deadline {
+            Deadline::Idle => {}
+            Deadline::Armed => {
+                let at = self.clock.now_nanos().saturating_add(self.limit_nanos);
+                self.deadline = Deadline::At(at);
+            }
+            Deadline::At(at) => {
+                if self.clock.now_nanos() >= at {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::TimedOut,
+                        "the request took too long to arrive",
+                    ));
+                }
+            }
+        }
+        self.stream.read(buf)
+    }
+}
+
+/// `d` in nanoseconds, saturating.
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
 }
 
 struct ServerMetrics {
@@ -401,7 +455,7 @@ fn admit(stream: TcpStream, shared: &Shared) {
         return;
     }
     let now = shared.clock.now_nanos();
-    let Ok(conn) = Conn::new(stream, shared.poll_quantum, now) else {
+    let Ok(conn) = Conn::new(stream, shared, now) else {
         return;
     };
     shared.metrics.open_connections.add(1);
@@ -430,11 +484,20 @@ fn reject(stream: TcpStream, shared: &Shared) {
     shared.metrics.rejected.add(1);
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
+    let read_timeout = Duration::from_millis(25);
+    let _ = stream.set_read_timeout(Some(read_timeout));
     let traceparent = stream
         .try_clone()
         .ok()
         .and_then(|read_half| {
+            // The accept thread reads this: the whole head gets one read
+            // timeout, or a trickling peer would stall every accept.
+            let read_half = ReadHalf {
+                stream: read_half,
+                clock: shared.clock.clone(),
+                limit_nanos: nanos(read_timeout),
+                deadline: Deadline::Armed,
+            };
             Request::read_from(&mut BufReader::new(read_half))
                 .ok()
                 .flatten()
@@ -508,8 +571,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
                         .clock
                         .now_nanos()
                         .saturating_sub(conn.idle_since_nanos);
-                    let limit = shared.idle_keep_alive.as_nanos().min(u64::MAX as u128) as u64;
-                    if idle >= limit {
+                    if idle >= nanos(shared.idle_keep_alive) {
                         return ServeOutcome::Close;
                     }
                     if !sync::lock_class("Shared.queue", &shared.queue).is_empty() {
@@ -519,6 +581,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
                 Err(_) => return ServeOutcome::Close,
             }
         }
+        conn.reader.get_mut().deadline = Deadline::Armed;
         let request = match Request::read_from(&mut conn.reader) {
             Ok(Some(req)) => req,
             Ok(None) => return ServeOutcome::Close,
@@ -530,6 +593,7 @@ fn serve_connection(conn: &mut Conn, shared: &Shared, mut queue_wait_nanos: u64)
                 return ServeOutcome::Close;
             }
         };
+        conn.reader.get_mut().deadline = Deadline::Idle;
         // Work that arrives after shutdown began is refused; only requests
         // already in flight are finished.
         if shared.shutting_down.load(Ordering::SeqCst) {
@@ -757,6 +821,17 @@ mod tests {
             .counter_value("wsrc_http_rejected_total", &[])
             .unwrap_or(0);
         assert!(rejected >= 3, "rejected {rejected}");
+
+        // The accept thread reads a rejected head: a trickling peer gets
+        // one read timeout in all, and the next connection its 503.
+        let next = while_a_peer_trickles(server.port(), || {
+            let mut next = TcpStream::connect(("127.0.0.1", server.port()))?;
+            next.set_read_timeout(Some(Duration::from_secs(3)))?;
+            let mut buf = String::new();
+            next.read_to_string(&mut buf).map(|_| buf)
+        });
+        let buf = next.unwrap_or_else(|e| panic!("a connection behind a trickling peer: {e}"));
+        assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
     }
 
     #[test]
@@ -892,11 +967,13 @@ mod tests {
         let handler: Arc<dyn Handler> =
             Arc::new(|_req: &Request| Response::ok("text/plain", b"ok".to_vec()));
         let config = ServerConfig {
-            workers: 2,
+            workers: 1,
+            idle_keep_alive: Duration::from_millis(300),
             ..ServerConfig::default()
         };
         let server = Server::bind_with_config("127.0.0.1:0", handler, config).unwrap();
         let url = Url::new("127.0.0.1", server.port(), "/good");
+        let good_get = || HttpClient::with_timeout(Some(Duration::from_secs(3))).get(&url);
         let long_line = format!("GET /x HTTP/1.1\r\nX-Long: {}\r\n\r\n", "a".repeat(1 << 20));
         let hostile = [
             "POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\nfffffffffffffffd\r\nhi\r\n",
@@ -915,12 +992,39 @@ mod tests {
             let _ = stream.shutdown(std::net::Shutdown::Write);
             let _ = stream.read_to_end(&mut Vec::new());
             // Not `live_workers()`: a panicking worker never decrements it.
-            let client = HttpClient::with_timeout(Some(Duration::from_secs(3)));
-            let resp = client
-                .get(&url)
-                .unwrap_or_else(|e| panic!("a good GET after hostile input {at}: {e}"));
+            let resp =
+                good_get().unwrap_or_else(|e| panic!("a good GET after hostile input {at}: {e}"));
             assert_eq!(resp.status, Status::OK);
         }
+        // Only a deadline on the whole request frees the one worker.
+        let resp = while_a_peer_trickles(server.port(), good_get)
+            .unwrap_or_else(|e| panic!("a good GET while a peer trickles: {e}"));
+        assert_eq!(resp.status, Status::OK);
+    }
+
+    /// Runs `f` while a peer sends a request head to `port` one byte per
+    /// 10 ms, each byte inside the server's per-read timeouts, until `f`
+    /// returns or the server hangs up. `f` must not panic: the scope
+    /// would wait for the trickle.
+    fn while_a_peer_trickles<T>(port: u16, f: impl FnOnce() -> T) -> T {
+        use std::io::Write;
+        let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let head = b"GET /x HTTP/1.1\r\nX-Slow: ".iter();
+                for byte in head.chain(std::iter::repeat(&b'a')) {
+                    if stop.load(Ordering::SeqCst) || peer.write_all(&[*byte]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            });
+            std::thread::sleep(Duration::from_millis(100));
+            let out = f();
+            stop.store(true, Ordering::SeqCst);
+            out
+        })
     }
 
     #[test]

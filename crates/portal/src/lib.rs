@@ -1,22 +1,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-#![expect(
-    clippy::disallowed_types,
-    reason = "the load generator's counters are shared between its callers; no cached value holds them"
-)]
 
-//! The portal-site scenario of paper §5.2.
-//!
-//! A portal web site calls the dummy Google back-end through the caching
-//! client middleware; a closed-loop load simulator stresses the portal
-//! while the cache-hit ratio is swept from 0% to 100%. [`scenario`] wires
-//! the whole thing up and produces the throughput / response-time points
-//! of the paper's Figures 3 and 4.
+//! The portal site of paper §5.2: a page built from back-end search
+//! results fetched through the caching client. `wsrc-bench` drives it
+//! for Figures 3 and 4; the benchmark serves it over loopback TCP.
 
-pub(crate) mod loadgen;
-pub mod scenario;
 pub(crate) mod site;
 
-pub use loadgen::LoadReport;
-pub use scenario::ScenarioResult;
 pub use site::PortalSite;

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full offline verification: release build, workspace tests, benchmark
-# smoke, rustdoc, warnings in every target, formatting, clippy.
+# Full offline verification: release build, workspace tests in both
+# profiles, benchmark smoke, rustdoc, warnings in every target,
+# formatting, clippy.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
 set -euo pipefail
@@ -10,6 +11,9 @@ export CARGO_NET_OFFLINE=true
 
 cargo build --release
 cargo test -q --workspace
+# The same tests in the build that ships: overflow checks and
+# optimisations differ by profile (the lock witness is debug-only).
+cargo test -q --workspace --release
 # The benchmark at 1/1000 of its op counts, checked: every metric
 # BENCHMARK.json names is emitted finite on every workload and no op
 # failed (prints `"correct": true`; ~30 s cold). Never judges timings.
