@@ -22,7 +22,7 @@ use wsrc_obs::{sync, Clock, Stage};
 
 /// Sizing for the client connection pool.
 #[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
+pub(crate) struct PoolConfig {
     /// Maximum concurrent connections per `host:port`.
     pub max_per_authority: usize,
     /// How long a checkout blocks for a free slot before failing with
@@ -61,7 +61,7 @@ struct AuthorityPool {
 /// A blocking HTTP client.
 ///
 /// Connections are kept alive and pooled per `host:port`, with up to
-/// [`PoolConfig::max_per_authority`] in flight at once — concurrent
+/// eight (`PoolConfig::max_per_authority`) in flight at once — concurrent
 /// callers to one destination no longer serialize on a single socket.
 /// The client is `Send + Sync` and is meant to be shared.
 pub struct HttpClient {
@@ -95,11 +95,6 @@ impl HttpClient {
     /// Creates a client with a custom I/O timeout (`None` blocks forever).
     pub fn with_timeout(timeout: Option<Duration>) -> Self {
         HttpClient::with_settings(timeout, PoolConfig::default())
-    }
-
-    /// Creates a client with custom pool sizing.
-    pub fn with_pool(config: PoolConfig) -> Self {
-        HttpClient::with_settings(Some(Duration::from_secs(30)), config)
     }
 
     /// Creates a client with explicit I/O timeout and pool sizing.
@@ -385,10 +380,13 @@ mod tests {
     #[test]
     fn pool_grows_to_demand_up_to_the_cap() {
         let (_server, _handler, url) = start_echo();
-        let client = Arc::new(HttpClient::with_pool(PoolConfig {
-            max_per_authority: 4,
-            ..PoolConfig::default()
-        }));
+        let client = Arc::new(HttpClient::with_settings(
+            Some(Duration::from_secs(30)),
+            PoolConfig {
+                max_per_authority: 4,
+                ..PoolConfig::default()
+            },
+        ));
         let mut threads = Vec::new();
         for _ in 0..8 {
             let client = client.clone();
@@ -414,11 +412,14 @@ mod tests {
     #[test]
     fn checkout_deadline_expiry_is_pool_exhausted() {
         let (_server, _handler, url) = start_echo();
-        let client = HttpClient::with_pool(PoolConfig {
-            max_per_authority: 1,
-            checkout_timeout: Duration::from_millis(50),
-            ..PoolConfig::default()
-        });
+        let client = HttpClient::with_settings(
+            Some(Duration::from_secs(30)),
+            PoolConfig {
+                max_per_authority: 1,
+                checkout_timeout: Duration::from_millis(50),
+                ..PoolConfig::default()
+            },
+        );
         // Hold the only slot by checking it out directly.
         let authority = url.authority();
         let permit = client.checkout(&authority).unwrap();
@@ -436,11 +437,14 @@ mod tests {
     #[test]
     fn waiting_checkout_proceeds_when_a_slot_frees() {
         let (_server, _handler, url) = start_echo();
-        let client = Arc::new(HttpClient::with_pool(PoolConfig {
-            max_per_authority: 1,
-            checkout_timeout: Duration::from_secs(10),
-            ..PoolConfig::default()
-        }));
+        let client = Arc::new(HttpClient::with_settings(
+            Some(Duration::from_secs(30)),
+            PoolConfig {
+                max_per_authority: 1,
+                checkout_timeout: Duration::from_secs(10),
+                ..PoolConfig::default()
+            },
+        ));
         let authority = url.authority();
         let permit = client.checkout(&authority).unwrap();
         assert!(permit.is_none());
@@ -458,10 +462,13 @@ mod tests {
     #[test]
     fn idle_connections_are_reaped_after_ttl() {
         let (_server, _handler, url) = start_echo();
-        let client = HttpClient::with_pool(PoolConfig {
-            idle_ttl: Duration::from_millis(30),
-            ..PoolConfig::default()
-        });
+        let client = HttpClient::with_settings(
+            Some(Duration::from_secs(30)),
+            PoolConfig {
+                idle_ttl: Duration::from_millis(30),
+                ..PoolConfig::default()
+            },
+        );
         client.get(&url).unwrap();
         assert_eq!(client.idle_connections(), 1);
         std::thread::sleep(Duration::from_millis(60));

@@ -37,7 +37,7 @@ pub(crate) mod transport;
 pub(crate) mod url;
 
 pub use body::Body;
-pub use client::{HttpClient, PoolConfig};
+pub use client::HttpClient;
 pub use error::HttpError;
 pub use message::{Headers, Method, Request, Response, Status};
 pub use server::{Handler, MetricsRoute, Server, ServerConfig};

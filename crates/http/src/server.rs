@@ -122,8 +122,6 @@ pub struct ServerConfig {
     /// How long an idle keep-alive connection is kept before the server
     /// closes it, and how long a begun request may take to arrive.
     pub idle_keep_alive: Duration,
-    /// Value of the `Retry-After` header on `503` rejections.
-    pub retry_after: Duration,
     /// Registry receiving the server's queue/worker/connection metrics.
     /// Its clock times idle accounting and queue waits, and its tracer
     /// continues the `traceparent` contexts received on requests. The
@@ -141,7 +139,6 @@ impl Default for ServerConfig {
                 .max(2),
             queue_capacity: 256,
             idle_keep_alive: Duration::from_secs(15),
-            retry_after: Duration::from_secs(1),
             registry: wsrc_obs::global(),
         }
     }
@@ -271,7 +268,6 @@ struct Shared {
     queue_capacity: usize,
     idle_keep_alive: Duration,
     poll_quantum: Duration,
-    retry_after: Duration,
     clock: Arc<dyn Clock>,
     tracer: Arc<Tracer>,
     metrics: ServerMetrics,
@@ -333,7 +329,6 @@ impl Server {
             queue_capacity: config.queue_capacity.max(1),
             idle_keep_alive: config.idle_keep_alive,
             poll_quantum,
-            retry_after: config.retry_after,
             clock: config.registry.clock().clone(),
             tracer: config.registry.tracer().clone(),
             metrics: ServerMetrics::new(&config.registry),
@@ -474,6 +469,9 @@ fn enqueue(mut conn: Conn, shared: &Shared) {
     shared.queue_cv.notify_one();
 }
 
+/// The `Retry-After` of a `503`, in seconds.
+const RETRY_AFTER_SECS: &str = "1";
+
 /// Best-effort `503 Service Unavailable` + `Retry-After`, then close.
 ///
 /// A briefly-bounded read of the request head recovers the caller's
@@ -506,7 +504,7 @@ fn reject(stream: TcpStream, shared: &Shared) {
         .filter(|value| TraceContext::parse_traceparent(value).is_some());
     let mut stream = stream;
     let mut response = Response::error(Status::SERVICE_UNAVAILABLE, "connection queue full")
-        .with_header("Retry-After", shared.retry_after.as_secs().to_string())
+        .with_header("Retry-After", RETRY_AFTER_SECS)
         .with_header("Connection", "close");
     if let Some(value) = traceparent {
         response.headers.set(TRACEPARENT_HEADER, value);
@@ -776,7 +774,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 1,
-                retry_after: Duration::from_secs(7),
                 registry: registry.clone(),
                 ..ServerConfig::default()
             },
@@ -809,7 +806,7 @@ mod tests {
             let mut buf = String::new();
             flood.read_to_string(&mut buf).unwrap();
             assert!(buf.starts_with("HTTP/1.1 503"), "{buf}");
-            assert!(buf.contains("Retry-After: 7"), "{buf}");
+            assert!(buf.contains("Retry-After: 1"), "{buf}");
         }
 
         // Bounded-concurrency invariants: the worker pool never grew, and

@@ -462,20 +462,6 @@ impl MetricsSnapshot {
             .find(|(i, _)| *i == id)
             .map(|(_, h)| h)
     }
-
-    /// Sums counters named `name` grouped by the value of label `key`
-    /// (e.g. hits by `repr` across several caches).
-    pub fn sum_counters_by_label(&self, name: &str, key: &str) -> Vec<(String, u64)> {
-        let mut by: BTreeMap<String, u64> = BTreeMap::new();
-        for (id, v) in &self.counters {
-            if id.name == name {
-                if let Some(label) = id.label(key) {
-                    *by.entry(label.to_string()).or_insert(0) += v;
-                }
-            }
-        }
-        by.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -565,22 +551,6 @@ mod tests {
         assert_eq!(snap.counter_value("c", &[]), Some(1));
         assert_eq!(snap.gauges.len(), 1);
         assert_eq!(snap.histogram("h", &[]).unwrap().count, 1);
-    }
-
-    #[test]
-    fn grouping_by_label_sums_across_ids() {
-        let r = MetricsRegistry::new();
-        r.counter("hits", &[("cache", "a"), ("repr", "xml-text")])
-            .add(2);
-        r.counter("hits", &[("cache", "b"), ("repr", "xml-text")])
-            .add(3);
-        r.counter("hits", &[("cache", "a"), ("repr", "sax-events")])
-            .add(1);
-        let by_repr = r.snapshot().sum_counters_by_label("hits", "repr");
-        assert_eq!(
-            by_repr,
-            vec![("sax-events".to_string(), 1), ("xml-text".to_string(), 5)]
-        );
     }
 
     #[test]

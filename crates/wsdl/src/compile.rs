@@ -134,11 +134,11 @@ fn field_type(r: &TypeRef) -> FieldType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::tests_fixture;
+    use crate::model::tests::tiny_service;
 
     #[test]
     fn compiles_types_with_generated_capabilities() {
-        let c = compile(&tests_fixture(), CompileOptions::default()).unwrap();
+        let c = compile(&tiny_service(), CompileOptions::default()).unwrap();
         let hit = c.registry.get("Hit").expect("Hit registered");
         assert!(hit.capabilities.serializable);
         assert!(hit.capabilities.bean);
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn stock_compiler_omits_clone() {
         let c = compile(
-            &tests_fixture(),
+            &tiny_service(),
             CompileOptions {
                 generate_clone: false,
             },
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn compiles_operations() {
-        let c = compile(&tests_fixture(), CompileOptions::default()).unwrap();
+        let c = compile(&tiny_service(), CompileOptions::default()).unwrap();
         assert_eq!(c.namespace, "urn:TinySearch");
         assert_eq!(c.endpoint_url, "http://tiny.test/soap");
         let op = c.operation("doSearch").expect("operation exists");
@@ -179,27 +179,18 @@ mod tests {
 
     #[test]
     fn invalid_documents_fail() {
-        let mut d = tests_fixture();
+        let mut d = tiny_service();
         d.messages.remove(0);
         assert!(compile(&d, CompileOptions::default()).is_err());
     }
 
     #[test]
     fn multi_part_outputs_are_rejected() {
-        let mut d = tests_fixture();
+        let mut d = tiny_service();
         d.messages[1]
             .parts
             .push(crate::model::Part::new("extra", TypeRef::Xsd(XsdType::Int)));
         let err = compile(&d, CompileOptions::default()).unwrap_err();
         assert!(err.contains("multiple output parts"));
-    }
-
-    #[test]
-    fn parse_compile_pipeline_from_emitted_wsdl() {
-        let xml = crate::writer::write_wsdl(&tests_fixture()).unwrap();
-        let parsed = crate::parser::parse_wsdl(&xml).unwrap();
-        let c = compile(&parsed, CompileOptions::default()).unwrap();
-        assert_eq!(c.operations.len(), 1);
-        assert_eq!(c.registry.len(), 2);
     }
 }

@@ -1,8 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! WSDL 1.1 (with an XML Schema subset): model, writer, parser and the
-//! "WSDL compiler".
+//! WSDL 1.1 (with an XML Schema subset): model and compiler.
 //!
 //! In the paper's stack, service interfaces are described in WSDL and the
 //! Axis WSDL compiler generates the Java classes the cache later copies —
@@ -14,8 +13,6 @@
 
 pub mod compile;
 pub mod model;
-pub mod parser;
-pub mod writer;
 
 pub use compile::{compile, CompileOptions, CompiledService};
 pub use model::{

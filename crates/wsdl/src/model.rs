@@ -6,8 +6,6 @@
 //! parts; one `<portType>`; one `<service>` with a SOAP address. This is
 //! exactly the shape of the GoogleSearch.wsdl the paper's evaluation uses.
 
-use std::fmt;
-
 /// The XSD scalar types the stack maps to [`wsrc_model::Value`] variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum XsdType {
@@ -25,39 +23,6 @@ pub enum XsdType {
     Base64Binary,
 }
 
-impl XsdType {
-    /// The `xsd:` local name.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            XsdType::String => "string",
-            XsdType::Int => "int",
-            XsdType::Long => "long",
-            XsdType::Double => "double",
-            XsdType::Boolean => "boolean",
-            XsdType::Base64Binary => "base64Binary",
-        }
-    }
-
-    /// Parses an `xsd:` local name.
-    pub(crate) fn parse(name: &str) -> Option<XsdType> {
-        match name {
-            "string" => Some(XsdType::String),
-            "int" => Some(XsdType::Int),
-            "long" => Some(XsdType::Long),
-            "double" => Some(XsdType::Double),
-            "boolean" => Some(XsdType::Boolean),
-            "base64Binary" => Some(XsdType::Base64Binary),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for XsdType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "xsd:{}", self.name())
-    }
-}
-
 /// A reference to a type: scalar, named complex type, or array thereof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypeRef {
@@ -73,16 +38,6 @@ impl TypeRef {
     /// Convenience: `TypeRef::ArrayOf` of `self`.
     pub fn array(self) -> TypeRef {
         TypeRef::ArrayOf(Box::new(self))
-    }
-}
-
-impl fmt::Display for TypeRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TypeRef::Xsd(x) => write!(f, "{x}"),
-            TypeRef::Complex(n) => write!(f, "tns:{n}"),
-            TypeRef::ArrayOf(inner) => write!(f, "{inner}[]"),
-        }
     }
 }
 
@@ -276,7 +231,7 @@ impl Definitions {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// A miniature service used across the wsdl crate's tests.
@@ -352,15 +307,6 @@ mod tests {
         let mut d2 = tiny_service();
         d2.schema.types[1].fields[1].type_ref = TypeRef::Complex("Ghost".into()).array();
         assert!(d2.validate().is_err());
-    }
-
-    #[test]
-    fn display_forms() {
-        assert_eq!(TypeRef::Xsd(XsdType::Int).to_string(), "xsd:int");
-        assert_eq!(TypeRef::Complex("T".into()).to_string(), "tns:T");
-        assert_eq!(TypeRef::Complex("T".into()).array().to_string(), "tns:T[]");
-        assert_eq!(XsdType::parse("boolean"), Some(XsdType::Boolean));
-        assert_eq!(XsdType::parse("void"), None);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Randomized tests: generated well-formed WSDL documents survive
-//! write→parse round-trips and compile cleanly.
+//! Randomized tests: generated well-formed WSDL documents compile
+//! cleanly.
 //!
 //! The build environment is offline (no `proptest`), so these use a
 //! hand-rolled deterministic xorshift generator with fixed seeds.
 
 use wsrc_wsdl::{
-    compile, parser, writer, CompileOptions, ComplexType, Definitions, Message, Part, PortType,
-    Schema, SchemaField, Service, TypeRef, WsdlOperation, XsdType,
+    compile, CompileOptions, ComplexType, Definitions, Message, Part, PortType, Schema,
+    SchemaField, Service, TypeRef, WsdlOperation, XsdType,
 };
 
 const CASES: u64 = 128;
@@ -160,20 +160,6 @@ fn arb_definitions(rng: &mut Rng) -> Definitions {
 }
 
 #[test]
-fn write_parse_roundtrip_is_identity() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed);
-        let defs = arb_definitions(&mut rng);
-        if defs.validate().is_err() {
-            continue;
-        }
-        let xml = writer::write_wsdl(&defs).unwrap();
-        let parsed = parser::parse_wsdl(&xml).unwrap();
-        assert_eq!(parsed, defs, "seed {seed}");
-    }
-}
-
-#[test]
 fn generated_documents_compile() {
     for seed in 0..CASES {
         let mut rng = Rng::new(seed + 1000);
@@ -198,17 +184,5 @@ fn generated_documents_compile() {
             let input = defs.message(&op.input_message).unwrap();
             assert_eq!(c.params.len(), input.parts.len(), "seed {seed}");
         }
-    }
-}
-
-#[test]
-fn parser_never_panics_on_garbage() {
-    for seed in 0..CASES {
-        let mut rng = Rng::new(seed + 2000);
-        let n = rng.below(200);
-        let s: String = (0..n)
-            .map(|_| char::from_u32(rng.next() as u32 % 0x300).unwrap_or('?'))
-            .collect();
-        let _ = parser::parse_wsdl(&s);
     }
 }

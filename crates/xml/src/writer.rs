@@ -38,21 +38,10 @@ pub struct XmlWriter {
     open: Vec<Open>,
     tag_open: bool,
     root_closed: bool,
-    /// The output begins with the XML declaration.
-    declared: bool,
-    indent: Option<usize>,
 }
 
-/// One open element.
-#[derive(Debug, Clone, Copy)]
-struct Open {
-    /// Where its name is in the output: its start tag's.
-    name: (usize, usize),
-    /// It has child elements (pretty mode).
-    children: bool,
-    /// It has character data.
-    text: bool,
-}
+/// One open element: where its name is in the output, its start tag's.
+type Open = (usize, usize);
 
 /// Buffers a writer keeps for the next document on its thread are
 /// dropped instead when its output grew past this many bytes.
@@ -119,7 +108,7 @@ impl Drop for XmlWriter {
 }
 
 impl XmlWriter {
-    /// Creates a writer producing compact output (no declaration).
+    /// Creates a writer whose output has no XML declaration.
     pub fn new() -> Self {
         let WriterScratch { out, open } = WriterScratch::take();
         XmlWriter {
@@ -127,8 +116,6 @@ impl XmlWriter {
             open,
             tag_open: false,
             root_closed: false,
-            declared: false,
-            indent: None,
         }
     }
 
@@ -138,35 +125,13 @@ impl XmlWriter {
         writer
             .out
             .push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-        writer.declared = true;
         writer
-    }
-
-    /// Enables pretty-printing with the given indent width.
-    pub fn indented(mut self, spaces: usize) -> Self {
-        if self.declared && self.indent.is_none() {
-            self.out.push('\n');
-        }
-        self.indent = Some(spaces);
-        self
     }
 
     fn close_pending_tag(&mut self) {
         if self.tag_open {
             self.out.push('>');
             self.tag_open = false;
-        }
-    }
-
-    #[inline]
-    fn newline_and_indent(&mut self, depth: usize) {
-        if let Some(width) = self.indent {
-            if !self.out.is_empty() && !self.out.ends_with('\n') {
-                self.out.push('\n');
-            }
-            for _ in 0..depth * width {
-                self.out.push(' ');
-            }
         }
     }
 
@@ -192,24 +157,10 @@ impl XmlWriter {
             ));
         }
         self.close_pending_tag();
-        let suppress_indent = match self.open.last_mut() {
-            Some(parent) => {
-                parent.children = true;
-                parent.text
-            }
-            None => false,
-        };
-        if !suppress_indent {
-            self.newline_and_indent(self.open.len());
-        }
         self.out.push('<');
         let at = self.out.len();
         write(&mut self.out);
-        self.open.push(Open {
-            name: (at, self.out.len()),
-            children: false,
-            text: false,
-        });
+        self.open.push((at, self.out.len()));
         self.tag_open = true;
         Ok(self)
     }
@@ -296,10 +247,9 @@ impl XmlWriter {
     ///
     /// Fails when no element is open.
     pub fn text_with(&mut self, write: impl FnOnce(&mut String)) -> Result<&mut Self, XmlError> {
-        let Some(open) = self.open.last_mut() else {
+        if self.open.is_empty() {
             return Err(XmlError::new("text outside the root element"));
-        };
-        open.text = true;
+        }
         self.close_pending_tag();
         write(&mut self.out);
         Ok(self)
@@ -337,7 +287,7 @@ impl XmlWriter {
     ///
     /// Fails when no element is open.
     pub fn end(&mut self) -> Result<&mut Self, XmlError> {
-        let open = self
+        let (from, to) = self
             .open
             .pop()
             .ok_or_else(|| XmlError::new("end() with no open element"))?;
@@ -345,11 +295,8 @@ impl XmlWriter {
             self.out.push_str("/>");
             self.tag_open = false;
         } else {
-            if open.children && !open.text {
-                self.newline_and_indent(self.open.len());
-            }
             self.out.push_str("</");
-            self.out.extend_from_within(open.name.0..open.name.1);
+            self.out.extend_from_within(from..to);
             self.out.push('>');
         }
         if self.open.is_empty() {
@@ -390,10 +337,10 @@ impl XmlWriter {
     ///
     /// Same conditions as [`finish`](XmlWriter::finish).
     pub fn finish_with<T>(self, make: impl FnOnce(&str) -> T) -> Result<T, XmlError> {
-        if let Some(open) = self.open.last() {
+        if let Some(&(from, to)) = self.open.last() {
             return Err(XmlError::new(format!(
                 "finish() while <{}> is still open",
-                &self.out[open.name.0..open.name.1]
+                &self.out[from..to]
             )));
         }
         if !self.root_closed {
@@ -544,17 +491,6 @@ mod tests {
         w.comment(" ok ").unwrap();
         w.end().unwrap();
         assert_eq!(w.finish().unwrap(), "<a><!-- ok --></a>");
-    }
-
-    #[test]
-    fn pretty_printing_indents_nested_elements() {
-        let mut w = XmlWriter::new().indented(2);
-        w.start("a").unwrap();
-        w.start("b").unwrap();
-        w.text("t").unwrap();
-        w.end().unwrap();
-        w.end().unwrap();
-        assert_eq!(w.finish().unwrap(), "<a>\n  <b>t</b>\n</a>");
     }
 
     #[test]

@@ -13,5 +13,4 @@ pub use wsrc_obs as obs;
 pub use wsrc_portal as portal;
 pub use wsrc_services as services;
 pub use wsrc_soap as soap;
-pub use wsrc_wsdl as wsdl;
 pub use wsrc_xml as xml;
