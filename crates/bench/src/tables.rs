@@ -2,9 +2,11 @@
 
 use crate::render_table;
 use crate::timing::{fmt_msec, measure, Protocol};
+use std::time::Duration;
 use wsrc_cache::key::{generate_key, KeyStrategy};
 use wsrc_cache::repr::{StoredResponse, ValueRepresentation};
 use wsrc_model::tostring::to_string_key;
+use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 use wsrc_services::google::{fixtures, registry, OperationFixture};
 use wsrc_xml::XmlReader;
@@ -181,24 +183,13 @@ pub fn table5() -> String {
 
 /// Table 6: processing times for cache key generation (msec).
 pub fn table6(protocol: Protocol) -> String {
-    let fixtures = fixtures();
-    let registry = registry();
-    let strategies = [
-        ("XML message", KeyStrategy::XmlMessage),
-        ("Java serialization", KeyStrategy::Serialization),
-        ("toString method", KeyStrategy::ToString),
-    ];
-    let rows: Vec<Vec<String>> = strategies
-        .iter()
-        .map(|(label, strategy)| {
+    let labels = ["XML message", "Java serialization", "toString method"];
+    let rows: Vec<Vec<String>> = labels
+        .into_iter()
+        .zip(table6_raw(protocol, 1))
+        .map(|(label, (_, cells))| {
             let mut row = vec![label.to_string()];
-            for f in &fixtures {
-                let d = measure(protocol, || {
-                    generate_key(*strategy, ENDPOINT, &f.request, &registry)
-                        .expect("applicable strategy")
-                });
-                row.push(fmt_msec(d));
-            }
+            row.extend(cells.into_iter().map(fmt_msec));
             row
         })
         .collect();
@@ -212,25 +203,15 @@ pub fn table6(protocol: Protocol) -> String {
 /// Table 7: processing times for cached data retrieval (msec), with the
 /// paper's n/a cells.
 pub fn table7(protocol: Protocol) -> String {
-    let fixtures = fixtures();
-    let registry = registry();
-    let rows: Vec<Vec<String>> = ValueRepresentation::ALL
-        .iter()
-        .map(|repr| {
+    let rows: Vec<Vec<String>> = table7_raw(protocol, 1)
+        .into_iter()
+        .map(|(repr, cells)| {
             let mut row = vec![repr.label().to_string()];
-            for f in &fixtures {
-                match StoredResponse::build(*repr, f.artifacts(), &registry) {
-                    Ok(stored) => {
-                        let d = measure(protocol, || {
-                            stored
-                                .retrieve(&f.return_type, &registry)
-                                .expect("stored entry retrieves")
-                        });
-                        row.push(fmt_msec(d));
-                    }
-                    Err(_) => row.push("n/a".to_string()),
-                }
-            }
+            row.extend(
+                cells
+                    .into_iter()
+                    .map(|cell| cell.map_or_else(|| "n/a".to_string(), fmt_msec)),
+            );
             row
         })
         .collect();
@@ -273,8 +254,8 @@ pub fn table8() -> String {
 ///
 /// "XML message" is the envelope text, "Java serialized form" the binary
 /// serialization, and "Java object" the Java-style instance size (see
-/// [`wsrc_model::sizeof::java_object_size`] — field/type names live in
-/// the class, not the instance).
+/// `java_object_size` — field/type names live in the class, not the
+/// instance).
 pub fn table9() -> String {
     let fixtures = fixtures();
     let rows: Vec<Vec<String>> = [
@@ -293,7 +274,7 @@ pub fn table9() -> String {
             "Java object",
             fixtures
                 .iter()
-                .map(|f| wsrc_model::sizeof::java_object_size(&f.value))
+                .map(|f| java_object_size(&f.value))
                 .collect(),
         ),
     ]
@@ -311,53 +292,149 @@ pub fn table9() -> String {
     )
 }
 
-/// Raw (numeric) Table 6 cells for assertions and EXPERIMENTS.md.
-pub fn table6_raw(protocol: Protocol) -> Vec<(KeyStrategy, Vec<std::time::Duration>)> {
+/// Measures a `rows` × `columns` table of cells in `rounds` rounds and
+/// keeps each cell's minimum. A round takes the columns (operations) in
+/// turn and, within one, visits the rows (methods) in an order rotated
+/// by the round, so a phase of the host lands on no one method and the
+/// cells an ordering compares are measured side by side. `cell` returns
+/// `None` for an n/a cell.
+fn min_over_rounds(
+    rows: usize,
+    columns: usize,
+    rounds: usize,
+    mut cell: impl FnMut(usize, usize) -> Option<Duration>,
+) -> Vec<Vec<Option<Duration>>> {
+    let mut table = vec![None; rows * columns];
+    for round in 0..rounds {
+        for column in 0..columns {
+            for step in 0..rows {
+                let row = (round + step) % rows;
+                let Some(d) = cell(row, column) else { continue };
+                let kept = &mut table[row * columns + column];
+                *kept = Some(kept.map_or(d, |k: Duration| k.min(d)));
+            }
+        }
+    }
+    table.chunks(columns).map(<[_]>::to_vec).collect()
+}
+
+/// Raw (numeric) Table 6 cells, each the minimum over `rounds`
+/// interleaved rounds (see `min_over_rounds`).
+pub fn table6_raw(protocol: Protocol, rounds: usize) -> Vec<(KeyStrategy, Vec<Duration>)> {
     let fixtures = fixtures();
     let registry = registry();
-    KeyStrategy::CONCRETE
-        .iter()
-        .map(|strategy| {
-            let cells = fixtures
-                .iter()
-                .map(|f| {
-                    measure(protocol, || {
-                        generate_key(*strategy, ENDPOINT, &f.request, &registry)
-                            .expect("applicable strategy")
-                    })
-                })
-                .collect();
-            (*strategy, cells)
-        })
+    let strategies = KeyStrategy::CONCRETE;
+    let table = min_over_rounds(strategies.len(), fixtures.len(), rounds, |row, column| {
+        let request = &fixtures[column].request;
+        Some(measure(protocol, || {
+            generate_key(strategies[row], ENDPOINT, request, &registry)
+                .expect("applicable strategy")
+        }))
+    });
+    // Every strategy applies to every request: no cell is n/a.
+    strategies
+        .into_iter()
+        .zip(table)
+        .map(|(strategy, cells)| (strategy, cells.into_iter().flatten().collect()))
         .collect()
 }
 
-/// Raw (numeric) Table 7 cells; `None` marks the paper's n/a cells.
+/// Raw (numeric) Table 7 cells, each the minimum over `rounds`
+/// interleaved rounds (see `min_over_rounds`); `None` marks the paper's
+/// n/a cells.
 pub fn table7_raw(
     protocol: Protocol,
-) -> Vec<(ValueRepresentation, Vec<Option<std::time::Duration>>)> {
+    rounds: usize,
+) -> Vec<(ValueRepresentation, Vec<Option<Duration>>)> {
     let fixtures = fixtures();
     let registry = registry();
-    ValueRepresentation::ALL
+    let forms = ValueRepresentation::ALL;
+    let stored: Vec<Vec<Option<StoredResponse>>> = forms
         .iter()
         .map(|repr| {
-            let cells = fixtures
+            fixtures
                 .iter()
-                .map(|f| {
-                    StoredResponse::build(*repr, f.artifacts(), &registry)
-                        .ok()
-                        .map(|stored| {
-                            measure(protocol, || {
-                                stored
-                                    .retrieve(&f.return_type, &registry)
-                                    .expect("stored entry retrieves")
-                            })
-                        })
-                })
-                .collect();
-            (*repr, cells)
+                .map(|f| StoredResponse::build(*repr, f.artifacts(), &registry).ok())
+                .collect()
         })
-        .collect()
+        .collect();
+    let table = min_over_rounds(forms.len(), fixtures.len(), rounds, |row, column| {
+        let stored = stored[row][column].as_ref()?;
+        let return_type = &fixtures[column].return_type;
+        Some(measure(protocol, || {
+            stored
+                .retrieve(return_type, &registry)
+                .expect("stored entry retrieves")
+        }))
+    });
+    forms.into_iter().zip(table).collect()
+}
+
+/// The paper's §6 table for a Java object graph shaped like `value`:
+///
+/// | object class                              | representation    |
+/// |-------------------------------------------|-------------------|
+/// | immutable (String, primitives)            | pass by reference |
+/// | bean-type / array-type                    | copy by reflection|
+/// | serializable                              | Java serialization|
+/// | anything else                             | SAX event sequence|
+///
+/// `shareable` is the paper's read-only assertion (§4.2.4). The cache
+/// does not classify: its values are copy-on-write, so every one is
+/// shareable and the copy forms are never picked (DESIGN §3e).
+fn paper_choice(value: &Value, registry: &TypeRegistry, shareable: bool) -> ValueRepresentation {
+    // Rules a) to d) are a preference order over what the object
+    // supports; SAX events always apply.
+    let supports = registry.deep_capabilities(value);
+    if shareable || is_java_immutable(value) {
+        ValueRepresentation::PassByReference
+    } else if supports.reflect_copyable {
+        ValueRepresentation::ReflectionCopy
+    } else if supports.serializable {
+        ValueRepresentation::Serialization
+    } else {
+        ValueRepresentation::SaxEvents
+    }
+}
+
+/// Whether `value` is immutable *in Java*: `null`, a primitive or a
+/// string, which §6 passes by reference without an assertion.
+fn is_java_immutable(value: &Value) -> bool {
+    match value {
+        Value::Null
+        | Value::Bool(_)
+        | Value::Int(_)
+        | Value::Long(_)
+        | Value::Double(_)
+        | Value::String(_) => true,
+        Value::Bytes(_) | Value::Array(_) | Value::Struct(_) => false,
+    }
+}
+
+/// Approximate size of the value as a *Java* object graph, Table 9's
+/// "Java object" column. Java instances do not carry field or type
+/// names (those live in the `Class`), so this counts a 16-byte header
+/// per object, an 8-byte slot per field or array element, and string
+/// and byte content — not what the cache charges
+/// ([`wsrc_model::sizeof::deep_size`]).
+fn java_object_size(value: &Value) -> usize {
+    const HEADER: usize = 16;
+    const SLOT: usize = 8;
+    match value {
+        // Primitives live in their holder's slot; no extra heap.
+        Value::Null | Value::Bool(_) | Value::Int(_) | Value::Long(_) | Value::Double(_) => 0,
+        Value::String(s) => HEADER + SLOT + s.len(),
+        Value::Bytes(b) => HEADER + b.len(),
+        Value::Array(items) => {
+            HEADER + SLOT * items.len() + items.iter().map(java_object_size).sum::<usize>()
+        }
+        Value::Struct(s) => {
+            HEADER
+                + s.fields()
+                    .map(|(_, v)| SLOT + java_object_size(v))
+                    .sum::<usize>()
+        }
+    }
 }
 
 /// Sanity helper used by the optimal-configuration discussion (§6): what
@@ -368,7 +445,7 @@ pub fn optimal_configuration() -> String {
     let rows: Vec<Vec<String>> = fixtures
         .iter()
         .map(|f| {
-            let repr = wsrc_cache::paper_choice(&f.value, &registry, false);
+            let repr = paper_choice(&f.value, &registry, false);
             vec![
                 f.label.to_string(),
                 f.value.type_label().to_string(),
@@ -451,6 +528,8 @@ pub fn tostring_keys() -> String {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use wsrc_model::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use wsrc_model::StructValue;
 
     #[test]
     fn static_tables_render() {
@@ -495,16 +574,9 @@ mod tests {
         // more than ~2x the other (see EXPERIMENTS.md).
         // Sub-microsecond means are at the mercy of scheduler preemption
         // on a loaded host; keep the smallest observation per cell across
-        // a few runs (min-filtering) before asserting the ordering.
-        let mut raw = table6_raw(Protocol::quick());
-        for _ in 0..4 {
-            let again = table6_raw(Protocol::quick());
-            for (row, (_, cells)) in raw.iter_mut().enumerate() {
-                for (i, cell) in cells.iter_mut().enumerate() {
-                    *cell = (*cell).min(again[row].1[i]);
-                }
-            }
-        }
+        // a few interleaved rounds (min-filtering) before asserting the
+        // ordering.
+        let raw = table6_raw(Protocol::quick(), 5);
         let xml = &raw[0].1;
         let ser = &raw[1].1;
         let ts = &raw[2].1;
@@ -534,10 +606,13 @@ mod tests {
 
     #[test]
     fn table7_na_cells_match_the_paper() {
-        let raw = table7_raw(Protocol {
-            warmup: 1,
-            measured: 2,
-        });
+        let raw = table7_raw(
+            Protocol {
+                warmup: 1,
+                measured: 2,
+            },
+            1,
+        );
         let by_repr: std::collections::HashMap<_, _> =
             raw.iter().map(|(r, cells)| (*r, cells.clone())).collect();
         let reflect = &by_repr[&ValueRepresentation::ReflectionCopy];
@@ -569,17 +644,17 @@ mod tests {
     fn table7_ordering_matches_the_paper_for_google_search() {
         // Same min-filtering as the Table 6 test: orderings hold for the
         // noise-free minimum, not necessarily for every loaded-host mean.
-        let mut raw = table7_raw(Protocol::quick());
-        for _ in 0..2 {
-            let again = table7_raw(Protocol::quick());
-            for (row, (_, cells)) in raw.iter_mut().enumerate() {
-                for (i, cell) in cells.iter_mut().enumerate() {
-                    if let (Some(a), Some(b)) = (*cell, again[row].1[i]) {
-                        *cell = Some(a.min(b));
-                    }
-                }
-            }
-        }
+        // The closest pairs (serialization and SAX, clone and reflection)
+        // are 10-15 % apart, so the rounds are many and short: the least
+        // of 250 means of 20 calls is a steadier floor than the least of
+        // 5 means of 1 000.
+        let raw = table7_raw(
+            Protocol {
+                warmup: 10,
+                measured: 20,
+            },
+            250,
+        );
         let cell = |repr: ValueRepresentation| {
             raw.iter()
                 .find(|(r, _)| *r == repr)
@@ -663,9 +738,146 @@ mod tests {
 
     #[test]
     fn optimal_configuration_matches_section6() {
+        let registry = registry();
+        let picks: Vec<_> = fixtures()
+            .iter()
+            .map(|f| paper_choice(&f.value, &registry, false))
+            .collect();
+        assert_eq!(
+            picks,
+            [
+                // a) immutable string
+                ValueRepresentation::PassByReference,
+                // b) array type (byte[])
+                ValueRepresentation::ReflectionCopy,
+                // b) bean type
+                ValueRepresentation::ReflectionCopy,
+            ]
+        );
         let t = optimal_configuration();
-        assert!(t.contains("Pass by reference"), "{t}"); // string response
-        assert!(t.contains("Copy by reflection"), "{t}"); // bytes + bean
+        for (f, pick) in fixtures().iter().zip(picks) {
+            let row = t.lines().find(|l| l.contains(f.label)).expect("a row");
+            assert!(row.contains(pick.label()), "{row}");
+        }
+    }
+
+    /// Types for the §6 rules: a bean, a serializable non-bean, and a
+    /// type that supports neither.
+    fn rule_registry() -> TypeRegistry {
+        TypeRegistry::builder()
+            .register(TypeDescriptor::new(
+                "Bean",
+                vec![FieldDescriptor::new("x", FieldType::Int)],
+            ))
+            .register(
+                TypeDescriptor::new("SerOnly", vec![]).with_capabilities(Capabilities {
+                    serializable: true,
+                    bean: false,
+                    cloneable: false,
+                    has_to_string: false,
+                }),
+            )
+            .register(TypeDescriptor::new("Opaque", vec![]).with_capabilities(Capabilities::none()))
+            .build()
+    }
+
+    #[test]
+    fn paper_rule_a_immutables_pass_by_reference() {
+        let r = rule_registry();
+        assert_eq!(
+            paper_choice(&Value::string("spelling"), &r, false),
+            ValueRepresentation::PassByReference
+        );
+        assert_eq!(
+            paper_choice(&Value::Int(1), &r, false),
+            ValueRepresentation::PassByReference
+        );
+    }
+
+    #[test]
+    fn paper_rule_a_read_only_assertion_shares_mutables() {
+        let r = rule_registry();
+        let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
+        assert_eq!(
+            paper_choice(&bean, &r, true),
+            ValueRepresentation::PassByReference
+        );
+    }
+
+    #[test]
+    fn paper_rule_b_beans_and_arrays_reflect() {
+        let r = rule_registry();
+        let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
+        assert_eq!(
+            paper_choice(&bean, &r, false),
+            ValueRepresentation::ReflectionCopy
+        );
+        assert_eq!(
+            paper_choice(&Value::Bytes(vec![1, 2].into()), &r, false),
+            ValueRepresentation::ReflectionCopy
+        );
+        assert_eq!(
+            paper_choice(&Value::Array(vec![Value::Int(1)].into()), &r, false),
+            ValueRepresentation::ReflectionCopy
+        );
+    }
+
+    #[test]
+    fn paper_rule_c_serializables_serialize() {
+        let r = rule_registry();
+        let ser_only = Value::Struct(StructValue::new("SerOnly"));
+        assert_eq!(
+            paper_choice(&ser_only, &r, false),
+            ValueRepresentation::Serialization
+        );
+    }
+
+    #[test]
+    fn paper_rule_d_everything_else_sax() {
+        let r = rule_registry();
+        let opaque = Value::Struct(StructValue::new("Opaque"));
+        assert_eq!(
+            paper_choice(&opaque, &r, false),
+            ValueRepresentation::SaxEvents
+        );
+        let unknown = Value::Struct(StructValue::new("NeverRegistered"));
+        assert_eq!(
+            paper_choice(&unknown, &r, false),
+            ValueRepresentation::SaxEvents
+        );
+    }
+
+    #[test]
+    fn immutability_classification() {
+        assert!(is_java_immutable(&Value::string("s")));
+        assert!(is_java_immutable(&Value::Int(1)));
+        assert!(is_java_immutable(&Value::Null));
+        assert!(!is_java_immutable(&Value::from(vec![1u8])));
+        assert!(!is_java_immutable(&Value::from(vec![Value::Int(1)])));
+        let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
+        assert!(!is_java_immutable(&bean));
+    }
+
+    #[test]
+    fn java_object_size_counts_content_and_slots() {
+        let bytes = Value::Bytes(vec![0; 100].into());
+        assert_eq!(java_object_size(&bytes), 16 + 100);
+        let arr = Value::Array(vec![Value::Int(1), Value::Int(2)].into());
+        assert_eq!(java_object_size(&arr), 16 + 8 * 2);
+        let s = Value::string("abcd");
+        assert_eq!(java_object_size(&s), 16 + 8 + 4);
+    }
+
+    #[test]
+    fn a_java_instance_pays_nothing_for_the_names_of_its_fields() {
+        // A registry's shape and one made by hand weigh the same: in
+        // Java's accounting names live in the class, not the instance.
+        let r = rule_registry();
+        let plan = r.plan("Bean").expect("registered");
+        let full = Value::Struct(plan.instantiate([("x", 1.into())]));
+        let by_hand = Value::Struct(StructValue::new("Bean").with("x", 1));
+        assert_eq!(by_hand, full);
+        assert_eq!(java_object_size(&by_hand), java_object_size(&full));
     }
 
     #[test]

@@ -20,9 +20,6 @@
 //! - [`policy`] — per-operation cacheability, TTL and optional forced
 //!   representation, configured by the client-side administrator
 //!   (paper §3.2).
-//! - `classify` — the paper's §6 table for Java objects, for the
-//!   reproduced tables; the cache itself stores the shared object unless
-//!   the policy forces a form.
 //! - `entry` — cache entries: one response under one stored form.
 //! - [`store`] — the concurrent sharded cache table with TTL expiry and
 //!   size-aware LRU eviction.
@@ -31,7 +28,6 @@
 //! - `stats` — hit/miss/eviction counters.
 
 pub(crate) mod cache;
-pub(crate) mod classify;
 pub(crate) mod entry;
 pub(crate) mod error;
 pub mod key;
@@ -46,7 +42,6 @@ pub use cache::AdaptivePolicy;
 pub use cache::{
     CacheOutcome, CachedCall, ResponseCache, ResponseCacheBuilder, ResponseData, TIME_ONE_CALL_IN,
 };
-pub use classify::paper_choice;
 pub use entry::CacheEntry;
 pub use error::CacheError;
 pub use key::{CacheKey, KeyStrategy};

@@ -20,23 +20,8 @@ pub enum ModelError {
     },
     /// A struct type was not found in the registry.
     UnknownType(String),
-    /// A field access did not match the type descriptor.
-    UnknownField {
-        /// The struct type.
-        type_name: String,
-        /// The field that does not exist.
-        field: String,
-    },
     /// Serialized data was malformed.
     Corrupt(String),
-    /// A value did not match the expected shape (e.g. setting an `Int`
-    /// field to a `String`).
-    TypeMismatch {
-        /// What was expected.
-        expected: String,
-        /// What was found.
-        found: String,
-    },
     /// A tree's text, or the nodes of one of its nesting levels, exceed
     /// the `u32` range the handles of a built tree address.
     TooLarge,
@@ -59,13 +44,7 @@ impl fmt::Display for ModelError {
                 write!(f, "type '{type_name}' does not support {capability}")
             }
             ModelError::UnknownType(t) => write!(f, "unknown type '{t}'"),
-            ModelError::UnknownField { type_name, field } => {
-                write!(f, "type '{type_name}' has no field '{field}'")
-            }
             ModelError::Corrupt(m) => write!(f, "corrupt serialized data: {m}"),
-            ModelError::TypeMismatch { expected, found } => {
-                write!(f, "type mismatch: expected {expected}, found {found}")
-            }
             ModelError::TooLarge => {
                 f.write_str("a tree's text or one of its levels exceeds the u32 range")
             }
@@ -92,11 +71,6 @@ mod tests {
         assert!(ModelError::corrupt("short read")
             .to_string()
             .contains("short read"));
-        let tm = ModelError::TypeMismatch {
-            expected: "Int".into(),
-            found: "String".into(),
-        };
-        assert!(tm.to_string().contains("expected Int"));
     }
 
     #[test]

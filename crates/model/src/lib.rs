@@ -26,8 +26,6 @@
 //!   reproduce the Java-world limitations behind the paper's "n/a" cells.
 //!   Descriptors own the type and field names (`Arc<str>`); the registry
 //!   compiles each into a plan and a shape instances hold a handle on.
-//! - [`bean`] — bean-conformance validation of values against
-//!   descriptors.
 //! - [`binser`] — self-describing binary serialization, the analog of the
 //!   Java serialization mechanism.
 //! - [`reflect`] — generic deep copy driven by run-time structure, the
@@ -38,9 +36,8 @@
 //! - [`tostring`] — canonical string rendering for cache keys, the analog
 //!   of `toString()`.
 //! - [`sizeof`] — what a value pins, block by block: the cache's byte
-//!   accounting and the paper's memory tables.
+//!   accounting.
 
-pub mod bean;
 pub mod binser;
 pub mod deep_clone;
 pub(crate) mod error;

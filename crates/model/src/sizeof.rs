@@ -1,6 +1,5 @@
-//! Deep retained-size accounting for values — used by the paper's
-//! Tables 8 and 9 ("Memory size of cache keys / cached objects") and, as
-//! [`deep_size`], by the cache's byte budget.
+//! Deep retained-size accounting for values: [`deep_size`], the cache's
+//! byte budget.
 //!
 //! [`deep_size`] charges what a value *pins*: the inline root plus every
 //! distinct block it keeps alive ([`Value::block`]), each in full —
@@ -123,36 +122,6 @@ fn nodes(viewed: usize, all: &[Value], seen: &mut Seen) -> usize {
     BLOCK_HEADER + std::mem::size_of_val(all) + all.iter().map(|v| pinned(v, seen)).sum::<usize>()
 }
 
-/// Approximate size of the value as a *Java* object graph — the
-/// accounting the paper's Table 9 "Java object" column uses.
-///
-/// Java instances do not carry field names or type names (those live in
-/// the `Class`), so this counts: a 16-byte object header per object, an
-/// 8-byte slot per field or array element, and string/byte content. This
-/// intentionally differs from [`deep_size`], which reports what *our*
-/// dynamic representation pins (32-byte values in shared blocks); the
-/// cache store uses [`deep_size`]-based accounting, the Table 9
-/// reproduction uses this.
-pub fn java_object_size(value: &Value) -> usize {
-    const HEADER: usize = 16;
-    const SLOT: usize = 8;
-    match value {
-        // Primitives live in their holder's slot; no extra heap.
-        Value::Null | Value::Bool(_) | Value::Int(_) | Value::Long(_) | Value::Double(_) => 0,
-        Value::String(s) => HEADER + SLOT + s.len(),
-        Value::Bytes(b) => HEADER + b.len(),
-        Value::Array(items) => {
-            HEADER + SLOT * items.len() + items.iter().map(java_object_size).sum::<usize>()
-        }
-        Value::Struct(s) => {
-            HEADER
-                + s.fields()
-                    .map(|(_, v)| SLOT + java_object_size(v))
-                    .sum::<usize>()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,7 +195,6 @@ mod tests {
         // The same struct made by hand carries names of its own.
         let by_hand = Value::Struct(StructValue::new("Pair").with("first", 1).with("second", 2));
         assert_eq!(by_hand, full);
-        assert_eq!(java_object_size(&by_hand), java_object_size(&full));
         assert_eq!(
             deep_size(&by_hand),
             VALUE + fields + own_shape("Pair", &["first", "second"])
@@ -378,16 +346,6 @@ mod tests {
             deep_size(&Value::from(rows)),
             VALUE + BLOCK_HEADER + 40 * VALUE + 20 * one
         );
-    }
-
-    #[test]
-    fn java_object_size_counts_content_and_slots() {
-        let bytes = Value::Bytes(vec![0; 100].into());
-        assert_eq!(java_object_size(&bytes), 16 + 100);
-        let arr = Value::Array(vec![Value::Int(1), Value::Int(2)].into());
-        assert_eq!(java_object_size(&arr), 16 + 8 * 2);
-        let s = Value::string("abcd");
-        assert_eq!(java_object_size(&s), 16 + 8 + 4);
     }
 
     #[test]

@@ -122,22 +122,6 @@ impl Value {
         }
     }
 
-    /// Whether this value consists only of what is immutable *in Java* —
-    /// `null`, primitives and strings — the objects the paper's §6 table
-    /// may pass by reference without an administrator's assertion. (In
-    /// this model every value can be shared; see the module docs.)
-    pub fn is_deeply_immutable(&self) -> bool {
-        match self {
-            Value::Null
-            | Value::Bool(_)
-            | Value::Int(_)
-            | Value::Long(_)
-            | Value::Double(_)
-            | Value::String(_) => true,
-            Value::Bytes(_) | Value::Array(_) | Value::Struct(_) => false,
-        }
-    }
-
     /// Borrows the string content if this is a `String`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -909,16 +893,6 @@ mod tests {
         // NaN is unequal to itself, shared node or not.
         let nan = Value::from(vec![Value::Double(f64::NAN)]);
         assert_ne!(nan, nan.clone());
-    }
-
-    #[test]
-    fn immutability_classification() {
-        assert!(Value::string("s").is_deeply_immutable());
-        assert!(Value::Int(1).is_deeply_immutable());
-        assert!(Value::Null.is_deeply_immutable());
-        assert!(!Value::from(vec![1u8]).is_deeply_immutable());
-        assert!(!Value::from(vec![Value::Int(1)]).is_deeply_immutable());
-        assert!(!Value::Struct(sample_struct()).is_deeply_immutable());
     }
 
     #[test]

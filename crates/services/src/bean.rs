@@ -1,10 +1,8 @@
-//! Bean-conformance validation: does a value match its registered type
-//! descriptor? Used by services to assert their responses are well-typed
-//! before serialization, and by tests as a structural oracle.
+//! Bean conformance: does a value match its registered type descriptor?
+//! The tests' structural oracle for the responses the back end builds.
 
-use crate::error::ModelError;
-use crate::typeinfo::{FieldType, TypeRegistry};
-use crate::value::Value;
+use wsrc_model::typeinfo::{FieldType, TypeRegistry};
+use wsrc_model::Value;
 
 /// Checks that `value` conforms to `expected` under `registry`:
 /// primitives match their variants, arrays are homogeneous in the element
@@ -14,18 +12,13 @@ use crate::value::Value;
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::TypeMismatch`] naming the expectation and the
-/// offending value, [`ModelError::UnknownType`] for unregistered structs,
-/// and [`ModelError::UnknownField`] for undeclared fields.
-pub fn validate(
+/// Names the expectation and the offending value, an unregistered
+/// struct type, or an undeclared field.
+pub(crate) fn validate(
     value: &Value,
     expected: &FieldType,
     registry: &TypeRegistry,
-) -> Result<(), ModelError> {
-    let mismatch = || ModelError::TypeMismatch {
-        expected: expected.to_string(),
-        found: value.type_label().to_string(),
-    };
+) -> Result<(), String> {
     match (expected, value) {
         // Reference types are nullable; primitives are not.
         (
@@ -38,41 +31,38 @@ pub fn validate(
         (FieldType::Double, Value::Double(_)) => Ok(()),
         (FieldType::String, Value::String(_)) => Ok(()),
         (FieldType::Bytes, Value::Bytes(_)) => Ok(()),
-        (FieldType::ArrayOf(inner), Value::Array(items)) => {
-            for item in items.iter() {
-                validate(item, inner, registry)?;
-            }
-            Ok(())
-        }
+        (FieldType::ArrayOf(inner), Value::Array(items)) => items
+            .iter()
+            .try_for_each(|item| validate(item, inner, registry)),
         (FieldType::Struct(type_name), Value::Struct(s)) => {
             if s.type_name() != type_name {
-                return Err(ModelError::TypeMismatch {
-                    expected: type_name.clone(),
-                    found: s.type_name().to_string(),
-                });
+                return Err(format!(
+                    "type mismatch: expected {type_name}, found {}",
+                    s.type_name()
+                ));
             }
-            let descriptor = registry.require(type_name)?;
+            let descriptor = registry
+                .get(type_name)
+                .ok_or_else(|| format!("unknown type '{type_name}'"))?;
             for (field_name, field_value) in s.fields() {
-                let field =
-                    descriptor
-                        .field(field_name)
-                        .ok_or_else(|| ModelError::UnknownField {
-                            type_name: type_name.clone(),
-                            field: field_name.to_string(),
-                        })?;
+                let field = descriptor
+                    .field(field_name)
+                    .ok_or_else(|| format!("type '{type_name}' has no field '{field_name}'"))?;
                 validate(field_value, &field.field_type, registry)?;
             }
             Ok(())
         }
-        _ => Err(mismatch()),
+        _ => Err(format!(
+            "type mismatch: expected {expected}, found {}",
+            value.type_label()
+        )),
     }
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typeinfo::{FieldDescriptor, TypeDescriptor};
-    use crate::value::StructValue;
+    use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
+    use wsrc_model::StructValue;
 
     fn registry() -> TypeRegistry {
         TypeRegistry::builder()
@@ -159,22 +149,22 @@ mod tests {
         let r = registry();
         let ty = FieldType::Struct("Node".into());
         let extra = Value::Struct(StructValue::new("Node").with("bogus", 1));
-        assert!(matches!(
-            validate(&extra, &ty, &r),
-            Err(ModelError::UnknownField { .. })
-        ));
+        assert_eq!(
+            validate(&extra, &ty, &r).unwrap_err(),
+            "type 'Node' has no field 'bogus'"
+        );
         let wrong = Value::Struct(StructValue::new("Node").with("weight", "heavy"));
-        assert!(matches!(
-            validate(&wrong, &ty, &r),
-            Err(ModelError::TypeMismatch { .. })
-        ));
+        assert_eq!(
+            validate(&wrong, &ty, &r).unwrap_err(),
+            "type mismatch: expected double, found string"
+        );
         let wrong_name = Value::Struct(StructValue::new("Leaf"));
         assert!(validate(&wrong_name, &ty, &r).is_err());
         let unknown = Value::Struct(StructValue::new("Ghost"));
-        assert!(matches!(
-            validate(&unknown, &FieldType::Struct("Ghost".into()), &r),
-            Err(ModelError::UnknownType(_))
-        ));
+        assert_eq!(
+            validate(&unknown, &FieldType::Struct("Ghost".into()), &r).unwrap_err(),
+            "unknown type 'Ghost'"
+        );
     }
 
     #[test]

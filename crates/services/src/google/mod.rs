@@ -496,7 +496,7 @@ mod tests {
     fn search_responses_conform_to_the_registry() {
         let svc = GoogleService::new();
         let value = svc.call(&search_request("conformance")).unwrap();
-        wsrc_model::bean::validate(
+        crate::bean::validate(
             &value,
             &FieldType::Struct("GoogleSearchResult".into()),
             &registry(),

@@ -21,6 +21,8 @@
 //! - [`dispatch`] — a SOAP dispatcher that hosts any [`SoapService`] on
 //!   the `wsrc-http` server.
 
+#[cfg(test)]
+mod bean;
 pub mod dispatch;
 pub mod google;
 
