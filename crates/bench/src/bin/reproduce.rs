@@ -3,7 +3,8 @@
 //! ```text
 //! reproduce [--quick] [--latency-ms N] <artifact>...
 //! artifacts: table1 table2 table3 table4 table5 table6 table7 table8
-//!            table9 figure3 figure4 optimal tables figures all
+//!            table9 figure3 figure4 optimal ablation keys tables
+//!            figures all
 //! ```
 //!
 //! An unknown option or artifact exits 2 with the usage line.
@@ -13,7 +14,9 @@ use wsrc_bench::figures::{render_figure, run_figure, speedups_at_full_hit};
 use wsrc_bench::tables;
 use wsrc_bench::timing::Protocol;
 
-const USAGE: &str = "usage: reproduce [--quick] [--latency-ms N] <artifact>...";
+const USAGE: &str = "usage: reproduce [--quick] [--latency-ms N] <artifact>...
+artifacts: table1 table2 table3 table4 table5 table6 table7 table8 table9
+           figure3 figure4 optimal ablation keys tables figures all";
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}\n{USAGE}");

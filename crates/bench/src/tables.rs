@@ -6,7 +6,6 @@ use std::time::Duration;
 use wsrc_cache::key::{generate_key, KeyStrategy};
 use wsrc_cache::repr::{StoredResponse, ValueRepresentation};
 use wsrc_model::tostring::to_string_key;
-use wsrc_model::typeinfo::TypeRegistry;
 use wsrc_model::Value;
 use wsrc_services::google::{fixtures, registry, OperationFixture};
 use wsrc_xml::XmlReader;
@@ -379,21 +378,57 @@ pub fn table7_raw(
 /// | serializable                              | Java serialization|
 /// | anything else                             | SAX event sequence|
 ///
-/// `shareable` is the paper's read-only assertion (§4.2.4). The cache
-/// does not classify: its values are copy-on-write, so every one is
-/// shareable and the copy forms are never picked (DESIGN §3e).
-fn paper_choice(value: &Value, registry: &TypeRegistry, shareable: bool) -> ValueRepresentation {
+/// `class_of` describes the Java class of each struct type; `shareable`
+/// is the paper's read-only assertion (§4.2.4). The cache does not
+/// classify: its values are copy-on-write, so every one is shareable
+/// and the copy forms are never picked (DESIGN §3e).
+fn paper_choice(value: &Value, class_of: ClassOf<'_>, shareable: bool) -> ValueRepresentation {
     // Rules a) to d) are a preference order over what the object
     // supports; SAX events always apply.
-    let supports = registry.deep_capabilities(value);
+    let every = |has: fn(JavaClass) -> bool| every_class(value, class_of, has);
     if shareable || is_java_immutable(value) {
         ValueRepresentation::PassByReference
-    } else if supports.reflect_copyable {
+    } else if every(|c| c.bean) {
         ValueRepresentation::ReflectionCopy
-    } else if supports.serializable {
+    } else if every(|c| c.serializable) {
         ValueRepresentation::Serialization
     } else {
         ValueRepresentation::SaxEvents
+    }
+}
+
+/// What §6 asks of a Java class: is it a bean (a default constructor
+/// plus a getter and setter per field), is it `Serializable`.
+#[derive(Debug, Clone, Copy)]
+struct JavaClass {
+    bean: bool,
+    serializable: bool,
+}
+
+/// The Java class of a struct type, or `None` for a type nothing
+/// describes (which supports neither copy).
+type ClassOf<'a> = &'a dyn Fn(&str) -> Option<JavaClass>;
+
+/// The Java class of each Google type: every one supports every method
+/// ("we modified the GoogleSearchResult objects so that all of the
+/// methods could be applied").
+fn google_class(type_name: &str) -> Option<JavaClass> {
+    registry().get(type_name).map(|_| JavaClass {
+        bean: true,
+        serializable: true,
+    })
+}
+
+/// Whether the class of every struct in `value` is known and `has` it.
+fn every_class(value: &Value, class_of: ClassOf<'_>, has: fn(JavaClass) -> bool) -> bool {
+    match value {
+        Value::Array(items) => items.iter().all(|item| every_class(item, class_of, has)),
+        Value::Struct(s) => {
+            class_of(s.type_name()).is_some_and(has)
+                && s.fields()
+                    .all(|(_, field)| every_class(field, class_of, has))
+        }
+        _ => true,
     }
 }
 
@@ -441,11 +476,10 @@ fn java_object_size(value: &Value) -> usize {
 /// the paper's table picks for each of the three responses.
 pub fn optimal_configuration() -> String {
     let fixtures = fixtures();
-    let registry = registry();
     let rows: Vec<Vec<String>> = fixtures
         .iter()
         .map(|f| {
-            let repr = paper_choice(&f.value, &registry, false);
+            let repr = paper_choice(&f.value, &google_class, false);
             vec![
                 f.label.to_string(),
                 f.value.type_label().to_string(),
@@ -528,7 +562,7 @@ pub fn tostring_keys() -> String {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use wsrc_model::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
     use wsrc_model::StructValue;
 
     #[test]
@@ -738,10 +772,9 @@ mod tests {
 
     #[test]
     fn optimal_configuration_matches_section6() {
-        let registry = registry();
         let picks: Vec<_> = fixtures()
             .iter()
-            .map(|f| paper_choice(&f.value, &registry, false))
+            .map(|f| paper_choice(&f.value, &google_class, false))
             .collect();
         assert_eq!(
             picks,
@@ -761,29 +794,21 @@ mod tests {
         }
     }
 
-    /// Types for the §6 rules: a bean, a serializable non-bean, and a
-    /// type that supports neither.
-    fn rule_registry() -> TypeRegistry {
-        TypeRegistry::builder()
-            .register(TypeDescriptor::new(
-                "Bean",
-                vec![FieldDescriptor::new("x", FieldType::Int)],
-            ))
-            .register(
-                TypeDescriptor::new("SerOnly", vec![]).with_capabilities(Capabilities {
-                    serializable: true,
-                    bean: false,
-                    cloneable: false,
-                    has_to_string: false,
-                }),
-            )
-            .register(TypeDescriptor::new("Opaque", vec![]).with_capabilities(Capabilities::none()))
-            .build()
+    /// Classes for the §6 rules: a bean, a serializable non-bean, and a
+    /// class that is neither; any other type is one nothing describes.
+    fn rule_classes(type_name: &str) -> Option<JavaClass> {
+        let (bean, serializable) = match type_name {
+            "Bean" => (true, true),
+            "SerOnly" => (false, true),
+            "Opaque" => (false, false),
+            _ => return None,
+        };
+        Some(JavaClass { bean, serializable })
     }
 
     #[test]
     fn paper_rule_a_immutables_pass_by_reference() {
-        let r = rule_registry();
+        let r = rule_classes;
         assert_eq!(
             paper_choice(&Value::string("spelling"), &r, false),
             ValueRepresentation::PassByReference
@@ -796,7 +821,7 @@ mod tests {
 
     #[test]
     fn paper_rule_a_read_only_assertion_shares_mutables() {
-        let r = rule_registry();
+        let r = rule_classes;
         let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
         assert_eq!(
             paper_choice(&bean, &r, true),
@@ -806,7 +831,7 @@ mod tests {
 
     #[test]
     fn paper_rule_b_beans_and_arrays_reflect() {
-        let r = rule_registry();
+        let r = rule_classes;
         let bean = Value::Struct(StructValue::new("Bean").with("x", 1));
         assert_eq!(
             paper_choice(&bean, &r, false),
@@ -824,7 +849,7 @@ mod tests {
 
     #[test]
     fn paper_rule_c_serializables_serialize() {
-        let r = rule_registry();
+        let r = rule_classes;
         let ser_only = Value::Struct(StructValue::new("SerOnly"));
         assert_eq!(
             paper_choice(&ser_only, &r, false),
@@ -834,7 +859,7 @@ mod tests {
 
     #[test]
     fn paper_rule_d_everything_else_sax() {
-        let r = rule_registry();
+        let r = rule_classes;
         let opaque = Value::Struct(StructValue::new("Opaque"));
         assert_eq!(
             paper_choice(&opaque, &r, false),
@@ -872,7 +897,12 @@ mod tests {
     fn a_java_instance_pays_nothing_for_the_names_of_its_fields() {
         // A registry's shape and one made by hand weigh the same: in
         // Java's accounting names live in the class, not the instance.
-        let r = rule_registry();
+        let r = TypeRegistry::builder()
+            .register(TypeDescriptor::new(
+                "Bean",
+                vec![FieldDescriptor::new("x", FieldType::Int)],
+            ))
+            .build();
         let plan = r.plan("Bean").expect("registered");
         let full = Value::Struct(plan.instantiate([("x", 1.into())]));
         let by_hand = Value::Struct(StructValue::new("Bean").with("x", 1));

@@ -7,8 +7,8 @@
 //! | strategy          | rendering                     | limitation |
 //! |-------------------|-------------------------------|------------|
 //! | `XmlMessage`      | serialize the request envelope| none (but slow) |
-//! | `Serialization`   | binary-serialize each value   | values must be serializable |
-//! | `ToString`        | `toString()` each value       | values need value-based `toString` |
+//! | `Serialization`   | binary-serialize each value   | struct types must be registered |
+//! | `ToString`        | `toString()` each value       | registered struct types, no `byte[]` |
 //!
 //! A [`ResponseCache`](crate::ResponseCache) keys every request one
 //! way: by the fastest method that applies to it. It renders the key
@@ -276,7 +276,7 @@ mod tests {
     use crate::repr::StoredResponse;
     use crate::store::{CacheStore, Lookup};
     use std::sync::Arc;
-    use wsrc_model::typeinfo::{Capabilities, TypeDescriptor};
+
     use wsrc_model::value::{StructValue, Value};
 
     /// The key a cache files `request` under, owned.
@@ -290,10 +290,9 @@ mod tests {
 
     const URL: &str = "http://api.google.test/search/beta2";
 
+    /// Registers no type: a struct parameter is of an unregistered type.
     fn registry() -> TypeRegistry {
-        TypeRegistry::builder()
-            .register(TypeDescriptor::new("Opaque", vec![]).with_capabilities(Capabilities::none()))
-            .build()
+        TypeRegistry::new()
     }
 
     fn request() -> RpcRequest {
@@ -357,10 +356,10 @@ mod tests {
     }
 
     #[test]
-    fn tostring_is_na_for_types_without_tostring() {
+    fn tostring_is_na_for_unregistered_types() {
         let r = registry();
         let req = RpcRequest::new("urn:t", "op")
-            .with_param("o", Value::Struct(StructValue::new("Opaque")));
+            .with_param("o", Value::Struct(StructValue::new("Unregistered")));
         assert!(matches!(
             generate_key(KeyStrategy::ToString, URL, &req, &r),
             Err(CacheError::NotApplicable(_))
@@ -368,10 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn serialization_is_na_for_unserializable_types() {
+    fn serialization_is_na_for_unregistered_types() {
         let r = registry();
         let req = RpcRequest::new("urn:t", "op")
-            .with_param("o", Value::Struct(StructValue::new("Opaque")));
+            .with_param("o", Value::Struct(StructValue::new("Unregistered")));
         assert!(matches!(
             generate_key(KeyStrategy::Serialization, URL, &req, &r),
             Err(CacheError::NotApplicable(_))
@@ -388,9 +387,10 @@ mod tests {
             first_applicable_key(URL, &request(), &r).unwrap(),
             generate_key(KeyStrategy::ToString, URL, &request(), &r).unwrap()
         );
-        // Opaque param → falls through to the XML message key.
+        // A param of an unregistered type → falls through to the XML
+        // message key.
         let req = RpcRequest::new("urn:t", "op")
-            .with_param("o", Value::Struct(StructValue::new("Opaque")));
+            .with_param("o", Value::Struct(StructValue::new("Unregistered")));
         let k = first_applicable_key(URL, &req, &r).unwrap();
         match k {
             CacheKey::Text(t) => assert!(t.contains("Envelope"), "expected XML fallback"),

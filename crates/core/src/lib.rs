@@ -11,12 +11,13 @@
 //! - [`key`] — the three key-generation methods of Table 2/6:
 //!   request XML message, binary ("Java") serialization, `toString`
 //!   concatenation.
-//! - [`repr`] — the six cache-value representations of Table 3/7:
-//!   XML message, SAX events sequence, serialized form, reflection copy,
-//!   clone copy, pass-by-reference. The last is the one object form the
-//!   cache picks: values are copy-on-write, so sharing needs no
-//!   immutability and no assertion; the two copy forms are measurement
-//!   modes.
+//! - [`repr`] — the seven cache-value representations: the six of
+//!   Table 3/7 (XML message, SAX events sequence, serialized form,
+//!   reflection copy, clone copy, pass-by-reference) and the DOM tree,
+//!   an extension the paper names but does not measure.
+//!   Pass-by-reference is the one object form the cache picks: values
+//!   are copy-on-write, so sharing needs no immutability and no
+//!   assertion; the two copy forms are measurement modes.
 //! - [`policy`] — per-operation cacheability, TTL and optional forced
 //!   representation, configured by the client-side administrator
 //!   (paper §3.2).

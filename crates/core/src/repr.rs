@@ -16,8 +16,8 @@ use wsrc_soap::rpc::RpcOutcome;
 use wsrc_xml::event::SaxEventSequence;
 use wsrc_xml::XmlReader;
 
-/// The six cache-value representations, in the paper's Table 7 order
-/// (slowest to fastest retrieval).
+/// The seven cache-value representations: the paper's six in its Table 7
+/// order (slowest to fastest retrieval), then the DOM-tree extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueRepresentation {
     /// Cache the response XML text; a hit re-parses and re-deserializes.
@@ -333,8 +333,8 @@ impl StoredResponse {
                 Ok(ValueHandle::Owned(reflect::reflect_copy(value, registry)?))
             }
             StoredResponse::CloneCopy(value) => {
-                // The capability was proven at store time; the hit path is
-                // the bare generated clone.
+                // The root's kind was checked at store time; the hit path
+                // is the bare generated clone.
                 Ok(ValueHandle::Owned(deep_clone::clone_unchecked(value)))
             }
             StoredResponse::SharedRef(value) => Ok(ValueHandle::Shared(value.clone())),
@@ -376,7 +376,7 @@ impl StoredResponse {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wsrc_model::typeinfo::{Capabilities, FieldDescriptor, TypeDescriptor};
+    use wsrc_model::typeinfo::{FieldDescriptor, TypeDescriptor};
     use wsrc_model::value::StructValue;
     use wsrc_soap::deserializer::read_response_bytes_recording;
     use wsrc_soap::serializer::serialize_response;
@@ -390,10 +390,6 @@ mod tests {
                     FieldDescriptor::new("qty", FieldType::Int),
                 ],
             ))
-            .register(
-                TypeDescriptor::new("NoClone", vec![FieldDescriptor::new("x", FieldType::Int)])
-                    .with_capabilities(Capabilities::wsdl_generated()),
-            )
             .build()
     }
 
@@ -574,20 +570,6 @@ mod tests {
         let art = b.artifacts();
         assert!(StoredResponse::build(ValueRepresentation::ReflectionCopy, art, &r).is_ok());
         assert!(StoredResponse::build(ValueRepresentation::CloneCopy, art, &r).is_err());
-    }
-
-    #[test]
-    fn clone_requires_the_generated_method() {
-        let r = registry();
-        let f = fixture(
-            Value::Struct(StructValue::new("NoClone").with("x", 1)),
-            FieldType::Struct("NoClone".into()),
-        );
-        let art = f.artifacts();
-        assert!(StoredResponse::build(ValueRepresentation::CloneCopy, art, &r).is_err());
-        // But serialization and reflection work for this generated type.
-        assert!(StoredResponse::build(ValueRepresentation::Serialization, art, &r).is_ok());
-        assert!(StoredResponse::build(ValueRepresentation::ReflectionCopy, art, &r).is_ok());
     }
 
     #[test]

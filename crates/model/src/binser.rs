@@ -45,8 +45,8 @@ const TAG_STRING_REF: u8 = 10;
 /// Serializes a value to its binary form.
 ///
 /// Never fails: any `Value` is structurally serializable. Use
-/// [`serialize_checked`] to enforce the Java `Serializable` capability
-/// the way the paper's middleware does.
+/// [`serialize_checked`] to require that every struct type in the tree
+/// is registered.
 pub fn serialize(value: &Value) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     // Unchecked: nothing can fail.
@@ -54,14 +54,15 @@ pub fn serialize(value: &Value) -> Vec<u8> {
     out
 }
 
-/// Serializes, first verifying that every struct type in the tree declares
-/// the `serializable` capability — the analog of the Java runtime throwing
-/// `NotSerializableException` (paper §4.2.3-A).
+/// Serializes, verifying that every struct type in the tree is
+/// registered — the analog of the Java runtime throwing
+/// `NotSerializableException` (paper §4.2.3-A) for a class it cannot
+/// describe.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::NotSupported`] when some type in the tree is not
-/// serializable.
+/// Returns [`ModelError::NotSupported`] when some struct type in the tree
+/// is not registered.
 pub fn serialize_checked(value: &Value, registry: &TypeRegistry) -> Result<Vec<u8>, ModelError> {
     let mut out = Vec::with_capacity(64);
     serialize_checked_into(value, registry, &mut out)?;
@@ -84,9 +85,8 @@ pub fn serialize_checked_into(
     write_stream(value, Some(registry), out).inspect_err(|_| out.truncate(start))
 }
 
-/// Writes one stream for `value` at the end of `out`, checking each
-/// struct's `serializable` capability against `registry` when one is
-/// given.
+/// Writes one stream for `value` at the end of `out`, checking that each
+/// struct's type is in `registry` when one is given.
 fn write_stream(
     value: &Value,
     registry: Option<&TypeRegistry>,
@@ -149,7 +149,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<Value, ModelError> {
 
 struct Writer<'r> {
     out: Vec<u8>,
-    /// Checks every struct's `serializable` capability, when present.
+    /// Checks that every struct's type is registered, when present.
     registry: Option<&'r TypeRegistry>,
     // (type name, field names in order) → descriptor id.
     descriptors: HashMap<Arc<Shape>, u32>,
@@ -211,15 +211,12 @@ impl Writer<'_> {
             }
             Value::Struct(s) => {
                 let plan = match self.registry {
-                    Some(registry) => Some(
-                        registry
-                            .plan_for(s, declared)
-                            .filter(|p| p.descriptor().capabilities.serializable)
-                            .ok_or_else(|| ModelError::NotSupported {
-                                type_name: s.type_name().to_string(),
-                                capability: "serialization",
-                            })?,
-                    ),
+                    Some(registry) => Some(registry.plan_for(s, declared).ok_or_else(|| {
+                        ModelError::NotSupported {
+                            type_name: s.type_name().to_string(),
+                            capability: "serialization",
+                        }
+                    })?),
                     None => None,
                 };
                 if let Some(&id) = self.descriptors.get(&**s.shape()) {
@@ -428,7 +425,7 @@ impl<'b> Reader<'b> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typeinfo::{Capabilities, TypeDescriptor, TypeRegistry};
+    use crate::typeinfo::{TypeDescriptor, TypeRegistry};
     use crate::value::StructValue;
 
     fn complex_value() -> Value {
@@ -588,15 +585,14 @@ mod tests {
     }
 
     #[test]
-    fn checked_serialization_enforces_capability() {
+    fn checked_serialization_requires_registered_types() {
         let registry = TypeRegistry::builder()
             .register(TypeDescriptor::new("Ok", vec![]))
-            .register(TypeDescriptor::new("NoSer", vec![]).with_capabilities(Capabilities::none()))
             .build();
         let ok = Value::Struct(StructValue::new("Ok"));
         assert!(serialize_checked(&ok, &registry).is_ok());
         let nested_bad = Value::Struct(
-            StructValue::new("Ok").with("f", Value::Struct(StructValue::new("NoSer"))),
+            StructValue::new("Ok").with("f", Value::Struct(StructValue::new("Mystery"))),
         );
         let err = serialize_checked(&nested_bad, &registry).unwrap_err();
         assert!(matches!(

@@ -9,9 +9,8 @@
 //! are shared. It is *not* `Value::clone()`, which shares the whole tree
 //! copy-on-write and costs a reference bump; the eager copy stays so the
 //! paper's Table 7 row keeps measuring a copy.
-//! [`clone_copy`] validates the capability first — only types whose
-//! descriptor declares `cloneable` may be cloned, reproducing the paper's
-//! "n/a" cells.
+//! [`clone_copy`] refuses a bare string, primitive or `byte[]`, which
+//! have no generated `clone()`: the paper's "n/a" cells.
 
 use crate::error::ModelError;
 use crate::tree::TreeBuilder;
@@ -25,22 +24,19 @@ use std::sync::Arc;
 ///
 /// Returns [`ModelError::NotSupported`] when the value is a bare
 /// string/primitive/`byte[]` (no deep-clone method, per the paper's
-/// Table 7) or when some struct type in the tree does not declare the
-/// `cloneable` capability.
-pub fn clone_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelError> {
-    if !registry.is_deeply_cloneable(value) {
-        return Err(ModelError::NotSupported {
-            type_name: value.type_label().to_string(),
+/// Table 7).
+pub fn clone_copy(value: &Value, _registry: &TypeRegistry) -> Result<Value, ModelError> {
+    match value {
+        Value::Array(_) | Value::Struct(_) => Ok(clone_unchecked(value)),
+        other => Err(ModelError::NotSupported {
+            type_name: other.type_label().to_string(),
             capability: "clone copy",
-        });
+        }),
     }
-    Ok(clone_unchecked(value))
 }
 
-/// The generated `clone()` body itself: a plain structural deep clone with
-/// no capability checks. The result shares no node block with `value`.
-/// Exposed for benchmarks that want to measure the mechanism without the
-/// classification cost.
+/// The generated `clone()` body itself: a plain structural deep clone of
+/// any value. The result shares no node block with `value`.
 pub fn clone_unchecked(value: &Value) -> Value {
     match value {
         Value::Bytes(b) => Value::Bytes(Arc::from(&b[..])),
@@ -74,7 +70,7 @@ fn deep(copy: &mut TreeBuilder, value: &Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use crate::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor};
     use crate::value::StructValue;
     use std::sync::Arc;
 
@@ -87,10 +83,6 @@ mod tests {
                     FieldDescriptor::new("payload", FieldType::Bytes),
                 ],
             ))
-            .register(
-                TypeDescriptor::new("NoClone", vec![])
-                    .with_capabilities(Capabilities::wsdl_generated()),
-            )
             .build()
     }
 
@@ -139,10 +131,6 @@ mod tests {
                 Err(ModelError::NotSupported { .. })
             ));
         }
-        let no_clone = Value::Struct(StructValue::new("NoClone"));
-        assert!(clone_copy(&no_clone, &r).is_err());
-        let nested = Value::Struct(StructValue::new("Doc").with("child", no_clone));
-        assert!(clone_copy(&nested, &r).is_err());
     }
 
     #[test]
@@ -150,6 +138,10 @@ mod tests {
         let r = registry();
         let arr = Value::from(vec![doc(), doc()]);
         assert_eq!(clone_copy(&arr, &r).unwrap(), arr);
+        // Only the root's kind decides: nested types need no registration.
+        let unknown =
+            Value::Struct(StructValue::new("Doc").with("child", StructValue::new("Mystery")));
+        assert_eq!(clone_copy(&unknown, &r).unwrap(), unknown);
     }
 
     #[test]

@@ -9,13 +9,13 @@ use std::fmt;
 /// runtime to report — e.g. "an object in the tree is not serializable".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ModelError {
-    /// The operation requires a capability the type does not declare
-    /// (e.g. cloning a non-cloneable type). The payload names the type and
-    /// the missing capability.
+    /// The operation does not apply to the value (e.g. cloning a bare
+    /// string, or serializing a struct of an unregistered type). The
+    /// payload names the type and the operation.
     NotSupported {
-        /// Type that lacks the capability.
+        /// Type of the value the operation does not apply to.
         type_name: String,
-        /// The capability that was required.
+        /// The operation that was asked for.
         capability: &'static str,
     },
     /// A struct type was not found in the registry.

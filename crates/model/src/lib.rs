@@ -21,11 +21,10 @@
 //! - [`tree::TreeBuilder`] — builds a whole tree into one text block and
 //!   one node block per nesting level; what the SOAP decoder, the eager
 //!   copiers and [`binser::deserialize`] make their trees with.
-//! - [`typeinfo`] — type descriptors with per-type capability flags
-//!   (serializable / bean / cloneable / immutable / has-to-string), which
-//!   reproduce the Java-world limitations behind the paper's "n/a" cells.
-//!   Descriptors own the type and field names (`Arc<str>`); the registry
-//!   compiles each into a plan and a shape instances hold a handle on.
+//! - [`typeinfo`] — type descriptors. Descriptors own the type and field
+//!   names (`Arc<str>`); the registry compiles each into a plan and a
+//!   shape instances hold a handle on. The paper's "n/a" cells follow
+//!   from the kind of a response's root, not from the descriptor.
 //! - [`binser`] — self-describing binary serialization, the analog of the
 //!   Java serialization mechanism.
 //! - [`reflect`] — generic deep copy driven by run-time structure, the

@@ -19,11 +19,11 @@ use std::sync::Arc;
 
 /// Deep-copies `value` using run-time introspection.
 ///
-/// Applicable to bean-type structs (every struct in the tree must declare
-/// the `bean` capability), arrays, and `byte[]`. A bare immutable value
-/// (string/primitive) is *not* accepted — those are shared, never copied,
-/// matching the paper's Table 7 "n/a" cell for the SpellingSuggestion
-/// response.
+/// Applicable to structs (every struct in the tree must be registered:
+/// a registered type is a bean), arrays, and `byte[]`. A bare immutable
+/// value (string/primitive) is *not* accepted — those are shared, never
+/// copied, matching the paper's Table 7 "n/a" cell for the
+/// SpellingSuggestion response.
 ///
 /// The copy shares no node block with `value` (it is an eager copy,
 /// unlike `Value::clone()`); its containers are one exact-fit block per
@@ -31,8 +31,8 @@ use std::sync::Arc;
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::NotSupported`] when some type in the tree is not
-/// a bean/array, and [`ModelError::UnknownType`] for unregistered structs.
+/// Returns [`ModelError::NotSupported`] for a bare string or primitive,
+/// and [`ModelError::UnknownType`] for unregistered structs.
 pub fn reflect_copy(value: &Value, registry: &TypeRegistry) -> Result<Value, ModelError> {
     match value {
         Value::Bytes(b) => Ok(Value::Bytes(Arc::from(&b[..]))),
@@ -79,12 +79,6 @@ fn copy_into(
                 .plan_for(s, declared)
                 .ok_or_else(|| ModelError::UnknownType(s.type_name().to_string()))?;
             let descriptor = plan.descriptor();
-            if !descriptor.capabilities.bean {
-                return Err(ModelError::NotSupported {
-                    type_name: s.type_name().to_string(),
-                    capability: "reflection copy (not a bean type)",
-                });
-            }
             copy.open(s.len());
             let mut declared_present = 0;
             for (slot, field) in descriptor.fields.iter().enumerate() {
@@ -126,7 +120,7 @@ fn copy_into(
 mod tests {
     use super::*;
     use crate::sizeof::deep_size;
-    use crate::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use crate::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor};
     use crate::value::{StructValue, BLOCK_HEADER};
 
     fn registry() -> TypeRegistry {
@@ -142,12 +136,6 @@ mod tests {
                 "Leaf",
                 vec![FieldDescriptor::new("data", FieldType::Bytes)],
             ))
-            .register(
-                TypeDescriptor::new("NotABean", vec![]).with_capabilities(Capabilities {
-                    bean: false,
-                    ..Capabilities::all()
-                }),
-            )
             .build()
     }
 
@@ -226,21 +214,19 @@ mod tests {
     }
 
     #[test]
-    fn non_bean_and_unknown_types_are_rejected() {
+    fn unknown_types_are_rejected() {
         let r = registry();
-        let not_bean = Value::Struct(StructValue::new("NotABean"));
-        assert!(matches!(
-            reflect_copy(&not_bean, &r),
-            Err(ModelError::NotSupported { .. })
-        ));
         let unknown = Value::Struct(StructValue::new("Mystery"));
         assert!(matches!(
             reflect_copy(&unknown, &r),
             Err(ModelError::UnknownType(_))
         ));
         // Nested failures propagate.
-        let nested = Value::Struct(StructValue::new("Pair").with("left", not_bean));
-        assert!(reflect_copy(&nested, &r).is_err());
+        let nested = Value::Struct(StructValue::new("Pair").with("left", unknown));
+        assert!(matches!(
+            reflect_copy(&nested, &r),
+            Err(ModelError::UnknownType(_))
+        ));
     }
 
     #[test]

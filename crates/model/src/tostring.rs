@@ -4,9 +4,9 @@
 //! URL, operation name and the `toString()` of every parameter (§4.1.2-B).
 //! That only works when each parameter has a *value-based* `toString` —
 //! `java.lang.Object`'s default renders a memory address and is unusable
-//! as a key. We reproduce that constraint: structs must declare the
-//! `has_to_string` capability, unregistered structs are rejected, and
-//! `byte[]` is rejected (its Java `toString` is identity-based).
+//! as a key. We reproduce that constraint: a registered struct type
+//! renders by value, an unregistered one is rejected, and `byte[]` is
+//! rejected (its Java `toString` is identity-based).
 
 use crate::error::ModelError;
 use crate::typeinfo::TypeRegistry;
@@ -22,8 +22,7 @@ use std::io::Write as _;
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::NotSupported`] for `byte[]` values and for struct
-/// types that do not declare `has_to_string`, and
+/// Returns [`ModelError::NotSupported`] for `byte[]` values and
 /// [`ModelError::UnknownType`] for unregistered structs.
 pub fn to_string_key(value: &Value, registry: &TypeRegistry) -> Result<String, ModelError> {
     let mut out = Vec::with_capacity(32);
@@ -75,13 +74,7 @@ pub fn render_into(
             out.push(b']');
         }
         Value::Struct(s) => {
-            let descriptor = registry.require(s.type_name())?;
-            if !descriptor.capabilities.has_to_string {
-                return Err(ModelError::NotSupported {
-                    type_name: s.type_name().to_string(),
-                    capability: "toString (Object.toString is identity-based)",
-                });
-            }
+            registry.require(s.type_name())?;
             out.extend_from_slice(s.type_name().as_bytes());
             out.push(b'{');
             for (i, (name, v)) in s.fields().enumerate() {
@@ -134,7 +127,7 @@ fn push_decimal(out: &mut Vec<u8>, n: i64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::typeinfo::{Capabilities, FieldDescriptor, FieldType, TypeDescriptor};
+    use crate::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor};
     use crate::value::StructValue;
 
     fn registry() -> TypeRegistry {
@@ -146,12 +139,6 @@ mod tests {
                     FieldDescriptor::new("max", FieldType::Int),
                 ],
             ))
-            .register(
-                TypeDescriptor::new("NoToString", vec![]).with_capabilities(Capabilities {
-                    has_to_string: false,
-                    ..Capabilities::all()
-                }),
-            )
             .build()
     }
 
@@ -233,10 +220,8 @@ mod tests {
     #[test]
     fn unsupported_values_are_rejected() {
         let r = registry();
-        assert!(to_string_key(&Value::Bytes(vec![1].into()), &r).is_err());
-        let no_ts = Value::Struct(StructValue::new("NoToString"));
         assert!(matches!(
-            to_string_key(&no_ts, &r),
+            to_string_key(&Value::Bytes(vec![1].into()), &r),
             Err(ModelError::NotSupported { .. })
         ));
         let unknown = Value::Struct(StructValue::new("Mystery"));

@@ -1,75 +1,18 @@
-//! Type descriptors, capability flags and the type registry.
+//! Type descriptors and the type registry.
 //!
-//! In the paper the middleware decides at run time which copy mechanism a
-//! response object supports: is it `Serializable`? a bean with a default
-//! constructor and getters/setters? does it have a generated deep
-//! `clone()`? is it immutable? Those properties belong to the *type*, so
-//! we attach them to [`TypeDescriptor`]s registered in a [`TypeRegistry`]
-//! (populated by hand or by the WSDL compiler in `wsrc-wsdl`).
+//! A [`TypeDescriptor`] names a struct type and declares its fields; a
+//! [`TypeRegistry`] (populated by hand or by the WSDL compiler in
+//! `wsrc-wsdl`) compiles them once so decoders, copiers and key
+//! renderers resolve nested types by index. A descriptor says nothing
+//! about which copy methods apply: every registered type supports all
+//! of them, and the paper's Table 7 "n/a" cells follow from the kind of
+//! a response's root (see `deep_clone` and `reflect`).
 
 use crate::error::ModelError;
 use crate::value::{Shape, StructValue, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-
-/// What a struct type supports, mirroring the Java capabilities the paper
-/// relies on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Capabilities {
-    /// Implements `java.io.Serializable` deeply (Java serialization copy
-    /// is applicable).
-    pub serializable: bool,
-    /// Bean type: default constructor plus getters/setters for every field
-    /// (reflection copy is applicable).
-    pub bean: bool,
-    /// Has a generated deep `clone()` method (clone copy is applicable).
-    pub cloneable: bool,
-    /// Has a value-based `toString()` suitable for cache keys.
-    pub has_to_string: bool,
-}
-
-impl Capabilities {
-    /// Everything enabled — what the WSDL compiler generates (the paper
-    /// modified `GoogleSearchResult` "so that all of the methods could be
-    /// applied").
-    pub fn all() -> Self {
-        Capabilities {
-            serializable: true,
-            bean: true,
-            cloneable: true,
-            has_to_string: true,
-        }
-    }
-
-    /// Nothing enabled — an opaque application-specific class.
-    pub fn none() -> Self {
-        Capabilities {
-            serializable: false,
-            bean: false,
-            cloneable: false,
-            has_to_string: false,
-        }
-    }
-
-    /// What the (unmodified) WSDL compiler generates: serializable bean
-    /// types without a deep clone (paper §4.2.3: "the current WSDL
-    /// compiler does not add clone methods").
-    pub fn wsdl_generated() -> Self {
-        Capabilities {
-            serializable: true,
-            bean: true,
-            cloneable: false,
-            has_to_string: true,
-        }
-    }
-}
-
-impl Default for Capabilities {
-    fn default() -> Self {
-        Capabilities::all()
-    }
-}
 
 /// The static type of a field, used by the SOAP layer to deserialize
 /// responses into correctly-typed values and by the reflection copier to
@@ -163,24 +106,15 @@ pub struct TypeDescriptor {
     pub name: Arc<str>,
     /// Declared fields in order.
     pub fields: Vec<FieldDescriptor>,
-    /// What the type supports.
-    pub capabilities: Capabilities,
 }
 
 impl TypeDescriptor {
-    /// Creates a descriptor with [`Capabilities::all`].
+    /// Creates a descriptor.
     pub fn new(name: impl Into<Arc<str>>, fields: Vec<FieldDescriptor>) -> Self {
         TypeDescriptor {
             name: name.into(),
             fields,
-            capabilities: Capabilities::all(),
         }
-    }
-
-    /// Builder-style capability override.
-    pub fn with_capabilities(mut self, capabilities: Capabilities) -> Self {
-        self.capabilities = capabilities;
-        self
     }
 
     /// Looks up a field by name.
@@ -196,9 +130,8 @@ impl TypeDescriptor {
 
 /// One registered struct type as compiled when its registry is built:
 /// the descriptor plus everything a per-message walk would otherwise
-/// look up by name. Decoders and the capability walk reach a child's
-/// plan through `field_plan` — an index, not a
-/// `HashMap<String>` probe.
+/// look up by name. Decoders and copiers reach a child's plan through
+/// `field_plan` — an index, not a `HashMap<String>` probe.
 #[derive(Debug)]
 pub struct StructPlan {
     descriptor: TypeDescriptor,
@@ -389,21 +322,6 @@ impl<'r> Kind<'r> {
     }
 }
 
-/// Which copy mechanisms a whole value tree supports — the three
-/// run-time detections of paper §4.2.3 answered by one walk
-/// ([`TypeRegistry::deep_capabilities`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeepCapabilities {
-    /// Every struct node is serializable.
-    pub serializable: bool,
-    /// The value is a bean-type struct or an array (incl. `byte[]`) and
-    /// every nested struct is a bean.
-    pub reflect_copyable: bool,
-    /// The value is a struct or array and every struct node has a deep
-    /// clone.
-    pub cloneable: bool,
-}
-
 #[derive(Debug, Default)]
 struct Compiled {
     /// Type name → index into `plans`.
@@ -508,77 +426,6 @@ impl TypeRegistry {
             .filter(|p| Arc::ptr_eq(&p.shape, s.shape()) || *p.descriptor.name == *s.type_name())
             .or_else(|| self.plan(s.type_name()))
     }
-
-    /// Answers the three run-time detections of paper §4.2.3 — deeply
-    /// serializable, copyable by reflection, deeply cloneable — in one
-    /// walk over `value`. Struct nodes of well-typed values are resolved
-    /// through their parent's plan, so only the root costs a hash probe.
-    pub fn deep_capabilities(&self, value: &Value) -> DeepCapabilities {
-        let mut all = Capabilities::all();
-        self.fold_capabilities(value, None, &mut all);
-        // The paper's Table 7 "n/a" cells: a bare immutable has neither a
-        // reflection copy nor a deep clone, a bare byte[] no deep clone.
-        let (array_type, clone_method) = match value {
-            Value::Bytes(_) => (true, false),
-            Value::Array(_) | Value::Struct(_) => (true, true),
-            _ => (false, false),
-        };
-        DeepCapabilities {
-            serializable: all.serializable,
-            reflect_copyable: array_type && all.bean,
-            cloneable: clone_method && all.cloneable,
-        }
-    }
-
-    /// Checks whether every struct node in `value` has a deep clone.
-    /// The paper treats a bare `byte[]` / `String` as having no usable
-    /// deep clone method (Table 7's n/a cells).
-    pub(crate) fn is_deeply_cloneable(&self, value: &Value) -> bool {
-        self.deep_capabilities(value).cloneable
-    }
-
-    /// Checks whether `value` is copyable with the reflection API: the top
-    /// level must be a bean-type struct or an array (incl. `byte[]`), and
-    /// every nested struct must be a bean. Bare immutables are shared, not
-    /// copied; the paper's Table 7 reports reflection as n/a for a bare
-    /// String response.
-    pub fn is_reflect_copyable(&self, value: &Value) -> bool {
-        self.deep_capabilities(value).reflect_copyable
-    }
-
-    /// ANDs the capabilities of every struct node under `value` into
-    /// `all`; an unregistered struct proves nothing, so it clears them.
-    fn fold_capabilities(
-        &self,
-        value: &Value,
-        declared: Option<&StructPlan>,
-        all: &mut Capabilities,
-    ) {
-        match value {
-            Value::Array(items) => {
-                for item in items.iter() {
-                    self.fold_capabilities(item, declared, all);
-                }
-            }
-            Value::Struct(s) => {
-                let Some(plan) = self.plan_for(s, declared) else {
-                    *all = Capabilities::none();
-                    return;
-                };
-                let own = plan.descriptor.capabilities;
-                all.serializable &= own.serializable;
-                all.bean &= own.bean;
-                all.cloneable &= own.cloneable;
-                for (position, (name, child)) in s.fields().enumerate() {
-                    if matches!(child, Value::Array(_) | Value::Struct(_)) {
-                        let declared = plan.child_plan(name, position, self);
-                        self.fold_capabilities(child, declared, all);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Builder for [`TypeRegistry`].
@@ -661,11 +508,11 @@ mod tests {
                     FieldDescriptor::new("b", FieldType::String),
                 ],
             ))
-            .register(TypeDescriptor::new("Opaque", vec![]).with_capabilities(Capabilities::none()))
-            .register(
-                TypeDescriptor::new("Generated", vec![FieldDescriptor::new("x", FieldType::Int)])
-                    .with_capabilities(Capabilities::wsdl_generated()),
-            )
+            .register(TypeDescriptor::new("Empty", vec![]))
+            .register(TypeDescriptor::new(
+                "Generated",
+                vec![FieldDescriptor::new("x", FieldType::Int)],
+            ))
             .build()
     }
 
@@ -689,52 +536,6 @@ mod tests {
         assert_eq!(d.field("a").unwrap().field_type, FieldType::Int);
         assert!(d.field("z").is_none());
         assert_eq!(&*d.field_by_xml_name("b").unwrap().name, "b");
-    }
-
-    #[test]
-    fn serializability_detection_is_deep() {
-        let r = registry();
-        assert!(r.deep_capabilities(&bean()).serializable);
-        let with_opaque = Value::Struct(
-            StructValue::new("Bean").with("a", Value::Struct(StructValue::new("Opaque"))),
-        );
-        assert!(!r.deep_capabilities(&with_opaque).serializable);
-        // Primitives, strings, bytes and arrays of them are serializable.
-        assert!(r.deep_capabilities(&Value::from(vec![1u8])).serializable);
-        assert!(
-            r.deep_capabilities(&Value::from(vec![Value::Int(1)]))
-                .serializable
-        );
-        // Unregistered struct types are *not* (unknown ⇒ cannot prove).
-        let unknown = Value::Struct(StructValue::new("Mystery"));
-        assert!(!r.deep_capabilities(&unknown).serializable);
-    }
-
-    #[test]
-    fn clone_applicability_matches_paper_na_cells() {
-        let r = registry();
-        // Bare String and byte[] responses have no deep clone (Table 7 n/a).
-        assert!(!r.is_deeply_cloneable(&Value::string("s")));
-        assert!(!r.is_deeply_cloneable(&Value::from(vec![1u8])));
-        // All-capable struct is cloneable; WSDL-generated (no clone) is not.
-        assert!(r.is_deeply_cloneable(&bean()));
-        let generated = Value::Struct(StructValue::new("Generated").with("x", 1));
-        assert!(!r.is_deeply_cloneable(&generated));
-    }
-
-    #[test]
-    fn reflect_applicability_matches_paper_na_cells() {
-        let r = registry();
-        // Bare String: n/a. byte[] (array type): applicable.
-        assert!(!r.is_reflect_copyable(&Value::string("s")));
-        assert!(r.is_reflect_copyable(&Value::from(vec![1u8, 2])));
-        assert!(r.is_reflect_copyable(&bean()));
-        let opaque = Value::Struct(StructValue::new("Opaque"));
-        assert!(!r.is_reflect_copyable(&opaque));
-        let arr_of_beans = Value::from(vec![bean(), bean()]);
-        assert!(r.is_reflect_copyable(&arr_of_beans));
-        let arr_with_opaque = Value::from(vec![bean(), opaque]);
-        assert!(!r.is_reflect_copyable(&arr_with_opaque));
     }
 
     fn nested_registry() -> TypeRegistry {
@@ -891,70 +692,6 @@ mod tests {
         assert!(twice.names_unique());
     }
 
-    /// The three per-capability walks `deep_capabilities` replaced.
-    fn reference_capabilities(r: &TypeRegistry, value: &Value) -> DeepCapabilities {
-        fn all(r: &TypeRegistry, value: &Value, pred: fn(&Capabilities) -> bool) -> bool {
-            match value {
-                Value::Array(items) => items.iter().all(|v| all(r, v, pred)),
-                Value::Struct(s) => {
-                    r.get(s.type_name()).is_some_and(|d| pred(&d.capabilities))
-                        && s.fields().all(|(_, v)| all(r, v, pred))
-                }
-                _ => true,
-            }
-        }
-        let container = matches!(value, Value::Array(_) | Value::Struct(_));
-        DeepCapabilities {
-            serializable: all(r, value, |c| c.serializable),
-            reflect_copyable: (container || matches!(value, Value::Bytes(_)))
-                && all(r, value, |c| c.bean),
-            cloneable: container && all(r, value, |c| c.cloneable),
-        }
-    }
-
-    #[test]
-    fn one_walk_answers_like_three() {
-        let r = nested_registry();
-        let generated = || Value::Struct(StructValue::new("Generated").with("x", 1));
-        let opaque = || Value::Struct(StructValue::new("Opaque"));
-        let outer = |bean: Value, rows: Value| {
-            Value::Struct(
-                StructValue::new("Outer")
-                    .with("id", 1)
-                    .with("bean", bean)
-                    .with("generated", rows),
-            )
-        };
-        let values = [
-            Value::Null,
-            Value::string("s"),
-            Value::from(vec![1u8]),
-            Value::from(Vec::<Value>::new()),
-            bean(),
-            generated(),
-            opaque(),
-            Value::Struct(StructValue::new("Unregistered")),
-            // Well typed: every struct sits where its parent declares it.
-            outer(bean(), Value::from(vec![Value::from(vec![generated()])])),
-            outer(bean(), Value::from(Vec::<Value>::new())),
-            // Not what the declaration says: resolved by name instead.
-            outer(generated(), Value::from(vec![bean(), opaque()])),
-            outer(Value::Null, Value::Struct(StructValue::new("Unregistered"))),
-            // Out of declaration order, an undeclared field, a struct
-            // where a scalar is declared.
-            Value::Struct(
-                StructValue::new("Outer")
-                    .with("generated", Value::from(vec![generated()]))
-                    .with("extra", opaque())
-                    .with("id", bean()),
-            ),
-            Value::from(vec![bean(), Value::from(vec![opaque()])]),
-        ];
-        for v in &values {
-            assert_eq!(r.deep_capabilities(v), reference_capabilities(&r, v), "{v}");
-        }
-    }
-
     #[test]
     fn field_type_defaults_and_display() {
         assert_eq!(
@@ -966,13 +703,5 @@ mod tests {
             FieldType::ArrayOf(Box::new(FieldType::Struct("T".into()))).struct_name(),
             Some("T")
         );
-    }
-
-    #[test]
-    fn capability_presets() {
-        assert!(Capabilities::all().cloneable);
-        assert!(!Capabilities::wsdl_generated().cloneable);
-        assert!(Capabilities::wsdl_generated().serializable);
-        assert!(!Capabilities::none().bean);
     }
 }

@@ -18,9 +18,7 @@ pub use fixture::{fixtures, OperationFixture};
 use crate::dispatch::SoapService;
 use data::Corpus;
 use std::sync::OnceLock;
-use wsrc_model::typeinfo::{
-    Capabilities, FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry,
-};
+use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_model::Value;
 use wsrc_soap::rpc::{OperationDescriptor, RpcRequest};
 use wsrc_soap::SoapFault;
@@ -31,10 +29,10 @@ pub const NAMESPACE: &str = "urn:GoogleSearch";
 /// Conventional mount path on the dispatcher.
 pub const PATH: &str = "/soap/google";
 
-/// The type registry for the Google service, as the WSDL compiler would
-/// generate it — with the paper's modification: "we modified the
-/// GoogleSearchResult objects so that all of the methods could be
-/// applied" (serializable, bean, deep clone, toString).
+/// The type registry for the Google service, as the WSDL compiler
+/// generates it. Every copy method applies to a registered type, which
+/// is the paper's modification: "we modified the GoogleSearchResult
+/// objects so that all of the methods could be applied".
 ///
 /// Built the first time it is asked for and shared from then on: every
 /// response the service instantiates and every client-side registry
@@ -46,64 +44,54 @@ pub fn registry() -> TypeRegistry {
 }
 
 fn build_registry() -> TypeRegistry {
-    let all = Capabilities::all();
     TypeRegistry::builder()
-        .register(
-            TypeDescriptor::new(
-                "DirectoryCategory",
-                vec![
-                    FieldDescriptor::new("fullViewableName", FieldType::String),
-                    FieldDescriptor::new("specialEncoding", FieldType::String),
-                ],
-            )
-            .with_capabilities(all),
-        )
-        .register(
-            TypeDescriptor::new(
-                "ResultElement",
-                vec![
-                    FieldDescriptor::new("summary", FieldType::String),
-                    FieldDescriptor::new("URL", FieldType::String),
-                    FieldDescriptor::new("snippet", FieldType::String),
-                    FieldDescriptor::new("title", FieldType::String),
-                    FieldDescriptor::new("cachedSize", FieldType::String),
-                    FieldDescriptor::new("relatedInformationPresent", FieldType::Bool),
-                    FieldDescriptor::new("hostName", FieldType::String),
-                    FieldDescriptor::new(
-                        "directoryCategory",
-                        FieldType::Struct("DirectoryCategory".into()),
-                    ),
-                    FieldDescriptor::new("directoryTitle", FieldType::String),
-                    FieldDescriptor::new("language", FieldType::String),
-                ],
-            )
-            .with_capabilities(all),
-        )
-        .register(
-            TypeDescriptor::new(
-                "GoogleSearchResult",
-                vec![
-                    FieldDescriptor::new("documentFiltering", FieldType::Bool),
-                    FieldDescriptor::new("searchComments", FieldType::String),
-                    FieldDescriptor::new("estimatedTotalResultsCount", FieldType::Int),
-                    FieldDescriptor::new("estimateIsExact", FieldType::Bool),
-                    FieldDescriptor::new(
-                        "resultElements",
-                        FieldType::ArrayOf(Box::new(FieldType::Struct("ResultElement".into()))),
-                    ),
-                    FieldDescriptor::new("searchQuery", FieldType::String),
-                    FieldDescriptor::new("startIndex", FieldType::Int),
-                    FieldDescriptor::new("endIndex", FieldType::Int),
-                    FieldDescriptor::new("searchTips", FieldType::String),
-                    FieldDescriptor::new(
-                        "directoryCategories",
-                        FieldType::ArrayOf(Box::new(FieldType::Struct("DirectoryCategory".into()))),
-                    ),
-                    FieldDescriptor::new("searchTime", FieldType::Double),
-                ],
-            )
-            .with_capabilities(all),
-        )
+        .register(TypeDescriptor::new(
+            "DirectoryCategory",
+            vec![
+                FieldDescriptor::new("fullViewableName", FieldType::String),
+                FieldDescriptor::new("specialEncoding", FieldType::String),
+            ],
+        ))
+        .register(TypeDescriptor::new(
+            "ResultElement",
+            vec![
+                FieldDescriptor::new("summary", FieldType::String),
+                FieldDescriptor::new("URL", FieldType::String),
+                FieldDescriptor::new("snippet", FieldType::String),
+                FieldDescriptor::new("title", FieldType::String),
+                FieldDescriptor::new("cachedSize", FieldType::String),
+                FieldDescriptor::new("relatedInformationPresent", FieldType::Bool),
+                FieldDescriptor::new("hostName", FieldType::String),
+                FieldDescriptor::new(
+                    "directoryCategory",
+                    FieldType::Struct("DirectoryCategory".into()),
+                ),
+                FieldDescriptor::new("directoryTitle", FieldType::String),
+                FieldDescriptor::new("language", FieldType::String),
+            ],
+        ))
+        .register(TypeDescriptor::new(
+            "GoogleSearchResult",
+            vec![
+                FieldDescriptor::new("documentFiltering", FieldType::Bool),
+                FieldDescriptor::new("searchComments", FieldType::String),
+                FieldDescriptor::new("estimatedTotalResultsCount", FieldType::Int),
+                FieldDescriptor::new("estimateIsExact", FieldType::Bool),
+                FieldDescriptor::new(
+                    "resultElements",
+                    FieldType::ArrayOf(Box::new(FieldType::Struct("ResultElement".into()))),
+                ),
+                FieldDescriptor::new("searchQuery", FieldType::String),
+                FieldDescriptor::new("startIndex", FieldType::Int),
+                FieldDescriptor::new("endIndex", FieldType::Int),
+                FieldDescriptor::new("searchTips", FieldType::String),
+                FieldDescriptor::new(
+                    "directoryCategories",
+                    FieldType::ArrayOf(Box::new(FieldType::Struct("DirectoryCategory".into()))),
+                ),
+                FieldDescriptor::new("searchTime", FieldType::Double),
+            ],
+        ))
         .build()
 }
 
@@ -418,10 +406,6 @@ mod tests {
         );
         let dc = r.get("DirectoryCategory").unwrap();
         assert_eq!(dc.fields.len(), 2);
-        // The paper modified these types so every method applies.
-        assert!(
-            gsr.capabilities.cloneable && gsr.capabilities.serializable && gsr.capabilities.bean
-        );
     }
 
     #[test]
@@ -553,7 +537,6 @@ mod tests {
             let a = compiled.registry.get(name).unwrap();
             let b = hand.get(name).unwrap();
             assert_eq!(a.fields, b.fields, "{name}");
-            assert_eq!(a.capabilities, b.capabilities, "{name}");
         }
     }
 

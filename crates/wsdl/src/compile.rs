@@ -5,29 +5,17 @@
 //! for the data types … The generated classes are serializable and
 //! bean-type. Although the current WSDL compiler does not add clone
 //! methods, it should be easy for the WSDL compiler to add a proper deep
-//! clone method." [`CompileOptions::generate_clone`] is that switch.
+//! clone method." Every type this compiler registers supports all three
+//! copies, the proposed deep clone included.
 
 use crate::model::{Definitions, TypeRef, XsdType};
-use wsrc_model::typeinfo::{
-    Capabilities, FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry,
-};
+use wsrc_model::typeinfo::{FieldDescriptor, FieldType, TypeDescriptor, TypeRegistry};
 use wsrc_soap::rpc::OperationDescriptor;
 
-/// Compiler switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Emit the proposed deep `clone()` on generated types (sets the
-    /// `cloneable` capability). Off reproduces the stock Axis compiler.
-    pub generate_clone: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            generate_clone: true,
-        }
-    }
-}
+/// Compiler switches. There are none: a registered type supports every
+/// copy method.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CompileOptions;
 
 /// The compiler's output: everything a client or server needs to speak
 /// the service.
@@ -56,16 +44,8 @@ impl CompiledService {
 ///
 /// Returns a message for structurally invalid documents (dangling
 /// references or response messages without exactly one part).
-pub fn compile(defs: &Definitions, options: CompileOptions) -> Result<CompiledService, String> {
+pub fn compile(defs: &Definitions, _options: CompileOptions) -> Result<CompiledService, String> {
     defs.validate()?;
-    let capabilities = if options.generate_clone {
-        Capabilities {
-            cloneable: true,
-            ..Capabilities::wsdl_generated()
-        }
-    } else {
-        Capabilities::wsdl_generated()
-    };
     let mut registry = TypeRegistry::builder();
     for ct in &defs.schema.types {
         let fields = ct
@@ -73,8 +53,7 @@ pub fn compile(defs: &Definitions, options: CompileOptions) -> Result<CompiledSe
             .iter()
             .map(|f| FieldDescriptor::new(f.name.clone(), field_type(&f.type_ref)))
             .collect();
-        registry = registry
-            .register(TypeDescriptor::new(ct.name.clone(), fields).with_capabilities(capabilities));
+        registry = registry.register(TypeDescriptor::new(ct.name.clone(), fields));
     }
     let registry = registry.build();
 
@@ -137,30 +116,14 @@ mod tests {
     use crate::model::tests::tiny_service;
 
     #[test]
-    fn compiles_types_with_generated_capabilities() {
+    fn compiles_types() {
         let c = compile(&tiny_service(), CompileOptions::default()).unwrap();
-        let hit = c.registry.get("Hit").expect("Hit registered");
-        assert!(hit.capabilities.serializable);
-        assert!(hit.capabilities.bean);
-        assert!(hit.capabilities.cloneable); // clone generation on
+        assert!(c.registry.get("Hit").is_some());
         let sr = c.registry.get("SearchResult").unwrap();
         assert_eq!(
             sr.field("hits").unwrap().field_type,
             FieldType::ArrayOf(Box::new(FieldType::Struct("Hit".into())))
         );
-    }
-
-    #[test]
-    fn stock_compiler_omits_clone() {
-        let c = compile(
-            &tiny_service(),
-            CompileOptions {
-                generate_clone: false,
-            },
-        )
-        .unwrap();
-        assert!(!c.registry.get("Hit").unwrap().capabilities.cloneable);
-        assert!(c.registry.get("Hit").unwrap().capabilities.serializable);
     }
 
     #[test]
