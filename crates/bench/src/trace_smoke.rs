@@ -44,9 +44,7 @@ const BACKEND_LATENCY: Duration = Duration::from_millis(2);
 pub const MIN_COVERAGE: f64 = 0.9;
 
 /// Stages that must appear somewhere in the miss trace's span tree.
-pub const REQUIRED_STAGES: &[&str] = &[
-    "queue", "checkout", "transfer", "server", "lookup", "parse", "build",
-];
+pub const REQUIRED_STAGES: &[&str] = &["queue", "transfer", "server", "lookup", "parse", "build"];
 
 /// Runs the smoke. Returns a human-readable report on success and a
 /// description of the first violated invariant on failure.

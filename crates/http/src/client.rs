@@ -1,14 +1,11 @@
-//! A blocking HTTP/1.1 client with a real per-destination connection
-//! pool.
+//! A blocking HTTP/1.1 client that keeps idle keep-alive connections.
 //!
-//! Each `host:port` gets up to [`PoolConfig::max_per_authority`]
-//! concurrent connections. Callers check a connection (or the right to
-//! dial one) out of the pool, blocking up to
-//! [`PoolConfig::checkout_timeout`] when every slot is busy —
-//! expiry surfaces as the typed [`HttpError::PoolExhausted`]. Idle
-//! connections older than [`PoolConfig::idle_ttl`] are reaped at
-//! checkout. Successful keep-alive round trips return the connection to
-//! the pool; failures release the slot so waiters can dial afresh.
+//! Each `host:port` has a stack of idle connections. A request takes the
+//! newest one or dials a new one, and a keep-alive exchange pushes its
+//! connection back, so the stack never holds more connections than were
+//! once in flight at the same time. A pooled connection that proves
+//! stale (the server closed it for idleness, or went away) is replaced
+//! by one redial.
 
 use crate::error::HttpError;
 use crate::message::{Request, Response};
@@ -16,100 +13,40 @@ use crate::url::Url;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
-use wsrc_obs::{sync, Clock, Stage};
-
-/// Sizing for the client connection pool.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PoolConfig {
-    /// Maximum concurrent connections per `host:port`.
-    pub max_per_authority: usize,
-    /// How long a checkout blocks for a free slot before failing with
-    /// [`HttpError::PoolExhausted`].
-    pub checkout_timeout: Duration,
-    /// Idle pooled connections older than this are closed instead of
-    /// reused (servers reap idle peers on their own schedule; a fresh
-    /// dial beats a half-closed socket).
-    pub idle_ttl: Duration,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            max_per_authority: 8,
-            checkout_timeout: Duration::from_secs(5),
-            idle_ttl: Duration::from_secs(10),
-        }
-    }
-}
-
-/// An idle pooled connection and when it went idle.
-struct IdleConn {
-    stream: TcpStream,
-    since_nanos: u64,
-}
-
-/// Per-authority pool accounting: idle connections plus the number of
-/// checked-out slots (in-flight connections or dial permits).
-#[derive(Default)]
-struct AuthorityPool {
-    idle: Vec<IdleConn>,
-    in_use: usize,
-}
+use wsrc_obs::sync;
 
 /// A blocking HTTP client.
 ///
-/// Connections are kept alive and pooled per `host:port`, with up to
-/// eight (`PoolConfig::max_per_authority`) in flight at once — concurrent
-/// callers to one destination no longer serialize on a single socket.
-/// The client is `Send + Sync` and is meant to be shared.
+/// Connections are kept alive and pooled per `host:port`; concurrent
+/// callers each take their own connection and never wait on one
+/// another. The client is `Send + Sync` and is meant to be shared.
 pub struct HttpClient {
-    pool: Mutex<HashMap<String, AuthorityPool>>,
-    slot_freed: Condvar,
-    config: PoolConfig,
+    /// Idle keep-alive connections per `host:port`, newest last.
+    pool: Mutex<HashMap<String, Vec<TcpStream>>>,
     timeout: Option<Duration>,
-    /// The pool's reading of time: idle ages and the checkout deadline.
-    clock: Arc<dyn Clock>,
-    /// `wsrc_http_pool_checkout_wait_seconds`, traced as
-    /// `pool-checkout`.
-    checkout_wait: Stage,
 }
 
 impl std::fmt::Debug for HttpClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HttpClient")
-            .field("config", &self.config)
             .field("timeout", &self.timeout)
             .finish_non_exhaustive()
     }
 }
 
 impl HttpClient {
-    /// Creates a client with a default 30-second I/O timeout and default
-    /// pool sizing.
+    /// Creates a client with a default 30-second I/O timeout.
     pub fn new() -> Self {
-        HttpClient::with_settings(Some(Duration::from_secs(30)), PoolConfig::default())
+        HttpClient::with_timeout(Some(Duration::from_secs(30)))
     }
 
     /// Creates a client with a custom I/O timeout (`None` blocks forever).
     pub fn with_timeout(timeout: Option<Duration>) -> Self {
-        HttpClient::with_settings(timeout, PoolConfig::default())
-    }
-
-    /// Creates a client with explicit I/O timeout and pool sizing.
-    /// Checkout-wait timings land in the process-wide metrics registry
-    /// as `wsrc_http_pool_checkout_wait_seconds`, on its clock.
-    pub(crate) fn with_settings(timeout: Option<Duration>, config: PoolConfig) -> Self {
-        let registry = wsrc_obs::global();
         HttpClient {
             pool: Mutex::new(HashMap::new()),
-            slot_freed: Condvar::new(),
-            config,
             timeout,
-            clock: registry.clock().clone(),
-            checkout_wait: Stage::new(&registry, "wsrc_http_pool_checkout_wait_seconds", &[])
-                .traced("pool-checkout", "checkout"),
         }
     }
 
@@ -118,37 +55,26 @@ impl HttpClient {
     pub(crate) fn idle_connections(&self) -> usize {
         sync::lock_class("HttpClient.pool", &self.pool)
             .values()
-            .map(|p| p.idle.len())
+            .map(Vec::len)
             .sum()
     }
 
-    /// Checked-out connections across all destinations.
-    #[cfg(test)]
-    fn in_use_connections(&self) -> usize {
-        sync::lock_class("HttpClient.pool", &self.pool)
-            .values()
-            .map(|p| p.in_use)
-            .sum()
-    }
-
-    /// Executes a request against `url`, using a pooled connection when
-    /// one is free, dialing when the destination has spare capacity, and
-    /// blocking (up to the checkout deadline) when it does not. A stale
-    /// pooled connection is transparently replaced once.
+    /// Executes a request against `url` on the newest idle pooled
+    /// connection, or on a new one when none is idle. A stale pooled
+    /// connection is transparently replaced once.
     ///
     /// # Errors
     ///
-    /// Returns transport or protocol errors, and
-    /// [`HttpError::PoolExhausted`] when every connection stays busy past
-    /// the checkout deadline. HTTP error statuses are *not* errors here —
-    /// inspect [`Response::status`].
+    /// Returns transport or protocol errors. HTTP error statuses are
+    /// *not* errors here — inspect [`Response::status`].
     pub fn execute(&self, url: &Url, request: &Request) -> Result<Response, HttpError> {
         let authority = url.authority();
-        // When a trace is active on this thread, the pool checkout and
-        // the wire exchange each become child spans, and the exchange's
-        // context rides the request as a `traceparent` header so the
-        // server can continue the tree.
-        let pooled = self.checkout(&authority)?;
+        let pooled = sync::lock_class("HttpClient.pool", &self.pool)
+            .get_mut(&authority)
+            .and_then(Vec::pop);
+        // When a trace is active on this thread, the wire exchange
+        // becomes a child span, and its context rides the request as a
+        // `traceparent` header so the server can continue the tree.
         let mut span = wsrc_obs::trace::child_span("transfer", "transfer");
         let traceparent = span.as_ref().map(|s| s.context().to_traceparent());
         let driven = self.drive(pooled, &authority, url, request, traceparent.as_deref());
@@ -158,20 +84,14 @@ impl HttpClient {
             }
             span.finish();
         }
-        match driven {
-            Ok((response, Some(stream))) => {
-                self.check_in(&authority, stream);
-                Ok(response)
-            }
-            Ok((response, None)) => {
-                self.release(&authority);
-                Ok(response)
-            }
-            Err(e) => {
-                self.release(&authority);
-                Err(e)
-            }
+        let (response, kept) = driven?;
+        if let Some(stream) = kept {
+            sync::lock_class("HttpClient.pool", &self.pool)
+                .entry(authority)
+                .or_default()
+                .push(stream);
         }
+        Ok(response)
     }
 
     /// Convenience: GET `url`.
@@ -184,72 +104,9 @@ impl HttpClient {
         self.execute(url, &req)
     }
 
-    /// Acquires one slot for `authority`: an idle pooled connection
-    /// (`Some`), or a permit to dial a new one (`None`). A checkout that
-    /// times out records no sample; its span is marked failed.
-    fn checkout(&self, authority: &str) -> Result<Option<TcpStream>, HttpError> {
-        let mut timing = self.checkout_wait.start(None);
-        let mut now = timing.started();
-        let deadline = now.saturating_add(duration_nanos(self.config.checkout_timeout));
-        let ttl = duration_nanos(self.config.idle_ttl);
-        let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
-        loop {
-            let entry = pool.entry(authority.to_string()).or_default();
-            // Reap idle connections past their TTL (newest kept last).
-            entry
-                .idle
-                .retain(|c| now.saturating_sub(c.since_nanos) < ttl);
-            let idle = entry.idle.pop();
-            if idle.is_some() || entry.in_use < self.config.max_per_authority.max(1) {
-                entry.in_use += 1;
-                drop(pool);
-                timing.end(None);
-                return Ok(idle.map(|conn| conn.stream));
-            }
-            if now >= deadline {
-                drop(pool);
-                timing.set_error();
-                return Err(HttpError::PoolExhausted);
-            }
-            let (guard, _timed_out) = sync::wait_timeout_class(
-                &self.slot_freed,
-                pool,
-                Duration::from_nanos(deadline - now),
-            );
-            pool = guard;
-            now = self.clock.now_nanos();
-        }
-    }
-
-    /// Returns a healthy keep-alive connection to the idle pool.
-    fn check_in(&self, authority: &str, stream: TcpStream) {
-        let now = self.clock.now_nanos();
-        {
-            let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
-            let entry = pool.entry(authority.to_string()).or_default();
-            entry.idle.push(IdleConn {
-                stream,
-                since_nanos: now,
-            });
-            entry.in_use = entry.in_use.saturating_sub(1);
-        }
-        self.slot_freed.notify_one();
-    }
-
-    /// Frees a slot without returning a connection (failure or
-    /// `Connection: close`).
-    fn release(&self, authority: &str) {
-        {
-            let mut pool = sync::lock_class("HttpClient.pool", &self.pool);
-            let entry = pool.entry(authority.to_string()).or_default();
-            entry.in_use = entry.in_use.saturating_sub(1);
-        }
-        self.slot_freed.notify_one();
-    }
-
-    /// Runs the round trip on the checked-out slot: reuse the pooled
-    /// connection if one came out, transparently redialing once when it
-    /// proves stale; otherwise dial directly.
+    /// Runs the round trip: reuse the pooled connection if one came
+    /// out, transparently redialing once when it proves stale; otherwise
+    /// dial directly.
     fn drive(
         &self,
         pooled: Option<TcpStream>,
@@ -310,10 +167,6 @@ impl HttpClient {
     }
 }
 
-fn duration_nanos(d: Duration) -> u64 {
-    d.as_nanos().min(u64::MAX as u128) as u64
-}
-
 impl Default for HttpClient {
     fn default() -> Self {
         HttpClient::new()
@@ -324,9 +177,10 @@ impl Default for HttpClient {
 mod tests {
     use super::*;
     use crate::message::{Method, Status};
-    use crate::server::{Handler, Server};
+    use crate::server::{Handler, Server, ServerConfig};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar};
+    use std::time::Instant;
 
     struct Echo {
         hits: AtomicUsize,
@@ -371,110 +225,83 @@ mod tests {
         for _ in 0..5 {
             client.get(&url).unwrap();
         }
-        // Sequential requests share one pooled connection; nothing is
-        // checked out between calls.
+        // Sequential requests share one pooled connection.
         assert_eq!(client.idle_connections(), 1);
-        assert_eq!(client.in_use_connections(), 0);
     }
 
-    #[test]
-    fn pool_grows_to_demand_up_to_the_cap() {
-        let (_server, _handler, url) = start_echo();
-        let client = Arc::new(HttpClient::with_settings(
-            Some(Duration::from_secs(30)),
-            PoolConfig {
-                max_per_authority: 4,
-                ..PoolConfig::default()
-            },
-        ));
-        let mut threads = Vec::new();
-        for _ in 0..8 {
-            let client = client.clone();
-            let url = url.clone();
-            threads.push(std::thread::spawn(move || {
-                for _ in 0..10 {
-                    let r = client.get(&url).unwrap();
-                    assert_eq!(r.status, Status::OK);
+    /// Holds each request until `CALLERS` have arrived or 2 s pass, then
+    /// answers whether it saw them all.
+    struct Gather {
+        arrived: Mutex<usize>,
+        all_here: Condvar,
+    }
+
+    const CALLERS: usize = 10;
+
+    impl Handler for Gather {
+        fn handle(&self, _req: &Request) -> Response {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all_here.notify_all();
+            while *arrived < CALLERS {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    break;
                 }
-            }));
+                arrived = self.all_here.wait_timeout(arrived, left).unwrap().0;
+            }
+            let body = if *arrived >= CALLERS { "all" } else { "short" };
+            Response::ok("text/plain", body.as_bytes().to_vec())
         }
-        for t in threads {
-            t.join().unwrap();
-        }
-        let idle = client.idle_connections();
-        assert!(
-            (1..=4).contains(&idle),
-            "pool holds between 1 and max_per_authority connections, got {idle}"
-        );
-        assert_eq!(client.in_use_connections(), 0, "every slot returned");
     }
 
     #[test]
-    fn checkout_deadline_expiry_is_pool_exhausted() {
-        let (_server, _handler, url) = start_echo();
-        let client = HttpClient::with_settings(
-            Some(Duration::from_secs(30)),
-            PoolConfig {
-                max_per_authority: 1,
-                checkout_timeout: Duration::from_millis(50),
-                ..PoolConfig::default()
-            },
-        );
-        // Hold the only slot by checking it out directly.
-        let authority = url.authority();
-        let permit = client.checkout(&authority).unwrap();
-        assert!(permit.is_none(), "fresh pool hands out a dial permit");
-        let err = client.get(&url).unwrap_err();
-        assert!(
-            matches!(err, HttpError::PoolExhausted),
-            "expected PoolExhausted, got {err:?}"
-        );
-        // Releasing the slot makes the destination usable again.
-        client.release(&authority);
-        assert_eq!(client.get(&url).unwrap().status, Status::OK);
-    }
-
-    #[test]
-    fn waiting_checkout_proceeds_when_a_slot_frees() {
-        let (_server, _handler, url) = start_echo();
-        let client = Arc::new(HttpClient::with_settings(
-            Some(Duration::from_secs(30)),
-            PoolConfig {
-                max_per_authority: 1,
-                checkout_timeout: Duration::from_secs(10),
-                ..PoolConfig::default()
-            },
-        ));
-        let authority = url.authority();
-        let permit = client.checkout(&authority).unwrap();
-        assert!(permit.is_none());
-        let waiter = {
-            let client = client.clone();
-            let url = url.clone();
-            std::thread::spawn(move || client.get(&url).map(|r| r.status))
+    fn callers_never_wait_on_the_client() {
+        let handler = Arc::new(Gather {
+            arrived: Mutex::new(0),
+            all_here: Condvar::new(),
+        });
+        let config = ServerConfig {
+            workers: CALLERS,
+            ..ServerConfig::default()
         };
-        // The waiter blocks on the full pool until the slot frees.
-        std::thread::sleep(Duration::from_millis(30));
-        client.release(&authority);
-        assert_eq!(waiter.join().unwrap().unwrap(), Status::OK);
+        let server = Server::bind_with_config("127.0.0.1:0", handler, config).unwrap();
+        let url = Url::new("127.0.0.1", server.port(), "/gather");
+        let client = Arc::new(HttpClient::new());
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let (client, url) = (client.clone(), url.clone());
+                std::thread::spawn(move || client.get(&url).unwrap().body)
+            })
+            .collect();
+        for caller in callers {
+            assert_eq!(
+                caller.join().unwrap(),
+                b"all",
+                "every request in flight at once"
+            );
+        }
+        assert_eq!(client.idle_connections(), CALLERS);
     }
 
     #[test]
-    fn idle_connections_are_reaped_after_ttl() {
-        let (_server, _handler, url) = start_echo();
-        let client = HttpClient::with_settings(
-            Some(Duration::from_secs(30)),
-            PoolConfig {
-                idle_ttl: Duration::from_millis(30),
-                ..PoolConfig::default()
-            },
-        );
+    fn a_connection_the_server_closed_for_idleness_is_redialed() {
+        let handler = Arc::new(Echo {
+            hits: AtomicUsize::new(0),
+        });
+        let config = ServerConfig {
+            idle_keep_alive: Duration::from_millis(50),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind_with_config("127.0.0.1:0", handler.clone(), config).unwrap();
+        let url = Url::new("127.0.0.1", server.port(), "/echo");
+        let client = HttpClient::new();
         client.get(&url).unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(client.get(&url).unwrap().body, b"/echo");
         assert_eq!(client.idle_connections(), 1);
-        std::thread::sleep(Duration::from_millis(60));
-        // The next checkout reaps the stale connection and dials fresh.
-        client.get(&url).unwrap();
-        assert_eq!(client.idle_connections(), 1);
+        assert_eq!(handler.hits.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -526,7 +353,11 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(handler.hits.load(Ordering::SeqCst), 320);
-        assert_eq!(client.in_use_connections(), 0);
+        let idle = client.idle_connections();
+        assert!(
+            (1..=16).contains(&idle),
+            "no more idle connections than callers, got {idle}"
+        );
     }
 
     #[test]

@@ -25,10 +25,6 @@ pub enum HttpError {
     },
     /// The operation exceeded its deadline.
     Timeout,
-    /// Every pooled connection to the destination stayed busy past the
-    /// checkout deadline. Distinct from [`Timeout`](HttpError::Timeout):
-    /// no request was sent, so the caller may safely retry or shed load.
-    PoolExhausted,
     /// A body was accessed as text but is not valid UTF-8. Raised by
     /// the strict accessors (`crate::Body::text`) that replaced the
     /// old lossy ones — bad bytes now fail loudly instead of being
@@ -51,9 +47,6 @@ impl fmt::Display for HttpError {
             HttpError::BadUrl(u) => write!(f, "invalid url: {u}"),
             HttpError::Status { code, reason, .. } => write!(f, "http status {code} {reason}"),
             HttpError::Timeout => f.write_str("http operation timed out"),
-            HttpError::PoolExhausted => {
-                f.write_str("connection pool exhausted: checkout deadline expired")
-            }
             HttpError::BodyNotUtf8(e) => write!(f, "body is not valid utf-8: {e}"),
         }
     }
@@ -98,7 +91,6 @@ mod tests {
         };
         assert!(s.to_string().contains("500"));
         assert_eq!(HttpError::Timeout.to_string(), "http operation timed out");
-        assert!(HttpError::PoolExhausted.to_string().contains("pool"));
         let utf8 = String::from_utf8(vec![0xff]).unwrap_err().utf8_error();
         assert!(HttpError::BodyNotUtf8(utf8)
             .to_string()

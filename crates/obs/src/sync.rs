@@ -27,8 +27,7 @@
 //! out, [`lock_class`] costs exactly one poison-recovering `lock()` and
 //! [`assert_unlocked`] nothing.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Acquires `mutex`, recovering the guard if a previous holder panicked.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -104,31 +103,6 @@ pub fn wait_class<'a, T>(cv: &Condvar, mut guard: ClassGuard<'a, T>) -> ClassGua
         guard.guard = Some(cv.wait(inner).unwrap_or_else(PoisonError::into_inner));
     }
     guard
-}
-
-/// [`wait_class`] for at most `timeout`.
-///
-/// Callers deciding deadlines should re-check their own clock rather than
-/// trusting the [`WaitTimeoutResult`] alone — spurious wakeups return
-/// early with `timed_out() == false`.
-pub fn wait_timeout_class<'a, T>(
-    cv: &Condvar,
-    mut guard: ClassGuard<'a, T>,
-    timeout: Duration,
-) -> (ClassGuard<'a, T>, WaitTimeoutResult) {
-    // The Option is always `Some` here: no public API removes the inner
-    // guard.
-    let inner = guard.guard.take();
-    match inner {
-        Some(g) => {
-            let (g, r) = cv
-                .wait_timeout(g, timeout)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard.guard = Some(g);
-            (guard, r)
-        }
-        None => unreachable!("wait_timeout_class on an empty ClassGuard"),
-    }
 }
 
 /// Panics (debug builds only) if this thread holds a classed lock.
@@ -227,16 +201,6 @@ mod tests {
         assert_eq!(acquisitions(), before.map(|n| n + 1), "counted per thread");
         // Released: a plain lock succeeds immediately.
         assert_eq!(*lock(&m), 42);
-    }
-
-    #[test]
-    fn wait_timeout_class_returns_after_deadline() {
-        let pair = (Mutex::new(false), Condvar::new());
-        let guard = lock_class("tests.pair", &pair.0);
-        let (guard, result) =
-            wait_timeout_class(&pair.1, guard, std::time::Duration::from_millis(5));
-        assert!(result.timed_out());
-        assert!(!*guard);
     }
 
     #[test]

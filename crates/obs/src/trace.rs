@@ -27,8 +27,8 @@
 //!
 //! Root discipline (`clippy.toml` disallows [`Tracer::root_span`]):
 //! request-path spans must descend from a propagated context. Only
-//! designated root sites — the load generator and benchmark drivers —
-//! may mint fresh roots; servers *continue* a received context via
+//! designated root sites — the trace smoke driver and tests — may mint
+//! fresh roots; servers *continue* a received context via
 //! [`Tracer::span_from`].
 
 use crate::clock::Clock;
@@ -180,7 +180,7 @@ pub struct SpanRecord {
     pub span_id: u64,
     /// The parent span (`None` at the trace root).
     pub parent_span_id: Option<u64>,
-    /// Human name, e.g. `"pool-checkout"`.
+    /// Human name, e.g. `"transfer"`.
     pub name: &'static str,
     /// Stage tag matching the stage-histogram labels, e.g. `"parse"`.
     pub stage: &'static str,
