@@ -4,8 +4,7 @@
 //! registered in a [`MetricsRegistry`] so the same numbers appear in the
 //! `/metrics` exposition, labelled by cache and by representation. The
 //! public [`snapshot`](CacheStats::snapshot)/[`StatsSnapshot`] API is
-//! unchanged (plus per-representation breakdowns and
-//! [`StatsSnapshot::to_json`]).
+//! unchanged (plus per-representation breakdowns).
 
 #![expect(
     clippy::disallowed_types,
@@ -96,38 +95,6 @@ impl StatsSnapshot {
     /// Inserts for one representation.
     pub fn inserts_for(&self, repr: ValueRepresentation) -> u64 {
         self.inserts_by_repr[repr.index()]
-    }
-
-    /// Renders the snapshot as a JSON object (no external dependencies;
-    /// the schema is documented in `EXPERIMENTS.md`).
-    pub fn to_json(&self) -> String {
-        let by_repr = |arr: &[u64; ValueRepresentation::COUNT]| -> String {
-            ValueRepresentation::ALL_EXTENDED
-                .iter()
-                .map(|r| format!("\"{}\":{}", r.metric_label(), arr[r.index()]))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"expired\":{},\"inserts\":{},\
-             \"evictions\":{},\"evictions_expired\":{},\"evictions_lru\":{},\
-             \"uncacheable\":{},\"store_failures\":{},\
-             \"revalidated\":{},\"hit_ratio\":{:.6},\
-             \"hits_by_repr\":{{{}}},\"inserts_by_repr\":{{{}}}}}",
-            self.hits,
-            self.misses,
-            self.expired,
-            self.inserts,
-            self.evictions,
-            self.evictions_expired,
-            self.evictions_lru,
-            self.uncacheable,
-            self.store_failures,
-            self.revalidated,
-            self.hit_ratio(),
-            by_repr(&self.hits_by_repr),
-            by_repr(&self.inserts_by_repr),
-        )
     }
 }
 
@@ -287,25 +254,5 @@ mod tests {
             ..Default::default()
         };
         assert!((snap.hit_ratio() - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_rendering_is_wellformed_and_complete() {
-        let (_r, s) = isolated();
-        s.record_hit(ValueRepresentation::CloneCopy);
-        s.record_miss();
-        let json = s.snapshot().to_json();
-        assert!(json.contains("\"hits\":1"));
-        assert!(json.contains("\"misses\":1"));
-        assert!(json.contains("\"evictions_expired\":0"));
-        assert!(json.contains("\"evictions_lru\":0"));
-        assert!(json.contains("\"hit_ratio\":0.5"));
-        assert!(json.contains("\"clone-copy\":1"));
-        assert!(json.contains("\"hits_by_repr\":{"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // All seven representations appear in both breakdowns.
-        for repr in ValueRepresentation::ALL_EXTENDED {
-            assert_eq!(json.matches(repr.metric_label()).count(), 2, "{repr}");
-        }
     }
 }

@@ -48,9 +48,9 @@ where
 /// tail-sampled trace store, and delegating every other request to the
 /// inner handler.
 ///
-/// The default `/metrics` body is the Prometheus text exposition;
-/// append `?format=json` for the JSON rendering. `/trace` is always
-/// JSON: recent and slowest traces as span trees.
+/// `/metrics` answers the Prometheus text exposition, whatever the
+/// query; `/trace` answers JSON: recent and slowest traces as span
+/// trees.
 pub struct MetricsRoute {
     registry: Arc<MetricsRegistry>,
     inner: Arc<dyn Handler>,
@@ -79,10 +79,10 @@ impl MetricsRoute {
 
 impl Handler for MetricsRoute {
     fn handle(&self, request: &Request) -> Response {
-        let (path, query) = match request.target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (request.target.as_str(), ""),
-        };
+        let path = request
+            .target
+            .split_once('?')
+            .map_or(request.target.as_str(), |(path, _)| path);
         if request.method != crate::message::Method::Get || (path != "/metrics" && path != "/trace")
         {
             return self.inner.handle(request);
@@ -93,18 +93,10 @@ impl Handler for MetricsRoute {
                 self.registry.tracer().store().to_json().into_bytes(),
             );
         }
-        let snapshot = self.registry.snapshot();
-        if query.split('&').any(|kv| kv == "format=json") {
-            Response::ok(
-                "application/json",
-                wsrc_obs::to_json(&snapshot).into_bytes(),
-            )
-        } else {
-            Response::ok(
-                "text/plain; version=0.0.4",
-                wsrc_obs::to_prometheus(&snapshot).into_bytes(),
-            )
-        }
+        Response::ok(
+            "text/plain; version=0.0.4",
+            wsrc_obs::to_prometheus(&self.registry.snapshot()).into_bytes(),
+        )
     }
 }
 
@@ -1103,16 +1095,32 @@ mod tests {
             "{body}"
         );
 
-        let json = client
+        // A query string selects nothing: the same text comes back.
+        let queried = client
             .get(&Url::new(
                 "127.0.0.1",
                 server.port(),
                 "/metrics?format=json",
             ))
             .unwrap();
-        assert_eq!(json.headers.get("Content-Type"), Some("application/json"));
-        let jbody = json.body_text().unwrap().to_string();
-        assert!(jbody.contains("\"wsrc_cache_hits_total\""), "{jbody}");
+        assert_eq!(queried.status, Status::OK);
+        assert_eq!(
+            queried.headers.get("Content-Type"),
+            Some("text/plain; version=0.0.4")
+        );
+        let qbody = queried.body_text().unwrap().to_string();
+        assert!(
+            qbody.contains("wsrc_cache_hits_total{cache=\"m\",repr=\"dom-tree\"} 3"),
+            "{qbody}"
+        );
+
+        // `/trace` is the JSON one: this registry's (empty) trace store.
+        let trace = client
+            .get(&Url::new("127.0.0.1", server.port(), "/trace"))
+            .unwrap();
+        assert_eq!(trace.headers.get("Content-Type"), Some("application/json"));
+        let tbody = trace.body_text().unwrap().to_string();
+        assert!(tbody.starts_with("{\"recent\":[]"), "{tbody}");
 
         // Everything else still reaches the application.
         let other = client

@@ -24,17 +24,15 @@
 //!   reading at entry and one at exit make both the histogram sample
 //!   and, under an active trace, the span.
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
-//!   propagated over the wire, [`trace::ActiveSpan`]s recorded against
-//!   the registry's clock, and histogram exemplars linking aggregate
-//!   buckets back to full span trees.
+//!   propagated over the wire and [`trace::ActiveSpan`]s recorded
+//!   against the registry's clock.
 //! - [`sampler`] — the tail-sampling [`TraceStore`]: keeps error
 //!   traces, the slowest-N per route, and a probabilistic sample of
 //!   the rest, rendered as span trees for `GET /trace`.
 //! - [`clock`] — the mockable time source; [`clock::ManualClock`] keeps
 //!   TTL, timer and trace tests deterministic.
-//! - `render` — Prometheus-style text exposition and a hand-rolled
-//!   JSON renderer (the build environment is offline: no `prometheus`,
-//!   no `serde`).
+//! - `render` — the Prometheus-style text exposition (the build
+//!   environment is offline: no `prometheus` crate).
 //! - [`mod@global`] — the process-wide default registry: where any
 //!   cache, client or server built without a registry of its own
 //!   records.
@@ -56,7 +54,7 @@ pub use global::global;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricId, MetricsRegistry, MetricsSnapshot,
 };
-pub use render::{to_json, to_prometheus};
+pub use render::to_prometheus;
 pub use sampler::{StoredTrace, TraceStore};
 pub use stage::{Stage, Timing};
 pub use trace::{TraceContext, Tracer, TRACEPARENT_HEADER};

@@ -73,7 +73,11 @@ impl MetricId {
             first = false;
             out.push_str(k);
             out.push_str("=\"");
-            out.push_str(&v.replace('\\', "\\\\").replace('"', "\\\""));
+            out.push_str(
+                &v.replace('\\', "\\\\")
+                    .replace('"', "\\\"")
+                    .replace('\n', "\\n"),
+            );
             out.push('"');
         }
         out.push('}');
@@ -133,12 +137,6 @@ pub(crate) struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum_nanos: AtomicU64,
-    // Exemplars: the last trace id (128-bit, split across two cells)
-    // that landed in each bucket. Best-effort — a concurrent pair of
-    // writers can interleave hi/lo, which at worst yields a stale or
-    // mixed id; exemplars are debugging breadcrumbs, not ground truth.
-    exemplar_hi: [AtomicU64; BUCKETS],
-    exemplar_lo: [AtomicU64; BUCKETS],
 }
 
 impl HistogramCore {
@@ -147,8 +145,6 @@ impl HistogramCore {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
-            exemplar_hi: std::array::from_fn(|_| AtomicU64::new(0)),
-            exemplar_lo: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -172,15 +168,10 @@ impl HistogramCore {
         }
     }
 
-    fn record_nanos(&self, nanos: u64, trace_id: u128) {
-        let i = Self::bucket_index(nanos);
-        self.buckets[i].fetch_add(1, Ordering::Relaxed);
+    fn record_nanos(&self, nanos: u64) {
+        self.buckets[Self::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        if trace_id != 0 {
-            self.exemplar_hi[i].store((trace_id >> 64) as u64, Ordering::Relaxed);
-            self.exemplar_lo[i].store(trace_id as u64, Ordering::Relaxed);
-        }
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -192,13 +183,6 @@ impl HistogramCore {
                 .collect(),
             count: self.count.load(Ordering::Relaxed),
             sum_nanos: self.sum_nanos.load(Ordering::Relaxed),
-            exemplars: (0..BUCKETS)
-                .map(|i| {
-                    let hi = self.exemplar_hi[i].load(Ordering::Relaxed) as u128;
-                    let lo = self.exemplar_lo[i].load(Ordering::Relaxed) as u128;
-                    (hi << 64) | lo
-                })
-                .collect(),
         }
     }
 }
@@ -219,19 +203,9 @@ impl std::fmt::Debug for Histogram {
 }
 
 impl Histogram {
-    /// Records one sample, lock-free. When the recording thread is
-    /// inside a sampled trace span ([`crate::trace`]), the sample's
-    /// bucket remembers that trace id as its exemplar.
+    /// Records one sample, lock-free.
     pub fn record_nanos(&self, nanos: u64) {
-        self.core
-            .record_nanos(nanos, crate::trace::current_trace_id());
-    }
-
-    /// Records one sample with an explicit exemplar trace id (0 for
-    /// none), so a test can pin the exemplars without a live trace.
-    #[cfg(test)]
-    pub(crate) fn record_nanos_with_exemplar(&self, nanos: u64, trace_id: u128) {
-        self.core.record_nanos(nanos, trace_id);
+        self.core.record_nanos(nanos);
     }
 
     /// Point-in-time copy of the bucket counts.
@@ -382,58 +356,10 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of all samples in nanoseconds.
     pub sum_nanos: u64,
-    /// Per-bucket exemplar trace ids (0 = no exemplar). May be empty
-    /// for snapshots built by hand; index-aligned with `buckets`.
-    pub exemplars: Vec<u128>,
 }
 
-impl HistogramSnapshot {
-    /// The quantile `q` in `[0, 1]`, reported as the upper bound of the
-    /// bucket containing it (0 when empty). The unbounded last bucket
-    /// reports its lower bound.
-    pub(crate) fn quantile_nanos(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cum = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
-                return HistogramCore::bucket_bound_nanos(i).unwrap_or(1u64 << (BUCKETS - 2));
-            }
-        }
-        1u64 << (BUCKETS - 2)
-    }
-
-    /// Median upper bound in nanoseconds.
-    pub fn p50_nanos(&self) -> u64 {
-        self.quantile_nanos(0.50)
-    }
-
-    /// 99th-percentile upper bound in nanoseconds.
-    pub fn p99_nanos(&self) -> u64 {
-        self.quantile_nanos(0.99)
-    }
-
-    /// 99.9th-percentile upper bound in nanoseconds — the SLO tail the
-    /// loadgen summary reports alongside p50/p99.
-    pub fn p999_nanos(&self) -> u64 {
-        self.quantile_nanos(0.999)
-    }
-
-    /// The exemplar trace id of bucket `i` (0 when none was recorded).
-    pub(crate) fn exemplar(&self, i: usize) -> u128 {
-        self.exemplars.get(i).copied().unwrap_or(0)
-    }
-
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_nanos(&self) -> u64 {
-        self.sum_nanos.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// A point-in-time copy of a whole registry (or several merged).
+/// A point-in-time copy of a whole registry; each list is sorted by
+/// [`MetricId`].
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Counter values.
@@ -499,46 +425,6 @@ mod tests {
         assert_eq!(HistogramCore::bucket_index(u64::MAX), BUCKETS - 1);
         assert_eq!(HistogramCore::bucket_bound_nanos(10), Some(1024));
         assert_eq!(HistogramCore::bucket_bound_nanos(BUCKETS - 1), None);
-    }
-
-    #[test]
-    fn histogram_quantiles_from_buckets() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("stage_seconds", &[("stage", "parse")]);
-        for _ in 0..99 {
-            h.record_nanos(1000); // bucket bound 1024
-        }
-        h.record_nanos(1_000_000); // one slow outlier
-        let snap = h.snapshot();
-        assert_eq!(snap.count, 100);
-        assert_eq!(snap.p50_nanos(), 1024);
-        assert_eq!(snap.p99_nanos(), 1024);
-        assert_eq!(snap.p999_nanos(), 1 << 20);
-        assert_eq!(snap.quantile_nanos(1.0), 1 << 20);
-        assert!(snap.mean_nanos() > 1000 && snap.mean_nanos() < 1_000_000);
-    }
-
-    #[test]
-    fn exemplars_remember_the_last_trace_id_per_bucket() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("stage_seconds", &[]);
-        h.record_nanos_with_exemplar(1000, 0xabcd);
-        h.record_nanos_with_exemplar(1000, 0xef01);
-        h.record_nanos_with_exemplar(1_000_000, 7);
-        h.record_nanos(500_000); // no trace context: keeps prior exemplar
-        let snap = h.snapshot();
-        let fast = HistogramCore::bucket_index(1000);
-        let slow = HistogramCore::bucket_index(1_000_000);
-        assert_eq!(snap.exemplar(fast), 0xef01, "last writer wins");
-        assert_eq!(snap.exemplar(slow), 7);
-        assert_eq!(snap.exemplar(0), 0, "untouched bucket has none");
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let snap = HistogramSnapshot::default();
-        assert_eq!(snap.p50_nanos(), 0);
-        assert_eq!(snap.mean_nanos(), 0);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Exposition formats: Prometheus-style text and hand-rolled JSON.
+//! Exposition format: Prometheus-style text, plus the JSON string
+//! escape `/trace` uses.
 //!
-//! No `serde`, no `prometheus` crate — the build environment is
-//! offline, so both renderers are written against [`MetricsSnapshot`]
-//! directly.
+//! No `prometheus` crate — the build environment is offline, so the
+//! renderer is written against [`MetricsSnapshot`] directly.
 
-use crate::metrics::{HistogramCore, HistogramSnapshot, MetricId, MetricsSnapshot};
-use crate::trace::format_trace_id;
+use crate::metrics::{HistogramCore, MetricsSnapshot};
 
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {
@@ -34,41 +33,45 @@ fn fmt_seconds(nanos: u64) -> String {
 ///
 /// Counters become `name{labels} value`, gauges likewise, histograms
 /// become the conventional `_bucket{le="…"}` (cumulative, in seconds),
-/// `_sum` and `_count` series. Buckets that remember an exemplar trace
-/// id append it OpenMetrics-style: `… 5 # {trace_id="<32 hex>"}`.
+/// `_sum` and `_count` series.
 pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let mut emit_type = String::new();
-    let push_type = |out: &mut String, seen: &mut String, name: &str, kind: &str| {
-        let tag = format!("\u{0}{name}\u{0}");
-        if !seen.contains(&tag) {
+    // Each list is sorted by `MetricId`, name first, so one name's
+    // series are adjacent and its `# TYPE` line precedes the first.
+    let push_type = |out: &mut String, prev: Option<&String>, name: &String, kind: &str| {
+        if prev != Some(name) {
             out.push_str("# TYPE ");
             out.push_str(name);
             out.push(' ');
             out.push_str(kind);
             out.push('\n');
-            seen.push_str(&tag);
         }
     };
 
+    let mut prev = None;
     for (id, value) in &snap.counters {
-        push_type(&mut out, &mut emit_type, &id.name, "counter");
+        push_type(&mut out, prev, &id.name, "counter");
+        prev = Some(&id.name);
         out.push_str(&id.name);
         out.push_str(&id.render_labels());
         out.push(' ');
         out.push_str(&value.to_string());
         out.push('\n');
     }
+    let mut prev = None;
     for (id, value) in &snap.gauges {
-        push_type(&mut out, &mut emit_type, &id.name, "gauge");
+        push_type(&mut out, prev, &id.name, "gauge");
+        prev = Some(&id.name);
         out.push_str(&id.name);
         out.push_str(&id.render_labels());
         out.push(' ');
         out.push_str(&value.to_string());
         out.push('\n');
     }
+    let mut prev = None;
     for (id, h) in &snap.histograms {
-        push_type(&mut out, &mut emit_type, &id.name, "histogram");
+        push_type(&mut out, prev, &id.name, "histogram");
+        prev = Some(&id.name);
         let mut cumulative = 0u64;
         for (i, count) in h.buckets.iter().enumerate() {
             cumulative += count;
@@ -87,12 +90,6 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
             out.push_str(&id.render_labels_with_extra(&[("le", &le)]));
             out.push(' ');
             out.push_str(&cumulative.to_string());
-            let exemplar = h.exemplar(i);
-            if exemplar != 0 {
-                out.push_str(" # {trace_id=\"");
-                out.push_str(&format_trace_id(exemplar));
-                out.push_str("\"}");
-            }
             out.push('\n');
         }
         out.push_str(&id.name);
@@ -109,73 +106,6 @@ pub fn to_prometheus(snap: &MetricsSnapshot) -> String {
         out.push('\n');
     }
     out
-}
-
-fn json_id(id: &MetricId) -> String {
-    let labels: Vec<String> = id
-        .labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    format!(
-        "\"name\":\"{}\",\"labels\":{{{}}}",
-        json_escape(&id.name),
-        labels.join(",")
-    )
-}
-
-fn json_histogram(h: &HistogramSnapshot) -> String {
-    let exemplars: Vec<String> = h
-        .exemplars
-        .iter()
-        .enumerate()
-        .filter(|(_, id)| **id != 0)
-        .map(|(i, id)| {
-            format!(
-                "{{\"bucket\":{i},\"trace_id\":\"{}\"}}",
-                format_trace_id(*id)
-            )
-        })
-        .collect();
-    format!(
-        "\"count\":{},\"sum_nanos\":{},\"mean_nanos\":{},\"p50_nanos\":{},\"p99_nanos\":{},\"p999_nanos\":{},\"exemplars\":[{}]",
-        h.count,
-        h.sum_nanos,
-        h.mean_nanos(),
-        h.p50_nanos(),
-        h.p99_nanos(),
-        h.p999_nanos(),
-        exemplars.join(",")
-    )
-}
-
-/// Renders a snapshot as JSON:
-/// `{"counters":[{"name":…,"labels":{…},"value":…}],`
-/// `"gauges":[…],"histograms":[{…,"count":…,"sum_nanos":…,`
-/// `"mean_nanos":…,"p50_nanos":…,"p99_nanos":…,"p999_nanos":…,`
-/// `"exemplars":[{"bucket":…,"trace_id":"…"}]}]}`.
-pub fn to_json(snap: &MetricsSnapshot) -> String {
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(id, v)| format!("{{{},\"value\":{v}}}", json_id(id)))
-        .collect();
-    let gauges: Vec<String> = snap
-        .gauges
-        .iter()
-        .map(|(id, v)| format!("{{{},\"value\":{v}}}", json_id(id)))
-        .collect();
-    let histograms: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|(id, h)| format!("{{{},{}}}", json_id(id), json_histogram(h)))
-        .collect();
-    format!(
-        "{{\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(",")
-    )
 }
 
 #[cfg(test)]
@@ -227,21 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_structure() {
-        let json = to_json(&sample_snapshot());
-        assert!(json.starts_with("{\"counters\":["));
-        assert!(json.contains(
-            "{\"name\":\"wsrc_cache_hits_total\",\"labels\":{\"repr\":\"xml-text\"},\"value\":5}"
-        ));
-        assert!(json.contains("\"p50_nanos\":1024"));
-        assert!(json.contains("\"p99_nanos\":2048"));
-        assert!(json.contains("\"count\":2,\"sum_nanos\":3000"));
-        // Minimal well-formedness: balanced braces/brackets.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
     fn json_escapes_special_characters() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
@@ -251,49 +166,15 @@ mod tests {
     fn empty_snapshot_renders_empty_documents() {
         let snap = MetricsSnapshot::default();
         assert_eq!(to_prometheus(&snap), "");
-        assert_eq!(
-            to_json(&snap),
-            "{\"counters\":[],\"gauges\":[],\"histograms\":[]}"
-        );
-    }
-
-    #[test]
-    fn exemplars_render_in_both_expositions() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("wsrc_stage_seconds", &[("stage", "build")]);
-        h.record_nanos_with_exemplar(1000, 0xdead_beef);
-        let snap = r.snapshot();
-        let text = to_prometheus(&snap);
-        assert!(
-            text.contains(
-                "wsrc_stage_seconds_bucket{stage=\"build\",le=\"0.000001024\"} 1 \
-                 # {trace_id=\"000000000000000000000000deadbeef\"}"
-            ),
-            "missing Prometheus exemplar in:\n{text}"
-        );
-        let json = to_json(&snap);
-        assert!(json.contains("\"p999_nanos\":1024"));
-        assert!(json.contains(
-            "\"exemplars\":[{\"bucket\":10,\"trace_id\":\"000000000000000000000000deadbeef\"}]"
-        ));
-    }
-
-    #[test]
-    fn histograms_without_exemplars_render_plain_buckets() {
-        let text = to_prometheus(&sample_snapshot());
-        assert!(
-            !text.contains(" # {trace_id="),
-            "no stray exemplars:\n{text}"
-        );
-        let json = to_json(&sample_snapshot());
-        assert!(json.contains("\"exemplars\":[]"));
     }
 
     #[test]
     fn prometheus_escapes_label_values() {
         let r = MetricsRegistry::new();
         r.counter("c", &[("path", "a\"b")]).inc();
+        r.counter("c", &[("path", "edge\nwest")]).inc();
         let text = to_prometheus(&r.snapshot());
         assert!(text.contains("c{path=\"a\\\"b\"} 1"));
+        assert!(text.contains("c{path=\"edge\\nwest\"} 1\n"), "{text}");
     }
 }

@@ -36,7 +36,7 @@ pub(crate) const MAX_SPANS_PER_TRACE: usize = 128;
 /// One retained trace with its finished spans.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
-    /// The trace id (hex form is the exemplar/wire spelling).
+    /// The trace id (hex form is the wire spelling).
     pub trace_id: u128,
     /// The route of the root (or local root) that finalized the trace.
     pub route: String,

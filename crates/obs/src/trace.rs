@@ -46,8 +46,8 @@ pub const TRACEPARENT_HEADER: &str = "traceparent";
 /// Spans buffered per thread before a batch is pushed to the store.
 const THREAD_BUFFER_CAP: usize = 128;
 
-/// Renders a 128-bit trace id as 32 lowercase hex digits (the wire and
-/// exemplar format).
+/// Renders a 128-bit trace id as 32 lowercase hex digits (the wire
+/// format).
 pub fn format_trace_id(id: u128) -> String {
     format!("{id:032x}")
 }
@@ -97,8 +97,7 @@ fn fresh_span_id() -> u64 {
 /// span is current, and whether spans are being recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
-    /// 128-bit trace id, never zero (zero means "no trace" in
-    /// exemplars).
+    /// 128-bit trace id, never zero.
     pub trace_id: u128,
     /// The current span's id, never zero.
     pub span_id: u64,
@@ -313,18 +312,6 @@ struct TraceTls {
 
 thread_local! {
     static TLS: RefCell<TraceTls> = RefCell::new(TraceTls::default());
-}
-
-/// The current thread's sampled trace id, or 0 when no sampled trace is
-/// active — the value histogram exemplars attach.
-pub(crate) fn current_trace_id() -> u128 {
-    TLS.try_with(|t| match t.try_borrow().ok()?.stack.last() {
-        Some(f) if f.ctx.sampled => Some(f.ctx.trace_id),
-        _ => None,
-    })
-    .ok()
-    .flatten()
-    .unwrap_or(0)
 }
 
 /// Whether a trace is active on this thread, so that a stage timed now
@@ -672,16 +659,6 @@ mod tests {
     #[test]
     fn no_active_trace_means_no_child_span() {
         assert!(child_span("x", "y").is_none());
-        assert_eq!(current_trace_id(), 0);
-    }
-
-    #[test]
-    fn current_trace_id_feeds_exemplars_only_while_active() {
-        let (tracer, _clock) = manual_tracer();
-        let root = tracer.root_span("request", "/r");
-        assert_eq!(current_trace_id(), root.context().trace_id);
-        root.finish();
-        assert_eq!(current_trace_id(), 0);
     }
 
     #[test]

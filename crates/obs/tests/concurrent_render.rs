@@ -1,14 +1,14 @@
-//! Satellite stress test: 16 worker threads record spans (and exemplared
-//! histogram samples) while `/metrics`- and `/trace`-style renderings run
-//! concurrently. Deterministic under [`ManualClock`]: when the dust
-//! settles, no trace lost a span, no span was duplicated, and every
-//! rendering produced the stable JSON shape.
+//! Stress test: 16 worker threads record spans and histogram samples
+//! while `/metrics`- and `/trace`-style renderings run concurrently.
+//! Deterministic under [`ManualClock`]: when the dust settles, no trace
+//! lost a span, no span was duplicated, every `/trace` rendering had the
+//! stable JSON shape and the histogram counted every sample.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use wsrc_obs::clock::ManualClock;
 use wsrc_obs::sampler::{RECENT_CAPACITY, SLOWEST_PER_ROUTE};
-use wsrc_obs::{to_json, to_prometheus, MetricsRegistry};
+use wsrc_obs::{to_prometheus, MetricsRegistry};
 
 const WORKERS: usize = 16;
 /// Each worker has a route of its own, so every one of its traces is
@@ -50,10 +50,7 @@ fn concurrent_rendering_never_loses_or_duplicates_spans() {
                         trace_json.matches('}').count(),
                         "unbalanced braces mid-render"
                     );
-                    let snapshot = registry.snapshot();
-                    let metrics_json = to_json(&snapshot);
-                    assert!(metrics_json.starts_with('{'), "{metrics_json}");
-                    let prom = to_prometheus(&snapshot);
+                    let prom = to_prometheus(&registry.snapshot());
                     assert!(!prom.contains("\u{0}"), "prometheus text is clean");
                     renders += 1;
                 }
@@ -106,20 +103,7 @@ fn concurrent_rendering_never_loses_or_duplicates_spans() {
             );
         }
     }
-    // The histogram absorbed every sample and its exemplars point at
-    // real trace ids.
+    // The histogram absorbed every sample.
     let snap = histogram.snapshot();
     assert_eq!(snap.count, (WORKERS * TRACES_PER_WORKER) as u64);
-    let trace_ids: std::collections::HashSet<u128> = recent.iter().map(|t| t.trace_id).collect();
-    let exemplared: Vec<u128> = snap.exemplars.iter().copied().filter(|&e| e != 0).collect();
-    assert!(
-        !exemplared.is_empty(),
-        "samples recorded under active traces carry exemplars"
-    );
-    for e in exemplared {
-        assert!(
-            trace_ids.contains(&e),
-            "exemplar {e:x} is a retained trace id"
-        );
-    }
 }

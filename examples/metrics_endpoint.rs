@@ -2,9 +2,9 @@
 //!
 //! The dispatcher for the dummy Google service is wrapped in
 //! [`MetricsRoute`], so the same TCP listener that answers SOAP calls
-//! exposes everything the instrumented pipeline records — in Prometheus
-//! text format, or as JSON with `?format=json`. A cached client drives
-//! some traffic, then the example scrapes its own endpoint.
+//! exposes everything the instrumented pipeline records in Prometheus
+//! text format. A cached client drives some traffic, then the example
+//! scrapes its own endpoint.
 //!
 //! ```console
 //! $ cargo run --example metrics_endpoint            # run + self-scrape
@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap_or(60);
         println!("\nholding the server for {secs}s — try:");
         println!("  curl http://127.0.0.1:{port}/metrics");
-        println!("  curl http://127.0.0.1:{port}/metrics?format=json");
+        println!("  curl http://127.0.0.1:{port}/trace");
         std::thread::sleep(Duration::from_secs(secs));
     }
     Ok(())

@@ -95,6 +95,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "total requests that reached the server: {}",
         server.requests_served()
     );
-    println!("stats as JSON: {}", stats.to_json());
     Ok(())
 }

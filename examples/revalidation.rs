@@ -74,6 +74,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.inserts,
         server.requests_served()
     );
-    println!("stats as JSON: {}", stats.to_json());
     Ok(())
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full offline verification: release build, workspace tests in both
-# profiles, benchmark smoke, rustdoc, warnings in every target,
+# profiles, the examples, benchmark smoke, rustdoc, warnings in every target,
 # formatting, clippy.
 # The workspace has no external dependencies, so this runs without
 # network access; CARGO_NET_OFFLINE makes that explicit.
@@ -14,6 +14,11 @@ cargo test -q --workspace
 # The same tests in the build that ships: overflow checks and
 # optimisations differ by profile (the lock witness is debug-only).
 cargo test -q --workspace --release
+# The examples run, not only compile: each drives a real TCP stack and
+# exits 0 in milliseconds (`metrics_endpoint` without `--hold`).
+cargo run --release --offline -q --example quickstart
+cargo run --release --offline -q --example revalidation
+cargo run --release --offline -q --example metrics_endpoint
 # The benchmark at 1/1000 of its op counts, checked: every metric
 # BENCHMARK.json names is emitted finite on every workload and no op
 # failed (prints `"correct": true`; ~30 s cold). Never judges timings.
