@@ -5,8 +5,9 @@
 //! client → worker-pool server → portal site → caching client middleware
 //! → latency-wrapped back-end — with one [`MetricsRegistry`] over a
 //! [`ManualClock`] handed to the cache, the server and the route, then
-//! fetches `GET /trace` and checks that the retained span tree names
-//! every pipeline stage and that the root span's direct children account
+//! checks that `GET /trace` serves what the trace store holds, that the
+//! miss's span tree (the longest of the store's recent traces) names
+//! every pipeline stage and that its root span's direct children account
 //! for at least [`MIN_COVERAGE`] of its wall time. Under the fake clock
 //! the only time that passes is the injected back-end latency, so the
 //! check is deterministic: a span accounting bug fails it every run, not
@@ -87,10 +88,9 @@ pub fn run_trace_smoke() -> Result<String, String> {
         return Err("/trace retained no traces".to_string());
     }
 
-    // Deterministic structural checks on the slowest retained trace (the
-    // miss: the only request that advanced the clock).
-    let traces = tracer.store().slowest();
-    let miss = traces
+    // Deterministic structural checks on the miss: the only request
+    // that advanced the clock.
+    let miss = recent
         .iter()
         .max_by_key(|t| t.duration_nanos)
         .ok_or("trace store retained nothing")?;
@@ -113,12 +113,11 @@ pub fn run_trace_smoke() -> Result<String, String> {
     one_axis(&registry, &recent)?;
     let report = format!(
         "trace_smoke: {} traces retained, {} spans in miss trace, \
-         root coverage {:.1}%, /trace payload {} bytes\n{}",
+         root coverage {:.1}%, /trace payload {} bytes",
         recent.len(),
         miss.spans.len(),
         coverage * 100.0,
         text.len(),
-        slowest_traces_table(tracer.store())
     );
 
     // The entry went in when the miss returned, which is now: nothing
@@ -313,50 +312,6 @@ fn one_axis(registry: &MetricsRegistry, traces: &[StoredTrace]) -> Result<(), St
     Ok(())
 }
 
-/// Renders the tracer's slowest retained traces: route, trace id, total
-/// duration and the top per-stage self times, the table that links an
-/// aggregate tail percentile back to concrete span trees.
-fn slowest_traces_table(store: &wsrc_obs::TraceStore) -> String {
-    let slowest = store.slowest();
-    if slowest.is_empty() {
-        return "Slowest traces: (none retained)\n".to_string();
-    }
-    let usec = |nanos: u64| format!("{:.1}", nanos as f64 / 1_000.0);
-    let rows: Vec<Vec<String>> = slowest
-        .iter()
-        .map(|t| {
-            let mut stages = wsrc_obs::sampler::stage_breakdown(std::slice::from_ref(t));
-            // Breakdown comes back stage-alphabetical; "top" means by
-            // self time here.
-            stages.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            let top = stages
-                .iter()
-                .take(3)
-                .map(|(stage, nanos)| format!("{stage}={}", usec(*nanos)))
-                .collect::<Vec<_>>()
-                .join(" ");
-            vec![
-                t.route.clone(),
-                wsrc_obs::trace::format_trace_id(t.trace_id),
-                usec(t.duration_nanos),
-                if t.error { "yes" } else { "no" }.to_string(),
-                top,
-            ]
-        })
-        .collect();
-    crate::render_table(
-        "Slowest traces (tail-sampled, per route)",
-        &[
-            "route",
-            "trace id",
-            "total us",
-            "error",
-            "top stages (self us)",
-        ],
-        &rows,
-    )
-}
-
 /// Fraction of the root span's wall time accounted for by its direct
 /// children.
 fn root_coverage(trace: &StoredTrace) -> Result<f64, String> {
@@ -382,16 +337,6 @@ fn root_coverage(trace: &StoredTrace) -> Result<f64, String> {
 mod tests {
     use super::*;
     use wsrc_obs::MonotonicClock;
-
-    #[test]
-    fn slowest_traces_render_as_a_table() {
-        let registry = MetricsRegistry::new();
-        assert!(slowest_traces_table(registry.tracer().store()).contains("none retained"));
-        registry.tracer().root_span("bench", "/portal").finish();
-        let text = slowest_traces_table(registry.tracer().store());
-        assert!(text.contains("/portal"), "{text}");
-        assert!(text.contains("trace id"), "{text}");
-    }
 
     #[test]
     fn trace_smoke_passes_end_to_end() {

@@ -137,13 +137,8 @@ impl Headers {
     }
 
     /// Number of header lines.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether there are no headers.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Iterates `(name, value)` pairs in insertion order.

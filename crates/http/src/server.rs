@@ -45,12 +45,11 @@ where
 
 /// Wraps an application handler, answering `GET /metrics` from a
 /// [`MetricsRegistry`], `GET /trace` from that registry's tracer's
-/// tail-sampled trace store, and delegating every other request to the
-/// inner handler.
+/// trace store, and delegating every other request to the inner
+/// handler.
 ///
 /// `/metrics` answers the Prometheus text exposition, whatever the
-/// query; `/trace` answers JSON: recent and slowest traces as span
-/// trees.
+/// query; `/trace` answers JSON: the recent traces as span trees.
 pub struct MetricsRoute {
     registry: Arc<MetricsRegistry>,
     inner: Arc<dyn Handler>,

@@ -26,9 +26,8 @@
 //! - [`trace`] — per-request distributed tracing: a [`TraceContext`]
 //!   propagated over the wire and [`trace::ActiveSpan`]s recorded
 //!   against the registry's clock.
-//! - [`sampler`] — the tail-sampling [`TraceStore`]: keeps error
-//!   traces, the slowest-N per route, and a probabilistic sample of
-//!   the rest, rendered as span trees for `GET /trace`.
+//! - [`sampler`] — the [`TraceStore`]: the last 64 traces, one entry
+//!   per trace id, rendered as span trees for `GET /trace`.
 //! - [`clock`] — the mockable time source; [`clock::ManualClock`] keeps
 //!   TTL, timer and trace tests deterministic.
 //! - `render` — the Prometheus-style text exposition (the build

@@ -1,18 +1,14 @@
-//! Tail-based trace retention: the store decides which traces to keep
-//! *after* they finish, when their duration and outcome are known.
+//! The trace store: the last [`RECENT_CAPACITY`] traces, one entry per
+//! trace id, each holding at most 128 spans.
 //!
-//! Head sampling (flip a coin at the root) would throw away exactly the
-//! traces the paper's analysis needs — the slow tail. This store keeps:
-//!
-//! - every **error** trace,
-//! - the **slowest N per route** (so the first request on a route is
-//!   always retained, which keeps single-request smokes deterministic),
-//! - and a probabilistic **one-in-k** of the rest, id-hashed so the
-//!   decision is stable for a given trace id.
-//!
-//! Retained traces land in a fixed-capacity ring of recent traces plus
-//! a per-route slowest table; everything else is counted and dropped.
-//! All accessors take the single inner mutex exactly once.
+//! A batch of finished spans comes from a thread buffer when a local
+//! root finishes, or when the buffer fills or changes owner. Each span
+//! joins its trace's entry; a trace the store does not hold opens an
+//! entry at the back and pushes the oldest out. An entry takes its route
+//! and duration from the span that has no parent, and until that span
+//! arrives from the first root continued from a wire context. What the
+//! two bounds throw away is counted, and every call takes the one inner
+//! mutex once.
 
 use crate::render::json_escape;
 use crate::sync;
@@ -21,30 +17,24 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Capacity of the recent-traces ring.
+/// Traces the store holds; opening one more pushes the oldest out.
 pub const RECENT_CAPACITY: usize = 64;
-/// Slowest traces kept per route.
-pub const SLOWEST_PER_ROUTE: usize = 8;
-/// One in this many non-error, non-slowest traces is kept.
-pub(crate) const SAMPLE_ONE_IN: u128 = 16;
-/// Maximum traces with spans awaiting finalization; batches for new
-/// traces beyond this are dropped (and counted).
-pub(crate) const MAX_PENDING: usize = 256;
-/// Maximum spans buffered per pending trace.
+/// Spans kept per trace; later ones are dropped.
 pub(crate) const MAX_SPANS_PER_TRACE: usize = 128;
 
-/// One retained trace with its finished spans.
+/// One held trace with its finished spans.
 #[derive(Debug, Clone)]
 pub struct StoredTrace {
     /// The trace id (hex form is the wire spelling).
     pub trace_id: u128,
-    /// The route of the root (or local root) that finalized the trace.
+    /// The route of the trace's own root, the span with no parent; until
+    /// that arrives, of the first root continued from a wire context.
     pub route: String,
-    /// Root wall time in nanoseconds.
+    /// That root's wall time in nanoseconds.
     pub duration_nanos: u64,
-    /// Whether any span errored.
+    /// Whether any span recorded for the trace errored.
     pub error: bool,
-    /// All spans, in completion order.
+    /// The spans, in the order they reached the store.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -124,7 +114,7 @@ fn render_span(
 }
 
 /// Sums per-stage *self time* (span duration minus direct children)
-/// across traces — the critical-path breakdown loadgen reports print.
+/// across traces — the critical-path breakdown the trace smoke checks.
 pub fn stage_breakdown(traces: &[StoredTrace]) -> Vec<(String, u64)> {
     let mut by_stage: BTreeMap<String, u64> = BTreeMap::new();
     for trace in traces {
@@ -146,23 +136,11 @@ pub fn stage_breakdown(traces: &[StoredTrace]) -> Vec<(String, u64)> {
     by_stage.into_iter().collect()
 }
 
-#[derive(Default)]
-struct StoreInner {
-    /// Spans of traces still in flight, keyed by trace id.
-    pending: HashMap<u128, Vec<SpanRecord>>,
-    /// Trace ids whose global root lives in this process.
-    open_roots: HashSet<u128>,
-    /// Ring of retained traces, oldest first.
-    recent: VecDeque<StoredTrace>,
-    /// Slowest retained traces per route, sorted slowest-first.
-    slowest: BTreeMap<String, Vec<StoredTrace>>,
-}
-
-/// The tail-sampling trace store. See the module docs for the
-/// retention policy.
+/// The ring of recent traces. See the module docs.
 #[derive(Default)]
 pub struct TraceStore {
-    inner: Mutex<StoreInner>,
+    /// Oldest first.
+    inner: Mutex<VecDeque<StoredTrace>>,
     dropped: AtomicU64,
 }
 
@@ -173,140 +151,79 @@ impl std::fmt::Debug for TraceStore {
 }
 
 impl TraceStore {
-    /// Registers `trace_id` as owned by an in-process global root, so
-    /// provisional (wire-continued) finalizations leave it pending.
-    pub(crate) fn open_root(&self, trace_id: u128) {
-        sync::lock_class("TraceStore.inner", &self.inner)
-            .open_roots
-            .insert(trace_id);
-    }
-
-    /// Accepts a batch of finished spans from a thread buffer.
-    pub(crate) fn record_batch(&self, batch: Vec<SpanRecord>) {
-        let mut dropped = 0u64;
+    /// Appends a drained batch to its traces' entries. `route` is given
+    /// when the batch's last span is a local root finishing: its entry
+    /// takes the route and the span's duration if the span has no
+    /// parent, or if no root has set them yet.
+    pub(crate) fn record_batch(&self, batch: Vec<SpanRecord>, route: Option<String>) {
+        let root = route.zip(
+            batch
+                .last()
+                .map(|s| (s.trace_id, s.parent_span_id.is_none(), s.duration_nanos())),
+        );
+        let mut dropped = 0;
         {
-            let mut inner = sync::lock_class("TraceStore.inner", &self.inner);
+            let mut ring = sync::lock_class("TraceStore.inner", &self.inner);
             for span in batch {
-                let known = inner.pending.contains_key(&span.trace_id);
-                if !known && inner.pending.len() >= MAX_PENDING {
+                let at = match ring.iter().rposition(|t| t.trace_id == span.trace_id) {
+                    Some(at) => at,
+                    None => {
+                        if ring.len() == RECENT_CAPACITY {
+                            dropped += ring.pop_front().map_or(0, |t| t.spans.len());
+                        }
+                        ring.push_back(StoredTrace {
+                            trace_id: span.trace_id,
+                            route: String::new(),
+                            duration_nanos: 0,
+                            error: false,
+                            spans: Vec::new(),
+                        });
+                        ring.len() - 1
+                    }
+                };
+                let trace = &mut ring[at];
+                trace.error |= span.error;
+                if trace.spans.len() < MAX_SPANS_PER_TRACE {
+                    trace.spans.push(span);
+                } else {
                     dropped += 1;
-                    continue;
                 }
-                let spans = inner.pending.entry(span.trace_id).or_default();
-                if spans.len() >= MAX_SPANS_PER_TRACE {
-                    dropped += 1;
-                    continue;
+            }
+            if let Some((route, (trace_id, parentless, duration))) = root {
+                let entry = ring.iter_mut().rev().find(|t| t.trace_id == trace_id);
+                if let Some(trace) = entry.filter(|t| parentless || t.route.is_empty()) {
+                    trace.route = route;
+                    trace.duration_nanos = duration;
                 }
-                spans.push(span);
             }
         }
         if dropped > 0 {
-            self.dropped.fetch_add(dropped, Ordering::SeqCst);
+            self.dropped.fetch_add(dropped as u64, Ordering::SeqCst);
         }
     }
 
-    /// Completes a trace and applies the tail-retention policy.
-    /// `provisional` finalizations (from wire-continued local roots)
-    /// are skipped while an in-process global root owns the trace.
-    pub(crate) fn finalize(
-        &self,
-        trace_id: u128,
-        route: &str,
-        duration_nanos: u64,
-        error: bool,
-        provisional: bool,
-    ) {
-        let retained = {
-            let mut inner = sync::lock_class("TraceStore.inner", &self.inner);
-            if provisional && inner.open_roots.contains(&trace_id) {
-                return;
-            }
-            inner.open_roots.remove(&trace_id);
-            let spans = inner.pending.remove(&trace_id).unwrap_or_default();
-            if spans.is_empty() {
-                return;
-            }
-            let trace = StoredTrace {
-                trace_id,
-                route: route.to_string(),
-                duration_nanos,
-                error,
-                spans,
-            };
-
-            // Slowest-N per route: always keep while the table is
-            // filling, then only when beating the current floor.
-            let slot = inner.slowest.entry(route.to_string()).or_default();
-            let qualifies_slowest = slot.len() < SLOWEST_PER_ROUTE
-                || slot
-                    .last()
-                    .is_some_and(|floor| duration_nanos > floor.duration_nanos);
-            if qualifies_slowest {
-                slot.push(trace.clone());
-                slot.sort_by_key(|t| std::cmp::Reverse(t.duration_nanos));
-                slot.truncate(SLOWEST_PER_ROUTE);
-            }
-
-            let sampled_in = trace_id.is_multiple_of(SAMPLE_ONE_IN);
-            let retained = error || qualifies_slowest || sampled_in;
-            if retained {
-                inner.recent.push_back(trace);
-                while inner.recent.len() > RECENT_CAPACITY {
-                    inner.recent.pop_front();
-                }
-            }
-            retained
-        };
-        if !retained {
-            self.dropped.fetch_add(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Retained traces, newest first.
+    /// Held traces, newest first.
     pub fn recent(&self) -> Vec<StoredTrace> {
         sync::lock_class("TraceStore.inner", &self.inner)
-            .recent
             .iter()
             .rev()
             .cloned()
             .collect()
     }
 
-    /// The slowest retained traces across all routes, slowest first.
-    pub fn slowest(&self) -> Vec<StoredTrace> {
-        let mut all: Vec<StoredTrace> = sync::lock_class("TraceStore.inner", &self.inner)
-            .slowest
-            .values()
-            .flatten()
-            .cloned()
-            .collect();
-        all.sort_by_key(|t| std::cmp::Reverse(t.duration_nanos));
-        all
-    }
-
-    /// Traces discarded by retention or capacity limits.
+    /// Spans thrown away: those of traces pushed out of the ring and
+    /// those past a trace's span cap.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::SeqCst)
     }
 
-    /// Traces with spans still awaiting finalization.
-    #[cfg(test)]
-    pub(crate) fn pending_traces(&self) -> usize {
-        sync::lock_class("TraceStore.inner", &self.inner)
-            .pending
-            .len()
-    }
-
-    /// Renders the store for `GET /trace`:
-    /// `{"recent":[…],"slowest":[…],"dropped":N}` where each trace is a
-    /// [`StoredTrace::to_json`] span tree.
+    /// Renders the store for `GET /trace`: `{"recent":[…],"dropped":N}`
+    /// where each trace is a [`StoredTrace::to_json`] span tree.
     pub fn to_json(&self) -> String {
         let recent: Vec<String> = self.recent().iter().map(StoredTrace::to_json).collect();
-        let slowest: Vec<String> = self.slowest().iter().map(StoredTrace::to_json).collect();
         format!(
-            "{{\"recent\":[{}],\"slowest\":[{}],\"dropped\":{}}}",
+            "{{\"recent\":[{}],\"dropped\":{}}}",
             recent.join(","),
-            slowest.join(","),
             self.dropped()
         )
     }
@@ -315,6 +232,9 @@ impl TraceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
+    use crate::trace::{TraceContext, Tracer};
+    use std::sync::Arc;
 
     fn span(trace_id: u128, span_id: u64, parent: Option<u64>, stage: &'static str) -> SpanRecord {
         SpanRecord {
@@ -334,123 +254,105 @@ mod tests {
         TraceStore::default()
     }
 
-    /// Finishes a one-span trace on route `/r`.
-    fn finish(s: &TraceStore, id: u128, duration: u64, error: bool) {
-        s.record_batch(vec![span(id, 1, None, "root")]);
-        s.finalize(id, "/r", duration, error, false);
-    }
-
-    /// Fills `/r`'s slowest table with traces no later one outlasts, so
-    /// what follows is retained only as an error or by the id sample.
-    /// Their ids (2001…) are outside the sample.
-    fn fill_slowest(s: &TraceStore) {
-        for i in 0..SLOWEST_PER_ROUTE as u128 {
-            finish(s, 2001 + i, 1_000_000, false);
+    /// Continues each `traceparent` value as the server does, one
+    /// fragment of one span each, on a tracer of its own.
+    fn continue_fragments(values: impl Iterator<Item = String>) -> Arc<Tracer> {
+        let tracer = Tracer::new(Arc::new(ManualClock::new()));
+        for value in values {
+            let ctx = TraceContext::parse_traceparent(&value).expect("well-formed");
+            tracer
+                .span_from(ctx, "server", "server", "/hostile")
+                .finish();
         }
-    }
-
-    #[test]
-    fn slowest_per_route_keeps_the_tail() {
-        let s = store();
-        // Ten traces, none in the id sample: durations 100, 200, … 1000.
-        for i in 1..=10u64 {
-            finish(&s, u128::from(i), i * 100, false);
-        }
-        let slow: Vec<u64> = s.slowest().iter().map(|t| t.duration_nanos).collect();
-        assert_eq!(slow, [1000, 900, 800, 700, 600, 500, 400, 300]);
-        // Every one beat the floor when it arrived, so all ten were
-        // retained in the ring; a late short one is not.
-        assert_eq!(s.dropped(), 0);
-        finish(&s, 11, 50, false);
-        assert_eq!(s.dropped(), 1);
-    }
-
-    #[test]
-    fn error_traces_are_always_retained() {
-        let s = store();
-        fill_slowest(&s);
-        finish(&s, 9, 1, true);
-        let recent = s.recent();
-        assert!(recent.iter().any(|t| t.trace_id == 9 && t.error));
-    }
-
-    #[test]
-    fn probabilistic_sampling_is_id_stable() {
-        let s = store();
-        fill_slowest(&s);
-        for id in 1u128..=48 {
-            finish(&s, id, 10, false);
-        }
-        let kept: Vec<u128> = s.recent().iter().map(|t| t.trace_id).collect();
-        assert_eq!(kept[..3], [48, 32, 16], "ids divisible by 16, newest first");
-        assert_eq!(kept.len(), 3 + SLOWEST_PER_ROUTE);
+        tracer
     }
 
     #[test]
     fn recent_ring_is_bounded() {
-        let s = store();
-        let last = RECENT_CAPACITY as u128 + 6;
-        for id in 1..=last {
-            finish(&s, id, 10, true);
-        }
-        let recent = s.recent();
+        let last = RECENT_CAPACITY as u128 + 8;
+        let tracer =
+            continue_fragments((1..=last).map(|id| format!("00-{id:032x}-0000000000000001-01")));
+        let recent = tracer.store().recent();
         assert_eq!(recent.len(), RECENT_CAPACITY);
         assert_eq!(recent[0].trace_id, last, "newest first");
-    }
-
-    #[test]
-    fn provisional_finalize_defers_to_the_open_root() {
-        let s = store();
-        s.open_root(7);
-        s.record_batch(vec![
-            span(7, 1, None, "root"),
-            span(7, 2, Some(1), "server"),
-        ]);
-        s.finalize(7, "/server-route", 50, false, true);
-        assert_eq!(s.recent().len(), 0, "still pending");
-        assert_eq!(s.pending_traces(), 1);
-        s.finalize(7, "/client-route", 120, false, false);
-        let recent = s.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].route, "/client-route");
-        assert_eq!(recent[0].spans.len(), 2);
-    }
-
-    #[test]
-    fn provisional_finalize_stands_alone_without_a_root() {
-        let s = store();
-        s.record_batch(vec![span(7, 2, Some(1), "server")]);
-        s.finalize(7, "/server-route", 50, false, true);
-        let recent = s.recent();
-        assert_eq!(recent.len(), 1, "standalone server fragment retained");
-        assert_eq!(recent[0].route, "/server-route");
+        assert_eq!(
+            recent[RECENT_CAPACITY - 1].trace_id,
+            9,
+            "the oldest 8 pushed out"
+        );
+        assert_eq!(tracer.store().dropped(), 8);
     }
 
     #[test]
     fn pending_capacity_is_enforced() {
+        let fragments = MAX_SPANS_PER_TRACE as u64 + 8;
+        let tracer =
+            continue_fragments((1..=fragments).map(|span| format!("00-{:032x}-{span:016x}-01", 7)));
+        let recent = tracer.store().recent();
+        assert_eq!(recent.len(), 1, "one entry per trace id");
+        assert_eq!(recent[0].spans.len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(tracer.store().dropped(), 8);
+    }
+
+    #[test]
+    fn a_wire_fragment_merges_into_its_roots_entry() {
         let s = store();
-        for id in 1..=MAX_PENDING as u128 + 2 {
-            s.record_batch(vec![span(id, 1, None, "root")]);
+        s.record_batch(
+            vec![span(7, 2, Some(1), "server")],
+            Some("/server-route".into()),
+        );
+        assert_eq!(
+            s.recent()[0].route,
+            "/server-route",
+            "the fragment's until the root"
+        );
+        let mut root = span(7, 1, None, "root");
+        root.end_nanos = 120;
+        s.record_batch(vec![root.clone()], Some("/client-route".into()));
+        // The same trace with its root first: a later fragment keeps out.
+        root.trace_id = 8;
+        s.record_batch(vec![root], Some("/client-route".into()));
+        s.record_batch(
+            vec![span(8, 2, Some(1), "server")],
+            Some("/server-route".into()),
+        );
+        let recent = s.recent();
+        assert_eq!(recent.len(), 2);
+        for trace in recent {
+            assert_eq!(trace.route, "/client-route", "the root's route wins");
+            assert_eq!(trace.duration_nanos, 120);
+            assert_eq!(trace.spans.len(), 2);
         }
-        assert_eq!(s.pending_traces(), MAX_PENDING);
-        assert_eq!(s.dropped(), 2);
-        let many: Vec<SpanRecord> = (1..=MAX_SPANS_PER_TRACE as u64 + 20)
-            .map(|i| span(1, i, None, "x"))
-            .collect();
-        s.record_batch(many);
-        assert!(s.dropped() > 2, "per-trace span cap counted");
+    }
+
+    #[test]
+    fn a_lone_wire_fragment_keeps_its_own_route() {
+        let s = store();
+        s.record_batch(
+            vec![span(7, 2, Some(1), "server")],
+            Some("/server-route".into()),
+        );
+        s.record_batch(
+            vec![span(7, 3, Some(1), "server")],
+            Some("/other-route".into()),
+        );
+        let recent = s.recent();
+        assert_eq!(recent.len(), 1, "standalone server fragment retained");
+        assert_eq!(recent[0].route, "/server-route", "the first fragment's");
     }
 
     #[test]
     fn json_nests_children_and_orphans_become_roots() {
         let s = store();
-        s.record_batch(vec![
-            span(0xab, 1, None, "root"),
-            span(0xab, 2, Some(1), "transfer"),
-            span(0xab, 3, Some(2), "server"),
-            span(0xab, 4, Some(99), "orphan"), // parent in another process
-        ]);
-        s.finalize(0xab, "/r", 100, false, false);
+        s.record_batch(
+            vec![
+                span(0xab, 1, None, "root"),
+                span(0xab, 2, Some(1), "transfer"),
+                span(0xab, 3, Some(2), "server"),
+                span(0xab, 4, Some(99), "orphan"), // parent in another process
+            ],
+            Some("/r".into()),
+        );
         let json = s.to_json();
         assert!(json.starts_with("{\"recent\":["));
         assert!(json.contains("\"trace_id\":\"000000000000000000000000000000ab\""));

@@ -7,7 +7,7 @@
 //! 64-bit span id, parent link, sampled flag) is minted at a request
 //! root, travels across the wire in a `traceparent`-style header, and
 //! every instrumented stage records a [`SpanRecord`] into the tracer's
-//! tail-sampling [`crate::sampler::TraceStore`].
+//! [`crate::sampler::TraceStore`].
 //!
 //! Design constraints, in order:
 //!
@@ -18,7 +18,7 @@
 //! - **Allocation-light.** Finished spans land in a per-thread buffer
 //!   and are drained into the store in batches — once per request on
 //!   the root's finish, or when the buffer fills. The hit path records
-//!   two or three spans and takes at most one store lock per request.
+//!   two or three spans and takes one store lock per request.
 //! - **Deterministic.** All timestamps come from the clock of the
 //!   [`crate::MetricsRegistry`] that owns the tracer, so span trees are
 //!   exact under a [`crate::clock::ManualClock`]. A [`crate::Stage`]
@@ -109,8 +109,7 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// Mints a fresh root context (always sampled — retention is
-    /// decided *after* the fact by tail sampling).
+    /// Mints a fresh root context (always sampled).
     pub(crate) fn root() -> TraceContext {
         TraceContext {
             trace_id: fresh_trace_id(),
@@ -200,8 +199,8 @@ impl SpanRecord {
     }
 }
 
-/// Records spans against its registry's clock and retains them in a
-/// tail-sampling [`TraceStore`]. Every [`crate::MetricsRegistry`] owns
+/// Records spans against its registry's clock and keeps the recent ones
+/// in a [`TraceStore`]. Every [`crate::MetricsRegistry`] owns
 /// one ([`crate::MetricsRegistry::tracer`]); there is no other way to
 /// build it.
 pub struct Tracer {
@@ -241,30 +240,27 @@ impl Tracer {
         &self.store
     }
 
-    /// Mints a fresh trace root. Only designated root sites (load
-    /// generator, benchmark drivers) may call this — `clippy.toml`
-    /// disallows it elsewhere, because a request-path span created from thin
-    /// air breaks end-to-end attribution.
+    /// Mints a fresh trace root. Only designated root sites (the trace
+    /// smoke driver and tests) may call this — `clippy.toml` disallows
+    /// it elsewhere, because a request-path span created from thin air
+    /// breaks end-to-end attribution.
     pub fn root_span(self: &Arc<Self>, name: &'static str, route: &str) -> ActiveSpan {
-        let ctx = TraceContext::root();
-        self.store.open_root(ctx.trace_id);
+        let route = Some(route.to_string());
         ActiveSpan::start(
             self.clone(),
-            ctx,
+            TraceContext::root(),
             name,
             "root",
-            RootKind::Global {
-                route: route.to_string(),
-            },
+            route,
             None,
         )
     }
 
     /// Continues a context received over the wire: the returned span is
     /// a child of the remote parent and acts as this process's local
-    /// root — when it finishes, the thread buffer is drained and, if no
-    /// in-process global root owns the trace, the fragment is retained
-    /// under `route`.
+    /// root — when it finishes, the thread buffer is drained into the
+    /// store, whose entry for the trace takes `route` until the trace's
+    /// own root arrives.
     pub fn span_from(
         self: &Arc<Self>,
         parent: TraceContext,
@@ -272,30 +268,9 @@ impl Tracer {
         stage: &'static str,
         route: &str,
     ) -> ActiveSpan {
-        ActiveSpan::start(
-            self.clone(),
-            parent.child(),
-            name,
-            stage,
-            RootKind::Wire {
-                route: route.to_string(),
-            },
-            None,
-        )
+        let route = Some(route.to_string());
+        ActiveSpan::start(self.clone(), parent.child(), name, stage, route, None)
     }
-}
-
-/// How a span relates to trace retention.
-#[derive(Debug)]
-enum RootKind {
-    /// An interior span: buffered, drained with its root.
-    NotRoot,
-    /// The trace's true root: finishing it finalizes the whole trace.
-    Global { route: String },
-    /// A local root continuing a wire context: finishing it drains the
-    /// thread buffer and provisionally finalizes (skipped when an
-    /// in-process global root owns the trace).
-    Wire { route: String },
 }
 
 struct Frame {
@@ -347,7 +322,7 @@ pub(crate) fn child_span_at(
         parent.child(),
         name,
         stage,
-        RootKind::NotRoot,
+        None,
         started,
     ))
 }
@@ -423,7 +398,9 @@ pub struct ActiveSpan {
     start_nanos: u64,
     annotation: Option<String>,
     error: bool,
-    root: RootKind,
+    /// A local root's route; `None` for an interior span, which is
+    /// drained with its root.
+    route: Option<String>,
     finished: bool,
 }
 
@@ -433,7 +410,7 @@ impl ActiveSpan {
         ctx: TraceContext,
         name: &'static str,
         stage: &'static str,
-        root: RootKind,
+        route: Option<String>,
         started: Option<(usize, u64)>,
     ) -> ActiveSpan {
         let start_nanos = tracer.reading(started);
@@ -446,7 +423,7 @@ impl ActiveSpan {
             start_nanos,
             annotation: None,
             error: false,
-            root,
+            route,
             finished: false,
         }
     }
@@ -467,8 +444,7 @@ impl ActiveSpan {
         self.annotation = Some(text.into());
     }
 
-    /// Marks the span (and thus its trace) as errored; error traces are
-    /// always retained.
+    /// Marks the span, and so its stored trace, as errored.
     pub fn set_error(&mut self) {
         self.error = true;
     }
@@ -499,7 +475,7 @@ impl ActiveSpan {
             error: false,
         };
         for (tracer, batch) in buffer_record(&self.tracer, record, false) {
-            tracer.store.record_batch(batch);
+            tracer.store.record_batch(batch, None);
         }
     }
 
@@ -534,23 +510,15 @@ impl ActiveSpan {
             annotation: self.annotation.take(),
             error: self.error,
         };
-        let is_root = !matches!(self.root, RootKind::NotRoot);
-        for (tracer, batch) in buffer_record(&self.tracer, record, is_root) {
-            tracer.store.record_batch(batch);
+        // A root's finish drains the buffer: its record ends the last
+        // batch, which carries its route.
+        let mut batches = buffer_record(&self.tracer, record, self.route.is_some());
+        let last = batches.pop();
+        for (tracer, batch) in batches {
+            tracer.store.record_batch(batch, None);
         }
-        let duration = end_nanos.saturating_sub(self.start_nanos);
-        match &self.root {
-            RootKind::NotRoot => {}
-            RootKind::Global { route } => {
-                self.tracer
-                    .store
-                    .finalize(self.ctx.trace_id, route, duration, self.error, false);
-            }
-            RootKind::Wire { route } => {
-                self.tracer
-                    .store
-                    .finalize(self.ctx.trace_id, route, duration, self.error, true);
-            }
+        if let Some((tracer, batch)) = last {
+            tracer.store.record_batch(batch, self.route.take());
         }
     }
 }
@@ -712,6 +680,19 @@ mod tests {
         root.finish();
         let traces = tracer.store().recent();
         assert!(traces[0].error);
+    }
+
+    #[test]
+    fn a_server_error_under_a_clean_root_marks_the_trace() {
+        let (tracer, _clock) = manual_tracer();
+        let root = tracer.root_span("request", "/r");
+        let mut server = tracer.span_from(root.context(), "server", "server", "/r");
+        server.set_error();
+        server.finish();
+        root.finish();
+        let traces = tracer.store().recent();
+        assert_eq!(traces.len(), 1);
+        assert!(traces[0].error, "the server span errored");
     }
 
     #[test]
