@@ -54,7 +54,7 @@ fn main() {
     } else {
         Protocol::paper()
     };
-    let figure_requests = if quick { 300 } else { 3000 };
+    let figure_requests = if quick { 60 } else { 3000 };
     let backend_latency = Duration::from_millis(latency_ms);
 
     let expanded: Vec<&str> = artifacts

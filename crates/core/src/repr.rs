@@ -11,7 +11,7 @@ use std::sync::Arc;
 use wsrc_model::typeinfo::{FieldType, TypeRegistry};
 use wsrc_model::value::Value;
 use wsrc_model::{binser, deep_clone, reflect, sizeof};
-use wsrc_soap::deserializer::{read_response_dom, read_response_events, read_response_xml};
+use wsrc_soap::deserializer::{read_response_bytes, read_response_dom, read_response_events};
 use wsrc_soap::rpc::RpcOutcome;
 use wsrc_xml::event::SaxEventSequence;
 use wsrc_xml::XmlReader;
@@ -306,10 +306,7 @@ impl StoredResponse {
     ) -> Result<ValueHandle, CacheError> {
         match self {
             StoredResponse::XmlMessage(xml) => {
-                let text = std::str::from_utf8(xml).map_err(|e| {
-                    CacheError::Unusable(format!("cached xml is not valid utf-8: {e}"))
-                })?;
-                match read_response_xml(text, expected, registry)? {
+                match read_response_bytes(xml, expected, registry)? {
                     RpcOutcome::Return(v) => Ok(ValueHandle::Owned(v)),
                     RpcOutcome::Fault(f) => Err(CacheError::Soap(f.into())),
                 }

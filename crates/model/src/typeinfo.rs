@@ -75,23 +75,19 @@ impl fmt::Display for FieldType {
 /// One declared field of a struct type.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDescriptor {
-    /// Field (and accessor) name. Shared: every instance decoded or
-    /// copied under this descriptor carries a clone of this handle.
+    /// Field (and accessor) name, also its element name on the wire.
+    /// Shared: every instance decoded or copied under this descriptor
+    /// carries a clone of this handle.
     pub name: Arc<str>,
-    /// Element name on the wire; usually equal to `name` (and then the
-    /// same handle).
-    pub xml_name: Arc<str>,
     /// Static type.
     pub field_type: FieldType,
 }
 
 impl FieldDescriptor {
-    /// Creates a field whose XML name equals its field name.
+    /// Creates a field.
     pub fn new(name: impl Into<Arc<str>>, field_type: FieldType) -> Self {
-        let name = name.into();
         FieldDescriptor {
-            xml_name: name.clone(),
-            name,
+            name: name.into(),
             field_type,
         }
     }
@@ -121,11 +117,6 @@ impl TypeDescriptor {
     pub fn field(&self, name: &str) -> Option<&FieldDescriptor> {
         self.fields.iter().find(|f| &*f.name == name)
     }
-
-    /// Looks up a field by its XML element name.
-    pub fn field_by_xml_name(&self, xml_name: &str) -> Option<&FieldDescriptor> {
-        self.fields.iter().find(|f| &*f.xml_name == xml_name)
-    }
 }
 
 /// One registered struct type as compiled when its registry is built:
@@ -142,9 +133,6 @@ pub struct StructPlan {
     /// the struct its type bottoms out in, when that struct is
     /// registered.
     field_plans: Vec<Option<u32>>,
-    /// No two declared fields share an XML name, so the first field
-    /// matching a name is the only one.
-    xml_names_unique: bool,
     /// No two declared fields share a field name, so appending declared
     /// fields can never produce a duplicate.
     names_unique: bool,
@@ -183,21 +171,11 @@ impl StructPlan {
         self.names_unique
     }
 
-    /// Slot of the declared field whose XML name is `xml_name` — the
-    /// first such field, as [`TypeDescriptor::field_by_xml_name`] finds
-    /// it. `hint` is probed first: wire order is declaration order in
-    /// the overwhelming case, so the scan is one compare.
-    pub fn slot_by_xml_name(&self, xml_name: &str, hint: usize) -> Option<usize> {
-        let fields = &self.descriptor.fields;
-        if self.xml_names_unique && fields.get(hint).is_some_and(|f| &*f.xml_name == xml_name) {
-            return Some(hint);
-        }
-        fields.iter().position(|f| &*f.xml_name == xml_name)
-    }
-
-    /// Slot of the declared field named `name` (first match, as
-    /// [`TypeDescriptor::field`]), probing `hint` first.
-    fn slot_by_name(&self, name: &str, hint: usize) -> Option<usize> {
+    /// Slot of the declared field named `name` — the first such field,
+    /// as [`TypeDescriptor::field`] finds it. `hint` is probed first:
+    /// wire order is declaration order in the overwhelming case, so the
+    /// scan is one compare.
+    pub fn slot_by_name(&self, name: &str, hint: usize) -> Option<usize> {
         let fields = &self.descriptor.fields;
         if self.names_unique && fields.get(hint).is_some_and(|f| &*f.name == name) {
             return Some(hint);
@@ -466,9 +444,6 @@ impl TypeRegistryBuilder {
             .into_iter()
             .map(|descriptor| {
                 let fields = &descriptor.fields;
-                let distinct = |key: fn(&FieldDescriptor) -> &str| {
-                    (1..fields.len()).all(|i| fields[..i].iter().all(|f| key(f) != key(&fields[i])))
-                };
                 StructPlan {
                     shape: Arc::new(Shape::schema(
                         descriptor.name.clone(),
@@ -482,8 +457,8 @@ impl TypeRegistryBuilder {
                                 .and_then(|n| index.get(n).copied())
                         })
                         .collect(),
-                    xml_names_unique: distinct(|f| &f.xml_name),
-                    names_unique: distinct(|f| &f.name),
+                    names_unique: (1..fields.len())
+                        .all(|i| fields[..i].iter().all(|f| f.name != fields[i].name)),
                     descriptor,
                 }
             })
@@ -530,12 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn field_lookup_by_name_and_xml_name() {
+    fn field_lookup_by_name() {
         let r = registry();
         let d = r.get("Bean").unwrap();
         assert_eq!(d.field("a").unwrap().field_type, FieldType::Int);
         assert!(d.field("z").is_none());
-        assert_eq!(&*d.field_by_xml_name("b").unwrap().name, "b");
     }
 
     fn nested_registry() -> TypeRegistry {
@@ -659,37 +633,29 @@ mod tests {
                 "Twice",
                 vec![
                     FieldDescriptor::new("a", FieldType::Int),
-                    FieldDescriptor {
-                        name: "first".into(),
-                        xml_name: "dup".into(),
-                        field_type: FieldType::Int,
-                    },
-                    FieldDescriptor {
-                        name: "second".into(),
-                        xml_name: "dup".into(),
-                        field_type: FieldType::String,
-                    },
+                    FieldDescriptor::new("dup", FieldType::Int),
+                    FieldDescriptor::new("dup", FieldType::String),
                 ],
             ))
             .build();
         let bean = nested_registry();
         let bean = bean.plan("Bean").unwrap();
         // In order, out of order, past the end, unknown.
-        assert_eq!(bean.slot_by_xml_name("a", 0), Some(0));
-        assert_eq!(bean.slot_by_xml_name("b", 1), Some(1));
-        assert_eq!(bean.slot_by_xml_name("a", 1), Some(0));
-        assert_eq!(bean.slot_by_xml_name("b", 2), Some(1));
-        assert_eq!(bean.slot_by_xml_name("c", 0), None);
+        assert_eq!(bean.slot_by_name("a", 0), Some(0));
+        assert_eq!(bean.slot_by_name("b", 1), Some(1));
+        assert_eq!(bean.slot_by_name("a", 1), Some(0));
+        assert_eq!(bean.slot_by_name("b", 2), Some(1));
+        assert_eq!(bean.slot_by_name("c", 0), None);
         assert!(bean.names_unique());
-        // A repeated XML name resolves as `field_by_xml_name` does, even
-        // when the hint points at the later field.
+        // A repeated name resolves as `field` does, even when the hint
+        // points at the later field.
         let twice = r.plan("Twice").unwrap();
-        assert_eq!(twice.slot_by_xml_name("dup", 2), Some(1));
+        assert_eq!(twice.slot_by_name("dup", 2), Some(1));
         assert_eq!(
-            &*twice.descriptor().field_by_xml_name("dup").unwrap().name,
-            "first"
+            twice.descriptor().field("dup").unwrap().field_type,
+            FieldType::Int
         );
-        assert!(twice.names_unique());
+        assert!(!twice.names_unique());
     }
 
     #[test]

@@ -1,14 +1,12 @@
 //! The trace store: the last [`RECENT_CAPACITY`] traces, one entry per
 //! trace id, each holding at most 128 spans.
 //!
-//! A batch of finished spans comes from a thread buffer when a local
-//! root finishes, or when the buffer fills or changes owner. Each span
-//! joins its trace's entry; a trace the store does not hold opens an
-//! entry at the back and pushes the oldest out. An entry takes its route
-//! and duration from the span that has no parent, and until that span
-//! arrives from the first root continued from a wire context. What the
-//! two bounds throw away is counted, and every call takes the one inner
-//! mutex once.
+//! A span joins its trace's entry when it finishes; a trace the store
+//! does not hold opens an entry at the back and pushes the oldest out.
+//! An entry takes its route and duration from the span that has no
+//! parent, and until that span arrives from the first root continued
+//! from a wire context. What the two bounds throw away is counted, and
+//! every span takes the one inner mutex once.
 
 use crate::render::json_escape;
 use crate::sync;
@@ -151,54 +149,41 @@ impl std::fmt::Debug for TraceStore {
 }
 
 impl TraceStore {
-    /// Appends a drained batch to its traces' entries. `route` is given
-    /// when the batch's last span is a local root finishing: its entry
-    /// takes the route and the span's duration if the span has no
-    /// parent, or if no root has set them yet.
-    pub(crate) fn record_batch(&self, batch: Vec<SpanRecord>, route: Option<String>) {
-        let root = route.zip(
-            batch
-                .last()
-                .map(|s| (s.trace_id, s.parent_span_id.is_none(), s.duration_nanos())),
-        );
-        let mut dropped = 0;
+    /// Adds a finished span to its trace's entry. `route` is given when
+    /// the span is a local root: the entry takes the route and the
+    /// span's duration if the span has no parent, or if no root has set
+    /// them yet.
+    pub(crate) fn record(&self, span: SpanRecord, route: Option<String>) {
+        let mut ring = sync::lock_class("TraceStore.inner", &self.inner);
+        let at = match ring.iter().rposition(|t| t.trace_id == span.trace_id) {
+            Some(at) => at,
+            None => {
+                if ring.len() == RECENT_CAPACITY {
+                    let pushed_out = ring.pop_front().map_or(0, |t| t.spans.len());
+                    self.dropped.fetch_add(pushed_out as u64, Ordering::SeqCst);
+                }
+                ring.push_back(StoredTrace {
+                    trace_id: span.trace_id,
+                    route: String::new(),
+                    duration_nanos: 0,
+                    error: false,
+                    spans: Vec::new(),
+                });
+                ring.len() - 1
+            }
+        };
+        let trace = &mut ring[at];
+        if let Some(route) =
+            route.filter(|_| span.parent_span_id.is_none() || trace.route.is_empty())
         {
-            let mut ring = sync::lock_class("TraceStore.inner", &self.inner);
-            for span in batch {
-                let at = match ring.iter().rposition(|t| t.trace_id == span.trace_id) {
-                    Some(at) => at,
-                    None => {
-                        if ring.len() == RECENT_CAPACITY {
-                            dropped += ring.pop_front().map_or(0, |t| t.spans.len());
-                        }
-                        ring.push_back(StoredTrace {
-                            trace_id: span.trace_id,
-                            route: String::new(),
-                            duration_nanos: 0,
-                            error: false,
-                            spans: Vec::new(),
-                        });
-                        ring.len() - 1
-                    }
-                };
-                let trace = &mut ring[at];
-                trace.error |= span.error;
-                if trace.spans.len() < MAX_SPANS_PER_TRACE {
-                    trace.spans.push(span);
-                } else {
-                    dropped += 1;
-                }
-            }
-            if let Some((route, (trace_id, parentless, duration))) = root {
-                let entry = ring.iter_mut().rev().find(|t| t.trace_id == trace_id);
-                if let Some(trace) = entry.filter(|t| parentless || t.route.is_empty()) {
-                    trace.route = route;
-                    trace.duration_nanos = duration;
-                }
-            }
+            trace.route = route;
+            trace.duration_nanos = span.duration_nanos();
         }
-        if dropped > 0 {
-            self.dropped.fetch_add(dropped as u64, Ordering::SeqCst);
+        trace.error |= span.error;
+        if trace.spans.len() < MAX_SPANS_PER_TRACE {
+            trace.spans.push(span);
+        } else {
+            self.dropped.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -297,10 +282,7 @@ mod tests {
     #[test]
     fn a_wire_fragment_merges_into_its_roots_entry() {
         let s = store();
-        s.record_batch(
-            vec![span(7, 2, Some(1), "server")],
-            Some("/server-route".into()),
-        );
+        s.record(span(7, 2, Some(1), "server"), Some("/server-route".into()));
         assert_eq!(
             s.recent()[0].route,
             "/server-route",
@@ -308,14 +290,11 @@ mod tests {
         );
         let mut root = span(7, 1, None, "root");
         root.end_nanos = 120;
-        s.record_batch(vec![root.clone()], Some("/client-route".into()));
+        s.record(root.clone(), Some("/client-route".into()));
         // The same trace with its root first: a later fragment keeps out.
         root.trace_id = 8;
-        s.record_batch(vec![root], Some("/client-route".into()));
-        s.record_batch(
-            vec![span(8, 2, Some(1), "server")],
-            Some("/server-route".into()),
-        );
+        s.record(root, Some("/client-route".into()));
+        s.record(span(8, 2, Some(1), "server"), Some("/server-route".into()));
         let recent = s.recent();
         assert_eq!(recent.len(), 2);
         for trace in recent {
@@ -328,14 +307,8 @@ mod tests {
     #[test]
     fn a_lone_wire_fragment_keeps_its_own_route() {
         let s = store();
-        s.record_batch(
-            vec![span(7, 2, Some(1), "server")],
-            Some("/server-route".into()),
-        );
-        s.record_batch(
-            vec![span(7, 3, Some(1), "server")],
-            Some("/other-route".into()),
-        );
+        s.record(span(7, 2, Some(1), "server"), Some("/server-route".into()));
+        s.record(span(7, 3, Some(1), "server"), Some("/other-route".into()));
         let recent = s.recent();
         assert_eq!(recent.len(), 1, "standalone server fragment retained");
         assert_eq!(recent[0].route, "/server-route", "the first fragment's");
@@ -344,15 +317,11 @@ mod tests {
     #[test]
     fn json_nests_children_and_orphans_become_roots() {
         let s = store();
-        s.record_batch(
-            vec![
-                span(0xab, 1, None, "root"),
-                span(0xab, 2, Some(1), "transfer"),
-                span(0xab, 3, Some(2), "server"),
-                span(0xab, 4, Some(99), "orphan"), // parent in another process
-            ],
-            Some("/r".into()),
-        );
+        s.record(span(0xab, 1, None, "root"), None);
+        s.record(span(0xab, 2, Some(1), "transfer"), None);
+        s.record(span(0xab, 3, Some(2), "server"), None);
+        // Parent in another process.
+        s.record(span(0xab, 4, Some(99), "orphan"), Some("/r".into()));
         let json = s.to_json();
         assert!(json.starts_with("{\"recent\":["));
         assert!(json.contains("\"trace_id\":\"000000000000000000000000000000ab\""));

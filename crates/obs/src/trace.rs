@@ -15,10 +15,9 @@
 //!   stack, so `Handler::handle` and the client call path stay
 //!   unchanged; stages call [`child_span`] and get `None` when no
 //!   trace is active.
-//! - **Allocation-light.** Finished spans land in a per-thread buffer
-//!   and are drained into the store in batches — once per request on
-//!   the root's finish, or when the buffer fills. The hit path records
-//!   two or three spans and takes one store lock per request.
+//! - **One path to the store.** A span goes into its trace's entry
+//!   when it finishes, under one store lock, so `/trace` shows the
+//!   finished stages of a request that has not yet returned.
 //! - **Deterministic.** All timestamps come from the clock of the
 //!   [`crate::MetricsRegistry`] that owns the tracer, so span trees are
 //!   exact under a [`crate::clock::ManualClock`]. A [`crate::Stage`]
@@ -42,9 +41,6 @@ use std::sync::{Arc, OnceLock};
 /// The propagation header carrying a [`TraceContext`] across HTTP hops
 /// (requests and echoed responses).
 pub const TRACEPARENT_HEADER: &str = "traceparent";
-
-/// Spans buffered per thread before a batch is pushed to the store.
-const THREAD_BUFFER_CAP: usize = 128;
 
 /// Renders a 128-bit trace id as 32 lowercase hex digits (the wire
 /// format).
@@ -258,9 +254,8 @@ impl Tracer {
 
     /// Continues a context received over the wire: the returned span is
     /// a child of the remote parent and acts as this process's local
-    /// root — when it finishes, the thread buffer is drained into the
-    /// store, whose entry for the trace takes `route` until the trace's
-    /// own root arrives.
+    /// root — the store's entry for the trace takes `route` from it
+    /// until the trace's own root arrives.
     pub fn span_from(
         self: &Arc<Self>,
         parent: TraceContext,
@@ -278,21 +273,16 @@ struct Frame {
     ctx: TraceContext,
 }
 
-#[derive(Default)]
-struct TraceTls {
-    stack: Vec<Frame>,
-    owner: Option<Arc<Tracer>>,
-    buffer: Vec<SpanRecord>,
-}
-
 thread_local! {
-    static TLS: RefCell<TraceTls> = RefCell::new(TraceTls::default());
+    /// The thread's open spans, innermost last.
+    static STACK: RefCell<Vec<Frame>> = RefCell::default();
 }
 
 /// Whether a trace is active on this thread, so that a stage timed now
 /// emits a span.
 pub fn active() -> bool {
-    TLS.try_with(|t| t.try_borrow().is_ok_and(|t| !t.stack.is_empty()))
+    STACK
+        .try_with(|s| s.try_borrow().is_ok_and(|s| !s.is_empty()))
         .unwrap_or(false)
 }
 
@@ -309,11 +299,11 @@ pub(crate) fn child_span_at(
     stage: &'static str,
     started: Option<(usize, u64)>,
 ) -> Option<ActiveSpan> {
-    let (tracer, parent) = TLS
-        .try_with(|t| {
-            t.try_borrow()
+    let (tracer, parent) = STACK
+        .try_with(|s| {
+            s.try_borrow()
                 .ok()
-                .and_then(|t| t.stack.last().map(|f| (f.tracer.clone(), f.ctx)))
+                .and_then(|s| s.last().map(|f| (f.tracer.clone(), f.ctx)))
         })
         .ok()
         .flatten()?;
@@ -328,9 +318,9 @@ pub(crate) fn child_span_at(
 }
 
 fn push_frame(tracer: &Arc<Tracer>, ctx: TraceContext) {
-    let _ = TLS.try_with(|t| {
-        if let Ok(mut t) = t.try_borrow_mut() {
-            t.stack.push(Frame {
+    let _ = STACK.try_with(|s| {
+        if let Ok(mut s) = s.try_borrow_mut() {
+            s.push(Frame {
                 tracer: tracer.clone(),
                 ctx,
             });
@@ -339,49 +329,15 @@ fn push_frame(tracer: &Arc<Tracer>, ctx: TraceContext) {
 }
 
 fn pop_frame(span_id: u64) {
-    let _ = TLS.try_with(|t| {
-        if let Ok(mut t) = t.try_borrow_mut() {
+    let _ = STACK.try_with(|s| {
+        if let Ok(mut s) = s.try_borrow_mut() {
             // Defensive: also discard any frames stacked above a span
             // that was finished out of order.
-            if let Some(pos) = t.stack.iter().rposition(|f| f.ctx.span_id == span_id) {
-                t.stack.truncate(pos);
+            if let Some(pos) = s.iter().rposition(|f| f.ctx.span_id == span_id) {
+                s.truncate(pos);
             }
         }
     });
-}
-
-/// Buffers a finished record; returns batches that must be pushed to
-/// their stores (the caller does so *outside* the TLS borrow).
-fn buffer_record(
-    tracer: &Arc<Tracer>,
-    record: SpanRecord,
-    force_drain: bool,
-) -> Vec<(Arc<Tracer>, Vec<SpanRecord>)> {
-    TLS.try_with(|t| {
-        let Ok(mut t) = t.try_borrow_mut() else {
-            // Re-entrant borrow (should not happen): deliver directly.
-            return vec![(tracer.clone(), vec![record.clone()])];
-        };
-        let mut batches = Vec::new();
-        let same_owner = t.owner.as_ref().is_some_and(|o| Arc::ptr_eq(o, tracer));
-        if !same_owner {
-            let drained = std::mem::take(&mut t.buffer);
-            if let Some(old) = t.owner.take() {
-                if !drained.is_empty() {
-                    batches.push((old, drained));
-                }
-            }
-            t.owner = Some(tracer.clone());
-        }
-        t.buffer.push(record.clone());
-        if force_drain || t.buffer.len() >= THREAD_BUFFER_CAP {
-            let drained = std::mem::take(&mut t.buffer);
-            batches.push((tracer.clone(), drained));
-            t.owner = None;
-        }
-        batches
-    })
-    .unwrap_or_default()
 }
 
 /// A live span. Created through [`Tracer::root_span`],
@@ -398,8 +354,7 @@ pub struct ActiveSpan {
     start_nanos: u64,
     annotation: Option<String>,
     error: bool,
-    /// A local root's route; `None` for an interior span, which is
-    /// drained with its root.
+    /// A local root's route; `None` for an interior span.
     route: Option<String>,
     finished: bool,
 }
@@ -474,9 +429,7 @@ impl ActiveSpan {
             annotation: None,
             error: false,
         };
-        for (tracer, batch) in buffer_record(&self.tracer, record, false) {
-            tracer.store.record_batch(batch, None);
-        }
+        self.tracer.store.record(record, None);
     }
 
     /// Finishes the span now (same as dropping it).
@@ -510,16 +463,7 @@ impl ActiveSpan {
             annotation: self.annotation.take(),
             error: self.error,
         };
-        // A root's finish drains the buffer: its record ends the last
-        // batch, which carries its route.
-        let mut batches = buffer_record(&self.tracer, record, self.route.is_some());
-        let last = batches.pop();
-        for (tracer, batch) in batches {
-            tracer.store.record_batch(batch, None);
-        }
-        if let Some((tracer, batch)) = last {
-            tracer.store.record_batch(batch, self.route.take());
-        }
+        self.tracer.store.record(record, self.route.take());
     }
 }
 
@@ -622,6 +566,21 @@ mod tests {
         assert_eq!(child.stage, "lookup");
         assert_eq!(child.annotation.as_deref(), Some("outcome=miss"));
         assert_eq!(child.duration_nanos(), 90);
+    }
+
+    #[test]
+    fn a_finished_stage_is_in_the_store_before_its_request_ends() {
+        let (tracer, _clock) = manual_tracer();
+        let root = tracer.root_span("request", "/portal");
+        child_span("cache-lookup", "lookup")
+            .expect("trace active")
+            .finish();
+        let traces = tracer.store().recent();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(traces[0].spans.len(), 1);
+        assert_eq!(traces[0].spans[0].stage, "lookup");
+        root.finish();
+        assert_eq!(tracer.store().recent()[0].spans.len(), 2);
     }
 
     #[test]

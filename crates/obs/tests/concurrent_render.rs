@@ -75,7 +75,7 @@ fn concurrent_rendering_never_loses_or_duplicates_spans() {
     });
 
     // Every trace was kept with its exact span complement — nothing lost
-    // to a race, nothing double-drained.
+    // to a race, nothing recorded twice.
     let recent = tracer.store().recent();
     assert_eq!(recent.len(), WORKERS * TRACES_PER_WORKER);
     assert_eq!(tracer.store().dropped(), 0);

@@ -4,10 +4,9 @@
 //! driven by the XML parser over a response body's bytes while it
 //! records the event arena (cache miss of a form that keeps events;
 //! [`read_response_bytes_recording`]), by the XML parser alone (any other
-//! miss, [`read_response_bytes`]; hit on a cached XML message's text,
-//! [`read_response_xml`]) and by replaying a recorded arena (hit on
-//! cached SAX events; [`read_response_events`]) — one entry point per
-//! drive and input type.
+//! miss, and a hit on a cached XML message; [`read_response_bytes`]) and
+//! by replaying a recorded arena (hit on cached SAX events;
+//! [`read_response_events`]) — one entry point per drive.
 //! The cost difference between the last two is the paper's first
 //! optimization.
 //!
@@ -51,20 +50,25 @@ use wsrc_xml::reader::ParseIntoError;
 use wsrc_xml::sax::{ContentHandler, ElementName};
 use wsrc_xml::{Attributes, Symbol, XmlReader};
 
-/// Reads a response envelope (parse + deserialize in one pass).
+/// Reads a response envelope from raw body bytes, parse and deserialize
+/// in one pass: the miss of a call whose cached form does not keep
+/// events, of an uncached call, and the hit on a cached XML message.
 ///
 /// # Errors
 ///
-/// Returns XML errors for malformed documents and encoding errors for
-/// well-formed documents that are not valid responses. A SOAP fault is
-/// *not* an error — it is returned as [`RpcOutcome::Fault`].
-pub fn read_response_xml(
-    xml: &str,
+/// Returns XML errors for malformed documents and for bytes that are not
+/// valid UTF-8, and encoding errors for well-formed documents that are
+/// not valid responses; a document that is both reports the XML error.
+/// A SOAP fault is *not* an error — it is returned as
+/// [`RpcOutcome::Fault`].
+pub fn read_response_bytes(
+    bytes: &[u8],
     expected: &FieldType,
     registry: &TypeRegistry,
 ) -> Result<RpcOutcome, SoapError> {
     let mut reader = ResponseReader::new(expected, registry);
-    XmlReader::new(xml)
+    XmlReader::from_bytes(bytes)
+        .map_err(SoapError::Xml)?
         .parse_into(&mut reader)
         .map_err(flatten_parse_error)?;
     reader.finish()
@@ -75,7 +79,7 @@ pub fn read_response_xml(
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_response_xml`], minus XML syntax errors.
+/// Same conditions as [`read_response_bytes`], minus XML syntax errors.
 pub fn read_response_events(
     events: &SaxEventSequence,
     expected: &FieldType,
@@ -96,9 +100,7 @@ pub fn read_response_events(
 ///
 /// # Errors
 ///
-/// Same conditions as [`read_response_xml`], plus an XML error when the
-/// bytes are not valid UTF-8; a document that is both malformed and not
-/// a valid response reports the XML error.
+/// Same conditions as [`read_response_bytes`].
 pub fn read_response_bytes_recording(
     bytes: &[u8],
     expected: &FieldType,
@@ -110,28 +112,6 @@ pub fn read_response_bytes_recording(
         .read_sequence_into(&mut reader)
         .map_err(flatten_parse_error)?;
     Ok((reader.finish()?, events))
-}
-
-/// [`read_response_bytes_recording`] without the recording: one pass
-/// over the body bytes that only decodes — the miss of a call whose
-/// cached form does not keep events, and of an uncached call. A document
-/// that is both malformed and not a valid response reports the XML
-/// error, as the recording pass does.
-///
-/// # Errors
-///
-/// Same conditions as [`read_response_bytes_recording`].
-pub fn read_response_bytes(
-    bytes: &[u8],
-    expected: &FieldType,
-    registry: &TypeRegistry,
-) -> Result<RpcOutcome, SoapError> {
-    let mut reader = ResponseReader::new(expected, registry);
-    XmlReader::from_bytes(bytes)
-        .map_err(SoapError::Xml)?
-        .parse_into(&mut reader)
-        .map_err(flatten_parse_error)?;
-    reader.finish()
 }
 
 fn flatten_parse_error(e: ParseIntoError<SoapError>) -> SoapError {
@@ -174,16 +154,9 @@ enum Origin<'r> {
 }
 
 impl Origin<'_> {
-    /// The element's local name as written.
-    fn name<'a>(&'a self, names: &'a [NameMemo]) -> &'a str {
-        match self {
-            Origin::Declared { field, .. } => &field.xml_name,
-            Origin::Wire(id) => names[*id as usize].local().as_str(),
-        }
-    }
-
-    /// The name of the struct field this element is, as a shared handle.
-    fn field_name<'a>(&'a self, names: &'a [NameMemo]) -> &'a Arc<str> {
+    /// The element's local name, the name of the struct field it is, as
+    /// a shared handle.
+    fn name<'a>(&'a self, names: &'a [NameMemo]) -> &'a Arc<str> {
         match self {
             Origin::Declared { field, .. } => &field.name,
             Origin::Wire(id) => names[*id as usize].local().shared_str(),
@@ -628,7 +601,7 @@ impl<'r> ResponseReader<'r> {
         let memo = self.memo(child.id());
         let address = std::ptr::from_ref(plan) as usize;
         if memo.plan != address {
-            let slot = plan.slot_by_xml_name(child.local_part(), hint);
+            let slot = plan.slot_by_name(child.local_part(), hint);
             memo.plan = address;
             memo.slot = slot.map_or(NOT_DECLARED, |s| s as u32);
         }
@@ -751,7 +724,7 @@ impl<'r> ResponseReader<'r> {
                 ),
             },
         };
-        let name = child.origin.field_name(&self.names);
+        let name = child.origin.name(&self.names);
         match names.iter().position(|n| n == name) {
             Some(at) => self.tree.replace_child(at),
             None => names.push(name.clone()),
@@ -1199,12 +1172,12 @@ pub fn element_to_value(
             let descriptor = registry.get(&type_name);
             let mut fields = Vec::with_capacity(children.len());
             for c in children {
-                let xml_name = c.name.local_part();
-                let field = descriptor.and_then(|d| d.field_by_xml_name(xml_name));
+                let name = c.name.local_part();
+                let field = descriptor.and_then(|d| d.field(name));
                 let fv = element_to_value(c, field.map(|f| &f.field_type), registry)?;
                 let fname = field
                     .map(|f| f.name.clone())
-                    .unwrap_or_else(|| Arc::from(xml_name));
+                    .unwrap_or_else(|| Arc::from(name));
                 fields.push((fname, fv));
             }
             let type_name = match descriptor {
@@ -1268,7 +1241,7 @@ mod tests {
     fn roundtrip(value: &Value, expected: &FieldType) -> Value {
         let r = registry();
         let xml = serialize_response("urn:t", "op", "return", value, &r).unwrap();
-        match read_response_xml(&xml, expected, &r).unwrap() {
+        match read_response_bytes(xml.as_bytes(), expected, &r).unwrap() {
             RpcOutcome::Return(v) => v,
             RpcOutcome::Fault(f) => panic!("unexpected fault {f}"),
         }
@@ -1369,8 +1342,12 @@ mod tests {
         .unwrap();
         // Expected type String is wrong-but-permissive only for scalars;
         // use the dynamic path by expecting a struct-free "anyType":
-        let out =
-            read_response_xml(&xml, &FieldType::ArrayOf(Box::new(FieldType::String)), &r).unwrap();
+        let out = read_response_bytes(
+            xml.as_bytes(),
+            &FieldType::ArrayOf(Box::new(FieldType::String)),
+            &r,
+        )
+        .unwrap();
         // With expected=array-of-string, the int lexical "7" is a string.
         assert_eq!(
             out.as_return().unwrap(),
@@ -1381,7 +1358,7 @@ mod tests {
     fn read_body(ret: &str, expected: &FieldType) -> Result<Value, SoapError> {
         let xml = format!("<Envelope><Body><opResponse>{ret}</opResponse></Body></Envelope>");
         let r = registry();
-        let out = read_response_xml(&xml, expected, &r)?;
+        let out = read_response_bytes(xml.as_bytes(), expected, &r)?;
         let (recorded, events) = read_response_bytes_recording(xml.as_bytes(), expected, &r)?;
         assert_eq!(recorded, out);
         assert_eq!(read_response_events(&events, expected, &r)?, out);
@@ -1577,8 +1554,8 @@ mod tests {
         let xml = serialize_response("urn:t", "op", "return", &v, &r).unwrap();
         let document = wsrc_xml::Document::parse(&xml).unwrap();
         let from_dom = read_response_dom(&document, &expected, &r).unwrap();
-        let from_xml = read_response_xml(&xml, &expected, &r).unwrap();
-        assert_eq!(from_dom, from_xml);
+        let from_bytes = read_response_bytes(xml.as_bytes(), &expected, &r).unwrap();
+        assert_eq!(from_dom, from_bytes);
         assert_eq!(from_dom.as_return().unwrap(), &v);
         // Faults read through the DOM too.
         let fault_xml =
@@ -1596,7 +1573,7 @@ mod tests {
         let r = registry();
         let fault = SoapFault::server("backend exploded").with_detail("lp0 on fire");
         let xml = serialize_fault(&fault).unwrap();
-        match read_response_xml(&xml, &FieldType::String, &r).unwrap() {
+        match read_response_bytes(xml.as_bytes(), &FieldType::String, &r).unwrap() {
             RpcOutcome::Fault(f) => {
                 assert_eq!(f.string, "backend exploded");
                 assert_eq!(f.code, "soapenv:Server");
@@ -1613,7 +1590,7 @@ mod tests {
                    <soapenv:Header><auth><token>t</token></auth></soapenv:Header>\
                    <soapenv:Body><opResponse><return xsi:type=\"xsd:string\" xmlns:xsi=\"x\" xmlns:xsd=\"y\">ok</return></opResponse></soapenv:Body>\
                    </soapenv:Envelope>";
-        let out = read_response_xml(xml, &FieldType::String, &r).unwrap();
+        let out = read_response_bytes(xml.as_bytes(), &FieldType::String, &r).unwrap();
         assert_eq!(out.as_return().unwrap(), &Value::string("ok"));
     }
 
@@ -1626,7 +1603,7 @@ mod tests {
             "<Envelope><Wrong/></Envelope>",
         ] {
             assert!(
-                read_response_xml(xml, &FieldType::String, &r).is_err(),
+                read_response_bytes(xml.as_bytes(), &FieldType::String, &r).is_err(),
                 "expected error for {xml:?}"
             );
         }
@@ -1637,9 +1614,9 @@ mod tests {
         let r = registry();
         let xml = serialize_response("urn:t", "op", "return", &Value::string("not-a-number"), &r)
             .unwrap();
-        let e = read_response_xml(&xml, &FieldType::Int, &r).unwrap_err();
+        let e = read_response_bytes(xml.as_bytes(), &FieldType::Int, &r).unwrap_err();
         assert!(matches!(e, SoapError::Encoding(_)), "{e}");
-        let e = read_response_xml(&xml, &FieldType::Bool, &r).unwrap_err();
+        let e = read_response_bytes(xml.as_bytes(), &FieldType::Bool, &r).unwrap_err();
         assert!(matches!(e, SoapError::Encoding(_)), "{e}");
     }
 
@@ -1648,7 +1625,7 @@ mod tests {
         let r = registry();
         let xml = "<soapenv:Envelope xmlns:soapenv=\"http://schemas.xmlsoap.org/soap/envelope/\">\
                    <soapenv:Body><opResponse/></soapenv:Body></soapenv:Envelope>";
-        let out = read_response_xml(xml, &FieldType::String, &r).unwrap();
+        let out = read_response_bytes(xml.as_bytes(), &FieldType::String, &r).unwrap();
         assert_eq!(out.as_return().unwrap(), &Value::Null);
     }
 
@@ -1659,7 +1636,7 @@ mod tests {
                    <return xsi:type=\"xsd:string\" xmlns:xsi=\"x\" xmlns:xsd=\"y\">a</return>\
                    <return2>b</return2>\
                    </opResponse></Body></Envelope>";
-        assert!(read_response_xml(xml, &FieldType::String, &r).is_err());
+        assert!(read_response_bytes(xml.as_bytes(), &FieldType::String, &r).is_err());
     }
 
     #[test]
@@ -1686,7 +1663,7 @@ mod tests {
             ),
         ] {
             let xml = body(inner);
-            let streamed = read_response_xml(&xml, &expected, &r).unwrap_err();
+            let streamed = read_response_bytes(xml.as_bytes(), &expected, &r).unwrap_err();
             assert!(
                 streamed.to_string().contains("unexpected second element <"),
                 "{streamed}"
@@ -1706,7 +1683,7 @@ mod tests {
             format!("<opResponse><return>1</return></opResponse>{fault}"),
             format!("{fault}<opResponse><return>1</return></opResponse>"),
         ] {
-            let out = read_response_xml(&body(&inner), &FieldType::Int, &r).unwrap();
+            let out = read_response_bytes(body(&inner).as_bytes(), &FieldType::Int, &r).unwrap();
             assert!(matches!(out, RpcOutcome::Fault(_)), "{out:?}");
         }
     }
@@ -1768,7 +1745,7 @@ mod tests {
     #[test]
     fn garbage_xml_is_rejected_as_xml_error() {
         let r = registry();
-        let e = read_response_xml("<<<", &FieldType::String, &r).unwrap_err();
+        let e = read_response_bytes(b"<<<", &FieldType::String, &r).unwrap_err();
         assert!(matches!(e, SoapError::Xml(_)));
         assert!(parse_request("<<<", &[], &r).is_err());
     }

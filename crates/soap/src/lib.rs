@@ -9,7 +9,7 @@
 //! points with very different costs — the distinction the paper's first
 //! optimization exploits:
 //!
-//! - [`deserializer::read_response_xml`]: XML parsing **plus**
+//! - [`deserializer::read_response_bytes`]: XML parsing **plus**
 //!   deserialization (the cache-miss path, and the cache-hit path when
 //!   the cache stores raw XML messages);
 //! - [`deserializer::read_response_events`]: deserialization only, by

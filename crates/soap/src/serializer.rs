@@ -245,16 +245,15 @@ fn write_value(
                     let fields = &plan.descriptor().fields;
                     for (slot, ((_, field_value), field)) in s.fields().zip(fields).enumerate() {
                         let kind = plan.field_kind(slot, registry);
-                        write_value(w, &field.xml_name, field_value, registry, kind)?;
+                        write_value(w, &field.name, field_value, registry, kind)?;
                     }
                 }
                 _ => {
                     let descriptor = plan.map(StructPlan::descriptor);
                     for (field_name, field_value) in s.fields() {
                         let field = descriptor.and_then(|d| d.field(field_name));
-                        let xml_name = field.map_or(field_name, |f| &*f.xml_name);
                         let kind = field.map(|f| registry.kind_of(&f.field_type));
-                        write_value(w, xml_name, field_value, registry, kind)?;
+                        write_value(w, field_name, field_value, registry, kind)?;
                     }
                 }
             }

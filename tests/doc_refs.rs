@@ -397,7 +397,7 @@ fn back_ticked_benchmark_rows_are_names_in_benchmark_json() {
 /// and the verify skill — the Markdown code changes write — may hold
 /// together; ROADMAP, PAPER*, SNIPPETS and the task files are not
 /// counted. Prose grows only by raising this number in the same diff.
-const PROSE_BUDGET: usize = 222 * 1024;
+const PROSE_BUDGET: usize = 223_383;
 
 /// Every `PR n:` entry of CHANGES.md is at most 1 536 B; the detail
 /// belongs in a test, a row or EXPERIMENTS.md.

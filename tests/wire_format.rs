@@ -4,7 +4,7 @@
 
 use wsrcache::model::Value;
 use wsrcache::services::google::{self, spelling_request};
-use wsrcache::soap::deserializer::read_response_xml;
+use wsrcache::soap::deserializer::read_response_bytes;
 use wsrcache::soap::rpc::RpcOutcome;
 use wsrcache::soap::serializer::{serialize_request, serialize_response};
 
@@ -80,8 +80,8 @@ fn axis_style_envelopes_from_other_stacks_parse() {
         " </SOAP-ENV:Body>\n",
         "</SOAP-ENV:Envelope>",
     );
-    let outcome = read_response_xml(
-        foreign,
+    let outcome = read_response_bytes(
+        foreign.as_bytes(),
         &wsrcache::model::typeinfo::FieldType::String,
         &google::registry(),
     )

@@ -173,35 +173,35 @@ const MODES: [Mode; 3] = [Mode::Untimed, Mode::Timed, Mode::Traced];
 const EXPECTED: [[[Work; 3]; 5]; 4] = [
     // xml-message
     [
-        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 2, 13, 9483, 0)], // Hit
-        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 3, 59, 30175, 30)], // Miss
-        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 3, 24, 10499, 1)], // Revalidated
-        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 3, 55, 29348, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 1, 51, 27276, 30)], // Uncacheable
+        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 3, 10, 8832, 0)], // Hit
+        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 8, 55, 28499, 30)], // Miss
+        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 6, 21, 9846, 1)], // Revalidated
+        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 8, 51, 27672, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 4, 49, 26636, 30)], // Uncacheable
     ],
     // sax-events
     [
-        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 2, 12, 9227, 0)], // Hit
-        [w(8, 5, 2, 54, 42898, 30), w(10, 7, 2, 54, 42898, 30), w(12, 7, 3, 63, 46447, 30)], // Miss
-        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 3, 24, 10499, 1)], // Revalidated
-        [w(8, 5, 2, 50, 42071, 30), w(10, 7, 2, 50, 42071, 30), w(12, 7, 3, 59, 45620, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 1, 51, 27276, 30)], // Uncacheable
+        [w(1, 0, 1, 5, 7728, 0), w(4, 3, 1, 5, 7728, 0), w(6, 3, 3, 9, 8576, 0)], // Hit
+        [w(8, 5, 2, 54, 42898, 30), w(10, 7, 2, 54, 42898, 30), w(12, 7, 8, 59, 44771, 30)], // Miss
+        [w(5, 2, 2, 17, 8996, 1), w(8, 5, 2, 17, 8996, 1), w(10, 5, 6, 21, 9846, 1)], // Revalidated
+        [w(8, 5, 2, 50, 42071, 30), w(10, 7, 2, 50, 42071, 30), w(12, 7, 8, 55, 43944, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 4, 49, 26636, 30)], // Uncacheable
     ],
     // serialization
     [
-        [w(1, 0, 1, 47, 13860, 0), w(4, 3, 1, 47, 13860, 0), w(6, 3, 2, 54, 15359, 0)], // Hit
-        [w(8, 5, 2, 66, 48494, 30), w(10, 7, 2, 66, 48494, 30), w(12, 7, 3, 75, 52043, 30)], // Miss
-        [w(5, 2, 2, 59, 15128, 1), w(8, 5, 2, 59, 15128, 1), w(10, 5, 3, 66, 16631, 1)], // Revalidated
-        [w(8, 5, 2, 62, 47667, 30), w(10, 7, 2, 62, 47667, 30), w(12, 7, 3, 71, 51216, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 1, 51, 27276, 30)], // Uncacheable
+        [w(1, 0, 1, 47, 13860, 0), w(4, 3, 1, 47, 13860, 0), w(6, 3, 3, 51, 14708, 0)], // Hit
+        [w(8, 5, 2, 66, 48494, 30), w(10, 7, 2, 66, 48494, 30), w(12, 7, 8, 71, 50367, 30)], // Miss
+        [w(5, 2, 2, 59, 15128, 1), w(8, 5, 2, 59, 15128, 1), w(10, 5, 6, 63, 15978, 1)], // Revalidated
+        [w(8, 5, 2, 62, 47667, 30), w(10, 7, 2, 62, 47667, 30), w(12, 7, 8, 67, 49540, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 4, 49, 26636, 30)], // Uncacheable
     ],
     // pass-by-reference
     [
-        [w(1, 0, 1, 0, 0, 0), w(4, 3, 1, 0, 0, 0), w(6, 3, 2, 7, 1499, 0)], // Hit
-        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 3, 59, 30175, 30)], // Miss
-        [w(5, 2, 2, 12, 1268, 1), w(8, 5, 2, 12, 1268, 1), w(10, 5, 3, 19, 2771, 1)], // Revalidated
-        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 3, 55, 29348, 30)], // Refused
-        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 1, 51, 27276, 30)], // Uncacheable
+        [w(1, 0, 1, 0, 0, 0), w(4, 3, 1, 0, 0, 0), w(6, 3, 3, 4, 848, 0)], // Hit
+        [w(8, 5, 2, 50, 26626, 30), w(10, 7, 2, 50, 26626, 30), w(12, 7, 8, 55, 28499, 30)], // Miss
+        [w(5, 2, 2, 12, 1268, 1), w(8, 5, 2, 12, 1268, 1), w(10, 5, 6, 16, 2118, 1)], // Revalidated
+        [w(8, 5, 2, 46, 25799, 30), w(10, 7, 2, 46, 25799, 30), w(12, 7, 8, 51, 27672, 30)], // Refused
+        [w(4, 3, 0, 46, 25799, 30), w(4, 3, 0, 46, 25799, 30), w(6, 3, 4, 49, 26636, 30)], // Uncacheable
     ],
 ];
 
